@@ -667,7 +667,13 @@ impl FeedbackStore {
     /// Decayed actual *output rows* observed for the plan fragment
     /// `fragment` (any operator — keyed by [`plan_fingerprint`]).
     pub fn measured_rows(&self, fragment: &Plan) -> Option<f64> {
-        let r = self.frags.get(&plan_fingerprint(fragment)).copied();
+        self.measured_rows_by_fingerprint(plan_fingerprint(fragment))
+    }
+
+    /// [`Self::measured_rows`] for a caller that already holds the
+    /// fragment's [`plan_fingerprint`] — no plan walk, no hashing.
+    pub fn measured_rows_by_fingerprint(&self, fingerprint: u64) -> Option<f64> {
+        let r = self.frags.get(&fingerprint).copied();
         self.count_lookup(r.is_some());
         r
     }
@@ -1081,6 +1087,11 @@ mod tests {
         assert_eq!(store.measured_rows(&plan), Some(9000.0));
         assert_eq!(store.measured_rows(&scan("a")), Some(100.0));
         assert_eq!(store.measured_rows(&scan("never-ran")), None);
+        assert_eq!(
+            store.measured_rows_by_fingerprint(plan_fingerprint(&plan)),
+            Some(9000.0),
+            "a held fingerprint finds the same memo"
+        );
         let hints = ParHints::for_plan(&plan, &store);
         assert_eq!(hints.len(), 3);
         assert_eq!(hints.measured(&plan), Some(9000.0));

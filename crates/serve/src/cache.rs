@@ -1,8 +1,11 @@
 //! The service's three cache layers.
 //!
-//! Each layer is an independently locked, capacity-bounded map — the
-//! service composes them per request, and nothing here knows about
-//! epochs beyond what its keys encode:
+//! Each layer is an independently locked, capacity-bounded map that the
+//! service composes per request. Every lock here is held for a few map
+//! operations and never across parsing, ranking or execution, and a
+//! poisoned one is recovered (`lock` below): the maps are whole between any
+//! two steps of a critical section, so a panic elsewhere must not take
+//! the query path down with it.
 //!
 //! * [`PatternCache`] — query text → parsed pattern, with spellings that
 //!   render to the same canonical form sharing one entry;
@@ -15,7 +18,9 @@
 //!   rows): maintenance kills exactly the entries whose read set was
 //!   touched, and untouched entries keep serving across epoch bumps —
 //!   their extents are `Arc`-identical to the live ones, so the cached
-//!   bytes equal a fresh execution.
+//!   bytes equal a fresh execution. The cache knows which epoch it has
+//!   been swept through and serves or admits an entry only for a
+//!   request on exactly that epoch (see [`ResultCache`]).
 //!
 //! Eviction is insertion-order (FIFO) everywhere: the service's hot set
 //! is refreshed by re-insertion after invalidation, and FIFO avoids
@@ -24,7 +29,29 @@
 use smv_algebra::{NestedRelation, Plan, PlanEstimate};
 use smv_pattern::{canonical_form, parse_pattern, Pattern, PatternParseError};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, taking the guard out of a poisoned mutex: a lock in this
+/// crate guards a value that is whole whenever a panic can unwind through
+/// its holder (see the module docs), so the poison flag carries no news.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A thread panics while holding `m`'s guard (tests of the recovery in
+/// [`lock`]).
+#[cfg(test)]
+pub(crate) fn poison<T: Send>(m: &Mutex<T>) {
+    std::thread::scope(|s| {
+        let panicked = s
+            .spawn(|| {
+                let _guard = m.lock();
+                panic!("poisoning a lock on purpose");
+            })
+            .join();
+        assert!(panicked.is_err());
+    });
+}
 
 /// FNV-1a over a byte string — the same hash family as
 /// [`smv_algebra::plan_fingerprint`], applied to canonical pattern text.
@@ -65,6 +92,11 @@ pub struct PatternCache {
 }
 
 impl PatternCache {
+    #[cfg(test)]
+    pub(crate) fn poison(&self) {
+        poison(&self.inner);
+    }
+
     /// An empty cache evicting (FIFO) beyond `capacity` entries.
     pub fn new(capacity: usize) -> PatternCache {
         PatternCache {
@@ -85,14 +117,14 @@ impl PatternCache {
         text: &str,
     ) -> Result<(Arc<CachedPattern>, bool), PatternParseError> {
         {
-            let inner = self.inner.lock().expect("pattern cache lock");
+            let inner = lock(&self.inner);
             if let Some(e) = inner.by_text.get(text) {
                 return Ok((Arc::clone(e), true));
             }
         }
         let pattern = parse_pattern(text)?;
         let canon = canonical_form(&pattern);
-        let mut inner = self.inner.lock().expect("pattern cache lock");
+        let mut inner = lock(&self.inner);
         // share the entry of an equal-canonical-form spelling seen before
         let entry = match inner.by_canon.get(&canon) {
             Some(e) => Arc::clone(e),
@@ -124,7 +156,7 @@ impl PatternCache {
 
     /// Number of distinct spellings cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("pattern cache lock").by_text.len()
+        lock(&self.inner).by_text.len()
     }
 
     /// True when nothing is cached.
@@ -172,6 +204,11 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
+    #[cfg(test)]
+    pub(crate) fn poison(&self) {
+        poison(&self.inner);
+    }
+
     /// An empty cache evicting (FIFO) beyond `capacity` entries.
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache {
@@ -185,17 +222,12 @@ impl PlanCache {
 
     /// The cached ranking for `key`, if present.
     pub fn get(&self, key: &PlanKey) -> Option<Arc<RankedPlan>> {
-        self.inner
-            .lock()
-            .expect("plan cache lock")
-            .map
-            .get(key)
-            .map(Arc::clone)
+        lock(&self.inner).map.get(key).map(Arc::clone)
     }
 
     /// Caches a ranking.
     pub fn insert(&self, key: PlanKey, plan: Arc<RankedPlan>) {
-        let mut inner = self.inner.lock().expect("plan cache lock");
+        let mut inner = lock(&self.inner);
         while inner.map.len() >= self.capacity {
             match inner.order.pop_front() {
                 Some(old) => {
@@ -213,7 +245,7 @@ impl PlanCache {
     /// looked up again — lookups always use the current epoch). Returns
     /// how many entries died.
     pub fn purge_below(&self, epoch: u64) -> usize {
-        let mut inner = self.inner.lock().expect("plan cache lock");
+        let mut inner = lock(&self.inner);
         let before = inner.map.len();
         inner.map.retain(|k, _| k.epoch >= epoch);
         let map = std::mem::take(&mut inner.map);
@@ -224,7 +256,7 @@ impl PlanCache {
 
     /// Number of cached rankings.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan cache lock").map.len()
+        lock(&self.inner).map.len()
     }
 
     /// True when nothing is cached.
@@ -255,115 +287,161 @@ struct ResultCacheInner {
     map: HashMap<ResultKey, ResultEntry>,
     by_view: HashMap<String, HashSet<ResultKey>>,
     order: VecDeque<ResultKey>,
+    /// The epoch the cache has been swept through. Invariant: every
+    /// entry equals a fresh execution of its plan on this epoch's
+    /// snapshot.
+    swept: u64,
+}
+
+/// What [`ResultCache::get`] found for a request on one epoch.
+pub enum Lookup {
+    /// Rows valid for the request's epoch.
+    Hit(Arc<NestedRelation>),
+    /// Nothing servable: no entry, or the sweep for the request's epoch
+    /// has not run yet (the entry may predate it). Execute.
+    Miss,
+    /// The cache has been swept for a newer epoch than the request's: its
+    /// entries may postdate the request's snapshot. Take a new snapshot.
+    Superseded,
 }
 
 /// Layer 3: materialized answers of hot queries, killed by maintenance
 /// deltas through a view → keys reverse index.
+///
+/// **Coherence.** The cache carries the epoch it was last swept for, and
+/// changes it only in [`Self::sweep`], in the same critical section that
+/// kills the entries that epoch's mutation touched. [`Self::get`] and
+/// [`Self::insert_for`] compare the caller's snapshot epoch with it under
+/// the same lock, so an entry is served with, or admitted from, a
+/// snapshot of exactly the epoch the cache is valid for — never one from
+/// the other side of a sweep. The epoch number is the only sequence;
+/// ARCHITECTURE.md ("Query service & caching → Publication protocol")
+/// has the whole argument.
 pub struct ResultCache {
     inner: Mutex<ResultCacheInner>,
     capacity: usize,
 }
 
 impl ResultCache {
-    /// An empty cache evicting (FIFO) beyond `capacity` entries.
+    #[cfg(test)]
+    pub(crate) fn poison(&self) {
+        poison(&self.inner);
+    }
+
+    /// An empty cache evicting (FIFO) beyond `capacity` entries, valid
+    /// for epoch 0 (a new [`smv_views::EpochCatalog`]'s epoch).
     pub fn new(capacity: usize) -> ResultCache {
         ResultCache {
             inner: Mutex::new(ResultCacheInner {
                 map: HashMap::new(),
                 by_view: HashMap::new(),
                 order: VecDeque::new(),
+                swept: 0,
             }),
             capacity: capacity.max(1),
         }
     }
 
-    /// The cached rows for `key`, if alive.
-    pub fn get(&self, key: &ResultKey) -> Option<Arc<NestedRelation>> {
-        self.inner
-            .lock()
-            .expect("result cache lock")
-            .map
-            .get(key)
-            .map(|e| Arc::clone(&e.rows))
+    /// The cached rows for `key`, for a request whose snapshot is of
+    /// `epoch`.
+    pub fn get(&self, key: &ResultKey, epoch: u64) -> Lookup {
+        let inner = lock(&self.inner);
+        match epoch.cmp(&inner.swept) {
+            std::cmp::Ordering::Less => Lookup::Superseded,
+            std::cmp::Ordering::Greater => Lookup::Miss,
+            std::cmp::Ordering::Equal => match inner.map.get(key) {
+                Some(e) => Lookup::Hit(Arc::clone(&e.rows)),
+                None => Lookup::Miss,
+            },
+        }
     }
 
-    /// Caches `rows` under `key` with its read set, but only if `admit`
-    /// still holds under the cache lock. The service passes a
-    /// mutation-sequence check: a result computed against a snapshot
-    /// that maintenance has since invalidated must not slip in *after*
-    /// the invalidation sweep — evaluating the check and inserting as
-    /// one critical section closes that race. Returns whether the entry
-    /// was admitted.
-    pub fn insert_if(
+    /// Caches `rows`, computed on the snapshot of `epoch`, under `key`
+    /// with its read set — unless the cache is not (or no longer) valid
+    /// for exactly that epoch: rows from a superseded snapshot must not
+    /// slip in after the sweep that would have killed them, and rows from
+    /// a snapshot the sweep has yet to reach would be killed unseen.
+    /// Returns whether the entry was admitted.
+    pub fn insert_for(
         &self,
         key: ResultKey,
         rows: Arc<NestedRelation>,
         reads: Vec<String>,
-        admit: &dyn Fn() -> bool,
+        epoch: u64,
     ) -> bool {
-        let mut inner = self.inner.lock().expect("result cache lock");
-        if !admit() {
+        // whatever this pushes out is freed after the lock is released
+        let mut dead = Vec::new();
+        let mut inner = lock(&self.inner);
+        if inner.swept != epoch {
             return false;
         }
         while inner.map.len() >= self.capacity {
             match inner.order.pop_front() {
-                Some(old) => {
-                    Self::remove_locked(&mut inner, &old);
-                }
+                Some(old) => dead.extend(Self::remove_locked(&mut inner, &old)),
                 None => break,
             }
         }
-        if let Some(prev) = inner.map.insert(key, ResultEntry { rows, reads }) {
-            for v in prev.reads {
-                if let Some(set) = inner.by_view.get_mut(&v) {
-                    set.remove(&key);
-                }
-            }
-        } else {
+        // reverse edges before the entry: a dangling edge is harmless, an
+        // entry a sweep cannot find is not
+        let replaced = Self::remove_locked(&mut inner, &key);
+        for v in &reads {
+            inner.by_view.entry(v.clone()).or_default().insert(key);
+        }
+        if replaced.is_none() {
             inner.order.push_back(key);
         }
-        let reads: Vec<String> = inner.map[&key].reads.clone();
-        for v in reads {
-            inner.by_view.entry(v).or_default().insert(key);
-        }
+        dead.extend(replaced);
+        inner.map.insert(key, ResultEntry { rows, reads });
+        drop(inner);
         true
     }
 
-    fn remove_locked(inner: &mut ResultCacheInner, key: &ResultKey) {
-        if let Some(e) = inner.map.remove(key) {
-            for v in e.reads {
-                if let Some(set) = inner.by_view.get_mut(&v) {
-                    set.remove(key);
-                    if set.is_empty() {
-                        inner.by_view.remove(&v);
-                    }
+    /// Unlinks `key`, handing back its rows for the caller to drop once
+    /// the lock is released (freeing a large row set takes milliseconds).
+    fn remove_locked(inner: &mut ResultCacheInner, key: &ResultKey) -> Option<Arc<NestedRelation>> {
+        let e = inner.map.remove(key)?;
+        for v in e.reads {
+            if let Some(set) = inner.by_view.get_mut(&v) {
+                set.remove(key);
+                if set.is_empty() {
+                    inner.by_view.remove(&v);
                 }
             }
         }
+        Some(e.rows)
     }
 
-    /// Kills every entry whose read set meets `views` — the maintenance
-    /// delta → cache invalidation edge. Returns how many entries died.
-    pub fn invalidate_views<S: AsRef<str>>(&self, views: &[S]) -> usize {
-        let mut inner = self.inner.lock().expect("result cache lock");
+    /// The maintenance delta → cache invalidation edge, run once per
+    /// published epoch, in epoch order: kills every entry whose read set
+    /// meets `views` (the views whose extents differ between `epoch` and
+    /// its predecessor) and makes the cache valid for `epoch`. Returns
+    /// how many entries died.
+    pub fn sweep<S: AsRef<str>>(&self, views: &[S], epoch: u64) -> usize {
+        let mut inner = lock(&self.inner);
+        debug_assert!(epoch > inner.swept, "sweeps run in epoch order");
         let mut doomed: HashSet<ResultKey> = HashSet::new();
         for v in views {
             if let Some(set) = inner.by_view.get(v.as_ref()) {
                 doomed.extend(set.iter().copied());
             }
         }
-        for key in &doomed {
-            Self::remove_locked(&mut inner, key);
+        let dead: Vec<Arc<NestedRelation>> = doomed
+            .iter()
+            .filter_map(|key| Self::remove_locked(&mut inner, key))
+            .collect();
+        if !doomed.is_empty() {
+            let map = std::mem::take(&mut inner.map);
+            inner.order.retain(|k| map.contains_key(k));
+            inner.map = map;
         }
-        let map = std::mem::take(&mut inner.map);
-        inner.order.retain(|k| map.contains_key(k));
-        inner.map = map;
-        doomed.len()
+        inner.swept = epoch;
+        drop(inner);
+        dead.len()
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("result cache lock").map.len()
+        lock(&self.inner).map.len()
     }
 
     /// True when nothing is cached.
@@ -422,6 +500,10 @@ mod tests {
         assert_eq!(cache.get(&key(3)).unwrap().fingerprint, 3);
     }
 
+    fn hit(cache: &ResultCache, key: &ResultKey, epoch: u64) -> bool {
+        matches!(cache.get(key, epoch), Lookup::Hit(_))
+    }
+
     #[test]
     fn result_cache_reverse_index_kills_only_touched_entries() {
         let cache = ResultCache::new(8);
@@ -433,16 +515,34 @@ mod tests {
             canon_fp: 2,
             plan_fp: 2,
         };
-        assert!(cache.insert_if(k1, rel(), vec!["va".into(), "vb".into()], &|| true));
-        assert!(cache.insert_if(k2, rel(), vec!["vc".into()], &|| true));
-        assert_eq!(cache.invalidate_views(&["vb"]), 1);
-        assert!(cache.get(&k1).is_none(), "touched entry dies");
-        assert!(cache.get(&k2).is_some(), "untouched entry survives");
-        assert!(
-            !cache.insert_if(k1, rel(), vec!["va".into()], &|| false),
-            "failed admission check rejects the insert"
-        );
-        assert!(cache.get(&k1).is_none());
+        assert!(cache.insert_for(k1, rel(), vec!["va".into(), "vb".into()], 0));
+        assert!(cache.insert_for(k2, rel(), vec!["vc".into()], 0));
+        assert_eq!(cache.sweep(&["vb"], 1), 1);
+        assert!(!hit(&cache, &k1, 1), "touched entry dies");
+        assert!(hit(&cache, &k2, 1), "untouched entry survives the bump");
+        assert_eq!(cache.sweep(&["va"], 2), 0, "no edge outlives its entry");
+    }
+
+    #[test]
+    fn result_cache_serves_and_admits_only_its_swept_epoch() {
+        let cache = ResultCache::new(8);
+        let k = ResultKey {
+            canon_fp: 1,
+            plan_fp: 1,
+        };
+        assert!(cache.insert_for(k, rel(), vec!["va".into()], 0));
+        // epoch 1 is published but its sweep is pending: the entry may be
+        // stale for a request already on epoch 1, and fresh rows from
+        // epoch 1 would be swept unseen
+        assert!(matches!(cache.get(&k, 1), Lookup::Miss));
+        assert!(!cache.insert_for(k, rel(), vec!["va".into()], 1));
+        assert!(hit(&cache, &k, 0), "still right for a request on epoch 0");
+        cache.sweep::<&str>(&[], 1);
+        // swept for 1: a request still on epoch 0 must not see entries
+        // that may have been computed on epoch 1, nor add its own
+        assert!(matches!(cache.get(&k, 0), Lookup::Superseded));
+        assert!(!cache.insert_for(k, rel(), vec!["va".into()], 0));
+        assert!(hit(&cache, &k, 1));
     }
 
     #[test]
@@ -453,19 +553,51 @@ mod tests {
                 canon_fp: i,
                 plan_fp: i,
             };
-            assert!(cache.insert_if(k, rel(), vec![format!("v{i}")], &|| true));
+            assert!(cache.insert_for(k, rel(), vec![format!("v{i}")], 0));
         }
         assert_eq!(cache.len(), 2);
-        assert!(
-            cache
-                .get(&ResultKey {
-                    canon_fp: 0,
-                    plan_fp: 0
-                })
-                .is_none(),
-            "oldest evicted"
-        );
+        let oldest = ResultKey {
+            canon_fp: 0,
+            plan_fp: 0,
+        };
+        assert!(!hit(&cache, &oldest, 0), "oldest evicted");
         // the evicted entry's reverse-index edges are gone too
-        assert_eq!(cache.invalidate_views(&["v0"]), 0);
+        assert_eq!(cache.sweep(&["v0"], 1), 0);
+    }
+
+    #[test]
+    fn result_cache_replaces_an_entry_with_its_new_read_set() {
+        let cache = ResultCache::new(8);
+        let k = ResultKey {
+            canon_fp: 1,
+            plan_fp: 1,
+        };
+        assert!(cache.insert_for(k, rel(), vec!["va".into()], 0));
+        assert!(cache.insert_for(k, rel(), vec!["vb".into()], 0));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.sweep(&["va"], 1), 0, "the old edge went with it");
+        assert_eq!(cache.sweep(&["vb"], 2), 1);
+    }
+
+    #[test]
+    fn poisoned_caches_keep_serving() {
+        let patterns = PatternCache::new(8);
+        let plans = PlanCache::new(8);
+        let results = ResultCache::new(8);
+        let k = ResultKey {
+            canon_fp: 1,
+            plan_fp: 1,
+        };
+        patterns.get_or_parse("a(/b{v})").unwrap();
+        assert!(results.insert_for(k, rel(), vec!["va".into()], 0));
+        patterns.poison();
+        plans.poison();
+        results.poison();
+        assert!(patterns.inner.is_poisoned() && results.inner.is_poisoned());
+        assert!(patterns.get_or_parse("a(/b{v})").unwrap().1, "still a hit");
+        assert_eq!(plans.len(), 0);
+        assert_eq!(plans.purge_below(1), 0);
+        assert!(hit(&results, &k, 0));
+        assert_eq!(results.sweep(&["va"], 1), 1);
     }
 }

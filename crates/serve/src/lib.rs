@@ -28,6 +28,6 @@ pub mod cache;
 pub mod scheduler;
 pub mod service;
 
-pub use cache::{text_fingerprint, CachedPattern, PatternCache, PlanCache, ResultCache};
+pub use cache::{text_fingerprint, CachedPattern, Lookup, PatternCache, PlanCache, ResultCache};
 pub use scheduler::{AdmissionScheduler, SchedDecision, SchedMode};
 pub use service::{QueryResponse, QueryService, ServeError, ServiceConfig, ServiceStats};

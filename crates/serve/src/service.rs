@@ -12,22 +12,24 @@
 //! the epoch served, and the scheduling decision.
 //!
 //! **Coherence.** A cached result must be byte-identical to a fresh
-//! execution against the current snapshot. Three mechanisms compose to
-//! guarantee that:
-//!
-//! 1. results are keyed by *plan* fingerprint — equivalent plans may
-//!    order rows differently, so a re-ranked plan misses rather than
-//!    serving another plan's bytes;
-//! 2. maintenance kills every entry whose read set it touched (the
-//!    reverse index in [`crate::cache::ResultCache`]), so a surviving
-//!    entry's extents are `Arc`-identical to the live ones and
-//!    re-executing its plan would reproduce its bytes;
-//! 3. an entry computed against a pre-maintenance snapshot can't be
-//!    inserted *after* the kill sweep: mutators bump a mutation sequence
-//!    before sweeping, and inserts re-check the sequence under the cache
-//!    lock ([`crate::cache::ResultCache::insert_if`]).
+//! execution against the snapshot the response carries, and a reader
+//! must never wait for a writer. The one protocol that gives both —
+//! what a reader touches, what orders publish, sweep and validation — is
+//! stated in ARCHITECTURE.md ("Query service & caching → Publication
+//! protocol"). Its parts here: readers take snapshots from `published`
+//! (an [`EpochReader`]) and never from the writer-side `master`;
+//! `QueryService::sweep` is the second half of every mutation, run under
+//! `master` right after the catalog publishes; and
+//! `QueryService::serve_on` hands the request's snapshot epoch to
+//! [`ResultCache::get`] / [`ResultCache::insert_for`], which validate it.
+//! Results are keyed by *plan* fingerprint besides — equivalent plans may
+//! order rows differently, so a re-ranked plan misses rather than serving
+//! another plan's bytes.
 
-use crate::cache::{PatternCache, PlanCache, PlanKey, RankedPlan, ResultCache, ResultKey};
+use crate::cache::{
+    lock, CachedPattern, Lookup, PatternCache, PlanCache, PlanKey, RankedPlan, ResultCache,
+    ResultKey,
+};
 use crate::scheduler::{AdmissionScheduler, SchedDecision, SchedMode};
 use smv_algebra::{
     execute_profiled_with, plan_fingerprint, ExecError, ExecOpts, FeedbackCards, FeedbackStore,
@@ -36,11 +38,12 @@ use smv_algebra::{
 use smv_core::{rewrite_with_feedback, RewriteOpts};
 use smv_pattern::PatternParseError;
 use smv_views::{
-    CatalogCards, CatalogEpoch, EpochCatalog, MaintenanceReport, RefreshPolicy, View, ViewStore,
+    CatalogCards, CatalogEpoch, EpochCatalog, EpochReader, MaintenanceReport, RefreshPolicy, View,
+    ViewStore,
 };
 use smv_xml::{Document, IdScheme, LiveError, UpdateBatch};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockWriteGuard};
 use std::time::Instant;
 
 /// Everything a request can fail with.
@@ -54,6 +57,10 @@ pub enum ServeError {
     Exec(ExecError),
     /// An update batch was rejected by the live document.
     Update(LiveError),
+    /// An earlier mutation panicked while it held the writer-side catalog,
+    /// which may be half-maintained and accepts no further mutation.
+    /// Queries keep being served from the last published epoch.
+    CatalogPoisoned,
 }
 
 impl std::fmt::Display for ServeError {
@@ -63,6 +70,10 @@ impl std::fmt::Display for ServeError {
             ServeError::NoRewriting => f.write_str("no rewriting over the registered views"),
             ServeError::Exec(e) => write!(f, "execution error: {e}"),
             ServeError::Update(e) => write!(f, "update rejected: {e:?}"),
+            ServeError::CatalogPoisoned => f.write_str(
+                "an earlier mutation panicked mid-change: the catalog accepts no more \
+                 mutations (queries still serve the last published epoch)",
+            ),
         }
     }
 }
@@ -201,23 +212,34 @@ impl Counters {
     }
 }
 
+/// How many times a request whose snapshot was superseded before it
+/// reached the result cache starts over on a new snapshot; after that it
+/// executes on the snapshot it holds (right, but uncached), so a request
+/// is never hostage to a fast writer.
+const MAX_RESTARTS: usize = 3;
+
 /// The multi-client query service. See the module docs for the request
 /// flow and the coherence argument.
 pub struct QueryService {
-    catalog: RwLock<EpochCatalog>,
+    /// The writer side: mutators hold it exclusively through maintain →
+    /// publish → sweep, [`Self::with_catalog`] shares it. No query takes
+    /// it.
+    master: RwLock<EpochCatalog>,
+    /// The reader side: the catalog's publication cell.
+    published: EpochReader,
     pool: Arc<WorkerPool>,
     patterns: PatternCache,
     plans: PlanCache,
     results: ResultCache,
-    feedback: Mutex<FeedbackStore>,
+    /// Copy-on-write: readers clone the `Arc` and rank against a frozen
+    /// store; `ingest` and invalidation go through [`Arc::make_mut`],
+    /// which copies only while a reader still holds the old one.
+    feedback: Mutex<Arc<FeedbackStore>>,
     scheduler: AdmissionScheduler,
     rewrite_opts: RewriteOpts,
     config: ServiceConfig,
     /// In-flight requests, counted around [`Self::query`].
     active: AtomicUsize,
-    /// Bumped by every mutation *before* its cache sweep; result-cache
-    /// inserts re-check it under the cache lock (coherence point 3).
-    mutation_seq: AtomicU64,
     counters: Counters,
 }
 
@@ -227,6 +249,16 @@ impl Drop for ActiveGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
+}
+
+/// One attempt's answer, before it is stamped into a [`QueryResponse`].
+struct Served {
+    rows: Arc<NestedRelation>,
+    snapshot: Arc<CatalogEpoch>,
+    ranked: Arc<RankedPlan>,
+    plan_cache_hit: bool,
+    result_cache_hit: bool,
+    scheduling: SchedDecision,
 }
 
 impl QueryService {
@@ -250,18 +282,19 @@ impl QueryService {
             rank_by_cost: true,
             ..RewriteOpts::default()
         };
+        let catalog = EpochCatalog::new(doc, scheme);
         QueryService {
-            catalog: RwLock::new(EpochCatalog::new(doc, scheme)),
+            published: catalog.reader(),
+            master: RwLock::new(catalog),
             patterns: PatternCache::new(config.pattern_cache_capacity),
             plans: PlanCache::new(config.plan_cache_capacity),
             results: ResultCache::new(config.result_cache_capacity),
-            feedback: Mutex::new(FeedbackStore::new()),
+            feedback: Mutex::new(Arc::new(FeedbackStore::new())),
             scheduler: AdmissionScheduler::new(config.min_par_rows),
             rewrite_opts,
             pool,
             config,
             active: AtomicUsize::new(0),
-            mutation_seq: AtomicU64::new(0),
             counters: Counters::new(),
         }
     }
@@ -271,44 +304,81 @@ impl QueryService {
         &self.pool
     }
 
-    /// The current epoch.
+    /// The current (published) epoch.
     pub fn epoch(&self) -> u64 {
-        self.catalog.read().expect("catalog lock").epoch()
+        self.published.epoch()
     }
 
     /// The current epoch snapshot — what a query entering now would see.
     pub fn snapshot(&self) -> Arc<CatalogEpoch> {
-        self.catalog.read().expect("catalog lock").snapshot()
+        self.published.snapshot()
     }
 
-    /// Runs `f` under the catalog read lock — update drivers use this to
-    /// build batches against the live document's IDs.
+    /// Runs `f` on the writer-side catalog, shared with other
+    /// `with_catalog` callers and excluding mutators for as long as `f`
+    /// runs — update drivers use this to build batches against the live
+    /// document's IDs. Queries are not held up by it. After
+    /// [`ServeError::CatalogPoisoned`] it still runs `f`, on whatever
+    /// state the failed mutation left behind.
     pub fn with_catalog<R>(&self, f: impl FnOnce(&EpochCatalog) -> R) -> R {
-        f(&self.catalog.read().expect("catalog lock"))
+        f(&self.master.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// The writer-side catalog, exclusively.
+    fn writer(&self) -> Result<RwLockWriteGuard<'_, EpochCatalog>, ServeError> {
+        self.master.write().map_err(|_| ServeError::CatalogPoisoned)
+    }
+
+    /// The second half of every mutation, with the writer-side lock still
+    /// held so that sweeps run in epoch order: `cat` has just published
+    /// an epoch whose extents differ from its predecessor's exactly on
+    /// `touched`. Kills the result-cache entries that read those views and
+    /// moves the cache to the new epoch, purges dead-epoch plan rankings,
+    /// and invalidates feedback memos over the touched views. Returns how
+    /// many result entries died.
+    fn sweep<S: AsRef<str>>(
+        &self,
+        cat: &RwLockWriteGuard<'_, EpochCatalog>,
+        touched: &[S],
+    ) -> usize {
+        let epoch = cat.epoch();
+        let killed = self.results.sweep(touched, epoch);
+        self.plans.purge_below(epoch);
+        if !touched.is_empty() {
+            Arc::make_mut(&mut lock(&self.feedback)).invalidate_fingerprints_touching(touched);
+        }
+        killed
     }
 
     /// Registers one view (materialized inline; see [`Self::add_views`]
-    /// for the pool-parallel bulk path).
+    /// for the pool-parallel bulk path). Re-registering a name replaces
+    /// its extent, so cached results that read it are swept.
+    ///
+    /// # Panics
+    ///
+    /// On [`ServeError::CatalogPoisoned`], and as
+    /// [`EpochCatalog::add_view`] does.
     pub fn add_view(&self, view: View, policy: RefreshPolicy) {
-        let mut cat = self.catalog.write().expect("catalog lock");
+        let mut cat = self.writer().unwrap_or_else(|e| panic!("{e}"));
+        let name = view.name.clone();
         cat.add_view(view, policy);
-        self.mutation_seq.fetch_add(1, Ordering::AcqRel);
-        let epoch = cat.epoch();
-        drop(cat);
-        self.plans.purge_below(epoch);
+        self.sweep(&cat, &[name]);
     }
 
     /// Bulk-registers views, materializing extents in parallel on the
     /// service's own pool ([`EpochCatalog::add_views_on`]) and
     /// publishing one epoch — ingest and queries share workers, so one
     /// `threads` knob governs both.
+    ///
+    /// # Panics
+    ///
+    /// On [`ServeError::CatalogPoisoned`], and as
+    /// [`EpochCatalog::add_views_on`] does.
     pub fn add_views(&self, views: Vec<View>, policy: RefreshPolicy) {
-        let mut cat = self.catalog.write().expect("catalog lock");
+        let mut cat = self.writer().unwrap_or_else(|e| panic!("{e}"));
+        let names: Vec<String> = views.iter().map(|v| v.name.clone()).collect();
         cat.add_views_on(views, policy, &self.pool);
-        self.mutation_seq.fetch_add(1, Ordering::AcqRel);
-        let epoch = cat.epoch();
-        drop(cat);
-        self.plans.purge_below(epoch);
+        self.sweep(&cat, &names);
     }
 
     /// Applies an update batch and sweeps every cache entry the
@@ -316,27 +386,19 @@ impl QueryService {
     /// refreshed or newly stale view die, stale-epoch plan rankings are
     /// purged, and feedback memos for touched views are invalidated.
     /// Untouched result entries survive — their extents are untouched
-    /// `Arc`s in the new epoch.
+    /// `Arc`s in the new epoch. Queries are served throughout, from the
+    /// previous epoch until the new one is published.
     pub fn apply(&self, batch: &UpdateBatch) -> Result<MaintenanceReport, ServeError> {
-        let mut cat = self.catalog.write().expect("catalog lock");
+        let mut cat = self.writer()?;
         let report = cat.apply(batch)?;
-        // bump before sweeping (under the write lock): an in-flight
-        // query's insert either lands before the sweep (and is swept if
-        // touched) or sees the new sequence and is refused
-        self.mutation_seq.fetch_add(1, Ordering::AcqRel);
-        drop(cat);
-        let touched: Vec<String> = report
+        let touched: Vec<&str> = report
             .refreshed
             .iter()
             .chain(report.deferred_stale.iter())
-            .cloned()
+            .map(String::as_str)
             .collect();
-        let killed = self.results.invalidate_views(&touched);
-        self.plans.purge_below(report.epoch);
-        self.feedback
-            .lock()
-            .expect("feedback lock")
-            .invalidate_fingerprints_touching(&touched);
+        let killed = self.sweep(&cat, &touched);
+        drop(cat);
         self.counters
             .results_invalidated
             .fetch_add(killed as u64, Ordering::Relaxed);
@@ -350,20 +412,21 @@ impl QueryService {
 
     /// Refreshes a deferred view ([`EpochCatalog::refresh`]) and sweeps
     /// cache entries that read it (its extent may have been rebuilt).
+    ///
+    /// # Panics
+    ///
+    /// On [`ServeError::CatalogPoisoned`].
     pub fn refresh(&self, name: &str) -> bool {
-        let mut cat = self.catalog.write().expect("catalog lock");
+        let mut cat = self.writer().unwrap_or_else(|e| panic!("{e}"));
+        let before = cat.epoch();
         if !cat.refresh(name) {
             return false;
         }
-        self.mutation_seq.fetch_add(1, Ordering::AcqRel);
-        let epoch = cat.epoch();
-        drop(cat);
-        self.results.invalidate_views(&[name]);
-        self.plans.purge_below(epoch);
-        self.feedback
-            .lock()
-            .expect("feedback lock")
-            .invalidate_fingerprints_touching(&[name]);
+        // a view that was current publishes nothing, so there is no epoch
+        // to sweep for
+        if cat.epoch() != before {
+            self.sweep(&cat, &[name]);
+        }
         true
     }
 
@@ -375,17 +438,33 @@ impl QueryService {
         let _guard = ActiveGuard(&self.active);
         smv_obs::gauge_max("serve.active_clients_max", active as i64);
 
-        // the admission sequence this request races against mutators on
-        let seq = self.mutation_seq.load(Ordering::Acquire);
-
         // layer 1: pattern
         let (pat, pattern_cache_hit) = self.patterns.get_or_parse(text)?;
-        if pattern_cache_hit {
-            self.counters.pattern_hits.fetch_add(1, Ordering::Relaxed);
-            smv_obs::counter_add("serve.pattern_hits", 1);
-        }
 
-        let snap = self.snapshot();
+        let mut restarts_left = MAX_RESTARTS;
+        let served = loop {
+            let snap = self.published.snapshot();
+            match self.serve_on(&pat, snap, active, restarts_left > 0)? {
+                Some(served) => break served,
+                None => restarts_left -= 1,
+            }
+        };
+        Ok(self.respond(served, pattern_cache_hit, t0))
+    }
+
+    /// Layers 2 and 3 and execution, all against the one snapshot `snap`:
+    /// whatever this returns is byte-identical to a fresh execution on
+    /// `snap`. `None` asks for a restart: the result cache has been swept
+    /// for a newer epoch, so a newer snapshot is published and the cache
+    /// can no longer answer for this one. With `may_restart` false the
+    /// request executes on `snap` instead.
+    fn serve_on(
+        &self,
+        pat: &CachedPattern,
+        snap: Arc<CatalogEpoch>,
+        active: usize,
+        may_restart: bool,
+    ) -> Result<Option<Served>, ServeError> {
         let epoch = snap.epoch();
 
         // layer 2: plan
@@ -409,28 +488,13 @@ impl QueryService {
                 (r, false)
             }
         };
-        if plan_cache_hit {
-            self.counters.plan_hits.fetch_add(1, Ordering::Relaxed);
-            smv_obs::counter_add("serve.plan_hits", 1);
-        }
 
         // scheduler: measured cardinality when feedback has seen this
         // plan, the ranking-time estimate otherwise
-        let expected_rows = {
-            let fb = self.feedback.lock().expect("feedback lock");
-            fb.measured_rows(&ranked.plan).unwrap_or(ranked.est.rows)
-        };
+        let expected_rows = lock(&self.feedback)
+            .measured_rows_by_fingerprint(ranked.fingerprint)
+            .unwrap_or(ranked.est.rows);
         let scheduling = self.scheduler.decide(active, &self.pool, expected_rows);
-        match scheduling.mode {
-            SchedMode::Inter => {
-                self.counters.sched_inter.fetch_add(1, Ordering::Relaxed);
-                smv_obs::counter_add("serve.sched_inter", 1);
-            }
-            SchedMode::Intra => {
-                self.counters.sched_intra.fetch_add(1, Ordering::Relaxed);
-                smv_obs::counter_add("serve.sched_intra", 1);
-            }
-        }
 
         // layer 3: result
         let result_key = ResultKey {
@@ -438,19 +502,19 @@ impl QueryService {
             plan_fp: ranked.fingerprint,
         };
         if self.config.result_cache {
-            if let Some(rows) = self.results.get(&result_key) {
-                self.counters.result_hits.fetch_add(1, Ordering::Relaxed);
-                smv_obs::counter_add("serve.result_hits", 1);
-                return Ok(self.respond(
-                    rows,
-                    snap,
-                    &ranked,
-                    pattern_cache_hit,
-                    plan_cache_hit,
-                    true,
-                    scheduling,
-                    t0,
-                ));
+            match self.results.get(&result_key, epoch) {
+                Lookup::Hit(rows) => {
+                    return Ok(Some(Served {
+                        rows,
+                        snapshot: snap,
+                        ranked,
+                        plan_cache_hit,
+                        result_cache_hit: true,
+                        scheduling,
+                    }))
+                }
+                Lookup::Superseded if may_restart => return Ok(None),
+                Lookup::Superseded | Lookup::Miss => {}
             }
         }
 
@@ -462,7 +526,7 @@ impl QueryService {
             par_hints: None,
         };
         if scheduling.threads != 1 {
-            let fb = self.feedback.lock().expect("feedback lock");
+            let fb = self.frozen_feedback();
             if !fb.is_empty() {
                 let hints = ParHints::for_plan(&ranked.plan, &fb);
                 if !hints.is_empty() {
@@ -471,39 +535,43 @@ impl QueryService {
             }
         }
         let (rel, profile) = execute_profiled_with(&ranked.plan, &*snap, &exec_opts)?;
-        self.feedback
-            .lock()
-            .expect("feedback lock")
-            .ingest(&ranked.plan, &profile);
+        // every frozen handle this request took is dropped by now, so a
+        // lone client never makes this copy the store
+        Arc::make_mut(&mut lock(&self.feedback)).ingest(&ranked.plan, &profile);
         let rows = Arc::new(rel);
         if self.config.result_cache {
-            self.results.insert_if(
+            self.results.insert_for(
                 result_key,
                 Arc::clone(&rows),
                 ranked.plan.views_used(),
-                &|| self.mutation_seq.load(Ordering::Acquire) == seq,
+                epoch,
             );
         }
-        Ok(self.respond(
+        Ok(Some(Served {
             rows,
-            snap,
-            &ranked,
-            pattern_cache_hit,
+            snapshot: snap,
+            ranked,
             plan_cache_hit,
-            false,
+            result_cache_hit: false,
             scheduling,
-            t0,
-        ))
+        }))
     }
 
-    /// Ranks a query's rewritings against a snapshot under the current
-    /// feedback — the plan-cache miss path.
+    /// The feedback store as of now, frozen: later ingests and
+    /// invalidations go to a copy.
+    fn frozen_feedback(&self) -> Arc<FeedbackStore> {
+        Arc::clone(&lock(&self.feedback))
+    }
+
+    /// Ranks a query's rewritings against a snapshot under the feedback
+    /// gathered so far — the plan-cache miss path. The search runs
+    /// 1–80 ms and holds no lock.
     fn rank(
         &self,
         q: &smv_pattern::Pattern,
         snap: &CatalogEpoch,
     ) -> Result<Arc<RankedPlan>, ServeError> {
-        let fb = self.feedback.lock().expect("feedback lock");
+        let fb = self.frozen_feedback();
         let cards = CatalogCards::over(snap, snap.summary());
         let fb_cards = FeedbackCards::new(&cards, &fb);
         let ranked = rewrite_with_feedback(
@@ -528,21 +596,35 @@ impl QueryService {
         }))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn respond(
-        &self,
-        rows: Arc<NestedRelation>,
-        snapshot: Arc<CatalogEpoch>,
-        ranked: &RankedPlan,
-        pattern_cache_hit: bool,
-        plan_cache_hit: bool,
-        result_cache_hit: bool,
-        scheduling: SchedDecision,
-        t0: Instant,
-    ) -> QueryResponse {
+    /// Counts the answered request and stamps the response.
+    fn respond(&self, served: Served, pattern_cache_hit: bool, t0: Instant) -> QueryResponse {
+        let Served {
+            rows,
+            snapshot,
+            ranked,
+            plan_cache_hit,
+            result_cache_hit,
+            scheduling,
+        } = served;
+        let bump = |counter: &AtomicU64, name: &'static str| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            smv_obs::counter_add(name, 1);
+        };
+        if pattern_cache_hit {
+            bump(&self.counters.pattern_hits, "serve.pattern_hits");
+        }
+        if plan_cache_hit {
+            bump(&self.counters.plan_hits, "serve.plan_hits");
+        }
+        if result_cache_hit {
+            bump(&self.counters.result_hits, "serve.result_hits");
+        }
+        match scheduling.mode {
+            SchedMode::Inter => bump(&self.counters.sched_inter, "serve.sched_inter"),
+            SchedMode::Intra => bump(&self.counters.sched_intra, "serve.sched_intra"),
+        }
+        bump(&self.counters.queries, "serve.queries");
         let latency_ns = t0.elapsed().as_nanos() as u64;
-        self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        smv_obs::counter_add("serve.queries", 1);
         smv_obs::observe("serve.latency_ns", latency_ns);
         smv_obs::observe("serve.result_rows", rows.len() as u64);
         QueryResponse {
@@ -615,14 +697,29 @@ mod tests {
     }
 
     fn sid(svc: &QueryService, label: &str, nth: usize) -> StructId {
-        let cat = svc.catalog.read().unwrap();
-        let doc = cat.live().doc();
-        let n = doc
-            .iter()
-            .filter(|&n| doc.label(n).as_str() == label)
-            .nth(nth)
-            .expect("labeled node");
-        cat.live().ids().id(n).clone()
+        svc.with_catalog(|cat| {
+            let doc = cat.live().doc();
+            let n = doc
+                .iter()
+                .filter(|&n| doc.label(n).as_str() == label)
+                .nth(nth)
+                .expect("labeled node");
+            cat.live().ids().id(n).clone()
+        })
+    }
+
+    const B: &str = "r(//b{id,v})";
+
+    /// One attempt of a request for [`B`] that already holds `snap`.
+    fn attempt(svc: &QueryService, snap: Arc<CatalogEpoch>, may_restart: bool) -> Option<Served> {
+        let (pat, _) = svc.patterns.get_or_parse(B).unwrap();
+        svc.serve_on(&pat, snap, 1, may_restart).unwrap()
+    }
+
+    fn delete_c(svc: &QueryService) -> UpdateBatch {
+        let mut batch = UpdateBatch::new();
+        batch.delete(sid(svc, "c", 0));
+        batch
     }
 
     #[test]
@@ -722,5 +819,128 @@ mod tests {
         );
         assert!(Arc::ptr_eq(other.pool(), &pool));
         assert_eq!(other.query("r(//b{id,v})").unwrap().rows.len(), 1);
+    }
+
+    #[test]
+    fn a_superseded_snapshot_is_never_paired_with_newer_cached_rows() {
+        let svc = service(1);
+        // reader A takes the epoch-N snapshot and is then overtaken:
+        let held = svc.snapshot();
+        assert_eq!(svc.query(B).unwrap().rows.len(), 4);
+        // … the writer publishes N+1 and sweeps, reader B executes on N+1
+        // and caches its rows under the very key A will look up
+        svc.apply(&delete_c(&svc)).unwrap();
+        let b = svc.query(B).unwrap();
+        assert!(!b.result_cache_hit);
+        assert_eq!(b.rows.len(), 3);
+        // A reaches the result cache: B's rows are not an answer on N
+        assert!(
+            attempt(&svc, Arc::clone(&held), true).is_none(),
+            "asks for a restart"
+        );
+        // out of restarts, A answers from the snapshot it holds, uncached
+        let a = attempt(&svc, Arc::clone(&held), false).expect("served");
+        assert!(!a.result_cache_hit);
+        assert_eq!(a.snapshot.epoch(), held.epoch());
+        assert_eq!(a.rows.len(), 4, "epoch-N rows with the epoch-N snapshot");
+        // … and did not overwrite B's entry with superseded rows
+        let again = svc.query(B).unwrap();
+        assert!(again.result_cache_hit);
+        assert_eq!(again.rows.len(), 3);
+        assert_eq!(again.epoch, svc.epoch());
+    }
+
+    #[test]
+    fn between_publish_and_sweep_the_cache_answers_only_the_old_epoch() {
+        let svc = service(1);
+        let held = svc.snapshot();
+        assert_eq!(svc.query(B).unwrap().rows.len(), 4);
+        // a mutation stopped between its two halves: published, not swept
+        let batch = delete_c(&svc);
+        let mut cat = svc.writer().unwrap();
+        let report = cat.apply(&batch).unwrap();
+        assert_eq!(svc.epoch(), report.epoch);
+        // a request on the new epoch must not see the unswept (now stale)
+        // entry, and what it computes is not cached ahead of the sweep
+        let ahead = svc.query(B).unwrap();
+        assert_eq!(ahead.epoch, report.epoch);
+        assert!(!ahead.result_cache_hit);
+        assert_eq!(ahead.rows.len(), 3);
+        assert!(!svc.query(B).unwrap().result_cache_hit);
+        // a request still on the old epoch is served the old entry, which
+        // is right for the snapshot it names
+        let behind = attempt(&svc, held, true).expect("served");
+        assert!(behind.result_cache_hit);
+        assert_eq!(behind.rows.len(), 4);
+        // the sweep closes the window
+        assert_eq!(svc.sweep(&cat, &["vb", "vy"]), 1);
+        drop(cat);
+        assert!(!svc.query(B).unwrap().result_cache_hit);
+        assert!(svc.query(B).unwrap().result_cache_hit);
+    }
+
+    #[test]
+    fn reregistering_a_view_sweeps_the_results_that_read_it() {
+        let svc = service(1);
+        assert_eq!(svc.query(B).unwrap().rows.len(), 4);
+        // same name, narrower pattern: the plan (a scan of "vb") keeps its
+        // fingerprint, so only the sweep keeps the old rows from serving
+        svc.add_view(
+            View::new(
+                "vb",
+                parse_pattern("r(/a(/c(/b{id,v})))").unwrap(),
+                IdScheme::OrdPath,
+            ),
+            RefreshPolicy::Eager,
+        );
+        assert_eq!(svc.cached_results(), 0);
+    }
+
+    #[test]
+    fn a_lone_client_never_copies_the_feedback_store() {
+        let svc = service(1);
+        let store = |svc: &QueryService| Arc::as_ptr(&lock(&svc.feedback));
+        let before = store(&svc);
+        svc.query(B).unwrap(); // ranks on a frozen handle, then ingests
+        assert_eq!(store(&svc), before, "ingested in place");
+        assert_eq!(svc.frozen_feedback().ingests(), 1);
+        // a handle held across an ingest keeps what it froze
+        let frozen = svc.frozen_feedback();
+        svc.query("r(/x{id}(?/y{id,v}))").unwrap();
+        assert_eq!(frozen.ingests(), 1);
+        assert_eq!(svc.frozen_feedback().ingests(), 2);
+        assert_ne!(store(&svc), before, "copied on write");
+    }
+
+    #[test]
+    fn queries_outlive_panics_under_any_lock() {
+        let svc = service(1);
+        let first = svc.query(B).unwrap();
+        // a panic under each query-path lock …
+        svc.patterns.poison();
+        svc.plans.poison();
+        svc.results.poison();
+        crate::cache::poison(&svc.feedback);
+        let hot = svc.query(B).unwrap();
+        assert!(hot.pattern_cache_hit && hot.plan_cache_hit && hot.result_cache_hit);
+        assert_eq!(svc.query("r(/x{id}(?/y{id,v}))").unwrap().rows.len(), 1);
+        // … and one inside a mutator, holding the writer-side catalog:
+        // registering a Dewey view in an OrdPath store panics
+        let batch = delete_c(&svc);
+        std::thread::scope(|s| {
+            let bad = View::new("vd", parse_pattern("r(//b{id})").unwrap(), IdScheme::Dewey);
+            let panicked = s.spawn(|| svc.add_view(bad, RefreshPolicy::Eager)).join();
+            assert!(panicked.is_err());
+        });
+        assert!(matches!(
+            svc.apply(&batch),
+            Err(ServeError::CatalogPoisoned)
+        ));
+        // queries keep answering from the last published epoch
+        let after = svc.query(B).unwrap();
+        assert!(after.result_cache_hit);
+        assert_eq!(after.epoch, first.epoch);
+        assert_eq!(after.rows.rows, first.rows.rows);
+        assert_eq!(svc.with_catalog(|cat| cat.epoch()), first.epoch);
     }
 }

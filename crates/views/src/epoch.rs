@@ -8,7 +8,11 @@
 //! state: a [`LiveDoc`] with stable node identity, a maintained
 //! [`Summary`], and per-view extents kept current under document
 //! **update batches**. Applying a batch maintains each view and
-//! atomically publishes the next epoch.
+//! atomically publishes the next epoch into a shared publication cell;
+//! an [`EpochReader`] handle on that cell lets other threads take
+//! snapshots without ever touching the `EpochCatalog` (and whatever
+//! lock guards it) — the pointer swap in the cell is the only instant a
+//! reader can contend with maintenance.
 //!
 //! Maintenance is *delta* work where the view shape permits it
 //! ([`RefreshClass::Incremental`]) and a full re-materialization
@@ -44,7 +48,7 @@ use smv_xml::{
     Document, IdAssignment, IdScheme, LiveDoc, LiveError, NodeId, StructId, UpdateBatch,
 };
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
 /// When a view's extent is brought up to date, mirroring SQL
@@ -138,6 +142,58 @@ impl ViewProvider for CatalogEpoch {
     }
 }
 
+/// A cloneable, `Send + Sync` handle on an [`EpochCatalog`]'s publication
+/// cell: the one place the catalog's writer and its readers share.
+///
+/// The cell holds the current `Arc<CatalogEpoch>` behind a lock that is
+/// only ever held for one `Arc` clone (readers) or one pointer swap
+/// (`EpochCatalog`'s publish — the next epoch is assembled before the
+/// lock is taken and the previous one is dropped after it is released).
+/// A reader therefore never waits for maintenance, however long the
+/// thread that owns the `EpochCatalog` spends inside `apply`. The cell
+/// always holds a whole value, so a poisoned lock is recovered, not
+/// propagated.
+#[derive(Clone)]
+pub struct EpochReader {
+    cell: Arc<RwLock<Arc<CatalogEpoch>>>,
+}
+
+impl EpochReader {
+    fn new(first: Arc<CatalogEpoch>) -> EpochReader {
+        EpochReader {
+            cell: Arc::new(RwLock::new(first)),
+        }
+    }
+
+    /// The current published epoch — what a query entering now sees. The
+    /// returned `Arc` stays valid (and internally consistent) however
+    /// many epochs are published after.
+    pub fn snapshot(&self) -> Arc<CatalogEpoch> {
+        Arc::clone(&self.cell.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// The current published epoch's number. Always read from the
+    /// published snapshot itself, so it can never be paired with a
+    /// snapshot from the other side of a publication.
+    pub fn epoch(&self) -> u64 {
+        self.cell
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .epoch
+    }
+
+    /// The pointer swap. The superseded epoch is dropped after the lock
+    /// is released: if this was its last reference, freeing its maps must
+    /// not happen while readers wait.
+    fn store(&self, next: Arc<CatalogEpoch>) {
+        let superseded = {
+            let mut cell = self.cell.write().unwrap_or_else(PoisonError::into_inner);
+            std::mem::replace(&mut *cell, next)
+        };
+        drop(superseded);
+    }
+}
+
 /// What one applied batch did to the store — consumed by adaptive
 /// sessions to invalidate cached plan feedback for touched views.
 #[derive(Clone, Debug)]
@@ -190,7 +246,7 @@ pub struct EpochCatalog {
     extents: HashMap<String, Arc<NestedRelation>>,
     shards: HashMap<String, Arc<ShardPartition>>,
     epoch: u64,
-    current: Arc<CatalogEpoch>,
+    published: EpochReader,
     reports: Vec<MaintenanceReport>,
 }
 
@@ -204,13 +260,13 @@ impl EpochCatalog {
         let classes = summary
             .classify(live.doc())
             .expect("a document conforms to its own summary");
-        let current = Arc::new(CatalogEpoch {
+        let published = EpochReader::new(Arc::new(CatalogEpoch {
             epoch: 0,
             views: Vec::new(),
             extents: HashMap::new(),
             shards: HashMap::new(),
             summary: summary.snapshot(),
-        });
+        }));
         EpochCatalog {
             live,
             summary,
@@ -219,7 +275,7 @@ impl EpochCatalog {
             extents: HashMap::new(),
             shards: HashMap::new(),
             epoch: 0,
-            current,
+            published,
             reports: Vec::new(),
         }
     }
@@ -249,7 +305,14 @@ impl EpochCatalog {
     /// internally consistent) however many batches are applied after —
     /// queries in flight against it are never invalidated.
     pub fn snapshot(&self) -> Arc<CatalogEpoch> {
-        Arc::clone(&self.current)
+        self.published.snapshot()
+    }
+
+    /// A handle on the publication cell, for threads that take snapshots
+    /// while another thread owns (or holds a lock on) this catalog. It
+    /// sees every epoch this catalog publishes from now on.
+    pub fn reader(&self) -> EpochReader {
+        self.published.clone()
     }
 
     /// Maintenance reports for every batch applied so far.
@@ -534,6 +597,11 @@ impl EpochCatalog {
         }
 
         report.maintain_ns = t_maintain.elapsed().as_nanos() as u64;
+        // the pre-batch document and its IDs are freed (milliseconds on a
+        // large document) before the publish, not between it and the
+        // caller's reaction to it
+        drop(killed);
+        drop(applied);
         let t_publish = Instant::now();
         self.publish();
         report.publish_ns = t_publish.elapsed().as_nanos() as u64;
@@ -615,13 +683,16 @@ impl EpochCatalog {
             .filter(|r| !r.stale)
             .map(|r| r.view.clone())
             .collect();
-        self.current = Arc::new(CatalogEpoch {
+        // assemble first, then swap: the store below is the only step a
+        // concurrent `EpochReader` can wait on
+        let next = Arc::new(CatalogEpoch {
             epoch: self.epoch,
             views,
             extents: self.extents.clone(),
             shards: self.shards.clone(),
             summary: self.summary.snapshot(),
         });
+        self.published.store(next);
     }
 }
 
@@ -1087,6 +1158,48 @@ mod tests {
             2,
             "epoch summary frozen"
         );
+    }
+
+    #[test]
+    fn reader_handles_follow_publications_without_the_catalog() {
+        let doc = Document::from_parens(r#"r(a(b="1") a(b="2"))"#);
+        let mut ec = EpochCatalog::new(doc, IdScheme::OrdPath);
+        let reader = ec.reader();
+        assert_eq!(reader.epoch(), 0);
+        let (published, on_publish) = std::sync::mpsc::channel::<u64>();
+        let (checked, on_checked) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            // the reader thread never sees `ec`, only the handle
+            s.spawn(move || {
+                for epoch in on_publish {
+                    let snap = reader.snapshot();
+                    assert_eq!(snap.epoch(), epoch);
+                    assert_eq!(reader.epoch(), epoch);
+                    assert_eq!(
+                        snap.extent("vb").map(NestedRelation::len),
+                        Some(if epoch == 1 { 2 } else { 1 })
+                    );
+                    checked.send(()).unwrap();
+                }
+            });
+            ec.add_view(
+                View::new(
+                    "vb",
+                    parse_pattern("r(//b{id,v})").unwrap(),
+                    IdScheme::OrdPath,
+                ),
+                RefreshPolicy::Eager,
+            );
+            published.send(ec.epoch()).unwrap();
+            on_checked.recv().unwrap();
+            let mut batch = UpdateBatch::new();
+            batch.delete(sid(&ec, "a", 0));
+            ec.apply(&batch).unwrap();
+            published.send(ec.epoch()).unwrap();
+            on_checked.recv().unwrap();
+            drop(published);
+        });
+        assert!(Arc::ptr_eq(&ec.snapshot(), &ec.reader().snapshot()));
     }
 
     #[test]

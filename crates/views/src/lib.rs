@@ -21,6 +21,7 @@ pub mod materialize;
 pub use cards::{col_cards, estimate_extent_bytes, estimate_extent_rows, CatalogCards, DefCards};
 pub use catalog::{Catalog, View, ViewStore};
 pub use epoch::{
-    refresh_class, CatalogEpoch, EpochCatalog, MaintenanceReport, RefreshClass, RefreshPolicy,
+    refresh_class, CatalogEpoch, EpochCatalog, EpochReader, MaintenanceReport, RefreshClass,
+    RefreshPolicy,
 };
 pub use materialize::{materialize, materialize_with, schema_of};

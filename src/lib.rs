@@ -97,7 +97,8 @@ pub mod prelude {
     pub use smv_summary::{Summary, SummaryStats};
     pub use smv_views::{
         materialize, materialize_with, refresh_class, Catalog, CatalogCards, CatalogEpoch,
-        DefCards, EpochCatalog, MaintenanceReport, RefreshClass, RefreshPolicy, View, ViewStore,
+        DefCards, EpochCatalog, EpochReader, MaintenanceReport, RefreshClass, RefreshPolicy, View,
+        ViewStore,
     };
     pub use smv_xml::{
         parse_document, serialize_document, Document, IdScheme, Label, LiveDoc, LiveError,

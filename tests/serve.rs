@@ -8,7 +8,22 @@
 //! may pick any equivalent plan and byte equality is still the bar.
 
 use smv::prelude::*;
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::{Duration, Instant};
+
+/// Tests in one binary run on parallel threads, and one of these measures
+/// stalls: it runs alone, the others beside each other.
+static QUIET: RwLock<()> = RwLock::new(());
+
+fn beside_others() -> RwLockReadGuard<'static, ()> {
+    QUIET.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn alone() -> RwLockWriteGuard<'static, ()> {
+    QUIET.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The pr7 workload queries: three exact view matches (one per
 /// maintenance class) plus the optional-edge view's own pattern.
@@ -51,6 +66,7 @@ fn oracle_rows(q: &str, snap: &CatalogEpoch) -> Vec<smv::algebra::Row> {
 
 #[test]
 fn cached_results_match_fresh_execution_across_schemes_and_threads() {
+    let _quiet = beside_others();
     for scheme in [IdScheme::OrdPath, IdScheme::Dewey] {
         for threads in [1, 2, 4] {
             let svc = service(0.03, 11, scheme, threads);
@@ -89,39 +105,192 @@ fn cached_results_match_fresh_execution_across_schemes_and_threads() {
 
 #[test]
 fn concurrent_clients_with_interleaved_updates_stay_coherent() {
-    let svc = Arc::new(service(0.04, 5, IdScheme::OrdPath, 4));
+    const CLIENTS: usize = 3;
+    const BATCHES: usize = 8;
+    // requests (all clients together) the updater waits for between two
+    // batches, so every epoch is read and the readers outlive the updater
+    const PER_EPOCH: usize = 25;
+    let _quiet = beside_others();
+    let svc = service(0.04, 5, IdScheme::OrdPath, 4);
+    let served = AtomicUsize::new(0);
+    let updater_done = AtomicBool::new(false);
+    let epochs = Mutex::new(BTreeSet::new());
     std::thread::scope(|s| {
-        for c in 0..3usize {
-            let svc = Arc::clone(&svc);
+        for c in 0..CLIENTS {
+            let (svc, served, updater_done, epochs) = (&svc, &served, &updater_done, &epochs);
             s.spawn(move || {
-                for i in 0..8usize {
-                    let q = QUERIES[(c + i) % QUERIES.len()];
-                    let resp = svc.query(q).unwrap();
-                    // every response is checked against its own snapshot
-                    // — whatever epoch the concurrent updater left it
+                let mut seen = BTreeSet::new();
+                for i in 0.. {
+                    if updater_done.load(Ordering::Acquire) {
+                        break;
+                    }
+                    // every fourth request is a text no request has used,
+                    // so it executes and its insert races the sweeps
+                    let q = if i % 4 == 3 {
+                        format!(
+                            "site(//quantity{{id,v}}[v>0 and v<{}])",
+                            1_000_000 + i * CLIENTS + c
+                        )
+                    } else {
+                        QUERIES[(c + i) % QUERIES.len()].to_string()
+                    };
+                    let resp = svc.query(&q).unwrap();
+                    // every response is checked against the snapshot it
+                    // names — whatever epoch the updater left it on
+                    assert_eq!(resp.epoch, resp.snapshot.epoch());
                     assert_eq!(
                         resp.rows.rows,
-                        oracle_rows(q, &resp.snapshot),
-                        "client {c} iteration {i}: {q}"
+                        oracle_rows(&q, &resp.snapshot),
+                        "client {c} request {i} at epoch {}: {q}",
+                        resp.epoch
                     );
+                    seen.insert(resp.epoch);
+                    served.fetch_add(1, Ordering::Release);
                 }
+                epochs.lock().unwrap().extend(seen);
             });
         }
-        let updater = Arc::clone(&svc);
-        s.spawn(move || {
-            let mut stream = Pr7Stream::new(13);
-            for _ in 0..4 {
-                let batch = updater.with_catalog(|cat| stream.next_batch(cat.live(), 0.15));
-                updater.apply(&batch).unwrap();
+        let mut stream = Pr7Stream::new(13);
+        for k in 0..BATCHES {
+            while served.load(Ordering::Acquire) < (k + 1) * PER_EPOCH {
                 std::thread::yield_now();
             }
-        });
+            let batch = svc.with_catalog(|cat| stream.next_batch(cat.live(), 0.15));
+            svc.apply(&batch).unwrap();
+        }
+        updater_done.store(true, Ordering::Release);
     });
+    assert!(served.load(Ordering::Acquire) >= BATCHES * PER_EPOCH);
+    assert!(
+        epochs.lock().unwrap().len() >= BATCHES,
+        "responses named {:?}",
+        epochs.lock().unwrap()
+    );
     // quiesced: cached answers equal fresh execution at the final epoch
     for q in QUERIES {
         let resp = svc.query(q).unwrap();
         assert_eq!(resp.rows.rows, oracle_rows(q, &resp.snapshot), "{q}");
         assert_eq!(resp.epoch, svc.epoch());
     }
-    assert_eq!(svc.stats().batches_applied, 4);
+    assert_eq!(svc.stats().batches_applied, BATCHES as u64);
+}
+
+/// The longest stretch of `[from, to]` in which the reader, whose
+/// requests completed at `completions` (ascending), completed nothing:
+/// how long a request due at the worst moment of the window waited.
+fn longest_silence(completions: &[Instant], from: Instant, to: Instant) -> Duration {
+    let inside = completions
+        .iter()
+        .copied()
+        .filter(|&c| from <= c && c <= to);
+    let mut last = from;
+    let mut longest = Duration::ZERO;
+    for c in inside.chain([to]) {
+        longest = longest.max(c - last);
+        last = c;
+    }
+    longest
+}
+
+#[test]
+fn cache_hits_keep_flowing_while_updates_apply() {
+    const BATCHES: usize = 7;
+    let _quiet = alone();
+    // large enough that one apply takes tens of milliseconds
+    let scale = if cfg!(debug_assertions) { 1.5 } else { 5.0 };
+    let svc = service(scale, 3, IdScheme::OrdPath, 1);
+    let q = QUERIES[2];
+    svc.query(q).unwrap();
+    let stop = AtomicBool::new(false);
+    let hits = AtomicUsize::new(0);
+    let (completions, windows) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut completions = Vec::new();
+            while !stop.load(Ordering::Acquire) {
+                let resp = svc.query(q).unwrap();
+                completions.push(Instant::now());
+                if resp.plan_cache_hit && resp.result_cache_hit {
+                    hits.fetch_add(1, Ordering::Release);
+                }
+            }
+            completions
+        });
+        let mut stream = Pr7Stream::new(9);
+        let mut windows = Vec::new();
+        for _ in 0..BATCHES {
+            // an apply starts once the reader is back on the hit path
+            // (it re-ranks and re-executes after every publication)
+            let warm = hits.load(Ordering::Acquire) + 1_000;
+            while hits.load(Ordering::Acquire) < warm {
+                std::thread::yield_now();
+            }
+            let batch = svc.with_catalog(|cat| stream.next_batch(cat.live(), 0.01));
+            let from = Instant::now();
+            svc.apply(&batch).unwrap();
+            windows.push((from, Instant::now()));
+        }
+        stop.store(true, Ordering::Release);
+        (reader.join().unwrap(), windows)
+    });
+    // a reader that waits for the writer is silent for the whole apply
+    // (ratio 1.0); one that does not is silent for a request's length. The
+    // median over the batches, because a host that deschedules the reader
+    // for a few milliseconds in one window says nothing about locks.
+    let mut ratios: Vec<f64> = windows
+        .iter()
+        .map(|&(from, to)| {
+            longest_silence(&completions, from, to).as_secs_f64() / (to - from).as_secs_f64()
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let shortest = windows.iter().map(|&(from, to)| to - from).min().unwrap();
+    assert!(
+        ratios[BATCHES / 2] <= 0.25,
+        "longest silence ÷ apply time per batch {ratios:?} (shortest apply {shortest:?})"
+    );
+    assert_eq!(svc.stats().batches_applied, BATCHES as u64);
+}
+
+#[test]
+fn a_held_catalog_and_a_waiting_writer_do_not_block_cache_hits() {
+    let _quiet = beside_others();
+    let svc = &service(0.03, 5, IdScheme::OrdPath, 1);
+    let q = QUERIES[0];
+    svc.query(q).unwrap();
+    let batch = &svc.with_catalog(|cat| Pr7Stream::new(3).next_batch(cat.live(), 0.1));
+    let (parked, on_parked) = mpsc::channel();
+    let (release, on_release) = mpsc::channel::<()>();
+    let (applying, on_applying) = mpsc::channel();
+    let (finished, on_finished) = mpsc::channel();
+    std::thread::scope(|s| {
+        // one thread parks inside `with_catalog` …
+        s.spawn(move || {
+            svc.with_catalog(|_| {
+                parked.send(()).unwrap();
+                let _ = on_release.recv();
+            })
+        });
+        on_parked.recv().unwrap();
+        // … so a second blocks in `apply` …
+        s.spawn(move || {
+            applying.send(()).unwrap();
+            svc.apply(batch).unwrap();
+        });
+        on_applying.recv().unwrap();
+        // … and a third is served all the same
+        s.spawn(move || {
+            for _ in 0..10_000 {
+                assert!(svc.query(q).unwrap().result_cache_hit);
+            }
+            finished.send(svc.stats().batches_applied).unwrap();
+        });
+        let outcome = on_finished.recv_timeout(Duration::from_secs(30));
+        // unpark first, so that a failure is an assert and not a hang
+        release.send(()).unwrap();
+        let applied_meanwhile =
+            outcome.expect("10,000 hits complete while the catalog is held and a writer waits");
+        assert_eq!(applied_meanwhile, 0, "the writer was still shut out");
+    });
+    assert_eq!(svc.stats().batches_applied, 1);
+    assert_eq!(svc.query(q).unwrap().epoch, svc.epoch());
 }
