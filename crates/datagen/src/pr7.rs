@@ -28,11 +28,10 @@ pub fn pr7_document(scale: f64, seed: u64) -> Document {
     })
 }
 
-/// The workload's views over the XMark item world, in both maintenance
-/// classes: `items` and `names` are delta-maintainable (monotone, every
-/// leaf stores its ID), `maybe_named` rides along as a rebuild-class
-/// view (optional edge) to keep full re-materialization honest in the
-/// same runs.
+/// The workload's views over the XMark item world. All four refresh
+/// incrementally, anchored at `item`, `name` or `quantity`
+/// ([`smv_views::RefreshClass`]); `maybe_named` carries an optional edge
+/// below its anchor, so a batch also flips `⊥` cells, not only whole rows.
 pub fn pr7_views(scheme: IdScheme) -> Vec<View> {
     [
         ("items", "site(//item{id}(/name{id,v}))"),

@@ -60,51 +60,72 @@ pub struct Matcher<'p, 't, T: MatchTarget> {
     /// embedding (labels, predicates and all non-optional descendants
     /// check out). Sorted by node id.
     cand: Vec<Vec<NodeId>>,
+    probes: u64,
 }
 
 impl<'p, 't, T: MatchTarget> Matcher<'p, 't, T> {
-    /// Computes candidate sets bottom-up in `O(|p| · |t| · fanout)`.
+    /// Computes candidate sets bottom-up in `O(|p| · |t|)`: each
+    /// non-optional pattern edge is one marking pass over the child's
+    /// candidates (child axis: mark the parent; descendant axis: climb,
+    /// stopping at the first ancestor an earlier climb already marked),
+    /// and a node qualifies when every such pass marked it.
     pub fn new(pattern: &'p Pattern, target: &'t T) -> Self {
         let n_nodes = pattern.len();
+        let t_len = target.tree_len();
         let mut cand: Vec<Vec<NodeId>> = vec![Vec::new(); n_nodes];
-        let all: Vec<NodeId> = (0..target.tree_len() as u32).map(NodeId).collect();
+        let mut probes = 0u64;
         for pid in (0..n_nodes as u32).map(PNodeId).rev() {
             let pnode = pattern.node(pid);
-            let pool: &[NodeId] = if pid == pattern.root() {
-                std::slice::from_ref(&all[target.tree_root().idx()])
+            let marks: Vec<Vec<bool>> = pattern
+                .children(pid)
+                .iter()
+                .filter(|&&m| !pattern.node(m).optional) // optional children never block a match
+                .map(|&m| {
+                    let mut mark = vec![false; t_len];
+                    for &y in &cand[m.idx()] {
+                        let mut cur = target.tree_parent(y);
+                        while let Some(a) = cur {
+                            probes += 1;
+                            if std::mem::replace(&mut mark[a.idx()], true)
+                                || pattern.node(m).axis == Axis::Child
+                            {
+                                break;
+                            }
+                            cur = target.tree_parent(a);
+                        }
+                    }
+                    mark
+                })
+                .collect();
+            let pool = if pid == pattern.root() {
+                let r = target.tree_root().0;
+                r..r + 1
             } else {
-                &all
+                0..t_len as u32
             };
-            let mut list = Vec::new();
-            'outer: for &x in pool {
-                if let Some(l) = pnode.label {
-                    if target.tree_label(x) != l {
-                        continue;
-                    }
-                }
-                if !target.admits(x, &pnode.predicate) {
-                    continue;
-                }
-                for &m in pattern.children(pid) {
-                    if pattern.node(m).optional {
-                        continue; // optional children never block a match
-                    }
-                    let ok = cand[m.idx()]
-                        .iter()
-                        .any(|&y| rel_ok(target, pattern.node(m).axis, x, y));
-                    if !ok {
-                        continue 'outer;
-                    }
-                }
-                list.push(x);
-            }
-            cand[pid.idx()] = list;
+            probes += pool.len() as u64;
+            cand[pid.idx()] = pool
+                .map(NodeId)
+                .filter(|&x| {
+                    pnode.label.is_none_or(|l| target.tree_label(x) == l)
+                        && target.admits(x, &pnode.predicate)
+                        && marks.iter().all(|mark| mark[x.idx()])
+                })
+                .collect();
         }
         Matcher {
             pattern,
             target,
             cand,
+            probes,
         }
+    }
+
+    /// Target nodes examined while computing the candidate sets (label
+    /// tests plus marking steps) — an exact work count, for tests that
+    /// bound the construction cost without a clock.
+    pub fn probes(&self) -> u64 {
+        self.probes
     }
 
     /// Candidate target nodes for a pattern node.

@@ -265,7 +265,10 @@ fn shard_extent(
 
 /// [`shard_extent`] against an explicit ID assignment — required for live
 /// documents, whose maintained IDs diverge from a fresh positional
-/// assignment after the first update batch.
+/// assignment after the first update batch. Classifies the whole document
+/// and hashes every ID: the build-once [`Catalog`]'s form, and the
+/// from-scratch oracle's ([`crate::EpochCatalog::rebuild_from_scratch`]).
+/// The epoch store itself shards through [`shard_extent_classified`].
 pub(crate) fn shard_extent_with(
     extent: &NestedRelation,
     doc: &Document,
@@ -282,11 +285,11 @@ pub(crate) fn shard_extent_with(
 }
 
 /// [`shard_extent_with`] against a precomputed classification of the
-/// document and an ID index — the epoch store's form: `classes` falls
+/// document and an ID lookup — the epoch store's form: `classes` falls
 /// out of summary maintenance and `node_of` is the live document's
-/// maintained ID index, so a re-shard costs O(extent rows) instead of
-/// O(document). An ID unknown to `node_of` aborts the partition (`None`),
-/// as does a first column that is not an ID column.
+/// search of its sorted ID vector, so sharding costs O(extent rows)
+/// instead of O(document). An ID unknown to `node_of` aborts the
+/// partition (`None`), as does a first column that is not an ID column.
 pub(crate) fn shard_extent_classified(
     extent: &NestedRelation,
     classes: &[NodeId],

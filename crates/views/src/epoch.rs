@@ -14,25 +14,30 @@
 //! lock guards it) — the pointer swap in the cell is the only instant a
 //! reader can contend with maintenance.
 //!
-//! Maintenance is *delta* work where the view shape permits it
-//! ([`RefreshClass::Incremental`]) and a full re-materialization
-//! otherwise:
+//! Maintenance follows one rule, *anchored refresh*. A view is anchored
+//! at the deepest pattern node `K` that stores an ID and is reached from
+//! the pattern root by a single chain of required, un-nested edges with
+//! no content attribute above it. Every row then carries the ID of its
+//! `K`-binding, and a `K`-binding that survives a batch with no inserted
+//! or deleted node below it has the same subtree and the same ancestors
+//! as before — hence the same rows. So a batch touches a view only
+//! through its **dirty** nodes (inserted nodes, and the surviving
+//! ancestors of an inserted or deleted subtree root) and its deleted
+//! nodes, restricted to those `K` admits:
 //!
-//! * **Deletions** become row kills. A deleted subtree's node IDs are
-//!   never re-issued by [`LiveDoc`], so membership of any stored ID cell
-//!   in the batch's kill set is an exact death certificate for a row.
-//!   When a view's extent is shard-partitioned, the partition's
-//!   pre-order interval metadata (`pre`/`last_desc` of each shard's
-//!   summary path) prunes the scan: shards whose path interval does not
-//!   meet any deleted subtree's path interval cannot hold killed rows
-//!   and are retained wholesale.
-//! * **Insertions** become a restricted re-evaluation. For a monotone
-//!   pattern, every new result embedding binds at least one pattern node
-//!   to an inserted document node; pinning each pattern node in turn to
-//!   the inserted-subtree intervals (and its pattern ancestors to the
-//!   insertion spine or the inserted subtrees) enumerates exactly the
-//!   added rows, which union into the surviving extent under set
-//!   semantics.
+//! * rows whose `K`-cell is the ID of a deleted node or of a dirty node
+//!   are dropped — a deleted subtree's IDs are never re-issued by
+//!   [`LiveDoc`], so the cell is an exact certificate;
+//! * the pattern is re-evaluated with `K` pinned to the dirty nodes —
+//!   below `K` inside their subtrees (optional and nested edges and
+//!   content attributes included), above `K` by climbing their ancestor
+//!   paths — and the rows merge into the surviving extent.
+//!
+//! A view with no such `K` ([`RefreshClass::Rebuild`]: a branch, an
+//! optional or nested edge, or a content attribute above every ID) is
+//! re-materialized in full. Either way an extent whose rows come out
+//! unchanged keeps its `Arc` and stays out of
+//! [`MaintenanceReport::refreshed`].
 //!
 //! The maintained result is required to be **byte-identical** to a
 //! from-scratch rebuild over the same live document —
@@ -40,12 +45,12 @@
 //! and the benchmark's `maintenance_equivalent` flag check against.
 
 use crate::catalog::{shard_extent_classified, shard_extent_with, View, ViewStore};
-use crate::materialize::{eval_embeddings, materialize_with, own_cells};
-use smv_algebra::{AttrKind, Cell, ColKind, NestedRelation, Row, ShardPartition, ViewProvider};
-use smv_pattern::{Axis, MatchTarget, Matcher, PNodeId, Pattern};
+use crate::materialize::{admits_node, materialize_with, rows_pinned};
+use smv_algebra::{Cell, NestedRelation, Row, ShardPartition, ViewProvider};
+use smv_pattern::{PNodeId, Pattern};
 use smv_summary::Summary;
 use smv_xml::{
-    Document, IdAssignment, IdScheme, LiveDoc, LiveError, NodeId, StructId, UpdateBatch,
+    AppliedBatch, Document, IdScheme, LiveDoc, LiveError, NodeId, StructId, UpdateBatch,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, PoisonError, RwLock};
@@ -64,16 +69,16 @@ pub enum RefreshPolicy {
     Deferred,
 }
 
-/// How a view's extent can be maintained under an update batch.
+/// How a view's extent is maintained under an update batch.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RefreshClass {
-    /// Delta-maintainable: kill rows by deleted-ID membership, add rows
-    /// by restricted re-evaluation. Requires a monotone pattern whose
-    /// result rows carry their own death certificate — no optional or
-    /// nested edges, no content attributes (a serialized subtree can
-    /// change without any stored ID dying), and an ID attribute on every
-    /// leaf pattern node (so every embedding that loses *any* binding
-    /// loses a stored ID with it).
+    /// Anchored: some non-root pattern node stores an ID and hangs off
+    /// the pattern root by a single chain of required, un-nested edges
+    /// with no content attribute above it. Rows are dropped by that ID
+    /// and re-evaluated under the batch's dirty nodes only (see the
+    /// module docs); whatever sits *below* the anchor — branches,
+    /// optional and nested edges, content attributes, leaves without IDs
+    /// — is free.
     Incremental,
     /// Anything else: re-materialized in full (still against the live
     /// IDs) on every eager refresh.
@@ -82,16 +87,47 @@ pub enum RefreshClass {
 
 /// Classifies a pattern for maintenance (see [`RefreshClass`]).
 pub fn refresh_class(p: &Pattern) -> RefreshClass {
-    let incremental = p.optional_edges().is_empty()
-        && p.nested_edges().is_empty()
-        && p.iter().all(|n| !p.node(n).attrs.content)
-        && p.iter()
-            .filter(|&n| p.children(n).is_empty())
-            .all(|n| p.node(n).attrs.id);
-    if incremental {
-        RefreshClass::Incremental
-    } else {
-        RefreshClass::Rebuild
+    match Anchor::of(p) {
+        Some(_) => RefreshClass::Incremental,
+        None => RefreshClass::Rebuild,
+    }
+}
+
+/// Where a view's refresh is anchored.
+struct Anchor {
+    /// The pattern's path from its root down to the anchor node.
+    chain: Vec<PNodeId>,
+    /// The extent column holding the anchor's ID.
+    col: usize,
+}
+
+impl Anchor {
+    /// The deepest node that stores an ID on the pattern's top chain —
+    /// root, its only child, and so on while the edge taken is required
+    /// and un-nested and the node left stores no content. The root itself
+    /// does not count: every batch dirties it, so anchoring there would
+    /// be a full re-materialization under another name.
+    fn of(p: &Pattern) -> Option<Anchor> {
+        let mut chain = vec![p.root()];
+        let mut cols_above = 0;
+        let mut best = None;
+        loop {
+            let n = *chain.last().expect("starts at the root");
+            let nd = p.node(n);
+            if n != p.root() && nd.attrs.id {
+                best = Some((chain.len(), cols_above));
+            }
+            let &[c] = p.children(n) else { break };
+            if nd.attrs.content || p.node(c).optional || p.node(c).nested {
+                break;
+            }
+            cols_above += nd.attrs.count();
+            chain.push(c);
+        }
+        best.map(|(len, col)| {
+            chain.truncate(len);
+            Anchor { chain, col }
+        })
     }
 }
 
@@ -200,33 +236,44 @@ impl EpochReader {
 pub struct MaintenanceReport {
     /// The epoch this batch published.
     pub epoch: u64,
-    /// Eager views whose extents changed (delta-maintained or rebuilt).
+    /// Eager views whose extent rows changed. A view the batch did not
+    /// reach, or whose refresh reproduced the rows it had, keeps its
+    /// extent `Arc` and is not listed.
     pub refreshed: Vec<String>,
     /// Deferred views marked stale by this batch.
     pub deferred_stale: Vec<String>,
-    /// Rows killed across delta-maintained extents.
+    /// Rows that left [`RefreshClass::Incremental`] extents.
     pub rows_killed: usize,
-    /// Rows added across delta-maintained extents.
+    /// Rows that joined [`RefreshClass::Incremental`] extents.
     pub rows_added: usize,
     /// Did the batch create summary paths (invalidating rank geometry)?
     pub geometry_changed: bool,
     /// Nanoseconds ingesting the batch into the live document (ID
-    /// resolution, arena rebuild, ID-index maintenance) — a cost any
+    /// resolution and the arena rebuild) — a cost any
     /// maintenance strategy, delta or rebuild, pays before view work.
     pub ingest_ns: u64,
     /// Nanoseconds on maintenance proper: summary update, extent
-    /// delta/rebuild work and re-sharding (publication excluded —
-    /// see [`publish_ns`](Self::publish_ns)).
+    /// refresh and re-sharding (publication excluded — see
+    /// [`publish_ns`](Self::publish_ns)).
     pub maintain_ns: u64,
+    /// Nanoseconds freeing the pre-batch document, its IDs and its
+    /// classification once maintenance no longer reads them — before the
+    /// publish, so readers never wait on it.
+    pub release_ns: u64,
     /// Nanoseconds atomically publishing the new epoch (snapshot
     /// assembly and pointer swap) — the readers-visible cutover cost.
+    ///
+    /// The four `*_ns` phases are stamped back to back from
+    /// [`EpochCatalog::apply`]'s entry: together they are its wall time
+    /// less the few microseconds of bookkeeping after the last stamp.
     pub publish_ns: u64,
 }
 
 struct Registered {
     view: View,
     policy: RefreshPolicy,
-    class: RefreshClass,
+    /// `None` for [`RefreshClass::Rebuild`] views.
+    anchor: Option<Anchor>,
     /// Deferred views start stale and return to stale after every batch.
     stale: bool,
 }
@@ -337,36 +384,9 @@ impl EpochCatalog {
     /// If `view.scheme` differs from the store's scheme: extents store
     /// the live document's node identities, which exist in one scheme.
     pub fn add_view(&mut self, view: View, policy: RefreshPolicy) {
-        assert_eq!(
-            view.scheme,
-            self.live.scheme(),
-            "epoch store holds {:?} identities; register views in that scheme",
-            self.live.scheme()
-        );
-        let name = view.name.clone();
-        self.registered.retain(|r| r.view.name != name);
-        self.extents.remove(&name);
-        self.shards.remove(&name);
-        let class = refresh_class(&view.pattern);
-        let stale = match policy {
-            RefreshPolicy::Eager => {
-                let extent = materialize_with(&view.pattern, self.live.doc(), self.live.ids());
-                if let Some(p) =
-                    shard_extent_with(&extent, self.live.doc(), self.live.ids(), &self.summary)
-                {
-                    self.shards.insert(name.clone(), Arc::new(p));
-                }
-                self.extents.insert(name, Arc::new(extent));
-                false
-            }
-            RefreshPolicy::Deferred => true,
-        };
-        self.registered.push(Registered {
-            view,
-            policy,
-            class,
-            stale,
-        });
+        self.assert_scheme(&view);
+        let built = (policy == RefreshPolicy::Eager).then(|| self.build(&view.pattern));
+        self.register(view, policy, built);
         self.publish();
     }
 
@@ -390,47 +410,80 @@ impl EpochCatalog {
         pool: &smv_xml::par::WorkerPool,
     ) {
         for view in &views {
-            assert_eq!(
-                view.scheme,
-                self.live.scheme(),
-                "epoch store holds {:?} identities; register views in that scheme",
-                self.live.scheme()
-            );
+            self.assert_scheme(view);
         }
-        let built: Vec<Option<(NestedRelation, Option<ShardPartition>)>> = match policy {
-            RefreshPolicy::Eager => pool.pool_map(0, views.len(), |i| {
-                let view = &views[i];
-                let extent = materialize_with(&view.pattern, self.live.doc(), self.live.ids());
-                let partition =
-                    shard_extent_with(&extent, self.live.doc(), self.live.ids(), &self.summary);
-                Some((extent, partition))
-            }),
+        let built: Vec<Option<Built>> = match policy {
+            RefreshPolicy::Eager => {
+                pool.pool_map(0, views.len(), |i| Some(self.build(&views[i].pattern)))
+            }
             RefreshPolicy::Deferred => views.iter().map(|_| None).collect(),
         };
         for (view, built) in views.into_iter().zip(built) {
-            let name = view.name.clone();
-            self.registered.retain(|r| r.view.name != name);
-            self.extents.remove(&name);
-            self.shards.remove(&name);
-            let class = refresh_class(&view.pattern);
-            let stale = match built {
-                Some((extent, partition)) => {
-                    if let Some(p) = partition {
-                        self.shards.insert(name.clone(), Arc::new(p));
-                    }
-                    self.extents.insert(name, Arc::new(extent));
-                    false
-                }
-                None => true,
-            };
-            self.registered.push(Registered {
-                view,
-                policy,
-                class,
-                stale,
-            });
+            self.register(view, policy, built);
         }
         self.publish();
+    }
+
+    fn assert_scheme(&self, view: &View) {
+        assert_eq!(
+            view.scheme,
+            self.live.scheme(),
+            "epoch store holds {:?} identities; register views in that scheme",
+            self.live.scheme()
+        );
+    }
+
+    /// Materializes `pattern` over the live document and shards the
+    /// extent — how an extent is built from nothing, at registration and
+    /// on [`Self::refresh`] alike.
+    fn build(&self, pattern: &Pattern) -> Built {
+        let extent = materialize_with(pattern, self.live.doc(), self.live.ids());
+        let partition = self.shard(&extent);
+        (extent, partition)
+    }
+
+    /// Shards against the maintained classification and the live
+    /// document's ID lookup — O(extent rows), not O(document): the rows
+    /// come in ID order, so each lookup starts from the previous answer.
+    fn shard(&self, extent: &NestedRelation) -> Option<ShardPartition> {
+        let last = std::cell::Cell::new(NodeId::ROOT);
+        let node_of = |id: &StructId| {
+            let n = self.live.node_of_near(id, last.get())?;
+            last.set(n);
+            Some(n)
+        };
+        shard_extent_classified(extent, &self.classes, &node_of, &self.summary)
+    }
+
+    /// Makes `built` the current state of view `name`.
+    fn install(&mut self, name: &str, (extent, partition): Built) {
+        self.extents.insert(name.to_owned(), Arc::new(extent));
+        self.install_partition(name, partition);
+    }
+
+    fn install_partition(&mut self, name: &str, partition: Option<ShardPartition>) {
+        match partition {
+            Some(p) => self.shards.insert(name.to_owned(), Arc::new(p)),
+            None => self.shards.remove(name),
+        };
+    }
+
+    /// Retires whatever `view.name` named before and registers `view`,
+    /// current when `built` is given and stale otherwise.
+    fn register(&mut self, view: View, policy: RefreshPolicy, built: Option<Built>) {
+        self.registered.retain(|r| r.view.name != view.name);
+        self.extents.remove(&view.name);
+        self.shards.remove(&view.name);
+        let stale = built.is_none();
+        if let Some(built) = built {
+            self.install(&view.name, built);
+        }
+        self.registered.push(Registered {
+            anchor: Anchor::of(&view.pattern),
+            view,
+            policy,
+            stale,
+        });
     }
 
     /// Applies one update batch: mutates the live document, maintains
@@ -438,65 +491,19 @@ impl EpochCatalog {
     /// and publishes the next epoch. Errors from [`LiveDoc::apply`]
     /// leave the store untouched (same epoch, same snapshot).
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<MaintenanceReport, LiveError> {
+        // the phase stamps: each ends one report field and starts the next
+        let t_entry = Instant::now();
         let mut apply_span = smv_obs::SpanGuard::enter("epoch.apply");
-        let token_before = self.summary.geometry_token();
-        let t_ingest = Instant::now();
         let applied = self.live.apply(batch)?;
-        let ingest_ns = t_ingest.elapsed().as_nanos() as u64;
-        let t_maintain = Instant::now();
+        let t_ingested = Instant::now();
 
-        // The cached classification of the pre-update document serves
-        // both the deleted-subtree shard-pruning intervals (against the
-        // pre-update summary geometry — what existing partitions were
-        // stamped with) and the summary's own maintenance pass.
+        // the cached classification of the pre-update document drives the
+        // summary's own maintenance pass
         let old_classes = std::mem::take(&mut self.classes);
-        let deleted_intervals: Vec<(u32, u32)> = {
-            let mut iv: Vec<(u32, u32)> = applied
-                .deleted_roots
-                .iter()
-                .map(|&r| {
-                    let p = old_classes[r.idx()];
-                    (
-                        self.summary.pre_rank(p),
-                        self.summary.last_descendant_rank(p),
-                    )
-                })
-                .collect();
-            iv.sort_unstable();
-            iv.dedup();
-            iv
-        };
-
         let (geometry_changed, new_classes) =
             self.summary
                 .apply_update_with(&applied, self.live.doc(), &old_classes);
         self.classes = new_classes;
-        let killed: HashSet<&StructId> = applied.deleted_ids.iter().collect();
-
-        // Inserted-subtree intervals and the insertion spine, in the new
-        // document. Fragment roots are grafted under distinct surviving
-        // parents, so the intervals are pairwise disjoint.
-        let doc = self.live.doc();
-        let mut inserted_iv: Vec<(NodeId, NodeId)> = applied
-            .inserted_roots
-            .iter()
-            .map(|&r| (r, doc.last_descendant(r)))
-            .collect();
-        inserted_iv.sort_unstable();
-        let inserted = |y: NodeId| -> bool {
-            let i = inserted_iv.partition_point(|&(s, _)| s <= y);
-            i > 0 && y <= inserted_iv[i - 1].1
-        };
-        let mut spine: HashSet<NodeId> = HashSet::new();
-        for &(r, _) in &inserted_iv {
-            let mut cur = doc.parent(r);
-            while let Some(p) = cur {
-                if !spine.insert(p) {
-                    break;
-                }
-                cur = doc.parent(p);
-            }
-        }
 
         let mut report = MaintenanceReport {
             epoch: 0, // stamped at publish
@@ -505,106 +512,69 @@ impl EpochCatalog {
             rows_killed: 0,
             rows_added: 0,
             geometry_changed,
-            ingest_ns,
-            maintain_ns: 0, // stamped before return
-            publish_ns: 0,  // stamped at publish
+            ingest_ns: (t_ingested - t_entry).as_nanos() as u64,
+            // the remaining phases are stamped as they end
+            maintain_ns: 0,
+            release_ns: 0,
+            publish_ns: 0,
         };
-
-        let mut new_extents: Vec<(String, NestedRelation, bool)> = Vec::new();
-        for reg in &mut self.registered {
-            let name = reg.view.name.clone();
-            if reg.policy == RefreshPolicy::Deferred {
-                if !reg.stale {
-                    reg.stale = true;
+        let delta = Delta::of(&applied, self.live.doc());
+        for i in 0..self.registered.len() {
+            let name = self.registered[i].view.name.clone();
+            if self.registered[i].policy == RefreshPolicy::Deferred {
+                if !std::mem::replace(&mut self.registered[i].stale, true) {
                     self.extents.remove(&name);
                     self.shards.remove(&name);
                 }
                 report.deferred_stale.push(name);
                 continue;
             }
-            match reg.class {
-                RefreshClass::Rebuild => {
-                    let extent =
-                        materialize_with(&reg.view.pattern, self.live.doc(), self.live.ids());
-                    report.refreshed.push(name.clone());
-                    new_extents.push((name, extent, true));
+            let reg = &self.registered[i];
+            let old = Arc::clone(&self.extents[&name]);
+            let next = match &reg.anchor {
+                Some(anchor) => delta
+                    .refresh(&reg.view.pattern, anchor, &old, &self.live)
+                    .map(|(extent, killed, added)| {
+                        report.rows_killed += killed;
+                        report.rows_added += added;
+                        extent
+                    }),
+                None => Some(materialize_with(
+                    &reg.view.pattern,
+                    self.live.doc(),
+                    self.live.ids(),
+                ))
+                .filter(|extent| extent.rows != old.rows),
+            };
+            match next {
+                Some(extent) => {
+                    let partition = self.shard(&extent);
+                    self.install(&name, (extent, partition));
+                    report.refreshed.push(name);
                 }
-                RefreshClass::Incremental => {
-                    let old = self
-                        .extents
-                        .get(&name)
-                        .cloned()
-                        .expect("eager view has an extent");
-                    let partition = self
-                        .shards
-                        .get(&name)
-                        .filter(|p| p.token == token_before)
-                        .cloned();
-                    let retained =
-                        filter_killed(&old, &killed, partition.as_deref(), &deleted_intervals);
-                    let delta = if inserted_iv.is_empty() {
-                        Vec::new()
-                    } else {
-                        delta_rows(
-                            &reg.view.pattern,
-                            self.live.doc(),
-                            self.live.ids(),
-                            &inserted_iv,
-                            &inserted,
-                            &spine,
-                        )
-                    };
-                    if retained.is_none() && delta.is_empty() {
-                        // untouched extent: keep the Arcs; only the rank
-                        // geometry may need a re-stamp
-                        if geometry_changed {
-                            new_extents.push((name, (*old).clone(), false));
-                        }
-                        continue;
-                    }
-                    let survivors = retained.unwrap_or_else(|| old.rows.clone());
-                    report.rows_killed += old.rows.len() - survivors.len();
-                    let before = survivors.len();
-                    // survivors are a subsequence of a normalized extent,
-                    // so a sorted merge of the delta suffices — no
-                    // whole-extent re-sort
-                    let mut rel = NestedRelation::new(old.schema.clone(), survivors);
-                    rel.union_sorted(delta);
-                    report.rows_added += rel.len().saturating_sub(before);
-                    report.refreshed.push(name.clone());
-                    new_extents.push((name, rel, false));
+                // same rows, same `Arc`; only a partition stamped with
+                // the superseded rank geometry is redone
+                None if geometry_changed => {
+                    let partition = self.shard(&old);
+                    self.install_partition(&name, partition);
                 }
+                None => {}
             }
         }
-        // re-shard against the maintained classification and the live
-        // document's ID index — O(extent rows), not O(doc), per view
-        for (name, extent, _) in new_extents {
-            let partition = shard_extent_classified(
-                &extent,
-                &self.classes,
-                &|id| self.live.node_of(id),
-                &self.summary,
-            );
-            match partition {
-                Some(p) => {
-                    self.shards.insert(name.clone(), Arc::new(p));
-                }
-                None => {
-                    self.shards.remove(&name);
-                }
-            }
-            self.extents.insert(name, Arc::new(extent));
-        }
+        let t_maintained = Instant::now();
+        report.maintain_ns = (t_maintained - t_ingested).as_nanos() as u64;
 
-        report.maintain_ns = t_maintain.elapsed().as_nanos() as u64;
-        // the pre-batch document and its IDs are freed (milliseconds on a
-        // large document) before the publish, not between it and the
-        // caller's reaction to it
-        drop(killed);
+        // the pre-batch document, its IDs and its classification are
+        // freed (milliseconds on a large document) before the publish,
+        // not between it and the caller's reaction to it
+        drop(delta);
         drop(applied);
-        let t_publish = Instant::now();
+        drop(old_classes);
+        let t_released = Instant::now();
+        report.release_ns = (t_released - t_maintained).as_nanos() as u64;
+
         self.publish();
-        report.publish_ns = t_publish.elapsed().as_nanos() as u64;
+        report.publish_ns = t_released.elapsed().as_nanos() as u64;
         report.epoch = self.epoch;
         apply_span.field("epoch", report.epoch);
         apply_span.field("rows_killed", report.rows_killed as u64);
@@ -612,6 +582,7 @@ impl EpochCatalog {
         drop(apply_span);
         smv_obs::observe("epoch.ingest_ns", report.ingest_ns);
         smv_obs::observe("epoch.maintain_ns", report.maintain_ns);
+        smv_obs::observe("epoch.release_ns", report.release_ns);
         smv_obs::observe("epoch.publish_ns", report.publish_ns);
         smv_obs::counter_add("epoch.batches_applied", 1);
         smv_obs::counter_add("epoch.rows_killed", report.rows_killed as u64);
@@ -631,18 +602,8 @@ impl EpochCatalog {
         if !self.registered[i].stale {
             return true;
         }
-        let extent = materialize_with(
-            &self.registered[i].view.pattern,
-            self.live.doc(),
-            self.live.ids(),
-        );
-        if let Some(p) = shard_extent_with(&extent, self.live.doc(), self.live.ids(), &self.summary)
-        {
-            self.shards.insert(name.to_owned(), Arc::new(p));
-        } else {
-            self.shards.remove(name);
-        }
-        self.extents.insert(name.to_owned(), Arc::new(extent));
+        let built = self.build(&self.registered[i].view.pattern);
+        self.install(name, built);
         self.registered[i].stale = false;
         self.publish();
         true
@@ -696,264 +657,119 @@ impl EpochCatalog {
     }
 }
 
-/// Indices of top-level ID columns in a schema.
-fn id_cols(rel: &NestedRelation) -> Vec<usize> {
-    rel.schema
-        .cols
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.kind == ColKind::Atom(AttrKind::Id))
-        .map(|(i, _)| i)
-        .collect()
+/// An extent and its shard partition, as built from nothing.
+type Built = (NestedRelation, Option<ShardPartition>);
+
+/// What one applied batch changed, in the terms anchored refresh needs.
+struct Delta<'a> {
+    applied: &'a AppliedBatch,
+    /// Post-batch nodes whose subtree the batch changed or created: the
+    /// inserted nodes and the surviving ancestors of every inserted or
+    /// deleted subtree root. Ascending. Any other surviving node has the
+    /// subtree and the ancestors it had before the batch.
+    dirty: Vec<NodeId>,
 }
 
-/// Removes rows whose stored IDs intersect the kill set. Returns `None`
-/// when no row dies (caller keeps the old extent untouched). With a
-/// single ID column and a token-valid shard partition, shards whose
-/// summary-path interval misses every deleted subtree's interval are
-/// retained without inspection.
-fn filter_killed(
-    old: &NestedRelation,
-    killed: &HashSet<&StructId>,
-    partition: Option<&ShardPartition>,
-    deleted_intervals: &[(u32, u32)],
-) -> Option<Vec<Row>> {
-    if killed.is_empty() {
-        return None;
-    }
-    let cols = id_cols(old);
-    let row_dies = |row: &Row| {
-        cols.iter().any(|&c| match &row.cells[c] {
-            Cell::Id(id) => killed.contains(id),
-            _ => false,
-        })
-    };
-    let must_check: Option<Vec<bool>> = match (partition, deleted_intervals) {
-        (Some(p), iv) if cols.len() == 1 && p.col == cols[0] => {
-            let mut check = vec![false; old.rows.len()];
-            for sh in &p.shards {
-                if iv.iter().any(|&(s, e)| s <= sh.pre && sh.pre <= e) {
-                    for &r in &sh.rows {
-                        check[r] = true;
-                    }
+impl<'a> Delta<'a> {
+    fn of(applied: &'a AppliedBatch, doc: &Document) -> Delta<'a> {
+        let mut spine: HashSet<NodeId> = HashSet::new();
+        // deletion spine: climb the pre-batch document; an ancestor of a
+        // cover root survives, so it maps into the new one
+        for &r in &applied.deleted_roots {
+            let mut cur = applied.old_doc.parent(r);
+            while let Some(a) = cur {
+                let survivor = applied.old_to_new[a.idx()].expect("ancestor of a cover root");
+                if !spine.insert(survivor) {
+                    break;
                 }
+                cur = applied.old_doc.parent(a);
             }
-            for &r in &p.unclassified {
-                check[r] = true;
-            }
-            Some(check)
         }
-        _ => None,
-    };
-    let survives = |i: usize, row: &Row| match &must_check {
-        Some(check) => !check[i] || !row_dies(row),
-        None => !row_dies(row),
-    };
-    if old.rows.iter().enumerate().all(|(i, row)| survives(i, row)) {
-        return None;
+        let mut dirty = Vec::new();
+        for &r in &applied.inserted_roots {
+            dirty.extend(doc.subtree(r));
+            let mut cur = doc.parent(r);
+            while let Some(a) = cur {
+                if !spine.insert(a) {
+                    break;
+                }
+                cur = doc.parent(a);
+            }
+        }
+        dirty.extend(spine);
+        dirty.sort_unstable();
+        Delta { applied, dirty }
     }
-    Some(
-        old.rows
+
+    /// Anchored refresh of one extent (module docs). `None` when the
+    /// batch leaves the rows as they are; otherwise the next extent with
+    /// the number of rows that left and that joined.
+    fn refresh(
+        &self,
+        p: &Pattern,
+        anchor: &Anchor,
+        old: &NestedRelation,
+        live: &LiveDoc,
+    ) -> Option<(NestedRelation, usize, usize)> {
+        let (doc, ids) = (live.doc(), live.ids());
+        let (old_doc, old_ids) = (&self.applied.old_doc, &self.applied.old_ids);
+        let k = *anchor.chain.last().expect("a chain holds its anchor");
+        // the anchor hangs below the pattern root, which holds the
+        // document root: the one dirty node it can never bind
+        let pinned: Vec<NodeId> = self
+            .dirty
             .iter()
-            .enumerate()
-            .filter(|(i, row)| survives(*i, row))
-            .map(|(_, row)| row.clone())
-            .collect(),
-    )
-}
+            .copied()
+            .filter(|&d| d != doc.root() && admits_node(p, k, doc, d))
+            .collect();
+        // a dirty survivor has the ID it had, an inserted node an ID no
+        // row holds yet
+        let mut stale: HashSet<&StructId> = pinned.iter().map(|&d| ids.id(d)).collect();
+        for &r in &self.applied.deleted_roots {
+            stale.extend(
+                old_doc
+                    .subtree(r)
+                    .filter(|&n| admits_node(p, k, old_doc, n))
+                    .map(|n| old_ids.id(n)),
+            );
+        }
+        if stale.is_empty() {
+            return None; // nothing the anchor can bind was touched
+        }
+        let dropped: Vec<usize> = (0..old.rows.len())
+            .filter(
+                |&i| matches!(&old.rows[i].cells[anchor.col], Cell::Id(id) if stale.contains(id)),
+            )
+            .collect();
+        let mut fresh = NestedRelation::new(
+            old.schema.clone(),
+            rows_pinned(p, doc, ids, &anchor.chain, &pinned),
+        );
+        fresh.normalize();
 
-/// The added embeddings of a monotone pattern: for each pattern node in
-/// turn, re-evaluates with that node pinned to inserted subtrees, its
-/// pattern ancestors confined to the insertion spine or inserted
-/// subtrees, and everything else unrestricted. Every new-touching
-/// embedding binds *some* pattern node to an inserted node and its
-/// pattern ancestors necessarily to spine-or-inserted nodes, so the
-/// union over targets is exactly the delta (duplicates dissolve in the
-/// set-semantic union with the surviving extent).
-fn delta_rows(
-    p: &Pattern,
-    doc: &Document,
-    ids: &IdAssignment,
-    inserted_iv: &[(NodeId, NodeId)],
-    inserted: &dyn Fn(NodeId) -> bool,
-    spine: &HashSet<NodeId>,
-) -> Vec<Row> {
-    if let Some(chain) = chain_of(p) {
-        return delta_rows_chain(p, &chain, doc, ids, inserted_iv, inserted);
+        // both runs are in normalized order: one merge pass counts the
+        // rows the refresh merely reproduced
+        let mut reproduced = 0;
+        let mut f = fresh.rows.iter().peekable();
+        for &i in &dropped {
+            while f.next_if(|r| **r < old.rows[i]).is_some() {}
+            reproduced += f.next_if(|r| **r == old.rows[i]).is_some() as usize;
+        }
+        let (killed, added) = (dropped.len() - reproduced, fresh.len() - reproduced);
+        if killed == 0 && added == 0 {
+            return None;
+        }
+        let mut gone = dropped.iter().copied().peekable();
+        let survivors: Vec<Row> = (0..old.rows.len())
+            .filter(|&i| gone.next_if_eq(&i).is_none())
+            .map(|i| old.rows[i].clone())
+            .collect();
+        // survivors are a subsequence of a normalized extent, so a sorted
+        // merge suffices — no whole-extent re-sort
+        let mut next = NestedRelation::new(old.schema.clone(), survivors);
+        next.union_sorted(fresh.rows);
+        Some((next, killed, added))
     }
-    let matcher = Matcher::new(p, doc);
-    let mut rows = Vec::new();
-    for target in p.iter() {
-        let mut anc = vec![false; p.len()];
-        let mut cur = p.parent(target);
-        while let Some(a) = cur {
-            anc[a.idx()] = true;
-            cur = p.parent(a);
-        }
-        let allowed = |m: PNodeId, y: NodeId| -> bool {
-            if m == target {
-                inserted(y)
-            } else if anc[m.idx()] {
-                spine.contains(&y) || inserted(y)
-            } else {
-                true
-            }
-        };
-        rows.extend(eval_embeddings(p, doc, ids, &matcher, &allowed));
-    }
-    rows
-}
-
-/// The pattern's nodes in root-to-leaf order when every node has at most
-/// one child (a *chain*); `None` for branching shapes.
-fn chain_of(p: &Pattern) -> Option<Vec<PNodeId>> {
-    let mut chain = vec![p.root()];
-    loop {
-        match p.children(*chain.last().unwrap()) {
-            [] => return Some(chain),
-            &[c] => chain.push(c),
-            _ => return None,
-        }
-    }
-}
-
-/// May pattern node `m` be mapped onto document node `y`? The same label
-/// + value-predicate admission [`Matcher::new`] applies per candidate.
-fn admits_node(p: &Pattern, m: PNodeId, doc: &Document, y: NodeId) -> bool {
-    let nd = p.node(m);
-    nd.label.is_none_or(|l| doc.label(y) == l) && doc.admits(y, &nd.predicate)
-}
-
-/// [`delta_rows`] for chain patterns, without building a [`Matcher`]
-/// (whose candidate pools are O(|p|·|doc|) however small the batch).
-///
-/// A chain's bindings lie on one root-to-leaf document path, and along
-/// that path the inserted bindings form a suffix (the inserted node set
-/// is descendant-closed). Partitioning the new embeddings by their
-/// **pivot** — the first chain position bound to an inserted node —
-/// enumerates each exactly once: walk the inserted subtrees, and for
-/// every (inserted node `y`, admitting position `k`) pair extend upward
-/// through non-inserted nodes only (forcing `k` to be first) and
-/// downward through `y`'s descendants (inserted by closure). The pivot
-/// is never position 0: the pattern root binds only the document root,
-/// which predates every batch.
-fn delta_rows_chain(
-    p: &Pattern,
-    chain: &[PNodeId],
-    doc: &Document,
-    ids: &IdAssignment,
-    inserted_iv: &[(NodeId, NodeId)],
-    inserted: &dyn Fn(NodeId) -> bool,
-) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for &(start, end) in inserted_iv {
-        for y in (start.0..=end.0).map(NodeId) {
-            for k in 1..chain.len() {
-                if !admits_node(p, chain[k], doc, y) {
-                    continue;
-                }
-                let ups = bind_up(p, chain, doc, k, y, inserted);
-                if ups.is_empty() {
-                    continue;
-                }
-                let downs = bind_down(p, chain, doc, k, y);
-                for up in &ups {
-                    for down in &downs {
-                        let bound = up.iter().chain(Some(&y)).chain(down.iter());
-                        let mut cells = Vec::new();
-                        for (i, &b) in bound.enumerate() {
-                            cells.extend(own_cells(p, chain[i], doc, ids, b));
-                        }
-                        rows.push(Row::new(cells));
-                    }
-                }
-            }
-        }
-    }
-    rows
-}
-
-/// Assignments for `chain[..k]` (root→leaf order) compatible with
-/// position `k` bound to `below`: each step follows `chain[i]`'s axis
-/// upward, admitting only non-inserted nodes, and pins position 0 to the
-/// document root.
-fn bind_up(
-    p: &Pattern,
-    chain: &[PNodeId],
-    doc: &Document,
-    k: usize,
-    below: NodeId,
-    inserted: &dyn Fn(NodeId) -> bool,
-) -> Vec<Vec<NodeId>> {
-    if k == 0 {
-        return vec![Vec::new()];
-    }
-    let mut out = Vec::new();
-    let mut extend_with = |x: NodeId| {
-        if inserted(x) || !admits_node(p, chain[k - 1], doc, x) || (k - 1 == 0 && x != doc.root()) {
-            return;
-        }
-        for mut up in bind_up(p, chain, doc, k - 1, x, inserted) {
-            up.push(x);
-            out.push(up);
-        }
-    };
-    match p.node(chain[k]).axis {
-        Axis::Child => {
-            if let Some(x) = doc.parent(below) {
-                extend_with(x);
-            }
-        }
-        Axis::Descendant => {
-            let mut cur = doc.parent(below);
-            while let Some(x) = cur {
-                extend_with(x);
-                cur = doc.parent(x);
-            }
-        }
-    }
-    out
-}
-
-/// Assignments for `chain[k + 1..]` under position `k` bound to `above`:
-/// each step follows the next position's axis downward (children, or the
-/// pre-order descendant interval).
-fn bind_down(
-    p: &Pattern,
-    chain: &[PNodeId],
-    doc: &Document,
-    k: usize,
-    above: NodeId,
-) -> Vec<Vec<NodeId>> {
-    if k + 1 == chain.len() {
-        return vec![Vec::new()];
-    }
-    let m = chain[k + 1];
-    let mut out = Vec::new();
-    let mut extend_with = |y: NodeId| {
-        if !admits_node(p, m, doc, y) {
-            return;
-        }
-        for down in bind_down(p, chain, doc, k + 1, y) {
-            let mut v = Vec::with_capacity(1 + down.len());
-            v.push(y);
-            v.extend(down);
-            out.push(v);
-        }
-    };
-    match p.node(m).axis {
-        Axis::Child => {
-            for &y in doc.children(above) {
-                extend_with(y);
-            }
-        }
-        Axis::Descendant => {
-            for y in (above.0 + 1..=doc.last_descendant(above).0).map(NodeId) {
-                extend_with(y);
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1002,17 +818,37 @@ mod tests {
     }
 
     #[test]
-    fn classifier_separates_monotone_id_leaf_patterns() {
-        for (pat, class) in [
-            ("a(//b{id,v})", RefreshClass::Incremental),
-            ("a(/b{id}(/c{id,v}))", RefreshClass::Incremental),
-            ("a(?/b{id})", RefreshClass::Rebuild), // optional edge
-            ("a(%/b{id})", RefreshClass::Rebuild), // nested edge
-            ("a(/b{id,c})", RefreshClass::Rebuild), // content attr
-            ("a(/b{v})", RefreshClass::Rebuild),   // leaf without id
-            ("a(/b{id}(/c{v}))", RefreshClass::Rebuild), // deep leaf without id
+    fn classifier_anchors_at_the_deepest_id_on_the_required_top_chain() {
+        // (pattern, chain length down to the anchor, anchor ID column)
+        for (pat, anchor) in [
+            ("a(//b{id,v})", Some((2, 0))),
+            ("a{id}(/b{id}(/c{id,v}))", Some((3, 2))),
+            // whatever sits below the anchor is free
+            ("a(/b{id}(?/c{id}))", Some((2, 0))),
+            ("a(/b{id}(%/c{id}))", Some((2, 0))),
+            ("a(/b{id,c})", Some((2, 0))),
+            ("a{l}(/b{id}(/c{v}, //d{c}))", Some((2, 1))),
+            // the chain stops at an optional or nested edge, at a branch
+            // and below a content attribute
+            ("a(/b{id}(?/c{id}(/d{id})))", Some((2, 0))),
+            ("a(/b{id}(/c{id}, /d{id}))", Some((2, 0))),
+            ("a(/b{id,c}(/c{id}))", Some((2, 0))),
+            // and no ID on it (the root's aside) means a full rebuild
+            ("a(?/b{id})", None),
+            ("a(%/b{id})", None),
+            ("a(/b{v})", None),
+            ("a{id}(/b{v})", None),
+            ("a(/b{id}, /c{id})", None),
+            ("a{c}(/b{id})", None),
         ] {
-            assert_eq!(refresh_class(&parse_pattern(pat).unwrap()), class, "{pat}");
+            let p = parse_pattern(pat).unwrap();
+            let got = Anchor::of(&p).map(|a| (a.chain.len(), a.col));
+            assert_eq!(got, anchor, "{pat}");
+            let class = match anchor {
+                Some(_) => RefreshClass::Incremental,
+                None => RefreshClass::Rebuild,
+            };
+            assert_eq!(refresh_class(&p), class, "{pat}");
         }
     }
 

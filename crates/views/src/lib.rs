@@ -24,4 +24,4 @@ pub use epoch::{
     refresh_class, CatalogEpoch, EpochCatalog, EpochReader, MaintenanceReport, RefreshClass,
     RefreshPolicy,
 };
-pub use materialize::{materialize, materialize_with, schema_of};
+pub use materialize::{materialize, materialize_with, schema_of, CANDIDATE_PROBES};

@@ -479,13 +479,13 @@ impl IdAssignment {
         self.ids.is_empty()
     }
 
-    /// Builds a hash index from ID to node for O(1) reverse lookup.
-    pub fn index(&self) -> std::collections::HashMap<StructId, NodeId> {
-        self.ids
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (id.clone(), NodeId(i as u32)))
-            .collect()
+    /// Every node's ID, indexed by [`NodeId`] — document order. A fresh
+    /// [`assign`](Self::assign)ment under ORDPATH or Dewey is therefore
+    /// strictly increasing (ID order *is* document order), which lets a
+    /// holder that keeps it so look IDs up by binary search
+    /// ([`crate::LiveDoc::node_of`]).
+    pub fn as_slice(&self) -> &[StructId] {
+        &self.ids
     }
 
     /// The ID of node `n`.
@@ -493,8 +493,9 @@ impl IdAssignment {
         &self.ids[n.idx()]
     }
 
-    /// Reverse lookup (linear; intended for tests and plan evaluation over
-    /// moderate documents — production stores would index this).
+    /// Reverse lookup by linear scan, for any ID vector whatever its
+    /// order — tests and one-off lookups. [`crate::LiveDoc::node_of`] is
+    /// the logarithmic one, and needs no index to be it.
     pub fn node_of(&self, id: &StructId) -> Option<NodeId> {
         self.ids
             .iter()

@@ -158,9 +158,17 @@ impl AppliedBatch {
 #[derive(Clone, Debug)]
 pub struct LiveDoc {
     doc: Document,
+    /// Under ORDPATH and Dewey, strictly increasing in
+    /// [`StructId::cmp_doc_order`]: the initial assignment is, deletions
+    /// keep it so, and a fresh child's rank lies past every rank its
+    /// parent ever issued, so its subtree sorts after its elder siblings'
+    /// and before whatever followed the parent's subtree. That makes the
+    /// vector its own reverse index ([`LiveDoc::node_of`]).
     ids: IdAssignment,
-    /// Reverse index over `ids` (the assignment's own lookup is linear).
-    index: HashMap<StructId, NodeId>,
+    /// `seq → NodeId` for [`IdScheme::Sequential`], whose IDs say nothing
+    /// about position ([`DEAD`] once deleted); empty under the other
+    /// schemes.
+    seq_nodes: Vec<u32>,
     /// Monotone child-rank counter per parent ID; seeded lazily with the
     /// parent's child count the first time the parent is touched by an
     /// insert-under or delete-from, and never decremented — this is what
@@ -170,16 +178,33 @@ pub struct LiveDoc {
     next_seq: u64,
 }
 
+/// The [`LiveDoc::seq_nodes`] entry of a sequence number no live node holds.
+const DEAD: u32 = u32::MAX;
+
+/// The dense `seq → NodeId` table of a sequential assignment of
+/// `next_seq` numbers so far; empty for the structural schemes.
+fn seq_table(ids: &IdAssignment, next_seq: u64) -> Vec<u32> {
+    if ids.scheme() != IdScheme::Sequential {
+        return Vec::new();
+    }
+    let mut table = vec![DEAD; next_seq as usize];
+    for (n, id) in ids.as_slice().iter().enumerate() {
+        if let StructId::Seq(s) = id {
+            table[*s as usize] = n as u32;
+        }
+    }
+    table
+}
+
 impl LiveDoc {
     /// Wraps a freshly loaded document, assigning IDs under `scheme`.
     pub fn new(doc: Document, scheme: IdScheme) -> LiveDoc {
         let ids = IdAssignment::assign(&doc, scheme);
-        let index = ids.index();
         let next_seq = doc.len() as u64;
         LiveDoc {
+            seq_nodes: seq_table(&ids, next_seq),
             doc,
             ids,
-            index,
             next_child: HashMap::new(),
             next_seq,
         }
@@ -200,9 +225,40 @@ impl LiveDoc {
         self.ids.scheme()
     }
 
-    /// Resolves an ID to its current [`NodeId`], if the node is alive.
+    /// Resolves an ID to its current [`NodeId`], if the node is alive:
+    /// a binary search of the document-ordered ID vector under ORDPATH
+    /// and Dewey, a table lookup under the sequential scheme.
     pub fn node_of(&self, id: &StructId) -> Option<NodeId> {
-        self.index.get(id).copied()
+        if self.scheme().is_structural() {
+            let at = self.ids.as_slice().binary_search(id).ok()?;
+            return Some(NodeId(at as u32));
+        }
+        let StructId::Seq(s) = id else { return None };
+        let n = *self.seq_nodes.get(usize::try_from(*s).ok()?)?;
+        (n != DEAD).then_some(NodeId(n))
+    }
+
+    /// [`Self::node_of`], searching outward from `hint` when the ID sorts
+    /// at or after the hint's: `O(log distance)` instead of
+    /// `O(log document)`, and within a few cache lines of the last answer.
+    /// A caller resolving IDs in document order — the first column of a
+    /// normalized extent — passes its previous answer and so merges
+    /// against the ID vector instead of probing it per row. The hint never
+    /// changes the result.
+    pub fn node_of_near(&self, id: &StructId, hint: NodeId) -> Option<NodeId> {
+        let ids = self.ids.as_slice();
+        if !self.scheme().is_structural() || ids.get(hint.idx()).is_none_or(|h| id < h) {
+            return self.node_of(id);
+        }
+        let tail = &ids[hint.idx()..];
+        let mut bound = 1;
+        while bound < tail.len() && tail[bound] < *id {
+            bound *= 2;
+        }
+        // tail[bound / 2] < id <= tail[bound], where those exist
+        let lo = bound / 2;
+        let at = tail[lo..tail.len().min(bound + 1)].binary_search(id).ok()?;
+        Some(NodeId((hint.idx() + lo + at) as u32))
     }
 
     /// The ID of node `n` in the current version.
@@ -216,9 +272,8 @@ impl LiveDoc {
         let mut delete_targets: Vec<NodeId> = Vec::new();
         for op in &batch.ops {
             if let Update::Delete { id } = op {
-                let n = *self
-                    .index
-                    .get(id)
+                let n = self
+                    .node_of(id)
                     .ok_or_else(|| LiveError::UnknownId(id.clone()))?;
                 if n == self.doc.root() {
                     return Err(LiveError::DeleteRoot);
@@ -250,9 +305,8 @@ impl LiveDoc {
         let mut insert_parents: Vec<NodeId> = Vec::new(); // op order
         for op in &batch.ops {
             if let Update::Insert { parent, fragment } = op {
-                let p = *self
-                    .index
-                    .get(parent)
+                let p = self
+                    .node_of(parent)
                     .ok_or_else(|| LiveError::UnknownId(parent.clone()))?;
                 if is_deleted(p) {
                     return Err(LiveError::InsertUnderDeleted(parent.clone()));
@@ -326,7 +380,7 @@ impl LiveDoc {
         }
         let old_doc = std::mem::replace(&mut self.doc, new_doc);
         let old_ids = std::mem::replace(&mut self.ids, new_ids);
-        self.index = self.ids.index();
+        self.seq_nodes = seq_table(&self.ids, self.next_seq);
         Ok(AppliedBatch {
             old_doc,
             old_ids,
