@@ -796,6 +796,15 @@ impl FeedbackStore {
                     shift += 7;
                 }
             }
+            /// A count of elements of at least one byte each: never more
+            /// than the bytes left, so it can size an allocation.
+            fn count(&mut self) -> Result<usize, String> {
+                let n = self.uv()?;
+                if n > (self.buf.len() - self.pos) as u64 {
+                    return Err(format!("count {n} exceeds the bytes left"));
+                }
+                Ok(n as usize)
+            }
             fn f64(&mut self) -> Result<f64, String> {
                 let end = self.pos + 8;
                 let s = self.buf.get(self.pos..end).ok_or("truncated f64")?;
@@ -803,14 +812,14 @@ impl FeedbackStore {
                 Ok(f64::from_bits(u64::from_le_bytes(s.try_into().unwrap())))
             }
             fn str(&mut self) -> Result<String, String> {
-                let n = self.uv()? as usize;
-                let end = self.pos.checked_add(n).ok_or("length overflow")?;
-                let s = self.buf.get(self.pos..end).ok_or("truncated string")?;
+                let n = self.count()?;
+                let end = self.pos + n;
+                let s = &self.buf[self.pos..end];
                 self.pos = end;
                 String::from_utf8(s.to_vec()).map_err(|_| "invalid utf-8".to_string())
             }
             fn u64_map(&mut self) -> Result<HashMap<u64, f64>, String> {
-                let n = self.uv()? as usize;
+                let n = self.count()?;
                 let mut m = HashMap::with_capacity(n);
                 for _ in 0..n {
                     let k = self.uv()?;
@@ -828,7 +837,7 @@ impl FeedbackStore {
         if !(decay > 0.0 && decay <= 1.0) {
             return Err(format!("decay {decay} outside (0, 1]"));
         }
-        let n_scans = r.uv()? as usize;
+        let n_scans = r.count()?;
         let mut scans = HashMap::with_capacity(n_scans);
         for _ in 0..n_scans {
             let k = r.str()?;
@@ -837,11 +846,11 @@ impl FeedbackStore {
         let selects = r.u64_map()?;
         let joins = r.u64_map()?;
         let frags = r.u64_map()?;
-        let n_views = r.uv()? as usize;
+        let n_views = r.count()?;
         let mut by_view = HashMap::with_capacity(n_views);
         for _ in 0..n_views {
             let v = r.str()?;
-            let n = r.uv()? as usize;
+            let n = r.count()?;
             let mut fps = HashSet::with_capacity(n);
             for _ in 0..n {
                 fps.insert(r.uv()?);

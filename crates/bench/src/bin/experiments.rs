@@ -1979,8 +1979,14 @@ fn bench_pr10(scale: f64, out: &str) {
         .publish(&cat4, Some(&s4), Some(session.store()), 1)
         .expect("publish learned feedback");
     let mut reopened = fstore.open().expect("reopen feedback epoch");
-    let loaded_fb = reopened.take_feedback().expect("feedback persisted");
-    let loaded_summary = reopened.summary().expect("summary persisted");
+    let loaded_fb = reopened
+        .take_feedback()
+        .expect("feedback loads")
+        .expect("feedback persisted");
+    let loaded_summary = reopened
+        .summary()
+        .expect("summary loads")
+        .expect("summary persisted");
     let mut warm_sess = AdaptiveSession::new(loaded_summary, &cat4);
     *warm_sess.store_mut() = loaded_fb;
     let mut warm_start_converged = true;

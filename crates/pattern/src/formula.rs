@@ -116,32 +116,44 @@ impl Interval {
     }
 }
 
-/// A formula in canonical form: a sorted union of disjoint, non-touching
-/// intervals. `T` = one `(−∞, +∞)` interval; `F` = empty union.
+/// A formula in canonical form: `T`, or a sorted union of disjoint,
+/// non-touching intervals that is not `(−∞, +∞)`; `F` = empty union.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Formula {
+    /// `T` is a flag and no interval: nearly every pattern node carries
+    /// it, and one rewriting builds, clones and tests it some 10⁵ times,
+    /// none of which may touch the heap. When set, `intervals` is empty.
+    top: bool,
     intervals: Vec<Interval>,
 }
+
+/// `T` as an interval list, for [`Formula::intervals`].
+static FULL: [Interval; 1] = [Interval {
+    lo: Bound::NegInf,
+    hi: Bound::PosInf,
+}];
 
 impl Formula {
     /// `T` — satisfied by every value.
     pub fn top() -> Formula {
         Formula {
-            intervals: vec![Interval {
-                lo: Bound::NegInf,
-                hi: Bound::PosInf,
-            }],
+            top: true,
+            intervals: Vec::new(),
         }
     }
 
     /// `F` — satisfied by no value.
     pub fn bottom() -> Formula {
-        Formula { intervals: vec![] }
+        Formula {
+            top: false,
+            intervals: Vec::new(),
+        }
     }
 
     /// `v = c`.
     pub fn eq(c: Value) -> Formula {
         Formula {
+            top: false,
             intervals: vec![Interval {
                 lo: Bound::Incl(c.clone()),
                 hi: Bound::Incl(c),
@@ -157,6 +169,7 @@ impl Formula {
     /// `v < c`.
     pub fn lt(c: Value) -> Formula {
         Formula {
+            top: false,
             intervals: vec![Interval {
                 lo: Bound::NegInf,
                 hi: Bound::Excl(c),
@@ -167,6 +180,7 @@ impl Formula {
     /// `v ≤ c`.
     pub fn le(c: Value) -> Formula {
         Formula {
+            top: false,
             intervals: vec![Interval {
                 lo: Bound::NegInf,
                 hi: Bound::Incl(c),
@@ -177,6 +191,7 @@ impl Formula {
     /// `v > c`.
     pub fn gt(c: Value) -> Formula {
         Formula {
+            top: false,
             intervals: vec![Interval {
                 lo: Bound::Excl(c),
                 hi: Bound::PosInf,
@@ -187,6 +202,7 @@ impl Formula {
     /// `v ≥ c`.
     pub fn ge(c: Value) -> Formula {
         Formula {
+            top: false,
             intervals: vec![Interval {
                 lo: Bound::Incl(c),
                 hi: Bound::PosInf,
@@ -211,11 +227,20 @@ impl Formula {
                 _ => out.push(iv),
             }
         }
-        Formula { intervals: out }
+        if out == FULL {
+            return Formula::top();
+        }
+        Formula {
+            top: false,
+            intervals: out,
+        }
     }
 
     /// `self ∨ other`.
     pub fn or(&self, other: &Formula) -> Formula {
+        if self.top || other.top {
+            return Formula::top();
+        }
         let mut ivs = self.intervals.clone();
         ivs.extend(other.intervals.iter().cloned());
         Formula::normalize(ivs)
@@ -223,6 +248,12 @@ impl Formula {
 
     /// `self ∧ other`.
     pub fn and(&self, other: &Formula) -> Formula {
+        if self.top {
+            return other.clone();
+        }
+        if other.top {
+            return self.clone();
+        }
         let mut out = Vec::new();
         for a in &self.intervals {
             for b in &other.intervals {
@@ -240,6 +271,9 @@ impl Formula {
 
     /// `¬self`.
     pub fn not(&self) -> Formula {
+        if self.top {
+            return Formula::bottom();
+        }
         // walk the gaps between intervals
         let mut out = Vec::new();
         let mut lo = Bound::NegInf;
@@ -272,19 +306,17 @@ impl Formula {
 
     /// Is the formula satisfiable (≠ `F`)?
     pub fn is_sat(&self) -> bool {
-        !self.intervals.is_empty()
+        self.top || !self.intervals.is_empty()
     }
 
     /// Is the formula `T`?
     pub fn is_top(&self) -> bool {
-        self.intervals.len() == 1
-            && self.intervals[0].lo == Bound::NegInf
-            && self.intervals[0].hi == Bound::PosInf
+        self.top
     }
 
     /// Does `v` satisfy the formula?
     pub fn accepts(&self, v: &Value) -> bool {
-        self.intervals.iter().any(|i| i.contains(v))
+        self.top || self.intervals.iter().any(|i| i.contains(v))
     }
 
     /// `self ⇒ other` (validity of the implication).
@@ -294,7 +326,11 @@ impl Formula {
 
     /// The canonical intervals (read-only; mainly for display/tests).
     pub fn intervals(&self) -> &[Interval] {
-        &self.intervals
+        if self.top {
+            &FULL
+        } else {
+            &self.intervals
+        }
     }
 }
 
@@ -395,6 +431,22 @@ mod tests {
         assert!(!g.is_top());
         assert!(!g.accepts(&v(5)));
         assert_eq!(g, Formula::ne(v(5)));
+    }
+
+    #[test]
+    fn top_is_one_value_however_it_is_reached() {
+        let top = Formula::top();
+        let x = Formula::gt(v(2)).and(&Formula::lt(v(5)));
+        assert_eq!(Formula::lt(v(5)).or(&Formula::ge(v(5))), top);
+        assert_eq!(Formula::bottom().not(), top);
+        assert_eq!(x.or(&x.not()), top);
+        assert_eq!(top.not(), Formula::bottom());
+        assert_eq!((top.and(&x), x.and(&top)), (x.clone(), x.clone()));
+        assert_eq!((top.or(&x), x.or(&top)), (top.clone(), top.clone()));
+        assert!(top.is_sat() && top.accepts(&v(0)) && !x.implies(&Formula::bottom()));
+        assert_eq!(top.intervals().len(), 1);
+        assert_eq!(top.intervals()[0].lo, Bound::NegInf);
+        assert_eq!(top.intervals()[0].hi, Bound::PosInf);
     }
 
     #[test]

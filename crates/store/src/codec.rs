@@ -20,7 +20,20 @@
 //!
 //! Decoding is checked end to end: every length and tag is validated and
 //! truncated or mismatched bytes surface as
-//! [`StoreError::Corrupt`](crate::StoreError) — never as garbage rows.
+//! [`StoreError::Corrupt`](crate::StoreError) — never as garbage rows, a
+//! panic or an aborting allocation. Every element count whose elements
+//! take bytes (runs, dictionary strings, columns, shard rows, …) is
+//! refused when it exceeds the bytes still unread
+//! ([`ByteReader::get_count`]); the row count, which run-length coding
+//! lets cost nothing, must agree with the first column's tag runs before
+//! the rows are built, and building them is a fallible allocation;
+//! nesting is refused past a fixed depth.
+//!
+//! The decoder builds what the executor wants — row-major [`Row`]s — in
+//! one pass per column: the rows are sized once and each column's cells
+//! are pushed straight into them, tag run by tag run, so a row costs the
+//! allocations it owns (its cell vector, each id's label, each string)
+//! and nothing per cell.
 
 use crate::io::{Result, StoreError};
 use smv_algebra::{
@@ -172,6 +185,28 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    /// A varint element count for a sequence whose every element takes at
+    /// least one byte of the stream: a count above [`remaining`] is
+    /// corruption, so no allocation sized by it can exceed the input.
+    ///
+    /// [`remaining`]: ByteReader::remaining
+    pub fn get_count(&mut self) -> Result<usize> {
+        let n = self.get_uv()?;
+        if n > self.remaining() as u64 {
+            return Err(StoreError::Corrupt(format!(
+                "count {n} exceeds the {} bytes left",
+                self.remaining()
+            )));
+        }
+        Ok(n as usize)
+    }
+
+    /// A varint that must fit 32 bits.
+    pub fn get_u32(&mut self) -> Result<u32> {
+        u32::try_from(self.get_uv()?)
+            .map_err(|_| StoreError::Corrupt("value does not fit 32 bits".into()))
+    }
+
     /// Zigzag varint.
     pub fn get_iv(&mut self) -> Result<i64> {
         let z = self.get_uv()?;
@@ -180,14 +215,19 @@ impl<'a> ByteReader<'a> {
 
     /// Length-prefixed raw bytes.
     pub fn get_bytes(&mut self) -> Result<&'a [u8]> {
-        let n = self.get_uv()? as usize;
+        let n = self.get_count()?;
         self.take(n)
     }
 
     /// Length-prefixed UTF-8 string.
     pub fn get_str(&mut self) -> Result<String> {
-        let b = self.get_bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|_| StoreError::Corrupt("invalid utf-8".into()))
+        self.get_str_ref().map(str::to_string)
+    }
+
+    /// Length-prefixed UTF-8 string, borrowed from the stream.
+    pub fn get_str_ref(&mut self) -> Result<&'a str> {
+        std::str::from_utf8(self.get_bytes()?)
+            .map_err(|_| StoreError::Corrupt("invalid utf-8".into()))
     }
 }
 
@@ -219,18 +259,20 @@ impl DictBuilder {
     }
 }
 
-fn decode_dict(r: &mut ByteReader) -> Result<Vec<String>> {
-    let n = r.get_uv()? as usize;
+/// The dictionary's strings, borrowed from the stream.
+fn decode_dict<'a>(r: &mut ByteReader<'a>) -> Result<Vec<&'a str>> {
+    let n = r.get_count()?;
     let mut strings = Vec::with_capacity(n);
     for _ in 0..n {
-        strings.push(r.get_str()?);
+        strings.push(r.get_str_ref()?);
     }
     Ok(strings)
 }
 
-fn dict_get(dict: &[String], slot: u64) -> Result<&str> {
-    dict.get(slot as usize)
-        .map(String::as_str)
+fn dict_get<'a>(dict: &[&'a str], slot: u64) -> Result<&'a str> {
+    usize::try_from(slot)
+        .ok()
+        .and_then(|i| dict.get(i).copied())
         .ok_or_else(|| StoreError::Corrupt(format!("dictionary slot {slot} out of range")))
 }
 
@@ -260,17 +302,24 @@ fn encode_schema(w: &mut ByteWriter, s: &Schema) {
     }
 }
 
-fn decode_schema(r: &mut ByteReader) -> Result<Schema> {
-    let n = r.get_uv()? as usize;
+/// How deep nested schemas and nested table cells may go before the
+/// decoder calls the input corrupt (it recurses once per level).
+const MAX_NESTING: usize = 64;
+
+fn decode_schema(r: &mut ByteReader, depth: usize) -> Result<Schema> {
+    if depth > MAX_NESTING {
+        return Err(StoreError::Corrupt("schema nested too deep".into()));
+    }
+    let n = r.get_count()?;
     let mut cols = Vec::with_capacity(n);
     for _ in 0..n {
-        let name = Symbol::intern(&r.get_str()?);
+        let name = Symbol::intern(r.get_str_ref()?);
         let kind = match r.get_u8()? {
             KIND_ID => ColKind::Atom(AttrKind::Id),
             KIND_LABEL => ColKind::Atom(AttrKind::Label),
             KIND_VALUE => ColKind::Atom(AttrKind::Value),
             KIND_CONTENT => ColKind::Atom(AttrKind::Content),
-            KIND_NESTED => ColKind::Nested(decode_schema(r)?),
+            KIND_NESTED => ColKind::Nested(decode_schema(r, depth + 1)?),
             k => return Err(StoreError::Corrupt(format!("bad column kind {k}"))),
         };
         cols.push(Column { name, kind });
@@ -306,7 +355,7 @@ const ID_ORD: u8 = 0;
 const ID_DEWEY: u8 = 1;
 const ID_SEQ: u8 = 2;
 
-/// Per-column encoder state: the previous id's byte/rank label, for
+/// Per-column coder state: the previous id's byte/rank label, for
 /// front-coding consecutive ids (document order shares long prefixes).
 #[derive(Default)]
 struct IdCoder {
@@ -344,44 +393,45 @@ impl IdCoder {
             }
             StructId::Seq(s) => {
                 w.put_u8(ID_SEQ);
-                w.put_iv(*s as i64 - self.prev_seq as i64);
+                w.put_iv(s.wrapping_sub(self.prev_seq) as i64);
                 self.prev_seq = *s;
             }
         }
     }
 
+    /// Decodes the next id. The previous label is edited in place into the
+    /// next one (`truncate` to the shared prefix, append the suffix), so an
+    /// id costs the one allocation it owns.
     fn decode(&mut self, r: &mut ByteReader) -> Result<StructId> {
+        let prefix_len = |r: &mut ByteReader, have: usize| match r.get_uv()? {
+            n if n <= have as u64 => Ok(n as usize),
+            _ => Err(StoreError::Corrupt("id prefix overrun".into())),
+        };
         match r.get_u8()? {
             ID_ORD => {
-                let shared = r.get_uv()? as usize;
-                if shared > self.prev_ord.len() {
-                    return Err(StoreError::Corrupt("ordpath prefix overrun".into()));
-                }
-                let suffix = r.get_bytes()?;
-                let mut bytes = self.prev_ord[..shared].to_vec();
-                bytes.extend_from_slice(suffix);
-                let id = OrdPath::from_bytes(&bytes);
-                self.prev_ord = bytes;
-                Ok(StructId::Ord(id))
+                let shared = prefix_len(r, self.prev_ord.len())?;
+                self.prev_ord.truncate(shared);
+                self.prev_ord.extend_from_slice(r.get_bytes()?);
+                OrdPath::try_from_bytes(&self.prev_ord)
+                    .map(StructId::Ord)
+                    .ok_or_else(|| StoreError::Corrupt("malformed ordpath label".into()))
             }
             ID_DEWEY => {
-                let shared = r.get_uv()? as usize;
-                if shared > self.prev_dewey.len() {
-                    return Err(StoreError::Corrupt("dewey prefix overrun".into()));
+                let shared = prefix_len(r, self.prev_dewey.len())?;
+                self.prev_dewey.truncate(shared);
+                for _ in 0..r.get_count()? {
+                    self.prev_dewey.push(r.get_u32()?);
                 }
-                let extra = r.get_uv()? as usize;
-                let mut ranks = self.prev_dewey[..shared].to_vec();
-                for _ in 0..extra {
-                    ranks.push(r.get_uv()? as u32);
+                if self.prev_dewey.is_empty() {
+                    return Err(StoreError::Corrupt("empty dewey id".into()));
                 }
-                self.prev_dewey = ranks.clone();
-                Ok(StructId::Dewey(DeweyId::from_ranks(ranks)))
+                Ok(StructId::Dewey(DeweyId::from_ranks(
+                    self.prev_dewey.clone(),
+                )))
             }
             ID_SEQ => {
-                let delta = r.get_iv()?;
-                let s = (self.prev_seq as i64 + delta) as u64;
-                self.prev_seq = s;
-                Ok(StructId::Seq(s))
+                self.prev_seq = self.prev_seq.wrapping_add(r.get_iv()? as u64);
+                Ok(StructId::Seq(self.prev_seq))
             }
             t => Err(StoreError::Corrupt(format!("bad id variant {t}"))),
         }
@@ -479,105 +529,148 @@ fn encode_rows(w: &mut ByteWriter, dict: &mut DictBuilder, schema: &Schema, rows
     }
 }
 
+/// `n_rows` rows with room for `n_cols` cells each; an allocation the
+/// machine refuses is the input's fault, not an abort.
+fn empty_rows(n_rows: usize, n_cols: usize) -> Result<Vec<Row>> {
+    let refused = |_| StoreError::Corrupt(format!("no memory for {n_rows} x {n_cols} cells"));
+    let mut rows = Vec::new();
+    rows.try_reserve_exact(n_rows).map_err(refused)?;
+    for _ in 0..n_rows {
+        let mut cells = Vec::new();
+        cells.try_reserve_exact(n_cols).map_err(refused)?;
+        rows.push(Row::new(cells));
+    }
+    Ok(rows)
+}
+
 /// Decodes a relation encoded by [`encode_relation`]; checked throughout.
 pub fn decode_relation(bytes: &[u8]) -> Result<NestedRelation> {
+    decode_relation_at(bytes, 0)
+}
+
+fn decode_relation_at(bytes: &[u8], depth: usize) -> Result<NestedRelation> {
+    if depth > MAX_NESTING {
+        return Err(StoreError::Corrupt("tables nested too deep".into()));
+    }
     let mut r = ByteReader::new(bytes);
-    let rel = decode_relation_inner(&mut r)?;
+    let schema = decode_schema(&mut r, 0)?;
+    let n_cols = schema.cols.len();
+    // RLE lets a row cost no bytes at all (one label run, an all-⊥ column,
+    // no columns), so the input's length does not bound this count: the
+    // first column's tag runs vouch for it before any row is built, and
+    // building the rows is a fallible allocation
+    let n_rows = usize::try_from(r.get_uv()?)
+        .map_err(|_| StoreError::Corrupt("row count does not fit usize".into()))?;
+    let sorted_on = match r.get_uv()? {
+        0 => None,
+        c if c <= n_cols as u64 => Some(c as usize - 1),
+        c => return Err(StoreError::Corrupt(format!("sorted on column {c}"))),
+    };
+    let dict = decode_dict(&mut r)?;
+    // cells go straight into their rows, column by column
+    let mut rows = match n_cols {
+        0 => empty_rows(n_rows, 0)?,
+        _ => Vec::new(), // built once column 0's tag runs are in
+    };
+    let mut runs: Vec<(u8, usize)> = Vec::new();
+    for ci in 0..n_cols {
+        // tag runs: (tag, length) pairs that must cover the rows exactly
+        runs.clear();
+        let mut covered = 0usize;
+        for _ in 0..r.get_count()? {
+            let t = r.get_u8()?;
+            let n = r.get_uv()?;
+            if n > (n_rows - covered) as u64 {
+                return Err(StoreError::Corrupt("tag runs exceed row count".into()));
+            }
+            covered += n as usize;
+            runs.push((t, n as usize));
+        }
+        if covered != n_rows {
+            return Err(StoreError::Corrupt(format!(
+                "tag runs cover {covered} of {n_rows} rows"
+            )));
+        }
+        if ci == 0 {
+            rows = empty_rows(n_rows, n_cols)?;
+        }
+        // payloads, one tag run at a time
+        let mut ids = IdCoder::default();
+        let mut label = None; // the open label run: (label, cells left)
+        let mut at = 0usize;
+        for &(t, n) in &runs {
+            let run = &mut rows[at..at + n];
+            at += n;
+            if t != TAG_LABEL && label.is_some() {
+                return Err(StoreError::Corrupt("label run crosses cells".into()));
+            }
+            match t {
+                TAG_NULL => {
+                    for row in run {
+                        row.cells.push(Cell::Null);
+                    }
+                }
+                TAG_ID => {
+                    for row in run {
+                        row.cells.push(Cell::Id(ids.decode(&mut r)?));
+                    }
+                }
+                TAG_LABEL => {
+                    let mut run = run.iter_mut();
+                    while run.len() > 0 {
+                        // a label is interned once per run, not per cell
+                        let (l, left) = match label.take() {
+                            Some(open) => open,
+                            None => {
+                                let l = Label::intern(dict_get(&dict, r.get_uv()?)?);
+                                match r.get_uv()? {
+                                    0 => return Err(StoreError::Corrupt("empty label run".into())),
+                                    n => (l, n),
+                                }
+                            }
+                        };
+                        let here = left.min(run.len() as u64);
+                        for row in run.by_ref().take(here as usize) {
+                            row.cells.push(Cell::Label(l));
+                        }
+                        if left > here {
+                            label = Some((l, left - here));
+                        }
+                    }
+                }
+                TAG_ATOM => {
+                    for row in run {
+                        row.cells.push(Cell::Atom(match r.get_u8()? {
+                            0 => Value::Int(r.get_iv()?),
+                            1 => Value::Str(dict_get(&dict, r.get_uv()?)?.into()),
+                            v => return Err(StoreError::Corrupt(format!("bad value variant {v}"))),
+                        }));
+                    }
+                }
+                TAG_CONTENT => {
+                    for row in run {
+                        let s = dict_get(&dict, r.get_uv()?)?;
+                        row.cells.push(Cell::Content(s.to_string()));
+                    }
+                }
+                TAG_TABLE => {
+                    for row in run {
+                        let inner = decode_relation_at(r.get_bytes()?, depth + 1)?;
+                        row.cells.push(Cell::Table(inner));
+                    }
+                }
+                t => return Err(StoreError::Corrupt(format!("bad cell tag {t}"))),
+            }
+        }
+        if label.is_some() {
+            return Err(StoreError::Corrupt("label run past column end".into()));
+        }
+    }
     if r.remaining() != 0 {
         return Err(StoreError::Corrupt(format!(
             "{} trailing bytes after relation",
             r.remaining()
         )));
-    }
-    Ok(rel)
-}
-
-fn decode_relation_inner(r: &mut ByteReader) -> Result<NestedRelation> {
-    let schema = decode_schema(r)?;
-    let n_rows = r.get_uv()? as usize;
-    let sorted_on = match r.get_uv()? {
-        0 => None,
-        c => Some(c as usize - 1),
-    };
-    let dict = decode_dict(r)?;
-    let n_cols = schema.cols.len();
-    let mut columns: Vec<Vec<Cell>> = Vec::with_capacity(n_cols);
-    for _ in 0..n_cols {
-        // tag runs
-        let n_runs = r.get_uv()? as usize;
-        let mut tags: Vec<u8> = Vec::with_capacity(n_rows);
-        for _ in 0..n_runs {
-            let t = r.get_u8()?;
-            let n = r.get_uv()? as usize;
-            if tags.len() + n > n_rows {
-                return Err(StoreError::Corrupt("tag runs exceed row count".into()));
-            }
-            tags.extend(std::iter::repeat_n(t, n));
-        }
-        if tags.len() != n_rows {
-            return Err(StoreError::Corrupt(format!(
-                "tag runs cover {} of {n_rows} rows",
-                tags.len()
-            )));
-        }
-        let mut ids = IdCoder::default();
-        let mut cells: Vec<Cell> = Vec::with_capacity(n_rows);
-        let mut label_run: Option<(u64, u64)> = None; // (slot, remaining)
-        for &t in &tags {
-            let cell = match t {
-                TAG_NULL => Cell::Null,
-                TAG_ID => Cell::Id(ids.decode(r)?),
-                TAG_LABEL => {
-                    let (slot, left) = match label_run.take() {
-                        Some((s, n)) if n > 0 => (s, n),
-                        _ => {
-                            let s = r.get_uv()?;
-                            let n = r.get_uv()?;
-                            if n == 0 {
-                                return Err(StoreError::Corrupt("empty label run".into()));
-                            }
-                            (s, n)
-                        }
-                    };
-                    label_run = Some((slot, left - 1));
-                    Cell::Label(Label::intern(dict_get(&dict, slot)?))
-                }
-                TAG_ATOM => match r.get_u8()? {
-                    0 => Cell::Atom(Value::Int(r.get_iv()?)),
-                    1 => Cell::Atom(Value::Str(dict_get(&dict, r.get_uv()?)?.into())),
-                    v => return Err(StoreError::Corrupt(format!("bad value variant {v}"))),
-                },
-                TAG_CONTENT => Cell::Content(dict_get(&dict, r.get_uv()?)?.to_string()),
-                TAG_TABLE => {
-                    let inner = r.get_bytes()?;
-                    Cell::Table(decode_relation(inner)?)
-                }
-                t => return Err(StoreError::Corrupt(format!("bad cell tag {t}"))),
-            };
-            // a non-label tag ends any label run
-            if t != TAG_LABEL {
-                match label_run.take() {
-                    None | Some((_, 0)) => {}
-                    Some(_) => return Err(StoreError::Corrupt("label run crosses cells".into())),
-                }
-            }
-            cells.push(cell);
-        }
-        if let Some((_, left)) = label_run {
-            if left != 0 {
-                return Err(StoreError::Corrupt("label run past column end".into()));
-            }
-        }
-        columns.push(cells);
-    }
-    // transpose back to rows
-    let mut rows: Vec<Row> = Vec::with_capacity(n_rows);
-    for i in 0..n_rows {
-        let mut cells = Vec::with_capacity(n_cols);
-        for col in &mut columns {
-            cells.push(std::mem::replace(&mut col[i], Cell::Null));
-        }
-        rows.push(Row::new(cells));
     }
     let mut rel = NestedRelation::new(schema, rows);
     rel.sorted_on = sorted_on;
@@ -606,23 +699,24 @@ pub fn encode_partition(p: &ShardPartition) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Decodes [`encode_partition`] bytes.
-pub fn decode_partition(bytes: &[u8]) -> Result<ShardPartition> {
+/// Decodes [`encode_partition`] bytes for an extent of `n_rows` rows; a
+/// row index the extent does not have is corruption.
+pub fn decode_partition(bytes: &[u8], n_rows: usize) -> Result<ShardPartition> {
     let mut r = ByteReader::new(bytes);
-    let col = r.get_uv()? as usize;
+    let col = r.get_u32()? as usize;
     let token = (r.get_u64()?, r.get_u64()?);
-    let n = r.get_uv()? as usize;
+    let n = r.get_count()?;
     let mut shards = Vec::with_capacity(n);
     for _ in 0..n {
         shards.push(ExtentShard {
-            path: NodeId(r.get_uv()? as u32),
-            pre: r.get_uv()? as u32,
-            last_desc: r.get_uv()? as u32,
-            depth: r.get_uv()? as u32,
-            rows: get_index_list(&mut r)?,
+            path: NodeId(r.get_u32()?),
+            pre: r.get_u32()?,
+            last_desc: r.get_u32()?,
+            depth: r.get_u32()?,
+            rows: get_index_list(&mut r, n_rows)?,
         });
     }
-    let unclassified = get_index_list(&mut r)?;
+    let unclassified = get_index_list(&mut r, n_rows)?;
     if r.remaining() != 0 {
         return Err(StoreError::Corrupt("trailing bytes after partition".into()));
     }
@@ -644,15 +738,15 @@ fn put_index_list(w: &mut ByteWriter, xs: &[usize]) {
     }
 }
 
-fn get_index_list(r: &mut ByteReader) -> Result<Vec<usize>> {
-    let n = r.get_uv()? as usize;
+fn get_index_list(r: &mut ByteReader, n_rows: usize) -> Result<Vec<usize>> {
+    let n = r.get_count()?;
     let mut xs = Vec::with_capacity(n);
     let mut prev = 0i64;
     for _ in 0..n {
-        prev += r.get_iv()?;
-        if prev < 0 {
-            return Err(StoreError::Corrupt("negative row index".into()));
-        }
+        prev = prev
+            .checked_add(r.get_iv()?)
+            .filter(|&x| 0 <= x && (x as u64) < n_rows as u64)
+            .ok_or_else(|| StoreError::Corrupt("row index outside the extent".into()))?;
         xs.push(prev as usize);
     }
     Ok(xs)
@@ -727,7 +821,7 @@ mod tests {
             unclassified: vec![2, 3],
         };
         let bytes = encode_partition(&p);
-        let back = decode_partition(&bytes).unwrap();
+        let back = decode_partition(&bytes, 10).unwrap();
         assert_eq!(back.col, p.col);
         assert_eq!(back.token, p.token);
         assert_eq!(back.shards.len(), 1);

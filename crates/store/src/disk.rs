@@ -34,6 +34,18 @@
 //! Replaced epochs are garbage-collected best-effort after a successful
 //! publish, keeping the two newest manifests so recovery always has a
 //! fallback.
+//!
+//! # What `open` reads
+//!
+//! **Structure is validated at open, content checksums on first read.**
+//! `open` reads one file, the manifest, and stats the files it names; a
+//! segment, the summary and the feedback store are each read, checksummed
+//! and decoded when a caller first asks for them, so a request pays for
+//! the views its plan scans and nothing else. Content damage behind an
+//! intact length therefore surfaces as [`StoreError::Corrupt`] from the
+//! accessor ([`DiskCatalog::load_extent`], [`DiskCatalog::summary`],
+//! [`DiskCatalog::feedback`]) — or from [`DiskCatalog::warm`], which
+//! touches everything — never as stale or partial data.
 
 use crate::codec::{
     decode_partition, decode_relation, encode_partition, encode_relation, fnv64, ByteReader,
@@ -116,24 +128,25 @@ fn manifest_epoch(name: &str) -> Option<u64> {
 // ---------------------------------------------------------------------------
 // checksum-trailed small files (summary / feedback / manifest)
 
-fn write_small(vfs: &dyn Vfs, name: &str, mut bytes: Vec<u8>) -> Result<()> {
+/// Writes `bytes` + checksum trailer durably; returns the file's length.
+fn write_small(vfs: &dyn Vfs, name: &str, mut bytes: Vec<u8>) -> Result<u64> {
     let sum = fnv64(&bytes);
     bytes.extend_from_slice(&sum.to_le_bytes());
     vfs.write(name, &bytes)?;
-    vfs.fsync(name)
+    vfs.fsync(name)?;
+    Ok(bytes.len() as u64)
 }
 
 fn read_small(vfs: &dyn Vfs, name: &str) -> Result<Vec<u8>> {
-    let bytes = vfs.read(name)?;
-    if bytes.len() < 8 {
+    let mut bytes = vfs.read(name)?;
+    let Some(body_len) = bytes.len().checked_sub(8) else {
         return Err(StoreError::Corrupt(format!("{name}: too short")));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let want = u64::from_le_bytes(trailer.try_into().unwrap());
-    if fnv64(body) != want {
+    };
+    if fnv64(&bytes[..body_len]).to_le_bytes() != bytes[body_len..] {
         return Err(StoreError::Corrupt(format!("{name}: checksum mismatch")));
     }
-    Ok(body.to_vec())
+    bytes.truncate(body_len);
+    Ok(bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -176,15 +189,29 @@ fn write_segment(
 }
 
 /// Reads a whole segment payload back through the pool, page by page.
-fn read_segment(vfs: &dyn Vfs, pool: &Arc<BufferPool>, file: &str) -> Result<Vec<u8>> {
+/// The header must agree with what the manifest recorded for the file
+/// (`seg`), so every length used below is one `open` already checked
+/// against the disk.
+fn read_segment(vfs: &dyn Vfs, pool: &Arc<BufferPool>, seg: &SegMeta) -> Result<Vec<u8>> {
+    let file = &seg.file;
     let hdr = vfs.read_at(file, 0, SEG_HEADER as usize)?;
     if hdr.len() != SEG_HEADER as usize || &hdr[..8] != SEG_MAGIC {
         return Err(StoreError::Corrupt(format!("{file}: bad segment header")));
     }
     let page_size = u32::from_le_bytes(hdr[8..12].try_into().unwrap()) as usize;
     let n_pages = u32::from_le_bytes(hdr[12..16].try_into().unwrap()) as usize;
-    let payload_len = u64::from_le_bytes(hdr[16..24].try_into().unwrap()) as usize;
-    if page_size == 0 || n_pages != payload_len.div_ceil(page_size).max(1) {
+    let payload_len = u64::from_le_bytes(hdr[16..24].try_into().unwrap());
+    let in_file = usize::try_from(payload_len).ok().filter(|_| {
+        page_size != 0 && payload_len == seg.payload_len && payload_len <= seg.file_len
+    });
+    let Some(payload_len) = in_file else {
+        return Err(StoreError::Corrupt(format!(
+            "{file}: header disagrees with the manifest"
+        )));
+    };
+    if n_pages != payload_len.div_ceil(page_size).max(1)
+        || segment_len(page_size, payload_len) != seg.file_len
+    {
         return Err(StoreError::Corrupt(format!(
             "{file}: inconsistent segment geometry"
         )));
@@ -272,7 +299,7 @@ fn decode_manifest(bytes: &[u8]) -> Result<Manifest> {
         return Err(StoreError::Corrupt("bad manifest magic".into()));
     }
     let epoch = r.get_u64()?;
-    let n = r.get_uv()? as usize;
+    let n = r.get_count()?;
     let mut segs = Vec::with_capacity(n);
     for _ in 0..n {
         segs.push(SegEntry {
@@ -376,22 +403,15 @@ impl DiskStore {
                 file_len,
             });
         }
-        let summary = match summary {
-            Some(s) => {
-                let name = summary_name(epoch);
-                write_small(self.vfs.as_ref(), &name, s.to_bytes())?;
-                Some((name.clone(), self.vfs.len(&name).unwrap_or(0)))
-            }
-            None => None,
+        let small = |name: String, bytes: Vec<u8>| {
+            write_small(self.vfs.as_ref(), &name, bytes).map(|len| (name, len))
         };
-        let feedback = match feedback {
-            Some(f) => {
-                let name = feedback_name(epoch);
-                write_small(self.vfs.as_ref(), &name, f.to_bytes())?;
-                Some((name.clone(), self.vfs.len(&name).unwrap_or(0)))
-            }
-            None => None,
-        };
+        let summary = summary
+            .map(|s| small(summary_name(epoch), s.to_bytes()))
+            .transpose()?;
+        let feedback = feedback
+            .map(|f| small(feedback_name(epoch), f.to_bytes()))
+            .transpose()?;
         let manifest = Manifest {
             epoch,
             segs,
@@ -435,7 +455,9 @@ impl DiskStore {
 
     /// Opens the newest *recoverable* epoch: manifests are tried newest
     /// first and an epoch is served only if its manifest checksum and
-    /// every referenced file (existence + exact length) validate.
+    /// every referenced file (existence + exact length) validate. The
+    /// manifest is the only file read; see the module docs for what is
+    /// checked when.
     pub fn open(&self) -> Result<DiskCatalog> {
         let epochs = self.manifest_epochs();
         if epochs.is_empty() {
@@ -484,40 +506,26 @@ impl DiskStore {
         }
         let mut views = Vec::with_capacity(m.segs.len());
         let mut segs = Vec::with_capacity(m.segs.len());
-        let mut cells = Vec::with_capacity(m.segs.len());
-        for s in &m.segs {
+        for s in m.segs {
             let pattern = parse_pattern(&s.pattern).map_err(|e| {
                 StoreError::Corrupt(format!("view '{}': unparseable pattern: {e}", s.name))
             })?;
             views.push(View::new(&s.name, pattern, s.scheme));
             segs.push(SegMeta {
-                file: s.file.clone(),
+                file: s.file,
+                payload_len: s.payload_len,
+                file_len: s.file_len,
+                loaded: OnceLock::new(),
             });
-            cells.push(OnceLock::new());
         }
-        let summary = match &m.summary {
-            Some((name, _)) => {
-                let body = read_small(self.vfs.as_ref(), name)?;
-                Some(Summary::from_bytes(&body).map_err(StoreError::Corrupt)?)
-            }
-            None => None,
-        };
-        let feedback = match &m.feedback {
-            Some((name, _)) => {
-                let body = read_small(self.vfs.as_ref(), name)?;
-                Some(FeedbackStore::from_bytes(&body).map_err(StoreError::Corrupt)?)
-            }
-            None => None,
-        };
         Ok(DiskCatalog {
             vfs: Arc::clone(&self.vfs),
             pool: BufferPool::new(Arc::clone(&self.vfs), self.opts.pool_pages),
             epoch,
             views,
             segs,
-            cells,
-            summary,
-            feedback,
+            summary: LazyFile::new(m.summary),
+            feedback: LazyFile::new(m.feedback),
         })
     }
 
@@ -541,8 +549,13 @@ impl DiskStore {
 // ---------------------------------------------------------------------------
 // the catalog
 
+/// One view's segment as the manifest names it, plus its decoded form
+/// once something has asked for it.
 struct SegMeta {
     file: String,
+    payload_len: u64,
+    file_len: u64,
+    loaded: OnceLock<LoadedView>,
 }
 
 struct LoadedView {
@@ -550,24 +563,59 @@ struct LoadedView {
     partition: Option<ShardPartition>,
 }
 
-/// A read-only catalog over one published epoch. Extents decode lazily on
-/// first touch (page reads go through the buffer pool and are checksum
-/// verified); the summary and feedback store load eagerly at open.
+/// A checksum-trailed file the manifest names (or does not), read,
+/// verified and decoded when first asked for. A failed load caches
+/// nothing, so a transient fault is retried by the next call.
+struct LazyFile<T> {
+    file: Option<String>,
+    value: OnceLock<T>,
+}
+
+impl<T> LazyFile<T> {
+    fn new(entry: Option<(String, u64)>) -> LazyFile<T> {
+        LazyFile {
+            file: entry.map(|(name, _)| name),
+            value: OnceLock::new(),
+        }
+    }
+
+    fn get(
+        &self,
+        vfs: &dyn Vfs,
+        decode: impl FnOnce(&[u8]) -> std::result::Result<T, String>,
+    ) -> Result<Option<&T>> {
+        let Some(file) = &self.file else {
+            return Ok(None);
+        };
+        if let Some(v) = self.value.get() {
+            return Ok(Some(v));
+        }
+        let body = read_small(vfs, file)?;
+        let v = decode(&body).map_err(|e| StoreError::Corrupt(format!("{file}: {e}")))?;
+        Ok(Some(self.value.get_or_init(|| v)))
+    }
+}
+
+/// A read-only catalog over one published epoch. Opening it read the
+/// manifest and nothing else: each extent, the summary and the feedback
+/// store are read (extents through the buffer pool), checksum-verified
+/// and decoded on first touch, then kept. *Structure is validated at
+/// open, content checksums on first read* — see the module docs.
 ///
 /// `DiskCatalog` implements [`ViewProvider`], so it drops into the
 /// executor anywhere an in-memory [`Catalog`](smv_views::Catalog) does.
-/// Because that trait cannot express I/O failure, the trait methods
-/// **panic** on corrupt segments; use [`DiskCatalog::load_extent`] /
-/// [`DiskCatalog::warm`] first where a checked error is wanted.
+/// Because that trait (and [`ViewStore`]) cannot express I/O failure,
+/// the trait methods **panic** on a corrupt or unreadable segment; use
+/// [`DiskCatalog::load_extent`] / [`DiskCatalog::warm`] first where a
+/// checked error is wanted.
 pub struct DiskCatalog {
     vfs: Arc<dyn Vfs>,
     pool: Arc<BufferPool>,
     epoch: u64,
     views: Vec<View>,
     segs: Vec<SegMeta>,
-    cells: Vec<OnceLock<LoadedView>>,
-    summary: Option<Summary>,
-    feedback: Option<FeedbackStore>,
+    summary: LazyFile<Summary>,
+    feedback: LazyFile<FeedbackStore>,
 }
 
 impl DiskCatalog {
@@ -581,20 +629,25 @@ impl DiskCatalog {
         &self.pool
     }
 
-    /// The persisted summary, if one was published.
-    pub fn summary(&self) -> Option<&Summary> {
-        self.summary.as_ref()
+    /// The persisted summary: `Ok(None)` if none was published, `Err` if
+    /// its file fails its checksum or does not decode.
+    pub fn summary(&self) -> Result<Option<&Summary>> {
+        self.summary.get(self.vfs.as_ref(), Summary::from_bytes)
     }
 
-    /// The persisted feedback store, if one was published.
-    pub fn feedback(&self) -> Option<&FeedbackStore> {
-        self.feedback.as_ref()
+    /// The persisted feedback store; same contract as
+    /// [`DiskCatalog::summary`].
+    pub fn feedback(&self) -> Result<Option<&FeedbackStore>> {
+        self.feedback
+            .get(self.vfs.as_ref(), FeedbackStore::from_bytes)
     }
 
     /// Takes ownership of the persisted feedback store (for warm-starting
-    /// an adaptive session).
-    pub fn take_feedback(&mut self) -> Option<FeedbackStore> {
-        self.feedback.take()
+    /// an adaptive session); afterwards the catalog has none.
+    pub fn take_feedback(&mut self) -> Result<Option<FeedbackStore>> {
+        self.feedback()?;
+        self.feedback.file = None;
+        Ok(self.feedback.value.take())
     }
 
     fn index_of(&self, name: &str) -> Option<usize> {
@@ -602,29 +655,42 @@ impl DiskCatalog {
     }
 
     fn load(&self, i: usize) -> Result<&LoadedView> {
-        if let Some(lv) = self.cells[i].get() {
+        let seg = &self.segs[i];
+        if let Some(lv) = seg.loaded.get() {
             return Ok(lv);
         }
-        let payload = read_segment(self.vfs.as_ref(), &self.pool, &self.segs[i].file)?;
+        let payload = read_segment(self.vfs.as_ref(), &self.pool, seg)?;
         let mut r = ByteReader::new(&payload);
         let extent = decode_relation(r.get_bytes()?)?;
         let partition = match r.get_u8()? {
             0 => None,
-            1 => Some(decode_partition(r.get_bytes()?)?),
+            1 => Some(decode_partition(r.get_bytes()?, extent.len())?),
             t => {
                 return Err(StoreError::Corrupt(format!(
                     "{}: bad partition flag {t}",
-                    self.segs[i].file
+                    seg.file
                 )))
             }
         };
         if r.remaining() != 0 {
             return Err(StoreError::Corrupt(format!(
                 "{}: trailing bytes after view payload",
-                self.segs[i].file
+                seg.file
             )));
         }
-        Ok(self.cells[i].get_or_init(|| LoadedView { extent, partition }))
+        Ok(seg.loaded.get_or_init(|| LoadedView { extent, partition }))
+    }
+
+    /// [`DiskCatalog::load`] for the infallible provider traits.
+    fn must_load(&self, name: &str) -> Option<&LoadedView> {
+        let i = self.index_of(name)?;
+        match self.load(i) {
+            Ok(lv) => Some(lv),
+            Err(e) => panic!(
+                "smv-store: loading view '{name}' failed: {e} \
+                 (use DiskCatalog::load_extent for a checked read)"
+            ),
+        }
     }
 
     /// Checked extent read: `Ok(None)` for an unknown view, `Err` on
@@ -636,11 +702,14 @@ impl DiskCatalog {
         }
     }
 
-    /// Decodes every view eagerly, surfacing any corruption up front.
+    /// Reads and decodes everything the epoch holds — every view, the
+    /// summary, the feedback store — surfacing any corruption up front.
     pub fn warm(&self) -> Result<()> {
         for i in 0..self.views.len() {
             self.load(i)?;
         }
+        self.summary()?;
+        self.feedback()?;
         Ok(())
     }
 
@@ -652,7 +721,7 @@ impl DiskCatalog {
     pub fn scan_segments(&self) -> Result<u64> {
         let mut bytes = 0u64;
         for seg in &self.segs {
-            bytes += read_segment(self.vfs.as_ref(), &self.pool, &seg.file)?.len() as u64;
+            bytes += read_segment(self.vfs.as_ref(), &self.pool, seg)?.len() as u64;
         }
         Ok(bytes)
     }
@@ -664,32 +733,17 @@ impl ViewStore for DiskCatalog {
     }
 
     fn extent_rows(&self, name: &str) -> Option<usize> {
-        let i = self.index_of(name)?;
-        self.load(i).ok().map(|lv| lv.extent.len())
+        self.must_load(name).map(|lv| lv.extent.len())
     }
 }
 
 impl ViewProvider for DiskCatalog {
     fn extent(&self, name: &str) -> Option<&NestedRelation> {
-        let i = self.index_of(name)?;
-        match self.load(i) {
-            Ok(lv) => Some(&lv.extent),
-            Err(e) => panic!(
-                "smv-store: loading extent '{name}' failed: {e} \
-                 (use DiskCatalog::load_extent for a checked read)"
-            ),
-        }
+        self.must_load(name).map(|lv| &lv.extent)
     }
 
     fn shard_partition(&self, name: &str) -> Option<&ShardPartition> {
-        let i = self.index_of(name)?;
-        match self.load(i) {
-            Ok(lv) => lv.partition.as_ref(),
-            Err(e) => panic!(
-                "smv-store: loading partition '{name}' failed: {e} \
-                 (use DiskCatalog::load_extent for a checked read)"
-            ),
-        }
+        self.must_load(name)?.partition.as_ref()
     }
 }
 

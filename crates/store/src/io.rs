@@ -123,9 +123,12 @@ impl Vfs for DiskVfs {
         let mut buf = vec![0u8; len];
         match f.read_exact(&mut buf) {
             Ok(()) => Ok(buf),
-            Err(e) => Err(StoreError::Corrupt(format!(
-                "short read of {name} at {offset}+{len}: {e}"
-            ))),
+            // the file ends before offset+len: the bytes are not there
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Err(StoreError::Corrupt(
+                format!("short read of {name} at {offset}+{len}: {e}"),
+            )),
+            // anything else is the device or the OS, not the content
+            Err(e) => Err(StoreError::Io(format!("read_at {name}: {e}"))),
         }
     }
 

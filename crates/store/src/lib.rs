@@ -23,8 +23,9 @@
 //!   checksummed manifest; [`DiskStore::open`] serves the newest epoch
 //!   whose manifest and files validate, so a crash at *any* interior
 //!   point recovers the previous epoch exactly. [`DiskCatalog`] plugs
-//!   into the executor through [`smv_algebra::ViewProvider`] (extents
-//!   decode lazily through the pool), and [`PersistentEpochs`] gives
+//!   into the executor through [`smv_algebra::ViewProvider`] (`open`
+//!   reads the manifest only; extents, summary and feedback load on
+//!   first use), and [`PersistentEpochs`] gives
 //!   [`smv_views::EpochCatalog::apply`] a durable publish point.
 //! * [`differential`] — the [`ProviderMatrix`] harness proving all of the
 //!   above: one plan, four provider arms (map / sharded / disk-cold /

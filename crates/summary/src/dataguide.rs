@@ -1385,15 +1385,26 @@ mod wire {
         }
     }
 
+    /// A count of elements that each take at least one byte of the
+    /// stream: more than the bytes left is corruption, so no allocation
+    /// sized by it can outgrow the input.
+    pub fn get_count(buf: &[u8], pos: &mut usize) -> Result<usize, String> {
+        let n = get_uv(buf, pos)?;
+        if n > (buf.len() - *pos) as u64 {
+            return Err(format!("count {n} exceeds the bytes left"));
+        }
+        Ok(n as usize)
+    }
+
     pub fn get_iv(buf: &[u8], pos: &mut usize) -> Result<i64, String> {
         let z = get_uv(buf, pos)?;
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
 
     pub fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, String> {
-        let n = get_uv(buf, pos)? as usize;
-        let end = pos.checked_add(n).ok_or("length overflow")?;
-        let s = buf.get(*pos..end).ok_or("truncated string")?;
+        let n = get_count(buf, pos)?;
+        let end = *pos + n;
+        let s = &buf[*pos..end];
         *pos = end;
         String::from_utf8(s.to_vec()).map_err(|_| "invalid utf-8".to_string())
     }
@@ -1455,10 +1466,7 @@ impl ValueHistogram {
         if width < 1 {
             return Err("histogram width < 1".into());
         }
-        let n = wire::get_uv(buf, pos)? as usize;
-        if n > 1 << 20 {
-            return Err("implausible bucket count".into());
-        }
+        let n = wire::get_count(buf, pos)?;
         let mut buckets = Vec::with_capacity(n);
         for _ in 0..n {
             buckets.push(wire::get_f64(buf, pos)?);
@@ -1518,7 +1526,7 @@ impl ValueSketch {
                 hist,
             })
         } else {
-            let n = wire::get_uv(buf, pos)? as usize;
+            let n = wire::get_count(buf, pos)?;
             if n > DISTINCT_CAP {
                 return Err("unsaturated sketch above the distinct cap".into());
             }
@@ -1581,7 +1589,7 @@ impl Summary {
         }
         let docs = wire::get_uv(bytes, pos)? as usize;
         let geometry_gen = wire::get_uv(bytes, pos)?;
-        let n_nodes = wire::get_uv(bytes, pos)? as usize;
+        let n_nodes = wire::get_count(bytes, pos)?;
         let mut nodes = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
             let label = Label::intern(&wire::get_str(bytes, pos)?);
@@ -1589,7 +1597,7 @@ impl Summary {
                 0 => None,
                 p => Some(NodeId((p - 1) as u32)),
             };
-            let n_children = wire::get_uv(bytes, pos)? as usize;
+            let n_children = wire::get_count(bytes, pos)?;
             let mut children = Vec::with_capacity(n_children);
             for _ in 0..n_children {
                 children.push(NodeId(wire::get_uv(bytes, pos)? as u32));

@@ -208,23 +208,32 @@ impl OrdPath {
         out
     }
 
-    /// Decodes [`OrdPath::to_bytes`].
+    /// Decodes [`OrdPath::to_bytes`]; panics on bytes it did not write.
     pub fn from_bytes(bytes: &[u8]) -> OrdPath {
-        let mut components = Vec::new();
+        OrdPath::try_from_bytes(bytes).expect("malformed ORDPATH bytes")
+    }
+
+    /// Decodes [`OrdPath::to_bytes`] from untrusted bytes: `None` for an
+    /// empty label, a component wider than 64 bits, or a varint cut short.
+    pub fn try_from_bytes(bytes: &[u8]) -> Option<OrdPath> {
+        // a component takes at least a byte, and load-time ones exactly one
+        let mut components = Vec::with_capacity(bytes.len());
         let mut z: u64 = 0;
         let mut shift = 0;
         for &b in bytes {
+            if shift >= 64 {
+                return None;
+            }
             z |= ((b & 0x7f) as u64) << shift;
             if b & 0x80 == 0 {
-                let c = ((z >> 1) as i64) ^ -((z & 1) as i64);
-                components.push(c);
+                components.push(((z >> 1) as i64) ^ -((z & 1) as i64));
                 z = 0;
                 shift = 0;
             } else {
                 shift += 7;
             }
         }
-        OrdPath::from_components(components)
+        (shift == 0 && !components.is_empty()).then_some(OrdPath { components })
     }
 }
 
@@ -609,6 +618,26 @@ mod tests {
             let p = OrdPath::from_components(comps);
             assert_eq!(OrdPath::from_bytes(&p.to_bytes()), p);
         }
+        let extremes = OrdPath::from_components(vec![i64::MIN, i64::MAX]);
+        assert_eq!(
+            OrdPath::try_from_bytes(&extremes.to_bytes()),
+            Some(extremes)
+        );
+    }
+
+    #[test]
+    fn foreign_ordpath_bytes_are_refused() {
+        assert_eq!(OrdPath::try_from_bytes(&[]), None, "empty label");
+        assert_eq!(
+            OrdPath::try_from_bytes(&[0x02, 0x80]),
+            None,
+            "varint cut short"
+        );
+        assert_eq!(
+            OrdPath::try_from_bytes(&[0xff; 11]),
+            None,
+            "wider than 64 bits"
+        );
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! The storage engine's proof obligations: codec round-trips on random
-//! extents, corruption surfacing as checked errors, query equivalence
-//! under buffer-pool pressure, crash recovery at every injected fault
-//! point, and warm-start of the persisted summary + feedback store.
+//! extents, corruption surfacing as checked errors, decoders that turn
+//! hostile bytes into errors, cold reads that cost what the plan touches,
+//! query equivalence under buffer-pool pressure, crash recovery at every
+//! injected fault point, and warm-start of the persisted summary +
+//! feedback store.
 
 use proptest::prelude::*;
 use smv::algebra::relation::{Cell, ColKind, Column, NestedRelation, Row, Schema};
@@ -12,7 +14,8 @@ use smv::store::{
     FaultPlan, SimVfs, StoreError, StoreOptions, Vfs,
 };
 use smv::xml::{Label, StructId, Symbol};
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Small random labeled trees in parenthesized notation (mirrors
 /// `tests/properties.rs`).
@@ -41,24 +44,63 @@ proptest! {
         let doc = Document::from_parens(&src);
         let summary = Summary::of(&doc);
         for scheme in SCHEMES {
-            let mut cat = Catalog::new();
-            cat.add_sharded(
-                View::new("v", parse_pattern("r(//*{id,l,v})").unwrap(), scheme),
-                &doc,
-                &summary,
-            );
-            let extent = cat.extent("v").expect("materialized");
-            let back = decode_relation(&encode_relation(extent)).expect("decodes");
-            prop_assert_eq!(&back.schema, &extent.schema);
-            prop_assert_eq!(&back.rows, &extent.rows);
-            prop_assert_eq!(back.sorted_on, extent.sorted_on);
-            if let Some(p) = cat.shard_partition("v") {
-                let bp = decode_partition(&encode_partition(p)).expect("decodes");
-                prop_assert_eq!(bp.col, p.col);
-                prop_assert_eq!(bp.token, p.token);
-                prop_assert_eq!(bp.shards.len(), p.shards.len());
-                prop_assert_eq!(&bp.unclassified, &p.unclassified);
+            // a flat view, and one whose optional edge leaves `⊥` runs and
+            // whose nested edge puts a table in every row
+            for pattern in ["r(//*{id,l,v})", "r(//a{id,l}(?/b{id,v}, ?%//c{id,l,v}))"] {
+                let mut cat = Catalog::new();
+                cat.add_sharded(
+                    View::new("v", parse_pattern(pattern).unwrap(), scheme),
+                    &doc,
+                    &summary,
+                );
+                let extent = cat.extent("v").expect("materialized");
+                let back = decode_relation(&encode_relation(extent)).expect("decodes");
+                prop_assert_eq!(&back.schema, &extent.schema);
+                prop_assert_eq!(&back.rows, &extent.rows);
+                prop_assert_eq!(back.sorted_on, extent.sorted_on);
+                if let Some(p) = cat.shard_partition("v") {
+                    let bp =
+                        decode_partition(&encode_partition(p), extent.len()).expect("decodes");
+                    prop_assert_eq!(format!("{bp:?}"), format!("{p:?}"));
+                }
             }
+        }
+    }
+
+    /// What a reopened catalog loads on first use is what `publish` was
+    /// given: the summary, the feedback store and every shard partition.
+    #[test]
+    fn lazily_loaded_artifacts_equal_what_was_published(src in tree_strategy()) {
+        let doc = Document::from_parens(&src);
+        let summary = Summary::of(&doc);
+        let views = vec![
+            View::new("all", parse_pattern("r(//*{id,l,v})").unwrap(), IdScheme::OrdPath),
+            View::new("as", parse_pattern("r(//a{id}(?/b{id,v}))").unwrap(), IdScheme::Dewey),
+        ];
+        let mut cat = Catalog::new();
+        for v in &views {
+            cat.add_sharded(v.clone(), &doc, &summary);
+        }
+        let mut feedback = FeedbackStore::new();
+        let rewritten = rewrite(&views[0].pattern, &views, &summary, &RewriteOpts::default());
+        let plan = &rewritten.rewritings.first().expect("a view answers itself").plan;
+        let (_, profile) = execute_profiled(plan, &cat).expect("executes");
+        feedback.ingest(plan, &profile);
+
+        let store = DiskStore::with_options(
+            Arc::new(SimVfs::new()),
+            StoreOptions { page_size: 64, pool_pages: 4 },
+        );
+        store.publish(&cat, Some(&summary), Some(&feedback), 1).unwrap();
+        let disk = store.open().unwrap();
+        let loaded = disk.summary().expect("loads").expect("published");
+        prop_assert_eq!(loaded.to_bytes(), summary.to_bytes());
+        let loaded = disk.feedback().expect("loads").expect("published");
+        prop_assert_eq!(loaded.to_bytes(), feedback.to_bytes());
+        for v in &views {
+            let want = cat.shard_partition(&v.name).map(|p| format!("{p:?}"));
+            let got = disk.shard_partition(&v.name).map(|p| format!("{p:?}"));
+            prop_assert_eq!(got, want, "partition of {}", &v.name);
         }
     }
 
@@ -129,6 +171,202 @@ fn codec_round_trips_nested_and_content_cells() {
     let back = decode_relation(&encode_relation(&rel)).expect("decodes");
     assert_eq!(back.rows, rel.rows);
     assert_eq!(back.schema, rel.schema);
+}
+
+/// Valid encodings to mutate: an extent with `⊥` runs and nested tables,
+/// its partition, its summary, a feedback store and the manifest that
+/// names them all.
+struct Encoded {
+    relation: Vec<u8>,
+    partition: Vec<u8>,
+    rows: usize,
+    summary: Vec<u8>,
+    feedback: Vec<u8>,
+    manifest: Vec<u8>,
+}
+
+fn encoded() -> &'static Encoded {
+    static ENCODED: OnceLock<Encoded> = OnceLock::new();
+    ENCODED.get_or_init(build_encoded)
+}
+
+fn build_encoded() -> Encoded {
+    let doc = small_matrix_doc();
+    let summary = Summary::of(&doc);
+    let view = View::new(
+        "v",
+        parse_pattern("r(//a{id,l}(?/b{id,v}, ?%//c{id,l,v}))").unwrap(),
+        IdScheme::OrdPath,
+    );
+    let mut cat = Catalog::new();
+    cat.add_sharded(view.clone(), &doc, &summary);
+    let extent = cat.extent("v").unwrap();
+    let mut feedback = FeedbackStore::new();
+    let rewritten = rewrite(
+        &view.pattern,
+        std::slice::from_ref(&view),
+        &summary,
+        &RewriteOpts::default(),
+    );
+    let plan = &rewritten.rewritings[0].plan;
+    let (_, profile) = execute_profiled(plan, &cat).unwrap();
+    feedback.ingest(plan, &profile);
+    let vfs = SimVfs::new();
+    let store = DiskStore::new(Arc::new(vfs.clone()));
+    store
+        .publish(&cat, Some(&summary), Some(&feedback), 1)
+        .unwrap();
+    let manifest = vfs.read(&manifest_file(&vfs)).unwrap();
+    Encoded {
+        relation: encode_relation(extent),
+        partition: encode_partition(cat.shard_partition("v").unwrap()),
+        rows: extent.len(),
+        summary: summary.to_bytes(),
+        feedback: feedback.to_bytes(),
+        manifest: manifest[..manifest.len() - 8].to_vec(),
+    }
+}
+
+fn manifest_file(vfs: &SimVfs) -> String {
+    let mut names: Vec<String> = vfs
+        .list()
+        .into_iter()
+        .filter(|n| n.starts_with("manifest-") && n.ends_with(".smv"))
+        .collect();
+    names.sort();
+    names.pop().expect("a committed manifest")
+}
+
+/// Hands `body` to the (private) manifest decoder the only way a store
+/// ever does: as the newest manifest file, under a valid checksum.
+fn open_with_manifest(body: &[u8]) -> Result<u64, StoreError> {
+    let vfs = SimVfs::new();
+    let mut bytes = body.to_vec();
+    bytes.extend_from_slice(&smv::store::fnv64(body).to_le_bytes());
+    vfs.write("manifest-00000000000000000001.smv", &bytes)
+        .unwrap();
+    DiskStore::new(Arc::new(vfs)).open().map(|cat| cat.epoch())
+}
+
+/// Every decoder the store reads files with, on `bytes`. Each returns an
+/// error or a value; a panic, an abort on an absurd allocation or a hang
+/// fails the test that calls this.
+fn decode_everything(bytes: &[u8], rows: usize) {
+    let _ = decode_relation(bytes);
+    let _ = decode_partition(bytes, rows);
+    let _ = Summary::from_bytes(bytes);
+    let _ = FeedbackStore::from_bytes(bytes);
+    let _ = open_with_manifest(bytes);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes are an error or a value to every decoder — never a
+    /// panic, and never an allocation sized by a length the input cannot
+    /// back (a flipped varint used to ask `Vec::with_capacity` for 2⁶³).
+    #[test]
+    fn decoders_survive_arbitrary_bytes(
+        bytes in proptest::collection::vec(0u16..256, 0..300),
+        rows in 0usize..50,
+    ) {
+        let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+        decode_everything(&bytes, rows);
+    }
+
+    /// The same for one byte changed, dropped or doubled anywhere in a
+    /// valid encoding — the shapes real corruption takes. The decoder an
+    /// encoding belongs to sees it; so do the others.
+    #[test]
+    fn decoders_survive_single_byte_mutations(
+        which in 0usize..5,
+        at in 0usize..1 << 20,
+        byte in 0u16..256,
+        edit in 0u8..3,
+    ) {
+        let e = encoded();
+        let mut bytes =
+            [&e.relation, &e.partition, &e.summary, &e.feedback, &e.manifest][which].clone();
+        let (i, byte) = (at % bytes.len(), byte as u8);
+        match edit {
+            0 => bytes[i] = byte,
+            1 => { bytes.remove(i); }
+            _ => bytes.insert(i, byte),
+        }
+        decode_everything(&bytes, e.rows);
+    }
+}
+
+/// Lengths at the edge of what the types hold, where `usize` arithmetic
+/// wraps: every count, prefix and delta the formats carry, set to 2⁶⁴−1.
+#[test]
+fn decoders_reject_overflowing_lengths() {
+    let e = encoded();
+    let huge = [0xffu8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+    for valid in [
+        &e.relation,
+        &e.partition,
+        &e.summary,
+        &e.feedback,
+        &e.manifest,
+    ] {
+        for at in 0..valid.len() {
+            let mut bytes = valid[..at].to_vec();
+            bytes.extend_from_slice(&huge);
+            bytes.extend_from_slice(&valid[at + 1..]);
+            decode_everything(&bytes, e.rows);
+        }
+    }
+    // a partition naming a row the extent does not have is refused at
+    // decode, not found by the executor as an index out of bounds
+    assert!(decode_partition(&e.partition, e.rows).is_ok());
+    let err = decode_partition(&e.partition, e.rows - 1).expect_err("row out of range");
+    assert!(matches!(err, StoreError::Corrupt(_)), "got: {err}");
+}
+
+/// Rows that compress to nothing — one label run, all-`⊥` columns, no
+/// columns at all — are legal and cost no bytes, so the input's length
+/// does not bound the row count. The byte strings are what the encoder
+/// has always written for these shapes; they must keep decoding.
+#[test]
+fn codec_round_trips_rows_that_cost_no_bytes() {
+    let label = |n: usize| {
+        NestedRelation::new(
+            Schema::atoms(&[("a.L", AttrKind::Label), ("a.V", AttrKind::Value)]),
+            vec![Row::new(vec![Cell::Label(Label::intern("item")), Cell::Null]); n],
+        )
+    };
+    let unit = |n: usize| NestedRelation::new(Schema { cols: vec![] }, vec![Row::new(vec![]); n]);
+    for rel in [label(1), label(5000), unit(0), unit(1), unit(300)] {
+        let bytes = encode_relation(&rel);
+        let back = decode_relation(&bytes).expect("decodes");
+        assert_eq!(back.rows, rel.rows);
+        assert_eq!(back.schema, rel.schema);
+    }
+    // no columns, 300 rows, unsorted, empty dictionary
+    let unit_300 = [0, 0xac, 0x02, 0, 0];
+    assert_eq!(encode_relation(&unit(300)), unit_300);
+    assert_eq!(decode_relation(&unit_300).unwrap().rows, unit(300).rows);
+    // two columns, 5000 rows, unsorted, dictionary ["item"]; column 0 is
+    // one label tag run holding one run of slot 0, column 1 one ⊥ tag run
+    let mut label_5000 = vec![2, 3, b'a', b'.', b'L', 1, 3, b'a', b'.', b'V', 2];
+    label_5000.extend([0x88, 0x27, 0, 1, 4, b'i', b't', b'e', b'm']);
+    label_5000.extend([1, 2, 0x88, 0x27, 0, 0x88, 0x27, 1, 0, 0x88, 0x27]);
+    assert_eq!(encode_relation(&label(5000)), label_5000);
+    assert_eq!(decode_relation(&label_5000).unwrap().rows, label(5000).rows);
+}
+
+/// What that freedom must not buy: a row count no machine can hold, made
+/// consistent with its tag runs, is a checked error and not an abort.
+#[test]
+fn codec_refuses_a_row_count_it_cannot_allocate() {
+    let n = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40]; // 2^62
+    let unit = [&[0][..], &n, &[0, 0]].concat();
+    let nulls = [&[1, 1, b'c', 2][..], &n, &[0, 0, 1, 0], &n].concat();
+    for bytes in [unit, nulls] {
+        let err = decode_relation(&bytes).expect_err("2^62 rows");
+        assert!(matches!(err, StoreError::Corrupt(_)), "got: {err}");
+    }
 }
 
 /// The learned feedback state round-trips losslessly (the stable FNV
@@ -207,6 +445,168 @@ fn corrupt_page_is_a_checked_error_not_garbage_rows() {
     assert!(disk.warm().is_err(), "warm() surfaces the same error");
 }
 
+/// A [`SimVfs`] that records, per file, how many reads it served and how
+/// many bytes they returned.
+#[derive(Default)]
+struct CountingVfs {
+    inner: SimVfs,
+    reads: Mutex<BTreeMap<String, (u64, u64)>>,
+}
+
+impl CountingVfs {
+    fn counted(&self, name: &str, r: smv::store::Result<Vec<u8>>) -> smv::store::Result<Vec<u8>> {
+        if let Ok(bytes) = &r {
+            let mut reads = self.reads.lock().unwrap();
+            let (n, total) = reads.entry(name.to_string()).or_default();
+            *n += 1;
+            *total += bytes.len() as u64;
+        }
+        r
+    }
+
+    fn take_reads(&self) -> BTreeMap<String, (u64, u64)> {
+        std::mem::take(&mut self.reads.lock().unwrap())
+    }
+}
+
+impl Vfs for CountingVfs {
+    fn read(&self, name: &str) -> smv::store::Result<Vec<u8>> {
+        self.counted(name, self.inner.read(name))
+    }
+    fn read_at(&self, name: &str, offset: u64, len: usize) -> smv::store::Result<Vec<u8>> {
+        self.counted(name, self.inner.read_at(name, offset, len))
+    }
+    fn write(&self, name: &str, bytes: &[u8]) -> smv::store::Result<()> {
+        self.inner.write(name, bytes)
+    }
+    fn write_at(&self, name: &str, offset: u64, bytes: &[u8]) -> smv::store::Result<()> {
+        self.inner.write_at(name, offset, bytes)
+    }
+    fn fsync(&self, name: &str) -> smv::store::Result<()> {
+        self.inner.fsync(name)
+    }
+    fn rename(&self, from: &str, to: &str) -> smv::store::Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+    fn len(&self, name: &str) -> Option<u64> {
+        self.inner.len(name)
+    }
+    fn list(&self) -> Vec<String> {
+        self.inner.list()
+    }
+    fn remove(&self, name: &str) -> smv::store::Result<()> {
+        self.inner.remove(name)
+    }
+}
+
+/// A cold read costs what the plan touches: `open` reads the manifest and
+/// nothing else, and executing a one-view plan reads that view's segment
+/// — every byte of it exactly once — while the other segments, the
+/// summary and the feedback store stay unread.
+#[test]
+fn cold_read_touches_only_the_manifest_and_the_scanned_segment() {
+    let doc = small_matrix_doc();
+    let summary = Summary::of(&doc);
+    let scheme = IdScheme::OrdPath;
+    let views = vec![
+        View::new("all", parse_pattern("r(//*{id,l,v})").unwrap(), scheme),
+        View::new("bs", parse_pattern("r(//b{id,v})").unwrap(), scheme),
+        View::new("cs", parse_pattern("r(//c{id}(/b{v}))").unwrap(), scheme),
+    ];
+    let mut cat = Catalog::new();
+    for v in &views {
+        cat.add_sharded(v.clone(), &doc, &summary);
+    }
+    let rewritten = rewrite(&views[1].pattern, &views, &summary, &RewriteOpts::default());
+    let plan = &rewritten.rewritings[0].plan;
+    let used = plan.views_used();
+    assert_eq!(used.len(), 1, "a view answers itself with one scan");
+
+    let vfs = Arc::new(CountingVfs::default());
+    let pool_pages = 4;
+    let store = DiskStore::with_options(
+        Arc::clone(&vfs) as Arc<dyn Vfs>,
+        StoreOptions {
+            page_size: 16,
+            pool_pages,
+        },
+    );
+    store
+        .publish(&cat, Some(&summary), Some(&FeedbackStore::new()), 1)
+        .unwrap();
+    vfs.take_reads();
+
+    let disk = store.open().unwrap();
+    let manifest = manifest_file(&vfs.inner);
+    let opened = vfs.take_reads();
+    let want = BTreeMap::from([(manifest.clone(), (1, vfs.len(&manifest).unwrap()))]);
+    assert_eq!(
+        opened, want,
+        "open reads the manifest, once, and nothing else"
+    );
+
+    let got = execute(plan, &disk).unwrap();
+    assert_eq!(got.rows, execute(plan, &cat).unwrap().rows);
+    let executed = vfs.take_reads();
+    let i = views.iter().position(|v| v.name == used[0]).unwrap();
+    let segment = format!("seg-{:020}-{i}.smv", 1);
+    let seg_len = vfs.len(&segment).unwrap();
+    assert_eq!(
+        executed.keys().collect::<Vec<_>>(),
+        [&segment],
+        "only the scanned view's segment is read"
+    );
+    let (_reads, bytes) = executed[&segment];
+    assert_eq!(bytes, seg_len, "the header and every page, once");
+    let pages = disk.pool().stats().misses;
+    assert!(pages > pool_pages as u64, "the segment outgrows the pool");
+
+    // first use of the summary is what reads it
+    disk.summary().unwrap().expect("published");
+    let summary_file = format!("summary-{:020}.smv", 1);
+    assert_eq!(vfs.take_reads().keys().collect::<Vec<_>>(), [&summary_file]);
+}
+
+/// Structure is validated at open, content on first read: a summary with
+/// a flipped bit and its length intact does not stop the epoch opening or
+/// serving extents, and is a checked error — every time, never a panic or
+/// some older summary — from `summary()` and from `warm()`.
+#[test]
+fn corrupt_summary_is_an_error_on_first_use_not_at_open() {
+    let doc = small_matrix_doc();
+    let summary = Summary::of(&doc);
+    let mut cat = Catalog::new();
+    cat.add_sharded(
+        View::new("v", parse_pattern("r(//b{id,v})").unwrap(), IdScheme::Dewey),
+        &doc,
+        &summary,
+    );
+    let vfs = SimVfs::new();
+    let store = DiskStore::new(Arc::new(vfs.clone()));
+    store.publish(&cat, Some(&summary), None, 1).unwrap();
+    store.publish(&cat, Some(&summary), None, 2).unwrap();
+    let file = format!("summary-{:020}.smv", 2);
+    let mut bytes = vfs.read(&file).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x04;
+    vfs.write(&file, &bytes).unwrap();
+    vfs.fsync(&file).unwrap();
+
+    let disk = store.open().expect("lengths still validate");
+    assert_eq!(disk.epoch(), 2, "no fallback to the older epoch");
+    let rows = disk.load_extent("v").expect("extents are intact").unwrap();
+    assert_eq!(rows.rows, cat.extent("v").unwrap().rows);
+    for _ in 0..2 {
+        let err = disk.summary().expect_err("checksum catches the flip");
+        assert!(matches!(err, StoreError::Corrupt(_)), "got: {err}");
+    }
+    assert!(disk.warm().is_err(), "warm() loads the summary too");
+    assert!(disk.feedback().unwrap().is_none(), "none was published");
+}
+
 /// A transient short read is caught by the page-length check and does not
 /// poison the catalog: the next read of the same page succeeds.
 #[test]
@@ -229,19 +629,22 @@ fn short_read_is_caught_and_retryable() {
     );
     store.publish(&cat, None, None, 1).unwrap();
     let disk = store.open().unwrap();
-    // arm a one-shot short read on the next VFS operation (the segment
-    // header read of the first load)
-    vfs.set_fault(Some(FaultPlan {
-        fail_at: vfs.op_count(),
-        kind: FaultKind::ShortRead,
-    }));
-    assert!(disk.load_extent("v").is_err(), "short read is checked");
+    // a one-shot short read on each of the load's first VFS operations in
+    // turn: the segment header read, then the read of page 0
+    for op in 0..2 {
+        vfs.set_fault(Some(FaultPlan {
+            fail_at: vfs.op_count() + op,
+            kind: FaultKind::ShortRead,
+        }));
+        let err = disk.load_extent("v").expect_err("short read is checked");
+        assert!(matches!(err, StoreError::Corrupt(_)), "op {op}: {err}");
+    }
     let rows = disk.load_extent("v").expect("retry succeeds").unwrap();
     assert_eq!(rows.rows.len(), cat.extent("v").unwrap().rows.len());
 }
 
-/// Queries answer identically with a buffer pool of only two pages
-/// (every scan fights for frames), and the evictions show up in the
+/// Queries answer identically with a buffer pool of only two or four
+/// pages (every scan fights for frames), and the evictions show up in the
 /// smv-obs registry snapshot.
 #[test]
 fn pool_pressure_preserves_results_and_counts_evictions() {
@@ -257,39 +660,42 @@ fn pool_pressure_preserves_results_and_counts_evictions() {
     for v in &views {
         cat.add_sharded(v.clone(), &doc, &summary);
     }
-    let store = DiskStore::with_options(
-        Arc::new(SimVfs::new()),
-        StoreOptions {
-            page_size: 32,
-            pool_pages: 2,
-        },
-    );
-    store.publish(&cat, Some(&summary), None, 1).unwrap();
-
     let _obs = ScopedEnable::new();
-    smv::obs::global().reset();
-    let disk = store.open().unwrap();
-    for q in ["r(//b{id,v})", "r(//c{id})", "r(//*{id,l})"] {
-        let query = parse_pattern(q).unwrap();
-        let rewritten = rewrite(&query, &views, &summary, &RewriteOpts::default());
-        assert!(!rewritten.rewritings.is_empty(), "{q} rewritable");
-        let plan = &rewritten.rewritings[0].plan;
-        let want = execute(plan, &cat).unwrap();
-        let got = execute(plan, &disk).unwrap();
-        assert_eq!(got.schema, want.schema, "{q}: schema");
-        assert_eq!(got.rows, want.rows, "{q}: rows under pool pressure");
+    for pool_pages in [2, 4] {
+        let store = DiskStore::with_options(
+            Arc::new(SimVfs::new()),
+            StoreOptions {
+                page_size: 32,
+                pool_pages,
+            },
+        );
+        store.publish(&cat, Some(&summary), None, 1).unwrap();
+
+        smv::obs::global().reset();
+        let disk = store.open().unwrap();
+        for q in ["r(//b{id,v})", "r(//c{id})", "r(//*{id,l})"] {
+            let query = parse_pattern(q).unwrap();
+            let rewritten = rewrite(&query, &views, &summary, &RewriteOpts::default());
+            assert!(!rewritten.rewritings.is_empty(), "{q} rewritable");
+            let plan = &rewritten.rewritings[0].plan;
+            let want = execute(plan, &cat).unwrap();
+            let got = execute(plan, &disk).unwrap();
+            assert_eq!(got.schema, want.schema, "{q}: schema");
+            assert_eq!(got.rows, want.rows, "{q}: rows under pool pressure");
+        }
+        let stats = disk.pool().stats();
+        assert!(
+            stats.evictions > 0,
+            "a {pool_pages}-page budget must evict, got {stats:?}"
+        );
+        assert!(stats.resident <= pool_pages as u64, "got {stats:?}");
+        let snapshot = smv::obs::global().snapshot_json();
+        assert!(
+            snapshot.contains("store.pool.evict"),
+            "evictions visible in the registry snapshot: {snapshot}"
+        );
+        assert!(smv::obs::global().counter("store.pool.evict") > 0);
     }
-    let stats = disk.pool().stats();
-    assert!(
-        stats.evictions > 0,
-        "a 2-page budget must evict, got {stats:?}"
-    );
-    let snapshot = smv::obs::global().snapshot_json();
-    assert!(
-        snapshot.contains("store.pool.evict"),
-        "evictions visible in the registry snapshot: {snapshot}"
-    );
-    assert!(smv::obs::global().counter("store.pool.evict") > 0);
 }
 
 /// The crash-recovery property: a publish interrupted at *any* operation
@@ -382,7 +788,10 @@ fn crash_recovery_at_every_injected_fault_point() {
                 let got = disk.load_extent(name).unwrap().unwrap();
                 assert_eq!(got.rows, want.rows, "{kind:?}@{fail_at}: extent {name}");
             }
-            let restored = disk.summary().expect("summary published");
+            let restored = disk
+                .summary()
+                .unwrap_or_else(|e| panic!("{kind:?}@{fail_at}: summary not loadable: {e}"))
+                .expect("summary published");
             assert_eq!(
                 restored.to_bytes(),
                 summary.to_bytes(),
@@ -459,12 +868,14 @@ fn warm_start_and_durable_maintenance() {
     }
     assert_eq!(
         disk.summary()
+            .expect("summary loads")
             .expect("summary travels with the epoch")
             .to_bytes(),
         snap.summary().to_bytes()
     );
     let fb = disk
         .take_feedback()
+        .expect("feedback loads")
         .expect("feedback travels with the epoch");
     assert_eq!(fb.to_bytes(), feedback.to_bytes(), "feedback warm-starts");
 }
