@@ -65,10 +65,20 @@ impl Advice {
     }
 }
 
-fn views_of(cands: &[Candidate], sel: &[usize], opts: &AdvisorOpts) -> Vec<View> {
-    sel.iter()
-        .map(|&i| cands[i].to_view(&format!("adv{i}"), opts))
+/// One definition per candidate (named `adv<candidate index>`), built
+/// once per selection run: every probe set clones from these, so the
+/// rewriter's per-view preparation ([`View::derived`]) is built once per
+/// candidate, not once per probe, and travels with the advised views.
+fn candidate_views(cands: &[Candidate], opts: &AdvisorOpts) -> Vec<View> {
+    cands
+        .iter()
+        .enumerate()
+        .map(|(i, c)| c.to_view(&format!("adv{i}"), opts))
         .collect()
+}
+
+fn views_of(all: &[View], sel: &[usize]) -> Vec<View> {
+    sel.iter().map(|&i| all[i].clone()).collect()
 }
 
 /// Best-rewriting cost per workload query over `views`, clamped by the
@@ -154,6 +164,7 @@ fn finish(
 /// assert!(!advice.chosen.is_empty(), "some view is worth materializing");
 /// ```
 pub fn advise(w: &Workload, s: &Summary, cands: &[Candidate], opts: &AdvisorOpts) -> Advice {
+    let all = candidate_views(cands, opts);
     let mut sel: Vec<usize> = Vec::new();
     let mut chosen: Vec<AdvisedView> = Vec::new();
     let mut cur = workload_costs(w, s, &[], opts);
@@ -166,7 +177,7 @@ pub fn advise(w: &Workload, s: &Summary, cands: &[Candidate], opts: &AdvisorOpts
             }
             let mut probe = sel.clone();
             probe.push(ci);
-            let costs = workload_costs(w, s, &views_of(cands, &probe, opts), opts);
+            let costs = workload_costs(w, s, &views_of(&all, &probe), opts);
             let gain: f64 = w
                 .queries
                 .iter()
@@ -192,7 +203,7 @@ pub fn advise(w: &Workload, s: &Summary, cands: &[Candidate], opts: &AdvisorOpts
         };
         spent += cands[ci].est_bytes;
         chosen.push(AdvisedView {
-            view: cands[ci].to_view(&format!("adv{ci}"), opts),
+            view: all[ci].clone(),
             candidate: ci,
             est_bytes: cands[ci].est_bytes,
             gain,
@@ -217,6 +228,7 @@ pub fn advise_exhaustive(
         "exhaustive selection is an oracle for small candidate sets"
     );
     let baseline = navigation_cost(s);
+    let all = candidate_views(cands, opts);
     let mut best: Option<(Vec<usize>, f64, f64, Vec<f64>)> = None; // (sel, benefit, bytes, costs)
     for mask in 0u32..(1 << cands.len()) {
         let sel: Vec<usize> = (0..cands.len()).filter(|i| mask >> i & 1 == 1).collect();
@@ -224,7 +236,7 @@ pub fn advise_exhaustive(
         if bytes > opts.budget_bytes {
             continue;
         }
-        let costs = workload_costs(w, s, &views_of(cands, &sel, opts), opts);
+        let costs = workload_costs(w, s, &views_of(&all, &sel), opts);
         let benefit: f64 = w
             .queries
             .iter()
@@ -247,7 +259,7 @@ pub fn advise_exhaustive(
     let chosen = sel
         .iter()
         .map(|&ci| AdvisedView {
-            view: cands[ci].to_view(&format!("adv{ci}"), opts),
+            view: all[ci].clone(),
             candidate: ci,
             est_bytes: cands[ci].est_bytes,
             gain: 0.0,

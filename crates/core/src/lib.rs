@@ -10,6 +10,24 @@
 //!   views that are `S`-equivalent to the query, with the pruning rules of
 //!   Propositions 3.4-3.7, C-attribute unfolding and virtual-ID
 //!   derivation (§4.6).
+//!
+//! ## What a run pays for
+//!
+//! A run's set-up splits in two. What depends on a view and the summary's
+//! constraints alone — its flat pattern, associated paths, canonical
+//! model, base plan, column layout and deduplicated members — is built
+//! once and kept on the `View` itself (`smv_views::View::derived`),
+//! stamped with `Summary::constraints_token` and the two options it read.
+//! Clones of a definition share that slot, so the cache has no owner to
+//! plumb: `smv-serve`'s `QueryService` finds it on the snapshot's views
+//! and carries it across epochs, the advisor's probes
+//! ([`best_rewriting_cost`]) find it on the candidate definitions every
+//! probe set is cloned from, and the views it advises arrive at the
+//! service already carrying theirs. What depends on the query — its own
+//! canonical model, the Prop. 3.4 relatedness test, the §4.6 derived
+//! columns, costing — is paid per run. A stamp mismatch rebuilds and
+//! replaces; [`RewriteStats`] reports how many views each run found
+//! prepared and how many it built.
 
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]

@@ -22,7 +22,10 @@
 //!
 //! * line 1 — `M0` = per-view base pairs, pre-pruned by Proposition 3.4,
 //!   extended with virtual-ID columns (§4.6, `nav_fID`) and C-navigation
-//!   columns (§4.6 unfolding, restricted to query-relevant paths);
+//!   columns (§4.6 unfolding, restricted to query-relevant paths). The
+//!   part of a base pair no query changes (`PreparedView`) is built once
+//!   per (view, summary constraints) and kept on the `View`; see the
+//!   crate docs;
 //! * lines 2-11 — left-deep join enumeration over `⋈_=`, `⋈_≺`, `⋈_≺≺`,
 //!   with satisfiability pruning (dead member sets), the Proposition 3.5
 //!   fingerprint test, and the Proposition 3.6 size bound;
@@ -50,6 +53,7 @@ use smv_summary::Summary;
 use smv_views::{schema_of, DefCards, View};
 use smv_xml::{IdScheme, NodeId, Symbol};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Options bounding the rewriting search.
@@ -121,7 +125,18 @@ pub struct RewriteStats {
     pub views_total: usize,
     /// Views kept after pruning.
     pub views_kept: usize,
-    /// Setup time (canonical models, pruning, derived columns).
+    /// Views whose query-independent preparation (flat pattern, associated
+    /// paths, canonical model, base plan and members) was found on the
+    /// [`View`], built by an earlier run under the same summary
+    /// constraints.
+    pub prepared_reused: usize,
+    /// Views whose preparation this run had to build.
+    pub prepared_built: usize,
+    /// Set-up time: the query's own context (unnesting, canonical model,
+    /// associated paths), fetching or building each view's preparation,
+    /// Prop. 3.4 pruning, the §4.6 derived columns and costing the base
+    /// pairs. With every preparation reused, only the per-query part is
+    /// left.
     pub setup: Duration,
     /// Time until the first rewriting was found.
     pub first_rewriting: Option<Duration>,
@@ -154,7 +169,9 @@ struct ColInfo {
 #[derive(Clone, Debug)]
 struct Member {
     /// Ancestor-closed `(summary path, formula)` set, sorted by path.
-    nodes: Vec<(NodeId, Formula)>,
+    /// Shared with the view's [`PreparedView`] (and between the copies a
+    /// search makes of a pair) until a step has to change it.
+    nodes: Arc<Vec<(NodeId, Formula)>>,
     /// Per plan column: the path its values sit on (`None` = `⊥`).
     col_path: Vec<Option<NodeId>>,
 }
@@ -170,7 +187,7 @@ impl Member {
 
     fn signature(&self) -> String {
         let mut s = String::new();
-        for (n, f) in &self.nodes {
+        for (n, f) in self.nodes.iter() {
             s.push_str(&n.0.to_string());
             if !f.is_top() {
                 s.push('[');
@@ -248,6 +265,31 @@ struct QueryCtx<'a> {
     qpaths: Vec<Vec<NodeId>>,
     /// Whether any query node carries a predicate.
     decorated: bool,
+    /// Associated paths of every non-root query node (sorted, deduped) —
+    /// the query side of the Prop 3.4 relatedness test.
+    q_all: Vec<NodeId>,
+}
+
+/// The summary constraints and the two options a [`PreparedView`] was
+/// built under: [`Summary::constraints_token`],
+/// [`CanonOpts::use_strong`] and [`RewriteOpts::max_members`].
+type PrepStamp = ((u64, u64, u64), bool, usize);
+
+/// Everything a base pair needs of a view that no query changes, kept on
+/// the [`View`] ([`View::derived`]) so that every run over the same
+/// summary constraints — a service's next request, the advisor's next
+/// probe, the next epoch's first ranking — finds it instead of deriving
+/// it again.
+struct PreparedView {
+    stamp: PrepStamp,
+    /// Associated paths of the flat pattern's non-root nodes: the view
+    /// side of the Prop 3.4 relatedness test.
+    vpaths: Vec<Vec<NodeId>>,
+    /// The pair of the bare scan — flat plan, column layout, deduplicated
+    /// members — before its §4.6 derived columns; `views` is left for the
+    /// run to fill in. `None` when the view can seed no pair under these
+    /// options (canonical model empty or truncated, too many members).
+    base: Option<Pair>,
 }
 
 /// Rewrites `q` over `views` under `s`. See module docs. Scan
@@ -382,6 +424,12 @@ impl<'a> Rewriter<'a> {
         let qmodel_full = canonical_model(&qf, self.s, &self.opts.canon);
         let qpaths = associated_paths(&qf, self.s);
         let out_cols = flat_out_cols(&qf);
+        let mut q_all: Vec<NodeId> = Vec::new();
+        for n in qf.iter().skip(1) {
+            q_all.extend(qpaths[n.idx()].iter().copied());
+        }
+        q_all.sort();
+        q_all.dedup();
         let ctx = QueryCtx {
             q: self.q,
             qf: qf.clone(),
@@ -390,6 +438,7 @@ impl<'a> Rewriter<'a> {
             returns: qf.return_nodes(),
             qpaths,
             decorated: qf.iter().any(|n| !qf.node(n).predicate.is_top()),
+            q_all,
         };
         if ctx.qmodel.is_empty() {
             // unsatisfiable query: rewriting is the empty plan; report none
@@ -406,9 +455,23 @@ impl<'a> Rewriter<'a> {
         }
 
         // ---- setup: base pairs (M0), Prop 3.4 pruning, derived columns
+        let stamp: PrepStamp = (
+            self.s.constraints_token(),
+            self.opts.canon.use_strong,
+            self.opts.max_members,
+        );
         let mut m0: Vec<Pair> = Vec::new();
         for (vi, v) in self.views.iter().enumerate() {
-            if let Some(mut pair) = self.base_pair(vi, v, &ctx) {
+            let (prep, built) = v.derived(
+                |p: &PreparedView| p.stamp == stamp,
+                || self.prepare(v, stamp),
+            );
+            if built {
+                result.stats.prepared_built += 1;
+            } else {
+                result.stats.prepared_reused += 1;
+            }
+            if let Some(mut pair) = self.base_pair(vi, v, &prep, &ctx) {
                 pair.cost = model.estimate(&pair.plan).cost;
                 m0.push(pair);
             }
@@ -423,6 +486,8 @@ impl<'a> Rewriter<'a> {
         result.stats.setup = t0.elapsed();
         setup_span.field("views_total", self.views.len() as u64);
         setup_span.field("views_kept", m0.len() as u64);
+        setup_span.field("prepared_reused", result.stats.prepared_reused as u64);
+        setup_span.field("prepared_built", result.stats.prepared_built as u64);
         drop(setup_span);
 
         // Prop 3.6 plan-size bound
@@ -554,35 +619,37 @@ impl<'a> Rewriter<'a> {
         smv_obs::counter_add("rewrite.pairs_explored", result.stats.pairs_explored as u64);
         smv_obs::counter_add("rewrite.pairs_pruned", result.stats.pairs_pruned as u64);
         smv_obs::counter_add("rewrite.rewritings_found", result.rewritings.len() as u64);
+        smv_obs::counter_add(
+            "rewrite.prepared_reused",
+            result.stats.prepared_reused as u64,
+        );
+        smv_obs::counter_add("rewrite.prepared_built", result.stats.prepared_built as u64);
         smv_obs::observe("rewrite.total_ns", result.stats.total.as_nanos() as u64);
         result
     }
 
-    /// Builds the base (plan, pattern) pair for a view: flatten nested
-    /// columns, enumerate members, prune by Prop 3.4, add §4.6 derived
-    /// columns.
-    fn base_pair(&self, vi: usize, v: &View, ctx: &QueryCtx<'_>) -> Option<Pair> {
+    /// The query-independent half of a base pair: flatten the pattern and
+    /// its nested columns, take the associated paths, enumerate and
+    /// deduplicate the members. Reads the view, the summary's structure
+    /// and strong edges, and the two options in `stamp` — nothing of the
+    /// query.
+    fn prepare(&self, v: &View, stamp: PrepStamp) -> PreparedView {
         let pf = v.pattern.unnest_copy();
-        // Prop 3.4: every non-root view node unrelated to every non-root
-        // query node ⇒ the view is useless.
-        let vpaths = associated_paths(&pf, self.s);
-        let mut q_all: Vec<NodeId> = Vec::new();
-        for n in ctx.qf.iter().skip(1) {
-            q_all.extend(ctx.qpaths[n.idx()].iter().copied());
+        let mut vpaths = associated_paths(&pf, self.s);
+        vpaths.remove(0);
+        PreparedView {
+            stamp,
+            vpaths,
+            base: self.scan_pair(v, &pf),
         }
-        q_all.sort();
-        q_all.dedup();
-        let related = pf
-            .iter()
-            .skip(1)
-            .any(|n| !smv_pattern::annotate::unrelated_to(self.s, &vpaths[n.idx()], &q_all));
-        if pf.len() > 1 && !related {
-            return None;
-        }
+    }
+
+    /// The (plan, pattern) pair of `v`'s bare scan, `pf` its flat pattern.
+    fn scan_pair(&self, v: &View, pf: &Pattern) -> Option<Pair> {
         // members from the canonical model of the flat pattern (strong
         // closure matches the conformance regime of the equivalence test)
         let model = canonical_model(
-            &pf,
+            pf,
             self.s,
             &CanonOpts {
                 use_strong: self.opts.canon.use_strong,
@@ -657,7 +724,7 @@ impl<'a> Rewriter<'a> {
                 }
             }
             members.push(Member {
-                nodes: t.path_set(),
+                nodes: Arc::new(t.path_set()),
                 col_path,
             });
         }
@@ -665,14 +732,37 @@ impl<'a> Rewriter<'a> {
         if members.len() > self.opts.max_members {
             return None;
         }
-        let mut pair = Pair {
+        Some(Pair {
             plan,
             cols,
             groups,
             members,
-            views: vec![vi],
+            views: Vec::new(),
             cost: 0.0,
-        };
+        })
+    }
+
+    /// The base (plan, pattern) pair of view `vi` for this query: prune by
+    /// Prop 3.4, take the prepared scan pair (members shared, not copied),
+    /// add the §4.6 derived columns the query can use.
+    fn base_pair(
+        &self,
+        vi: usize,
+        v: &View,
+        prep: &PreparedView,
+        ctx: &QueryCtx<'_>,
+    ) -> Option<Pair> {
+        // Prop 3.4: every non-root view node unrelated to every non-root
+        // query node ⇒ the view is useless.
+        let related = prep
+            .vpaths
+            .iter()
+            .any(|ps| !smv_pattern::annotate::unrelated_to(self.s, ps, &ctx.q_all));
+        if !prep.vpaths.is_empty() && !related {
+            return None;
+        }
+        let mut pair = prep.base.clone()?;
+        pair.views = vec![vi];
         if self.opts.enable_virtual_ids && v.scheme.derives_parent() {
             self.add_virtual_ids(&mut pair, ctx);
         }
@@ -818,7 +908,7 @@ impl<'a> Rewriter<'a> {
                     }
                     let mut bound_m = m.clone();
                     for p in chain_with(self.s, base, sd) {
-                        upsert_node(&mut bound_m.nodes, p, Formula::top());
+                        upsert_node(Arc::make_mut(&mut bound_m.nodes), p, Formula::top());
                     }
                     bound_m
                         .col_path
@@ -885,9 +975,9 @@ impl<'a> Rewriter<'a> {
                 if !ok {
                     continue;
                 }
-                let mut nodes = ma.nodes.clone();
+                let mut nodes = Vec::clone(&ma.nodes);
                 let mut sat = true;
-                for (n, f) in &mb.nodes {
+                for (n, f) in mb.nodes.iter() {
                     if !upsert_node(&mut nodes, *n, f.clone()) {
                         sat = false;
                         break;
@@ -898,7 +988,10 @@ impl<'a> Rewriter<'a> {
                 }
                 let mut col_path = ma.col_path.clone();
                 col_path.extend(mb.col_path.iter().copied());
-                members.push(Member { nodes, col_path });
+                members.push(Member {
+                    nodes: Arc::new(nodes),
+                    col_path,
+                });
             }
         }
         if members.is_empty() {
@@ -1143,7 +1236,7 @@ impl<'a> Rewriter<'a> {
                     for m in &pair.members {
                         let mut mm = m.clone();
                         if let Some(p) = mm.col_path[rep] {
-                            if !conj_node(&mut mm.nodes, p, &qn.predicate) {
+                            if !conj_node(Arc::make_mut(&mut mm.nodes), p, &qn.predicate) {
                                 continue; // unsatisfiable member filtered out
                             }
                         }
@@ -1193,7 +1286,7 @@ impl<'a> Rewriter<'a> {
                 if des != &tq_ret {
                     continue;
                 }
-                for (n, f) in &m.nodes {
+                for (n, f) in m.nodes.iter() {
                     match tq_paths.get(n) {
                         Some(tf) => {
                             if !tf.and(f).is_sat() {

@@ -348,7 +348,9 @@ impl std::fmt::Display for Formula {
         fn fmt_const(v: &Value) -> String {
             match v {
                 Value::Int(i) => i.to_string(),
-                Value::Str(s) => format!("{s:?}"),
+                // verbatim: the grammar has no escapes, so a constant the
+                // parser accepted reads back as itself only unescaped
+                Value::Str(s) => format!("\"{s}\""),
             }
         }
         if self.is_top() {

@@ -18,6 +18,10 @@
 //!                                             # default axis '/'
 //! ```
 //!
+//! The parser recurses once per `children` level and once per predicate
+//! parenthesis; both are refused beyond [`MAX_NESTING`] levels, so no
+//! input can exhaust the stack.
+//!
 //! Example — the paper's view `V1` (Figure 1c): `regions` descendant `*`
 //! storing `ID`, child chain `description/parlist` with a nested optional
 //! `listitem` storing `C`, and an optional `bold` storing `V`:
@@ -51,11 +55,17 @@ impl std::fmt::Display for PatternParseError {
 
 impl std::error::Error for PatternParseError {}
 
+/// Deepest nesting accepted, of pattern levels and of predicate
+/// parentheses alike (the bound `smv-store`'s decoders use): the parser
+/// and everything that later walks a pattern recurse per level.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses the textual pattern syntax.
 pub fn parse_pattern(input: &str) -> Result<Pattern, PatternParseError> {
     let mut p = Parser {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let pat = p.parse_root()?;
@@ -69,6 +79,9 @@ pub fn parse_pattern(input: &str) -> Result<Pattern, PatternParseError> {
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Open `(`s — pattern levels plus predicate parentheses — above the
+    /// current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -96,6 +109,25 @@ impl<'a> Parser<'a> {
         } else {
             false
         }
+    }
+
+    /// Eats a `(` if one is next, refusing it beyond [`MAX_NESTING`].
+    fn open_paren(&mut self) -> Result<bool, PatternParseError> {
+        if self.peek() != Some(b'(') {
+            return Ok(false);
+        }
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        Ok(true)
+    }
+
+    fn close_paren(&mut self) -> Result<(), PatternParseError> {
+        self.expect(")")?;
+        self.depth -= 1;
+        Ok(())
     }
 
     fn expect(&mut self, s: &str) -> Result<(), PatternParseError> {
@@ -203,10 +235,10 @@ impl<'a> Parser<'a> {
 
     fn parse_atom(&mut self) -> Result<Formula, PatternParseError> {
         self.skip_ws();
-        if self.eat("(") {
+        if self.open_paren()? {
             let f = self.parse_or()?;
             self.skip_ws();
-            self.expect(")")?;
+            self.close_paren()?;
             return Ok(f);
         }
         self.expect("v")?;
@@ -279,7 +311,7 @@ impl<'a> Parser<'a> {
         parent: PNodeId,
     ) -> Result<(), PatternParseError> {
         self.skip_ws();
-        if !self.eat("(") {
+        if !self.open_paren()? {
             return Ok(());
         }
         loop {
@@ -312,8 +344,7 @@ impl<'a> Parser<'a> {
             if self.eat(",") {
                 continue;
             }
-            self.expect(")")?;
-            return Ok(());
+            return self.close_paren();
         }
     }
 }
@@ -389,6 +420,29 @@ mod tests {
         assert!(parse_pattern("a[v ~ 3]").is_err());
         assert!(parse_pattern("a(/b) trailing").is_err());
         assert!(parse_pattern("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_the_stack() {
+        let chain = |levels: usize| format!("a{}{}", "(/b".repeat(levels), ")".repeat(levels));
+        assert!(parse_pattern(&chain(MAX_NESTING)).is_ok());
+        let e = parse_pattern(&chain(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(e.position, 1 + 3 * MAX_NESTING, "at the refused `(`");
+        // depths that used to overflow the stack
+        assert!(parse_pattern(&"a(/b".repeat(60_000)).is_err());
+        let parens = |levels: usize| {
+            format!(
+                "a(/b{{v}}[{}v>1{}])",
+                "(".repeat(levels),
+                ")".repeat(levels)
+            )
+        };
+        assert!(parse_pattern(&parens(MAX_NESTING - 1)).is_ok());
+        assert!(parse_pattern(&parens(MAX_NESTING)).is_err());
+        assert!(parse_pattern(&parens(30_000)).is_err());
+        // siblings do not nest
+        let wide = format!("a({})", vec!["/b(/c)"; 500].join(", "));
+        assert!(parse_pattern(&wide).is_ok());
     }
 
     #[test]

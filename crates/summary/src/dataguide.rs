@@ -344,6 +344,10 @@ pub struct Summary {
     /// geometry snapshot taken before a mutation can be detected as
     /// stale.
     geometry_gen: u64,
+    /// Bumped whenever a strong or one-to-one flag actually flips (see
+    /// [`Summary::constraints_token`]). In memory only: the serialized
+    /// form does not carry it.
+    edge_gen: u64,
 }
 
 /// Process-unique summary instance ids; clones get fresh ones so two
@@ -361,6 +365,7 @@ impl Clone for Summary {
             docs: self.docs,
             id: next_summary_id(),
             geometry_gen: self.geometry_gen,
+            edge_gen: self.edge_gen,
         }
     }
 }
@@ -373,6 +378,7 @@ impl Summary {
             docs: 0,
             id: next_summary_id(),
             geometry_gen: 0,
+            edge_gen: 0,
         };
         s.extend_with(doc);
         s
@@ -389,6 +395,19 @@ impl Summary {
     /// compare.
     pub fn geometry_token(&self) -> (u64, u64) {
         (self.id, self.geometry_gen)
+    }
+
+    /// [`Summary::geometry_token`] plus the edge-class generation: equal
+    /// tokens guarantee the same paths *and* the same strong / one-to-one
+    /// flags — everything a canonical model or an associated-path set
+    /// reads, and nothing a count-only update changes. The generation
+    /// moves only when a flag actually flips, so anything derived from
+    /// (pattern, summary constraints) stays valid across the updates that
+    /// leave both alone. [`Summary::snapshot`] keeps it; a deserialized
+    /// summary starts over (with a fresh instance id, like
+    /// [`Summary::geometry_token`]).
+    pub fn constraints_token(&self) -> (u64, u64, u64) {
+        (self.id, self.geometry_gen, self.edge_gen)
     }
 
     /// Folds another document into the summary (linear time, as \[15\]
@@ -657,9 +676,10 @@ impl Summary {
         for i in 1..self.nodes.len() {
             let parent = self.nodes[i].parent.expect("non-root").idx();
             let parent_count = self.nodes[parent].count;
-            let n = &mut self.nodes[i];
-            n.strong = n.parents_with == parent_count && parent_count > 0;
-            n.one_to_one = n.strong && n.count == parent_count;
+            let n = &self.nodes[i];
+            let strong = n.parents_with == parent_count && parent_count > 0;
+            let one_to_one = strong && n.count == parent_count;
+            self.set_edge_classes(NodeId(i as u32), strong, one_to_one);
         }
     }
 
@@ -795,18 +815,23 @@ impl Summary {
     /// Overrides the strong flag (used by tests and by DTD-derived
     /// constraints that are not observable from one sample document).
     pub fn set_strong_edge(&mut self, n: NodeId, strong: bool) {
-        self.nodes[n.idx()].strong = strong;
-        if !strong {
-            self.nodes[n.idx()].one_to_one = false;
-        }
+        let one_to_one = self.nodes[n.idx()].one_to_one && strong;
+        self.set_edge_classes(n, strong, one_to_one);
     }
 
     /// Overrides the one-to-one flag.
     pub fn set_one_to_one_edge(&mut self, n: NodeId, one: bool) {
-        self.nodes[n.idx()].one_to_one = one;
-        if one {
-            self.nodes[n.idx()].strong = true;
-        }
+        let strong = self.nodes[n.idx()].strong || one;
+        self.set_edge_classes(n, strong, one);
+    }
+
+    /// Every change to an existing node's edge classes goes through here:
+    /// a flag that actually flips moves the edge-class generation.
+    fn set_edge_classes(&mut self, n: NodeId, strong: bool, one_to_one: bool) {
+        let node = &mut self.nodes[n.idx()];
+        self.edge_gen += ((strong, one_to_one) != (node.strong, node.one_to_one)) as u64;
+        node.strong = strong;
+        node.one_to_one = one_to_one;
     }
 
     /// Pre-order rank of a path node (recomputed after every extension).
@@ -988,6 +1013,7 @@ impl Summary {
             docs: self.docs,
             id: self.id,
             geometry_gen: self.geometry_gen,
+            edge_gen: self.edge_gen,
         }
     }
 
@@ -1644,6 +1670,7 @@ impl Summary {
             docs,
             id: next_summary_id(),
             geometry_gen,
+            edge_gen: 0,
         })
     }
 }

@@ -160,3 +160,57 @@ fn snapshot_preserves_token_and_freezes_stats() {
     let a = snap.node_by_path("/r/a").unwrap();
     assert_eq!(snap.count(a), 2, "snapshot stats frozen");
 }
+
+/// The constraints token moves with the geometry and with every flipped
+/// strong / one-to-one flag, and with nothing else: counts and values may
+/// change under it, and an override that sets a flag to what it was is not
+/// a change.
+#[test]
+fn constraints_token_follows_paths_and_edge_classes_only() {
+    let mut live = LiveDoc::new(
+        Document::from_parens(r#"r(a(b="1") a(b="2" b="3") c)"#),
+        IdScheme::OrdPath,
+    );
+    let mut s = Summary::of(live.doc());
+    let b = s.node_by_path("/r/a/b").unwrap();
+    assert!(s.is_strong_edge(b) && !s.is_one_to_one_edge(b));
+    let t0 = s.constraints_token();
+    assert_eq!((t0.0, t0.1), s.geometry_token());
+    assert_eq!(s.snapshot().constraints_token(), t0, "snapshots keep it");
+
+    // one more b under the first a: counts move, no class does
+    let a1 = id_by_path(&live, &["a"]);
+    let mut batch = UpdateBatch::new();
+    batch.insert(a1, Document::from_parens(r#"b="4""#));
+    let applied = live.apply(&batch).unwrap();
+    assert!(!s.apply_update(&applied, live.doc()));
+    assert_eq!(s.constraints_token(), t0, "a count-only batch");
+
+    // the first a loses every b: a → b is no longer strong
+    let mut batch = UpdateBatch::new();
+    for n in live
+        .doc()
+        .children(live.doc().children(live.doc().root())[0])
+    {
+        batch.delete(live.ids().id(*n).clone());
+    }
+    let applied = live.apply(&batch).unwrap();
+    assert!(!s.apply_update(&applied, live.doc()));
+    assert!(!s.is_strong_edge(b));
+    let t1 = s.constraints_token();
+    assert_eq!((t1.0, t1.1), (t0.0, t0.1), "no path came or went");
+    assert_ne!(t1.2, t0.2, "a flipped flag");
+
+    // overrides count when they change something
+    s.set_strong_edge(b, false);
+    s.set_one_to_one_edge(b, false);
+    assert_eq!(s.constraints_token(), t1);
+    s.set_one_to_one_edge(b, true);
+    assert!(s.is_strong_edge(b));
+    assert_ne!(s.constraints_token(), t1);
+
+    // serialization carries neither the instance nor the generation
+    let back = Summary::from_bytes(&s.to_bytes()).unwrap();
+    assert_ne!(back.constraints_token().0, s.constraints_token().0);
+    assert!(back.is_one_to_one_edge(back.node_by_path("/r/a/b").unwrap()));
+}

@@ -8,9 +8,15 @@ use smv_algebra::{
 use smv_pattern::Pattern;
 use smv_summary::Summary;
 use smv_xml::{Document, IdAssignment, IdScheme, NodeId, StructId};
+use std::any::Any;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A view definition: a named extended tree pattern with an ID scheme.
+///
+/// A definition is immutable once built: state derived from it is cached
+/// on it and shared by its clones ([`View::derived`]), so a different
+/// name, pattern or scheme is a different `View::new`.
 #[derive(Clone, Debug)]
 pub struct View {
     /// Catalog name.
@@ -19,6 +25,18 @@ pub struct View {
     pub pattern: Pattern,
     /// The identifier scheme stored in `ID` columns.
     pub scheme: IdScheme,
+    derived: DerivedCell,
+}
+
+/// The one value [`View::derived`] keeps per definition. The slot always
+/// holds a whole value, so a poisoned lock is recovered, not propagated.
+#[derive(Clone, Default)]
+struct DerivedCell(Arc<Mutex<Option<Arc<dyn Any + Send + Sync>>>>);
+
+impl std::fmt::Debug for DerivedCell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("DerivedCell")
+    }
 }
 
 impl View {
@@ -28,7 +46,38 @@ impl View {
             name: name.to_owned(),
             pattern,
             scheme,
+            derived: DerivedCell::default(),
         }
+    }
+
+    /// State derived from this definition, built at most once for as long
+    /// as `valid` accepts it: returns the cached `T` when there is one and
+    /// `valid` holds, otherwise runs `build`, replaces whatever was cached
+    /// and returns the new value — with `true` when it was built by this
+    /// call. The cache is one slot shared by every clone of the definition
+    /// (an epoch's `Vec<View>`, an advisor's candidate sets), and `build`
+    /// runs under its lock, so concurrent callers build once.
+    ///
+    /// The rewriter keeps its query-independent preparation here, with
+    /// `valid` comparing the summary-constraints stamp it was built under.
+    pub fn derived<T: Any + Send + Sync>(
+        &self,
+        valid: impl FnOnce(&T) -> bool,
+        build: impl FnOnce() -> T,
+    ) -> (Arc<T>, bool) {
+        let mut slot = self
+            .derived
+            .0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(cached) = slot.clone().and_then(|a| a.downcast::<T>().ok()) {
+            if valid(&cached) {
+                return (cached, false);
+            }
+        }
+        let fresh = Arc::new(build());
+        *slot = Some(Arc::clone(&fresh) as Arc<dyn Any + Send + Sync>);
+        (fresh, true)
     }
 
     /// The relational schema of the view.
@@ -345,6 +394,27 @@ impl ViewProvider for Catalog {
 mod tests {
     use super::*;
     use smv_pattern::parse_pattern;
+
+    #[test]
+    fn derived_state_is_one_slot_shared_by_clones() {
+        let v = View::new("v", parse_pattern("a(/b{id})").unwrap(), IdScheme::OrdPath);
+        let (first, built) = v.derived(|_: &u32| true, || 7u32);
+        assert!(built && *first == 7);
+        let copy = v.clone();
+        let (again, built) = copy.derived(|x: &u32| *x == 7, || unreachable!());
+        assert!(!built && Arc::ptr_eq(&first, &again), "clones share it");
+        // rejected: rebuilt and replaced, for every clone
+        let (next, built) = copy.derived(|x: &u32| *x == 8, || 8u32);
+        assert!(built && *next == 8);
+        assert_eq!(*v.derived(|_: &u32| true, || unreachable!()).0, 8);
+        // another type takes the slot over
+        let (text, built) = v.derived(|_: &&str| true, || "x");
+        assert!(built && *text == "x");
+        assert!(copy.derived(|_: &u32| true, || 9u32).1);
+        // a new definition starts empty
+        let other = View::new(&v.name, v.pattern.clone(), v.scheme);
+        assert!(other.derived(|_: &u32| true, || 1u32).1);
+    }
 
     #[test]
     fn catalog_materializes_on_add() {
