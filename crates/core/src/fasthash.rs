@@ -1,0 +1,93 @@
+//! A small multiplicative hasher for the rewriter's in-memory keys.
+//!
+//! The rewriter hashes tens of thousands of short integer sequences per
+//! ranking (summary paths, column layouts). They are built from view
+//! definitions and the summary, not from a request's text, and every key
+//! is also compared in full on a hit, so a collision costs a comparison
+//! and never a wrong answer. std's SipHash spends most of its time
+//! guarding against keys crafted to collide, which these cannot be; this
+//! is the rotate-xor-multiply step of the Firefox/rustc hasher, one
+//! multiplication per word.
+
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// The Firefox/rustc hasher's multiplier (odd, bits well spread).
+const K: u64 = 0x517c_c1b7_2722_0a95;
+
+/// Word-at-a-time multiplicative hasher. Not DoS-resistant; see the
+/// module docs for why that is fine here.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct FastHasher(u64);
+
+/// `HashMap`/`HashSet` state for [`FastHasher`].
+pub(crate) type FastBuild = BuildHasherDefault<FastHasher>;
+
+impl FastHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
+    }
+}
+
+impl Hasher for FastHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            // the length keeps "a" and "a\0" apart
+            self.add(u64::from_le_bytes(word) ^ ((rest.len() as u64) << 56));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::hash::Hash;
+
+    fn h(x: impl Hash) -> u64 {
+        let mut s = FastHasher::default();
+        x.hash(&mut s);
+        s.finish()
+    }
+
+    #[test]
+    fn distinguishes_what_it_should() {
+        assert_ne!(h(1u32), h(2u32));
+        assert_ne!(h((1u32, 2u32)), h((2u32, 1u32)));
+        assert_ne!(h("a"), h("a\0"));
+        assert_ne!(h([1u8; 9].as_slice()), h([1u8; 10].as_slice()));
+        assert_eq!(h(vec![3u64, 4]), h(vec![3u64, 4]));
+    }
+}

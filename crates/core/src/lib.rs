@@ -28,11 +28,24 @@
 //! columns, costing — is paid per run. A stamp mismatch rebuilds and
 //! replaces; [`RewriteStats`] reports how many views each run found
 //! prepared and how many it built.
+//!
+//! After set-up, a run pays for the join enumeration (Algorithm 1 lines
+//! 2–11): merging member pairs, testing pairs against the query, and the
+//! Proposition 3.5 test that drops a join whose pattern information the
+//! search has already seen. That test, and member deduplication, key on
+//! values — `Arc`-shared node sets hashed once when built, sorted
+//! `(attribute, path)` words per column group — through a small
+//! multiplicative hasher, compared in full on a hit, so no text is
+//! formatted and no hash collision can prune a pair; members' node sets
+//! merge in one linear pass. Most joins a descendant-axis query builds
+//! are still dropped by that test after being built
+//! ([`RewriteStats::pairs_deduped`]).
 
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod containment;
+mod fasthash;
 
 pub use containment::{
     contained, contained_in_union, equivalent, is_satisfiable, one_to_one_connected, ContainOpts,

@@ -28,7 +28,8 @@
 //!   crate docs;
 //! * lines 2-11 — left-deep join enumeration over `⋈_=`, `⋈_≺`, `⋈_≺≺`,
 //!   with satisfiability pruning (dead member sets), the Proposition 3.5
-//!   fingerprint test, and the Proposition 3.6 size bound;
+//!   test on structural pair keys (`PairKey`), and the Proposition 3.6
+//!   size bound;
 //! * line 7 — the `≡_S q` test runs both directions on members: every
 //!   member (strong-closed) must realize its designated tuple in `q`
 //!   (Prop 3.1 / §4.2 decorated embeddings), and every tree of
@@ -43,6 +44,7 @@
 //!   this nesting step cannot be obtained").
 
 use crate::containment::{implies_disjunction, tuple_in, FormulaMode};
+use crate::fasthash::{FastBuild, FastHasher};
 use smv_algebra::{
     AttrKind, CardSource, ColKind, CostModel, FeedbackStore, NavStep, Plan, PlanEstimate,
     Predicate, StructRel,
@@ -52,7 +54,10 @@ use smv_pattern::{associated_paths, Axis, Formula, PNodeId, Pattern};
 use smv_summary::Summary;
 use smv_views::{schema_of, DefCards, View};
 use smv_xml::{IdScheme, NodeId, Symbol};
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -146,6 +151,9 @@ pub struct RewriteStats {
     pub pairs_explored: usize,
     /// (plan, pattern) pairs pruned by the cost bound before exploration.
     pub pairs_pruned: usize,
+    /// Joins dropped by the Proposition 3.5 test: built, then found to
+    /// carry the key of a pair the search had already created.
+    pub pairs_deduped: usize,
 }
 
 /// The outcome of a rewriting run.
@@ -165,15 +173,71 @@ struct ColInfo {
     scheme: IdScheme,
 }
 
-/// One instantiated conjunctive pattern of a pair's union.
+/// A member's ancestor-closed `(summary path, formula)` set, sorted by
+/// path, with its hash — taken once, when the set is built, and read by
+/// every key the member is part of. Shared with the view's
+/// [`PreparedView`] (and between the copies a search makes of a pair)
+/// until a step has to change it.
 #[derive(Clone, Debug)]
+struct NodeSet(Arc<NodeSetInner>);
+
+#[derive(Clone, Debug)]
+struct NodeSetInner {
+    hash: u64,
+    nodes: Vec<(NodeId, Formula)>,
+}
+
+impl NodeSet {
+    fn new(nodes: Vec<(NodeId, Formula)>) -> NodeSet {
+        NodeSet(Arc::new(NodeSetInner {
+            hash: hash_nodes(&nodes),
+            nodes,
+        }))
+    }
+
+    fn hash(&self) -> u64 {
+        self.0.hash
+    }
+
+    /// Changes the set (copying it first if it is shared) and re-hashes it.
+    fn edit<R>(&mut self, f: impl FnOnce(&mut Vec<(NodeId, Formula)>) -> R) -> R {
+        let inner = Arc::make_mut(&mut self.0);
+        let r = f(&mut inner.nodes);
+        inner.hash = hash_nodes(&inner.nodes);
+        r
+    }
+}
+
+impl std::ops::Deref for NodeSet {
+    type Target = [(NodeId, Formula)];
+    fn deref(&self) -> &Self::Target {
+        &self.0.nodes
+    }
+}
+
+impl PartialEq for NodeSet {
+    fn eq(&self, other: &NodeSet) -> bool {
+        self.hash() == other.hash()
+            && (Arc::ptr_eq(&self.0, &other.0) || self.0.nodes == other.0.nodes)
+    }
+}
+
+impl Eq for NodeSet {}
+
+/// One instantiated conjunctive pattern of a pair's union. Two members
+/// are equal when their node sets and column paths are.
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct Member {
-    /// Ancestor-closed `(summary path, formula)` set, sorted by path.
-    /// Shared with the view's [`PreparedView`] (and between the copies a
-    /// search makes of a pair) until a step has to change it.
-    nodes: Arc<Vec<(NodeId, Formula)>>,
+    nodes: NodeSet,
     /// Per plan column: the path its values sit on (`None` = `⊥`).
     col_path: Vec<Option<NodeId>>,
+}
+
+impl Hash for Member {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.nodes.hash());
+        self.col_path.hash(state);
+    }
 }
 
 impl Member {
@@ -183,20 +247,6 @@ impl Member {
             .filter(|(_, f)| !f.is_top())
             .map(|(n, f)| (*n, f.clone()))
             .collect()
-    }
-
-    fn signature(&self) -> String {
-        let mut s = String::new();
-        for (n, f) in self.nodes.iter() {
-            s.push_str(&n.0.to_string());
-            if !f.is_top() {
-                s.push('[');
-                s.push_str(&f.to_string());
-                s.push(']');
-            }
-            s.push(' ');
-        }
-        s
     }
 }
 
@@ -215,38 +265,136 @@ struct Pair {
 }
 
 impl Pair {
-    /// Prop 3.5-style identity: members + per-group offered (attr, path)
-    /// sets; a join that does not change this opens no new rewritings.
-    fn fingerprint(&self) -> String {
-        let mut msigs: Vec<String> = self
-            .members
-            .iter()
-            .map(|m| {
-                let mut s = m.signature();
-                s.push('|');
-                // per group: attrs offered and member binding
-                let mut per_group: HashMap<u32, Vec<String>> = HashMap::new();
-                for (c, info) in self.cols.iter().enumerate() {
-                    per_group
-                        .entry(self.groups[c])
-                        .or_default()
-                        .push(format!("{}@{:?}", info.attr, m.col_path[c]));
-                }
-                let mut gs: Vec<String> = per_group
-                    .into_values()
-                    .map(|mut v| {
-                        v.sort();
-                        v.join(",")
-                    })
-                    .collect();
-                gs.sort();
-                s.push_str(&gs.join(";"));
-                s
-            })
-            .collect();
-        msigs.sort();
-        msigs.join("\n")
+    /// The pair's Prop. 3.5 identity; see [`PairKey`].
+    fn key(&self) -> PairKey {
+        // the columns, grouped (column order within a group kept)
+        let mut by_group: Vec<usize> = (0..self.cols.len()).collect();
+        by_group.sort_by_key(|&c| self.groups[c]);
+        let mut layouts: Vec<u64> = Vec::new();
+        let mut members: Vec<MemberKey> = Vec::with_capacity(self.members.len());
+        let mut codes: Vec<u64> = Vec::with_capacity(self.cols.len());
+        let mut spans: Vec<Range<usize>> = Vec::new();
+        for m in &self.members {
+            codes.clear();
+            spans.clear();
+            for group in by_group.chunk_by(|&x, &y| self.groups[x] == self.groups[y]) {
+                let start = codes.len();
+                codes.extend(
+                    group
+                        .iter()
+                        .map(|&c| layout_code(self.cols[c].attr, m.col_path[c])),
+                );
+                codes[start..].sort_unstable();
+                spans.push(start..codes.len());
+            }
+            spans.sort_unstable_by(|x, y| codes[x.clone()].cmp(&codes[y.clone()]));
+            let start = layouts.len();
+            for span in &spans {
+                layouts.extend_from_slice(&codes[span.clone()]);
+                layouts.push(GROUP_END);
+            }
+            members.push(MemberKey {
+                nodes: m.nodes.clone(),
+                layout_hash: fast_hash(&layouts[start..]),
+                layout: start..layouts.len(),
+            });
+        }
+        // hashes first, contents on a tie: a total order consistent with `==`
+        members.sort_unstable_by(|x, y| {
+            (x.nodes.hash(), x.layout_hash)
+                .cmp(&(y.nodes.hash(), y.layout_hash))
+                .then_with(|| x.nodes[..].cmp(&y.nodes[..]))
+                .then_with(|| layouts[x.layout.clone()].cmp(&layouts[y.layout.clone()]))
+        });
+        let mut h = FastHasher::default();
+        for mk in &members {
+            h.write_u64(mk.nodes.hash());
+            h.write_u64(mk.layout_hash);
+        }
+        PairKey {
+            hash: h.finish(),
+            members,
+            layouts,
+        }
     }
+}
+
+/// A pair's Prop. 3.5 identity: the multiset of its members, each taken
+/// as its node set plus its *layout* — per column group, the sorted
+/// `(attribute, path)` list of the group's columns, the groups sorted. The
+/// plan, the views and the column order are not part of it: a join whose
+/// key the search has already seen opens no new rewriting. Two keys are
+/// equal exactly when those contents are; the hash only decides where to
+/// look, so a collision costs a comparison and never drops a pair.
+struct PairKey {
+    hash: u64,
+    /// In a total order (node set, then layout), so equal multisets line
+    /// up.
+    members: Vec<MemberKey>,
+    /// Every member's layout: its groups' [`layout_code`]s, each group
+    /// followed by [`GROUP_END`].
+    layouts: Vec<u64>,
+}
+
+struct MemberKey {
+    nodes: NodeSet,
+    layout_hash: u64,
+    /// This member's span of [`PairKey::layouts`].
+    layout: Range<usize>,
+}
+
+impl PartialEq for PairKey {
+    fn eq(&self, other: &PairKey) -> bool {
+        self.hash == other.hash
+            && self.members.len() == other.members.len()
+            && self.members.iter().zip(&other.members).all(|(a, b)| {
+                a.layout_hash == b.layout_hash
+                    && a.nodes == b.nodes
+                    && self.layouts[a.layout.clone()] == other.layouts[b.layout.clone()]
+            })
+    }
+}
+
+impl Eq for PairKey {}
+
+impl Hash for PairKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Ends one group of a member's layout; no [`layout_code`] is this large.
+const GROUP_END: u64 = u64::MAX;
+
+/// One column of a member's layout as a word: its path (`0` = `⊥`) above
+/// two bits of attribute.
+fn layout_code(attr: AttrKind, path: Option<NodeId>) -> u64 {
+    let attr = match attr {
+        AttrKind::Id => 0,
+        AttrKind::Label => 1,
+        AttrKind::Value => 2,
+        AttrKind::Content => 3,
+    };
+    (path.map_or(0, |p| u64::from(p.0) + 1) << 2) | attr
+}
+
+/// One word per `T` node (the common case), the intervals only of the
+/// others.
+fn hash_nodes(nodes: &[(NodeId, Formula)]) -> u64 {
+    let mut h = FastHasher::default();
+    for (n, f) in nodes {
+        h.write_u64(u64::from(n.0) << 1 | u64::from(f.is_top()));
+        if !f.is_top() {
+            f.hash(&mut h);
+        }
+    }
+    h.finish()
+}
+
+fn fast_hash<T: Hash + ?Sized>(x: &T) -> u64 {
+    let mut h = FastHasher::default();
+    x.hash(&mut h);
+    h.finish()
 }
 
 /// Context precomputed from the query.
@@ -497,10 +645,12 @@ impl<'a> Rewriter<'a> {
         // collect union candidates: (pair, designations, coverage bitset)
         let mut union_candidates: Vec<(Plan, Vec<bool>)> = Vec::new();
 
-        let mut seen: HashSet<String> = HashSet::new();
+        let mut seen: HashSet<PairKey, FastBuild> = HashSet::default();
         let mut m: Vec<Pair> = Vec::new();
         for p in &m0 {
-            seen.insert(p.fingerprint());
+            #[cfg(test)]
+            tests::created(p);
+            seen.insert(p.key());
             m.push(p.clone());
         }
 
@@ -571,14 +721,15 @@ impl<'a> Rewriter<'a> {
                     if joined.plan.scan_count() > max_scans {
                         continue;
                     }
-                    let fp = joined.fingerprint();
+                    #[cfg(test)]
+                    tests::created(&joined);
                     // Prop 3.5: no new pattern information. Dedup before
                     // costing so a dominated pair is estimated and counted
                     // as pruned once, not once per deriving prefix.
-                    if seen.contains(&fp) {
+                    if !seen.insert(joined.key()) {
+                        result.stats.pairs_deduped += 1;
                         continue;
                     }
-                    seen.insert(fp);
                     joined.cost = model.estimate(&joined.plan).cost;
                     // B&B on the freshly created pair (strictly dominated
                     // before it is ever tested or expanded)
@@ -614,10 +765,12 @@ impl<'a> Rewriter<'a> {
         result.stats.total = t0.elapsed();
         run_span.field("pairs_explored", result.stats.pairs_explored as u64);
         run_span.field("pairs_pruned", result.stats.pairs_pruned as u64);
+        run_span.field("pairs_deduped", result.stats.pairs_deduped as u64);
         run_span.field("rewritings", result.rewritings.len() as u64);
         drop(run_span);
         smv_obs::counter_add("rewrite.pairs_explored", result.stats.pairs_explored as u64);
         smv_obs::counter_add("rewrite.pairs_pruned", result.stats.pairs_pruned as u64);
+        smv_obs::counter_add("rewrite.pairs_deduped", result.stats.pairs_deduped as u64);
         smv_obs::counter_add("rewrite.rewritings_found", result.rewritings.len() as u64);
         smv_obs::counter_add(
             "rewrite.prepared_reused",
@@ -724,7 +877,7 @@ impl<'a> Rewriter<'a> {
                 }
             }
             members.push(Member {
-                nodes: Arc::new(t.path_set()),
+                nodes: NodeSet::new(t.path_set()),
                 col_path,
             });
         }
@@ -907,9 +1060,11 @@ impl<'a> Rewriter<'a> {
                         continue;
                     }
                     let mut bound_m = m.clone();
-                    for p in chain_with(self.s, base, sd) {
-                        upsert_node(Arc::make_mut(&mut bound_m.nodes), p, Formula::top());
-                    }
+                    bound_m.nodes.edit(|nodes| {
+                        for p in chain_with(self.s, base, sd) {
+                            upsert_node(nodes, p, Formula::top());
+                        }
+                    });
                     bound_m
                         .col_path
                         .extend([Some(sd), Some(sd), Some(sd), Some(sd)]);
@@ -975,23 +1130,12 @@ impl<'a> Rewriter<'a> {
                 if !ok {
                     continue;
                 }
-                let mut nodes = Vec::clone(&ma.nodes);
-                let mut sat = true;
-                for (n, f) in mb.nodes.iter() {
-                    if !upsert_node(&mut nodes, *n, f.clone()) {
-                        sat = false;
-                        break;
-                    }
-                }
-                if !sat {
+                let Some(nodes) = merge_nodes(&ma.nodes, &mb.nodes) else {
                     continue;
-                }
+                };
                 let mut col_path = ma.col_path.clone();
                 col_path.extend(mb.col_path.iter().copied());
-                members.push(Member {
-                    nodes: Arc::new(nodes),
-                    col_path,
-                });
+                members.push(Member { nodes, col_path });
             }
         }
         if members.is_empty() {
@@ -1236,7 +1380,7 @@ impl<'a> Rewriter<'a> {
                     for m in &pair.members {
                         let mut mm = m.clone();
                         if let Some(p) = mm.col_path[rep] {
-                            if !conj_node(Arc::make_mut(&mut mm.nodes), p, &qn.predicate) {
+                            if !mm.nodes.edit(|n| conj_node(n, p, &qn.predicate)) {
                                 continue; // unsatisfiable member filtered out
                             }
                         }
@@ -1640,12 +1784,61 @@ fn conj_node(nodes: &mut Vec<(NodeId, Formula)>, path: NodeId, f: &Formula) -> b
     upsert_node(nodes, path, f.clone())
 }
 
+/// `a ∧ b` of two sorted node sets in one pass: a path on one side only
+/// keeps its formula, a shared path takes the conjunction. `None` when a
+/// formula found only in `b`, or a conjunction, is unsatisfiable —
+/// exactly when [`upsert_node`]-ing every node of `b` into `a` fails.
+fn merge_nodes(a: &[(NodeId, Formula)], b: &[(NodeId, Formula)]) -> Option<NodeSet> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let ((na, fa), (nb, fb)) = (&a[i], &b[j]);
+        match na.cmp(nb) {
+            Ordering::Less => {
+                out.push((*na, fa.clone()));
+                i += 1;
+            }
+            Ordering::Greater => {
+                if !fb.is_sat() {
+                    return None;
+                }
+                out.push((*nb, fb.clone()));
+                j += 1;
+            }
+            Ordering::Equal => {
+                let f = fa.and(fb);
+                if !f.is_sat() {
+                    return None;
+                }
+                out.push((*na, f));
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    for (n, f) in &b[j..] {
+        if !f.is_sat() {
+            return None;
+        }
+        out.push((*n, f.clone()));
+    }
+    Some(NodeSet::new(out))
+}
+
+/// Drops repeated members (equal node sets and column paths), keeping
+/// the first of each.
 fn dedup_members(members: &mut Vec<Member>) {
-    let mut seen = HashSet::new();
-    members.retain(|m| {
-        let key = format!("{}§{:?}", m.signature(), m.col_path);
-        seen.insert(key)
-    });
+    if members.len() < 2 {
+        return;
+    }
+    let keep: Vec<bool> = {
+        let mut seen: HashSet<&Member, FastBuild> =
+            HashSet::with_capacity_and_hasher(members.len(), FastBuild::default());
+        members.iter().map(|m| seen.insert(m)).collect()
+    };
+    let mut keep = keep.into_iter();
+    members.retain(|_| keep.next().unwrap_or(true));
 }
 
 /// The chain of summary nodes strictly between `a` (exclusive) and `b`
@@ -1663,13 +1856,358 @@ fn chain_with(s: &Summary, a: NodeId, b: NodeId) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use smv_algebra::execute;
     use smv_pattern::parse_pattern;
     use smv_views::{materialize, Catalog};
-    use smv_xml::Document;
+    use smv_xml::{Document, Value};
+    use std::cell::RefCell;
+    use std::collections::BTreeMap;
 
     fn opts() -> RewriteOpts {
         RewriteOpts::default()
+    }
+
+    thread_local! {
+        /// Every pair `Rewriter::run` creates on this thread — its base
+        /// pairs and every join it builds — while a test is recording.
+        static CREATED: RefCell<Option<Vec<Pair>>> = const { RefCell::new(None) };
+    }
+
+    /// `Rewriter::run`'s hook: records `p` if this thread is recording.
+    pub(super) fn created(p: &Pair) {
+        CREATED.with(|c| {
+            if let Some(v) = c.borrow_mut().as_mut() {
+                v.push(p.clone());
+            }
+        });
+    }
+
+    /// Runs `f`, returning every pair the rewriter created meanwhile.
+    fn recording(f: impl FnOnce()) -> Vec<Pair> {
+        CREATED.with(|c| *c.borrow_mut() = Some(Vec::new()));
+        f();
+        CREATED.with(|c| c.borrow_mut().take()).unwrap_or_default()
+    }
+
+    /// The text identity `Pair::key` replaced (PR 21), kept as the oracle
+    /// the structural keys must partition pairs exactly like.
+    fn oracle_signature(m: &Member) -> String {
+        let mut s = String::new();
+        for (n, f) in m.nodes.iter() {
+            s.push_str(&n.0.to_string());
+            if !f.is_top() {
+                s.push('[');
+                s.push_str(&f.to_string());
+                s.push(']');
+            }
+            s.push(' ');
+        }
+        s
+    }
+
+    fn oracle_fingerprint(p: &Pair) -> String {
+        let mut msigs: Vec<String> = p
+            .members
+            .iter()
+            .map(|m| {
+                let mut s = oracle_signature(m);
+                s.push('|');
+                let mut per_group: HashMap<u32, Vec<String>> = HashMap::new();
+                for (c, info) in p.cols.iter().enumerate() {
+                    per_group
+                        .entry(p.groups[c])
+                        .or_default()
+                        .push(format!("{}@{:?}", info.attr, m.col_path[c]));
+                }
+                let mut gs: Vec<String> = per_group
+                    .into_values()
+                    .map(|mut v| {
+                        v.sort();
+                        v.join(",")
+                    })
+                    .collect();
+                gs.sort();
+                s.push_str(&gs.join(";"));
+                s
+            })
+            .collect();
+        msigs.sort();
+        msigs.join("\n")
+    }
+
+    /// The text key `dedup_members` used before PR 21.
+    fn oracle_member_key(m: &Member) -> String {
+        format!("{}§{:?}", oracle_signature(m), m.col_path)
+    }
+
+    /// Holds `key(i) == key(j) ⇔ oracle(i) == oracle(j)` over `pairs`:
+    /// the first pair of each key class must be the first of its oracle
+    /// class. Returns (pairs, classes).
+    fn assert_keys_match_oracle(pairs: &[Pair], at: &str) -> (usize, usize) {
+        let mut by_text: HashMap<String, usize> = HashMap::new();
+        let mut by_key: HashMap<PairKey, usize> = HashMap::new();
+        for (i, p) in pairs.iter().enumerate() {
+            let text = oracle_fingerprint(p);
+            let t = *by_text.entry(text.clone()).or_insert(i);
+            let k = *by_key.entry(p.key()).or_insert(i);
+            assert_eq!(
+                t, k,
+                "{at}: pair {i} keys with pair {k} but its text matches pair {t}:\n{text}"
+            );
+            // dedup_members removed exactly what the text key would have
+            let mut member_keys: Vec<String> = p.members.iter().map(oracle_member_key).collect();
+            member_keys.sort();
+            member_keys.dedup();
+            assert_eq!(member_keys.len(), p.members.len(), "{at}: pair {i}");
+        }
+        (pairs.len(), by_key.len())
+    }
+
+    /// What `smvbench` registers: the advisor's five views at scale 10
+    /// (`pr3_workload` under 90 % of its singleton budget) and
+    /// `pr7_views`.
+    const BENCH_VIEWS: [(&str, &str); 9] = [
+        (
+            "adv8",
+            "site(/open_auctions(/open_auction{id}(/initial{v}, /current{v})))",
+        ),
+        ("adv6", "site(/regions(/asia(/item{id}(/name{v}))))"),
+        (
+            "adv5",
+            "site(/closed_auctions(/closed_auction{id}(/price{v}[v>400])))",
+        ),
+        (
+            "adv2",
+            "site(/open_auctions(/open_auction{id}(/bidder(/increase{v}))))",
+        ),
+        (
+            "adv9",
+            "site(/people(/person{id}(/name{v}, /emailaddress{v})))",
+        ),
+        ("items", "site(//item{id}(/name{id,v}))"),
+        ("names", "site(//name{id,v})"),
+        ("quantities", "site(//quantity{id,v})"),
+        ("maybe_named", "site(//item{id}(?/name{id,v}))"),
+    ];
+
+    /// The 11 pool queries and the 8 `adhoc` templates of
+    /// `smvbench/src/workloads.rs`, `@` filled in.
+    const BENCH_QUERIES: [&str; 19] = [
+        "site(/open_auctions(/open_auction{id}(/initial{v})))",
+        "site(/open_auctions(/open_auction{id}(/current{v})))",
+        "site(/people(/person{id}(/name{v})))",
+        "site(/open_auctions(/open_auction{id}(/bidder(/increase{v}))))",
+        "site(/people(/person{id}(/emailaddress{v})))",
+        "site(/closed_auctions(/closed_auction{id}(/price{v}[v>400])))",
+        "site(/regions(/asia(/item{id}(/name{v}))))",
+        "site(/open_auctions(/open_auction{id}(/initial{v}, /current{v})))",
+        "site(//name{id,v})",
+        "site(//item{id}(/name{id,v}))",
+        "site(//quantity{id,v})",
+        "site(/open_auctions(/open_auction{id}(/initial{v}[v>50 and v<1000001])))",
+        "site(/open_auctions(/open_auction{id}(/current{v}[v>100 and v<1000002])))",
+        "site(/open_auctions(/open_auction{id}(/bidder(/increase{v}[v>10 and v<1000003]))))",
+        "site(/closed_auctions(/closed_auction{id}(/price{v}[v>500 and v<1000004])))",
+        "site(/open_auctions(/open_auction{id}(/initial{v}[v>50 and v<1000005], /current{v})))",
+        "site(/open_auctions(/open_auction{id}(/initial{v}, /current{v}[v>100 and v<1000006])))",
+        "site(//quantity{id,v}[v>2 and v<1000007])",
+        "site(//quantity{v}[v>3 and v<1000008])",
+    ];
+
+    #[test]
+    fn structural_keys_partition_benchmark_pairs_like_the_text_oracle() {
+        let doc = smv_datagen::pr7_document(10.0, 1);
+        let s = Summary::of(&doc);
+        let views: Vec<View> = BENCH_VIEWS
+            .iter()
+            .map(|(name, src)| View::new(name, parse_pattern(src).unwrap(), IdScheme::OrdPath))
+            .collect();
+        let (mut pairs, mut classes, mut deduped) = (0, 0, 0);
+        for q_src in BENCH_QUERIES {
+            let q = parse_pattern(q_src).unwrap();
+            let mut r = RewriteResult::default();
+            let created = recording(|| r = rewrite(&q, &views, &s, &opts()));
+            let (n, k) = assert_keys_match_oracle(&created, q_src);
+            pairs += n;
+            classes += k;
+            deduped += r.stats.pairs_deduped;
+        }
+        // not vacuous: the search builds many pairs and drops most
+        assert!(pairs > 1000, "{pairs} pairs");
+        assert!(deduped > pairs / 2, "{deduped} of {pairs} deduplicated");
+        // every drop is a key hit; the other repeats are base pairs (two
+        // views offering the same members)
+        assert!(
+            (deduped..=deduped + BENCH_VIEWS.len() * BENCH_QUERIES.len())
+                .contains(&(pairs - classes)),
+            "{pairs} pairs, {classes} keys, {deduped} dropped"
+        );
+    }
+
+    fn f_gt(c: i64) -> Formula {
+        Formula::gt(Value::int(c))
+    }
+
+    fn id_value_pair(members: Vec<Member>) -> Pair {
+        Pair {
+            plan: Plan::Scan { view: "t".into() },
+            cols: [AttrKind::Id, AttrKind::Value, AttrKind::Id]
+                .into_iter()
+                .map(|attr| ColInfo {
+                    attr,
+                    scheme: IdScheme::OrdPath,
+                })
+                .collect(),
+            groups: vec![0, 0, 1],
+            members,
+            views: Vec::new(),
+            cost: 0.0,
+        }
+    }
+
+    fn member(nodes: &[(u32, Formula)], col_path: &[Option<u32>]) -> Member {
+        Member {
+            nodes: NodeSet::new(nodes.iter().map(|(n, f)| (NodeId(*n), f.clone())).collect()),
+            col_path: col_path.iter().map(|p| p.map(NodeId)).collect(),
+        }
+    }
+
+    /// Asserts that the keys of `a` and `b` agree with the oracle and are
+    /// `equal`.
+    fn keys_agree(a: &Pair, b: &Pair, equal: bool) {
+        assert_eq!(oracle_fingerprint(a) == oracle_fingerprint(b), equal);
+        assert_eq!(a.key() == b.key(), equal);
+        if equal {
+            assert_eq!(a.key().hash, b.key().hash);
+        }
+    }
+
+    #[test]
+    fn keys_tell_apart_members_differing_only_in_a_formula() {
+        let top = Formula::top();
+        let cols = [Some(2), Some(2), Some(3)];
+        let m = |f: Formula| member(&[(0, top.clone()), (2, f), (3, top.clone())], &cols);
+        let base = id_value_pair(vec![m(top.clone())]);
+        keys_agree(&base, &id_value_pair(vec![m(f_gt(1))]), false);
+        keys_agree(
+            &id_value_pair(vec![m(f_gt(1))]),
+            &id_value_pair(vec![m(f_gt(2))]),
+            false,
+        );
+        // equal contents in distinct allocations: equal keys
+        keys_agree(
+            &id_value_pair(vec![m(f_gt(1))]),
+            &id_value_pair(vec![m(f_gt(1))]),
+            true,
+        );
+        // and a different path where the formula was
+        keys_agree(
+            &base,
+            &id_value_pair(vec![member(
+                &[(0, top.clone()), (2, top.clone()), (4, top.clone())],
+                &cols,
+            )]),
+            false,
+        );
+    }
+
+    #[test]
+    fn keys_ignore_column_order_and_group_numbering_but_not_grouping() {
+        let nodes = [
+            (0, Formula::top()),
+            (2, Formula::top()),
+            (3, Formula::top()),
+        ];
+        let a = id_value_pair(vec![member(&nodes, &[Some(2), Some(2), Some(3)])]);
+        // the same groups, columns permuted and groups renumbered
+        let mut b = id_value_pair(vec![member(&nodes, &[Some(3), Some(2), Some(2)])]);
+        b.cols = [AttrKind::Id, AttrKind::Value, AttrKind::Id]
+            .into_iter()
+            .map(|attr| ColInfo {
+                attr,
+                scheme: IdScheme::OrdPath,
+            })
+            .collect();
+        b.cols.swap(1, 2);
+        b.groups = vec![7, 4, 4];
+        b.members[0].col_path = vec![Some(NodeId(3)), Some(NodeId(2)), Some(NodeId(2))];
+        // cols of b: [Id@3 (g7), Id@2 (g4), Value@2 (g4)]
+        keys_agree(&a, &b, true);
+        // the same columns split differently: ID and value apart
+        let mut c = a.clone();
+        c.groups = vec![0, 1, 2];
+        keys_agree(&a, &c, false);
+        // group-of-two on the other ID
+        let mut d = a.clone();
+        d.groups = vec![0, 1, 1];
+        keys_agree(&a, &d, false);
+    }
+
+    #[test]
+    fn keys_count_duplicate_members() {
+        let m1 = member(
+            &[(0, Formula::top()), (2, Formula::top())],
+            &[Some(2), Some(2), None],
+        );
+        let m2 = member(
+            &[(0, Formula::top()), (3, Formula::top())],
+            &[Some(3), Some(3), None],
+        );
+        let one = id_value_pair(vec![m1.clone()]);
+        let two = id_value_pair(vec![m1.clone(), m1.clone()]);
+        keys_agree(&one, &two, false);
+        // a multiset: order does not matter, multiplicity does
+        keys_agree(
+            &id_value_pair(vec![m1.clone(), m2.clone()]),
+            &id_value_pair(vec![m2.clone(), m1.clone()]),
+            true,
+        );
+        keys_agree(
+            &id_value_pair(vec![m1.clone(), m1.clone(), m2.clone()]),
+            &id_value_pair(vec![m1.clone(), m2.clone(), m2.clone()]),
+            false,
+        );
+        // dedup_members keeps the first of equal members, in order
+        let mut ms = vec![m2.clone(), m1.clone(), m2.clone(), m1.clone()];
+        dedup_members(&mut ms);
+        assert_eq!(ms, vec![m2, m1]);
+    }
+
+    /// Sorted, unique node sets with formulas that make conjunctions
+    /// unsatisfiable often (`v>c ∧ v<d`, `F`).
+    fn node_set() -> impl Strategy<Value = Vec<(NodeId, Formula)>> {
+        proptest::collection::vec((0u32..12, 0u8..6, 0i64..6), 0..9).prop_map(|raw| {
+            let mut set = BTreeMap::new();
+            for (n, kind, c) in raw {
+                let c = Value::int(c);
+                let f = match kind {
+                    0 | 1 => Formula::top(),
+                    2 => Formula::eq(c),
+                    3 => Formula::lt(c),
+                    4 => Formula::gt(c),
+                    _ => Formula::bottom(),
+                };
+                set.insert(NodeId(n), f);
+            }
+            set.into_iter().collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one-pass merge is the `upsert_node` loop it replaced.
+        #[test]
+        fn linear_merge_is_the_upsert_loop(a in node_set(), b in node_set()) {
+            let mut upserted = a.clone();
+            let sat = b.iter().all(|(n, f)| upsert_node(&mut upserted, *n, f.clone()));
+            let merged = merge_nodes(&a, &b);
+            prop_assert_eq!(merged.as_deref(), sat.then_some(upserted.as_slice()));
+            if let Some(m) = merged {
+                prop_assert_eq!(m.hash(), NodeSet::new(upserted).hash());
+            }
+        }
     }
 
     /// End-to-end: rewrite, execute, compare against direct evaluation.

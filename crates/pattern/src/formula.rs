@@ -11,7 +11,7 @@ use smv_xml::Value;
 use std::cmp::Ordering;
 
 /// An endpoint of an interval.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub enum Bound {
     /// Unbounded below.
     NegInf,
@@ -24,7 +24,7 @@ pub enum Bound {
 }
 
 /// A non-empty interval of atomic values.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Interval {
     /// Lower endpoint (`NegInf`, `Incl`, or `Excl`).
     pub lo: Bound,
@@ -118,7 +118,10 @@ impl Interval {
 
 /// A formula in canonical form: `T`, or a sorted union of disjoint,
 /// non-touching intervals that is not `(−∞, +∞)`; `F` = empty union.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+///
+/// `Ord` is a structural total order consistent with `==` — a sort key
+/// for sets of formulas, not implication (that is [`Formula::implies`]).
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Formula {
     /// `T` is a flag and no interval: nearly every pattern node carries
     /// it, and one rewriting builds, clones and tests it some 10⁵ times,

@@ -29,7 +29,7 @@ pub mod writer;
 pub use ids::{DeweyId, IdAssignment, IdScheme, OrdPath, StructId};
 pub use label::{Label, Symbol};
 pub use live::{AppliedBatch, LiveDoc, LiveError, Update, UpdateBatch};
-pub use parser::{parse_document, ParseError};
+pub use parser::{parse_document, ParseError, MAX_DEPTH};
 pub use tree::{Document, NodeId, TreeBuilder};
 pub use treelike::LabeledTree;
 pub use value::Value;

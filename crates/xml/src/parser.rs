@@ -6,6 +6,11 @@
 //! and a skipped DOCTYPE. This covers all documents the benchmark
 //! generators and the paper's examples produce; full XML (namespaces, DTD
 //! entity expansion, …) is out of scope and rejected gracefully.
+//!
+//! Elements nest at most [`MAX_DEPTH`] deep: the parser recurses once per
+//! level, and so do the summary, the ID schemes and materialization above
+//! it, so a deeper document is refused here, with an error, instead of
+//! overflowing a stack further up.
 
 use crate::label::Label;
 use crate::tree::{Document, TreeBuilder};
@@ -32,9 +37,17 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest element nesting [`parse_document`] accepts (the root is level
+/// 1). Data-oriented XML is shallow — XMark documents are 12 levels deep
+/// — and a document at this depth still goes through parsing, the
+/// summary and materialization on a 2 MB thread stack.
+pub const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Elements open around `pos`.
+    depth: usize,
     builder: TreeBuilder,
     text_buf: String,
 }
@@ -44,6 +57,7 @@ pub fn parse_document(input: &str) -> Result<Document, ParseError> {
     let mut p = Parser {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
         builder: TreeBuilder::new(),
         text_buf: String::new(),
     };
@@ -162,9 +176,13 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_element(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("elements nested deeper than {MAX_DEPTH} levels"));
+        }
         self.expect("<")?;
         let name = self.read_name()?;
         self.builder.open(Label::intern(&name));
+        self.depth += 1;
         // attributes
         loop {
             self.skip_ws();
@@ -176,6 +194,7 @@ impl<'a> Parser<'a> {
                 Some(b'/') => {
                     self.expect("/>")?;
                     self.builder.close();
+                    self.depth -= 1;
                     return Ok(());
                 }
                 _ => {
@@ -224,6 +243,7 @@ impl<'a> Parser<'a> {
                 self.skip_ws();
                 self.expect(">")?;
                 self.builder.close();
+                self.depth -= 1;
                 return Ok(());
             } else if self.starts_with("<!--") {
                 self.skip_until("-->")?;
@@ -389,6 +409,26 @@ mod tests {
     #[test]
     fn trailing_garbage_error() {
         assert!(parse_document("<a/><b/>").is_err());
+    }
+
+    /// `<a>` `depth` times, closed.
+    fn nested(depth: usize) -> String {
+        "<a>".repeat(depth) + &"</a>".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_refused_beyond_the_cap_at_the_refused_tag() {
+        let d = parse_document(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(d.len(), MAX_DEPTH);
+        let e = parse_document(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.position, 3 * MAX_DEPTH, "at the refused `<`: {e}");
+        // self-closing at the cap counts too
+        let src = "<a>".repeat(MAX_DEPTH - 1) + "<b/>" + &"</a>".repeat(MAX_DEPTH - 1);
+        assert!(parse_document(&src).is_ok());
+        let src = "<a>".repeat(MAX_DEPTH) + "<b/>" + &"</a>".repeat(MAX_DEPTH);
+        assert!(parse_document(&src).is_err());
+        // far deeper input fails the same way, without recursing into it
+        assert!(parse_document(&nested(200_000)).is_err());
     }
 
     #[test]

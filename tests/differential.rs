@@ -3,11 +3,13 @@
 //! at every thread count. This is the harness that proves the on-disk
 //! columnar store is a drop-in [`ViewProvider`](smv::algebra::ViewProvider).
 //!
-//! The suite checks *provider equivalence* for every rewriting the
-//! rewriter emits (all arms byte-identical), plus *semantic soundness*
-//! for the best matching rewriting (some rewriting reproduces direct
-//! evaluation). Rewriter completeness itself is covered by
-//! `tests/end_to_end.rs`.
+//! The suite checks, for every rewriting the rewriter emits, *provider
+//! equivalence* (all arms byte-identical at 1 and 4 threads) and
+//! *soundness* (the answer is direct evaluation's) — not the best one, not
+//! any one: an unsound second-ranked rewriting fails it. The random-tree
+//! property checks provider equivalence only: soundness there fails today
+//! on a recursive document (ROADMAP item 5). Rewriter completeness itself
+//! is covered by `tests/end_to_end.rs`.
 
 use proptest::prelude::*;
 use smv::prelude::*;
@@ -40,31 +42,31 @@ fn figure1_doc() -> Document {
     )
 }
 
-/// Runs every rewriting of `query` through the full matrix and asserts
-/// at least one rewriting reproduces direct evaluation. Returns how many
-/// rewritings were checked.
-fn check_query(matrix: &ProviderMatrix, doc: &Document, scheme: IdScheme, query: &str) -> usize {
-    let q = parse_pattern(query).unwrap();
-    let res = rewrite(
-        &q,
-        matrix.views(),
-        matrix.summary(),
-        &RewriteOpts::default(),
-    );
-    if res.rewritings.is_empty() {
-        return 0;
-    }
-    let direct = materialize(&q, doc, scheme);
-    let mut any_sound = false;
-    for rw in res.rewritings.iter().take(4) {
+/// Runs every rewriting of `q` through the full matrix at 1 and 4
+/// threads and asserts that each one reproduces direct evaluation.
+/// Returns how many rewritings were checked.
+fn check_rewritings(
+    matrix: &ProviderMatrix,
+    doc: &Document,
+    scheme: IdScheme,
+    q: &Pattern,
+) -> usize {
+    let res = rewrite(q, matrix.views(), matrix.summary(), &RewriteOpts::default());
+    let direct = materialize(q, doc, scheme);
+    for (i, rw) in res.rewritings.iter().enumerate() {
         let (rel, _) = matrix.check(&rw.plan, &[1, 4]);
-        any_sound |= rel.set_eq(&direct);
+        assert!(
+            rel.set_eq(&direct),
+            "{} ({scheme:?}): rewriting #{i} differs from direct evaluation\nplan:\n{}",
+            canonical_form(q),
+            rw.plan
+        );
     }
-    assert!(
-        any_sound,
-        "query {query} ({scheme:?}): no checked rewriting reproduces direct evaluation"
-    );
-    res.rewritings.len().min(4)
+    res.rewritings.len()
+}
+
+fn check_query(matrix: &ProviderMatrix, doc: &Document, scheme: IdScheme, query: &str) -> usize {
+    check_rewritings(matrix, doc, scheme, &parse_pattern(query).unwrap())
 }
 
 /// A handful of rewritable queries over Figure 1, checked across the
@@ -96,7 +98,7 @@ fn figure1_queries_are_provider_invariant() {
 
 /// The bench-pr2 workload (wide + exact views per XMark query): every
 /// rewriting of every case returns the same rows from every arm, and
-/// some rewriting matches direct evaluation.
+/// those rows are direct evaluation's.
 #[test]
 fn pr2_workload_is_provider_invariant_on_xmark() {
     let doc = xmark(&XmarkConfig {
@@ -105,28 +107,8 @@ fn pr2_workload_is_provider_invariant_on_xmark() {
     });
     for case in smv::datagen::pr2_workload(IdScheme::OrdPath) {
         let matrix = ProviderMatrix::from_views(&doc, case.views.clone());
-        let res = rewrite(
-            &case.query,
-            matrix.views(),
-            matrix.summary(),
-            &RewriteOpts::default(),
-        );
-        assert!(
-            !res.rewritings.is_empty(),
-            "pr2 case {} should rewrite",
-            case.name
-        );
-        let direct = materialize(&case.query, &doc, IdScheme::OrdPath);
-        let mut any_sound = false;
-        for rw in res.rewritings.iter().take(4) {
-            let (rel, _) = matrix.check(&rw.plan, &[1, 4]);
-            any_sound |= rel.set_eq(&direct);
-        }
-        assert!(
-            any_sound,
-            "pr2 case {}: no rewriting reproduces direct evaluation",
-            case.name
-        );
+        let checked = check_rewritings(&matrix, &doc, IdScheme::OrdPath, &case.query);
+        assert!(checked > 0, "pr2 case {} should rewrite", case.name);
     }
 }
 
