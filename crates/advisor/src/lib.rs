@@ -4,8 +4,8 @@
 //! it; this crate inverts the problem, following the query-clustering
 //! view-selection line of Mahboubi/Aouiche/Darmont (arXiv:0809.1963,
 //! arXiv:1701.08088): given a **workload** — tree-pattern queries with
-//! frequencies — and a structural [`Summary`], propose the view set to
-//! materialize under a storage budget.
+//! frequencies — and a structural [`Summary`](smv_summary::Summary),
+//! propose the view set to materialize under a storage budget.
 //!
 //! The pipeline:
 //!
@@ -37,7 +37,6 @@ pub use select::{advise, advise_exhaustive, navigation_cost, Advice, AdvisedView
 
 use smv_core::RewriteOpts;
 use smv_pattern::Pattern;
-use smv_summary::Summary;
 use smv_xml::IdScheme;
 
 /// One workload query: a tree pattern plus its relative frequency.
@@ -113,11 +112,4 @@ impl Default for AdvisorOpts {
             max_candidates: 24,
         }
     }
-}
-
-/// Convenience: mine candidates and run the greedy advisor in one call.
-pub fn advise_workload(w: &Workload, s: &Summary, opts: &AdvisorOpts) -> (Vec<Candidate>, Advice) {
-    let cands = mine_candidates(w, s, opts);
-    let advice = advise(w, s, &cands, opts);
-    (cands, advice)
 }

@@ -24,7 +24,7 @@ use crate::struct_join::{
     doc_sorted_indices, stack_tree_join_presorted, stack_tree_join_presorted_range,
 };
 use smv_pattern::Axis;
-use smv_xml::par::{par_map, WorkerPool};
+use smv_xml::par::WorkerPool;
 use smv_xml::{parse_document, serialize_subtree, Document, NodeId, StructId, Symbol};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -204,9 +204,9 @@ fn morsel_ranges(rows: usize, morsel: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// Runs `n` index tasks with `opts`'s parallelism: on the pool when one
-/// is attached (resolved parallel options always have one), otherwise on
-/// a scoped fallback pool. Keeps `par_map`'s contract — results in index
-/// order, worker panics re-raised on the caller.
+/// is attached (resolved parallel options always have one), otherwise
+/// inline. Results come back in index order; a worker's panic is
+/// re-raised on the caller.
 fn run_par<R, F>(opts: &ExecOpts, n: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -214,7 +214,7 @@ where
 {
     match &opts.pool {
         Some(p) => p.pool_map(opts.threads, n, f),
-        None => par_map(opts.threads, n, f),
+        None => (0..n).map(f).collect(),
     }
 }
 

@@ -1,129 +1,19 @@
-//! Regenerates every table and figure of the paper's §5 and prints them
+//! Regenerates the tables and figures of the paper's §5 and prints them
 //! in the paper's layout.
 //!
 //! ```text
-//! experiments [table1|fig13|fig14|fig15|bench-pr1|…|bench-pr10|all] [--scale <f>] [--out <path>]
+//! experiments [table1|fig13|fig14|fig15|all] [--scale <f>]
 //! ```
 //!
-//! `bench-pr1` micro-benchmarks the executor hot paths this repo's PR 1
-//! rebuilt — the sort-based structural join against the nested-loop
-//! oracle, and comparator/hash row dedup against the old string-key
-//! encoding — on an XMark document of ≥ 10k nodes, and writes the
-//! before/after numbers to `BENCH_PR1.json` (override with `--out`).
-//!
-//! `bench-pr2` exercises the PR 2 cost layer: for each query of the
-//! `smv_datagen::pr2` workload it executes the cost-ranked best plan, the
-//! discovery-order first plan (PR 1's behavior), and the worst-ranked
-//! plan on a generated XMark document, recording estimated vs actual row
-//! counts and wall times; it also reruns the Figure-15 workload with the
-//! branch-and-bound cost bound on and off and reports the enumerated
-//! (plan, pattern) pair counts. Results land in `BENCH_PR2.json`.
-//!
-//! `bench-pr4` exercises the PR 4 adaptive execution loop on the
-//! `smv_datagen::pr4` workload, whose frequency-skewed values saturate
-//! the distinct sketch and make static cost ranking pick a worse plan on
-//! misrank queries. Each iteration re-ranks every query through a shared
-//! `AdaptiveSession` (rewrite → execute profiled → ingest), recording the
-//! chosen plan, its latency against the static choice and the true best
-//! plan, and the estimate error — demonstrating convergence to the true
-//! best plan within a few iterations. It also checks that unprofiled
-//! `execute` pays nothing for the instrumentation. Results land in
-//! `BENCH_PR4.json`.
-//!
-//! `bench-pr5` measures the sharded parallel execution engine: it
-//! materializes summary-path-sharded views (`Catalog::add_sharded`) over
-//! an XMark document and times the ancestor- and parent-join workloads
-//! under `ExecOpts { threads: 1, 2, 4, 8 }` — per-path-pair shard tasks
-//! for scan-scan joins, chunked merges otherwise — recording the 1→N
-//! scaling and a `parallel_equivalent` flag (results **and** per-operator
-//! `ExecProfile` counters identical between sequential and parallel
-//! execution; the CI smoke asserts the flag, since wall-clock scaling
-//! depends on the host's core count, which is also recorded). Results
-//! land in `BENCH_PR5.json`.
-//!
-//! `bench-pr6` measures the persistent worker pool that replaced PR 5's
-//! per-join scoped spawning: (a) a dispatch microbench — the cost of
-//! running four trivial tasks through `WorkerPool::pool_map` (parked
-//! threads, injector queue) vs `par_map` (fresh `std::thread::scope`
-//! spawn per call); (b) the bench-pr5 workloads plus a mixed
-//! join→select→dedup→nest plan that shares one pool across operators,
-//! timed under 1/2/4/8 threads; (c) a `parallel_equivalent` flag (rows
-//! and `ExecProfile` counters identical between sequential and pooled
-//! execution) and the `host_cores` context the scaling numbers depend
-//! on. The CI smoke asserts `parallel_equivalent` and
-//! `pool_cheaper_than_spawn` (pool dispatch ≤ scope-spawn dispatch — a
-//! relative comparison immune to noisy-runner wall-clock flake); the
-//! absolute ≤10µs bound is recorded as `dispatch_overhead_ok` but not
-//! CI-enforced. Results land in `BENCH_PR6.json`; `BENCH_PR5.json` stays
-//! for trajectory.
-//!
-//! `bench-pr7` measures epoch-based incremental view maintenance: for
-//! churn fractions 1%/10%/50% it streams `smv_datagen::pr7` update
-//! batches into an `EpochCatalog` and times the delta-maintenance path
-//! (`apply`: ID kill sets + restricted re-evaluation + publish) against
-//! a from-scratch rebuild of every view at the same document state. A
-//! `maintenance_equivalent` flag (every maintained extent byte-equal to
-//! its rebuilt oracle, every round) is CI-asserted; the headline is the
-//! per-churn `speedup` (delta is expected ≥5x at ≤10% churn). Results
-//! land in `BENCH_PR7.json`.
-//!
-//! `bench-pr8` measures the PR 8 observability layer: it reruns the
-//! bench-pr1 ancestor-join workload *through the executor* three ways —
-//! a replica of the pre-instrumentation sequential code path (public
-//! kernels: doc-order sort, stack-tree join, row construction,
-//! normalize), `execute` with tracing disabled, and `execute` with the
-//! tracing subscriber enabled — and records the overhead ratios. The CI
-//! smoke asserts `obs_overhead_ok` (tracing-disabled execution within 5%
-//! of the pre-obs baseline). It also runs an XMark query through an
-//! `AdaptiveSession`, prints its `EXPLAIN ANALYZE` transcript
-//! (estimated vs actual rows, q-error, per-operator wall time), and
-//! embeds a snapshot of the metrics registry (rewriter counters, pool
-//! gauges, feedback hit/miss) in `BENCH_PR8.json`.
-//!
-//! `bench-pr9` measures the PR 9 multi-client query service: (a) a
-//! hot-query microbench — a Zipf-skewed mix served with the full cache
-//! stack (pattern / plan / result) against the same service with plan
-//! and result caching disabled, the headline being the cached speedup
-//! (CI asserts ≥5×); (b) a coherence run — every response, cold or
-//! cached, interleaved with `Pr7Stream` maintenance batches, is compared
-//! byte-for-byte against a fresh rank + sequential execute on the exact
-//! epoch snapshot it was served from (`cache_results_equivalent`,
-//! CI-asserted); (c) a simulated-client sweep at 1/2/4/8 concurrent
-//! clients with an updater thread applying batches mid-load, recording
-//! throughput and p50/p99 latency from the smv-obs `serve.latency_ns`
-//! histogram plus the admission scheduler's inter/intra verdict counts
-//! per scale. Results land in `BENCH_PR9.json`.
-//!
-//! `bench-pr10` measures the PR 10 on-disk columnar store: (a) per-query
-//! cold-open (fresh `DiskStore::open` + decode) vs warm (resident pages
-//! and extents) vs in-memory execution times on the bench-pr2 workload;
-//! (b) a buffer-pool hit-rate sweep — repeated sequential segment scans
-//! under shrinking pool budgets, recording hits/misses/evictions from
-//! the pool stats; (c) a `disk_results_equivalent` flag — every checked
-//! rewriting answered byte-identically by the in-memory, sharded,
-//! cold-disk and warm-disk providers at 1 and 4 threads (CI-asserted);
-//! (d) a `recovery_ok` flag — a condensed crash sweep injecting
-//! stop/torn-write/dropped-fsync faults at every operation index of an
-//! epoch publish, asserting the reopened store always serves a complete
-//! epoch (CI-asserted); (e) warm-start — an adaptive session seeded from
-//! the persisted summary + feedback store must pick its converged plans
-//! from iteration 1, vs the iterations the cold session needed. Results
-//! land in `BENCH_PR10.json`.
-//!
-//! `bench-pr3` exercises the PR 3 view advisor: it advises on the
-//! weighted `smv_datagen::pr3` XMark workload under a storage budget (90%
-//! of the all-singleton estimate), materializes the chosen set, and
-//! records per-query and total workload execution times for three
-//! regimes — the advised set, the all-singleton-tag baseline
-//! (`seed_views`, which must reassemble answers with structural joins),
-//! and no views at all (direct document navigation). Results land in
-//! `BENCH_PR3.json`.
+//! `--scale` sizes Table 1's documents; `table1 --scale 0.1` is
+//! deterministic, and CI diffs it against `tests/golden/table1_scale0.1.txt`.
+//! The system's own benchmark — the whole stack under fixed workloads,
+//! layer by layer — is `smvbench` (see `smvbench/README.md`).
 
 use smv_bench::*;
 use smv_datagen::{dblp, xmark, DblpSnapshot, XmarkConfig};
 use smv_summary::{Summary, SummaryStats};
 use smv_xml::serialize_document;
-use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -134,26 +24,11 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(1.0);
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
     match which {
         "table1" => table1(scale),
         "fig13" => fig13(),
         "fig14" => fig14(),
         "fig15" => fig15(),
-        "bench-pr1" => bench_pr1(&out.unwrap_or_else(|| "BENCH_PR1.json".into())),
-        "bench-pr2" => bench_pr2(scale, &out.unwrap_or_else(|| "BENCH_PR2.json".into())),
-        "bench-pr3" => bench_pr3(scale, &out.unwrap_or_else(|| "BENCH_PR3.json".into())),
-        "bench-pr4" => bench_pr4(scale, &out.unwrap_or_else(|| "BENCH_PR4.json".into())),
-        "bench-pr5" => bench_pr5(scale, &out.unwrap_or_else(|| "BENCH_PR5.json".into())),
-        "bench-pr6" => bench_pr6(scale, &out.unwrap_or_else(|| "BENCH_PR6.json".into())),
-        "bench-pr7" => bench_pr7(scale, &out.unwrap_or_else(|| "BENCH_PR7.json".into())),
-        "bench-pr8" => bench_pr8(scale, &out.unwrap_or_else(|| "BENCH_PR8.json".into())),
-        "bench-pr9" => bench_pr9(scale, &out.unwrap_or_else(|| "BENCH_PR9.json".into())),
-        "bench-pr10" => bench_pr10(scale, &out.unwrap_or_else(|| "BENCH_PR10.json".into())),
         "all" => {
             table1(scale);
             fig13();
@@ -161,1446 +36,10 @@ fn main() {
             fig15();
         }
         other => {
-            eprintln!(
-                "unknown experiment `{other}`; use table1|fig13|fig14|fig15|bench-pr1|bench-pr2|bench-pr3|bench-pr4|bench-pr5|bench-pr6|bench-pr7|bench-pr8|bench-pr9|bench-pr10|all"
-            );
+            eprintln!("unknown experiment `{other}`; use table1|fig13|fig14|fig15|all");
             std::process::exit(2);
         }
     }
-}
-
-/// Median-of-samples wall time of `f` in nanoseconds (shared by every
-/// bench-prN function so the timing methodology cannot drift between
-/// benches).
-fn measure<O>(samples: usize, mut f: impl FnMut() -> O) -> u64 {
-    let mut times: Vec<u64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            std::hint::black_box(f());
-            t.elapsed().as_nanos() as u64
-        })
-        .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
-/// PR 6 worker-pool benchmark → `BENCH_PR6.json`.
-fn bench_pr6(scale: f64, out: &str) {
-    use smv_algebra::{
-        execute_profiled, execute_profiled_with, execute_with, ExecOpts, Plan, Predicate,
-        StructRel, ViewProvider, WorkerPool,
-    };
-    use smv_pattern::parse_pattern;
-    use smv_views::{Catalog, View};
-    use smv_xml::par::par_map;
-    use smv_xml::IdScheme;
-    use std::sync::Arc;
-
-    println!("== PR 6: persistent worker pool + morsel scheduling ==");
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    // ---- (a) dispatch overhead: parked pool vs fresh scoped spawn.
-    // Four trivial tasks make the map itself ~free, so the median wall
-    // time of a call *is* the per-dispatch overhead. A forced 4-thread
-    // pool keeps the comparison meaningful on any host.
-    let pool = Arc::new(WorkerPool::new(4));
-    // warm both paths (first dispatch pays one-time wakeups)
-    pool.pool_map(4, 4, |i| i);
-    par_map(4, 4, |i| i);
-    let dispatch_samples = 501;
-    let pool_dispatch_ns = measure(dispatch_samples, || {
-        pool.pool_map(4, 4, std::hint::black_box)
-    });
-    let scope_spawn_ns = measure(dispatch_samples, || par_map(4, 4, std::hint::black_box));
-    // Two flags with different jobs: `pool_cheaper_than_spawn` is the
-    // load-invariant relative comparison CI asserts (both medians are
-    // taken on the same host under the same noise, so a throttled runner
-    // can't flip it); `dispatch_overhead_ok` records the absolute ≤10µs
-    // acceptance bound informationally — meaningful on a quiet build
-    // host, too flaky to gate CI on.
-    let pool_cheaper_than_spawn = pool_dispatch_ns <= scope_spawn_ns;
-    let dispatch_overhead_ok = pool_dispatch_ns <= 10_000;
-    println!(
-        "dispatch (4 trivial tasks, median of {dispatch_samples}): pool={pool_dispatch_ns}ns \
-         scope-spawn={scope_spawn_ns}ns ({:.1}x cheaper; pool<=spawn {}; ≤10µs bound {})",
-        scope_spawn_ns as f64 / pool_dispatch_ns.max(1) as f64,
-        if pool_cheaper_than_spawn {
-            "holds"
-        } else {
-            "FAILS"
-        },
-        if dispatch_overhead_ok {
-            "holds"
-        } else {
-            "misses (informational)"
-        },
-    );
-
-    // ---- (b) workload scaling on one shared pool
-    let doc = xmark(&XmarkConfig {
-        scale,
-        ..Default::default()
-    });
-    let s = Summary::of(&doc);
-    let mut cat = Catalog::new();
-    for (name, pat) in [
-        ("v_item", "site(//item{id})"),
-        ("v_text", "site(//text{id})"),
-        ("v_kw", "site(//keyword{id,v})"),
-    ] {
-        cat.add_sharded(
-            View::new(name, parse_pattern(pat).unwrap(), IdScheme::OrdPath),
-            &doc,
-            &s,
-        );
-    }
-    let rows_of = |v: &str| cat.extent(v).map_or(0, |e| e.len());
-    println!(
-        "(XMark: {} nodes, host cores {host_cores}; extents: item={} text={} keyword={})",
-        doc.len(),
-        rows_of("v_item"),
-        rows_of("v_text"),
-        rows_of("v_kw"),
-    );
-    let sj = |lv: &str, rv: &str, rel| Plan::StructJoin {
-        left: Box::new(Plan::Scan { view: lv.into() }),
-        right: Box::new(Plan::Scan { view: rv.into() }),
-        lcol: 0,
-        rcol: 0,
-        rel,
-    };
-    let chunked = Plan::StructJoin {
-        left: Box::new(Plan::Select {
-            input: Box::new(Plan::Scan {
-                view: "v_item".into(),
-            }),
-            pred: Predicate::NotNull { col: 0 },
-        }),
-        right: Box::new(Plan::Scan {
-            view: "v_kw".into(),
-        }),
-        lcol: 0,
-        rcol: 0,
-        rel: StructRel::Ancestor,
-    };
-    // join → select → dup-elim → nest: four operators drawing morsels
-    // from the same queue within one execution
-    let mixed = Plan::Nest {
-        input: Box::new(Plan::DupElim {
-            input: Box::new(Plan::Select {
-                input: Box::new(sj("v_item", "v_kw", StructRel::Ancestor)),
-                pred: Predicate::NotNull { col: 2 },
-            }),
-        }),
-        key_cols: vec![0],
-        nested_cols: vec![1, 2],
-        name: "K".into(),
-    };
-    let workloads = [
-        ("ancestor_join", sj("v_item", "v_kw", StructRel::Ancestor)),
-        ("parent_join", sj("v_text", "v_kw", StructRel::Parent)),
-        ("ancestor_join_chunked", chunked),
-        ("mixed_join_select_dedup_nest", mixed),
-    ];
-    let thread_counts = [1usize, 2, 4, 8];
-    let samples = 9;
-    let mut lines: Vec<String> = Vec::new();
-    let mut speedup_4t_ancestor = 0.0f64;
-    let mut parallel_equivalent = true;
-    for (name, plan) in &workloads {
-        let (seq, prof_seq) = execute_profiled(plan, &cat).expect("plan executes");
-        let par_opts = ExecOpts {
-            threads: 4,
-            min_par_rows: 0,
-            ..ExecOpts::default()
-        };
-        let (par, prof_par) = execute_profiled_with(plan, &cat, &par_opts).expect("plan executes");
-        let equivalent = seq.rows == par.rows
-            && prof_seq.len() == prof_par.len()
-            && prof_seq
-                .iter()
-                .all(|(path, rows)| prof_par.rows_at(path) == Some(rows));
-        parallel_equivalent &= equivalent;
-        // scaling with production thresholds, every thread count on the
-        // same global pool (with_threads attaches it at execution start)
-        let timings: Vec<(usize, u64)> = thread_counts
-            .iter()
-            .map(|&t| {
-                let opts = ExecOpts::with_threads(t);
-                (
-                    t,
-                    measure(samples, || execute_with(plan, &cat, &opts).unwrap().len()),
-                )
-            })
-            .collect();
-        let ns_at = |t: usize| timings.iter().find(|&&(tt, _)| tt == t).unwrap().1;
-        let speedup_2t = ns_at(1) as f64 / ns_at(2).max(1) as f64;
-        let speedup_4t = ns_at(1) as f64 / ns_at(4).max(1) as f64;
-        if *name == "ancestor_join" {
-            speedup_4t_ancestor = speedup_4t;
-        }
-        println!(
-            "{name:<28} out={:>7} 1t={:>10}ns 2t={:>10}ns 4t={:>10}ns 8t={:>10}ns \
-             speedup 2t={speedup_2t:.2}x 4t={speedup_4t:.2}x equivalent={equivalent}",
-            seq.len(),
-            ns_at(1),
-            ns_at(2),
-            ns_at(4),
-            ns_at(8),
-        );
-        let timing_json: Vec<String> = timings
-            .iter()
-            .map(|(t, ns)| format!("{{\"threads\": {t}, \"ns\": {ns}}}"))
-            .collect();
-        lines.push(format!(
-            "    {{\"name\": \"{name}\", \"rows_out\": {}, \"timings\": [{}], \"speedup_2t\": {speedup_2t:.3}, \"speedup_4t\": {speedup_4t:.3}, \"equivalent\": {equivalent}}}",
-            seq.len(),
-            timing_json.join(", "),
-        ));
-    }
-    println!(
-        "parallel == sequential (rows + ExecProfile) on every workload: {parallel_equivalent}; \
-         ancestor-join 4-thread speedup {speedup_4t_ancestor:.2}x on {host_cores} host core(s)"
-    );
-    if host_cores < 4 {
-        println!(
-            "note: this host exposes {host_cores} core(s); 4-thread scaling cannot exceed ~1x \
-             here — run on a ≥4-core host for the ≥2x headline"
-        );
-    }
-
-    let json = format!(
-        "{{\n  \"pr\": 6,\n  \"doc_nodes\": {},\n  \"host_cores\": {host_cores},\n  \"samples\": {samples},\n  \"pool_dispatch_ns\": {pool_dispatch_ns},\n  \"scope_spawn_ns\": {scope_spawn_ns},\n  \"pool_cheaper_than_spawn\": {pool_cheaper_than_spawn},\n  \"dispatch_overhead_ok\": {dispatch_overhead_ok},\n  \"parallel_equivalent\": {parallel_equivalent},\n  \"ancestor_join_speedup_4t\": {speedup_4t_ancestor:.3},\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        doc.len(),
-        lines.join(",\n"),
-    );
-    std::fs::write(out, json).expect("write bench json");
-    println!("wrote {out}");
-}
-
-/// PR 7 incremental-maintenance benchmark → `BENCH_PR7.json`.
-fn bench_pr7(scale: f64, out: &str) {
-    use smv_algebra::ViewProvider;
-    use smv_datagen::{pr7_document, pr7_views, Pr7Stream};
-    use smv_views::{refresh_class, EpochCatalog, RefreshClass, RefreshPolicy, ViewStore};
-    use smv_xml::IdScheme;
-
-    println!("== PR 7: epoch-versioned catalog, delta maintenance vs full rebuild ==");
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let churns = [0.01f64, 0.1, 0.5];
-    let rounds = 7usize;
-    let mut maintenance_equivalent = true;
-    let mut low_churn_speedup_ok = true;
-    let mut lines: Vec<String> = Vec::new();
-    let mut doc_nodes = 0usize;
-    for &churn in &churns {
-        // fresh store + fresh deterministic stream per churn level, so
-        // levels don't contaminate each other's document state. The
-        // delta-vs-rebuild comparison registers the workload's
-        // incremental-class views: a Rebuild-class view re-materializes
-        // in full on both sides, adding one identical constant that only
-        // obscures the quantity under test.
-        let mut epochs = EpochCatalog::new(pr7_document(scale, 42), IdScheme::OrdPath);
-        doc_nodes = epochs.live().doc().len();
-        for v in pr7_views(IdScheme::OrdPath)
-            .into_iter()
-            .filter(|v| refresh_class(&v.pattern) == RefreshClass::Incremental)
-        {
-            epochs.add_view(v, RefreshPolicy::Eager);
-        }
-        let mut stream = Pr7Stream::new(7);
-        // `apply` moves the document state under the timer, so each
-        // round is timed once and the medians are taken across rounds
-        // (unlike the repeat-sampling benches above). Maintenance cost
-        // is the report's own `maintain_ns`: document ingestion
-        // (`ingest_ns`) is a cost any strategy — delta or rebuild —
-        // pays before view work, and is reported separately.
-        let (mut delta_ns, mut ingest_ns, mut rebuild_ns, mut ops) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for _ in 0..rounds {
-            let batch = stream.next_batch(epochs.live(), churn);
-            ops.push(batch.len() as u64);
-            let report = epochs.apply(&batch).expect("stream batches apply");
-            delta_ns.push(report.maintain_ns);
-            ingest_ns.push(report.ingest_ns);
-            let t = Instant::now();
-            let oracle = epochs.rebuild_from_scratch();
-            rebuild_ns.push(t.elapsed().as_nanos() as u64);
-            let snap = epochs.snapshot();
-            for v in snap.views() {
-                maintenance_equivalent &= snap.extent(&v.name).map(|e| &e.rows)
-                    == oracle.extent(&v.name).map(|e| &e.rows);
-            }
-        }
-        let median = |v: &mut Vec<u64>| {
-            v.sort_unstable();
-            v[v.len() / 2]
-        };
-        let (d, g, r, o) = (
-            median(&mut delta_ns),
-            median(&mut ingest_ns),
-            median(&mut rebuild_ns),
-            median(&mut ops),
-        );
-        let speedup = r as f64 / d.max(1) as f64;
-        if churn <= 0.1 {
-            low_churn_speedup_ok &= speedup >= 5.0;
-        }
-        println!(
-            "churn {:>4.0}% ops/batch={o:>4} delta={d:>10}ns (+ingest {g:>9}ns) rebuild={r:>10}ns speedup={speedup:.2}x",
-            churn * 100.0
-        );
-        lines.push(format!(
-            "    {{\"churn\": {churn}, \"batch_ops\": {o}, \"delta_ns\": {d}, \"ingest_ns\": {g}, \"rebuild_ns\": {r}, \"speedup\": {speedup:.3}}}"
-        ));
-    }
-    println!(
-        "delta-maintained extents byte-equal to from-scratch rebuild every round: \
-         {maintenance_equivalent}; >=5x at <=10% churn: {low_churn_speedup_ok}"
-    );
-    let json = format!(
-        "{{\n  \"pr\": 7,\n  \"doc_nodes\": {doc_nodes},\n  \"host_cores\": {host_cores},\n  \"rounds\": {rounds},\n  \"maintenance_equivalent\": {maintenance_equivalent},\n  \"low_churn_speedup_ok\": {low_churn_speedup_ok},\n  \"churns\": [\n{}\n  ]\n}}\n",
-        lines.join(",\n"),
-    );
-    std::fs::write(out, json).expect("write bench json");
-    println!("wrote {out}");
-}
-
-/// PR 9 multi-client query-service benchmark → `BENCH_PR9.json`.
-fn bench_pr9(scale: f64, out: &str) {
-    use smv_algebra::{execute_with, ExecOpts};
-    use smv_core::{rewrite, RewriteOpts};
-    use smv_datagen::{pr7_document, pr7_views, Pr7Stream};
-    use smv_pattern::parse_pattern;
-    use smv_serve::{QueryService, ServiceConfig};
-    use smv_views::{RefreshPolicy, ViewStore};
-    use smv_xml::IdScheme;
-    use std::sync::Arc;
-
-    println!("== PR 9: multi-client query service, layered caches + admission scheduling ==");
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    // Zipf-skewed query mix over the pr7 views: rank-r weight ∝ 1/r. The
-    // last two entries are whitespace respellings of the two hottest
-    // texts, so the pattern cache's canonical-form sharing is on the hot
-    // path too.
-    const MIX: &[&str] = &[
-        "site(//name{id,v})",
-        "site(//item{id}(/name{id,v}))",
-        "site(//quantity{id,v})",
-        "site(//item{id}(?/name{id,v}))",
-        "site( // name { id , v } )",
-        "site( //item{id} ( /name{id,v} ) )",
-    ];
-    let weights: Vec<f64> = (0..MIX.len()).map(|r| 1.0 / (r + 1) as f64).collect();
-    let total_w: f64 = weights.iter().sum();
-    let cum: Vec<f64> = weights
-        .iter()
-        .scan(0.0, |acc, w| {
-            *acc += w / total_w;
-            Some(*acc)
-        })
-        .collect();
-    // xorshift64* — deterministic Zipf sampling without an external RNG
-    let pick = |state: &mut u64| -> usize {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        let u = (state.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 11) as f64 / (1u64 << 53) as f64;
-        cum.iter().position(|&c| u < c).unwrap_or(MIX.len() - 1)
-    };
-
-    let fresh = |threads: usize, plan_cache: bool, result_cache: bool| {
-        let svc = QueryService::new(
-            pr7_document(scale, 42),
-            IdScheme::OrdPath,
-            ServiceConfig {
-                threads,
-                plan_cache,
-                result_cache,
-                ..ServiceConfig::default()
-            },
-        );
-        svc.add_views(pr7_views(IdScheme::OrdPath), RefreshPolicy::Eager);
-        svc
-    };
-
-    // ---- (a) hot-query speedup: full cache stack vs caches disabled.
-    let cached = fresh(1, true, true);
-    let uncached = fresh(1, false, false);
-    let doc_nodes = cached.with_catalog(|c| c.live().doc().len());
-    println!(
-        "(pr7 XMark: {doc_nodes} nodes, {} queries in mix, host cores {host_cores})",
-        MIX.len()
-    );
-    for q in MIX {
-        cached.query(q).expect("mix query rewrites");
-        uncached.query(q).expect("mix query rewrites");
-    }
-    let samples = 15;
-    let cached_hot_ns = measure(samples, || {
-        for q in MIX {
-            cached.query(q).unwrap();
-        }
-    });
-    let uncached_hot_ns = measure(samples, || {
-        for q in MIX {
-            uncached.query(q).unwrap();
-        }
-    });
-    let cached_hot_speedup = uncached_hot_ns as f64 / cached_hot_ns.max(1) as f64;
-    let cached_hot_speedup_ok = cached_hot_speedup >= 5.0;
-    println!(
-        "hot mix: cached={cached_hot_ns}ns uncached={uncached_hot_ns}ns \
-         speedup={cached_hot_speedup:.1}x (>=5x: {cached_hot_speedup_ok})"
-    );
-
-    // ---- (b) cache coherence under interleaved maintenance: every
-    // response (cold and hot) must be byte-identical to a fresh rank +
-    // sequential execute against the exact snapshot it was served from.
-    let svc = fresh(0, true, true);
-    let mut stream = Pr7Stream::new(7);
-    let mut cache_results_equivalent = true;
-    let seq = ExecOpts {
-        threads: 1,
-        min_par_rows: 4096,
-        pool: None,
-        par_hints: None,
-    };
-    for _round in 0..5 {
-        for q in MIX {
-            for _ in 0..2 {
-                let resp = svc.query(q).expect("mix query rewrites");
-                let p = parse_pattern(q).unwrap();
-                let snap = &*resp.snapshot;
-                let r = rewrite(&p, snap.views(), snap.summary(), &RewriteOpts::default());
-                let oracle = execute_with(&r.rewritings[0].plan, snap, &seq)
-                    .expect("oracle executes")
-                    .rows;
-                cache_results_equivalent &= resp.rows.rows == oracle;
-            }
-        }
-        let batch = svc.with_catalog(|c| stream.next_batch(c.live(), 0.1));
-        svc.apply(&batch).expect("stream batches apply");
-    }
-    let coh = svc.stats();
-    println!(
-        "coherence across {} interleaved batches: {cache_results_equivalent} \
-         ({} result hits, {} entries invalidated)",
-        coh.batches_applied, coh.result_hits, coh.results_invalidated
-    );
-
-    // ---- (c) simulated-client sweep: Zipf mix + an updater thread
-    // interleaving maintenance batches, p50/p99 from the smv-obs
-    // latency histogram, scheduler verdicts per scale.
-    let client_scales = [1usize, 2, 4, 8];
-    let requests_total = 1200usize;
-    let mut lines: Vec<String> = Vec::new();
-    for &clients in &client_scales {
-        let svc = Arc::new(fresh(0, true, true));
-        let _e = smv_obs::ScopedEnable::new();
-        smv_obs::global().reset();
-        let per_client = requests_total / clients;
-        let t = Instant::now();
-        std::thread::scope(|s| {
-            for c in 0..clients {
-                let svc = Arc::clone(&svc);
-                let pick = &pick;
-                s.spawn(move || {
-                    let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ (c as u64 + 1);
-                    for _ in 0..per_client {
-                        svc.query(MIX[pick(&mut rng)]).expect("mix query rewrites");
-                    }
-                });
-            }
-            let upd = Arc::clone(&svc);
-            s.spawn(move || {
-                let mut stream = Pr7Stream::new(99);
-                for _ in 0..3 {
-                    let batch = upd.with_catalog(|c| stream.next_batch(c.live(), 0.05));
-                    upd.apply(&batch).expect("stream batches apply");
-                }
-            });
-        });
-        let wall_ns = t.elapsed().as_nanos().max(1) as u64;
-        let h = smv_obs::global()
-            .histogram("serve.latency_ns")
-            .expect("service records latency");
-        let (p50, p99) = (h.quantile(0.5), h.quantile(0.99));
-        let st = svc.stats();
-        let served = per_client * clients;
-        let throughput = served as f64 * 1e9 / wall_ns as f64;
-        println!(
-            "clients {clients}: {throughput:>9.0} q/s p50={p50:>8}ns p99={p99:>9}ns \
-             sched inter/intra={}/{} ({} update batches)",
-            st.sched_inter, st.sched_intra, st.batches_applied
-        );
-        lines.push(format!(
-            "    {{\"clients\": {clients}, \"requests\": {served}, \"throughput_qps\": {throughput:.1}, \
-             \"p50_ns\": {p50}, \"p99_ns\": {p99}, \"sched_inter\": {}, \"sched_intra\": {}, \
-             \"batches_applied\": {}}}",
-            st.sched_inter, st.sched_intra, st.batches_applied
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"pr\": 9,\n  \"doc_nodes\": {doc_nodes},\n  \"host_cores\": {host_cores},\n  \"mix_queries\": {},\n  \"samples\": {samples},\n  \"cached_hot_ns\": {cached_hot_ns},\n  \"uncached_hot_ns\": {uncached_hot_ns},\n  \"cached_hot_speedup\": {cached_hot_speedup:.3},\n  \"cached_hot_speedup_ok\": {cached_hot_speedup_ok},\n  \"cache_results_equivalent\": {cache_results_equivalent},\n  \"scales\": [\n{}\n  ]\n}}\n",
-        MIX.len(),
-        lines.join(",\n"),
-    );
-    std::fs::write(out, json).expect("write bench json");
-    println!("wrote {out}");
-}
-
-/// PR 5 sharded parallel-execution benchmark → `BENCH_PR5.json`.
-fn bench_pr5(scale: f64, out: &str) {
-    use smv_algebra::{
-        execute_profiled, execute_profiled_with, execute_with, ExecOpts, Plan, Predicate,
-        StructRel, ViewProvider,
-    };
-    use smv_pattern::parse_pattern;
-    use smv_views::{Catalog, View};
-    use smv_xml::IdScheme;
-
-    println!("== PR 5: sharded parallel structural joins, 1→N threads ==");
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let doc = xmark(&XmarkConfig {
-        scale,
-        ..Default::default()
-    });
-    let s = Summary::of(&doc);
-    let mut cat = Catalog::new();
-    for (name, pat) in [
-        ("v_item", "site(//item{id})"),
-        ("v_text", "site(//text{id})"),
-        ("v_kw", "site(//keyword{id,v})"),
-    ] {
-        cat.add_sharded(
-            View::new(name, parse_pattern(pat).unwrap(), IdScheme::OrdPath),
-            &doc,
-            &s,
-        );
-    }
-    let rows_of = |v: &str| cat.extent(v).map_or(0, |e| e.len());
-    let shards_of = |v: &str| cat.shard_partition(v).map_or(0, |p| p.shards.len());
-    println!(
-        "(XMark: {} nodes, summary {} paths, host cores {host_cores}; extents: \
-         item={} [{} shards] text={} [{} shards] keyword={} [{} shards])",
-        doc.len(),
-        s.len(),
-        rows_of("v_item"),
-        shards_of("v_item"),
-        rows_of("v_text"),
-        shards_of("v_text"),
-        rows_of("v_kw"),
-        shards_of("v_kw"),
-    );
-
-    let sj = |lv: &str, rv: &str, rel| Plan::StructJoin {
-        left: Box::new(Plan::Scan { view: lv.into() }),
-        right: Box::new(Plan::Scan { view: rv.into() }),
-        lcol: 0,
-        rcol: 0,
-        rel,
-    };
-    // the select-wrapped variant defeats the scan-scan shard fast path,
-    // exercising the chunked parallel merge instead
-    let chunked = Plan::StructJoin {
-        left: Box::new(Plan::Select {
-            input: Box::new(Plan::Scan {
-                view: "v_item".into(),
-            }),
-            pred: Predicate::NotNull { col: 0 },
-        }),
-        right: Box::new(Plan::Scan {
-            view: "v_kw".into(),
-        }),
-        lcol: 0,
-        rcol: 0,
-        rel: StructRel::Ancestor,
-    };
-    let workloads = [
-        (
-            "ancestor_join",
-            sj("v_item", "v_kw", StructRel::Ancestor),
-            ("v_item", "v_kw"),
-        ),
-        (
-            "parent_join",
-            sj("v_text", "v_kw", StructRel::Parent),
-            ("v_text", "v_kw"),
-        ),
-        ("ancestor_join_chunked", chunked, ("v_item", "v_kw")),
-    ];
-    let thread_counts = [1usize, 2, 4, 8];
-    let samples = 9;
-    let mut lines: Vec<String> = Vec::new();
-    let mut speedup_4t_ancestor = 0.0f64;
-    let mut parallel_equivalent = true;
-    for (name, plan, (lv, rv)) in &workloads {
-        // equivalence first: rows and per-operator profiles must agree
-        // between sequential and parallel execution (forced parallel, so
-        // small smoke runs still exercise the worker-pool paths)
-        let (seq, prof_seq) = execute_profiled(plan, &cat).expect("plan executes");
-        let par_opts = ExecOpts {
-            threads: 4,
-            min_par_rows: 0,
-            ..ExecOpts::default()
-        };
-        let (par, prof_par) = execute_profiled_with(plan, &cat, &par_opts).expect("plan executes");
-        let equivalent = seq.rows == par.rows
-            && prof_seq.len() == prof_par.len()
-            && prof_seq
-                .iter()
-                .all(|(path, rows)| prof_par.rows_at(path) == Some(rows));
-        parallel_equivalent &= equivalent;
-        // scaling: default ExecOpts thresholds, like production callers
-        let timings: Vec<(usize, u64)> = thread_counts
-            .iter()
-            .map(|&t| {
-                let opts = ExecOpts::with_threads(t);
-                (
-                    t,
-                    measure(samples, || execute_with(plan, &cat, &opts).unwrap().len()),
-                )
-            })
-            .collect();
-        let ns_at = |t: usize| timings.iter().find(|&&(tt, _)| tt == t).unwrap().1;
-        let speedup_2t = ns_at(1) as f64 / ns_at(2).max(1) as f64;
-        let speedup_4t = ns_at(1) as f64 / ns_at(4).max(1) as f64;
-        if *name == "ancestor_join" {
-            speedup_4t_ancestor = speedup_4t;
-        }
-        println!(
-            "{name:<22} left={:>6} right={:>6} out={:>7} 1t={:>10}ns 2t={:>10}ns 4t={:>10}ns 8t={:>10}ns \
-             speedup 2t={speedup_2t:.2}x 4t={speedup_4t:.2}x equivalent={equivalent}",
-            rows_of(lv),
-            rows_of(rv),
-            seq.len(),
-            ns_at(1),
-            ns_at(2),
-            ns_at(4),
-            ns_at(8),
-        );
-        let timing_json: Vec<String> = timings
-            .iter()
-            .map(|(t, ns)| format!("{{\"threads\": {t}, \"ns\": {ns}}}"))
-            .collect();
-        lines.push(format!(
-            "    {{\"name\": \"{name}\", \"left_rows\": {}, \"right_rows\": {}, \"rows_out\": {}, \"timings\": [{}], \"speedup_2t\": {speedup_2t:.3}, \"speedup_4t\": {speedup_4t:.3}, \"equivalent\": {equivalent}}}",
-            rows_of(lv),
-            rows_of(rv),
-            seq.len(),
-            timing_json.join(", "),
-        ));
-    }
-    println!(
-        "parallel == sequential (rows + ExecProfile) on every workload: {parallel_equivalent}; \
-         ancestor-join 4-thread speedup {speedup_4t_ancestor:.2}x on {host_cores} host core(s)"
-    );
-    if host_cores < 4 {
-        println!(
-            "note: this host exposes {host_cores} core(s); 4-thread scaling cannot exceed ~1x \
-             here — run on a ≥4-core host for the scaling headline"
-        );
-    }
-
-    let json = format!(
-        "{{\n  \"pr\": 5,\n  \"doc_nodes\": {},\n  \"host_cores\": {host_cores},\n  \"samples\": {samples},\n  \"parallel_equivalent\": {parallel_equivalent},\n  \"ancestor_join_speedup_4t\": {speedup_4t_ancestor:.3},\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        doc.len(),
-        lines.join(",\n"),
-    );
-    std::fs::write(out, json).expect("write bench json");
-    println!("wrote {out}");
-}
-
-/// PR 4 adaptive-loop benchmark → `BENCH_PR4.json`.
-fn bench_pr4(scale: f64, out: &str) {
-    use smv::adaptive::AdaptiveSession;
-    use smv_algebra::{execute, execute_profiled, plan_fingerprint, Plan};
-    use smv_core::{rewrite_with_cards, RewriteOpts};
-    use smv_datagen::pr4_workload;
-    use smv_views::{Catalog, CatalogCards};
-    use smv_xml::IdScheme;
-
-    println!("== PR 4: adaptive feedback loop vs static cost ranking ==");
-    let wl = pr4_workload(scale, IdScheme::OrdPath);
-    let s = smv_summary::Summary::of(&wl.doc);
-    let mut catalog = Catalog::new();
-    for v in &wl.views {
-        catalog.add(v.clone(), &wl.doc);
-    }
-    println!(
-        "(document: {} nodes, summary: {} paths, {} views materialized)",
-        wl.doc.len(),
-        s.len(),
-        wl.views.len()
-    );
-
-    let samples = 9;
-    let iters = 5usize;
-    let cards = CatalogCards::new(&catalog, &s);
-    let opts = RewriteOpts::default();
-
-    // static baseline + the plan space to define "true best" against:
-    // measure every statically enumerated rewriting once per query
-    struct StaticSide {
-        chosen_fp: u64,
-        chosen_ns: u64,
-        true_best_fp: u64,
-        true_best_ns: u64,
-        plans: Vec<(u64, Plan)>,
-    }
-    let static_side: Vec<StaticSide> = wl
-        .queries
-        .iter()
-        .map(|q| {
-            let ranked = rewrite_with_cards(&q.pattern, &wl.views, &s, &opts, &cards);
-            assert!(
-                !ranked.rewritings.is_empty(),
-                "query {} must rewrite",
-                q.name
-            );
-            let plans: Vec<(u64, Plan)> = ranked
-                .rewritings
-                .iter()
-                .map(|rw| (plan_fingerprint(&rw.plan), rw.plan.clone()))
-                .collect();
-            let timed: Vec<u64> = plans
-                .iter()
-                .map(|(_, p)| measure(samples, || execute(p, &catalog).unwrap().len()))
-                .collect();
-            let best_i = (0..plans.len()).min_by_key(|&i| timed[i]).unwrap();
-            StaticSide {
-                chosen_fp: plans[0].0,
-                chosen_ns: timed[0],
-                true_best_fp: plans[best_i].0,
-                true_best_ns: timed[best_i],
-                plans,
-            }
-        })
-        .collect();
-
-    let mut session = AdaptiveSession::new(&s, &catalog);
-    let mut lines: Vec<String> = Vec::new();
-    // per query: (first-iteration estimate error, last, converged flags)
-    let mut first_err = vec![0.0f64; wl.queries.len()];
-    let mut last_err = vec![0.0f64; wl.queries.len()];
-    let mut final_fp = vec![0u64; wl.queries.len()];
-    let mut final_ns = vec![0u64; wl.queries.len()];
-    let mut iter1_fp = vec![0u64; wl.queries.len()];
-    for it in 0..iters {
-        for (qi, q) in wl.queries.iter().enumerate() {
-            let run = session
-                .run(&q.pattern)
-                .expect("query rewrites")
-                .expect("plan executes");
-            let fp = plan_fingerprint(&run.plan);
-            let st = &static_side[qi];
-            // the adaptive choice is one of the enumerated plans almost
-            // always; time it fresh (fall back to a direct measure)
-            let adaptive_ns = st
-                .plans
-                .iter()
-                .find(|(f, _)| *f == fp)
-                .map(|(_, p)| measure(samples, || execute(p, &catalog).unwrap().len()))
-                .unwrap_or_else(|| {
-                    measure(samples, || execute(&run.plan, &catalog).unwrap().len())
-                });
-            let err =
-                (run.est.rows - run.actual_rows as f64).abs() / (run.actual_rows.max(1) as f64);
-            if it == 0 {
-                first_err[qi] = err;
-                iter1_fp[qi] = fp;
-            }
-            last_err[qi] = err;
-            final_fp[qi] = fp;
-            final_ns[qi] = adaptive_ns;
-            println!(
-                "iter {it} {:<15} adaptive={:>9}ns (views {:?}) static={:>9}ns true_best={:>9}ns est_rows={:>9.1} actual={:>6} err={err:.3}",
-                q.name,
-                adaptive_ns,
-                run.plan.views_used(),
-                st.chosen_ns,
-                st.true_best_ns,
-                run.est.rows,
-                run.actual_rows,
-            );
-            lines.push(format!(
-                "    {{\"iter\": {it}, \"query\": \"{}\", \"adaptive_ns\": {adaptive_ns}, \"static_ns\": {}, \"true_best_ns\": {}, \"est_rows\": {:.1}, \"actual_rows\": {}, \"est_rel_error\": {err:.4}, \"adaptive_views\": {:?}, \"is_true_best\": {}}}",
-                q.name,
-                st.chosen_ns,
-                st.true_best_ns,
-                run.est.rows,
-                run.actual_rows,
-                run.plan.views_used(),
-                fp == st.true_best_fp,
-            ));
-        }
-    }
-
-    // Convergence and misranking are judged on *deterministic* signals —
-    // plan identity across iterations and estimate error against actual
-    // cardinalities — because the rewriting enumeration, execution row
-    // counts and feedback contents are all deterministic; the CI smoke
-    // asserts these flags, so they must not ride on wall-clock medians.
-    // Iteration 1 runs on an empty store, i.e. it *is* the static choice.
-    let mut converged = true;
-    let mut misrank_seen = false;
-    for (qi, q) in wl.queries.iter().enumerate() {
-        let flipped = iter1_fp[qi] != final_fp[qi];
-        if q.expect_misrank {
-            // static chose on a wildly wrong estimate and feedback moved
-            // the ranking off that plan, ending with exact estimates
-            misrank_seen |= flipped && first_err[qi] > 0.5;
-            converged &= flipped && last_err[qi] <= 0.01 && last_err[qi] <= first_err[qi];
-        } else {
-            // controls: never disturbed, estimates stay exact
-            converged &= !flipped && last_err[qi] <= 0.01;
-        }
-    }
-    converged &= misrank_seen;
-    // timing-based corroboration (reported, not asserted: medians of
-    // microsecond-scale runs are too noisy to gate CI on)
-    let final_is_true_best =
-        (0..wl.queries.len()).all(|qi| final_fp[qi] == static_side[qi].true_best_fp);
-    let warm_latency_ok = (0..wl.queries.len()).all(|qi| {
-        // an unchanged choice is the static plan: equal by identity (two
-        // wall-clock medians of the same plan only measure jitter)
-        final_fp[qi] == static_side[qi].chosen_fp
-            || final_ns[qi] as f64 <= static_side[qi].chosen_ns as f64 * 1.10
-    });
-    println!(
-        "adaptive ranking {} (static misranked: {misrank_seen}); \
-         final choice measured true-best on every query: {final_is_true_best}; \
-         post-warm-up latency ≤ static on every query: {warm_latency_ok}",
-        if converged {
-            "CONVERGED"
-        } else {
-            "DID NOT converge"
-        },
-    );
-
-    // instrumentation overhead: unprofiled execute on the heaviest plan
-    let probe = &static_side[0].plans[0].1;
-    let plain_ns = measure(9, || execute(probe, &catalog).unwrap().len());
-    let profiled_ns = measure(9, || execute_profiled(probe, &catalog).unwrap().0.len());
-    let overhead = profiled_ns as f64 / plain_ns.max(1) as f64 - 1.0;
-    println!(
-        "profiling overhead on the probe plan: execute={plain_ns}ns execute_profiled={profiled_ns}ns ({:+.1}%)",
-        overhead * 100.0
-    );
-
-    let json = format!(
-        "{{\n  \"pr\": 4,\n  \"doc_nodes\": {},\n  \"iterations\": {iters},\n  \"static_misranked\": {misrank_seen},\n  \"converged\": {converged},\n  \"final_is_true_best\": {final_is_true_best},\n  \"warm_latency_ok\": {warm_latency_ok},\n  \"profiling_overhead_frac\": {overhead:.4},\n  \"execute_ns\": {plain_ns},\n  \"execute_profiled_ns\": {profiled_ns},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        wl.doc.len(),
-        lines.join(",\n"),
-    );
-    std::fs::write(out, json).expect("write bench json");
-    println!("wrote {out}");
-}
-
-/// PR 3 view-advisor benchmark → `BENCH_PR3.json`.
-fn bench_pr3(scale: f64, out: &str) {
-    use smv_advisor::{advise, mine_candidates, AdvisorOpts, CandidateKind, Workload};
-    use smv_algebra::execute;
-    use smv_core::{rewrite_with_cards, RewriteOpts};
-    use smv_datagen::pr3_workload;
-    use smv_views::{materialize, Catalog, CatalogCards, View};
-    use smv_xml::IdScheme;
-
-    println!("== PR 3: advised views vs all-singleton views vs no views ==");
-    let doc = xmark(&XmarkConfig {
-        scale,
-        ..Default::default()
-    });
-    let s = Summary::of(&doc);
-    println!(
-        "(XMark document: {} nodes, summary: {} paths)",
-        doc.len(),
-        s.len()
-    );
-
-    // ---- advise under a budget of 90% of the all-singleton estimate
-    let wl = pr3_workload();
-    let workload = Workload::weighted(wl.iter().map(|q| (q.pattern.clone(), q.weight)));
-    let mut opts = AdvisorOpts::default();
-    let cands = mine_candidates(&workload, &s, &opts);
-    let singleton_bytes: f64 = cands
-        .iter()
-        .filter(|c| c.kind == CandidateKind::Singleton)
-        .map(|c| c.est_bytes)
-        .sum();
-    opts.budget_bytes = 0.9 * singleton_bytes;
-    let t_advise = Instant::now();
-    let advice = advise(&workload, &s, &cands, &opts);
-    let advise_ms = t_advise.elapsed().as_secs_f64() * 1e3;
-    println!(
-        "advisor: {} candidates, budget {:.0} bytes (90% of singleton est {:.0}), \
-         chose {} views / {:.0} bytes in {advise_ms:.1}ms",
-        cands.len(),
-        opts.budget_bytes,
-        singleton_bytes,
-        advice.chosen.len(),
-        advice.total_bytes
-    );
-    for c in &advice.chosen {
-        println!(
-            "  {} (gain {:.0}, {:.0} bytes): {}",
-            c.view.name, c.gain, c.est_bytes, c.view.pattern
-        );
-    }
-
-    // ---- materialize the advised set and the all-singleton baseline
-    let mut adv_catalog = Catalog::new();
-    for v in advice.views() {
-        adv_catalog.add(v, &doc);
-    }
-    let adv_views = advice.views();
-    let adv_cards = CatalogCards::new(&adv_catalog, &s);
-    let seed = smv_datagen::seed_views(&s, IdScheme::OrdPath);
-    let mut seed_catalog = Catalog::new();
-    for v in &seed {
-        seed_catalog.add(v.clone(), &doc);
-    }
-    let seed_cards = CatalogCards::new(&seed_catalog, &s);
-    println!(
-        "materialized: advised {:.0} bytes (budget {:.0}); all-singleton baseline {} views / {:.0} bytes",
-        adv_catalog.total_bytes(),
-        opts.budget_bytes,
-        seed.len(),
-        seed_catalog.total_bytes()
-    );
-
-    // ---- per-query wall times under the three regimes
-    let samples = 7;
-    let ropts = RewriteOpts::default();
-    let mut lines: Vec<String> = Vec::new();
-    let (mut t_adv_total, mut t_seed_total, mut t_nav_total) = (0.0f64, 0.0f64, 0.0f64);
-    let best_plan =
-        |views: &[View], cards: &dyn smv_algebra::CardSource, q: &smv_pattern::Pattern| {
-            rewrite_with_cards(q, views, &s, &ropts, cards)
-                .rewritings
-                .first()
-                .map(|rw| rw.plan.clone())
-        };
-    for q in &wl {
-        let t_nav = measure(samples, || {
-            materialize(&q.pattern, &doc, IdScheme::OrdPath).len()
-        });
-        let adv_plan = best_plan(&adv_views, &adv_cards, &q.pattern);
-        let t_adv = match &adv_plan {
-            Some(p) => measure(samples, || execute(p, &adv_catalog).unwrap().len()),
-            None => t_nav, // unserved queries fall back to navigation
-        };
-        let seed_plan = best_plan(&seed, &seed_cards, &q.pattern);
-        let t_seed = match &seed_plan {
-            Some(p) => measure(samples, || execute(p, &seed_catalog).unwrap().len()),
-            None => t_nav,
-        };
-        t_adv_total += q.weight * t_adv as f64;
-        t_seed_total += q.weight * t_seed as f64;
-        t_nav_total += q.weight * t_nav as f64;
-        println!(
-            "{:<14} w={:<3} advised={:>9}ns singleton={:>10}ns noviews={:>10}ns singleton/advised={:.1}x noviews/advised={:.1}x",
-            q.name,
-            q.weight,
-            t_adv,
-            t_seed,
-            t_nav,
-            t_seed as f64 / t_adv.max(1) as f64,
-            t_nav as f64 / t_adv.max(1) as f64,
-        );
-        lines.push(format!(
-            "    {{\"name\": \"{}\", \"weight\": {}, \"advised_ns\": {}, \"singleton_ns\": {}, \"noviews_ns\": {}, \"advised_served\": {}, \"singleton_served\": {}}}",
-            q.name,
-            q.weight,
-            t_adv,
-            t_seed,
-            t_nav,
-            adv_plan.is_some(),
-            seed_plan.is_some(),
-        ));
-    }
-    let advised_wins = t_adv_total < t_seed_total && t_adv_total < t_nav_total;
-    let within_budget = advice.total_bytes <= opts.budget_bytes;
-    println!(
-        "weighted totals: advised={:.2}ms singleton={:.2}ms noviews={:.2}ms — advised {} both baselines, {} budget",
-        t_adv_total / 1e6,
-        t_seed_total / 1e6,
-        t_nav_total / 1e6,
-        if advised_wins { "beats" } else { "DOES NOT beat" },
-        if within_budget { "within" } else { "OVER" },
-    );
-
-    // patterns with string predicates render inner quotes (v="x")
-    let json_str = |s: String| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let chosen_json: Vec<String> = advice
-        .chosen
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"view\": \"{}\", \"pattern\": \"{}\", \"est_bytes\": {:.0}, \"gain\": {:.0}}}",
-                c.view.name,
-                json_str(c.view.pattern.to_string()),
-                c.est_bytes,
-                c.gain
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"pr\": 3,\n  \"doc_nodes\": {},\n  \"candidates\": {},\n  \"budget_bytes\": {:.0},\n  \"advised_bytes\": {:.0},\n  \"within_budget\": {},\n  \"advise_ms\": {:.1},\n  \"advised\": [\n{}\n  ],\n  \"cases\": [\n{}\n  ],\n  \"weighted_total_ns\": {{\"advised\": {:.0}, \"all_singleton\": {:.0}, \"no_views\": {:.0}}},\n  \"advised_beats_both\": {}\n}}\n",
-        doc.len(),
-        cands.len(),
-        opts.budget_bytes,
-        advice.total_bytes,
-        within_budget,
-        advise_ms,
-        chosen_json.join(",\n"),
-        lines.join(",\n"),
-        t_adv_total,
-        t_seed_total,
-        t_nav_total,
-        advised_wins,
-    );
-    std::fs::write(out, json).expect("write bench json");
-    println!("wrote {out}");
-}
-
-/// PR 2 cost-based rewriting benchmarks → `BENCH_PR2.json`.
-fn bench_pr2(scale: f64, out: &str) {
-    use smv_algebra::execute;
-    use smv_core::{rewrite_with_cards, RewriteOpts};
-    use smv_datagen::pr2_workload;
-    use smv_views::{Catalog, CatalogCards};
-    use smv_xml::IdScheme;
-
-    println!("== PR 2: cost-ranked vs first-found vs worst plan ==");
-    let doc = xmark(&XmarkConfig {
-        scale,
-        ..Default::default()
-    });
-    let s = Summary::of(&doc);
-    println!(
-        "(XMark document: {} nodes, summary: {} paths)",
-        doc.len(),
-        s.len()
-    );
-    let samples = 7;
-    let mut lines: Vec<String> = Vec::new();
-    let mut wins = 0usize;
-    for case in pr2_workload(IdScheme::OrdPath) {
-        let mut catalog = Catalog::new();
-        for v in &case.views {
-            catalog.add(v.clone(), &doc);
-        }
-        let cards = CatalogCards::new(&catalog, &s);
-        // ranked: actual extent sizes feed the cost model
-        let ranked = rewrite_with_cards(
-            &case.query,
-            &case.views,
-            &s,
-            &RewriteOpts::default(),
-            &cards,
-        );
-        // baseline: PR 1 behavior — discovery order, no bound. Same card
-        // source as the ranked run so est-vs-actual stays comparable.
-        let base_opts = RewriteOpts {
-            rank_by_cost: false,
-            cost_prune: false,
-            ..Default::default()
-        };
-        let baseline = rewrite_with_cards(&case.query, &case.views, &s, &base_opts, &cards);
-        assert!(
-            !ranked.rewritings.is_empty() && !baseline.rewritings.is_empty(),
-            "case {} must rewrite",
-            case.name
-        );
-        let best = &ranked.rewritings[0];
-        let first = &baseline.rewritings[0];
-        let worst = ranked.rewritings.last().unwrap();
-        let actual_rows = execute(&best.plan, &catalog)
-            .expect("best plan executes")
-            .len();
-        let t_best = measure(samples, || execute(&best.plan, &catalog).unwrap().len());
-        let t_first = measure(samples, || execute(&first.plan, &catalog).unwrap().len());
-        let t_worst = measure(samples, || execute(&worst.plan, &catalog).unwrap().len());
-        let speedup = t_first as f64 / t_best.max(1) as f64;
-        if t_best < t_first {
-            wins += 1;
-        }
-        println!(
-            "{:<14} est_rows(best)={:>8.1} actual={:>6} best={:>9}ns first={:>9}ns worst={:>9}ns first/best={speedup:.1}x",
-            case.name, best.est.rows, actual_rows, t_best, t_first, t_worst
-        );
-        lines.push(format!(
-            "    {{\"name\": \"{}\", \"est_rows_best\": {:.1}, \"est_rows_first\": {:.1}, \"est_rows_worst\": {:.1}, \"actual_rows\": {}, \"best_ns\": {}, \"first_ns\": {}, \"worst_ns\": {}, \"first_over_best\": {:.2}, \"best_views\": {:?}, \"first_views\": {:?}}}",
-            case.name,
-            best.est.rows,
-            first.est.rows,
-            worst.est.rows,
-            actual_rows,
-            t_best,
-            t_first,
-            t_worst,
-            speedup,
-            best.plan.views_used(),
-            first.plan.views_used(),
-        ));
-    }
-    println!("cost-ranked plan beat first-found wall time on {wins} queries");
-
-    println!("-- Figure-15 workload: branch-and-bound pair counts --");
-    let s15 = xmark_summary();
-    let views15 = fig15_views(&s15, 40);
-    let bb = fig15_bb_comparison(&s15, &views15);
-    println!(
-        "pairs explored: {} with bound (+{} pruned) vs {} without; queries rewritten: {} vs {}",
-        bb.pairs_with_bound,
-        bb.pairs_pruned,
-        bb.pairs_without_bound,
-        bb.rewritings_with_bound,
-        bb.rewritings_without_bound
-    );
-
-    let json = format!(
-        "{{\n  \"pr\": 2,\n  \"doc_nodes\": {},\n  \"queries_where_best_beats_first\": {},\n  \"cases\": [\n{}\n  ],\n  \"fig15_branch_and_bound\": {{\"pairs_with_bound\": {}, \"pairs_pruned\": {}, \"pairs_without_bound\": {}, \"rewritten_with_bound\": {}, \"rewritten_without_bound\": {}}}\n}}\n",
-        doc.len(),
-        wins,
-        lines.join(",\n"),
-        bb.pairs_with_bound,
-        bb.pairs_pruned,
-        bb.pairs_without_bound,
-        bb.rewritings_with_bound,
-        bb.rewritings_without_bound
-    );
-    std::fs::write(out, json).expect("write bench json");
-    println!("wrote {out}");
-}
-
-/// PR 1 hot-path microbenches → `BENCH_PR1.json`.
-fn bench_pr1(out: &str) {
-    use smv_algebra::{
-        doc_sorted_indices, nested_loop_join, stack_tree_join_presorted, AttrKind, Cell,
-        NestedRelation, Row, Schema, StructRel,
-    };
-    use smv_xml::{IdAssignment, IdScheme, StructId};
-
-    println!("== PR 1 hot-path microbenches ==");
-    let doc = xmark(&XmarkConfig {
-        scale: 1.5,
-        ..Default::default()
-    });
-    assert!(doc.len() >= 10_000, "need ≥10k nodes, got {}", doc.len());
-    println!("(XMark document: {} nodes)", doc.len());
-    let ids = IdAssignment::assign(&doc, IdScheme::OrdPath);
-    let items: Vec<StructId> = doc
-        .iter()
-        .filter(|&n| doc.label(n).as_str() == "item")
-        .map(|n| ids.id(n).clone())
-        .collect();
-    let keywords: Vec<StructId> = doc
-        .iter()
-        .filter(|&n| matches!(doc.label(n).as_str(), "keyword" | "bold" | "emph" | "text"))
-        .map(|n| ids.id(n).clone())
-        .collect();
-
-    let mut lines: Vec<String> = Vec::new();
-    let samples = 9;
-    for (name, rel) in [
-        ("struct_join/ancestor", StructRel::Ancestor),
-        ("struct_join/parent", StructRel::Parent),
-    ] {
-        // "after": the executor's default path — sort once, merge
-        let after = measure(samples, || {
-            let lp = doc_sorted_indices(&items);
-            let rp = doc_sorted_indices(&keywords);
-            let ls: Vec<&StructId> = lp.iter().map(|&i| &items[i]).collect();
-            let rs: Vec<&StructId> = rp.iter().map(|&i| &keywords[i]).collect();
-            stack_tree_join_presorted(&ls, &rs, rel).len()
-        });
-        // "before": the nested-loop oracle the seed's eval fell back to
-        let before = measure(samples, || nested_loop_join(&items, &keywords, rel).len());
-        let speedup = before as f64 / after.max(1) as f64;
-        println!(
-            "{name:<24} left={} right={} before={}ns after={}ns speedup={speedup:.1}x",
-            items.len(),
-            keywords.len(),
-            before,
-            after
-        );
-        lines.push(format!(
-            "    {{\"name\": \"{name}\", \"left\": {}, \"right\": {}, \"before_ns\": {before}, \"after_ns\": {after}, \"speedup\": {speedup:.2}}}",
-            items.len(),
-            keywords.len()
-        ));
-    }
-
-    // dedup/sort: string-key encode (before) vs comparator sort + hash (after)
-    let rows: Vec<Row> = (0..2)
-        .flat_map(|_| {
-            doc.iter().map(|n| {
-                Row::new(vec![
-                    Cell::Id(ids.id(n).clone()),
-                    Cell::Label(doc.label(n)),
-                    doc.value(n)
-                        .map(|v| Cell::Atom(v.clone()))
-                        .unwrap_or(Cell::Null),
-                ])
-            })
-        })
-        .collect();
-    let schema = Schema::atoms(&[
-        ("n.ID", AttrKind::Id),
-        ("n.L", AttrKind::Label),
-        ("n.V", AttrKind::Value),
-    ]);
-    let before = measure(samples, || {
-        let mut rs = rows.clone();
-        rs.sort_by_cached_key(reference_string_key);
-        rs.dedup();
-        rs.len()
-    });
-    let after = measure(samples, || {
-        let mut rel = NestedRelation::new(schema.clone(), rows.clone());
-        rel.normalize();
-        rel.len()
-    });
-    let speedup = before as f64 / after.max(1) as f64;
-    println!(
-        "{:<24} rows={} before={}ns after={}ns speedup={speedup:.1}x",
-        "dedup_sort",
-        rows.len(),
-        before,
-        after
-    );
-    lines.push(format!(
-        "    {{\"name\": \"dedup_sort\", \"rows\": {}, \"before_ns\": {before}, \"after_ns\": {after}, \"speedup\": {speedup:.2}}}",
-        rows.len()
-    ));
-
-    let json = format!(
-        "{{\n  \"pr\": 1,\n  \"doc_nodes\": {},\n  \"benches\": [\n{}\n  ]\n}}\n",
-        doc.len(),
-        lines.join(",\n")
-    );
-    std::fs::write(out, json).expect("write bench json");
-    println!("wrote {out}");
-}
-
-/// PR 8 observability benchmark → `BENCH_PR8.json`.
-fn bench_pr8(scale: f64, out: &str) {
-    use smv::prelude::{AdaptiveSession, Catalog};
-    use smv_algebra::{
-        execute, stack_tree_join_presorted, AttrKind, Cell, MapProvider, NestedRelation, Plan, Row,
-        Schema, StructRel,
-    };
-    use smv_datagen::pr2_workload;
-    use smv_obs::ScopedEnable;
-    use smv_xml::{IdAssignment, IdScheme, StructId};
-
-    println!("== PR 8 observability: disabled-tracing overhead + EXPLAIN ANALYZE ==");
-    let doc = xmark(&XmarkConfig {
-        scale: 1.5 * scale.max(0.05),
-        ..Default::default()
-    });
-    println!("(XMark document: {} nodes)", doc.len());
-    let ids = IdAssignment::assign(&doc, IdScheme::OrdPath);
-    let items: Vec<StructId> = doc
-        .iter()
-        .filter(|&n| doc.label(n).as_str() == "item")
-        .map(|n| ids.id(n).clone())
-        .collect();
-    let keywords: Vec<StructId> = doc
-        .iter()
-        .filter(|&n| matches!(doc.label(n).as_str(), "keyword" | "bold" | "emph" | "text"))
-        .map(|n| ids.id(n).clone())
-        .collect();
-
-    // the bench-pr1 ancestor-join workload, as the executor sees it
-    let item_rows: Vec<Row> = items
-        .iter()
-        .map(|id| Row::new(vec![Cell::Id(id.clone())]))
-        .collect();
-    let kw_rows: Vec<Row> = keywords
-        .iter()
-        .map(|id| Row::new(vec![Cell::Id(id.clone())]))
-        .collect();
-    let mut views = MapProvider::default();
-    views.insert(
-        "v_item",
-        NestedRelation::new(
-            Schema::atoms(&[("item.ID", AttrKind::Id)]),
-            item_rows.clone(),
-        ),
-    );
-    views.insert(
-        "v_kw",
-        NestedRelation::new(Schema::atoms(&[("kw.ID", AttrKind::Id)]), kw_rows.clone()),
-    );
-    let plan = Plan::StructJoin {
-        left: Box::new(Plan::Scan {
-            view: "v_item".into(),
-        }),
-        right: Box::new(Plan::Scan {
-            view: "v_kw".into(),
-        }),
-        lcol: 0,
-        rcol: 0,
-        rel: StructRel::Ancestor,
-    };
-
-    let samples = 25;
-    let reg = smv_obs::global();
-    reg.reset();
-    let _ = smv_obs::drain_spans();
-
-    // pre-obs baseline: a replica of what the sequential StructJoin path
-    // did before instrumentation — gather IDs row-by-row and sort to
-    // document order (`gather_ids_sorted`), stack-tree merge, joined-row
-    // cell cloning, and the top-level normalize — composed from the same
-    // public kernels the executor calls
-    let join_schema = Schema::atoms(&[("item.ID", AttrKind::Id), ("kw.ID", AttrKind::Id)]);
-    fn gather(rows: &[Row]) -> (Vec<&StructId>, Vec<usize>) {
-        use smv_algebra::{doc_sorted_indices, Cell};
-        let mut ids = Vec::new();
-        let mut idxs = Vec::new();
-        for (i, r) in rows.iter().enumerate() {
-            if let Cell::Id(id) = &r.cells[0] {
-                ids.push(id);
-                idxs.push(i);
-            }
-        }
-        let perm = doc_sorted_indices(&ids);
-        (
-            perm.iter().map(|&i| ids[i]).collect(),
-            perm.iter().map(|&i| idxs[i]).collect(),
-        )
-    }
-    let baseline = || {
-        let (lids, lrows) = gather(&item_rows);
-        let (rids, rrows) = gather(&kw_rows);
-        let pairs = stack_tree_join_presorted(&lids, &rids, StructRel::Ancestor);
-        let mut rows = Vec::with_capacity(pairs.len());
-        for (a, b) in pairs {
-            let mut cells = Vec::with_capacity(2);
-            cells.extend(item_rows[lrows[a]].cells.iter().cloned());
-            cells.extend(kw_rows[rrows[b]].cells.iter().cloned());
-            rows.push(Row::new(cells));
-        }
-        let mut rel = NestedRelation::new(join_schema.clone(), rows);
-        rel.normalize();
-        rel.len()
-    };
-    let run_exec = || execute(&plan, &views).expect("join executes").len();
-
-    // interleave the three measurements so clock drift, frequency
-    // scaling and cache state hit all of them equally, then compare
-    // PAIRED per-round ratios: adjacent runs within a round see ~the
-    // same machine state, so the ratio cancels noise a per-series
-    // median cannot (shared runners swing absolute medians by ±10%
-    // between back-to-back processes). The gate takes the best round's
-    // ratio — a one-sided bound that noise can't fail: a real always-on
-    // regression (say a clock read per row) inflates EVERY round, while
-    // a noisy round only inflates some. The median ratio is recorded
-    // alongside, unguarded.
-    smv_obs::set_enabled(false);
-    for _ in 0..2 {
-        std::hint::black_box(baseline());
-        std::hint::black_box(run_exec());
-    }
-    let (mut t_base, mut t_dis, mut t_en) = (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..samples {
-        t_base.push(measure(1, baseline));
-        t_dis.push(measure(1, run_exec)); // tracing disabled: production default
-        let _on = ScopedEnable::new();
-        t_en.push(measure(1, run_exec)); // subscriber live
-    }
-    let floor = |v: &[u64]| v.iter().copied().min().unwrap_or(0);
-    let baseline_ns = floor(&t_base);
-    let disabled_ns = floor(&t_dis);
-    let enabled_ns = floor(&t_en);
-    let ratios = |num: &[u64], den: &[u64]| -> Vec<f64> {
-        num.iter()
-            .zip(den)
-            .map(|(&n, &d)| n as f64 / d.max(1) as f64)
-            .collect()
-    };
-    let best = |rs: &[f64]| rs.iter().copied().fold(f64::INFINITY, f64::min);
-    let median = |rs: &[f64]| {
-        let mut v = rs.to_vec();
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let dis_ratios = ratios(&t_dis, &t_base);
-    let en_ratios = ratios(&t_en, &t_base);
-    let disabled_ratio = best(&dis_ratios);
-    let disabled_ratio_median = median(&dis_ratios);
-    let enabled_ratio = best(&en_ratios);
-    let obs_overhead_ok = disabled_ratio <= 1.05;
-
-    let join_rows = run_exec();
-    println!(
-        "join workload            left={} right={} rows={join_rows}",
-        items.len(),
-        keywords.len()
-    );
-    println!(
-        "baseline(pre-obs replica)={baseline_ns}ns  exec(disabled)={disabled_ns}ns  exec(enabled)={enabled_ns}ns",
-    );
-    println!(
-        "paired round ratios      disabled/baseline best={:.1}% median={:.1}%  enabled/baseline best={:.1}%",
-        (disabled_ratio - 1.0) * 100.0,
-        (disabled_ratio_median - 1.0) * 100.0,
-        (enabled_ratio - 1.0) * 100.0
-    );
-
-    // EXPLAIN ANALYZE of an XMark query through the adaptive loop, with
-    // the subscriber on so the rewriter's spans and counters land in the
-    // registry snapshot below
-    let summary = Summary::of(&doc);
-    let case = pr2_workload(IdScheme::OrdPath)
-        .into_iter()
-        .next()
-        .expect("pr2 workload has cases");
-    let mut catalog = Catalog::new();
-    for v in &case.views {
-        catalog.add(v.clone(), &doc);
-    }
-    let (explain_txt, explain_ops, max_q, spans_recorded) = {
-        let _on = ScopedEnable::new();
-        let mut session = AdaptiveSession::new(&summary, &catalog);
-        let run = session
-            .run(&case.query)
-            .expect("pr2 case rewrites")
-            .expect("plan executes");
-        let spans = smv_obs::drain_spans();
-        (
-            run.explain.to_string(),
-            run.explain.operators().len(),
-            run.explain.max_q_error().unwrap_or(1.0),
-            spans.len(),
-        )
-    };
-    println!("\nEXPLAIN ANALYZE [{}]:\n{explain_txt}", case.name);
-
-    // timing plumbing lives on the registry too: the snapshot below is
-    // the machine-readable form of everything printed above
-    reg.observe("bench.baseline_ns", baseline_ns);
-    reg.observe("bench.exec_disabled_ns", disabled_ns);
-    reg.observe("bench.exec_enabled_ns", enabled_ns);
-    reg.counter_add("bench.join_rows", join_rows as u64);
-    smv_xml::par::WorkerPool::global().export_metrics(reg);
-    let metrics_json = reg.snapshot_json();
-
-    let json = format!(
-        "{{\n  \"pr\": 8,\n  \"doc_nodes\": {},\n  \"join_left\": {},\n  \"join_right\": {},\n  \"join_rows\": {join_rows},\n  \"samples\": {samples},\n  \"baseline_replica_ns\": {baseline_ns},\n  \"exec_disabled_ns\": {disabled_ns},\n  \"exec_enabled_ns\": {enabled_ns},\n  \"disabled_over_baseline\": {disabled_ratio:.4},\n  \"disabled_over_baseline_median\": {disabled_ratio_median:.4},\n  \"enabled_over_baseline\": {enabled_ratio:.4},\n  \"obs_overhead_ok\": {obs_overhead_ok},\n  \"explain_operators\": {explain_ops},\n  \"explain_max_q_error\": {max_q:.3},\n  \"spans_recorded\": {spans_recorded},\n  \"metrics\": {metrics_json}\n}}\n",
-        doc.len(),
-        items.len(),
-        keywords.len(),
-    );
-    std::fs::write(out, json).expect("write bench json");
-    println!("wrote {out}");
 }
 
 /// Table 1: documents and their summaries.
@@ -1759,254 +198,4 @@ fn fig15() {
         100.0 * kept_sum / rows.len() as f64
     );
     println!();
-}
-
-/// PR 10 on-disk columnar store benchmark → `BENCH_PR10.json`.
-fn bench_pr10(scale: f64, out: &str) {
-    use smv::adaptive::AdaptiveSession;
-    use smv::store::{
-        DiskStore, DiskVfs, FaultKind, FaultPlan, ProviderMatrix, SimVfs, StoreOptions,
-    };
-    use smv_algebra::{execute, plan_fingerprint};
-    use smv_core::{rewrite, RewriteOpts};
-    use smv_datagen::{pr2_workload, pr4_workload};
-    use smv_pattern::parse_pattern;
-    use smv_views::{Catalog, View};
-    use smv_xml::{Document, IdScheme};
-    use std::panic::AssertUnwindSafe;
-    use std::sync::Arc;
-
-    println!("== PR 10: on-disk columnar extents behind a buffer pool ==");
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let doc = xmark(&XmarkConfig {
-        scale,
-        ..Default::default()
-    });
-    let doc_nodes = doc.len();
-    let summary = Summary::of(&doc);
-    let cases = pr2_workload(IdScheme::OrdPath);
-    let mut catalog = Catalog::new();
-    for case in &cases {
-        for v in &case.views {
-            catalog.add_sharded(v.clone(), &doc, &summary);
-        }
-    }
-
-    // ---- (a) cold-open vs warm vs in-memory, per bench-pr2 query, on a
-    // real directory (DiskVfs): cold pays open + page reads + decode
-    // every sample, warm reuses resident pages and decoded extents.
-    let dir = std::env::temp_dir().join("smv-bench-pr10-store");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create bench store dir");
-    let disk = DiskStore::new(Arc::new(
-        DiskVfs::new(dir.clone()).expect("open bench store dir"),
-    ));
-    disk.publish(&catalog, Some(&summary), None, 1)
-        .expect("publish epoch 1");
-    let warm_cat = disk.open().expect("open warm catalog");
-    warm_cat.warm().expect("decode all extents");
-    let mut case_lines: Vec<String> = Vec::new();
-    for case in &cases {
-        let r = rewrite(&case.query, &case.views, &summary, &RewriteOpts::default());
-        assert!(!r.rewritings.is_empty(), "pr2 case {} rewrites", case.name);
-        let plan = &r.rewritings[0].plan;
-        let mem_ns = measure(7, || execute(plan, &catalog).unwrap().len());
-        let warm_ns = measure(7, || execute(plan, &warm_cat).unwrap().len());
-        let cold_ns = measure(3, || {
-            let cat = disk.open().expect("cold open");
-            execute(plan, &cat).unwrap().len()
-        });
-        println!(
-            "{:<13} in-memory={mem_ns:>9}ns disk-warm={warm_ns:>9}ns disk-cold={cold_ns:>10}ns (cold/warm {:.1}x)",
-            case.name,
-            cold_ns as f64 / warm_ns.max(1) as f64
-        );
-        case_lines.push(format!(
-            "    {{\"query\": \"{}\", \"in_memory_ns\": {mem_ns}, \"disk_warm_ns\": {warm_ns}, \"disk_cold_ns\": {cold_ns}}}",
-            case.name
-        ));
-    }
-
-    // ---- (b) buffer-pool hit-rate sweep: four sequential scans of every
-    // segment under shrinking pool budgets. Large budgets converge to a
-    // 3/4 hit rate (only the first scan misses); tiny budgets thrash.
-    let scans = 4usize;
-    let mut sweep_lines: Vec<String> = Vec::new();
-    for budget in [2usize, 4, 8, 16, 64, 256] {
-        let store_b = DiskStore::with_options(
-            disk.vfs().clone(),
-            StoreOptions {
-                pool_pages: budget,
-                ..disk.options()
-            },
-        );
-        let cat = store_b.open().expect("open for pool sweep");
-        let mut bytes = 0u64;
-        for _ in 0..scans {
-            bytes = cat.scan_segments().expect("sequential scan");
-        }
-        let st = cat.pool().stats();
-        let hit_rate = st.hits as f64 / (st.hits + st.misses).max(1) as f64;
-        println!(
-            "pool budget {budget:>4} pages: hits={:>6} misses={:>6} evictions={:>6} hit_rate={hit_rate:.3}",
-            st.hits, st.misses, st.evictions
-        );
-        sweep_lines.push(format!(
-            "    {{\"pool_pages\": {budget}, \"scans\": {scans}, \"payload_bytes\": {bytes}, \"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {hit_rate:.4}}}",
-            st.hits, st.misses, st.evictions
-        ));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // ---- (c) differential equivalence: the provider matrix (in-memory
-    // map, sharded, disk-cold, disk-warm × 1/4 threads) must answer every
-    // checked rewriting identically — this is the CI gate.
-    let matrix = ProviderMatrix::from_views(&doc, catalog.views().to_vec());
-    let mut disk_results_equivalent = true;
-    let mut checked_plans = 0usize;
-    for case in &cases {
-        let r = rewrite(
-            &case.query,
-            matrix.views(),
-            matrix.summary(),
-            &RewriteOpts::default(),
-        );
-        for rw in r.rewritings.iter().take(2) {
-            disk_results_equivalent &=
-                std::panic::catch_unwind(AssertUnwindSafe(|| matrix.check(&rw.plan, &[1, 4])))
-                    .is_ok();
-            checked_plans += 1;
-        }
-    }
-    println!(
-        "disk results equivalent across {checked_plans} plans x 4 providers x 2 thread counts: \
-         {disk_results_equivalent}"
-    );
-
-    // ---- (d) crash recovery: publish epoch 2 over epoch 1 with a fault
-    // injected at every operation index, for all three fault kinds, and
-    // reopen after the crash. The reopened store must always serve a
-    // complete epoch — 2 iff the publish reported durable success.
-    let scheme = IdScheme::OrdPath;
-    let mk = |src: &str| {
-        let d = Document::from_parens(src);
-        let s = Summary::of(&d);
-        let mut c = Catalog::new();
-        for (name, p) in [("bs", "r(//b{id,v})"), ("all", "r(//*{id,l,v})")] {
-            c.add_sharded(View::new(name, parse_pattern(p).unwrap(), scheme), &d, &s);
-        }
-        (c, s)
-    };
-    let (cat1, sum1) = mk(r#"r(a(b="1" b="2") d(c="x" b="3"))"#);
-    let (cat2, sum2) = mk(r#"r(a(b="9") d(b="7" c="y") a(b="8"))"#);
-    let sim_opts = StoreOptions {
-        page_size: 64,
-        pool_pages: 4,
-    };
-    let total_ops = {
-        let vfs = SimVfs::new();
-        let store = DiskStore::with_options(Arc::new(vfs.clone()), sim_opts);
-        store.publish(&cat1, Some(&sum1), None, 1).unwrap();
-        vfs.reset_ops();
-        store.publish(&cat2, Some(&sum2), None, 2).unwrap();
-        vfs.op_count()
-    };
-    let mut recovery_ok = true;
-    let mut fault_points = 0u64;
-    for fail_at in 0..=total_ops {
-        for kind in [
-            FaultKind::Stop,
-            FaultKind::TornWrite,
-            FaultKind::DroppedFsync,
-        ] {
-            let vfs = SimVfs::new();
-            let store = DiskStore::with_options(Arc::new(vfs.clone()), sim_opts);
-            store.publish(&cat1, Some(&sum1), None, 1).unwrap();
-            vfs.reset_ops();
-            vfs.set_fault(Some(FaultPlan { fail_at, kind }));
-            let published = store.publish(&cat2, Some(&sum2), None, 2).is_ok();
-            vfs.crash();
-            fault_points += 1;
-            match store.open() {
-                Ok(cat) => {
-                    let epoch = cat.epoch();
-                    recovery_ok &= (epoch == 1 || epoch == 2) && cat.warm().is_ok();
-                    if published && kind != FaultKind::DroppedFsync {
-                        recovery_ok &= epoch == 2;
-                    }
-                    if !published {
-                        recovery_ok &= epoch == 1;
-                    }
-                }
-                Err(_) => recovery_ok = false,
-            }
-        }
-    }
-    println!("crash recovery across {fault_points} fault points ({total_ops} publish ops x 3 kinds): {recovery_ok}");
-
-    // ---- (e) warm start vs re-learn: a cold adaptive session learns the
-    // bench-pr4 misrank workload over several iterations; its feedback
-    // store + summary are published, reopened, and must make a fresh
-    // session pick the converged plans from iteration 1.
-    let wl = pr4_workload(scale.max(0.05), IdScheme::OrdPath);
-    let s4 = Summary::of(&wl.doc);
-    let mut cat4 = Catalog::new();
-    for v in &wl.views {
-        cat4.add(v.clone(), &wl.doc);
-    }
-    let iters = 4usize;
-    let mut cold_fp: Vec<Vec<u64>> = vec![Vec::new(); wl.queries.len()];
-    let mut session = AdaptiveSession::new(&s4, &cat4);
-    for _ in 0..iters {
-        for (qi, q) in wl.queries.iter().enumerate() {
-            let run = session
-                .run(&q.pattern)
-                .expect("rewrites")
-                .expect("executes");
-            cold_fp[qi].push(plan_fingerprint(&run.plan));
-        }
-    }
-    // 1-based iteration from which the cold choice never changed again
-    let cold_iters: Vec<usize> = cold_fp
-        .iter()
-        .map(|fps| {
-            let last = *fps.last().unwrap();
-            fps.iter().rposition(|f| *f != last).map_or(1, |i| i + 2)
-        })
-        .collect();
-    let fstore = DiskStore::new(Arc::new(SimVfs::new()));
-    fstore
-        .publish(&cat4, Some(&s4), Some(session.store()), 1)
-        .expect("publish learned feedback");
-    let mut reopened = fstore.open().expect("reopen feedback epoch");
-    let loaded_fb = reopened
-        .take_feedback()
-        .expect("feedback loads")
-        .expect("feedback persisted");
-    let loaded_summary = reopened
-        .summary()
-        .expect("summary loads")
-        .expect("summary persisted");
-    let mut warm_sess = AdaptiveSession::new(loaded_summary, &cat4);
-    *warm_sess.store_mut() = loaded_fb;
-    let mut warm_start_converged = true;
-    for (qi, q) in wl.queries.iter().enumerate() {
-        let run = warm_sess
-            .run(&q.pattern)
-            .expect("rewrites")
-            .expect("executes");
-        warm_start_converged &= plan_fingerprint(&run.plan) == *cold_fp[qi].last().unwrap();
-    }
-    println!(
-        "cold session converged at iterations {cold_iters:?}; warm-started session converged \
-         from iteration 1: {warm_start_converged}"
-    );
-
-    let json = format!(
-        "{{\n  \"pr\": 10,\n  \"doc_nodes\": {doc_nodes},\n  \"host_cores\": {host_cores},\n  \"disk_results_equivalent\": {disk_results_equivalent},\n  \"recovery_ok\": {recovery_ok},\n  \"warm_start_converged\": {warm_start_converged},\n  \"checked_plans\": {checked_plans},\n  \"fault_points\": {fault_points},\n  \"cold_converge_iters\": {cold_iters:?},\n  \"queries\": [\n{}\n  ],\n  \"pool_sweep\": [\n{}\n  ]\n}}\n",
-        case_lines.join(",\n"),
-        sweep_lines.join(",\n"),
-    );
-    std::fs::write(out, json).expect("write bench json");
-    println!("wrote {out}");
 }

@@ -224,55 +224,6 @@ pub fn fig15_opts() -> smv_core::RewriteOpts {
     }
 }
 
-/// Aggregate (plan, pattern) pair counts over the Figure-15 workload,
-/// with the branch-and-bound cost pruning toggled — the PR 2 ablation
-/// showing how much of Algorithm 1's enumeration the bound cuts off.
-pub struct BBComparison {
-    /// Σ pairs explored with `cost_prune: true`.
-    pub pairs_with_bound: usize,
-    /// Σ pairs pruned by the bound.
-    pub pairs_pruned: usize,
-    /// Σ pairs explored with `cost_prune: false`.
-    pub pairs_without_bound: usize,
-    /// Queries with ≥ 1 rewriting under the bound (sanity: no query loses
-    /// its best plan; lower-ranked alternatives may legitimately vanish).
-    pub rewritings_with_bound: usize,
-    /// Queries with ≥ 1 rewriting without the bound.
-    pub rewritings_without_bound: usize,
-}
-
-/// Runs the Figure-15 queries twice — bound on, bound off — and sums the
-/// enumeration counters. Both runs rank by cost and search exhaustively
-/// within the same caps, so the only difference is the pruning rule.
-pub fn fig15_bb_comparison(s: &Summary, views: &[View]) -> BBComparison {
-    let run = |cost_prune: bool| {
-        let opts = smv_core::RewriteOpts {
-            cost_prune,
-            max_rewritings: 8,
-            ..fig15_opts()
-        };
-        let mut pairs = 0;
-        let mut pruned = 0;
-        let mut rewritings = 0;
-        for q in xmark_query_patterns() {
-            let r = smv_core::rewrite(&q, views, s, &opts);
-            pairs += r.stats.pairs_explored;
-            pruned += r.stats.pairs_pruned;
-            rewritings += r.rewritings.len().min(1);
-        }
-        (pairs, pruned, rewritings)
-    };
-    let (pairs_with_bound, pairs_pruned, rewritings_with_bound) = run(true);
-    let (pairs_without_bound, _, rewritings_without_bound) = run(false);
-    BBComparison {
-        pairs_with_bound,
-        pairs_pruned,
-        pairs_without_bound,
-        rewritings_with_bound,
-        rewritings_without_bound,
-    }
-}
-
 /// Figure 15: rewriting every XMark query pattern over the view set.
 pub fn fig15_rewriting(s: &Summary, views: &[View]) -> Vec<RewritingPoint> {
     xmark_query_patterns()

@@ -55,6 +55,5 @@ pub use containment::{
 pub mod rewriting;
 
 pub use rewriting::{
-    best_rewriting_cost, rewrite, rewrite_with_cards, rewrite_with_feedback, RewriteOpts,
-    RewriteResult, RewriteStats, Rewriter, Rewriting,
+    best_rewriting_cost, rewrite, RewriteOpts, RewriteResult, RewriteStats, Rewriter, Rewriting,
 };

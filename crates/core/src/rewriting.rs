@@ -442,8 +442,10 @@ struct PreparedView {
 
 /// Rewrites `q` over `views` under `s`. See module docs. Scan
 /// cardinalities are *estimated* from the summary (definition-only
-/// [`DefCards`]); use [`rewrite_with_cards`] when materialized extent
-/// sizes are available.
+/// [`DefCards`]); build a [`Rewriter`] with
+/// [`Rewriter::with_card_source`] when materialized extent sizes are
+/// available, and [`Rewriter::with_feedback`] to rank on observed
+/// cardinalities.
 ///
 /// ```
 /// use smv_core::{rewrite, RewriteOpts};
@@ -461,41 +463,6 @@ struct PreparedView {
 /// ```
 pub fn rewrite(q: &Pattern, views: &[View], s: &Summary, opts: &RewriteOpts) -> RewriteResult {
     Rewriter::new(q, views, s, opts.clone()).run()
-}
-
-/// Rewrites `q` with an explicit cardinality source (e.g.
-/// `smv_views::CatalogCards` over a materialized catalog), making the
-/// cost ranking and branch-and-bound bound use actual extent sizes.
-pub fn rewrite_with_cards(
-    q: &Pattern,
-    views: &[View],
-    s: &Summary,
-    opts: &RewriteOpts,
-    cards: &dyn CardSource,
-) -> RewriteResult {
-    Rewriter::new(q, views, s, opts.clone())
-        .with_card_source(cards)
-        .run()
-}
-
-/// Rewrites `q` with a cardinality source *and* a runtime-feedback store:
-/// scan rows, selection pass-rates and join selectivities observed by
-/// `smv_algebra::execute_profiled` correct the static estimates wherever
-/// a memo exists, so re-ranking a repeated query converges on the plan
-/// that actually ran cheapest. Pass a `FeedbackCards`-wrapped source as
-/// `cards` to also apply the per-view scan corrections.
-pub fn rewrite_with_feedback(
-    q: &Pattern,
-    views: &[View],
-    s: &Summary,
-    opts: &RewriteOpts,
-    cards: &dyn CardSource,
-    feedback: &FeedbackStore,
-) -> RewriteResult {
-    Rewriter::new(q, views, s, opts.clone())
-        .with_card_source(cards)
-        .with_feedback(feedback)
-        .run()
 }
 
 /// Estimated work of the cheapest S-equivalent rewriting of `q` over

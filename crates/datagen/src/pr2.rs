@@ -1,4 +1,4 @@
-//! The `bench-pr2` workload: queries with a deliberately wide plan space.
+//! The `pr2` workload: queries with a deliberately wide plan space.
 //!
 //! Each case pairs one XMark query with two views that both rewrite it:
 //!
@@ -16,9 +16,9 @@ use smv_pattern::{parse_pattern, Pattern};
 use smv_views::View;
 use smv_xml::IdScheme;
 
-/// One bench-pr2 case: a query plus its view set (wide first).
+/// One `pr2` case: a query plus its view set (wide first).
 pub struct Pr2Case {
-    /// Short case name (used in the JSON report).
+    /// Short case name (names the golden `EXPLAIN` file).
     pub name: &'static str,
     /// The query pattern.
     pub query: Pattern,

@@ -1,4 +1,4 @@
-//! The `bench-pr3` advisor workload: weighted XMark queries with shared
+//! The `pr3` advisor workload: weighted XMark queries with shared
 //! sub-structure.
 //!
 //! Every query returns *two* nodes (an anchor ID plus a leaf value), so
@@ -15,7 +15,7 @@ use smv_pattern::{parse_pattern, Pattern};
 
 /// One advisor-workload query.
 pub struct Pr3Query {
-    /// Short name (used in the JSON report).
+    /// Short name.
     pub name: &'static str,
     /// The query pattern.
     pub pattern: Pattern,

@@ -1,8 +1,8 @@
-//! The `bench-pr4` workload: frequency skew that static estimates cannot
+//! The `pr4` workload: frequency skew that static estimates cannot
 //! see, so cost ranking picks a provably worse plan until runtime
 //! feedback corrects it.
 //!
-//! Two value populations drive the experiment:
+//! Two value populations drive it:
 //!
 //! * **`initial` values are frequency-skewed**: 90% of the auctions carry
 //!   one heavy-hitter value that satisfies the workload predicate
@@ -25,9 +25,9 @@ use smv_pattern::{parse_pattern, Pattern};
 use smv_views::View;
 use smv_xml::{Document, IdScheme};
 
-/// One bench-pr4 query.
+/// One `pr4` query.
 pub struct Pr4Query {
-    /// Short name (used in the JSON report).
+    /// Short name.
     pub name: &'static str,
     /// The query pattern.
     pub pattern: Pattern,
@@ -37,7 +37,7 @@ pub struct Pr4Query {
     pub expect_misrank: bool,
 }
 
-/// The bench-pr4 document, views and queries.
+/// The `pr4` document, views and queries.
 pub struct Pr4Workload {
     /// The generated document.
     pub doc: Document,

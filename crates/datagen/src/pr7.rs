@@ -1,8 +1,8 @@
-//! The `bench-pr7` update workload: a deterministic, seeded stream of
+//! The `pr7` update workload: a deterministic, seeded stream of
 //! insert / delete / modify batches over an XMark document — the churn
 //! the epoch store's incremental view maintenance is measured against.
-//! Shared by the maintenance property tests and the `bench-pr7`
-//! experiment so both exercise the same update distribution.
+//! Shared by the maintenance property tests and `smvbench`'s update
+//! workloads so both exercise the same update distribution.
 //!
 //! Each batch touches about `churn · |items|` of the document's `item`
 //! elements, split 40% deletions (random surviving items), 40%

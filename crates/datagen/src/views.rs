@@ -12,7 +12,7 @@ use rand::{RngExt, SeedableRng};
 use smv_pattern::{Axis, Pattern};
 use smv_summary::Summary;
 use smv_views::View;
-use smv_xml::{IdScheme, Label, NodeId};
+use smv_xml::{IdScheme, Label};
 
 /// Parameters for the random 3-node views.
 #[derive(Clone, Debug)]
@@ -93,11 +93,6 @@ pub fn random_views(s: &Summary, cfg: &ViewGenConfig) -> Vec<View> {
         .filter(|(_, p)| p.arity() > 0)
         .map(|(i, p)| View::new(&format!("rv{i}"), p, cfg.scheme))
         .collect()
-}
-
-/// Convenience: pick a summary node's label by path, for tests.
-pub fn label_of(s: &Summary, path: &str) -> Option<NodeId> {
-    s.node_by_path(path)
 }
 
 #[cfg(test)]

@@ -11,6 +11,13 @@
 //! result cache → execute, and every response reports which layers hit,
 //! the epoch served, and the scheduling decision.
 //!
+//! **Feedback.** This is the system's adaptive loop: a plan-cache miss
+//! ranks under the service's [`FeedbackStore`], every execution is
+//! profiled and its profile ingested, and a mutation's sweep drops the
+//! memos over the views it touched. Rankings are cached per epoch, so
+//! what a run measured changes a query's plan at that query's next
+//! plan-cache miss (a new epoch or an eviction), not at its next run.
+//!
 //! **Coherence.** A cached result must be byte-identical to a fresh
 //! execution against the snapshot the response carries, and a reader
 //! must never wait for a writer. The one protocol that gives both —
@@ -35,7 +42,7 @@ use smv_algebra::{
     execute_profiled_with, plan_fingerprint, ExecError, ExecOpts, FeedbackCards, FeedbackStore,
     NestedRelation, ParHints, PlanEstimate, WorkerPool,
 };
-use smv_core::{rewrite_with_feedback, RewriteOpts};
+use smv_core::{RewriteOpts, Rewriter};
 use smv_pattern::PatternParseError;
 use smv_views::{
     CatalogCards, CatalogEpoch, EpochCatalog, EpochReader, MaintenanceReport, RefreshPolicy, View,
@@ -98,9 +105,8 @@ impl From<LiveError> for ServeError {
     }
 }
 
-/// Service construction knobs. `..Default::default()` is a sensible
-/// serving configuration; benchmarks flip the cache switches off to
-/// measure what each layer buys.
+/// Service construction knobs; `..Default::default()` is a sensible
+/// serving configuration.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker-pool size (`0` = the host's available parallelism). The
@@ -110,28 +116,20 @@ pub struct ServiceConfig {
     /// [`ExecOpts::min_par_rows`] for executed plans, and the
     /// scheduler's fan-out floor.
     pub min_par_rows: usize,
-    /// Pattern-cache capacity (distinct spellings / canonical forms).
-    pub pattern_cache_capacity: usize,
-    /// Plan-cache capacity (rankings).
-    pub plan_cache_capacity: usize,
-    /// Result-cache capacity (materialized answers).
-    pub result_cache_capacity: usize,
-    /// Master switch for the plan cache (layer 2).
-    pub plan_cache: bool,
-    /// Master switch for the result cache (layer 3).
-    pub result_cache: bool,
 }
+
+/// Pattern-cache capacity (distinct spellings / canonical forms).
+const PATTERN_CACHE_CAPACITY: usize = 1024;
+/// Plan-cache capacity (rankings).
+const PLAN_CACHE_CAPACITY: usize = 1024;
+/// Result-cache capacity (materialized answers).
+const RESULT_CACHE_CAPACITY: usize = 256;
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
         ServiceConfig {
             threads: 0,
             min_par_rows: ExecOpts::default().min_par_rows,
-            pattern_cache_capacity: 1024,
-            plan_cache_capacity: 1024,
-            result_cache_capacity: 256,
-            plan_cache: true,
-            result_cache: true,
         }
     }
 }
@@ -286,9 +284,9 @@ impl QueryService {
         QueryService {
             published: catalog.reader(),
             master: RwLock::new(catalog),
-            patterns: PatternCache::new(config.pattern_cache_capacity),
-            plans: PlanCache::new(config.plan_cache_capacity),
-            results: ResultCache::new(config.result_cache_capacity),
+            patterns: PatternCache::new(PATTERN_CACHE_CAPACITY),
+            plans: PlanCache::new(PLAN_CACHE_CAPACITY),
+            results: ResultCache::new(RESULT_CACHE_CAPACITY),
             feedback: Mutex::new(Arc::new(FeedbackStore::new())),
             scheduler: AdmissionScheduler::new(config.min_par_rows),
             rewrite_opts,
@@ -473,18 +471,11 @@ impl QueryService {
             geometry: snap.summary().geometry_token(),
             epoch,
         };
-        let (ranked, plan_cache_hit) = match self
-            .config
-            .plan_cache
-            .then(|| self.plans.get(&plan_key))
-            .flatten()
-        {
+        let (ranked, plan_cache_hit) = match self.plans.get(&plan_key) {
             Some(r) => (r, true),
             None => {
                 let r = self.rank(&pat.pattern, &snap)?;
-                if self.config.plan_cache {
-                    self.plans.insert(plan_key, Arc::clone(&r));
-                }
+                self.plans.insert(plan_key, Arc::clone(&r));
                 (r, false)
             }
         };
@@ -501,21 +492,19 @@ impl QueryService {
             canon_fp: pat.canon_fp,
             plan_fp: ranked.fingerprint,
         };
-        if self.config.result_cache {
-            match self.results.get(&result_key, epoch) {
-                Lookup::Hit(rows) => {
-                    return Ok(Some(Served {
-                        rows,
-                        snapshot: snap,
-                        ranked,
-                        plan_cache_hit,
-                        result_cache_hit: true,
-                        scheduling,
-                    }))
-                }
-                Lookup::Superseded if may_restart => return Ok(None),
-                Lookup::Superseded | Lookup::Miss => {}
+        match self.results.get(&result_key, epoch) {
+            Lookup::Hit(rows) => {
+                return Ok(Some(Served {
+                    rows,
+                    snapshot: snap,
+                    ranked,
+                    plan_cache_hit,
+                    result_cache_hit: true,
+                    scheduling,
+                }))
             }
+            Lookup::Superseded if may_restart => return Ok(None),
+            Lookup::Superseded | Lookup::Miss => {}
         }
 
         // execute on the shared pool at the granted parallelism
@@ -539,14 +528,12 @@ impl QueryService {
         // lone client never makes this copy the store
         Arc::make_mut(&mut lock(&self.feedback)).ingest(&ranked.plan, &profile);
         let rows = Arc::new(rel);
-        if self.config.result_cache {
-            self.results.insert_for(
-                result_key,
-                Arc::clone(&rows),
-                ranked.plan.views_used(),
-                epoch,
-            );
-        }
+        self.results.insert_for(
+            result_key,
+            Arc::clone(&rows),
+            ranked.plan.views_used(),
+            epoch,
+        );
         Ok(Some(Served {
             rows,
             snapshot: snap,
@@ -579,14 +566,10 @@ impl QueryService {
         let fb = self.frozen_feedback();
         let cards = CatalogCards::over(snap, snap.summary());
         let fb_cards = FeedbackCards::new(&cards, &fb);
-        let ranked = rewrite_with_feedback(
-            q,
-            snap.views(),
-            snap.summary(),
-            &self.rewrite_opts,
-            &fb_cards,
-            &fb,
-        );
+        let ranked = Rewriter::new(q, snap.views(), snap.summary(), self.rewrite_opts.clone())
+            .with_card_source(&fb_cards)
+            .with_feedback(&fb)
+            .run();
         let candidates = ranked.rewritings.len();
         let best = ranked
             .rewritings
@@ -915,6 +898,39 @@ mod tests {
         assert_eq!(frozen.ingests(), 1);
         assert_eq!(svc.frozen_feedback().ingests(), 2);
         assert_ne!(store(&svc), before, "copied on write");
+    }
+
+    #[test]
+    fn apply_drops_stale_feedback_memos() {
+        let doc = Document::from_parens(r#"r(a(name="x") a(name="y") a(name="z"))"#);
+        let svc = QueryService::new(
+            doc,
+            IdScheme::OrdPath,
+            ServiceConfig {
+                threads: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        svc.add_view(
+            View::new(
+                "names",
+                parse_pattern("r(//name{id,v})").unwrap(),
+                IdScheme::OrdPath,
+            ),
+            RefreshPolicy::Eager,
+        );
+        let q = "r(//name{id,v})";
+        assert_eq!(svc.query(q).unwrap().rows.len(), 3);
+        assert_eq!(svc.frozen_feedback().scan_rows("names"), Some(3.0));
+        let mut batch = UpdateBatch::new();
+        batch.delete(sid(&svc, "a", 0));
+        let report = svc.apply(&batch).unwrap();
+        assert!(report.refreshed.iter().any(|v| v == "names"));
+        assert_eq!(svc.frozen_feedback().scan_rows("names"), None);
+        // relearned from the new extent alone: a blend with the stale
+        // memo would sit between 2 and 3
+        assert_eq!(svc.query(q).unwrap().rows.len(), 2);
+        assert_eq!(svc.frozen_feedback().scan_rows("names"), Some(2.0));
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //! requested thread count and asserts byte-identical result rows, schema,
 //! `sorted_on` and per-operator [`ExecProfile`] row counters. Any
 //! divergence panics with the arm, thread count, and the first differing
-//! piece — which makes it usable both from `#[test]`s and from the
-//! `bench-pr10` gate.
+//! piece — which makes it usable from any `#[test]`.
 
 use crate::disk::{DiskCatalog, DiskStore, StoreOptions};
 use crate::io::SimVfs;
@@ -150,19 +149,6 @@ impl ProviderMatrix {
             }
         }
         (base_rel, base_prof)
-    }
-
-    /// [`ProviderMatrix::check`] at the default thread ladder (1 and 4).
-    pub fn check_default(&self, plan: &Plan) -> (NestedRelation, ExecProfile) {
-        self.check(plan, &[1, 4])
-    }
-
-    /// Runs `check` over several plans; returns how many were checked.
-    pub fn check_all(&self, plans: &[Plan], threads: &[usize]) -> usize {
-        for plan in plans {
-            self.check(plan, threads);
-        }
-        plans.len()
     }
 
     /// All registered views, for building plans against the matrix.

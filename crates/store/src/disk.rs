@@ -642,8 +642,8 @@ impl DiskCatalog {
             .get(self.vfs.as_ref(), FeedbackStore::from_bytes)
     }
 
-    /// Takes ownership of the persisted feedback store (for warm-starting
-    /// an adaptive session); afterwards the catalog has none.
+    /// Takes ownership of the persisted feedback store; afterwards the
+    /// catalog has none.
     pub fn take_feedback(&mut self) -> Result<Option<FeedbackStore>> {
         self.feedback()?;
         self.feedback.file = None;
@@ -711,19 +711,6 @@ impl DiskCatalog {
         self.summary()?;
         self.feedback()?;
         Ok(())
-    }
-
-    /// Streams every segment of the epoch through the buffer pool once (a
-    /// sequential scan, no decoding), returning the total payload bytes
-    /// read. Repeated scans under different pool budgets expose the
-    /// pool's hit/eviction behavior — `bench-pr10`'s hit-rate sweep is
-    /// built on this.
-    pub fn scan_segments(&self) -> Result<u64> {
-        let mut bytes = 0u64;
-        for seg in &self.segs {
-            bytes += read_segment(self.vfs.as_ref(), &self.pool, seg)?.len() as u64;
-        }
-        Ok(bytes)
     }
 }
 
@@ -805,12 +792,6 @@ impl PersistentEpochs {
     /// The in-memory epoch catalog.
     pub fn epochs(&self) -> &EpochCatalog {
         &self.epochs
-    }
-
-    /// Mutable access (e.g. to add views); call
-    /// [`PersistentEpochs::publish`] afterwards to make changes durable.
-    pub fn epochs_mut(&mut self) -> &mut EpochCatalog {
-        &mut self.epochs
     }
 
     /// The underlying store.

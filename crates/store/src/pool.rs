@@ -243,16 +243,6 @@ impl BufferPool {
         self.vfs.fsync(file)
     }
 
-    /// Drop every resident page of `file` (dirty pages are discarded —
-    /// call [`flush_file`](BufferPool::flush_file) first to keep them).
-    pub fn evict_file(&self, file: &str) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.frames.retain(|k, _| k.0 != file);
-        inner.ring.retain(|k| k.0 != file);
-        inner.hand = 0;
-        smv_obs::gauge_set("store.pool.resident", inner.frames.len() as i64);
-    }
-
     /// Drop every resident page — a cold-cache reset for tests and
     /// benchmarks. Dirty pages are discarded.
     pub fn clear(&self) {

@@ -1191,14 +1191,6 @@ impl Summary {
         }
     }
 
-    /// Recomputes the strong / one-to-one edge classes from the current
-    /// counts. Call once after a round of maintenance deltas (the delta
-    /// methods leave classes untouched so a batch pays the O(|S|) sweep
-    /// once, not per operation).
-    pub fn refresh_stats(&mut self) {
-        self.refresh_edge_classes();
-    }
-
     /// Maintains this summary across one applied live-document batch
     /// ([`smv_xml::LiveDoc::apply`]): prunes deleted subtrees, grafts
     /// inserted fragments, settles the boundary fan-out deltas from the

@@ -134,13 +134,6 @@ pub struct AppliedBatch {
     pub deleted_ids: Vec<StructId>,
 }
 
-impl AppliedBatch {
-    /// True when the batch changed nothing.
-    pub fn is_noop(&self) -> bool {
-        self.inserted_roots.is_empty() && self.deleted_roots.is_empty()
-    }
-}
-
 /// A document that accepts update batches while keeping node identity.
 ///
 /// ```

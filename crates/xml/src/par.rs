@@ -5,29 +5,24 @@
 //! batch materialization all need one primitive: *run `n` independent
 //! tasks on up to `t` threads and collect the results in task order*.
 //!
-//! Two implementations provide it:
+//! [`WorkerPool::pool_map`] provides it. A pool of long-lived OS threads
+//! (created **once**, parked when idle) watches a shared injector queue
+//! of jobs. Each job is one `pool_map` call: its tasks are the
+//! *morsels*, and idle workers claim morsel indices from the job's
+//! atomic counter, so uneven morsels balance dynamically and a dispatch
+//! costs a queue push + wakeup (single-digit µs) instead of a thread
+//! spawn (~100µs per `std::thread::scope`). The calling thread
+//! participates in its own job, which makes nested/reentrant use
+//! deadlock-free: a job always makes progress even when every worker is
+//! busy elsewhere.
 //!
-//! * [`WorkerPool::pool_map`] — the production path. A pool of long-lived
-//!   OS threads (created **once**, parked when idle) watches a shared
-//!   injector queue of jobs. Each job is one `pool_map` call: its tasks
-//!   are the *morsels*, and idle workers claim morsel indices from the
-//!   job's atomic counter, so uneven morsels balance dynamically and a
-//!   dispatch costs a queue push + wakeup (single-digit µs) instead of a
-//!   thread spawn (~100µs per `std::thread::scope`). The calling thread
-//!   participates in its own job, which makes nested/reentrant use
-//!   deadlock-free: a job always makes progress even when every worker is
-//!   busy elsewhere.
-//! * [`par_map`] — the pool-less fallback over [`std::thread::scope`],
-//!   kept as the spawn-per-call baseline the dispatch microbench compares
-//!   against (and for one-shot callers that don't want pool threads).
-//!
-//! Both return results in task order, run everything inline when there is
-//! nothing to parallelize, and — when a task panics — stop claiming
-//! further tasks, drain in-flight ones, and re-raise the *original* panic
-//! payload on the calling thread, so one poisoned morsel can neither
-//! wedge the pool nor obscure its message. The offline build environment
-//! has no `rayon`; this module is the small subset of it the workspace
-//! actually uses.
+//! Results come back in task order, everything runs inline when there is
+//! nothing to parallelize, and — when a task panics — the job stops
+//! claiming further tasks, drains in-flight ones, and re-raises the
+//! *original* panic payload on the calling thread, so one poisoned morsel
+//! can neither wedge the pool nor obscure its message. The offline build
+//! environment has no `rayon`; this module is the small subset of it the
+//! workspace actually uses.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -44,88 +39,6 @@ pub fn resolve_threads(threads: usize) -> usize {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         t => t,
     }
-}
-
-// ---------------------------------------------------------------------
-// scoped fallback
-// ---------------------------------------------------------------------
-
-/// Maps `f` over `0..n` on up to `threads` **freshly spawned** scoped
-/// workers and returns the results in index order. Workers pull the next
-/// task index from a shared counter, so long tasks do not serialize
-/// behind short ones. With `threads <= 1` (or fewer than two tasks)
-/// everything runs inline on the caller's thread — no spawn,
-/// byte-identical to a plain loop.
-///
-/// This is the spawn-per-call baseline; executor call sites go through
-/// [`WorkerPool::pool_map`], which amortizes thread creation across the
-/// session. If a task panics, remaining tasks are drained unexecuted and
-/// the original panic payload is re-raised on the caller.
-///
-/// ```
-/// let squares = smv_xml::par::par_map(4, 6, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25]);
-/// ```
-pub fn par_map<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = threads.min(n);
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    type Chunk<R> = (Vec<(usize, R)>, Option<Box<dyn Any + Send>>);
-    let chunks: Vec<Chunk<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    let mut payload = None;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            return (out, payload);
-                        }
-                        // after a panic anywhere, drain without executing
-                        if abort.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(i))) {
-                            Ok(r) => out.push((i, r)),
-                            Err(p) => {
-                                abort.store(true, Ordering::Relaxed);
-                                payload.get_or_insert(p);
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool workers catch task panics"))
-            .collect()
-    });
-    let mut first_panic = None;
-    for (chunk, payload) in chunks {
-        if let Some(p) = payload {
-            first_panic.get_or_insert(p);
-        }
-        for (i, r) in chunk {
-            slots[i] = Some(r);
-        }
-    }
-    if let Some(p) = first_panic {
-        resume_unwind(p);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every task index produced a result"))
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -447,8 +360,7 @@ impl WorkerPool {
 
     /// Maps `f` over `0..n` with parallelism at most `cap` (capped by the
     /// pool size; `0` means "the whole pool") and returns the results in
-    /// index order — the same ordering/determinism contract as
-    /// [`par_map`], so call sites migrate mechanically.
+    /// index order.
     ///
     /// The tasks become one job on the injector queue; idle workers claim
     /// task indices dynamically, and the caller participates too. With
@@ -574,21 +486,22 @@ mod tests {
     #[test]
     fn results_in_order_regardless_of_threads() {
         for threads in [0, 1, 2, 4, 9] {
-            let out = par_map(threads, 37, |i| i * 3);
+            let out = WorkerPool::new(threads).pool_map(0, 37, |i| i * 3);
             assert_eq!(out, (0..37).map(|i| i * 3).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn empty_and_single_task() {
-        assert_eq!(par_map(4, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map(4, 1, |i| i + 1), vec![1]);
+        let pool = WorkerPool::new(4);
+        assert_eq!(pool.pool_map(4, 0, |i| i), Vec::<usize>::new());
+        assert_eq!(pool.pool_map(4, 1, |i| i + 1), vec![1]);
     }
 
     #[test]
     fn uneven_tasks_all_complete() {
         // tasks with wildly different costs still land in order
-        let out = par_map(3, 16, |i| {
+        let out = WorkerPool::new(3).pool_map(3, 16, |i| {
             let mut acc = 0u64;
             for k in 0..((i % 5) * 10_000) as u64 {
                 acc = acc.wrapping_add(k);
@@ -679,24 +592,6 @@ mod tests {
         // the pool is not wedged: the next job completes normally
         let out = pool.pool_map(4, 10, |i| i);
         assert_eq!(out, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_panic_is_reraised_with_original_message() {
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            par_map(3, 20, |i| {
-                if i == 7 {
-                    panic!("morsel 7 went bad");
-                }
-                i
-            })
-        }));
-        let payload = caught.expect_err("the task panic must surface");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .expect("payload is the original message");
-        assert!(msg.contains("morsel 7 went bad"));
     }
 
     #[test]

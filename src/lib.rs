@@ -42,15 +42,13 @@
 //! | [`views`] | view definitions, materialization, catalog |
 //! | [`store`] | on-disk columnar segments, buffer pool, epoch manifests |
 //! | [`core`] | containment (§3-§4) and rewriting (Algorithm 1) |
-//! | [`adaptive`] | the feedback loop: profile → memoize → re-rank |
 //! | [`advisor`] | workload-driven view selection (greedy benefit/byte) |
 //! | [`xquery`] | FLWR-subset parser + pattern translation (§1) |
-//! | [`serve`] | multi-client query service: layered caches + scheduling |
+//! | [`serve`] | the query service: layered caches, scheduling, the feedback loop |
 //! | [`datagen`] | XMark/DBLP/… generators and §5 workloads |
 //! | [`obs`] | zero-dependency tracing spans + metrics registry |
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
-pub mod adaptive;
 
 pub use smv_advisor as advisor;
 pub use smv_algebra as algebra;
@@ -67,7 +65,6 @@ pub use smv_xquery as xquery;
 
 /// The commonly used surface of the library, re-exported flat.
 pub mod prelude {
-    pub use crate::adaptive::{AdaptiveRun, AdaptiveSession, SessionFeedback};
     pub use smv_advisor::{
         advise, advise_exhaustive, mine_candidates, Advice, AdvisorOpts, Workload,
     };
@@ -78,7 +75,7 @@ pub mod prelude {
     };
     pub use smv_core::{
         best_rewriting_cost, contained, contained_in_union, equivalent, is_satisfiable, rewrite,
-        rewrite_with_cards, rewrite_with_feedback, ContainOpts, Decision, RewriteOpts,
+        ContainOpts, Decision, RewriteOpts, Rewriter,
     };
     pub use smv_datagen::{
         pr7_document, pr7_views, xmark, xmark_query_patterns, Pr7Stream, XmarkConfig,

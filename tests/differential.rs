@@ -96,7 +96,7 @@ fn figure1_queries_are_provider_invariant() {
     }
 }
 
-/// The bench-pr2 workload (wide + exact views per XMark query): every
+/// The pr2 workload (wide + exact views per XMark query): every
 /// rewriting of every case returns the same rows from every arm, and
 /// those rows are direct evaluation's.
 #[test]

@@ -187,13 +187,9 @@ fn cost_ranking_never_changes_results_on_xmark() {
             catalog.add(v.clone(), &doc);
         }
         let cards = CatalogCards::new(&catalog, &s);
-        let r = rewrite_with_cards(
-            &case.query,
-            &case.views,
-            &s,
-            &RewriteOpts::default(),
-            &cards,
-        );
+        let r = Rewriter::new(&case.query, &case.views, &s, RewriteOpts::default())
+            .with_card_source(&cards)
+            .run();
         assert!(!r.rewritings.is_empty(), "case {} rewrites", case.name);
         let direct = materialize(&case.query, &doc, IdScheme::OrdPath);
         for rw in &r.rewritings {
@@ -229,13 +225,9 @@ fn estimated_cardinalities_track_actuals_on_xmark() {
             catalog.add(v.clone(), &doc);
         }
         let cards = CatalogCards::new(&catalog, &s);
-        let r = rewrite_with_cards(
-            &case.query,
-            &case.views,
-            &s,
-            &RewriteOpts::default(),
-            &cards,
-        );
+        let r = Rewriter::new(&case.query, &case.views, &s, RewriteOpts::default())
+            .with_card_source(&cards)
+            .run();
         for rw in &r.rewritings {
             let actual = execute(&rw.plan, &catalog).unwrap().len() as f64;
             assert!(
@@ -268,7 +260,10 @@ fn estimated_cardinalities_track_actuals_on_xmark() {
         cost_prune: false, // keep the join plans for inspection
         ..Default::default()
     };
-    let r = rewrite_with_cards(&q, &[va, vi], &s, &opts, &cards);
+    let views = [va, vi];
+    let r = Rewriter::new(&q, &views, &s, opts)
+        .with_card_source(&cards)
+        .run();
     assert!(!r.rewritings.is_empty());
     for rw in &r.rewritings {
         let actual = execute(&rw.plan, &catalog).unwrap().len() as f64;

@@ -1,7 +1,7 @@
 //! `EXPLAIN` / `EXPLAIN ANALYZE` surface tests.
 //!
 //! * Golden files: the rendered `EXPLAIN` of the best rewriting for each
-//!   bench-pr2 XMark query is pinned under `tests/golden/`. The renderer,
+//!   pr2 workload XMark query is pinned under `tests/golden/`. The renderer,
 //!   cost model, and plan choice are all deterministic for a fixed
 //!   document, so any drift in these files is a real behavior change.
 //!   Regenerate intentionally with `SMV_BLESS=1 cargo test --test explain`.
@@ -9,6 +9,8 @@
 //!   positional path, so every node's actual-row count must equal the
 //!   `ExecProfile` counter at that path — at every thread count, over
 //!   random documents and plan shapes covering the parallel code paths.
+//! * Feedback: a model corrected by a run's profile explains that run
+//!   with a q-error of 1 where the static model was off by 30×.
 
 use proptest::prelude::*;
 use smv::datagen::pr2_workload;
@@ -40,7 +42,7 @@ fn golden_check(name: &str, rendered: &str) {
     );
 }
 
-/// The rendered `EXPLAIN` of each bench-pr2 XMark query's best (cost-
+/// The rendered `EXPLAIN` of each pr2 workload XMark query's best (cost-
 /// ranked) rewriting matches its pinned golden file: operator heads,
 /// tree shape, and estimated rows are all stable.
 #[test]
@@ -58,13 +60,9 @@ fn explain_golden_xmark_bench_queries() {
             catalog.add(v.clone(), &doc);
         }
         let cards = CatalogCards::new(&catalog, &summary);
-        let ranked = rewrite_with_cards(
-            &case.query,
-            &case.views,
-            &summary,
-            &RewriteOpts::default(),
-            &cards,
-        );
+        let ranked = Rewriter::new(&case.query, &case.views, &summary, RewriteOpts::default())
+            .with_card_source(&cards)
+            .run();
         assert!(
             !ranked.rewritings.is_empty(),
             "case {} must rewrite",
@@ -77,6 +75,41 @@ fn explain_golden_xmark_bench_queries() {
         assert!(!txt.contains("actual"), "plain EXPLAIN carries no actuals");
         golden_check(case.name, &txt);
     }
+}
+
+/// Feedback tightens `EXPLAIN ANALYZE`: 80 % of the `b` values are the
+/// heavy hitter 5, which the distinct sample hides, so the static model
+/// misestimates an online `v<=10` filter; the model corrected by that
+/// run's own profile explains the same run exactly.
+#[test]
+fn feedback_tightens_explain_analyze_q_error() {
+    let items: Vec<String> = (0..200)
+        .map(|i| format!(r#"a(b="{}")"#, if i % 5 == 4 { 1000 + i } else { 5 }))
+        .collect();
+    let doc = Document::from_parens(&format!("r({})", items.join(" ")));
+    let summary = Summary::of(&doc);
+    let view = View::new(
+        "all_b",
+        parse_pattern("r(//b{id,v})").unwrap(),
+        IdScheme::OrdPath,
+    );
+    let mut catalog = Catalog::new();
+    catalog.add(view.clone(), &doc);
+    let q = parse_pattern("r(//b{id,v}[v<=10])").unwrap();
+    let ranked = rewrite(&q, &[view], &summary, &RewriteOpts::default());
+    let plan = &ranked.rewritings[0].plan;
+    let (rows, profile) = execute_profiled(plan, &catalog).unwrap();
+    assert_eq!(rows.len(), 160);
+    let cards = CatalogCards::new(&catalog, &summary);
+    let before = explain_analyze(plan, &CostModel::new(&summary, &cards), &profile);
+    let mut store = FeedbackStore::new();
+    store.ingest(plan, &profile);
+    let fb_cards = FeedbackCards::new(&cards, &store);
+    let model = CostModel::new(&summary, &fb_cards).with_feedback(&store);
+    let after = explain_analyze(plan, &model, &profile);
+    let (before, after) = (before.max_q_error().unwrap(), after.max_q_error().unwrap());
+    assert!(before > 10.0, "static q-error {before}");
+    assert_eq!(after, 1.0, "corrected q-error");
 }
 
 /// A strategy for small random labeled trees in parenthesized notation.

@@ -1,6 +1,7 @@
-//! Tests of the adaptive feedback loop: profile/relation consistency and
-//! the perfect-feedback property (with full feedback, estimates equal
-//! actuals for scans, selections and structural joins).
+//! Tests of the adaptive feedback loop: profile/relation consistency, the
+//! perfect-feedback property (with full feedback, estimates equal
+//! actuals for scans, selections and structural joins), and the query
+//! service re-ranking a misestimated query on what it measured.
 
 use proptest::prelude::*;
 use smv::algebra::{plan_fingerprint, CardSource, Predicate, StructRel};
@@ -183,4 +184,58 @@ fn feedback_cards_compose_with_catalog_cards() {
     // columns still come from the inner source
     assert_eq!(fb.scan_card("vb").unwrap().cols.len(), 2);
     assert!(fb.scan_card("nonexistent").is_none());
+}
+
+/// The service's feedback loop. 80 % of the `b` values are the heavy
+/// hitter 5, which the distinct sample hides, so static estimates call
+/// `v<=10` rare and rank the online filter over `all_b` first. That plan
+/// serves its epoch from the plan cache; the next plan-cache miss (here
+/// the epoch an unrelated view publishes) re-ranks on what it measured.
+#[test]
+fn service_reranks_on_feedback_at_the_next_epoch() {
+    let groups: Vec<Vec<i64>> = (0..200)
+        .map(|i| vec![if i % 5 == 4 { 1000 + i } else { 5 }])
+        .collect();
+    let svc = QueryService::new(
+        doc_of(&groups),
+        IdScheme::OrdPath,
+        ServiceConfig {
+            threads: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    let view =
+        |name: &str, pat: &str| View::new(name, parse_pattern(pat).unwrap(), IdScheme::OrdPath);
+    svc.add_views(
+        vec![
+            view("all_b", "r(//b{id,v})"),
+            view("low_b", "r(//b{id,v}[v<=10])"),
+        ],
+        RefreshPolicy::Eager,
+    );
+    let q = "r(//b{id,v}[v<=10])";
+    let first = svc.query(q).unwrap();
+    assert_eq!(first.rows.len(), 160);
+    assert!(first.est.rows < 16.0, "misestimated: {}", first.est.rows);
+    // the same epoch reuses the ranking, however wrong
+    let again = svc.query(q).unwrap();
+    assert!(again.plan_cache_hit);
+    assert_eq!(again.plan_fingerprint, first.plan_fingerprint);
+    // a new epoch ranks again, now on the measured pass-rate
+    svc.add_view(view("as", "r(//a{id})"), RefreshPolicy::Eager);
+    let after = svc.query(q).unwrap();
+    assert!(after.epoch > first.epoch && !after.plan_cache_hit);
+    let over_low_b = rewrite(
+        &parse_pattern(q).unwrap(),
+        &[view("low_b", "r(//b{id,v}[v<=10])")],
+        after.snapshot.summary(),
+        &RewriteOpts::default(),
+    );
+    assert_eq!(
+        after.plan_fingerprint,
+        plan_fingerprint(&over_low_b.rewritings[0].plan),
+        "re-ranked onto low_b"
+    );
+    assert_eq!(after.rows.rows, first.rows.rows);
+    assert_eq!(after.est.rows, after.rows.len() as f64);
 }

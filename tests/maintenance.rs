@@ -2,9 +2,7 @@
 //! update batches and queries, an epoch store's delta-maintained
 //! extents answer **byte-identically** — same rows in the same order,
 //! same execution-profile counters — to a from-scratch rebuild, for
-//! every ID scheme and at every thread count. Plus the adaptive loop
-//! across maintenance: a session resumed after update batches drops
-//! exactly the feedback memos its maintained views invalidated.
+//! every ID scheme and at every thread count.
 
 use smv::prelude::*;
 
@@ -69,69 +67,4 @@ fn interleaved_updates_answer_like_a_from_scratch_rebuild() {
             }
         }
     }
-}
-
-/// An adaptive session detached across maintenance and resumed: memos
-/// for the maintained views are invalidated (the relearned scan card is
-/// *exactly* the new count — a decayed blend with the stale value would
-/// differ), and answers match the new epoch's oracle.
-#[test]
-fn resumed_adaptive_session_drops_stale_feedback() {
-    let scheme = IdScheme::OrdPath;
-    let mut epochs = EpochCatalog::new(pr7_document(0.05, 5), scheme);
-    for v in pr7_views(scheme) {
-        epochs.add_view(v, RefreshPolicy::Eager);
-    }
-    let q = parse_pattern("site(//name{id,v})").unwrap();
-    let (fb, before) = {
-        let mut session = AdaptiveSession::over_epochs(&epochs);
-        let run = session.run(&q).expect("rewritable").expect("executes");
-        assert_eq!(
-            session.store().scan_rows("names"),
-            Some(run.actual_rows as f64),
-            "the cheapest plan scans the names view"
-        );
-        (session.into_feedback(), run.actual_rows)
-    };
-    // maintenance while detached: drop a few items (each carries a name,
-    // so the names extent strictly shrinks)
-    let mut batch = UpdateBatch::new();
-    {
-        let live = epochs.live();
-        let doc = live.doc();
-        for n in doc
-            .iter()
-            .filter(|&n| doc.label(n).as_str() == "item")
-            .take(5)
-        {
-            batch.delete(live.ids().id(n).clone());
-        }
-    }
-    let report = epochs.apply(&batch).expect("deletes apply");
-    assert!(report.refreshed.contains(&"names".to_string()));
-    assert!(
-        fb.store().scan_rows("names").is_some(),
-        "memo still carried"
-    );
-    let mut session = AdaptiveSession::over_epochs_resuming(&epochs, fb);
-    let run = session.run(&q).expect("rewritable").expect("executes");
-    assert!(run.actual_rows < before, "names shrank with the items");
-    assert_eq!(
-        session.store().scan_rows("names"),
-        Some(run.actual_rows as f64),
-        "stale memo was dropped, not blended into"
-    );
-    let oracle = epochs.rebuild_from_scratch();
-    assert_eq!(
-        run.result.rows,
-        execute_profiled_with(
-            &session.rank(&q).rewritings[0].plan,
-            &oracle,
-            &ExecOpts::default()
-        )
-        .unwrap()
-        .0
-        .rows,
-        "the resumed session answers at the new epoch"
-    );
 }

@@ -1,8 +1,9 @@
 //! Integration tests for the persistent worker pool: pooled execution
 //! equals sequential execution, sessions share one pool, pool use is
 //! reentrant (parallel ingest while a query runs on the same pool), a
-//! dropped pool leaves nothing behind, and `threads: 1` provably never
-//! touches a pool.
+//! dropped pool leaves nothing behind, `threads: 1` provably never
+//! touches a pool, and feedback's `ParHints` change where a plan fans out
+//! but not what it returns.
 
 use smv::algebra::Predicate;
 use smv::prelude::*;
@@ -201,7 +202,6 @@ fn query_service_runs_ingest_and_queries_on_one_explicit_pool() {
         ServiceConfig {
             threads: 3,
             min_par_rows: 0,
-            ..ServiceConfig::default()
         },
         Arc::clone(&pool),
     );
@@ -235,26 +235,55 @@ fn query_service_runs_ingest_and_queries_on_one_explicit_pool() {
     assert_eq!(resp.rows.rows, seq.rows.rows);
 }
 
+/// `ParHints` open the parallel path for a join whose inputs stay under
+/// `min_par_rows` but whose measured output crosses it, and the rows stay
+/// those of the run without hints.
 #[test]
-fn adaptive_session_hints_keep_results_identical() {
-    let doc = fixture_doc(50);
-    let s = Summary::of(&doc);
-    let catalog = sharded_catalog(&doc, &s);
-    let q = parse_pattern("r(//b{id,v})").unwrap();
-    let mut sequential = AdaptiveSession::new(&s, &catalog);
-    let baseline = sequential.run(&q).expect("rewritable").expect("executes");
-    // threads: 2 with a gate so high only feedback can open it — run 1
-    // executes before any feedback exists, run 2 carries ParHints with
-    // the measured fragment cardinalities
-    let mut parallel = AdaptiveSession::new(&s, &catalog).with_exec_opts(ExecOpts {
+fn par_hints_keep_results_identical() {
+    // ten nested `a`s over twenty `b`s: 30 input rows, 200 joined
+    let leaves: Vec<String> = (0..20).map(|i| format!(r#"b="{i}""#)).collect();
+    let doc = Document::from_parens(&format!(
+        "r({}{}{})",
+        "a(".repeat(10),
+        leaves.join(" "),
+        ")".repeat(10)
+    ));
+    let mut catalog = Catalog::new();
+    for (name, pat) in [("va", "r(//a{id})"), ("vb", "r(//b{id,v})")] {
+        catalog.add(
+            View::new(name, parse_pattern(pat).unwrap(), IdScheme::OrdPath),
+            &doc,
+        );
+    }
+    let plan = Plan::StructJoin {
+        left: Box::new(Plan::Scan { view: "va".into() }),
+        right: Box::new(Plan::Scan { view: "vb".into() }),
+        lcol: 0,
+        rcol: 0,
+        rel: StructRel::Ancestor,
+    };
+    let opts = ExecOpts {
         threads: 2,
         min_par_rows: 100,
-        pool: None,
+        pool: Some(Arc::new(WorkerPool::new(2))),
         par_hints: None,
-    });
-    let first = parallel.run(&q).expect("rewritable").expect("executes");
-    let second = parallel.run(&q).expect("rewritable").expect("executes");
-    assert_eq!(baseline.result.rows, first.result.rows);
-    assert_eq!(baseline.result.rows, second.result.rows);
-    assert!(parallel.store().ingests() >= 2);
+    };
+    let (plain, prof) = execute_profiled_with(&plan, &catalog, &opts).unwrap();
+    assert_eq!(plain.len(), 200);
+    assert_eq!(prof.morsels_at(""), None, "the static gate keeps it inline");
+    let mut store = FeedbackStore::new();
+    store.ingest(&plan, &prof);
+    let hints = ParHints::for_plan(&plan, &store);
+    assert!(!hints.is_empty());
+    let hinted = ExecOpts {
+        par_hints: Some(Arc::new(hints)),
+        ..opts
+    };
+    let (rows, prof) = execute_profiled_with(&plan, &catalog, &hinted).unwrap();
+    assert!(
+        prof.morsels_at("").is_some(),
+        "the hint fanned the join out"
+    );
+    assert_eq!(rows.schema, plain.schema);
+    assert_eq!(rows.rows, plain.rows);
 }

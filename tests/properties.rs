@@ -559,7 +559,7 @@ proptest! {
 
 /// Plan-cache safety, the other direction: `plan_fingerprint` must tell
 /// the benchmark query sets apart, or the plan cache would serve one
-/// query's ranked plan for another. Every bench-pr2 and bench-pr4 query's
+/// query's ranked plan for another. Every pr2 and pr4 workload query's
 /// best plan gets a distinct fingerprint.
 #[test]
 fn plan_fingerprint_distinguishes_bench_workloads() {

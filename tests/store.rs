@@ -369,8 +369,23 @@ fn codec_refuses_a_row_count_it_cannot_allocate() {
     }
 }
 
+/// Feeds `store` the way the query service does: ranks `q`, executes the
+/// best rewriting profiled and ingests its profile.
+fn learn<C: ViewStore + ViewProvider>(
+    store: &mut FeedbackStore,
+    cat: &C,
+    summary: &Summary,
+    q: &str,
+) {
+    let q = parse_pattern(q).unwrap();
+    let ranked = rewrite(&q, cat.views(), summary, &RewriteOpts::default());
+    let plan = &ranked.rewritings.first().expect("rewritable").plan;
+    let (_, profile) = execute_profiled_with(plan, cat, &ExecOpts::default()).expect("executes");
+    store.ingest(plan, &profile);
+}
+
 /// The learned feedback state round-trips losslessly (the stable FNV
-/// fingerprints make the raw memo keys portable across sessions).
+/// fingerprints make the raw memo keys portable across processes).
 #[test]
 fn feedback_bytes_round_trip() {
     let scheme = IdScheme::OrdPath;
@@ -380,15 +395,11 @@ fn feedback_bytes_round_trip() {
     for v in pr7_views(scheme) {
         cat.add_sharded(v, &doc, &summary);
     }
-    let mut session = AdaptiveSession::new(&summary, &cat);
+    let mut store = FeedbackStore::new();
     for q in ["site(//name{id,v})", "site(//item{id}(/name{v}))"] {
-        session
-            .run(&parse_pattern(q).unwrap())
-            .expect("rewritable")
-            .expect("executes");
+        learn(&mut store, &cat, &summary, q);
     }
-    let store = session.store();
-    assert!(store.stats().ingests > 0, "session learned something");
+    assert!(store.scan_rows("names").is_some(), "learned the names scan");
     let bytes = store.to_bytes();
     let back = FeedbackStore::from_bytes(&bytes).expect("deserializes");
     assert_eq!(back.to_bytes(), bytes, "serialize∘deserialize is identity");
@@ -817,14 +828,9 @@ fn warm_start_and_durable_maintenance() {
         epochs.add_view(v, RefreshPolicy::Eager);
     }
     // learn something worth persisting
-    let feedback = {
-        let mut session = AdaptiveSession::over_epochs(&epochs);
-        session
-            .run(&parse_pattern("site(//name{id,v})").unwrap())
-            .expect("rewritable")
-            .expect("executes");
-        session.store().clone()
-    };
+    let mut feedback = FeedbackStore::new();
+    let snap = epochs.snapshot();
+    learn(&mut feedback, &*snap, snap.summary(), "site(//name{id,v})");
     let vfs = SimVfs::new();
     let mut persistent =
         smv::store::PersistentEpochs::new(epochs, DiskStore::new(Arc::new(vfs.clone())))
@@ -850,8 +856,8 @@ fn warm_start_and_durable_maintenance() {
         .apply(&batch)
         .expect("maintenance applies and publishes");
     let live_epoch = persistent.epochs().epoch();
-    // re-publish the maintained epoch with the session's feedback so a
-    // future session warm-starts from it
+    // re-publish the maintained epoch with the feedback so a future
+    // reader warm-starts from it
     persistent
         .publish(Some(&feedback))
         .expect("feedback rides the epoch");
