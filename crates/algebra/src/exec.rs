@@ -240,7 +240,7 @@ pub struct ExtentShard {
 }
 
 /// A partition of a materialized extent's rows by the summary path of
-/// one ID column (produced by `Catalog::add_sharded` in `smv-views`).
+/// one ID column (produced by `EpochCatalog` in `smv-views`).
 ///
 /// Invariants the executor relies on: `col` is the extent's first
 /// column, the extent is normalized (hence sorted in document order on
@@ -266,8 +266,10 @@ pub struct ShardPartition {
 
 /// Supplies view extents by name.
 pub trait ViewProvider {
-    /// The materialized extent of `name`, if the view exists.
-    fn extent(&self, name: &str) -> Option<&NestedRelation>;
+    /// The materialized extent of `name`: [`ExecError::UnknownView`] when
+    /// the provider does not hold the view, [`ExecError::Storage`] when a
+    /// store holds it but could not read it back.
+    fn extent(&self, name: &str) -> Result<&NestedRelation, ExecError>;
 
     /// The summary-path shard partition of `name`'s extent, when the
     /// store maintains one. The default is `None`: providers without
@@ -304,8 +306,10 @@ impl MapProvider {
 }
 
 impl ViewProvider for MapProvider {
-    fn extent(&self, name: &str) -> Option<&NestedRelation> {
-        self.map.get(name)
+    fn extent(&self, name: &str) -> Result<&NestedRelation, ExecError> {
+        self.map
+            .get(name)
+            .ok_or_else(|| ExecError::UnknownView(name.to_owned()))
     }
 
     fn shard_partition(&self, name: &str) -> Option<&ShardPartition> {
@@ -325,6 +329,15 @@ pub enum ExecError {
     Schema(String),
     /// A cell had an unexpected type for the operator.
     Type(String),
+    /// The provider holds the view but could not read its extent back: a
+    /// segment that failed to read, failed its checksum or failed to
+    /// decode.
+    Storage {
+        /// The view whose extent was asked for.
+        view: String,
+        /// The store's error, rendered.
+        error: String,
+    },
     /// A failure located at one operator of the plan tree.
     At {
         /// Positional path of the failing operator (`""` = the root).
@@ -381,6 +394,9 @@ impl std::fmt::Display for ExecError {
             ExecError::UnknownView(v) => write!(f, "unknown view `{v}`"),
             ExecError::Schema(m) => write!(f, "schema error: {m}"),
             ExecError::Type(m) => write!(f, "type error: {m}"),
+            ExecError::Storage { view, error } => {
+                write!(f, "reading view `{view}` failed: {error}")
+            }
             ExecError::At { path, op, source } => {
                 let at = if path.is_empty() { "root" } else { path };
                 write!(f, "{source} at operator {at} ({op})")
@@ -391,13 +407,16 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Executes `plan` against `views`, returning a normalized relation.
-///
-/// Sequential ([`ExecOpts::default`]); use [`execute_with`] to run
-/// structural joins on a worker pool.
+/// Executes `plan` against `views` with `opts`, returning a normalized
+/// relation. `threads: 1` is the sequential reference; any other thread
+/// count returns the same rows (the parallel structural-join merges
+/// preserve both the row multiset and the document-order `sorted_on`
+/// invariants, and the result is normalized regardless).
 ///
 /// ```
-/// use smv_algebra::{execute, AttrKind, Cell, MapProvider, NestedRelation, Plan, Row, Schema};
+/// use smv_algebra::{
+///     execute_with, AttrKind, Cell, ExecOpts, MapProvider, NestedRelation, Plan, Row, Schema,
+/// };
 /// use smv_xml::StructId;
 ///
 /// let mut views = MapProvider::default();
@@ -408,18 +427,10 @@ impl std::error::Error for ExecError {}
 ///         vec![Row::new(vec![Cell::Id(StructId::Seq(7))])],
 ///     ),
 /// );
-/// let out = execute(&Plan::Scan { view: "v".into() }, &views).unwrap();
+/// let scan = Plan::Scan { view: "v".into() };
+/// let out = execute_with(&scan, &views, &ExecOpts::default()).unwrap();
 /// assert_eq!(out.len(), 1);
 /// ```
-pub fn execute(plan: &Plan, views: &dyn ViewProvider) -> Result<NestedRelation, ExecError> {
-    execute_with(plan, views, &ExecOpts::default())
-}
-
-/// [`execute`] with explicit [`ExecOpts`]. `threads: 1` is byte-identical
-/// to [`execute`]; any other thread count returns the same rows (the
-/// parallel structural-join merges preserve both the row multiset and
-/// the document-order `sorted_on` invariants, and the result is
-/// normalized regardless).
 pub fn execute_with(
     plan: &Plan,
     views: &dyn ViewProvider,
@@ -436,13 +447,18 @@ pub fn execute_with(
 /// into an [`ExecProfile`] keyed by its positional path in the plan tree.
 ///
 /// Profiling is counters-only — no row is copied or re-walked — so the
-/// hot path is identical to [`execute`]'s; the unprofiled entry point
-/// passes a `None` profiler and pays one branch per operator. The root
-/// entry is overwritten after the final normalization so it always equals
-/// the returned relation's size.
+/// hot path is identical to [`execute_with`]'s; the unprofiled entry
+/// point passes a `None` profiler and pays one branch per operator. The
+/// root entry is overwritten after the final normalization so it always
+/// equals the returned relation's size. The recorded per-operator
+/// counters are identical at every thread count — parallel structural
+/// joins produce the same row multiset per operator, and profiling
+/// happens at operator granularity, outside the worker pool.
 ///
 /// ```
-/// use smv_algebra::{execute_profiled, AttrKind, Cell, MapProvider, NestedRelation, Plan, Row, Schema};
+/// use smv_algebra::{
+///     execute_profiled_with, AttrKind, Cell, ExecOpts, MapProvider, NestedRelation, Plan, Row, Schema,
+/// };
 /// use smv_xml::StructId;
 ///
 /// let mut views = MapProvider::default();
@@ -453,20 +469,10 @@ pub fn execute_with(
 ///         vec![Row::new(vec![Cell::Id(StructId::Seq(7))])],
 ///     ),
 /// );
-/// let (out, profile) = execute_profiled(&Plan::Scan { view: "v".into() }, &views).unwrap();
+/// let scan = Plan::Scan { view: "v".into() };
+/// let (out, profile) = execute_profiled_with(&scan, &views, &ExecOpts::default()).unwrap();
 /// assert_eq!(profile.rows_at(""), Some(out.len() as u64), "root counter = result size");
 /// ```
-pub fn execute_profiled(
-    plan: &Plan,
-    views: &dyn ViewProvider,
-) -> Result<(NestedRelation, ExecProfile), ExecError> {
-    execute_profiled_with(plan, views, &ExecOpts::default())
-}
-
-/// [`execute_profiled`] with explicit [`ExecOpts`]. The recorded
-/// per-operator counters are identical at every thread count — parallel
-/// structural joins produce the same row multiset per operator, and
-/// profiling happens at operator granularity, outside the worker pool.
 pub fn execute_profiled_with(
     plan: &Plan,
     views: &dyn ViewProvider,
@@ -550,10 +556,7 @@ fn eval_op<'a>(
     opts: &ExecOpts,
 ) -> Result<Cow<'a, NestedRelation>, ExecError> {
     match plan {
-        Plan::Scan { view } => views
-            .extent(view)
-            .map(Cow::Borrowed)
-            .ok_or_else(|| ExecError::UnknownView(view.clone())),
+        Plan::Scan { view } => views.extent(view).map(Cow::Borrowed),
         Plan::Select { input, pred } => {
             let rel = eval_child(input, views, prof, opts, 0)?;
             let keep = |row: &Row| -> Result<bool, ExecError> {
@@ -1425,7 +1428,7 @@ mod tests {
             }),
             cols: vec![1],
         };
-        let out = execute(&plan, &p).unwrap();
+        let out = execute_with(&plan, &p, &ExecOpts::default()).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out.rows[0].cells[0], Cell::Atom(Value::str("pen")));
     }
@@ -1444,7 +1447,7 @@ mod tests {
             rcol: 0,
             rel: StructRel::Parent,
         };
-        let out = execute(&plan, &p).unwrap();
+        let out = execute_with(&plan, &p, &ExecOpts::default()).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(out.schema.len(), 3);
     }
@@ -1471,8 +1474,8 @@ mod tests {
             rcol: 0,
             rel: StructRel::Ancestor,
         };
-        let a = execute(&plan, &p).unwrap();
-        let b = execute(&plan, &p_sorted).unwrap();
+        let a = execute_with(&plan, &p, &ExecOpts::default()).unwrap();
+        let b = execute_with(&plan, &p_sorted, &ExecOpts::default()).unwrap();
         assert!(a.set_eq(&b));
         assert_eq!(a.len(), 2);
     }
@@ -1520,7 +1523,7 @@ mod tests {
             lcol: 0,
             rcol: 0,
         };
-        let out = execute(&plan, &p).unwrap();
+        let out = execute_with(&plan, &p, &ExecOpts::default()).unwrap();
         assert_eq!(out.len(), 2, "each name joins itself only");
     }
 
@@ -1537,7 +1540,7 @@ mod tests {
                 },
             ],
         };
-        let out = execute(&plan, &p).unwrap();
+        let out = execute_with(&plan, &p, &ExecOpts::default()).unwrap();
         assert_eq!(out.len(), 2);
     }
 
@@ -1552,7 +1555,7 @@ mod tests {
             nested_cols: vec![1],
             name: "A".into(),
         };
-        let nested = execute(&nest, &p).unwrap();
+        let nested = execute_with(&nest, &p, &ExecOpts::default()).unwrap();
         assert_eq!(nested.len(), 2);
         assert!(matches!(nested.rows[0].cells[1], Cell::Table(_)));
         let unnest = Plan::Unnest {
@@ -1560,12 +1563,13 @@ mod tests {
             col: 1,
             outer: false,
         };
-        let flat = execute(&unnest, &p).unwrap();
-        let orig = execute(
+        let flat = execute_with(&unnest, &p, &ExecOpts::default()).unwrap();
+        let orig = execute_with(
             &Plan::Scan {
                 view: "names".into(),
             },
             &p,
+            &ExecOpts::default(),
         )
         .unwrap();
         assert!(flat.set_eq(&orig));
@@ -1599,16 +1603,17 @@ mod tests {
             col: 1,
             outer: true,
         };
-        let out = execute(&inner_plan, &p).unwrap();
+        let out = execute_with(&inner_plan, &p, &ExecOpts::default()).unwrap();
         assert_eq!(out.len(), 1);
         assert!(out.rows[0].cells[1].is_null());
-        let dropped = execute(
+        let dropped = execute_with(
             &Plan::Unnest {
                 input: Box::new(Plan::Scan { view: "v".into() }),
                 col: 1,
                 outer: false,
             },
             &p,
+            &ExecOpts::default(),
         )
         .unwrap();
         assert!(dropped.is_empty());
@@ -1641,7 +1646,7 @@ mod tests {
             optional: false,
             name: "name".into(),
         };
-        let out = execute(&plan, &p).unwrap();
+        let out = execute_with(&plan, &p, &ExecOpts::default()).unwrap();
         assert_eq!(out.len(), 1);
         // reconstructed id equals the real assignment
         assert_eq!(out.rows[0].cells[2], Cell::Id(ia.id(NodeId(2)).clone()));
@@ -1673,8 +1678,18 @@ mod tests {
             optional,
             name: "z".into(),
         };
-        assert_eq!(execute(&mk(true), &p).unwrap().len(), 1);
-        assert_eq!(execute(&mk(false), &p).unwrap().len(), 0);
+        assert_eq!(
+            execute_with(&mk(true), &p, &ExecOpts::default())
+                .unwrap()
+                .len(),
+            1
+        );
+        assert_eq!(
+            execute_with(&mk(false), &p, &ExecOpts::default())
+                .unwrap()
+                .len(),
+            0
+        );
     }
 
     #[test]
@@ -1693,7 +1708,7 @@ mod tests {
             levels: 1,
             name: "b.ID".into(),
         };
-        let out = execute(&plan, &p).unwrap();
+        let out = execute_with(&plan, &p, &ExecOpts::default()).unwrap();
         assert_eq!(out.rows[0].cells[1], Cell::Id(ia.id(NodeId(1)).clone()));
         // two levels: root
         let plan2 = Plan::DeriveParentId {
@@ -1702,7 +1717,7 @@ mod tests {
             levels: 2,
             name: "a.ID".into(),
         };
-        let out2 = execute(&plan2, &p).unwrap();
+        let out2 = execute_with(&plan2, &p, &ExecOpts::default()).unwrap();
         assert_eq!(out2.rows[0].cells[1], Cell::Id(ia.id(NodeId(0)).clone()));
         // past the root: null
         let plan3 = Plan::DeriveParentId {
@@ -1711,7 +1726,7 @@ mod tests {
             levels: 5,
             name: "x".into(),
         };
-        assert!(execute(&plan3, &p).unwrap().rows[0].cells[1].is_null());
+        assert!(execute_with(&plan3, &p, &ExecOpts::default()).unwrap().rows[0].cells[1].is_null());
     }
 
     #[test]
@@ -1795,7 +1810,8 @@ mod tests {
                 assert_eq!(seq.sorted_on, par.sorted_on, "{rel:?} sortedness");
             }
             // profiles agree operator by operator
-            let (_, prof_seq) = execute_profiled(&plan, &sharded).unwrap();
+            let (_, prof_seq) =
+                execute_profiled_with(&plan, &sharded, &ExecOpts::default()).unwrap();
             let (_, prof_par) = execute_profiled_with(&plan, &sharded, &opts).unwrap();
             for (path, rows) in prof_seq.iter() {
                 assert_eq!(prof_par.rows_at(path), Some(rows), "{rel:?} at `{path}`");
@@ -1806,7 +1822,8 @@ mod tests {
     #[test]
     fn unknown_view_errors() {
         let p = MapProvider::default();
-        let e = execute(&Plan::Scan { view: "zz".into() }, &p).unwrap_err();
+        let e =
+            execute_with(&Plan::Scan { view: "zz".into() }, &p, &ExecOpts::default()).unwrap_err();
         assert_eq!(e.kind(), &ExecError::UnknownView("zz".into()));
         assert_eq!(e.op_path(), Some(""), "root operator");
         assert_eq!(e.op_name(), Some("Scan(zz)"));
@@ -1826,7 +1843,7 @@ mod tests {
             }),
             pred: Predicate::NotNull { col: 0 },
         };
-        let e = execute(&plan, &provider().0).unwrap_err();
+        let e = execute_with(&plan, &provider().0, &ExecOpts::default()).unwrap_err();
         assert_eq!(e.kind(), &ExecError::UnknownView("zz".into()));
         assert_eq!(e.op_path(), Some("0.1"));
         assert_eq!(e.op_name(), Some("Scan(zz)"));

@@ -14,8 +14,8 @@
 //!
 //! ```
 //! use smv_algebra::{
-//!     execute_profiled, explain_analyze, AttrKind, Cell, CostModel, MapProvider,
-//!     NestedRelation, NoCards, Plan, Row, Schema,
+//!     execute_profiled_with, explain_analyze, AttrKind, Cell, CostModel, ExecOpts,
+//!     MapProvider, NestedRelation, NoCards, Plan, Row, Schema,
 //! };
 //! use smv_summary::Summary;
 //! use smv_xml::{Document, StructId};
@@ -31,7 +31,7 @@
 //!     ),
 //! );
 //! let plan = Plan::Scan { view: "v".into() };
-//! let (_, profile) = execute_profiled(&plan, &views).unwrap();
+//! let (_, profile) = execute_profiled_with(&plan, &views, &ExecOpts::default()).unwrap();
 //! let cost = CostModel::new(&summary, &NoCards);
 //! let ex = explain_analyze(&plan, &cost, &profile);
 //! assert_eq!(ex.root.actual_rows, Some(1));
@@ -198,7 +198,7 @@ pub fn explain(plan: &Plan, cost: &CostModel<'_>) -> Explain {
 /// `EXPLAIN ANALYZE`: [`explain`] joined with a profiled run of the same
 /// plan — actual rows, inclusive wall time and morsel counts per
 /// operator, by positional path. The profile must come from executing
-/// exactly `plan` (as [`crate::exec::execute_profiled`] produces).
+/// exactly `plan` (as [`crate::exec::execute_profiled_with`] produces).
 pub fn explain_analyze(plan: &Plan, cost: &CostModel<'_>, profile: &ExecProfile) -> Explain {
     Explain {
         root: build(plan, cost, Some(profile), &mut Vec::new()),
@@ -210,7 +210,7 @@ pub fn explain_analyze(plan: &Plan, cost: &CostModel<'_>, profile: &ExecProfile)
 mod tests {
     use super::*;
     use crate::cost::NoCards;
-    use crate::exec::{execute_profiled, execute_profiled_with, ExecOpts, MapProvider};
+    use crate::exec::{execute_profiled_with, ExecOpts, MapProvider};
     use crate::plan::Predicate;
     use crate::relation::{AttrKind, Cell, NestedRelation, Row, Schema};
     use smv_summary::Summary;
@@ -263,7 +263,7 @@ mod tests {
     fn explain_analyze_joins_profile_by_path() {
         let (views, summary) = fixture();
         let cost = CostModel::new(&summary, &NoCards);
-        let (out, prof) = execute_profiled(&plan(), &views).unwrap();
+        let (out, prof) = execute_profiled_with(&plan(), &views, &ExecOpts::default()).unwrap();
         let ex = explain_analyze(&plan(), &cost, &prof);
         assert!(ex.analyzed);
         assert_eq!(ex.root.actual_rows, Some(out.len() as u64));

@@ -6,7 +6,7 @@
 //! (saturated value sketches, independence across join inputs) can
 //! misrank plans. This module closes the loop:
 //!
-//! * the executor's profiled entry point ([`crate::exec::execute_profiled`])
+//! * the executor's profiled entry point ([`crate::exec::execute_profiled_with`])
 //!   emits an [`ExecProfile`] — the *actual* output row count of every
 //!   operator, keyed by its stable [`OpPath`] into the plan tree;
 //! * a [`FeedbackStore`] ingests profiles and maintains, with exponential

@@ -22,8 +22,8 @@ pub use cost::{
     ColCard, CostModel, NoCards, PlanEstimate, ScanCard,
 };
 pub use exec::{
-    execute, execute_profiled, execute_profiled_with, execute_with, ExecError, ExecOpts,
-    ExtentShard, MapProvider, ShardPartition, ViewProvider,
+    execute_profiled_with, execute_with, ExecError, ExecOpts, ExtentShard, MapProvider,
+    ShardPartition, ViewProvider,
 };
 pub use explain::{explain, explain_analyze, Explain, ExplainNode};
 pub use feedback::{

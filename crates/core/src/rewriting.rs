@@ -1824,9 +1824,9 @@ fn chain_with(s: &Summary, a: NodeId, b: NodeId) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use smv_algebra::execute;
+    use smv_algebra::{execute_with, ExecOpts};
     use smv_pattern::parse_pattern;
-    use smv_views::{materialize, Catalog};
+    use smv_views::{materialize, EpochCatalog, RefreshPolicy};
     use smv_xml::{Document, Value};
     use std::cell::RefCell;
     use std::collections::BTreeMap;
@@ -2186,13 +2186,14 @@ mod tests {
     ) {
         let s = Summary::of(doc);
         let q = parse_pattern(q_src).unwrap();
-        let mut catalog = Catalog::new();
+        let mut catalog = EpochCatalog::new(doc.clone(), IdScheme::OrdPath);
         let mut defs = Vec::new();
         for (name, src) in views_src {
             let v = View::new(name, parse_pattern(src).unwrap(), IdScheme::OrdPath);
-            catalog.add(v.clone(), doc);
+            catalog.add_view(v.clone(), RefreshPolicy::Eager);
             defs.push(v);
         }
+        let snap = catalog.snapshot();
         let result = rewrite(&q, &defs, &s, &opts());
         if !expect_rewriting {
             assert!(
@@ -2208,7 +2209,7 @@ mod tests {
         );
         let expected = materialize(&q, doc, IdScheme::OrdPath);
         for rw in &result.rewritings {
-            let got = execute(&rw.plan, &catalog).expect("plan executes");
+            let got = execute_with(&rw.plan, &*snap, &ExecOpts::default()).expect("plan executes");
             assert!(
                 got.set_eq(&expected),
                 "plan output differs for {q_src}\nplan:\n{}\ngot:\n{got}\nexpected:\n{expected}",

@@ -5,7 +5,8 @@
 //! exposes them through four provider arms:
 //!
 //! * `map` — a plain [`MapProvider`] holding the normalized extents;
-//! * `sharded` — the in-memory [`Catalog`] with shard partitions;
+//! * `epoch` — a [`CatalogEpoch`], the in-memory catalog with shard
+//!   partitions;
 //! * `disk-cold` — a [`DiskCatalog`] reopened fresh for every check, so
 //!   each read misses the buffer pool;
 //! * `disk-warm` — one long-lived [`DiskCatalog`] whose pages and decoded
@@ -23,16 +24,15 @@ use smv_algebra::{
     execute_profiled_with, ExecOpts, ExecProfile, MapProvider, NestedRelation, Plan, ViewProvider,
 };
 use smv_summary::Summary;
-use smv_views::{Catalog, View};
+use smv_views::{CatalogEpoch, EpochCatalog, RefreshPolicy, View, ViewStore};
 use smv_xml::{Document, IdScheme};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The four-arm differential harness; see the module docs.
 pub struct ProviderMatrix {
-    summary: Summary,
     map: MapProvider,
-    sharded: Catalog,
+    epoch: Arc<CatalogEpoch>,
     store: DiskStore,
     warm: DiskCatalog,
 }
@@ -54,18 +54,20 @@ impl ProviderMatrix {
         ProviderMatrix::from_views(doc, views)
     }
 
-    /// [`ProviderMatrix::new`] over already-built views.
+    /// [`ProviderMatrix::new`] over already-built views, which share one
+    /// ID scheme.
     pub fn from_views(doc: &Document, views: Vec<View>) -> ProviderMatrix {
-        let summary = Summary::of(doc);
-        let mut sharded = Catalog::new();
-        for v in &views {
-            sharded.add_sharded(v.clone(), doc, &summary);
+        let scheme = views.first().map_or(IdScheme::OrdPath, |v| v.scheme);
+        let mut catalog = EpochCatalog::new(doc.clone(), scheme);
+        for v in views {
+            catalog.add_view(v, RefreshPolicy::Eager);
         }
+        let epoch = catalog.snapshot();
         let mut map = MapProvider::default();
-        for v in &views {
-            let extent = sharded
+        for v in epoch.views() {
+            let extent = epoch
                 .extent(&v.name)
-                .expect("sharded catalog materialized the view")
+                .expect("the epoch materialized the view")
                 .clone();
             map.insert(&v.name, extent);
         }
@@ -77,27 +79,21 @@ impl ProviderMatrix {
             },
         );
         store
-            .publish(&sharded, Some(&summary), None, 1)
+            .publish_epoch(&epoch, None)
             .expect("publish to SimVfs");
         let warm = store.open().expect("reopen published epoch");
         warm.warm().expect("decode all extents");
         ProviderMatrix {
-            summary,
             map,
-            sharded,
+            epoch,
             store,
             warm,
         }
     }
 
-    /// The summary the sharded arm was partitioned against.
+    /// The summary the epoch arm was partitioned against.
     pub fn summary(&self) -> &Summary {
-        &self.summary
-    }
-
-    /// The sharded in-memory arm (e.g. to seed further harnesses).
-    pub fn sharded(&self) -> &Catalog {
-        &self.sharded
+        self.epoch.summary()
     }
 
     /// The warm disk arm.
@@ -118,7 +114,7 @@ impl ProviderMatrix {
             let cold = self.store.open().expect("reopen for cold arm");
             let arms: [(&str, &dyn ViewProvider); 4] = [
                 ("map", &self.map),
-                ("sharded", &self.sharded),
+                ("epoch", &*self.epoch),
                 ("disk-cold", &cold),
                 ("disk-warm", &self.warm),
             ];
@@ -153,7 +149,7 @@ impl ProviderMatrix {
 
     /// All registered views, for building plans against the matrix.
     pub fn views(&self) -> &[View] {
-        self.sharded.views()
+        self.epoch.views()
     }
 }
 

@@ -19,7 +19,7 @@
 //!
 //! # The epoch swap
 //!
-//! [`DiskStore::publish`] writes every segment, fsyncs each, writes the
+//! [`DiskStore::publish_epoch`] writes every segment, fsyncs each, writes the
 //! summary and feedback files, fsyncs those, then writes the manifest to
 //! `manifest-{E}.tmp`, fsyncs it, and **renames** it to
 //! `manifest-{E}.smv`. The rename is the commit point: a crash anywhere
@@ -44,8 +44,9 @@
 //! the views its plan scans and nothing else. Content damage behind an
 //! intact length therefore surfaces as [`StoreError::Corrupt`] from the
 //! accessor ([`DiskCatalog::load_extent`], [`DiskCatalog::summary`],
-//! [`DiskCatalog::feedback`]) — or from [`DiskCatalog::warm`], which
-//! touches everything — never as stale or partial data.
+//! [`DiskCatalog::feedback`]), as [`ExecError::Storage`] from a query
+//! that scans the view, or from [`DiskCatalog::warm`], which touches
+//! everything — never as stale or partial data, and never as a panic.
 
 use crate::codec::{
     decode_partition, decode_relation, encode_partition, encode_relation, fnv64, ByteReader,
@@ -53,12 +54,11 @@ use crate::codec::{
 };
 use crate::io::{Result, StoreError, Vfs};
 use crate::pool::BufferPool;
-use smv_algebra::{FeedbackStore, NestedRelation, ShardPartition, ViewProvider};
+use smv_algebra::{ExecError, FeedbackStore, NestedRelation, ShardPartition, ViewProvider};
 use smv_pattern::{canonical_form, parse_pattern};
 use smv_summary::Summary;
-use smv_views::epoch::{CatalogEpoch, EpochCatalog, MaintenanceReport};
-use smv_views::{View, ViewStore};
-use smv_xml::{IdScheme, LiveError, UpdateBatch};
+use smv_views::{CatalogEpoch, View, ViewStore};
+use smv_xml::IdScheme;
 use std::sync::{Arc, OnceLock};
 
 const SEG_MAGIC: &[u8; 8] = b"SMVSEG1\n";
@@ -198,9 +198,16 @@ fn read_segment(vfs: &dyn Vfs, pool: &Arc<BufferPool>, seg: &SegMeta) -> Result<
     if hdr.len() != SEG_HEADER as usize || &hdr[..8] != SEG_MAGIC {
         return Err(StoreError::Corrupt(format!("{file}: bad segment header")));
     }
-    let page_size = u32::from_le_bytes(hdr[8..12].try_into().unwrap()) as usize;
-    let n_pages = u32::from_le_bytes(hdr[12..16].try_into().unwrap()) as usize;
-    let payload_len = u64::from_le_bytes(hdr[16..24].try_into().unwrap());
+    // little-endian fields of a header whose length was just checked
+    let field = |at: usize, len: usize| {
+        hdr[at..at + len]
+            .iter()
+            .rev()
+            .fold(0u64, |x, &b| x << 8 | u64::from(b))
+    };
+    let page_size = field(8, 4) as usize;
+    let n_pages = field(12, 4) as usize;
+    let payload_len = field(16, 8);
     let in_file = usize::try_from(payload_len).ok().filter(|_| {
         page_size != 0 && payload_len == seg.payload_len && payload_len <= seg.file_len
     });
@@ -359,26 +366,26 @@ impl DiskStore {
         &self.vfs
     }
 
-    /// Publishes one epoch: every view extent (and shard partition) of
-    /// `src`, plus optionally the summary and feedback store. Durable at
-    /// return; a crash at any interior point leaves the previously
-    /// published epoch intact.
-    pub fn publish<S: ViewStore + ViewProvider>(
+    /// Publishes an [`EpochCatalog`](smv_views::EpochCatalog) snapshot at
+    /// its own epoch number: every view extent and shard partition, the
+    /// summary, and optionally a feedback store. Durable at return; a
+    /// crash at any interior point leaves the previously published epoch
+    /// intact.
+    pub fn publish_epoch(
         &self,
-        src: &S,
-        summary: Option<&Summary>,
+        snap: &CatalogEpoch,
         feedback: Option<&FeedbackStore>,
-        epoch: u64,
     ) -> Result<()> {
+        let epoch = snap.epoch();
         let pool = BufferPool::new(Arc::clone(&self.vfs), self.opts.pool_pages);
         let mut segs = Vec::new();
-        for (i, view) in src.views().iter().enumerate() {
-            let extent = src.extent(&view.name).ok_or_else(|| {
-                StoreError::Io(format!("view '{}' has no materialized extent", view.name))
-            })?;
+        for (i, view) in snap.views().iter().enumerate() {
+            let extent = snap
+                .extent(&view.name)
+                .map_err(|e| StoreError::Io(e.to_string()))?;
             let mut pw = ByteWriter::new();
             pw.put_bytes(&encode_relation(extent));
-            match src.shard_partition(&view.name) {
+            match snap.shard_partition(&view.name) {
                 Some(p) => {
                     pw.put_u8(1);
                     pw.put_bytes(&encode_partition(p));
@@ -406,9 +413,7 @@ impl DiskStore {
         let small = |name: String, bytes: Vec<u8>| {
             write_small(self.vfs.as_ref(), &name, bytes).map(|len| (name, len))
         };
-        let summary = summary
-            .map(|s| small(summary_name(epoch), s.to_bytes()))
-            .transpose()?;
+        let summary = Some(small(summary_name(epoch), snap.summary().to_bytes())?);
         let feedback = feedback
             .map(|f| small(feedback_name(epoch), f.to_bytes()))
             .transpose()?;
@@ -424,16 +429,6 @@ impl DiskStore {
         self.vfs.rename(&tmp, &manifest_name(epoch))?;
         self.gc();
         Ok(())
-    }
-
-    /// Publishes an [`EpochCatalog`] snapshot (views, partitions, summary)
-    /// at its own epoch number.
-    pub fn publish_epoch(
-        &self,
-        snap: &CatalogEpoch,
-        feedback: Option<&FeedbackStore>,
-    ) -> Result<()> {
-        self.publish(snap, Some(snap.summary()), feedback, snap.epoch())
     }
 
     /// The newest epoch with a committed manifest, if any.
@@ -459,18 +454,14 @@ impl DiskStore {
     /// manifest is the only file read; see the module docs for what is
     /// checked when.
     pub fn open(&self) -> Result<DiskCatalog> {
-        let epochs = self.manifest_epochs();
-        if epochs.is_empty() {
-            return Err(StoreError::Corrupt("no published epoch in store".into()));
-        }
         let mut last_err = None;
-        for e in epochs {
+        for e in self.manifest_epochs() {
             match self.open_epoch(e) {
                 Ok(cat) => return Ok(cat),
                 Err(err) => last_err = Some(err),
             }
         }
-        Err(last_err.unwrap())
+        Err(last_err.unwrap_or_else(|| StoreError::Corrupt("no published epoch in store".into())))
     }
 
     fn open_epoch(&self, epoch: u64) -> Result<DiskCatalog> {
@@ -603,11 +594,10 @@ impl<T> LazyFile<T> {
 /// open, content checksums on first read* — see the module docs.
 ///
 /// `DiskCatalog` implements [`ViewProvider`], so it drops into the
-/// executor anywhere an in-memory [`Catalog`](smv_views::Catalog) does.
-/// Because that trait (and [`ViewStore`]) cannot express I/O failure,
-/// the trait methods **panic** on a corrupt or unreadable segment; use
-/// [`DiskCatalog::load_extent`] / [`DiskCatalog::warm`] first where a
-/// checked error is wanted.
+/// executor anywhere an in-memory [`CatalogEpoch`] does. A segment that
+/// fails to read, fails its checksum or fails to decode makes the query
+/// that scans it fail with [`ExecError::Storage`]; nothing on the read
+/// path panics.
 pub struct DiskCatalog {
     vfs: Arc<dyn Vfs>,
     pool: Arc<BufferPool>,
@@ -681,16 +671,9 @@ impl DiskCatalog {
         Ok(seg.loaded.get_or_init(|| LoadedView { extent, partition }))
     }
 
-    /// [`DiskCatalog::load`] for the infallible provider traits.
-    fn must_load(&self, name: &str) -> Option<&LoadedView> {
-        let i = self.index_of(name)?;
-        match self.load(i) {
-            Ok(lv) => Some(lv),
-            Err(e) => panic!(
-                "smv-store: loading view '{name}' failed: {e} \
-                 (use DiskCatalog::load_extent for a checked read)"
-            ),
-        }
+    /// The view definitions the manifest names, in publish order.
+    pub fn views(&self) -> &[View] {
+        &self.views
     }
 
     /// Checked extent read: `Ok(None)` for an unknown view, `Err` on
@@ -714,106 +697,24 @@ impl DiskCatalog {
     }
 }
 
-impl ViewStore for DiskCatalog {
-    fn views(&self) -> &[View] {
-        &self.views
-    }
-
-    fn extent_rows(&self, name: &str) -> Option<usize> {
-        self.must_load(name).map(|lv| lv.extent.len())
-    }
-}
-
 impl ViewProvider for DiskCatalog {
-    fn extent(&self, name: &str) -> Option<&NestedRelation> {
-        self.must_load(name).map(|lv| &lv.extent)
+    fn extent(&self, name: &str) -> std::result::Result<&NestedRelation, ExecError> {
+        let i = self
+            .index_of(name)
+            .ok_or_else(|| ExecError::UnknownView(name.to_owned()))?;
+        self.load(i)
+            .map(|lv| &lv.extent)
+            .map_err(|e| ExecError::Storage {
+                view: name.to_owned(),
+                error: e.to_string(),
+            })
     }
 
+    /// `None` also when the segment does not load: the scan of the same
+    /// view has already returned that error.
     fn shard_partition(&self, name: &str) -> Option<&ShardPartition> {
-        self.must_load(name)?.partition.as_ref()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// durable epoch maintenance
-
-/// Errors from [`PersistentEpochs`]: either the live-maintenance layer or
-/// the storage layer failed.
-#[derive(Debug)]
-pub enum PersistError {
-    /// The in-memory epoch catalog rejected the update batch.
-    Live(LiveError),
-    /// Publishing the new epoch to disk failed; the in-memory catalog has
-    /// already advanced, the previous on-disk epoch remains current.
-    Store(StoreError),
-}
-
-impl std::fmt::Display for PersistError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PersistError::Live(e) => write!(f, "live maintenance: {e}"),
-            PersistError::Store(e) => write!(f, "store publish: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for PersistError {}
-
-impl From<LiveError> for PersistError {
-    fn from(e: LiveError) -> PersistError {
-        PersistError::Live(e)
-    }
-}
-
-impl From<StoreError> for PersistError {
-    fn from(e: StoreError) -> PersistError {
-        PersistError::Store(e)
-    }
-}
-
-/// An [`EpochCatalog`] whose epoch publications are durable: every
-/// successful [`PersistentEpochs::apply`] writes the new epoch's segments
-/// and swaps the manifest, so delta maintenance has a crash-consistent
-/// publish point.
-pub struct PersistentEpochs {
-    epochs: EpochCatalog,
-    store: DiskStore,
-}
-
-impl PersistentEpochs {
-    /// Wraps an epoch catalog over a store, publishing the current epoch
-    /// immediately so the disk starts in sync.
-    pub fn new(epochs: EpochCatalog, store: DiskStore) -> Result<PersistentEpochs> {
-        let pe = PersistentEpochs { epochs, store };
-        pe.publish(None)?;
-        Ok(pe)
-    }
-
-    /// The in-memory epoch catalog.
-    pub fn epochs(&self) -> &EpochCatalog {
-        &self.epochs
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &DiskStore {
-        &self.store
-    }
-
-    /// Publishes the current snapshot; returns its epoch.
-    pub fn publish(&self, feedback: Option<&FeedbackStore>) -> Result<u64> {
-        let snap = self.epochs.snapshot();
-        self.store.publish_epoch(&snap, feedback)?;
-        Ok(snap.epoch())
-    }
-
-    /// Applies an update batch and durably publishes the resulting epoch.
-    pub fn apply(
-        &mut self,
-        batch: &UpdateBatch,
-    ) -> std::result::Result<MaintenanceReport, PersistError> {
-        let report = self.epochs.apply(batch)?;
-        self.publish(None)?;
-        Ok(report)
+        let lv = self.load(self.index_of(name)?).ok()?;
+        lv.partition.as_ref()
     }
 }
 
@@ -821,46 +722,52 @@ impl PersistentEpochs {
 mod tests {
     use super::*;
     use crate::io::SimVfs;
-    use smv_views::Catalog;
+    use smv_views::{EpochCatalog, RefreshPolicy};
     use smv_xml::parse_document;
 
     const DOC: &str = "<lib><book><title>a</title><year>1</year></book>\
                        <book><title>b</title><year>2</year></book></lib>";
 
-    fn catalog(scheme: IdScheme) -> Catalog {
-        let doc = parse_document(DOC).unwrap();
-        let mut cat = Catalog::new();
-        let v = View::new(
+    fn titles(scheme: IdScheme) -> View {
+        View::new(
             "titles",
             parse_pattern("lib(/book{id}(/title{v}))").unwrap(),
             scheme,
-        );
-        cat.add(v, &doc);
-        cat
+        )
+    }
+
+    /// At epoch 1, holding `titles`; re-registering it publishes the next.
+    fn catalog(scheme: IdScheme) -> EpochCatalog {
+        let mut ec = EpochCatalog::new(parse_document(DOC).unwrap(), scheme);
+        ec.add_view(titles(scheme), RefreshPolicy::Eager);
+        ec
     }
 
     #[test]
     fn publish_then_open_round_trips() {
         let vfs = SimVfs::new();
         let store = DiskStore::new(Arc::new(vfs));
-        let cat = catalog(IdScheme::OrdPath);
-        store.publish(&cat, None, None, 1).unwrap();
+        let snap = catalog(IdScheme::OrdPath).snapshot();
+        store.publish_epoch(&snap, None).unwrap();
         let disk = store.open().unwrap();
         assert_eq!(disk.epoch(), 1);
         assert_eq!(disk.views().len(), 1);
-        let want = cat.extent("titles").unwrap();
+        let want = snap.extent("titles").unwrap();
         let got = disk.load_extent("titles").unwrap().unwrap();
         assert_eq!(want.rows, got.rows);
         assert_eq!(want.schema, got.schema);
+        assert!(disk.extent("zz").is_err());
     }
 
     #[test]
     fn newer_epoch_wins_and_gc_keeps_two() {
         let vfs = SimVfs::new();
         let store = DiskStore::new(Arc::new(vfs.clone()));
-        let cat = catalog(IdScheme::Sequential);
-        for e in 1..=4 {
-            store.publish(&cat, None, None, e).unwrap();
+        let mut ec = catalog(IdScheme::Sequential);
+        store.publish_epoch(&ec.snapshot(), None).unwrap();
+        for _ in 2..=4 {
+            ec.add_view(titles(IdScheme::Sequential), RefreshPolicy::Eager);
+            store.publish_epoch(&ec.snapshot(), None).unwrap();
         }
         assert_eq!(store.open().unwrap().epoch(), 4);
         let epochs: Vec<_> = vfs.list().iter().filter_map(|n| file_epoch(n)).collect();
@@ -874,9 +781,10 @@ mod tests {
     fn missing_segment_falls_back_to_previous_epoch() {
         let vfs = SimVfs::new();
         let store = DiskStore::new(Arc::new(vfs.clone()));
-        let cat = catalog(IdScheme::Dewey);
-        store.publish(&cat, None, None, 1).unwrap();
-        store.publish(&cat, None, None, 2).unwrap();
+        let mut ec = catalog(IdScheme::Dewey);
+        store.publish_epoch(&ec.snapshot(), None).unwrap();
+        ec.add_view(titles(IdScheme::Dewey), RefreshPolicy::Eager);
+        store.publish_epoch(&ec.snapshot(), None).unwrap();
         vfs.remove(&seg_name(2, 0)).unwrap();
         assert_eq!(store.open().unwrap().epoch(), 1);
     }

@@ -18,17 +18,20 @@
 //!   directories, [`SimVfs`] for tests — an in-memory file system that
 //!   models the visible/durable distinction and injects torn writes,
 //!   dropped fsyncs, short reads and hard stops at a chosen op index.
-//! * [`disk`] — epoch-versioned catalogs: [`DiskStore::publish`] writes
-//!   segments + summary + feedback, then commits by renaming a
-//!   checksummed manifest; [`DiskStore::open`] serves the newest epoch
-//!   whose manifest and files validate, so a crash at *any* interior
-//!   point recovers the previous epoch exactly. [`DiskCatalog`] plugs
-//!   into the executor through [`smv_algebra::ViewProvider`] (`open`
-//!   reads the manifest only; extents, summary and feedback load on
-//!   first use), and [`PersistentEpochs`] gives
-//!   [`smv_views::EpochCatalog::apply`] a durable publish point.
+//! * [`disk`] — epoch-versioned catalogs: [`DiskStore::publish_epoch`]
+//!   writes an [`smv_views::EpochCatalog`] snapshot's segments + summary
+//!   (+ feedback), then commits by renaming a checksummed manifest;
+//!   [`DiskStore::open`] serves the newest epoch whose manifest and files
+//!   validate, so a crash at *any* interior point recovers the previous
+//!   epoch exactly. [`DiskCatalog`] plugs into the executor through
+//!   [`smv_algebra::ViewProvider`] (`open` reads the manifest only;
+//!   extents, summary and feedback load on first use); a segment that
+//!   fails to load fails the query that scans it with
+//!   [`smv_algebra::ExecError::Storage`], and no read panics. Durable
+//!   maintenance is [`smv_views::EpochCatalog::apply`] followed by
+//!   `publish_epoch` of the new snapshot.
 //! * [`differential`] — the [`ProviderMatrix`] harness proving all of the
-//!   above: one plan, four provider arms (map / sharded / disk-cold /
+//!   above: one plan, four provider arms (map / epoch / disk-cold /
 //!   disk-warm), every thread count, byte-identical rows and profile
 //!   counters.
 
@@ -43,6 +46,6 @@ pub mod pool;
 
 pub use codec::{decode_partition, decode_relation, encode_partition, encode_relation, fnv64};
 pub use differential::ProviderMatrix;
-pub use disk::{DiskCatalog, DiskStore, PersistError, PersistentEpochs, StoreOptions};
+pub use disk::{DiskCatalog, DiskStore, StoreOptions};
 pub use io::{DiskVfs, FaultKind, FaultPlan, Result, SimVfs, StoreError, Vfs};
 pub use pool::{BufferPool, PageGuard, PoolStats};

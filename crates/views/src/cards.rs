@@ -2,8 +2,8 @@
 //!
 //! Two implementations of [`CardSource`]:
 //!
-//! * [`CatalogCards`] — backed by a materialized [`Catalog`]: scan row
-//!   counts are the *actual* extent sizes;
+//! * [`CatalogCards`] — backed by a materialized [`ViewStore`] (an epoch
+//!   snapshot): scan row counts are the *actual* extent sizes;
 //! * [`DefCards`] — backed by view *definitions* only: scan row counts
 //!   are estimated from the summary's per-path statistics, which is what
 //!   the rewriting engine has available before anything is materialized.
@@ -11,7 +11,7 @@
 //! Both annotate every scan column with its candidate summary paths via
 //! [`col_cards`], mirroring the [`schema_of`] column layout.
 
-use crate::catalog::{Catalog, View, ViewStore};
+use crate::catalog::{View, ViewStore};
 use crate::materialize::schema_of;
 use smv_algebra::{CardSource, ColCard, ScanCard};
 use smv_pattern::{associated_paths, PNodeId, Pattern};
@@ -48,7 +48,7 @@ pub fn col_cards(p: &Pattern, s: &Summary) -> Vec<ColCard> {
 /// summary's per-path statistics, without materializing anything.
 ///
 /// The estimate is the expected number of *outer* rows — the quantity
-/// [`Catalog::extent_rows`] reports — computed as the embedding count of
+/// [`ViewStore::extent_rows`] reports — computed as the embedding count of
 /// the non-nested part of the pattern: walking the pattern top-down, a
 /// child on summary path `q` under a parent bound to path `sp` matches
 /// `count(q) / count(sp)` times per parent binding (every `q`-node has
@@ -128,10 +128,9 @@ fn embeddings_per_binding(
     per
 }
 
-/// Per-cell byte weights shared by the definition-only size estimate and
-/// the materialized accounting, so budgeted advice and actual storage are
-/// comparable: a structural ID ≈ 16 bytes, an interned label 8, an atomic
-/// value 16, stored content 64 (serialized subtrees dwarf atoms).
+/// Per-cell byte weights of the definition-only size estimate the advisor
+/// budgets with: a structural ID ≈ 16 bytes, an interned label 8, an
+/// atomic value 16, stored content 64 (serialized subtrees dwarf atoms).
 pub const BYTES_ID: f64 = 16.0;
 /// Byte weight of a label cell.
 pub const BYTES_LABEL: f64 = 8.0;
@@ -175,20 +174,14 @@ pub fn estimate_extent_bytes(p: &Pattern, s: &Summary) -> f64 {
 }
 
 /// [`CardSource`] over a materialized view store: actual extent sizes
-/// plus definition-derived column paths. Works over the mutable
-/// [`Catalog`] and over epoch snapshots ([`crate::CatalogEpoch`]) alike
-/// — anything implementing [`ViewStore`].
+/// plus definition-derived column paths. Works over anything implementing
+/// [`ViewStore`] — in practice an epoch snapshot ([`crate::CatalogEpoch`]).
 pub struct CatalogCards<'a> {
     store: &'a dyn ViewStore,
     summary: &'a Summary,
 }
 
 impl<'a> CatalogCards<'a> {
-    /// Builds a source over `catalog` under `summary`.
-    pub fn new(catalog: &'a Catalog, summary: &'a Summary) -> CatalogCards<'a> {
-        CatalogCards::over(catalog, summary)
-    }
-
     /// Builds a source over any [`ViewStore`] under `summary`.
     pub fn over(store: &'a dyn ViewStore, summary: &'a Summary) -> CatalogCards<'a> {
         CatalogCards { store, summary }
@@ -234,14 +227,23 @@ impl CardSource for DefCards<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoch::{CatalogEpoch, EpochCatalog, RefreshPolicy};
     use smv_pattern::parse_pattern;
     use smv_xml::{Document, IdScheme};
+    use std::sync::Arc;
 
     fn fixture() -> (Document, Summary) {
         let d =
             Document::from_parens(r#"r(item(name="p1" bid="1" bid="2") item(name="p2") other)"#);
         let s = Summary::of(&d);
         (d, s)
+    }
+
+    /// `p` materialized as view `name` over `d`.
+    fn materialized(d: &Document, name: &str, p: Pattern) -> Arc<CatalogEpoch> {
+        let mut ec = EpochCatalog::new(d.clone(), IdScheme::OrdPath);
+        ec.add_view(View::new(name, p, IdScheme::OrdPath), RefreshPolicy::Eager);
+        ec.snapshot()
     }
 
     #[test]
@@ -275,9 +277,7 @@ mod tests {
         // bids live in a table cell and must not multiply outer rows
         let v = parse_pattern("r(/item{id}(?%/bid{id,v}))").unwrap();
         assert_eq!(estimate_extent_rows(&v, &s), 2.0);
-        let mut cat = Catalog::new();
-        cat.add(View::new("vn", v, IdScheme::OrdPath), &d);
-        assert_eq!(cat.extent_rows("vn").unwrap() as f64, 2.0);
+        assert_eq!(materialized(&d, "vn", v).extent_rows("vn"), Some(2));
     }
 
     #[test]
@@ -286,36 +286,22 @@ mod tests {
         // item1 has 1 name × 2 bids, item2 has 1 name × 0 bids → 2 rows
         let v = parse_pattern("r(/item{id}(/name{v}, /bid{v}))").unwrap();
         assert_eq!(estimate_extent_rows(&v, &s), 2.0);
-        let mut cat = Catalog::new();
-        cat.add(View::new("vb", v, IdScheme::OrdPath), &d);
-        assert_eq!(cat.extent_rows("vb").unwrap() as f64, 2.0);
+        assert_eq!(materialized(&d, "vb", v).extent_rows("vb"), Some(2));
     }
 
     #[test]
     fn byte_estimates_track_rows_and_width() {
-        let (d, s) = fixture();
+        let (_, s) = fixture();
         let v = parse_pattern("r(//name{id,v})").unwrap();
         // 2 rows × (16 id + 16 value)
         assert_eq!(estimate_extent_bytes(&v, &s), 64.0);
-        let mut cat = Catalog::new();
-        cat.add(View::new("vn", v, IdScheme::OrdPath), &d);
-        assert_eq!(cat.extent_bytes("vn").unwrap(), 64.0);
-        assert_eq!(cat.total_bytes(), 64.0);
     }
 
     #[test]
     fn catalog_cards_report_actual_sizes() {
         let (d, s) = fixture();
-        let mut cat = Catalog::new();
-        cat.add(
-            View::new(
-                "vn",
-                parse_pattern("r(//name{id,v})").unwrap(),
-                IdScheme::OrdPath,
-            ),
-            &d,
-        );
-        let cards = CatalogCards::new(&cat, &s);
+        let snap = materialized(&d, "vn", parse_pattern("r(//name{id,v})").unwrap());
+        let cards = CatalogCards::over(&*snap, &s);
         let sc = cards.scan_card("vn").unwrap();
         assert_eq!(sc.rows, 2.0);
         assert_eq!(sc.cols.len(), 2, "ID and V columns");

@@ -1,8 +1,8 @@
 //! Epoch-versioned catalog with incremental view maintenance.
 //!
-//! The mutable [`crate::Catalog`] is a build-once structure: documents
-//! change, you rebuild. This module is the live-store counterpart.
-//! Queries run against an immutable [`CatalogEpoch`] snapshot (an
+//! The one in-memory catalog: views are registered over a live document
+//! and kept current as it changes. Queries run against an immutable
+//! [`CatalogEpoch`] snapshot, the in-memory [`ViewProvider`] (an
 //! `Arc`-cloned value — in-flight queries are never invalidated by
 //! concurrent maintenance), while an [`EpochCatalog`] owns the evolving
 //! state: a [`LiveDoc`] with stable node identity, a maintained
@@ -46,7 +46,7 @@
 
 use crate::catalog::{shard_extent_classified, shard_extent_with, View, ViewStore};
 use crate::materialize::{admits_node, materialize_with, rows_pinned};
-use smv_algebra::{Cell, NestedRelation, Row, ShardPartition, ViewProvider};
+use smv_algebra::{Cell, ExecError, NestedRelation, Row, ShardPartition, ViewProvider};
 use smv_pattern::{PNodeId, Pattern};
 use smv_summary::Summary;
 use smv_xml::{
@@ -169,8 +169,11 @@ impl ViewStore for CatalogEpoch {
 }
 
 impl ViewProvider for CatalogEpoch {
-    fn extent(&self, name: &str) -> Option<&NestedRelation> {
-        self.extents.get(name).map(Arc::as_ref)
+    fn extent(&self, name: &str) -> Result<&NestedRelation, ExecError> {
+        self.extents
+            .get(name)
+            .map(Arc::as_ref)
+            .ok_or_else(|| ExecError::UnknownView(name.to_owned()))
     }
 
     fn shard_partition(&self, name: &str) -> Option<&ShardPartition> {
@@ -230,8 +233,9 @@ impl EpochReader {
     }
 }
 
-/// What one applied batch did to the store — consumed by adaptive
-/// sessions to invalidate cached plan feedback for touched views.
+/// What one applied batch did to the store, returned by
+/// [`EpochCatalog::apply`]: the query service sweeps its caches over the
+/// touched views, and the benchmark reports the phase timings.
 #[derive(Clone, Debug)]
 pub struct MaintenanceReport {
     /// The epoch this batch published.
@@ -294,7 +298,6 @@ pub struct EpochCatalog {
     shards: HashMap<String, Arc<ShardPartition>>,
     epoch: u64,
     published: EpochReader,
-    reports: Vec<MaintenanceReport>,
 }
 
 impl EpochCatalog {
@@ -323,7 +326,6 @@ impl EpochCatalog {
             shards: HashMap::new(),
             epoch: 0,
             published,
-            reports: Vec::new(),
         }
     }
 
@@ -362,22 +364,38 @@ impl EpochCatalog {
         self.published.clone()
     }
 
-    /// Maintenance reports for every batch applied so far.
-    pub fn reports(&self) -> &[MaintenanceReport] {
-        &self.reports
-    }
-
-    /// Reports of batches published after `epoch` — what a session that
-    /// last saw `epoch` must catch up on.
-    pub fn reports_since(&self, epoch: u64) -> impl Iterator<Item = &MaintenanceReport> {
-        self.reports.iter().filter(move |r| r.epoch > epoch)
-    }
-
     /// Registers a view over the live document and publishes a new
     /// epoch. Eager views are materialized (against the live IDs),
     /// normalized and shard-partitioned immediately; deferred views are
     /// registered stale, excluded from epochs until [`Self::refresh`].
     /// Re-registering a name retires every piece of the old state first.
+    ///
+    /// An eager extent is stored **normalized** (sorted in document order
+    /// on its first column, duplicates removed) and partitioned per
+    /// summary path of its first-column ID, giving the executor the
+    /// per-path-pair decomposition of structural joins (`⋈_≺` / `⋈_≺≺`
+    /// shard pairs whose paths are not ancestor-related produce no output
+    /// and are skipped; the rest run in parallel under `ExecOpts {
+    /// threads: n > 1 }`). A view whose first column is not an ID is
+    /// stored unpartitioned and keeps the chunk-parallel path.
+    ///
+    /// ```
+    /// use smv_algebra::ViewProvider;
+    /// use smv_pattern::parse_pattern;
+    /// use smv_views::{EpochCatalog, RefreshPolicy, View};
+    /// use smv_xml::{Document, IdScheme};
+    ///
+    /// let doc = Document::from_parens(r#"site(item(name="pen") item(name="ink"))"#);
+    /// let mut catalog = EpochCatalog::new(doc, IdScheme::OrdPath);
+    /// catalog.add_view(
+    ///     View::new("v", parse_pattern("site(//name{id,v})").unwrap(), IdScheme::OrdPath),
+    ///     RefreshPolicy::Eager,
+    /// );
+    /// let snap = catalog.snapshot();
+    /// let partition = snap.shard_partition("v").expect("id-first view is sharded");
+    /// assert_eq!(partition.shards.len(), 1, "every name sits on one summary path");
+    /// assert_eq!(partition.shards[0].rows.len(), 2);
+    /// ```
     ///
     /// # Panics
     ///
@@ -392,9 +410,9 @@ impl EpochCatalog {
 
     /// Registers a batch of views at once, materializing and
     /// shard-partitioning eager extents in parallel on `pool` (one
-    /// morsel per view, like [`crate::Catalog::add_sharded_batch`]),
-    /// then publishes a **single** epoch covering the whole batch —
-    /// [`Self::add_view`] in a loop would publish one epoch per view.
+    /// morsel per view, registered in `views` order), then publishes a
+    /// **single** epoch covering the whole batch — [`Self::add_view`] in
+    /// a loop would publish one epoch per view.
     /// This is the query service's ingest path: the same explicitly
     /// sized pool that executes queries does the materialization work,
     /// so one knob governs both kinds of parallelism.
@@ -587,7 +605,6 @@ impl EpochCatalog {
         smv_obs::counter_add("epoch.batches_applied", 1);
         smv_obs::counter_add("epoch.rows_killed", report.rows_killed as u64);
         smv_obs::counter_add("epoch.rows_added", report.rows_added as u64);
-        self.reports.push(report.clone());
         Ok(report)
     }
 
@@ -957,9 +974,9 @@ mod tests {
         // deferred bulk registration: stale, excluded from the epoch
         let mut def = EpochCatalog::new(Document::from_parens(src), IdScheme::OrdPath);
         def.add_views_on(views(), RefreshPolicy::Deferred, &pool);
-        assert!(def.snapshot().extent("vb").is_none());
+        assert!(def.snapshot().extent("vb").is_err());
         assert!(def.refresh("vb"));
-        assert!(def.snapshot().extent("vb").is_some());
+        assert!(def.snapshot().extent("vb").is_ok());
     }
 
     #[test]
@@ -1013,7 +1030,7 @@ mod tests {
                     assert_eq!(reader.epoch(), epoch);
                     assert_eq!(
                         snap.extent("vb").map(NestedRelation::len),
-                        Some(if epoch == 1 { 2 } else { 1 })
+                        Ok(if epoch == 1 { 2 } else { 1 })
                     );
                     checked.send(()).unwrap();
                 }
@@ -1051,7 +1068,7 @@ mod tests {
             RefreshPolicy::Deferred,
         );
         let snap = ec.snapshot();
-        assert!(snap.extent("vb").is_none(), "WITH NO DATA: not scannable");
+        assert!(snap.extent("vb").is_err(), "WITH NO DATA: not scannable");
         assert!(ViewStore::views(&*snap).is_empty());
         assert!(ec.refresh("vb"));
         let snap = ec.snapshot();
@@ -1061,7 +1078,7 @@ mod tests {
         batch.insert(sid(&ec, "a", 0), Document::from_parens(r#"b="2""#));
         let rep = ec.apply(&batch).unwrap();
         assert_eq!(rep.deferred_stale, vec!["vb".to_string()]);
-        assert!(ec.snapshot().extent("vb").is_none());
+        assert!(ec.snapshot().extent("vb").is_err());
         assert!(ec.refresh("vb"));
         assert_eq!(ec.snapshot().extent("vb").unwrap().len(), 2);
         assert!(!ec.refresh("nope"), "unknown names report false");
@@ -1086,6 +1103,5 @@ mod tests {
         assert_eq!(ec.apply(&batch).unwrap_err(), LiveError::DeleteRoot);
         assert_eq!(ec.epoch(), before);
         assert_eq!(ec.snapshot().extent("vb").unwrap().len(), 1);
-        assert!(ec.reports().is_empty());
     }
 }

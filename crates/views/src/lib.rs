@@ -6,11 +6,10 @@
 //! stored attribute), table-valued columns for nested edges, `⊥` for
 //! optional subtrees that did not bind.
 //!
-//! The [`Catalog`] holds view definitions and extents and serves as the
-//! `ViewProvider` plans execute against. The [`epoch`] module is its
-//! live-store counterpart: an [`EpochCatalog`] maintains extents under
-//! document update batches and publishes immutable [`CatalogEpoch`]
-//! snapshots for queries.
+//! The [`epoch`] module holds the one in-memory catalog: an
+//! [`EpochCatalog`] registers views over a live document, maintains their
+//! extents under document update batches and publishes immutable
+//! [`CatalogEpoch`] snapshots, the `ViewProvider` plans execute against.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 pub mod cards;
@@ -19,7 +18,7 @@ pub mod epoch;
 pub mod materialize;
 
 pub use cards::{col_cards, estimate_extent_bytes, estimate_extent_rows, CatalogCards, DefCards};
-pub use catalog::{Catalog, View, ViewStore};
+pub use catalog::{View, ViewStore};
 pub use epoch::{
     refresh_class, CatalogEpoch, EpochCatalog, EpochReader, MaintenanceReport, RefreshClass,
     RefreshPolicy,

@@ -5,6 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use smv::algebra::ViewProvider;
 use smv::prelude::*;
 
 fn main() {
@@ -34,22 +35,23 @@ fn main() {
         println!("  {}", summary.path_string(n));
     }
 
-    // 3. a materialized view: every item with its name, storing ORDPATHs;
-    //    `add_sharded` partitions the extent per summary-path shard, which
-    //    parallel structural joins consume
+    // 3. a materialized view: every item with its name, storing ORDPATHs.
+    //    The epoch catalog materializes it over the document and
+    //    partitions the extent per summary-path shard, which parallel
+    //    structural joins consume; queries run on its published snapshot
     let v = View::new(
         "items_with_names",
         parse_pattern("site(//item{id}(/name{v}))").unwrap(),
         IdScheme::OrdPath,
     );
-    let mut catalog = Catalog::new();
-    catalog.add_sharded(v.clone(), &doc, &summary);
+    let mut catalog = EpochCatalog::new(doc.clone(), IdScheme::OrdPath);
+    catalog.add_view(v.clone(), RefreshPolicy::Eager);
+    let snap = catalog.snapshot();
     println!(
         "\nview extent ({} summary-path shard(s)):\n{}",
-        catalog
-            .shard_partition("items_with_names")
+        snap.shard_partition("items_with_names")
             .map_or(0, |p| p.shards.len()),
-        smv::algebra::ViewProvider::extent(&catalog, "items_with_names").unwrap()
+        snap.extent("items_with_names").unwrap()
     );
 
     // 4. a query asking for item names — rewritable from the view
@@ -63,13 +65,9 @@ fn main() {
 
     // 5. execute — sequentially and on a 2-thread worker pool — and
     //    cross-check against direct evaluation
-    let from_views = execute(&result.rewritings[0].plan, &catalog).unwrap();
-    let parallel = execute_with(
-        &result.rewritings[0].plan,
-        &catalog,
-        &ExecOpts::with_threads(2),
-    )
-    .unwrap();
+    let plan = &result.rewritings[0].plan;
+    let from_views = execute_with(plan, &*snap, &ExecOpts::with_threads(1)).unwrap();
+    let parallel = execute_with(plan, &*snap, &ExecOpts::with_threads(2)).unwrap();
     let direct = materialize(&q, &doc, IdScheme::OrdPath);
     assert!(from_views.set_eq(&direct));
     assert_eq!(

@@ -58,11 +58,9 @@ fn main() {
     let q = &queries[0];
     let r = rewrite(q, &views, &summary, &opts);
     if let Some(rw) = r.rewritings.first() {
-        let mut catalog = Catalog::new();
-        for v in &views {
-            catalog.add(v.clone(), &doc);
-        }
-        let out = execute(&rw.plan, &catalog).unwrap();
+        let mut catalog = EpochCatalog::new(doc.clone(), IdScheme::OrdPath);
+        catalog.add_views_on(views.clone(), RefreshPolicy::Eager, WorkerPool::global());
+        let out = execute_with(&rw.plan, &*catalog.snapshot(), &ExecOpts::default()).unwrap();
         let direct = materialize(q, &doc, IdScheme::OrdPath);
         assert!(out.set_eq(&direct));
         println!(

@@ -25,9 +25,10 @@
 //! assert!(!result.rewritings.is_empty());
 //!
 //! // … and execute the plan against the materialized extent
-//! let mut catalog = Catalog::new();
-//! catalog.add(view, &doc);
-//! let out = execute(&result.rewritings[0].plan, &catalog).unwrap();
+//! let mut catalog = EpochCatalog::new(doc, IdScheme::OrdPath);
+//! catalog.add_view(view, RefreshPolicy::Eager);
+//! let snap = catalog.snapshot();
+//! let out = execute_with(&result.rewritings[0].plan, &*snap, &ExecOpts::default()).unwrap();
 //! assert_eq!(out.len(), 2);
 //! ```
 //!
@@ -69,9 +70,9 @@ pub mod prelude {
         advise, advise_exhaustive, mine_candidates, Advice, AdvisorOpts, Workload,
     };
     pub use smv_algebra::{
-        execute, execute_profiled, execute_profiled_with, execute_with, explain, explain_analyze,
-        CostModel, ExecOpts, ExecProfile, Explain, ExplainNode, FeedbackCards, FeedbackStats,
-        FeedbackStore, NestedRelation, ParHints, Plan, PlanEstimate, StructRel, WorkerPool,
+        execute_profiled_with, execute_with, explain, explain_analyze, CostModel, ExecOpts,
+        ExecProfile, Explain, ExplainNode, FeedbackCards, FeedbackStats, FeedbackStore,
+        NestedRelation, ParHints, Plan, PlanEstimate, StructRel, WorkerPool,
     };
     pub use smv_core::{
         best_rewriting_cost, contained, contained_in_union, equivalent, is_satisfiable, rewrite,
@@ -88,14 +89,11 @@ pub mod prelude {
         AdmissionScheduler, QueryResponse, QueryService, SchedDecision, SchedMode, ServeError,
         ServiceConfig, ServiceStats,
     };
-    pub use smv_store::{
-        DiskCatalog, DiskStore, DiskVfs, PersistentEpochs, ProviderMatrix, SimVfs, StoreOptions,
-    };
+    pub use smv_store::{DiskCatalog, DiskStore, DiskVfs, ProviderMatrix, SimVfs, StoreOptions};
     pub use smv_summary::{Summary, SummaryStats};
     pub use smv_views::{
-        materialize, materialize_with, refresh_class, Catalog, CatalogCards, CatalogEpoch,
-        DefCards, EpochCatalog, EpochReader, MaintenanceReport, RefreshClass, RefreshPolicy, View,
-        ViewStore,
+        materialize, materialize_with, refresh_class, CatalogCards, CatalogEpoch, DefCards,
+        EpochCatalog, EpochReader, MaintenanceReport, RefreshClass, RefreshPolicy, View, ViewStore,
     };
     pub use smv_xml::{
         parse_document, serialize_document, Document, IdScheme, Label, LiveDoc, LiveError,

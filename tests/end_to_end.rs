@@ -2,6 +2,9 @@
 //! containment → rewriting → plan execution, on the paper's running
 //! example (Figure 1) and on generated XMark data.
 
+mod common;
+
+use common::materialized;
 use smv::prelude::*;
 
 /// A document shaped like the paper's Figure 1(a).
@@ -86,9 +89,8 @@ fn xquery_to_rewriting_pipeline() {
         !r.rewritings.is_empty(),
         "the §1 query rewrites over a matching view"
     );
-    let mut catalog = Catalog::new();
-    catalog.add(v, &doc);
-    let out = execute(&r.rewritings[0].plan, &catalog).unwrap();
+    let catalog = materialized(&doc, &[v]);
+    let out = execute_with(&r.rewritings[0].plan, &catalog, &ExecOpts::default()).unwrap();
     let direct = materialize(&q, &doc, IdScheme::OrdPath);
     assert!(out.set_eq(&direct), "got {out}\nexpected {direct}");
     assert_eq!(out.len(), 1, "only the mail-ed item qualifies");
@@ -109,9 +111,8 @@ fn nested_query_rewrites_over_flat_views_on_xmark() {
     );
     let r = rewrite(&q, std::slice::from_ref(&v), &s, &RewriteOpts::default());
     assert!(!r.rewritings.is_empty());
-    let mut catalog = Catalog::new();
-    catalog.add(v, &doc);
-    let out = execute(&r.rewritings[0].plan, &catalog).unwrap();
+    let catalog = materialized(&doc, &[v]);
+    let out = execute_with(&r.rewritings[0].plan, &catalog, &ExecOpts::default()).unwrap();
     let direct = materialize(&q, &doc, IdScheme::OrdPath);
     assert!(out.set_eq(&direct));
 }
@@ -146,11 +147,9 @@ fn structural_join_rewriting_on_xmark() {
         r.rewritings.iter().any(|rw| rw.scans == 2),
         "some rewriting joins both views"
     );
-    let mut catalog = Catalog::new();
-    catalog.add(va, &doc);
-    catalog.add(vi, &doc);
+    let catalog = materialized(&doc, &[va, vi]);
     for rw in &r.rewritings {
-        let out = execute(&rw.plan, &catalog).unwrap();
+        let out = execute_with(&rw.plan, &catalog, &ExecOpts::default()).unwrap();
         let direct = materialize(&q, &doc, IdScheme::OrdPath);
         assert!(out.set_eq(&direct), "plan:\n{}", rw.plan);
     }
@@ -167,7 +166,7 @@ fn structural_join_rewriting_on_xmark() {
         ranked.rewritings[0].scans, 1,
         "cheapest plan scans one view"
     );
-    let best = execute(&ranked.rewritings[0].plan, &catalog).unwrap();
+    let best = execute_with(&ranked.rewritings[0].plan, &catalog, &ExecOpts::default()).unwrap();
     assert!(best.set_eq(&materialize(&q, &doc, IdScheme::OrdPath)));
 }
 
@@ -182,18 +181,15 @@ fn cost_ranking_never_changes_results_on_xmark() {
     });
     let s = Summary::of(&doc);
     for case in smv::datagen::pr2_workload(IdScheme::OrdPath) {
-        let mut catalog = Catalog::new();
-        for v in &case.views {
-            catalog.add(v.clone(), &doc);
-        }
-        let cards = CatalogCards::new(&catalog, &s);
+        let catalog = materialized(&doc, &case.views);
+        let cards = CatalogCards::over(&catalog, &s);
         let r = Rewriter::new(&case.query, &case.views, &s, RewriteOpts::default())
             .with_card_source(&cards)
             .run();
         assert!(!r.rewritings.is_empty(), "case {} rewrites", case.name);
         let direct = materialize(&case.query, &doc, IdScheme::OrdPath);
         for rw in &r.rewritings {
-            let out = execute(&rw.plan, &catalog).unwrap();
+            let out = execute_with(&rw.plan, &catalog, &ExecOpts::default()).unwrap();
             assert!(
                 out.set_eq(&direct),
                 "case {}: ranked plan diverges\n{}",
@@ -220,16 +216,15 @@ fn estimated_cardinalities_track_actuals_on_xmark() {
     let s = Summary::of(&doc);
     // scan + σ_L plans from the pr2 workload
     for case in smv::datagen::pr2_workload(IdScheme::OrdPath) {
-        let mut catalog = Catalog::new();
-        for v in &case.views {
-            catalog.add(v.clone(), &doc);
-        }
-        let cards = CatalogCards::new(&catalog, &s);
+        let catalog = materialized(&doc, &case.views);
+        let cards = CatalogCards::over(&catalog, &s);
         let r = Rewriter::new(&case.query, &case.views, &s, RewriteOpts::default())
             .with_card_source(&cards)
             .run();
         for rw in &r.rewritings {
-            let actual = execute(&rw.plan, &catalog).unwrap().len() as f64;
+            let actual = execute_with(&rw.plan, &catalog, &ExecOpts::default())
+                .unwrap()
+                .len() as f64;
             assert!(
                 rw.est.rows <= actual * EST_FACTOR && rw.est.rows >= actual / EST_FACTOR,
                 "case {}: estimate {} vs actual {} exceeds ×{EST_FACTOR}\n{}",
@@ -252,10 +247,8 @@ fn estimated_cardinalities_track_actuals_on_xmark() {
         parse_pattern("site(//initial{id,v})").unwrap(),
         IdScheme::OrdPath,
     );
-    let mut catalog = Catalog::new();
-    catalog.add(va.clone(), &doc);
-    catalog.add(vi.clone(), &doc);
-    let cards = CatalogCards::new(&catalog, &s);
+    let catalog = materialized(&doc, &[va.clone(), vi.clone()]);
+    let cards = CatalogCards::over(&catalog, &s);
     let opts = RewriteOpts {
         cost_prune: false, // keep the join plans for inspection
         ..Default::default()
@@ -266,7 +259,9 @@ fn estimated_cardinalities_track_actuals_on_xmark() {
         .run();
     assert!(!r.rewritings.is_empty());
     for rw in &r.rewritings {
-        let actual = execute(&rw.plan, &catalog).unwrap().len() as f64;
+        let actual = execute_with(&rw.plan, &catalog, &ExecOpts::default())
+            .unwrap()
+            .len() as f64;
         assert!(
             rw.est.rows <= actual * EST_FACTOR && rw.est.rows >= actual / EST_FACTOR,
             "join estimate {} vs actual {}\n{}",

@@ -1,14 +1,13 @@
 //! Regression: definition-only extent estimates vs materialized sizes.
 //!
 //! `smv_views::estimate_extent_rows` prices candidate views for the
-//! advisor *without* materializing them; `Catalog::extent_rows` is the
-//! ground truth once a view is materialized. The two must agree on the
+//! advisor *without* materializing them; the materialized extent's row
+//! count is the ground truth. The two must agree on the
 //! workload the advisor actually prices — XMark views — or budgeted
 //! selection drifts.
 
 use smv::prelude::*;
 use smv::views::estimate_extent_rows;
-use smv::views::View;
 
 fn setup() -> (Document, Summary) {
     let doc = xmark(&XmarkConfig {
@@ -23,9 +22,7 @@ fn setup() -> (Document, Summary) {
 fn est_vs_actual(doc: &Document, s: &Summary, src: &str) -> (f64, f64) {
     let p = parse_pattern(src).unwrap();
     let est = estimate_extent_rows(&p, s);
-    let mut cat = Catalog::new();
-    cat.add(View::new("v", p, IdScheme::OrdPath), doc);
-    (est, cat.extent_rows("v").unwrap() as f64)
+    (est, materialize(&p, doc, IdScheme::OrdPath).len() as f64)
 }
 
 #[test]

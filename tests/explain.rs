@@ -12,6 +12,9 @@
 //! * Feedback: a model corrected by a run's profile explains that run
 //!   with a q-error of 1 where the static model was off by 30×.
 
+mod common;
+
+use common::materialized;
 use proptest::prelude::*;
 use smv::datagen::pr2_workload;
 use smv::prelude::*;
@@ -55,11 +58,8 @@ fn explain_golden_xmark_bench_queries() {
     let cases = pr2_workload(IdScheme::OrdPath);
     assert_eq!(cases.len(), 5, "golden set covers five bench queries");
     for case in cases {
-        let mut catalog = Catalog::new();
-        for v in &case.views {
-            catalog.add(v.clone(), &doc);
-        }
-        let cards = CatalogCards::new(&catalog, &summary);
+        let catalog = materialized(&doc, &case.views);
+        let cards = CatalogCards::over(&catalog, &summary);
         let ranked = Rewriter::new(&case.query, &case.views, &summary, RewriteOpts::default())
             .with_card_source(&cards)
             .run();
@@ -93,14 +93,13 @@ fn feedback_tightens_explain_analyze_q_error() {
         parse_pattern("r(//b{id,v})").unwrap(),
         IdScheme::OrdPath,
     );
-    let mut catalog = Catalog::new();
-    catalog.add(view.clone(), &doc);
+    let catalog = materialized(&doc, std::slice::from_ref(&view));
     let q = parse_pattern("r(//b{id,v}[v<=10])").unwrap();
     let ranked = rewrite(&q, &[view], &summary, &RewriteOpts::default());
     let plan = &ranked.rewritings[0].plan;
-    let (rows, profile) = execute_profiled(plan, &catalog).unwrap();
+    let (rows, profile) = execute_profiled_with(plan, &catalog, &ExecOpts::default()).unwrap();
     assert_eq!(rows.len(), 160);
-    let cards = CatalogCards::new(&catalog, &summary);
+    let cards = CatalogCards::over(&catalog, &summary);
     let before = explain_analyze(plan, &CostModel::new(&summary, &cards), &profile);
     let mut store = FeedbackStore::new();
     store.ingest(plan, &profile);
@@ -140,10 +139,10 @@ proptest! {
         use smv::algebra::{NoCards, Predicate};
         let d = Document::from_parens(&doc_src);
         let s = Summary::of(&d);
-        let mut catalog = Catalog::new();
-        for (name, pat) in [("va", "r(//a{id})"), ("vb", "r(//b{id,v})"), ("vc", "r(//*{id,l})")] {
-            catalog.add(View::new(name, parse_pattern(pat).unwrap(), IdScheme::OrdPath), &d);
-        }
+        let views: Vec<View> = [("va", "r(//a{id})"), ("vb", "r(//b{id,v})"), ("vc", "r(//*{id,l})")]
+            .map(|(name, pat)| View::new(name, parse_pattern(pat).unwrap(), IdScheme::OrdPath))
+            .into();
+        let catalog = materialized(&d, &views);
         let scan = |v: &str| Box::new(Plan::Scan { view: v.into() });
         let plans = vec![
             Plan::StructJoin {

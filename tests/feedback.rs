@@ -3,6 +3,8 @@
 //! actuals for scans, selections and structural joins), and the query
 //! service re-ranking a misestimated query on what it measured.
 
+mod common;
+
 use proptest::prelude::*;
 use smv::algebra::{plan_fingerprint, CardSource, Predicate, StructRel};
 use smv::prelude::*;
@@ -26,25 +28,10 @@ fn doc_of(groups: &[Vec<i64>]) -> Document {
     Document::from_parens(&format!("r({})", parts.join(" ")))
 }
 
-fn catalog_of(doc: &Document) -> Catalog {
-    let mut catalog = Catalog::new();
-    catalog.add(
-        View::new(
-            "va",
-            parse_pattern("r(//a{id})").unwrap(),
-            IdScheme::OrdPath,
-        ),
-        doc,
-    );
-    catalog.add(
-        View::new(
-            "vb",
-            parse_pattern("r(//b{id,v})").unwrap(),
-            IdScheme::OrdPath,
-        ),
-        doc,
-    );
-    catalog
+fn catalog_of(doc: &Document) -> CatalogEpoch {
+    let views = [("va", "r(//a{id})"), ("vb", "r(//b{id,v})")]
+        .map(|(name, pat)| View::new(name, parse_pattern(pat).unwrap(), IdScheme::OrdPath));
+    common::materialized(doc, &views)
 }
 
 fn scan(view: &str) -> Plan {
@@ -76,7 +63,7 @@ fn exec_profile_counts_match_materialized_sizes() {
     let doc = doc_of(&[vec![1, 5, 9], vec![3], vec![], vec![7, 2]]);
     let catalog = catalog_of(&doc);
     let plan = parent_join(scan("va"), select_ge(scan("vb"), 1, 4));
-    let (out, profile) = execute_profiled(&plan, &catalog).unwrap();
+    let (out, profile) = execute_profiled_with(&plan, &catalog, &ExecOpts::default()).unwrap();
     // one entry per operator: join, its two scans, the select
     assert_eq!(profile.len(), 4);
     // the root entry always equals the returned (normalized) relation
@@ -88,7 +75,7 @@ fn exec_profile_counts_match_materialized_sizes() {
     // every operator's count equals executing that subplan directly
     assert_eq!(
         profile.rows_at("1").unwrap(),
-        execute(&select_ge(scan("vb"), 1, 4), &catalog)
+        execute_with(&select_ge(scan("vb"), 1, 4), &catalog, &ExecOpts::default())
             .unwrap()
             .len() as u64
     );
@@ -102,8 +89,8 @@ fn unprofiled_and_profiled_execution_agree() {
     let plan = Plan::DupElim {
         input: Box::new(parent_join(scan("va"), select_ge(scan("vb"), 1, 3))),
     };
-    let plain = execute(&plan, &catalog).unwrap();
-    let (profiled, profile) = execute_profiled(&plan, &catalog).unwrap();
+    let plain = execute_with(&plan, &catalog, &ExecOpts::default()).unwrap();
+    let (profiled, profile) = execute_profiled_with(&plan, &catalog, &ExecOpts::default()).unwrap();
     assert!(plain.set_eq(&profiled));
     assert_eq!(profile.rows_at(""), Some(profiled.len() as u64));
 }
@@ -112,7 +99,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// With a fully populated feedback store, the cost model's row
-    /// estimates equal the actual `execute()` output rows for scans,
+    /// estimates equal the actual `execute_with(, &ExecOpts::default())` output rows for scans,
     /// selections over scans, and structural joins over (selected) scans.
     #[test]
     fn perfect_feedback_makes_estimates_exact(
@@ -136,14 +123,14 @@ proptest! {
         // feed every plan's profile back, then re-estimate with feedback
         let mut store = FeedbackStore::new();
         for p in &plans {
-            let (_, profile) = execute_profiled(p, &catalog).unwrap();
+            let (_, profile) = execute_profiled_with(p, &catalog, &ExecOpts::default()).unwrap();
             store.ingest(p, &profile);
         }
-        let cards = CatalogCards::new(&catalog, &s);
+        let cards = CatalogCards::over(&catalog, &s);
         let fb_cards = FeedbackCards::new(&cards, &store);
         let model = CostModel::new(&s, &fb_cards).with_feedback(&store);
         for p in &plans {
-            let actual = execute(p, &catalog).unwrap().len() as f64;
+            let actual = execute_with(p, &catalog, &ExecOpts::default()).unwrap().len() as f64;
             let est = model.estimate(p).rows;
             prop_assert!(
                 (est - actual).abs() < 1e-6,
@@ -176,9 +163,9 @@ fn feedback_cards_compose_with_catalog_cards() {
     let s = Summary::of(&doc);
     let catalog = catalog_of(&doc);
     let mut store = FeedbackStore::new();
-    let (_, profile) = execute_profiled(&scan("vb"), &catalog).unwrap();
+    let (_, profile) = execute_profiled_with(&scan("vb"), &catalog, &ExecOpts::default()).unwrap();
     store.ingest(&scan("vb"), &profile);
-    let cards = CatalogCards::new(&catalog, &s);
+    let cards = CatalogCards::over(&catalog, &s);
     let fb = FeedbackCards::new(&cards, &store);
     assert_eq!(fb.scan_card("vb").unwrap().rows, 3.0);
     // columns still come from the inner source

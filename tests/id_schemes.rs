@@ -2,6 +2,9 @@
 //! attributes to ID properties (§1 "Exploiting ID properties", §4.6) must
 //! appear and disappear with the scheme's capabilities.
 
+mod common;
+
+use common::materialized;
 use smv::prelude::*;
 
 fn fixture() -> (Document, Summary) {
@@ -31,12 +34,10 @@ fn structural_rewriting_needs_structural_ids() {
             r.rewritings.iter().any(|rw| rw.scans == 2),
             "{scheme:?} supports the structural-join rewriting"
         );
-        let mut catalog = Catalog::new();
-        catalog.add(vi, &doc);
-        catalog.add(vn, &doc);
+        let catalog = materialized(&doc, &[vi, vn]);
         let direct = materialize(&q, &doc, scheme);
         for rw in &r.rewritings {
-            let out = execute(&rw.plan, &catalog).unwrap();
+            let out = execute_with(&rw.plan, &catalog, &ExecOpts::default()).unwrap();
             assert!(out.set_eq(&direct), "{scheme:?} plan:\n{}", rw.plan);
         }
     }
@@ -77,9 +78,8 @@ fn virtual_ids_follow_scheme_capability() {
             "virtual-ID rewriting under {scheme:?}"
         );
         if expect {
-            let mut catalog = Catalog::new();
-            catalog.add(v, &doc);
-            let out = execute(&r.rewritings[0].plan, &catalog).unwrap();
+            let catalog = materialized(&doc, &[v]);
+            let out = execute_with(&r.rewritings[0].plan, &catalog, &ExecOpts::default()).unwrap();
             let direct = materialize(&q, &doc, scheme);
             assert!(out.set_eq(&direct));
         }
@@ -125,13 +125,12 @@ fn executor_failure_injection() {
         parse_pattern("r(/item{id})").unwrap(),
         IdScheme::OrdPath,
     );
-    let mut catalog = Catalog::new();
-    catalog.add(v, &doc);
+    let catalog = materialized(&doc, &[v]);
     // unknown view
     let bad = Plan::Scan {
         view: "nope".into(),
     };
-    let err = execute(&bad, &catalog).unwrap_err();
+    let err = execute_with(&bad, &catalog, &ExecOpts::default()).unwrap_err();
     assert!(matches!(err.kind(), ExecError::UnknownView(_)));
     assert_eq!(err.op_path(), Some(""), "located at the root operator");
     // value predicate on an ID column is a type error
@@ -143,7 +142,9 @@ fn executor_failure_injection() {
         },
     };
     assert!(matches!(
-        execute(&typed, &catalog).unwrap_err().kind(),
+        execute_with(&typed, &catalog, &ExecOpts::default())
+            .unwrap_err()
+            .kind(),
         ExecError::Type(_)
     ));
     // projecting a column out of range is a schema error
@@ -152,7 +153,9 @@ fn executor_failure_injection() {
         cols: vec![7],
     };
     assert!(matches!(
-        execute(&oob, &catalog).unwrap_err().kind(),
+        execute_with(&oob, &catalog, &ExecOpts::default())
+            .unwrap_err()
+            .kind(),
         ExecError::Schema(_)
     ));
 }

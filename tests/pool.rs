@@ -5,6 +5,8 @@
 //! touches a pool, and feedback's `ParHints` change where a plan fans out
 //! but not what it returns.
 
+mod common;
+
 use smv::algebra::Predicate;
 use smv::prelude::*;
 use std::sync::Arc;
@@ -17,16 +19,10 @@ fn fixture_doc(n: usize) -> Document {
     Document::from_parens(&format!("r({})", groups.join(" ")))
 }
 
-fn sharded_catalog(doc: &Document, summary: &Summary) -> Catalog {
-    let mut catalog = Catalog::new();
-    for (name, pat) in [("va", "r(//a{id})"), ("vb", "r(//b{id,v})")] {
-        catalog.add_sharded(
-            View::new(name, parse_pattern(pat).unwrap(), IdScheme::OrdPath),
-            doc,
-            summary,
-        );
-    }
-    catalog
+fn sharded_catalog(doc: &Document) -> CatalogEpoch {
+    let views = [("va", "r(//a{id})"), ("vb", "r(//b{id,v})")]
+        .map(|(name, pat)| View::new(name, parse_pattern(pat).unwrap(), IdScheme::OrdPath));
+    common::materialized(doc, &views)
 }
 
 /// ancestor join → select → dup-elim: exercises the morselized join,
@@ -70,9 +66,8 @@ fn seq_opts() -> ExecOpts {
 #[test]
 fn two_sessions_sharing_one_pool_match_sequential() {
     let doc = fixture_doc(40);
-    let s = Summary::of(&doc);
-    let catalog_a = sharded_catalog(&doc, &s);
-    let catalog_b = sharded_catalog(&doc, &s);
+    let catalog_a = sharded_catalog(&doc);
+    let catalog_b = sharded_catalog(&doc);
     let pool = Arc::new(WorkerPool::new(3));
     let plan = mixed_plan();
     let seq = execute_with(&plan, &catalog_a, &seq_opts()).unwrap();
@@ -93,8 +88,7 @@ fn two_sessions_sharing_one_pool_match_sequential() {
 #[test]
 fn reentrant_pool_use_ingest_during_query() {
     let doc = fixture_doc(30);
-    let s = Summary::of(&doc);
-    let catalog = sharded_catalog(&doc, &s);
+    let catalog = sharded_catalog(&doc);
     let plan = mixed_plan();
     let docs: Vec<Document> = (0..12).map(|_| fixture_doc(4)).collect();
 
@@ -129,8 +123,7 @@ fn reentrant_pool_use_ingest_during_query() {
 #[test]
 fn threads_one_never_touches_the_pool() {
     let doc = fixture_doc(25);
-    let s = Summary::of(&doc);
-    let catalog = sharded_catalog(&doc, &s);
+    let catalog = sharded_catalog(&doc);
     let pool = Arc::new(WorkerPool::new(4));
     // a pool is attached and min_par_rows would pass every gate — but
     // threads: 1 must still execute fully inline
@@ -159,8 +152,7 @@ fn threads_one_never_touches_the_pool() {
 #[test]
 fn results_survive_pool_drop() {
     let doc = fixture_doc(30);
-    let s = Summary::of(&doc);
-    let catalog = sharded_catalog(&doc, &s);
+    let catalog = sharded_catalog(&doc);
     let plan = mixed_plan();
     let seq = execute_with(&plan, &catalog, &seq_opts()).unwrap();
     let par = {
@@ -248,13 +240,7 @@ fn par_hints_keep_results_identical() {
         leaves.join(" "),
         ")".repeat(10)
     ));
-    let mut catalog = Catalog::new();
-    for (name, pat) in [("va", "r(//a{id})"), ("vb", "r(//b{id,v})")] {
-        catalog.add(
-            View::new(name, parse_pattern(pat).unwrap(), IdScheme::OrdPath),
-            &doc,
-        );
-    }
+    let catalog = sharded_catalog(&doc);
     let plan = Plan::StructJoin {
         left: Box::new(Plan::Scan { view: "va".into() }),
         right: Box::new(Plan::Scan { view: "vb".into() }),

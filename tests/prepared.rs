@@ -203,7 +203,7 @@ fn a_new_path_under_a_descendant_view_rebuilds_its_preparation() {
         "the stamp moved: rebuilt once"
     );
     assert!(!warm.rewritings.is_empty(), "the view still answers //b");
-    let rows = execute(&warm.rewritings[0].plan, &*after).unwrap();
+    let rows = execute_with(&warm.rewritings[0].plan, &*after, &ExecOpts::default()).unwrap();
     assert_eq!(rows.len(), 2, "both b nodes, the new path's included");
     // the superseded snapshot is still served by its own constraints
     assert_prepared_equals_fresh(&before, &q, "before, again");

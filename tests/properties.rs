@@ -1,5 +1,7 @@
 //! Property-based tests on the core invariants, with proptest.
 
+mod common;
+
 use proptest::prelude::*;
 use smv::prelude::*;
 use smv::xml::{IdAssignment, OrdPath};
@@ -227,11 +229,10 @@ proptest! {
         prop_assume!(q.arity() > 0);
         let view = View::new("v", q.clone(), IdScheme::OrdPath);
         let r = rewrite(&q, std::slice::from_ref(&view), &s, &RewriteOpts::default());
-        let mut catalog = Catalog::new();
-        catalog.add(view, &d);
+        let catalog = common::materialized(&d, std::slice::from_ref(&view));
         let direct = materialize(&q, &d, IdScheme::OrdPath);
         for rw in &r.rewritings {
-            let out = execute(&rw.plan, &catalog).unwrap();
+            let out = execute_with(&rw.plan, &catalog, &ExecOpts::default()).unwrap();
             prop_assert!(
                 out.set_eq(&direct),
                 "plan output diverges for {q} on {doc_src}:\n{}",
@@ -292,7 +293,7 @@ proptest! {
     /// the sortedness tag.
     #[test]
     fn exec_struct_join_matches_oracle_relation(src in tree_strategy()) {
-        use smv::algebra::{execute, nested_loop_join, MapProvider, Plan, StructRel};
+        use smv::algebra::{execute_with, nested_loop_join, MapProvider, Plan, StructRel};
         use smv::algebra::{AttrKind, Cell, NestedRelation, Row, Schema};
         let d = Document::from_parens(&src);
         for scheme in [IdScheme::OrdPath, IdScheme::Dewey] {
@@ -323,7 +324,7 @@ proptest! {
                         rcol: 0,
                         rel,
                     };
-                    let out = execute(&plan, &p).unwrap();
+                    let out = execute_with(&plan, &p, &ExecOpts::default()).unwrap();
                     let mut expected = NestedRelation::new(
                         Schema::atoms(&[("l.ID", AttrKind::Id), ("r.ID", AttrKind::Id)]),
                         nested_loop_join(&evens, &odds, rel)
@@ -413,16 +414,10 @@ proptest! {
     fn parallel_execution_matches_sequential(doc_src in tree_strategy(), threads in 2usize..5) {
         use smv::algebra::Predicate;
         let d = Document::from_parens(&doc_src);
-        let s = Summary::of(&d);
         for scheme in [IdScheme::OrdPath, IdScheme::Dewey] {
-            let mut catalog = Catalog::new();
-            for (name, pat) in [
-                ("va", "r(//a{id})"),
-                ("vb", "r(//b{id,v})"),
-                ("vc", "r(//*{id,l})"),
-            ] {
-                catalog.add_sharded(View::new(name, parse_pattern(pat).unwrap(), scheme), &d, &s);
-            }
+            let views = [("va", "r(//a{id})"), ("vb", "r(//b{id,v})"), ("vc", "r(//*{id,l})")]
+                .map(|(name, pat)| View::new(name, parse_pattern(pat).unwrap(), scheme));
+            let catalog = common::materialized(&d, &views);
             let scan = |v: &str| Box::new(Plan::Scan { view: v.into() });
             let base = |lv: &str, rv: &str, rel| Plan::StructJoin {
                 left: scan(lv),
@@ -473,7 +468,7 @@ proptest! {
                 ..ExecOpts::default()
             };
             for plan in &plans {
-                let (seq, prof_seq) = execute_profiled(plan, &catalog).unwrap();
+                let (seq, prof_seq) = execute_profiled_with(plan, &catalog, &ExecOpts::default()).unwrap();
                 let (par, prof_par) = execute_profiled_with(plan, &catalog, &opts).unwrap();
                 prop_assert_eq!(&seq.schema, &par.schema);
                 prop_assert_eq!(

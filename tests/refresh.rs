@@ -170,8 +170,9 @@ fn check_against_rebuild(ec: &EpochCatalog) -> Result<(), String> {
     }
     for v in oracle.views() {
         let (got, want) = (
-            snap.extent(&v.name).ok_or("maintained extent missing")?,
-            oracle.extent(&v.name).ok_or("oracle extent missing")?,
+            snap.extent(&v.name)
+                .map_err(|e| format!("maintained: {e}"))?,
+            oracle.extent(&v.name).map_err(|e| format!("oracle: {e}"))?,
         );
         if got.schema != want.schema {
             return Err(format!("schema of {}", v.pattern));
@@ -480,7 +481,7 @@ fn untouched_views_keep_their_extents_across_batches() {
         }
         assert_eq!(report.deferred_stale, ["later"]);
         let snap = ec.snapshot();
-        assert!(snap.extent("later").is_none(), "WITH NO DATA until refresh");
+        assert!(snap.extent("later").is_err(), "WITH NO DATA until refresh");
         for v in &untouched {
             assert!(std::ptr::eq(
                 first.extent(&v.name).unwrap(),
@@ -493,7 +494,7 @@ fn untouched_views_keep_their_extents_across_batches() {
         }
     }
     assert!(ec.refresh("later"));
-    assert!(ec.snapshot().extent("later").is_some());
+    assert!(ec.snapshot().extent("later").is_ok());
     check_against_rebuild(&ec).unwrap();
 }
 

@@ -5,9 +5,12 @@
 //! injected fault point, and warm-start of the persisted summary +
 //! feedback store.
 
+mod common;
+
+use common::materialized;
 use proptest::prelude::*;
 use smv::algebra::relation::{Cell, ColKind, Column, NestedRelation, Row, Schema};
-use smv::algebra::{AttrKind, ViewProvider};
+use smv::algebra::{AttrKind, ExecError, ViewProvider};
 use smv::prelude::*;
 use smv::store::{
     decode_partition, decode_relation, encode_partition, encode_relation, DiskStore, FaultKind,
@@ -42,17 +45,12 @@ proptest! {
     #[test]
     fn codec_round_trips_random_extents(src in tree_strategy()) {
         let doc = Document::from_parens(&src);
-        let summary = Summary::of(&doc);
         for scheme in SCHEMES {
             // a flat view, and one whose optional edge leaves `⊥` runs and
             // whose nested edge puts a table in every row
             for pattern in ["r(//*{id,l,v})", "r(//a{id,l}(?/b{id,v}, ?%//c{id,l,v}))"] {
-                let mut cat = Catalog::new();
-                cat.add_sharded(
-                    View::new("v", parse_pattern(pattern).unwrap(), scheme),
-                    &doc,
-                    &summary,
-                );
+                let view = View::new("v", parse_pattern(pattern).unwrap(), scheme);
+                let cat = materialized(&doc, &[view]);
                 let extent = cat.extent("v").expect("materialized");
                 let back = decode_relation(&encode_relation(extent)).expect("decodes");
                 prop_assert_eq!(&back.schema, &extent.schema);
@@ -67,31 +65,29 @@ proptest! {
         }
     }
 
-    /// What a reopened catalog loads on first use is what `publish` was
-    /// given: the summary, the feedback store and every shard partition.
+    /// What a reopened catalog loads on first use is what `publish_epoch`
+    /// was given: the summary, the feedback store and every shard partition.
     #[test]
     fn lazily_loaded_artifacts_equal_what_was_published(src in tree_strategy()) {
         let doc = Document::from_parens(&src);
-        let summary = Summary::of(&doc);
         let views = vec![
-            View::new("all", parse_pattern("r(//*{id,l,v})").unwrap(), IdScheme::OrdPath),
+            View::new("all", parse_pattern("r(//*{id,l,v})").unwrap(), IdScheme::Dewey),
             View::new("as", parse_pattern("r(//a{id}(?/b{id,v}))").unwrap(), IdScheme::Dewey),
         ];
-        let mut cat = Catalog::new();
-        for v in &views {
-            cat.add_sharded(v.clone(), &doc, &summary);
-        }
+        let cat = materialized(&doc, &views);
+        let summary = cat.summary();
         let mut feedback = FeedbackStore::new();
-        let rewritten = rewrite(&views[0].pattern, &views, &summary, &RewriteOpts::default());
+        let rewritten = rewrite(&views[0].pattern, &views, summary, &RewriteOpts::default());
         let plan = &rewritten.rewritings.first().expect("a view answers itself").plan;
-        let (_, profile) = execute_profiled(plan, &cat).expect("executes");
+        let (_, profile) =
+            execute_profiled_with(plan, &cat, &ExecOpts::default()).expect("executes");
         feedback.ingest(plan, &profile);
 
         let store = DiskStore::with_options(
             Arc::new(SimVfs::new()),
             StoreOptions { page_size: 64, pool_pages: 4 },
         );
-        store.publish(&cat, Some(&summary), Some(&feedback), 1).unwrap();
+        store.publish_epoch(&cat, Some(&feedback)).unwrap();
         let disk = store.open().unwrap();
         let loaded = disk.summary().expect("loads").expect("published");
         prop_assert_eq!(loaded.to_bytes(), summary.to_bytes());
@@ -191,31 +187,27 @@ fn encoded() -> &'static Encoded {
 }
 
 fn build_encoded() -> Encoded {
-    let doc = small_matrix_doc();
-    let summary = Summary::of(&doc);
     let view = View::new(
         "v",
         parse_pattern("r(//a{id,l}(?/b{id,v}, ?%//c{id,l,v}))").unwrap(),
         IdScheme::OrdPath,
     );
-    let mut cat = Catalog::new();
-    cat.add_sharded(view.clone(), &doc, &summary);
+    let cat = materialized(&small_matrix_doc(), std::slice::from_ref(&view));
+    let summary = cat.summary();
     let extent = cat.extent("v").unwrap();
     let mut feedback = FeedbackStore::new();
     let rewritten = rewrite(
         &view.pattern,
         std::slice::from_ref(&view),
-        &summary,
+        summary,
         &RewriteOpts::default(),
     );
     let plan = &rewritten.rewritings[0].plan;
-    let (_, profile) = execute_profiled(plan, &cat).unwrap();
+    let (_, profile) = execute_profiled_with(plan, &cat, &ExecOpts::default()).unwrap();
     feedback.ingest(plan, &profile);
     let vfs = SimVfs::new();
     let store = DiskStore::new(Arc::new(vfs.clone()));
-    store
-        .publish(&cat, Some(&summary), Some(&feedback), 1)
-        .unwrap();
+    store.publish_epoch(&cat, Some(&feedback)).unwrap();
     let manifest = vfs.read(&manifest_file(&vfs)).unwrap();
     Encoded {
         relation: encode_relation(extent),
@@ -390,14 +382,10 @@ fn learn<C: ViewStore + ViewProvider>(
 fn feedback_bytes_round_trip() {
     let scheme = IdScheme::OrdPath;
     let doc = pr7_document(0.02, 7);
-    let summary = Summary::of(&doc);
-    let mut cat = Catalog::new();
-    for v in pr7_views(scheme) {
-        cat.add_sharded(v, &doc, &summary);
-    }
+    let cat = materialized(&doc, &pr7_views(scheme));
     let mut store = FeedbackStore::new();
     for q in ["site(//name{id,v})", "site(//item{id}(/name{v}))"] {
-        learn(&mut store, &cat, &summary, q);
+        learn(&mut store, &cat, cat.summary(), q);
     }
     assert!(store.scan_rows("names").is_some(), "learned the names scan");
     let bytes = store.to_bytes();
@@ -411,21 +399,17 @@ fn small_matrix_doc() -> Document {
 }
 
 /// A bit-flipped page fails its checksum and surfaces as a checked
-/// [`StoreError::Corrupt`] — never as garbage rows.
+/// [`StoreError::Corrupt`] — never as garbage rows — and a query that
+/// scans the damaged view fails with [`ExecError::Storage`] instead of
+/// aborting.
 #[test]
 fn corrupt_page_is_a_checked_error_not_garbage_rows() {
-    let doc = small_matrix_doc();
-    let summary = Summary::of(&doc);
-    let mut cat = Catalog::new();
-    cat.add_sharded(
-        View::new(
-            "v",
-            parse_pattern("r(//b{id,v})").unwrap(),
-            IdScheme::OrdPath,
-        ),
-        &doc,
-        &summary,
+    let view = View::new(
+        "v",
+        parse_pattern("r(//b{id,v})").unwrap(),
+        IdScheme::OrdPath,
     );
+    let cat = materialized(&small_matrix_doc(), &[view]);
     let vfs = SimVfs::new();
     let store = DiskStore::with_options(
         Arc::new(vfs.clone()),
@@ -434,7 +418,7 @@ fn corrupt_page_is_a_checked_error_not_garbage_rows() {
             pool_pages: 8,
         },
     );
-    store.publish(&cat, Some(&summary), None, 1).unwrap();
+    store.publish_epoch(&cat, None).unwrap();
     let seg = vfs
         .list()
         .into_iter()
@@ -454,6 +438,23 @@ fn corrupt_page_is_a_checked_error_not_garbage_rows() {
     };
     assert!(matches!(err, StoreError::Corrupt(_)), "got: {err}");
     assert!(disk.warm().is_err(), "warm() surfaces the same error");
+    // … and so is a query that scans it, profiled or not
+    let scan = Plan::Scan { view: "v".into() };
+    let opts = ExecOpts::default();
+    for err in [
+        execute_with(&scan, &disk, &opts).expect_err("plain run"),
+        execute_profiled_with(&scan, &disk, &opts).expect_err("profiled run"),
+    ] {
+        assert!(
+            matches!(err.kind(), ExecError::Storage { view, .. } if view == "v"),
+            "got: {err}"
+        );
+        assert_eq!(err.op_path(), Some(""), "the root scan");
+        assert!(
+            err.to_string().contains("checksum"),
+            "carries the cause: {err}"
+        );
+    }
 }
 
 /// A [`SimVfs`] that records, per file, how many reads it served and how
@@ -527,10 +528,7 @@ fn cold_read_touches_only_the_manifest_and_the_scanned_segment() {
         View::new("bs", parse_pattern("r(//b{id,v})").unwrap(), scheme),
         View::new("cs", parse_pattern("r(//c{id}(/b{v}))").unwrap(), scheme),
     ];
-    let mut cat = Catalog::new();
-    for v in &views {
-        cat.add_sharded(v.clone(), &doc, &summary);
-    }
+    let cat = materialized(&doc, &views);
     let rewritten = rewrite(&views[1].pattern, &views, &summary, &RewriteOpts::default());
     let plan = &rewritten.rewritings[0].plan;
     let used = plan.views_used();
@@ -546,7 +544,7 @@ fn cold_read_touches_only_the_manifest_and_the_scanned_segment() {
         },
     );
     store
-        .publish(&cat, Some(&summary), Some(&FeedbackStore::new()), 1)
+        .publish_epoch(&cat, Some(&FeedbackStore::new()))
         .unwrap();
     vfs.take_reads();
 
@@ -559,11 +557,12 @@ fn cold_read_touches_only_the_manifest_and_the_scanned_segment() {
         "open reads the manifest, once, and nothing else"
     );
 
-    let got = execute(plan, &disk).unwrap();
-    assert_eq!(got.rows, execute(plan, &cat).unwrap().rows);
+    let opts = ExecOpts::default();
+    let got = execute_with(plan, &disk, &opts).unwrap();
+    assert_eq!(got.rows, execute_with(plan, &cat, &opts).unwrap().rows);
     let executed = vfs.take_reads();
     let i = views.iter().position(|v| v.name == used[0]).unwrap();
-    let segment = format!("seg-{:020}-{i}.smv", 1);
+    let segment = format!("seg-{:020}-{i}.smv", cat.epoch());
     let seg_len = vfs.len(&segment).unwrap();
     assert_eq!(
         executed.keys().collect::<Vec<_>>(),
@@ -577,7 +576,7 @@ fn cold_read_touches_only_the_manifest_and_the_scanned_segment() {
 
     // first use of the summary is what reads it
     disk.summary().unwrap().expect("published");
-    let summary_file = format!("summary-{:020}.smv", 1);
+    let summary_file = format!("summary-{:020}.smv", cat.epoch());
     assert_eq!(vfs.take_reads().keys().collect::<Vec<_>>(), [&summary_file]);
 }
 
@@ -587,18 +586,16 @@ fn cold_read_touches_only_the_manifest_and_the_scanned_segment() {
 /// some older summary — from `summary()` and from `warm()`.
 #[test]
 fn corrupt_summary_is_an_error_on_first_use_not_at_open() {
-    let doc = small_matrix_doc();
-    let summary = Summary::of(&doc);
-    let mut cat = Catalog::new();
-    cat.add_sharded(
-        View::new("v", parse_pattern("r(//b{id,v})").unwrap(), IdScheme::Dewey),
-        &doc,
-        &summary,
-    );
+    let view = View::new("v", parse_pattern("r(//b{id,v})").unwrap(), IdScheme::Dewey);
+    let mut ec = EpochCatalog::new(small_matrix_doc(), IdScheme::Dewey);
     let vfs = SimVfs::new();
     let store = DiskStore::new(Arc::new(vfs.clone()));
-    store.publish(&cat, Some(&summary), None, 1).unwrap();
-    store.publish(&cat, Some(&summary), None, 2).unwrap();
+    // epochs 1 and 2: registering, then re-registering, the view
+    for _ in 0..2 {
+        ec.add_view(view.clone(), RefreshPolicy::Eager);
+        store.publish_epoch(&ec.snapshot(), None).unwrap();
+    }
+    let cat = ec.snapshot();
     let file = format!("summary-{:020}.smv", 2);
     let mut bytes = vfs.read(&file).unwrap();
     let mid = bytes.len() / 2;
@@ -622,14 +619,8 @@ fn corrupt_summary_is_an_error_on_first_use_not_at_open() {
 /// poison the catalog: the next read of the same page succeeds.
 #[test]
 fn short_read_is_caught_and_retryable() {
-    let doc = small_matrix_doc();
-    let summary = Summary::of(&doc);
-    let mut cat = Catalog::new();
-    cat.add_sharded(
-        View::new("v", parse_pattern("r(//b{id,v})").unwrap(), IdScheme::Dewey),
-        &doc,
-        &summary,
-    );
+    let view = View::new("v", parse_pattern("r(//b{id,v})").unwrap(), IdScheme::Dewey);
+    let cat = materialized(&small_matrix_doc(), &[view]);
     let vfs = SimVfs::new();
     let store = DiskStore::with_options(
         Arc::new(vfs.clone()),
@@ -638,7 +629,7 @@ fn short_read_is_caught_and_retryable() {
             pool_pages: 8,
         },
     );
-    store.publish(&cat, None, None, 1).unwrap();
+    store.publish_epoch(&cat, None).unwrap();
     let disk = store.open().unwrap();
     // a one-shot short read on each of the load's first VFS operations in
     // turn: the segment header read, then the read of page 0
@@ -667,10 +658,7 @@ fn pool_pressure_preserves_results_and_counts_evictions() {
         View::new("bs", parse_pattern("r(//b{id,v})").unwrap(), scheme),
         View::new("cs", parse_pattern("r(//c{id}(/b{v}))").unwrap(), scheme),
     ];
-    let mut cat = Catalog::new();
-    for v in &views {
-        cat.add_sharded(v.clone(), &doc, &summary);
-    }
+    let cat = materialized(&doc, &views);
     let _obs = ScopedEnable::new();
     for pool_pages in [2, 4] {
         let store = DiskStore::with_options(
@@ -680,7 +668,7 @@ fn pool_pressure_preserves_results_and_counts_evictions() {
                 pool_pages,
             },
         );
-        store.publish(&cat, Some(&summary), None, 1).unwrap();
+        store.publish_epoch(&cat, None).unwrap();
 
         smv::obs::global().reset();
         let disk = store.open().unwrap();
@@ -689,8 +677,8 @@ fn pool_pressure_preserves_results_and_counts_evictions() {
             let rewritten = rewrite(&query, &views, &summary, &RewriteOpts::default());
             assert!(!rewritten.rewritings.is_empty(), "{q} rewritable");
             let plan = &rewritten.rewritings[0].plan;
-            let want = execute(plan, &cat).unwrap();
-            let got = execute(plan, &disk).unwrap();
+            let want = execute_with(plan, &cat, &ExecOpts::default()).unwrap();
+            let got = execute_with(plan, &disk, &ExecOpts::default()).unwrap();
             assert_eq!(got.schema, want.schema, "{q}: schema");
             assert_eq!(got.rows, want.rows, "{q}: rows under pool pressure");
         }
@@ -717,22 +705,26 @@ fn pool_pressure_preserves_results_and_counts_evictions() {
 #[test]
 fn crash_recovery_at_every_injected_fault_point() {
     let scheme = IdScheme::OrdPath;
-    let doc1 = small_matrix_doc();
-    let doc2 = Document::from_parens(r#"r(a(b="1" b="9") d(c="y" b="7") a(b="8"))"#);
-    let build = |doc: &Document| {
-        let summary = Summary::of(doc);
-        let mut cat = Catalog::new();
-        for (name, p) in [("bs", "r(//b{id,v})"), ("all", "r(//*{id,l,v})")] {
-            cat.add_sharded(
-                View::new(name, parse_pattern(p).unwrap(), scheme),
-                doc,
-                &summary,
-            );
-        }
-        (cat, summary)
-    };
-    let (cat1, sum1) = build(&doc1);
-    let (cat2, sum2) = build(&doc2);
+    let mut ec = EpochCatalog::new(small_matrix_doc(), scheme);
+    for (name, p) in [("bs", "r(//b{id,v})"), ("all", "r(//*{id,l,v})")] {
+        ec.add_view(
+            View::new(name, parse_pattern(p).unwrap(), scheme),
+            RefreshPolicy::Eager,
+        );
+    }
+    let cat1 = ec.snapshot();
+    // the next epoch: the first `a` goes, a new one arrives
+    let mut batch = UpdateBatch::new();
+    let (doc, ids) = (ec.live().doc(), ec.live().ids());
+    let first_a = doc.iter().find(|&n| doc.label(n).as_str() == "a").unwrap();
+    batch.delete(ids.id(first_a).clone());
+    batch.insert(
+        ids.id(doc.root()).clone(),
+        Document::from_parens(r#"a(b="8" b="9")"#),
+    );
+    ec.apply(&batch).expect("batch applies");
+    let cat2 = ec.snapshot();
+    let (e1, e2) = (cat1.epoch(), cat2.epoch());
     let opts = StoreOptions {
         page_size: 64,
         pool_pages: 4,
@@ -742,14 +734,14 @@ fn crash_recovery_at_every_injected_fault_point() {
     let total_ops = {
         let vfs = SimVfs::new();
         let store = DiskStore::with_options(Arc::new(vfs.clone()), opts);
-        store.publish(&cat1, Some(&sum1), None, 1).unwrap();
+        store.publish_epoch(&cat1, None).unwrap();
         vfs.reset_ops();
-        store.publish(&cat2, Some(&sum2), None, 2).unwrap();
+        store.publish_epoch(&cat2, None).unwrap();
         vfs.op_count()
     };
     assert!(total_ops > 10, "publish is a multi-op sequence");
 
-    let mut outcomes = [0u64; 2]; // recovered epoch 1 / epoch 2
+    let mut outcomes = [0u64; 2]; // recovered the first / the second epoch
                                   // 0..total_ops are interior faults; fail_at == total_ops never fires,
                                   // proving the clean publish commits
     for fail_at in 0..=total_ops {
@@ -760,10 +752,10 @@ fn crash_recovery_at_every_injected_fault_point() {
         ] {
             let vfs = SimVfs::new();
             let store = DiskStore::with_options(Arc::new(vfs.clone()), opts);
-            store.publish(&cat1, Some(&sum1), None, 1).unwrap();
+            store.publish_epoch(&cat1, None).unwrap();
             vfs.reset_ops();
             vfs.set_fault(Some(FaultPlan { fail_at, kind }));
-            let published = store.publish(&cat2, Some(&sum2), None, 2).is_ok();
+            let published = store.publish_epoch(&cat2, None).is_ok();
             vfs.crash();
 
             let disk = store
@@ -771,26 +763,22 @@ fn crash_recovery_at_every_injected_fault_point() {
                 .unwrap_or_else(|e| panic!("unrecoverable after {kind:?}@{fail_at}: {e}"));
             let epoch = disk.epoch();
             assert!(
-                epoch == 1 || epoch == 2,
+                epoch == e1 || epoch == e2,
                 "{kind:?}@{fail_at}: recovered epoch {epoch}"
             );
             // a *real* crash fault that still reported success must have
             // committed; only a lying fsync may report Ok and roll back
             if published && kind != FaultKind::DroppedFsync {
-                assert_eq!(epoch, 2, "{kind:?}@{fail_at}: Ok publish must be durable");
+                assert_eq!(epoch, e2, "{kind:?}@{fail_at}: Ok publish must be durable");
             }
             if !published {
                 assert_eq!(
-                    epoch, 1,
+                    epoch, e1,
                     "{kind:?}@{fail_at}: failed publish must roll back"
                 );
             }
             // whichever epoch recovered, it is complete and byte-exact
-            let (cat, summary) = if epoch == 1 {
-                (&cat1, &sum1)
-            } else {
-                (&cat2, &sum2)
-            };
+            let cat = if epoch == e1 { &cat1 } else { &cat2 };
             disk.warm().unwrap_or_else(|e| {
                 panic!("{kind:?}@{fail_at}: recovered epoch {epoch} not loadable: {e}")
             });
@@ -805,10 +793,10 @@ fn crash_recovery_at_every_injected_fault_point() {
                 .expect("summary published");
             assert_eq!(
                 restored.to_bytes(),
-                summary.to_bytes(),
+                cat.summary().to_bytes(),
                 "{kind:?}@{fail_at}: summary restored exactly"
             );
-            outcomes[(epoch - 1) as usize] += 1;
+            outcomes[usize::from(epoch == e2)] += 1;
         }
     }
     assert!(outcomes[0] > 0, "some faults must roll back: {outcomes:?}");
@@ -816,14 +804,14 @@ fn crash_recovery_at_every_injected_fault_point() {
 }
 
 /// Reopening a store warm-starts both the summary and the feedback
-/// store, and `PersistentEpochs::apply` makes maintenance durable: after
-/// an update batch + crash, the reopened catalog serves the new epoch.
+/// store, and `apply` followed by `publish_epoch` makes maintenance
+/// durable: after an update batch + crash, the reopened catalog serves
+/// the new epoch.
 #[test]
 fn warm_start_and_durable_maintenance() {
     let scheme = IdScheme::OrdPath;
     let doc = pr7_document(0.02, 11);
-    let epochs = EpochCatalog::new(doc, scheme);
-    let mut epochs = epochs;
+    let mut epochs = EpochCatalog::new(doc, scheme);
     for v in pr7_views(scheme) {
         epochs.add_view(v, RefreshPolicy::Eager);
     }
@@ -832,17 +820,16 @@ fn warm_start_and_durable_maintenance() {
     let snap = epochs.snapshot();
     learn(&mut feedback, &*snap, snap.summary(), "site(//name{id,v})");
     let vfs = SimVfs::new();
-    let mut persistent =
-        smv::store::PersistentEpochs::new(epochs, DiskStore::new(Arc::new(vfs.clone())))
-            .expect("initial publish");
-    persistent
-        .publish(Some(&feedback))
-        .expect("publish with feedback");
+    let store = DiskStore::new(Arc::new(vfs.clone()));
+    store
+        .publish_epoch(&snap, Some(&feedback))
+        .expect("initial publish");
 
-    // maintenance: drop a few items, then publish durably
+    // maintenance: drop a few items, then publish durably, with the
+    // feedback riding the epoch so a future reader warm-starts from it
     let mut batch = UpdateBatch::new();
     {
-        let live = persistent.epochs().live();
+        let live = epochs.live();
         let doc = live.doc();
         for n in doc
             .iter()
@@ -852,21 +839,16 @@ fn warm_start_and_durable_maintenance() {
             batch.delete(live.ids().id(n).clone());
         }
     }
-    persistent
-        .apply(&batch)
-        .expect("maintenance applies and publishes");
-    let live_epoch = persistent.epochs().epoch();
-    // re-publish the maintained epoch with the feedback so a future
-    // reader warm-starts from it
-    persistent
-        .publish(Some(&feedback))
-        .expect("feedback rides the epoch");
+    epochs.apply(&batch).expect("maintenance applies");
+    let snap = epochs.snapshot();
+    store
+        .publish_epoch(&snap, Some(&feedback))
+        .expect("the maintained epoch publishes");
 
     // crash: only fsynced state survives
     vfs.crash();
-    let mut disk = persistent.store().open().expect("reopen after crash");
-    assert_eq!(disk.epoch(), live_epoch, "maintained epoch is durable");
-    let snap = persistent.epochs().snapshot();
+    let mut disk = store.open().expect("reopen after crash");
+    assert_eq!(disk.epoch(), snap.epoch(), "maintained epoch is durable");
     for v in snap.views() {
         let want = snap.extent(&v.name).unwrap();
         let got = disk.load_extent(&v.name).unwrap().unwrap();
