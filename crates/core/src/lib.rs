@@ -37,9 +37,15 @@
 //! `(attribute, path)` words per column group — through a small
 //! multiplicative hasher, compared in full on a hit, so no text is
 //! formatted and no hash collision can prune a pair; members' node sets
-//! merge in one linear pass. Most joins a descendant-axis query builds
-//! are still dropped by that test after being built
-//! ([`RewriteStats::pairs_deduped`]).
+//! merge in one linear pass. A join is first decided from its member
+//! combinations: one that repeats the combinations and column groups of
+//! an earlier join of the same two pairs has that join's key, so it is
+//! counted as dropped and never built. The benchmark's `//quantity`
+//! ranking builds 279 of its 748 joins ([`RewriteStats::joins_built`]).
+//! 169 of those still meet an earlier key in `seen`: the mirrored
+//! `b ⋈ a` and reorderings across expansions, which the pre-merge test
+//! does not see ([`RewriteStats::pairs_deduped`] counts both kinds of
+//! drop).
 
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]

@@ -151,9 +151,14 @@ pub struct RewriteStats {
     pub pairs_explored: usize,
     /// (plan, pattern) pairs pruned by the cost bound before exploration.
     pub pairs_pruned: usize,
-    /// Joins dropped by the Proposition 3.5 test: built, then found to
-    /// carry the key of a pair the search had already created.
+    /// Joins dropped by the Proposition 3.5 test because their key was
+    /// already seen — whether recognized before being built (the member
+    /// combinations and column groups of an earlier join of the same two
+    /// pairs) or after.
     pub pairs_deduped: usize,
+    /// Joins built: members merged, plan and column layout made. A join
+    /// recognized as a repeat from its member combinations is not.
+    pub joins_built: usize,
 }
 
 /// The outcome of a rewriting run.
@@ -682,12 +687,14 @@ impl<'a> Rewriter<'a> {
                 result.stats.pairs_pruned += 1;
                 continue;
             }
+            // m[i] has fewer than `max_scans` scans and a base pair one, so
+            // every join below is within the bound
             let mut created: Vec<Pair> = Vec::new();
             for base in &m0 {
-                for mut joined in self.join_options(&m[i], base) {
-                    if joined.plan.scan_count() > max_scans {
-                        continue;
-                    }
+                let joins = self.join_options(&m[i], base);
+                result.stats.pairs_deduped += joins.repeats;
+                result.stats.joins_built += joins.built.len();
+                for mut joined in joins.built {
                     #[cfg(test)]
                     tests::created(&joined);
                     // Prop 3.5: no new pattern information. Dedup before
@@ -733,11 +740,13 @@ impl<'a> Rewriter<'a> {
         run_span.field("pairs_explored", result.stats.pairs_explored as u64);
         run_span.field("pairs_pruned", result.stats.pairs_pruned as u64);
         run_span.field("pairs_deduped", result.stats.pairs_deduped as u64);
+        run_span.field("joins_built", result.stats.joins_built as u64);
         run_span.field("rewritings", result.rewritings.len() as u64);
         drop(run_span);
         smv_obs::counter_add("rewrite.pairs_explored", result.stats.pairs_explored as u64);
         smv_obs::counter_add("rewrite.pairs_pruned", result.stats.pairs_pruned as u64);
         smv_obs::counter_add("rewrite.pairs_deduped", result.stats.pairs_deduped as u64);
+        smv_obs::counter_add("rewrite.joins_built", result.stats.joins_built as u64);
         smv_obs::counter_add("rewrite.rewritings_found", result.rewritings.len() as u64);
         smv_obs::counter_add(
             "rewrite.prepared_reused",
@@ -1046,9 +1055,20 @@ impl<'a> Rewriter<'a> {
         }
     }
 
-    /// All joins of `a` with `b` (line 4: "each possible way of joining").
-    fn join_options(&self, a: &Pair, b: &Pair) -> Vec<Pair> {
-        let mut out = Vec::new();
+    /// All joins of `a` with `b` (line 4: "each possible way of joining"),
+    /// each option decided from its member combinations before it is
+    /// built. An option whose combinations and column-group partition
+    /// repeat an earlier option's has the same members and the same layout
+    /// up to column order and group numbering — the same [`PairKey`], a
+    /// certain Prop. 3.5 hit — so it is counted, not built. That catches
+    /// `⋈_=` on two ID columns an earlier `⋈_=` put in one group, and
+    /// `⋈_≺≺` where the summary has only parent edges between the paths.
+    fn join_options(&self, a: &Pair, b: &Pair) -> Joins {
+        let mut joins = Joins {
+            built: Vec::new(),
+            repeats: 0,
+        };
+        let mut tried: Vec<Tried> = Vec::new();
         let a_ids: Vec<usize> = (0..a.cols.len())
             .filter(|&c| a.cols[c].attr == AttrKind::Id)
             .collect();
@@ -1060,32 +1080,63 @@ impl<'a> Rewriter<'a> {
                 if a.cols[ca].scheme != b.cols[cb].scheme {
                     continue;
                 }
-                // ⋈_=
-                if let Some(p) = self.merge(a, b, ca, cb, JoinKind::IdEq) {
-                    out.push(p);
-                }
-                if a.cols[ca].scheme.is_structural() {
-                    for rel in [StructRel::Parent, StructRel::Ancestor] {
-                        if let Some(p) = self.merge(a, b, ca, cb, JoinKind::Struct(rel, false)) {
-                            out.push(p);
-                        }
-                        if let Some(p) = self.merge(a, b, ca, cb, JoinKind::Struct(rel, true)) {
-                            out.push(p);
-                        }
+                let kinds: &[JoinKind] = if a.cols[ca].scheme.is_structural() {
+                    &JOIN_KINDS
+                } else {
+                    &JOIN_KINDS[..1]
+                };
+                for &kind in kinds {
+                    let combos = self.combinations(a, b, ca, cb, kind);
+                    if combos.is_empty() {
+                        continue; // no two members join
                     }
+                    let merged = (kind == JoinKind::IdEq).then(|| (a.groups[ca], b.groups[cb]));
+                    if let Some(earlier) = tried
+                        .iter()
+                        .find(|t| t.merged == merged && t.combos == combos)
+                        .map(|t| t.built)
+                    {
+                        #[cfg(test)]
+                        if tests::building_repeats() {
+                            let pair = self.merge(a, b, ca, cb, kind, &combos);
+                            tests::check_repeat(earlier.map(|e| &joins.built[e]), pair.as_ref());
+                            joins.built.extend(pair);
+                            continue;
+                        }
+                        joins.repeats += usize::from(earlier.is_some());
+                        continue;
+                    }
+                    let pair = self.merge(a, b, ca, cb, kind, &combos);
+                    tried.push(Tried {
+                        merged,
+                        combos,
+                        built: pair.as_ref().map(|_| joins.built.len()),
+                    });
+                    joins.built.extend(pair);
                 }
             }
         }
-        out
+        joins
     }
 
-    fn merge(&self, a: &Pair, b: &Pair, ca: usize, cb: usize, kind: JoinKind) -> Option<Pair> {
-        // merge members pairwise; drop inconsistent combinations
-        let mut members = Vec::new();
-        for ma in &a.members {
-            for mb in &b.members {
-                let (Some(pa), Some(pb)) = (ma.col_path[ca], mb.col_path[cb]) else {
-                    continue; // nulls never join
+    /// The member combinations `(i, j)` of `a.members × b.members` whose
+    /// column paths pass `kind`'s path test on `ca`, `cb`, in merge order.
+    fn combinations(
+        &self,
+        a: &Pair,
+        b: &Pair,
+        ca: usize,
+        cb: usize,
+        kind: JoinKind,
+    ) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for (i, ma) in a.members.iter().enumerate() {
+            let Some(pa) = ma.col_path[ca] else {
+                continue; // nulls never join
+            };
+            for (j, mb) in b.members.iter().enumerate() {
+                let Some(pb) = mb.col_path[cb] else {
+                    continue;
                 };
                 let ok = match kind {
                     JoinKind::IdEq => pa == pb,
@@ -1094,16 +1145,35 @@ impl<'a> Rewriter<'a> {
                     JoinKind::Struct(StructRel::Parent, true) => self.s.is_parent(pb, pa),
                     JoinKind::Struct(StructRel::Ancestor, true) => self.s.is_ancestor(pb, pa),
                 };
-                if !ok {
-                    continue;
+                if ok {
+                    out.push((i, j));
                 }
-                let Some(nodes) = merge_nodes(&ma.nodes, &mb.nodes) else {
-                    continue;
-                };
-                let mut col_path = ma.col_path.clone();
-                col_path.extend(mb.col_path.iter().copied());
-                members.push(Member { nodes, col_path });
             }
+        }
+        out
+    }
+
+    /// Builds the join of `a` and `b` on `ca`, `cb` from its surviving
+    /// member `combos`: merges each combination's members (dropping the
+    /// unsatisfiable ones), then makes the plan and the column layout.
+    fn merge(
+        &self,
+        a: &Pair,
+        b: &Pair,
+        ca: usize,
+        cb: usize,
+        kind: JoinKind,
+        combos: &[(usize, usize)],
+    ) -> Option<Pair> {
+        let mut members = Vec::with_capacity(combos.len());
+        for &(i, j) in combos {
+            let (ma, mb) = (&a.members[i], &b.members[j]);
+            let Some(nodes) = merge_nodes(&ma.nodes, &mb.nodes) else {
+                continue;
+            };
+            let mut col_path = ma.col_path.clone();
+            col_path.extend(mb.col_path.iter().copied());
+            members.push(Member { nodes, col_path });
         }
         if members.is_empty() {
             return None; // S-unsatisfiable join — discarded (line 5 remark)
@@ -1639,6 +1709,35 @@ enum JoinKind {
     Struct(StructRel, bool),
 }
 
+/// The joins tried per ID column pair, in order; the structural ones only
+/// on a structural ID scheme.
+const JOIN_KINDS: [JoinKind; 5] = [
+    JoinKind::IdEq,
+    JoinKind::Struct(StructRel::Parent, false),
+    JoinKind::Struct(StructRel::Parent, true),
+    JoinKind::Struct(StructRel::Ancestor, false),
+    JoinKind::Struct(StructRel::Ancestor, true),
+];
+
+/// The joins of one expansion `a ⋈ b` ([`Rewriter::join_options`]).
+struct Joins {
+    /// The pairs built, in option order.
+    built: Vec<Pair>,
+    /// Options that repeat an earlier option's key and were not built.
+    repeats: usize,
+}
+
+/// An option [`Rewriter::join_options`] has decided.
+struct Tried {
+    /// The column groups it merges into one: `a`'s and `b`'s joined
+    /// columns' for a `⋈_=`, none for a structural join.
+    merged: Option<(u32, u32)>,
+    /// Its member combinations.
+    combos: Vec<(usize, usize)>,
+    /// Where its pair is in [`Joins::built`], if it built one.
+    built: Option<usize>,
+}
+
 enum Candidate {
     Equivalent(Plan),
     Partial(Plan, Vec<bool>),
@@ -1828,7 +1927,7 @@ mod tests {
     use smv_pattern::parse_pattern;
     use smv_views::{materialize, EpochCatalog, RefreshPolicy};
     use smv_xml::{Document, Value};
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::collections::BTreeMap;
 
     fn opts() -> RewriteOpts {
@@ -1855,6 +1954,45 @@ mod tests {
         CREATED.with(|c| *c.borrow_mut() = Some(Vec::new()));
         f();
         CREATED.with(|c| c.borrow_mut().take()).unwrap_or_default()
+    }
+
+    thread_local! {
+        /// While set, `join_options` builds every option it recognizes as
+        /// a repeat and hands it to the search like any other join, as
+        /// before the pre-merge test — after checking that it carries the
+        /// key of the option it repeats.
+        static BUILD_REPEATS: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// `join_options`'s hook: is this thread building repeats?
+    pub(super) fn building_repeats() -> bool {
+        BUILD_REPEATS.with(Cell::get)
+    }
+
+    /// `join_options`'s check of a repeat it built against the pair of the
+    /// earlier option it matched: both absent, or both present with equal
+    /// keys and equal text fingerprints.
+    pub(super) fn check_repeat(earlier: Option<&Pair>, repeat: Option<&Pair>) {
+        match (earlier, repeat) {
+            (None, None) => {}
+            (Some(e), Some(r)) => {
+                assert!(e.key() == r.key(), "a repeat keys apart from its match");
+                assert_eq!(oracle_fingerprint(e), oracle_fingerprint(r));
+            }
+            (e, r) => panic!(
+                "one of an option and its repeat built no pair: {} vs {}",
+                e.is_some(),
+                r.is_some()
+            ),
+        }
+    }
+
+    /// Runs `f` with every repeat built, returning what it returns.
+    fn building_every_join<T>(f: impl FnOnce() -> T) -> T {
+        BUILD_REPEATS.with(|b| b.set(true));
+        let out = f();
+        BUILD_REPEATS.with(|b| b.set(false));
+        out
     }
 
     /// The text identity `Pair::key` replaced (PR 21), kept as the oracle
@@ -1982,34 +2120,195 @@ mod tests {
         "site(//quantity{v}[v>3 and v<1000008])",
     ];
 
+    fn bench_views(scheme: IdScheme) -> Vec<View> {
+        BENCH_VIEWS
+            .iter()
+            .map(|(name, src)| View::new(name, parse_pattern(src).unwrap(), scheme))
+            .collect()
+    }
+
+    /// The benchmark's document at scale 10 and its summary.
+    fn bench_summary() -> Summary {
+        Summary::of(&smv_datagen::pr7_document(10.0, 1))
+    }
+
     #[test]
     fn structural_keys_partition_benchmark_pairs_like_the_text_oracle() {
-        let doc = smv_datagen::pr7_document(10.0, 1);
-        let s = Summary::of(&doc);
-        let views: Vec<View> = BENCH_VIEWS
-            .iter()
-            .map(|(name, src)| View::new(name, parse_pattern(src).unwrap(), IdScheme::OrdPath))
-            .collect();
-        let (mut pairs, mut classes, mut deduped) = (0, 0, 0);
+        let s = bench_summary();
+        let views = bench_views(IdScheme::OrdPath);
+        let (mut pairs, mut classes, mut deduped, mut hits) = (0, 0, 0, 0);
         for q_src in BENCH_QUERIES {
             let q = parse_pattern(q_src).unwrap();
             let mut r = RewriteResult::default();
             let created = recording(|| r = rewrite(&q, &views, &s, &opts()));
             let (n, k) = assert_keys_match_oracle(&created, q_src);
+            // created: the base pairs, then every join built
+            let bases = r.stats.views_kept;
+            assert_eq!(n, bases + r.stats.joins_built, "{q_src}");
+            let (_, base_keys) = assert_keys_match_oracle(&created[..bases], q_src);
+            // a join built is a new key or a `seen` hit; the other drops
+            // were decided before building
+            let built_hits = r.stats.joins_built - (k - base_keys);
+            assert!(built_hits <= r.stats.pairs_deduped, "{q_src}");
             pairs += n;
             classes += k;
             deduped += r.stats.pairs_deduped;
+            hits += built_hits;
         }
-        // not vacuous: the search builds many pairs and drops most
+        // not vacuous: the search drops most joins, most before building
         assert!(pairs > 1000, "{pairs} pairs");
-        assert!(deduped > pairs / 2, "{deduped} of {pairs} deduplicated");
-        // every drop is a key hit; the other repeats are base pairs (two
-        // views offering the same members)
+        assert!(deduped > pairs, "{deduped} dropped, {pairs} pairs");
         assert!(
-            (deduped..=deduped + BENCH_VIEWS.len() * BENCH_QUERIES.len())
-                .contains(&(pairs - classes)),
-            "{pairs} pairs, {classes} keys, {deduped} dropped"
+            deduped - hits > hits,
+            "{} of {deduped} drops decided before building",
+            deduped - hits
         );
+        assert!(classes > 500, "{classes} keys");
+    }
+
+    /// Every run over the benchmark's views, under each ID scheme: with
+    /// repeats skipped, the same search — the same pairs explored, pruned
+    /// and deduplicated, the same rewritings in the same order — as with
+    /// every option built, each built repeat checked against its match by
+    /// `check_repeat`.
+    #[test]
+    fn skipping_repeats_is_the_same_search_on_the_benchmark() {
+        let s = bench_summary();
+        for scheme in [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential] {
+            let views = bench_views(scheme);
+            let (mut skipping, mut building) = (0, 0);
+            for q_src in BENCH_QUERIES {
+                let at = format!("{scheme:?} {q_src}");
+                let q = parse_pattern(q_src).unwrap();
+                let (mut fast, mut every) = (RewriteResult::default(), RewriteResult::default());
+                let made = recording(|| fast = rewrite(&q, &views, &s, &opts()));
+                let made_every =
+                    building_every_join(|| recording(|| every = rewrite(&q, &views, &s, &opts())));
+                let counts = |r: &RewriteResult| {
+                    let st = &r.stats;
+                    (
+                        st.views_kept,
+                        st.pairs_explored,
+                        st.pairs_pruned,
+                        st.pairs_deduped,
+                    )
+                };
+                assert_eq!(counts(&fast), counts(&every), "{at}");
+                let answers = |r: &RewriteResult| -> Vec<String> {
+                    r.rewritings
+                        .iter()
+                        .map(|rw| format!("{:?} {} {:?}", rw.plan, rw.scans, rw.est))
+                        .collect()
+                };
+                assert_eq!(answers(&fast), answers(&every), "{at}");
+                assert_eq!(made.len(), fast.stats.views_kept + fast.stats.joins_built);
+                assert_eq!(
+                    made_every.len(),
+                    every.stats.views_kept + every.stats.joins_built
+                );
+                skipping += made.len();
+                building += made_every.len();
+            }
+            assert!(skipping < building, "{scheme:?}: {skipping} vs {building}");
+            if scheme == IdScheme::OrdPath {
+                assert_eq!((skipping, building), (1405, 3437), "pairs created");
+            }
+        }
+    }
+
+    /// The `adhoc` request that sets the p95: one descendant-axis ranking
+    /// builds 279 joins, not 748.
+    #[test]
+    fn a_descendant_ranking_builds_only_joins_that_can_be_new() {
+        let s = bench_summary();
+        let views = bench_views(IdScheme::OrdPath);
+        let q = parse_pattern("site(//quantity{id,v}[v>2 and v<1000007])").unwrap();
+        let fast = rewrite(&q, &views, &s, &opts());
+        let every = building_every_join(|| rewrite(&q, &views, &s, &opts()));
+        assert_eq!(fast.stats.views_kept, 7);
+        assert_eq!(fast.stats.joins_built, 279);
+        assert_eq!(every.stats.joins_built, 748);
+        assert_eq!(fast.stats.pairs_deduped, every.stats.pairs_deduped);
+    }
+
+    /// A scanned pair of `src` under OrdPath, with a rewriter over `s`.
+    fn scanned(s: &Summary, src: &str) -> Pair {
+        let v = View::new("v", parse_pattern(src).unwrap(), IdScheme::OrdPath);
+        let q = parse_pattern("r").unwrap();
+        Rewriter::new(&q, &[], s, opts())
+            .scan_pair(&v, &v.pattern.unnest_copy())
+            .expect("a base pair")
+    }
+
+    fn joins(s: &Summary, a: &Pair, b: &Pair) -> Joins {
+        let q = parse_pattern("r").unwrap();
+        Rewriter::new(&q, &[], s, opts()).join_options(a, b)
+    }
+
+    #[test]
+    fn id_columns_one_group_already_joined_repeat_their_join() {
+        let s = Summary::of(&Document::from_parens(
+            r#"r(item(name="a") item(name="b"))"#,
+        ));
+        let names = scanned(&s, "r(//name{id,v})");
+        // names ⋈_= names: both ID columns in one group
+        let self_join = joins(&s, &names, &names);
+        assert_eq!((self_join.built.len(), self_join.repeats), (1, 0));
+        let twice = &self_join.built[0];
+        assert_eq!(twice.groups, vec![0, 0, 0, 0]);
+        // ⋈_= on the second ID column repeats the one on the first
+        let j = joins(&s, twice, &names);
+        assert_eq!((j.built.len(), j.repeats), (1, 1));
+        let every = building_every_join(|| joins(&s, twice, &names));
+        assert_eq!((every.built.len(), every.repeats), (2, 0));
+        assert!(every.built[0].key() == every.built[1].key());
+    }
+
+    #[test]
+    fn ancestor_repeats_parent_only_on_a_parent_only_summary() {
+        let flat = Summary::of(&Document::from_parens(r#"r(item(name="a"))"#));
+        let (items, names) = (
+            scanned(&flat, "r(/item{id})"),
+            scanned(&flat, "r(//name{id,v})"),
+        );
+        // ⋈_≺ builds, ⋈_≺≺ has the same one combination: a repeat
+        let j = joins(&flat, &items, &names);
+        assert_eq!((j.built.len(), j.repeats), (1, 1));
+        let every = building_every_join(|| joins(&flat, &items, &names));
+        assert_eq!(every.built.len(), 2);
+        assert!(every.built[0].key() == every.built[1].key());
+        // an item inside an item: ⋈_≺≺ also reaches the inner name
+        let deep = Summary::of(&Document::from_parens(
+            r#"r(item(name="a" item(name="b")))"#,
+        ));
+        let (items, names) = (
+            scanned(&deep, "r(/item{id})"),
+            scanned(&deep, "r(//name{id,v})"),
+        );
+        let j = joins(&deep, &items, &names);
+        assert_eq!((j.built.len(), j.repeats), (2, 0));
+        assert!(j.built[0].key() != j.built[1].key());
+    }
+
+    /// The near miss: two ID columns on the same path in every member but
+    /// in different groups — a stored ID beside a virtual one — give
+    /// `⋈_=`s with the same combinations and different layouts.
+    #[test]
+    fn same_combinations_under_another_group_are_built() {
+        let s = Summary::of(&Document::from_parens(r#"r(item(name="a"))"#));
+        let (r, item) = (
+            s.node_by_path("/r").unwrap().0,
+            s.node_by_path("/r/item").unwrap().0,
+        );
+        let top = Formula::top();
+        let a = id_value_pair(vec![member(
+            &[(r, top.clone()), (item, top)],
+            &[Some(item), Some(item), Some(item)],
+        )]);
+        let items = scanned(&s, "r(/item{id})");
+        let j = joins(&s, &a, &items);
+        assert_eq!((j.built.len(), j.repeats), (2, 0));
+        keys_agree(&j.built[0], &j.built[1], false);
     }
 
     fn f_gt(c: i64) -> Formula {

@@ -1,5 +1,10 @@
 //! Recursive-descent parser for the FLWR subset.
+//!
+//! The parser recurses once per `[` predicate and once per nested `for`;
+//! together they are refused beyond [`MAX_NESTING`] levels, so no input
+//! can exhaust the stack.
 
+use smv_pattern::parser::MAX_NESTING;
 use smv_pattern::{Axis, Formula};
 use smv_xml::Value;
 
@@ -89,6 +94,7 @@ pub fn parse_xquery(input: &str) -> Result<Flwr, XqError> {
     let mut p = P {
         input: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let f = p.parse_flwr()?;
@@ -102,6 +108,8 @@ pub fn parse_xquery(input: &str) -> Result<Flwr, XqError> {
 struct P<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Open `[` predicates and nested `for`s above the current position.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
@@ -110,6 +118,16 @@ impl<'a> P<'a> {
             position: self.pos,
             message: m.into(),
         })
+    }
+
+    /// Opens one nesting level at the current position, refusing it
+    /// beyond [`MAX_NESTING`].
+    fn descend(&mut self) -> Result<(), XqError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -231,7 +249,9 @@ impl<'a> P<'a> {
         loop {
             self.skip_ws();
             if self.input[self.pos..].starts_with(b"for") {
+                self.descend()?;
                 out.push(RetExpr::Nested(Box::new(self.parse_flwr()?)));
+                self.depth -= 1;
             } else {
                 let var = self.var()?;
                 let steps = self.parse_steps()?;
@@ -275,12 +295,15 @@ impl<'a> P<'a> {
             let mut predicates = Vec::new();
             loop {
                 self.skip_ws();
-                if !self.eat("[") {
+                if self.input.get(self.pos) != Some(&b'[') {
                     break;
                 }
+                self.descend()?;
+                self.pos += 1;
                 let path = self.parse_steps()?;
                 let formula = self.maybe_cmp()?;
                 self.expect("]")?;
+                self.depth -= 1;
                 predicates.push(Predicate { path, formula });
             }
             steps.push(Step {
@@ -416,5 +439,44 @@ mod tests {
         assert!(parse_xquery("for x in doc()").is_err());
         assert!(parse_xquery(r#"for $x in doc("d")//a return <r>{$x}</s>"#).is_err());
         assert!(parse_xquery(r#"for $x in doc("d") return $x"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_the_stack() {
+        // `levels` nested `for`s inside the outer one
+        let unit = r#"for $x in doc("d")//a return "#;
+        let fors = |levels: usize| format!("{}$x", unit.repeat(levels + 1));
+        assert!(parse_xquery(&fors(MAX_NESTING)).is_ok());
+        let e = parse_xquery(&fors(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(
+            e.position,
+            (MAX_NESTING + 1) * unit.len(),
+            "at the refused `for`"
+        );
+        // `levels` nested `[` predicates
+        let head = r#"for $x in doc("d")/a"#;
+        let preds = |levels: usize| {
+            format!(
+                "{head}{}{} return $x",
+                "[/a".repeat(levels),
+                "]".repeat(levels)
+            )
+        };
+        assert!(parse_xquery(&preds(MAX_NESTING)).is_ok());
+        let e = parse_xquery(&preds(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(
+            e.position,
+            head.len() + 3 * MAX_NESTING,
+            "at the refused `[`"
+        );
+        // depths that used to overflow the stack
+        assert!(parse_xquery(&fors(100_000)).is_err());
+        assert!(parse_xquery(&preds(100_000)).is_err());
+        // siblings do not nest
+        let wide = format!(
+            r#"for $x in doc("d")/a{} return $x"#,
+            "[/b[/c]]".repeat(500)
+        );
+        assert!(parse_xquery(&wide).is_ok());
     }
 }

@@ -12,8 +12,13 @@
 //!   element-valued return stores `C`;
 //! * a nested FLWR becomes a **nested + optional** edge on its binding
 //!   node, with its own returns below (the `n`-edge of Fig. 1).
+//!
+//! A pattern deeper than [`MAX_NESTING`] levels is refused, the bound
+//! `parse_pattern` keeps: everything that later walks a pattern recurses
+//! once per level, and a long `/a/a/…` path is one level per step.
 
 use crate::parser::{Flwr, Predicate, RetExpr, Step};
+use smv_pattern::parser::MAX_NESTING;
 use smv_pattern::{PNodeId, Pattern};
 use smv_xml::Label;
 use std::collections::HashMap;
@@ -21,7 +26,8 @@ use std::collections::HashMap;
 /// Translates a parsed FLWR into a single extended tree pattern.
 ///
 /// Returns an error message for queries outside the supported subset
-/// (e.g. a nested `for` over `doc(...)` or an unknown variable).
+/// (e.g. a nested `for` over `doc(...)`, an unknown variable, or a
+/// pattern deeper than [`MAX_NESTING`] levels).
 pub fn translate(q: &Flwr) -> Result<Pattern, String> {
     let mut p = Pattern::new(None); // `*` root for the document root
     let mut scope: HashMap<String, PNodeId> = HashMap::new();
@@ -90,6 +96,10 @@ fn add_flwr(
 }
 
 fn add_step(p: &mut Pattern, under: PNodeId, step: &Step) -> Result<PNodeId, String> {
+    // `under`'s depth: the walk is at most MAX_NESTING long
+    if std::iter::successors(p.parent(under), |&n| p.parent(n)).count() >= MAX_NESTING {
+        return Err(format!("a pattern deeper than {MAX_NESTING} levels"));
+    }
     let label = step.label.as_deref().map(Label::intern);
     let n = p.add_child(under, step.axis, label);
     for pred in &step.predicates {
@@ -180,6 +190,30 @@ mod tests {
     fn unknown_variable_is_an_error() {
         let q = parse_xquery(r#"for $x in doc("d")//a return $zz/b/text()"#).unwrap();
         assert!(translate(&q).is_err());
+    }
+
+    #[test]
+    fn patterns_deeper_than_the_parser_bound_are_refused() {
+        let chain = |steps: usize| {
+            format!(
+                r#"for $x in doc("d"){} return $x/text()"#,
+                "/a".repeat(steps)
+            )
+        };
+        let p = translate(&parse_xquery(&chain(MAX_NESTING)).unwrap()).unwrap();
+        assert!(
+            smv_pattern::parse_pattern(&p.to_string()).is_ok(),
+            "as deep as parse_pattern takes"
+        );
+        assert!(translate(&parse_xquery(&chain(MAX_NESTING + 1)).unwrap()).is_err());
+        // a chain that parses without recursing
+        assert!(translate(&parse_xquery(&chain(100_000)).unwrap()).is_err());
+        // one level too many through a return path
+        let ret = format!(
+            r#"for $x in doc("d"){} return $x/b/text()"#,
+            "/a".repeat(MAX_NESTING)
+        );
+        assert!(translate(&parse_xquery(&ret).unwrap()).is_err());
     }
 
     #[test]
