@@ -36,16 +36,31 @@
 //! values — `Arc`-shared node sets hashed once when built, sorted
 //! `(attribute, path)` words per column group — through a small
 //! multiplicative hasher, compared in full on a hit, so no text is
-//! formatted and no hash collision can prune a pair; members' node sets
-//! merge in one linear pass. A join is first decided from its member
-//! combinations: one that repeats the combinations and column groups of
-//! an earlier join of the same two pairs has that join's key, so it is
-//! counted as dropped and never built. The benchmark's `//quantity`
-//! ranking builds 279 of its 748 joins ([`RewriteStats::joins_built`]).
-//! 169 of those still meet an earlier key in `seen`: the mirrored
-//! `b ⋈ a` and reorderings across expansions, which the pre-merge test
-//! does not see ([`RewriteStats::pairs_deduped`] counts both kinds of
-//! drop).
+//! formatted and no hash collision can prune a pair. A join is first
+//! decided from its member combinations: one that repeats the
+//! combinations and column groups of an earlier join of the same two
+//! pairs has that join's key, so it is counted as dropped and never
+//! built. The benchmark's `//quantity` ranking builds 279 of its 748
+//! joins ([`RewriteStats::joins_built`]). 169 of those still meet an
+//! earlier key in `seen`: the mirrored `b ⋈ a` and reorderings across
+//! expansions, which the pre-merge test does not see
+//! ([`RewriteStats::pairs_deduped`] counts both kinds of drop).
+//!
+//! Under the strong closure a member holds most of the summary's paths
+//! (about 124 of 770 on that ranking), nearly all with formula `T`. A
+//! node set is therefore a bitset over summary path ids plus the sorted
+//! list of its other formulas: merging two members ORs a dozen words and
+//! walks two short lists, and the line-7 test's "member within a tree of
+//! `mod_S(q)`" is a word-wise subset test plus satisfiability checks on
+//! those lists alone. The query's side of that test — each model tree's
+//! node set, return paths and formulas — is built once per run, and the
+//! other direction's verdict (does `q` produce the member's designated
+//! tuple?) is kept for the run by (node set, designation):
+//! [`RewriteStats::member_tests`] counts the verdicts computed,
+//! [`RewriteStats::member_tests_reused`] the ones served again (9 and 12
+//! on that ranking). Over prepared views, that ranking takes about
+//! 1–2 ms and a child-axis one under 0.1 ms (scale-10 XMark, the nine
+//! views of `smvbench`'s `adhoc`, a 2-core x86-64 host).
 
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]

@@ -55,6 +55,7 @@ use smv_summary::Summary;
 use smv_views::{schema_of, DefCards, View};
 use smv_xml::{IdScheme, NodeId, Symbol};
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -159,6 +160,13 @@ pub struct RewriteStats {
     /// Joins built: members merged, plan and column layout made. A join
     /// recognized as a repeat from its member combinations is not.
     pub joins_built: usize,
+    /// Direction-A verdicts computed — a member's canonical tree built and
+    /// the query embedded in it — one per distinct (member node set,
+    /// designation) the line-7 test met.
+    pub member_tests: usize,
+    /// Direction-A verdicts served from the run's memo of
+    /// [`member_tests`](Self::member_tests) instead.
+    pub member_tests_reused: usize,
 }
 
 /// The outcome of a rewriting run.
@@ -178,25 +186,71 @@ struct ColInfo {
     scheme: IdScheme,
 }
 
-/// A member's ancestor-closed `(summary path, formula)` set, sorted by
-/// path, with its hash — taken once, when the set is built, and read by
-/// every key the member is part of. Shared with the view's
-/// [`PreparedView`] (and between the copies a search makes of a pair)
-/// until a step has to change it.
+/// A member's ancestor-closed set of summary paths, each with a formula,
+/// with its hash — taken once, when the set is built, and read by every
+/// key the member is part of. Shared with the view's [`PreparedView`] (and
+/// between the copies a search makes of a pair) until a step has to
+/// change it.
+///
+/// Under the strong closure (§4.2) a member holds most of the summary's
+/// paths, nearly all with formula `T`, so the paths are a bitset — one bit
+/// per summary path id — and only the other formulas are listed. Merging,
+/// comparing and hashing two sets is then a pass over a few words plus
+/// their short formula lists.
 #[derive(Clone, Debug)]
 struct NodeSet(Arc<NodeSetInner>);
 
 #[derive(Clone, Debug)]
 struct NodeSetInner {
     hash: u64,
-    nodes: Vec<(NodeId, Formula)>,
+    /// Bit `p % 64` of word `p / 64` is set when path `p` is in the set;
+    /// no trailing zero word, so equal sets have equal words.
+    words: Vec<u64>,
+    /// The paths whose formula is not `T`, sorted by path; each is in
+    /// `words`.
+    formulas: Vec<(NodeId, Formula)>,
 }
 
 impl NodeSet {
+    /// The paths of a canonical tree, the formulas of its nodes on one
+    /// path conjoined: [`CTree::path_set`] without building the list.
+    fn of_tree(t: &CTree) -> NodeSet {
+        let mut words = Vec::new();
+        let mut formulas = Vec::new();
+        for n in (0..t.len()).map(|i| NodeId(i as u32)) {
+            let (p, f) = (t.spath(n), t.formula(n));
+            set_bit(&mut words, p);
+            if !f.is_top() {
+                formulas.push((p, f.clone()));
+            }
+        }
+        formulas.sort_by_key(|(p, _)| *p);
+        formulas.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 = kept.1.and(&next.1);
+            }
+            same
+        });
+        NodeSet::from_parts(words, formulas)
+    }
+
+    /// The set of a sorted, duplicate-free `(path, formula)` list.
+    #[cfg(test)]
     fn new(nodes: Vec<(NodeId, Formula)>) -> NodeSet {
+        let mut words = Vec::new();
+        for (n, _) in &nodes {
+            set_bit(&mut words, *n);
+        }
+        let formulas = nodes.into_iter().filter(|(_, f)| !f.is_top()).collect();
+        NodeSet::from_parts(words, formulas)
+    }
+
+    fn from_parts(words: Vec<u64>, formulas: Vec<(NodeId, Formula)>) -> NodeSet {
         NodeSet(Arc::new(NodeSetInner {
-            hash: hash_nodes(&nodes),
-            nodes,
+            hash: hash_parts(&words, &formulas),
+            words,
+            formulas,
         }))
     }
 
@@ -204,54 +258,147 @@ impl NodeSet {
         self.0.hash
     }
 
-    /// Changes the set (copying it first if it is shared) and re-hashes it.
-    fn edit<R>(&mut self, f: impl FnOnce(&mut Vec<(NodeId, Formula)>) -> R) -> R {
+    fn contains(&self, p: NodeId) -> bool {
+        let (w, b) = word_bit(p);
+        self.0.words.get(w).is_some_and(|x| x & b != 0)
+    }
+
+    /// The formula of `p` when it is in the set and not `T`.
+    fn formula(&self, p: NodeId) -> Option<&Formula> {
+        let fs = &self.0.formulas;
+        fs.binary_search_by_key(&p, |(n, _)| *n)
+            .ok()
+            .map(|i| &fs[i].1)
+    }
+
+    /// The paths whose formula is not `T`, with their formulas, sorted.
+    fn formulas(&self) -> &[(NodeId, Formula)] {
+        &self.0.formulas
+    }
+
+    /// Is every path of `self` in `other`?
+    fn subset_of(&self, other: &NodeSet) -> bool {
+        let (a, b) = (&self.0.words, &other.0.words);
+        a.len() <= b.len() && a.iter().zip(b).all(|(x, y)| x & !y == 0)
+    }
+
+    /// The set as a sorted `(path, formula)` list, `T` written out.
+    fn to_vec(&self) -> Vec<(NodeId, Formula)> {
+        let mut out = Vec::new();
+        let mut formulas = self.0.formulas.iter().peekable();
+        for (w, &word) in self.0.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let p = NodeId((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
+                let f = match formulas.next_if(|(n, _)| *n == p) {
+                    Some((_, f)) => f.clone(),
+                    None => Formula::top(),
+                };
+                out.push((p, f));
+            }
+        }
+        out
+    }
+
+    /// Adds `path` with `f`, conjoined with the formula it has if it is
+    /// already in the set (copying the set first if it is shared). Returns
+    /// false, the set unchanged, when the result is unsatisfiable.
+    fn conj(&mut self, path: NodeId, f: &Formula) -> bool {
+        let at = self.0.formulas.binary_search_by_key(&path, |(n, _)| *n);
+        let merged = match at {
+            Ok(i) => self.0.formulas[i].1.and(f),
+            Err(_) if f.is_top() && self.contains(path) => return true,
+            Err(_) => f.clone(),
+        };
+        if !merged.is_sat() {
+            return false;
+        }
         let inner = Arc::make_mut(&mut self.0);
-        let r = f(&mut inner.nodes);
-        inner.hash = hash_nodes(&inner.nodes);
-        r
+        set_bit(&mut inner.words, path);
+        match at {
+            Ok(i) => inner.formulas[i].1 = merged,
+            Err(i) if !merged.is_top() => inner.formulas.insert(i, (path, merged)),
+            Err(_) => {}
+        }
+        inner.hash = hash_parts(&inner.words, &inner.formulas);
+        true
+    }
+
+    /// Is every path of `self` in `tree`, its formula conjoining
+    /// satisfiably with the tree's there? Only a path with a formula on
+    /// either side can fail the second test.
+    fn fits_in(&self, tree: &NodeSet) -> bool {
+        self.subset_of(tree)
+            && self.formulas().iter().all(|(p, f)| match tree.formula(*p) {
+                Some(tf) => tf.and(f).is_sat(),
+                None => f.is_sat(),
+            })
+            && tree
+                .formulas()
+                .iter()
+                .all(|(p, tf)| !self.contains(*p) || self.formula(*p).is_some() || tf.is_sat())
     }
 }
 
-impl std::ops::Deref for NodeSet {
-    type Target = [(NodeId, Formula)];
-    fn deref(&self) -> &Self::Target {
-        &self.0.nodes
+fn word_bit(p: NodeId) -> (usize, u64) {
+    ((p.0 / 64) as usize, 1 << (p.0 % 64))
+}
+
+fn set_bit(words: &mut Vec<u64>, p: NodeId) {
+    let (w, b) = word_bit(p);
+    if words.len() <= w {
+        words.resize(w + 1, 0);
     }
+    words[w] |= b;
 }
 
 impl PartialEq for NodeSet {
     fn eq(&self, other: &NodeSet) -> bool {
-        self.hash() == other.hash()
-            && (Arc::ptr_eq(&self.0, &other.0) || self.0.nodes == other.0.nodes)
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.hash() == other.hash()
+                && self.0.words == other.0.words
+                && self.0.formulas == other.0.formulas)
     }
 }
 
 impl Eq for NodeSet {}
 
+impl Hash for NodeSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash());
+    }
+}
+
+/// A total order consistent with `==` (words, then formulas), so that
+/// [`PairKey`] can line equal multisets of members up.
+impl Ord for NodeSet {
+    fn cmp(&self, other: &NodeSet) -> Ordering {
+        if Arc::ptr_eq(&self.0, &other.0) {
+            return Ordering::Equal;
+        }
+        (&self.0.words, &self.0.formulas).cmp(&(&other.0.words, &other.0.formulas))
+    }
+}
+
+impl PartialOrd for NodeSet {
+    fn partial_cmp(&self, other: &NodeSet) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// One instantiated conjunctive pattern of a pair's union. Two members
 /// are equal when their node sets and column paths are.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct Member {
     nodes: NodeSet,
     /// Per plan column: the path its values sit on (`None` = `⊥`).
     col_path: Vec<Option<NodeId>>,
 }
 
-impl Hash for Member {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.nodes.hash());
-        self.col_path.hash(state);
-    }
-}
-
 impl Member {
     fn formula_map(&self) -> HashMap<NodeId, Formula> {
-        self.nodes
-            .iter()
-            .filter(|(_, f)| !f.is_top())
-            .map(|(n, f)| (*n, f.clone()))
-            .collect()
+        self.nodes.formulas().iter().cloned().collect()
     }
 }
 
@@ -308,7 +455,7 @@ impl Pair {
         members.sort_unstable_by(|x, y| {
             (x.nodes.hash(), x.layout_hash)
                 .cmp(&(y.nodes.hash(), y.layout_hash))
-                .then_with(|| x.nodes[..].cmp(&y.nodes[..]))
+                .then_with(|| x.nodes.cmp(&y.nodes))
                 .then_with(|| layouts[x.layout.clone()].cmp(&layouts[y.layout.clone()]))
         });
         let mut h = FastHasher::default();
@@ -383,16 +530,14 @@ fn layout_code(attr: AttrKind, path: Option<NodeId>) -> u64 {
     (path.map_or(0, |p| u64::from(p.0) + 1) << 2) | attr
 }
 
-/// One word per `T` node (the common case), the intervals only of the
-/// others.
-fn hash_nodes(nodes: &[(NodeId, Formula)]) -> u64 {
+/// A [`NodeSet`]'s hash: its words, then its formulas.
+fn hash_parts(words: &[u64], formulas: &[(NodeId, Formula)]) -> u64 {
     let mut h = FastHasher::default();
-    for (n, f) in nodes {
-        h.write_u64(u64::from(n.0) << 1 | u64::from(f.is_top()));
-        if !f.is_top() {
-            f.hash(&mut h);
-        }
+    h.write_usize(words.len());
+    for w in words {
+        h.write_u64(*w);
     }
+    formulas.hash(&mut h);
     h.finish()
 }
 
@@ -409,7 +554,7 @@ struct QueryCtx<'a> {
     /// The unnested query.
     qf: Pattern,
     /// `mod_S(qf)` with strong closure.
-    qmodel: Vec<CTree>,
+    qmodel: Vec<ModelTree>,
     /// Flat output columns: (return node, attr) in schema order.
     out_cols: Vec<(PNodeId, AttrKind)>,
     /// Return nodes in order.
@@ -421,6 +566,58 @@ struct QueryCtx<'a> {
     /// Associated paths of every non-root query node (sorted, deduped) —
     /// the query side of the Prop 3.4 relatedness test.
     q_all: Vec<NodeId>,
+}
+
+/// A tree of `mod_S(q)` as direction B of the line-7 test reads it,
+/// built once per run.
+struct ModelTree {
+    /// Its summary paths and their formulas.
+    nodes: NodeSet,
+    /// Its designated return paths.
+    ret: Vec<Option<NodeId>>,
+    /// Its formulas other than `T`: the left side of the coverage
+    /// implication.
+    lhs: HashMap<NodeId, Formula>,
+}
+
+impl ModelTree {
+    fn new(t: &CTree) -> ModelTree {
+        let nodes = NodeSet::of_tree(t);
+        ModelTree {
+            lhs: nodes.formulas().iter().cloned().collect(),
+            nodes,
+            ret: t.return_paths(),
+        }
+    }
+}
+
+/// Direction A's verdicts within one run — does `q` produce the member's
+/// designated tuple? — by (member node set, designation). `q`, the summary
+/// and the options do not change within a run, and the same member meets
+/// the test again in every pair it survives into.
+#[derive(Default)]
+struct MemberVerdicts {
+    memo: HashMap<(NodeSet, Vec<Option<NodeId>>), bool, FastBuild>,
+    /// Verdicts served from `memo`.
+    reused: usize,
+}
+
+impl MemberVerdicts {
+    /// The verdict for `nodes` designating `des`, from `test` on a miss.
+    fn get(
+        &mut self,
+        nodes: &NodeSet,
+        des: &[Option<NodeId>],
+        test: impl FnOnce() -> bool,
+    ) -> bool {
+        match self.memo.entry((nodes.clone(), des.to_vec())) {
+            Entry::Occupied(e) => {
+                self.reused += 1;
+                *e.get()
+            }
+            Entry::Vacant(e) => *e.insert(test()),
+        }
+    }
 }
 
 /// The summary constraints and the two options a [`PreparedView`] was
@@ -553,7 +750,7 @@ impl<'a> Rewriter<'a> {
         let ctx = QueryCtx {
             q: self.q,
             qf: qf.clone(),
-            qmodel: qmodel_full.trees,
+            qmodel: qmodel_full.trees.iter().map(ModelTree::new).collect(),
             out_cols,
             returns: qf.return_nodes(),
             qpaths,
@@ -629,14 +826,15 @@ impl<'a> Rewriter<'a> {
         // best complete rewriting's estimated work — the B&B upper bound
         let mut best_cost = f64::INFINITY;
 
+        let mut verdicts = MemberVerdicts::default();
         // line 7 test on the initial single-view pairs first
-        let emit = |pair: &Pair,
-                    result: &mut RewriteResult,
-                    union_candidates: &mut Vec<(Plan, Vec<bool>)>,
-                    best_cost: &mut f64|
+        let mut emit = |pair: &Pair,
+                        result: &mut RewriteResult,
+                        union_candidates: &mut Vec<(Plan, Vec<bool>)>,
+                        best_cost: &mut f64|
          -> bool {
             result.stats.pairs_explored += 1;
-            for plan_or_cand in self.try_pair(pair, &ctx) {
+            for plan_or_cand in self.try_pair(pair, &ctx, &mut verdicts) {
                 match plan_or_cand {
                     Candidate::Equivalent(plan) => {
                         if result.stats.first_rewriting.is_none() {
@@ -725,6 +923,9 @@ impl<'a> Rewriter<'a> {
             }
         }
 
+        result.stats.member_tests = verdicts.memo.len();
+        result.stats.member_tests_reused = verdicts.reused;
+
         // ---- lines 13-14: minimal unions of partial candidates
         if !stop && self.opts.enable_unions && result.rewritings.len() < self.opts.max_rewritings {
             self.build_unions(&ctx, &union_candidates, &mut result, t0, &model);
@@ -741,12 +942,22 @@ impl<'a> Rewriter<'a> {
         run_span.field("pairs_pruned", result.stats.pairs_pruned as u64);
         run_span.field("pairs_deduped", result.stats.pairs_deduped as u64);
         run_span.field("joins_built", result.stats.joins_built as u64);
+        run_span.field("member_tests", result.stats.member_tests as u64);
+        run_span.field(
+            "member_tests_reused",
+            result.stats.member_tests_reused as u64,
+        );
         run_span.field("rewritings", result.rewritings.len() as u64);
         drop(run_span);
         smv_obs::counter_add("rewrite.pairs_explored", result.stats.pairs_explored as u64);
         smv_obs::counter_add("rewrite.pairs_pruned", result.stats.pairs_pruned as u64);
         smv_obs::counter_add("rewrite.pairs_deduped", result.stats.pairs_deduped as u64);
         smv_obs::counter_add("rewrite.joins_built", result.stats.joins_built as u64);
+        smv_obs::counter_add("rewrite.member_tests", result.stats.member_tests as u64);
+        smv_obs::counter_add(
+            "rewrite.member_tests_reused",
+            result.stats.member_tests_reused as u64,
+        );
         smv_obs::counter_add("rewrite.rewritings_found", result.rewritings.len() as u64);
         smv_obs::counter_add(
             "rewrite.prepared_reused",
@@ -853,7 +1064,7 @@ impl<'a> Rewriter<'a> {
                 }
             }
             members.push(Member {
-                nodes: NodeSet::new(t.path_set()),
+                nodes: NodeSet::of_tree(t),
                 col_path,
             });
         }
@@ -1036,11 +1247,9 @@ impl<'a> Rewriter<'a> {
                         continue;
                     }
                     let mut bound_m = m.clone();
-                    bound_m.nodes.edit(|nodes| {
-                        for p in chain_with(self.s, base, sd) {
-                            upsert_node(nodes, p, Formula::top());
-                        }
-                    });
+                    for p in chain_with(self.s, base, sd) {
+                        bound_m.nodes.conj(p, &Formula::top());
+                    }
                     bound_m
                         .col_path
                         .extend([Some(sd), Some(sd), Some(sd), Some(sd)]);
@@ -1264,7 +1473,12 @@ impl<'a> Rewriter<'a> {
 
     /// Line 7: tests a pair against the query for every admissible output
     /// column assignment; returns full rewritings and union candidates.
-    fn try_pair(&self, pair: &Pair, ctx: &QueryCtx<'_>) -> Vec<Candidate> {
+    fn try_pair(
+        &self,
+        pair: &Pair,
+        ctx: &QueryCtx<'_>,
+        verdicts: &mut MemberVerdicts,
+    ) -> Vec<Candidate> {
         let mut out = Vec::new();
         // candidate groups per query return node (Prop 3.7 + Prop 4.1)
         let mut cand_groups: Vec<Vec<u32>> = Vec::new();
@@ -1337,7 +1551,7 @@ impl<'a> Rewriter<'a> {
             combos = next;
         }
         for combo in combos {
-            if let Some(c) = self.test_combo(pair, ctx, &combo) {
+            if let Some(c) = self.test_combo(pair, ctx, &combo, verdicts) {
                 let full = matches!(c, Candidate::Equivalent(_));
                 out.push(c);
                 if full {
@@ -1349,7 +1563,13 @@ impl<'a> Rewriter<'a> {
     }
 
     /// Tests one output assignment; applies §4.6 σ-adaptations first.
-    fn test_combo(&self, pair: &Pair, ctx: &QueryCtx<'_>, combo: &[u32]) -> Option<Candidate> {
+    fn test_combo(
+        &self,
+        pair: &Pair,
+        ctx: &QueryCtx<'_>,
+        combo: &[u32],
+        verdicts: &mut MemberVerdicts,
+    ) -> Option<Candidate> {
         let mut pair = pair.clone();
         // chosen column per (return, attr) in flat output order
         let mut chosen: Vec<usize> = Vec::with_capacity(ctx.out_cols.len());
@@ -1392,16 +1612,10 @@ impl<'a> Rewriter<'a> {
             }
             // value selection (σ_{φ(v)})
             if !qn.predicate.is_top() && !under_optional {
+                let top = Formula::top();
                 let needs = pair.members.iter().any(|m| {
-                    m.col_path[rep].is_some_and(|p| {
-                        let mf = m
-                            .nodes
-                            .iter()
-                            .find(|(n, _)| *n == p)
-                            .map(|(_, f)| f.clone())
-                            .unwrap_or_else(Formula::top);
-                        !mf.implies(&qn.predicate)
-                    })
+                    m.col_path[rep]
+                        .is_some_and(|p| !m.nodes.formula(p).unwrap_or(&top).implies(&qn.predicate))
                 });
                 if needs {
                     let vcol = (0..pair.cols.len())
@@ -1417,7 +1631,7 @@ impl<'a> Rewriter<'a> {
                     for m in &pair.members {
                         let mut mm = m.clone();
                         if let Some(p) = mm.col_path[rep] {
-                            if !mm.nodes.edit(|n| conj_node(n, p, &qn.predicate)) {
+                            if !mm.nodes.conj(p, &qn.predicate) {
                                 continue; // unsatisfiable member filtered out
                             }
                         }
@@ -1451,8 +1665,16 @@ impl<'a> Rewriter<'a> {
 
         // direction A: union of members ⊆ q (each member individually)
         for (m, des) in pair.members.iter().zip(designations.iter()) {
-            let te = CTree::from_path_set(self.s, &m.nodes, des, self.opts.canon.use_strong);
-            if !tuple_in(&ctx.qf, &te, self.s, FormulaMode::Implication) {
+            let member_in_q = verdicts.get(&m.nodes, des, || {
+                let te = CTree::from_path_set(
+                    self.s,
+                    &m.nodes.to_vec(),
+                    des,
+                    self.opts.canon.use_strong,
+                );
+                tuple_in(&ctx.qf, &te, self.s, FormulaMode::Implication)
+            });
+            if !member_in_q {
                 return None;
             }
         }
@@ -1460,39 +1682,21 @@ impl<'a> Rewriter<'a> {
         let mut coverage = vec![false; ctx.qmodel.len()];
         let mut all = true;
         for (ti, tq) in ctx.qmodel.iter().enumerate() {
-            let tq_paths: HashMap<NodeId, Formula> = tq.path_set().into_iter().collect();
-            let tq_ret = tq.return_paths();
-            let mut matching: Vec<HashMap<NodeId, Formula>> = Vec::new();
-            'mem: for (m, des) in pair.members.iter().zip(designations.iter()) {
-                if des != &tq_ret {
-                    continue;
-                }
-                for (n, f) in m.nodes.iter() {
-                    match tq_paths.get(n) {
-                        Some(tf) => {
-                            if !tf.and(f).is_sat() {
-                                continue 'mem;
-                            }
-                        }
-                        None => continue 'mem,
-                    }
-                }
-                matching.push(m.formula_map());
-            }
+            let matching: Vec<HashMap<NodeId, Formula>> = pair
+                .members
+                .iter()
+                .zip(designations.iter())
+                .filter(|(m, des)| **des == tq.ret && m.nodes.fits_in(&tq.nodes))
+                .map(|(m, _)| m.formula_map())
+                .collect();
             if matching.is_empty() {
                 all = false;
                 continue;
             }
-            if ctx.decorated || matching.iter().any(|m| !m.is_empty()) {
-                let lhs: HashMap<NodeId, Formula> = tq
-                    .path_set()
-                    .into_iter()
-                    .filter(|(_, f)| !f.is_top())
-                    .collect();
-                if !implies_disjunction(&lhs, &matching) {
-                    all = false;
-                    continue;
-                }
+            let formulas_matter = ctx.decorated || matching.iter().any(|m| !m.is_empty());
+            if formulas_matter && !implies_disjunction(&tq.lhs, &matching) {
+                all = false;
+                continue;
             }
             coverage[ti] = true;
         }
@@ -1823,73 +2027,62 @@ fn node_or_ancestor_optional(p: &Pattern, n: PNodeId) -> bool {
     false
 }
 
-/// Inserts/conjoins a formula at a path; returns false when unsatisfiable.
-/// Also inserts all missing ancestors (ancestor closure is maintained by
-/// construction of the inputs; this is a safety net for derived paths).
-fn upsert_node(nodes: &mut Vec<(NodeId, Formula)>, path: NodeId, f: Formula) -> bool {
-    match nodes.binary_search_by_key(&path.0, |(n, _)| n.0) {
-        Ok(i) => {
-            let merged = nodes[i].1.and(&f);
-            if !merged.is_sat() {
-                return false;
-            }
-            nodes[i].1 = merged;
-            true
-        }
-        Err(i) => {
-            if !f.is_sat() {
-                return false;
-            }
-            nodes.insert(i, (path, f));
-            true
-        }
+/// `a ∧ b`: the union of the paths, a path on one side only keeping its
+/// formula, a shared path taking the conjunction. `None` when a formula of
+/// `b`, or a conjunction, is unsatisfiable — exactly when
+/// [`NodeSet::conj`]-ing every path of `b` into `a` fails. The paths are
+/// OR-ed word by word; only the formula lists are walked, in one pass.
+fn merge_nodes(a: &NodeSet, b: &NodeSet) -> Option<NodeSet> {
+    let mut words = a.0.words.clone();
+    let bw = &b.0.words;
+    if words.len() < bw.len() {
+        words.resize(bw.len(), 0);
     }
-}
-
-fn conj_node(nodes: &mut Vec<(NodeId, Formula)>, path: NodeId, f: &Formula) -> bool {
-    upsert_node(nodes, path, f.clone())
-}
-
-/// `a ∧ b` of two sorted node sets in one pass: a path on one side only
-/// keeps its formula, a shared path takes the conjunction. `None` when a
-/// formula found only in `b`, or a conjunction, is unsatisfiable —
-/// exactly when [`upsert_node`]-ing every node of `b` into `a` fails.
-fn merge_nodes(a: &[(NodeId, Formula)], b: &[(NodeId, Formula)]) -> Option<NodeSet> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
+    for (w, x) in words.iter_mut().zip(bw) {
+        *w |= x;
+    }
+    let (fa, fb) = (a.formulas(), b.formulas());
+    let mut formulas = Vec::with_capacity(fa.len() + fb.len());
     let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        let ((na, fa), (nb, fb)) = (&a[i], &b[j]);
-        match na.cmp(nb) {
+    while i < fa.len() || j < fb.len() {
+        let order = match (fa.get(i), fb.get(j)) {
+            (Some((na, _)), Some((nb, _))) => na.cmp(nb),
+            (Some(_), None) => Ordering::Less,
+            _ => Ordering::Greater,
+        };
+        let f = match order {
+            // `a`'s formula, conjoined with `T` when `b` has the path
             Ordering::Less => {
-                out.push((*na, fa.clone()));
+                let (n, f) = &fa[i];
                 i += 1;
-            }
-            Ordering::Greater => {
-                if !fb.is_sat() {
+                if b.contains(*n) && !f.is_sat() {
                     return None;
                 }
-                out.push((*nb, fb.clone()));
-                j += 1;
+                (*n, f.clone())
             }
-            Ordering::Equal => {
-                let f = fa.and(fb);
+            // `b`'s formula, alone or conjoined with `a`'s `T`
+            Ordering::Greater => {
+                let (n, f) = &fb[j];
+                j += 1;
                 if !f.is_sat() {
                     return None;
                 }
-                out.push((*na, f));
+                (*n, f.clone())
+            }
+            Ordering::Equal => {
+                let ((n, x), (_, y)) = (&fa[i], &fb[j]);
                 i += 1;
                 j += 1;
+                let f = x.and(y);
+                if !f.is_sat() {
+                    return None;
+                }
+                (*n, f)
             }
-        }
+        };
+        formulas.push(f);
     }
-    out.extend_from_slice(&a[i..]);
-    for (n, f) in &b[j..] {
-        if !f.is_sat() {
-            return None;
-        }
-        out.push((*n, f.clone()));
-    }
-    Some(NodeSet::new(out))
+    Some(NodeSet::from_parts(words, formulas))
 }
 
 /// Drops repeated members (equal node sets and column paths), keeping
@@ -1999,7 +2192,7 @@ mod tests {
     /// the structural keys must partition pairs exactly like.
     fn oracle_signature(m: &Member) -> String {
         let mut s = String::new();
-        for (n, f) in m.nodes.iter() {
+        for (n, f) in m.nodes.to_vec() {
             s.push_str(&n.0.to_string());
             if !f.is_top() {
                 s.push('[');
@@ -2231,6 +2424,17 @@ mod tests {
         assert_eq!(fast.stats.pairs_deduped, every.stats.pairs_deduped);
     }
 
+    /// The same ranking's direction-A test meets 9 distinct members in 21
+    /// tests: 12 verdicts come from the run's memo.
+    #[test]
+    fn a_descendant_ranking_reuses_member_verdicts() {
+        let s = bench_summary();
+        let views = bench_views(IdScheme::OrdPath);
+        let q = parse_pattern("site(//quantity{id,v}[v>2 and v<1000007])").unwrap();
+        let st = rewrite(&q, &views, &s, &opts()).stats;
+        assert_eq!((st.member_tests, st.member_tests_reused), (9, 12));
+    }
+
     /// A scanned pair of `src` under OrdPath, with a rewriter over `s`.
     fn scanned(s: &Summary, src: &str) -> Pair {
         let v = View::new("v", parse_pattern(src).unwrap(), IdScheme::OrdPath);
@@ -2440,12 +2644,65 @@ mod tests {
         assert_eq!(ms, vec![m2, m1]);
     }
 
-    /// Sorted, unique node sets with formulas that make conjunctions
-    /// unsatisfiable often (`v>c ∧ v<d`, `F`).
+    /// The list-form insert the bitset [`NodeSet`] replaced, kept as the
+    /// oracle of [`NodeSet::conj`] and [`merge_nodes`]: conjoins `f` into
+    /// the formula at `path`, or inserts it; false, the list unchanged,
+    /// when the result is unsatisfiable.
+    fn upsert_node(nodes: &mut Vec<(NodeId, Formula)>, path: NodeId, f: Formula) -> bool {
+        match nodes.binary_search_by_key(&path, |(n, _)| *n) {
+            Ok(i) => {
+                let merged = nodes[i].1.and(&f);
+                if !merged.is_sat() {
+                    return false;
+                }
+                nodes[i].1 = merged;
+                true
+            }
+            Err(i) => {
+                if !f.is_sat() {
+                    return false;
+                }
+                nodes.insert(i, (path, f));
+                true
+            }
+        }
+    }
+
+    /// Direction B's member test as the `HashMap` loop over the tree's
+    /// paths that [`NodeSet::fits_in`] replaced.
+    fn fits_in_oracle(member: &[(NodeId, Formula)], tree: &[(NodeId, Formula)]) -> bool {
+        let tree: HashMap<NodeId, Formula> = tree.iter().cloned().collect();
+        member
+            .iter()
+            .all(|(n, f)| tree.get(n).is_some_and(|tf| tf.and(f).is_sat()))
+    }
+
+    /// A canonical tree's set is its `path_set` list, on every tree of the
+    /// benchmark's queries and views.
+    #[test]
+    fn a_tree_set_is_its_path_set() {
+        let s = bench_summary();
+        let mut trees = 0;
+        for src in BENCH_QUERIES
+            .iter()
+            .chain(BENCH_VIEWS.iter().map(|(_, v)| v))
+        {
+            let p = parse_pattern(src).unwrap().unnest_copy();
+            for t in canonical_model(&p, &s, &CanonOpts::default()).trees {
+                assert!(NodeSet::of_tree(&t) == NodeSet::new(t.path_set()), "{src}");
+                trees += 1;
+            }
+        }
+        assert!(trees > 50, "{trees} trees");
+    }
+
+    /// Sorted, unique node sets over paths `0..200` — four words, with
+    /// paths clustered so that two sets share some often — and formulas
+    /// that make conjunctions unsatisfiable often (`v>c ∧ v<d`, `F`).
     fn node_set() -> impl Strategy<Value = Vec<(NodeId, Formula)>> {
-        proptest::collection::vec((0u32..12, 0u8..6, 0i64..6), 0..9).prop_map(|raw| {
+        proptest::collection::vec((0usize..4, 0u32..10, 0u8..6, 0i64..6), 0..12).prop_map(|raw| {
             let mut set = BTreeMap::new();
-            for (n, kind, c) in raw {
+            for (cluster, n, kind, c) in raw {
                 let c = Value::int(c);
                 let f = match kind {
                     0 | 1 => Formula::top(),
@@ -2454,7 +2711,7 @@ mod tests {
                     4 => Formula::gt(c),
                     _ => Formula::bottom(),
                 };
-                set.insert(NodeId(n), f);
+                set.insert(NodeId([0, 61, 130, 190][cluster] + n), f);
             }
             set.into_iter().collect()
         })
@@ -2468,10 +2725,68 @@ mod tests {
         fn linear_merge_is_the_upsert_loop(a in node_set(), b in node_set()) {
             let mut upserted = a.clone();
             let sat = b.iter().all(|(n, f)| upsert_node(&mut upserted, *n, f.clone()));
-            let merged = merge_nodes(&a, &b);
-            prop_assert_eq!(merged.as_deref(), sat.then_some(upserted.as_slice()));
+            let merged = merge_nodes(&NodeSet::new(a), &NodeSet::new(b));
+            prop_assert_eq!(merged.as_ref().map(NodeSet::to_vec), sat.then(|| upserted.clone()));
             if let Some(m) = merged {
-                prop_assert_eq!(m.hash(), NodeSet::new(upserted).hash());
+                let listed = NodeSet::new(upserted);
+                prop_assert!(m == listed);
+                prop_assert_eq!(m.hash(), listed.hash());
+            }
+        }
+
+        /// `conj` is `upsert_node`, refusals included.
+        #[test]
+        fn conj_is_upsert_node(a in node_set(), b in node_set()) {
+            let mut list = a.clone();
+            let mut set = NodeSet::new(a);
+            for (n, f) in b {
+                prop_assert_eq!(set.conj(n, &f), upsert_node(&mut list, n, f.clone()));
+                prop_assert_eq!(set.to_vec(), list.clone());
+                let listed = NodeSet::new(list.clone());
+                prop_assert!(set == listed);
+                prop_assert_eq!(set.hash(), listed.hash());
+            }
+        }
+
+        /// The word-level coverage test is the `HashMap` loop, on trees
+        /// that hold the member's paths (`cover` 1–3: with the member's
+        /// formulas or `T` where the tree had none) and on any tree.
+        #[test]
+        fn fits_in_is_the_hash_map_loop(
+            member in node_set(),
+            tree in node_set(),
+            cover in 0u8..4,
+        ) {
+            let mut tree: BTreeMap<NodeId, Formula> = tree.into_iter().collect();
+            if cover > 0 {
+                for (p, f) in &member {
+                    tree.entry(*p)
+                        .or_insert_with(|| if cover == 1 { f.clone() } else { Formula::top() });
+                }
+            }
+            let tree: Vec<(NodeId, Formula)> = tree.into_iter().collect();
+            prop_assert_eq!(
+                NodeSet::new(member.clone()).fits_in(&NodeSet::new(tree.clone())),
+                fits_in_oracle(&member, &tree)
+            );
+        }
+
+        /// A set lists back what it was built from.
+        #[test]
+        fn a_node_set_lists_what_it_was_built_from(v in node_set()) {
+            prop_assert_eq!(NodeSet::new(v.clone()).to_vec(), v);
+        }
+
+        /// `==`, the order and the hash agree with equality of the lists.
+        #[test]
+        fn node_set_identity_is_list_identity(a in node_set(), b in node_set(), same in 0u8..2) {
+            let b = if same == 1 { a.clone() } else { b };
+            let (x, y) = (NodeSet::new(a.clone()), NodeSet::new(b.clone()));
+            prop_assert_eq!(x == y, a == b);
+            prop_assert_eq!(x.cmp(&y) == Ordering::Equal, a == b);
+            prop_assert_eq!(x.cmp(&y), y.cmp(&x).reverse());
+            if a == b {
+                prop_assert_eq!(x.hash(), y.hash());
             }
         }
     }

@@ -555,9 +555,9 @@ impl QueryService {
     /// The views' query-independent preparation rides on the snapshot's
     /// `View`s and crosses epochs with them, so only the first ranking
     /// after a summary-constraint change builds it; after that a
-    /// child-axis query ranks in about half a millisecond and a
-    /// descendant-axis one in 20–40 ms, nearly all of it join enumeration
-    /// (`smvbench` `adhoc`, scale 10, nine views).
+    /// child-axis query ranks in under 0.1 ms and a descendant-axis one in
+    /// about 1–2 ms, most of it join enumeration (scale-10 XMark, the
+    /// nine views of `smvbench`'s `adhoc`, a 2-core x86-64 host).
     fn rank(
         &self,
         q: &smv_pattern::Pattern,
