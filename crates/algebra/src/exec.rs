@@ -6,7 +6,13 @@
 //!
 //! * **borrowed inputs** — `eval` returns `Cow<NestedRelation>`; a view
 //!   scan borrows the catalog extent and operators clone only the cells
-//!   that survive into their output, never whole input relations;
+//!   that survive into their output, never whole input relations. A
+//!   `Project` directly over a `Scan` first asks the provider to build the
+//!   projection itself ([`ViewProvider::project_scan`]): a disk catalog
+//!   decodes only the kept columns straight into the output rows, so a
+//!   cold read builds each row once. Providers holding extents in memory
+//!   decline, and the scan borrows as above. The root is normalized once:
+//!   a `DupElim` or `Union` root already did it;
 //! * **sort-based structural joins** — ancestor/parent predicates run the
 //!   stack-tree merge over inputs sorted once in document order, with
 //!   sortedness tracked on [`NestedRelation`] so chained joins (and scans
@@ -271,6 +277,25 @@ pub trait ViewProvider {
     /// store holds it but could not read it back.
     fn extent(&self, name: &str) -> Result<&NestedRelation, ExecError>;
 
+    /// `name`'s extent projected onto `cols`, built by the provider — what
+    /// a `Project` directly over `Scan(name)` asks for; the executor asks
+    /// only with strictly ascending `cols`. `Ok(None)` means the provider
+    /// has nothing better than borrowing [`extent`] and cloning the kept
+    /// cells, which the executor then does; that is the default, and the
+    /// answer for a `cols` past the extent's schema, so the generic path
+    /// reports it. A provider that answers `Some` returns exactly that
+    /// projection: rows, schema and `sorted_on`. Errors are the scan's, as
+    /// from [`extent`].
+    ///
+    /// [`extent`]: ViewProvider::extent
+    fn project_scan(
+        &self,
+        _name: &str,
+        _cols: &[usize],
+    ) -> Result<Option<NestedRelation>, ExecError> {
+        Ok(None)
+    }
+
     /// The summary-path shard partition of `name`'s extent, when the
     /// store maintains one. The default is `None`: providers without
     /// sharding still execute every plan — parallel structural joins
@@ -439,8 +464,17 @@ pub fn execute_with(
     let opts = opts.resolved();
     let mut prof = Profiler::unprofiled();
     let mut rel = eval(plan, views, &mut prof, &opts)?.into_owned();
-    normalize_with(&mut rel, &opts);
+    normalize_root(plan, &mut rel, &opts);
     Ok(rel)
+}
+
+/// Normalizes the result of `plan` unless its root operator already did
+/// (`DupElim`, `Union`): normalization is idempotent, so the second pass
+/// would only re-sort sorted rows.
+fn normalize_root(plan: &Plan, rel: &mut NestedRelation, opts: &ExecOpts) {
+    if !matches!(plan, Plan::DupElim { .. } | Plan::Union { .. }) {
+        normalize_with(rel, opts);
+    }
 }
 
 /// Executes `plan` and records every operator's actual output row count
@@ -485,7 +519,7 @@ pub fn execute_profiled_with(
         path: Vec::new(),
     };
     let mut rel = eval(plan, views, &mut prof, &opts)?.into_owned();
-    normalize_with(&mut rel, &opts);
+    normalize_root(plan, &mut rel, &opts);
     let mut profile = prof.profile.expect("profiler survives eval");
     profile.record(&[], rel.len() as u64);
     // root time spans the whole execution, final normalization included
@@ -510,6 +544,19 @@ impl Profiler {
             path: Vec::new(),
         }
     }
+
+    /// A clock for the current operator's inclusive time, when profiling.
+    fn start(&self) -> Option<Instant> {
+        self.profile.as_ref().map(|_| Instant::now())
+    }
+
+    /// Records the current operator's output size and inclusive time.
+    fn record(&mut self, rows: usize, started: Option<Instant>) {
+        if let (Some(p), Some(t)) = (&mut self.profile, started) {
+            p.record(&self.path, rows as u64);
+            p.record_time(&self.path, t.elapsed().as_nanos() as u64);
+        }
+    }
 }
 
 /// Evaluates one operator; when profiling, records its output size and
@@ -521,18 +568,42 @@ fn eval<'a>(
     prof: &mut Profiler,
     opts: &ExecOpts,
 ) -> Result<Cow<'a, NestedRelation>, ExecError> {
-    let t = prof.profile.as_ref().map(|_| Instant::now());
+    let t = prof.start();
     let out = match eval_op(plan, views, prof, opts) {
         Ok(out) => out,
         Err(e) => return Err(e.locate(&prof.path, plan)),
     };
-    if let Some(p) = &mut prof.profile {
-        p.record(&prof.path, out.len() as u64);
-        if let Some(t) = t {
-            p.record_time(&prof.path, t.elapsed().as_nanos() as u64);
-        }
-    }
+    prof.record(out.len(), t);
     Ok(out)
+}
+
+/// The current `Project`'s input, when it is a `Scan`, fused into it:
+/// the provider's projected extent when it builds one
+/// ([`ViewProvider::project_scan`]), recorded and located as the scan
+/// itself — its row count, the provider's time as its inclusive time, its
+/// errors at its path. `Ok(None)` leaves the input to the generic path,
+/// as does a `cols` that is not strictly ascending.
+fn fused_scan(
+    input: &Plan,
+    cols: &[usize],
+    views: &dyn ViewProvider,
+    prof: &mut Profiler,
+) -> Result<Option<NestedRelation>, ExecError> {
+    let Plan::Scan { view } = input else {
+        return Ok(None);
+    };
+    if !cols.is_sorted_by(|a, b| a < b) {
+        return Ok(None);
+    }
+    prof.path.push(0);
+    let t = prof.start();
+    let out = views.project_scan(view, cols);
+    if let Ok(Some(rel)) = &out {
+        prof.record(rel.len(), t);
+    }
+    let out = out.map_err(|e| e.locate(&prof.path, input));
+    prof.path.pop();
+    out
 }
 
 /// Evaluates the `idx`-th input of the current operator.
@@ -629,6 +700,9 @@ fn eval_op<'a>(
             }
         }
         Plan::Project { input, cols } => {
+            if let Some(out) = fused_scan(input, cols, views, prof)? {
+                return Ok(Cow::Owned(out));
+            }
             let rel = eval_child(input, views, prof, opts, 0)?;
             for &c in cols {
                 if c >= rel.schema.len() {
@@ -1851,6 +1925,81 @@ mod tests {
         assert!(msg.contains("unknown view `zz`"), "{msg}");
         assert!(msg.contains("0.1"), "{msg}");
         assert!(msg.contains("Scan(zz)"), "{msg}");
+    }
+
+    /// A provider that builds projections itself, as a disk catalog does,
+    /// and notes every column list it is asked for.
+    struct Projecting {
+        inner: MapProvider,
+        asked: Mutex<Vec<Vec<usize>>>,
+    }
+
+    impl ViewProvider for Projecting {
+        fn extent(&self, name: &str) -> Result<&NestedRelation, ExecError> {
+            self.inner.extent(name)
+        }
+
+        fn project_scan(
+            &self,
+            name: &str,
+            cols: &[usize],
+        ) -> Result<Option<NestedRelation>, ExecError> {
+            self.asked.lock().unwrap().push(cols.to_vec());
+            let rel = self.inner.extent(name)?;
+            if cols.iter().any(|&c| c >= rel.schema.len()) {
+                return Ok(None);
+            }
+            let schema = Schema {
+                cols: cols.iter().map(|&c| rel.schema.cols[c].clone()).collect(),
+            };
+            let rows = rel.rows.iter();
+            let rows = rows.map(|r| Row::new(cols.iter().map(|&c| r.cells[c].clone()).collect()));
+            let mut out = NestedRelation::new(schema, rows.collect());
+            out.sorted_on = rel
+                .sorted_on
+                .and_then(|s| cols.iter().position(|&c| c == s));
+            Ok(Some(out))
+        }
+    }
+
+    #[test]
+    fn fused_scan_matches_the_generic_path() {
+        let plain = provider().0;
+        let fused = Projecting {
+            inner: provider().0,
+            asked: Mutex::default(),
+        };
+        let plan = |view: &str, cols: Vec<usize>| Plan::DupElim {
+            input: Box::new(Plan::Project {
+                input: Box::new(Plan::Scan { view: view.into() }),
+                cols,
+            }),
+        };
+        let opts = ExecOpts::default();
+        // ascending lists are asked for, others take the generic path;
+        // either way rows and profile counters are the generic path's
+        for (cols, asked) in [(vec![1], true), (vec![0, 1], true), (vec![1, 0], false)] {
+            let p = plan("names", cols.clone());
+            let (want, want_prof) = execute_profiled_with(&p, &plain, &opts).unwrap();
+            let (got, got_prof) = execute_profiled_with(&p, &fused, &opts).unwrap();
+            assert_eq!(got.rows, want.rows, "{cols:?}");
+            assert_eq!(got.sorted_on, want.sorted_on, "{cols:?}");
+            for (path, rows) in want_prof.iter() {
+                assert_eq!(got_prof.rows_at(path), Some(rows), "{cols:?} at `{path}`");
+            }
+            assert_eq!(got_prof.iter().count(), want_prof.iter().count());
+            assert!(got_prof.time_ns_at("0.0").is_some(), "the scan is timed");
+            let was_asked = fused.asked.lock().unwrap().pop();
+            assert_eq!(was_asked, asked.then_some(cols));
+        }
+        // a column past the schema: declined, reported by the Project
+        let e = execute_with(&plan("names", vec![0, 5]), &fused, &opts).unwrap_err();
+        assert!(matches!(e.kind(), ExecError::Schema(_)), "{e}");
+        assert_eq!(e.op_path(), Some("0"));
+        // the provider's own errors are the scan's
+        let e = execute_with(&plan("zz", vec![0]), &fused, &opts).unwrap_err();
+        assert_eq!(e.kind(), &ExecError::UnknownView("zz".into()));
+        assert_eq!((e.op_path(), e.op_name()), (Some("0.0"), Some("Scan(zz)")));
     }
 
     #[test]

@@ -34,6 +34,15 @@
 //! are pushed straight into them, tag run by tag run, so a row costs the
 //! allocations it owns (its cell vector, each id's label, each string)
 //! and nothing per cell.
+//!
+//! **Projected decode.** [`decode_relation`] takes an optional column
+//! list and then builds only those columns: the rows are sized to the
+//! kept width, and a skipped column's tag runs and payloads are parsed
+//! and checked exactly as a full decode checks them — id deltas and
+//! ORDPATH labels, dictionary slots, label runs, nested tables — with
+//! nothing built for them (no id, no interned label, no string). So a
+//! projected decode fails exactly when the full decode would, and a
+//! corrupt column the caller does not read still fails the read.
 
 use crate::io::{Result, StoreError};
 use smv_algebra::{
@@ -399,22 +408,20 @@ impl IdCoder {
         }
     }
 
-    /// Decodes the next id. The previous label is edited in place into the
-    /// next one (`truncate` to the shared prefix, append the suffix), so an
-    /// id costs the one allocation it owns.
-    fn decode(&mut self, r: &mut ByteReader) -> Result<StructId> {
+    /// Reads the next id's delta into the coder's state and returns its
+    /// variant. The previous label is edited in place into the next one
+    /// (`truncate` to the shared prefix, append the suffix).
+    fn step(&mut self, r: &mut ByteReader) -> Result<u8> {
         let prefix_len = |r: &mut ByteReader, have: usize| match r.get_uv()? {
             n if n <= have as u64 => Ok(n as usize),
             _ => Err(StoreError::Corrupt("id prefix overrun".into())),
         };
-        match r.get_u8()? {
+        let variant = r.get_u8()?;
+        match variant {
             ID_ORD => {
                 let shared = prefix_len(r, self.prev_ord.len())?;
                 self.prev_ord.truncate(shared);
                 self.prev_ord.extend_from_slice(r.get_bytes()?);
-                OrdPath::try_from_bytes(&self.prev_ord)
-                    .map(StructId::Ord)
-                    .ok_or_else(|| StoreError::Corrupt("malformed ordpath label".into()))
             }
             ID_DEWEY => {
                 let shared = prefix_len(r, self.prev_dewey.len())?;
@@ -425,17 +432,51 @@ impl IdCoder {
                 if self.prev_dewey.is_empty() {
                     return Err(StoreError::Corrupt("empty dewey id".into()));
                 }
-                Ok(StructId::Dewey(DeweyId::from_ranks(
-                    self.prev_dewey.clone(),
-                )))
             }
-            ID_SEQ => {
-                self.prev_seq = self.prev_seq.wrapping_add(r.get_iv()? as u64);
-                Ok(StructId::Seq(self.prev_seq))
-            }
-            t => Err(StoreError::Corrupt(format!("bad id variant {t}"))),
+            ID_SEQ => self.prev_seq = self.prev_seq.wrapping_add(r.get_iv()? as u64),
+            t => return Err(StoreError::Corrupt(format!("bad id variant {t}"))),
+        }
+        Ok(variant)
+    }
+
+    /// Decodes the next id; it costs the one allocation it owns.
+    fn decode(&mut self, r: &mut ByteReader) -> Result<StructId> {
+        match self.step(r)? {
+            ID_ORD => OrdPath::try_from_bytes(&self.prev_ord)
+                .map(StructId::Ord)
+                .ok_or_else(malformed_ordpath),
+            ID_DEWEY => Ok(StructId::Dewey(DeweyId::from_ranks(
+                self.prev_dewey.clone(),
+            ))),
+            _ => Ok(StructId::Seq(self.prev_seq)),
         }
     }
+
+    /// [`IdCoder::decode`]'s checks without building the id.
+    fn skip(&mut self, r: &mut ByteReader) -> Result<()> {
+        if self.step(r)? == ID_ORD && !ordpath_label_ok(&self.prev_ord) {
+            return Err(malformed_ordpath());
+        }
+        Ok(())
+    }
+}
+
+fn malformed_ordpath() -> StoreError {
+    StoreError::Corrupt("malformed ordpath label".into())
+}
+
+/// Whether [`OrdPath::try_from_bytes`] accepts `bytes`, without building
+/// the label: a non-empty run of zigzag varints, none cut short and none
+/// wider than 64 bits.
+fn ordpath_label_ok(bytes: &[u8]) -> bool {
+    let mut shift = 0;
+    for &b in bytes {
+        if shift >= 64 {
+            return false;
+        }
+        shift = if b & 0x80 == 0 { 0 } else { shift + 7 };
+    }
+    shift == 0 && !bytes.is_empty()
 }
 
 fn common_prefix(a: &[u8], b: &[u8]) -> usize {
@@ -544,16 +585,30 @@ fn empty_rows(n_rows: usize, n_cols: usize) -> Result<Vec<Row>> {
 }
 
 /// Decodes a relation encoded by [`encode_relation`]; checked throughout.
-pub fn decode_relation(bytes: &[u8]) -> Result<NestedRelation> {
-    decode_relation_at(bytes, 0)
+///
+/// `cols` is a projection: `None` builds every column; `Some(cols)` builds
+/// only the stored columns whose indexes `cols` lists, in stored order
+/// (an index past the stored schema names nothing). The other columns are
+/// parsed and checked exactly as a full decode checks them, but nothing
+/// is built for them, so the projected decode of any input fails exactly
+/// when the full decode does (short of a row allocation the machine grants
+/// at the kept width and refuses at the full one). For a strictly
+/// ascending `cols` inside the schema the result — rows, schema and
+/// `sorted_on` — is the full decode projected onto `cols`.
+pub fn decode_relation(bytes: &[u8], cols: Option<&[usize]>) -> Result<NestedRelation> {
+    decode_relation_at(bytes, 0, cols)
 }
 
-fn decode_relation_at(bytes: &[u8], depth: usize) -> Result<NestedRelation> {
+fn decode_relation_at(
+    bytes: &[u8],
+    depth: usize,
+    cols: Option<&[usize]>,
+) -> Result<NestedRelation> {
     if depth > MAX_NESTING {
         return Err(StoreError::Corrupt("tables nested too deep".into()));
     }
     let mut r = ByteReader::new(bytes);
-    let schema = decode_schema(&mut r, 0)?;
+    let mut schema = decode_schema(&mut r, 0)?;
     let n_cols = schema.cols.len();
     // RLE lets a row cost no bytes at all (one label run, an all-⊥ column,
     // no columns), so the input's length does not bound this count: the
@@ -561,19 +616,23 @@ fn decode_relation_at(bytes: &[u8], depth: usize) -> Result<NestedRelation> {
     // building the rows is a fallible allocation
     let n_rows = usize::try_from(r.get_uv()?)
         .map_err(|_| StoreError::Corrupt("row count does not fit usize".into()))?;
-    let sorted_on = match r.get_uv()? {
+    let mut sorted_on = match r.get_uv()? {
         0 => None,
         c if c <= n_cols as u64 => Some(c as usize - 1),
         c => return Err(StoreError::Corrupt(format!("sorted on column {c}"))),
     };
     let dict = decode_dict(&mut r)?;
-    // cells go straight into their rows, column by column
+    let keep: Vec<bool> = (0..n_cols)
+        .map(|ci| cols.is_none_or(|cols| cols.contains(&ci)))
+        .collect();
+    let width = keep.iter().filter(|&&k| k).count();
+    // kept cells go straight into their rows, column by column
     let mut rows = match n_cols {
         0 => empty_rows(n_rows, 0)?,
         _ => Vec::new(), // built once column 0's tag runs are in
     };
     let mut runs: Vec<(u8, usize)> = Vec::new();
-    for ci in 0..n_cols {
+    for (ci, &kept) in keep.iter().enumerate() {
         // tag runs: (tag, length) pairs that must cover the rows exactly
         runs.clear();
         let mut covered = 0usize;
@@ -592,71 +651,95 @@ fn decode_relation_at(bytes: &[u8], depth: usize) -> Result<NestedRelation> {
             )));
         }
         if ci == 0 {
-            rows = empty_rows(n_rows, n_cols)?;
+            rows = empty_rows(n_rows, width)?;
         }
-        // payloads, one tag run at a time
+        // payloads, one tag run at a time; a skipped column's cells are
+        // read and checked, and `run` is `None` so nothing is built
         let mut ids = IdCoder::default();
         let mut label = None; // the open label run: (label, cells left)
         let mut at = 0usize;
         for &(t, n) in &runs {
-            let run = &mut rows[at..at + n];
+            let mut run = kept.then(|| &mut rows[at..at + n]);
             at += n;
             if t != TAG_LABEL && label.is_some() {
                 return Err(StoreError::Corrupt("label run crosses cells".into()));
             }
             match t {
                 TAG_NULL => {
-                    for row in run {
+                    for row in run.into_iter().flatten() {
                         row.cells.push(Cell::Null);
                     }
                 }
                 TAG_ID => {
-                    for row in run {
-                        row.cells.push(Cell::Id(ids.decode(&mut r)?));
+                    for k in 0..n {
+                        match &mut run {
+                            Some(run) => run[k].cells.push(Cell::Id(ids.decode(&mut r)?)),
+                            None => ids.skip(&mut r)?,
+                        }
                     }
                 }
                 TAG_LABEL => {
-                    let mut run = run.iter_mut();
-                    while run.len() > 0 {
+                    let mut k = 0;
+                    while k < n {
                         // a label is interned once per run, not per cell
                         let (l, left) = match label.take() {
                             Some(open) => open,
                             None => {
-                                let l = Label::intern(dict_get(&dict, r.get_uv()?)?);
+                                let s = dict_get(&dict, r.get_uv()?)?;
+                                let l = run.is_some().then(|| Label::intern(s));
                                 match r.get_uv()? {
                                     0 => return Err(StoreError::Corrupt("empty label run".into())),
                                     n => (l, n),
                                 }
                             }
                         };
-                        let here = left.min(run.len() as u64);
-                        for row in run.by_ref().take(here as usize) {
-                            row.cells.push(Cell::Label(l));
+                        let here = left.min((n - k) as u64) as usize;
+                        if let (Some(run), Some(l)) = (&mut run, l) {
+                            for row in &mut run[k..k + here] {
+                                row.cells.push(Cell::Label(l));
+                            }
                         }
-                        if left > here {
-                            label = Some((l, left - here));
+                        k += here;
+                        if left > here as u64 {
+                            label = Some((l, left - here as u64));
                         }
                     }
                 }
                 TAG_ATOM => {
-                    for row in run {
-                        row.cells.push(Cell::Atom(match r.get_u8()? {
+                    for k in 0..n {
+                        let v = match r.get_u8()? {
                             0 => Value::Int(r.get_iv()?),
-                            1 => Value::Str(dict_get(&dict, r.get_uv()?)?.into()),
+                            1 => {
+                                let s = dict_get(&dict, r.get_uv()?)?;
+                                if run.is_none() {
+                                    continue;
+                                }
+                                Value::Str(s.into())
+                            }
                             v => return Err(StoreError::Corrupt(format!("bad value variant {v}"))),
-                        }));
+                        };
+                        if let Some(run) = &mut run {
+                            run[k].cells.push(Cell::Atom(v));
+                        }
                     }
                 }
                 TAG_CONTENT => {
-                    for row in run {
+                    for k in 0..n {
                         let s = dict_get(&dict, r.get_uv()?)?;
-                        row.cells.push(Cell::Content(s.to_string()));
+                        if let Some(run) = &mut run {
+                            run[k].cells.push(Cell::Content(s.to_string()));
+                        }
                     }
                 }
                 TAG_TABLE => {
-                    for row in run {
-                        let inner = decode_relation_at(r.get_bytes()?, depth + 1)?;
-                        row.cells.push(Cell::Table(inner));
+                    // a skipped table is still decoded, to nothing but its
+                    // row count, so every check inside it runs
+                    let inner_cols = run.is_none().then_some(&[][..]);
+                    for k in 0..n {
+                        let inner = decode_relation_at(r.get_bytes()?, depth + 1, inner_cols)?;
+                        if let Some(run) = &mut run {
+                            run[k].cells.push(Cell::Table(inner));
+                        }
                     }
                 }
                 t => return Err(StoreError::Corrupt(format!("bad cell tag {t}"))),
@@ -671,6 +754,17 @@ fn decode_relation_at(bytes: &[u8], depth: usize) -> Result<NestedRelation> {
             "{} trailing bytes after relation",
             r.remaining()
         )));
+    }
+    if width < n_cols {
+        sorted_on = sorted_on
+            .filter(|&s| keep[s])
+            .map(|s| keep[..s].iter().filter(|&&k| k).count());
+        schema.cols = schema
+            .cols
+            .into_iter()
+            .zip(&keep)
+            .filter_map(|(c, &k)| k.then_some(c))
+            .collect();
     }
     let mut rel = NestedRelation::new(schema, rows);
     rel.sorted_on = sorted_on;
@@ -789,10 +883,47 @@ mod tests {
     fn relation_round_trips() {
         let rel = sample();
         let bytes = encode_relation(&rel);
-        let back = decode_relation(&bytes).unwrap();
+        let back = decode_relation(&bytes, None).unwrap();
         assert_eq!(back.schema, rel.schema);
         assert_eq!(back.rows, rel.rows);
         assert_eq!(back.sorted_on, rel.sorted_on);
+    }
+
+    #[test]
+    fn projected_decode_builds_only_the_kept_columns() {
+        let rel = sample();
+        let bytes = encode_relation(&rel);
+        for (cols, sorted_on) in [(vec![0, 2], Some(0)), (vec![1, 2], None), (vec![], None)] {
+            let back = decode_relation(&bytes, Some(&cols)).unwrap();
+            let kept =
+                |cells: &[Cell]| -> Vec<Cell> { cols.iter().map(|&c| cells[c].clone()).collect() };
+            assert_eq!(back.schema.len(), cols.len());
+            assert_eq!(back.sorted_on, sorted_on, "{cols:?}");
+            for (got, want) in back.rows.iter().zip(&rel.rows) {
+                assert_eq!(got.cells, kept(&want.cells), "{cols:?}");
+            }
+            assert_eq!(back.rows.len(), rel.rows.len());
+        }
+        // an index past the schema names nothing
+        assert_eq!(
+            decode_relation(&bytes, Some(&[1, 7])).unwrap().schema.len(),
+            1
+        );
+    }
+
+    /// The check-only label test agrees with the decoder it stands in for.
+    #[test]
+    fn ordpath_label_check_matches_the_decoder() {
+        let one = (0..=0xffu8).map(|b| vec![b]);
+        let two = (0..=0xffffu16).map(|x| x.to_le_bytes().to_vec());
+        let wide = (0..12).map(|n| [vec![0x80; n], vec![1]].concat());
+        for bytes in std::iter::once(vec![]).chain(one).chain(two).chain(wide) {
+            assert_eq!(
+                ordpath_label_ok(&bytes),
+                OrdPath::try_from_bytes(&bytes).is_some(),
+                "{bytes:?}"
+            );
+        }
     }
 
     #[test]
@@ -800,7 +931,7 @@ mod tests {
         let bytes = encode_relation(&sample());
         for cut in [1, bytes.len() / 2, bytes.len() - 1] {
             assert!(
-                decode_relation(&bytes[..cut]).is_err(),
+                decode_relation(&bytes[..cut], None).is_err(),
                 "cut at {cut} must not decode"
             );
         }

@@ -8,9 +8,10 @@
 //! * `epoch` — a [`CatalogEpoch`], the in-memory catalog with shard
 //!   partitions;
 //! * `disk-cold` — a [`DiskCatalog`] reopened fresh for every check, so
-//!   each read misses the buffer pool;
+//!   each read misses the buffer pool and a `Project` over a `Scan`
+//!   decodes only the columns it keeps;
 //! * `disk-warm` — one long-lived [`DiskCatalog`] whose pages and decoded
-//!   extents stay resident across checks.
+//!   extents stay resident across checks, so every scan borrows.
 //!
 //! [`ProviderMatrix::check`] executes a plan against every arm at every
 //! requested thread count and asserts byte-identical result rows, schema,

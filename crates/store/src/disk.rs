@@ -47,6 +47,19 @@
 //! [`DiskCatalog::feedback`]), as [`ExecError::Storage`] from a query
 //! that scans the view, or from [`DiskCatalog::warm`], which touches
 //! everything — never as stale or partial data, and never as a panic.
+//!
+//! # What a scan reads
+//!
+//! A scan reads its view's whole segment, once, through the pool, and
+//! checks every page and every column. What it builds depends on the
+//! plan. A `Project` directly over the `Scan` — the shape single-view
+//! rewritings take — asks for the projection
+//! ([`ViewProvider::project_scan`]): a segment nobody has decoded yet is
+//! decoded with only the kept columns built, straight into the rows the
+//! plan returns, and the catalog keeps nothing, so the next such scan
+//! reads the segment again. Any other scan, [`DiskCatalog::load_extent`]
+//! and [`DiskCatalog::warm`] decode every column and keep the extent for
+//! the catalog's lifetime; once kept, scans (projected or not) borrow it.
 
 use crate::codec::{
     decode_partition, decode_relation, encode_partition, encode_relation, fnv64, ByteReader,
@@ -590,8 +603,10 @@ impl<T> LazyFile<T> {
 /// A read-only catalog over one published epoch. Opening it read the
 /// manifest and nothing else: each extent, the summary and the feedback
 /// store are read (extents through the buffer pool), checksum-verified
-/// and decoded on first touch, then kept. *Structure is validated at
-/// open, content checksums on first read* — see the module docs.
+/// and decoded on first touch, then kept — except an extent a projected
+/// scan reads, which is built to the plan's columns and not kept.
+/// *Structure is validated at open, content checksums on first read* —
+/// see the module docs.
 ///
 /// `DiskCatalog` implements [`ViewProvider`], so it drops into the
 /// executor anywhere an in-memory [`CatalogEpoch`] does. A segment that
@@ -644,14 +659,29 @@ impl DiskCatalog {
         self.views.iter().position(|v| v.name == name)
     }
 
+    /// `name`'s index, or the executor's error for an unknown view.
+    fn view_index(&self, name: &str) -> std::result::Result<usize, ExecError> {
+        self.index_of(name)
+            .ok_or_else(|| ExecError::UnknownView(name.to_owned()))
+    }
+
     fn load(&self, i: usize) -> Result<&LoadedView> {
         let seg = &self.segs[i];
         if let Some(lv) = seg.loaded.get() {
             return Ok(lv);
         }
+        let lv = self.read_view(i, None)?;
+        Ok(seg.loaded.get_or_init(|| lv))
+    }
+
+    /// Reads, checksums and decodes segment `i`, building only the extent
+    /// columns `cols` lists ([`decode_relation`]); every byte of the
+    /// payload is checked either way. Keeps nothing.
+    fn read_view(&self, i: usize, cols: Option<&[usize]>) -> Result<LoadedView> {
+        let seg = &self.segs[i];
         let payload = read_segment(self.vfs.as_ref(), &self.pool, seg)?;
         let mut r = ByteReader::new(&payload);
-        let extent = decode_relation(r.get_bytes()?)?;
+        let extent = decode_relation(r.get_bytes()?, cols)?;
         let partition = match r.get_u8()? {
             0 => None,
             1 => Some(decode_partition(r.get_bytes()?, extent.len())?),
@@ -668,7 +698,7 @@ impl DiskCatalog {
                 seg.file
             )));
         }
-        Ok(seg.loaded.get_or_init(|| LoadedView { extent, partition }))
+        Ok(LoadedView { extent, partition })
     }
 
     /// The view definitions the manifest names, in publish order.
@@ -697,17 +727,35 @@ impl DiskCatalog {
     }
 }
 
+/// A store error as the executor reports it for a scan of `view`.
+fn storage(view: &str) -> impl FnOnce(StoreError) -> ExecError + '_ {
+    move |e| ExecError::Storage {
+        view: view.to_owned(),
+        error: e.to_string(),
+    }
+}
+
 impl ViewProvider for DiskCatalog {
     fn extent(&self, name: &str) -> std::result::Result<&NestedRelation, ExecError> {
-        let i = self
-            .index_of(name)
-            .ok_or_else(|| ExecError::UnknownView(name.to_owned()))?;
-        self.load(i)
-            .map(|lv| &lv.extent)
-            .map_err(|e| ExecError::Storage {
-                view: name.to_owned(),
-                error: e.to_string(),
-            })
+        let i = self.view_index(name)?;
+        self.load(i).map(|lv| &lv.extent).map_err(storage(name))
+    }
+
+    /// A segment not yet decoded is read and decoded with only `cols`
+    /// built, every column still checked, and nothing is kept: a later
+    /// scan reads it again. A decoded segment is borrowed (`None`), and so
+    /// is a `cols` past the stored schema, which the generic path reports.
+    fn project_scan(
+        &self,
+        name: &str,
+        cols: &[usize],
+    ) -> std::result::Result<Option<NestedRelation>, ExecError> {
+        let i = self.view_index(name)?;
+        if self.segs[i].loaded.get().is_some() {
+            return Ok(None);
+        }
+        let lv = self.read_view(i, Some(cols)).map_err(storage(name))?;
+        Ok((lv.extent.schema.len() == cols.len()).then_some(lv.extent))
     }
 
     /// `None` also when the segment does not load: the scan of the same

@@ -8,7 +8,8 @@
 //! *soundness* (the answer is direct evaluation's) — not the best one, not
 //! any one: an unsound second-ranked rewriting fails it. The random-tree
 //! property checks provider equivalence only: soundness there fails today
-//! on a recursive document (ROADMAP item 5). Rewriter completeness itself
+//! on a recursive document (ROADMAP item 1, soundness of every returned
+//! rewriting). Rewriter completeness itself
 //! is covered by `tests/end_to_end.rs`.
 
 use proptest::prelude::*;

@@ -52,10 +52,12 @@ proptest! {
                 let view = View::new("v", parse_pattern(pattern).unwrap(), scheme);
                 let cat = materialized(&doc, &[view]);
                 let extent = cat.extent("v").expect("materialized");
-                let back = decode_relation(&encode_relation(extent)).expect("decodes");
+                let bytes = encode_relation(extent);
+                let back = decode_relation(&bytes, None).expect("decodes");
                 prop_assert_eq!(&back.schema, &extent.schema);
                 prop_assert_eq!(&back.rows, &extent.rows);
                 prop_assert_eq!(back.sorted_on, extent.sorted_on);
+                assert_projections_agree(&bytes);
                 if let Some(p) = cat.shard_partition("v") {
                     let bp =
                         decode_partition(&encode_partition(p), extent.len()).expect("decodes");
@@ -122,6 +124,15 @@ proptest! {
 /// the view materializer rarely produces but the relation model allows).
 #[test]
 fn codec_round_trips_nested_and_content_cells() {
+    let rel = nested_and_content_cells();
+    let bytes = encode_relation(&rel);
+    let back = decode_relation(&bytes, None).expect("decodes");
+    assert_eq!(back.rows, rel.rows);
+    assert_eq!(back.schema, rel.schema);
+    assert_projections_agree(&bytes);
+}
+
+fn nested_and_content_cells() -> NestedRelation {
     let inner_schema = Schema::atoms(&[("i.ID", AttrKind::Id), ("i.V", AttrKind::Value)]);
     let inner = NestedRelation::new(
         inner_schema.clone(),
@@ -149,7 +160,7 @@ fn codec_round_trips_nested_and_content_cells() {
             },
         ],
     };
-    let rel = NestedRelation::new(
+    NestedRelation::new(
         schema,
         vec![
             Row::new(vec![
@@ -163,10 +174,58 @@ fn codec_round_trips_nested_and_content_cells() {
                 Cell::Null,
             ]),
         ],
-    );
-    let back = decode_relation(&encode_relation(&rel)).expect("decodes");
-    assert_eq!(back.rows, rel.rows);
-    assert_eq!(back.schema, rel.schema);
+    )
+}
+
+/// `rel` projected onto `cols`, cell by cell, as the executor's `Project`
+/// builds it.
+fn project(rel: &NestedRelation, cols: &[usize]) -> NestedRelation {
+    let schema = Schema {
+        cols: cols.iter().map(|&c| rel.schema.cols[c].clone()).collect(),
+    };
+    let rows = rel
+        .rows
+        .iter()
+        .map(|r| Row::new(cols.iter().map(|&c| r.cells[c].clone()).collect()))
+        .collect();
+    let mut out = NestedRelation::new(schema, rows);
+    out.sorted_on = rel
+        .sorted_on
+        .and_then(|s| cols.iter().position(|&c| c == s));
+    out
+}
+
+/// Projections are tried over this many leading columns: every encoding
+/// these tests build is at most this wide.
+const PROJECTION_WIDTH: usize = 5;
+
+/// The projected decode of `bytes`, on every strictly ascending column
+/// list over its leading columns (the empty one included), agrees with
+/// the full decode: an error whenever the full decode is one — no check
+/// is lost on a skipped column — and otherwise the full decode projected,
+/// rows, schema and `sorted_on`.
+fn assert_projections_agree(bytes: &[u8]) {
+    let full = decode_relation(bytes, None);
+    let width = full
+        .as_ref()
+        .map_or(PROJECTION_WIDTH, |f| f.schema.len().min(PROJECTION_WIDTH));
+    for mask in 0u32..1 << width {
+        let cols: Vec<usize> = (0..width).filter(|&c| mask >> c & 1 == 1).collect();
+        let got = decode_relation(bytes, Some(&cols));
+        match &full {
+            Err(e) => assert!(
+                got.is_err(),
+                "{cols:?} decodes what the full decode refuses: {e}"
+            ),
+            Ok(full) => {
+                let got = got.unwrap_or_else(|e| panic!("{cols:?} refuses a valid input: {e}"));
+                let want = project(full, &cols);
+                assert_eq!(got.schema, want.schema, "{cols:?}: schema");
+                assert_eq!(got.rows, want.rows, "{cols:?}: rows");
+                assert_eq!(got.sorted_on, want.sorted_on, "{cols:?}: sorted_on");
+            }
+        }
+    }
 }
 
 /// Valid encodings to mutate: an extent with `⊥` runs and nested tables,
@@ -242,9 +301,10 @@ fn open_with_manifest(body: &[u8]) -> Result<u64, StoreError> {
 
 /// Every decoder the store reads files with, on `bytes`. Each returns an
 /// error or a value; a panic, an abort on an absurd allocation or a hang
-/// fails the test that calls this.
+/// fails the test that calls this. The relation decoder also runs under
+/// every projection, which must agree with its full decode.
 fn decode_everything(bytes: &[u8], rows: usize) {
-    let _ = decode_relation(bytes);
+    assert_projections_agree(bytes);
     let _ = decode_partition(bytes, rows);
     let _ = Summary::from_bytes(bytes);
     let _ = FeedbackStore::from_bytes(bytes);
@@ -268,7 +328,9 @@ proptest! {
 
     /// The same for one byte changed, dropped or doubled anywhere in a
     /// valid encoding — the shapes real corruption takes. The decoder an
-    /// encoding belongs to sees it; so do the others.
+    /// encoding belongs to sees it; so do the others. A mutated relation
+    /// fails every projected decode its full decode fails, whichever
+    /// column the damage is in.
     #[test]
     fn decoders_survive_single_byte_mutations(
         which in 0usize..5,
@@ -286,6 +348,30 @@ proptest! {
             _ => bytes.insert(i, byte),
         }
         decode_everything(&bytes, e.rows);
+    }
+}
+
+/// Every single-bit flip of an encoded relation's bytes, each dropped
+/// byte too, through every projection — on the materialized extent and on
+/// the content and nested-table cells: a sweep rather than a sample, so a
+/// check the projected decode skips on one column cannot hide in the
+/// cases a random draw missed.
+#[test]
+fn every_relation_mutation_fails_its_projections_too() {
+    for valid in [
+        encoded().relation.clone(),
+        encode_relation(&nested_and_content_cells()),
+    ] {
+        for i in 0..valid.len() {
+            for edit in 0..9 {
+                let mut bytes = valid.clone();
+                match edit {
+                    8 => drop(bytes.remove(i)),
+                    bit => bytes[i] ^= 1 << bit,
+                }
+                assert_projections_agree(&bytes);
+            }
+        }
     }
 }
 
@@ -331,21 +417,27 @@ fn codec_round_trips_rows_that_cost_no_bytes() {
     let unit = |n: usize| NestedRelation::new(Schema { cols: vec![] }, vec![Row::new(vec![]); n]);
     for rel in [label(1), label(5000), unit(0), unit(1), unit(300)] {
         let bytes = encode_relation(&rel);
-        let back = decode_relation(&bytes).expect("decodes");
+        let back = decode_relation(&bytes, None).expect("decodes");
         assert_eq!(back.rows, rel.rows);
         assert_eq!(back.schema, rel.schema);
     }
     // no columns, 300 rows, unsorted, empty dictionary
     let unit_300 = [0, 0xac, 0x02, 0, 0];
     assert_eq!(encode_relation(&unit(300)), unit_300);
-    assert_eq!(decode_relation(&unit_300).unwrap().rows, unit(300).rows);
+    assert_eq!(
+        decode_relation(&unit_300, None).unwrap().rows,
+        unit(300).rows
+    );
     // two columns, 5000 rows, unsorted, dictionary ["item"]; column 0 is
     // one label tag run holding one run of slot 0, column 1 one ⊥ tag run
     let mut label_5000 = vec![2, 3, b'a', b'.', b'L', 1, 3, b'a', b'.', b'V', 2];
     label_5000.extend([0x88, 0x27, 0, 1, 4, b'i', b't', b'e', b'm']);
     label_5000.extend([1, 2, 0x88, 0x27, 0, 0x88, 0x27, 1, 0, 0x88, 0x27]);
     assert_eq!(encode_relation(&label(5000)), label_5000);
-    assert_eq!(decode_relation(&label_5000).unwrap().rows, label(5000).rows);
+    assert_eq!(
+        decode_relation(&label_5000, None).unwrap().rows,
+        label(5000).rows
+    );
 }
 
 /// What that freedom must not buy: a row count no machine can hold, made
@@ -356,7 +448,7 @@ fn codec_refuses_a_row_count_it_cannot_allocate() {
     let unit = [&[0][..], &n, &[0, 0]].concat();
     let nulls = [&[1, 1, b'c', 2][..], &n, &[0, 0, 1, 0], &n].concat();
     for bytes in [unit, nulls] {
-        let err = decode_relation(&bytes).expect_err("2^62 rows");
+        let err = decode_relation(&bytes, None).expect_err("2^62 rows");
         assert!(matches!(err, StoreError::Corrupt(_)), "got: {err}");
     }
 }
@@ -438,22 +530,86 @@ fn corrupt_page_is_a_checked_error_not_garbage_rows() {
     };
     assert!(matches!(err, StoreError::Corrupt(_)), "got: {err}");
     assert!(disk.warm().is_err(), "warm() surfaces the same error");
-    // … and so is a query that scans it, profiled or not
+    // … and so is a query that scans it, profiled or not, whether the scan
+    // builds the extent or only the column a projection over it keeps
     let scan = Plan::Scan { view: "v".into() };
+    let projected = Plan::DupElim {
+        input: Box::new(Plan::Project {
+            input: Box::new(scan.clone()),
+            cols: vec![1],
+        }),
+    };
     let opts = ExecOpts::default();
-    for err in [
-        execute_with(&scan, &disk, &opts).expect_err("plain run"),
-        execute_profiled_with(&scan, &disk, &opts).expect_err("profiled run"),
+    for (plan, at) in [(&scan, ""), (&projected, "0.0")] {
+        for err in [
+            execute_with(plan, &disk, &opts).expect_err("plain run"),
+            execute_profiled_with(plan, &disk, &opts).expect_err("profiled run"),
+        ] {
+            assert!(
+                matches!(err.kind(), ExecError::Storage { view, .. } if view == "v"),
+                "got: {err}"
+            );
+            assert_eq!(err.op_path(), Some(at), "the scan");
+            assert_eq!(err.op_name(), Some("Scan(v)"));
+            assert!(
+                err.to_string().contains("checksum"),
+                "carries the cause: {err}"
+            );
+        }
+    }
+}
+
+/// A projection over a cold scan answers as in memory whatever its column
+/// list: ascending lists (the empty one too) take the projected decode,
+/// others — reordered, repeated — the generic path, and a column past the
+/// schema is the `Project`'s schema error on every provider.
+#[test]
+fn cold_projections_answer_as_in_memory_for_any_column_list() {
+    let view = View::new(
+        "all",
+        parse_pattern("r(//*{id,l,v})").unwrap(),
+        IdScheme::Dewey,
+    );
+    let cat = materialized(&small_matrix_doc(), &[view]);
+    let store = DiskStore::with_options(
+        Arc::new(SimVfs::new()),
+        StoreOptions {
+            page_size: 32,
+            pool_pages: 2,
+        },
+    );
+    store.publish_epoch(&cat, None).unwrap();
+    let project = |cols: Vec<usize>| Plan::Project {
+        input: Box::new(Plan::Scan { view: "all".into() }),
+        cols,
+    };
+    let opts = ExecOpts::default();
+    for cols in [
+        vec![],
+        vec![1],
+        vec![0, 2],
+        vec![2, 0],
+        vec![1, 1],
+        vec![0, 1, 2],
     ] {
-        assert!(
-            matches!(err.kind(), ExecError::Storage { view, .. } if view == "v"),
-            "got: {err}"
+        let plan = project(cols.clone());
+        let want = execute_profiled_with(&plan, &cat, &opts).unwrap();
+        let got = execute_profiled_with(&plan, &store.open().unwrap(), &opts).unwrap();
+        assert_eq!(got.0.schema, want.0.schema, "{cols:?}");
+        assert_eq!(got.0.rows, want.0.rows, "{cols:?}");
+        assert_eq!(got.0.sorted_on, want.0.sorted_on, "{cols:?}");
+        assert_eq!(
+            got.1.rows_at("0"),
+            want.1.rows_at("0"),
+            "{cols:?}: scan rows"
         );
-        assert_eq!(err.op_path(), Some(""), "the root scan");
-        assert!(
-            err.to_string().contains("checksum"),
-            "carries the cause: {err}"
-        );
+    }
+    let cold = store.open().unwrap();
+    let providers: [&dyn ViewProvider; 2] = [&cat, &cold];
+    for provider in providers {
+        let err = execute_with(&project(vec![0, 3]), provider, &opts).unwrap_err();
+        assert!(matches!(err.kind(), ExecError::Schema(_)), "got: {err}");
+        assert_eq!(err.op_path(), Some(""), "the Project");
     }
 }
 
@@ -573,6 +729,24 @@ fn cold_read_touches_only_the_manifest_and_the_scanned_segment() {
     assert_eq!(bytes, seg_len, "the header and every page, once");
     let pages = disk.pool().stats().misses;
     assert!(pages > pool_pages as u64, "the segment outgrows the pool");
+
+    // that read was the projected scan, and it kept nothing: loading the
+    // extent reads the segment again, and from then on scans borrow it
+    assert!(
+        matches!(plan, Plan::DupElim { input } if matches!(**input, Plan::Project { .. })),
+        "a projection over the scan: {plan:?}"
+    );
+    disk.load_extent(&used[0]).unwrap().expect("published");
+    let reloaded = vfs.take_reads();
+    assert!(reloaded[&segment].1 > 0, "the extent was not kept");
+    assert_eq!(execute_with(plan, &disk, &opts).unwrap().rows, got.rows);
+    assert!(vfs.take_reads().is_empty(), "a loaded extent is borrowed");
+    // the same after `warm`, on a fresh catalog
+    let warmed = store.open().unwrap();
+    warmed.warm().unwrap();
+    vfs.take_reads();
+    assert_eq!(execute_with(plan, &warmed, &opts).unwrap().rows, got.rows);
+    assert!(vfs.take_reads().is_empty(), "a warmed extent is borrowed");
 
     // first use of the summary is what reads it
     disk.summary().unwrap().expect("published");
