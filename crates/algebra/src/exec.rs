@@ -43,10 +43,9 @@ use std::time::Instant;
 /// The default (`threads: 1`) is fully sequential and byte-identical to
 /// the historical executor. With `threads > 1`, selections, id-joins,
 /// structural joins and the normalization sort run as morsel-sized tasks
-/// on a persistent [`WorkerPool`] — per summary-path-pair shard when both
-/// join inputs are scans of sharded extents ([`ShardPartition`]), by
-/// chunking the sorted right side otherwise. Results and [`ExecProfile`]
-/// counters are identical at every thread count; only wall-clock changes.
+/// on a persistent [`WorkerPool`]; a structural join chunks its sorted
+/// right side. Results and [`ExecProfile`] counters are identical at
+/// every thread count; only wall-clock changes.
 #[derive(Clone, Debug)]
 pub struct ExecOpts {
     /// Parallelism units this execution may occupy on the pool:
@@ -224,52 +223,6 @@ where
     }
 }
 
-/// One summary-path shard of a materialized extent: the rows whose
-/// sharding-column ID sits on one summary path, plus enough of the
-/// summary's pre-order geometry (`pre`/`last_desc`/`depth`) for the
-/// executor to decide path-pair joinability without a summary in hand.
-#[derive(Clone, Debug)]
-pub struct ExtentShard {
-    /// The summary path node this shard holds (a [`NodeId`] into the
-    /// summary's arena).
-    pub path: NodeId,
-    /// The path's pre-order rank in the summary.
-    pub pre: u32,
-    /// Pre-order rank of the path's last descendant (ancestor tests are
-    /// interval containment: `a.pre < b.pre && b.pre <= a.last_desc`).
-    pub last_desc: u32,
-    /// The path's depth (root = 0); parent tests are ancestor + depth+1.
-    pub depth: u32,
-    /// Row indices into the (normalized) extent, ascending — i.e. in
-    /// document order of the sharding column.
-    pub rows: Vec<usize>,
-}
-
-/// A partition of a materialized extent's rows by the summary path of
-/// one ID column (produced by `EpochCatalog` in `smv-views`).
-///
-/// Invariants the executor relies on: `col` is the extent's first
-/// column, the extent is normalized (hence sorted in document order on
-/// `col`), every row with an ID in `col` appears in exactly one shard,
-/// and rows whose `col` cell is not an ID (optional subtrees that bound
-/// to `⊥`) are listed in `unclassified`.
-#[derive(Clone, Debug, Default)]
-pub struct ShardPartition {
-    /// The sharding column.
-    pub col: usize,
-    /// Identifies the summary geometry snapshot the shard ranks were
-    /// copied from (`Summary::geometry_token` in `smv-summary`). Two
-    /// partitions' `pre`/`last_desc`/`depth` ranks are comparable only
-    /// when their tokens are equal — summary extensions renumber the
-    /// pre-order — so the executor joins per path pair only across
-    /// same-token partitions and otherwise falls back to chunking.
-    pub token: (u64, u64),
-    /// The shards, one per summary path with at least one row.
-    pub shards: Vec<ExtentShard>,
-    /// Rows whose sharding-column cell is not an ID.
-    pub unclassified: Vec<usize>,
-}
-
 /// Supplies view extents by name.
 pub trait ViewProvider {
     /// The materialized extent of `name`: [`ExecError::UnknownView`] when
@@ -295,38 +248,18 @@ pub trait ViewProvider {
     ) -> Result<Option<NestedRelation>, ExecError> {
         Ok(None)
     }
-
-    /// The summary-path shard partition of `name`'s extent, when the
-    /// store maintains one. The default is `None`: providers without
-    /// sharding still execute every plan — parallel structural joins
-    /// just fall back from per-path-pair tasks to chunking.
-    fn shard_partition(&self, _name: &str) -> Option<&ShardPartition> {
-        None
-    }
 }
 
 /// A trivial provider backed by a map (tests, examples).
 #[derive(Default)]
 pub struct MapProvider {
     map: HashMap<String, NestedRelation>,
-    shards: HashMap<String, ShardPartition>,
 }
 
 impl MapProvider {
-    /// Registers a view extent. Replacing an extent drops any shard
-    /// partition registered under the same name (its row indices would
-    /// dangle into the new extent).
+    /// Registers a view extent, replacing any under the same name.
     pub fn insert(&mut self, name: &str, rel: NestedRelation) {
         self.map.insert(name.to_owned(), rel);
-        self.shards.remove(name);
-    }
-
-    /// Registers a view extent together with its summary-path shard
-    /// partition (the caller vouches for the [`ShardPartition`]
-    /// invariants).
-    pub fn insert_sharded(&mut self, name: &str, rel: NestedRelation, partition: ShardPartition) {
-        self.map.insert(name.to_owned(), rel);
-        self.shards.insert(name.to_owned(), partition);
     }
 }
 
@@ -335,10 +268,6 @@ impl ViewProvider for MapProvider {
         self.map
             .get(name)
             .ok_or_else(|| ExecError::UnknownView(name.to_owned()))
-    }
-
-    fn shard_partition(&self, name: &str) -> Option<&ShardPartition> {
-        self.shards.get(name)
     }
 }
 
@@ -810,18 +739,7 @@ fn eval_op<'a>(
             let l = eval_child(left, views, prof, opts, 0)?;
             let r = eval_child(right, views, prof, opts, 1)?;
             let rows = if opts.engage(l.rows.len() + r.rows.len(), Some(plan)) {
-                let (rows, tasks) = match (
-                    scan_partition(left, views, *lcol, &l),
-                    scan_partition(right, views, *rcol, &r),
-                ) {
-                    // equal tokens: both partitions' path ranks come from
-                    // the same summary geometry snapshot, so the
-                    // joinability intervals are comparable
-                    (Some(lp), Some(rp)) if lp.token == rp.token => {
-                        shard_pair_join(&l, &r, *rel, lp, rp, opts)
-                    }
-                    _ => chunked_struct_join(&l, &r, *lcol, *rcol, *rel, opts),
-                };
+                let (rows, tasks) = chunked_struct_join(&l, &r, *lcol, *rcol, *rel, opts);
                 if let Some(p) = &mut prof.profile {
                     p.add_morsels(&prof.path, tasks as u64);
                 }
@@ -1120,126 +1038,9 @@ fn joined_row(l: &Row, r: &Row, width: usize) -> Row {
     Row::new(cells)
 }
 
-/// The shard partition behind `plan`, when the per-path-pair fast path
-/// applies: `plan` is a bare scan, the provider maintains a partition on
-/// exactly the join column, and the served extent is known sorted on it
-/// (per-shard joins and the integer-keyed output merge both rely on
-/// that). Anything else falls back to the chunked parallel join.
-fn scan_partition<'a>(
-    plan: &Plan,
-    views: &'a dyn ViewProvider,
-    col: usize,
-    served: &NestedRelation,
-) -> Option<&'a ShardPartition> {
-    let Plan::Scan { view } = plan else {
-        return None;
-    };
-    let p = views.shard_partition(view)?;
-    (p.col == col && served.sorted_on == Some(col)).then_some(p)
-}
-
-/// The ids and extent-row indices of one shard, in document order (the
-/// extent is sorted on `col` and shard rows ascend).
-fn shard_ids<'x>(
-    extent: &'x NestedRelation,
-    shard: &ExtentShard,
-    col: usize,
-) -> (Vec<&'x StructId>, Vec<usize>) {
-    let mut ids = Vec::with_capacity(shard.rows.len());
-    let mut rows = Vec::with_capacity(shard.rows.len());
-    for &i in &shard.rows {
-        if let Cell::Id(id) = &extent.rows[i].cells[col] {
-            ids.push(id);
-            rows.push(i);
-        }
-    }
-    (ids, rows)
-}
-
-/// Structural join decomposed per summary-path-pair shard — the paper's
-/// natural decomposition of structural-join plans. Shard pair `(a, b)`
-/// can produce output only when path `a` is a summary ancestor of path
-/// `b` (parent joins additionally require `depth(b) = depth(a) + 1`), so
-/// only those pairs produce morsels; every other pair is skipped
-/// outright. A pair whose right side exceeds the morsel size splits into
-/// several right-subrange morsels, so one giant path pair no longer
-/// serializes the join. Both extents being sorted on their join columns,
-/// global right-then-left document order *is* ascending (right row, left
-/// row) index order, so merging the per-morsel outputs back into the
-/// exact sequential emission order is an integer-keyed sort — no ID
-/// comparison pass.
-fn shard_pair_join(
-    l: &NestedRelation,
-    r: &NestedRelation,
-    rel: StructRel,
-    lp: &ShardPartition,
-    rp: &ShardPartition,
-    opts: &ExecOpts,
-) -> (Vec<Row>, usize) {
-    let lsh: Vec<(&ExtentShard, Vec<&StructId>, Vec<usize>)> = lp
-        .shards
-        .iter()
-        .map(|s| {
-            let (ids, rows) = shard_ids(l, s, lp.col);
-            (s, ids, rows)
-        })
-        .collect();
-    let rsh: Vec<(&ExtentShard, Vec<&StructId>, Vec<usize>)> = rp
-        .shards
-        .iter()
-        .map(|s| {
-            let (ids, rows) = shard_ids(r, s, rp.col);
-            (s, ids, rows)
-        })
-        .collect();
-    // morsel size relative to the whole right side: small pairs stay one
-    // morsel each (they are already plentiful tasks), only dominant pairs
-    // split — each extra morsel re-scans the pair's left side
-    let morsel = opts.morsel_rows(r.rows.len());
-    let mut tasks: Vec<(usize, usize, std::ops::Range<usize>)> = Vec::new();
-    for (li, (ls, lids, _)) in lsh.iter().enumerate() {
-        if lids.is_empty() {
-            continue;
-        }
-        for (ri, (rs, rids, _)) in rsh.iter().enumerate() {
-            if rids.is_empty() {
-                continue;
-            }
-            let ancestor = ls.pre < rs.pre && rs.pre <= ls.last_desc;
-            let joinable = match rel {
-                StructRel::Ancestor => ancestor,
-                StructRel::Parent => ancestor && rs.depth == ls.depth + 1,
-            };
-            if joinable {
-                for rg in morsel_ranges(rids.len(), morsel) {
-                    tasks.push((li, ri, rg));
-                }
-            }
-        }
-    }
-    let width = l.schema.len() + r.schema.len();
-    let outs: Vec<Vec<(u64, Row)>> = run_par(opts, tasks.len(), |t| {
-        let (li, ri, ref rg) = tasks[t];
-        let (_, lids, lrows) = &lsh[li];
-        let (_, rids, rrows) = &rsh[ri];
-        stack_tree_join_presorted_range(lids, rids, rel, rg.clone())
-            .into_iter()
-            .map(|(a, b)| {
-                let key = ((rrows[b] as u64) << 32) | lrows[a] as u64;
-                (key, joined_row(&l.rows[lrows[a]], &r.rows[rrows[b]], width))
-            })
-            .collect()
-    });
-    let mut keyed: Vec<(u64, Row)> = outs.into_iter().flatten().collect();
-    // each (left row, right row) pair comes from exactly one morsel, so
-    // keys are unique and the unstable sort is deterministic
-    keyed.sort_unstable_by_key(|&(k, _)| k);
-    (keyed.into_iter().map(|(_, row)| row).collect(), tasks.len())
-}
-
-/// General parallel structural join for arbitrary inputs: the sorted
-/// right side splits into contiguous ranges, each range re-runs the
-/// stack-tree merge against the left prefix it needs
+/// Parallel structural join: the sorted right side splits into
+/// contiguous ranges, each range re-runs the stack-tree merge against the
+/// left prefix it needs
 /// ([`stack_tree_join_presorted_range`]), and the outputs concatenate in
 /// range order — byte-identical to the sequential merge, since a range's
 /// pairs are exactly the full join's pairs for its right rows, in the
@@ -1805,8 +1606,7 @@ mod tests {
 
     #[test]
     fn parallel_struct_join_is_byte_identical_to_sequential() {
-        // nodes in doc order: a0 b1 d2 d3 c4 d5 b6 d7; summary geometry
-        // of a(b(d) c(d)): pre a0 b1 b/d2 c3 c/d4
+        // nodes in doc order: a0 b1 d2 d3 c4 d5 b6 d7
         let doc = Document::from_parens(r#"a(b(d="1" d="2") c(d="3") b(d="4"))"#);
         let ia = ids(&doc);
         let mut lrel = NestedRelation::empty(Schema::atoms(&[("x.ID", AttrKind::Id)]));
@@ -1826,33 +1626,9 @@ mod tests {
         }
         lrel.normalize();
         rrel.normalize();
-        let shard = |path: u32, pre, last_desc, depth, rows| ExtentShard {
-            path: NodeId(path),
-            pre,
-            last_desc,
-            depth,
-            rows,
-        };
-        // left rows in doc order: b1, c4, b6 → paths b, c, b
-        let lpart = ShardPartition {
-            col: 0,
-            token: (1, 1),
-            shards: vec![shard(1, 1, 2, 1, vec![0, 2]), shard(3, 3, 4, 1, vec![1])],
-            unclassified: vec![],
-        };
-        // right rows in doc order: d2, d3, d5, d7 → paths b/d, b/d, c/d, b/d
-        let rpart = ShardPartition {
-            col: 0,
-            token: (1, 1),
-            shards: vec![shard(2, 2, 2, 2, vec![0, 1, 3]), shard(4, 4, 4, 2, vec![2])],
-            unclassified: vec![],
-        };
-        let mut sharded = MapProvider::default();
-        sharded.insert_sharded("l", lrel.clone(), lpart);
-        sharded.insert_sharded("r", rrel.clone(), rpart);
-        let mut plain = MapProvider::default();
-        plain.insert("l", lrel);
-        plain.insert("r", rrel);
+        let mut views = MapProvider::default();
+        views.insert("l", lrel);
+        views.insert("r", rrel);
         for rel in [StructRel::Parent, StructRel::Ancestor] {
             let plan = Plan::StructJoin {
                 left: Box::new(Plan::Scan { view: "l".into() }),
@@ -1871,22 +1647,18 @@ mod tests {
             // pre-normalization outputs, byte for byte
             let seq = eval(
                 &plan,
-                &plain,
+                &views,
                 &mut Profiler::unprofiled(),
                 &ExecOpts::default(),
             )
             .unwrap();
             assert!(!seq.rows.is_empty());
-            for p in [&sharded, &plain] {
-                // sharded provider → per-path-pair tasks; plain → chunked
-                let par = eval(&plan, p, &mut Profiler::unprofiled(), &opts).unwrap();
-                assert_eq!(seq.rows, par.rows, "{rel:?} rows");
-                assert_eq!(seq.sorted_on, par.sorted_on, "{rel:?} sortedness");
-            }
+            let par = eval(&plan, &views, &mut Profiler::unprofiled(), &opts).unwrap();
+            assert_eq!(seq.rows, par.rows, "{rel:?} rows");
+            assert_eq!(seq.sorted_on, par.sorted_on, "{rel:?} sortedness");
             // profiles agree operator by operator
-            let (_, prof_seq) =
-                execute_profiled_with(&plan, &sharded, &ExecOpts::default()).unwrap();
-            let (_, prof_par) = execute_profiled_with(&plan, &sharded, &opts).unwrap();
+            let (_, prof_seq) = execute_profiled_with(&plan, &views, &ExecOpts::default()).unwrap();
+            let (_, prof_par) = execute_profiled_with(&plan, &views, &opts).unwrap();
             for (path, rows) in prof_seq.iter() {
                 assert_eq!(prof_par.rows_at(path), Some(rows), "{rel:?} at `{path}`");
             }

@@ -22,8 +22,7 @@ pub use cost::{
     ColCard, CostModel, NoCards, PlanEstimate, ScanCard,
 };
 pub use exec::{
-    execute_profiled_with, execute_with, ExecError, ExecOpts, ExtentShard, MapProvider,
-    ShardPartition, ViewProvider,
+    execute_profiled_with, execute_with, ExecError, ExecOpts, MapProvider, ViewProvider,
 };
 pub use explain::{explain, explain_analyze, Explain, ExplainNode};
 pub use feedback::{

@@ -22,7 +22,7 @@
 //! truncated or mismatched bytes surface as
 //! [`StoreError::Corrupt`](crate::StoreError) — never as garbage rows, a
 //! panic or an aborting allocation. Every element count whose elements
-//! take bytes (runs, dictionary strings, columns, shard rows, …) is
+//! take bytes (runs, dictionary strings, columns, …) is
 //! refused when it exceeds the bytes still unread
 //! ([`ByteReader::get_count`]); the row count, which run-length coding
 //! lets cost nothing, must agree with the first column's tag runs before
@@ -45,10 +45,8 @@
 //! corrupt column the caller does not read still fails the read.
 
 use crate::io::{Result, StoreError};
-use smv_algebra::{
-    AttrKind, Cell, ColKind, Column, ExtentShard, NestedRelation, Row, Schema, ShardPartition,
-};
-use smv_xml::{DeweyId, Label, NodeId, OrdPath, StructId, Symbol, Value};
+use smv_algebra::{AttrKind, Cell, ColKind, Column, NestedRelation, Row, Schema};
+use smv_xml::{DeweyId, Label, OrdPath, StructId, Symbol, Value};
 use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
@@ -771,81 +769,6 @@ fn decode_relation_at(
     Ok(rel)
 }
 
-// ---------------------------------------------------------------------------
-// shard partitions
-
-/// Serializes a [`ShardPartition`] (the summary-free interval metadata the
-/// parallel executor shards joins on).
-pub fn encode_partition(p: &ShardPartition) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_uv(p.col as u64);
-    w.put_u64(p.token.0);
-    w.put_u64(p.token.1);
-    w.put_uv(p.shards.len() as u64);
-    for s in &p.shards {
-        w.put_uv(s.path.0 as u64);
-        w.put_uv(s.pre as u64);
-        w.put_uv(s.last_desc as u64);
-        w.put_uv(s.depth as u64);
-        put_index_list(&mut w, &s.rows);
-    }
-    put_index_list(&mut w, &p.unclassified);
-    w.into_bytes()
-}
-
-/// Decodes [`encode_partition`] bytes for an extent of `n_rows` rows; a
-/// row index the extent does not have is corruption.
-pub fn decode_partition(bytes: &[u8], n_rows: usize) -> Result<ShardPartition> {
-    let mut r = ByteReader::new(bytes);
-    let col = r.get_u32()? as usize;
-    let token = (r.get_u64()?, r.get_u64()?);
-    let n = r.get_count()?;
-    let mut shards = Vec::with_capacity(n);
-    for _ in 0..n {
-        shards.push(ExtentShard {
-            path: NodeId(r.get_u32()?),
-            pre: r.get_u32()?,
-            last_desc: r.get_u32()?,
-            depth: r.get_u32()?,
-            rows: get_index_list(&mut r, n_rows)?,
-        });
-    }
-    let unclassified = get_index_list(&mut r, n_rows)?;
-    if r.remaining() != 0 {
-        return Err(StoreError::Corrupt("trailing bytes after partition".into()));
-    }
-    Ok(ShardPartition {
-        col,
-        token,
-        shards,
-        unclassified,
-    })
-}
-
-/// Row-index lists are ascending within a shard: delta-varint them.
-fn put_index_list(w: &mut ByteWriter, xs: &[usize]) {
-    w.put_uv(xs.len() as u64);
-    let mut prev = 0i64;
-    for &x in xs {
-        w.put_iv(x as i64 - prev);
-        prev = x as i64;
-    }
-}
-
-fn get_index_list(r: &mut ByteReader, n_rows: usize) -> Result<Vec<usize>> {
-    let n = r.get_count()?;
-    let mut xs = Vec::with_capacity(n);
-    let mut prev = 0i64;
-    for _ in 0..n {
-        prev = prev
-            .checked_add(r.get_iv()?)
-            .filter(|&x| 0 <= x && (x as u64) < n_rows as u64)
-            .ok_or_else(|| StoreError::Corrupt("row index outside the extent".into()))?;
-        xs.push(prev as usize);
-    }
-    Ok(xs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -935,28 +858,5 @@ mod tests {
                 "cut at {cut} must not decode"
             );
         }
-    }
-
-    #[test]
-    fn partition_round_trips() {
-        let p = ShardPartition {
-            col: 0,
-            token: (42, 7),
-            shards: vec![ExtentShard {
-                path: NodeId(3),
-                pre: 1,
-                last_desc: 5,
-                depth: 2,
-                rows: vec![0, 1, 4, 9],
-            }],
-            unclassified: vec![2, 3],
-        };
-        let bytes = encode_partition(&p);
-        let back = decode_partition(&bytes, 10).unwrap();
-        assert_eq!(back.col, p.col);
-        assert_eq!(back.token, p.token);
-        assert_eq!(back.shards.len(), 1);
-        assert_eq!(back.shards[0].rows, p.shards[0].rows);
-        assert_eq!(back.unclassified, p.unclassified);
     }
 }

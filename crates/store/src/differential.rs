@@ -5,8 +5,8 @@
 //! exposes them through four provider arms:
 //!
 //! * `map` — a plain [`MapProvider`] holding the normalized extents;
-//! * `epoch` — a [`CatalogEpoch`], the in-memory catalog with shard
-//!   partitions;
+//! * `epoch` — a [`CatalogEpoch`], the in-memory catalog's published
+//!   snapshot, serving its `Arc`-shared extents;
 //! * `disk-cold` — a [`DiskCatalog`] reopened fresh for every check, so
 //!   each read misses the buffer pool and a `Project` over a `Scan`
 //!   decodes only the columns it keeps;
@@ -92,7 +92,7 @@ impl ProviderMatrix {
         }
     }
 
-    /// The summary the epoch arm was partitioned against.
+    /// The summary snapshot the epoch arm was published with.
     pub fn summary(&self) -> &Summary {
         self.epoch.summary()
     }

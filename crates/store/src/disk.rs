@@ -12,10 +12,13 @@
 //! manifest-{E}.smv    the commit record naming all of the above
 //! ```
 //!
-//! A segment file is a 24-byte header (`SMVSEG1\n`, page size, page
+//! A segment file is a 24-byte header (`SMVSEG2\n`, page size, page
 //! count, payload length) followed by fixed-size pages, each prefixed
 //! with an FNV-1a checksum of its payload. Reads go through the
-//! [`BufferPool`]; the last page may be short.
+//! [`BufferPool`]; the last page may be short. The payload is the view's
+//! normalized extent as [`encode_relation`] writes it, and nothing else.
+//! A header with another magic — `SMVSEG1\n` segments also carried a
+//! per-summary-path row partition — is corruption, not a format to read.
 //!
 //! # The epoch swap
 //!
@@ -61,20 +64,17 @@
 //! and [`DiskCatalog::warm`] decode every column and keep the extent for
 //! the catalog's lifetime; once kept, scans (projected or not) borrow it.
 
-use crate::codec::{
-    decode_partition, decode_relation, encode_partition, encode_relation, fnv64, ByteReader,
-    ByteWriter,
-};
+use crate::codec::{decode_relation, encode_relation, fnv64, ByteReader, ByteWriter};
 use crate::io::{Result, StoreError, Vfs};
 use crate::pool::BufferPool;
-use smv_algebra::{ExecError, FeedbackStore, NestedRelation, ShardPartition, ViewProvider};
+use smv_algebra::{ExecError, FeedbackStore, NestedRelation, ViewProvider};
 use smv_pattern::{canonical_form, parse_pattern};
 use smv_summary::Summary;
 use smv_views::{CatalogEpoch, View, ViewStore};
 use smv_xml::IdScheme;
 use std::sync::{Arc, OnceLock};
 
-const SEG_MAGIC: &[u8; 8] = b"SMVSEG1\n";
+const SEG_MAGIC: &[u8; 8] = b"SMVSEG2\n";
 const MAN_MAGIC: &[u8; 8] = b"SMVMAN1\n";
 const SEG_HEADER: u64 = 24;
 const PAGE_PREFIX: u64 = 8; // per-page checksum
@@ -380,8 +380,8 @@ impl DiskStore {
     }
 
     /// Publishes an [`EpochCatalog`](smv_views::EpochCatalog) snapshot at
-    /// its own epoch number: every view extent and shard partition, the
-    /// summary, and optionally a feedback store. Durable at return; a
+    /// its own epoch number: every view extent, the summary, and
+    /// optionally a feedback store. Durable at return; a
     /// crash at any interior point leaves the previously published epoch
     /// intact.
     pub fn publish_epoch(
@@ -396,16 +396,7 @@ impl DiskStore {
             let extent = snap
                 .extent(&view.name)
                 .map_err(|e| StoreError::Io(e.to_string()))?;
-            let mut pw = ByteWriter::new();
-            pw.put_bytes(&encode_relation(extent));
-            match snap.shard_partition(&view.name) {
-                Some(p) => {
-                    pw.put_u8(1);
-                    pw.put_bytes(&encode_partition(p));
-                }
-                None => pw.put_u8(0),
-            }
-            let payload = pw.into_bytes();
+            let payload = encode_relation(extent);
             let file = seg_name(epoch, i);
             let file_len = write_segment(
                 self.vfs.as_ref(),
@@ -559,12 +550,7 @@ struct SegMeta {
     file: String,
     payload_len: u64,
     file_len: u64,
-    loaded: OnceLock<LoadedView>,
-}
-
-struct LoadedView {
-    extent: NestedRelation,
-    partition: Option<ShardPartition>,
+    loaded: OnceLock<NestedRelation>,
 }
 
 /// A checksum-trailed file the manifest names (or does not), read,
@@ -665,40 +651,22 @@ impl DiskCatalog {
             .ok_or_else(|| ExecError::UnknownView(name.to_owned()))
     }
 
-    fn load(&self, i: usize) -> Result<&LoadedView> {
+    fn load(&self, i: usize) -> Result<&NestedRelation> {
         let seg = &self.segs[i];
-        if let Some(lv) = seg.loaded.get() {
-            return Ok(lv);
+        if let Some(extent) = seg.loaded.get() {
+            return Ok(extent);
         }
-        let lv = self.read_view(i, None)?;
-        Ok(seg.loaded.get_or_init(|| lv))
+        let extent = self.read_view(i, None)?;
+        Ok(seg.loaded.get_or_init(|| extent))
     }
 
     /// Reads, checksums and decodes segment `i`, building only the extent
     /// columns `cols` lists ([`decode_relation`]); every byte of the
     /// payload is checked either way. Keeps nothing.
-    fn read_view(&self, i: usize, cols: Option<&[usize]>) -> Result<LoadedView> {
+    fn read_view(&self, i: usize, cols: Option<&[usize]>) -> Result<NestedRelation> {
         let seg = &self.segs[i];
         let payload = read_segment(self.vfs.as_ref(), &self.pool, seg)?;
-        let mut r = ByteReader::new(&payload);
-        let extent = decode_relation(r.get_bytes()?, cols)?;
-        let partition = match r.get_u8()? {
-            0 => None,
-            1 => Some(decode_partition(r.get_bytes()?, extent.len())?),
-            t => {
-                return Err(StoreError::Corrupt(format!(
-                    "{}: bad partition flag {t}",
-                    seg.file
-                )))
-            }
-        };
-        if r.remaining() != 0 {
-            return Err(StoreError::Corrupt(format!(
-                "{}: trailing bytes after view payload",
-                seg.file
-            )));
-        }
-        Ok(LoadedView { extent, partition })
+        decode_relation(&payload, cols)
     }
 
     /// The view definitions the manifest names, in publish order.
@@ -710,7 +678,7 @@ impl DiskCatalog {
     /// corruption.
     pub fn load_extent(&self, name: &str) -> Result<Option<&NestedRelation>> {
         match self.index_of(name) {
-            Some(i) => Ok(Some(&self.load(i)?.extent)),
+            Some(i) => Ok(Some(self.load(i)?)),
             None => Ok(None),
         }
     }
@@ -738,7 +706,7 @@ fn storage(view: &str) -> impl FnOnce(StoreError) -> ExecError + '_ {
 impl ViewProvider for DiskCatalog {
     fn extent(&self, name: &str) -> std::result::Result<&NestedRelation, ExecError> {
         let i = self.view_index(name)?;
-        self.load(i).map(|lv| &lv.extent).map_err(storage(name))
+        self.load(i).map_err(storage(name))
     }
 
     /// A segment not yet decoded is read and decoded with only `cols`
@@ -754,15 +722,8 @@ impl ViewProvider for DiskCatalog {
         if self.segs[i].loaded.get().is_some() {
             return Ok(None);
         }
-        let lv = self.read_view(i, Some(cols)).map_err(storage(name))?;
-        Ok((lv.extent.schema.len() == cols.len()).then_some(lv.extent))
-    }
-
-    /// `None` also when the segment does not load: the scan of the same
-    /// view has already returned that error.
-    fn shard_partition(&self, name: &str) -> Option<&ShardPartition> {
-        let lv = self.load(self.index_of(name)?).ok()?;
-        lv.partition.as_ref()
+        let extent = self.read_view(i, Some(cols)).map_err(storage(name))?;
+        Ok((extent.schema.len() == cols.len()).then_some(extent))
     }
 }
 

@@ -44,7 +44,7 @@ pub mod disk;
 pub mod io;
 pub mod pool;
 
-pub use codec::{decode_partition, decode_relation, encode_partition, encode_relation, fnv64};
+pub use codec::{decode_relation, encode_relation, fnv64};
 pub use differential::ProviderMatrix;
 pub use disk::{DiskCatalog, DiskStore, StoreOptions};
 pub use io::{DiskVfs, FaultKind, FaultPlan, Result, SimVfs, StoreError, Vfs};

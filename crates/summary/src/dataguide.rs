@@ -148,70 +148,6 @@ impl ValueHistogram {
         mass += spread(self.above, top + 1, self.above_max as i128);
         mass
     }
-
-    /// Smallest integer any mass of this histogram covers.
-    fn span_lo(&self) -> i64 {
-        self.below_min.min(self.lo)
-    }
-
-    /// Largest integer any mass of this histogram covers.
-    fn span_hi(&self) -> i64 {
-        let top = self.lo as i128 + self.buckets.len() as i128 * self.width as i128 - 1;
-        (self.above_max as i128).max(top).min(i64::MAX as i128) as i64
-    }
-
-    /// Spreads `count` mass uniformly over the inclusive integer span
-    /// `[slo, shi]` into this histogram's buckets. The target range is
-    /// assumed to cover the span (merge construction guarantees it).
-    fn fold_span(&mut self, count: f64, slo: i128, shi: i128) {
-        if count == 0.0 || slo > shi {
-            return;
-        }
-        let span = (shi - slo + 1) as f64;
-        for k in 0..self.buckets.len() {
-            let blo = self.lo as i128 + k as i128 * self.width as i128;
-            let bhi = blo + self.width as i128 - 1;
-            let olo = slo.max(blo);
-            let ohi = shi.min(bhi);
-            if olo <= ohi {
-                self.buckets[k] += count * ((ohi - olo + 1) as f64 / span);
-            }
-        }
-    }
-
-    /// Merges two histograms into one spanning both ranges,
-    /// **mass-exactly**: the merged `total`, `string_count` and overall
-    /// integer mass are the sums of the inputs'; sub-range masses agree
-    /// with the inputs' up to the uniform-within-bucket re-apportioning
-    /// that re-bucketing implies. Used when two independently built
-    /// per-shard summaries are merged.
-    pub fn merge(&self, other: &ValueHistogram) -> ValueHistogram {
-        let lo = self.span_lo().min(other.span_lo());
-        let hi = self.span_hi().max(other.span_hi());
-        let span = (hi as i128 - lo as i128 + 1) as u128;
-        let width = span.div_ceil(HIST_BUCKETS as u128).max(1) as i64;
-        let mut h = ValueHistogram {
-            lo,
-            width,
-            buckets: vec![0.0; HIST_BUCKETS],
-            below: 0.0,
-            below_min: lo,
-            above: 0.0,
-            above_max: hi,
-            strings: self.strings + other.strings,
-            total: self.total + other.total,
-        };
-        for src in [self, other] {
-            for (k, &count) in src.buckets.iter().enumerate() {
-                let blo = src.lo as i128 + k as i128 * src.width as i128;
-                h.fold_span(count, blo, blo + src.width as i128 - 1);
-            }
-            h.fold_span(src.below, src.below_min as i128, src.lo as i128 - 1);
-            let top = src.lo as i128 + src.buckets.len() as i128 * src.width as i128 - 1;
-            h.fold_span(src.above, top + 1, src.above_max as i128);
-        }
-        h
-    }
 }
 
 /// A capped distinct-value sketch for one summary path. While unsaturated
@@ -246,57 +182,6 @@ impl ValueSketch {
             return;
         }
         self.seen.insert(v.clone());
-    }
-
-    /// Merges another sketch in. Two unsaturated sketches union their
-    /// exact sets (order-independent, hence *exactly* what sequential
-    /// ingest of the combined streams would hold), saturating if the
-    /// union overflows the cap; a saturated side contributes its
-    /// histogram, with the unsaturated side's sample folded in; two
-    /// saturated sides merge histograms mass-exactly
-    /// ([`ValueHistogram::merge`]).
-    ///
-    /// A side that saturated **without an integer axis** (`hist:
-    /// None` — its sample was all strings) poisons the merge to
-    /// `None`: sequential ingest would have kept that path
-    /// histogram-free, so estimators fall back to the blanket range
-    /// selectivity instead of trusting a histogram fabricated from the
-    /// other side's (unrepresentative) values.
-    fn merge(&mut self, other: &ValueSketch) {
-        match (self.saturated, other.saturated) {
-            (false, false) => {
-                self.seen.extend(other.seen.iter().cloned());
-                if self.seen.len() > DISTINCT_CAP {
-                    self.saturated = true;
-                    self.hist = ValueHistogram::build(self.seen.iter());
-                    self.seen = HashSet::new();
-                }
-            }
-            (false, true) => {
-                let mut hist = other.hist.clone();
-                if let Some(h) = &mut hist {
-                    for v in &self.seen {
-                        h.add(v);
-                    }
-                }
-                self.hist = hist;
-                self.saturated = true;
-                self.seen = HashSet::new();
-            }
-            (true, false) => {
-                if let Some(h) = &mut self.hist {
-                    for v in &other.seen {
-                        h.add(v);
-                    }
-                }
-            }
-            (true, true) => {
-                self.hist = match (&self.hist, &other.hist) {
-                    (Some(a), Some(b)) => Some(a.merge(b)),
-                    _ => None,
-                };
-            }
-        }
     }
 }
 
@@ -384,15 +269,13 @@ impl Summary {
         s
     }
 
-    /// An opaque token identifying this summary's current geometry (the
-    /// pre-order ranks behind [`Summary::pre_rank`] /
-    /// [`Summary::last_descendant_rank`]). Equal tokens guarantee the
+    /// An opaque token identifying this summary's current geometry: its
+    /// set of paths and their pre-order ranks. Equal tokens guarantee the
     /// two snapshots were taken from the *same summary instance in the
-    /// same state* — extensions and merges renumber the ranks and bump
-    /// the token, and clones get a fresh identity. The sharded catalog
-    /// stamps extent partitions with it so the parallel executor only
-    /// compares path geometry across partitions it is actually valid to
-    /// compare.
+    /// same state* — an update that adds paths renumbers the ranks and
+    /// bumps the token, and clones get a fresh identity. The query
+    /// service keys its plan cache with it, so a ranking never outlives
+    /// the paths it was computed over.
     pub fn geometry_token(&self) -> (u64, u64) {
         (self.id, self.geometry_gen)
     }
@@ -509,163 +392,6 @@ impl Summary {
         for (sc, pw) in parents_with {
             self.nodes[sc as usize].parents_with += pw;
         }
-        self.refresh_edge_classes();
-        self.recompute_order();
-        self.geometry_gen += 1;
-    }
-
-    /// Folds a batch of documents into the summary, building per-shard
-    /// partial summaries on `threads` workers and merging them — the
-    /// batched/streaming counterpart of [`Summary::extend_with`] for
-    /// multi-document stores. Each worker summarizes a contiguous slice
-    /// of `docs` independently ([`Summary::of`] + [`Summary::extend_with`]),
-    /// and the partials are merged in slice order
-    /// ([`Summary::merge_from`]).
-    ///
-    /// Paths, edge classes, node/value counts, fan-outs, and
-    /// *unsaturated* distinct sketches come out exactly equal to
-    /// sequential ingest, whatever `threads` is. The one
-    /// thread-count-sensitive artifact is a **saturated** sketch's
-    /// histogram: its bucket geometry derives from the sample each
-    /// shard saturated on, so different shard boundaries can bucket the
-    /// same mass differently (just as sequential ingest's histogram
-    /// depends on document order). Total mass is preserved exactly
-    /// either way ([`ValueHistogram::merge`]).
-    ///
-    /// `threads == 0` uses the host's available parallelism; `1` ingests
-    /// sequentially.
-    ///
-    /// ```
-    /// use smv_summary::Summary;
-    /// use smv_xml::Document;
-    ///
-    /// let docs: Vec<Document> = (0..8)
-    ///     .map(|i| Document::from_parens(&format!(r#"r(a(b="{i}"))"#)))
-    ///     .collect();
-    /// let mut parallel = Summary::of(&docs[0]);
-    /// parallel.extend_with_batch(&docs[1..], 4);
-    ///
-    /// let mut sequential = Summary::of(&docs[0]);
-    /// for d in &docs[1..] {
-    ///     sequential.extend_with(d);
-    /// }
-    /// let b = parallel.node_by_path("/r/a/b").unwrap();
-    /// assert_eq!(parallel.count(b), sequential.count(b));
-    /// assert_eq!(parallel.distinct_values(b), sequential.distinct_values(b));
-    /// ```
-    pub fn extend_with_batch(&mut self, docs: &[Document], threads: usize) {
-        let threads = smv_xml::par::resolve_threads(threads).min(docs.len().max(1));
-        if threads <= 1 {
-            // sequential ingest never touches the pool
-            for d in docs {
-                self.extend_with(d);
-            }
-            return;
-        }
-        self.extend_with_batch_on(docs, threads, smv_xml::par::WorkerPool::global());
-    }
-
-    /// [`extend_with_batch`](Summary::extend_with_batch) drawing its
-    /// parallelism from an explicit [`WorkerPool`](smv_xml::par::WorkerPool)
-    /// — the same queue query execution runs on, so ingest and queries
-    /// interleave at morsel granularity instead of fighting over cores
-    /// with a second thread set. `threads` is clamped to the batch size;
-    /// `0` means the whole pool.
-    pub fn extend_with_batch_on(
-        &mut self,
-        docs: &[Document],
-        threads: usize,
-        pool: &smv_xml::par::WorkerPool,
-    ) {
-        let threads = match threads {
-            0 => pool.size(),
-            n => n,
-        }
-        .min(docs.len().max(1));
-        if threads <= 1 {
-            for d in docs {
-                self.extend_with(d);
-            }
-            return;
-        }
-        let slices: Vec<&[Document]> = docs.chunks(docs.len().div_ceil(threads)).collect();
-        let partials = pool.pool_map(threads, slices.len(), |i| {
-            let slice = slices[i];
-            let mut s = Summary::of(&slice[0]);
-            for d in &slice[1..] {
-                s.extend_with(d);
-            }
-            s
-        });
-        for p in &partials {
-            self.merge_from(p);
-        }
-    }
-
-    /// Merges another summary (built over *other* documents of the same
-    /// root label) into this one: paths are unioned, per-path statistics
-    /// (node counts, valued-node counts, parent-with-child counts) add up
-    /// exactly, distinct-value sketches union exactly while unsaturated,
-    /// and saturated sketches merge their histograms mass-exactly.
-    /// Strong/one-to-one edge classes and pre-order ranks are recomputed
-    /// from the merged counts.
-    pub fn merge_from(&mut self, other: &Summary) {
-        if other.nodes.is_empty() {
-            return;
-        }
-        if self.nodes.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        assert_eq!(
-            self.nodes[0].label, other.nodes[0].label,
-            "summaries being merged must share the root label"
-        );
-        // other's nodes are in creation order, so a node's parent is
-        // always mapped before the node itself
-        let mut map: Vec<NodeId> = vec![NodeId(0); other.nodes.len()];
-        for (i, on) in other.nodes.iter().enumerate() {
-            let sn = match on.parent {
-                None => NodeId(0),
-                Some(op) => {
-                    let sp = map[op.idx()];
-                    match self
-                        .children(sp)
-                        .iter()
-                        .copied()
-                        .find(|&c| self.label(c) == on.label)
-                    {
-                        Some(c) => c,
-                        None => {
-                            let c = NodeId(self.nodes.len() as u32);
-                            self.nodes.push(SNode {
-                                label: on.label,
-                                parent: Some(sp),
-                                children: Vec::new(),
-                                pre: 0,
-                                last_desc: 0,
-                                depth: self.nodes[sp.idx()].depth + 1,
-                                count: 0,
-                                parents_with: 0,
-                                values: 0,
-                                distinct: ValueSketch::default(),
-                                strong: false,
-                                one_to_one: false,
-                            });
-                            self.nodes[sp.idx()].children.push(c);
-                            c
-                        }
-                    }
-                }
-            };
-            map[i] = sn;
-            let tn = &mut self.nodes[sn.idx()];
-            tn.count += on.count;
-            tn.parents_with += on.parents_with;
-            tn.values += on.values;
-            tn.distinct.merge(&on.distinct);
-        }
-        self.docs += other.docs;
         self.refresh_edge_classes();
         self.recompute_order();
         self.geometry_gen += 1;
@@ -834,22 +560,6 @@ impl Summary {
         node.one_to_one = one_to_one;
     }
 
-    /// Pre-order rank of a path node (recomputed after every extension).
-    /// Together with [`Summary::last_descendant_rank`] this is the O(1)
-    /// interval geometry behind [`Summary::is_ancestor`]; the sharded
-    /// catalog copies it into extent shards so the executor can decide
-    /// path-pair joinability without a summary in hand.
-    pub fn pre_rank(&self, n: NodeId) -> u32 {
-        self.nodes[n.idx()].pre
-    }
-
-    /// Pre-order rank of the path's last descendant: `a` is a proper
-    /// ancestor of `b` iff `pre_rank(a) < pre_rank(b) &&
-    /// pre_rank(b) <= last_descendant_rank(a)`.
-    pub fn last_descendant_rank(&self, n: NodeId) -> u32 {
-        self.nodes[n.idx()].last_desc
-    }
-
     /// Proper-ancestor test between paths, O(1) via pre-order intervals.
     pub fn is_ancestor(&self, a: NodeId, b: NodeId) -> bool {
         let an = &self.nodes[a.idx()];
@@ -993,20 +703,20 @@ impl Summary {
     // subtractively; distinct sketches — which cannot subtract — are
     // rebuilt per dirty path from the surviving values. Summary paths
     // are **append-only**: a path whose count drops to zero keeps its
-    // node, so summary `NodeId`s (which shard partitions and classify
-    // maps key on) stay stable across maintenance. This trades a little
-    // precision (a dead path admits more documents, which is sound for
-    // containment — conformance is a ⊆ check) for never invalidating a
-    // partition that didn't structurally change.
+    // node, so summary `NodeId`s (which classify maps key on) stay
+    // stable across maintenance. This trades a little precision (a dead
+    // path admits more documents, which is sound for containment —
+    // conformance is a ⊆ check) for never invalidating state derived
+    // from a geometry that didn't structurally change.
 
     /// A token-preserving copy: same instance id, same geometry
     /// generation, so [`Summary::geometry_token`] of the snapshot equals
     /// the original's *at this moment*. Used by the epoch catalog to
     /// freeze per-epoch statistics: the live summary keeps mutating (and
     /// bumps its generation on any structural change), while the
-    /// snapshot stays comparable to partitions stamped before the
-    /// mutation. Contrast [`Clone`], which deliberately severs the
-    /// lineage with a fresh id.
+    /// snapshot keeps the tokens the epoch's plans were ranked under.
+    /// Contrast [`Clone`], which deliberately severs the lineage with a
+    /// fresh id.
     pub fn snapshot(&self) -> Summary {
         Summary {
             nodes: self.nodes.clone(),
@@ -1216,15 +926,14 @@ impl Summary {
 
     /// [`Self::apply_update`] with the pre-update document's
     /// classification supplied by the caller — maintainers that keep the
-    /// live document's classification across batches (e.g. to derive
-    /// shard-pruning intervals for deletions) skip an O(doc) pass. Hands
+    /// live document's classification across batches skip an O(doc)
+    /// pass. Hands
     /// back the post-update classification of `new_doc`, derived
     /// incrementally rather than re-searched: paths are append-only, so
     /// surviving nodes keep their summary nodes, and only inserted
     /// subtrees classify against the freshly grafted geometry. The
     /// returned map is taken after all prune/graft geometry changes and
-    /// stays valid afterwards — callers can cache it for the next batch
-    /// and re-shard extents against the updated summary with it.
+    /// stays valid afterwards — callers can cache it for the next batch.
     pub fn apply_update_with(
         &mut self,
         applied: &smv_xml::AppliedBatch,
@@ -1596,9 +1305,7 @@ impl Summary {
 
     /// Reconstructs a summary serialized by [`Summary::to_bytes`]. The
     /// result carries a fresh instance id, so its
-    /// [`Summary::geometry_token`] differs from the publisher's — shard
-    /// partitions persisted alongside it keep their original (mutually
-    /// equal) tokens, which is all the sharded executor compares.
+    /// [`Summary::geometry_token`] differs from the publisher's.
     pub fn from_bytes(bytes: &[u8]) -> Result<Summary, String> {
         let pos = &mut 0usize;
         let version = wire::get_u8(bytes, pos)?;
@@ -1857,181 +1564,6 @@ mod tests {
             let expect_path: String = expect.iter().map(|l| format!("/{}", l.as_str())).collect();
             assert_eq!(got_path, expect_path);
         }
-    }
-
-    #[test]
-    fn merge_matches_sequential_ingest_exactly() {
-        // two document shards with overlapping and new paths
-        let shard1 = [
-            Document::from_parens(r#"r(a(b="1" b="2" c(d)) a(b="1" c))"#),
-            Document::from_parens(r#"r(a(b="3" c))"#),
-        ];
-        let shard2 = [
-            Document::from_parens(r#"r(a(c x) e="9")"#),
-            Document::from_parens(r#"r(a(b="2" c))"#),
-        ];
-        let mut merged = Summary::of(&shard1[0]);
-        merged.extend_with(&shard1[1]);
-        let mut part2 = Summary::of(&shard2[0]);
-        part2.extend_with(&shard2[1]);
-        merged.merge_from(&part2);
-
-        let mut seq = Summary::of(&shard1[0]);
-        for d in shard1[1..].iter().chain(shard2.iter()) {
-            seq.extend_with(d);
-        }
-        assert_eq!(merged.len(), seq.len(), "same path set");
-        assert_eq!(merged.doc_node_count(), seq.doc_node_count());
-        assert_eq!(merged.document_count(), seq.document_count());
-        for n in seq.iter() {
-            let p = seq.path_string(n);
-            let m = merged.node_by_path(&p).expect("path present after merge");
-            assert_eq!(merged.count(m), seq.count(n), "count of {p}");
-            assert_eq!(merged.value_count(m), seq.value_count(n), "values of {p}");
-            assert_eq!(
-                merged.distinct_values(m),
-                seq.distinct_values(n),
-                "distincts of {p}"
-            );
-            assert_eq!(
-                merged.is_strong_edge(m),
-                seq.is_strong_edge(n),
-                "strong flag of {p}"
-            );
-            assert_eq!(
-                merged.is_one_to_one_edge(m),
-                seq.is_one_to_one_edge(n),
-                "one-to-one flag of {p}"
-            );
-            assert_eq!(merged.avg_fanout(m), seq.avg_fanout(n), "fanout of {p}");
-        }
-    }
-
-    #[test]
-    fn batched_extension_matches_sequential() {
-        let docs: Vec<Document> = (0..10)
-            .map(|i| Document::from_parens(&format!(r#"r(a(b="{i}" c) a(b="{}"))"#, i * 7 % 5)))
-            .collect();
-        let mut batched = Summary::of(&docs[0]);
-        batched.extend_with_batch(&docs[1..], 3);
-        let mut seq = Summary::of(&docs[0]);
-        for d in &docs[1..] {
-            seq.extend_with(d);
-        }
-        assert_eq!(batched.len(), seq.len());
-        for n in seq.iter() {
-            let m = batched.node_by_path(&seq.path_string(n)).unwrap();
-            assert_eq!(batched.count(m), seq.count(n));
-            assert_eq!(batched.distinct_values(m), seq.distinct_values(n));
-            assert_eq!(batched.is_strong_edge(m), seq.is_strong_edge(n));
-        }
-        // threads=0 (auto) and threads > docs also work
-        let mut auto = Summary::of(&docs[0]);
-        auto.extend_with_batch(&docs[1..], 0);
-        assert_eq!(auto.len(), seq.len());
-    }
-
-    #[test]
-    fn unsaturated_sketches_union_and_saturate_on_merge() {
-        let mk = |lo: usize, n: usize| {
-            let body = (lo..lo + n)
-                .map(|i| format!(r#"b="{i}""#))
-                .collect::<Vec<_>>()
-                .join(" ");
-            Summary::of(&Document::from_parens(&format!("r({body})")))
-        };
-        // union below the cap stays exact
-        let mut a = mk(0, 400);
-        a.merge_from(&mk(200, 400)); // overlap: 200..400
-        let b = a.node_by_path("/r/b").unwrap();
-        assert_eq!(a.distinct_values(b), 600, "union dedups the overlap");
-        assert!(a.distinct_sample(b).is_some(), "still exact");
-        // union above the cap saturates to the (upper-bound) value count
-        let mut big = mk(0, 700);
-        big.merge_from(&mk(1000, 700));
-        let b = big.node_by_path("/r/b").unwrap();
-        assert!(big.distinct_sample(b).is_none(), "saturated by the merge");
-        assert_eq!(big.distinct_values(b), 1400);
-        assert!(big.value_histogram(b).is_some(), "histogram built on merge");
-    }
-
-    #[test]
-    fn axisless_saturation_poisons_merged_histograms() {
-        // a path saturated on all-string values has no integer axis
-        // (hist None); merging must not fabricate a histogram from the
-        // other side's sample — sequential ingest would have kept None
-        let strs = format!(
-            "r({})",
-            (0..1200)
-                .map(|i| format!(r#"b="s{i}x""#))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        let string_side = Summary::of(&Document::from_parens(&strs));
-        let int_side = Summary::of(&Document::from_parens(r#"r(b="1" b="2")"#));
-        let b = |s: &Summary| s.node_by_path("/r/b").unwrap();
-        for (mut a, z) in [
-            (string_side.clone(), &int_side),
-            (int_side.clone(), &string_side),
-        ] {
-            a.merge_from(z);
-            assert!(a.distinct_sample(b(&a)).is_none(), "merged side saturated");
-            assert!(
-                a.value_histogram(b(&a)).is_none(),
-                "no histogram invented from 2 integers against 1200 strings"
-            );
-        }
-        // saturated-with-axis + saturated-without-axis → also None
-        let ints = format!(
-            "r({})",
-            (0..1500)
-                .map(|i| format!(r#"b="{i}""#))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        let mut with_axis = Summary::of(&Document::from_parens(&ints));
-        with_axis.merge_from(&string_side);
-        assert!(with_axis.value_histogram(b(&with_axis)).is_none());
-    }
-
-    #[test]
-    fn saturated_histograms_merge_mass_exactly() {
-        let mk = |lo: i64, n: i64| {
-            let body = (lo..lo + n)
-                .map(|i| format!(r#"b="{i}""#))
-                .collect::<Vec<_>>()
-                .join(" ");
-            Summary::of(&Document::from_parens(&format!("r({body})")))
-        };
-        let (s1, s2) = (mk(0, 1500), mk(10_000, 1500));
-        let path = |s: &Summary| s.node_by_path("/r/b").unwrap();
-        let (h1, h2) = (
-            s1.value_histogram(path(&s1)).unwrap().clone(),
-            s2.value_histogram(path(&s2)).unwrap().clone(),
-        );
-        let mut merged = s1;
-        merged.merge_from(&s2);
-        let h = merged.value_histogram(path(&merged)).expect("merged hist");
-        // total mass is exactly the sum
-        assert_eq!(h.total(), h1.total() + h2.total());
-        assert_eq!(h.string_count(), 0);
-        let full = h.mass_in(i64::MIN, i64::MAX);
-        assert!(
-            (full - 3000.0).abs() < 1e-6,
-            "all integer mass preserved, got {full}"
-        );
-        // sub-range mass agrees with the components to bucket precision
-        for (a, b) in [(0, 1499), (10_000, 11_499), (0, 700), (10_500, 12_000)] {
-            let want = h1.mass_in(a, b) + h2.mass_in(a, b);
-            let got = h.mass_in(a, b);
-            assert!(
-                (got - want).abs() <= 0.15 * want.max(50.0),
-                "mass_in({a},{b}): merged {got} vs components {want}"
-            );
-        }
-        // nothing leaks into the gap beyond re-bucketing spill
-        let gap = h.mass_in(2000, 9000);
-        assert!(gap < 800.0, "gap mass only from coarse buckets, got {gap}");
     }
 
     #[test]

@@ -44,9 +44,9 @@
 //! [`EpochCatalog::rebuild_from_scratch`] is the oracle the test suite
 //! and the benchmark's `maintenance_equivalent` flag check against.
 
-use crate::catalog::{shard_extent_classified, shard_extent_with, View, ViewStore};
+use crate::catalog::{View, ViewStore};
 use crate::materialize::{admits_node, materialize_with, rows_pinned};
-use smv_algebra::{Cell, ExecError, NestedRelation, Row, ShardPartition, ViewProvider};
+use smv_algebra::{Cell, ExecError, NestedRelation, Row, ViewProvider};
 use smv_pattern::{PNodeId, Pattern};
 use smv_summary::Summary;
 use smv_xml::{
@@ -131,18 +131,17 @@ impl Anchor {
     }
 }
 
-/// An immutable catalog snapshot: the view definitions, extents, shard
-/// partitions and summary snapshot current at one epoch. Cheap to hold
-/// (extents and partitions are `Arc`-shared with the store and with
-/// neighboring epochs) and never mutated — a query planned and executed
-/// against an epoch sees one consistent version of the data no matter
-/// how many batches are applied concurrently.
+/// An immutable catalog snapshot: the view definitions, extents and
+/// summary snapshot current at one epoch. Cheap to hold (extents are
+/// `Arc`-shared with the store and with neighboring epochs) and never
+/// mutated — a query planned and executed against an epoch sees one
+/// consistent version of the data no matter how many batches are
+/// applied concurrently.
 #[derive(Clone)]
 pub struct CatalogEpoch {
     epoch: u64,
     views: Vec<View>,
     extents: HashMap<String, Arc<NestedRelation>>,
-    shards: HashMap<String, Arc<ShardPartition>>,
     summary: Summary,
 }
 
@@ -174,10 +173,6 @@ impl ViewProvider for CatalogEpoch {
             .get(name)
             .map(Arc::as_ref)
             .ok_or_else(|| ExecError::UnknownView(name.to_owned()))
-    }
-
-    fn shard_partition(&self, name: &str) -> Option<&ShardPartition> {
-        self.shards.get(name).map(Arc::as_ref)
     }
 }
 
@@ -256,8 +251,8 @@ pub struct MaintenanceReport {
     /// resolution and the arena rebuild) — a cost any
     /// maintenance strategy, delta or rebuild, pays before view work.
     pub ingest_ns: u64,
-    /// Nanoseconds on maintenance proper: summary update, extent
-    /// refresh and re-sharding (publication excluded — see
+    /// Nanoseconds on maintenance proper: summary update and extent
+    /// refresh (publication excluded — see
     /// [`publish_ns`](Self::publish_ns)).
     pub maintain_ns: u64,
     /// Nanoseconds freeing the pre-batch document, its IDs and its
@@ -295,7 +290,6 @@ pub struct EpochCatalog {
     classes: Vec<NodeId>,
     registered: Vec<Registered>,
     extents: HashMap<String, Arc<NestedRelation>>,
-    shards: HashMap<String, Arc<ShardPartition>>,
     epoch: u64,
     published: EpochReader,
 }
@@ -314,7 +308,6 @@ impl EpochCatalog {
             epoch: 0,
             views: Vec::new(),
             extents: HashMap::new(),
-            shards: HashMap::new(),
             summary: summary.snapshot(),
         }));
         EpochCatalog {
@@ -323,7 +316,6 @@ impl EpochCatalog {
             classes,
             registered: Vec::new(),
             extents: HashMap::new(),
-            shards: HashMap::new(),
             epoch: 0,
             published,
         }
@@ -365,19 +357,15 @@ impl EpochCatalog {
     }
 
     /// Registers a view over the live document and publishes a new
-    /// epoch. Eager views are materialized (against the live IDs),
-    /// normalized and shard-partitioned immediately; deferred views are
-    /// registered stale, excluded from epochs until [`Self::refresh`].
-    /// Re-registering a name retires every piece of the old state first.
+    /// epoch. Eager views are materialized (against the live IDs) and
+    /// normalized immediately; deferred views are registered stale,
+    /// excluded from epochs until [`Self::refresh`]. Re-registering a
+    /// name retires every piece of the old state first.
     ///
-    /// An eager extent is stored **normalized** (sorted in document order
-    /// on its first column, duplicates removed) and partitioned per
-    /// summary path of its first-column ID, giving the executor the
-    /// per-path-pair decomposition of structural joins (`⋈_≺` / `⋈_≺≺`
-    /// shard pairs whose paths are not ancestor-related produce no output
-    /// and are skipped; the rest run in parallel under `ExecOpts {
-    /// threads: n > 1 }`). A view whose first column is not an ID is
-    /// stored unpartitioned and keeps the chunk-parallel path.
+    /// An eager extent is stored **normalized**: sorted in document order
+    /// on its first column, duplicates removed. Scans of it therefore
+    /// reach a structural join already sorted, and the join skips its
+    /// sort.
     ///
     /// ```
     /// use smv_algebra::ViewProvider;
@@ -392,9 +380,9 @@ impl EpochCatalog {
     ///     RefreshPolicy::Eager,
     /// );
     /// let snap = catalog.snapshot();
-    /// let partition = snap.shard_partition("v").expect("id-first view is sharded");
-    /// assert_eq!(partition.shards.len(), 1, "every name sits on one summary path");
-    /// assert_eq!(partition.shards[0].rows.len(), 2);
+    /// let extent = snap.extent("v").unwrap();
+    /// assert_eq!(extent.len(), 2);
+    /// assert_eq!(extent.sorted_on, Some(0), "stored normalized");
     /// ```
     ///
     /// # Panics
@@ -408,11 +396,11 @@ impl EpochCatalog {
         self.publish();
     }
 
-    /// Registers a batch of views at once, materializing and
-    /// shard-partitioning eager extents in parallel on `pool` (one
-    /// morsel per view, registered in `views` order), then publishes a
-    /// **single** epoch covering the whole batch — [`Self::add_view`] in
-    /// a loop would publish one epoch per view.
+    /// Registers a batch of views at once, materializing eager extents
+    /// in parallel on `pool` (one morsel per view, registered in `views`
+    /// order), then publishes a **single** epoch covering the whole
+    /// batch — [`Self::add_view`] in a loop would publish one epoch per
+    /// view.
     /// This is the query service's ingest path: the same explicitly
     /// sized pool that executes queries does the materialization work,
     /// so one knob governs both kinds of parallelism.
@@ -430,7 +418,7 @@ impl EpochCatalog {
         for view in &views {
             self.assert_scheme(view);
         }
-        let built: Vec<Option<Built>> = match policy {
+        let built: Vec<Option<NestedRelation>> = match policy {
             RefreshPolicy::Eager => {
                 pool.pool_map(0, views.len(), |i| Some(self.build(&views[i].pattern)))
             }
@@ -451,47 +439,23 @@ impl EpochCatalog {
         );
     }
 
-    /// Materializes `pattern` over the live document and shards the
-    /// extent — how an extent is built from nothing, at registration and
-    /// on [`Self::refresh`] alike.
-    fn build(&self, pattern: &Pattern) -> Built {
-        let extent = materialize_with(pattern, self.live.doc(), self.live.ids());
-        let partition = self.shard(&extent);
-        (extent, partition)
+    /// Materializes `pattern` over the live document — how an extent is
+    /// built from nothing, at registration and on [`Self::refresh`]
+    /// alike.
+    fn build(&self, pattern: &Pattern) -> NestedRelation {
+        materialize_with(pattern, self.live.doc(), self.live.ids())
     }
 
-    /// Shards against the maintained classification and the live
-    /// document's ID lookup — O(extent rows), not O(document): the rows
-    /// come in ID order, so each lookup starts from the previous answer.
-    fn shard(&self, extent: &NestedRelation) -> Option<ShardPartition> {
-        let last = std::cell::Cell::new(NodeId::ROOT);
-        let node_of = |id: &StructId| {
-            let n = self.live.node_of_near(id, last.get())?;
-            last.set(n);
-            Some(n)
-        };
-        shard_extent_classified(extent, &self.classes, &node_of, &self.summary)
-    }
-
-    /// Makes `built` the current state of view `name`.
-    fn install(&mut self, name: &str, (extent, partition): Built) {
+    /// Makes `extent` the current extent of view `name`.
+    fn install(&mut self, name: &str, extent: NestedRelation) {
         self.extents.insert(name.to_owned(), Arc::new(extent));
-        self.install_partition(name, partition);
-    }
-
-    fn install_partition(&mut self, name: &str, partition: Option<ShardPartition>) {
-        match partition {
-            Some(p) => self.shards.insert(name.to_owned(), Arc::new(p)),
-            None => self.shards.remove(name),
-        };
     }
 
     /// Retires whatever `view.name` named before and registers `view`,
     /// current when `built` is given and stale otherwise.
-    fn register(&mut self, view: View, policy: RefreshPolicy, built: Option<Built>) {
+    fn register(&mut self, view: View, policy: RefreshPolicy, built: Option<NestedRelation>) {
         self.registered.retain(|r| r.view.name != view.name);
         self.extents.remove(&view.name);
-        self.shards.remove(&view.name);
         let stale = built.is_none();
         if let Some(built) = built {
             self.install(&view.name, built);
@@ -542,7 +506,6 @@ impl EpochCatalog {
             if self.registered[i].policy == RefreshPolicy::Deferred {
                 if !std::mem::replace(&mut self.registered[i].stale, true) {
                     self.extents.remove(&name);
-                    self.shards.remove(&name);
                 }
                 report.deferred_stale.push(name);
                 continue;
@@ -564,19 +527,10 @@ impl EpochCatalog {
                 ))
                 .filter(|extent| extent.rows != old.rows),
             };
-            match next {
-                Some(extent) => {
-                    let partition = self.shard(&extent);
-                    self.install(&name, (extent, partition));
-                    report.refreshed.push(name);
-                }
-                // same rows, same `Arc`; only a partition stamped with
-                // the superseded rank geometry is redone
-                None if geometry_changed => {
-                    let partition = self.shard(&old);
-                    self.install_partition(&name, partition);
-                }
-                None => {}
+            // no new rows: the extent keeps its `Arc`
+            if let Some(extent) = next {
+                self.install(&name, extent);
+                report.refreshed.push(name);
             }
         }
         let t_maintained = Instant::now();
@@ -628,19 +582,14 @@ impl EpochCatalog {
 
     /// The from-scratch oracle: re-materializes every non-stale view
     /// over the current live document (same maintained IDs — node
-    /// identity is data, not an artifact of maintenance) and shards
-    /// against a freshly built summary. Delta maintenance is correct iff
-    /// the published epoch is byte-identical to this.
+    /// identity is data, not an artifact of maintenance) beside a freshly
+    /// built summary. Delta maintenance is correct iff the published
+    /// epoch's extents are byte-identical to these.
     pub fn rebuild_from_scratch(&self) -> CatalogEpoch {
-        let fresh = Summary::of(self.live.doc());
         let mut extents = HashMap::new();
-        let mut shards = HashMap::new();
         let mut views = Vec::new();
         for reg in self.registered.iter().filter(|r| !r.stale) {
-            let extent = materialize_with(&reg.view.pattern, self.live.doc(), self.live.ids());
-            if let Some(p) = shard_extent_with(&extent, self.live.doc(), self.live.ids(), &fresh) {
-                shards.insert(reg.view.name.clone(), Arc::new(p));
-            }
+            let extent = self.build(&reg.view.pattern);
             extents.insert(reg.view.name.clone(), Arc::new(extent));
             views.push(reg.view.clone());
         }
@@ -648,8 +597,7 @@ impl EpochCatalog {
             epoch: self.epoch,
             views,
             extents,
-            shards,
-            summary: fresh,
+            summary: Summary::of(self.live.doc()),
         }
     }
 
@@ -667,15 +615,11 @@ impl EpochCatalog {
             epoch: self.epoch,
             views,
             extents: self.extents.clone(),
-            shards: self.shards.clone(),
             summary: self.summary.snapshot(),
         });
         self.published.store(next);
     }
 }
-
-/// An extent and its shard partition, as built from nothing.
-type Built = (NestedRelation, Option<ShardPartition>);
 
 /// What one applied batch changed, in the terms anchored refresh needs.
 struct Delta<'a> {
@@ -816,21 +760,6 @@ mod tests {
             let want = oracle.extent(&v.name).expect("oracle extent");
             assert_eq!(got.schema, want.schema, "schema of {}", v.name);
             assert_eq!(got.rows, want.rows, "rows of {}", v.name);
-            let (gp, wp) = (
-                snap.shard_partition(&v.name),
-                oracle.shard_partition(&v.name),
-            );
-            assert_eq!(gp.is_some(), wp.is_some(), "partitioned-ness of {}", v.name);
-            if let (Some(gp), Some(wp)) = (gp, wp) {
-                // same row grouping per summary path (rank geometries may
-                // differ: the maintained summary keeps dead paths)
-                let (gs, ws): (Vec<_>, Vec<_>) = (
-                    gp.shards.iter().map(|s| &s.rows).collect(),
-                    wp.shards.iter().map(|s| &s.rows).collect(),
-                );
-                assert_eq!(gs, ws, "shard rows of {}", v.name);
-                assert_eq!(gp.unclassified, wp.unclassified);
-            }
         }
     }
 
@@ -960,10 +889,6 @@ mod tests {
                 "bulk extent of {}",
                 v.name
             );
-            assert_eq!(
-                b.shard_partition(&v.name).is_some(),
-                s.shard_partition(&v.name).is_some()
-            );
         }
         // maintenance still exact after bulk registration
         let mut batch = UpdateBatch::new();
@@ -1002,7 +927,7 @@ mod tests {
         batch.insert(sid(&ec, "r", 0), Document::from_parens(r#"a(b="3" b="4")"#));
         ec.apply(&batch).unwrap();
         assert!(ec.epoch() > old.epoch() + 1);
-        // the old snapshot is untouched: same rows, same partition
+        // the old snapshot is untouched: same rows, same summary
         assert_eq!(old.extent("vb").unwrap().rows, old_rows);
         assert_eq!(ec.snapshot().extent("vb").unwrap().len(), 3);
         assert_eq!(

@@ -5,8 +5,7 @@
 //! that invariant while supporting updates: each applied [`UpdateBatch`]
 //! rebuilds the arena (fresh pre-order ranks) but carries every surviving
 //! node's **structural identifier** ([`StructId`]) over unchanged. IDs are
-//! the stable identity: extents, shard partitions and summaries key on
-//! them, so view maintenance (smv-views) can diff two document versions
+//! the stable identity: extents and summaries key on them, so view maintenance (smv-views) can diff two document versions
 //! without positional bookkeeping.
 //!
 //! Identity rules, which the maintenance layer's correctness proofs rely
@@ -229,29 +228,6 @@ impl LiveDoc {
         let StructId::Seq(s) = id else { return None };
         let n = *self.seq_nodes.get(usize::try_from(*s).ok()?)?;
         (n != DEAD).then_some(NodeId(n))
-    }
-
-    /// [`Self::node_of`], searching outward from `hint` when the ID sorts
-    /// at or after the hint's: `O(log distance)` instead of
-    /// `O(log document)`, and within a few cache lines of the last answer.
-    /// A caller resolving IDs in document order — the first column of a
-    /// normalized extent — passes its previous answer and so merges
-    /// against the ID vector instead of probing it per row. The hint never
-    /// changes the result.
-    pub fn node_of_near(&self, id: &StructId, hint: NodeId) -> Option<NodeId> {
-        let ids = self.ids.as_slice();
-        if !self.scheme().is_structural() || ids.get(hint.idx()).is_none_or(|h| id < h) {
-            return self.node_of(id);
-        }
-        let tail = &ids[hint.idx()..];
-        let mut bound = 1;
-        while bound < tail.len() && tail[bound] < *id {
-            bound *= 2;
-        }
-        // tail[bound / 2] < id <= tail[bound], where those exist
-        let lo = bound / 2;
-        let at = tail[lo..tail.len().min(bound + 1)].binary_search(id).ok()?;
-        Some(NodeId((hint.idx() + lo + at) as u32))
     }
 
     /// The ID of node `n` in the current version.

@@ -1,8 +1,8 @@
 //! Intra-operator parallelism: a persistent, morsel-driven worker pool.
 //!
 //! The algebra executor (`ExecOpts` in `smv-algebra`, which re-exports
-//! this module), the summary's batched document ingest, and the catalog's
-//! batch materialization all need one primitive: *run `n` independent
+//! this module) and the catalog's batch materialization both need one
+//! primitive: *run `n` independent
 //! tasks on up to `t` threads and collect the results in task order*.
 //!
 //! [`WorkerPool::pool_map`] provides it. A pool of long-lived OS threads

@@ -36,9 +36,8 @@ fn main() {
     }
 
     // 3. a materialized view: every item with its name, storing ORDPATHs.
-    //    The epoch catalog materializes it over the document and
-    //    partitions the extent per summary-path shard, which parallel
-    //    structural joins consume; queries run on its published snapshot
+    //    The epoch catalog materializes it over the document; queries run
+    //    on its published snapshot
     let v = View::new(
         "items_with_names",
         parse_pattern("site(//item{id}(/name{v}))").unwrap(),
@@ -48,9 +47,7 @@ fn main() {
     catalog.add_view(v.clone(), RefreshPolicy::Eager);
     let snap = catalog.snapshot();
     println!(
-        "\nview extent ({} summary-path shard(s)):\n{}",
-        snap.shard_partition("items_with_names")
-            .map_or(0, |p| p.shards.len()),
+        "\nview extent:\n{}",
         snap.extent("items_with_names").unwrap()
     );
 

@@ -1,5 +1,5 @@
 //! Differential suite: every query answered identically by every
-//! provider arm — in-memory map, sharded catalog, cold disk, warm disk —
+//! provider arm — in-memory map, epoch catalog, cold disk, warm disk —
 //! at every thread count. This is the harness that proves the on-disk
 //! columnar store is a drop-in [`ViewProvider`](smv::algebra::ViewProvider).
 //!

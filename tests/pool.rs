@@ -1,13 +1,14 @@
 //! Integration tests for the persistent worker pool: pooled execution
 //! equals sequential execution, sessions share one pool, pool use is
-//! reentrant (parallel ingest while a query runs on the same pool), a
+//! reentrant (bulk view registration while a query runs on the same
+//! pool), a
 //! dropped pool leaves nothing behind, `threads: 1` provably never
 //! touches a pool, and feedback's `ParHints` change where a plan fans out
 //! but not what it returns.
 
 mod common;
 
-use smv::algebra::Predicate;
+use smv::algebra::{Predicate, Row, ViewProvider};
 use smv::prelude::*;
 use std::sync::Arc;
 
@@ -19,10 +20,15 @@ fn fixture_doc(n: usize) -> Document {
     Document::from_parens(&format!("r({})", groups.join(" ")))
 }
 
-fn sharded_catalog(doc: &Document) -> CatalogEpoch {
-    let views = [("va", "r(//a{id})"), ("vb", "r(//b{id,v})")]
-        .map(|(name, pat)| View::new(name, parse_pattern(pat).unwrap(), IdScheme::OrdPath));
-    common::materialized(doc, &views)
+/// `va` = every `a`'s ID, `vb` = every `b`'s ID and value.
+fn views() -> Vec<View> {
+    [("va", "r(//a{id})"), ("vb", "r(//b{id,v})")]
+        .map(|(name, pat)| View::new(name, parse_pattern(pat).unwrap(), IdScheme::OrdPath))
+        .to_vec()
+}
+
+fn catalog_of(doc: &Document) -> CatalogEpoch {
+    common::materialized(doc, &views())
 }
 
 /// ancestor join → select → dup-elim: exercises the morselized join,
@@ -66,8 +72,8 @@ fn seq_opts() -> ExecOpts {
 #[test]
 fn two_sessions_sharing_one_pool_match_sequential() {
     let doc = fixture_doc(40);
-    let catalog_a = sharded_catalog(&doc);
-    let catalog_b = sharded_catalog(&doc);
+    let catalog_a = catalog_of(&doc);
+    let catalog_b = catalog_of(&doc);
     let pool = Arc::new(WorkerPool::new(3));
     let plan = mixed_plan();
     let seq = execute_with(&plan, &catalog_a, &seq_opts()).unwrap();
@@ -88,42 +94,46 @@ fn two_sessions_sharing_one_pool_match_sequential() {
 #[test]
 fn reentrant_pool_use_ingest_during_query() {
     let doc = fixture_doc(30);
-    let catalog = sharded_catalog(&doc);
+    let catalog = catalog_of(&doc);
     let plan = mixed_plan();
-    let docs: Vec<Document> = (0..12).map(|_| fixture_doc(4)).collect();
 
-    // sequential references
-    let seq_rows = execute_with(&plan, &catalog, &seq_opts()).unwrap().len();
-    let seq_count = {
-        let mut sum = Summary::of(&docs[0]);
-        for d in &docs[1..] {
-            sum.extend_with(d);
-        }
-        sum.count(sum.node_by_path("/r/a/b").unwrap())
-    };
+    // sequential references: the query, and the views registered one at
+    // a time
+    let seq_rows = execute_with(&plan, &catalog, &seq_opts()).unwrap().rows;
+    let seq_extents: Vec<Vec<Row>> = views()
+        .iter()
+        .map(|v| catalog.extent(&v.name).unwrap().rows.clone())
+        .collect();
 
-    // a query and a parallel summary ingest run *as tasks on the pool*,
-    // each fanning out onto that same pool from inside a worker
+    // a query and a bulk registration run *as tasks on the pool*, each
+    // fanning out onto that same pool from inside a worker — the
+    // service's ingest path beside a query
     let pool = Arc::new(WorkerPool::new(4));
-    let outs: Vec<u64> = pool.pool_map(2, 2, |i| {
+    let outs: Vec<Vec<Vec<Row>>> = pool.pool_map(2, 2, |i| {
         if i == 0 {
-            execute_with(&plan, &catalog, &pooled_opts(&pool, 2))
-                .unwrap()
-                .len() as u64
+            vec![
+                execute_with(&plan, &catalog, &pooled_opts(&pool, 2))
+                    .unwrap()
+                    .rows,
+            ]
         } else {
-            let mut sum = Summary::of(&docs[0]);
-            sum.extend_with_batch_on(&docs[1..], 0, &pool);
-            sum.count(sum.node_by_path("/r/a/b").unwrap())
+            let mut ec = EpochCatalog::new(doc.clone(), IdScheme::OrdPath);
+            ec.add_views_on(views(), RefreshPolicy::Eager, &pool);
+            let snap = ec.snapshot();
+            views()
+                .iter()
+                .map(|v| snap.extent(&v.name).unwrap().rows.clone())
+                .collect()
         }
     });
-    assert_eq!(outs[0], seq_rows as u64, "query inside the pool");
-    assert_eq!(outs[1], seq_count, "ingest inside the pool");
+    assert_eq!(outs[0], [seq_rows], "query inside the pool");
+    assert_eq!(outs[1], seq_extents, "ingest inside the pool");
 }
 
 #[test]
 fn threads_one_never_touches_the_pool() {
     let doc = fixture_doc(25);
-    let catalog = sharded_catalog(&doc);
+    let catalog = catalog_of(&doc);
     let pool = Arc::new(WorkerPool::new(4));
     // a pool is attached and min_par_rows would pass every gate — but
     // threads: 1 must still execute fully inline
@@ -140,8 +150,6 @@ fn threads_one_never_touches_the_pool() {
             .unwrap()
             .rows
     );
-    let mut sum = Summary::of(&doc);
-    sum.extend_with_batch_on(&[fixture_doc(2), fixture_doc(3)], 1, &pool);
     assert_eq!(
         pool.jobs_dispatched(),
         0,
@@ -152,7 +160,7 @@ fn threads_one_never_touches_the_pool() {
 #[test]
 fn results_survive_pool_drop() {
     let doc = fixture_doc(30);
-    let catalog = sharded_catalog(&doc);
+    let catalog = catalog_of(&doc);
     let plan = mixed_plan();
     let seq = execute_with(&plan, &catalog, &seq_opts()).unwrap();
     let par = {
@@ -174,20 +182,6 @@ fn results_survive_pool_drop() {
 #[test]
 fn query_service_runs_ingest_and_queries_on_one_explicit_pool() {
     let pool = Arc::new(WorkerPool::new(3));
-    let views = || {
-        vec![
-            View::new(
-                "va",
-                parse_pattern("r(//a{id})").unwrap(),
-                IdScheme::OrdPath,
-            ),
-            View::new(
-                "vb",
-                parse_pattern("r(//b{id,v})").unwrap(),
-                IdScheme::OrdPath,
-            ),
-        ]
-    };
     let svc = QueryService::with_pool(
         fixture_doc(40),
         IdScheme::OrdPath,
@@ -240,7 +234,7 @@ fn par_hints_keep_results_identical() {
         leaves.join(" "),
         ")".repeat(10)
     ));
-    let catalog = sharded_catalog(&doc);
+    let catalog = catalog_of(&doc);
     let plan = Plan::StructJoin {
         left: Box::new(Plan::Scan { view: "va".into() }),
         right: Box::new(Plan::Scan { view: "vb".into() }),

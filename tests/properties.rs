@@ -406,10 +406,10 @@ proptest! {
 
     /// Parallel execution (`threads > 1`) is result- and profile-identical
     /// to sequential execution across random documents, both structural ID
-    /// schemes, and plan shapes covering every parallel code path: scan-scan
-    /// structural joins over a sharded catalog (per-path-pair tasks),
-    /// select-wrapped and chained joins (chunked merges), and order-sensitive
-    /// downstream operators (nest, union) consuming parallel join output.
+    /// schemes, and plan shapes covering every parallel code path:
+    /// structural joins over scans, select-wrapped and chained inputs (each
+    /// a chunked merge), and order-sensitive downstream operators (nest,
+    /// union) consuming parallel join output.
     #[test]
     fn parallel_execution_matches_sequential(doc_src in tree_strategy(), threads in 2usize..5) {
         use smv::algebra::Predicate;
@@ -429,7 +429,7 @@ proptest! {
             let plans = vec![
                 base("va", "vb", StructRel::Ancestor),
                 base("va", "vc", StructRel::Parent),
-                // select over scan defeats the shard fast path → chunked
+                // a filtered input
                 Plan::StructJoin {
                     left: Box::new(Plan::Select {
                         input: scan("vc"),
@@ -589,7 +589,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The provider matrix holds on this file's random trees too: a
-    /// wide-view scan answers identically from the in-memory, sharded,
+    /// wide-view scan answers identically from the in-memory map, epoch,
     /// cold-disk and warm-disk providers at 1 and 4 threads.
     #[test]
     fn providers_agree_on_random_trees(src in tree_strategy()) {

@@ -161,8 +161,8 @@ fn candidates_by_scan<T: MatchTarget>(p: &Pattern, t: &T) -> Vec<Vec<NodeId>> {
     cand
 }
 
-/// The published epoch against `rebuild_from_scratch`: views, schemas,
-/// rows and the grouping of rows into shards.
+/// The published epoch against `rebuild_from_scratch`: views, schemas
+/// and rows.
 fn check_against_rebuild(ec: &EpochCatalog) -> Result<(), String> {
     let (snap, oracle) = (ec.snapshot(), ec.rebuild_from_scratch());
     if snap.views().len() != oracle.views().len() {
@@ -182,19 +182,6 @@ fn check_against_rebuild(ec: &EpochCatalog) -> Result<(), String> {
                 "rows of {}\nmaintained:\n{got}rebuilt:\n{want}",
                 v.pattern
             ));
-        }
-        // rank geometries may differ (the maintained summary keeps dead
-        // paths, and ranks sibling paths in the order it met them); the
-        // grouping of rows per summary path may not
-        let grouping = |e: &CatalogEpoch| {
-            e.shard_partition(&v.name).map(|p| {
-                let mut shards: Vec<Vec<usize>> = p.shards.iter().map(|s| s.rows.clone()).collect();
-                shards.sort();
-                (shards, p.unclassified.clone())
-            })
-        };
-        if grouping(&snap) != grouping(&oracle) {
-            return Err(format!("shard grouping of {}", v.pattern));
         }
     }
     Ok(())
@@ -271,7 +258,7 @@ proptest! {
         prop_assert_eq!(from_rows, from_embeddings, "{} on {}", p_src, doc_src);
     }
 
-    /// (c) `LiveDoc::node_of` (and its hinted form) answers like a linear
+    /// (c) `LiveDoc::node_of` answers like a linear
     /// search of the ID vector after any batch sequence, deleted IDs
     /// resolve to nothing, and under ORDPATH and Dewey the ID vector stays
     /// strictly increasing in document order — what the binary search
@@ -280,7 +267,6 @@ proptest! {
     fn live_id_lookup_equals_linear_search(
         doc_src in tree_strategy(),
         batches in proptest::collection::vec(ops_strategy(), 1..5),
-        hint in 0u16..1000,
     ) {
         for scheme in SCHEMES {
             let mut live = LiveDoc::new(Document::from_parens(&doc_src), scheme);
@@ -289,14 +275,11 @@ proptest! {
                 let applied = live.apply(&batch_from(&live, ops)).expect("valid by construction");
                 dead.extend(applied.deleted_ids);
                 let ids = live.ids();
-                let hint = NodeId(hint as u32 % live.doc().len() as u32);
                 for n in live.doc().iter() {
                     prop_assert_eq!(live.node_of(ids.id(n)), ids.node_of(ids.id(n)));
-                    prop_assert_eq!(live.node_of_near(ids.id(n), hint), Some(n), "hint {:?}", hint);
                 }
                 for id in &dead {
                     prop_assert_eq!(live.node_of(id), None, "{:?}: {} is dead", scheme, id);
-                    prop_assert_eq!(live.node_of_near(id, hint), None);
                 }
                 if scheme.is_structural() {
                     for w in ids.as_slice().windows(2) {
@@ -437,7 +420,7 @@ fn benchmark_views(doc: &Document, scheme: IdScheme) -> Vec<View> {
 }
 
 /// `Pr7Stream` edits `regions/*/item` only: the views over people and
-/// auctions keep their extent and partition allocations across batches
+/// auctions keep their extent allocations across batches
 /// and stay out of `refreshed`, and a deferred view is neither
 /// materialized nor reported until it is refreshed.
 #[test]
@@ -486,10 +469,6 @@ fn untouched_views_keep_their_extents_across_batches() {
             assert!(std::ptr::eq(
                 first.extent(&v.name).unwrap(),
                 snap.extent(&v.name).unwrap()
-            ));
-            assert!(std::ptr::eq(
-                first.shard_partition(&v.name).unwrap(),
-                snap.shard_partition(&v.name).unwrap()
             ));
         }
     }

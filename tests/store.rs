@@ -13,8 +13,8 @@ use smv::algebra::relation::{Cell, ColKind, Column, NestedRelation, Row, Schema}
 use smv::algebra::{AttrKind, ExecError, ViewProvider};
 use smv::prelude::*;
 use smv::store::{
-    decode_partition, decode_relation, encode_partition, encode_relation, DiskStore, FaultKind,
-    FaultPlan, SimVfs, StoreError, StoreOptions, Vfs,
+    decode_relation, encode_relation, DiskStore, FaultKind, FaultPlan, SimVfs, StoreError,
+    StoreOptions, Vfs,
 };
 use smv::xml::{Label, StructId, Symbol};
 use std::collections::BTreeMap;
@@ -58,17 +58,12 @@ proptest! {
                 prop_assert_eq!(&back.rows, &extent.rows);
                 prop_assert_eq!(back.sorted_on, extent.sorted_on);
                 assert_projections_agree(&bytes);
-                if let Some(p) = cat.shard_partition("v") {
-                    let bp =
-                        decode_partition(&encode_partition(p), extent.len()).expect("decodes");
-                    prop_assert_eq!(format!("{bp:?}"), format!("{p:?}"));
-                }
             }
         }
     }
 
     /// What a reopened catalog loads on first use is what `publish_epoch`
-    /// was given: the summary, the feedback store and every shard partition.
+    /// was given: the summary, the feedback store and every extent.
     #[test]
     fn lazily_loaded_artifacts_equal_what_was_published(src in tree_strategy()) {
         let doc = Document::from_parens(&src);
@@ -96,9 +91,9 @@ proptest! {
         let loaded = disk.feedback().expect("loads").expect("published");
         prop_assert_eq!(loaded.to_bytes(), feedback.to_bytes());
         for v in &views {
-            let want = cat.shard_partition(&v.name).map(|p| format!("{p:?}"));
-            let got = disk.shard_partition(&v.name).map(|p| format!("{p:?}"));
-            prop_assert_eq!(got, want, "partition of {}", &v.name);
+            let want = cat.extent(&v.name).expect("materialized");
+            let got = disk.load_extent(&v.name).expect("loads").expect("published");
+            prop_assert_eq!(&got.rows, &want.rows, "extent of {}", &v.name);
         }
     }
 
@@ -229,12 +224,9 @@ fn assert_projections_agree(bytes: &[u8]) {
 }
 
 /// Valid encodings to mutate: an extent with `⊥` runs and nested tables,
-/// its partition, its summary, a feedback store and the manifest that
-/// names them all.
+/// its summary, a feedback store and the manifest that names them all.
 struct Encoded {
     relation: Vec<u8>,
-    partition: Vec<u8>,
-    rows: usize,
     summary: Vec<u8>,
     feedback: Vec<u8>,
     manifest: Vec<u8>,
@@ -270,8 +262,6 @@ fn build_encoded() -> Encoded {
     let manifest = vfs.read(&manifest_file(&vfs)).unwrap();
     Encoded {
         relation: encode_relation(extent),
-        partition: encode_partition(cat.shard_partition("v").unwrap()),
-        rows: extent.len(),
         summary: summary.to_bytes(),
         feedback: feedback.to_bytes(),
         manifest: manifest[..manifest.len() - 8].to_vec(),
@@ -303,9 +293,8 @@ fn open_with_manifest(body: &[u8]) -> Result<u64, StoreError> {
 /// error or a value; a panic, an abort on an absurd allocation or a hang
 /// fails the test that calls this. The relation decoder also runs under
 /// every projection, which must agree with its full decode.
-fn decode_everything(bytes: &[u8], rows: usize) {
+fn decode_everything(bytes: &[u8]) {
     assert_projections_agree(bytes);
-    let _ = decode_partition(bytes, rows);
     let _ = Summary::from_bytes(bytes);
     let _ = FeedbackStore::from_bytes(bytes);
     let _ = open_with_manifest(bytes);
@@ -320,10 +309,9 @@ proptest! {
     #[test]
     fn decoders_survive_arbitrary_bytes(
         bytes in proptest::collection::vec(0u16..256, 0..300),
-        rows in 0usize..50,
     ) {
         let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
-        decode_everything(&bytes, rows);
+        decode_everything(&bytes);
     }
 
     /// The same for one byte changed, dropped or doubled anywhere in a
@@ -333,21 +321,20 @@ proptest! {
     /// column the damage is in.
     #[test]
     fn decoders_survive_single_byte_mutations(
-        which in 0usize..5,
+        which in 0usize..4,
         at in 0usize..1 << 20,
         byte in 0u16..256,
         edit in 0u8..3,
     ) {
         let e = encoded();
-        let mut bytes =
-            [&e.relation, &e.partition, &e.summary, &e.feedback, &e.manifest][which].clone();
+        let mut bytes = [&e.relation, &e.summary, &e.feedback, &e.manifest][which].clone();
         let (i, byte) = (at % bytes.len(), byte as u8);
         match edit {
             0 => bytes[i] = byte,
             1 => { bytes.remove(i); }
             _ => bytes.insert(i, byte),
         }
-        decode_everything(&bytes, e.rows);
+        decode_everything(&bytes);
     }
 }
 
@@ -381,25 +368,14 @@ fn every_relation_mutation_fails_its_projections_too() {
 fn decoders_reject_overflowing_lengths() {
     let e = encoded();
     let huge = [0xffu8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
-    for valid in [
-        &e.relation,
-        &e.partition,
-        &e.summary,
-        &e.feedback,
-        &e.manifest,
-    ] {
+    for valid in [&e.relation, &e.summary, &e.feedback, &e.manifest] {
         for at in 0..valid.len() {
             let mut bytes = valid[..at].to_vec();
             bytes.extend_from_slice(&huge);
             bytes.extend_from_slice(&valid[at + 1..]);
-            decode_everything(&bytes, e.rows);
+            decode_everything(&bytes);
         }
     }
-    // a partition naming a row the extent does not have is refused at
-    // decode, not found by the executor as an index out of bounds
-    assert!(decode_partition(&e.partition, e.rows).is_ok());
-    let err = decode_partition(&e.partition, e.rows - 1).expect_err("row out of range");
-    assert!(matches!(err, StoreError::Corrupt(_)), "got: {err}");
 }
 
 /// Rows that compress to nothing — one label run, all-`⊥` columns, no
@@ -557,6 +533,46 @@ fn corrupt_page_is_a_checked_error_not_garbage_rows() {
             );
         }
     }
+}
+
+/// A segment in the retired `SMVSEG1` layout, which also carried a row
+/// partition after the extent, is refused by its header: its length and
+/// checksums still validate, but a scan fails with [`ExecError::Storage`]
+/// and a load with [`StoreError::Corrupt`], and no rows come back.
+#[test]
+fn a_segment_with_the_previous_magic_is_refused() {
+    let view = View::new(
+        "v",
+        parse_pattern("r(//b{id,v})").unwrap(),
+        IdScheme::OrdPath,
+    );
+    let cat = materialized(&small_matrix_doc(), &[view]);
+    let vfs = SimVfs::new();
+    let store = DiskStore::new(Arc::new(vfs.clone()));
+    store.publish_epoch(&cat, None).unwrap();
+    let seg = vfs
+        .list()
+        .into_iter()
+        .find(|n| n.starts_with("seg-"))
+        .expect("one segment file");
+    let mut bytes = vfs.read(&seg).unwrap();
+    let len = bytes.len();
+    bytes[..8].copy_from_slice(b"SMVSEG1\n");
+    assert_eq!(bytes.len(), len);
+    vfs.write(&seg, &bytes).unwrap();
+    vfs.fsync(&seg).unwrap();
+    let disk = store.open().expect("the manifest's lengths still hold");
+    let scan = Plan::Scan { view: "v".into() };
+    let err = execute_with(&scan, &disk, &ExecOpts::default()).expect_err("old magic");
+    assert!(
+        matches!(err.kind(), ExecError::Storage { view, .. } if view == "v"),
+        "got: {err}"
+    );
+    let err = match disk.load_extent("v") {
+        Err(e) => e,
+        Ok(rows) => panic!("old magic returned {rows:?}"),
+    };
+    assert!(matches!(err, StoreError::Corrupt(_)), "got: {err}");
 }
 
 /// A projection over a cold scan answers as in memory whatever its column
