@@ -970,13 +970,9 @@ fn eval_op<'a>(
             });
             for r in &mut rel.rows {
                 let cell = match &r.cells[*col] {
-                    Cell::Id(id) => {
-                        let mut cur = Some(id.clone());
-                        for _ in 0..*levels {
-                            cur = cur.and_then(|c| c.derive_parent());
-                        }
-                        cur.map(Cell::Id).unwrap_or(Cell::Null)
-                    }
+                    Cell::Id(id) => (0..*levels)
+                        .try_fold(id.clone(), |c, _| c.derive_parent())
+                        .map_or(Cell::Null, Cell::Id),
                     Cell::Null => Cell::Null,
                     other => {
                         return Err(ExecError::Type(format!(
@@ -1231,23 +1227,18 @@ fn attr_cell(doc: &Document, n: NodeId, attr: AttrKind, base_id: Option<&StructI
             let Some(base) = base_id else {
                 return Cell::Null;
             };
-            // ranks from the content root down to n
+            // ranks from n up to the content root, applied root first
             let mut ranks = Vec::new();
             let mut cur = n;
             while let Some(p) = doc.parent(cur) {
                 ranks.push(doc.child_rank(cur) as usize);
                 cur = p;
             }
-            ranks.reverse();
-            let mut id = base.clone();
-            for rank in ranks {
-                id = match id {
-                    StructId::Ord(o) => StructId::Ord(o.child(rank)),
-                    StructId::Dewey(d) => StructId::Dewey(d.child(rank)),
-                    StructId::Seq(_) => return Cell::Null,
-                };
-            }
-            Cell::Id(id)
+            ranks
+                .into_iter()
+                .rev()
+                .try_fold(base.clone(), |id, rank| id.child(rank))
+                .map_or(Cell::Null, Cell::Id)
         }
     }
 }

@@ -140,6 +140,9 @@ pub enum Cell {
     Table(NestedRelation),
 }
 
+// a nested table sets the width; an inline id label must not widen it
+const _: () = assert!(std::mem::size_of::<Cell>() == 64);
+
 impl Cell {
     /// Is this `⊥`?
     pub fn is_null(&self) -> bool {

@@ -1,4 +1,4 @@
-//! Ablation benches for design choices DESIGN.md calls out:
+//! Ablation benches, one per design choice the code keeps both sides of:
 //!
 //! * **A** — stack-tree structural join vs the naive nested loop;
 //! * **B** — enhanced (strong-edge) vs plain canonical models;

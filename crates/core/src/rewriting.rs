@@ -1177,8 +1177,9 @@ impl<'a> Rewriter<'a> {
         let mut next_group = pair.groups.iter().copied().max().unwrap_or(0) + 1;
         let mut nav_count = 0usize;
         for c in content_cols {
-            // single-path content columns only (multi-path unfolding needs
-            // the union decomposition of §4.6; see DESIGN.md)
+            // single-path content columns only: a column bound on several
+            // summary paths would need §4.6's union decomposition, one
+            // unfolding per path, which this rewriter does not build
             let paths: HashSet<Option<NodeId>> =
                 pair.members.iter().map(|m| m.col_path[c]).collect();
             let bound: Vec<NodeId> = paths.iter().copied().flatten().collect();

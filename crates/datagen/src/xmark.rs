@@ -7,7 +7,10 @@
 //! auctions, including the ID/IDREF attributes — so that the *summary* of
 //! a generated document has the size and recursion characteristics the
 //! paper's experiments depend on (hundreds of paths, bounded recursion
-//! unfolding). See DESIGN.md for the substitution rationale.
+//! unfolding). Those experiments measure rewriting against the summary,
+//! so the structure is what has to match: text is drawn from a small
+//! word list, values are simpler than `xmlgen`'s, and a document's byte
+//! size at a given scale differs from the original's.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -5,10 +5,10 @@
 //! * every column carries a run-length-encoded stream of *cell tags*
 //!   (null / id / label / atom / content / table), so optional columns
 //!   cost one run per null stretch;
-//! * **ID columns** are delta-coded in document order — ORDPATH ids
-//!   front-code against the previous id's byte label (shared prefix
-//!   length + suffix), Dewey ids against the previous rank vector, and
-//!   sequential ids as zigzag deltas — which is where
+//! * **ID columns** are delta-coded in document order — ORDPATH and
+//!   Dewey ids front-code their byte labels (`smv-xml`'s order-preserving
+//!   code) against the previous id's label (shared prefix length +
+//!   suffix), and sequential ids are zigzag deltas — which is where
 //!   document-order-sorted extents compress best;
 //! * **labels, string values and serialized content** go through an
 //!   in-segment string dictionary (strings are stored once and cells
@@ -32,14 +32,16 @@
 //! The decoder builds what the executor wants — row-major [`Row`]s — in
 //! one pass per column: the rows are sized once and each column's cells
 //! are pushed straight into them, tag run by tag run, so a row costs the
-//! allocations it owns (its cell vector, each id's label, each string)
-//! and nothing per cell.
+//! allocations it owns (its cell vector, each string) and nothing per
+//! cell. An id costs none unless its label is longer than 22 bytes: the
+//! label is rebuilt in the coder's buffer from the previous one, checked,
+//! and copied into the id inline.
 //!
 //! **Projected decode.** [`decode_relation`] takes an optional column
 //! list and then builds only those columns: the rows are sized to the
 //! kept width, and a skipped column's tag runs and payloads are parsed
 //! and checked exactly as a full decode checks them — id deltas and
-//! ORDPATH labels, dictionary slots, label runs, nested tables — with
+//! labels, dictionary slots, label runs, nested tables — with
 //! nothing built for them (no id, no interned label, no string). So a
 //! projected decode fails exactly when the full decode would, and a
 //! corrupt column the caller does not read still fails the read.
@@ -362,74 +364,48 @@ const ID_ORD: u8 = 0;
 const ID_DEWEY: u8 = 1;
 const ID_SEQ: u8 = 2;
 
-/// Per-column coder state: the previous id's byte/rank label, for
-/// front-coding consecutive ids (document order shares long prefixes).
+/// Per-column coder state: the previous id's label bytes, which the next
+/// ORDPATH or Dewey label front-codes against (document order shares long
+/// prefixes), and the previous sequence number.
 #[derive(Default)]
 struct IdCoder {
-    prev_ord: Vec<u8>,
-    prev_dewey: Vec<u32>,
+    prev: Vec<u8>,
     prev_seq: u64,
 }
 
 impl IdCoder {
     fn encode(&mut self, w: &mut ByteWriter, id: &StructId) {
-        match id {
-            StructId::Ord(o) => {
-                w.put_u8(ID_ORD);
-                let bytes = o.to_bytes();
-                let shared = common_prefix(&self.prev_ord, &bytes);
-                w.put_uv(shared as u64);
-                w.put_bytes(&bytes[shared..]);
-                self.prev_ord = bytes;
-            }
-            StructId::Dewey(d) => {
-                w.put_u8(ID_DEWEY);
-                let ranks = d.ranks();
-                let shared = self
-                    .prev_dewey
-                    .iter()
-                    .zip(ranks)
-                    .take_while(|(a, b)| a == b)
-                    .count();
-                w.put_uv(shared as u64);
-                w.put_uv((ranks.len() - shared) as u64);
-                for &rk in &ranks[shared..] {
-                    w.put_uv(rk as u64);
-                }
-                self.prev_dewey = ranks.to_vec();
-            }
+        let (variant, label) = match id {
+            StructId::Ord(o) => (ID_ORD, o.as_bytes()),
+            StructId::Dewey(d) => (ID_DEWEY, d.as_bytes()),
             StructId::Seq(s) => {
                 w.put_u8(ID_SEQ);
                 w.put_iv(s.wrapping_sub(self.prev_seq) as i64);
                 self.prev_seq = *s;
+                return;
             }
-        }
+        };
+        w.put_u8(variant);
+        let shared = common_prefix(&self.prev, label);
+        w.put_uv(shared as u64);
+        w.put_bytes(&label[shared..]);
+        self.prev.clear();
+        self.prev.extend_from_slice(label);
     }
 
     /// Reads the next id's delta into the coder's state and returns its
     /// variant. The previous label is edited in place into the next one
     /// (`truncate` to the shared prefix, append the suffix).
     fn step(&mut self, r: &mut ByteReader) -> Result<u8> {
-        let prefix_len = |r: &mut ByteReader, have: usize| match r.get_uv()? {
-            n if n <= have as u64 => Ok(n as usize),
-            _ => Err(StoreError::Corrupt("id prefix overrun".into())),
-        };
         let variant = r.get_u8()?;
         match variant {
-            ID_ORD => {
-                let shared = prefix_len(r, self.prev_ord.len())?;
-                self.prev_ord.truncate(shared);
-                self.prev_ord.extend_from_slice(r.get_bytes()?);
-            }
-            ID_DEWEY => {
-                let shared = prefix_len(r, self.prev_dewey.len())?;
-                self.prev_dewey.truncate(shared);
-                for _ in 0..r.get_count()? {
-                    self.prev_dewey.push(r.get_u32()?);
-                }
-                if self.prev_dewey.is_empty() {
-                    return Err(StoreError::Corrupt("empty dewey id".into()));
-                }
+            ID_ORD | ID_DEWEY => {
+                let shared = match r.get_uv()? {
+                    n if n <= self.prev.len() as u64 => n as usize,
+                    _ => return Err(StoreError::Corrupt("id prefix overrun".into())),
+                };
+                self.prev.truncate(shared);
+                self.prev.extend_from_slice(r.get_bytes()?);
             }
             ID_SEQ => self.prev_seq = self.prev_seq.wrapping_add(r.get_iv()? as u64),
             t => return Err(StoreError::Corrupt(format!("bad id variant {t}"))),
@@ -437,44 +413,39 @@ impl IdCoder {
         Ok(variant)
     }
 
-    /// Decodes the next id; it costs the one allocation it owns.
+    /// Decodes the next id: the label is checked, then copied — inline,
+    /// allocating nothing, unless it is too long to be.
     fn decode(&mut self, r: &mut ByteReader) -> Result<StructId> {
         match self.step(r)? {
-            ID_ORD => OrdPath::try_from_bytes(&self.prev_ord)
-                .map(StructId::Ord)
-                .ok_or_else(malformed_ordpath),
-            ID_DEWEY => Ok(StructId::Dewey(DeweyId::from_ranks(
-                self.prev_dewey.clone(),
-            ))),
-            _ => Ok(StructId::Seq(self.prev_seq)),
+            ID_ORD => OrdPath::try_from_bytes(&self.prev).map(StructId::Ord),
+            ID_DEWEY => DeweyId::try_from_bytes(&self.prev).map(StructId::Dewey),
+            _ => return Ok(StructId::Seq(self.prev_seq)),
         }
+        .ok_or_else(malformed_label)
     }
 
     /// [`IdCoder::decode`]'s checks without building the id.
     fn skip(&mut self, r: &mut ByteReader) -> Result<()> {
-        if self.step(r)? == ID_ORD && !ordpath_label_ok(&self.prev_ord) {
-            return Err(malformed_ordpath());
-        }
-        Ok(())
+        let variant = self.step(r)?;
+        label_ok(variant, &self.prev)
+            .then_some(())
+            .ok_or_else(malformed_label)
     }
 }
 
-fn malformed_ordpath() -> StoreError {
-    StoreError::Corrupt("malformed ordpath label".into())
+fn malformed_label() -> StoreError {
+    StoreError::Corrupt("malformed id label".into())
 }
 
-/// Whether [`OrdPath::try_from_bytes`] accepts `bytes`, without building
-/// the label: a non-empty run of zigzag varints, none cut short and none
-/// wider than 64 bits.
-fn ordpath_label_ok(bytes: &[u8]) -> bool {
-    let mut shift = 0;
-    for &b in bytes {
-        if shift >= 64 {
-            return false;
-        }
-        shift = if b & 0x80 == 0 { 0 } else { shift + 7 };
+/// Whether the decoder accepts `bytes` as the label of an id of
+/// `variant` — the validator `try_from_bytes` runs, without building the
+/// label.
+fn label_ok(variant: u8, bytes: &[u8]) -> bool {
+    match variant {
+        ID_ORD => OrdPath::valid_bytes(bytes),
+        ID_DEWEY => DeweyId::valid_bytes(bytes),
+        _ => true,
     }
-    shift == 0 && !bytes.is_empty()
 }
 
 fn common_prefix(a: &[u8], b: &[u8]) -> usize {
@@ -834,19 +805,68 @@ mod tests {
         );
     }
 
-    /// The check-only label test agrees with the decoder it stands in for.
+    /// The check-only label test agrees with the decoder it stands in for,
+    /// for ORDPATH and Dewey labels, and both refuse what they must.
     #[test]
     fn ordpath_label_check_matches_the_decoder() {
         let one = (0..=0xffu8).map(|b| vec![b]);
-        let two = (0..=0xffffu16).map(|x| x.to_le_bytes().to_vec());
-        let wide = (0..12).map(|n| [vec![0x80; n], vec![1]].concat());
+        let two = (0..=0xffffu16).map(|x| x.to_be_bytes().to_vec());
+        // 9-byte codes around the ends of i64, and cut short
+        let wide = [0x00u8, 0x01, 0xfe, 0xff].into_iter().flat_map(|lead| {
+            [0x00, 0x7f, 0x80, 0xff]
+                .into_iter()
+                .flat_map(move |fill| (0..=9).map(move |n| [vec![lead], vec![fill; n]].concat()))
+        });
+        let (mut ord, mut dewey) = (0, 0);
         for bytes in std::iter::once(vec![]).chain(one).chain(two).chain(wide) {
+            let decoded_ord = OrdPath::try_from_bytes(&bytes);
+            let decoded_dewey = DeweyId::try_from_bytes(&bytes);
+            assert_eq!(label_ok(ID_ORD, &bytes), decoded_ord.is_some(), "{bytes:?}");
             assert_eq!(
-                ordpath_label_ok(&bytes),
-                OrdPath::try_from_bytes(&bytes).is_some(),
+                label_ok(ID_DEWEY, &bytes),
+                decoded_dewey.is_some(),
                 "{bytes:?}"
             );
+            if let Some(o) = decoded_ord {
+                assert_eq!(o.as_bytes(), &bytes[..], "canonical");
+                ord += 1;
+            }
+            if let Some(d) = decoded_dewey {
+                assert_eq!(d.as_bytes(), &bytes[..], "canonical");
+                dewey += 1;
+            }
         }
+        // the empty label, cut-short codes, 9-byte codes past i64 and, for
+        // Dewey, negative or wider-than-u32 ranks are all refused
+        assert!(0 < dewey && dewey < ord, "{dewey} < {ord}");
+        assert!(!label_ok(ID_ORD, &[]) && !label_ok(ID_DEWEY, &[]));
+        assert!(!label_ok(ID_ORD, &[0xff; 9]) && !label_ok(ID_ORD, &[0xc0]));
+        assert!(!label_ok(ID_DEWEY, &[0x3f]), "a negative rank");
+    }
+
+    /// ORDPATH and Dewey columns front-code against one previous label,
+    /// even when a column mixes them, and round-trip exactly.
+    #[test]
+    fn id_labels_round_trip_through_one_front_coder() {
+        let long = OrdPath::from_components((0..30).map(|i| 2 * i + 1));
+        let ids = [
+            StructId::Ord(OrdPath::from_components([1, 3, 5])),
+            StructId::Ord(OrdPath::from_components([1, 3, 4, -7])),
+            StructId::Ord(long.child(9000)),
+            StructId::Ord(long),
+            StructId::Dewey(DeweyId::from_ranks([1, 2, 3])),
+            StructId::Dewey(DeweyId::from_ranks([1, 2, u32::MAX])),
+            StructId::Seq(4),
+            StructId::Ord(OrdPath::from_components([i64::MIN, i64::MAX])),
+        ];
+        let rel = NestedRelation::new(
+            Schema::atoms(&[("a.ID", AttrKind::Id)]),
+            ids.iter()
+                .map(|id| Row::new(vec![Cell::Id(id.clone())]))
+                .collect(),
+        );
+        let back = decode_relation(&encode_relation(&rel), None).unwrap();
+        assert_eq!(back.rows, rel.rows);
     }
 
     #[test]

@@ -12,13 +12,15 @@
 //! manifest-{E}.smv    the commit record naming all of the above
 //! ```
 //!
-//! A segment file is a 24-byte header (`SMVSEG2\n`, page size, page
+//! A segment file is a 24-byte header (`SMVSEG3\n`, page size, page
 //! count, payload length) followed by fixed-size pages, each prefixed
 //! with an FNV-1a checksum of its payload. Reads go through the
 //! [`BufferPool`]; the last page may be short. The payload is the view's
 //! normalized extent as [`encode_relation`] writes it, and nothing else.
-//! A header with another magic — `SMVSEG1\n` segments also carried a
-//! per-summary-path row partition — is corruption, not a format to read.
+//! A header with another magic is corruption, not a format to read:
+//! `SMVSEG1\n` segments also carried a per-summary-path row partition,
+//! and `SMVSEG2\n` ones stored ORDPATH labels as zigzag varints and Dewey
+//! ids as rank vectors.
 //!
 //! # The epoch swap
 //!
@@ -74,7 +76,7 @@ use smv_views::{CatalogEpoch, View, ViewStore};
 use smv_xml::IdScheme;
 use std::sync::{Arc, OnceLock};
 
-const SEG_MAGIC: &[u8; 8] = b"SMVSEG2\n";
+const SEG_MAGIC: &[u8; 8] = b"SMVSEG3\n";
 const MAN_MAGIC: &[u8; 8] = b"SMVMAN1\n";
 const SEG_HEADER: u64 = 24;
 const PAGE_PREFIX: u64 = 8; // per-page checksum

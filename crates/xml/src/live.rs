@@ -438,15 +438,11 @@ impl Rebuild {
 
 /// The ID of a fresh `rank`-th child of `parent` (scheme-aware).
 fn fresh_child_id(parent: &StructId, rank: usize, next_seq: &mut u64) -> StructId {
-    match parent {
-        StructId::Ord(p) => StructId::Ord(p.child(rank)),
-        StructId::Dewey(p) => StructId::Dewey(p.child(rank)),
-        StructId::Seq(_) => {
-            let s = *next_seq;
-            *next_seq += 1;
-            StructId::Seq(s)
-        }
-    }
+    parent.child(rank).unwrap_or_else(|| {
+        let s = *next_seq;
+        *next_seq += 1;
+        StructId::Seq(s)
+    })
 }
 
 #[cfg(test)]

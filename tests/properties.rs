@@ -4,7 +4,7 @@ mod common;
 
 use proptest::prelude::*;
 use smv::prelude::*;
-use smv::xml::{IdAssignment, OrdPath};
+use smv::xml::{DeweyId, IdAssignment, OrdPath};
 use std::collections::HashSet;
 
 /// A strategy for small random labeled trees in parenthesized notation.
@@ -58,6 +58,106 @@ fn pattern_strategy() -> impl Strategy<Value = String> {
             })
     })
     .prop_map(|body| format!("r({}{body}{})", "//", ""))
+}
+
+/// ORDPATH components that stress the label code: small values (one-byte
+/// codes), both sides of the code-length boundaries, the ends of `i64`,
+/// and arbitrary values.
+fn ordpath_component() -> impl Strategy<Value = i64> {
+    const EDGES: [i64; 12] = [
+        -33,
+        -32,
+        95,
+        96,
+        8287,
+        8288,
+        -8224,
+        -8225,
+        i64::MIN,
+        i64::MIN + 1,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
+    (0u8..8, 0..EDGES.len(), -40i64..100, i64::MIN..i64::MAX).prop_map(|(kind, e, small, any)| {
+        match kind {
+            0..=4 => small,
+            5 | 6 => EDGES[e],
+            _ => any,
+        }
+    })
+}
+
+/// Dewey ranks: mostly small, sometimes 0, `u32::MAX` or arbitrary.
+fn dewey_rank() -> impl Strategy<Value = u32> {
+    (0u8..8, 0u32..200, 0u32..u32::MAX).prop_map(|(kind, small, any)| match kind {
+        0..=4 => small,
+        5 => 0,
+        6 => u32::MAX,
+        _ => any,
+    })
+}
+
+/// Two component vectors sharing a random prefix, so that ancestry and
+/// parenthood come up; long enough to spill past the inline labels.
+fn label_pair<S: Strategy>(c: fn() -> S) -> impl Strategy<Value = (Vec<S::Value>, Vec<S::Value>)>
+where
+    S::Value: Clone,
+{
+    use proptest::collection::vec;
+    (vec(c(), 1..16), vec(c(), 0..12), vec(c(), 0..12)).prop_map(|(p, sa, sb)| {
+        let mut a = p;
+        let mut b = a.clone();
+        a.extend(sa);
+        b.extend(sb);
+        (a, b)
+    })
+}
+
+fn hash_of<T: std::hash::Hash>(t: &T) -> u64 {
+    use std::hash::{DefaultHasher, Hasher};
+    let mut h = DefaultHasher::new();
+    t.hash(&mut h);
+    h.finish()
+}
+
+/// The component-vector semantics of ORDPATH that the byte labels must
+/// reproduce: the parent drops the last component and the carets (even
+/// components) before it.
+fn ref_ord_parent(c: &[i64]) -> Option<Vec<i64>> {
+    let mut end = c.len() - 1;
+    while end > 0 && c[end - 1] % 2 == 0 {
+        end -= 1;
+    }
+    (end > 0).then(|| c[..end].to_vec())
+}
+
+/// Checks every ORDPATH operation on `a`, `b` against [`ref_ord_parent`]
+/// and component-vector comparison.
+fn check_ordpath_oracle(a: &[i64], b: &[i64], rank: usize) -> Result<(), TestCaseError> {
+    let (x, y) = (
+        OrdPath::from_components(a.to_vec()),
+        OrdPath::from_components(b.to_vec()),
+    );
+    prop_assert_eq!(x.components().collect::<Vec<_>>(), a.to_vec());
+    prop_assert_eq!(x.cmp(&y), a.cmp(b), "{:?} vs {:?}", a, b);
+    prop_assert_eq!(x == y, a == b);
+    prop_assert_eq!(hash_of(&x) == hash_of(&y), a == b, "{:?} vs {:?}", a, b);
+    let ancestor = |p: &[i64], c: &[i64]| {
+        c.len() > p.len() && c.starts_with(p) && c[p.len()..].iter().any(|v| v % 2 != 0)
+    };
+    let parent = |p: &[i64], c: &[i64]| ref_ord_parent(c).as_deref() == Some(p);
+    for (s, t, u, v) in [(&x, &y, a, b), (&y, &x, b, a)] {
+        prop_assert_eq!(s.is_ancestor_of(t), ancestor(u, v), "{:?} anc {:?}", u, v);
+        prop_assert_eq!(s.is_parent_of(t), parent(u, v), "{:?} par {:?}", u, v);
+    }
+    let want = ref_ord_parent(a).map(OrdPath::from_components);
+    prop_assert_eq!(hash_of(&x.parent()), hash_of(&want));
+    prop_assert_eq!(x.parent(), want);
+    prop_assert_eq!(x.level(), a.iter().filter(|v| *v % 2 != 0).count());
+    let child: Vec<i64> = a.iter().copied().chain([2 * rank as i64 + 1]).collect();
+    prop_assert_eq!(x.child(rank), OrdPath::from_components(child));
+    prop_assert_eq!(OrdPath::try_from_bytes(&x.to_bytes()), Some(x));
+    Ok(())
 }
 
 proptest! {
@@ -157,6 +257,76 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// ORDPATH byte labels agree with a component-vector reference on
+    /// order, equality, hashing, ancestry, parenthood, parent derivation,
+    /// level, child and the byte round trip — across code lengths and the
+    /// inline/spilled boundary.
+    #[test]
+    fn ordpath_labels_match_component_vectors(
+        (a, b) in label_pair(ordpath_component),
+        rank in 0usize..100_000,
+    ) {
+        check_ordpath_oracle(&a, &b, rank)?;
+    }
+
+    /// The same oracle over careted labels `between` makes, under a parent
+    /// at any depth, and their children.
+    #[test]
+    fn careted_ordpath_labels_match_component_vectors(
+        parent in proptest::collection::vec(0i64..40, 0..20),
+        ops in proptest::collection::vec((0u8..3, 0u16..64), 1..16),
+    ) {
+        let parent = OrdPath::from_components(parent.into_iter().chain([1]));
+        let mut sibs = vec![parent.child(0)];
+        for (kind, at) in &ops {
+            let i = (*at as usize) % sibs.len();
+            if *kind == 0 || i + 1 >= sibs.len() {
+                let next = sibs.last().unwrap().following_sibling();
+                sibs.push(next);
+            } else {
+                let m = sibs[i].between(&sibs[i + 1]);
+                sibs.insert(i + 1, m);
+            }
+        }
+        let kids: Vec<OrdPath> = sibs.iter().map(|s| s.child(3)).collect();
+        let labels: Vec<Vec<i64>> = [parent]
+            .iter()
+            .chain(&sibs)
+            .chain(&kids)
+            .map(|l| l.components().collect())
+            .collect();
+        for a in &labels {
+            for b in &labels {
+                check_ordpath_oracle(a, b, 7)?;
+            }
+        }
+    }
+
+    /// Dewey byte labels agree with a rank-vector reference.
+    #[test]
+    fn dewey_labels_match_rank_vectors(
+        (a, b) in label_pair(dewey_rank),
+        rank in 0usize..100_000,
+    ) {
+        let (x, y) = (DeweyId::from_ranks(a.clone()), DeweyId::from_ranks(b.clone()));
+        prop_assert_eq!(x.ranks().collect::<Vec<_>>(), a.clone());
+        prop_assert_eq!(x.cmp(&y), a.cmp(&b), "{:?} vs {:?}", a, b);
+        prop_assert_eq!(x == y, a == b);
+        prop_assert_eq!(hash_of(&x) == hash_of(&y), a == b);
+        let ancestor = |p: &[u32], c: &[u32]| c.len() > p.len() && c.starts_with(p);
+        for (s, t, u, v) in [(&x, &y, &a, &b), (&y, &x, &b, &a)] {
+            prop_assert_eq!(s.is_ancestor_of(t), ancestor(u, v));
+            prop_assert_eq!(s.is_parent_of(t), ancestor(u, v) && v.len() == u.len() + 1);
+        }
+        let want = (a.len() > 1).then(|| DeweyId::from_ranks(a[..a.len() - 1].to_vec()));
+        prop_assert_eq!(hash_of(&x.parent()), hash_of(&want));
+        prop_assert_eq!(x.parent(), want);
+        prop_assert_eq!(x.level(), a.len());
+        let child: Vec<u32> = a.iter().copied().chain([rank as u32 + 1]).collect();
+        prop_assert_eq!(x.child(rank), DeweyId::from_ranks(child));
+        prop_assert_eq!(DeweyId::try_from_bytes(&x.to_bytes()), Some(x));
     }
 
     /// Every document conforms to its own summary, exactly.

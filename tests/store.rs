@@ -535,44 +535,47 @@ fn corrupt_page_is_a_checked_error_not_garbage_rows() {
     }
 }
 
-/// A segment in the retired `SMVSEG1` layout, which also carried a row
-/// partition after the extent, is refused by its header: its length and
-/// checksums still validate, but a scan fails with [`ExecError::Storage`]
-/// and a load with [`StoreError::Corrupt`], and no rows come back.
+/// A segment in a retired layout is refused by its header: `SMVSEG1`
+/// also carried a row partition after the extent, and `SMVSEG2` coded
+/// ORDPATH labels as zigzag varints. Its length and checksums still
+/// validate, but a scan fails with [`ExecError::Storage`] and a load with
+/// [`StoreError::Corrupt`], and no rows come back.
 #[test]
 fn a_segment_with_the_previous_magic_is_refused() {
-    let view = View::new(
-        "v",
-        parse_pattern("r(//b{id,v})").unwrap(),
-        IdScheme::OrdPath,
-    );
-    let cat = materialized(&small_matrix_doc(), &[view]);
-    let vfs = SimVfs::new();
-    let store = DiskStore::new(Arc::new(vfs.clone()));
-    store.publish_epoch(&cat, None).unwrap();
-    let seg = vfs
-        .list()
-        .into_iter()
-        .find(|n| n.starts_with("seg-"))
-        .expect("one segment file");
-    let mut bytes = vfs.read(&seg).unwrap();
-    let len = bytes.len();
-    bytes[..8].copy_from_slice(b"SMVSEG1\n");
-    assert_eq!(bytes.len(), len);
-    vfs.write(&seg, &bytes).unwrap();
-    vfs.fsync(&seg).unwrap();
-    let disk = store.open().expect("the manifest's lengths still hold");
-    let scan = Plan::Scan { view: "v".into() };
-    let err = execute_with(&scan, &disk, &ExecOpts::default()).expect_err("old magic");
-    assert!(
-        matches!(err.kind(), ExecError::Storage { view, .. } if view == "v"),
-        "got: {err}"
-    );
-    let err = match disk.load_extent("v") {
-        Err(e) => e,
-        Ok(rows) => panic!("old magic returned {rows:?}"),
-    };
-    assert!(matches!(err, StoreError::Corrupt(_)), "got: {err}");
+    for magic in [b"SMVSEG1\n", b"SMVSEG2\n"] {
+        let view = View::new(
+            "v",
+            parse_pattern("r(//b{id,v})").unwrap(),
+            IdScheme::OrdPath,
+        );
+        let cat = materialized(&small_matrix_doc(), &[view]);
+        let vfs = SimVfs::new();
+        let store = DiskStore::new(Arc::new(vfs.clone()));
+        store.publish_epoch(&cat, None).unwrap();
+        let seg = vfs
+            .list()
+            .into_iter()
+            .find(|n| n.starts_with("seg-"))
+            .expect("one segment file");
+        let mut bytes = vfs.read(&seg).unwrap();
+        let len = bytes.len();
+        bytes[..8].copy_from_slice(magic);
+        assert_eq!(bytes.len(), len);
+        vfs.write(&seg, &bytes).unwrap();
+        vfs.fsync(&seg).unwrap();
+        let disk = store.open().expect("the manifest's lengths still hold");
+        let scan = Plan::Scan { view: "v".into() };
+        let err = execute_with(&scan, &disk, &ExecOpts::default()).expect_err("old magic");
+        assert!(
+            matches!(err.kind(), ExecError::Storage { view, .. } if view == "v"),
+            "got: {err}"
+        );
+        let err = match disk.load_extent("v") {
+            Err(e) => e,
+            Ok(rows) => panic!("old magic returned {rows:?}"),
+        };
+        assert!(matches!(err, StoreError::Corrupt(_)), "got: {err}");
+    }
 }
 
 /// A projection over a cold scan answers as in memory whatever its column
