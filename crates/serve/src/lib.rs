@@ -5,7 +5,7 @@
 //! exploits recurrence *across* a workload: a long-running
 //! [`QueryService`] holds [`smv_views::EpochCatalog`] snapshots, serves
 //! concurrent clients on one explicitly sized
-//! [`smv_xml::par::WorkerPool`], and caches at three layers —
+//! [`smv_xml::par::WorkerPool`], and caches in one table, under one lock —
 //!
 //! 1. a **pattern cache** keyed by the query text and shared across
 //!    spellings via [`smv_pattern::canonical_form`] (parse once),
@@ -17,9 +17,9 @@
 //!    [`smv_views::EpochCatalog::apply`] kills exactly the touched
 //!    entries, and untouched entries survive epoch bumps.
 //!
-//! An [`AdmissionScheduler`] picks inter- vs intra-query parallelism per
-//! request from the live client count, the pool's queue depth and the
-//! plan's expected cardinality.
+//! An [`AdmissionScheduler`] picks inter- vs intra-query parallelism for
+//! each request that executes, from the live client count, the pool's
+//! queue depth and the plan's expected cardinality.
 
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
@@ -28,6 +28,6 @@ pub mod cache;
 pub mod scheduler;
 pub mod service;
 
-pub use cache::{text_fingerprint, CachedPattern, Lookup, PatternCache, PlanCache, ResultCache};
+pub use cache::{text_fingerprint, CachedPattern};
 pub use scheduler::{AdmissionScheduler, SchedDecision, SchedMode};
 pub use service::{QueryResponse, QueryService, ServeError, ServiceConfig, ServiceStats};

@@ -53,6 +53,15 @@ pub struct SchedDecision {
     pub threads: usize,
 }
 
+impl SchedDecision {
+    /// Run on the calling thread, the pool untouched: the verdict for a
+    /// contended or tiny request, and what every cache hit reports.
+    pub const INLINE: SchedDecision = SchedDecision {
+        mode: SchedMode::Inter,
+        threads: 1,
+    };
+}
+
 /// Per-request admission policy (see the module docs for the signals).
 pub struct AdmissionScheduler {
     min_par_rows: usize,
@@ -71,10 +80,7 @@ impl AdmissionScheduler {
     pub fn decide(&self, active: usize, pool: &WorkerPool, expected_rows: f64) -> SchedDecision {
         let size = pool.size().max(1);
         let active = active.max(1);
-        let inter = SchedDecision {
-            mode: SchedMode::Inter,
-            threads: 1,
-        };
+        let inter = SchedDecision::INLINE;
         if size <= 1 {
             return inter; // nothing to fan out onto
         }

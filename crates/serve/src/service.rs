@@ -1,15 +1,19 @@
 //! The long-running query service.
 //!
 //! [`QueryService`] owns an [`EpochCatalog`], an explicitly sized
-//! [`WorkerPool`] shared by ingest and queries, the three cache layers
-//! of [`crate::cache`], an [`AdmissionScheduler`] and a
+//! [`WorkerPool`] shared by ingest and queries, the cache table of
+//! [`crate::cache`], an [`AdmissionScheduler`] and a
 //! [`FeedbackStore`]. It is `Sync`: clients call [`QueryService::query`]
 //! from any number of threads while maintenance runs through
 //! [`QueryService::apply`] on another.
 //!
-//! A request flows pattern cache → snapshot → plan cache → scheduler →
-//! result cache → execute, and every response reports which layers hit,
-//! the epoch served, and the scheduling decision.
+//! A request takes a snapshot and probes the cache table once: text →
+//! pattern → plan → rows in one critical section. A hit is answered from
+//! there, inline. Otherwise the miss path parses, ranks and executes
+//! whatever the probe did not find, handing each step back to the table,
+//! and only a request that executes consults the scheduler and the
+//! feedback store. Every response reports which layers hit, the epoch
+//! served, and the scheduling decision.
 //!
 //! **Feedback.** This is the system's adaptive loop: a plan-cache miss
 //! ranks under the service's [`FeedbackStore`], every execution is
@@ -27,29 +31,26 @@
 //! (an [`EpochReader`]) and never from the writer-side `master`;
 //! `QueryService::sweep` is the second half of every mutation, run under
 //! `master` right after the catalog publishes; and
-//! `QueryService::serve_on` hands the request's snapshot epoch to
-//! [`ResultCache::get`] / [`ResultCache::insert_for`], which validate it.
+//! every probe of the cache table carries the request's snapshot epoch,
+//! which the table validates.
 //! Results are keyed by *plan* fingerprint besides — equivalent plans may
 //! order rows differently, so a re-ranked plan misses rather than serving
 //! another plan's bytes.
 
-use crate::cache::{
-    lock, CachedPattern, Lookup, PatternCache, PlanCache, PlanKey, RankedPlan, ResultCache,
-    ResultKey,
-};
+use crate::cache::{lock, Answer, CacheTable, Probe, RankedPlan};
 use crate::scheduler::{AdmissionScheduler, SchedDecision, SchedMode};
 use smv_algebra::{
     execute_profiled_with, plan_fingerprint, ExecError, ExecOpts, FeedbackCards, FeedbackStore,
     NestedRelation, ParHints, PlanEstimate, WorkerPool,
 };
 use smv_core::{RewriteOpts, Rewriter};
-use smv_pattern::PatternParseError;
+use smv_pattern::{parse_pattern, Pattern, PatternParseError};
 use smv_views::{
     CatalogCards, CatalogEpoch, EpochCatalog, EpochReader, MaintenanceReport, RefreshPolicy, View,
     ViewStore,
 };
 use smv_xml::{Document, IdScheme, LiveError, UpdateBatch};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockWriteGuard};
 use std::time::Instant;
 
@@ -157,7 +158,9 @@ pub struct QueryResponse {
     pub plan_cache_hit: bool,
     /// Layer 3 hit: the answer was served without executing.
     pub result_cache_hit: bool,
-    /// The admission scheduler's verdict for this request.
+    /// The admission scheduler's verdict for this request. A result-cache
+    /// hit is answered inline without consulting it:
+    /// [`SchedDecision::INLINE`].
     pub scheduling: SchedDecision,
     /// Wall-clock from request entry to response.
     pub latency_ns: u64,
@@ -184,32 +187,6 @@ pub struct ServiceStats {
     pub batches_applied: u64,
 }
 
-struct Counters {
-    queries: AtomicU64,
-    pattern_hits: AtomicU64,
-    plan_hits: AtomicU64,
-    result_hits: AtomicU64,
-    sched_inter: AtomicU64,
-    sched_intra: AtomicU64,
-    results_invalidated: AtomicU64,
-    batches_applied: AtomicU64,
-}
-
-impl Counters {
-    fn new() -> Counters {
-        Counters {
-            queries: AtomicU64::new(0),
-            pattern_hits: AtomicU64::new(0),
-            plan_hits: AtomicU64::new(0),
-            result_hits: AtomicU64::new(0),
-            sched_inter: AtomicU64::new(0),
-            sched_intra: AtomicU64::new(0),
-            results_invalidated: AtomicU64::new(0),
-            batches_applied: AtomicU64::new(0),
-        }
-    }
-}
-
 /// How many times a request whose snapshot was superseded before it
 /// reached the result cache starts over on a new snapshot; after that it
 /// executes on the snapshot it holds (right, but uncached), so a request
@@ -226,9 +203,7 @@ pub struct QueryService {
     /// The reader side: the catalog's publication cell.
     published: EpochReader,
     pool: Arc<WorkerPool>,
-    patterns: PatternCache,
-    plans: PlanCache,
-    results: ResultCache,
+    cache: CacheTable,
     /// Copy-on-write: readers clone the `Arc` and rank against a frozen
     /// store; `ingest` and invalidation go through [`Arc::make_mut`],
     /// which copies only while a reader still holds the old one.
@@ -238,7 +213,6 @@ pub struct QueryService {
     config: ServiceConfig,
     /// In-flight requests, counted around [`Self::query`].
     active: AtomicUsize,
-    counters: Counters,
 }
 
 struct ActiveGuard<'a>(&'a AtomicUsize);
@@ -247,16 +221,6 @@ impl Drop for ActiveGuard<'_> {
     fn drop(&mut self) {
         self.0.fetch_sub(1, Ordering::Relaxed);
     }
-}
-
-/// One attempt's answer, before it is stamped into a [`QueryResponse`].
-struct Served {
-    rows: Arc<NestedRelation>,
-    snapshot: Arc<CatalogEpoch>,
-    ranked: Arc<RankedPlan>,
-    plan_cache_hit: bool,
-    result_cache_hit: bool,
-    scheduling: SchedDecision,
 }
 
 impl QueryService {
@@ -284,16 +248,17 @@ impl QueryService {
         QueryService {
             published: catalog.reader(),
             master: RwLock::new(catalog),
-            patterns: PatternCache::new(PATTERN_CACHE_CAPACITY),
-            plans: PlanCache::new(PLAN_CACHE_CAPACITY),
-            results: ResultCache::new(RESULT_CACHE_CAPACITY),
+            cache: CacheTable::new(
+                PATTERN_CACHE_CAPACITY,
+                PLAN_CACHE_CAPACITY,
+                RESULT_CACHE_CAPACITY,
+            ),
             feedback: Mutex::new(Arc::new(FeedbackStore::new())),
             scheduler: AdmissionScheduler::new(config.min_par_rows),
             rewrite_opts,
             pool,
             config,
             active: AtomicUsize::new(0),
-            counters: Counters::new(),
         }
     }
 
@@ -330,18 +295,17 @@ impl QueryService {
     /// The second half of every mutation, with the writer-side lock still
     /// held so that sweeps run in epoch order: `cat` has just published
     /// an epoch whose extents differ from its predecessor's exactly on
-    /// `touched`. Kills the result-cache entries that read those views and
-    /// moves the cache to the new epoch, purges dead-epoch plan rankings,
-    /// and invalidates feedback memos over the touched views. Returns how
-    /// many result entries died.
+    /// `touched`. Kills the result-cache entries that read those views,
+    /// purges dead-epoch plan rankings and moves the cache to the new
+    /// epoch, then invalidates feedback memos over the touched views.
+    /// Returns how many result entries died.
     fn sweep<S: AsRef<str>>(
         &self,
         cat: &RwLockWriteGuard<'_, EpochCatalog>,
         touched: &[S],
     ) -> usize {
         let epoch = cat.epoch();
-        let killed = self.results.sweep(touched, epoch);
-        self.plans.purge_below(epoch);
+        let killed = self.cache.sweep(touched, epoch);
         if !touched.is_empty() {
             Arc::make_mut(&mut lock(&self.feedback)).invalidate_fingerprints_touching(touched);
         }
@@ -397,12 +361,7 @@ impl QueryService {
             .collect();
         let killed = self.sweep(&cat, &touched);
         drop(cat);
-        self.counters
-            .results_invalidated
-            .fetch_add(killed as u64, Ordering::Relaxed);
-        self.counters
-            .batches_applied
-            .fetch_add(1, Ordering::Relaxed);
+        self.cache.applied(killed);
         smv_obs::counter_add("serve.batches_applied", 1);
         smv_obs::counter_add("serve.results_invalidated", killed as u64);
         Ok(report)
@@ -436,76 +395,63 @@ impl QueryService {
         let _guard = ActiveGuard(&self.active);
         smv_obs::gauge_max("serve.active_clients_max", active as i64);
 
-        // layer 1: pattern
-        let (pat, pattern_cache_hit) = self.patterns.get_or_parse(text)?;
-
         let mut restarts_left = MAX_RESTARTS;
-        let served = loop {
+        loop {
             let snap = self.published.snapshot();
-            match self.serve_on(&pat, snap, active, restarts_left > 0)? {
-                Some(served) => break served,
-                None => restarts_left -= 1,
+            if let Some((answer, scheduling)) =
+                self.serve_on(text, &snap, active, restarts_left > 0)?
+            {
+                return Ok(self.respond(answer, scheduling, snap, t0));
             }
-        };
-        Ok(self.respond(served, pattern_cache_hit, t0))
+            restarts_left -= 1;
+        }
     }
 
-    /// Layers 2 and 3 and execution, all against the one snapshot `snap`:
-    /// whatever this returns is byte-identical to a fresh execution on
-    /// `snap`. `None` asks for a restart: the result cache has been swept
-    /// for a newer epoch, so a newer snapshot is published and the cache
-    /// can no longer answer for this one. With `may_restart` false the
-    /// request executes on `snap` instead.
+    /// One attempt, all against the one snapshot `snap`: probes the cache
+    /// table, which answers a hit, then parses, ranks and executes
+    /// whatever the probe did not find, handing each step back to the
+    /// table, so whatever this returns is byte-identical to a fresh
+    /// execution on `snap`. `None` asks for a restart: the table has been
+    /// swept for a newer epoch, so a newer snapshot is published and the
+    /// table can no longer answer for this one. With `may_restart` false
+    /// the request executes on `snap` instead.
     fn serve_on(
         &self,
-        pat: &CachedPattern,
-        snap: Arc<CatalogEpoch>,
+        text: &str,
+        snap: &CatalogEpoch,
         active: usize,
         may_restart: bool,
-    ) -> Result<Option<Served>, ServeError> {
-        let epoch = snap.epoch();
-
-        // layer 2: plan
-        let plan_key = PlanKey {
-            canon_fp: pat.canon_fp,
-            geometry: snap.summary().geometry_token(),
-            epoch,
+    ) -> Result<Option<(Answer, SchedDecision)>, ServeError> {
+        let (geometry, epoch) = (snap.summary().geometry_token(), snap.epoch());
+        let mut probe = self.cache.probe(text, geometry, epoch);
+        let miss = loop {
+            probe = match probe {
+                Probe::Hit(answer) => return Ok(Some((answer, SchedDecision::INLINE))),
+                Probe::Unparsed => self
+                    .cache
+                    .parsed(text, parse_pattern(text)?, geometry, epoch),
+                Probe::Unranked {
+                    pattern,
+                    pattern_hit,
+                } => {
+                    let plan = self.rank(&pattern.pattern, snap)?;
+                    self.cache
+                        .ranked(&pattern, pattern_hit, plan, geometry, epoch)
+                }
+                Probe::Unserved(miss) => break miss,
+            };
         };
-        let (ranked, plan_cache_hit) = match self.plans.get(&plan_key) {
-            Some(r) => (r, true),
-            None => {
-                let r = self.rank(&pat.pattern, &snap)?;
-                self.plans.insert(plan_key, Arc::clone(&r));
-                (r, false)
-            }
-        };
+        if miss.superseded && may_restart {
+            return Ok(None);
+        }
 
         // scheduler: measured cardinality when feedback has seen this
         // plan, the ranking-time estimate otherwise
+        let ranked = &miss.plan;
         let expected_rows = lock(&self.feedback)
             .measured_rows_by_fingerprint(ranked.fingerprint)
             .unwrap_or(ranked.est.rows);
         let scheduling = self.scheduler.decide(active, &self.pool, expected_rows);
-
-        // layer 3: result
-        let result_key = ResultKey {
-            canon_fp: pat.canon_fp,
-            plan_fp: ranked.fingerprint,
-        };
-        match self.results.get(&result_key, epoch) {
-            Lookup::Hit(rows) => {
-                return Ok(Some(Served {
-                    rows,
-                    snapshot: snap,
-                    ranked,
-                    plan_cache_hit,
-                    result_cache_hit: true,
-                    scheduling,
-                }))
-            }
-            Lookup::Superseded if may_restart => return Ok(None),
-            Lookup::Superseded | Lookup::Miss => {}
-        }
 
         // execute on the shared pool at the granted parallelism
         let mut exec_opts = ExecOpts {
@@ -523,25 +469,14 @@ impl QueryService {
                 }
             }
         }
-        let (rel, profile) = execute_profiled_with(&ranked.plan, &*snap, &exec_opts)?;
+        let (rel, profile) = execute_profiled_with(&ranked.plan, snap, &exec_opts)?;
         // every frozen handle this request took is dropped by now, so a
         // lone client never makes this copy the store
         Arc::make_mut(&mut lock(&self.feedback)).ingest(&ranked.plan, &profile);
-        let rows = Arc::new(rel);
-        self.results.insert_for(
-            result_key,
-            Arc::clone(&rows),
-            ranked.plan.views_used(),
-            epoch,
-        );
-        Ok(Some(Served {
-            rows,
-            snapshot: snap,
-            ranked,
-            plan_cache_hit,
-            result_cache_hit: false,
-            scheduling,
-        }))
+        let answer = self
+            .cache
+            .executed(&miss, Arc::new(rel), epoch, scheduling.mode);
+        Ok(Some((answer, scheduling)))
     }
 
     /// The feedback store as of now, frozen: later ingests and
@@ -558,11 +493,7 @@ impl QueryService {
     /// child-axis query ranks in under 0.1 ms and a descendant-axis one in
     /// about 1–2 ms, most of it join enumeration (scale-10 XMark, the
     /// nine views of `smvbench`'s `adhoc`, a 2-core x86-64 host).
-    fn rank(
-        &self,
-        q: &smv_pattern::Pattern,
-        snap: &CatalogEpoch,
-    ) -> Result<Arc<RankedPlan>, ServeError> {
+    fn rank(&self, q: &Pattern, snap: &CatalogEpoch) -> Result<RankedPlan, ServeError> {
         let fb = self.frozen_feedback();
         let cards = CatalogCards::over(snap, snap.summary());
         let fb_cards = FeedbackCards::new(&cards, &fb);
@@ -576,55 +507,51 @@ impl QueryService {
             .into_iter()
             .next()
             .ok_or(ServeError::NoRewriting)?;
-        Ok(Arc::new(RankedPlan {
+        Ok(RankedPlan {
             fingerprint: plan_fingerprint(&best.plan),
             plan: best.plan,
             est: best.est,
             candidates,
-        }))
+        })
     }
 
-    /// Counts the answered request and stamps the response.
-    fn respond(&self, served: Served, pattern_cache_hit: bool, t0: Instant) -> QueryResponse {
-        let Served {
-            rows,
-            snapshot,
-            ranked,
-            plan_cache_hit,
-            result_cache_hit,
-            scheduling,
-        } = served;
-        let bump = |counter: &AtomicU64, name: &'static str| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            smv_obs::counter_add(name, 1);
-        };
-        if pattern_cache_hit {
-            bump(&self.counters.pattern_hits, "serve.pattern_hits");
-        }
-        if plan_cache_hit {
-            bump(&self.counters.plan_hits, "serve.plan_hits");
-        }
-        if result_cache_hit {
-            bump(&self.counters.result_hits, "serve.result_hits");
-        }
-        match scheduling.mode {
-            SchedMode::Inter => bump(&self.counters.sched_inter, "serve.sched_inter"),
-            SchedMode::Intra => bump(&self.counters.sched_intra, "serve.sched_intra"),
-        }
-        bump(&self.counters.queries, "serve.queries");
+    /// Stamps the response (the cache table has counted the request) and
+    /// mirrors the counts into `smv_obs`.
+    fn respond(
+        &self,
+        answer: Answer,
+        scheduling: SchedDecision,
+        snapshot: Arc<CatalogEpoch>,
+        t0: Instant,
+    ) -> QueryResponse {
         let latency_ns = t0.elapsed().as_nanos() as u64;
-        smv_obs::observe("serve.latency_ns", latency_ns);
-        smv_obs::observe("serve.result_rows", rows.len() as u64);
+        if smv_obs::enabled() {
+            let intra = scheduling.mode == SchedMode::Intra;
+            for (name, hit) in [
+                ("serve.pattern_hits", answer.pattern_hit),
+                ("serve.plan_hits", answer.plan_hit),
+                ("serve.result_hits", answer.result_hit),
+                ("serve.sched_inter", !intra),
+                ("serve.sched_intra", intra),
+                ("serve.queries", true),
+            ] {
+                if hit {
+                    smv_obs::counter_add(name, 1);
+                }
+            }
+            smv_obs::observe("serve.latency_ns", latency_ns);
+            smv_obs::observe("serve.result_rows", answer.rows.len() as u64);
+        }
         QueryResponse {
-            rows,
+            rows: answer.rows,
             epoch: snapshot.epoch(),
             snapshot,
-            plan_fingerprint: ranked.fingerprint,
-            est: ranked.est,
-            candidates: ranked.candidates,
-            pattern_cache_hit,
-            plan_cache_hit,
-            result_cache_hit,
+            plan_fingerprint: answer.plan_fingerprint,
+            est: answer.est,
+            candidates: answer.candidates,
+            pattern_cache_hit: answer.pattern_hit,
+            plan_cache_hit: answer.plan_hit,
+            result_cache_hit: answer.result_hit,
             scheduling,
             latency_ns,
         }
@@ -632,21 +559,12 @@ impl QueryService {
 
     /// Point-in-time counter snapshot.
     pub fn stats(&self) -> ServiceStats {
-        ServiceStats {
-            queries: self.counters.queries.load(Ordering::Relaxed),
-            pattern_hits: self.counters.pattern_hits.load(Ordering::Relaxed),
-            plan_hits: self.counters.plan_hits.load(Ordering::Relaxed),
-            result_hits: self.counters.result_hits.load(Ordering::Relaxed),
-            sched_inter: self.counters.sched_inter.load(Ordering::Relaxed),
-            sched_intra: self.counters.sched_intra.load(Ordering::Relaxed),
-            results_invalidated: self.counters.results_invalidated.load(Ordering::Relaxed),
-            batches_applied: self.counters.batches_applied.load(Ordering::Relaxed),
-        }
+        self.cache.counts()
     }
 
     /// Number of live result-cache entries (benchmark/test telemetry).
     pub fn cached_results(&self) -> usize {
-        self.results.len()
+        self.cache.results()
     }
 }
 
@@ -699,9 +617,9 @@ mod tests {
     const B: &str = "r(//b{id,v})";
 
     /// One attempt of a request for [`B`] that already holds `snap`.
-    fn attempt(svc: &QueryService, snap: Arc<CatalogEpoch>, may_restart: bool) -> Option<Served> {
-        let (pat, _) = svc.patterns.get_or_parse(B).unwrap();
-        svc.serve_on(&pat, snap, 1, may_restart).unwrap()
+    fn attempt(svc: &QueryService, snap: &CatalogEpoch, may_restart: bool) -> Option<Answer> {
+        let served = svc.serve_on(B, snap, 1, may_restart).unwrap();
+        served.map(|(answer, _)| answer)
     }
 
     fn delete_c(svc: &QueryService) -> UpdateBatch {
@@ -822,14 +740,10 @@ mod tests {
         assert!(!b.result_cache_hit);
         assert_eq!(b.rows.len(), 3);
         // A reaches the result cache: B's rows are not an answer on N
-        assert!(
-            attempt(&svc, Arc::clone(&held), true).is_none(),
-            "asks for a restart"
-        );
+        assert!(attempt(&svc, &held, true).is_none(), "asks for a restart");
         // out of restarts, A answers from the snapshot it holds, uncached
-        let a = attempt(&svc, Arc::clone(&held), false).expect("served");
-        assert!(!a.result_cache_hit);
-        assert_eq!(a.snapshot.epoch(), held.epoch());
+        let a = attempt(&svc, &held, false).expect("served");
+        assert!(!a.result_hit);
         assert_eq!(a.rows.len(), 4, "epoch-N rows with the epoch-N snapshot");
         // … and did not overwrite B's entry with superseded rows
         let again = svc.query(B).unwrap();
@@ -857,8 +771,8 @@ mod tests {
         assert!(!svc.query(B).unwrap().result_cache_hit);
         // a request still on the old epoch is served the old entry, which
         // is right for the snapshot it names
-        let behind = attempt(&svc, held, true).expect("served");
-        assert!(behind.result_cache_hit);
+        let behind = attempt(&svc, &held, true).expect("served");
+        assert!(behind.result_hit);
         assert_eq!(behind.rows.len(), 4);
         // the sweep closes the window
         assert_eq!(svc.sweep(&cat, &["vb", "vy"]), 1);
@@ -901,6 +815,36 @@ mod tests {
     }
 
     #[test]
+    fn result_cache_hits_leave_feedback_and_the_scheduler_alone() {
+        // a pool with room to fan out and no row floor: an executing lone
+        // client is granted the pool
+        let doc = Document::from_parens(r#"r(a(b="1" b="2" c(b="3")) a(b="4"))"#);
+        let svc = QueryService::new(
+            doc,
+            IdScheme::OrdPath,
+            ServiceConfig {
+                threads: 3,
+                min_par_rows: 0,
+            },
+        );
+        svc.add_view(
+            View::new("vb", parse_pattern(B).unwrap(), IdScheme::OrdPath),
+            RefreshPolicy::Eager,
+        );
+        assert_eq!(svc.query(B).unwrap().scheduling.mode, SchedMode::Intra);
+        let before = svc.frozen_feedback().stats();
+        for _ in 0..1_000 {
+            let hit = svc.query(B).unwrap();
+            assert!(hit.result_cache_hit);
+            assert_eq!(hit.scheduling.mode, SchedMode::Inter);
+            assert_eq!(hit.scheduling.threads, 1);
+        }
+        assert_eq!(svc.frozen_feedback().stats(), before);
+        let stats = svc.stats();
+        assert_eq!((stats.sched_inter, stats.sched_intra), (1_000, 1));
+    }
+
+    #[test]
     fn apply_drops_stale_feedback_memos() {
         let doc = Document::from_parens(r#"r(a(name="x") a(name="y") a(name="z"))"#);
         let svc = QueryService::new(
@@ -938,9 +882,7 @@ mod tests {
         let svc = service(1);
         let first = svc.query(B).unwrap();
         // a panic under each query-path lock …
-        svc.patterns.poison();
-        svc.plans.poison();
-        svc.results.poison();
+        crate::cache::poison(&svc.cache.table);
         crate::cache::poison(&svc.feedback);
         let hot = svc.query(B).unwrap();
         assert!(hot.pattern_cache_hit && hot.plan_cache_hit && hot.result_cache_hit);

@@ -151,8 +151,11 @@ fn concurrent_clients_with_interleaved_updates_stay_coherent() {
             });
         }
         let mut stream = Pr7Stream::new(13);
-        for k in 0..BATCHES {
-            while served.load(Ordering::Acquire) < (k + 1) * PER_EPOCH {
+        for _ in 0..BATCHES {
+            // counted from now, not in total: clients that outran the last
+            // apply must not let this one start before its epoch is read
+            let before = served.load(Ordering::Acquire);
+            while served.load(Ordering::Acquire) < before + PER_EPOCH {
                 std::thread::yield_now();
             }
             let batch = svc.with_catalog(|cat| stream.next_batch(cat.live(), 0.15));
@@ -173,6 +176,85 @@ fn concurrent_clients_with_interleaved_updates_stay_coherent() {
         assert_eq!(resp.epoch, svc.epoch());
     }
     assert_eq!(svc.stats().batches_applied, BATCHES as u64);
+}
+
+#[test]
+fn service_counts_equal_the_registry_and_every_query_is_scheduled_once() {
+    // the registry is process-wide: nothing else may count into it
+    let _quiet = alone();
+    let svc = QueryService::new(
+        Document::from_parens(r#"r(a(b="1" c(b="2")) x(y="9"))"#),
+        IdScheme::OrdPath,
+        ServiceConfig {
+            threads: 1,
+            ..ServiceConfig::default()
+        },
+    );
+    svc.add_view(
+        View::new(
+            "vb",
+            parse_pattern("r(//b{id,v})").unwrap(),
+            IdScheme::OrdPath,
+        ),
+        RefreshPolicy::Eager,
+    );
+    let node = |label: &str| {
+        svc.with_catalog(|cat| {
+            let doc = cat.live().doc();
+            let n = doc.iter().find(|&n| doc.label(n).as_str() == label);
+            cat.live().ids().id(n.expect("labeled node")).clone()
+        })
+    };
+    let layers = |text: &str| {
+        let r = svc.query(text).unwrap();
+        (r.pattern_cache_hit, r.plan_cache_hit, r.result_cache_hit)
+    };
+    let q = "r(//b{id,v})";
+    smv::obs::global().reset();
+    let _on = ScopedEnable::new();
+    assert_eq!(layers(q), (false, false, false), "cold");
+    assert_eq!(layers(q), (true, true, true), "hot");
+    assert_eq!(
+        layers("r ( // b { id , v } )"),
+        (false, true, true),
+        "respelled"
+    );
+    // a new epoch whose delta misses vb: re-ranked, the rows still serve
+    let mut beside = UpdateBatch::new();
+    beside.insert(node("x"), Document::from_parens(r#"z="1""#));
+    assert!(svc.apply(&beside).unwrap().refreshed.is_empty());
+    assert_eq!(layers(q), (true, false, true), "untouched");
+    // one that refreshes vb kills the rows
+    let mut under = UpdateBatch::new();
+    under.delete(node("c"));
+    assert_eq!(svc.apply(&under).unwrap().refreshed, ["vb"]);
+    assert_eq!(layers(q), (true, false, false), "touched");
+
+    let stats = svc.stats();
+    let registry = smv::obs::global();
+    for (name, count) in [
+        ("serve.queries", stats.queries),
+        ("serve.pattern_hits", stats.pattern_hits),
+        ("serve.plan_hits", stats.plan_hits),
+        ("serve.result_hits", stats.result_hits),
+        ("serve.sched_inter", stats.sched_inter),
+        ("serve.sched_intra", stats.sched_intra),
+        ("serve.results_invalidated", stats.results_invalidated),
+        ("serve.batches_applied", stats.batches_applied),
+    ] {
+        assert_eq!(registry.counter(name), count, "{name}");
+    }
+    assert_eq!(stats.sched_inter + stats.sched_intra, stats.queries);
+    assert_eq!(
+        (
+            stats.queries,
+            stats.pattern_hits,
+            stats.plan_hits,
+            stats.result_hits
+        ),
+        (5, 3, 2, 3)
+    );
+    assert_eq!((stats.results_invalidated, stats.batches_applied), (1, 2));
 }
 
 /// The longest stretch of `[from, to]` in which the reader, whose
