@@ -66,7 +66,6 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod containment;
-mod fasthash;
 
 pub use containment::{
     contained, contained_in_union, equivalent, is_satisfiable, one_to_one_connected, ContainOpts,

@@ -44,7 +44,6 @@
 //!   this nesting step cannot be obtained").
 
 use crate::containment::{implies_disjunction, tuple_in, FormulaMode};
-use crate::fasthash::{FastBuild, FastHasher};
 use smv_algebra::{
     AttrKind, CardSource, ColKind, CostModel, FeedbackStore, NavStep, Plan, PlanEstimate,
     Predicate, StructRel,
@@ -53,6 +52,7 @@ use smv_pattern::canonical::{canonical_model, CTree, CanonOpts};
 use smv_pattern::{associated_paths, Axis, Formula, PNodeId, Pattern};
 use smv_summary::Summary;
 use smv_views::{schema_of, DefCards, View};
+use smv_xml::fasthash::{FastBuild, FastHasher};
 use smv_xml::{IdScheme, NodeId, Symbol};
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;

@@ -69,6 +69,12 @@ impl<'p, 't, T: MatchTarget> Matcher<'p, 't, T> {
     /// candidates (child axis: mark the parent; descendant axis: climb,
     /// stopping at the first ancestor an earlier climb already marked),
     /// and a node qualifies when every such pass marked it.
+    ///
+    /// The nodes tested are the target root for the pattern root, the
+    /// target's postings of the label for a labeled node when it keeps
+    /// them ([`LabeledTree::tree_nodes_labeled`]: documents do), and every
+    /// target node otherwise. Over a document that makes the cost the
+    /// postings read plus the marking steps.
     pub fn new(pattern: &'p Pattern, target: &'t T) -> Self {
         let n_nodes = pattern.len();
         let t_len = target.tree_len();
@@ -97,21 +103,27 @@ impl<'p, 't, T: MatchTarget> Matcher<'p, 't, T> {
                     mark
                 })
                 .collect();
-            let pool = if pid == pattern.root() {
-                let r = target.tree_root().0;
-                r..r + 1
-            } else {
-                0..t_len as u32
+            let qualifies = |&x: &NodeId| {
+                pnode.label.is_none_or(|l| target.tree_label(x) == l)
+                    && target.admits(x, &pnode.predicate)
+                    && marks.iter().all(|mark| mark[x.idx()])
             };
-            probes += pool.len() as u64;
-            cand[pid.idx()] = pool
-                .map(NodeId)
-                .filter(|&x| {
-                    pnode.label.is_none_or(|l| target.tree_label(x) == l)
-                        && target.admits(x, &pnode.predicate)
-                        && marks.iter().all(|mark| mark[x.idx()])
-                })
-                .collect();
+            let root = [target.tree_root()];
+            let listed = match pnode.label {
+                _ if pid == pattern.root() => Some(&root[..]),
+                Some(l) => target.tree_nodes_labeled(l),
+                None => None,
+            };
+            cand[pid.idx()] = match listed {
+                Some(pool) => {
+                    probes += pool.len() as u64;
+                    pool.iter().copied().filter(qualifies).collect()
+                }
+                None => {
+                    probes += t_len as u64;
+                    (0..t_len as u32).map(NodeId).filter(qualifies).collect()
+                }
+            };
         }
         Matcher {
             pattern,
@@ -121,9 +133,10 @@ impl<'p, 't, T: MatchTarget> Matcher<'p, 't, T> {
         }
     }
 
-    /// Target nodes examined while computing the candidate sets (label
-    /// tests plus marking steps) — an exact work count, for tests that
-    /// bound the construction cost without a clock.
+    /// Target nodes examined while computing the candidate sets (nodes of
+    /// each pool tested — postings entries over a document — plus marking
+    /// steps): an exact work count, for tests that bound the construction
+    /// cost without a clock.
     pub fn probes(&self) -> u64 {
         self.probes
     }

@@ -25,9 +25,10 @@ use crate::scheduler::SchedMode;
 use crate::service::ServiceStats;
 use smv_algebra::{NestedRelation, Plan, PlanEstimate};
 use smv_pattern::{canonical_form, Pattern};
+use smv_xml::fasthash::FastBuild;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, Hash};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Locks `m`, taking the guard out of a poisoned mutex: a lock in this
@@ -119,24 +120,7 @@ struct ResultEntry {
 /// Multiply-rotate hashing for the plan and result layers. Their keys
 /// are fingerprints, already hashes, and a layer's capacity bounds how long
 /// a probe among crafted colliding keys can run; client text keeps SipHash.
-#[derive(Default)]
-struct FpHasher(u64);
-
-impl Hasher for FpHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|b| self.write_u64(u64::from(*b)));
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-type ByFingerprint = BuildHasherDefault<FpHasher>;
+type ByFingerprint = FastBuild;
 
 /// A capacity-bounded map evicting in insertion order.
 struct Fifo<K, V, S = RandomState> {

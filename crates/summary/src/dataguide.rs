@@ -212,6 +212,58 @@ struct SNode {
     one_to_one: bool,
 }
 
+/// Summary nodes with at most this many children find one by label with a
+/// scan; wider ones through a map, so a path with many distinct child
+/// labels keeps [`Summary::extend_with`] linear.
+const SCAN_FANOUT: usize = 8;
+
+/// The `(path, label) → child path` lookup of one [`Summary::extend_with`].
+struct EdgeIndex {
+    /// The children of every path wider than [`SCAN_FANOUT`]. Labels are
+    /// input, so this map keeps std's keyed hasher.
+    wide: HashMap<(u32, Label), NodeId>,
+}
+
+impl EdgeIndex {
+    fn over(nodes: &[SNode]) -> EdgeIndex {
+        let mut index = EdgeIndex {
+            wide: HashMap::new(),
+        };
+        for (p, n) in nodes.iter().enumerate() {
+            if n.children.len() > SCAN_FANOUT {
+                for &c in &n.children {
+                    index.wide.insert((p as u32, nodes[c.idx()].label), c);
+                }
+            }
+        }
+        index
+    }
+
+    /// The child of `sp` labeled `label`, if the summary has it.
+    fn child(&self, nodes: &[SNode], sp: NodeId, label: Label) -> Option<NodeId> {
+        let kids = &nodes[sp.idx()].children;
+        if kids.len() > SCAN_FANOUT {
+            self.wide.get(&(sp.0, label)).copied()
+        } else {
+            kids.iter().copied().find(|c| nodes[c.idx()].label == label)
+        }
+    }
+
+    /// Takes in the child just pushed onto `sp`'s children.
+    fn added(&mut self, nodes: &[SNode], sp: NodeId) {
+        let kids = &nodes[sp.idx()].children;
+        // crossing the threshold moves every child into the map
+        let from = match kids.len() {
+            n if n <= SCAN_FANOUT => n,
+            n if n == SCAN_FANOUT + 1 => 0,
+            n => n - 1,
+        };
+        for &c in &kids[from..] {
+            self.wide.insert((sp.0, nodes[c.idx()].label), c);
+        }
+    }
+}
+
 /// The strong Dataguide of one or more documents, with enhanced-summary
 /// (integrity-constraint) annotations.
 ///
@@ -258,15 +310,20 @@ impl Clone for Summary {
 impl Summary {
     /// Builds the summary of a document in one linear pass.
     pub fn of(doc: &Document) -> Summary {
-        let mut s = Summary {
+        let mut s = Summary::empty();
+        s.extend_with(doc);
+        s
+    }
+
+    /// A summary of no document.
+    fn empty() -> Summary {
+        Summary {
             nodes: Vec::new(),
             docs: 0,
             id: next_summary_id(),
             geometry_gen: 0,
             edge_gen: 0,
-        };
-        s.extend_with(doc);
-        s
+        }
     }
 
     /// An opaque token identifying this summary's current geometry: its
@@ -329,68 +386,59 @@ impl Summary {
             "summary and document root labels must agree"
         );
         self.docs += 1;
-        // map document node -> summary node, exploiting document order:
-        // a node's parent is processed before the node itself.
+        // one pass in document order, so a node's parent is mapped before
+        // the node: document node -> summary node
         let mut doc2sum: Vec<NodeId> = vec![NodeId(0); doc.len()];
-        // (summary parent, label) -> summary child
-        let mut edge: HashMap<(u32, Label), NodeId> = HashMap::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            for &c in &n.children {
-                edge.insert((i as u32, self.nodes[c.idx()].label), c);
-            }
-        }
-        self.nodes[0].count += 1;
-        for dn in doc.iter().skip(1) {
-            let sp = doc2sum[doc.parent(dn).expect("non-root has parent").idx()];
-            let label = doc.label(dn);
-            let sn = match edge.get(&(sp.0, label)) {
-                Some(&sn) => sn,
-                None => {
-                    let sn = NodeId(self.nodes.len() as u32);
-                    self.nodes.push(SNode {
-                        label,
-                        parent: Some(sp),
-                        children: Vec::new(),
-                        pre: 0,
-                        last_desc: 0,
-                        depth: self.nodes[sp.idx()].depth + 1,
-                        count: 0,
-                        parents_with: 0,
-                        values: 0,
-                        distinct: ValueSketch::default(),
-                        strong: false,
-                        one_to_one: false,
-                    });
-                    self.nodes[sp.idx()].children.push(sn);
-                    edge.insert((sp.0, label), sn);
+        let mut edges = EdgeIndex::over(&self.nodes);
+        // per path, the last document parent counted into `parents_with`.
+        // Nodes on one path share a depth, so between two children of one
+        // parent the pass visits no other node on their path: the stamp
+        // counts each parent once.
+        let mut last_parent: Vec<u32> = vec![u32::MAX; self.nodes.len()];
+        for dn in doc.iter() {
+            let sn = match doc.parent(dn) {
+                None => NodeId(0),
+                Some(dp) => {
+                    let sp = doc2sum[dp.idx()];
+                    let label = doc.label(dn);
+                    let sn = match edges.child(&self.nodes, sp, label) {
+                        Some(sn) => sn,
+                        None => {
+                            let sn = NodeId(self.nodes.len() as u32);
+                            self.nodes.push(SNode {
+                                label,
+                                parent: Some(sp),
+                                children: Vec::new(),
+                                pre: 0,
+                                last_desc: 0,
+                                depth: self.nodes[sp.idx()].depth + 1,
+                                count: 0,
+                                parents_with: 0,
+                                values: 0,
+                                distinct: ValueSketch::default(),
+                                strong: false,
+                                one_to_one: false,
+                            });
+                            self.nodes[sp.idx()].children.push(sn);
+                            edges.added(&self.nodes, sp);
+                            last_parent.push(u32::MAX);
+                            sn
+                        }
+                    };
+                    if std::mem::replace(&mut last_parent[sn.idx()], dp.0) != dp.0 {
+                        self.nodes[sn.idx()].parents_with += 1;
+                    }
                     sn
                 }
             };
             doc2sum[dn.idx()] = sn;
-            self.nodes[sn.idx()].count += 1;
-        }
-        // per-path value statistics (selectivity estimation)
-        for dn in doc.iter() {
+            let node = &mut self.nodes[sn.idx()];
+            node.count += 1;
+            // per-path value statistics (selectivity estimation)
             if let Some(v) = doc.value(dn) {
-                let sn = doc2sum[dn.idx()];
-                self.nodes[sn.idx()].values += 1;
-                self.nodes[sn.idx()].distinct.insert(v);
+                node.values += 1;
+                node.distinct.insert(v);
             }
-        }
-        // strong / one-to-one detection: for every document node, count its
-        // children per summary child.
-        let mut with_child: HashMap<(u32, u32), u64> = HashMap::new(); // (doc node, summary child) -> #children
-        for dn in doc.iter() {
-            for &c in doc.children(dn) {
-                *with_child.entry((dn.0, doc2sum[c.idx()].0)).or_insert(0) += 1;
-            }
-        }
-        let mut parents_with: HashMap<u32, u64> = HashMap::new();
-        for &(_, sc) in with_child.keys() {
-            *parents_with.entry(sc).or_insert(0) += 1;
-        }
-        for (sc, pw) in parents_with {
-            self.nodes[sc as usize].parents_with += pw;
         }
         self.refresh_edge_classes();
         self.recompute_order();
@@ -1564,6 +1612,139 @@ mod tests {
             let expect_path: String = expect.iter().map(|l| format!("/{}", l.as_str())).collect();
             assert_eq!(got_path, expect_path);
         }
+    }
+
+    impl Summary {
+        /// The summary pass as hash maps: an `(path, label)` edge map, and
+        /// a `(document node, child path)` map whose keys count the parents
+        /// with a child on each path.
+        fn extend_with_reference(&mut self, doc: &Document) {
+            if self.nodes.is_empty() {
+                self.nodes.push(SNode {
+                    label: doc.label(doc.root()),
+                    parent: None,
+                    children: Vec::new(),
+                    pre: 0,
+                    last_desc: 0,
+                    depth: 0,
+                    count: 0,
+                    parents_with: 0,
+                    values: 0,
+                    distinct: ValueSketch::default(),
+                    strong: false,
+                    one_to_one: false,
+                });
+            }
+            self.docs += 1;
+            let mut doc2sum: Vec<NodeId> = vec![NodeId(0); doc.len()];
+            let mut edge: HashMap<(u32, Label), NodeId> = HashMap::new();
+            for (i, n) in self.nodes.iter().enumerate() {
+                for &c in &n.children {
+                    edge.insert((i as u32, self.nodes[c.idx()].label), c);
+                }
+            }
+            self.nodes[0].count += 1;
+            for dn in doc.iter().skip(1) {
+                let sp = doc2sum[doc.parent(dn).unwrap().idx()];
+                let label = doc.label(dn);
+                let sn = match edge.get(&(sp.0, label)) {
+                    Some(&sn) => sn,
+                    None => {
+                        let sn = NodeId(self.nodes.len() as u32);
+                        self.nodes.push(SNode {
+                            label,
+                            parent: Some(sp),
+                            children: Vec::new(),
+                            pre: 0,
+                            last_desc: 0,
+                            depth: self.nodes[sp.idx()].depth + 1,
+                            count: 0,
+                            parents_with: 0,
+                            values: 0,
+                            distinct: ValueSketch::default(),
+                            strong: false,
+                            one_to_one: false,
+                        });
+                        self.nodes[sp.idx()].children.push(sn);
+                        edge.insert((sp.0, label), sn);
+                        sn
+                    }
+                };
+                doc2sum[dn.idx()] = sn;
+                self.nodes[sn.idx()].count += 1;
+            }
+            for dn in doc.iter() {
+                if let Some(v) = doc.value(dn) {
+                    let sn = doc2sum[dn.idx()];
+                    self.nodes[sn.idx()].values += 1;
+                    self.nodes[sn.idx()].distinct.insert(v);
+                }
+            }
+            let mut with_child: HashMap<(u32, u32), u64> = HashMap::new();
+            for dn in doc.iter() {
+                for &c in doc.children(dn) {
+                    *with_child.entry((dn.0, doc2sum[c.idx()].0)).or_insert(0) += 1;
+                }
+            }
+            for &(_, sc) in with_child.keys() {
+                self.nodes[sc as usize].parents_with += 1;
+            }
+            self.refresh_edge_classes();
+            self.recompute_order();
+            self.geometry_gen += 1;
+        }
+    }
+
+    /// Random trees in parenthesized notation under a root `r`: labels
+    /// from a 12-letter alphabet and up to 12 children, so that a path
+    /// gains more distinct child labels than [`SCAN_FANOUT`].
+    fn wide_tree() -> impl proptest::prelude::Strategy<Value = String> {
+        use proptest::prelude::*;
+        let name = |l: u8| ((b'a' + l) as char).to_string();
+        let leaf =
+            (0u8..12, proptest::option::of(0i64..6), 0u8..3).prop_map(move |(l, v, s)| {
+                match (v, s) {
+                    (None, _) => name(l),
+                    (Some(v), 0) => format!("{}=\"s{v}\"", name(l)),
+                    (Some(v), _) => format!("{}=\"{v}\"", name(l)),
+                }
+            });
+        leaf.prop_recursive(3, 64, 6, move |inner| {
+            (0u8..12, proptest::collection::vec(inner, 1..12))
+                .prop_map(move |(l, kids)| format!("{}({})", name(l), kids.join(" ")))
+        })
+        .prop_map(|body| format!("r({body} {body})"))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The stamp pass and the edge index build the summary the hash
+        /// maps build, byte for byte, for one document and for a second
+        /// folded in.
+        #[test]
+        fn summary_pass_is_the_hash_map_pass(a in wide_tree(), b in wide_tree()) {
+            let (a, b) = (Document::from_parens(&a), Document::from_parens(&b));
+            let mut built = Summary::of(&a);
+            let mut reference = Summary::empty();
+            reference.extend_with_reference(&a);
+            proptest::prop_assert_eq!(built.to_bytes(), reference.to_bytes());
+            built.extend_with(&b);
+            reference.extend_with_reference(&b);
+            proptest::prop_assert_eq!(built.to_bytes(), reference.to_bytes());
+        }
+    }
+
+    #[test]
+    fn a_wide_path_finds_its_children_through_the_map() {
+        let kids: Vec<String> = (0..1000).map(|i| format!("k{i}(x)")).collect();
+        let src = format!("r({} {})", kids.join(" "), kids.join(" "));
+        let s = Summary::of(&Document::from_parens(&src));
+        assert_eq!(s.len(), 1 + 2 * 1000);
+        assert_eq!(s.children(s.root()).len(), 1000);
+        let k7 = s.node_by_path("/r/k7").unwrap();
+        assert_eq!(s.count(k7), 2);
+        assert!(s.is_one_to_one_edge(s.node_by_path("/r/k7/x").unwrap()));
     }
 
     #[test]

@@ -79,10 +79,10 @@ fn width(p: &Pattern, n: PNodeId) -> usize {
     w
 }
 
-/// The `smv-obs` counter of candidate probes: target nodes examined by
-/// [`Matcher::new`] plus candidates examined (and interval lookups made)
-/// while enumerating bindings. An exact, repeatable work count — the
-/// linearity tests bound it instead of a clock.
+/// The `smv-obs` counter of candidate probes: label postings examined and
+/// marking steps taken by [`Matcher::new`], plus candidates examined (and
+/// interval lookups made) while enumerating bindings. An exact, repeatable
+/// work count — the linearity tests bound it instead of a clock.
 pub const CANDIDATE_PROBES: &str = "views.candidate_probes";
 
 /// Evaluates `p(doc, f_ID)` into a nested relation.

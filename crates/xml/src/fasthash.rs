@@ -1,13 +1,15 @@
-//! A small multiplicative hasher for the rewriter's in-memory keys.
+//! A small multiplicative hasher for keys no client can craft to collide.
 //!
-//! The rewriter hashes tens of thousands of short integer sequences per
-//! ranking (summary paths, column layouts). They are built from view
-//! definitions and the summary, not from a request's text, and every key
-//! is also compared in full on a hit, so a collision costs a comparison
-//! and never a wrong answer. std's SipHash spends most of its time
-//! guarding against keys crafted to collide, which these cannot be; this
-//! is the rotate-xor-multiply step of the Firefox/rustc hasher, one
-//! multiplication per word.
+//! This is the rotate-xor-multiply step of the Firefox/rustc hasher, one
+//! multiplication per word. std's SipHash spends most of its time
+//! guarding against keys crafted to collide; the users here either hash
+//! keys built from view definitions and the summary (the rewriter's
+//! summary paths and column layouts), keys that are already fingerprints
+//! (the service's plan and result caches), or bound the damage a
+//! collision can do (the parser's fixed-size label cache, where a
+//! collision is a miss). Every map user compares keys in full on a hit,
+//! so a collision costs a comparison and never a wrong answer. Keys taken
+//! from untrusted input into an unbounded map keep SipHash.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -15,12 +17,12 @@ use std::hash::{BuildHasherDefault, Hasher};
 const K: u64 = 0x517c_c1b7_2722_0a95;
 
 /// Word-at-a-time multiplicative hasher. Not DoS-resistant; see the
-/// module docs for why that is fine here.
+/// module docs for where that is fine.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct FastHasher(u64);
+pub struct FastHasher(u64);
 
 /// `HashMap`/`HashSet` state for [`FastHasher`].
-pub(crate) type FastBuild = BuildHasherDefault<FastHasher>;
+pub type FastBuild = BuildHasherDefault<FastHasher>;
 
 impl FastHasher {
     #[inline]

@@ -16,6 +16,7 @@
 //! share it without a dependency cycle.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
+pub mod fasthash;
 pub mod ids;
 pub mod label;
 pub mod live;

@@ -12,9 +12,12 @@
 //! it, so a deeper document is refused here, with an error, instead of
 //! overflowing a stack further up.
 
+use crate::fasthash::FastHasher;
 use crate::label::Label;
 use crate::tree::{Document, TreeBuilder};
 use crate::value::Value;
+use std::borrow::Cow;
+use std::hash::Hasher;
 
 /// A parse failure with byte position and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,10 +52,17 @@ struct Parser<'a> {
     /// Elements open around `pos`.
     depth: usize,
     builder: TreeBuilder,
+    /// The text run since the last tag: character data and CDATA, decoded.
     text_buf: String,
+    labels: LabelCache<'a>,
 }
 
 /// Parses an XML document into a [`Document`].
+///
+/// Names are read as slices of the input and resolved through a per-parse
+/// [`LabelCache`]; text without `&` is borrowed rather than decoded into a
+/// string of its own, and an element's runs become its value once, when
+/// it closes.
 pub fn parse_document(input: &str) -> Result<Document, ParseError> {
     let mut p = Parser {
         input: input.as_bytes(),
@@ -60,9 +70,57 @@ pub fn parse_document(input: &str) -> Result<Document, ParseError> {
         depth: 0,
         builder: TreeBuilder::new(),
         text_buf: String::new(),
+        labels: LabelCache::new(),
     };
     p.parse()?;
     Ok(p.builder.finish())
+}
+
+/// Slots in a [`LabelCache`]; a power of two.
+const LABEL_SLOTS: usize = 1024;
+
+/// The labels one parse has resolved, in front of [`Label::intern`]'s
+/// process-wide lock: a direct-mapped table keyed by the name as it
+/// appears in the input, plus whether it names an attribute. Names are
+/// input, so the table is bounded: names that collide evict each other
+/// and go back to the interner, whatever the document holds.
+struct LabelCache<'a> {
+    slots: Vec<Option<(&'a str, bool, Label)>>,
+    /// `@name` for an attribute's miss.
+    scratch: String,
+}
+
+impl<'a> LabelCache<'a> {
+    fn new() -> LabelCache<'a> {
+        LabelCache {
+            slots: vec![None; LABEL_SLOTS],
+            scratch: String::new(),
+        }
+    }
+
+    /// The label of element `name`, or of attribute `name` (`@name`).
+    fn get(&mut self, name: &'a str, attribute: bool) -> Label {
+        let mut h = FastHasher::default();
+        h.write(name.as_bytes());
+        h.write_u8(attribute as u8);
+        // the last multiply mixes every input bit into the top ones
+        let slot = &mut self.slots[(h.finish() >> (64 - LABEL_SLOTS.trailing_zeros())) as usize];
+        match *slot {
+            Some((n, a, label)) if n == name && a == attribute => label,
+            _ => {
+                let label = if attribute {
+                    self.scratch.clear();
+                    self.scratch.push('@');
+                    self.scratch.push_str(name);
+                    Label::intern(&self.scratch)
+                } else {
+                    Label::intern(name)
+                };
+                *slot = Some((name, attribute, label));
+                label
+            }
+        }
+    }
 }
 
 impl<'a> Parser<'a> {
@@ -148,31 +206,31 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn read_name(&mut self) -> Result<String, ParseError> {
+    /// The name at `pos`, as a slice of the input.
+    fn read_name(&mut self) -> Result<&'a str, ParseError> {
+        let input = self.input;
         let start = self.pos;
-        while matches!(self.peek(), Some(b) if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.' || b == b':')
-        {
-            self.pos += 1;
-        }
+        self.pos += input[start..]
+            .iter()
+            .position(|&b| !(b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':')))
+            .unwrap_or(input.len() - start);
         if self.pos == start {
             return self.err("expected a name");
         }
-        Ok(std::str::from_utf8(&self.input[start..self.pos])
-            .map_err(|_| ParseError {
-                position: start,
-                message: "invalid UTF-8 in name".into(),
-            })?
-            .to_owned())
+        std::str::from_utf8(&input[start..self.pos]).map_err(|_| ParseError {
+            position: start,
+            message: "invalid UTF-8 in name".into(),
+        })
     }
 
+    /// Ends the text run: its trimmed text joins the open element's value.
     fn flush_text(&mut self) {
         // whitespace-only runs between elements are formatting, not data
-        if !self.text_buf.trim().is_empty() {
-            let text = std::mem::take(&mut self.text_buf);
-            self.builder.append_text(text.trim());
-        } else {
-            self.text_buf.clear();
+        let run = self.text_buf.trim();
+        if !run.is_empty() {
+            self.builder.append_text(run);
         }
+        self.text_buf.clear();
     }
 
     fn parse_element(&mut self) -> Result<(), ParseError> {
@@ -181,7 +239,7 @@ impl<'a> Parser<'a> {
         }
         self.expect("<")?;
         let name = self.read_name()?;
-        self.builder.open(Label::intern(&name));
+        self.builder.open(self.labels.get(name, false));
         self.depth += 1;
         // attributes
         loop {
@@ -210,11 +268,12 @@ impl<'a> Parser<'a> {
                         _ => return self.err("expected quoted attribute value"),
                     };
                     let start = self.pos;
-                    while self.peek() != Some(quote) {
-                        if self.peek().is_none() {
+                    match self.input[start..].iter().position(|&b| b == quote) {
+                        Some(len) => self.pos += len,
+                        None => {
+                            self.pos = self.input.len();
                             return self.err("unterminated attribute value");
                         }
-                        self.pos += 1;
                     }
                     let raw = std::str::from_utf8(&self.input[start..self.pos]).map_err(|_| {
                         ParseError {
@@ -224,10 +283,8 @@ impl<'a> Parser<'a> {
                     })?;
                     let decoded = decode_entities(raw, start)?;
                     self.pos += 1; // closing quote
-                    self.builder.leaf(
-                        Label::intern(&format!("@{attr}")),
-                        Some(Value::from_text(&decoded)),
-                    );
+                    let label = self.labels.get(attr, true);
+                    self.builder.leaf(label, Some(Value::from_text(&decoded)));
                 }
             }
         }
@@ -267,9 +324,10 @@ impl<'a> Parser<'a> {
                 return self.err(format!("unexpected end of input inside `{name}`"));
             } else {
                 let start = self.pos;
-                while !matches!(self.peek(), Some(b'<') | None) {
-                    self.pos += 1;
-                }
+                self.pos += self.input[start..]
+                    .iter()
+                    .position(|&b| b == b'<')
+                    .unwrap_or(self.input.len() - start);
                 let raw =
                     std::str::from_utf8(&self.input[start..self.pos]).map_err(|_| ParseError {
                         position: start,
@@ -282,12 +340,13 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Decodes the predefined entities and numeric character references.
-/// `base` is the byte offset of `raw` in the whole input; errors point at
-/// the `&` of the offending reference, not at the start of the text run.
-fn decode_entities(raw: &str, base: usize) -> Result<String, ParseError> {
+/// Decodes the predefined entities and numeric character references,
+/// borrowing `raw` when it has none. `base` is the byte offset of `raw` in
+/// the whole input; errors point at the `&` of the offending reference,
+/// not at the start of the text run.
+fn decode_entities(raw: &str, base: usize) -> Result<Cow<'_, str>, ParseError> {
     if !raw.contains('&') {
-        return Ok(raw.to_owned());
+        return Ok(Cow::Borrowed(raw));
     }
     let mut out = String::with_capacity(raw.len());
     let mut rest = raw;
@@ -295,7 +354,7 @@ fn decode_entities(raw: &str, base: usize) -> Result<String, ParseError> {
         out.push_str(&rest[..amp]);
         rest = &rest[amp..];
         let at = base + raw.len() - rest.len(); // offset of this `&`
-        let semi = rest.find(';').ok_or(ParseError {
+        let semi = rest.find(';').ok_or_else(|| ParseError {
             position: at,
             message: "unterminated entity reference".into(),
         })?;
@@ -330,7 +389,7 @@ fn decode_entities(raw: &str, base: usize) -> Result<String, ParseError> {
         rest = &rest[semi + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]
@@ -398,6 +457,37 @@ mod tests {
         let d = parse_document("<a>\n  <b/>\n  <c></c>\n</a>").unwrap();
         assert_eq!(d.len(), 3);
         assert_eq!(d.value(d.root()), None);
+    }
+
+    #[test]
+    fn mixed_content_is_one_value_parsed_at_close() {
+        // parsed run by run, "007" would become 7 before "x" joined it
+        let d = parse_document("<a>007<b/>x</a>").unwrap();
+        assert_eq!(d.value(d.root()), Some(&Value::str("007x")));
+        let d = parse_document("<a> 1 <b>2</b> 2 </a>").unwrap();
+        assert_eq!(d.value(d.root()), Some(&Value::Int(12)));
+        assert_eq!(d.value(NodeId(1)), Some(&Value::Int(2)));
+        // runs split by comments and CDATA are one run, trimmed as a whole
+        let d = parse_document("<a> x<!-- c --> <![CDATA[ y ]]> </a>").unwrap();
+        assert_eq!(d.value(d.root()), Some(&Value::str("x  y")));
+    }
+
+    #[test]
+    fn many_runs_in_one_element_are_joined_once() {
+        let runs = 50_000;
+        let src = format!("<a>{}</a>", "xy<b/>".repeat(runs));
+        let d = parse_document(&src).unwrap();
+        assert_eq!(d.len(), runs + 1);
+        assert_eq!(d.value(d.root()), Some(&Value::str(&"xy".repeat(runs))));
+        assert!(d.children(d.root()).iter().all(|&b| d.value(b).is_none()));
+    }
+
+    #[test]
+    fn names_resolve_to_interned_labels() {
+        let d = parse_document(r#"<r a="1"><r a="2"/><s-t.u:v/></r>"#).unwrap();
+        let labels: Vec<Label> = d.iter().map(|n| d.label(n)).collect();
+        let want = ["r", "@a", "r", "@a", "s-t.u:v"].map(Label::intern);
+        assert_eq!(labels, want);
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! its last descendant, making ancestor tests O(1): `a ≺≺ b` iff
 //! `a < b && b <= last_descendant(a)`.
 //!
+//! Child lists live in one compressed (CSR) pair for the whole document
+//! rather than one vector per node: `child_start[n]..child_start[n + 1]`
+//! indexes `child_list`, built once by [`TreeBuilder::finish`]. Label
+//! postings — every node of a label, in pre-order — are built on first
+//! use ([`Document::nodes_labeled`]), so a pattern node scans the nodes
+//! carrying its label instead of the whole arena.
+//!
 //! Attributes are modeled as children labeled `@name` carrying a value, per
 //! the paper's remark that a node's label "corresponds to the element or
 //! attribute name".
@@ -13,6 +20,7 @@
 use crate::label::Label;
 use crate::treelike::LabeledTree;
 use crate::value::Value;
+use std::sync::OnceLock;
 
 /// Index of a node in a [`Document`] arena; equals the node's pre-order rank.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -41,7 +49,6 @@ struct Node {
     /// Pre-order rank of this node's last descendant (itself if a leaf).
     last_desc: u32,
     value: Option<Value>,
-    children: Vec<NodeId>,
     /// 0-based position among the parent's children.
     child_rank: u32,
     depth: u32,
@@ -52,6 +59,48 @@ struct Node {
 #[derive(Clone, Debug)]
 pub struct Document {
     nodes: Vec<Node>,
+    /// `child_list[child_start[n]..child_start[n + 1]]` are the children
+    /// of `n`, in document order; `nodes.len() + 1` entries.
+    child_start: Vec<u32>,
+    child_list: Vec<NodeId>,
+    postings: OnceLock<Postings>,
+}
+
+/// Every node grouped by label, each group in pre-order: a counting sort
+/// of the arena by [`Label::index`].
+#[derive(Clone, Debug)]
+struct Postings {
+    /// `nodes[start[l]..start[l + 1]]` carry the label of index `l`.
+    start: Vec<u32>,
+    nodes: Vec<NodeId>,
+}
+
+impl Postings {
+    fn of(nodes: &[Node]) -> Postings {
+        let labels = nodes.iter().map(|n| n.label.index() as usize);
+        let mut start = vec![0u32; labels.clone().max().map_or(1, |m| m + 2)];
+        for l in labels.clone() {
+            start[l + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut next = start.clone();
+        let mut out = vec![NodeId::ROOT; nodes.len()];
+        for (i, l) in labels.enumerate() {
+            out[next[l] as usize] = NodeId(i as u32);
+            next[l] += 1;
+        }
+        Postings { start, nodes: out }
+    }
+
+    fn labeled(&self, l: Label) -> &[NodeId] {
+        let l = l.index() as usize;
+        match self.start.get(l..l + 2) {
+            Some(&[lo, hi]) => &self.nodes[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
 }
 
 impl Document {
@@ -87,7 +136,16 @@ impl Document {
 
     /// The node's children, in document order.
     pub fn children(&self, n: NodeId) -> &[NodeId] {
-        &self.nodes[n.idx()].children
+        let (lo, hi) = (self.child_start[n.idx()], self.child_start[n.idx() + 1]);
+        &self.child_list[lo as usize..hi as usize]
+    }
+
+    /// Every node labeled `l`, in document order. The postings behind it
+    /// are one counting sort of the arena, built on the first call.
+    pub fn nodes_labeled(&self, l: Label) -> &[NodeId] {
+        self.postings
+            .get_or_init(|| Postings::of(&self.nodes))
+            .labeled(l)
     }
 
     /// 0-based rank of `n` among its siblings.
@@ -206,7 +264,18 @@ fn parse_parens(chars: &mut std::iter::Peekable<std::str::Chars>, b: &mut TreeBu
 #[derive(Default)]
 pub struct TreeBuilder {
     nodes: Vec<Node>,
-    stack: Vec<NodeId>,
+    stack: Vec<Open>,
+    /// Text appended to the open elements, innermost last; each element's
+    /// share starts at its [`Open::text_start`].
+    text: String,
+}
+
+/// An element between its `open` and `close`.
+struct Open {
+    id: NodeId,
+    /// Children opened so far: the next child's rank.
+    children: u32,
+    text_start: usize,
 }
 
 impl TreeBuilder {
@@ -219,11 +288,11 @@ impl TreeBuilder {
     /// (or as the root). Returns its id.
     pub fn open(&mut self, label: Label) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        let (parent, child_rank, depth) = match self.stack.last() {
-            Some(&p) => {
-                let rank = self.nodes[p.idx()].children.len() as u32;
-                let depth = self.nodes[p.idx()].depth + 1;
-                (Some(p), rank, depth)
+        let (parent, child_rank, depth) = match self.stack.last_mut() {
+            Some(p) => {
+                let rank = p.children;
+                p.children += 1;
+                (Some(p.id), rank, self.stack.len() as u32)
             }
             None => {
                 assert!(
@@ -238,36 +307,29 @@ impl TreeBuilder {
             parent,
             last_desc: id.0,
             value: None,
-            children: Vec::new(),
             child_rank,
             depth,
         });
-        if let Some(p) = parent {
-            self.nodes[p.idx()].children.push(id);
-        }
-        self.stack.push(id);
+        self.stack.push(Open {
+            id,
+            children: 0,
+            text_start: self.text.len(),
+        });
         id
     }
 
     /// Sets the atomic value of the currently open element.
     pub fn set_value(&mut self, v: Value) {
-        let &n = self.stack.last().expect("no open element");
-        self.nodes[n.idx()].value = Some(v);
+        let &Open { id, .. } = self.stack.last().expect("no open element");
+        self.nodes[id.idx()].value = Some(v);
     }
 
-    /// Appends text to the currently open element's value (concatenating
-    /// mixed content).
+    /// Appends text to the currently open element (concatenating mixed
+    /// content). When the element closes, all of its text is parsed once
+    /// into its value, replacing one [`TreeBuilder::set_value`] gave it.
     pub fn append_text(&mut self, text: &str) {
-        let &n = self.stack.last().expect("no open element");
-        let node = &mut self.nodes[n.idx()];
-        match &mut node.value {
-            None => node.value = Some(Value::from_text(text)),
-            Some(v) => {
-                let mut s = v.as_text();
-                s.push_str(text);
-                *v = Value::from_text(&s);
-            }
-        }
+        assert!(!self.stack.is_empty(), "no open element");
+        self.text.push_str(text);
     }
 
     /// Convenience: `open`, set value, `close`.
@@ -280,11 +342,17 @@ impl TreeBuilder {
         id
     }
 
-    /// Closes the currently open element, fixing its descendant interval.
+    /// Closes the currently open element, fixing its descendant interval
+    /// and parsing its appended text, if any, into its value.
     pub fn close(&mut self) {
-        let n = self.stack.pop().expect("close without open");
+        let top = self.stack.pop().expect("close without open");
         let last = (self.nodes.len() - 1) as u32;
-        self.nodes[n.idx()].last_desc = last;
+        let node = &mut self.nodes[top.id.idx()];
+        node.last_desc = last;
+        if self.text.len() > top.text_start {
+            node.value = Some(Value::from_text(&self.text[top.text_start..]));
+            self.text.truncate(top.text_start);
+        }
     }
 
     /// Current nesting depth of open elements.
@@ -293,11 +361,30 @@ impl TreeBuilder {
     }
 
     /// Finishes the build; panics if elements remain open or nothing was
-    /// built.
+    /// built. Lays the child lists out from each node's parent and rank.
     pub fn finish(self) -> Document {
         assert!(self.stack.is_empty(), "unclosed elements remain");
         assert!(!self.nodes.is_empty(), "empty document");
-        Document { nodes: self.nodes }
+        let nodes = self.nodes;
+        let mut child_start = vec![0u32; nodes.len() + 1];
+        for p in nodes.iter().filter_map(|n| n.parent) {
+            child_start[p.idx() + 1] += 1;
+        }
+        for i in 1..child_start.len() {
+            child_start[i] += child_start[i - 1];
+        }
+        let mut child_list = vec![NodeId::ROOT; nodes.len() - 1];
+        for (i, n) in nodes.iter().enumerate() {
+            if let Some(p) = n.parent {
+                child_list[(child_start[p.idx()] + n.child_rank) as usize] = NodeId(i as u32);
+            }
+        }
+        Document {
+            nodes,
+            child_start,
+            child_list,
+            postings: OnceLock::new(),
+        }
     }
 }
 
@@ -310,6 +397,9 @@ impl LabeledTree for Document {
     }
     fn tree_children(&self, n: NodeId) -> &[NodeId] {
         self.children(n)
+    }
+    fn tree_nodes_labeled(&self, l: Label) -> Option<&[NodeId]> {
+        Some(self.nodes_labeled(l))
     }
     fn tree_parent(&self, n: NodeId) -> Option<NodeId> {
         self.parent(n)

@@ -27,6 +27,13 @@ pub trait LabeledTree {
     /// Total number of nodes.
     fn tree_len(&self) -> usize;
 
+    /// Every node labeled `l`, in ascending id order, when the tree keeps label
+    /// postings; `None` (the default) tells the caller to scan all
+    /// `0..tree_len()` nodes instead.
+    fn tree_nodes_labeled(&self, _l: Label) -> Option<&[NodeId]> {
+        None
+    }
+
     /// All nodes of the subtree rooted at `n`, pre-order. Default recursive
     /// implementation; implementors with interval encodings may override.
     fn tree_subtree(&self, n: NodeId) -> Vec<NodeId> {

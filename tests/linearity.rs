@@ -1,8 +1,9 @@
 //! Build and refresh cost as a count, not a clock: the `smv-obs` counter
-//! of candidate probes ([`CANDIDATE_PROBES`]: target nodes the matcher
-//! examined, plus candidates examined and interval lookups made while
-//! binding) is exact and repeatable, so the bounds below hold on any
-//! host. One test function, because the counter is process-wide.
+//! of candidate probes ([`CANDIDATE_PROBES`]: label postings and marking
+//! steps the matcher examined, plus candidates examined and interval
+//! lookups made while binding) is exact and repeatable, so the bounds
+//! below hold on any host. One test function, because the counter is
+//! process-wide.
 
 use smv::obs::{global, ScopedEnable};
 use smv::prelude::*;
@@ -44,6 +45,21 @@ fn probes_follow_the_document_at_build_and_the_delta_at_refresh() {
             "{pat}: {small} probes, then {large} on a document {growth:.2}× the size"
         );
     }
+
+    // a labeled pattern node reads its label's postings, not the whole
+    // document: a child-axis path to one region's items probes fewer
+    // nodes than the document holds (about a tenth of them). Testing
+    // every node for every pattern node reads 4× the document here.
+    let p = parse_pattern("site(/regions(/asia(/item{id}(/name{v}))))").unwrap();
+    let doc = &docs[1];
+    let ids = IdAssignment::assign(doc, scheme);
+    let (spent, extent) = probes(|| materialize_with(&p, doc, &ids));
+    assert!(!extent.is_empty());
+    assert!(
+        spent < doc.len() as u64,
+        "{spent} probes to materialize {p} on {} nodes",
+        doc.len()
+    );
 
     // refresh: a 1 % batch costs a multiple of what it touches — nodes
     // inserted, the paths above each edit, rows that left and joined —

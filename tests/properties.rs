@@ -3,8 +3,9 @@
 mod common;
 
 use proptest::prelude::*;
+use smv::pattern::MatchTarget;
 use smv::prelude::*;
-use smv::xml::{DeweyId, IdAssignment, OrdPath};
+use smv::xml::{DeweyId, IdAssignment, LabeledTree, NodeId, OrdPath};
 use std::collections::HashSet;
 
 /// A strategy for small random labeled trees in parenthesized notation.
@@ -719,6 +720,115 @@ proptest! {
             prop_assert_eq!(plan_fingerprint(&a.plan), plan_fingerprint(&b.plan));
             prop_assert_eq!(a.plan.to_string(), b.plan.to_string());
         }
+    }
+
+    /// The document's child arena and label postings agree with a naive
+    /// recomputation from `iter()` and `parent`, for a built document and
+    /// for its parsed serialization, and so do the IDs every scheme
+    /// derives from them.
+    #[test]
+    fn document_layout_is_the_naive_one(src in tree_strategy()) {
+        let built = Document::from_parens(&src);
+        let parsed = parse_document(&serialize_document(&built)).unwrap();
+        for d in [&built, &parsed] {
+            check_document_layout(d)?;
+        }
+    }
+
+    /// Candidates drawn from label postings are the candidates of a full
+    /// scan: a document and the same document with its postings hidden
+    /// give every pattern node the same candidates and tuples.
+    #[test]
+    fn posting_candidates_are_scan_candidates(doc_src in tree_strategy(), p_src in pattern_strategy()) {
+        use smv::pattern::Matcher;
+        let d = Document::from_parens(&doc_src);
+        let mut p = parse_pattern(&p_src).unwrap();
+        let pl = p.iter().last().unwrap();
+        p.node_mut(pl).ret = true;
+        let hidden = Scanned(&d);
+        let (listed, scanned) = (Matcher::new(&p, &d), Matcher::new(&p, &hidden));
+        for n in p.iter() {
+            prop_assert_eq!(listed.candidates(n), scanned.candidates(n), "{} on {}", p_src, doc_src);
+        }
+        prop_assert_eq!(listed.tuples(10_000), scanned.tuples(10_000));
+        prop_assert!(listed.probes() <= scanned.probes());
+    }
+}
+
+/// `document_layout_is_the_naive_one` on one document.
+fn check_document_layout(d: &Document) -> Result<(), TestCaseError> {
+    use smv::xml::StructId;
+    let mut kids: Vec<Vec<NodeId>> = vec![Vec::new(); d.len()];
+    for n in d.iter().skip(1) {
+        kids[d.parent(n).unwrap().idx()].push(n);
+    }
+    prop_assert_eq!(d.parent(d.root()), None);
+    for n in d.iter() {
+        prop_assert_eq!(d.children(n), &kids[n.idx()][..]);
+        for (rank, &c) in kids[n.idx()].iter().enumerate() {
+            prop_assert_eq!(d.child_rank(c) as usize, rank);
+            prop_assert_eq!(d.parent(c), Some(n));
+        }
+    }
+    let mut labels: Vec<Label> = d.iter().map(|n| d.label(n)).collect();
+    labels.push(Label::intern("never-a-tree-label"));
+    for l in labels {
+        let naive: Vec<NodeId> = d.iter().filter(|&n| d.label(n) == l).collect();
+        prop_assert_eq!(d.nodes_labeled(l), &naive[..]);
+    }
+    for scheme in [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential] {
+        let ids = IdAssignment::assign(d, scheme);
+        let mut naive: Vec<StructId> = Vec::new();
+        for n in d.iter() {
+            let id = match (scheme, d.parent(n)) {
+                (IdScheme::Sequential, _) => StructId::Seq(n.0 as u64),
+                (IdScheme::OrdPath, None) => StructId::Ord(OrdPath::root()),
+                (IdScheme::Dewey, None) => StructId::Dewey(DeweyId::root()),
+                (_, Some(p)) => {
+                    let rank = kids[p.idx()].iter().position(|&c| c == n).unwrap();
+                    naive[p.idx()].child(rank).unwrap()
+                }
+            };
+            naive.push(id);
+        }
+        for n in d.iter() {
+            prop_assert_eq!(ids.id(n), &naive[n.idx()], "{:?}", scheme);
+        }
+    }
+    Ok(())
+}
+
+/// A document with its label postings hidden, so a `Matcher` over it
+/// tests every node, as it does over a summary.
+struct Scanned<'a>(&'a Document);
+
+impl LabeledTree for Scanned<'_> {
+    fn tree_root(&self) -> NodeId {
+        self.0.tree_root()
+    }
+    fn tree_label(&self, n: NodeId) -> Label {
+        self.0.tree_label(n)
+    }
+    fn tree_children(&self, n: NodeId) -> &[NodeId] {
+        self.0.tree_children(n)
+    }
+    fn tree_parent(&self, n: NodeId) -> Option<NodeId> {
+        self.0.tree_parent(n)
+    }
+    fn tree_value(&self, n: NodeId) -> Option<&Value> {
+        self.0.tree_value(n)
+    }
+    fn tree_is_ancestor(&self, a: NodeId, b: NodeId) -> bool {
+        self.0.tree_is_ancestor(a, b)
+    }
+    fn tree_len(&self) -> usize {
+        self.0.tree_len()
+    }
+}
+
+impl MatchTarget for Scanned<'_> {
+    fn admits(&self, n: NodeId, f: &Formula) -> bool {
+        self.0.admits(n, f)
     }
 }
 
