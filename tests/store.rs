@@ -268,6 +268,53 @@ fn build_encoded() -> Encoded {
     }
 }
 
+/// Every persisted format's bytes and every kind of fingerprint, pinned by
+/// value: the relation, summary, feedback and manifest encodings of the
+/// fixture above (by their `fnv64`), one plan's `plan_fingerprint` and one
+/// canonical form's `text_fingerprint`. No magic or wire version moves
+/// with a refactor, so any change here is a format change.
+#[test]
+fn persisted_bytes_and_fingerprints_are_pinned() {
+    let e = encoded();
+    let sums = [&e.relation, &e.summary, &e.feedback, &e.manifest].map(|b| smv::store::fnv64(b));
+    assert_eq!(
+        sums,
+        [
+            0x0351_ead4_91c9_ea2b,
+            0x525f_3e21_b2d7_a353,
+            0x4544_dfaa_d829_d5e0,
+            0xaeec_7915_a88a_de33
+        ],
+        "relation, summary, feedback, manifest"
+    );
+    let plan = Plan::DupElim {
+        input: Box::new(Plan::Project {
+            input: Box::new(Plan::StructJoin {
+                left: Box::new(Plan::DeriveParentId {
+                    input: Box::new(Plan::Scan { view: "all".into() }),
+                    col: 0,
+                    levels: 2,
+                    name: Symbol::intern("vid0u2"),
+                }),
+                right: Box::new(Plan::Select {
+                    input: Box::new(Plan::Scan { view: "bs".into() }),
+                    pred: smv::algebra::Predicate::Value {
+                        col: 1,
+                        formula: Formula::ge(Value::int(3)),
+                    },
+                }),
+                lcol: 3,
+                rcol: 0,
+                rel: StructRel::Ancestor,
+            }),
+            cols: vec![0, 4],
+        }),
+    };
+    assert_eq!(smv::algebra::plan_fingerprint(&plan), 0xbc3b_885d_f129_f5b6);
+    let canon = canonical_form(&parse_pattern(r#"site(//item{id}(/name{v}[v>"m"]))"#).unwrap());
+    assert_eq!(smv::serve::text_fingerprint(&canon), 0x6f5d_fb4a_06c2_c8bd);
+}
+
 fn manifest_file(vfs: &SimVfs) -> String {
     let mut names: Vec<String> = vfs
         .list()
