@@ -27,6 +27,7 @@
 use crate::cost::{CardSource, ScanCard};
 use crate::plan::{Plan, Predicate};
 use crate::struct_join::StructRel;
+use smv_xml::wire::{ByteReader, ByteWriter, Fnv64};
 use std::collections::{HashMap, HashSet};
 
 /// A stable address of one operator inside a plan tree: the child-index
@@ -115,30 +116,11 @@ impl ExecProfile {
 }
 
 // ---- stable plan-fragment fingerprints --------------------------------
+//
+// FNV-1a ([`Fnv64`]): stable across runs and platforms, unlike
+// `DefaultHasher`, whose initial keys are an implementation detail.
 
-/// FNV-1a, stable across runs and platforms (unlike `DefaultHasher`,
-/// whose initial keys are an implementation detail).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn write_u64(&mut self, x: u64) {
-        self.write(&x.to_le_bytes());
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-fn hash_pred(h: &mut Fnv, pred: &Predicate) {
+fn hash_pred(h: &mut Fnv64, pred: &Predicate) {
     match pred {
         Predicate::Value { col, formula } => {
             h.write(b"V");
@@ -157,7 +139,7 @@ fn hash_pred(h: &mut Fnv, pred: &Predicate) {
     }
 }
 
-fn hash_plan(h: &mut Fnv, p: &Plan) {
+fn hash_plan(h: &mut Fnv64, p: &Plan) {
     match p {
         Plan::Scan { view } => {
             h.write(b"scan");
@@ -276,13 +258,13 @@ fn hash_plan(h: &mut Fnv, p: &Plan) {
 /// fragments (same operators, views, columns, formulas) always agree, in
 /// this run and the next.
 pub fn plan_fingerprint(p: &Plan) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv64::new();
     hash_plan(&mut h, p);
     h.finish()
 }
 
 fn select_key(input: &Plan, pred: &Predicate) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv64::new();
     h.write(b"SELKEY");
     hash_pred(&mut h, pred);
     hash_plan(&mut h, input);
@@ -290,7 +272,7 @@ fn select_key(input: &Plan, pred: &Predicate) -> u64 {
 }
 
 fn join_key(left: &Plan, right: &Plan, lcol: usize, rcol: usize, rel: Option<StructRel>) -> u64 {
-    let mut h = Fnv::new();
+    let mut h = Fnv64::new();
     h.write(match rel {
         None => b"IDJKEY",
         Some(StructRel::Parent) => b"SJPKEY",
@@ -706,7 +688,7 @@ impl FeedbackStore {
     // ---- persistence --------------------------------------------------
     //
     // The memo keys are FNV-1a fingerprints, stable across runs and
-    // platforms by construction (see `Fnv` above), so persisting the raw
+    // platforms by construction ([`Fnv64`]), so persisting the raw
     // u64 keys is sound: a warm-started session fingerprints its plans to
     // the same values and hits the restored memos immediately.
 
@@ -715,153 +697,86 @@ impl FeedbackStore {
     /// map keys sorted so the bytes are deterministic for a given state.
     /// The session-local event counters (hits/misses/…) are not stored.
     pub fn to_bytes(&self) -> Vec<u8> {
-        fn put_uv(buf: &mut Vec<u8>, mut x: u64) {
-            loop {
-                let b = (x & 0x7f) as u8;
-                x >>= 7;
-                if x == 0 {
-                    buf.push(b);
-                    return;
-                }
-                buf.push(b | 0x80);
-            }
-        }
-        fn put_str(buf: &mut Vec<u8>, s: &str) {
-            put_uv(buf, s.len() as u64);
-            buf.extend_from_slice(s.as_bytes());
-        }
-        fn put_u64_map(buf: &mut Vec<u8>, m: &HashMap<u64, f64>) {
-            let mut keys: Vec<u64> = m.keys().copied().collect();
-            keys.sort_unstable();
-            put_uv(buf, keys.len() as u64);
-            for k in keys {
-                put_uv(buf, k);
-                buf.extend_from_slice(&m[&k].to_bits().to_le_bytes());
-            }
-        }
-        let mut buf = vec![1u8]; // wire version
-        buf.extend_from_slice(&self.decay.to_bits().to_le_bytes());
+        let mut w = ByteWriter::new();
+        w.put_u8(1); // wire version
+        w.put_f64(self.decay);
         let mut scans: Vec<&String> = self.scans.keys().collect();
         scans.sort();
-        put_uv(&mut buf, scans.len() as u64);
+        w.put_uv(scans.len() as u64);
         for k in scans {
-            put_str(&mut buf, k);
-            buf.extend_from_slice(&self.scans[k].to_bits().to_le_bytes());
+            w.put_str(k);
+            w.put_f64(self.scans[k]);
         }
-        put_u64_map(&mut buf, &self.selects);
-        put_u64_map(&mut buf, &self.joins);
-        put_u64_map(&mut buf, &self.frags);
-        let mut views: Vec<&String> = self.by_view.keys().collect();
-        views.sort();
-        put_uv(&mut buf, views.len() as u64);
-        for v in views {
-            put_str(&mut buf, v);
-            let mut fps: Vec<u64> = self.by_view[v].iter().copied().collect();
-            fps.sort_unstable();
-            put_uv(&mut buf, fps.len() as u64);
-            for fp in fps {
-                put_uv(&mut buf, fp);
+        for memo in [&self.selects, &self.joins, &self.frags] {
+            let mut keys: Vec<u64> = memo.keys().copied().collect();
+            keys.sort_unstable();
+            w.put_uv(keys.len() as u64);
+            for k in keys {
+                w.put_uv(k);
+                w.put_f64(memo[&k]);
             }
         }
-        put_uv(&mut buf, self.ingests);
-        buf
+        let mut views: Vec<&String> = self.by_view.keys().collect();
+        views.sort();
+        w.put_uv(views.len() as u64);
+        for v in views {
+            w.put_str(v);
+            let mut fps: Vec<u64> = self.by_view[v].iter().copied().collect();
+            fps.sort_unstable();
+            w.put_uv(fps.len() as u64);
+            for fp in fps {
+                w.put_uv(fp);
+            }
+        }
+        w.put_uv(self.ingests);
+        w.into_bytes()
     }
 
     /// Reconstructs a store serialized by [`FeedbackStore::to_bytes`].
     /// Event counters start at zero (they describe a session, not the
     /// learned state).
     pub fn from_bytes(bytes: &[u8]) -> Result<FeedbackStore, String> {
-        struct R<'a> {
-            buf: &'a [u8],
-            pos: usize,
-        }
-        impl R<'_> {
-            fn u8(&mut self) -> Result<u8, String> {
-                let b = *self.buf.get(self.pos).ok_or("truncated feedback bytes")?;
-                self.pos += 1;
-                Ok(b)
-            }
-            fn uv(&mut self) -> Result<u64, String> {
-                let mut x = 0u64;
-                let mut shift = 0u32;
-                loop {
-                    let b = self.u8()?;
-                    if shift >= 64 {
-                        return Err("varint overflow".into());
-                    }
-                    x |= ((b & 0x7f) as u64) << shift;
-                    if b & 0x80 == 0 {
-                        return Ok(x);
-                    }
-                    shift += 7;
-                }
-            }
-            /// A count of elements of at least one byte each: never more
-            /// than the bytes left, so it can size an allocation.
-            fn count(&mut self) -> Result<usize, String> {
-                let n = self.uv()?;
-                if n > (self.buf.len() - self.pos) as u64 {
-                    return Err(format!("count {n} exceeds the bytes left"));
-                }
-                Ok(n as usize)
-            }
-            fn f64(&mut self) -> Result<f64, String> {
-                let end = self.pos + 8;
-                let s = self.buf.get(self.pos..end).ok_or("truncated f64")?;
-                self.pos = end;
-                Ok(f64::from_bits(u64::from_le_bytes(s.try_into().unwrap())))
-            }
-            fn str(&mut self) -> Result<String, String> {
-                let n = self.count()?;
-                let end = self.pos + n;
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                String::from_utf8(s.to_vec()).map_err(|_| "invalid utf-8".to_string())
-            }
-            fn u64_map(&mut self) -> Result<HashMap<u64, f64>, String> {
-                let n = self.count()?;
-                let mut m = HashMap::with_capacity(n);
-                for _ in 0..n {
-                    let k = self.uv()?;
-                    m.insert(k, self.f64()?);
-                }
-                Ok(m)
-            }
-        }
-        let mut r = R { buf: bytes, pos: 0 };
-        let version = r.u8()?;
+        let mut r = ByteReader::new(bytes);
+        let version = r.get_u8()?;
         if version != 1 {
             return Err(format!("unsupported feedback wire version {version}"));
         }
-        let decay = r.f64()?;
+        let decay = r.get_f64()?;
         if !(decay > 0.0 && decay <= 1.0) {
             return Err(format!("decay {decay} outside (0, 1]"));
         }
-        let n_scans = r.count()?;
+        let n_scans = r.get_count()?;
         let mut scans = HashMap::with_capacity(n_scans);
         for _ in 0..n_scans {
-            let k = r.str()?;
-            scans.insert(k, r.f64()?);
+            let k = r.get_str()?;
+            scans.insert(k, r.get_f64()?);
         }
-        let selects = r.u64_map()?;
-        let joins = r.u64_map()?;
-        let frags = r.u64_map()?;
-        let n_views = r.count()?;
+        let mut memos: [HashMap<u64, f64>; 3] = Default::default();
+        for memo in &mut memos {
+            let n = r.get_count()?;
+            memo.reserve(n);
+            for _ in 0..n {
+                let k = r.get_uv()?;
+                memo.insert(k, r.get_f64()?);
+            }
+        }
+        let [selects, joins, frags] = memos;
+        let n_views = r.get_count()?;
         let mut by_view = HashMap::with_capacity(n_views);
         for _ in 0..n_views {
-            let v = r.str()?;
-            let n = r.count()?;
+            let v = r.get_str()?;
+            let n = r.get_count()?;
             let mut fps = HashSet::with_capacity(n);
             for _ in 0..n {
-                fps.insert(r.uv()?);
+                fps.insert(r.get_uv()?);
             }
             by_view.insert(v, fps);
         }
-        let ingests = r.uv()?;
-        if r.pos != bytes.len() {
+        let ingests = r.get_uv()?;
+        if r.remaining() != 0 {
             return Err(format!(
                 "{} trailing bytes after feedback store",
-                bytes.len() - r.pos
+                r.remaining()
             ));
         }
         Ok(FeedbackStore {

@@ -77,13 +77,9 @@ pub struct RewriteOpts {
     pub max_rewritings: usize,
     /// Stop at the first rewriting (the "stopped early" mode of §5).
     pub first_only: bool,
-    /// Derive virtual ancestor IDs (§4.6).
-    pub enable_virtual_ids: bool,
     /// Unfold stored `C` content by navigation (§4.6), restricted to
     /// query-relevant paths.
     pub enable_content_navigation: bool,
-    /// Build union rewritings (lines 13-14).
-    pub enable_unions: bool,
     /// Rank results by estimated cost (cheapest first) and explore base
     /// pairs cheapest-first, shrinking time-to-first-rewriting.
     pub rank_by_cost: bool,
@@ -102,9 +98,7 @@ impl Default for RewriteOpts {
             max_pairs: 4000,
             max_rewritings: 8,
             first_only: false,
-            enable_virtual_ids: true,
             enable_content_navigation: true,
-            enable_unions: true,
             rank_by_cost: true,
             cost_prune: true,
         }
@@ -184,6 +178,12 @@ pub struct RewriteResult {
 struct ColInfo {
     attr: AttrKind,
     scheme: IdScheme,
+    /// A §4.6 derived ancestor ID (`navfID`). A member places it at the
+    /// stored column's path k steps up, which names the node only along
+    /// that member's own chain: so it never stands on both sides of a
+    /// `⋈_=`, nor on the ancestor side of a `⋈_≺` or `⋈_≺≺` (see
+    /// [`Rewriter::join_options`]).
+    derived: bool,
 }
 
 /// A member's ancestor-closed set of summary paths, each with a formula,
@@ -854,7 +854,7 @@ impl<'a> Rewriter<'a> {
                         }
                     }
                     Candidate::Partial(plan, coverage) => {
-                        if self.opts.enable_unions && union_candidates.len() < 64 {
+                        if union_candidates.len() < 64 {
                             union_candidates.push((plan, coverage));
                         }
                     }
@@ -927,7 +927,7 @@ impl<'a> Rewriter<'a> {
         result.stats.member_tests_reused = verdicts.reused;
 
         // ---- lines 13-14: minimal unions of partial candidates
-        if !stop && self.opts.enable_unions && result.rewritings.len() < self.opts.max_rewritings {
+        if !stop && result.rewritings.len() < self.opts.max_rewritings {
             self.build_unions(&ctx, &union_candidates, &mut result, t0, &model);
         }
 
@@ -1046,6 +1046,7 @@ impl<'a> Rewriter<'a> {
                     cols.push(ColInfo {
                         attr: kind,
                         scheme: v.scheme,
+                        derived: false,
                     });
                     groups.push(g as u32);
                 }
@@ -1103,7 +1104,7 @@ impl<'a> Rewriter<'a> {
         }
         let mut pair = prep.base.clone()?;
         pair.views = vec![vi];
-        if self.opts.enable_virtual_ids && v.scheme.derives_parent() {
+        if v.scheme.derives_parent() {
             self.add_virtual_ids(&mut pair, ctx);
         }
         if self.opts.enable_content_navigation {
@@ -1152,6 +1153,7 @@ impl<'a> Rewriter<'a> {
                 pair.cols.push(ColInfo {
                     attr: AttrKind::Id,
                     scheme: pair.cols[c].scheme,
+                    derived: true,
                 });
                 pair.groups.push(next_group);
                 next_group += 1;
@@ -1235,6 +1237,7 @@ impl<'a> Rewriter<'a> {
                     pair.cols.push(ColInfo {
                         attr: kind,
                         scheme: pair.cols[c].scheme,
+                        derived: false,
                     });
                     pair.groups.push(g);
                 }
@@ -1273,6 +1276,12 @@ impl<'a> Rewriter<'a> {
     /// certain Prop. 3.5 hit — so it is counted, not built. That catches
     /// `⋈_=` on two ID columns an earlier `⋈_=` put in one group, and
     /// `⋈_≺≺` where the summary has only parent edges between the paths.
+    ///
+    /// A join the member model cannot place is not an option: `⋈_=` of two
+    /// derived IDs, or a structural join whose ancestor side is one. Such
+    /// a join puts the two original nodes under a common ancestor but on no
+    /// common chain, and the merged member's path set then merges distinct
+    /// nodes below that ancestor.
     fn join_options(&self, a: &Pair, b: &Pair) -> Joins {
         let mut joins = Joins {
             built: Vec::new(),
@@ -1295,7 +1304,16 @@ impl<'a> Rewriter<'a> {
                 } else {
                     &JOIN_KINDS[..1]
                 };
+                let derived = (a.cols[ca].derived, b.cols[cb].derived);
                 for &kind in kinds {
+                    let unplaced = match kind {
+                        JoinKind::IdEq => derived.0 && derived.1,
+                        JoinKind::Struct(_, false) => derived.0,
+                        JoinKind::Struct(_, true) => derived.1,
+                    };
+                    if unplaced {
+                        continue;
+                    }
                     let combos = self.combinations(a, b, ca, cb, kind);
                     if combos.is_empty() {
                         continue; // no two members join
@@ -2405,7 +2423,7 @@ mod tests {
             }
             assert!(skipping < building, "{scheme:?}: {skipping} vs {building}");
             if scheme == IdScheme::OrdPath {
-                assert_eq!((skipping, building), (1405, 3437), "pairs created");
+                assert_eq!((skipping, building), (1383, 3337), "pairs created");
             }
         }
     }
@@ -2528,6 +2546,7 @@ mod tests {
                 .map(|attr| ColInfo {
                     attr,
                     scheme: IdScheme::OrdPath,
+                    derived: false,
                 })
                 .collect(),
             groups: vec![0, 0, 1],
@@ -2598,6 +2617,7 @@ mod tests {
             .map(|attr| ColInfo {
                 attr,
                 scheme: IdScheme::OrdPath,
+                derived: false,
             })
             .collect();
         b.cols.swap(1, 2);
@@ -2799,12 +2819,24 @@ mod tests {
         views_src: &[(&str, &str)],
         expect_rewriting: bool,
     ) {
+        check_roundtrip_in(IdScheme::OrdPath, doc, q_src, views_src, expect_rewriting);
+    }
+
+    /// [`check_roundtrip`] under `scheme`; returns how many rewritings
+    /// were checked.
+    fn check_roundtrip_in(
+        scheme: IdScheme,
+        doc: &Document,
+        q_src: &str,
+        views_src: &[(&str, &str)],
+        expect_rewriting: bool,
+    ) -> usize {
         let s = Summary::of(doc);
         let q = parse_pattern(q_src).unwrap();
-        let mut catalog = EpochCatalog::new(doc.clone(), IdScheme::OrdPath);
+        let mut catalog = EpochCatalog::new(doc.clone(), scheme);
         let mut defs = Vec::new();
         for (name, src) in views_src {
-            let v = View::new(name, parse_pattern(src).unwrap(), IdScheme::OrdPath);
+            let v = View::new(name, parse_pattern(src).unwrap(), scheme);
             catalog.add_view(v.clone(), RefreshPolicy::Eager);
             defs.push(v);
         }
@@ -2816,13 +2848,13 @@ mod tests {
                 "unexpected rewriting for {q_src}: {}",
                 result.rewritings[0].plan
             );
-            return;
+            return 0;
         }
         assert!(
             !result.rewritings.is_empty(),
             "no rewriting found for {q_src} using {views_src:?}"
         );
-        let expected = materialize(&q, doc, IdScheme::OrdPath);
+        let expected = materialize(&q, doc, scheme);
         for rw in &result.rewritings {
             let got = execute_with(&rw.plan, &*snap, &ExecOpts::default()).expect("plan executes");
             assert!(
@@ -2831,6 +2863,7 @@ mod tests {
                 rw.plan
             );
         }
+        result.rewritings.len()
     }
 
     #[test]
@@ -2951,6 +2984,21 @@ mod tests {
         // ID from the name ID (§4.6 virtual IDs)
         let doc = Document::from_parens(r#"r(item(name="a") item(name="b"))"#);
         check_roundtrip(&doc, "r(/item{id})", &[("vn", "r(/item(/name{id}))")], true);
+    }
+
+    /// Under a recursive summary (`a` under `a`), joining two `↑2` derived
+    /// IDs, or taking one as the ancestor side, put two original nodes
+    /// under one common ancestor on no common chain: five of eight
+    /// rewritings returned wrong rows. Two remain, both sound.
+    #[test]
+    fn derived_ids_join_only_where_a_member_can_place_them() {
+        let doc =
+            Document::from_parens(r#"r(c(a(a(c="3" b)) a(b(c d="3") a(a) c(a c)) a(c(a a="3"))))"#);
+        let views = [("all", "r(//*{id,l,v})"), ("bs", "r(//b{id,v})")];
+        for scheme in [IdScheme::OrdPath, IdScheme::Dewey] {
+            let checked = check_roundtrip_in(scheme, &doc, "r(//a{id}(//b{v}))", &views, true);
+            assert_eq!(checked, 2, "{scheme:?}");
+        }
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //!   render to the same canonical form sharing one entry;
 //! * **plans** — keyed by canonical-form fingerprint × summary geometry
 //!   token × epoch, so an entry can never outlive the statistics and view
-//!   set it was ranked against;
+//!   set it was ranked against. A fingerprint is not an identity (two
+//!   canonical forms can share one), so a plan or result entry also holds
+//!   the pattern it was stored for and answers only that pattern;
 //! * **results** — keyed by canonical-form fingerprint × plan
 //!   fingerprint, with a view → keys reverse index: maintenance kills
 //!   exactly the entries whose read set was touched, and untouched entries
@@ -26,6 +28,7 @@ use crate::service::ServiceStats;
 use smv_algebra::{NestedRelation, Plan, PlanEstimate};
 use smv_pattern::{canonical_form, Pattern};
 use smv_xml::fasthash::FastBuild;
+use smv_xml::wire::fnv64;
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, Hash};
@@ -53,15 +56,11 @@ pub(crate) fn poison<T: Send>(m: &Mutex<T>) {
     });
 }
 
-/// FNV-1a over a byte string — the same hash family as
-/// [`smv_algebra::plan_fingerprint`], applied to canonical pattern text.
+/// FNV-1a ([`fnv64`]) of canonical pattern text — the hash
+/// [`smv_algebra::plan_fingerprint`] takes of plans. A fingerprint, not an
+/// identity: two canonical forms can share one.
 pub fn text_fingerprint(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
+    fnv64(text.as_bytes())
 }
 
 /// A parsed, canonicalized query pattern — what the pattern layer hands
@@ -112,9 +111,23 @@ struct ResultKey {
     plan_fp: u64,
 }
 
+/// A ranking and the pattern it was ranked for.
+struct PlanEntry {
+    pattern: Arc<CachedPattern>,
+    plan: Arc<RankedPlan>,
+}
+
 struct ResultEntry {
+    pattern: Arc<CachedPattern>,
     rows: Arc<NestedRelation>,
     reads: Vec<String>,
+}
+
+/// Whether an entry stored for `stored` answers `pat`: the keys hold only
+/// the canonical form's fingerprint. Spellings of one form share one
+/// pattern, so a hit is one pointer compare; the text decides otherwise.
+fn same_pattern(stored: &Arc<CachedPattern>, pat: &Arc<CachedPattern>) -> bool {
+    Arc::ptr_eq(stored, pat) || stored.canon == pat.canon
 }
 
 /// Multiply-rotate hashing for the plan and result layers. Their keys
@@ -212,7 +225,7 @@ pub(crate) enum Probe {
 pub(crate) struct Table {
     by_text: Fifo<String, Arc<CachedPattern>>,
     by_canon: Fifo<String, Arc<CachedPattern>>,
-    plans: Fifo<PlanKey, Arc<RankedPlan>, ByFingerprint>,
+    plans: Fifo<PlanKey, PlanEntry, ByFingerprint>,
     results: Fifo<ResultKey, ResultEntry, ByFingerprint>,
     by_view: HashMap<String, HashSet<ResultKey>>,
     /// The epoch the table has been swept through. Invariant: every
@@ -238,7 +251,8 @@ impl Table {
             geometry,
             epoch,
         };
-        let Some(plan) = self.plans.map.get(&key) else {
+        let entry = self.plans.map.get(&key);
+        let Some(PlanEntry { plan, .. }) = entry.filter(|e| same_pattern(&e.pattern, pat)) else {
             return Probe::Unranked {
                 pattern: Arc::clone(pat),
                 pattern_hit,
@@ -249,7 +263,7 @@ impl Table {
             plan_fp: plan.fingerprint,
         };
         match self.results.map.get(&key) {
-            Some(e) if epoch == self.swept => Probe::Hit(Answer {
+            Some(e) if epoch == self.swept && same_pattern(&e.pattern, pat) => Probe::Hit(Answer {
                 rows: Arc::clone(&e.rows),
                 plan_fingerprint: plan.fingerprint,
                 est: plan.est,
@@ -390,9 +404,12 @@ impl CacheTable {
             geometry,
             epoch,
         };
-        let plan = Arc::new(plan);
+        let entry = PlanEntry {
+            pattern: Arc::clone(pattern),
+            plan: Arc::new(plan),
+        };
         let mut t = lock(&self.table);
-        t.plans.insert(key, plan);
+        t.plans.insert(key, entry);
         let probe = t.walk(pattern, pattern_hit, false, geometry, epoch);
         t.counted(probe)
     }
@@ -433,6 +450,7 @@ impl CacheTable {
         let mut displaced = None;
         if t.swept == epoch {
             let entry = ResultEntry {
+                pattern: Arc::clone(&miss.pattern),
                 rows: Arc::clone(&answer.rows),
                 reads,
             };
@@ -703,6 +721,33 @@ mod tests {
         assert_eq!(cache.results(), 1);
         assert_eq!(cache.sweep(&["va"], 1), 0, "the old edge went with it");
         assert_eq!(cache.sweep(&["vb"], 2), 1);
+    }
+
+    /// Two canonical forms with one fingerprint are two patterns: neither
+    /// is served the other's plan or rows, and an equal form under another
+    /// entry still hits.
+    #[test]
+    fn a_fingerprint_collision_is_not_a_hit() {
+        let cache = CacheTable::new(8, 8, 8);
+        let forged = |canon: &str| {
+            Arc::new(CachedPattern {
+                pattern: parse_pattern(canon).unwrap(),
+                canon: canon.to_owned(),
+                canon_fp: 7,
+            })
+        };
+        let (a, b) = (forged("a(/b{v})"), forged("a(/c{v})"));
+        let Probe::Unserved(miss) = cache.ranked(&a, false, plan(1, &["va"]), G, 0) else {
+            panic!("nothing is served yet");
+        };
+        cache.executed(&miss, rel(), 0, SchedMode::Inter);
+        let probe = |p: &Arc<CachedPattern>| lock(&cache.table).walk(p, true, true, G, 0);
+        assert!(matches!(probe(&a), Probe::Hit(_)));
+        assert!(matches!(probe(&forged("a(/b{v})")), Probe::Hit(_)));
+        assert!(matches!(probe(&b), Probe::Unranked { .. }), "a's plan");
+        // ranked to a plan of the same fingerprint, b is still not a's rows
+        let ranked = cache.ranked(&b, true, plan(1, &["vb"]), G, 0);
+        assert!(matches!(ranked, Probe::Unserved(_)), "a's rows");
     }
 
     #[test]

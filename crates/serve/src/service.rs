@@ -240,10 +240,6 @@ impl QueryService {
         config: ServiceConfig,
         pool: Arc<WorkerPool>,
     ) -> QueryService {
-        let rewrite_opts = RewriteOpts {
-            rank_by_cost: true,
-            ..RewriteOpts::default()
-        };
         let catalog = EpochCatalog::new(doc, scheme);
         QueryService {
             published: catalog.reader(),
@@ -255,7 +251,7 @@ impl QueryService {
             ),
             feedback: Mutex::new(Arc::new(FeedbackStore::new())),
             scheduler: AdmissionScheduler::new(config.min_par_rows),
-            rewrite_opts,
+            rewrite_opts: RewriteOpts::default(),
             pool,
             config,
             active: AtomicUsize::new(0),

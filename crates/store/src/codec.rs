@@ -48,197 +48,9 @@
 
 use crate::io::{Result, StoreError};
 use smv_algebra::{AttrKind, Cell, ColKind, Column, NestedRelation, Row, Schema};
+use smv_xml::wire::{ByteReader, ByteWriter};
 use smv_xml::{DeweyId, Label, OrdPath, StructId, Symbol, Value};
 use std::collections::HashMap;
-
-// ---------------------------------------------------------------------------
-// byte stream primitives
-
-/// FNV-1a 64 — the workspace's stable hash (same constants as the
-/// feedback fingerprints), used for page and manifest checksums.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// A growable little-endian byte sink.
-#[derive(Default)]
-pub struct ByteWriter {
-    buf: Vec<u8>,
-}
-
-impl ByteWriter {
-    /// An empty writer.
-    pub fn new() -> ByteWriter {
-        ByteWriter::default()
-    }
-
-    /// The bytes written so far.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Current length in bytes.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing was written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// One raw byte.
-    pub fn put_u8(&mut self, b: u8) {
-        self.buf.push(b);
-    }
-
-    /// Fixed-width little-endian u64.
-    pub fn put_u64(&mut self, x: u64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-
-    /// LEB128 varint.
-    pub fn put_uv(&mut self, mut x: u64) {
-        loop {
-            let b = (x & 0x7f) as u8;
-            x >>= 7;
-            if x == 0 {
-                self.buf.push(b);
-                return;
-            }
-            self.buf.push(b | 0x80);
-        }
-    }
-
-    /// Zigzag varint for signed values.
-    pub fn put_iv(&mut self, x: i64) {
-        self.put_uv(((x << 1) ^ (x >> 63)) as u64);
-    }
-
-    /// Length-prefixed raw bytes.
-    pub fn put_bytes(&mut self, b: &[u8]) {
-        self.put_uv(b.len() as u64);
-        self.buf.extend_from_slice(b);
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_bytes(s.as_bytes());
-    }
-
-    /// Raw bytes, no length prefix.
-    pub fn put_raw(&mut self, b: &[u8]) {
-        self.buf.extend_from_slice(b);
-    }
-}
-
-/// A checked little-endian byte cursor; every read validates bounds and
-/// returns [`StoreError::Corrupt`] on overrun.
-pub struct ByteReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// A cursor over `buf`.
-    pub fn new(buf: &'a [u8]) -> ByteReader<'a> {
-        ByteReader { buf, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.remaining() < n {
-            return Err(StoreError::Corrupt(format!(
-                "truncated stream: wanted {n} bytes, {} left",
-                self.remaining()
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// One raw byte.
-    pub fn get_u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Fixed-width little-endian u64.
-    pub fn get_u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// LEB128 varint.
-    pub fn get_uv(&mut self) -> Result<u64> {
-        let mut x = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.get_u8()?;
-            if shift >= 64 {
-                return Err(StoreError::Corrupt("varint overflow".into()));
-            }
-            x |= ((b & 0x7f) as u64) << shift;
-            if b & 0x80 == 0 {
-                return Ok(x);
-            }
-            shift += 7;
-        }
-    }
-
-    /// A varint element count for a sequence whose every element takes at
-    /// least one byte of the stream: a count above [`remaining`] is
-    /// corruption, so no allocation sized by it can exceed the input.
-    ///
-    /// [`remaining`]: ByteReader::remaining
-    pub fn get_count(&mut self) -> Result<usize> {
-        let n = self.get_uv()?;
-        if n > self.remaining() as u64 {
-            return Err(StoreError::Corrupt(format!(
-                "count {n} exceeds the {} bytes left",
-                self.remaining()
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    /// A varint that must fit 32 bits.
-    pub fn get_u32(&mut self) -> Result<u32> {
-        u32::try_from(self.get_uv()?)
-            .map_err(|_| StoreError::Corrupt("value does not fit 32 bits".into()))
-    }
-
-    /// Zigzag varint.
-    pub fn get_iv(&mut self) -> Result<i64> {
-        let z = self.get_uv()?;
-        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
-    }
-
-    /// Length-prefixed raw bytes.
-    pub fn get_bytes(&mut self) -> Result<&'a [u8]> {
-        let n = self.get_count()?;
-        self.take(n)
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn get_str(&mut self) -> Result<String> {
-        self.get_str_ref().map(str::to_string)
-    }
-
-    /// Length-prefixed UTF-8 string, borrowed from the stream.
-    pub fn get_str_ref(&mut self) -> Result<&'a str> {
-        std::str::from_utf8(self.get_bytes()?)
-            .map_err(|_| StoreError::Corrupt("invalid utf-8".into()))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // string dictionary

@@ -66,13 +66,14 @@
 //! and [`DiskCatalog::warm`] decode every column and keep the extent for
 //! the catalog's lifetime; once kept, scans (projected or not) borrow it.
 
-use crate::codec::{decode_relation, encode_relation, fnv64, ByteReader, ByteWriter};
+use crate::codec::{decode_relation, encode_relation};
 use crate::io::{Result, StoreError, Vfs};
 use crate::pool::BufferPool;
 use smv_algebra::{ExecError, FeedbackStore, NestedRelation, ViewProvider};
 use smv_pattern::{canonical_form, parse_pattern};
 use smv_summary::Summary;
 use smv_views::{CatalogEpoch, View, ViewStore};
+use smv_xml::wire::{fnv64, ByteReader, ByteWriter};
 use smv_xml::IdScheme;
 use std::sync::{Arc, OnceLock};
 
@@ -313,11 +314,7 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
 
 fn decode_manifest(bytes: &[u8]) -> Result<Manifest> {
     let mut r = ByteReader::new(bytes);
-    let mut magic = [0u8; 8];
-    for b in &mut magic {
-        *b = r.get_u8()?;
-    }
-    if &magic != MAN_MAGIC {
+    if r.take(MAN_MAGIC.len())? != MAN_MAGIC {
         return Err(StoreError::Corrupt("bad manifest magic".into()));
     }
     let epoch = r.get_u64()?;

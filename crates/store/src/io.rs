@@ -17,6 +17,7 @@
 //!   how the crash-recovery property test walks every operation of an
 //!   epoch publish and proves the previous epoch always survives.
 
+use smv_xml::wire::WireError;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,6 +55,13 @@ impl std::fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
+
+/// Bytes the wire reader refuses are stored bytes that fail validation.
+impl From<WireError> for StoreError {
+    fn from(e: WireError) -> StoreError {
+        StoreError::Corrupt(e.0)
+    }
+}
 
 /// Shorthand result type of the storage layer.
 pub type Result<T> = std::result::Result<T, StoreError>;

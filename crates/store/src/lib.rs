@@ -10,7 +10,8 @@
 //!   cell tags, and front-coded / delta-coded ID columns that exploit the
 //!   document order extents are normalized into. Every decode is checked:
 //!   truncation and bit-flips are [`StoreError::Corrupt`], never garbage
-//!   rows.
+//!   rows. Like every persisted format, it is written and read with
+//!   [`smv_xml::wire`]'s byte codec.
 //! * [`pool`] — fixed-size pages with per-page FNV-1a checksums behind a
 //!   pinned/clock-evicted [`BufferPool`] under a configurable budget,
 //!   dirty-page write-back, and smv-obs `store.pool.*` counters.
@@ -44,8 +45,9 @@ pub mod disk;
 pub mod io;
 pub mod pool;
 
-pub use codec::{decode_relation, encode_relation, fnv64};
+pub use codec::{decode_relation, encode_relation};
 pub use differential::ProviderMatrix;
 pub use disk::{DiskCatalog, DiskStore, StoreOptions};
 pub use io::{DiskVfs, FaultKind, FaultPlan, Result, SimVfs, StoreError, Vfs};
 pub use pool::{BufferPool, PageGuard, PoolStats};
+pub use smv_xml::wire::fnv64;

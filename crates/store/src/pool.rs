@@ -16,8 +16,8 @@
 //! `store.pool.evict` counters and a `store.pool.resident` gauge to the
 //! smv-obs registry.
 
-use crate::codec::fnv64;
 use crate::io::{Result, StoreError, Vfs};
+use smv_xml::wire::fnv64;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

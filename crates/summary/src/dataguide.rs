@@ -1,5 +1,6 @@
 //! Strong Dataguide construction and queries.
 
+use smv_xml::wire::{ByteReader, ByteWriter};
 use smv_xml::{Document, Label, LabeledTree, NodeId, Value};
 use std::collections::{HashMap, HashSet};
 
@@ -287,6 +288,31 @@ pub struct Summary {
     edge_gen: u64,
 }
 
+/// Each node's pre-order rank and the rank of its last descendant,
+/// children visited in list order, from the root `nodes[0]`.
+fn preorder(nodes: &[SNode]) -> Vec<(u32, u32)> {
+    let mut ranks = vec![(0, 0); nodes.len()];
+    let mut next = 1;
+    // (node, children visited so far)
+    let mut stack = vec![(0usize, 0usize)];
+    while let Some(top) = stack.last_mut() {
+        let (n, k) = *top;
+        match nodes[n].children.get(k) {
+            Some(c) => {
+                top.1 += 1;
+                ranks[c.idx()].0 = next;
+                next += 1;
+                stack.push((c.idx(), 0));
+            }
+            None => {
+                ranks[n].1 = next - 1;
+                stack.pop();
+            }
+        }
+    }
+    ranks
+}
+
 /// Process-unique summary instance ids; clones get fresh ones so two
 /// lineages that diverge after a clone can never share a token.
 fn next_summary_id() -> u64 {
@@ -461,20 +487,11 @@ impl Summary {
     /// extension. Node ids remain stable (creation order); ancestor tests
     /// use the ranks.
     fn recompute_order(&mut self) {
-        fn walk(nodes: &mut Vec<SNode>, n: usize, next: &mut u32) -> u32 {
-            let pre = *next;
-            *next += 1;
-            nodes[n].pre = pre;
-            let mut last = pre;
-            let children = nodes[n].children.clone();
-            for c in children {
-                last = last.max(walk(nodes, c.idx(), next));
-            }
-            nodes[n].last_desc = last;
-            last
+        let ranks = preorder(&self.nodes);
+        for (n, (pre, last_desc)) in self.nodes.iter_mut().zip(ranks) {
+            n.pre = pre;
+            n.last_desc = last_desc;
         }
-        let mut next = 0;
-        walk(&mut self.nodes, 0, &mut next);
     }
 
     /// Number of summary nodes (`|S|`).
@@ -1108,168 +1125,86 @@ impl LabeledTree for Summary {
 //
 // A self-contained binary serialization so the summary can be published
 // to the on-disk store (smv-store wraps these bytes in a checksummed
-// file). The format is structural and deterministic: node vectors in
-// arena order, sketch samples sorted, histogram masses as exact f64 bit
-// patterns. The process-unique instance id is deliberately NOT stored —
-// a deserialized summary is a new instance and gets a fresh id, exactly
-// like [`Clone`].
-
-mod wire {
-    //! Minimal varint byte stream, private to the summary serializer.
-
-    pub fn put_uv(buf: &mut Vec<u8>, mut x: u64) {
-        loop {
-            let b = (x & 0x7f) as u8;
-            x >>= 7;
-            if x == 0 {
-                buf.push(b);
-                return;
-            }
-            buf.push(b | 0x80);
-        }
-    }
-
-    pub fn put_iv(buf: &mut Vec<u8>, x: i64) {
-        put_uv(buf, ((x << 1) ^ (x >> 63)) as u64);
-    }
-
-    pub fn put_str(buf: &mut Vec<u8>, s: &str) {
-        put_uv(buf, s.len() as u64);
-        buf.extend_from_slice(s.as_bytes());
-    }
-
-    pub fn get_u8(buf: &[u8], pos: &mut usize) -> Result<u8, String> {
-        let b = *buf.get(*pos).ok_or("truncated stream")?;
-        *pos += 1;
-        Ok(b)
-    }
-
-    pub fn get_uv(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
-        let mut x = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = get_u8(buf, pos)?;
-            if shift >= 64 {
-                return Err("varint overflow".into());
-            }
-            x |= ((b & 0x7f) as u64) << shift;
-            if b & 0x80 == 0 {
-                return Ok(x);
-            }
-            shift += 7;
-        }
-    }
-
-    /// A count of elements that each take at least one byte of the
-    /// stream: more than the bytes left is corruption, so no allocation
-    /// sized by it can outgrow the input.
-    pub fn get_count(buf: &[u8], pos: &mut usize) -> Result<usize, String> {
-        let n = get_uv(buf, pos)?;
-        if n > (buf.len() - *pos) as u64 {
-            return Err(format!("count {n} exceeds the bytes left"));
-        }
-        Ok(n as usize)
-    }
-
-    pub fn get_iv(buf: &[u8], pos: &mut usize) -> Result<i64, String> {
-        let z = get_uv(buf, pos)?;
-        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
-    }
-
-    pub fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, String> {
-        let n = get_count(buf, pos)?;
-        let end = *pos + n;
-        let s = &buf[*pos..end];
-        *pos = end;
-        String::from_utf8(s.to_vec()).map_err(|_| "invalid utf-8".to_string())
-    }
-
-    pub fn put_f64(buf: &mut Vec<u8>, x: f64) {
-        buf.extend_from_slice(&x.to_bits().to_le_bytes());
-    }
-
-    pub fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64, String> {
-        let end = *pos + 8;
-        let s = buf.get(*pos..end).ok_or("truncated f64")?;
-        *pos = end;
-        Ok(f64::from_bits(u64::from_le_bytes(s.try_into().unwrap())))
-    }
-}
+// file), written and read with `smv_xml::wire`. The format is structural
+// and deterministic: node vectors in arena order, sketch samples sorted,
+// histogram masses as exact f64 bit patterns. The process-unique instance
+// id is deliberately NOT stored — a deserialized summary is a new
+// instance and gets a fresh id, exactly like [`Clone`].
 
 const WIRE_VERSION: u8 = 1;
 
-fn put_value(buf: &mut Vec<u8>, v: &Value) {
+fn put_value(w: &mut ByteWriter, v: &Value) {
     match v {
         Value::Int(i) => {
-            buf.push(0);
-            wire::put_iv(buf, *i);
+            w.put_u8(0);
+            w.put_iv(*i);
         }
         Value::Str(s) => {
-            buf.push(1);
-            wire::put_str(buf, s);
+            w.put_u8(1);
+            w.put_str(s);
         }
     }
 }
 
-fn get_value(buf: &[u8], pos: &mut usize) -> Result<Value, String> {
-    match wire::get_u8(buf, pos)? {
-        0 => Ok(Value::Int(wire::get_iv(buf, pos)?)),
-        1 => Ok(Value::Str(wire::get_str(buf, pos)?.into())),
+fn get_value(r: &mut ByteReader) -> Result<Value, String> {
+    match r.get_u8()? {
+        0 => Ok(Value::Int(r.get_iv()?)),
+        1 => Ok(Value::Str(r.get_str_ref()?.into())),
         t => Err(format!("bad value tag {t}")),
     }
 }
 
 impl ValueHistogram {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        wire::put_iv(buf, self.lo);
-        wire::put_iv(buf, self.width);
-        wire::put_uv(buf, self.buckets.len() as u64);
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_iv(self.lo);
+        w.put_iv(self.width);
+        w.put_uv(self.buckets.len() as u64);
         for &b in &self.buckets {
-            wire::put_f64(buf, b);
+            w.put_f64(b);
         }
-        wire::put_f64(buf, self.below);
-        wire::put_iv(buf, self.below_min);
-        wire::put_f64(buf, self.above);
-        wire::put_iv(buf, self.above_max);
-        wire::put_uv(buf, self.strings);
-        wire::put_uv(buf, self.total);
+        w.put_f64(self.below);
+        w.put_iv(self.below_min);
+        w.put_f64(self.above);
+        w.put_iv(self.above_max);
+        w.put_uv(self.strings);
+        w.put_uv(self.total);
     }
 
-    fn decode(buf: &[u8], pos: &mut usize) -> Result<ValueHistogram, String> {
-        let lo = wire::get_iv(buf, pos)?;
-        let width = wire::get_iv(buf, pos)?;
+    fn decode(r: &mut ByteReader) -> Result<ValueHistogram, String> {
+        let lo = r.get_iv()?;
+        let width = r.get_iv()?;
         if width < 1 {
             return Err("histogram width < 1".into());
         }
-        let n = wire::get_count(buf, pos)?;
+        let n = r.get_count()?;
         let mut buckets = Vec::with_capacity(n);
         for _ in 0..n {
-            buckets.push(wire::get_f64(buf, pos)?);
+            buckets.push(r.get_f64()?);
         }
         Ok(ValueHistogram {
             lo,
             width,
             buckets,
-            below: wire::get_f64(buf, pos)?,
-            below_min: wire::get_iv(buf, pos)?,
-            above: wire::get_f64(buf, pos)?,
-            above_max: wire::get_iv(buf, pos)?,
-            strings: wire::get_uv(buf, pos)?,
-            total: wire::get_uv(buf, pos)?,
+            below: r.get_f64()?,
+            below_min: r.get_iv()?,
+            above: r.get_f64()?,
+            above_max: r.get_iv()?,
+            strings: r.get_uv()?,
+            total: r.get_uv()?,
         })
     }
 }
 
 impl ValueSketch {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(self.saturated as u8);
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_u8(self.saturated as u8);
         if self.saturated {
             match &self.hist {
                 Some(h) => {
-                    buf.push(1);
-                    h.encode(buf);
+                    w.put_u8(1);
+                    h.encode(w);
                 }
-                None => buf.push(0),
+                None => w.put_u8(0),
             }
         } else {
             // the exact set is a HashSet: sort for deterministic bytes
@@ -1280,19 +1215,19 @@ impl ValueSketch {
                 (Value::Int(_), Value::Str(_)) => std::cmp::Ordering::Less,
                 (Value::Str(_), Value::Int(_)) => std::cmp::Ordering::Greater,
             });
-            wire::put_uv(buf, vals.len() as u64);
+            w.put_uv(vals.len() as u64);
             for v in vals {
-                put_value(buf, v);
+                put_value(w, v);
             }
         }
     }
 
-    fn decode(buf: &[u8], pos: &mut usize) -> Result<ValueSketch, String> {
-        let saturated = wire::get_u8(buf, pos)? != 0;
+    fn decode(r: &mut ByteReader) -> Result<ValueSketch, String> {
+        let saturated = r.get_u8()? != 0;
         if saturated {
-            let hist = match wire::get_u8(buf, pos)? {
+            let hist = match r.get_u8()? {
                 0 => None,
-                1 => Some(ValueHistogram::decode(buf, pos)?),
+                1 => Some(ValueHistogram::decode(r)?),
                 t => return Err(format!("bad histogram flag {t}")),
             };
             Ok(ValueSketch {
@@ -1301,13 +1236,13 @@ impl ValueSketch {
                 hist,
             })
         } else {
-            let n = wire::get_count(buf, pos)?;
+            let n = r.get_count()?;
             if n > DISTINCT_CAP {
                 return Err("unsaturated sketch above the distinct cap".into());
             }
             let mut seen = HashSet::with_capacity(n);
             for _ in 0..n {
-                seen.insert(get_value(buf, pos)?);
+                seen.insert(get_value(r)?);
             }
             Ok(ValueSketch {
                 seen,
@@ -1318,100 +1253,126 @@ impl ValueSketch {
     }
 }
 
+/// Refuses node vectors no summary can have. Paths are only ever appended
+/// under a path that exists, so node 0 is the root and every other node's
+/// parent comes before it; each node's `children` are exactly the nodes
+/// naming it as parent; depths, pre-order ranks and descendant intervals
+/// are the ones the tree derives. What passes is a tree, so every walk
+/// over it ends.
+fn check_tree(nodes: &[SNode]) -> Result<(), String> {
+    let Some(root) = nodes.first() else {
+        return Err("summary without a root".into());
+    };
+    if root.parent.is_some() || root.depth != 0 {
+        return Err("summary root has a parent".into());
+    }
+    for (i, n) in nodes.iter().enumerate().skip(1) {
+        match n.parent {
+            // by induction every depth before `i` is its index's or less,
+            // so `+ 1` cannot overflow
+            Some(p) if p.idx() < i && n.depth == nodes[p.idx()].depth + 1 => {}
+            _ => return Err(format!("summary node {i}: parent or depth out of place")),
+        }
+    }
+    let mut listed = vec![false; nodes.len()];
+    for (p, n) in nodes.iter().enumerate() {
+        for &c in &n.children {
+            let inverse = nodes
+                .get(c.idx())
+                .is_some_and(|c| c.parent == Some(NodeId(p as u32)));
+            if !inverse || std::mem::replace(&mut listed[c.idx()], true) {
+                return Err(format!("summary node {p}: children disagree with parents"));
+            }
+        }
+    }
+    if listed.iter().skip(1).any(|&l| !l) {
+        return Err("a summary node is missing from its parent's children".into());
+    }
+    let ranks = preorder(nodes);
+    match nodes
+        .iter()
+        .zip(ranks)
+        .position(|(n, r)| (n.pre, n.last_desc) != r)
+    {
+        Some(i) => Err(format!("summary node {i}: pre-order ranks out of place")),
+        None => Ok(()),
+    }
+}
+
 impl Summary {
     /// Serializes the summary for persistence. Deterministic for a given
     /// summary state; the process-unique instance id is not stored (a
     /// reloaded summary is a fresh instance, like a clone).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.push(WIRE_VERSION);
-        wire::put_uv(&mut buf, self.docs as u64);
-        wire::put_uv(&mut buf, self.geometry_gen);
-        wire::put_uv(&mut buf, self.nodes.len() as u64);
+        let mut w = ByteWriter::new();
+        w.put_u8(WIRE_VERSION);
+        w.put_uv(self.docs as u64);
+        w.put_uv(self.geometry_gen);
+        w.put_uv(self.nodes.len() as u64);
         for n in &self.nodes {
-            wire::put_str(&mut buf, n.label.as_str());
-            match n.parent {
-                None => wire::put_uv(&mut buf, 0),
-                Some(p) => wire::put_uv(&mut buf, p.0 as u64 + 1),
-            }
-            wire::put_uv(&mut buf, n.children.len() as u64);
+            w.put_str(n.label.as_str());
+            w.put_uv(n.parent.map_or(0, |p| p.0 as u64 + 1));
+            w.put_uv(n.children.len() as u64);
             for c in &n.children {
-                wire::put_uv(&mut buf, c.0 as u64);
+                w.put_uv(c.0 as u64);
             }
-            wire::put_uv(&mut buf, n.pre as u64);
-            wire::put_uv(&mut buf, n.last_desc as u64);
-            wire::put_uv(&mut buf, n.depth as u64);
-            wire::put_uv(&mut buf, n.count);
-            wire::put_uv(&mut buf, n.parents_with);
-            wire::put_uv(&mut buf, n.values);
-            buf.push(n.strong as u8);
-            buf.push(n.one_to_one as u8);
-            n.distinct.encode(&mut buf);
+            w.put_uv(n.pre as u64);
+            w.put_uv(n.last_desc as u64);
+            w.put_uv(n.depth as u64);
+            w.put_uv(n.count);
+            w.put_uv(n.parents_with);
+            w.put_uv(n.values);
+            w.put_u8(n.strong as u8);
+            w.put_u8(n.one_to_one as u8);
+            n.distinct.encode(&mut w);
         }
-        buf
+        w.into_bytes()
     }
 
-    /// Reconstructs a summary serialized by [`Summary::to_bytes`]. The
-    /// result carries a fresh instance id, so its
-    /// [`Summary::geometry_token`] differs from the publisher's.
+    /// Reconstructs a summary serialized by [`Summary::to_bytes`], and
+    /// refuses bytes that do not describe a tree. The result carries a
+    /// fresh instance id, so its [`Summary::geometry_token`] differs from
+    /// the publisher's.
     pub fn from_bytes(bytes: &[u8]) -> Result<Summary, String> {
-        let pos = &mut 0usize;
-        let version = wire::get_u8(bytes, pos)?;
+        let mut r = ByteReader::new(bytes);
+        let version = r.get_u8()?;
         if version != WIRE_VERSION {
             return Err(format!("unsupported summary wire version {version}"));
         }
-        let docs = wire::get_uv(bytes, pos)? as usize;
-        let geometry_gen = wire::get_uv(bytes, pos)?;
-        let n_nodes = wire::get_count(bytes, pos)?;
+        let docs = r.get_uv()? as usize;
+        let geometry_gen = r.get_uv()?;
+        let n_nodes = r.get_count()?;
         let mut nodes = Vec::with_capacity(n_nodes);
         for _ in 0..n_nodes {
-            let label = Label::intern(&wire::get_str(bytes, pos)?);
-            let parent = match wire::get_uv(bytes, pos)? {
+            let label = Label::intern(r.get_str_ref()?);
+            let parent = match r.get_u32()? {
                 0 => None,
-                p => Some(NodeId((p - 1) as u32)),
+                p => Some(NodeId(p - 1)),
             };
-            let n_children = wire::get_count(bytes, pos)?;
+            let n_children = r.get_count()?;
             let mut children = Vec::with_capacity(n_children);
             for _ in 0..n_children {
-                children.push(NodeId(wire::get_uv(bytes, pos)? as u32));
+                children.push(NodeId(r.get_u32()?));
             }
-            let pre = wire::get_uv(bytes, pos)? as u32;
-            let last_desc = wire::get_uv(bytes, pos)? as u32;
-            let depth = wire::get_uv(bytes, pos)? as u32;
-            let count = wire::get_uv(bytes, pos)?;
-            let parents_with = wire::get_uv(bytes, pos)?;
-            let values = wire::get_uv(bytes, pos)?;
-            let strong = wire::get_u8(bytes, pos)? != 0;
-            let one_to_one = wire::get_u8(bytes, pos)? != 0;
-            let distinct = ValueSketch::decode(bytes, pos)?;
             nodes.push(SNode {
                 label,
                 parent,
                 children,
-                pre,
-                last_desc,
-                depth,
-                count,
-                parents_with,
-                values,
-                distinct,
-                strong,
-                one_to_one,
+                pre: r.get_u32()?,
+                last_desc: r.get_u32()?,
+                depth: r.get_u32()?,
+                count: r.get_uv()?,
+                parents_with: r.get_uv()?,
+                values: r.get_uv()?,
+                strong: r.get_u8()? != 0,
+                one_to_one: r.get_u8()? != 0,
+                distinct: ValueSketch::decode(&mut r)?,
             });
         }
-        if *pos != bytes.len() {
-            return Err(format!(
-                "{} trailing bytes after summary",
-                bytes.len() - *pos
-            ));
+        if r.remaining() != 0 {
+            return Err(format!("{} trailing bytes after summary", r.remaining()));
         }
-        // structural sanity: every referenced node id must be in range
-        for (i, n) in nodes.iter().enumerate() {
-            let in_range = |id: NodeId| (id.0 as usize) < nodes.len();
-            if n.parent.is_some_and(|p| !in_range(p)) || n.children.iter().any(|&c| !in_range(c)) {
-                return Err(format!("summary node {i} references out-of-range ids"));
-            }
-        }
+        check_tree(&nodes)?;
         Ok(Summary {
             nodes,
             docs,
@@ -1611,6 +1572,32 @@ mod tests {
             let got_path = s.path_string(map[n.idx()]);
             let expect_path: String = expect.iter().map(|l| format!("/{}", l.as_str())).collect();
             assert_eq!(got_path, expect_path);
+        }
+    }
+
+    /// Bytes whose parent links loop are refused, not decoded into a
+    /// summary no walk over would finish.
+    #[test]
+    fn from_bytes_refuses_a_parent_cycle() {
+        let bytes = Summary::of(&doc()).to_bytes();
+        assert!(Summary::from_bytes(&bytes).is_ok());
+        // node 0 is `/r`: version, docs, generation and node count take a
+        // byte each, then its label (length, `r`) and its parent varint
+        let root_parent = 6;
+        assert_eq!(bytes[root_parent], 0, "the root has no parent");
+        // node 1 is `/r/a`, whose parent varint is 1 (node 0, plus one)
+        let a_parent = 2 + bytes
+            .windows(3)
+            .position(|w| w == [1, b'a', 1])
+            .expect("node 1's label and parent");
+        // the root under itself, `a` under itself, `a` under its child `b`
+        for (at, parent) in [(root_parent, 1), (a_parent, 2), (a_parent, 3)] {
+            let mut bad = bytes.clone();
+            bad[at] = parent;
+            assert!(
+                Summary::from_bytes(&bad).is_err(),
+                "parent {parent} at {at}"
+            );
         }
     }
 

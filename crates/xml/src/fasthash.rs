@@ -8,8 +8,12 @@
 //! (the service's plan and result caches), or bound the damage a
 //! collision can do (the parser's fixed-size label cache, where a
 //! collision is a miss). Every map user compares keys in full on a hit,
-//! so a collision costs a comparison and never a wrong answer. Keys taken
-//! from untrusted input into an unbounded map keep SipHash.
+//! so a collision of this hash costs a comparison and never a wrong
+//! answer. A key that is itself a fingerprint is another matter: equal
+//! fingerprints need not mean equal inputs (see [`crate::wire`]), so the
+//! service's caches also check that a hit was stored for the request's
+//! own query. Keys taken from untrusted input into an unbounded map keep
+//! SipHash.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -11,9 +11,11 @@
 //!
 //! Everything higher in the stack (summaries, patterns, algebra, views,
 //! containment, rewriting) builds on this crate. That bottom position is
-//! also why the [`par`] worker-pool primitive lives here: both the
-//! summary's batched ingest and the algebra's parallel structural joins
-//! share it without a dependency cycle.
+//! also why the primitives the layers above share live here: the [`par`]
+//! worker pool (the algebra's parallel structural joins, the catalog's
+//! parallel view registration), the [`fasthash`] hasher, and [`wire`] —
+//! the byte codec every persisted format is written with and the FNV-1a
+//! hash every fingerprint is taken with.
 
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 pub mod fasthash;
@@ -25,6 +27,7 @@ pub mod parser;
 pub mod tree;
 pub mod treelike;
 pub mod value;
+pub mod wire;
 pub mod writer;
 
 pub use ids::{DeweyId, IdAssignment, IdScheme, OrdPath, StructId};

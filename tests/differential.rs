@@ -6,11 +6,8 @@
 //! The suite checks, for every rewriting the rewriter emits, *provider
 //! equivalence* (all arms byte-identical at 1 and 4 threads) and
 //! *soundness* (the answer is direct evaluation's) — not the best one, not
-//! any one: an unsound second-ranked rewriting fails it. The random-tree
-//! property checks provider equivalence only: soundness there fails today
-//! on a recursive document (ROADMAP item 1, soundness of every returned
-//! rewriting). Rewriter completeness itself
-//! is covered by `tests/end_to_end.rs`.
+//! any one: an unsound second-ranked rewriting fails it. Rewriter
+//! completeness itself is covered by `tests/end_to_end.rs`.
 
 use proptest::prelude::*;
 use smv::prelude::*;
@@ -113,25 +110,42 @@ fn pr2_workload_is_provider_invariant_on_xmark() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Random documents, all three ID schemes: every rewriting found over
-    /// a wide view + a label view answers identically on every arm.
-    #[test]
-    fn random_trees_are_provider_invariant(src in tree_strategy(), scheme_ix in 0usize..3) {
-        let doc = Document::from_parens(&src);
-        let scheme = SCHEMES[scheme_ix];
+/// A recursive summary (`a` under `a`), where joins on derived ancestor
+/// IDs returned wrong rows: two rewritings under each scheme that derives
+/// parents, none under sequential IDs, and each one sound on every arm.
+#[test]
+fn derived_ancestor_ids_join_soundly_on_a_recursive_document() {
+    let doc =
+        Document::from_parens(r#"r(c(a(a(c="3" b)) a(b(c d="3") a(a) c(a c)) a(c(a a="3"))))"#);
+    for scheme in SCHEMES {
         let matrix = ProviderMatrix::new(
             &doc,
             scheme,
             &[("all", "r(//*{id,l,v})"), ("bs", "r(//b{id,v})")],
         );
-        for query in ["r(//b{id,v})", "r(//a{id}(//b{v}))", "r(//*{id,l})"] {
-            let q = parse_pattern(query).unwrap();
-            let res = rewrite(&q, matrix.views(), matrix.summary(), &RewriteOpts::default());
-            for rw in res.rewritings.iter().take(3) {
-                matrix.check(&rw.plan, &[1, 4]);
+        let checked = check_query(&matrix, &doc, scheme, "r(//a{id}(//b{v}))");
+        let want = if scheme.derives_parent() { 2 } else { 0 };
+        assert_eq!(checked, want, "{scheme:?}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random documents, all three ID schemes: every rewriting found over
+    /// a wide view + a label view answers identically on every arm, with
+    /// direct evaluation's rows.
+    #[test]
+    fn random_trees_are_provider_invariant(src in tree_strategy()) {
+        let doc = Document::from_parens(&src);
+        for scheme in SCHEMES {
+            let matrix = ProviderMatrix::new(
+                &doc,
+                scheme,
+                &[("all", "r(//*{id,l,v})"), ("bs", "r(//b{id,v})")],
+            );
+            for query in ["r(//b{id,v})", "r(//a{id}(//b{v}))", "r(//*{id,l})"] {
+                check_query(&matrix, &doc, scheme, query);
             }
         }
     }
