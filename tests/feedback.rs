@@ -2,14 +2,24 @@
 //! perfect-feedback property (with full feedback, estimates equal
 //! actuals for scans, selections and structural joins), and the query
 //! service re-ranking a misestimated query on what it measured.
+//!
+//! `tests/golden/feedback_ranking.txt` pins the corrected ranking itself:
+//! per query, every rewriting's plan and estimate before and after the
+//! feedback of executing them all. Regenerate intentionally with
+//! `SMV_BLESS=1 cargo test --test feedback`.
 
 mod common;
+#[path = "common/golden.rs"]
+mod golden;
 
+use golden::{check_golden, BENCH_VIEWS, QUERIES};
 use proptest::prelude::*;
 use smv::algebra::{plan_fingerprint, CardSource, Predicate, StructRel};
+use smv::datagen::pr4_workload;
 use smv::prelude::*;
 use smv::views::CatalogCards;
 use smv::xml::IdScheme;
+use std::fmt::Write;
 
 /// A document with `a` parents over valued `b` children, sized and
 /// valued by the generator inputs.
@@ -226,3 +236,113 @@ fn service_reranks_on_feedback_at_the_next_epoch() {
     assert_eq!(after.rows.rows, first.rows.rows);
     assert_eq!(after.est.rows, after.rows.len() as f64);
 }
+
+/// Ranks each query of `queries` over `catalog`, executes every returned
+/// rewriting profiled into one store shared by the whole set (as the
+/// query service's store is), then ranks the query again under that
+/// feedback; renders both rankings, plan by plan with its estimate.
+fn feedback_rankings(
+    set: &str,
+    catalog: &CatalogEpoch,
+    queries: &[(&str, Pattern)],
+    out: &mut String,
+) {
+    let summary = catalog.summary();
+    let cards = CatalogCards::over(catalog, summary);
+    let mut store = FeedbackStore::new();
+    for (name, q) in queries {
+        let rank = |store: Option<&FeedbackStore>| {
+            let r = Rewriter::new(q, catalog.views(), summary, RewriteOpts::default());
+            match store {
+                Some(store) => {
+                    let fb_cards = FeedbackCards::new(&cards, store);
+                    r.with_card_source(&fb_cards).with_feedback(store).run()
+                }
+                None => r.with_card_source(&cards).run(),
+            }
+        };
+        let before = rank(None);
+        for rw in &before.rewritings {
+            let (_, profile) =
+                execute_profiled_with(&rw.plan, catalog, &ExecOpts::default()).unwrap();
+            store.ingest(&rw.plan, &profile);
+        }
+        let after = rank(Some(&store));
+        writeln!(out, "== {set} {name}").unwrap();
+        for (when, ranked) in [("static", &before), ("feedback", &after)] {
+            for (i, rw) in ranked.rewritings.iter().enumerate() {
+                writeln!(
+                    out,
+                    "{when} {i}: rows {:?} cost {:?}\n{}",
+                    rw.est.rows, rw.est.cost, rw.plan
+                )
+                .unwrap();
+            }
+        }
+    }
+}
+
+/// The feedback-corrected ranking, pinned on two sets: the `pr4` skew,
+/// where feedback flips plans, and the benchmark's queries over its views.
+#[test]
+fn feedback_ranking_matches_its_golden_file() {
+    let mut rendered = String::new();
+    let pr4 = pr4_workload(0.05, IdScheme::OrdPath);
+    let queries: Vec<(&str, Pattern)> = pr4
+        .queries
+        .iter()
+        .map(|q| (q.name, q.pattern.clone()))
+        .collect();
+    let catalog = common::materialized(&pr4.doc, &pr4.views);
+    feedback_rankings("pr4", &catalog, &queries, &mut rendered);
+
+    let views: Vec<View> = BENCH_VIEWS
+        .iter()
+        .map(|(name, src)| View::new(name, parse_pattern(src).unwrap(), IdScheme::OrdPath))
+        .collect();
+    let queries: Vec<(&str, Pattern)> = QUERIES
+        .iter()
+        .map(|src| (*src, parse_pattern(src).unwrap()))
+        .collect();
+    let catalog = common::materialized(&pr7_document(0.1, 1), &views);
+    feedback_rankings("bench", &catalog, &queries, &mut rendered);
+
+    // and rewritings that join: selections under joins, both join kinds
+    let queries: Vec<(&str, Pattern)> = JOIN_QUERIES
+        .iter()
+        .map(|src| (*src, parse_pattern(src).unwrap()))
+        .collect();
+    feedback_rankings("joins", &catalog, &queries, &mut rendered);
+    let groups: Vec<Vec<i64>> = (0..60)
+        .map(|i| vec![if i % 5 == 4 { 1000 + i } else { 5 }, i % 7])
+        .collect();
+    let views = [
+        ("va", "r(//a{id})"),
+        ("vb", "r(//b{id,v})"),
+        ("low_b", "r(//b{id,v}[v<=10])"),
+    ]
+    .map(|(name, pat)| View::new(name, parse_pattern(pat).unwrap(), IdScheme::OrdPath));
+    let catalog = common::materialized(&doc_of(&groups), &views);
+    let queries: Vec<(&str, Pattern)> = SKEWED_JOIN_QUERIES
+        .iter()
+        .map(|src| (*src, parse_pattern(src).unwrap()))
+        .collect();
+    feedback_rankings("skewed", &catalog, &queries, &mut rendered);
+    check_golden("feedback_ranking.txt", &rendered);
+}
+
+/// Queries over the benchmark's views that only joins answer.
+const JOIN_QUERIES: [&str; 4] = [
+    "site(//item{id}(/name{v}, /quantity{v}))",
+    "site(//item{id}(/quantity{v}[v>1]))",
+    "site(/open_auctions(/open_auction{id}(/initial{v}, /bidder(/increase{v}))))",
+    r#"site(/people(/person{id}(/name{v}[v<"k"])))"#,
+];
+
+/// Joins over skewed `b` values, which the distinct sample hides.
+const SKEWED_JOIN_QUERIES: [&str; 4] = [
+    "r(//a{id}(/b{id,v}[v<=10]))",
+    "r(//a{id}(/b{v}))",
+    "r(/a{id}(/b{v}[v>=1000]))",
+    "r(/a{id}(/b{v}[v<=10], /b{v}[v>=3]))",
+];
