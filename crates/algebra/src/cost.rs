@@ -112,8 +112,7 @@ struct Est {
 /// the card (probes borrow the `&str` key; only a first miss allocates
 /// its `String`).
 ///
-/// With [`CostModel::with_feedback`], memoized runtime selectivities
-/// (selection pass-rates, join selectivities — see
+/// With [`CostModel::with_feedback`], measured rows (see
 /// [`crate::feedback::FeedbackStore`]) take precedence over the static
 /// summary-driven guesses wherever an observation exists.
 pub struct CostModel<'a> {
@@ -134,26 +133,58 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Applies runtime feedback: wherever `store` holds a memoized
-    /// selectivity for a selection or join fragment, it replaces the
-    /// static estimate.
+    /// Applies runtime feedback from `store`'s measured fragment rows: a
+    /// measured scan replaces the extent size, a selection takes the
+    /// pass-rate `m(select) / m(input)` and a join the selectivity
+    /// `m(join) / (m(left) · m(right))` in place of the static estimate.
     pub fn with_feedback(mut self, store: &'a FeedbackStore) -> CostModel<'a> {
         self.feedback = Some(store);
         self
     }
 
-    /// Memoized [`CardSource::scan_card`]. The probe borrows `view`
-    /// (`Borrow<str>`), so a hit costs one hash lookup and an `Rc`
-    /// clone; the `String` key is allocated once, on first miss.
-    fn scan_card(&self, view: &str) -> Option<Rc<ScanCard>> {
+    /// Memoized [`CardSource::scan_card`] of `scan` (a `Scan` of `view`),
+    /// its rows replaced by feedback's measured rows when there are any.
+    /// The probe borrows `view` (`Borrow<str>`), so a hit costs one hash
+    /// lookup and an `Rc` clone; the `String` key is allocated once, on
+    /// first miss.
+    fn scan_card(&self, scan: &Plan, view: &str) -> Option<Rc<ScanCard>> {
         if let Some(cached) = self.scan_cache.borrow().get(view) {
             return cached.clone();
         }
-        let card = self.source.scan_card(view).map(Rc::new);
+        let mut card = self.source.scan_card(view);
+        if let Some(rows) = self.feedback.and_then(|f| f.measured_rows(scan)) {
+            // a view the source does not know but that was executed keeps
+            // its measured size, its columns unannotated
+            card.get_or_insert_with(|| ScanCard {
+                rows,
+                cols: Vec::new(),
+            })
+            .rows = rows;
+        }
+        let card = card.map(Rc::new);
         self.scan_cache
             .borrow_mut()
             .insert(view.to_owned(), card.clone());
         card
+    }
+
+    /// Feedback's measured output rows of `fragment` over the product of
+    /// its `inputs`' measured rows: a selection's pass-rate, a join's
+    /// selectivity. `None` without feedback for all of them, or when an
+    /// input measured no rows. The fragment is looked up first, so a miss
+    /// hashes it alone.
+    fn measured_ratio(&self, fragment: &Plan, inputs: &[&Plan]) -> Option<f64> {
+        let f = self.feedback?;
+        let out = f.measured_rows(fragment)?;
+        let mut product = 1.0;
+        for input in inputs {
+            let m = f.measured_rows(input)?;
+            if m <= 0.0 {
+                return None;
+            }
+            product *= m;
+        }
+        Some(out / product)
     }
 
     /// Estimates output rows and total work for `plan`.
@@ -176,7 +207,7 @@ impl<'a> CostModel<'a> {
 
     fn est(&self, plan: &Plan) -> Est {
         match plan {
-            Plan::Scan { view } => match self.scan_card(view) {
+            Plan::Scan { view } => match self.scan_card(plan, view) {
                 Some(sc) => Est {
                     rows: sc.rows,
                     cost: sc.rows,
@@ -239,10 +270,7 @@ impl<'a> CostModel<'a> {
                 };
                 // an observed pass-rate for this exact fragment beats any
                 // static guess (the label narrowing above still applies)
-                let sel = self
-                    .feedback
-                    .and_then(|f| f.select_selectivity(input, pred))
-                    .unwrap_or(sel);
+                let sel = self.measured_ratio(plan, &[input.as_ref()]).unwrap_or(sel);
                 e.cost += e.rows;
                 e.rows *= sel;
                 e
@@ -282,10 +310,7 @@ impl<'a> CostModel<'a> {
                     }
                     _ => l.rows * r.rows / l.rows.max(r.rows).max(1.0),
                 };
-                let rows = match self
-                    .feedback
-                    .and_then(|f| f.join_selectivity(left, right, *lcol, *rcol, None))
-                {
+                let rows = match self.measured_ratio(plan, &[left.as_ref(), right.as_ref()]) {
                     Some(s) => l.rows * r.rows * s,
                     None => rows,
                 };
@@ -329,10 +354,7 @@ impl<'a> CostModel<'a> {
                     }
                     _ => l.rows * r.rows * STRUCT_SEL,
                 };
-                let rows = match self
-                    .feedback
-                    .and_then(|f| f.join_selectivity(left, right, *lcol, *rcol, Some(*rel)))
-                {
+                let rows = match self.measured_ratio(plan, &[left.as_ref(), right.as_ref()]) {
                     Some(s) => l.rows * r.rows * s,
                     None => rows,
                 };

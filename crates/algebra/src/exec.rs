@@ -22,7 +22,7 @@
 //!   and grouping hashes rows structurally; no cell is ever encoded into
 //!   a string to be compared.
 
-use crate::feedback::{ExecProfile, OpPath, ParHints};
+use crate::feedback::{ExecProfile, FeedbackStore, OpPath};
 use crate::plan::{NavStep, Plan, Predicate};
 use crate::relation::{AttrKind, Cell, ColKind, Column, NestedRelation, Row, Schema};
 use crate::struct_join::StructRel;
@@ -55,7 +55,7 @@ pub struct ExecOpts {
     /// pool workers.
     pub threads: usize,
     /// Parallel operators engage only when their input holds at least
-    /// this many rows — unless execution feedback ([`ParHints`]) has
+    /// this many rows — unless execution feedback (`par_hints`) has
     /// measured the operator's *output* at or above it (a small-input
     /// explosive join is worth fanning out; the static input-size gate
     /// cannot see that). Set to `0` to force the parallel path regardless
@@ -68,10 +68,10 @@ pub struct ExecOpts {
     /// execution start; sessions wanting isolation pass their own via
     /// [`ExecOpts::with_pool`]. Always `None`d out when `threads <= 1`.
     pub pool: Option<Arc<WorkerPool>>,
-    /// Measured per-fragment output cardinalities for the plan about to
-    /// run (snapshot from a `FeedbackStore`), making the `min_par_rows`
-    /// gate adaptive. `None` = static gate only.
-    pub par_hints: Option<Arc<ParHints>>,
+    /// Execution feedback whose measured per-fragment output rows make
+    /// the `min_par_rows` gate adaptive: a frozen [`FeedbackStore`],
+    /// which later ingests do not reach. `None` = static gate only.
+    pub par_hints: Option<Arc<FeedbackStore>>,
 }
 
 impl PartialEq for ExecOpts {
@@ -180,7 +180,7 @@ impl ExecOpts {
             return true;
         }
         match (&self.par_hints, fragment) {
-            (Some(h), Some(p)) => h.measured(p).is_some_and(|rows| rows >= floor as f64),
+            (Some(h), Some(p)) => h.measured_rows(p).is_some_and(|rows| rows >= floor as f64),
             _ => false,
         }
     }

@@ -1,5 +1,4 @@
-//! Runtime execution feedback: profiles, the feedback store, and
-//! feedback-corrected scan cardinalities.
+//! Runtime execution feedback: profiles and the feedback store.
 //!
 //! The cost model of [`crate::cost`] is *static*: it estimates from
 //! summary statistics and extent sizes, and its selectivity guesses
@@ -9,22 +8,18 @@
 //! * the executor's profiled entry point ([`crate::exec::execute_profiled_with`])
 //!   emits an [`ExecProfile`] — the *actual* output row count of every
 //!   operator, keyed by its stable [`OpPath`] into the plan tree;
-//! * a [`FeedbackStore`] ingests profiles and maintains, with exponential
-//!   decay across ingests, per-view scan row counts, join-selectivity
-//!   memos and predicate-selectivity memos keyed by stable *plan-fragment
-//!   fingerprints* (for a selection directly over a scan the key collapses
-//!   to `(view, column, formula)`, for a base structural join to
-//!   `(left scan, right scan, axis)` — deeper fragments key on the whole
-//!   fragment);
-//! * [`FeedbackCards`] decorates any [`CardSource`] with the corrected
-//!   scan rows, and [`crate::cost::CostModel::with_feedback`] makes the
-//!   model prefer memoized selectivities over static guesses.
+//! * a [`FeedbackStore`] ingests profiles and keeps one memo: the
+//!   measured output rows of every plan fragment, decayed across ingests
+//!   and keyed by a stable *plan-fragment fingerprint*;
+//! * [`crate::cost::CostModel::with_feedback`] derives scan rows,
+//!   selection pass-rates and join selectivities from that memo in place
+//!   of static guesses, and the executor's parallelize-or-not gate reads
+//!   it through `ExecOpts::par_hints`.
 //!
 //! Because the rewriting enumeration is deterministic, a repeated query
 //! re-enumerates the same plans and every shared fragment hits its memo —
 //! the second ranking of a repeated query runs on corrected estimates.
 
-use crate::cost::{CardSource, ScanCard};
 use crate::plan::{Plan, Predicate};
 use crate::struct_join::StructRel;
 use smv_xml::wire::{ByteReader, ByteWriter, Fnv64};
@@ -263,32 +258,14 @@ pub fn plan_fingerprint(p: &Plan) -> u64 {
     h.finish()
 }
 
-fn select_key(input: &Plan, pred: &Predicate) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(b"SELKEY");
-    hash_pred(&mut h, pred);
-    hash_plan(&mut h, input);
-    h.finish()
-}
-
-fn join_key(left: &Plan, right: &Plan, lcol: usize, rcol: usize, rel: Option<StructRel>) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(match rel {
-        None => b"IDJKEY",
-        Some(StructRel::Parent) => b"SJPKEY",
-        Some(StructRel::Ancestor) => b"SJAKEY",
-    });
-    h.write_u64(lcol as u64);
-    h.write_u64(rcol as u64);
-    hash_plan(&mut h, left);
-    hash_plan(&mut h, right);
-    h.finish()
-}
-
 // ---- the feedback store ------------------------------------------------
 
-/// Default EWMA weight of a fresh observation.
-const DEFAULT_DECAY: f64 = 0.5;
+/// EWMA weight of a fresh observation.
+const DECAY: f64 = 0.5;
+
+/// Version byte of [`FeedbackStore::to_bytes`]. Version 1 also carried
+/// the decay and three memos derived from the fragment rows.
+const WIRE_VERSION: u8 = 2;
 
 /// A relaxed atomic event counter that clones by value, so the store's
 /// `derive(Clone)` keeps working while `&self` lookup methods can count.
@@ -314,15 +291,13 @@ impl Clone for EventCounter {
 }
 
 /// A snapshot of the store's event counters — the "is the adaptive loop
-/// actually firing" numbers, also exported to a registry by
-/// [`FeedbackStore::export_metrics`].
+/// actually firing" numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FeedbackStats {
-    /// Lookups that found a memo (scan rows, fragment rows, selection or
-    /// join selectivity).
+    /// Fragment lookups that found measured rows.
     pub hits: u64,
-    /// Lookups that found nothing — the cost model fell back to its
-    /// static guess.
+    /// Fragment lookups that found nothing — the cost model fell back to
+    /// its static guess.
     pub misses: u64,
     /// EWMA blends onto an *existing* memo entry: each one decayed an
     /// older observation toward a fresh one.
@@ -334,29 +309,23 @@ pub struct FeedbackStats {
     pub ingests: u64,
 }
 
-/// Accumulates execution feedback across queries: per-view actual scan
-/// rows, selection pass-rates and join selectivities, each maintained as
-/// an exponentially-decayed moving average over ingests so drifting data
-/// ages out stale observations.
-#[derive(Clone, Debug)]
+/// Accumulates execution feedback across queries: the actual output rows
+/// of every profiled plan fragment, keyed by [`plan_fingerprint`] and
+/// maintained as an exponentially-decayed moving average over ingests so
+/// drifting data ages out stale observations.
+///
+/// That one memo is all the store keeps. The cost model derives a scan's
+/// rows, a selection's pass-rate (`m(select) / m(input)`) and a join's
+/// selectivity (`m(join) / (m(left) · m(right))`) from it, and the
+/// executor's parallelize-or-not gate reads an operator's measured output.
+#[derive(Clone, Debug, Default)]
 pub struct FeedbackStore {
-    /// EWMA weight of the newest observation (`1.0` = keep only the
-    /// latest, `0.0` would ignore new evidence).
-    decay: f64,
-    scans: HashMap<String, f64>,
-    selects: HashMap<u64, f64>,
-    joins: HashMap<u64, f64>,
-    /// Decayed actual *output rows* per plan-fragment fingerprint — every
-    /// profiled operator, not just scans/selections/joins. This is what
-    /// the executor's adaptive parallelize-or-not gate reads (via
-    /// [`ParHints`]): input sizes are exact for materialized inputs, but
-    /// whether an operator is worth fanning out also depends on how much
-    /// it produces.
-    frags: HashMap<u64, f64>,
-    /// Reverse index: for every view, the fingerprint keys of memo
-    /// entries (selections, joins, fragments) whose plan fragment scans
-    /// it — what [`FeedbackStore::invalidate_fingerprints_touching`]
-    /// walks when a view's extent changes under maintenance.
+    /// Decayed actual output rows per plan-fragment fingerprint.
+    rows: HashMap<u64, f64>,
+    /// Reverse index: for every view, the fingerprints of the memoized
+    /// fragments that scan it — what
+    /// [`FeedbackStore::invalidate_fingerprints_touching`] walks when a
+    /// view's extent changes under maintenance.
     by_view: HashMap<String, HashSet<u64>>,
     ingests: u64,
     hits: EventCounter,
@@ -365,34 +334,10 @@ pub struct FeedbackStore {
     invalidated: EventCounter,
 }
 
-impl Default for FeedbackStore {
-    fn default() -> Self {
-        FeedbackStore::new()
-    }
-}
-
 impl FeedbackStore {
-    /// An empty store with the default decay.
+    /// An empty store.
     pub fn new() -> FeedbackStore {
-        FeedbackStore::with_decay(DEFAULT_DECAY)
-    }
-
-    /// An empty store blending each new observation with weight `decay`
-    /// (clamped to `(0, 1]`).
-    pub fn with_decay(decay: f64) -> FeedbackStore {
-        FeedbackStore {
-            decay: decay.clamp(f64::MIN_POSITIVE, 1.0),
-            scans: HashMap::new(),
-            selects: HashMap::new(),
-            joins: HashMap::new(),
-            frags: HashMap::new(),
-            by_view: HashMap::new(),
-            ingests: 0,
-            hits: EventCounter::default(),
-            misses: EventCounter::default(),
-            decays: EventCounter::default(),
-            invalidated: EventCounter::default(),
-        }
+        FeedbackStore::default()
     }
 
     /// Event counters since construction (hits, misses, decays, …).
@@ -406,19 +351,6 @@ impl FeedbackStore {
         }
     }
 
-    /// Writes the event counters and memo sizes into `reg` under the
-    /// `feedback.*` namespace, so a metrics snapshot answers "is the
-    /// adaptive loop firing" without rerunning the feedback tests.
-    pub fn export_metrics(&self, reg: &smv_obs::MetricsRegistry) {
-        let s = self.stats();
-        reg.gauge_set("feedback.hits", s.hits as i64);
-        reg.gauge_set("feedback.misses", s.misses as i64);
-        reg.gauge_set("feedback.decays", s.decays as i64);
-        reg.gauge_set("feedback.invalidated", s.invalidated as i64);
-        reg.gauge_set("feedback.ingests", s.ingests as i64);
-        reg.gauge_set("feedback.memo_entries", self.len() as i64);
-    }
-
     /// Number of profiles ingested.
     pub fn ingests(&self) -> u64 {
         self.ingests
@@ -429,33 +361,12 @@ impl FeedbackStore {
         self.ingests == 0
     }
 
-    /// Number of memo entries (scans + selections + joins).
+    /// Number of memoized fragments.
     pub fn len(&self) -> usize {
-        self.scans.len() + self.selects.len() + self.joins.len()
+        self.rows.len()
     }
 
-    fn blend(decay: f64, slot: &mut HashMap<u64, f64>, key: u64, obs: f64, decays: &EventCounter) {
-        slot.entry(key)
-            .and_modify(|v| {
-                *v = decay * obs + (1.0 - decay) * *v;
-                decays.bump();
-            })
-            .or_insert(obs);
-    }
-
-    /// Counts a memo lookup, both locally and (when tracing is enabled)
-    /// into the global registry.
-    fn count_lookup(&self, hit: bool) {
-        if hit {
-            self.hits.bump();
-            smv_obs::counter_add("feedback.lookup.hit", 1);
-        } else {
-            self.misses.bump();
-            smv_obs::counter_add("feedback.lookup.miss", 1);
-        }
-    }
-
-    /// Folds one execution profile into the memos. The profile must come
+    /// Folds one execution profile into the memo. The profile must come
     /// from executing exactly `plan` (operator paths are positional).
     pub fn ingest(&mut self, plan: &Plan, profile: &ExecProfile) {
         let mut path = Vec::new();
@@ -463,21 +374,14 @@ impl FeedbackStore {
         self.ingests += 1;
     }
 
-    /// Records `key` in the reverse index under every view of the
-    /// fragment it was derived from.
-    fn index_key(&mut self, key: u64, views: &[String]) {
-        for v in views {
-            self.by_view.entry(v.clone()).or_default().insert(key);
-        }
-    }
-
     /// Walks one fragment: recurses first (collecting the set of views
-    /// the fragment scans on the way up), then folds the fragment's
-    /// observations into the memos, indexing every created key by those
-    /// views. Returns the fragment's view set.
+    /// the fragment scans on the way up), then blends the fragment's
+    /// observed output rows into the memo, indexing its fingerprint by
+    /// those views. Returns the fragment's view set.
     fn walk(&mut self, plan: &Plan, profile: &ExecProfile, path: &mut Vec<u32>) -> Vec<String> {
-        let views: Vec<String> = match plan {
-            Plan::Scan { view } => vec![view.clone()],
+        let mut views: Vec<String> = Vec::new();
+        match plan {
+            Plan::Scan { view } => views.push(view.clone()),
             Plan::Select { input, .. }
             | Plan::Project { input, .. }
             | Plan::Nest { input, .. }
@@ -486,164 +390,70 @@ impl FeedbackStore {
             | Plan::DeriveParentId { input, .. }
             | Plan::DupElim { input } => {
                 path.push(0);
-                let v = self.walk(input, profile, path);
+                views = self.walk(input, profile, path);
                 path.pop();
-                v
             }
             Plan::IdJoin { left, right, .. } | Plan::StructJoin { left, right, .. } => {
-                path.push(0);
-                let mut v = self.walk(left, profile, path);
-                path.pop();
-                path.push(1);
-                let r = self.walk(right, profile, path);
-                path.pop();
-                for x in r {
-                    if !v.contains(&x) {
-                        v.push(x);
-                    }
+                for (i, p) in [left, right].into_iter().enumerate() {
+                    path.push(i as u32);
+                    let b = self.walk(p, profile, path);
+                    path.pop();
+                    merge_views(&mut views, b);
                 }
-                v
             }
             Plan::Union { inputs } => {
-                let mut v: Vec<String> = Vec::new();
                 for (i, p) in inputs.iter().enumerate() {
                     path.push(i as u32);
                     let b = self.walk(p, profile, path);
                     path.pop();
-                    for x in b {
-                        if !v.contains(&x) {
-                            v.push(x);
-                        }
-                    }
+                    merge_views(&mut views, b);
                 }
-                v
             }
-        };
-        let out = profile.rows(path);
-        if let Some(out) = out {
-            let key = plan_fingerprint(plan);
-            Self::blend(self.decay, &mut self.frags, key, out as f64, &self.decays);
-            self.index_key(key, &views);
         }
-        let child = |path: &mut Vec<u32>, i: u32, profile: &ExecProfile| {
-            path.push(i);
-            let r = profile.rows(path);
-            path.pop();
-            r
-        };
-        match plan {
-            Plan::Scan { view } => {
-                if let Some(out) = out {
-                    let decay = self.decay;
-                    let decays = &self.decays;
-                    self.scans
-                        .entry(view.clone())
-                        .and_modify(|v| {
-                            *v = decay * out as f64 + (1.0 - decay) * *v;
-                            decays.bump();
-                        })
-                        .or_insert(out as f64);
-                }
+        if let Some(out) = profile.rows(path) {
+            let key = plan_fingerprint(plan);
+            let obs = out as f64;
+            self.rows
+                .entry(key)
+                .and_modify(|v| {
+                    *v = DECAY * obs + (1.0 - DECAY) * *v;
+                    self.decays.bump();
+                })
+                .or_insert(obs);
+            for v in &views {
+                self.by_view.entry(v.clone()).or_default().insert(key);
             }
-            Plan::Select { input, pred } => {
-                if let (Some(out), Some(inp)) = (out, child(path, 0, profile)) {
-                    if inp > 0 {
-                        let key = select_key(input, pred);
-                        Self::blend(
-                            self.decay,
-                            &mut self.selects,
-                            key,
-                            out as f64 / inp as f64,
-                            &self.decays,
-                        );
-                        self.index_key(key, &views);
-                    }
-                }
-            }
-            Plan::IdJoin {
-                left,
-                right,
-                lcol,
-                rcol,
-            } => {
-                if let (Some(out), Some(l), Some(r)) =
-                    (out, child(path, 0, profile), child(path, 1, profile))
-                {
-                    if l > 0 && r > 0 {
-                        let key = join_key(left, right, *lcol, *rcol, None);
-                        Self::blend(
-                            self.decay,
-                            &mut self.joins,
-                            key,
-                            out as f64 / (l as f64 * r as f64),
-                            &self.decays,
-                        );
-                        self.index_key(key, &views);
-                    }
-                }
-            }
-            Plan::StructJoin {
-                left,
-                right,
-                lcol,
-                rcol,
-                rel,
-            } => {
-                if let (Some(out), Some(l), Some(r)) =
-                    (out, child(path, 0, profile), child(path, 1, profile))
-                {
-                    if l > 0 && r > 0 {
-                        let key = join_key(left, right, *lcol, *rcol, Some(*rel));
-                        Self::blend(
-                            self.decay,
-                            &mut self.joins,
-                            key,
-                            out as f64 / (l as f64 * r as f64),
-                            &self.decays,
-                        );
-                        self.index_key(key, &views);
-                    }
-                }
-            }
-            _ => {}
         }
         views
     }
 
-    /// Drops every memo derived from a plan fragment scanning any of
-    /// `views` — decayed scan rows, selection pass-rates, join
-    /// selectivities and per-fragment measured output rows — and returns
-    /// how many entries were removed. Call after view maintenance: an
+    /// Drops the measured rows of every fragment scanning any of `views`
+    /// and returns how many were removed. Call after view maintenance: an
     /// extent that changed invalidates observations made against its old
-    /// contents, while memos over untouched views survive and keep
-    /// steering plans.
+    /// contents, while fragments over untouched views keep theirs and
+    /// keep steering plans.
     pub fn invalidate_fingerprints_touching<S: AsRef<str>>(&mut self, views: &[S]) -> usize {
         let mut keys: HashSet<u64> = HashSet::new();
-        let mut removed = 0;
         for v in views {
-            let v = v.as_ref();
-            if self.scans.remove(v).is_some() {
-                removed += 1;
-            }
-            if let Some(ks) = self.by_view.remove(v) {
+            if let Some(ks) = self.by_view.remove(v.as_ref()) {
                 keys.extend(ks);
             }
         }
-        for k in keys {
-            removed += usize::from(self.selects.remove(&k).is_some());
-            removed += usize::from(self.joins.remove(&k).is_some());
-            removed += usize::from(self.frags.remove(&k).is_some());
+        if keys.is_empty() {
+            return 0;
         }
+        let removed = keys
+            .iter()
+            .filter(|k| self.rows.remove(k).is_some())
+            .count();
+        // a dropped fragment that also scans other views leaves their sets
+        self.by_view.retain(|_, ks| {
+            ks.retain(|k| !keys.contains(k));
+            !ks.is_empty()
+        });
         self.invalidated.add(removed as u64);
         smv_obs::counter_add("feedback.invalidated", removed as u64);
         removed
-    }
-
-    /// Decayed actual scan rows observed for `view`.
-    pub fn scan_rows(&self, view: &str) -> Option<f64> {
-        let r = self.scans.get(view).copied();
-        self.count_lookup(r.is_some());
-        r
     }
 
     /// Decayed actual *output rows* observed for the plan fragment
@@ -655,33 +465,13 @@ impl FeedbackStore {
     /// [`Self::measured_rows`] for a caller that already holds the
     /// fragment's [`plan_fingerprint`] — no plan walk, no hashing.
     pub fn measured_rows_by_fingerprint(&self, fingerprint: u64) -> Option<f64> {
-        let r = self.frags.get(&fingerprint).copied();
-        self.count_lookup(r.is_some());
-        r
-    }
-
-    /// Memoized pass-rate of selecting `pred` over `input`.
-    pub fn select_selectivity(&self, input: &Plan, pred: &Predicate) -> Option<f64> {
-        let r = self.selects.get(&select_key(input, pred)).copied();
-        self.count_lookup(r.is_some());
-        r
-    }
-
-    /// Memoized join selectivity (`out / (|left| · |right|)`) of joining
-    /// `left` and `right` on `(lcol, rcol)`; `rel = None` is `⋈_=`.
-    pub fn join_selectivity(
-        &self,
-        left: &Plan,
-        right: &Plan,
-        lcol: usize,
-        rcol: usize,
-        rel: Option<StructRel>,
-    ) -> Option<f64> {
-        let r = self
-            .joins
-            .get(&join_key(left, right, lcol, rcol, rel))
-            .copied();
-        self.count_lookup(r.is_some());
+        let r = self.rows.get(&fingerprint).copied();
+        let (counter, name) = match r {
+            Some(_) => (&self.hits, "feedback.lookup.hit"),
+            None => (&self.misses, "feedback.lookup.miss"),
+        };
+        counter.bump();
+        smv_obs::counter_add(name, 1);
         r
     }
 
@@ -690,31 +480,21 @@ impl FeedbackStore {
     // The memo keys are FNV-1a fingerprints, stable across runs and
     // platforms by construction ([`Fnv64`]), so persisting the raw
     // u64 keys is sound: a warm-started session fingerprints its plans to
-    // the same values and hits the restored memos immediately.
+    // the same values and hits the restored memo immediately.
 
-    /// Serializes the learned state — decay, every memo map, the
-    /// view→fingerprint reverse index, and the ingest count — with all
-    /// map keys sorted so the bytes are deterministic for a given state.
-    /// The session-local event counters (hits/misses/…) are not stored.
+    /// Serializes the learned state — the memo, the view→fingerprint
+    /// reverse index, and the ingest count — with all keys sorted so the
+    /// bytes are deterministic for a given state. The session-local event
+    /// counters (hits/misses/…) are not stored.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_u8(1); // wire version
-        w.put_f64(self.decay);
-        let mut scans: Vec<&String> = self.scans.keys().collect();
-        scans.sort();
-        w.put_uv(scans.len() as u64);
-        for k in scans {
-            w.put_str(k);
-            w.put_f64(self.scans[k]);
-        }
-        for memo in [&self.selects, &self.joins, &self.frags] {
-            let mut keys: Vec<u64> = memo.keys().copied().collect();
-            keys.sort_unstable();
-            w.put_uv(keys.len() as u64);
-            for k in keys {
-                w.put_uv(k);
-                w.put_f64(memo[&k]);
-            }
+        w.put_u8(WIRE_VERSION);
+        let mut keys: Vec<u64> = self.rows.keys().copied().collect();
+        keys.sort_unstable();
+        w.put_uv(keys.len() as u64);
+        for k in keys {
+            w.put_uv(k);
+            w.put_f64(self.rows[&k]);
         }
         let mut views: Vec<&String> = self.by_view.keys().collect();
         views.sort();
@@ -738,29 +518,15 @@ impl FeedbackStore {
     pub fn from_bytes(bytes: &[u8]) -> Result<FeedbackStore, String> {
         let mut r = ByteReader::new(bytes);
         let version = r.get_u8()?;
-        if version != 1 {
+        if version != WIRE_VERSION {
             return Err(format!("unsupported feedback wire version {version}"));
         }
-        let decay = r.get_f64()?;
-        if !(decay > 0.0 && decay <= 1.0) {
-            return Err(format!("decay {decay} outside (0, 1]"));
+        let n = r.get_count()?;
+        let mut rows = HashMap::with_capacity(n);
+        for _ in 0..n {
+            let k = r.get_uv()?;
+            rows.insert(k, r.get_f64()?);
         }
-        let n_scans = r.get_count()?;
-        let mut scans = HashMap::with_capacity(n_scans);
-        for _ in 0..n_scans {
-            let k = r.get_str()?;
-            scans.insert(k, r.get_f64()?);
-        }
-        let mut memos: [HashMap<u64, f64>; 3] = Default::default();
-        for memo in &mut memos {
-            let n = r.get_count()?;
-            memo.reserve(n);
-            for _ in 0..n {
-                let k = r.get_uv()?;
-                memo.insert(k, r.get_f64()?);
-            }
-        }
-        let [selects, joins, frags] = memos;
         let n_views = r.get_count()?;
         let mut by_view = HashMap::with_capacity(n_views);
         for _ in 0..n_views {
@@ -780,131 +546,26 @@ impl FeedbackStore {
             ));
         }
         Ok(FeedbackStore {
-            decay,
-            scans,
-            selects,
-            joins,
-            frags,
+            rows,
             by_view,
             ingests,
-            hits: EventCounter::default(),
-            misses: EventCounter::default(),
-            decays: EventCounter::default(),
-            invalidated: EventCounter::default(),
+            ..FeedbackStore::default()
         })
     }
 }
 
-/// A [`CardSource`] decorator replacing estimated scan rows with the
-/// feedback store's decayed actuals where available. Column path
-/// annotations still come from the inner source (feedback only observes
-/// row counts).
-pub struct FeedbackCards<'a> {
-    inner: &'a dyn CardSource,
-    store: &'a FeedbackStore,
-}
-
-impl<'a> FeedbackCards<'a> {
-    /// Wraps `inner`, correcting its scan rows from `store`.
-    pub fn new(inner: &'a dyn CardSource, store: &'a FeedbackStore) -> FeedbackCards<'a> {
-        FeedbackCards { inner, store }
-    }
-}
-
-impl CardSource for FeedbackCards<'_> {
-    fn scan_card(&self, view: &str) -> Option<ScanCard> {
-        let corrected = self.store.scan_rows(view);
-        match (self.inner.scan_card(view), corrected) {
-            (Some(mut sc), Some(rows)) => {
-                sc.rows = rows;
-                Some(sc)
-            }
-            (Some(sc), None) => Some(sc),
-            // the view is unknown to the inner source but was executed:
-            // feedback still knows its size (columns stay unannotated)
-            (None, Some(rows)) => Some(ScanCard {
-                rows,
-                cols: Vec::new(),
-            }),
-            (None, None) => None,
+/// Adds the views of `more` that `views` lacks, keeping first-seen order.
+fn merge_views(views: &mut Vec<String>, more: Vec<String>) {
+    for x in more {
+        if !views.contains(&x) {
+            views.push(x);
         }
-    }
-}
-
-// ---- adaptive parallelism hints ---------------------------------------
-
-/// Measured output cardinalities for the fragments of one plan, snapshot
-/// from a [`FeedbackStore`] before execution — the executor's adaptive
-/// parallelize-or-not gate.
-///
-/// The static `min_par_rows` threshold only sees an operator's *input*
-/// sizes; a selective join over large inputs and an explosive join over
-/// small inputs both defeat it. `ParHints::for_plan` snapshots the
-/// store's decayed per-fragment actual output rows for every operator of
-/// the plan about to run, and the executor treats a fragment whose
-/// *measured* output crosses the threshold as worth fanning out even when
-/// its inputs alone would not qualify. Fragments never executed before
-/// simply miss — the static gate still applies.
-#[derive(Clone, Debug, Default)]
-pub struct ParHints {
-    rows: HashMap<u64, f64>,
-}
-
-impl ParHints {
-    /// Snapshots the measured output rows of every fragment of `plan`
-    /// that `store` has feedback for.
-    pub fn for_plan(plan: &Plan, store: &FeedbackStore) -> ParHints {
-        let mut hints = ParHints::default();
-        hints.collect(plan, store);
-        hints
-    }
-
-    fn collect(&mut self, plan: &Plan, store: &FeedbackStore) {
-        if let Some(rows) = store.measured_rows(plan) {
-            self.rows.insert(plan_fingerprint(plan), rows);
-        }
-        match plan {
-            Plan::Scan { .. } => {}
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Nest { input, .. }
-            | Plan::Unnest { input, .. }
-            | Plan::NavigateContent { input, .. }
-            | Plan::DeriveParentId { input, .. }
-            | Plan::DupElim { input } => self.collect(input, store),
-            Plan::IdJoin { left, right, .. } | Plan::StructJoin { left, right, .. } => {
-                self.collect(left, store);
-                self.collect(right, store);
-            }
-            Plan::Union { inputs } => {
-                for i in inputs {
-                    self.collect(i, store);
-                }
-            }
-        }
-    }
-
-    /// Measured output rows of `fragment`, if the plan this snapshot was
-    /// taken for contains it and feedback existed at snapshot time.
-    pub fn measured(&self, fragment: &Plan) -> Option<f64> {
-        self.rows.get(&plan_fingerprint(fragment)).copied()
-    }
-
-    /// Number of fragments with feedback.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no fragment had feedback.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::NoCards;
     use smv_pattern::Formula;
     use smv_xml::Value;
 
@@ -917,6 +578,27 @@ mod tests {
             input: Box::new(input),
             pred: Predicate::Value { col, formula },
         }
+    }
+
+    fn parent_join(left: Plan, right: Plan) -> Plan {
+        Plan::StructJoin {
+            left: Box::new(left),
+            right: Box::new(right),
+            lcol: 0,
+            rcol: 0,
+            rel: StructRel::Parent,
+        }
+    }
+
+    /// `a ≺ σ(b)` as executed: 100 a rows, 200 b rows, 50 kept, 40 joined.
+    fn join_and_profile() -> (Plan, ExecProfile) {
+        let plan = parent_join(scan("a"), select(scan("b"), 0, Formula::ge(Value::int(10))));
+        let mut prof = ExecProfile::default();
+        prof.record(&[0], 100); // scan a
+        prof.record(&[1, 0], 200); // scan b
+        prof.record(&[1], 50); // select out of 200
+        prof.record(&[], 40); // join out of 100 × 50
+        (plan, prof)
     }
 
     #[test]
@@ -932,65 +614,35 @@ mod tests {
 
     #[test]
     fn ingest_builds_scan_select_and_join_memos() {
-        let plan = Plan::StructJoin {
-            left: Box::new(scan("a")),
-            right: Box::new(select(scan("b"), 0, Formula::ge(Value::int(10)))),
-            lcol: 0,
-            rcol: 0,
-            rel: StructRel::Parent,
-        };
-        let mut prof = ExecProfile::default();
-        prof.record(&[0], 100); // scan a
-        prof.record(&[1, 0], 200); // scan b
-        prof.record(&[1], 50); // select out of 200
-        prof.record(&[], 40); // join out of 100 × 50
+        let (plan, prof) = join_and_profile();
         let mut store = FeedbackStore::new();
         store.ingest(&plan, &prof);
-        assert_eq!(store.scan_rows("a"), Some(100.0));
-        assert_eq!(store.scan_rows("b"), Some(200.0));
-        let sel = store
-            .select_selectivity(
-                &scan("b"),
-                &Predicate::Value {
-                    col: 0,
-                    formula: Formula::ge(Value::int(10)),
-                },
-            )
-            .unwrap();
-        assert!((sel - 0.25).abs() < 1e-12);
-        let jsel = store
-            .join_selectivity(
-                &scan("a"),
-                &select(scan("b"), 0, Formula::ge(Value::int(10))),
-                0,
-                0,
-                Some(StructRel::Parent),
-            )
-            .unwrap();
-        assert!((jsel - 40.0 / (100.0 * 50.0)).abs() < 1e-12);
+        assert_eq!(store.len(), 4, "one memo per profiled operator");
+        assert_eq!(store.measured_rows(&scan("a")), Some(100.0));
+        assert_eq!(store.measured_rows(&scan("b")), Some(200.0));
+        let sel = select(scan("b"), 0, Formula::ge(Value::int(10)));
+        assert_eq!(store.measured_rows(&sel), Some(50.0));
+        assert_eq!(store.measured_rows(&plan), Some(40.0));
         // a different fragment misses
         assert!(store
-            .join_selectivity(&scan("a"), &scan("b"), 0, 0, Some(StructRel::Parent))
+            .measured_rows(&parent_join(scan("a"), scan("b")))
             .is_none());
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses, stats.ingests), (4, 1, 1));
     }
 
     #[test]
     fn decay_blends_observations() {
         let plan = scan("v");
-        let mut p1 = ExecProfile::default();
-        p1.record(&[], 100);
-        let mut p2 = ExecProfile::default();
-        p2.record(&[], 200);
-        let mut store = FeedbackStore::with_decay(0.5);
-        store.ingest(&plan, &p1);
-        store.ingest(&plan, &p2);
-        assert_eq!(store.scan_rows("v"), Some(150.0));
+        let mut store = FeedbackStore::new();
+        for rows in [100, 200] {
+            let mut p = ExecProfile::default();
+            p.record(&[], rows);
+            store.ingest(&plan, &p);
+        }
+        assert_eq!(store.measured_rows(&plan), Some(150.0));
         assert_eq!(store.ingests(), 2);
-        // decay 1.0 keeps only the latest
-        let mut latest = FeedbackStore::with_decay(1.0);
-        latest.ingest(&plan, &p1);
-        latest.ingest(&plan, &p2);
-        assert_eq!(latest.scan_rows("v"), Some(200.0));
+        assert_eq!(store.stats().decays, 1);
     }
 
     #[test]
@@ -1016,37 +668,19 @@ mod tests {
             Some(9000.0),
             "a held fingerprint finds the same memo"
         );
-        let hints = ParHints::for_plan(&plan, &store);
-        assert_eq!(hints.len(), 3);
-        assert_eq!(hints.measured(&plan), Some(9000.0));
-        assert_eq!(hints.measured(&scan("b")), Some(200.0));
-        assert!(hints.measured(&scan("never-ran")).is_none());
-        // a fresh fragment has no hints at all
-        let cold = ParHints::for_plan(&scan("never-ran"), &store);
-        assert!(cold.is_empty());
+        // the executor's hints are a frozen copy: later feedback stays out
+        let hints = std::sync::Arc::new(store.clone());
+        let mut later = ExecProfile::default();
+        later.record(&[], 7);
+        store.ingest(&scan("c"), &later);
+        assert_eq!(store.measured_rows(&scan("c")), Some(7.0));
+        assert_eq!(hints.measured_rows(&scan("c")), None);
+        assert_eq!(hints.measured_rows(&plan), Some(9000.0));
     }
 
     #[test]
     fn invalidation_is_scoped_to_touched_views() {
-        let pred = || Predicate::Value {
-            col: 0,
-            formula: Formula::ge(Value::int(10)),
-        };
-        let joined = Plan::StructJoin {
-            left: Box::new(scan("a")),
-            right: Box::new(Plan::Select {
-                input: Box::new(scan("b")),
-                pred: pred(),
-            }),
-            lcol: 0,
-            rcol: 0,
-            rel: StructRel::Parent,
-        };
-        let mut prof = ExecProfile::default();
-        prof.record(&[0], 100);
-        prof.record(&[1, 0], 200);
-        prof.record(&[1], 50);
-        prof.record(&[], 40);
+        let (joined, prof) = join_and_profile();
         let mut store = FeedbackStore::new();
         store.ingest(&joined, &prof);
         // an independent plan over an untouched view
@@ -1056,39 +690,52 @@ mod tests {
 
         assert_eq!(store.invalidate_fingerprints_touching(&["zz"]), 0);
         let removed = store.invalidate_fingerprints_touching(&["b"]);
-        assert!(removed > 0, "select, join and fragment memos touching b");
-        assert!(store.select_selectivity(&scan("b"), &pred()).is_none());
-        assert!(store
-            .join_selectivity(
-                &scan("a"),
-                &Plan::Select {
-                    input: Box::new(scan("b")),
-                    pred: pred(),
-                },
-                0,
-                0,
-                Some(StructRel::Parent),
-            )
-            .is_none());
+        assert_eq!(removed, 3, "scan b, the selection over it and the join");
+        let sel = select(scan("b"), 0, Formula::ge(Value::int(10)));
+        assert!(store.measured_rows(&sel).is_none());
         assert!(store.measured_rows(&joined).is_none());
-        assert!(store.scan_rows("b").is_none());
+        assert!(store.measured_rows(&scan("b")).is_none());
         // untouched views keep their feedback
-        assert_eq!(store.scan_rows("a"), Some(100.0));
         assert_eq!(store.measured_rows(&scan("a")), Some(100.0));
-        assert_eq!(store.scan_rows("c"), Some(7.0));
+        assert_eq!(store.measured_rows(&scan("c")), Some(7.0));
         // idempotent: everything touching b is already gone
         assert_eq!(store.invalidate_fingerprints_touching(&["b"]), 0);
+        assert_eq!(store.stats().invalidated, 3);
     }
 
     #[test]
-    fn feedback_cards_override_scan_rows() {
-        let mut prof = ExecProfile::default();
-        prof.record(&[], 42);
+    fn invalidation_leaves_no_dead_keys_under_other_views() {
+        let (joined, prof) = join_and_profile();
+        let scan_a = |store: &mut FeedbackStore| {
+            let mut p = ExecProfile::default();
+            p.record(&[], 100);
+            store.ingest(&scan("a"), &p);
+        };
         let mut store = FeedbackStore::new();
-        store.ingest(&scan("v"), &prof);
-        let cards = FeedbackCards::new(&NoCards, &store);
-        use crate::cost::CardSource;
-        assert_eq!(cards.scan_card("v").unwrap().rows, 42.0);
-        assert!(cards.scan_card("unknown").is_none());
+        store.ingest(&joined, &prof);
+        scan_a(&mut store);
+        store.invalidate_fingerprints_touching(&["b"]);
+        let mut fresh = FeedbackStore::new();
+        scan_a(&mut fresh);
+        scan_a(&mut fresh);
+        assert_eq!(store.to_bytes(), fresh.to_bytes());
+    }
+
+    #[test]
+    fn bytes_round_trip_and_refuse_other_versions() {
+        let (joined, prof) = join_and_profile();
+        let mut store = FeedbackStore::new();
+        store.ingest(&joined, &prof);
+        let bytes = store.to_bytes();
+        let back = FeedbackStore::from_bytes(&bytes).unwrap();
+        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(back.measured_rows(&joined), Some(40.0));
+        assert_eq!(back.ingests(), 1);
+        // version 1: decay 0.5, then four empty memos, no views, no ingests
+        let mut v1 = vec![1];
+        v1.extend(0.5f64.to_le_bytes());
+        v1.extend([0, 0, 0, 0, 0, 0]);
+        let err = FeedbackStore::from_bytes(&v1).unwrap_err();
+        assert!(err.contains("version 1"), "{err}");
     }
 }

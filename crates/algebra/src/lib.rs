@@ -25,9 +25,7 @@ pub use exec::{
     execute_profiled_with, execute_with, ExecError, ExecOpts, MapProvider, ViewProvider,
 };
 pub use explain::{explain, explain_analyze, Explain, ExplainNode};
-pub use feedback::{
-    plan_fingerprint, ExecProfile, FeedbackCards, FeedbackStats, FeedbackStore, OpPath, ParHints,
-};
+pub use feedback::{plan_fingerprint, ExecProfile, FeedbackStats, FeedbackStore, OpPath};
 pub use plan::{NavStep, Plan, Predicate};
 pub use relation::{AttrKind, Cell, ColKind, Column, NestedRelation, Row, Schema};
 pub use smv_xml::par;

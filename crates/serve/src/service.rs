@@ -40,8 +40,8 @@
 use crate::cache::{lock, Answer, CacheTable, Probe, RankedPlan};
 use crate::scheduler::{AdmissionScheduler, SchedDecision, SchedMode};
 use smv_algebra::{
-    execute_profiled_with, plan_fingerprint, ExecError, ExecOpts, FeedbackCards, FeedbackStore,
-    NestedRelation, ParHints, PlanEstimate, WorkerPool,
+    execute_profiled_with, plan_fingerprint, ExecError, ExecOpts, FeedbackStore, NestedRelation,
+    PlanEstimate, WorkerPool,
 };
 use smv_core::{RewriteOpts, Rewriter};
 use smv_pattern::{parse_pattern, Pattern, PatternParseError};
@@ -444,30 +444,25 @@ impl QueryService {
         // scheduler: measured cardinality when feedback has seen this
         // plan, the ranking-time estimate otherwise
         let ranked = &miss.plan;
-        let expected_rows = lock(&self.feedback)
+        let feedback = self.frozen_feedback();
+        let expected_rows = feedback
             .measured_rows_by_fingerprint(ranked.fingerprint)
             .unwrap_or(ranked.est.rows);
         let scheduling = self.scheduler.decide(active, &self.pool, expected_rows);
 
-        // execute on the shared pool at the granted parallelism
-        let mut exec_opts = ExecOpts {
+        // execute on the shared pool at the granted parallelism, its gate
+        // reading the frozen feedback
+        let parallel = scheduling.threads != 1;
+        let exec_opts = ExecOpts {
             threads: scheduling.threads,
             min_par_rows: self.config.min_par_rows,
-            pool: (scheduling.threads != 1).then(|| Arc::clone(&self.pool)),
-            par_hints: None,
+            pool: parallel.then(|| Arc::clone(&self.pool)),
+            par_hints: parallel.then_some(feedback),
         };
-        if scheduling.threads != 1 {
-            let fb = self.frozen_feedback();
-            if !fb.is_empty() {
-                let hints = ParHints::for_plan(&ranked.plan, &fb);
-                if !hints.is_empty() {
-                    exec_opts.par_hints = Some(Arc::new(hints));
-                }
-            }
-        }
         let (rel, profile) = execute_profiled_with(&ranked.plan, snap, &exec_opts)?;
         // every frozen handle this request took is dropped by now, so a
         // lone client never makes this copy the store
+        drop(exec_opts);
         Arc::make_mut(&mut lock(&self.feedback)).ingest(&ranked.plan, &profile);
         let answer = self
             .cache
@@ -492,9 +487,8 @@ impl QueryService {
     fn rank(&self, q: &Pattern, snap: &CatalogEpoch) -> Result<RankedPlan, ServeError> {
         let fb = self.frozen_feedback();
         let cards = CatalogCards::over(snap, snap.summary());
-        let fb_cards = FeedbackCards::new(&cards, &fb);
         let ranked = Rewriter::new(q, snap.views(), snap.summary(), self.rewrite_opts.clone())
-            .with_card_source(&fb_cards)
+            .with_card_source(&cards)
             .with_feedback(&fb)
             .run();
         let candidates = ranked.rewritings.len();
@@ -861,16 +855,19 @@ mod tests {
         );
         let q = "r(//name{id,v})";
         assert_eq!(svc.query(q).unwrap().rows.len(), 3);
-        assert_eq!(svc.frozen_feedback().scan_rows("names"), Some(3.0));
+        let names = smv_algebra::Plan::Scan {
+            view: "names".into(),
+        };
+        assert_eq!(svc.frozen_feedback().measured_rows(&names), Some(3.0));
         let mut batch = UpdateBatch::new();
         batch.delete(sid(&svc, "a", 0));
         let report = svc.apply(&batch).unwrap();
         assert!(report.refreshed.iter().any(|v| v == "names"));
-        assert_eq!(svc.frozen_feedback().scan_rows("names"), None);
+        assert_eq!(svc.frozen_feedback().measured_rows(&names), None);
         // relearned from the new extent alone: a blend with the stale
         // memo would sit between 2 and 3
         assert_eq!(svc.query(q).unwrap().rows.len(), 2);
-        assert_eq!(svc.frozen_feedback().scan_rows("names"), Some(2.0));
+        assert_eq!(svc.frozen_feedback().measured_rows(&names), Some(2.0));
     }
 
     #[test]

@@ -71,8 +71,8 @@ pub mod prelude {
     };
     pub use smv_algebra::{
         execute_profiled_with, execute_with, explain, explain_analyze, CostModel, ExecOpts,
-        ExecProfile, Explain, ExplainNode, FeedbackCards, FeedbackStats, FeedbackStore,
-        NestedRelation, ParHints, Plan, PlanEstimate, StructRel, WorkerPool,
+        ExecProfile, Explain, ExplainNode, FeedbackStats, FeedbackStore, NestedRelation, Plan,
+        PlanEstimate, StructRel, WorkerPool,
     };
     pub use smv_core::{
         best_rewriting_cost, contained, contained_in_union, equivalent, is_satisfiable, rewrite,

@@ -103,8 +103,7 @@ fn feedback_tightens_explain_analyze_q_error() {
     let before = explain_analyze(plan, &CostModel::new(&summary, &cards), &profile);
     let mut store = FeedbackStore::new();
     store.ingest(plan, &profile);
-    let fb_cards = FeedbackCards::new(&cards, &store);
-    let model = CostModel::new(&summary, &fb_cards).with_feedback(&store);
+    let model = CostModel::new(&summary, &cards).with_feedback(&store);
     let after = explain_analyze(plan, &model, &profile);
     let (before, after) = (before.max_q_error().unwrap(), after.max_q_error().unwrap());
     assert!(before > 10.0, "static q-error {before}");

@@ -137,8 +137,7 @@ proptest! {
             store.ingest(p, &profile);
         }
         let cards = CatalogCards::over(&catalog, &s);
-        let fb_cards = FeedbackCards::new(&cards, &store);
-        let model = CostModel::new(&s, &fb_cards).with_feedback(&store);
+        let model = CostModel::new(&s, &cards).with_feedback(&store);
         for p in &plans {
             let actual = execute_with(p, &catalog, &ExecOpts::default()).unwrap().len() as f64;
             let est = model.estimate(p).rows;
@@ -165,10 +164,10 @@ proptest! {
     }
 }
 
-/// The scan memo hands back corrected rows through `FeedbackCards`
-/// without disturbing unknown views.
+/// Feedback corrects a scan's rows while its column annotations still
+/// come from the catalog's cards, and leaves unmeasured views alone.
 #[test]
-fn feedback_cards_compose_with_catalog_cards() {
+fn feedback_scan_rows_compose_with_catalog_cards() {
     let doc = doc_of(&[vec![1], vec![2, 3]]);
     let s = Summary::of(&doc);
     let catalog = catalog_of(&doc);
@@ -176,11 +175,15 @@ fn feedback_cards_compose_with_catalog_cards() {
     let (_, profile) = execute_profiled_with(&scan("vb"), &catalog, &ExecOpts::default()).unwrap();
     store.ingest(&scan("vb"), &profile);
     let cards = CatalogCards::over(&catalog, &s);
-    let fb = FeedbackCards::new(&cards, &store);
-    assert_eq!(fb.scan_card("vb").unwrap().rows, 3.0);
-    // columns still come from the inner source
-    assert_eq!(fb.scan_card("vb").unwrap().cols.len(), 2);
-    assert!(fb.scan_card("nonexistent").is_none());
+    let model = CostModel::new(&s, &cards).with_feedback(&store);
+    assert_eq!(model.estimate(&scan("vb")).rows, 3.0);
+    // the value column keeps its summary path: `v >= 2` keeps two of the
+    // three distinct values, where an unannotated column would get 1/3
+    assert_eq!(model.estimate(&select_ge(scan("vb"), 1, 2)).rows, 2.0);
+    assert_eq!(
+        model.estimate(&scan("va")).rows,
+        cards.scan_card("va").unwrap().rows
+    );
 }
 
 /// The service's feedback loop. 80 % of the `b` values are the heavy
@@ -252,13 +255,11 @@ fn feedback_rankings(
     let mut store = FeedbackStore::new();
     for (name, q) in queries {
         let rank = |store: Option<&FeedbackStore>| {
-            let r = Rewriter::new(q, catalog.views(), summary, RewriteOpts::default());
+            let r = Rewriter::new(q, catalog.views(), summary, RewriteOpts::default())
+                .with_card_source(&cards);
             match store {
-                Some(store) => {
-                    let fb_cards = FeedbackCards::new(&cards, store);
-                    r.with_card_source(&fb_cards).with_feedback(store).run()
-                }
-                None => r.with_card_source(&cards).run(),
+                Some(store) => r.with_feedback(store).run(),
+                None => r.run(),
             }
         };
         let before = rank(None);

@@ -3,8 +3,8 @@
 //! reentrant (bulk view registration while a query runs on the same
 //! pool), a
 //! dropped pool leaves nothing behind, `threads: 1` provably never
-//! touches a pool, and feedback's `ParHints` change where a plan fans out
-//! but not what it returns.
+//! touches a pool, and feedback's measured rows (`par_hints`) change where
+//! a plan fans out but not what it returns.
 
 mod common;
 
@@ -221,7 +221,7 @@ fn query_service_runs_ingest_and_queries_on_one_explicit_pool() {
     assert_eq!(resp.rows.rows, seq.rows.rows);
 }
 
-/// `ParHints` open the parallel path for a join whose inputs stay under
+/// Feedback as `par_hints` opens the parallel path for a join whose inputs stay under
 /// `min_par_rows` but whose measured output crosses it, and the rows stay
 /// those of the run without hints.
 #[test]
@@ -253,10 +253,8 @@ fn par_hints_keep_results_identical() {
     assert_eq!(prof.morsels_at(""), None, "the static gate keeps it inline");
     let mut store = FeedbackStore::new();
     store.ingest(&plan, &prof);
-    let hints = ParHints::for_plan(&plan, &store);
-    assert!(!hints.is_empty());
     let hinted = ExecOpts {
-        par_hints: Some(Arc::new(hints)),
+        par_hints: Some(Arc::new(store)),
         ..opts
     };
     let (rows, prof) = execute_profiled_with(&plan, &catalog, &hinted).unwrap();

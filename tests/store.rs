@@ -502,11 +502,17 @@ fn feedback_bytes_round_trip() {
     for q in ["site(//name{id,v})", "site(//item{id}(/name{v}))"] {
         learn(&mut store, &cat, cat.summary(), q);
     }
-    assert!(store.scan_rows("names").is_some(), "learned the names scan");
+    let names = Plan::Scan {
+        view: "names".into(),
+    };
+    assert!(
+        store.measured_rows(&names).is_some(),
+        "learned the names scan"
+    );
     let bytes = store.to_bytes();
     let back = FeedbackStore::from_bytes(&bytes).expect("deserializes");
     assert_eq!(back.to_bytes(), bytes, "serialize∘deserialize is identity");
-    assert_eq!(back.scan_rows("names"), store.scan_rows("names"));
+    assert_eq!(back.measured_rows(&names), store.measured_rows(&names));
 }
 
 fn small_matrix_doc() -> Document {
