@@ -282,8 +282,8 @@ fn persisted_bytes_and_fingerprints_are_pinned() {
         [
             0x0351_ead4_91c9_ea2b,
             0x525f_3e21_b2d7_a353,
-            0x4544_dfaa_d829_d5e0,
-            0xaeec_7915_a88a_de33
+            0x4c45_9856_7115_137a,
+            0x5a25_ebb2_3042_aec8
         ],
         "relation, summary, feedback, manifest"
     );
@@ -313,6 +313,58 @@ fn persisted_bytes_and_fingerprints_are_pinned() {
     assert_eq!(smv::algebra::plan_fingerprint(&plan), 0xbc3b_885d_f129_f5b6);
     let canon = canonical_form(&parse_pattern(r#"site(//item{id}(/name{v}[v>"m"]))"#).unwrap());
     assert_eq!(smv::serve::text_fingerprint(&canon), 0x4d4f_e37f_06c2_c8bd);
+}
+
+/// A feedback file in the retired version-1 format is refused with an
+/// error, and the rest of its epoch still opens and reads: an old store
+/// loses what it learned, not its catalog.
+#[test]
+fn a_version_1_feedback_file_is_refused_and_the_epoch_still_reads() {
+    let view = View::new(
+        "v",
+        parse_pattern("r(//b{id,v})").unwrap(),
+        IdScheme::OrdPath,
+    );
+    let cat = materialized(&small_matrix_doc(), std::slice::from_ref(&view));
+    let scan = Plan::Scan { view: "v".into() };
+    let (_, profile) = execute_profiled_with(&scan, &cat, &ExecOpts::default()).unwrap();
+    let mut feedback = FeedbackStore::new();
+    feedback.ingest(&scan, &profile);
+    let vfs = SimVfs::new();
+    let store = DiskStore::new(Arc::new(vfs.clone()));
+    store.publish_epoch(&cat, Some(&feedback)).unwrap();
+    // a version-1 body of the published length, so the manifest still
+    // vouches for it: decay, one scan memo whose view name pads it out,
+    // three empty memos, no views, no ingests
+    let file = vfs
+        .list()
+        .into_iter()
+        .find(|n| n.starts_with("feedback-"))
+        .expect("feedback published");
+    let body_len = vfs.read(&file).unwrap().len() - 8;
+    let pad = body_len - 24;
+    assert!(pad < 128, "the name's length fits one varint byte");
+    let mut v1 = vec![1];
+    v1.extend(0.5f64.to_le_bytes());
+    v1.extend([1, pad as u8]);
+    v1.extend(vec![b'x'; pad]);
+    v1.extend(3.0f64.to_le_bytes());
+    v1.extend([0, 0, 0, 0, 0]);
+    assert_eq!(v1.len(), body_len);
+    v1.extend(smv::store::fnv64(&v1).to_le_bytes());
+    vfs.write(&file, &v1).unwrap();
+
+    let disk = store.open().expect("the epoch opens");
+    let err = disk.feedback().expect_err("version 1 is refused");
+    assert!(
+        err.to_string()
+            .contains("unsupported feedback wire version 1"),
+        "{err}"
+    );
+    let summary = disk.summary().unwrap().expect("published");
+    assert_eq!(summary.to_bytes(), cat.summary().to_bytes());
+    let extent = disk.load_extent("v").unwrap().expect("published");
+    assert_eq!(extent.rows, cat.extent("v").unwrap().rows);
 }
 
 fn manifest_file(vfs: &SimVfs) -> String {
