@@ -754,11 +754,6 @@ impl Summary {
         true
     }
 
-    /// Number of documents folded in.
-    pub fn document_count(&self) -> usize {
-        self.docs
-    }
-
     // ---- incremental maintenance (live document updates) ----
     //
     // The methods below keep a summary exact while its document changes
@@ -799,14 +794,14 @@ impl Summary {
     /// (`parents_with` for edges whose parent node lies inside the
     /// subtree) update exactly; the boundary edge — whether `root`'s
     /// document parent newly gained a child on the root's path — is the
-    /// caller's to settle via [`Summary::adjust_parents_with`], because
+    /// caller's to settle via [`Self::adjust_parents_with`], because
     /// only the caller can see the before/after child sets of the
     /// parent.
     ///
     /// Returns `true` when the subtree introduced paths the summary had
     /// never seen (the geometry generation is bumped and pre-order ranks
     /// recomputed).
-    pub fn graft_subtree(&mut self, doc: &Document, root: NodeId, under: NodeId) -> bool {
+    fn graft_subtree(&mut self, doc: &Document, root: NodeId, under: NodeId) -> bool {
         let mut created = false;
         // map for the grafted subtree only, keyed by arena index
         let mut sub2sum: HashMap<u32, NodeId> = HashMap::new();
@@ -881,13 +876,13 @@ impl Summary {
     /// Interior fan-out statistics subtract exactly (a dying node "had a
     /// child on path sc" exactly once per distinct child path); the
     /// boundary edge is again the caller's, via
-    /// [`Summary::adjust_parents_with`].
+    /// [`Self::adjust_parents_with`].
     ///
     /// Distinct-value sketches cannot subtract; instead the summary
     /// paths that lost valued nodes are returned (deduplicated) so the
     /// caller can re-derive them from the surviving document with
-    /// [`Summary::rebuild_path_values`].
-    pub fn prune_subtree(&mut self, doc: &Document, map: &[NodeId], root: NodeId) -> Vec<NodeId> {
+    /// [`Self::rebuild_path_values`].
+    fn prune_subtree(&mut self, doc: &Document, map: &[NodeId], root: NodeId) -> Vec<NodeId> {
         let mut dirty: Vec<NodeId> = Vec::new();
         for dn in doc.subtree(root) {
             let sn = map[dn.idx()];
@@ -913,11 +908,11 @@ impl Summary {
     }
 
     /// Adjusts the `parents_with` statistic of `path` by `delta` — the
-    /// boundary bookkeeping for [`Summary::graft_subtree`] /
-    /// [`Summary::prune_subtree`]: +1 when a surviving parent gained its
+    /// boundary bookkeeping for [`Self::graft_subtree`] /
+    /// [`Self::prune_subtree`]: +1 when a surviving parent gained its
     /// first child on `path`, −1 when it lost its last, 0 when it had
     /// children on the path both before and after the batch.
-    pub fn adjust_parents_with(&mut self, path: NodeId, delta: i64) {
+    fn adjust_parents_with(&mut self, path: NodeId, delta: i64) {
         let n = &mut self.nodes[path.idx()];
         n.parents_with = n
             .parents_with
@@ -926,28 +921,12 @@ impl Summary {
     }
 
     /// Rebuilds the distinct-value sketch (and re-derives the valued-node
-    /// count) of each path in `dirty` from the current document — the
-    /// exact-subtraction escape hatch for deletions: while a sketch is
-    /// unsaturated this reproduces precisely what from-scratch ingest of
-    /// `doc` would hold for that path.
-    pub fn rebuild_path_values(&mut self, dirty: &[NodeId], doc: &Document) {
-        if dirty.is_empty() {
-            return;
-        }
-        let map = self
-            .classify(doc)
-            .expect("maintained document conforms to its summary");
-        self.rebuild_path_values_classified(dirty, doc, &map);
-    }
-
-    /// [`Self::rebuild_path_values`] against a precomputed classification
-    /// of `doc` (`map[node] = summary path`).
-    pub fn rebuild_path_values_classified(
-        &mut self,
-        dirty: &[NodeId],
-        doc: &Document,
-        map: &[NodeId],
-    ) {
+    /// count) of each path in `dirty` from the current document, classified
+    /// by `map` (`map[node] = summary path`) — the exact-subtraction escape
+    /// hatch for deletions: while a sketch is unsaturated this reproduces
+    /// precisely what from-scratch ingest of `doc` would hold for that
+    /// path.
+    fn rebuild_path_values(&mut self, dirty: &[NodeId], doc: &Document, map: &[NodeId]) {
         let mut is_dirty = vec![false; self.nodes.len()];
         for &p in dirty {
             self.nodes[p.idx()].distinct = ValueSketch::default();
@@ -1090,7 +1069,7 @@ impl Summary {
             }
         }
         if !dirty.is_empty() {
-            self.rebuild_path_values_classified(&dirty, new_doc, &new_map);
+            self.rebuild_path_values(&dirty, new_doc, &new_map);
         }
         self.refresh_edge_classes();
         (created, new_map)

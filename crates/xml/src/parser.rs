@@ -60,7 +60,7 @@ struct Parser<'a> {
 /// Parses an XML document into a [`Document`].
 ///
 /// Names are read as slices of the input and resolved through a per-parse
-/// [`LabelCache`]; text without `&` is borrowed rather than decoded into a
+/// label cache; text without `&` is borrowed rather than decoded into a
 /// string of its own, and an element's runs become its value once, when
 /// it closes.
 pub fn parse_document(input: &str) -> Result<Document, ParseError> {
