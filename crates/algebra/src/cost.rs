@@ -169,15 +169,15 @@ impl<'a> CostModel<'a> {
     }
 
     /// Feedback's measured output rows of `fragment` over the product of
-    /// its `inputs`' measured rows: a selection's pass-rate, a join's
+    /// its inputs' measured rows: a selection's pass-rate, a join's
     /// selectivity. `None` without feedback for all of them, or when an
     /// input measured no rows. The fragment is looked up first, so a miss
     /// hashes it alone.
-    fn measured_ratio(&self, fragment: &Plan, inputs: &[&Plan]) -> Option<f64> {
+    fn measured_ratio(&self, fragment: &Plan) -> Option<f64> {
         let f = self.feedback?;
         let out = f.measured_rows(fragment)?;
         let mut product = 1.0;
-        for input in inputs {
+        for input in fragment.children() {
             let m = f.measured_rows(input)?;
             if m <= 0.0 {
                 return None;
@@ -270,7 +270,7 @@ impl<'a> CostModel<'a> {
                 };
                 // an observed pass-rate for this exact fragment beats any
                 // static guess (the label narrowing above still applies)
-                let sel = self.measured_ratio(plan, &[input.as_ref()]).unwrap_or(sel);
+                let sel = self.measured_ratio(plan).unwrap_or(sel);
                 e.cost += e.rows;
                 e.rows *= sel;
                 e
@@ -310,7 +310,7 @@ impl<'a> CostModel<'a> {
                     }
                     _ => l.rows * r.rows / l.rows.max(r.rows).max(1.0),
                 };
-                let rows = match self.measured_ratio(plan, &[left.as_ref(), right.as_ref()]) {
+                let rows = match self.measured_ratio(plan) {
                     Some(s) => l.rows * r.rows * s,
                     None => rows,
                 };
@@ -354,7 +354,7 @@ impl<'a> CostModel<'a> {
                     }
                     _ => l.rows * r.rows * STRUCT_SEL,
                 };
-                let rows = match self.measured_ratio(plan, &[left.as_ref(), right.as_ref()]) {
+                let rows = match self.measured_ratio(plan) {
                     Some(s) => l.rows * r.rows * s,
                     None => rows,
                 };
@@ -894,6 +894,18 @@ mod tests {
         // without feedback the static estimates differ
         let static_model = CostModel::new(&s, &src);
         assert!((static_model.estimate(&sel).rows - 1.0).abs() > 1e-9);
+        // a measured scan replaces the extent size, even of a view the
+        // source does not know; an unmeasured one keeps the default
+        let zz = Plan::Scan { view: "zz".into() };
+        let mut scanned = ExecProfile::default();
+        scanned.record(&[], 42);
+        store.ingest(&zz, &scanned);
+        let model = CostModel::new(&s, &NoCards).with_feedback(&store);
+        assert_eq!(model.estimate(&zz).rows, 42.0);
+        let unknown = Plan::Scan {
+            view: "unknown".into(),
+        };
+        assert_eq!(model.estimate(&unknown).rows, DEFAULT_ROWS);
     }
 
     #[test]

@@ -379,36 +379,18 @@ impl FeedbackStore {
     /// observed output rows into the memo, indexing its fingerprint by
     /// those views. Returns the fragment's view set.
     fn walk(&mut self, plan: &Plan, profile: &ExecProfile, path: &mut Vec<u32>) -> Vec<String> {
-        let mut views: Vec<String> = Vec::new();
-        match plan {
-            Plan::Scan { view } => views.push(view.clone()),
-            Plan::Select { input, .. }
-            | Plan::Project { input, .. }
-            | Plan::Nest { input, .. }
-            | Plan::Unnest { input, .. }
-            | Plan::NavigateContent { input, .. }
-            | Plan::DeriveParentId { input, .. }
-            | Plan::DupElim { input } => {
-                path.push(0);
-                views = self.walk(input, profile, path);
-                path.pop();
-            }
-            Plan::IdJoin { left, right, .. } | Plan::StructJoin { left, right, .. } => {
-                for (i, p) in [left, right].into_iter().enumerate() {
-                    path.push(i as u32);
-                    let b = self.walk(p, profile, path);
-                    path.pop();
-                    merge_views(&mut views, b);
+        let mut views: Vec<String> = match plan {
+            Plan::Scan { view } => vec![view.clone()],
+            _ => Vec::new(),
+        };
+        for (i, child) in plan.children().into_iter().enumerate() {
+            path.push(i as u32);
+            for v in self.walk(child, profile, path) {
+                if !views.contains(&v) {
+                    views.push(v);
                 }
             }
-            Plan::Union { inputs } => {
-                for (i, p) in inputs.iter().enumerate() {
-                    path.push(i as u32);
-                    let b = self.walk(p, profile, path);
-                    path.pop();
-                    merge_views(&mut views, b);
-                }
-            }
+            path.pop();
         }
         if let Some(out) = profile.rows(path) {
             let key = plan_fingerprint(plan);
@@ -551,15 +533,6 @@ impl FeedbackStore {
             ingests,
             ..FeedbackStore::default()
         })
-    }
-}
-
-/// Adds the views of `more` that `views` lacks, keeping first-seen order.
-fn merge_views(views: &mut Vec<String>, more: Vec<String>) {
-    for x in more {
-        if !views.contains(&x) {
-            views.push(x);
-        }
     }
 }
 

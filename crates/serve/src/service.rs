@@ -460,8 +460,8 @@ impl QueryService {
             par_hints: parallel.then_some(feedback),
         };
         let (rel, profile) = execute_profiled_with(&ranked.plan, snap, &exec_opts)?;
-        // every frozen handle this request took is dropped by now, so a
-        // lone client never makes this copy the store
+        // drop the last frozen handle this request took, so a lone client
+        // never makes this copy the store
         drop(exec_opts);
         Arc::make_mut(&mut lock(&self.feedback)).ingest(&ranked.plan, &profile);
         let answer = self
