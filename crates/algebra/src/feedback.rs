@@ -263,8 +263,8 @@ pub fn plan_fingerprint(p: &Plan) -> u64 {
 /// EWMA weight of a fresh observation.
 const DECAY: f64 = 0.5;
 
-/// Version byte of [`FeedbackStore::to_bytes`]. Version 1 also carried
-/// the decay and three memos derived from the fragment rows.
+/// Version byte of [`FeedbackStore::to_bytes`]; `from_bytes` refuses any
+/// other.
 const WIRE_VERSION: u8 = 2;
 
 /// A relaxed atomic event counter that clones by value, so the store's
