@@ -283,8 +283,9 @@ fn feedback_rankings(
     }
 }
 
-/// The feedback-corrected ranking, pinned on two sets: the `pr4` skew,
-/// where feedback flips plans, and the benchmark's queries over its views.
+/// The feedback-corrected ranking, pinned on the `pr4` skew, where
+/// feedback flips plans, on the benchmark's queries over its views, and on
+/// queries only joins answer, over those views and over skewed values.
 #[test]
 fn feedback_ranking_matches_its_golden_file() {
     let mut rendered = String::new();
