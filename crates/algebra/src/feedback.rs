@@ -711,4 +711,26 @@ mod tests {
         let err = FeedbackStore::from_bytes(&v1).unwrap_err();
         assert!(err.contains("version 1"), "{err}");
     }
+
+    #[test]
+    fn feedback_cards_override_scan_rows() {
+        use crate::cost::{CostModel, NoCards};
+        use smv_summary::Summary;
+        use smv_xml::Document;
+        let s = Summary::of(&Document::from_parens("r(a(b) a)"));
+        // a measured scan replaces the extent size, even of a view the
+        // source does not know; an unmeasured one keeps the default
+        let mut prof = ExecProfile::default();
+        prof.record(&[], 42);
+        let mut store = FeedbackStore::new();
+        store.ingest(&scan("v"), &prof);
+        let model = CostModel::new(&s, &NoCards).with_feedback(&store);
+        let static_model = CostModel::new(&s, &NoCards);
+        assert_eq!(model.estimate(&scan("v")).rows, 42.0);
+        assert_ne!(static_model.estimate(&scan("v")).rows, 42.0);
+        assert_eq!(
+            model.estimate(&scan("unknown")).rows,
+            static_model.estimate(&scan("unknown")).rows
+        );
+    }
 }
