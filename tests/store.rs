@@ -224,12 +224,15 @@ fn assert_projections_agree(bytes: &[u8]) {
 }
 
 /// Valid encodings to mutate: an extent with `⊥` runs and nested tables,
-/// its summary, a feedback store and the manifest that names them all.
+/// its summary, a feedback store and the manifest that names them all;
+/// plus the extent's whole segment file, published with 16-byte pages so
+/// it spans several and ends in a short one.
 struct Encoded {
     relation: Vec<u8>,
     summary: Vec<u8>,
     feedback: Vec<u8>,
     manifest: Vec<u8>,
+    segment: Vec<u8>,
 }
 
 fn encoded() -> &'static Encoded {
@@ -260,32 +263,50 @@ fn build_encoded() -> Encoded {
     let store = DiskStore::new(Arc::new(vfs.clone()));
     store.publish_epoch(&cat, Some(&feedback)).unwrap();
     let manifest = vfs.read(&manifest_file(&vfs)).unwrap();
+    let paged = SimVfs::new();
+    let opts = StoreOptions {
+        page_size: 16,
+        ..StoreOptions::default()
+    };
+    DiskStore::with_options(Arc::new(paged.clone()), opts)
+        .publish_epoch(&cat, None)
+        .unwrap();
+    let seg = paged.list().into_iter().find(|n| n.starts_with("seg-"));
     Encoded {
         relation: encode_relation(extent),
         summary: summary.to_bytes(),
         feedback: feedback.to_bytes(),
         manifest: manifest[..manifest.len() - 8].to_vec(),
+        segment: paged.read(&seg.expect("segment published")).unwrap(),
     }
 }
 
 /// Every persisted format's bytes and every kind of fingerprint, pinned by
 /// value: the relation, summary, feedback and manifest encodings of the
-/// fixture above (by their `fnv64`), one plan's `plan_fingerprint` and one
-/// canonical form's `text_fingerprint`. No magic or wire version moves
-/// with a refactor, so any change here is a format change.
+/// fixture above and its whole multi-page segment file (by their
+/// `fnv64`), one plan's `plan_fingerprint` and one canonical form's
+/// `text_fingerprint`. No magic or wire version moves with a refactor, so
+/// any change here is a format change.
 #[test]
 fn persisted_bytes_and_fingerprints_are_pinned() {
     let e = encoded();
-    let sums = [&e.relation, &e.summary, &e.feedback, &e.manifest].map(|b| smv::store::fnv64(b));
+    let sums = [&e.relation, &e.summary, &e.feedback, &e.manifest, &e.segment]
+        .map(|b| smv::store::fnv64(b));
     assert_eq!(
         sums,
         [
             0x0351_ead4_91c9_ea2b,
             0x525f_3e21_b2d7_a353,
             0x4c45_9856_7115_137a,
-            0x5a25_ebb2_3042_aec8
+            0x5a25_ebb2_3042_aec8,
+            0xd032_ee51_9c16_1895
         ],
-        "relation, summary, feedback, manifest"
+        "relation, summary, feedback, manifest, segment"
+    );
+    let payload = e.relation.len();
+    assert!(
+        payload > 2 * 16 && !payload.is_multiple_of(16),
+        "the segment spans several pages, the last short"
     );
     let plan = Plan::DupElim {
         input: Box::new(Plan::Project {
