@@ -14,8 +14,9 @@
 //!
 //! A segment file is a 24-byte header (`SMVSEG3\n`, page size, page
 //! count, payload length) followed by fixed-size pages, each prefixed
-//! with an FNV-1a checksum of its payload. Reads go through the
-//! [`BufferPool`]; the last page may be short. The payload is the view's
+//! with an FNV-1a checksum of its payload; the last page may be short.
+//! Publishing frames the whole file in memory and writes it once; reads
+//! go page by page through the [`BufferPool`]. The payload is the view's
 //! normalized extent as [`encode_relation`] writes it, and nothing else.
 //! A header with another magic is corruption, not a format to read:
 //! `SMVSEG1\n` segments also carried a per-summary-path row partition,
@@ -68,7 +69,7 @@
 
 use crate::codec::{decode_relation, encode_relation};
 use crate::io::{Result, StoreError, Vfs};
-use crate::pool::BufferPool;
+use crate::pool::{put_page, BufferPool, PAGE_CHECKSUM_BYTES};
 use smv_algebra::{ExecError, FeedbackStore, NestedRelation, ViewProvider};
 use smv_pattern::{canonical_form, parse_pattern};
 use smv_summary::Summary;
@@ -80,12 +81,12 @@ use std::sync::{Arc, OnceLock};
 const SEG_MAGIC: &[u8; 8] = b"SMVSEG3\n";
 const MAN_MAGIC: &[u8; 8] = b"SMVMAN1\n";
 const SEG_HEADER: u64 = 24;
-const PAGE_PREFIX: u64 = 8; // per-page checksum
 
 /// Tuning knobs for a [`DiskStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct StoreOptions {
-    /// Payload bytes per page.
+    /// Payload bytes per page; [`DiskStore::with_options`] clamps it to
+    /// `1..=u32::MAX`, the range a segment header records.
     pub page_size: usize,
     /// Buffer-pool budget, in pages, for catalogs opened by this store.
     pub pool_pages: usize,
@@ -142,15 +143,21 @@ fn manifest_epoch(name: &str) -> Option<u64> {
 }
 
 // ---------------------------------------------------------------------------
-// checksum-trailed small files (summary / feedback / manifest)
+// whole-file writes; checksum-trailed small files (summary / feedback / manifest)
+
+/// The store's only write: `bytes` as the whole of `name`, made durable
+/// before it returns. Returns the file's length.
+fn write_durable(vfs: &dyn Vfs, name: &str, bytes: &[u8]) -> Result<u64> {
+    vfs.write(name, bytes)?;
+    vfs.fsync(name)?;
+    Ok(bytes.len() as u64)
+}
 
 /// Writes `bytes` + checksum trailer durably; returns the file's length.
 fn write_small(vfs: &dyn Vfs, name: &str, mut bytes: Vec<u8>) -> Result<u64> {
     let sum = fnv64(&bytes);
     bytes.extend_from_slice(&sum.to_le_bytes());
-    vfs.write(name, &bytes)?;
-    vfs.fsync(name)?;
-    Ok(bytes.len() as u64)
+    write_durable(vfs, name, &bytes)
 }
 
 fn read_small(vfs: &dyn Vfs, name: &str) -> Result<Vec<u8>> {
@@ -176,32 +183,26 @@ fn segment_len(page_size: usize, payload_len: usize) -> u64 {
     } else {
         payload_len - (n_pages as usize - 1) * page_size
     };
-    SEG_HEADER + (n_pages - 1) * (PAGE_PREFIX + page_size as u64) + PAGE_PREFIX + last as u64
+    SEG_HEADER
+        + (n_pages - 1) * (PAGE_CHECKSUM_BYTES + page_size as u64)
+        + PAGE_CHECKSUM_BYTES
+        + last as u64
 }
 
-/// Writes one segment through the pool: header, dirty pages, one flush.
-fn write_segment(
-    vfs: &dyn Vfs,
-    pool: &Arc<BufferPool>,
-    page_size: usize,
-    file: &str,
-    payload: &[u8],
-) -> Result<u64> {
+/// Frames one segment in memory — the header, then each page — and
+/// writes it durably as one file. An empty payload is one empty page.
+fn write_segment(vfs: &dyn Vfs, page_size: usize, file: &str, payload: &[u8]) -> Result<u64> {
     let n_pages = payload.len().div_ceil(page_size).max(1);
-    let mut h = ByteWriter::new();
-    h.put_raw(SEG_MAGIC);
-    h.put_raw(&(page_size as u32).to_le_bytes());
-    h.put_raw(&(n_pages as u32).to_le_bytes());
-    h.put_raw(&(payload.len() as u64).to_le_bytes());
-    vfs.write(file, &h.into_bytes())?;
+    let mut seg = Vec::with_capacity(segment_len(page_size, payload.len()) as usize);
+    seg.extend_from_slice(SEG_MAGIC);
+    seg.extend_from_slice(&(page_size as u32).to_le_bytes());
+    seg.extend_from_slice(&(n_pages as u32).to_le_bytes());
+    seg.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     for i in 0..n_pages {
         let start = i * page_size;
-        let end = (start + page_size).min(payload.len());
-        let offset = SEG_HEADER + i as u64 * (PAGE_PREFIX + page_size as u64);
-        pool.write_page(file, i as u32, offset, payload[start..end].to_vec())?;
+        put_page(&mut seg, &payload[start..(start + page_size).min(payload.len())]);
     }
-    pool.flush_file(file)?;
-    Ok(segment_len(page_size, payload.len()))
+    write_durable(vfs, file, &seg)
 }
 
 /// Reads a whole segment payload back through the pool, page by page.
@@ -243,7 +244,7 @@ fn read_segment(vfs: &dyn Vfs, pool: &Arc<BufferPool>, seg: &SegMeta) -> Result<
     for i in 0..n_pages {
         let start = i * page_size;
         let len = (payload_len - start).min(page_size);
-        let offset = SEG_HEADER + i as u64 * (PAGE_PREFIX + page_size as u64);
+        let offset = SEG_HEADER + i as u64 * (PAGE_CHECKSUM_BYTES + page_size as u64);
         let page = pool.get(file, i as u32, offset, len)?;
         out.extend_from_slice(page.bytes());
     }
@@ -364,18 +365,9 @@ impl DiskStore {
     }
 
     /// A store with explicit page size and pool budget.
-    pub fn with_options(vfs: Arc<dyn Vfs>, opts: StoreOptions) -> DiskStore {
+    pub fn with_options(vfs: Arc<dyn Vfs>, mut opts: StoreOptions) -> DiskStore {
+        opts.page_size = opts.page_size.clamp(1, u32::MAX as usize);
         DiskStore { vfs, opts }
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> StoreOptions {
-        self.opts
-    }
-
-    /// The underlying VFS.
-    pub fn vfs(&self) -> &Arc<dyn Vfs> {
-        &self.vfs
     }
 
     /// Publishes an [`EpochCatalog`](smv_views::EpochCatalog) snapshot at
@@ -389,7 +381,6 @@ impl DiskStore {
         feedback: Option<&FeedbackStore>,
     ) -> Result<()> {
         let epoch = snap.epoch();
-        let pool = BufferPool::new(Arc::clone(&self.vfs), self.opts.pool_pages);
         let mut segs = Vec::new();
         for (i, view) in snap.views().iter().enumerate() {
             let extent = snap
@@ -397,13 +388,7 @@ impl DiskStore {
                 .map_err(|e| StoreError::Io(e.to_string()))?;
             let payload = encode_relation(extent);
             let file = seg_name(epoch, i);
-            let file_len = write_segment(
-                self.vfs.as_ref(),
-                &pool,
-                self.opts.page_size,
-                &file,
-                &payload,
-            )?;
+            let file_len = write_segment(self.vfs.as_ref(), self.opts.page_size, &file, &payload)?;
             segs.push(SegEntry {
                 name: view.name.clone(),
                 pattern: canonical_form(&view.pattern),
@@ -614,7 +599,7 @@ impl DiskCatalog {
         self.epoch
     }
 
-    /// The buffer pool (stats, eviction counters, cache resets).
+    /// The buffer pool (hit, miss and eviction counters).
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
     }

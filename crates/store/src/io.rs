@@ -12,7 +12,7 @@
 //!   (what survives [`SimVfs::crash`]): `write` only touches the visible
 //!   copy, `fsync` promotes it to durable, and `rename` is atomic but
 //!   carries only the durable content of the source. A [`FaultPlan`] arms
-//!   one injected fault at a chosen operation index — a torn page write,
+//!   one injected fault at a chosen operation index — a torn write,
 //!   a silently dropped fsync, a short read, or a hard stop — which is
 //!   how the crash-recovery property test walks every operation of an
 //!   epoch publish and proves the previous epoch always survives.
@@ -213,7 +213,7 @@ impl Vfs for DiskVfs {
 pub enum FaultKind {
     /// A `write`/`write_at` persists only the first half of its bytes,
     /// then the VFS goes dead (every later operation fails) — a torn
-    /// page write followed by a crash.
+    /// write followed by a crash.
     TornWrite,
     /// One `fsync` returns `Ok` without promoting anything to durable —
     /// a lying disk. The VFS stays alive; the damage surfaces only after

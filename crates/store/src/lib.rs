@@ -3,7 +3,8 @@
 //! Everything before this crate lived in RAM: view extents, the
 //! [`smv_summary::Summary`], the [`smv_algebra::FeedbackStore`] — all
 //! gone at process exit. This crate persists them as **columnar
-//! segments** behind a **buffer pool**, with epoch-atomic publication:
+//! segments**, read through a **buffer pool**, with epoch-atomic
+//! publication:
 //!
 //! * [`codec`] — the segment codec: in-segment string dictionaries over
 //!   the process-local [`smv_xml::Symbol`] interning, run-length encoded
@@ -12,16 +13,18 @@
 //!   truncation and bit-flips are [`StoreError::Corrupt`], never garbage
 //!   rows. Like every persisted format, it is written and read with
 //!   [`smv_xml::wire`]'s byte codec.
-//! * [`pool`] — fixed-size pages with per-page FNV-1a checksums behind a
-//!   pinned/clock-evicted [`BufferPool`] under a configurable budget,
-//!   dirty-page write-back, and smv-obs `store.pool.*` counters.
+//! * [`pool`] — fixed-size pages with per-page FNV-1a checksums, read
+//!   through a pinned/clock-evicted [`BufferPool`] under a configurable
+//!   budget that caches and verifies but never writes, and smv-obs
+//!   `store.pool.*` counters.
 //! * [`io`] — the [`Vfs`] seam everything runs on: [`DiskVfs`] for real
 //!   directories, [`SimVfs`] for tests — an in-memory file system that
 //!   models the visible/durable distinction and injects torn writes,
 //!   dropped fsyncs, short reads and hard stops at a chosen op index.
 //! * [`disk`] — epoch-versioned catalogs: [`DiskStore::publish_epoch`]
 //!   writes an [`smv_views::EpochCatalog`] snapshot's segments + summary
-//!   (+ feedback), then commits by renaming a checksummed manifest;
+//!   (+ feedback), each built whole in memory and written once, then
+//!   commits by renaming a checksummed manifest;
 //!   [`DiskStore::open`] serves the newest epoch whose manifest and files
 //!   validate, so a crash at *any* interior point recovers the previous
 //!   epoch exactly. [`DiskCatalog`] plugs into the executor through

@@ -1,16 +1,16 @@
-//! Fixed-size page buffer pool with clock eviction.
+//! Fixed-size page cache with clock eviction.
 //!
-//! Segment files are read and written through a [`BufferPool`] holding at
-//! most `budget` resident pages. Lookups pin the page ([`PageGuard`]
-//! unpins on drop), misses read the page through the [`Vfs`]
-//! and verify its FNV-1a checksum — a bit-flipped page surfaces as
-//! [`StoreError::Corrupt`](crate::StoreError), never as garbage rows.
-//! Writers stage dirty pages in the pool; [`BufferPool::flush_file`]
-//! writes them back and issues a single fsync. When the pool is full a
-//! clock hand sweeps the resident set: pinned pages are skipped,
-//! recently-referenced pages get a second chance, and dirty victims are
-//! written back before the frame is reused. If every frame is pinned the
-//! pool temporarily overcommits rather than deadlocking.
+//! Segment files are read through a [`BufferPool`] holding at most
+//! `budget` resident pages. Lookups pin the page ([`PageGuard`] unpins on
+//! drop), misses read the page through the [`Vfs`] and verify its FNV-1a
+//! checksum — a bit-flipped page surfaces as
+//! [`StoreError::Corrupt`](crate::StoreError), never as garbage rows. The
+//! pool never writes: a segment is framed whole in memory, page by page
+//! with `put_page`, and written once. When the pool is full a clock hand
+//! sweeps the resident set: pinned pages are skipped, recently-referenced
+//! pages get a second chance, and the first other page is dropped. If
+//! every frame is pinned the pool temporarily overcommits rather than
+//! deadlocking.
 //!
 //! The pool reports `store.pool.hit` / `store.pool.miss` /
 //! `store.pool.evict` counters and a `store.pool.resident` gauge to the
@@ -25,13 +25,17 @@ use std::sync::{Arc, Mutex};
 /// Page-level checksum prefix: each on-disk page is `8 + payload` bytes.
 pub const PAGE_CHECKSUM_BYTES: u64 = 8;
 
+/// Appends one on-disk page to `out`: the payload's FNV-1a checksum, then
+/// the payload — the layout [`BufferPool::get`] verifies.
+pub(crate) fn put_page(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&fnv64(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
 type Key = (String, u32);
 
 struct Frame {
     data: Arc<Vec<u8>>,
-    /// File offset of the page's checksum prefix.
-    offset: u64,
-    dirty: bool,
     pins: u32,
     referenced: bool,
 }
@@ -109,11 +113,6 @@ impl BufferPool {
         })
     }
 
-    /// The configured page budget.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
     /// Pin page `page` of `file`, whose checksum prefix starts at `offset`
     /// and whose payload is `len` bytes. Reads through the VFS on a miss
     /// and verifies the checksum.
@@ -155,8 +154,9 @@ impl BufferPool {
                 PAGE_CHECKSUM_BYTES as usize + len
             )));
         }
-        let want = u64::from_le_bytes(raw[..8].try_into().unwrap());
-        let payload = raw[8..].to_vec();
+        let (sum, payload) = raw.split_at(PAGE_CHECKSUM_BYTES as usize);
+        let want = u64::from_le_bytes(sum.try_into().unwrap());
+        let payload = payload.to_vec();
         if fnv64(&payload) != want {
             return Err(StoreError::Corrupt(format!(
                 "checksum mismatch on {file} page {page}"
@@ -166,8 +166,6 @@ impl BufferPool {
         let mut inner = self.inner.lock().unwrap();
         let f = inner.frames.entry(key.clone()).or_insert_with(|| Frame {
             data: Arc::clone(&data),
-            offset,
-            dirty: false,
             pins: 0,
             referenced: false,
         });
@@ -181,76 +179,6 @@ impl BufferPool {
             key,
             data,
         })
-    }
-
-    /// Stage a dirty page: resident immediately, written back on eviction
-    /// or [`flush_file`](BufferPool::flush_file).
-    pub fn write_page(
-        self: &Arc<Self>,
-        file: &str,
-        page: u32,
-        offset: u64,
-        payload: Vec<u8>,
-    ) -> Result<()> {
-        let key = (file.to_string(), page);
-        let mut inner = self.inner.lock().unwrap();
-        match inner.frames.get_mut(&key) {
-            Some(f) => {
-                f.data = Arc::new(payload);
-                f.offset = offset;
-                f.dirty = true;
-                f.referenced = true;
-            }
-            None => {
-                inner.frames.insert(
-                    key.clone(),
-                    Frame {
-                        data: Arc::new(payload),
-                        offset,
-                        dirty: true,
-                        pins: 0,
-                        referenced: true,
-                    },
-                );
-                self.install(&mut inner, &key);
-            }
-        }
-        // Eviction inside install may itself have needed write-back; any
-        // error there is surfaced by flush_file / later gets. Staging a
-        // page cannot fail beyond the VFS write-back below.
-        Ok(())
-    }
-
-    /// Write back every dirty page of `file` and fsync it once.
-    pub fn flush_file(&self, file: &str) -> Result<()> {
-        let mut inner = self.inner.lock().unwrap();
-        let mut dirty: Vec<Key> = inner
-            .frames
-            .iter()
-            .filter(|(k, f)| k.0 == file && f.dirty)
-            .map(|(k, _)| k.clone())
-            .collect();
-        dirty.sort_by_key(|k| k.1);
-        for key in dirty {
-            let (offset, data) = {
-                let f = &inner.frames[&key];
-                (f.offset, Arc::clone(&f.data))
-            };
-            write_back(self.vfs.as_ref(), &key.0, offset, &data)?;
-            inner.frames.get_mut(&key).unwrap().dirty = false;
-        }
-        drop(inner);
-        self.vfs.fsync(file)
-    }
-
-    /// Drop every resident page — a cold-cache reset for tests and
-    /// benchmarks. Dirty pages are discarded.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.frames.clear();
-        inner.ring.clear();
-        inner.hand = 0;
-        smv_obs::gauge_set("store.pool.resident", 0);
     }
 
     /// Current counters.
@@ -300,17 +228,6 @@ impl BufferPool {
                 inner.hand = hand + 1;
                 continue;
             }
-            if f.dirty {
-                let offset = f.offset;
-                let data = Arc::clone(&f.data);
-                if write_back(self.vfs.as_ref(), &key.0, offset, &data).is_err() {
-                    // Keep the dirty page resident; flush_file will
-                    // surface the error to the caller.
-                    inner.hand = hand + 1;
-                    continue;
-                }
-                inner.frames.get_mut(&key).unwrap().dirty = false;
-            }
             inner.frames.remove(&key);
             inner.ring.remove(hand);
             inner.hand = hand;
@@ -322,37 +239,22 @@ impl BufferPool {
     }
 }
 
-/// Write one checksummed page at `offset`.
-fn write_back(vfs: &dyn Vfs, file: &str, offset: u64, payload: &[u8]) -> Result<()> {
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&fnv64(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
-    vfs.write_at(file, offset, &buf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::io::SimVfs;
 
-    fn page(vfs: &SimVfs, file: &str, offset: u64, payload: &[u8]) {
-        let mut buf = fnv64(payload).to_le_bytes().to_vec();
-        buf.extend_from_slice(payload);
-        // grow the file to cover the page
+    /// Appends one checksummed page to `file`.
+    fn page(vfs: &SimVfs, file: &str, payload: &[u8]) {
         let mut whole = vfs.read(file).unwrap_or_default();
-        let end = offset as usize + buf.len();
-        if whole.len() < end {
-            whole.resize(end, 0);
-        }
-        whole[offset as usize..end].copy_from_slice(&buf);
+        put_page(&mut whole, payload);
         vfs.write(file, &whole).unwrap();
-        vfs.fsync(file).unwrap();
     }
 
     #[test]
     fn hits_and_misses_are_counted() {
         let vfs = SimVfs::new();
-        page(&vfs, "f", 0, b"hello");
+        page(&vfs, "f", b"hello");
         let pool = BufferPool::new(Arc::new(vfs), 4);
         let g1 = pool.get("f", 0, 0, 5).unwrap();
         assert_eq!(g1.bytes(), b"hello");
@@ -367,7 +269,7 @@ mod tests {
     fn budget_forces_eviction() {
         let vfs = SimVfs::new();
         for i in 0..4u64 {
-            page(&vfs, "f", i * 13, &[i as u8; 5]);
+            page(&vfs, "f", &[i as u8; 5]);
         }
         let pool = BufferPool::new(Arc::new(vfs), 2);
         for i in 0..4u32 {
@@ -382,7 +284,7 @@ mod tests {
     #[test]
     fn corrupt_page_is_a_checked_error() {
         let vfs = SimVfs::new();
-        page(&vfs, "f", 0, b"hello");
+        page(&vfs, "f", b"hello");
         // flip one payload bit behind the checksum
         let mut whole = vfs.read("f").unwrap();
         whole[9] ^= 0x40;
@@ -391,18 +293,5 @@ mod tests {
         let pool = BufferPool::new(Arc::new(vfs), 4);
         let err = pool.get("f", 0, 0, 5).err().expect("bit flip detected");
         assert!(matches!(err, StoreError::Corrupt(_)), "got {err}");
-    }
-
-    #[test]
-    fn dirty_pages_flush_through_the_vfs() {
-        let vfs = SimVfs::new();
-        vfs.write("f", &[0u8; 64]).unwrap();
-        vfs.fsync("f").unwrap();
-        let pool = BufferPool::new(Arc::new(vfs), 4);
-        pool.write_page("f", 0, 0, b"abc".to_vec()).unwrap();
-        pool.flush_file("f").unwrap();
-        pool.clear();
-        let g = pool.get("f", 0, 0, 3).unwrap();
-        assert_eq!(g.bytes(), b"abc");
     }
 }

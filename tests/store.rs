@@ -592,6 +592,30 @@ fn small_matrix_doc() -> Document {
     Document::from_parens(r#"r(a(b="1" b="2" c(b="3")) a(c(b="4") b="5") d(b="6" c="x"))"#)
 }
 
+/// A page size the segment header cannot record — zero, or past its
+/// `u32` — is clamped into range, so the store still publishes and reads
+/// back what it was given.
+#[test]
+fn out_of_range_page_sizes_still_round_trip() {
+    let view = View::new(
+        "v",
+        parse_pattern("r(//*{id,l,v})").unwrap(),
+        IdScheme::OrdPath,
+    );
+    let cat = materialized(&small_matrix_doc(), std::slice::from_ref(&view));
+    for page_size in [0, u32::MAX as usize + 1] {
+        let opts = StoreOptions {
+            page_size,
+            ..StoreOptions::default()
+        };
+        let store = DiskStore::with_options(Arc::new(SimVfs::new()), opts);
+        store.publish_epoch(&cat, None).unwrap();
+        let disk = store.open().unwrap();
+        let got = disk.load_extent("v").unwrap().expect("published");
+        assert_eq!(got.rows, cat.extent("v").unwrap().rows, "page size {page_size}");
+    }
+}
+
 /// A bit-flipped page fails its checksum and surfaces as a checked
 /// [`StoreError::Corrupt`] — never as garbage rows — and a query that
 /// scans the damaged view fails with [`ExecError::Storage`] instead of
@@ -1017,7 +1041,7 @@ fn pool_pressure_preserves_results_and_counts_evictions() {
 }
 
 /// The crash-recovery property: a publish interrupted at *any* operation
-/// index — hard stop, torn page write, or lying fsync — leaves the store
+/// index — hard stop, torn write, or lying fsync — leaves the store
 /// recoverable, and recovery always lands on a fully published epoch
 /// (the previous one, or the new one if it became durable). No partial
 /// epoch is ever visible.
@@ -1044,8 +1068,9 @@ fn crash_recovery_at_every_injected_fault_point() {
     ec.apply(&batch).expect("batch applies");
     let cat2 = ec.snapshot();
     let (e1, e2) = (cat1.epoch(), cat2.epoch());
+    // pages small enough that a fault can tear a segment between pages
     let opts = StoreOptions {
-        page_size: 64,
+        page_size: 16,
         pool_pages: 4,
     };
 
@@ -1056,9 +1081,17 @@ fn crash_recovery_at_every_injected_fault_point() {
         store.publish_epoch(&cat1, None).unwrap();
         vfs.reset_ops();
         store.publish_epoch(&cat2, None).unwrap();
-        vfs.op_count()
+        let ops = vfs.op_count();
+        for seg in vfs.list().iter().filter(|n| n.starts_with("seg-")) {
+            let header = vfs.read_at(seg, 0, 24).unwrap();
+            let pages = u32::from_le_bytes(header[12..16].try_into().unwrap());
+            assert!(pages >= 3, "{seg} spans {pages} pages");
+        }
+        ops
     };
-    assert!(total_ops > 10, "publish is a multi-op sequence");
+    // a write and an fsync per segment and for the summary, then the
+    // manifest's write, fsync and rename
+    assert_eq!(total_ops, 2 * 2 + 2 + 3, "one write per file");
 
     let mut outcomes = [0u64; 2]; // recovered the first / the second epoch
                                   // 0..total_ops are interior faults; fail_at == total_ops never fires,
