@@ -30,11 +30,10 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Resolves a user-facing thread count: `0` means "use the host's
 /// available parallelism", anything else is taken literally.
-pub fn resolve_threads(threads: usize) -> usize {
+fn resolve_threads(threads: usize) -> usize {
     match threads {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         t => t,
@@ -81,8 +80,6 @@ struct Job {
     data: *const (),
     /// Monomorphized trampoline: runs task `i` against `data`.
     run_one: unsafe fn(*const (), usize),
-    /// The owning pool's execution counters (morsels, busy time).
-    stats: Arc<PoolStats>,
 }
 
 // SAFETY: `data` is shared across threads but only dereferenced through
@@ -122,15 +119,12 @@ impl Job {
     /// are drained — claimed and counted done without executing — so the
     /// job still completes and the pool stays usable.
     fn run(&self) {
-        let t0 = Instant::now();
-        let mut executed = 0u64;
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             if i >= self.n {
                 break;
             }
             if !self.abort.load(Ordering::Relaxed) {
-                executed += 1;
                 // SAFETY: task indices are claimed at most once, and the
                 // caller keeps `data` alive until `done == n` (see Job).
                 if let Err(p) =
@@ -149,12 +143,6 @@ impl Job {
                 self.finished_cv.notify_all();
             }
         }
-        // two atomic adds per *participant per job* — not per morsel — so
-        // the accounting cost is amortized over the whole job
-        self.stats.morsels.fetch_add(executed, Ordering::Relaxed);
-        self.stats
-            .busy_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 
     /// Blocks until every task has completed (or drained).
@@ -164,19 +152,6 @@ impl Job {
             fin = self.finished_cv.wait(fin).expect("finished wait");
         }
     }
-}
-
-/// Monotonic execution counters a pool accumulates over its lifetime.
-/// Shared (`Arc`) between the pool and every in-flight job so counts
-/// survive the job's retirement from the queue.
-#[derive(Default)]
-struct PoolStats {
-    /// Morsels (tasks) actually executed by pool jobs.
-    morsels: AtomicU64,
-    /// Nanoseconds participants (workers + callers) spent inside jobs.
-    busy_ns: AtomicU64,
-    /// High-water mark of the injector queue length at dispatch.
-    max_queue_depth: AtomicU64,
 }
 
 /// State shared between the pool handle and its workers.
@@ -189,39 +164,6 @@ struct PoolShared {
     /// Jobs ever dispatched to the queue (telemetry; the
     /// `threads == 1`-never-touches-the-pool regression test reads it).
     dispatched: AtomicU64,
-    /// Lifetime execution counters ([`WorkerPool::metrics`]).
-    stats: Arc<PoolStats>,
-}
-
-/// A point-in-time snapshot of a pool's execution counters
-/// ([`WorkerPool::metrics`]). All counts are monotonic over the pool's
-/// lifetime; diff two snapshots to meter an interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolMetrics {
-    /// Total parallelism of the pool (workers + caller).
-    pub size: usize,
-    /// Jobs ever dispatched to the injector queue.
-    pub jobs_dispatched: u64,
-    /// Morsels (tasks) executed by pool jobs. Inline fast-path calls do
-    /// not count, mirroring [`WorkerPool::jobs_dispatched`].
-    pub morsels_executed: u64,
-    /// Nanoseconds participants spent inside jobs, summed over threads.
-    pub busy_ns: u64,
-    /// High-water mark of the injector queue length at dispatch.
-    pub max_queue_depth: u64,
-}
-
-impl PoolMetrics {
-    /// Worker utilization over a wall-clock window: the fraction of the
-    /// pool's total thread-time (`wall_ns × size`) spent inside jobs.
-    /// Clamped to `[0, 1]`; `0` for an empty window.
-    pub fn utilization(&self, wall_ns: u64) -> f64 {
-        let capacity = wall_ns.saturating_mul(self.size as u64);
-        if capacity == 0 {
-            return 0.0;
-        }
-        (self.busy_ns as f64 / capacity as f64).clamp(0.0, 1.0)
-    }
 }
 
 /// A persistent pool of worker OS threads fed by a shared injector queue
@@ -277,7 +219,6 @@ impl WorkerPool {
             work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             dispatched: AtomicU64::new(0),
-            stats: Arc::new(PoolStats::default()),
         });
         let workers = (0..size - 1)
             .map(|i| {
@@ -309,11 +250,6 @@ impl WorkerPool {
         self.size
     }
 
-    /// Number of pool-owned worker threads (`size() − 1`).
-    pub fn workers(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Jobs ever dispatched to the injector queue. Inline fast-path calls
     /// (one task, cap 1, or a worker-less pool) do not count — which is
     /// exactly what the "`threads == 1` never touches the pool"
@@ -322,40 +258,11 @@ impl WorkerPool {
         self.shared.dispatched.load(Ordering::Relaxed)
     }
 
-    /// Morsels (tasks) executed by pool jobs so far. Inline fast-path
-    /// calls do not count, mirroring [`jobs_dispatched`](Self::jobs_dispatched).
-    pub fn morsels_executed(&self) -> u64 {
-        self.shared.stats.morsels.load(Ordering::Relaxed)
-    }
-
     /// Current injector queue length (jobs, not morsels). Exhausted
     /// jobs are retired lazily — by the next worker that scans the
     /// queue — so a just-completed job may still be counted here.
     pub fn queue_depth(&self) -> usize {
         self.shared.queue.lock().expect("pool queue lock").len()
-    }
-
-    /// Snapshots the pool's lifetime execution counters.
-    pub fn metrics(&self) -> PoolMetrics {
-        PoolMetrics {
-            size: self.size,
-            jobs_dispatched: self.jobs_dispatched(),
-            morsels_executed: self.shared.stats.morsels.load(Ordering::Relaxed),
-            busy_ns: self.shared.stats.busy_ns.load(Ordering::Relaxed),
-            max_queue_depth: self.shared.stats.max_queue_depth.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Writes the pool's counters into a metrics registry as
-    /// `pool.size`, `pool.jobs_dispatched`, `pool.morsels_executed`,
-    /// `pool.busy_ns` and `pool.max_queue_depth` gauges.
-    pub fn export_metrics(&self, reg: &smv_obs::MetricsRegistry) {
-        let m = self.metrics();
-        reg.gauge_set("pool.size", m.size as i64);
-        reg.gauge_set("pool.jobs_dispatched", m.jobs_dispatched as i64);
-        reg.gauge_set("pool.morsels_executed", m.morsels_executed as i64);
-        reg.gauge_set("pool.busy_ns", m.busy_ns as i64);
-        reg.gauge_set("pool.max_queue_depth", m.max_queue_depth as i64);
     }
 
     /// Maps `f` over `0..n` with parallelism at most `cap` (capped by the
@@ -409,19 +316,14 @@ impl WorkerPool {
             finished_cv: Condvar::new(),
             data: &frame as *const Frame<'_, R, F> as *const (),
             run_one: run_one::<R, F>,
-            stats: Arc::clone(&self.shared.stats),
         });
         self.shared.dispatched.fetch_add(1, Ordering::Relaxed);
         let depth = {
             let mut q = self.shared.queue.lock().expect("pool queue lock");
             q.push_back(Arc::clone(&job));
-            q.len() as u64
+            q.len() as i64
         };
-        self.shared
-            .stats
-            .max_queue_depth
-            .fetch_max(depth, Ordering::Relaxed);
-        smv_obs::gauge_max("pool.queue_depth", depth as i64);
+        smv_obs::gauge_max("pool.queue_depth", depth);
         self.shared.work_cv.notify_all();
         job.run(); // the caller is a full participant
         job.wait();
@@ -601,7 +503,6 @@ mod tests {
         // failure mode
         let pool = WorkerPool::new(4);
         let _ = pool.pool_map(4, 100, |i| i);
-        assert_eq!(pool.workers(), 3);
         drop(pool);
     }
 
@@ -626,46 +527,6 @@ mod tests {
         assert_eq!(pool.pool_map(1, 100, |i| i).len(), 100); // cap 1
         assert_eq!(pool.pool_map(4, 1, |i| i).len(), 1); // one task
         assert_eq!(pool.jobs_dispatched(), before, "inline calls never queue");
-    }
-
-    #[test]
-    fn metrics_count_morsels_and_busy_time() {
-        let pool = WorkerPool::new(3);
-        let before = pool.metrics();
-        let _ = pool.pool_map(3, 64, |i| {
-            let mut acc = 0u64;
-            for k in 0..5_000u64 {
-                acc = acc.wrapping_add(k ^ i as u64);
-            }
-            acc
-        });
-        let after = pool.metrics();
-        assert_eq!(
-            after.morsels_executed - before.morsels_executed,
-            64,
-            "every task is one morsel"
-        );
-        assert_eq!(after.jobs_dispatched - before.jobs_dispatched, 1);
-        assert!(after.busy_ns > before.busy_ns, "participants logged time");
-        assert!(after.max_queue_depth >= 1);
-        assert!(
-            pool.queue_depth() <= 1,
-            "at most the lazily-retired exhausted job lingers"
-        );
-        // inline fast-path calls stay invisible, like jobs_dispatched
-        let m0 = pool.metrics();
-        let _ = pool.pool_map(1, 50, |i| i);
-        assert_eq!(pool.metrics().morsels_executed, m0.morsels_executed);
-        // utilization is a sane fraction of the wall window
-        assert!(after.utilization(u64::MAX / 8) <= 1.0);
-        assert_eq!(
-            PoolMetrics {
-                busy_ns: 0,
-                ..after
-            }
-            .utilization(0),
-            0.0
-        );
     }
 
     #[test]
