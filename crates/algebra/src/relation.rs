@@ -241,15 +241,6 @@ impl Row {
     pub fn new(cells: Vec<Cell>) -> Row {
         Row { cells }
     }
-
-    /// A 64-bit structural hash of the row — the allocation-free
-    /// replacement for the seed's string `encode_key`. Equal rows hash
-    /// equal; used for hash-based dedup and grouping.
-    pub fn hash_key(&self) -> u64 {
-        let mut h = std::hash::DefaultHasher::new();
-        self.hash(&mut h);
-        h.finish()
-    }
 }
 
 impl PartialOrd for Row {
@@ -419,6 +410,13 @@ impl std::fmt::Display for NestedRelation {
 mod tests {
     use super::*;
 
+    /// The row's structural [`Hash`], through the standard hasher.
+    fn hash_of(row: &Row) -> u64 {
+        let mut h = std::hash::DefaultHasher::new();
+        row.hash(&mut h);
+        h.finish()
+    }
+
     fn rel() -> NestedRelation {
         NestedRelation::new(
             Schema::atoms(&[("a.ID", AttrKind::Id), ("a.V", AttrKind::Value)]),
@@ -457,8 +455,8 @@ mod tests {
         tagged.sorted_on = Some(0);
         assert_eq!(plain, tagged);
         assert_eq!(
-            Row::new(vec![Cell::Table(plain)]).hash_key(),
-            Row::new(vec![Cell::Table(tagged)]).hash_key()
+            hash_of(&Row::new(vec![Cell::Table(plain)])),
+            hash_of(&Row::new(vec![Cell::Table(tagged)]))
         );
     }
 
@@ -467,7 +465,7 @@ mod tests {
         let a = Row::new(vec![Cell::Id(StructId::Seq(2)), Cell::Atom(Value::int(5))]);
         let b = Row::new(vec![Cell::Id(StructId::Seq(2)), Cell::Atom(Value::int(5))]);
         let c = Row::new(vec![Cell::Id(StructId::Seq(3)), Cell::Atom(Value::int(5))]);
-        assert_eq!(a.hash_key(), b.hash_key());
+        assert_eq!(hash_of(&a), hash_of(&b));
         assert_ne!(a, c);
     }
 

@@ -271,89 +271,12 @@ impl Pattern {
         anchors
     }
 
-    /// A copy with every edge made non-optional (the *strict* pattern `p0`
-    /// of §4.3).
-    pub fn strict_copy(&self) -> Pattern {
-        let mut p = self.clone();
-        for i in 0..p.nodes.len() {
-            p.nodes[i].optional = false;
-        }
-        p
-    }
-
-    /// A copy with every predicate erased (the core pattern of a decorated
-    /// pattern, §4.2).
-    pub fn erase_predicates(&self) -> Pattern {
-        let mut p = self.clone();
-        for i in 0..p.nodes.len() {
-            p.nodes[i].predicate = Formula::top();
-        }
-        p
-    }
-
     /// A copy with every nested flag cleared (the unnested pattern of
     /// Proposition 4.2 condition 1).
     pub fn unnest_copy(&self) -> Pattern {
         let mut p = self.clone();
         for i in 0..p.nodes.len() {
             p.nodes[i].nested = false;
-        }
-        p
-    }
-
-    /// A deep copy where only the given nodes are return nodes (clears all
-    /// attrs/ret elsewhere). Used when choosing k return nodes prior to a
-    /// containment test (§3.3).
-    pub fn with_returns(&self, returns: &[PNodeId]) -> Pattern {
-        let mut p = self.clone();
-        for i in 0..p.nodes.len() {
-            let keep = returns.contains(&PNodeId(i as u32));
-            if !keep {
-                p.nodes[i].ret = false;
-                p.nodes[i].attrs = Attrs::NONE;
-            } else if !p.nodes[i].attrs.any() {
-                p.nodes[i].ret = true;
-            }
-        }
-        p
-    }
-
-    /// Grafts a deep copy of `other`'s subtree rooted at `on` as a child of
-    /// `under` in `self`, preserving decorations; returns the id of the
-    /// copied subtree root. The copied root keeps its axis/optional/nested
-    /// flags unless overridden by the caller afterwards.
-    pub fn graft(&mut self, under: PNodeId, other: &Pattern, on: PNodeId) -> PNodeId {
-        let src = other.node(on);
-        let new_root = self.add_child(under, src.axis, src.label);
-        {
-            let nd = self.node_mut(new_root);
-            nd.optional = src.optional;
-            nd.nested = src.nested;
-            nd.attrs = src.attrs;
-            nd.ret = src.ret;
-            nd.predicate = src.predicate.clone();
-        }
-        let kids: Vec<PNodeId> = other.children(on).to_vec();
-        for c in kids {
-            self.graft(new_root, other, c);
-        }
-        new_root
-    }
-
-    /// Extracts the subtree rooted at `n` as a standalone pattern (the
-    /// extracted root loses its incoming-edge flags).
-    pub fn extract(&self, n: PNodeId) -> Pattern {
-        let mut p = Pattern::new(self.node(n).label);
-        {
-            let src = self.node(n);
-            let root = p.node_mut(PNodeId::ROOT);
-            root.attrs = src.attrs;
-            root.ret = src.ret;
-            root.predicate = src.predicate.clone();
-        }
-        let kids: Vec<PNodeId> = self.children(n).to_vec();
-        for c in kids {
-            p.graft(PNodeId::ROOT, self, c);
         }
         p
     }
@@ -449,7 +372,6 @@ impl std::fmt::Display for Pattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smv_xml::Value;
 
     #[test]
     fn build_and_inspect() {
@@ -483,50 +405,6 @@ mod tests {
         assert_eq!(p.nesting_anchors(d), vec![p.root(), b]);
         assert_eq!(p.nesting_anchors(b), vec![p.root()]);
         assert_eq!(p.nesting_anchors(p.root()), vec![]);
-    }
-
-    #[test]
-    fn strict_and_erase_copies() {
-        let mut p = Pattern::new(Some(Label::intern("a")));
-        let b = p.add_child(p.root(), Axis::Child, Some(Label::intern("b")));
-        p.node_mut(b).optional = true;
-        p.node_mut(b).predicate = Formula::eq(Value::int(3));
-        let strict = p.strict_copy();
-        assert!(strict.optional_edges().is_empty());
-        assert!(
-            !strict.node(b).predicate.is_top(),
-            "strict keeps predicates"
-        );
-        let erased = p.erase_predicates();
-        assert!(erased.node(b).predicate.is_top());
-        assert!(erased.node(b).optional, "erase keeps optionality");
-    }
-
-    #[test]
-    fn with_returns_narrows() {
-        let mut p = Pattern::new(Some(Label::intern("a")));
-        let b = p.add_child(p.root(), Axis::Child, Some(Label::intern("b")));
-        p.node_mut(b).attrs.id = true;
-        let c = p.add_child(p.root(), Axis::Child, Some(Label::intern("c")));
-        p.node_mut(c).attrs.value = true;
-        let q = p.with_returns(&[c]);
-        assert_eq!(q.return_nodes(), vec![c]);
-        assert!(!q.node(b).attrs.any());
-    }
-
-    #[test]
-    fn graft_and_extract_round_trip() {
-        let mut p = Pattern::new(Some(Label::intern("a")));
-        let b = p.add_child(p.root(), Axis::Descendant, Some(Label::intern("b")));
-        p.node_mut(b).attrs.id = true;
-        let c = p.add_child(b, Axis::Child, None);
-        p.node_mut(c).optional = true;
-        let sub = p.extract(b);
-        assert_eq!(sub.to_string(), "b{id}(?/*)");
-        let mut host = Pattern::new(Some(Label::intern("r")));
-        let grafted = host.graft(host.root(), &p, b);
-        assert_eq!(host.node(grafted).axis, Axis::Descendant);
-        assert_eq!(host.to_string(), "r(//b{id}(?/*))");
     }
 
     #[test]
