@@ -1766,6 +1766,55 @@ mod tests {
     }
 
     #[test]
+    fn project_over_an_unread_parent_id_matches_the_generic_path() {
+        let plain = provider().0;
+        let fused = Projecting {
+            inner: provider().0,
+            asked: Mutex::default(),
+        };
+        let plan = |col: usize, cols: Vec<usize>| Plan::DupElim {
+            input: Box::new(Plan::Project {
+                input: Box::new(Plan::DeriveParentId {
+                    input: Box::new(Plan::Scan {
+                        view: "names".into(),
+                    }),
+                    col,
+                    levels: 1,
+                    name: "p.ID".into(),
+                }),
+                cols,
+            }),
+        };
+        let opts = ExecOpts::default();
+        // the derived column is #2; dropped or kept, rows and profile
+        // counters are the generic path's
+        for cols in [vec![0, 1], vec![0], vec![0, 2], vec![2, 0]] {
+            let p = plan(0, cols.clone());
+            let (want, want_prof) = execute_profiled_with(&p, &plain, &opts).unwrap();
+            let (got, got_prof) = execute_profiled_with(&p, &fused, &opts).unwrap();
+            assert_eq!(got.rows, want.rows, "{cols:?}");
+            assert_eq!(got.schema, want.schema, "{cols:?}");
+            assert_eq!(got.sorted_on, want.sorted_on, "{cols:?}");
+            for (path, rows) in want_prof.iter() {
+                assert_eq!(got_prof.rows_at(path), Some(rows), "{cols:?} at `{path}`");
+            }
+            assert_eq!(got_prof.iter().count(), want_prof.iter().count());
+            assert_eq!(got_prof.rows_at("0.0"), Some(2), "the derive's rows");
+            assert!(got_prof.time_ns_at("0.0.0").is_some(), "the scan is timed");
+        }
+        // a derive over a non-id column fails at the derive, kept or not
+        for cols in [vec![0, 1], vec![1, 2]] {
+            let e = execute_with(&plan(1, cols), &fused, &opts).unwrap_err();
+            assert!(matches!(e.kind(), ExecError::Type(_)), "{e}");
+            assert_eq!(e.op_path(), Some("0.0"));
+        }
+        // a column past the derive's schema: reported by the Project
+        let e = execute_with(&plan(0, vec![0, 3]), &fused, &opts).unwrap_err();
+        assert!(matches!(e.kind(), ExecError::Schema(_)), "{e}");
+        assert_eq!(e.op_path(), Some("0"));
+    }
+
+    #[test]
     fn profiled_run_records_operator_times_and_morsels() {
         let prov = provider().0;
         let plan = Plan::Select {

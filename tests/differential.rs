@@ -150,3 +150,36 @@ proptest! {
         }
     }
 }
+
+/// A `Project` that drops the parent id a `DeriveParentId` just added
+/// (rank 0 of `site(//item{id}(/name{id,v}))` over the pr7 views): every
+/// arm returns the same rows and the same per-operator row counts, the
+/// derive's and the scan's included, and the rows are direct evaluation's.
+#[test]
+fn project_over_an_unread_parent_id_is_provider_invariant() {
+    let doc = pr7_document(0.2, 3);
+    let scheme = IdScheme::OrdPath;
+    let matrix = ProviderMatrix::from_views(&doc, pr7_views(scheme));
+    let q = parse_pattern("site(//item{id}(/name{id,v}))").unwrap();
+    let direct = materialize(&q, &doc, scheme);
+    for view in ["items", "maybe_named"] {
+        let plan = Plan::DupElim {
+            input: Box::new(Plan::Project {
+                input: Box::new(Plan::DeriveParentId {
+                    input: Box::new(Plan::Scan { view: view.into() }),
+                    col: 1,
+                    levels: 1,
+                    name: "vid1u1".into(),
+                }),
+                cols: vec![0, 1, 2],
+            }),
+        };
+        let (rel, prof) = matrix.check(&plan, &[1, 4]);
+        let scanned = matrix.disk().load_extent(view).unwrap().unwrap().len() as u64;
+        assert_eq!(prof.rows_at("0.0"), Some(scanned), "{view}: the derive's rows");
+        assert_eq!(prof.rows_at("0.0.0"), Some(scanned), "{view}: the scan's rows");
+        if view == "items" {
+            assert!(rel.set_eq(&direct), "{view}");
+        }
+    }
+}
