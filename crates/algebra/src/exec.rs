@@ -834,10 +834,10 @@ fn eval_op<'a>(
             let rows = order
                 .into_iter()
                 .map(|(mut key_row, inner_rows)| {
-                    key_row.cells.push(Cell::Table(NestedRelation::new(
+                    key_row.cells.push(Cell::Table(Box::new(NestedRelation::new(
                         inner_schema.clone(),
                         inner_rows,
-                    )));
+                    ))));
                     key_row
                 })
                 .collect();
@@ -1222,7 +1222,7 @@ fn attr_cell(doc: &Document, n: NodeId, attr: AttrKind, base_id: Option<&StructI
             .value(n)
             .map(|v| Cell::Atom(v.clone()))
             .unwrap_or(Cell::Null),
-        AttrKind::Content => Cell::Content(serialize_subtree(doc, n)),
+        AttrKind::Content => Cell::Content(serialize_subtree(doc, n).into()),
         AttrKind::Id => {
             let Some(base) = base_id else {
                 return Cell::Null;
@@ -1459,7 +1459,7 @@ mod tests {
             },
             vec![Row::new(vec![
                 Cell::Id(StructId::Seq(1)),
-                Cell::Table(NestedRelation::empty(inner)),
+                Cell::Table(Box::new(NestedRelation::empty(inner))),
             ])],
         );
         let mut p = MapProvider::default();
@@ -1495,7 +1495,7 @@ mod tests {
             Schema::atoms(&[("item.ID", AttrKind::Id), ("item.C", AttrKind::Content)]),
             vec![Row::new(vec![
                 Cell::Id(ia.id(item).clone()),
-                Cell::Content(serialize_subtree(&doc, item)),
+                Cell::Content(serialize_subtree(&doc, item).into()),
             ])],
         );
         let mut p = MapProvider::default();
@@ -1527,7 +1527,7 @@ mod tests {
             Schema::atoms(&[("item.ID", AttrKind::Id), ("item.C", AttrKind::Content)]),
             vec![Row::new(vec![
                 Cell::Id(ia.id(NodeId(1)).clone()),
-                Cell::Content(serialize_subtree(&doc, NodeId(1))),
+                Cell::Content(serialize_subtree(&doc, NodeId(1)).into()),
             ])],
         );
         let mut p = MapProvider::default();

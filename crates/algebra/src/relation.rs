@@ -20,6 +20,7 @@
 use smv_xml::{Label, StructId, Symbol, Value};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Which stored attribute a column carries (§4.4).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -134,14 +135,14 @@ pub enum Cell {
     Label(Label),
     /// An atomic value.
     Atom(Value),
-    /// Serialized subtree content.
-    Content(String),
-    /// A nested table.
-    Table(NestedRelation),
+    /// Serialized subtree content, shared like a string [`Value`].
+    Content(Arc<str>),
+    /// A nested table, boxed: it is rare and would double every cell.
+    Table(Box<NestedRelation>),
 }
 
-// a nested table sets the width; an inline id label must not widen it
-const _: () = assert!(std::mem::size_of::<Cell>() == 64);
+// an inline id label sets the width; no variant may widen it
+const _: () = assert!(std::mem::size_of::<Cell>() == 32);
 
 impl Cell {
     /// Is this `⊥`?
@@ -455,8 +456,8 @@ mod tests {
         tagged.sorted_on = Some(0);
         assert_eq!(plain, tagged);
         assert_eq!(
-            hash_of(&Row::new(vec![Cell::Table(plain)])),
-            hash_of(&Row::new(vec![Cell::Table(tagged)]))
+            hash_of(&Row::new(vec![Cell::Table(Box::new(plain))])),
+            hash_of(&Row::new(vec![Cell::Table(Box::new(tagged))]))
         );
     }
 
@@ -477,7 +478,7 @@ mod tests {
             Cell::Label(Label::intern("x")),
             Cell::Atom(Value::int(1)),
             Cell::Content("c".into()),
-            Cell::Table(NestedRelation::default()),
+            Cell::Table(Box::default()),
         ];
         for (i, a) in cells.iter().enumerate() {
             for (j, b) in cells.iter().enumerate() {
@@ -490,12 +491,12 @@ mod tests {
     fn nested_tables_compare_as_sets() {
         let inner_schema = Schema::atoms(&[("k.V", AttrKind::Value)]);
         let mk = |vals: &[i64]| {
-            Cell::Table(NestedRelation::new(
+            Cell::Table(Box::new(NestedRelation::new(
                 inner_schema.clone(),
                 vals.iter()
                     .map(|&v| Row::new(vec![Cell::Atom(Value::int(v))]))
                     .collect(),
-            ))
+            )))
         };
         let schema = Schema {
             cols: vec![Column {

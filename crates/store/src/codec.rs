@@ -51,6 +51,7 @@ use smv_algebra::{AttrKind, Cell, ColKind, Column, NestedRelation, Row, Schema};
 use smv_xml::wire::{ByteReader, ByteWriter};
 use smv_xml::{DeweyId, Label, OrdPath, StructId, Symbol, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // string dictionary
@@ -80,21 +81,42 @@ impl DictBuilder {
     }
 }
 
-/// The dictionary's strings, borrowed from the stream.
-fn decode_dict<'a>(r: &mut ByteReader<'a>) -> Result<Vec<&'a str>> {
-    let n = r.get_count()?;
-    let mut strings = Vec::with_capacity(n);
-    for _ in 0..n {
-        strings.push(r.get_str_ref()?);
-    }
-    Ok(strings)
+/// A segment's string dictionary: its strings, borrowed from the stream,
+/// and beside each slot the one `Arc` every built cell naming the slot
+/// shares, made when a cell first asks for it.
+struct Dict<'a> {
+    strings: Vec<&'a str>,
+    shared: Vec<Option<Arc<str>>>,
 }
 
-fn dict_get<'a>(dict: &[&'a str], slot: u64) -> Result<&'a str> {
-    usize::try_from(slot)
-        .ok()
-        .and_then(|i| dict.get(i).copied())
-        .ok_or_else(|| StoreError::Corrupt(format!("dictionary slot {slot} out of range")))
+impl<'a> Dict<'a> {
+    fn decode(r: &mut ByteReader<'a>) -> Result<Dict<'a>> {
+        let n = r.get_count()?;
+        let mut strings = Vec::with_capacity(n);
+        for _ in 0..n {
+            strings.push(r.get_str_ref()?);
+        }
+        Ok(Dict {
+            strings,
+            shared: vec![None; n],
+        })
+    }
+
+    /// `slot`'s string, checked.
+    fn get(&self, slot: u64) -> Result<&'a str> {
+        usize::try_from(slot)
+            .ok()
+            .and_then(|i| self.strings.get(i).copied())
+            .ok_or_else(|| StoreError::Corrupt(format!("dictionary slot {slot} out of range")))
+    }
+
+    /// `slot`'s string as the slot's shared `Arc`, checked.
+    fn shared(&mut self, slot: u64) -> Result<Arc<str>> {
+        let s = self.get(slot)?;
+        Ok(self.shared[slot as usize]
+            .get_or_insert_with(|| s.into())
+            .clone())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -402,7 +424,7 @@ fn decode_relation_at(
         c if c <= n_cols as u64 => Some(c as usize - 1),
         c => return Err(StoreError::Corrupt(format!("sorted on column {c}"))),
     };
-    let dict = decode_dict(&mut r)?;
+    let mut dict = Dict::decode(&mut r)?;
     let keep: Vec<bool> = (0..n_cols)
         .map(|ci| cols.is_none_or(|cols| cols.contains(&ci)))
         .collect();
@@ -466,7 +488,7 @@ fn decode_relation_at(
                         let (l, left) = match label.take() {
                             Some(open) => open,
                             None => {
-                                let s = dict_get(&dict, r.get_uv()?)?;
+                                let s = dict.get(r.get_uv()?)?;
                                 let l = run.is_some().then(|| Label::intern(s));
                                 match r.get_uv()? {
                                     0 => return Err(StoreError::Corrupt("empty label run".into())),
@@ -491,11 +513,12 @@ fn decode_relation_at(
                         let v = match r.get_u8()? {
                             0 => Value::Int(r.get_iv()?),
                             1 => {
-                                let s = dict_get(&dict, r.get_uv()?)?;
+                                let slot = r.get_uv()?;
                                 if run.is_none() {
+                                    dict.get(slot)?;
                                     continue;
                                 }
-                                Value::Str(s.into())
+                                Value::Str(dict.shared(slot)?)
                             }
                             v => return Err(StoreError::Corrupt(format!("bad value variant {v}"))),
                         };
@@ -506,9 +529,10 @@ fn decode_relation_at(
                 }
                 TAG_CONTENT => {
                     for k in 0..n {
-                        let s = dict_get(&dict, r.get_uv()?)?;
-                        if let Some(run) = &mut run {
-                            run[k].cells.push(Cell::Content(s.to_string()));
+                        let slot = r.get_uv()?;
+                        match &mut run {
+                            Some(run) => run[k].cells.push(Cell::Content(dict.shared(slot)?)),
+                            None => _ = dict.get(slot)?,
                         }
                     }
                 }
@@ -519,7 +543,7 @@ fn decode_relation_at(
                     for k in 0..n {
                         let inner = decode_relation_at(r.get_bytes()?, depth + 1, inner_cols)?;
                         if let Some(run) = &mut run {
-                            run[k].cells.push(Cell::Table(inner));
+                            run[k].cells.push(Cell::Table(Box::new(inner)));
                         }
                     }
                 }
@@ -615,6 +639,48 @@ mod tests {
             decode_relation(&bytes, Some(&[1, 7])).unwrap().schema.len(),
             1
         );
+    }
+
+    /// A string the dictionary stores once decodes to one allocation that
+    /// every cell naming it shares, in full and projected decodes alike;
+    /// the shared rows encode back to the same bytes.
+    #[test]
+    fn repeated_strings_decode_to_one_shared_allocation() {
+        let schema = Schema::atoms(&[
+            ("a.ID", AttrKind::Id),
+            ("a.V", AttrKind::Value),
+            ("a.C", AttrKind::Content),
+        ]);
+        let row = |i| {
+            Row::new(vec![
+                Cell::Id(StructId::Seq(i)),
+                Cell::Atom(Value::str("pen")),
+                Cell::Content("<a>pen</a>".into()),
+            ])
+        };
+        let rel = NestedRelation::new(schema, (0..4).map(row).collect());
+        let bytes = encode_relation(&rel);
+        for (cols, strings) in [(None, [1, 2]), (Some(&[1, 2][..]), [0, 1])] {
+            let back = decode_relation(&bytes, cols).unwrap();
+            assert_eq!(back.len(), 4);
+            for col in strings {
+                let shared: Vec<&Arc<str>> = back
+                    .rows
+                    .iter()
+                    .map(|r| match &r.cells[col] {
+                        Cell::Atom(Value::Str(s)) | Cell::Content(s) => s,
+                        other => panic!("{other} is not a string"),
+                    })
+                    .collect();
+                assert!(
+                    shared.iter().all(|s| Arc::ptr_eq(s, shared[0])),
+                    "{cols:?} column {col}"
+                );
+            }
+        }
+        let back = decode_relation(&bytes, None).unwrap();
+        assert_eq!(back.rows, rel.rows);
+        assert_eq!(encode_relation(&back), bytes);
     }
 
     /// The check-only label test agrees with the decoder it stands in for,

@@ -1029,4 +1029,39 @@ mod tests {
         assert_eq!(ec.epoch(), before);
         assert_eq!(ec.snapshot().extent("vb").unwrap().len(), 1);
     }
+
+    /// The executor's copies of an extent's strings are the extent's: a
+    /// `DupElim(Project(Scan))` answer shares every string value and
+    /// content cell with the epoch it read instead of copying it.
+    #[test]
+    fn executor_copies_share_the_extents_strings() {
+        use smv_algebra::{execute_with, ExecOpts, Plan};
+        let doc = Document::from_parens(r#"a(b(c="pen") b(c="pen") b(c="ink"))"#);
+        let mut ec = EpochCatalog::new(doc, IdScheme::OrdPath);
+        let pat = parse_pattern("a(//c{id,v,c})").unwrap();
+        ec.add_view(View::new("cs", pat, IdScheme::OrdPath), RefreshPolicy::Eager);
+        let snap = ec.snapshot();
+        let plan = Plan::DupElim {
+            input: Box::new(Plan::Project {
+                input: Box::new(Plan::Scan { view: "cs".into() }),
+                cols: vec![1, 2],
+            }),
+        };
+        let out = execute_with(&plan, &*snap, &ExecOpts::default()).unwrap();
+        let strings = |rel: &NestedRelation| -> Vec<Arc<str>> {
+            let cells = rel.rows.iter().flat_map(|r| &r.cells);
+            cells
+                .filter_map(|c| match c {
+                    Cell::Atom(smv_xml::Value::Str(s)) | Cell::Content(s) => Some(s.clone()),
+                    _ => None,
+                })
+                .collect()
+        };
+        let held = strings(snap.extent("cs").unwrap());
+        let got = strings(&out);
+        assert_eq!((held.len(), got.len()), (6, 4), "two distinct rows out");
+        for s in &got {
+            assert!(held.iter().any(|h| Arc::ptr_eq(h, s)), "{s} was copied");
+        }
+    }
 }

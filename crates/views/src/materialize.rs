@@ -208,7 +208,7 @@ fn own_cells(p: &Pattern, n: PNodeId, doc: &Document, ids: &IdAssignment, x: Nod
         );
     }
     if nd.attrs.content {
-        own.push(Cell::Content(serialize_subtree(doc, x)));
+        own.push(Cell::Content(serialize_subtree(doc, x).into()));
     }
     own
 }
@@ -314,7 +314,7 @@ impl<'a> Evaluator<'a> {
             if let Some(schema) = &self.nested[c.idx()] {
                 // one table-valued cell per outer fragment (§4.5); empty
                 // table when nothing matched (Fig. 12)
-                let table = Cell::Table(NestedRelation::new(schema.clone(), sub_rows));
+                let table = Cell::Table(Box::new(NestedRelation::new(schema.clone(), sub_rows)));
                 for f in &mut fragments {
                     f.push(table.clone());
                 }

@@ -8,14 +8,17 @@
 //! way the paper's examples (Fig. 2, Fig. 9) expect.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// An atomic XML value: the content of a text node / attribute.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     /// An integer value (numeric text content).
     Int(i64),
-    /// A string value.
-    Str(Box<str>),
+    /// A string value, shared: a clone bumps a reference count, so every
+    /// cell that copies it (and every cell a segment decodes from one
+    /// dictionary slot) points at one allocation.
+    Str(Arc<str>),
 }
 
 impl Value {

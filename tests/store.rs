@@ -161,7 +161,7 @@ fn nested_and_content_cells() -> NestedRelation {
             Row::new(vec![
                 Cell::Id(StructId::Seq(2)),
                 Cell::Content("<a>text</a>".into()),
-                Cell::Table(inner),
+                Cell::Table(Box::new(inner)),
             ]),
             Row::new(vec![
                 Cell::Label(Label::intern("odd")),
