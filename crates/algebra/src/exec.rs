@@ -535,6 +535,184 @@ fn fused_scan(
     out
 }
 
+/// What a `Project` reads: its input's relation, or that relation
+/// already projected onto the `Project`'s columns.
+enum ProjectInput<'a> {
+    Whole(Cow<'a, NestedRelation>),
+    Projected(NestedRelation),
+}
+
+/// Evaluates the current `Project`'s input for `cols`. A `Scan` is fused
+/// into the projection when the provider builds it ([`fused_scan`]). A
+/// `DeriveParentId` whose source column `cols` keeps hands `cols` down
+/// to its own input the same way and, unless `cols` turns out to keep the
+/// derived column (an index equal to the input's width, known once the
+/// input is evaluated), derives nothing: it only checks its source cells,
+/// its one way to fail. Either way it is recorded and located at its own
+/// path, with its input's row count, as if it had run — rows, errors and
+/// profile are the generic path's. (When `cols` does keep the derived
+/// column, a provider asked for the fused scan declines and the scan is
+/// read again in full.)
+fn project_input<'a>(
+    input: &Plan,
+    cols: &[usize],
+    views: &'a dyn ViewProvider,
+    prof: &mut Profiler,
+    opts: &ExecOpts,
+) -> Result<ProjectInput<'a>, ExecError> {
+    if let Some(out) = fused_scan(input, cols, views, prof)? {
+        return Ok(ProjectInput::Projected(out));
+    }
+    let derive = match input {
+        Plan::DeriveParentId {
+            input: source,
+            col,
+            levels,
+            name,
+        } => cols
+            .iter()
+            .position(|c| c == col)
+            .map(|at| (source, *col, at, *levels, *name)),
+        _ => None,
+    };
+    let Some((source, col, at, levels, name)) = derive else {
+        return eval_child(input, views, prof, opts, 0).map(ProjectInput::Whole);
+    };
+    prof.path.push(0);
+    let t = prof.start();
+    let out = match project_input(source, cols, views, prof, opts) {
+        Ok(ProjectInput::Projected(rel)) => {
+            check_id_cells(&rel, at).map(|()| ProjectInput::Projected(rel))
+        }
+        Ok(ProjectInput::Whole(rel)) if cols.iter().all(|&c| c < rel.schema.len()) => {
+            check_id_cells(&rel, col).map(|()| ProjectInput::Whole(rel))
+        }
+        Ok(ProjectInput::Whole(rel)) => derive_parent_ids(rel, col, levels, name)
+            .map(|rel| ProjectInput::Whole(Cow::Owned(rel))),
+        Err(e) => Err(e),
+    };
+    match &out {
+        Ok(ProjectInput::Projected(rel)) => prof.record(rel.len(), t),
+        Ok(ProjectInput::Whole(rel)) => prof.record(rel.len(), t),
+        Err(_) => {}
+    }
+    let out = out.map_err(|e| e.locate(&prof.path, input));
+    prof.path.pop();
+    out
+}
+
+/// `Project` proper: `rel`'s columns `cols`, in that order.
+fn project(rel: Cow<'_, NestedRelation>, cols: &[usize]) -> Result<NestedRelation, ExecError> {
+    for &c in cols {
+        if c >= rel.schema.len() {
+            return Err(ExecError::Schema(format!(
+                "project column {c} out of range (schema {})",
+                rel.schema
+            )));
+        }
+    }
+    let schema = Schema {
+        cols: cols.iter().map(|&c| rel.schema.cols[c].clone()).collect(),
+    };
+    let sorted_on = rel
+        .sorted_on
+        .and_then(|s| cols.iter().position(|&c| c == s));
+    let distinct = {
+        let mut seen = vec![false; rel.schema.len()];
+        cols.iter().all(|&c| !std::mem::replace(&mut seen[c], true))
+    };
+    let rows: Vec<Row> = match rel {
+        // all-distinct projection over an owned input moves cells
+        Cow::Owned(rel) if distinct => rel
+            .rows
+            .into_iter()
+            .map(|r| {
+                let mut taken: Vec<Option<Cell>> = r.cells.into_iter().map(Some).collect();
+                Row::new(
+                    cols.iter()
+                        .map(|&c| taken[c].take().expect("distinct cols"))
+                        .collect(),
+                )
+            })
+            .collect(),
+        rel => rel
+            .rows
+            .iter()
+            .map(|r| Row::new(cols.iter().map(|&c| r.cells[c].clone()).collect()))
+            .collect(),
+    };
+    let mut out = NestedRelation::new(schema, rows);
+    out.sorted_on = sorted_on;
+    Ok(out)
+}
+
+/// `DeriveParentId`: `rel` with the `levels`-up ancestor of each row's
+/// `col` id appended (`⊥` past the root). Each row is built once, with
+/// room for the new cell.
+fn derive_parent_ids(
+    rel: Cow<'_, NestedRelation>,
+    col: usize,
+    levels: usize,
+    name: Symbol,
+) -> Result<NestedRelation, ExecError> {
+    let width = rel.schema.len() + 1;
+    let derive = |r: &Row| match &r.cells[col] {
+        Cell::Id(id) => Ok((0..levels)
+            .try_fold(id.clone(), |c, _| c.derive_parent())
+            .map_or(Cell::Null, Cell::Id)),
+        Cell::Null => Ok(Cell::Null),
+        other => Err(not_an_id(other)),
+    };
+    let mut rows = Vec::with_capacity(rel.len());
+    let (mut schema, sorted_on) = match rel {
+        Cow::Owned(rel) => {
+            for r in rel.rows {
+                let parent = derive(&r)?;
+                let mut cells = Vec::with_capacity(width);
+                cells.extend(r.cells);
+                cells.push(parent);
+                rows.push(Row::new(cells));
+            }
+            (rel.schema, rel.sorted_on)
+        }
+        Cow::Borrowed(rel) => {
+            for r in &rel.rows {
+                let parent = derive(r)?;
+                let mut cells = Vec::with_capacity(width);
+                cells.extend(r.cells.iter().cloned());
+                cells.push(parent);
+                rows.push(Row::new(cells));
+            }
+            (rel.schema.clone(), rel.sorted_on)
+        }
+    };
+    schema.cols.push(Column {
+        name,
+        kind: ColKind::Atom(AttrKind::Id),
+    });
+    let mut out = NestedRelation::new(schema, rows);
+    out.sorted_on = sorted_on;
+    Ok(out)
+}
+
+/// A parent derivation's check without the derivation: `rel`'s `col`
+/// holds only ids and `⊥`.
+fn check_id_cells(rel: &NestedRelation, col: usize) -> Result<(), ExecError> {
+    match rel
+        .rows
+        .iter()
+        .map(|r| &r.cells[col])
+        .find(|c| !matches!(c, Cell::Id(_) | Cell::Null))
+    {
+        Some(other) => Err(not_an_id(other)),
+        None => Ok(()),
+    }
+}
+
+fn not_an_id(cell: &Cell) -> ExecError {
+    ExecError::Type(format!("parent derivation on non-id cell {cell}"))
+}
+
 /// Evaluates the `idx`-th input of the current operator.
 fn eval_child<'a>(
     plan: &Plan,
@@ -628,53 +806,10 @@ fn eval_op<'a>(
                 }
             }
         }
-        Plan::Project { input, cols } => {
-            if let Some(out) = fused_scan(input, cols, views, prof)? {
-                return Ok(Cow::Owned(out));
-            }
-            let rel = eval_child(input, views, prof, opts, 0)?;
-            for &c in cols {
-                if c >= rel.schema.len() {
-                    return Err(ExecError::Schema(format!(
-                        "project column {c} out of range (schema {})",
-                        rel.schema
-                    )));
-                }
-            }
-            let schema = Schema {
-                cols: cols.iter().map(|&c| rel.schema.cols[c].clone()).collect(),
-            };
-            let sorted_on = rel
-                .sorted_on
-                .and_then(|s| cols.iter().position(|&c| c == s));
-            let distinct = {
-                let mut seen = vec![false; rel.schema.len()];
-                cols.iter().all(|&c| !std::mem::replace(&mut seen[c], true))
-            };
-            let rows: Vec<Row> = match rel {
-                // all-distinct projection over an owned input moves cells
-                Cow::Owned(rel) if distinct => rel
-                    .rows
-                    .into_iter()
-                    .map(|r| {
-                        let mut taken: Vec<Option<Cell>> = r.cells.into_iter().map(Some).collect();
-                        Row::new(
-                            cols.iter()
-                                .map(|&c| taken[c].take().expect("distinct cols"))
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-                rel => rel
-                    .rows
-                    .iter()
-                    .map(|r| Row::new(cols.iter().map(|&c| r.cells[c].clone()).collect()))
-                    .collect(),
-            };
-            let mut out = NestedRelation::new(schema, rows);
-            out.sorted_on = sorted_on;
-            Ok(Cow::Owned(out))
-        }
+        Plan::Project { input, cols } => match project_input(input, cols, views, prof, opts)? {
+            ProjectInput::Projected(out) => Ok(Cow::Owned(out)),
+            ProjectInput::Whole(rel) => project(rel, cols).map(Cow::Owned),
+        },
         Plan::IdJoin {
             left,
             right,
@@ -963,26 +1098,8 @@ fn eval_op<'a>(
             levels,
             name,
         } => {
-            let mut rel = eval_child(input, views, prof, opts, 0)?.into_owned();
-            rel.schema.cols.push(Column {
-                name: *name,
-                kind: ColKind::Atom(AttrKind::Id),
-            });
-            for r in &mut rel.rows {
-                let cell = match &r.cells[*col] {
-                    Cell::Id(id) => (0..*levels)
-                        .try_fold(id.clone(), |c, _| c.derive_parent())
-                        .map_or(Cell::Null, Cell::Id),
-                    Cell::Null => Cell::Null,
-                    other => {
-                        return Err(ExecError::Type(format!(
-                            "parent derivation on non-id cell {other}"
-                        )))
-                    }
-                };
-                r.cells.push(cell);
-            }
-            Ok(Cow::Owned(rel))
+            let rel = eval_child(input, views, prof, opts, 0)?;
+            derive_parent_ids(rel, *col, *levels, *name).map(Cow::Owned)
         }
         Plan::DupElim { input } => {
             let mut rel = eval_child(input, views, prof, opts, 0)?.into_owned();
@@ -1787,8 +1904,15 @@ mod tests {
         };
         let opts = ExecOpts::default();
         // the derived column is #2; dropped or kept, rows and profile
-        // counters are the generic path's
-        for cols in [vec![0, 1], vec![0], vec![0, 2], vec![2, 0]] {
+        // counters are the generic path's. A Project that drops it reads
+        // the scan projected; one that keeps it is declined by the
+        // provider, or not asked when its columns are not ascending
+        for (cols, asked) in [
+            (vec![0, 1], true),
+            (vec![0], true),
+            (vec![0, 2], true),
+            (vec![2, 0], false),
+        ] {
             let p = plan(0, cols.clone());
             let (want, want_prof) = execute_profiled_with(&p, &plain, &opts).unwrap();
             let (got, got_prof) = execute_profiled_with(&p, &fused, &opts).unwrap();
@@ -1800,7 +1924,10 @@ mod tests {
             }
             assert_eq!(got_prof.iter().count(), want_prof.iter().count());
             assert_eq!(got_prof.rows_at("0.0"), Some(2), "the derive's rows");
+            assert!(got_prof.time_ns_at("0.0").is_some(), "the derive is timed");
             assert!(got_prof.time_ns_at("0.0.0").is_some(), "the scan is timed");
+            let was_asked = fused.asked.lock().unwrap().pop();
+            assert_eq!(was_asked, asked.then_some(cols));
         }
         // a derive over a non-id column fails at the derive, kept or not
         for cols in [vec![0, 1], vec![1, 2]] {
