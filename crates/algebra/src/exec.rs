@@ -542,6 +542,15 @@ enum ProjectInput<'a> {
     Projected(NestedRelation),
 }
 
+impl ProjectInput<'_> {
+    fn len(&self) -> usize {
+        match self {
+            ProjectInput::Whole(rel) => rel.len(),
+            ProjectInput::Projected(rel) => rel.len(),
+        }
+    }
+}
+
 /// Evaluates the current `Project`'s input for `cols`. A `Scan` is fused
 /// into the projection when the provider builds it ([`fused_scan`]). A
 /// `DeriveParentId` whose source column `cols` keeps hands `cols` down
@@ -563,19 +572,16 @@ fn project_input<'a>(
     if let Some(out) = fused_scan(input, cols, views, prof)? {
         return Ok(ProjectInput::Projected(out));
     }
-    let derive = match input {
-        Plan::DeriveParentId {
-            input: source,
-            col,
-            levels,
-            name,
-        } => cols
-            .iter()
-            .position(|c| c == col)
-            .map(|at| (source, *col, at, *levels, *name)),
-        _ => None,
+    let Plan::DeriveParentId {
+        input: source,
+        col,
+        levels,
+        name,
+    } = input
+    else {
+        return eval_child(input, views, prof, opts, 0).map(ProjectInput::Whole);
     };
-    let Some((source, col, at, levels, name)) = derive else {
+    let Some(at) = cols.iter().position(|c| c == col) else {
         return eval_child(input, views, prof, opts, 0).map(ProjectInput::Whole);
     };
     prof.path.push(0);
@@ -585,16 +591,14 @@ fn project_input<'a>(
             check_id_cells(&rel, at).map(|()| ProjectInput::Projected(rel))
         }
         Ok(ProjectInput::Whole(rel)) if cols.iter().all(|&c| c < rel.schema.len()) => {
-            check_id_cells(&rel, col).map(|()| ProjectInput::Whole(rel))
+            check_id_cells(&rel, *col).map(|()| ProjectInput::Whole(rel))
         }
-        Ok(ProjectInput::Whole(rel)) => derive_parent_ids(rel, col, levels, name)
+        Ok(ProjectInput::Whole(rel)) => derive_parent_ids(rel, *col, *levels, *name)
             .map(|rel| ProjectInput::Whole(Cow::Owned(rel))),
         Err(e) => Err(e),
     };
-    match &out {
-        Ok(ProjectInput::Projected(rel)) => prof.record(rel.len(), t),
-        Ok(ProjectInput::Whole(rel)) => prof.record(rel.len(), t),
-        Err(_) => {}
+    if let Ok(rel) = &out {
+        prof.record(rel.len(), t);
     }
     let out = out.map_err(|e| e.locate(&prof.path, input));
     prof.path.pop();

@@ -532,7 +532,9 @@ fn decode_relation_at(
                         let slot = r.get_uv()?;
                         match &mut run {
                             Some(run) => run[k].cells.push(Cell::Content(dict.shared(slot)?)),
-                            None => _ = dict.get(slot)?,
+                            None => {
+                                dict.get(slot)?;
+                            }
                         }
                     }
                 }

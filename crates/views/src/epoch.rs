@@ -1039,7 +1039,10 @@ mod tests {
         let doc = Document::from_parens(r#"a(b(c="pen") b(c="pen") b(c="ink"))"#);
         let mut ec = EpochCatalog::new(doc, IdScheme::OrdPath);
         let pat = parse_pattern("a(//c{id,v,c})").unwrap();
-        ec.add_view(View::new("cs", pat, IdScheme::OrdPath), RefreshPolicy::Eager);
+        ec.add_view(
+            View::new("cs", pat, IdScheme::OrdPath),
+            RefreshPolicy::Eager,
+        );
         let snap = ec.snapshot();
         let plan = Plan::DupElim {
             input: Box::new(Plan::Project {

@@ -176,8 +176,16 @@ fn project_over_an_unread_parent_id_is_provider_invariant() {
         };
         let (rel, prof) = matrix.check(&plan, &[1, 4]);
         let scanned = matrix.disk().load_extent(view).unwrap().unwrap().len() as u64;
-        assert_eq!(prof.rows_at("0.0"), Some(scanned), "{view}: the derive's rows");
-        assert_eq!(prof.rows_at("0.0.0"), Some(scanned), "{view}: the scan's rows");
+        assert_eq!(
+            prof.rows_at("0.0"),
+            Some(scanned),
+            "{view}: the derive's rows"
+        );
+        assert_eq!(
+            prof.rows_at("0.0.0"),
+            Some(scanned),
+            "{view}: the scan's rows"
+        );
         if view == "items" {
             assert!(rel.set_eq(&direct), "{view}");
         }
