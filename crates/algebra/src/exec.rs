@@ -231,8 +231,9 @@ pub trait ViewProvider {
     fn extent(&self, name: &str) -> Result<&NestedRelation, ExecError>;
 
     /// `name`'s extent projected onto `cols`, built by the provider — what
-    /// a `Project` directly over `Scan(name)` asks for; the executor asks
-    /// only with strictly ascending `cols`. `Ok(None)` means the provider
+    /// a `Project` directly over `Scan(name)` asks for, or over a
+    /// parent-id derivation on it; the executor asks only with strictly
+    /// ascending `cols`. `Ok(None)` means the provider
     /// has nothing better than borrowing [`extent`] and cloning the kept
     /// cells, which the executor then does; that is the default, and the
     /// answer for a `cols` past the extent's schema, so the generic path
@@ -506,11 +507,11 @@ fn eval<'a>(
     Ok(out)
 }
 
-/// The current `Project`'s input, when it is a `Scan`, fused into it:
-/// the provider's projected extent when it builds one
-/// ([`ViewProvider::project_scan`]), recorded and located as the scan
-/// itself — its row count, the provider's time as its inclusive time, its
-/// errors at its path. `Ok(None)` leaves the input to the generic path,
+/// The input projected onto `cols` (child 0 of the current operator),
+/// when it is a `Scan`, fused into the projection: the provider's
+/// projected extent when it builds one ([`ViewProvider::project_scan`]),
+/// recorded and located as the scan itself — its row count, the
+/// provider's time as its inclusive time, its errors at its path. `Ok(None)` leaves the input to the generic path,
 /// as does a `cols` that is not strictly ascending.
 fn fused_scan(
     input: &Plan,

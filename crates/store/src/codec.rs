@@ -31,11 +31,13 @@
 //!
 //! The decoder builds what the executor wants — row-major [`Row`]s — in
 //! one pass per column: the rows are sized once and each column's cells
-//! are pushed straight into them, tag run by tag run, so a row costs the
-//! allocations it owns (its cell vector, each string) and nothing per
-//! cell. An id costs none unless its label is longer than 22 bytes: the
-//! label is rebuilt in the coder's buffer from the previous one, checked,
-//! and copied into the id inline.
+//! are pushed straight into them, tag run by tag run, so a row costs its
+//! cell vector and nothing per cell. A string costs one allocation per
+//! dictionary slot, not per cell: the first built cell that names a slot
+//! makes the slot's `Arc<str>`, and every later one shares it. An id
+//! costs none unless its label is longer than 22 bytes: the label is
+//! rebuilt in the coder's buffer from the previous one, checked, and
+//! copied into the id inline.
 //!
 //! **Projected decode.** [`decode_relation`] takes an optional column
 //! list and then builds only those columns: the rows are sized to the
@@ -102,20 +104,24 @@ impl<'a> Dict<'a> {
         })
     }
 
-    /// `slot`'s string, checked.
-    fn get(&self, slot: u64) -> Result<&'a str> {
+    /// `slot`'s index, checked.
+    fn index(&self, slot: u64) -> Result<usize> {
         usize::try_from(slot)
             .ok()
-            .and_then(|i| self.strings.get(i).copied())
+            .filter(|&i| i < self.strings.len())
             .ok_or_else(|| StoreError::Corrupt(format!("dictionary slot {slot} out of range")))
+    }
+
+    /// `slot`'s string, checked.
+    fn get(&self, slot: u64) -> Result<&'a str> {
+        Ok(self.strings[self.index(slot)?])
     }
 
     /// `slot`'s string as the slot's shared `Arc`, checked.
     fn shared(&mut self, slot: u64) -> Result<Arc<str>> {
-        let s = self.get(slot)?;
-        Ok(self.shared[slot as usize]
-            .get_or_insert_with(|| s.into())
-            .clone())
+        let i = self.index(slot)?;
+        let s = self.strings[i];
+        Ok(self.shared[i].get_or_insert_with(|| s.into()).clone())
     }
 }
 
