@@ -213,12 +213,32 @@ struct SNode {
     one_to_one: bool,
 }
 
+impl SNode {
+    /// A path no document node lies on yet.
+    fn new(label: Label, parent: Option<NodeId>, depth: u32) -> SNode {
+        SNode {
+            label,
+            parent,
+            children: Vec::new(),
+            pre: 0,
+            last_desc: 0,
+            depth,
+            count: 0,
+            parents_with: 0,
+            values: 0,
+            distinct: ValueSketch::default(),
+            strong: false,
+            one_to_one: false,
+        }
+    }
+}
+
 /// Summary nodes with at most this many children find one by label with a
 /// scan; wider ones through a map, so a path with many distinct child
-/// labels keeps [`Summary::extend_with`] linear.
+/// labels keeps a summary pass linear.
 const SCAN_FANOUT: usize = 8;
 
-/// The `(path, label) → child path` lookup of one [`Summary::extend_with`].
+/// The `(path, label) → child path` lookup of one summary pass.
 struct EdgeIndex {
     /// The children of every path wider than [`SCAN_FANOUT`]. Labels are
     /// input, so this map keeps std's keyed hasher.
@@ -263,6 +283,45 @@ impl EdgeIndex {
             self.wide.insert((sp.0, nodes[c.idx()].label), c);
         }
     }
+}
+
+/// What the folds of one summary pass share ([`Summary::fold`]).
+struct Fold {
+    edges: EdgeIndex,
+    /// Per path, the last document parent counted into `parents_with`.
+    /// Nodes on one path share a depth, so between two children of one
+    /// parent a pre-order walk visits no other node on their path: the
+    /// stamp counts each parent once.
+    last_parent: Vec<u32>,
+    /// Per path, whether a subtracted node carried a value: the path's
+    /// sketch, which cannot subtract, is rebuilt.
+    dirty: Vec<bool>,
+}
+
+impl Fold {
+    fn over(nodes: &[SNode]) -> Fold {
+        Fold {
+            edges: EdgeIndex::over(nodes),
+            last_parent: vec![u32::MAX; nodes.len()],
+            dirty: vec![false; nodes.len()],
+        }
+    }
+}
+
+/// Moves a summary statistic by `sign` (±1).
+fn bump(stat: &mut u64, sign: i64) {
+    *stat = stat
+        .checked_add_signed(sign)
+        .expect("a summary statistic below zero");
+}
+
+/// The path of the current node's parent `dp`, from the stack of the
+/// current node's ancestors and their paths a pre-order walk keeps.
+fn parent_path(stack: &mut Vec<(NodeId, NodeId)>, dp: NodeId) -> NodeId {
+    while stack.last().expect("the parent was walked").0 != dp {
+        stack.pop();
+    }
+    stack.last().expect("the parent was walked").1
 }
 
 /// The strong Dataguide of one or more documents, with enhanced-summary
@@ -391,20 +450,7 @@ impl Summary {
     /// ```
     pub fn extend_with(&mut self, doc: &Document) {
         if self.nodes.is_empty() {
-            self.nodes.push(SNode {
-                label: doc.label(doc.root()),
-                parent: None,
-                children: Vec::new(),
-                pre: 0,
-                last_desc: 0,
-                depth: 0,
-                count: 0,
-                parents_with: 0,
-                values: 0,
-                distinct: ValueSketch::default(),
-                strong: false,
-                one_to_one: false,
-            });
+            self.nodes.push(SNode::new(doc.label(doc.root()), None, 0));
         }
         assert_eq!(
             self.nodes[0].label,
@@ -412,63 +458,72 @@ impl Summary {
             "summary and document root labels must agree"
         );
         self.docs += 1;
-        // one pass in document order, so a node's parent is mapped before
-        // the node: document node -> summary node
-        let mut doc2sum: Vec<NodeId> = vec![NodeId(0); doc.len()];
-        let mut edges = EdgeIndex::over(&self.nodes);
-        // per path, the last document parent counted into `parents_with`.
-        // Nodes on one path share a depth, so between two children of one
-        // parent the pass visits no other node on their path: the stamp
-        // counts each parent once.
-        let mut last_parent: Vec<u32> = vec![u32::MAX; self.nodes.len()];
-        for dn in doc.iter() {
-            let sn = match doc.parent(dn) {
-                None => NodeId(0),
-                Some(dp) => {
-                    let sp = doc2sum[dp.idx()];
-                    let label = doc.label(dn);
-                    let sn = match edges.child(&self.nodes, sp, label) {
-                        Some(sn) => sn,
-                        None => {
-                            let sn = NodeId(self.nodes.len() as u32);
-                            self.nodes.push(SNode {
-                                label,
-                                parent: Some(sp),
-                                children: Vec::new(),
-                                pre: 0,
-                                last_desc: 0,
-                                depth: self.nodes[sp.idx()].depth + 1,
-                                count: 0,
-                                parents_with: 0,
-                                values: 0,
-                                distinct: ValueSketch::default(),
-                                strong: false,
-                                one_to_one: false,
-                            });
-                            self.nodes[sp.idx()].children.push(sn);
-                            edges.added(&self.nodes, sp);
-                            last_parent.push(u32::MAX);
-                            sn
-                        }
-                    };
-                    if std::mem::replace(&mut last_parent[sn.idx()], dp.0) != dp.0 {
-                        self.nodes[sn.idx()].parents_with += 1;
+        self.fold(&mut Fold::over(&self.nodes), doc, doc.root(), None, 1);
+        self.refresh_edge_classes();
+        self.recompute_order();
+        self.geometry_gen += 1;
+    }
+
+    /// The one summary pass: adds (`sign` 1) or subtracts (`sign` −1) the
+    /// subtree of `doc` at `root`, whose parent lies on path `under`
+    /// (`None`: `root` is the document root, on the summary root). Each
+    /// node maps to a path top-down, its parent's path then its label; an
+    /// added node whose path is missing creates it. Counts, value counts
+    /// and the `parents_with` of edges *inside* the subtree move by
+    /// `sign`; the edge into `root` is the caller's. An added value goes
+    /// into its path's sketch, in pre-order; a subtracted one marks the
+    /// path dirty. Returns whether the pass created paths.
+    fn fold(
+        &mut self,
+        f: &mut Fold,
+        doc: &Document,
+        root: NodeId,
+        under: Option<NodeId>,
+        sign: i64,
+    ) -> bool {
+        let paths_before = self.nodes.len();
+        let mut stack: Vec<(NodeId, NodeId)> = Vec::new();
+        for dn in doc.subtree(root) {
+            let sn = match (dn == root, under) {
+                (true, None) => NodeId(0),
+                (true, Some(sp)) => self.child_or_new(f, sp, doc.label(dn)),
+                (false, _) => {
+                    let dp = doc.parent(dn).expect("below the subtree root");
+                    let sn = self.child_or_new(f, parent_path(&mut stack, dp), doc.label(dn));
+                    if std::mem::replace(&mut f.last_parent[sn.idx()], dp.0) != dp.0 {
+                        bump(&mut self.nodes[sn.idx()].parents_with, sign);
                     }
                     sn
                 }
             };
-            doc2sum[dn.idx()] = sn;
+            stack.push((dn, sn));
             let node = &mut self.nodes[sn.idx()];
-            node.count += 1;
-            // per-path value statistics (selectivity estimation)
+            bump(&mut node.count, sign);
             if let Some(v) = doc.value(dn) {
-                node.values += 1;
-                node.distinct.insert(v);
+                bump(&mut node.values, sign);
+                if sign > 0 {
+                    node.distinct.insert(v);
+                } else {
+                    f.dirty[sn.idx()] = true;
+                }
             }
         }
-        self.refresh_edge_classes();
-        self.recompute_order();
-        self.geometry_gen += 1;
+        self.nodes.len() > paths_before
+    }
+
+    /// The child of path `sp` labeled `label`, created if missing.
+    fn child_or_new(&mut self, f: &mut Fold, sp: NodeId, label: Label) -> NodeId {
+        if let Some(c) = f.edges.child(&self.nodes, sp, label) {
+            return c;
+        }
+        let c = NodeId(self.nodes.len() as u32);
+        let depth = self.nodes[sp.idx()].depth + 1;
+        self.nodes.push(SNode::new(label, Some(sp), depth));
+        self.nodes[sp.idx()].children.push(c);
+        f.edges.added(&self.nodes, sp);
+        f.last_parent.push(u32::MAX);
+        f.dirty.push(false);
+        c
     }
 
     /// Recomputes strong/one-to-one flags from counts.
@@ -758,14 +813,15 @@ impl Summary {
     //
     // The methods below keep a summary exact while its document changes
     // in place, instead of re-summarizing from scratch. They are the
-    // smv-summary half of epoch maintenance (see smv-views): counts,
-    // value counts and interior fan-out statistics update additively /
-    // subtractively; distinct sketches — which cannot subtract — are
-    // rebuilt per dirty path from the surviving values. Summary paths
-    // are **append-only**: a path whose count drops to zero keeps its
-    // node, so summary `NodeId`s (which classify maps key on) stay
-    // stable across maintenance. This trades a little precision (a dead
-    // path admits more documents, which is sound for containment —
+    // smv-summary half of epoch maintenance (see smv-views): the batch's
+    // fragments fold in and its deleted subtrees fold out through the
+    // pass that builds the summary, so counts, value counts and interior
+    // fan-out statistics update additively / subtractively; distinct
+    // sketches — which cannot subtract — are rebuilt per dirty path from
+    // the surviving values. Summary paths are **append-only**: a path
+    // whose count drops to zero keeps its node, so summary `NodeId`s
+    // stay stable across maintenance. This trades a little precision (a
+    // dead path admits more documents, which is sound for containment —
     // conformance is a ⊆ check) for never invalidating state derived
     // from a geometry that didn't structurally change.
 
@@ -787,172 +843,14 @@ impl Summary {
         }
     }
 
-    /// Folds the subtree of `doc` rooted at `root` into the summary,
-    /// hanging the root's path under the existing path `under` (the
-    /// summary node of the root's *parent* in `doc`). Node counts, value
-    /// counts, distinct sketches and **interior** fan-out statistics
-    /// (`parents_with` for edges whose parent node lies inside the
-    /// subtree) update exactly; the boundary edge — whether `root`'s
-    /// document parent newly gained a child on the root's path — is the
-    /// caller's to settle via [`Self::adjust_parents_with`], because
-    /// only the caller can see the before/after child sets of the
-    /// parent.
-    ///
-    /// Returns `true` when the subtree introduced paths the summary had
-    /// never seen (the geometry generation is bumped and pre-order ranks
-    /// recomputed).
-    fn graft_subtree(&mut self, doc: &Document, root: NodeId, under: NodeId) -> bool {
-        let mut created = false;
-        // map for the grafted subtree only, keyed by arena index
-        let mut sub2sum: HashMap<u32, NodeId> = HashMap::new();
-        for dn in doc.subtree(root) {
-            let sp = if dn == root {
-                under
-            } else {
-                sub2sum[&doc.parent(dn).expect("subtree interior").0]
-            };
-            let label = doc.label(dn);
-            let sn = match self
-                .children(sp)
-                .iter()
-                .copied()
-                .find(|&c| self.label(c) == label)
-            {
-                Some(c) => c,
-                None => {
-                    created = true;
-                    let c = NodeId(self.nodes.len() as u32);
-                    self.nodes.push(SNode {
-                        label,
-                        parent: Some(sp),
-                        children: Vec::new(),
-                        pre: 0,
-                        last_desc: 0,
-                        depth: self.nodes[sp.idx()].depth + 1,
-                        count: 0,
-                        parents_with: 0,
-                        values: 0,
-                        distinct: ValueSketch::default(),
-                        strong: false,
-                        one_to_one: false,
-                    });
-                    self.nodes[sp.idx()].children.push(c);
-                    c
-                }
-            };
-            sub2sum.insert(dn.0, sn);
-            self.nodes[sn.idx()].count += 1;
-            if let Some(v) = doc.value(dn) {
-                self.nodes[sn.idx()].values += 1;
-                self.nodes[sn.idx()].distinct.insert(v);
-            }
-        }
-        // interior fan-out: every subtree node is brand new, so it "has a
-        // child on path sc" for each distinct child path exactly once
-        for dn in doc.subtree(root) {
-            let mut seen: Vec<NodeId> = Vec::new();
-            for &c in doc.children(dn) {
-                if c.0 > doc.last_descendant(root).0 || c.0 < root.0 {
-                    continue; // outside the graft (cannot happen for a subtree)
-                }
-                let sc = sub2sum[&c.0];
-                if !seen.contains(&sc) {
-                    seen.push(sc);
-                    self.nodes[sc.idx()].parents_with += 1;
-                }
-            }
-        }
-        if created {
-            self.recompute_order();
-            self.geometry_gen += 1;
-        }
-        created
-    }
-
-    /// Subtracts the subtree of `doc` (a *previous* document version)
-    /// rooted at `root` from the summary. `map` is a classify map of
-    /// that document version against this summary
-    /// ([`Summary::classify`]); paths stay in place even at count zero.
-    /// Interior fan-out statistics subtract exactly (a dying node "had a
-    /// child on path sc" exactly once per distinct child path); the
-    /// boundary edge is again the caller's, via
-    /// [`Self::adjust_parents_with`].
-    ///
-    /// Distinct-value sketches cannot subtract; instead the summary
-    /// paths that lost valued nodes are returned (deduplicated) so the
-    /// caller can re-derive them from the surviving document with
-    /// [`Self::rebuild_path_values`].
-    fn prune_subtree(&mut self, doc: &Document, map: &[NodeId], root: NodeId) -> Vec<NodeId> {
-        let mut dirty: Vec<NodeId> = Vec::new();
-        for dn in doc.subtree(root) {
-            let sn = map[dn.idx()];
-            let node = &mut self.nodes[sn.idx()];
-            debug_assert!(node.count > 0, "pruning below zero on {sn:?}");
-            node.count -= 1;
-            if doc.value(dn).is_some() {
-                node.values -= 1;
-                if !dirty.contains(&sn) {
-                    dirty.push(sn);
-                }
-            }
-            let mut seen: Vec<NodeId> = Vec::new();
-            for &c in doc.children(dn) {
-                let sc = map[c.idx()];
-                if !seen.contains(&sc) {
-                    seen.push(sc);
-                    self.nodes[sc.idx()].parents_with -= 1;
-                }
-            }
-        }
-        dirty
-    }
-
-    /// Adjusts the `parents_with` statistic of `path` by `delta` — the
-    /// boundary bookkeeping for [`Self::graft_subtree`] /
-    /// [`Self::prune_subtree`]: +1 when a surviving parent gained its
-    /// first child on `path`, −1 when it lost its last, 0 when it had
-    /// children on the path both before and after the batch.
-    fn adjust_parents_with(&mut self, path: NodeId, delta: i64) {
-        let n = &mut self.nodes[path.idx()];
-        n.parents_with = n
-            .parents_with
-            .checked_add_signed(delta)
-            .expect("parents_with underflow");
-    }
-
-    /// Rebuilds the distinct-value sketch (and re-derives the valued-node
-    /// count) of each path in `dirty` from the current document, classified
-    /// by `map` (`map[node] = summary path`) — the exact-subtraction escape
-    /// hatch for deletions: while a sketch is unsaturated this reproduces
-    /// precisely what from-scratch ingest of `doc` would hold for that
-    /// path.
-    fn rebuild_path_values(&mut self, dirty: &[NodeId], doc: &Document, map: &[NodeId]) {
-        let mut is_dirty = vec![false; self.nodes.len()];
-        for &p in dirty {
-            self.nodes[p.idx()].distinct = ValueSketch::default();
-            self.nodes[p.idx()].values = 0;
-            is_dirty[p.idx()] = true;
-        }
-        for dn in doc.iter() {
-            let sn = map[dn.idx()];
-            if !is_dirty[sn.idx()] {
-                continue;
-            }
-            if let Some(v) = doc.value(dn) {
-                self.nodes[sn.idx()].values += 1;
-                self.nodes[sn.idx()].distinct.insert(v);
-            }
-        }
-    }
-
     /// Maintains this summary across one applied live-document batch
-    /// ([`smv_xml::LiveDoc::apply`]): prunes deleted subtrees, grafts
-    /// inserted fragments, settles the boundary fan-out deltas from the
-    /// parents' before/after child sets, rebuilds dirty value sketches
-    /// from the surviving document, and refreshes edge classes. Returns
-    /// `true` when the batch introduced new paths (geometry changed, so
-    /// anything stamped with the old [`Summary::geometry_token`] is now
-    /// stale).
+    /// ([`smv_xml::LiveDoc::apply`]) from the batch alone: folds each
+    /// deleted subtree out of it and each inserted fragment into it,
+    /// settles the fan-out of the edge into every such root from the
+    /// batch's own tallies, rebuilds the sketches of the paths that lost
+    /// values from `new_doc`, and refreshes edge classes. Returns `true`
+    /// when the batch introduced new paths (geometry changed, so anything
+    /// stamped with the old [`Summary::geometry_token`] is now stale).
     ///
     /// Statistics come out exactly as additive arithmetic dictates:
     /// counts, value counts, fan-outs and unsaturated distinct sets all
@@ -962,117 +860,104 @@ impl Summary {
     /// summary node at count zero, preserving summary `NodeId` stability
     /// for everything keyed on it.
     pub fn apply_update(&mut self, applied: &smv_xml::AppliedBatch, new_doc: &Document) -> bool {
-        let old_map = self
-            .classify(&applied.old_doc)
-            .expect("the maintained document conforms to its summary");
-        self.apply_update_with(applied, new_doc, &old_map).0
-    }
-
-    /// [`Self::apply_update`] with the pre-update document's
-    /// classification supplied by the caller — maintainers that keep the
-    /// live document's classification across batches skip an O(doc)
-    /// pass. Hands
-    /// back the post-update classification of `new_doc`, derived
-    /// incrementally rather than re-searched: paths are append-only, so
-    /// surviving nodes keep their summary nodes, and only inserted
-    /// subtrees classify against the freshly grafted geometry. The
-    /// returned map is taken after all prune/graft geometry changes and
-    /// stays valid afterwards — callers can cache it for the next batch.
-    pub fn apply_update_with(
-        &mut self,
-        applied: &smv_xml::AppliedBatch,
-        new_doc: &Document,
-        old_map: &[NodeId],
-    ) -> (bool, Vec<NodeId>) {
         let old_doc = &applied.old_doc;
-        let mut new_to_old: Vec<Option<NodeId>> = vec![None; new_doc.len()];
-        for (o, n) in applied.old_to_new.iter().enumerate() {
-            if let Some(n) = n {
-                new_to_old[n.idx()] = Some(NodeId(o as u32));
-            }
-        }
-        let mut dirty: Vec<NodeId> = Vec::new();
-        for &r in &applied.deleted_roots {
-            for p in self.prune_subtree(old_doc, old_map, r) {
-                if !dirty.contains(&p) {
-                    dirty.push(p);
-                }
-            }
-        }
-        let mut created = false;
-        for &r in &applied.inserted_roots {
-            let p_new = new_doc.parent(r).expect("fragment root has a parent");
-            let p_old = new_to_old[p_new.idx()].expect("insert parents survive");
-            created |= self.graft_subtree(new_doc, r, old_map[p_old.idx()]);
-        }
-        // boundary fan-out: for every (surviving parent, child label)
-        // touched by the batch, compare had-a-child before vs after
-        let mut touched: Vec<(NodeId, Label)> = Vec::new();
+        let mut f = Fold::over(&self.nodes);
+        // per (surviving parent in `new_doc`, root label): the parent's
+        // path, and the batch's inserted roots less its deleted ones
+        let mut roots: HashMap<(NodeId, Label), (NodeId, i64)> = HashMap::new();
         for &r in &applied.deleted_roots {
             let p_old = old_doc.parent(r).expect("cover roots keep their parent");
-            let pair = (p_old, old_doc.label(r));
-            if !touched.contains(&pair) {
-                touched.push(pair);
-            }
+            let p = applied.old_to_new[p_old.idx()].expect("the parent survives");
+            let tally = roots
+                .entry((p, old_doc.label(r)))
+                .or_insert_with(|| (self.path_of(&f.edges, new_doc, p), 0));
+            tally.1 -= 1;
+            let under = tally.0;
+            self.fold(&mut f, old_doc, r, Some(under), -1);
         }
+        // the stamps are node ids, which `new_doc` numbers anew
+        f.last_parent.fill(u32::MAX);
+        let mut created = false;
         for &r in &applied.inserted_roots {
-            let p_new = new_doc.parent(r).expect("fragment root has a parent");
-            let p_old = new_to_old[p_new.idx()].expect("insert parents survive");
-            let pair = (p_old, new_doc.label(r));
-            if !touched.contains(&pair) {
-                touched.push(pair);
+            let p = new_doc.parent(r).expect("fragment root has a parent");
+            let tally = roots
+                .entry((p, new_doc.label(r)))
+                .or_insert_with(|| (self.path_of(&f.edges, new_doc, p), 0));
+            tally.1 += 1;
+            let under = tally.0;
+            // one geometry generation per fragment that creates paths
+            if self.fold(&mut f, new_doc, r, Some(under), 1) {
+                self.geometry_gen += 1;
+                created = true;
             }
         }
-        for (p_old, label) in touched {
-            let before = old_doc
-                .children(p_old)
+        // the edge into each root: a child with its label before the
+        // batch is one now, less what the batch inserted, plus what it
+        // deleted
+        for ((p, label), (under, net)) in roots {
+            let now = new_doc
+                .children(p)
                 .iter()
-                .any(|&c| old_doc.label(c) == label);
-            let p_new = applied.old_to_new[p_old.idx()].expect("parent survives");
-            let after = new_doc
-                .children(p_new)
-                .iter()
-                .any(|&c| new_doc.label(c) == label);
-            if before != after {
-                let q = self
-                    .children(old_map[p_old.idx()])
-                    .iter()
-                    .copied()
-                    .find(|&c| self.label(c) == label)
-                    .expect("touched path exists after prune/graft");
-                self.adjust_parents_with(q, if after { 1 } else { -1 });
+                .filter(|&&c| new_doc.label(c) == label)
+                .count() as i64;
+            if (now - net > 0) != (now > 0) {
+                let q = f.edges.child(&self.nodes, under, label).expect("folded");
+                bump(&mut self.nodes[q.idx()].parents_with, if now > 0 { 1 } else { -1 });
             }
         }
-        // post-update classification, derived incrementally: survivors
-        // keep their summary node (paths are append-only), and inserted
-        // subtrees classify top-down — pre-order guarantees a node's
-        // parent is mapped first, and fragment roots hang under survivors
-        let mut new_map = vec![NodeId(0); new_doc.len()];
-        for (o, n) in applied.old_to_new.iter().enumerate() {
-            if let Some(n) = n {
-                new_map[n.idx()] = old_map[o];
-            }
-        }
-        for &r in &applied.inserted_roots {
-            for dn in (r.0..=new_doc.last_descendant(r).0).map(NodeId) {
-                let sp = new_map[new_doc
-                    .parent(dn)
-                    .expect("inserted nodes have parents")
-                    .idx()];
-                let label = new_doc.label(dn);
-                new_map[dn.idx()] = self
-                    .children(sp)
-                    .iter()
-                    .copied()
-                    .find(|&c| self.label(c) == label)
-                    .expect("grafted path exists");
-            }
-        }
-        if !dirty.is_empty() {
-            self.rebuild_path_values(&dirty, new_doc, &new_map);
+        self.rebuild_sketches(&f, new_doc);
+        if created {
+            self.recompute_order();
         }
         self.refresh_edge_classes();
-        (created, new_map)
+        created
+    }
+
+    /// The path of `doc`'s node `n`: its labels from the root, walked
+    /// down the summary.
+    fn path_of(&self, edges: &EdgeIndex, doc: &Document, n: NodeId) -> NodeId {
+        doc.path_labels(n)[1..].iter().fold(NodeId(0), |sp, &label| {
+            edges
+                .child(&self.nodes, sp, label)
+                .expect("a surviving node's path exists")
+        })
+    }
+
+    /// Rebuilds the sketch of every path [`Self::fold`] marked dirty from
+    /// the values on it in `doc`, inserted in document order as a build
+    /// inserts them: while a sketch is unsaturated this is exactly what
+    /// from-scratch summarization holds for the path. The walk maps nodes
+    /// top-down like the fold, and skips each subtree whose path is no
+    /// ancestor-or-self of a dirty path.
+    fn rebuild_sketches(&mut self, f: &Fold, doc: &Document) {
+        let mut wanted = vec![false; self.nodes.len()];
+        for p in (0..self.nodes.len()).filter(|&p| f.dirty[p]) {
+            self.nodes[p].distinct = ValueSketch::default();
+            let mut up = Some(NodeId(p as u32));
+            while let Some(a) = up.filter(|a| !std::mem::replace(&mut wanted[a.idx()], true)) {
+                up = self.nodes[a.idx()].parent;
+            }
+        }
+        let mut stack: Vec<(NodeId, NodeId)> = Vec::new();
+        let mut dn = doc.root();
+        while dn.idx() < doc.len() {
+            let sn = match doc.parent(dn) {
+                None => NodeId(0),
+                Some(dp) => f
+                    .edges
+                    .child(&self.nodes, parent_path(&mut stack, dp), doc.label(dn))
+                    .expect("the document's paths exist"),
+            };
+            if !wanted[sn.idx()] {
+                dn = NodeId(doc.last_descendant(dn).0 + 1);
+                continue;
+            }
+            if let Some(v) = doc.value(dn).filter(|_| f.dirty[sn.idx()]) {
+                self.nodes[sn.idx()].distinct.insert(v);
+            }
+            stack.push((dn, sn));
+            dn = NodeId(dn.0 + 1);
+        }
     }
 }
 
@@ -1586,20 +1471,7 @@ mod tests {
         /// with a child on each path.
         fn extend_with_reference(&mut self, doc: &Document) {
             if self.nodes.is_empty() {
-                self.nodes.push(SNode {
-                    label: doc.label(doc.root()),
-                    parent: None,
-                    children: Vec::new(),
-                    pre: 0,
-                    last_desc: 0,
-                    depth: 0,
-                    count: 0,
-                    parents_with: 0,
-                    values: 0,
-                    distinct: ValueSketch::default(),
-                    strong: false,
-                    one_to_one: false,
-                });
+                self.nodes.push(SNode::new(doc.label(doc.root()), None, 0));
             }
             self.docs += 1;
             let mut doc2sum: Vec<NodeId> = vec![NodeId(0); doc.len()];
@@ -1617,20 +1489,8 @@ mod tests {
                     Some(&sn) => sn,
                     None => {
                         let sn = NodeId(self.nodes.len() as u32);
-                        self.nodes.push(SNode {
-                            label,
-                            parent: Some(sp),
-                            children: Vec::new(),
-                            pre: 0,
-                            last_desc: 0,
-                            depth: self.nodes[sp.idx()].depth + 1,
-                            count: 0,
-                            parents_with: 0,
-                            values: 0,
-                            distinct: ValueSketch::default(),
-                            strong: false,
-                            one_to_one: false,
-                        });
+                        let depth = self.nodes[sp.idx()].depth + 1;
+                        self.nodes.push(SNode::new(label, Some(sp), depth));
                         self.nodes[sp.idx()].children.push(sn);
                         edge.insert((sp.0, label), sn);
                         sn

@@ -255,9 +255,9 @@ pub struct MaintenanceReport {
     /// refresh (publication excluded — see
     /// [`publish_ns`](Self::publish_ns)).
     pub maintain_ns: u64,
-    /// Nanoseconds freeing the pre-batch document, its IDs and its
-    /// classification once maintenance no longer reads them — before the
-    /// publish, so readers never wait on it.
+    /// Nanoseconds freeing the pre-batch document and its IDs once
+    /// maintenance no longer reads them — before the publish, so readers
+    /// never wait on it.
     pub release_ns: u64,
     /// Nanoseconds atomically publishing the new epoch (snapshot
     /// assembly and pointer swap) — the readers-visible cutover cost.
@@ -279,15 +279,13 @@ struct Registered {
 
 /// The mutable handle of the epoch store: owns the live document, the
 /// maintained summary and the evolving per-view state, and publishes an
-/// immutable [`CatalogEpoch`] after every change.
+/// immutable [`CatalogEpoch`] after every change. The summary is
+/// maintained from each applied batch alone ([`Summary::apply_update`]),
+/// so the catalog keeps nothing per document node beside the live
+/// document itself.
 pub struct EpochCatalog {
     live: LiveDoc,
     summary: Summary,
-    /// Classification of the current live document (`classes[node] =
-    /// summary path`), carried across batches — [`Summary::classify`] is
-    /// an O(doc) label search, so maintenance derives the next map
-    /// incrementally instead of recomputing it.
-    classes: Vec<NodeId>,
     registered: Vec<Registered>,
     extents: HashMap<String, Arc<NestedRelation>>,
     epoch: u64,
@@ -301,9 +299,6 @@ impl EpochCatalog {
     pub fn new(doc: Document, scheme: IdScheme) -> EpochCatalog {
         let live = LiveDoc::new(doc, scheme);
         let summary = Summary::of(live.doc());
-        let classes = summary
-            .classify(live.doc())
-            .expect("a document conforms to its own summary");
         let published = EpochReader::new(Arc::new(CatalogEpoch {
             epoch: 0,
             views: Vec::new(),
@@ -313,7 +308,6 @@ impl EpochCatalog {
         EpochCatalog {
             live,
             summary,
-            classes,
             registered: Vec::new(),
             extents: HashMap::new(),
             epoch: 0,
@@ -479,13 +473,7 @@ impl EpochCatalog {
         let applied = self.live.apply(batch)?;
         let t_ingested = Instant::now();
 
-        // the cached classification of the pre-update document drives the
-        // summary's own maintenance pass
-        let old_classes = std::mem::take(&mut self.classes);
-        let (geometry_changed, new_classes) =
-            self.summary
-                .apply_update_with(&applied, self.live.doc(), &old_classes);
-        self.classes = new_classes;
+        let geometry_changed = self.summary.apply_update(&applied, self.live.doc());
 
         let mut report = MaintenanceReport {
             epoch: 0, // stamped at publish
@@ -536,12 +524,11 @@ impl EpochCatalog {
         let t_maintained = Instant::now();
         report.maintain_ns = (t_maintained - t_ingested).as_nanos() as u64;
 
-        // the pre-batch document, its IDs and its classification are
-        // freed (milliseconds on a large document) before the publish,
-        // not between it and the caller's reaction to it
+        // the pre-batch document and its IDs are freed (milliseconds on a
+        // large document) before the publish, not between it and the
+        // caller's reaction to it
         drop(delta);
         drop(applied);
-        drop(old_classes);
         let t_released = Instant::now();
         report.release_ns = (t_released - t_maintained).as_nanos() as u64;
 
