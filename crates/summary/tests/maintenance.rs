@@ -1,52 +1,15 @@
 //! Incremental summary maintenance equals from-scratch summarization.
 
+mod common;
+
+use common::summaries_agree;
 use smv_summary::Summary;
 use smv_xml::{Document, IdScheme, LiveDoc, StructId, UpdateBatch};
 
-/// Asserts the maintained summary agrees with `Summary::of(new_doc)` on
-/// every path the new document still uses: counts, value counts,
-/// distinct values, fan-outs and edge classes. (The maintained summary
-/// may additionally hold dead paths at count zero — append-only by
-/// design.)
+/// Panics unless the maintained summary agrees with a from-scratch one
+/// of `doc` ([`summaries_agree`]).
 fn assert_stats_match(maintained: &Summary, doc: &Document) {
-    let fresh = Summary::of(doc);
-    for n in fresh.iter() {
-        let path = fresh.path_string(n);
-        let m = maintained
-            .node_by_path(&path)
-            .unwrap_or_else(|| panic!("maintained summary lost path {path}"));
-        assert_eq!(maintained.count(m), fresh.count(n), "count at {path}");
-        assert_eq!(
-            maintained.value_count(m),
-            fresh.value_count(n),
-            "values at {path}"
-        );
-        assert_eq!(
-            maintained.distinct_values(m),
-            fresh.distinct_values(n),
-            "distinct at {path}"
-        );
-        assert_eq!(
-            maintained.is_strong_edge(m),
-            fresh.is_strong_edge(n),
-            "strong at {path}"
-        );
-        assert_eq!(
-            maintained.is_one_to_one_edge(m),
-            fresh.is_one_to_one_edge(n),
-            "one-to-one at {path}"
-        );
-        assert!(
-            (maintained.avg_fanout(m) - fresh.avg_fanout(n)).abs() < 1e-12,
-            "fanout at {path}"
-        );
-    }
-    // dead paths carry no mass
-    for n in maintained.iter() {
-        if fresh.node_by_path(&maintained.path_string(n)).is_none() {
-            assert_eq!(maintained.count(n), 0, "live path missing from fresh");
-        }
-    }
+    summaries_agree(maintained, &Summary::of(doc)).unwrap();
 }
 
 fn id_by_path(live: &LiveDoc, path: &[&str]) -> StructId {

@@ -9,25 +9,14 @@
 //! any one: an unsound second-ranked rewriting fails it. Rewriter
 //! completeness itself is covered by `tests/end_to_end.rs`.
 
+mod common;
+
+use common::tree_strategy;
 use proptest::prelude::*;
 use smv::prelude::*;
 use smv::store::ProviderMatrix;
 
 const SCHEMES: [IdScheme; 3] = [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential];
-
-/// Small random labeled trees in parenthesized notation (mirrors
-/// `tests/properties.rs`).
-fn tree_strategy() -> impl Strategy<Value = String> {
-    let leaf = (0u8..4, proptest::option::of(0i64..5)).prop_map(|(l, v)| match v {
-        Some(v) => format!("{}=\"{v}\"", (b'a' + l) as char),
-        None => format!("{}", (b'a' + l) as char),
-    });
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        (0u8..4, proptest::collection::vec(inner, 1..4))
-            .prop_map(|(l, kids)| format!("{}({})", (b'a' + l) as char, kids.join(" ")))
-    })
-    .prop_map(|body| format!("r({body})"))
-}
 
 /// The paper's Figure 1 document, in parenthesized form.
 fn figure1_doc() -> Document {

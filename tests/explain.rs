@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::materialized;
+use common::{materialized, tree_strategy};
 use proptest::prelude::*;
 use smv::datagen::pr2_workload;
 use smv::prelude::*;
@@ -108,19 +108,6 @@ fn feedback_tightens_explain_analyze_q_error() {
     let (before, after) = (before.max_q_error().unwrap(), after.max_q_error().unwrap());
     assert!(before > 10.0, "static q-error {before}");
     assert_eq!(after, 1.0, "corrected q-error");
-}
-
-/// A strategy for small random labeled trees in parenthesized notation.
-fn tree_strategy() -> impl Strategy<Value = String> {
-    let leaf = (0u8..4, proptest::option::of(0i64..5)).prop_map(|(l, v)| match v {
-        Some(v) => format!("{}=\"{v}\"", (b'a' + l) as char),
-        None => format!("{}", (b'a' + l) as char),
-    });
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        (0u8..4, proptest::collection::vec(inner, 1..4))
-            .prop_map(|(l, kids)| format!("{}({})", (b'a' + l) as char, kids.join(" ")))
-    })
-    .prop_map(|body| format!("r({body})"))
 }
 
 proptest! {

@@ -2,27 +2,15 @@
 
 mod common;
 
+use common::tree_strategy;
 use proptest::prelude::*;
 use smv::pattern::MatchTarget;
 use smv::prelude::*;
 use smv::xml::{DeweyId, IdAssignment, LabeledTree, NodeId, OrdPath};
 use std::collections::HashSet;
 
-/// A strategy for small random labeled trees in parenthesized notation.
-fn tree_strategy() -> impl Strategy<Value = String> {
-    // recursive tree over a 4-label alphabet with optional small values
-    let leaf = (0u8..4, proptest::option::of(0i64..5)).prop_map(|(l, v)| match v {
-        Some(v) => format!("{}=\"{v}\"", (b'a' + l) as char),
-        None => format!("{}", (b'a' + l) as char),
-    });
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        (0u8..4, proptest::collection::vec(inner, 1..4))
-            .prop_map(|(l, kids)| format!("{}({})", (b'a' + l) as char, kids.join(" ")))
-    })
-    .prop_map(|body| format!("r({body})"))
-}
-
-/// A strategy for small conjunctive patterns over the same alphabet.
+/// A strategy for small conjunctive patterns over the alphabet of
+/// [`tree_strategy`].
 fn pattern_strategy() -> impl Strategy<Value = String> {
     let node = (0u8..4, 0u8..3).prop_map(|(l, kind)| {
         let name = if kind == 2 {

@@ -2,8 +2,11 @@
 //! marking [`Matcher`] against the per-candidate scan it replaced,
 //! interval-scoped materialization against the embedding enumerator,
 //! `LiveDoc`'s index-free ID lookup against a linear search, and anchored
-//! refresh against a from-scratch rebuild — over random documents,
-//! patterns and update batches, on all three ID schemes.
+//! refresh and summary maintenance against a from-scratch rebuild — over
+//! random documents, patterns and update batches, on all three ID schemes.
+
+#[path = "../crates/summary/tests/common/mod.rs"]
+mod summary_check;
 
 use proptest::prelude::*;
 use smv::algebra::{Cell, ViewProvider};
@@ -12,6 +15,7 @@ use smv::prelude::*;
 use smv::xml::{IdAssignment, NodeId, StructId};
 use std::cmp::Ordering;
 use std::time::Instant;
+use summary_check::summaries_agree;
 
 const SCHEMES: [IdScheme; 3] = [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential];
 
@@ -161,8 +165,8 @@ fn candidates_by_scan<T: MatchTarget>(p: &Pattern, t: &T) -> Vec<Vec<NodeId>> {
     cand
 }
 
-/// The published epoch against `rebuild_from_scratch`: views, schemas
-/// and rows.
+/// The published epoch against `rebuild_from_scratch`: views, schemas,
+/// rows, and the maintained summary against the summary built afresh.
 fn check_against_rebuild(ec: &EpochCatalog) -> Result<(), String> {
     let (snap, oracle) = (ec.snapshot(), ec.rebuild_from_scratch());
     if snap.views().len() != oracle.views().len() {
@@ -184,7 +188,7 @@ fn check_against_rebuild(ec: &EpochCatalog) -> Result<(), String> {
             ));
         }
     }
-    Ok(())
+    summaries_agree(snap.summary(), oracle.summary()).map_err(|e| format!("summary: {e}"))
 }
 
 // ---------------------------------------------------------------------------

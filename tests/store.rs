@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::materialized;
+use common::{materialized, tree_strategy};
 use proptest::prelude::*;
 use smv::algebra::relation::{Cell, ColKind, Column, NestedRelation, Row, Schema};
 use smv::algebra::{AttrKind, ExecError, ViewProvider};
@@ -19,20 +19,6 @@ use smv::store::{
 use smv::xml::{Label, StructId, Symbol};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// Small random labeled trees in parenthesized notation (mirrors
-/// `tests/properties.rs`).
-fn tree_strategy() -> impl Strategy<Value = String> {
-    let leaf = (0u8..4, proptest::option::of(0i64..5)).prop_map(|(l, v)| match v {
-        Some(v) => format!("{}=\"{v}\"", (b'a' + l) as char),
-        None => format!("{}", (b'a' + l) as char),
-    });
-    leaf.prop_recursive(3, 24, 3, |inner| {
-        (0u8..4, proptest::collection::vec(inner, 1..4))
-            .prop_map(|(l, kids)| format!("{}({})", (b'a' + l) as char, kids.join(" ")))
-    })
-    .prop_map(|body| format!("r({body})"))
-}
 
 const SCHEMES: [IdScheme; 3] = [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential];
 
