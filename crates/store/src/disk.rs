@@ -200,7 +200,10 @@ fn write_segment(vfs: &dyn Vfs, page_size: usize, file: &str, payload: &[u8]) ->
     seg.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     for i in 0..n_pages {
         let start = i * page_size;
-        put_page(&mut seg, &payload[start..(start + page_size).min(payload.len())]);
+        put_page(
+            &mut seg,
+            &payload[start..(start + page_size).min(payload.len())],
+        );
     }
     write_durable(vfs, file, &seg)
 }

@@ -902,7 +902,10 @@ impl Summary {
                 .count() as i64;
             if (now - net > 0) != (now > 0) {
                 let q = f.edges.child(&self.nodes, under, label).expect("folded");
-                bump(&mut self.nodes[q.idx()].parents_with, if now > 0 { 1 } else { -1 });
+                bump(
+                    &mut self.nodes[q.idx()].parents_with,
+                    if now > 0 { 1 } else { -1 },
+                );
             }
         }
         self.rebuild_sketches(&f, new_doc);
@@ -916,11 +919,13 @@ impl Summary {
     /// The path of `doc`'s node `n`: its labels from the root, walked
     /// down the summary.
     fn path_of(&self, edges: &EdgeIndex, doc: &Document, n: NodeId) -> NodeId {
-        doc.path_labels(n)[1..].iter().fold(NodeId(0), |sp, &label| {
-            edges
-                .child(&self.nodes, sp, label)
-                .expect("a surviving node's path exists")
-        })
+        doc.path_labels(n)[1..]
+            .iter()
+            .fold(NodeId(0), |sp, &label| {
+                edges
+                    .child(&self.nodes, sp, label)
+                    .expect("a surviving node's path exists")
+            })
     }
 
     /// Rebuilds the sketch of every path [`Self::fold`] marked dirty from

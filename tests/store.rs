@@ -276,8 +276,14 @@ fn build_encoded() -> Encoded {
 #[test]
 fn persisted_bytes_and_fingerprints_are_pinned() {
     let e = encoded();
-    let sums = [&e.relation, &e.summary, &e.feedback, &e.manifest, &e.segment]
-        .map(|b| smv::store::fnv64(b));
+    let sums = [
+        &e.relation,
+        &e.summary,
+        &e.feedback,
+        &e.manifest,
+        &e.segment,
+    ]
+    .map(|b| smv::store::fnv64(b));
     assert_eq!(
         sums,
         [
@@ -598,7 +604,11 @@ fn out_of_range_page_sizes_still_round_trip() {
         store.publish_epoch(&cat, None).unwrap();
         let disk = store.open().unwrap();
         let got = disk.load_extent("v").unwrap().expect("published");
-        assert_eq!(got.rows, cat.extent("v").unwrap().rows, "page size {page_size}");
+        assert_eq!(
+            got.rows,
+            cat.extent("v").unwrap().rows,
+            "page size {page_size}"
+        );
     }
 }
 
