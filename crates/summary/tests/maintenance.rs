@@ -6,12 +6,6 @@ use common::summaries_agree;
 use smv_summary::Summary;
 use smv_xml::{Document, IdScheme, LiveDoc, StructId, UpdateBatch};
 
-/// Panics unless the maintained summary agrees with a from-scratch one
-/// of `doc` ([`summaries_agree`]).
-fn assert_stats_match(maintained: &Summary, doc: &Document) {
-    summaries_agree(maintained, &Summary::of(doc)).unwrap();
-}
-
 fn id_by_path(live: &LiveDoc, path: &[&str]) -> StructId {
     let mut n = live.doc().root();
     for step in path {
@@ -43,7 +37,7 @@ fn insert_maintains_stats_exactly() {
     let applied = live.apply(&batch).unwrap();
     let created = s.apply_update(&applied, live.doc());
     assert!(created, "d/e are new paths");
-    assert_stats_match(&s, live.doc());
+    summaries_agree(&s, &Summary::of(live.doc())).unwrap();
 }
 
 #[test]
@@ -69,7 +63,7 @@ fn delete_maintains_stats_and_keeps_dead_paths() {
         token_before,
         "count-only maintenance must not invalidate the geometry"
     );
-    assert_stats_match(&s, live.doc());
+    summaries_agree(&s, &Summary::of(live.doc())).unwrap();
     let dead = s
         .node_by_path("/r/a/c/d")
         .expect("path survives at count 0");
@@ -92,7 +86,7 @@ fn mixed_batches_match_from_scratch_across_schemes() {
         batch.insert(x.clone(), Document::from_parens(r#"y="6""#));
         let applied = live.apply(&batch).unwrap();
         s.apply_update(&applied, live.doc());
-        assert_stats_match(&s, live.doc());
+        summaries_agree(&s, &Summary::of(live.doc())).unwrap();
         // batch 2: modify = delete + insert under the same parent
         let y = id_by_path(&live, &["x", "y"]);
         let mut batch = UpdateBatch::new();
@@ -100,7 +94,7 @@ fn mixed_batches_match_from_scratch_across_schemes() {
         batch.insert(x, Document::from_parens(r#"y="7""#));
         let applied = live.apply(&batch).unwrap();
         s.apply_update(&applied, live.doc());
-        assert_stats_match(&s, live.doc());
+        summaries_agree(&s, &Summary::of(live.doc())).unwrap();
     }
 }
 
