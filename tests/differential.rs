@@ -13,6 +13,8 @@ mod common;
 
 use common::tree_strategy;
 use proptest::prelude::*;
+use smv::core::RewriteResult;
+use smv::datagen::{random_patterns, random_views, SynthConfig, ViewGenConfig};
 use smv::prelude::*;
 use smv::store::ProviderMatrix;
 
@@ -135,6 +137,107 @@ proptest! {
             );
             for query in ["r(//b{id,v})", "r(//a{id}(//b{v}))", "r(//*{id,l})"] {
                 check_query(&matrix, &doc, scheme, query);
+            }
+        }
+    }
+}
+
+/// The search without the cost bound. Its caps on the working set and on
+/// rewritings only keep a case cheap: a run that reaches one is skipped.
+fn unpruned() -> RewriteOpts {
+    RewriteOpts {
+        cost_prune: false,
+        max_pairs: 300,
+        max_rewritings: 100,
+        ..RewriteOpts::default()
+    }
+}
+
+/// Did a run stop at one of `opts`' caps rather than at the fixpoint?
+/// Every pair in the working set was explored first, so fewer explored
+/// pairs than the cap means the working set never filled.
+fn capped(r: &RewriteResult, opts: &RewriteOpts) -> bool {
+    r.rewritings.len() >= opts.max_rewritings || r.stats.pairs_explored >= opts.max_pairs
+}
+
+/// `(plan, scans, estimate)` of each rewriting, rendered.
+fn answers(r: &RewriteResult) -> Vec<String> {
+    r.rewritings
+        .iter()
+        .map(|rw| format!("{:?} {} {:?}", rw.plan, rw.scans, rw.est))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random documents, random views beside a label view per query
+    /// label, random path queries with one or two returned nodes: the
+    /// default search, branch-and-bound on, ranks first a rewriting as
+    /// cheap as the unpruned search's cheapest, and returns only
+    /// rewritings that search returns too — same plan, same estimate.
+    /// Either both find one or neither does. With two returned nodes, no
+    /// single view supplies every column, so the cheapest rewriting is a
+    /// join whose first view lacks some of them.
+    ///
+    /// Queries are chains without wildcards, optional edges or
+    /// predicates: the shapes that have rewritings over these views. The
+    /// others mostly have none, and prove it only by exhausting the
+    /// search.
+    #[test]
+    fn pruning_keeps_the_cheapest_rewriting(
+        src in tree_strategy(),
+        seed in 0u64..1 << 20,
+        scheme in 0usize..3,
+        nodes in 2usize..5,
+    ) {
+        let doc = Document::from_parens(&src);
+        let s = Summary::of(&doc);
+        let scheme = SCHEMES[scheme];
+        let random = random_views(&s, &ViewGenConfig { count: 2, scheme, seed, ..Default::default() });
+        let returns = 1 + (seed % 2) as usize;
+        let synth = SynthConfig {
+            nodes: nodes.max(returns + 1),
+            returns,
+            return_labels: Vec::new(),
+            fanout: 1,
+            p_star: 0.0,
+            p_pred: 0.0,
+            p_opt: 0.0,
+            seed,
+            ..SynthConfig::default()
+        };
+        let (defaults, unpruned) = (RewriteOpts::default(), unpruned());
+        for q in random_patterns(&s, &synth, 2) {
+            let mut labels: Vec<String> =
+                q.iter().skip(1).map(|n| q.node(n).label.expect("no wildcard").to_string()).collect();
+            labels.sort();
+            labels.dedup();
+            let mut views = random.clone();
+            for l in labels {
+                let label_view = parse_pattern(&format!("r(//{l}{{id,v}})")).unwrap();
+                views.push(View::new(&l, label_view, scheme));
+            }
+            let pruned = rewrite(&q, &views, &s, &defaults);
+            if capped(&pruned, &defaults) {
+                continue;
+            }
+            let whole = rewrite(&q, &views, &s, &unpruned);
+            if capped(&whole, &unpruned) {
+                continue;
+            }
+            let at = format!("{} over {src} ({scheme:?})", canonical_form(&q));
+            prop_assert_eq!(
+                pruned.rewritings.is_empty(),
+                whole.rewritings.is_empty(),
+                "{}", at
+            );
+            if let (Some(best), Some(min)) = (pruned.rewritings.first(), whole.rewritings.first()) {
+                prop_assert_eq!(best.est.cost, min.est.cost, "rank 0 of {}", at);
+            }
+            let all = answers(&whole);
+            for rw in answers(&pruned) {
+                prop_assert!(all.contains(&rw), "{}: {} is not in the unpruned list", at, rw);
             }
         }
     }
