@@ -84,8 +84,14 @@ pub struct RewriteOpts {
     /// pairs cheapest-first, shrinking time-to-first-rewriting.
     pub rank_by_cost: bool,
     /// Branch-and-bound: once a rewriting is known, prune every left-deep
-    /// prefix whose estimated cost already exceeds the best complete
-    /// plan's — its extensions can only cost more.
+    /// prefix whose lower bound reaches the best complete plan's cost. A
+    /// prefix that supplies every flat output column is bounded by its
+    /// estimated work. One that does not is bounded by its work and rows
+    /// plus the largest, over the columns it lacks, of the cheapest base
+    /// pair supplying that column — every rewriting from it still has to
+    /// join one in. A returned column no base pair supplies ends the
+    /// search at set-up with no rewriting, whether this is set or not:
+    /// that is a proof, not a cost argument.
     pub cost_prune: bool,
 }
 
@@ -144,7 +150,10 @@ pub struct RewriteStats {
     pub total: Duration,
     /// (plan, pattern) pairs explored.
     pub pairs_explored: usize,
-    /// (plan, pattern) pairs pruned by the cost bound before exploration.
+    /// (plan, pattern) pairs pruned by the cost bound before exploration:
+    /// a freshly built join, or a prefix about to be extended, whose lower
+    /// bound (see [`RewriteOpts::cost_prune`]) reaches the best rewriting
+    /// found so far.
     pub pairs_pruned: usize,
     /// Joins dropped by the Proposition 3.5 test because their key was
     /// already seen — whether recognized before being built (the member
@@ -411,12 +420,21 @@ struct Pair {
     groups: Vec<u32>,
     members: Vec<Member>,
     views: Vec<usize>,
-    /// Estimated work of the raw (pre-output-adaptation) plan — the
-    /// branch-and-bound bound for this left-deep prefix.
+    /// Estimated work of the raw (pre-output-adaptation) plan.
     cost: f64,
+    /// Estimated rows of the raw plan. With `cost`, the start of the
+    /// pair's branch-and-bound bound ([`Suppliers::bound`]).
+    rows: f64,
 }
 
 impl Pair {
+    /// Sets `cost` and `rows` from `model`'s estimate of the plan.
+    fn estimate(&mut self, model: &CostModel<'_>) {
+        let est = model.estimate(&self.plan);
+        self.cost = est.cost;
+        self.rows = est.rows;
+    }
+
     /// The pair's Prop. 3.5 identity; see [`PairKey`].
     fn key(&self) -> PairKey {
         // the columns, grouped (column order within a group kept)
@@ -467,6 +485,73 @@ impl Pair {
             hash: h.finish(),
             members,
             layouts,
+        }
+    }
+}
+
+/// Which base pairs supply each flat output column of the query, and the
+/// cheapest of them: the per-run table behind the branch-and-bound's lower
+/// bound and its "no rewriting" proof at set-up.
+///
+/// A base pair *supplies* output column `(r, a)` when it has a column of
+/// attribute `a` that some member binds on a path associated with `r` —
+/// the test [`Rewriter::try_pair`] puts to the column's group. Joins and
+/// selections never add a column or move one to another path, so every
+/// pair that passes line 7 contains a supplier of every output column.
+struct Suppliers {
+    /// Per view (by index), per output column: does its base pair supply
+    /// the column? All `false` for a view with no base pair.
+    by_view: Vec<Vec<bool>>,
+    /// Per output column: the least `cost + rows` among its suppliers,
+    /// infinite when there is none.
+    cheapest: Vec<f64>,
+}
+
+impl Suppliers {
+    /// The table of the base pairs `m0` over `views` views.
+    fn new(m0: &[Pair], ctx: &QueryCtx<'_>, views: usize) -> Suppliers {
+        let mut by_view = vec![vec![false; ctx.out_cols.len()]; views];
+        let mut cheapest = vec![f64::INFINITY; ctx.out_cols.len()];
+        for pair in m0 {
+            for (k, (r, attr)) in ctx.out_cols.iter().enumerate() {
+                let rp = &ctx.qpaths[r.idx()];
+                let supplies = (0..pair.cols.len()).any(|c| {
+                    pair.cols[c].attr == *attr
+                        && pair
+                            .members
+                            .iter()
+                            .any(|m| m.col_path[c].is_some_and(|p| rp.contains(&p)))
+                });
+                if supplies {
+                    by_view[pair.views[0]][k] = true;
+                    cheapest[k] = cheapest[k].min(pair.cost + pair.rows);
+                }
+            }
+        }
+        Suppliers { by_view, cheapest }
+    }
+
+    /// Does some output column have no supplier? Then no pair the search
+    /// can build passes line 7, and the query has no rewriting.
+    fn some_unsupplied(&self) -> bool {
+        self.cheapest.iter().any(|c| c.is_infinite())
+    }
+
+    /// A lower bound on the estimated cost of every rewriting built from
+    /// `pair` or from a join extending it. A pair that supplies every
+    /// output column keeps its own cost as the bound, so the rewritings
+    /// it and its extensions yield are pruned exactly as before. One that
+    /// does not cannot pass line 7 itself: every rewriting from it joins
+    /// in a supplier of each missing column, and a join costs at least its
+    /// inputs' costs and rows.
+    fn bound(&self, pair: &Pair) -> f64 {
+        let missing = (0..self.cheapest.len())
+            .filter(|&k| !pair.views.iter().any(|&v| self.by_view[v][k]))
+            .map(|k| self.cheapest[k])
+            .max_by(f64::total_cmp);
+        match missing {
+            Some(cheapest) => pair.cost + pair.rows + cheapest,
+            None => pair.cost,
         }
     }
 }
@@ -789,7 +874,7 @@ impl<'a> Rewriter<'a> {
                 result.stats.prepared_reused += 1;
             }
             if let Some(mut pair) = self.base_pair(vi, v, &prep, &ctx) {
-                pair.cost = model.estimate(&pair.plan).cost;
+                pair.estimate(&model);
                 m0.push(pair);
             }
         }
@@ -800,6 +885,7 @@ impl<'a> Rewriter<'a> {
             m0.sort_by(|a, b| a.cost.total_cmp(&b.cost));
         }
         result.stats.views_kept = m0.len();
+        let suppliers = Suppliers::new(&m0, &ctx, self.views.len());
         result.stats.setup = t0.elapsed();
         setup_span.field("views_total", self.views.len() as u64);
         setup_span.field("views_kept", m0.len() as u64);
@@ -863,13 +949,11 @@ impl<'a> Rewriter<'a> {
             false
         };
 
-        let mut stop = false;
-        for pair in &m0 {
-            if emit(pair, &mut result, &mut union_candidates, &mut best_cost) {
-                stop = true;
-                break;
-            }
-        }
+        // a returned column no base pair supplies: no pair passes line 7
+        let mut stop = suppliers.some_unsupplied()
+            || m0
+                .iter()
+                .any(|pair| emit(pair, &mut result, &mut union_candidates, &mut best_cost));
 
         // ---- lines 2-11: left-deep join enumeration to a fixpoint
         let mut frontier = 0usize;
@@ -879,9 +963,9 @@ impl<'a> Rewriter<'a> {
             if m[i].plan.scan_count() >= max_scans {
                 continue;
             }
-            // B&B on the prefix: extensions only add operators, so a
-            // prefix already costlier than a complete rewriting is dead
-            if self.opts.cost_prune && m[i].cost >= best_cost {
+            // B&B on the prefix: every extension joins in more base pairs,
+            // one for each column the prefix does not supply yet
+            if self.opts.cost_prune && suppliers.bound(&m[i]) >= best_cost {
                 result.stats.pairs_pruned += 1;
                 continue;
             }
@@ -902,10 +986,10 @@ impl<'a> Rewriter<'a> {
                         result.stats.pairs_deduped += 1;
                         continue;
                     }
-                    joined.cost = model.estimate(&joined.plan).cost;
-                    // B&B on the freshly created pair (strictly dominated
-                    // before it is ever tested or expanded)
-                    if self.opts.cost_prune && joined.cost >= best_cost {
+                    joined.estimate(&model);
+                    // B&B on the freshly created pair (dominated before it
+                    // is ever tested or expanded)
+                    if self.opts.cost_prune && suppliers.bound(&joined) >= best_cost {
                         result.stats.pairs_pruned += 1;
                         continue;
                     }
@@ -1080,6 +1164,7 @@ impl<'a> Rewriter<'a> {
             members,
             views: Vec::new(),
             cost: 0.0,
+            rows: 0.0,
         })
     }
 
@@ -1487,6 +1572,7 @@ impl<'a> Rewriter<'a> {
             members,
             views,
             cost: 0.0,
+            rows: 0.0,
         })
     }
 
@@ -2344,15 +2430,22 @@ mod tests {
         Summary::of(&smv_datagen::pr7_document(10.0, 1))
     }
 
+    /// Keys partition pairs as the text oracle does, over every pair the
+    /// benchmark's queries can create: the search runs without the cost
+    /// bound, so it sees the whole space.
     #[test]
     fn structural_keys_partition_benchmark_pairs_like_the_text_oracle() {
         let s = bench_summary();
         let views = bench_views(IdScheme::OrdPath);
+        let whole = RewriteOpts {
+            cost_prune: false,
+            ..opts()
+        };
         let (mut pairs, mut classes, mut deduped, mut hits) = (0, 0, 0, 0);
         for q_src in BENCH_QUERIES {
             let q = parse_pattern(q_src).unwrap();
             let mut r = RewriteResult::default();
-            let created = recording(|| r = rewrite(&q, &views, &s, &opts()));
+            let created = recording(|| r = rewrite(&q, &views, &s, &whole));
             let (n, k) = assert_keys_match_oracle(&created, q_src);
             // created: the base pairs, then every join built
             let bases = r.stats.views_kept;
@@ -2423,13 +2516,13 @@ mod tests {
             }
             assert!(skipping < building, "{scheme:?}: {skipping} vs {building}");
             if scheme == IdScheme::OrdPath {
-                assert_eq!((skipping, building), (1383, 3337), "pairs created");
+                assert_eq!((skipping, building), (770, 1620), "pairs created");
             }
         }
     }
 
     /// The `adhoc` request that sets the p95: one descendant-axis ranking
-    /// builds 279 joins, not 748.
+    /// builds 101 joins, not 226.
     #[test]
     fn a_descendant_ranking_builds_only_joins_that_can_be_new() {
         let s = bench_summary();
@@ -2438,9 +2531,30 @@ mod tests {
         let fast = rewrite(&q, &views, &s, &opts());
         let every = building_every_join(|| rewrite(&q, &views, &s, &opts()));
         assert_eq!(fast.stats.views_kept, 7);
-        assert_eq!(fast.stats.joins_built, 279);
-        assert_eq!(every.stats.joins_built, 748);
+        assert_eq!(fast.stats.joins_built, 101);
+        assert_eq!(every.stats.joins_built, 226);
         assert_eq!(fast.stats.pairs_deduped, every.stats.pairs_deduped);
+    }
+
+    /// A returned column no kept view stores — here the content of an
+    /// item's description — has no supplier, so the query has no
+    /// rewriting. That is proven at set-up, with the cost bound on or off:
+    /// no pair is explored and no join built.
+    #[test]
+    fn a_column_no_view_supplies_ends_the_search_at_setup() {
+        let s = bench_summary();
+        let views = bench_views(IdScheme::OrdPath);
+        let q = parse_pattern("site(//item{id}(/description{c}))").unwrap();
+        for cost_prune in [true, false] {
+            let o = RewriteOpts {
+                cost_prune,
+                ..opts()
+            };
+            let st = rewrite(&q, &views, &s, &o).stats;
+            assert!(st.views_kept > 0, "item's ID has suppliers");
+            assert_eq!((st.pairs_explored, st.joins_built), (0, 0), "{cost_prune}");
+        }
+        assert!(rewrite(&q, &views, &s, &opts()).rewritings.is_empty());
     }
 
     /// The same ranking's direction-A test meets 9 distinct members in 21
@@ -2553,6 +2667,7 @@ mod tests {
             members,
             views: Vec::new(),
             cost: 0.0,
+            rows: 0.0,
         }
     }
 
