@@ -40,11 +40,20 @@
 //! decided from its member combinations: one that repeats the
 //! combinations and column groups of an earlier join of the same two
 //! pairs has that join's key, so it is counted as dropped and never
-//! built. The benchmark's `//quantity` ranking builds 279 of its 748
-//! joins ([`RewriteStats::joins_built`]). 169 of those still meet an
+//! built. The benchmark's `//quantity` ranking builds 101 of its 226
+//! joins ([`RewriteStats::joins_built`]). 44 of those still meet an
 //! earlier key in `seen`: the mirrored `b ⋈ a` and reorderings across
 //! expansions, which the pre-merge test does not see
 //! ([`RewriteStats::pairs_deduped`] counts both kinds of drop).
+//!
+//! The branch-and-bound prunes a pair once a lower bound on every
+//! rewriting reachable from it reaches the best rewriting found. For a
+//! pair that lacks a returned column, that bound is its estimated work
+//! and rows plus the cheapest view supplying the costliest missing column
+//! (see [`RewriteOpts::cost_prune`]). The same per-run table answers "no
+//! rewriting" at set-up when a returned column has no supplier at all.
+//! Without the supplier term that ranking explored 58 pairs and built
+//! 279 joins; with it, 26 and 101.
 //!
 //! Under the strong closure a member holds most of the summary's paths
 //! (about 124 of 770 on that ranking), nearly all with formula `T`. A
@@ -59,8 +68,9 @@
 //! [`RewriteStats::member_tests`] counts the verdicts computed,
 //! [`RewriteStats::member_tests_reused`] the ones served again (9 and 12
 //! on that ranking). Over prepared views, that ranking takes about
-//! 1–2 ms and a child-axis one under 0.1 ms (scale-10 XMark, the nine
-//! views of `smvbench`'s `adhoc`, a 2-core x86-64 host).
+//! 0.8 ms at best of 200 runs (1.5–2.0 ms without the supplier term)
+//! and a child-axis one about 0.07 ms (scale-10 XMark, the nine views of
+//! `smvbench`'s `adhoc`, a 2-core x86-64 host).
 
 #![warn(missing_docs)]
 #![deny(clippy::print_stdout, clippy::print_stderr)]
