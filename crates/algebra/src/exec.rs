@@ -25,202 +25,33 @@
 use crate::feedback::{ExecProfile, FeedbackStore, OpPath};
 use crate::plan::{NavStep, Plan, Predicate};
 use crate::relation::{AttrKind, Cell, ColKind, Column, NestedRelation, Row, Schema};
-use crate::struct_join::StructRel;
-use crate::struct_join::{
-    doc_sorted_indices, stack_tree_join_presorted, stack_tree_join_presorted_range,
-};
+use crate::struct_join::{doc_sorted_indices, stack_tree_join_presorted};
 use smv_pattern::Axis;
 use smv_xml::par::WorkerPool;
 use smv_xml::{parse_document, serialize_subtree, Document, NodeId, StructId, Symbol};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Execution options: how many worker threads, on which pool, gated how.
+/// Execution options, kept for the callers that build them by name.
 ///
-/// The default (`threads: 1`) is fully sequential and byte-identical to
-/// the historical executor. With `threads > 1`, selections, id-joins,
-/// structural joins and the normalization sort run as morsel-sized tasks
-/// on a persistent [`WorkerPool`]; a structural join chunks its sorted
-/// right side. Results and [`ExecProfile`] counters are identical at
-/// every thread count; only wall-clock changes.
-#[derive(Clone, Debug)]
+/// Every plan runs on the calling thread, so none of these fields is read:
+/// [`execute_with`] and [`execute_profiled_with`] return the same rows
+/// and profile whatever they hold. They stay only because the benchmark
+/// harness (`smvbench`) constructs `ExecOpts` field by field; the next
+/// change to the benchmark removes them, and this type with them.
+#[derive(Clone, Debug, Default)]
 pub struct ExecOpts {
-    /// Parallelism units this execution may occupy on the pool:
-    /// `1` = sequential (the pool is never touched), `0` = the pool's
-    /// size (the host's available parallelism when no pool is set),
-    /// `n` = at most `n` units — the calling thread plus up to `n - 1`
-    /// pool workers.
+    /// Not read (see [`ExecOpts`]).
     pub threads: usize,
-    /// Parallel operators engage only when their input holds at least
-    /// this many rows — unless execution feedback (`par_hints`) has
-    /// measured the operator's *output* at or above it (a small-input
-    /// explosive join is worth fanning out; the static input-size gate
-    /// cannot see that). Set to `0` to force the parallel path regardless
-    /// of size (tests do). Morsel sizes also shrink to `min_par_rows`
-    /// when it is below the default morsel, so forcing the gate also
-    /// forces multi-morsel scheduling.
+    /// Not read (see [`ExecOpts`]).
     pub min_par_rows: usize,
-    /// The worker pool parallel execution draws from. `None` with
-    /// `threads > 1` attaches the process-wide [`WorkerPool::global`] at
-    /// execution start; sessions wanting isolation pass their own via
-    /// [`ExecOpts::with_pool`]. Always `None`d out when `threads <= 1`.
+    /// Not read (see [`ExecOpts`]).
     pub pool: Option<Arc<WorkerPool>>,
-    /// Execution feedback whose measured per-fragment output rows make
-    /// the `min_par_rows` gate adaptive: a frozen [`FeedbackStore`],
-    /// which later ingests do not reach. `None` = static gate only.
+    /// Not read (see [`ExecOpts`]).
     pub par_hints: Option<Arc<FeedbackStore>>,
-}
-
-impl PartialEq for ExecOpts {
-    fn eq(&self, other: &Self) -> bool {
-        fn same<T>(a: &Option<Arc<T>>, b: &Option<Arc<T>>) -> bool {
-            match (a, b) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            }
-        }
-        self.threads == other.threads
-            && self.min_par_rows == other.min_par_rows
-            && same(&self.pool, &other.pool)
-            && same(&self.par_hints, &other.par_hints)
-    }
-}
-
-impl Eq for ExecOpts {}
-
-impl Default for ExecOpts {
-    fn default() -> ExecOpts {
-        // Debug builds only: `SMV_TEST_THREADS=n` (n > 1) turns every
-        // default-options execution into a forced pool run (threads = n,
-        // min_par_rows = 0) so CI can drive the whole test suite through
-        // the parallel paths without touching call sites. Read once per
-        // process. Release builds ignore the variable entirely — a stray
-        // deployment env var must not silently force per-row morsels on
-        // production defaults.
-        #[cfg(debug_assertions)]
-        {
-            static FORCED: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
-            let forced = *FORCED.get_or_init(|| {
-                std::env::var("SMV_TEST_THREADS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-            });
-            if let Some(n) = forced {
-                if n > 1 {
-                    return ExecOpts {
-                        threads: n,
-                        min_par_rows: 0,
-                        pool: None,
-                        par_hints: None,
-                    };
-                }
-            }
-        }
-        ExecOpts {
-            threads: 1,
-            min_par_rows: 4096,
-            pool: None,
-            par_hints: None,
-        }
-    }
-}
-
-impl ExecOpts {
-    /// Options running on `threads` parallelism units (`0` = pool size).
-    pub fn with_threads(threads: usize) -> ExecOpts {
-        ExecOpts {
-            threads,
-            ..ExecOpts::default()
-        }
-    }
-
-    /// Options running on (all of) a specific worker pool — e.g. one
-    /// shared by several sessions, or a private pool in tests.
-    pub fn with_pool(pool: Arc<WorkerPool>) -> ExecOpts {
-        ExecOpts {
-            threads: pool.size(),
-            pool: Some(pool),
-            ..ExecOpts::default()
-        }
-    }
-
-    /// A copy ready to execute: `threads: 0` resolves to the pool size
-    /// once, up front (not per call site); a parallel run without a pool
-    /// attaches the global one; a sequential run drops any pool so the
-    /// `threads <= 1` path provably never touches it.
-    fn resolved(&self) -> ExecOpts {
-        let mut o = self.clone();
-        if o.threads == 0 {
-            o.threads = match &o.pool {
-                Some(p) => p.size(),
-                None => WorkerPool::global().size(),
-            };
-        }
-        if o.threads <= 1 {
-            o.pool = None;
-        } else if o.pool.is_none() {
-            o.pool = Some(Arc::clone(WorkerPool::global()));
-        }
-        o
-    }
-
-    /// Should this operator fan out? True when parallelism is on and
-    /// either the input crosses the static `min_par_rows` gate or
-    /// feedback measured `fragment`'s output at/above it.
-    fn engage(&self, in_rows: usize, fragment: Option<&Plan>) -> bool {
-        if self.threads <= 1 || self.pool.is_none() || in_rows < 2 {
-            return false;
-        }
-        let floor = self.min_par_rows.max(2);
-        if in_rows >= floor {
-            return true;
-        }
-        match (&self.par_hints, fragment) {
-            (Some(h), Some(p)) => h.measured_rows(p).is_some_and(|rows| rows >= floor as f64),
-            _ => false,
-        }
-    }
-
-    /// Morsel size (in rows) for an input of `rows`: small enough that
-    /// every unit gets a couple of morsels to balance over, capped at
-    /// [`MORSEL_ROWS`] — and at `min_par_rows` when that is smaller, so
-    /// the forced-parallel test configuration (`min_par_rows: 0`)
-    /// schedules tiny inputs as genuinely many morsels.
-    fn morsel_rows(&self, rows: usize) -> usize {
-        let cap = MORSEL_ROWS.min(self.min_par_rows.max(1));
-        rows.div_ceil(self.threads.max(1) * 2).clamp(1, cap)
-    }
-}
-
-/// Upper bound on rows per morsel: large enough to amortize one queue
-/// dispatch over real work, small enough that skewed operators still
-/// rebalance (workers claim morsels dynamically).
-const MORSEL_ROWS: usize = 4096;
-
-/// Contiguous index ranges of `morsel` rows each, covering `0..rows`.
-fn morsel_ranges(rows: usize, morsel: usize) -> Vec<std::ops::Range<usize>> {
-    (0..rows.div_ceil(morsel.max(1)))
-        .map(|i| i * morsel..((i + 1) * morsel).min(rows))
-        .collect()
-}
-
-/// Runs `n` index tasks with `opts`'s parallelism: on the pool when one
-/// is attached (resolved parallel options always have one), otherwise
-/// inline. Results come back in index order; a worker's panic is
-/// re-raised on the caller.
-fn run_par<R, F>(opts: &ExecOpts, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    match &opts.pool {
-        Some(p) => p.pool_map(opts.threads, n, f),
-        None => (0..n).map(f).collect(),
-    }
 }
 
 /// Supplies view extents by name.
@@ -362,11 +193,8 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Executes `plan` against `views` with `opts`, returning a normalized
-/// relation. `threads: 1` is the sequential reference; any other thread
-/// count returns the same rows (the parallel structural-join merges
-/// preserve both the row multiset and the document-order `sorted_on`
-/// invariants, and the result is normalized regardless).
+/// Executes `plan` against `views` on the calling thread, returning a
+/// normalized relation. `opts` is not read (see [`ExecOpts`]).
 ///
 /// ```
 /// use smv_algebra::{
@@ -389,21 +217,20 @@ impl std::error::Error for ExecError {}
 pub fn execute_with(
     plan: &Plan,
     views: &dyn ViewProvider,
-    opts: &ExecOpts,
+    _opts: &ExecOpts,
 ) -> Result<NestedRelation, ExecError> {
-    let opts = opts.resolved();
     let mut prof = Profiler::unprofiled();
-    let mut rel = eval(plan, views, &mut prof, &opts)?.into_owned();
-    normalize_root(plan, &mut rel, &opts);
+    let mut rel = eval(plan, views, &mut prof)?.into_owned();
+    normalize_root(plan, &mut rel);
     Ok(rel)
 }
 
 /// Normalizes the result of `plan` unless its root operator already did
 /// (`DupElim`, `Union`): normalization is idempotent, so the second pass
 /// would only re-sort sorted rows.
-fn normalize_root(plan: &Plan, rel: &mut NestedRelation, opts: &ExecOpts) {
+fn normalize_root(plan: &Plan, rel: &mut NestedRelation) {
     if !matches!(plan, Plan::DupElim { .. } | Plan::Union { .. }) {
-        normalize_with(rel, opts);
+        rel.normalize();
     }
 }
 
@@ -414,10 +241,8 @@ fn normalize_root(plan: &Plan, rel: &mut NestedRelation, opts: &ExecOpts) {
 /// hot path is identical to [`execute_with`]'s; the unprofiled entry
 /// point passes a `None` profiler and pays one branch per operator. The
 /// root entry is overwritten after the final normalization so it always
-/// equals the returned relation's size. The recorded per-operator
-/// counters are identical at every thread count — parallel structural
-/// joins produce the same row multiset per operator, and profiling
-/// happens at operator granularity, outside the worker pool.
+/// equals the returned relation's size. `opts` is not read (see
+/// [`ExecOpts`]).
 ///
 /// ```
 /// use smv_algebra::{
@@ -440,16 +265,15 @@ fn normalize_root(plan: &Plan, rel: &mut NestedRelation, opts: &ExecOpts) {
 pub fn execute_profiled_with(
     plan: &Plan,
     views: &dyn ViewProvider,
-    opts: &ExecOpts,
+    _opts: &ExecOpts,
 ) -> Result<(NestedRelation, ExecProfile), ExecError> {
-    let opts = opts.resolved();
     let t0 = Instant::now();
     let mut prof = Profiler {
         profile: Some(ExecProfile::default()),
         path: Vec::new(),
     };
-    let mut rel = eval(plan, views, &mut prof, &opts)?.into_owned();
-    normalize_root(plan, &mut rel, &opts);
+    let mut rel = eval(plan, views, &mut prof)?.into_owned();
+    normalize_root(plan, &mut rel);
     let mut profile = prof.profile.expect("profiler survives eval");
     profile.record(&[], rel.len() as u64);
     // root time spans the whole execution, final normalization included
@@ -496,10 +320,9 @@ fn eval<'a>(
     plan: &Plan,
     views: &'a dyn ViewProvider,
     prof: &mut Profiler,
-    opts: &ExecOpts,
 ) -> Result<Cow<'a, NestedRelation>, ExecError> {
     let t = prof.start();
-    let out = match eval_op(plan, views, prof, opts) {
+    let out = match eval_op(plan, views, prof) {
         Ok(out) => out,
         Err(e) => return Err(e.locate(&prof.path, plan)),
     };
@@ -568,7 +391,6 @@ fn project_input<'a>(
     cols: &[usize],
     views: &'a dyn ViewProvider,
     prof: &mut Profiler,
-    opts: &ExecOpts,
 ) -> Result<ProjectInput<'a>, ExecError> {
     if let Some(out) = fused_scan(input, cols, views, prof)? {
         return Ok(ProjectInput::Projected(out));
@@ -580,14 +402,14 @@ fn project_input<'a>(
         name,
     } = input
     else {
-        return eval_child(input, views, prof, opts, 0).map(ProjectInput::Whole);
+        return eval_child(input, views, prof, 0).map(ProjectInput::Whole);
     };
     let Some(at) = cols.iter().position(|c| c == col) else {
-        return eval_child(input, views, prof, opts, 0).map(ProjectInput::Whole);
+        return eval_child(input, views, prof, 0).map(ProjectInput::Whole);
     };
     prof.path.push(0);
     let t = prof.start();
-    let out = match project_input(source, cols, views, prof, opts) {
+    let out = match project_input(source, cols, views, prof) {
         Ok(ProjectInput::Projected(rel)) => {
             check_id_cells(&rel, at).map(|()| ProjectInput::Projected(rel))
         }
@@ -723,11 +545,10 @@ fn eval_child<'a>(
     plan: &Plan,
     views: &'a dyn ViewProvider,
     prof: &mut Profiler,
-    opts: &ExecOpts,
     idx: u32,
 ) -> Result<Cow<'a, NestedRelation>, ExecError> {
     prof.path.push(idx);
-    let r = eval(plan, views, prof, opts);
+    let r = eval(plan, views, prof);
     prof.path.pop();
     r
 }
@@ -736,12 +557,11 @@ fn eval_op<'a>(
     plan: &Plan,
     views: &'a dyn ViewProvider,
     prof: &mut Profiler,
-    opts: &ExecOpts,
 ) -> Result<Cow<'a, NestedRelation>, ExecError> {
     match plan {
         Plan::Scan { view } => views.extent(view).map(Cow::Borrowed),
         Plan::Select { input, pred } => {
-            let rel = eval_child(input, views, prof, opts, 0)?;
+            let rel = eval_child(input, views, prof, 0)?;
             let keep = |row: &Row| -> Result<bool, ExecError> {
                 match pred {
                     Predicate::Value { col, formula } => match &row.cells[*col] {
@@ -775,34 +595,9 @@ fn eval_op<'a>(
                 }
                 Cow::Borrowed(rel) => {
                     let mut rows = Vec::new();
-                    if opts.engage(rel.rows.len(), None) {
-                        let ranges =
-                            morsel_ranges(rel.rows.len(), opts.morsel_rows(rel.rows.len()));
-                        if let Some(p) = &mut prof.profile {
-                            p.add_morsels(&prof.path, ranges.len() as u64);
-                        }
-                        let outs: Vec<Result<Vec<Row>, ExecError>> =
-                            run_par(opts, ranges.len(), |i| {
-                                let mut kept = Vec::new();
-                                for r in &rel.rows[ranges[i].clone()] {
-                                    if keep(r)? {
-                                        kept.push(r.clone());
-                                    }
-                                }
-                                Ok(kept)
-                            });
-                        // concatenating morsel outputs in range order is row
-                        // order; a failing morsel stops at its first bad row,
-                        // so scanning outputs in order surfaces the same
-                        // (earliest-row) error the sequential pass would
-                        for o in outs {
-                            rows.extend(o?);
-                        }
-                    } else {
-                        for r in &rel.rows {
-                            if keep(r)? {
-                                rows.push(r.clone());
-                            }
+                    for r in &rel.rows {
+                        if keep(r)? {
+                            rows.push(r.clone());
                         }
                     }
                     let mut out = NestedRelation::new(rel.schema.clone(), rows);
@@ -811,7 +606,7 @@ fn eval_op<'a>(
                 }
             }
         }
-        Plan::Project { input, cols } => match project_input(input, cols, views, prof, opts)? {
+        Plan::Project { input, cols } => match project_input(input, cols, views, prof)? {
             ProjectInput::Projected(out) => Ok(Cow::Owned(out)),
             ProjectInput::Whole(rel) => project(rel, cols).map(Cow::Owned),
         },
@@ -821,8 +616,8 @@ fn eval_op<'a>(
             lcol,
             rcol,
         } => {
-            let l = eval_child(left, views, prof, opts, 0)?;
-            let r = eval_child(right, views, prof, opts, 1)?;
+            let l = eval_child(left, views, prof, 0)?;
+            let r = eval_child(right, views, prof, 1)?;
             let mut index: HashMap<&StructId, Vec<usize>> = HashMap::new();
             for (i, row) in l.rows.iter().enumerate() {
                 if let Cell::Id(id) = &row.cells[*lcol] {
@@ -830,40 +625,16 @@ fn eval_op<'a>(
                 }
             }
             let width = l.schema.len() + r.schema.len();
-            let probe_range = |range: std::ops::Range<usize>| {
-                let mut rows = Vec::new();
-                for rrow in &r.rows[range] {
-                    if let Cell::Id(id) = &rrow.cells[*rcol] {
-                        if let Some(ls) = index.get(id) {
-                            for &li in ls {
-                                let mut cells = Vec::with_capacity(width);
-                                cells.extend(l.rows[li].cells.iter().cloned());
-                                cells.extend(rrow.cells.iter().cloned());
-                                rows.push(Row::new(cells));
-                            }
+            let mut rows = Vec::new();
+            for rrow in &r.rows {
+                if let Cell::Id(id) = &rrow.cells[*rcol] {
+                    if let Some(ls) = index.get(id) {
+                        for &li in ls {
+                            rows.push(joined_row(&l.rows[li], rrow, width));
                         }
                     }
                 }
-                rows
-            };
-            // the static gate sees the inputs; feedback on this join's own
-            // output covers the explosive-small-inputs case
-            let rows = if opts.engage(l.rows.len() + r.rows.len(), Some(plan)) {
-                let ranges = morsel_ranges(r.rows.len(), opts.morsel_rows(r.rows.len()));
-                if let Some(p) = &mut prof.profile {
-                    p.add_morsels(&prof.path, ranges.len() as u64);
-                }
-                let outs = run_par(opts, ranges.len(), |i| probe_range(ranges[i].clone()));
-                // probe order is right-row order; morsel concatenation in
-                // range order reproduces it exactly
-                let mut rows = Vec::with_capacity(outs.iter().map(Vec::len).sum());
-                for o in outs {
-                    rows.extend(o);
-                }
-                rows
-            } else {
-                probe_range(0..r.rows.len())
-            };
+            }
             let mut out = NestedRelation::new(concat_schemas(&l.schema, &r.schema), rows);
             // output follows the right side's row order
             out.sorted_on = r.sorted_on.map(|c| l.schema.len() + c);
@@ -876,29 +647,19 @@ fn eval_op<'a>(
             rcol,
             rel,
         } => {
-            let l = eval_child(left, views, prof, opts, 0)?;
-            let r = eval_child(right, views, prof, opts, 1)?;
-            let rows = if opts.engage(l.rows.len() + r.rows.len(), Some(plan)) {
-                let (rows, tasks) = chunked_struct_join(&l, &r, *lcol, *rcol, *rel, opts);
-                if let Some(p) = &mut prof.profile {
-                    p.add_morsels(&prof.path, tasks as u64);
-                }
-                rows
-            } else {
-                let (lids, lrows) = gather_ids_sorted(&l, *lcol);
-                let (rids, rrows) = gather_ids_sorted(&r, *rcol);
-                let pairs = stack_tree_join_presorted(&lids, &rids, *rel);
-                let width = l.schema.len() + r.schema.len();
-                let mut rows = Vec::with_capacity(pairs.len());
-                for (a, b) in pairs {
-                    rows.push(joined_row(&l.rows[lrows[a]], &r.rows[rrows[b]], width));
-                }
-                rows
-            };
+            let l = eval_child(left, views, prof, 0)?;
+            let r = eval_child(right, views, prof, 1)?;
+            let (lids, lrows) = gather_ids_sorted(&l, *lcol);
+            let (rids, rrows) = gather_ids_sorted(&r, *rcol);
+            let pairs = stack_tree_join_presorted(&lids, &rids, *rel);
+            let width = l.schema.len() + r.schema.len();
+            let mut rows = Vec::with_capacity(pairs.len());
+            for (a, b) in pairs {
+                rows.push(joined_row(&l.rows[lrows[a]], &r.rows[rrows[b]], width));
+            }
             let mut out = NestedRelation::new(concat_schemas(&l.schema, &r.schema), rows);
-            // every variant emits pairs grouped by the right side in
-            // document order, so the joined relation is born sorted on
-            // `rcol`
+            // the merge emits pairs grouped by the right side in document
+            // order, so the joined relation is born sorted on `rcol`
             out.sorted_on = Some(l.schema.len() + *rcol);
             Ok(Cow::Owned(out))
         }
@@ -907,9 +668,9 @@ fn eval_op<'a>(
             let first = it
                 .next()
                 .ok_or_else(|| ExecError::Schema("empty union".into()))?;
-            let mut acc = eval_child(first, views, prof, opts, 0)?.into_owned();
+            let mut acc = eval_child(first, views, prof, 0)?.into_owned();
             for (i, p) in it.enumerate() {
-                let r = eval_child(p, views, prof, opts, i as u32 + 1)?;
+                let r = eval_child(p, views, prof, i as u32 + 1)?;
                 if r.schema.cols.len() != acc.schema.cols.len() {
                     return Err(ExecError::Schema(format!(
                         "union arity mismatch: {} vs {}",
@@ -918,7 +679,7 @@ fn eval_op<'a>(
                 }
                 acc.rows.extend(r.into_owned().rows);
             }
-            normalize_with(&mut acc, opts);
+            acc.normalize();
             Ok(Cow::Owned(acc))
         }
         Plan::Nest {
@@ -927,7 +688,7 @@ fn eval_op<'a>(
             nested_cols,
             name,
         } => {
-            let rel = eval_child(input, views, prof, opts, 0)?;
+            let rel = eval_child(input, views, prof, 0)?;
             let inner_schema = Schema {
                 cols: nested_cols
                     .iter()
@@ -986,7 +747,7 @@ fn eval_op<'a>(
             Ok(Cow::Owned(out))
         }
         Plan::Unnest { input, col, outer } => {
-            let rel = eval_child(input, views, prof, opts, 0)?.into_owned();
+            let rel = eval_child(input, views, prof, 0)?.into_owned();
             let ColKind::Nested(inner_schema) = rel.schema.cols[*col].kind.clone() else {
                 return Err(ExecError::Type(format!(
                     "unnest on non-nested column {}",
@@ -1044,7 +805,7 @@ fn eval_op<'a>(
             optional,
             name,
         } => {
-            let rel = eval_child(input, views, prof, opts, 0)?;
+            let rel = eval_child(input, views, prof, 0)?;
             let mut schema = rel.schema.clone();
             for a in attrs {
                 schema.cols.push(Column {
@@ -1103,12 +864,12 @@ fn eval_op<'a>(
             levels,
             name,
         } => {
-            let rel = eval_child(input, views, prof, opts, 0)?;
+            let rel = eval_child(input, views, prof, 0)?;
             derive_parent_ids(rel, *col, *levels, *name).map(Cow::Owned)
         }
         Plan::DupElim { input } => {
-            let mut rel = eval_child(input, views, prof, opts, 0)?.into_owned();
-            normalize_with(&mut rel, opts);
+            let mut rel = eval_child(input, views, prof, 0)?.into_owned();
+            rel.normalize();
             Ok(Cow::Owned(rel))
         }
     }
@@ -1154,134 +915,6 @@ fn joined_row(l: &Row, r: &Row, width: usize) -> Row {
     cells.extend(l.cells.iter().cloned());
     cells.extend(r.cells.iter().cloned());
     Row::new(cells)
-}
-
-/// Parallel structural join: the sorted right side splits into
-/// contiguous ranges, each range re-runs the stack-tree merge against the
-/// left prefix it needs
-/// ([`stack_tree_join_presorted_range`]), and the outputs concatenate in
-/// range order — byte-identical to the sequential merge, since a range's
-/// pairs are exactly the full join's pairs for its right rows, in the
-/// same order.
-fn chunked_struct_join(
-    l: &NestedRelation,
-    r: &NestedRelation,
-    lcol: usize,
-    rcol: usize,
-    rel: StructRel,
-    opts: &ExecOpts,
-) -> (Vec<Row>, usize) {
-    let (lids, lrows) = gather_ids_sorted(l, lcol);
-    let (rids, rrows) = gather_ids_sorted(r, rcol);
-    // a few ranges per worker so uneven per-range output balances — but
-    // every extra range re-scans a left prefix (the ancestor stack
-    // cannot be seeded mid-stream), so each range must carry a
-    // meaningful share of right rows: a tiny right side over a huge
-    // left degenerates to one range, i.e. the plain sequential merge,
-    // instead of k× the left-scan work.
-    let min_rows_per_range = (opts.min_par_rows / 4).max(1);
-    let k = (opts.threads * 3)
-        .max(rids.len().div_ceil(MORSEL_ROWS))
-        .min(rids.len() / min_rows_per_range)
-        .max(1);
-    let chunk = rids.len().div_ceil(k).max(1);
-    let ranges: Vec<std::ops::Range<usize>> = (0..k)
-        .map(|i| (i * chunk).min(rids.len())..((i + 1) * chunk).min(rids.len()))
-        .filter(|rg| !rg.is_empty())
-        .collect();
-    let width = l.schema.len() + r.schema.len();
-    let outs: Vec<Vec<Row>> = run_par(opts, ranges.len(), |i| {
-        stack_tree_join_presorted_range(&lids, &rids, rel, ranges[i].clone())
-            .into_iter()
-            .map(|(a, b)| joined_row(&l.rows[lrows[a]], &r.rows[rrows[b]], width))
-            .collect()
-    });
-    let tasks = ranges.len();
-    let mut rows = Vec::with_capacity(outs.iter().map(Vec::len).sum());
-    for o in outs {
-        rows.extend(o);
-    }
-    (rows, tasks)
-}
-
-/// Normalization (the dedup sort) with `opts`'s parallelism: rows split
-/// into per-unit chunks, each chunk recursively normalizes its nested
-/// tables and sorts on the pool, and the sorted runs merge on the caller.
-/// `Row`'s total order compares every cell, so rows that compare equal
-/// *are* equal — the merge + adjacent dedup yields exactly the sequential
-/// `sort_unstable` + `dedup` result, and the same `sorted_on` marker
-/// applies.
-fn normalize_with(rel: &mut NestedRelation, opts: &ExecOpts) {
-    if !opts.engage(rel.rows.len(), None) {
-        rel.normalize();
-        return;
-    }
-    let rows = std::mem::take(&mut rel.rows);
-    // chunks are owned by the caller's frame; each task locks only its
-    // own (never-contended) slot to mutate rows in place through the
-    // shared borrow `run_par` requires
-    let chunk = rows.len().div_ceil(opts.threads.max(1) * 2).max(1);
-    let chunks: Vec<Mutex<Vec<Row>>> = {
-        let mut it = rows.into_iter();
-        let mut chunks = Vec::new();
-        loop {
-            let c: Vec<Row> = it.by_ref().take(chunk).collect();
-            if c.is_empty() {
-                break;
-            }
-            chunks.push(Mutex::new(c));
-        }
-        chunks
-    };
-    run_par(opts, chunks.len(), |i| {
-        let mut c = chunks[i].lock().expect("unshared chunk lock");
-        for r in c.iter_mut() {
-            for cell in &mut r.cells {
-                if let Cell::Table(t) = cell {
-                    t.normalize();
-                }
-            }
-        }
-        c.sort_unstable();
-    });
-    let mut runs: Vec<Vec<Row>> = chunks
-        .into_iter()
-        .map(|m| m.into_inner().expect("unshared chunk lock"))
-        .collect();
-    // binary merge tree: every row moves ⌈log₂ chunks⌉ times
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_sorted(a, b)),
-                None => next.push(a),
-            }
-        }
-        runs = next;
-    }
-    rel.rows = runs.pop().unwrap_or_default();
-    rel.rows.dedup();
-    rel.sorted_on = rel.canonical_sorted_on();
-}
-
-/// Merges two sorted row runs, stably (ties take from `a` first — with
-/// `Row`'s total order ties are identical rows, so this only matters for
-/// matching the sequential sort byte-for-byte).
-fn merge_sorted(a: Vec<Row>, b: Vec<Row>) -> Vec<Row> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut ai = a.into_iter().peekable();
-    let mut bi = b.into_iter().peekable();
-    while let (Some(x), Some(y)) = (ai.peek(), bi.peek()) {
-        if x <= y {
-            out.push(ai.next().expect("peeked"));
-        } else {
-            out.push(bi.next().expect("peeked"));
-        }
-    }
-    out.extend(ai);
-    out.extend(bi);
-    out
 }
 
 /// Collects `(&id, row index)` for non-null ID cells of `col`, in document
@@ -1368,7 +1001,9 @@ fn attr_cell(doc: &Document, n: NodeId, attr: AttrKind, base_id: Option<&StructI
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::struct_join::StructRel;
     use smv_xml::{IdAssignment, IdScheme, Value};
+    use std::sync::Mutex;
 
     fn ids(doc: &Document) -> IdAssignment {
         IdAssignment::assign(doc, IdScheme::OrdPath)
@@ -1482,7 +1117,7 @@ mod tests {
             rcol: 0,
             rel: StructRel::Parent,
         };
-        let out = eval(&plan, &p, &mut Profiler::unprofiled(), &ExecOpts::default()).unwrap();
+        let out = eval(&plan, &p, &mut Profiler::unprofiled()).unwrap();
         assert_eq!(out.sorted_on, Some(1), "sorted on the right join column");
         // rows really are in document order on that column
         let ids: Vec<&StructId> = out
@@ -1718,67 +1353,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_struct_join_is_byte_identical_to_sequential() {
-        // nodes in doc order: a0 b1 d2 d3 c4 d5 b6 d7
-        let doc = Document::from_parens(r#"a(b(d="1" d="2") c(d="3") b(d="4"))"#);
-        let ia = ids(&doc);
-        let mut lrel = NestedRelation::empty(Schema::atoms(&[("x.ID", AttrKind::Id)]));
-        let mut rrel = NestedRelation::empty(Schema::atoms(&[
-            ("d.ID", AttrKind::Id),
-            ("d.V", AttrKind::Value),
-        ]));
-        for n in doc.iter() {
-            match doc.label(n).as_str() {
-                "b" | "c" => lrel.rows.push(Row::new(vec![Cell::Id(ia.id(n).clone())])),
-                "d" => rrel.rows.push(Row::new(vec![
-                    Cell::Id(ia.id(n).clone()),
-                    doc.value(n).map(|v| Cell::Atom(v.clone())).unwrap(),
-                ])),
-                _ => {}
-            }
-        }
-        lrel.normalize();
-        rrel.normalize();
-        let mut views = MapProvider::default();
-        views.insert("l", lrel);
-        views.insert("r", rrel);
-        for rel in [StructRel::Parent, StructRel::Ancestor] {
-            let plan = Plan::StructJoin {
-                left: Box::new(Plan::Scan { view: "l".into() }),
-                right: Box::new(Plan::Scan { view: "r".into() }),
-                lcol: 0,
-                rcol: 0,
-                rel,
-            };
-            // resolved so the parallel paths really run on the pool
-            let opts = ExecOpts {
-                threads: 3,
-                min_par_rows: 0,
-                ..ExecOpts::default()
-            }
-            .resolved();
-            // pre-normalization outputs, byte for byte
-            let seq = eval(
-                &plan,
-                &views,
-                &mut Profiler::unprofiled(),
-                &ExecOpts::default(),
-            )
-            .unwrap();
-            assert!(!seq.rows.is_empty());
-            let par = eval(&plan, &views, &mut Profiler::unprofiled(), &opts).unwrap();
-            assert_eq!(seq.rows, par.rows, "{rel:?} rows");
-            assert_eq!(seq.sorted_on, par.sorted_on, "{rel:?} sortedness");
-            // profiles agree operator by operator
-            let (_, prof_seq) = execute_profiled_with(&plan, &views, &ExecOpts::default()).unwrap();
-            let (_, prof_par) = execute_profiled_with(&plan, &views, &opts).unwrap();
-            for (path, rows) in prof_seq.iter() {
-                assert_eq!(prof_par.rows_at(path), Some(rows), "{rel:?} at `{path}`");
-            }
-        }
-    }
-
-    #[test]
     fn unknown_view_errors() {
         let p = MapProvider::default();
         let e =
@@ -1947,7 +1521,7 @@ mod tests {
     }
 
     #[test]
-    fn profiled_run_records_operator_times_and_morsels() {
+    fn profiled_run_records_operator_times() {
         let prov = provider().0;
         let plan = Plan::Select {
             input: Box::new(Plan::Scan {
@@ -1955,30 +1529,10 @@ mod tests {
             }),
             pred: Predicate::NotNull { col: 0 },
         };
-        // explicit threads: 1 — a defaulted ExecOpts may be rerouted
-        // through the pool by SMV_TEST_THREADS in debug CI runs
-        let seq_opts = ExecOpts {
-            threads: 1,
-            ..ExecOpts::default()
-        };
-        let (_, prof) = execute_profiled_with(&plan, &prov, &seq_opts).unwrap();
+        let (_, prof) = execute_profiled_with(&plan, &prov, &ExecOpts::default()).unwrap();
         // every profiled operator has an inclusive wall time
         for (path, _) in prof.iter() {
             assert!(prof.time_ns_at(path).is_some(), "no time at `{path}`");
-        }
-        // sequential run: no operator fanned out morsels
-        assert_eq!(prof.morsels_at(""), None);
-        // forced-parallel run: the selection splits into ≥1 morsel, and
-        // row counters stay identical to the sequential run
-        let opts = ExecOpts {
-            threads: 2,
-            min_par_rows: 0,
-            ..ExecOpts::default()
-        };
-        let (_, prof_par) = execute_profiled_with(&plan, &prov, &opts).unwrap();
-        assert!(prof_par.morsels_at("").unwrap_or(0) >= 1, "select morsels");
-        for (path, rows) in prof.iter() {
-            assert_eq!(prof_par.rows_at(path), Some(rows), "rows at `{path}`");
         }
     }
 }

@@ -6,11 +6,11 @@
 //! estimate of every subtree (estimates are structural, so a subtree's
 //! estimate is exactly what the model would say about it as a
 //! standalone plan). [`explain_analyze`] additionally joins each
-//! operator — by its positional [`OpPath`] — with the row counters,
-//! inclusive wall times and morsel counts of an [`ExecProfile`], and
-//! computes the per-operator *q-error* (`max(est/actual, actual/est)`,
-//! both sides clamped to ≥ 1 row) so feedback-loop misestimates are
-//! visible at a glance.
+//! operator — by its positional [`OpPath`] — with the row counters and
+//! inclusive wall times of an [`ExecProfile`], and computes the
+//! per-operator *q-error* (`max(est/actual, actual/est)`, both sides
+//! clamped to ≥ 1 row) so feedback-loop misestimates are visible at a
+//! glance.
 //!
 //! ```
 //! use smv_algebra::{
@@ -58,8 +58,6 @@ pub struct ExplainNode {
     pub actual_rows: Option<u64>,
     /// Inclusive wall time of the operator and its inputs, nanoseconds.
     pub time_ns: Option<u64>,
-    /// Parallel morsels/tasks the operator fanned out, if it ran parallel.
-    pub morsels: Option<u64>,
     /// The operator's inputs, in child-index order.
     pub children: Vec<ExplainNode>,
 }
@@ -95,9 +93,6 @@ impl ExplainNode {
         }
         if let Some(ns) = self.time_ns {
             write!(f, ", {}", fmt_duration(ns))?;
-        }
-        if let Some(m) = self.morsels {
-            write!(f, ", {m} morsels")?;
         }
         writeln!(f, ")")?;
         for c in &self.children {
@@ -180,7 +175,6 @@ fn build(
         est_cost: est.cost,
         actual_rows: profile.and_then(|p| p.rows_at(&key)),
         time_ns: profile.and_then(|p| p.time_ns_at(&key)),
-        morsels: profile.and_then(|p| p.morsels_at(&key)),
         path: key,
         children,
     }
@@ -196,8 +190,8 @@ pub fn explain(plan: &Plan, cost: &CostModel<'_>) -> Explain {
 }
 
 /// `EXPLAIN ANALYZE`: [`explain`] joined with a profiled run of the same
-/// plan — actual rows, inclusive wall time and morsel counts per
-/// operator, by positional path. The profile must come from executing
+/// plan — actual rows and inclusive wall time per operator, by
+/// positional path. The profile must come from executing
 /// exactly `plan` (as [`crate::exec::execute_profiled_with`] produces).
 pub fn explain_analyze(plan: &Plan, cost: &CostModel<'_>, profile: &ExecProfile) -> Explain {
     Explain {
@@ -276,21 +270,6 @@ mod tests {
         let txt = ex.to_string();
         assert!(txt.contains("actual 3"), "{txt}");
         assert!(txt.contains("q-err"), "{txt}");
-    }
-
-    #[test]
-    fn analyze_shows_morsels_under_forced_parallelism() {
-        let (views, summary) = fixture();
-        let cost = CostModel::new(&summary, &NoCards);
-        let opts = ExecOpts {
-            threads: 2,
-            min_par_rows: 0,
-            ..ExecOpts::default()
-        };
-        let (_, prof) = execute_profiled_with(&plan(), &views, &opts).unwrap();
-        let ex = explain_analyze(&plan(), &cost, &prof);
-        assert!(ex.root.morsels.unwrap_or(0) >= 1, "select fans out");
-        assert!(ex.to_string().contains("morsels"));
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   and keyed by a stable *plan-fragment fingerprint*;
 //! * [`crate::cost::CostModel::with_feedback`] derives scan rows,
 //!   selection pass-rates and join selectivities from that memo in place
-//!   of static guesses, and the executor's parallelize-or-not gate reads
-//!   it through `ExecOpts::par_hints`.
+//!   of static guesses.
 //!
 //! Because the rewriting enumeration is deterministic, a repeated query
 //! re-enumerates the same plans and every shared fragment hits its memo —
@@ -44,16 +43,13 @@ pub(crate) fn path_key(path: &[u32]) -> OpPath {
 
 /// Per-operator observations of one plan execution: actual output row
 /// counts (the feedback loop's input), plus — same keys — inclusive
-/// per-operator wall time and the number of parallel morsels/tasks the
-/// operator fanned out. Row counters are deterministic at every thread
-/// count; times and morsel counts are runtime artifacts and take no part
-/// in equivalence comparisons ([`ExecProfile::len`]/[`ExecProfile::iter`]
-/// remain row-only).
+/// per-operator wall time. Row counters are deterministic; times are
+/// runtime artifacts and take no part in equivalence comparisons
+/// ([`ExecProfile::len`]/[`ExecProfile::iter`] are row-only).
 #[derive(Clone, Debug, Default)]
 pub struct ExecProfile {
     rows: HashMap<OpPath, u64>,
     time_ns: HashMap<OpPath, u64>,
-    morsels: HashMap<OpPath, u64>,
 }
 
 impl ExecProfile {
@@ -66,11 +62,6 @@ impl ExecProfile {
     /// the operator together with its inputs, as a parent frame sees it.
     pub fn record_time(&mut self, path: &[u32], ns: u64) {
         self.time_ns.insert(path_key(path), ns);
-    }
-
-    /// Adds `n` parallel morsels/tasks executed by the operator at `path`.
-    pub fn add_morsels(&mut self, path: &[u32], n: u64) {
-        *self.morsels.entry(path_key(path)).or_insert(0) += n;
     }
 
     /// Output rows of the operator at `path`, if recorded.
@@ -86,12 +77,6 @@ impl ExecProfile {
     /// Inclusive wall time (ns) by rendered path string, if recorded.
     pub fn time_ns_at(&self, path: &str) -> Option<u64> {
         self.time_ns.get(path).copied()
-    }
-
-    /// Parallel morsels/tasks fanned out by the operator at `path`;
-    /// `None` when the operator ran sequentially.
-    pub fn morsels_at(&self, path: &str) -> Option<u64> {
-        self.morsels.get(path).copied()
     }
 
     /// Number of operators profiled.
@@ -316,8 +301,7 @@ pub struct FeedbackStats {
 ///
 /// That one memo is all the store keeps. The cost model derives a scan's
 /// rows, a selection's pass-rate (`m(select) / m(input)`) and a join's
-/// selectivity (`m(join) / (m(left) · m(right))`) from it, and the
-/// executor's parallelize-or-not gate reads an operator's measured output.
+/// selectivity (`m(join) / (m(left) · m(right))`) from it.
 #[derive(Clone, Debug, Default)]
 pub struct FeedbackStore {
     /// Decayed actual output rows per plan-fragment fingerprint.
@@ -441,13 +425,7 @@ impl FeedbackStore {
     /// Decayed actual *output rows* observed for the plan fragment
     /// `fragment` (any operator — keyed by [`plan_fingerprint`]).
     pub fn measured_rows(&self, fragment: &Plan) -> Option<f64> {
-        self.measured_rows_by_fingerprint(plan_fingerprint(fragment))
-    }
-
-    /// [`Self::measured_rows`] for a caller that already holds the
-    /// fragment's [`plan_fingerprint`] — no plan walk, no hashing.
-    pub fn measured_rows_by_fingerprint(&self, fingerprint: u64) -> Option<f64> {
-        let r = self.rows.get(&fingerprint).copied();
+        let r = self.rows.get(&plan_fingerprint(fragment)).copied();
         let (counter, name) = match r {
             Some(_) => (&self.hits, "feedback.lookup.hit"),
             None => (&self.misses, "feedback.lookup.miss"),
@@ -636,12 +614,7 @@ mod tests {
         assert_eq!(store.measured_rows(&plan), Some(9000.0));
         assert_eq!(store.measured_rows(&scan("a")), Some(100.0));
         assert_eq!(store.measured_rows(&scan("never-ran")), None);
-        assert_eq!(
-            store.measured_rows_by_fingerprint(plan_fingerprint(&plan)),
-            Some(9000.0),
-            "a held fingerprint finds the same memo"
-        );
-        // the executor's hints are a frozen copy: later feedback stays out
+        // a frozen copy (what a ranking holds): later feedback stays out
         let hints = std::sync::Arc::new(store.clone());
         let mut later = ExecProfile::default();
         later.record(&[], 7);

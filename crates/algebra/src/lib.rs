@@ -28,9 +28,7 @@ pub use explain::{explain, explain_analyze, Explain, ExplainNode};
 pub use feedback::{plan_fingerprint, ExecProfile, FeedbackStats, FeedbackStore, OpPath};
 pub use plan::{NavStep, Plan, Predicate};
 pub use relation::{AttrKind, Cell, ColKind, Column, NestedRelation, Row, Schema};
-pub use smv_xml::par;
 pub use smv_xml::par::WorkerPool;
 pub use struct_join::{
-    doc_sorted_indices, nested_loop_join, stack_tree_join, stack_tree_join_presorted,
-    stack_tree_join_presorted_range, StructRel,
+    doc_sorted_indices, nested_loop_join, stack_tree_join, stack_tree_join_presorted, StructRel,
 };

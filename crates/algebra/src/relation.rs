@@ -342,9 +342,8 @@ impl NestedRelation {
 
     /// The `sorted_on` marker normalization establishes: the canonical
     /// cell order sorts the first column by (scheme, doc order), so an ID
-    /// first column leaves the relation join-ready. Shared with the
-    /// executor's parallel normalization, which must set the same marker.
-    pub(crate) fn canonical_sorted_on(&self) -> Option<usize> {
+    /// first column leaves the relation join-ready.
+    fn canonical_sorted_on(&self) -> Option<usize> {
         match self.schema.cols.first() {
             Some(Column {
                 kind: ColKind::Atom(AttrKind::Id),

@@ -67,33 +67,11 @@ where
     L: Borrow<StructId>,
     R: Borrow<StructId>,
 {
-    stack_tree_join_presorted_range(left, right, rel, 0..right.len())
-}
-
-/// [`stack_tree_join_presorted`] restricted to the right-side rows in
-/// `rrange` — the unit of work of the parallel executor's chunked
-/// structural join. Pairs index into the **full** slices, and the pairs
-/// for a given right index are exactly (and in exactly the order) the
-/// full join would emit for it, so concatenating the outputs of adjacent
-/// ranges reproduces the full join byte for byte. Each range pays one
-/// scan of the left prefix ending at its last right id (the ancestor
-/// stack cannot be seeded mid-stream), which is why ranges should be few
-/// and large.
-pub fn stack_tree_join_presorted_range<L, R>(
-    left: &[L],
-    right: &[R],
-    rel: StructRel,
-    rrange: std::ops::Range<usize>,
-) -> Vec<(usize, usize)>
-where
-    L: Borrow<StructId>,
-    R: Borrow<StructId>,
-{
     let mut out = Vec::new();
     let mut stack: Vec<usize> = Vec::new(); // indices into `left`
     let mut l = 0usize;
-    for r in rrange {
-        let rid = right[r].borrow();
+    for (r, rid) in right.iter().enumerate() {
+        let rid = rid.borrow();
         // push all left ids that start before rid and are its ancestors;
         // pop those that end before rid starts.
         while l < left.len()
@@ -215,34 +193,6 @@ mod tests {
                 check_agreement(&doc, scheme, "b", "c");
                 check_agreement(&doc, scheme, "a", "b");
                 check_agreement(&doc, scheme, "b", "b");
-            }
-        }
-    }
-
-    #[test]
-    fn range_concatenation_equals_full_join() {
-        let doc = Document::from_parens("a(b(c(b(c)) c) b c(b(c c)) b(b(c)))");
-        let left = ids_of(&doc, IdScheme::OrdPath, "b");
-        let right = ids_of(&doc, IdScheme::OrdPath, "c");
-        for rel in [StructRel::Parent, StructRel::Ancestor] {
-            let full = stack_tree_join_presorted(&left, &right, rel);
-            for cut1 in 0..=right.len() {
-                for cut2 in cut1..=right.len() {
-                    let mut parts = stack_tree_join_presorted_range(&left, &right, rel, 0..cut1);
-                    parts.extend(stack_tree_join_presorted_range(
-                        &left,
-                        &right,
-                        rel,
-                        cut1..cut2,
-                    ));
-                    parts.extend(stack_tree_join_presorted_range(
-                        &left,
-                        &right,
-                        rel,
-                        cut2..right.len(),
-                    ));
-                    assert_eq!(parts, full, "{rel:?} cuts at {cut1},{cut2}");
-                }
             }
         }
     }

@@ -23,7 +23,6 @@
 //! (FIFO): the hot set is refreshed by re-insertion after invalidation,
 //! and FIFO needs no per-hit bookkeeping.
 
-use crate::scheduler::SchedMode;
 use crate::service::ServiceStats;
 use smv_algebra::{NestedRelation, Plan, PlanEstimate};
 use smv_pattern::{canonical_form, Pattern};
@@ -282,23 +281,19 @@ impl Table {
         }
     }
 
-    /// Counts `a`'s request, answered with `mode`.
-    fn count(&mut self, a: &Answer, mode: SchedMode) {
+    /// Counts `a`'s request.
+    fn count(&mut self, a: &Answer) {
         let c = &mut self.counts;
         c.queries += 1;
         c.pattern_hits += u64::from(a.pattern_hit);
         c.plan_hits += u64::from(a.plan_hit);
         c.result_hits += u64::from(a.result_hit);
-        match mode {
-            SchedMode::Inter => c.sched_inter += 1,
-            SchedMode::Intra => c.sched_intra += 1,
-        }
     }
 
-    /// Counts `probe`'s request if it was answered: a hit runs inline.
+    /// Counts `probe`'s request if it was answered.
     fn counted(&mut self, probe: Probe) -> Probe {
         if let Probe::Hit(a) = &probe {
-            self.count(a, SchedMode::Inter);
+            self.count(a);
         }
         probe
     }
@@ -414,19 +409,13 @@ impl CacheTable {
         t.counted(probe)
     }
 
-    /// After [`Probe::Unserved`]: counts the request, executed with `mode`,
-    /// and caches `rows`, computed on the snapshot of `epoch`, with the
-    /// plan's read set — unless the table is not (or no longer) valid for
-    /// exactly that epoch: rows from a superseded snapshot must not slip in
-    /// after the sweep that would have killed them, and rows from a
-    /// snapshot the sweep has yet to reach would be killed unseen.
-    pub(crate) fn executed(
-        &self,
-        miss: &Miss,
-        rows: Arc<NestedRelation>,
-        epoch: u64,
-        mode: SchedMode,
-    ) -> Answer {
+    /// After [`Probe::Unserved`]: counts the request and caches `rows`,
+    /// computed on the snapshot of `epoch`, with the plan's read set —
+    /// unless the table is not (or no longer) valid for exactly that
+    /// epoch: rows from a superseded snapshot must not slip in after the
+    /// sweep that would have killed them, and rows from a snapshot the
+    /// sweep has yet to reach would be killed unseen.
+    pub(crate) fn executed(&self, miss: &Miss, rows: Arc<NestedRelation>, epoch: u64) -> Answer {
         let plan = &miss.plan;
         let answer = Answer {
             rows,
@@ -444,7 +433,7 @@ impl CacheTable {
         let reads = plan.plan.views_used();
         let mut guard = lock(&self.table);
         let t = &mut *guard;
-        t.count(&answer, mode);
+        t.count(&answer);
         // what this displaces is freed after the lock is released: freeing
         // a large row set takes milliseconds
         let mut displaced = None;
@@ -577,7 +566,7 @@ mod tests {
             panic!("{text} is served on epoch {epoch}");
         };
         let rows = rel();
-        cache.executed(&miss, Arc::clone(&rows), epoch, SchedMode::Inter);
+        cache.executed(&miss, Arc::clone(&rows), epoch);
         rows
     }
 
@@ -685,7 +674,7 @@ mod tests {
             panic!("superseded");
         };
         assert!(miss.superseded);
-        cache.executed(&miss, rel(), 0, SchedMode::Inter);
+        cache.executed(&miss, rel(), 0);
         let now = served(&cache, T, 1).expect("swept through");
         assert!(Arc::ptr_eq(&now, &first));
     }
@@ -716,8 +705,8 @@ mod tests {
             plan_hit: true,
             superseded: false,
         };
-        cache.executed(&first, rel(), 0, SchedMode::Inter);
-        cache.executed(&second, rel(), 0, SchedMode::Inter);
+        cache.executed(&first, rel(), 0);
+        cache.executed(&second, rel(), 0);
         assert_eq!(cache.results(), 1);
         assert_eq!(cache.sweep(&["va"], 1), 0, "the old edge went with it");
         assert_eq!(cache.sweep(&["vb"], 2), 1);
@@ -740,7 +729,7 @@ mod tests {
         let Probe::Unserved(miss) = cache.ranked(&a, false, plan(1, &["va"]), G, 0) else {
             panic!("nothing is served yet");
         };
-        cache.executed(&miss, rel(), 0, SchedMode::Inter);
+        cache.executed(&miss, rel(), 0);
         let probe = |p: &Arc<CachedPattern>| lock(&cache.table).walk(p, true, true, G, 0);
         assert!(matches!(probe(&a), Probe::Hit(_)));
         assert!(matches!(probe(&forged("a(/b{v})")), Probe::Hit(_)));

@@ -1,19 +1,18 @@
 //! The long-running query service.
 //!
-//! [`QueryService`] owns an [`EpochCatalog`], an explicitly sized
-//! [`WorkerPool`] shared by ingest and queries, the cache table of
-//! [`crate::cache`], an [`AdmissionScheduler`] and a
-//! [`FeedbackStore`]. It is `Sync`: clients call [`QueryService::query`]
-//! from any number of threads while maintenance runs through
-//! [`QueryService::apply`] on another.
+//! [`QueryService`] owns an [`EpochCatalog`], the cache table of
+//! [`crate::cache`], a [`FeedbackStore`] and the thread budget bulk view
+//! registration materializes on. It is `Sync`: clients call
+//! [`QueryService::query`] from any number of threads while maintenance
+//! runs through [`QueryService::apply`] on another.
 //!
 //! A request takes a snapshot and probes the cache table once: text →
 //! pattern → plan → rows in one critical section. A hit is answered from
 //! there, inline. Otherwise the miss path parses, ranks and executes
 //! whatever the probe did not find, handing each step back to the table,
-//! and only a request that executes consults the scheduler and the
-//! feedback store. Every response reports which layers hit, the epoch
-//! served, and the scheduling decision.
+//! and only a request that executes consults the feedback store. A
+//! request executes on the thread that called [`QueryService::query`].
+//! Every response reports which layers hit and the epoch served.
 //!
 //! **Feedback.** This is the system's adaptive loop: a plan-cache miss
 //! ranks under the service's [`FeedbackStore`], every execution is
@@ -38,7 +37,6 @@
 //! another plan's bytes.
 
 use crate::cache::{lock, Answer, CacheTable, Probe, RankedPlan};
-use crate::scheduler::{AdmissionScheduler, SchedDecision, SchedMode};
 use smv_algebra::{
     execute_profiled_with, plan_fingerprint, ExecError, ExecOpts, FeedbackStore, NestedRelation,
     PlanEstimate, WorkerPool,
@@ -108,15 +106,13 @@ impl From<LiveError> for ServeError {
 
 /// Service construction knobs; `..Default::default()` is a sensible
 /// serving configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServiceConfig {
-    /// Worker-pool size (`0` = the host's available parallelism). The
-    /// one pool this creates executes queries *and* materializes views
-    /// registered through [`QueryService::add_views`].
+    /// How many threads, the caller's included, materialize a batch of
+    /// views registered through [`QueryService::add_views`] (`0` = the
+    /// host's available parallelism). Queries always execute on the
+    /// thread that asks them.
     pub threads: usize,
-    /// [`ExecOpts::min_par_rows`] for executed plans, and the
-    /// scheduler's fan-out floor.
-    pub min_par_rows: usize,
 }
 
 /// Pattern-cache capacity (distinct spellings / canonical forms).
@@ -125,15 +121,6 @@ const PATTERN_CACHE_CAPACITY: usize = 1024;
 const PLAN_CACHE_CAPACITY: usize = 1024;
 /// Result-cache capacity (materialized answers).
 const RESULT_CACHE_CAPACITY: usize = 256;
-
-impl Default for ServiceConfig {
-    fn default() -> ServiceConfig {
-        ServiceConfig {
-            threads: 0,
-            min_par_rows: ExecOpts::default().min_par_rows,
-        }
-    }
-}
 
 /// One served answer.
 pub struct QueryResponse {
@@ -158,10 +145,6 @@ pub struct QueryResponse {
     pub plan_cache_hit: bool,
     /// Layer 3 hit: the answer was served without executing.
     pub result_cache_hit: bool,
-    /// The admission scheduler's verdict for this request. A result-cache
-    /// hit is answered inline without consulting it:
-    /// [`SchedDecision::INLINE`].
-    pub scheduling: SchedDecision,
     /// Wall-clock from request entry to response.
     pub latency_ns: u64,
 }
@@ -177,9 +160,9 @@ pub struct ServiceStats {
     pub plan_hits: u64,
     /// Layer 3 (result) hits.
     pub result_hits: u64,
-    /// Requests scheduled inter-query (`threads: 1`).
-    pub sched_inter: u64,
-    /// Requests scheduled intra-query (morsel fan-out).
+    /// Always 0: every request executes on its calling thread. Kept only
+    /// because the benchmark harness (`smvbench`) reads it; the next
+    /// change to the benchmark removes it.
     pub sched_intra: u64,
     /// Result-cache entries killed by maintenance.
     pub results_invalidated: u64,
@@ -202,16 +185,16 @@ pub struct QueryService {
     master: RwLock<EpochCatalog>,
     /// The reader side: the catalog's publication cell.
     published: EpochReader,
-    pool: Arc<WorkerPool>,
+    /// The thread budget of [`Self::add_views`].
+    pool: WorkerPool,
     cache: CacheTable,
     /// Copy-on-write: readers clone the `Arc` and rank against a frozen
     /// store; `ingest` and invalidation go through [`Arc::make_mut`],
     /// which copies only while a reader still holds the old one.
     feedback: Mutex<Arc<FeedbackStore>>,
-    scheduler: AdmissionScheduler,
     rewrite_opts: RewriteOpts,
-    config: ServiceConfig,
-    /// In-flight requests, counted around [`Self::query`].
+    /// In-flight requests, counted around [`Self::query`] for the
+    /// `serve.active_clients_max` gauge.
     active: AtomicUsize,
 }
 
@@ -224,22 +207,8 @@ impl Drop for ActiveGuard<'_> {
 }
 
 impl QueryService {
-    /// A service over `doc`, constructing its own pool of
-    /// `config.threads` (the [`WorkerPool::global`] size is decided once
-    /// per process — a service decides for itself).
+    /// A service over `doc`, its views identified in `scheme`.
     pub fn new(doc: Document, scheme: IdScheme, config: ServiceConfig) -> QueryService {
-        let pool = Arc::new(WorkerPool::new(config.threads));
-        QueryService::with_pool(doc, scheme, config, pool)
-    }
-
-    /// A service sharing an existing pool — several services (or a
-    /// service and ad-hoc executors) drawing from one set of workers.
-    pub fn with_pool(
-        doc: Document,
-        scheme: IdScheme,
-        config: ServiceConfig,
-        pool: Arc<WorkerPool>,
-    ) -> QueryService {
         let catalog = EpochCatalog::new(doc, scheme);
         QueryService {
             published: catalog.reader(),
@@ -250,17 +219,10 @@ impl QueryService {
                 RESULT_CACHE_CAPACITY,
             ),
             feedback: Mutex::new(Arc::new(FeedbackStore::new())),
-            scheduler: AdmissionScheduler::new(config.min_par_rows),
             rewrite_opts: RewriteOpts::default(),
-            pool,
-            config,
+            pool: WorkerPool::new(config.threads),
             active: AtomicUsize::new(0),
         }
-    }
-
-    /// The pool queries and ingest share.
-    pub fn pool(&self) -> &Arc<WorkerPool> {
-        &self.pool
     }
 
     /// The current (published) epoch.
@@ -309,7 +271,7 @@ impl QueryService {
     }
 
     /// Registers one view (materialized inline; see [`Self::add_views`]
-    /// for the pool-parallel bulk path). Re-registering a name replaces
+    /// for the parallel bulk path). Re-registering a name replaces
     /// its extent, so cached results that read it are swept.
     ///
     /// # Panics
@@ -323,10 +285,9 @@ impl QueryService {
         self.sweep(&cat, &[name]);
     }
 
-    /// Bulk-registers views, materializing extents in parallel on the
-    /// service's own pool ([`EpochCatalog::add_views_on`]) and
-    /// publishing one epoch — ingest and queries share workers, so one
-    /// `threads` knob governs both.
+    /// Bulk-registers views, materializing extents on up to
+    /// [`ServiceConfig::threads`] threads ([`EpochCatalog::add_views_on`])
+    /// and publishing one epoch.
     ///
     /// # Panics
     ///
@@ -384,7 +345,7 @@ impl QueryService {
     }
 
     /// Serves one query. See the module docs for the layer flow; the
-    /// response says which layers hit and how the request was scheduled.
+    /// response says which layers hit.
     pub fn query(&self, text: &str) -> Result<QueryResponse, ServeError> {
         let t0 = Instant::now();
         let active = self.active.fetch_add(1, Ordering::Relaxed) + 1;
@@ -394,10 +355,8 @@ impl QueryService {
         let mut restarts_left = MAX_RESTARTS;
         loop {
             let snap = self.published.snapshot();
-            if let Some((answer, scheduling)) =
-                self.serve_on(text, &snap, active, restarts_left > 0)?
-            {
-                return Ok(self.respond(answer, scheduling, snap, t0));
+            if let Some(answer) = self.serve_on(text, &snap, restarts_left > 0)? {
+                return Ok(self.respond(answer, snap, t0));
             }
             restarts_left -= 1;
         }
@@ -415,14 +374,13 @@ impl QueryService {
         &self,
         text: &str,
         snap: &CatalogEpoch,
-        active: usize,
         may_restart: bool,
-    ) -> Result<Option<(Answer, SchedDecision)>, ServeError> {
+    ) -> Result<Option<Answer>, ServeError> {
         let (geometry, epoch) = (snap.summary().geometry_token(), snap.epoch());
         let mut probe = self.cache.probe(text, geometry, epoch);
         let miss = loop {
             probe = match probe {
-                Probe::Hit(answer) => return Ok(Some((answer, SchedDecision::INLINE))),
+                Probe::Hit(answer) => return Ok(Some(answer)),
                 Probe::Unparsed => self
                     .cache
                     .parsed(text, parse_pattern(text)?, geometry, epoch),
@@ -441,33 +399,10 @@ impl QueryService {
             return Ok(None);
         }
 
-        // scheduler: measured cardinality when feedback has seen this
-        // plan, the ranking-time estimate otherwise
         let ranked = &miss.plan;
-        let feedback = self.frozen_feedback();
-        let expected_rows = feedback
-            .measured_rows_by_fingerprint(ranked.fingerprint)
-            .unwrap_or(ranked.est.rows);
-        let scheduling = self.scheduler.decide(active, &self.pool, expected_rows);
-
-        // execute on the shared pool at the granted parallelism, its gate
-        // reading the frozen feedback
-        let parallel = scheduling.threads != 1;
-        let exec_opts = ExecOpts {
-            threads: scheduling.threads,
-            min_par_rows: self.config.min_par_rows,
-            pool: parallel.then(|| Arc::clone(&self.pool)),
-            par_hints: parallel.then_some(feedback),
-        };
-        let (rel, profile) = execute_profiled_with(&ranked.plan, snap, &exec_opts)?;
-        // drop the last frozen handle this request took, so a lone client
-        // never makes this copy the store
-        drop(exec_opts);
+        let (rel, profile) = execute_profiled_with(&ranked.plan, snap, &ExecOpts::default())?;
         Arc::make_mut(&mut lock(&self.feedback)).ingest(&ranked.plan, &profile);
-        let answer = self
-            .cache
-            .executed(&miss, Arc::new(rel), epoch, scheduling.mode);
-        Ok(Some((answer, scheduling)))
+        Ok(Some(self.cache.executed(&miss, Arc::new(rel), epoch)))
     }
 
     /// The feedback store as of now, frozen: later ingests and
@@ -509,22 +444,13 @@ impl QueryService {
 
     /// Stamps the response (the cache table has counted the request) and
     /// mirrors the counts into `smv_obs`.
-    fn respond(
-        &self,
-        answer: Answer,
-        scheduling: SchedDecision,
-        snapshot: Arc<CatalogEpoch>,
-        t0: Instant,
-    ) -> QueryResponse {
+    fn respond(&self, answer: Answer, snapshot: Arc<CatalogEpoch>, t0: Instant) -> QueryResponse {
         let latency_ns = t0.elapsed().as_nanos() as u64;
         if smv_obs::enabled() {
-            let intra = scheduling.mode == SchedMode::Intra;
             for (name, hit) in [
                 ("serve.pattern_hits", answer.pattern_hit),
                 ("serve.plan_hits", answer.plan_hit),
                 ("serve.result_hits", answer.result_hit),
-                ("serve.sched_inter", !intra),
-                ("serve.sched_intra", intra),
                 ("serve.queries", true),
             ] {
                 if hit {
@@ -544,7 +470,6 @@ impl QueryService {
             pattern_cache_hit: answer.pattern_hit,
             plan_cache_hit: answer.plan_hit,
             result_cache_hit: answer.result_hit,
-            scheduling,
             latency_ns,
         }
     }
@@ -568,14 +493,7 @@ mod tests {
 
     fn service(threads: usize) -> QueryService {
         let doc = Document::from_parens(r#"r(a(b="1" b="2" c(b="3")) a(b="4") x(y="9"))"#);
-        let svc = QueryService::new(
-            doc,
-            IdScheme::OrdPath,
-            ServiceConfig {
-                threads,
-                ..ServiceConfig::default()
-            },
-        );
+        let svc = QueryService::new(doc, IdScheme::OrdPath, ServiceConfig { threads });
         svc.add_views(
             vec![
                 View::new(
@@ -610,8 +528,7 @@ mod tests {
 
     /// One attempt of a request for [`B`] that already holds `snap`.
     fn attempt(svc: &QueryService, snap: &CatalogEpoch, may_restart: bool) -> Option<Answer> {
-        let served = svc.serve_on(B, snap, 1, may_restart).unwrap();
-        served.map(|(answer, _)| answer)
+        svc.serve_on(B, snap, may_restart).unwrap()
     }
 
     fn delete_c(svc: &QueryService) -> UpdateBatch {
@@ -690,33 +607,6 @@ mod tests {
             svc.query("r(//nosuch{id,c})"),
             Err(ServeError::NoRewriting)
         ));
-    }
-
-    #[test]
-    fn pool_is_shared_and_sized_explicitly() {
-        let svc = service(3);
-        assert_eq!(svc.pool().size(), 3);
-        let r = svc.query("r(//b{id,v})").unwrap();
-        assert_eq!(r.rows.len(), 4);
-        // an explicitly shared pool serves a second service too
-        let pool = Arc::clone(svc.pool());
-        let doc = Document::from_parens(r#"r(a(b="7"))"#);
-        let other = QueryService::with_pool(
-            doc,
-            IdScheme::OrdPath,
-            ServiceConfig::default(),
-            Arc::clone(&pool),
-        );
-        other.add_views(
-            vec![View::new(
-                "vb",
-                parse_pattern("r(//b{id,v})").unwrap(),
-                IdScheme::OrdPath,
-            )],
-            RefreshPolicy::Eager,
-        );
-        assert!(Arc::ptr_eq(other.pool(), &pool));
-        assert_eq!(other.query("r(//b{id,v})").unwrap().rows.len(), 1);
     }
 
     #[test]
@@ -808,45 +698,27 @@ mod tests {
 
     #[test]
     fn result_cache_hits_leave_feedback_and_the_scheduler_alone() {
-        // a pool with room to fan out and no row floor: an executing lone
-        // client is granted the pool
         let doc = Document::from_parens(r#"r(a(b="1" b="2" c(b="3")) a(b="4"))"#);
-        let svc = QueryService::new(
-            doc,
-            IdScheme::OrdPath,
-            ServiceConfig {
-                threads: 3,
-                min_par_rows: 0,
-            },
-        );
+        let svc = QueryService::new(doc, IdScheme::OrdPath, ServiceConfig { threads: 3 });
         svc.add_view(
             View::new("vb", parse_pattern(B).unwrap(), IdScheme::OrdPath),
             RefreshPolicy::Eager,
         );
-        assert_eq!(svc.query(B).unwrap().scheduling.mode, SchedMode::Intra);
+        assert!(!svc.query(B).unwrap().result_cache_hit);
         let before = svc.frozen_feedback().stats();
         for _ in 0..1_000 {
-            let hit = svc.query(B).unwrap();
-            assert!(hit.result_cache_hit);
-            assert_eq!(hit.scheduling.mode, SchedMode::Inter);
-            assert_eq!(hit.scheduling.threads, 1);
+            assert!(svc.query(B).unwrap().result_cache_hit);
         }
         assert_eq!(svc.frozen_feedback().stats(), before);
         let stats = svc.stats();
-        assert_eq!((stats.sched_inter, stats.sched_intra), (1_000, 1));
+        assert_eq!((stats.queries, stats.result_hits), (1_001, 1_000));
+        assert_eq!(stats.sched_intra, 0, "nothing fans out");
     }
 
     #[test]
     fn apply_drops_stale_feedback_memos() {
         let doc = Document::from_parens(r#"r(a(name="x") a(name="y") a(name="z"))"#);
-        let svc = QueryService::new(
-            doc,
-            IdScheme::OrdPath,
-            ServiceConfig {
-                threads: 1,
-                ..ServiceConfig::default()
-            },
-        );
+        let svc = QueryService::new(doc, IdScheme::OrdPath, ServiceConfig { threads: 1 });
         svc.add_view(
             View::new(
                 "names",

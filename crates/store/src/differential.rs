@@ -13,11 +13,11 @@
 //! * `disk-warm` — one long-lived [`DiskCatalog`] whose pages and decoded
 //!   extents stay resident across checks, so every scan borrows.
 //!
-//! [`ProviderMatrix::check`] executes a plan against every arm at every
-//! requested thread count and asserts byte-identical result rows, schema,
-//! `sorted_on` and per-operator [`ExecProfile`] row counters. Any
-//! divergence panics with the arm, thread count, and the first differing
-//! piece — which makes it usable from any `#[test]`.
+//! [`ProviderMatrix::check`] executes a plan against every arm and
+//! asserts byte-identical result rows, schema, `sorted_on` and
+//! per-operator [`ExecProfile`] row counters. Any divergence panics with
+//! the arm and the first differing piece — which makes it usable from
+//! any `#[test]`.
 
 use crate::disk::{DiskCatalog, DiskStore, StoreOptions};
 use crate::io::SimVfs;
@@ -102,48 +102,41 @@ impl ProviderMatrix {
         &self.warm
     }
 
-    /// Executes `plan` on every arm × every thread count and asserts all
-    /// answers identical; returns the baseline result and profile (map
-    /// arm, first thread count).
-    pub fn check(&self, plan: &Plan, threads: &[usize]) -> (NestedRelation, ExecProfile) {
-        let t0 = *threads.first().expect("at least one thread count");
+    /// Executes `plan` on every arm and asserts all answers identical;
+    /// returns the baseline result and profile (the map arm's).
+    pub fn check(&self, plan: &Plan) -> (NestedRelation, ExecProfile) {
+        let opts = ExecOpts::default();
         let (base_rel, base_prof) =
-            execute_profiled_with(plan, &self.map, &ExecOpts::with_threads(t0))
-                .expect("baseline execution");
+            execute_profiled_with(plan, &self.map, &opts).expect("baseline execution");
         let base_rows = profile_rows(&base_prof);
-        for &t in threads {
-            let cold = self.store.open().expect("reopen for cold arm");
-            let arms: [(&str, &dyn ViewProvider); 4] = [
-                ("map", &self.map),
-                ("epoch", &*self.epoch),
-                ("disk-cold", &cold),
-                ("disk-warm", &self.warm),
-            ];
-            for (arm, provider) in arms {
-                let (rel, prof) = execute_profiled_with(plan, provider, &ExecOpts::with_threads(t))
-                    .unwrap_or_else(|e| panic!("arm {arm} (threads={t}) failed: {e}"));
-                assert_eq!(
-                    rel.schema, base_rel.schema,
-                    "arm {arm} (threads={t}): schema diverged"
-                );
-                assert_eq!(
-                    rel.sorted_on, base_rel.sorted_on,
-                    "arm {arm} (threads={t}): sort marker diverged"
-                );
-                assert_eq!(
-                    rel.rows.len(),
-                    base_rel.rows.len(),
-                    "arm {arm} (threads={t}): row count diverged"
-                );
-                for (i, (got, want)) in rel.rows.iter().zip(&base_rel.rows).enumerate() {
-                    assert_eq!(got, want, "arm {arm} (threads={t}): row {i} diverged");
-                }
-                assert_eq!(
-                    profile_rows(&prof),
-                    base_rows,
-                    "arm {arm} (threads={t}): profile row counters diverged"
-                );
+        let cold = self.store.open().expect("reopen for cold arm");
+        let arms: [(&str, &dyn ViewProvider); 4] = [
+            ("map", &self.map),
+            ("epoch", &*self.epoch),
+            ("disk-cold", &cold),
+            ("disk-warm", &self.warm),
+        ];
+        for (arm, provider) in arms {
+            let (rel, prof) = execute_profiled_with(plan, provider, &opts)
+                .unwrap_or_else(|e| panic!("arm {arm} failed: {e}"));
+            assert_eq!(rel.schema, base_rel.schema, "arm {arm}: schema diverged");
+            assert_eq!(
+                rel.sorted_on, base_rel.sorted_on,
+                "arm {arm}: sort marker diverged"
+            );
+            assert_eq!(
+                rel.rows.len(),
+                base_rel.rows.len(),
+                "arm {arm}: row count diverged"
+            );
+            for (i, (got, want)) in rel.rows.iter().zip(&base_rel.rows).enumerate() {
+                assert_eq!(got, want, "arm {arm}: row {i} diverged");
             }
+            assert_eq!(
+                profile_rows(&prof),
+                base_rows,
+                "arm {arm}: profile row counters diverged"
+            );
         }
         (base_rel, base_prof)
     }

@@ -391,13 +391,11 @@ impl EpochCatalog {
     }
 
     /// Registers a batch of views at once, materializing eager extents
-    /// in parallel on `pool` (one morsel per view, registered in `views`
-    /// order), then publishes a **single** epoch covering the whole
-    /// batch — [`Self::add_view`] in a loop would publish one epoch per
-    /// view.
-    /// This is the query service's ingest path: the same explicitly
-    /// sized pool that executes queries does the materialization work,
-    /// so one knob governs both kinds of parallelism.
+    /// in parallel on up to `pool`'s size of threads (one task per view,
+    /// registered in `views` order), then publishes a **single** epoch
+    /// covering the whole batch — [`Self::add_view`] in a loop would
+    /// publish one epoch per view. This is the query service's ingest
+    /// path, and the library's one place that fans work out to threads.
     ///
     /// # Panics
     ///

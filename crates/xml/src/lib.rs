@@ -12,8 +12,8 @@
 //! Everything higher in the stack (summaries, patterns, algebra, views,
 //! containment, rewriting) builds on this crate. That bottom position is
 //! also why the primitives the layers above share live here: the [`par`]
-//! worker pool (the algebra's parallel structural joins, the catalog's
-//! parallel view registration), the [`fasthash`] hasher, and [`wire`] —
+//! scoped map (the catalog's parallel view registration), the
+//! [`fasthash`] hasher, and [`wire`] —
 //! the byte codec every persisted format is written with and the FNV-1a
 //! hash every fingerprint is taken with.
 

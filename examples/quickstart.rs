@@ -60,19 +60,13 @@ fn main() {
         result.rewritings[0].plan
     );
 
-    // 5. execute — sequentially and on a 2-thread worker pool — and
-    //    cross-check against direct evaluation
+    // 5. execute and cross-check against direct evaluation
     let plan = &result.rewritings[0].plan;
-    let from_views = execute_with(plan, &*snap, &ExecOpts::with_threads(1)).unwrap();
-    let parallel = execute_with(plan, &*snap, &ExecOpts::with_threads(2)).unwrap();
+    let from_views = execute_with(plan, &*snap, &ExecOpts::default()).unwrap();
     let direct = materialize(&q, &doc, IdScheme::OrdPath);
     assert!(from_views.set_eq(&direct));
-    assert_eq!(
-        from_views.rows, parallel.rows,
-        "parallel execution is result-identical"
-    );
     println!(
-        "plan output matches direct evaluation ({} rows; parallel run identical)",
+        "plan output matches direct evaluation ({} rows)",
         direct.len()
     );
 }

@@ -59,7 +59,8 @@ fn main() {
     let r = rewrite(q, &views, &summary, &opts);
     if let Some(rw) = r.rewritings.first() {
         let mut catalog = EpochCatalog::new(doc.clone(), IdScheme::OrdPath);
-        catalog.add_views_on(views.clone(), RefreshPolicy::Eager, WorkerPool::global());
+        // materialize the views on every core, then execute on this thread
+        catalog.add_views_on(views.clone(), RefreshPolicy::Eager, &WorkerPool::new(0));
         let out = execute_with(&rw.plan, &*catalog.snapshot(), &ExecOpts::default()).unwrap();
         let direct = materialize(q, &doc, IdScheme::OrdPath);
         assert!(out.set_eq(&direct));

@@ -45,7 +45,7 @@
 //! | [`core`] | containment (§3-§4) and rewriting (Algorithm 1) |
 //! | [`advisor`] | workload-driven view selection (greedy benefit/byte) |
 //! | [`xquery`] | FLWR-subset parser + pattern translation (§1) |
-//! | [`serve`] | the query service: layered caches, scheduling, the feedback loop |
+//! | [`serve`] | the query service: layered caches, the feedback loop |
 //! | [`datagen`] | XMark/DBLP/… generators and §5 workloads |
 //! | [`obs`] | zero-dependency tracing spans + metrics registry |
 
@@ -85,10 +85,7 @@ pub mod prelude {
     pub use smv_pattern::{
         canonical_form, canonical_model, evaluate, parse_pattern, CanonOpts, Formula, Pattern,
     };
-    pub use smv_serve::{
-        AdmissionScheduler, QueryResponse, QueryService, SchedDecision, SchedMode, ServeError,
-        ServiceConfig, ServiceStats,
-    };
+    pub use smv_serve::{QueryResponse, QueryService, ServeError, ServiceConfig, ServiceStats};
     pub use smv_store::{DiskCatalog, DiskStore, DiskVfs, ProviderMatrix, SimVfs, StoreOptions};
     pub use smv_summary::{Summary, SummaryStats};
     pub use smv_views::{

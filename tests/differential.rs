@@ -1,10 +1,10 @@
 //! Differential suite: every query answered identically by every
-//! provider arm — in-memory map, epoch catalog, cold disk, warm disk —
-//! at every thread count. This is the harness that proves the on-disk
+//! provider arm — in-memory map, epoch catalog, cold disk, warm disk.
+//! This is the harness that proves the on-disk
 //! columnar store is a drop-in [`ViewProvider`](smv::algebra::ViewProvider).
 //!
 //! The suite checks, for every rewriting the rewriter emits, *provider
-//! equivalence* (all arms byte-identical at 1 and 4 threads) and
+//! equivalence* (all arms byte-identical) and
 //! *soundness* (the answer is direct evaluation's) — not the best one, not
 //! any one: an unsound second-ranked rewriting fails it. Rewriter
 //! completeness itself is covered by `tests/end_to_end.rs`.
@@ -31,9 +31,9 @@ fn figure1_doc() -> Document {
     )
 }
 
-/// Runs every rewriting of `q` through the full matrix at 1 and 4
-/// threads and asserts that each one reproduces direct evaluation.
-/// Returns how many rewritings were checked.
+/// Runs every rewriting of `q` through the full matrix and asserts that
+/// each one reproduces direct evaluation. Returns how many rewritings were
+/// checked.
 fn check_rewritings(
     matrix: &ProviderMatrix,
     doc: &Document,
@@ -43,7 +43,7 @@ fn check_rewritings(
     let res = rewrite(q, matrix.views(), matrix.summary(), &RewriteOpts::default());
     let direct = materialize(q, doc, scheme);
     for (i, rw) in res.rewritings.iter().enumerate() {
-        let (rel, _) = matrix.check(&rw.plan, &[1, 4]);
+        let (rel, _) = matrix.check(&rw.plan);
         assert!(
             rel.set_eq(&direct),
             "{} ({scheme:?}): rewriting #{i} differs from direct evaluation\nplan:\n{}",
@@ -266,7 +266,7 @@ fn project_over_an_unread_parent_id_is_provider_invariant() {
                 cols: vec![0, 1, 2],
             }),
         };
-        let (rel, prof) = matrix.check(&plan, &[1, 4]);
+        let (rel, prof) = matrix.check(&plan);
         let scanned = matrix.disk().load_extent(view).unwrap().unwrap().len() as u64;
         assert_eq!(
             prof.rows_at("0.0"),

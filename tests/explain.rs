@@ -7,8 +7,8 @@
 //!   Regenerate intentionally with `SMV_BLESS=1 cargo test --test explain`.
 //! * Property: `EXPLAIN ANALYZE` joins actuals to operators purely by
 //!   positional path, so every node's actual-row count must equal the
-//!   `ExecProfile` counter at that path — at every thread count, over
-//!   random documents and plan shapes covering the parallel code paths.
+//!   `ExecProfile` counter at that path, over random documents and
+//!   join, select and union plan shapes.
 //! * Feedback: a model corrected by a run's profile explains that run
 //!   with a q-error of 1 where the static model was off by 30×.
 
@@ -113,14 +113,13 @@ fn feedback_tightens_explain_analyze_q_error() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `EXPLAIN ANALYZE` is a faithful join against the profile: at every
-    /// thread count, every operator's `actual_rows` equals the
-    /// `ExecProfile` row counter at its path, the walk covers exactly the
+    /// `EXPLAIN ANALYZE` is a faithful join against the profile: every
+    /// operator's `actual_rows` equals the `ExecProfile` row counter at
+    /// its path, the walk covers exactly the
     /// profiled operators, and the root actual equals the result size.
     #[test]
     fn analyze_actuals_equal_profile_at_every_thread_count(
         doc_src in tree_strategy(),
-        threads in 1usize..5,
     ) {
         use smv::algebra::{NoCards, Predicate};
         let d = Document::from_parens(&doc_src);
@@ -156,7 +155,7 @@ proptest! {
             },
         ];
         let model = CostModel::new(&s, &NoCards);
-        let opts = ExecOpts { threads, min_par_rows: 0, ..ExecOpts::default() };
+        let opts = ExecOpts::default();
         for plan in &plans {
             let (out, prof) = execute_profiled_with(plan, &catalog, &opts).unwrap();
             let ex = explain_analyze(plan, &model, &prof);
@@ -166,15 +165,14 @@ proptest! {
             prop_assert_eq!(
                 ex.root.actual_rows,
                 Some(out.len() as u64),
-                "root actual is the result size at {} threads",
-                threads
+                "root actual is the result size"
             );
             for n in &ops {
                 prop_assert_eq!(
                     n.actual_rows,
                     prof.rows_at(&n.path),
-                    "actuals diverge at `{}` ({} threads) for\n{}",
-                    n.path, threads, plan
+                    "actuals diverge at `{}` for\n{}",
+                    n.path, plan
                 );
                 prop_assert!(n.q_error().is_some(), "analyzed node has a q-error");
             }

@@ -199,10 +199,7 @@ fn service_reranks_on_feedback_at_the_next_epoch() {
     let svc = QueryService::new(
         doc_of(&groups),
         IdScheme::OrdPath,
-        ServiceConfig {
-            threads: 1,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig { threads: 1 },
     );
     let view =
         |name: &str, pat: &str| View::new(name, parse_pattern(pat).unwrap(), IdScheme::OrdPath);

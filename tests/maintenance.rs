@@ -23,46 +23,43 @@ fn profile_entries(p: &ExecProfile) -> Vec<(String, u64)> {
 /// Delta maintenance ≡ rebuild, observed through the query path: every
 /// rewriting of every workload query, executed against the maintained
 /// snapshot and against a from-scratch oracle, returns identical rows
-/// *and* identical per-operator profiles — serial and parallel alike.
+/// *and* identical per-operator profiles.
 #[test]
 fn interleaved_updates_answer_like_a_from_scratch_rebuild() {
+    let exec_opts = ExecOpts::default();
     for scheme in [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential] {
-        for threads in [1usize, 4] {
-            let exec_opts = ExecOpts::with_threads(threads);
-            let mut epochs = EpochCatalog::new(pr7_document(0.05, 21), scheme);
-            for v in pr7_views(scheme) {
-                epochs.add_view(v, RefreshPolicy::Eager);
-            }
-            let mut stream = Pr7Stream::new(33);
-            for round in 0..3 {
-                let batch = stream.next_batch(epochs.live(), 0.15);
-                epochs.apply(&batch).expect("stream batches apply");
-                let snap = epochs.snapshot();
-                let oracle = epochs.rebuild_from_scratch();
-                for q in QUERIES {
-                    let q = parse_pattern(q).unwrap();
-                    let ranked = rewrite(&q, snap.views(), snap.summary(), &RewriteOpts::default());
-                    assert!(
-                        !ranked.rewritings.is_empty(),
-                        "{scheme:?} round {round}: {q} has a rewriting"
+        let mut epochs = EpochCatalog::new(pr7_document(0.05, 21), scheme);
+        for v in pr7_views(scheme) {
+            epochs.add_view(v, RefreshPolicy::Eager);
+        }
+        let mut stream = Pr7Stream::new(33);
+        for round in 0..3 {
+            let batch = stream.next_batch(epochs.live(), 0.15);
+            epochs.apply(&batch).expect("stream batches apply");
+            let snap = epochs.snapshot();
+            let oracle = epochs.rebuild_from_scratch();
+            for q in QUERIES {
+                let q = parse_pattern(q).unwrap();
+                let ranked = rewrite(&q, snap.views(), snap.summary(), &RewriteOpts::default());
+                assert!(
+                    !ranked.rewritings.is_empty(),
+                    "{scheme:?} round {round}: {q} has a rewriting"
+                );
+                for rw in &ranked.rewritings {
+                    let (rows, prof) = execute_profiled_with(&rw.plan, &*snap, &exec_opts).unwrap();
+                    let (orows, oprof) =
+                        execute_profiled_with(&rw.plan, &oracle, &exec_opts).unwrap();
+                    assert_eq!(rows.schema, orows.schema);
+                    assert_eq!(
+                        rows.rows, orows.rows,
+                        "{scheme:?} round {round}: {q} rows diverge\n{}",
+                        rw.plan
                     );
-                    for rw in &ranked.rewritings {
-                        let (rows, prof) =
-                            execute_profiled_with(&rw.plan, &*snap, &exec_opts).unwrap();
-                        let (orows, oprof) =
-                            execute_profiled_with(&rw.plan, &oracle, &exec_opts).unwrap();
-                        assert_eq!(rows.schema, orows.schema);
-                        assert_eq!(
-                            rows.rows, orows.rows,
-                            "{scheme:?} t={threads} round {round}: {q} rows diverge\n{}",
-                            rw.plan
-                        );
-                        assert_eq!(
-                            profile_entries(&prof),
-                            profile_entries(&oprof),
-                            "{scheme:?} t={threads} round {round}: {q} profiles diverge"
-                        );
-                    }
+                    assert_eq!(
+                        profile_entries(&prof),
+                        profile_entries(&oprof),
+                        "{scheme:?} round {round}: {q} profiles diverge"
+                    );
                 }
             }
         }

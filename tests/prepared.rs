@@ -274,10 +274,7 @@ fn the_service_builds_no_preparation_across_an_apply() {
     let svc = QueryService::new(
         Document::from_parens(r#"r(a(b="1") a(b="2" b="3") c)"#),
         scheme,
-        ServiceConfig {
-            threads: 1,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig { threads: 1 },
     );
     let views = vec![
         View::new("va", parse_pattern("r(/a{id})").unwrap(), scheme),

@@ -563,91 +563,6 @@ proptest! {
         }
     }
 
-    /// Parallel execution (`threads > 1`) is result- and profile-identical
-    /// to sequential execution across random documents, both structural ID
-    /// schemes, and plan shapes covering every parallel code path:
-    /// structural joins over scans, select-wrapped and chained inputs (each
-    /// a chunked merge), and order-sensitive downstream operators (nest,
-    /// union) consuming parallel join output.
-    #[test]
-    fn parallel_execution_matches_sequential(doc_src in tree_strategy(), threads in 2usize..5) {
-        use smv::algebra::Predicate;
-        let d = Document::from_parens(&doc_src);
-        for scheme in [IdScheme::OrdPath, IdScheme::Dewey] {
-            let views = [("va", "r(//a{id})"), ("vb", "r(//b{id,v})"), ("vc", "r(//*{id,l})")]
-                .map(|(name, pat)| View::new(name, parse_pattern(pat).unwrap(), scheme));
-            let catalog = common::materialized(&d, &views);
-            let scan = |v: &str| Box::new(Plan::Scan { view: v.into() });
-            let base = |lv: &str, rv: &str, rel| Plan::StructJoin {
-                left: scan(lv),
-                right: scan(rv),
-                lcol: 0,
-                rcol: 0,
-                rel,
-            };
-            let plans = vec![
-                base("va", "vb", StructRel::Ancestor),
-                base("va", "vc", StructRel::Parent),
-                // a filtered input
-                Plan::StructJoin {
-                    left: Box::new(Plan::Select {
-                        input: scan("vc"),
-                        pred: Predicate::NotNull { col: 0 },
-                    }),
-                    right: scan("vb"),
-                    lcol: 0,
-                    rcol: 0,
-                    rel: StructRel::Ancestor,
-                },
-                // chained join: an intermediate input, join col mid-schema
-                Plan::StructJoin {
-                    left: Box::new(base("va", "vb", StructRel::Ancestor)),
-                    right: scan("vc"),
-                    lcol: 1,
-                    rcol: 0,
-                    rel: StructRel::Ancestor,
-                },
-                // order-sensitive operators downstream of a parallel join
-                Plan::Nest {
-                    input: Box::new(base("va", "vb", StructRel::Ancestor)),
-                    key_cols: vec![0],
-                    nested_cols: vec![1, 2],
-                    name: "A".into(),
-                },
-                Plan::Union {
-                    inputs: vec![
-                        base("va", "vb", StructRel::Ancestor),
-                        base("va", "vb", StructRel::Parent),
-                    ],
-                },
-            ];
-            let opts = ExecOpts {
-                threads,
-                min_par_rows: 0,
-                ..ExecOpts::default()
-            };
-            for plan in &plans {
-                let (seq, prof_seq) = execute_profiled_with(plan, &catalog, &ExecOpts::default()).unwrap();
-                let (par, prof_par) = execute_profiled_with(plan, &catalog, &opts).unwrap();
-                prop_assert_eq!(&seq.schema, &par.schema);
-                prop_assert_eq!(
-                    &seq.rows, &par.rows,
-                    "rows diverge at {} threads ({:?}) on {} for\n{}",
-                    threads, scheme, doc_src, plan
-                );
-                prop_assert_eq!(prof_seq.len(), prof_par.len(), "profiled operator count");
-                for (path, rows) in prof_seq.iter() {
-                    prop_assert_eq!(
-                        prof_par.rows_at(path),
-                        Some(rows),
-                        "profile diverges at `{}` ({:?}) for\n{}",
-                        path, scheme, plan
-                    );
-                }
-            }
-        }
-    }
-
     /// Pattern text syntax round-trips through Display.
     #[test]
     fn pattern_display_round_trip(p_src in pattern_strategy()) {
@@ -858,7 +773,7 @@ proptest! {
 
     /// The provider matrix holds on this file's random trees too: a
     /// wide-view scan answers identically from the in-memory map, epoch,
-    /// cold-disk and warm-disk providers at 1 and 4 threads.
+    /// cold-disk and warm-disk providers.
     #[test]
     fn providers_agree_on_random_trees(src in tree_strategy()) {
         let doc = Document::from_parens(&src);
@@ -867,7 +782,7 @@ proptest! {
         let q = parse_pattern("r(//*{id,l,v})").unwrap();
         let res = rewrite(&q, matrix.views(), matrix.summary(), &RewriteOpts::default());
         prop_assert!(!res.rewritings.is_empty());
-        let (rel, _) = matrix.check(&res.rewritings[0].plan, &[1, 4]);
+        let (rel, _) = matrix.check(&res.rewritings[0].plan);
         prop_assert!(rel.set_eq(&materialize(&q, &doc, IdScheme::OrdPath)));
     }
 }

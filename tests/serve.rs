@@ -35,31 +35,18 @@ const QUERIES: &[&str] = &[
 ];
 
 fn service(scale: f64, seed: u64, scheme: IdScheme, threads: usize) -> QueryService {
-    let svc = QueryService::new(
-        pr7_document(scale, seed),
-        scheme,
-        ServiceConfig {
-            threads,
-            ..ServiceConfig::default()
-        },
-    );
+    let svc = QueryService::new(pr7_document(scale, seed), scheme, ServiceConfig { threads });
     svc.add_views(pr7_views(scheme), RefreshPolicy::Eager);
     svc
 }
 
 /// Fresh-execution oracle against the exact snapshot a response was
-/// served from: rank without feedback, execute strictly sequentially.
+/// served from: rank without feedback, execute.
 fn oracle_rows(q: &str, snap: &CatalogEpoch) -> Vec<smv::algebra::Row> {
     let p = parse_pattern(q).expect("test query parses");
     let r = rewrite(&p, snap.views(), snap.summary(), &RewriteOpts::default());
     let plan = &r.rewritings.first().expect("oracle rewriting").plan;
-    let opts = ExecOpts {
-        threads: 1,
-        min_par_rows: 4096,
-        pool: None,
-        par_hints: None,
-    };
-    execute_with(plan, snap, &opts)
+    execute_with(plan, snap, &ExecOpts::default())
         .expect("oracle executes")
         .rows
 }
@@ -185,10 +172,7 @@ fn service_counts_equal_the_registry_and_every_query_is_scheduled_once() {
     let svc = QueryService::new(
         Document::from_parens(r#"r(a(b="1" c(b="2")) x(y="9"))"#),
         IdScheme::OrdPath,
-        ServiceConfig {
-            threads: 1,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig { threads: 1 },
     );
     svc.add_view(
         View::new(
@@ -237,14 +221,13 @@ fn service_counts_equal_the_registry_and_every_query_is_scheduled_once() {
         ("serve.pattern_hits", stats.pattern_hits),
         ("serve.plan_hits", stats.plan_hits),
         ("serve.result_hits", stats.result_hits),
-        ("serve.sched_inter", stats.sched_inter),
-        ("serve.sched_intra", stats.sched_intra),
         ("serve.results_invalidated", stats.results_invalidated),
         ("serve.batches_applied", stats.batches_applied),
     ] {
         assert_eq!(registry.counter(name), count, "{name}");
     }
-    assert_eq!(stats.sched_inter + stats.sched_intra, stats.queries);
+    // every query ran on its calling thread
+    assert_eq!(stats.sched_intra, 0);
     assert_eq!(
         (
             stats.queries,
