@@ -17,7 +17,7 @@
 //!   stack-tree merge over inputs sorted once in document order, with
 //!   sortedness tracked on [`NestedRelation`] so chained joins (and scans
 //!   of normalized extents) skip re-sorting; the nested-loop variant
-//!   survives only as a test oracle and ablation baseline;
+//!   survives only as a test oracle;
 //! * **hashed row keys** — ID-equality joins index `&StructId` directly
 //!   and grouping hashes rows structurally; no cell is ever encoded into
 //!   a string to be compared.

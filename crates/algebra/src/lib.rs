@@ -29,6 +29,6 @@ pub use feedback::{plan_fingerprint, ExecProfile, FeedbackStats, FeedbackStore, 
 pub use plan::{NavStep, Plan, Predicate};
 pub use relation::{AttrKind, Cell, ColKind, Column, NestedRelation, Row, Schema};
 pub use smv_xml::par::WorkerPool;
-pub use struct_join::{
-    doc_sorted_indices, nested_loop_join, stack_tree_join, stack_tree_join_presorted, StructRel,
-};
+#[doc(hidden)]
+pub use struct_join::nested_loop_join;
+pub use struct_join::{doc_sorted_indices, stack_tree_join, stack_tree_join_presorted, StructRel};

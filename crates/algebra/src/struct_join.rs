@@ -6,9 +6,9 @@
 //! [`stack_tree_join_presorted`]: a stack-based merge over inputs
 //! *already* sorted in document order (the executor sorts each input once
 //! and tracks sortedness, so chained joins pay for sorting at most once).
-//! [`stack_tree_join`] wraps it for unsorted inputs. [`nested_loop_join`]
-//! is the O(n·m) correctness oracle, kept for tests and as the ablation
-//! baseline — it is not reachable from `eval()`.
+//! [`stack_tree_join`] wraps it for unsorted inputs. An O(n·m) nested
+//! loop is kept outside the documented API as the tests' oracle; it is
+//! not reachable from `eval()`.
 //!
 //! All variants require IDs of a *structural* scheme (ORDPATH / Dewey);
 //! the sequential scheme cannot answer ancestor tests and is rejected.
@@ -27,8 +27,10 @@ pub enum StructRel {
 }
 
 /// Output pairs `(left index, right index)` such that `left[l] rel
-/// right[r]`. Naive O(n·m) loop; the oracle for tests and the ablation
-/// baseline.
+/// right[r]`. Naive O(n·m) loop: the oracle that this module's unit test
+/// and `tests/properties.rs` compare the stack-tree joins against. Not
+/// part of the documented API.
+#[doc(hidden)]
 pub fn nested_loop_join(
     left: &[StructId],
     right: &[StructId],

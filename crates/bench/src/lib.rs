@@ -1,7 +1,7 @@
 //! # smv-bench — experiment harness
 //!
-//! Shared fixtures for the Criterion benches and the `experiments` binary
-//! that regenerates every table and figure of the paper's §5:
+//! The fixtures behind the `experiments` binary, which regenerates every
+//! table and figure of the paper's §5:
 //!
 //! * **Table 1** — dataset / summary statistics;
 //! * **Figure 13** — XMark query-pattern canonical-model sizes and
@@ -29,53 +29,6 @@ pub fn xmark_summary() -> Summary {
     Summary::of(&xmark(&XmarkConfig::default()))
 }
 
-/// The seed executor's per-row string encoding (the removed
-/// `Row::encode_key`), kept in one place as the *baseline* for both the
-/// dedup microbench and the property test that checks the hashed/ordered
-/// path agrees with it. Not used by the executor.
-pub fn reference_string_key(row: &smv_algebra::Row) -> String {
-    use smv_algebra::Cell;
-    let mut s = String::new();
-    for c in &row.cells {
-        match c {
-            Cell::Null => s.push('N'),
-            Cell::Id(id) => {
-                s.push('I');
-                s.push_str(&id.to_string());
-            }
-            Cell::Label(l) => {
-                s.push('L');
-                s.push_str(l.as_str());
-            }
-            Cell::Atom(smv_xml::Value::Int(i)) => {
-                s.push('a');
-                s.push_str(&format!("{:+021}", i));
-            }
-            Cell::Atom(smv_xml::Value::Str(t)) => {
-                s.push('s');
-                s.push_str(t);
-            }
-            Cell::Content(c) => {
-                s.push('C');
-                s.push_str(c);
-            }
-            Cell::Table(t) => {
-                s.push('T');
-                s.push('[');
-                let mut keys: Vec<String> = t.rows.iter().map(reference_string_key).collect();
-                keys.sort();
-                for k in keys {
-                    s.push_str(&k);
-                    s.push(';');
-                }
-                s.push(']');
-            }
-        }
-        s.push('|');
-    }
-    s
-}
-
 /// The default DBLP'05 summary fixture.
 pub fn dblp_summary() -> Summary {
     Summary::of(&smv_datagen::dblp(
@@ -87,7 +40,7 @@ pub fn dblp_summary() -> Summary {
 
 /// Containment options used across experiments (plain summaries, like the
 /// paper's base configuration).
-pub fn contain_opts() -> ContainOpts {
+fn contain_opts() -> ContainOpts {
     ContainOpts {
         canon: CanonOpts {
             use_strong: false,
@@ -213,7 +166,7 @@ pub struct RewritingPoint {
 }
 
 /// Rewriting options tuned for the Figure 15 sweep (bounded search).
-pub fn fig15_opts() -> smv_core::RewriteOpts {
+fn fig15_opts() -> smv_core::RewriteOpts {
     smv_core::RewriteOpts {
         max_scans: 2,
         max_members: 32,

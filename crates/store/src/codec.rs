@@ -755,6 +755,52 @@ mod tests {
         assert_eq!(back.rows, rel.rows);
     }
 
+    /// `levels` tables, each the one cell of its parent's one row, around
+    /// a one-id leaf. With `deep_schema` every level's schema declares the
+    /// whole nest below it, as for a real extent; without, each declares
+    /// one nested level only, so the tables nest deeper than any schema.
+    fn nested(levels: usize, deep_schema: bool) -> NestedRelation {
+        let leaf = Schema::atoms(&[("a.ID", AttrKind::Id)]);
+        let mut rel = NestedRelation::new(
+            leaf.clone(),
+            vec![Row::new(vec![Cell::Id(StructId::Seq(1))])],
+        );
+        for _ in 0..levels {
+            let inner = if deep_schema {
+                rel.schema.clone()
+            } else {
+                leaf.clone()
+            };
+            let col = Column {
+                name: Symbol::intern("t"),
+                kind: ColKind::Nested(inner),
+            };
+            rel = NestedRelation::new(
+                Schema { cols: vec![col] },
+                vec![Row::new(vec![Cell::Table(Box::new(rel))])],
+            );
+        }
+        rel
+    }
+
+    /// The decoder recurses once per level of a nested schema and of a
+    /// nested table, and refuses either past `MAX_NESTING`: a relation
+    /// nested that deep round-trips, one level more is `Corrupt`, and
+    /// neither runs a debug build's test thread out of stack.
+    #[test]
+    fn nesting_is_bounded_at_the_cap() {
+        for (deep_schema, refused) in [(true, "schema"), (false, "tables")] {
+            let at_cap = nested(MAX_NESTING, deep_schema);
+            let back = decode_relation(&encode_relation(&at_cap), None).unwrap();
+            assert_eq!(back, at_cap);
+            let past = encode_relation(&nested(MAX_NESTING + 1, deep_schema));
+            match decode_relation(&past, None) {
+                Err(StoreError::Corrupt(e)) => assert_eq!(e, format!("{refused} nested too deep")),
+                other => panic!("{} levels decoded to {other:?}", MAX_NESTING + 1),
+            }
+        }
+    }
+
     #[test]
     fn truncation_is_a_checked_error() {
         let bytes = encode_relation(&sample());

@@ -149,6 +149,53 @@ fn check_ordpath_oracle(a: &[i64], b: &[i64], rank: usize) -> Result<(), TestCas
     Ok(())
 }
 
+/// The seed executor's per-row string encoding (the removed
+/// `Row::encode_key`): the baseline that
+/// `hashed_dedup_agrees_with_string_key_reference` checks the hashed and
+/// ordered dedup against. Not used by the executor.
+fn reference_string_key(row: &smv::algebra::Row) -> String {
+    use smv::algebra::Cell;
+    let mut s = String::new();
+    for c in &row.cells {
+        match c {
+            Cell::Null => s.push('N'),
+            Cell::Id(id) => {
+                s.push('I');
+                s.push_str(&id.to_string());
+            }
+            Cell::Label(l) => {
+                s.push('L');
+                s.push_str(l.as_str());
+            }
+            Cell::Atom(smv::xml::Value::Int(i)) => {
+                s.push('a');
+                s.push_str(&format!("{:+021}", i));
+            }
+            Cell::Atom(smv::xml::Value::Str(t)) => {
+                s.push('s');
+                s.push_str(t);
+            }
+            Cell::Content(c) => {
+                s.push('C');
+                s.push_str(c);
+            }
+            Cell::Table(t) => {
+                s.push('T');
+                s.push('[');
+                let mut keys: Vec<String> = t.rows.iter().map(reference_string_key).collect();
+                keys.sort();
+                for k in keys {
+                    s.push_str(&k);
+                    s.push(';');
+                }
+                s.push(']');
+            }
+        }
+        s.push('|');
+    }
+    s
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -511,7 +558,6 @@ proptest! {
     #[test]
     fn hashed_dedup_agrees_with_string_key_reference(src in tree_strategy()) {
         use smv::algebra::{AttrKind, Cell, NestedRelation, Row, Schema};
-        use smv_bench::reference_string_key as reference_key;
         use std::collections::HashSet;
 
         let d = Document::from_parens(&src);
@@ -544,9 +590,9 @@ proptest! {
 
             // reference: sort + dedup by encoded string key
             let mut ref_rows = rows.clone();
-            ref_rows.sort_by_cached_key(reference_key);
+            ref_rows.sort_by_cached_key(reference_string_key);
             ref_rows.dedup();
-            let ref_keys: HashSet<String> = ref_rows.iter().map(reference_key).collect();
+            let ref_keys: HashSet<String> = ref_rows.iter().map(reference_string_key).collect();
 
             // hashed: HashSet over structural row hashes
             let hash_distinct: HashSet<Row> = rows.iter().cloned().collect();
@@ -557,7 +603,7 @@ proptest! {
             prop_assert_eq!(rel.len(), ref_rows.len(), "{:?} ordered vs reference", scheme);
             prop_assert_eq!(hash_distinct.len(), ref_rows.len(), "{:?} hashed vs reference", scheme);
             for r in &rel.rows {
-                prop_assert!(ref_keys.contains(&reference_key(r)));
+                prop_assert!(ref_keys.contains(&reference_string_key(r)));
                 prop_assert!(hash_distinct.contains(r));
             }
         }

@@ -390,17 +390,6 @@ fn manifest_file(vfs: &SimVfs) -> String {
     names.pop().expect("a committed manifest")
 }
 
-/// Hands `body` to the (private) manifest decoder the only way a store
-/// ever does: as the newest manifest file, under a valid checksum.
-fn open_with_manifest(body: &[u8]) -> Result<u64, StoreError> {
-    let vfs = SimVfs::new();
-    let mut bytes = body.to_vec();
-    bytes.extend_from_slice(&smv::store::fnv64(body).to_le_bytes());
-    vfs.write("manifest-00000000000000000001.smv", &bytes)
-        .unwrap();
-    DiskStore::new(Arc::new(vfs)).open().map(|cat| cat.epoch())
-}
-
 /// Every decoder the store reads files with, on `bytes`. Each returns an
 /// error or a value; a panic, an abort on an absurd allocation or a hang
 /// fails the test that calls this. The relation decoder also runs under
@@ -409,7 +398,7 @@ fn decode_everything(bytes: &[u8]) {
     assert_projections_agree(bytes);
     let _ = Summary::from_bytes(bytes);
     let _ = FeedbackStore::from_bytes(bytes);
-    let _ = open_with_manifest(bytes);
+    open_published_with_manifest(bytes);
 }
 
 proptest! {
@@ -447,6 +436,122 @@ proptest! {
             _ => bytes.insert(i, byte),
         }
         decode_everything(&bytes);
+    }
+}
+
+/// A published `pr7` epoch: every file but the manifest as a `SimVfs`
+/// holds it (each view's segment, the summary and a feedback store), and
+/// the manifest's name and body without its checksum.
+struct Published {
+    files: Vec<(String, Vec<u8>)>,
+    manifest: String,
+    body: Vec<u8>,
+}
+
+fn published() -> &'static Published {
+    static PUBLISHED: OnceLock<Published> = OnceLock::new();
+    PUBLISHED.get_or_init(|| {
+        let views = pr7_views(IdScheme::OrdPath);
+        let cat = materialized(&pr7_document(0.05, 7), &views);
+        let mut feedback = FeedbackStore::new();
+        for v in &views {
+            let scan = Plan::Scan {
+                view: v.name.clone(),
+            };
+            let (_, profile) = execute_profiled_with(&scan, &cat, &ExecOpts::default()).unwrap();
+            feedback.ingest(&scan, &profile);
+        }
+        let vfs = SimVfs::new();
+        let store = DiskStore::new(Arc::new(vfs.clone()));
+        store.publish_epoch(&cat, Some(&feedback)).unwrap();
+        store
+            .open()
+            .unwrap()
+            .warm()
+            .expect("the published epoch reads");
+        let manifest = manifest_file(&vfs);
+        let bytes = vfs.read(&manifest).unwrap();
+        let files = vfs
+            .list()
+            .into_iter()
+            .filter(|n| *n != manifest)
+            .map(|n| {
+                let bytes = vfs.read(&n).unwrap();
+                (n, bytes)
+            })
+            .collect();
+        Published {
+            files,
+            manifest,
+            body: bytes[..bytes.len() - 8].to_vec(),
+        }
+    })
+}
+
+/// Hands `body` to the (private) manifest decoder the only way a store
+/// ever does: as the newest manifest file, under a valid checksum, here
+/// in place of the published epoch's own, so the decoder (not the
+/// checksum) sees it and the files it names exist. An `open` that
+/// succeeds hands back a catalog whose every extent, summary and
+/// feedback store then loads or fails with a `StoreError`; a panic
+/// anywhere fails the calling test.
+fn open_published_with_manifest(body: &[u8]) {
+    let p = published();
+    let vfs = SimVfs::new();
+    for (name, bytes) in &p.files {
+        vfs.write(name, bytes).unwrap();
+    }
+    let mut bytes = body.to_vec();
+    bytes.extend_from_slice(&smv::store::fnv64(body).to_le_bytes());
+    vfs.write(&p.manifest, &bytes).unwrap();
+    if let Ok(cat) = DiskStore::new(Arc::new(vfs)).open() {
+        for v in cat.views() {
+            let _ = cat.load_extent(&v.name);
+        }
+        let _ = cat.summary();
+        let _ = cat.feedback();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A manifest cut short anywhere, beside the files it names.
+    #[test]
+    fn open_survives_a_truncated_manifest(at in 0usize..1 << 20) {
+        let body = &published().body;
+        open_published_with_manifest(&body[..at % body.len()]);
+    }
+
+    /// A manifest with one byte changed, dropped or doubled: a length, a
+    /// file name, a pattern, a scheme tag or a presence flag gone wrong
+    /// beside the files the original names.
+    #[test]
+    fn open_survives_an_edited_manifest(
+        at in 0usize..1 << 20,
+        byte in 0u16..256,
+        edit in 0u8..3,
+    ) {
+        let mut body = published().body.clone();
+        let (i, byte) = (at % body.len(), byte as u8);
+        match edit {
+            0 => body[i] = byte,
+            1 => { body.remove(i); }
+            _ => body.insert(i, byte),
+        }
+        open_published_with_manifest(&body);
+    }
+
+    /// Random bytes after the manifest's valid magic and epoch, so the
+    /// decoder reads past the header (wholly random bytes stop at the
+    /// magic; `decoders_survive_arbitrary_bytes` covers those).
+    #[test]
+    fn open_survives_a_random_manifest(
+        tail in proptest::collection::vec(0u16..256, 0..400),
+    ) {
+        let mut body = published().body[..16].to_vec();
+        body.extend(tail.into_iter().map(|b| b as u8));
+        open_published_with_manifest(&body);
     }
 }
 
