@@ -17,6 +17,7 @@
 //! order on some ID column, repeated structural joins on that column skip
 //! re-sorting entirely.
 
+use smv_pattern::{PNodeId, Pattern};
 use smv_xml::{Label, StructId, Symbol, Value};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
@@ -33,6 +34,26 @@ pub enum AttrKind {
     Value,
     /// Node content (serialized subtree).
     Content,
+}
+
+impl AttrKind {
+    /// The attribute columns pattern node `n` returns, in schema order
+    /// (`ID`, `L`, `V`, `C`): the attributes it stores, or its `ID` alone
+    /// when it is a `ret` node that stores none. A return node needs an
+    /// identity: with no column, distinct nodes would collapse into one
+    /// empty tuple.
+    pub fn of_node(p: &Pattern, n: PNodeId) -> impl Iterator<Item = AttrKind> {
+        let nd = p.node(n);
+        let a = nd.attrs;
+        [
+            (a.id || nd.ret && !a.any(), AttrKind::Id),
+            (a.label, AttrKind::Label),
+            (a.value, AttrKind::Value),
+            (a.content, AttrKind::Content),
+        ]
+        .into_iter()
+        .filter_map(|(stored, kind)| stored.then_some(kind))
+    }
 }
 
 impl std::fmt::Display for AttrKind {

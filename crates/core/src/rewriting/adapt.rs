@@ -90,50 +90,25 @@ impl Rewriter<'_> {
             schema = smv_algebra::Schema { cols };
         }
         // flat column metadata: return nodes in pre-order × attr order
-        let returns = pf.return_nodes();
         let mut cols: Vec<ColInfo> = Vec::new();
         let mut groups: Vec<u32> = Vec::new();
-        let mut ret_col_ranges: Vec<(usize, usize)> = Vec::new();
-        for (g, &r) in returns.iter().enumerate() {
-            let start = cols.len();
-            let a = pf.node(r).attrs;
-            for kind in [
-                AttrKind::Id,
-                AttrKind::Label,
-                AttrKind::Value,
-                AttrKind::Content,
-            ] {
-                let stored = match kind {
-                    AttrKind::Id => a.id,
-                    AttrKind::Label => a.label,
-                    AttrKind::Value => a.value,
-                    AttrKind::Content => a.content,
-                };
-                if stored {
-                    cols.push(ColInfo {
-                        attr: kind,
-                        scheme: v.scheme,
-                        derived: false,
-                    });
-                    groups.push(g as u32);
-                }
+        for (g, r) in pf.return_nodes().into_iter().enumerate() {
+            for kind in AttrKind::of_node(pf, r) {
+                cols.push(ColInfo {
+                    attr: kind,
+                    scheme: v.scheme,
+                    derived: false,
+                });
+                groups.push(g as u32);
             }
-            ret_col_ranges.push((start, cols.len()));
         }
         debug_assert_eq!(cols.len(), schema.cols.len(), "flat layout mismatch");
         let mut members: Vec<Member> = Vec::new();
         for t in &model.trees {
             let rp = t.return_paths();
-            let mut col_path = Vec::with_capacity(cols.len());
-            for (g, _) in returns.iter().enumerate() {
-                let (a, b) = ret_col_ranges[g];
-                for _ in a..b {
-                    col_path.push(rp[g]);
-                }
-            }
             members.push(Member {
                 nodes: NodeSet::of_tree(t),
-                col_path,
+                col_path: groups.iter().map(|&g| rp[g as usize]).collect(),
             });
         }
         dedup_members(&mut members);

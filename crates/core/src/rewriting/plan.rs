@@ -213,27 +213,10 @@ pub(super) fn rank_union_covers(cands: &[(f64, Vec<bool>)]) -> Vec<Vec<usize>> {
 
 /// Flat output columns of the query: (return node, attr) in schema order.
 pub(super) fn flat_out_cols(qf: &Pattern) -> Vec<(PNodeId, AttrKind)> {
-    let mut out = Vec::new();
-    for r in qf.return_nodes() {
-        let a = qf.node(r).attrs;
-        if a.id {
-            out.push((r, AttrKind::Id));
-        }
-        if a.label {
-            out.push((r, AttrKind::Label));
-        }
-        if a.value {
-            out.push((r, AttrKind::Value));
-        }
-        if a.content {
-            out.push((r, AttrKind::Content));
-        }
-        if !a.any() {
-            // bare `ret` nodes need an identity; require ID semantics
-            out.push((r, AttrKind::Id));
-        }
-    }
-    out
+    qf.return_nodes()
+        .into_iter()
+        .flat_map(|r| AttrKind::of_node(qf, r).map(move |kind| (r, kind)))
+        .collect()
 }
 
 enum TargetSlot {
@@ -244,19 +227,7 @@ enum TargetSlot {
 /// The top-level slot layout of `schema_of(q)`.
 fn target_layout(q: &Pattern) -> Vec<TargetSlot> {
     fn rec(q: &Pattern, n: PNodeId, out: &mut Vec<TargetSlot>) {
-        let a = q.node(n).attrs;
-        if a.id || q.node(n).ret && !a.any() {
-            out.push(TargetSlot::Flat(n, AttrKind::Id));
-        }
-        if a.label {
-            out.push(TargetSlot::Flat(n, AttrKind::Label));
-        }
-        if a.value {
-            out.push(TargetSlot::Flat(n, AttrKind::Value));
-        }
-        if a.content {
-            out.push(TargetSlot::Flat(n, AttrKind::Content));
-        }
+        out.extend(AttrKind::of_node(q, n).map(|kind| TargetSlot::Flat(n, kind)));
         for &c in q.children(n) {
             if q.node(c).nested {
                 out.push(TargetSlot::Table(c));

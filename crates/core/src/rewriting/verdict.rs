@@ -83,7 +83,6 @@ impl Rewriter<'_> {
         // candidate groups per query return node (Prop 3.7 + Prop 4.1)
         let mut cand_groups: Vec<Vec<u32>> = Vec::new();
         for &r in &ctx.returns {
-            let want = ctx.qf.node(r).attrs;
             let rp = &ctx.qpaths[r.idx()];
             let mut groups: Vec<u32> = Vec::new();
             let all_groups: HashSet<u32> = pair.groups.iter().copied().collect();
@@ -92,19 +91,8 @@ impl Rewriter<'_> {
                     .filter(|&c| pair.groups[c] == g)
                     .collect();
                 // every wanted attr offered?
-                for kind in [
-                    AttrKind::Id,
-                    AttrKind::Label,
-                    AttrKind::Value,
-                    AttrKind::Content,
-                ] {
-                    let need = match kind {
-                        AttrKind::Id => want.id,
-                        AttrKind::Label => want.label,
-                        AttrKind::Value => want.value,
-                        AttrKind::Content => want.content,
-                    };
-                    if need && !g_cols.iter().any(|&c| pair.cols[c].attr == kind) {
+                for kind in AttrKind::of_node(&ctx.qf, r) {
+                    if !g_cols.iter().any(|&c| pair.cols[c].attr == kind) {
                         continue 'g;
                     }
                 }

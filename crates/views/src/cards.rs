@@ -13,7 +13,7 @@
 
 use crate::catalog::{View, ViewStore};
 use crate::materialize::schema_of;
-use smv_algebra::{CardSource, ColCard, ScanCard};
+use smv_algebra::{AttrKind, CardSource, ColCard, ScanCard};
 use smv_pattern::{associated_paths, PNodeId, Pattern};
 use smv_summary::Summary;
 use smv_xml::NodeId;
@@ -23,8 +23,7 @@ use smv_xml::NodeId;
 /// nested edges as [`ColCard::Nested`]).
 pub fn col_cards(p: &Pattern, s: &Summary) -> Vec<ColCard> {
     fn rec(p: &Pattern, paths: &[Vec<NodeId>], n: PNodeId, out: &mut Vec<ColCard>) {
-        let nd = p.node(n);
-        for _ in 0..nd.attrs.count() {
+        for _ in AttrKind::of_node(p, n) {
             out.push(ColCard::Atom(paths[n.idx()].clone()));
         }
         for &c in p.children(n) {
@@ -143,22 +142,12 @@ pub const BYTES_CONTENT: f64 = 64.0;
 /// included — this is the width of the fully flattened row).
 fn row_width(p: &Pattern) -> f64 {
     p.iter()
-        .map(|n| {
-            let a = p.node(n).attrs;
-            let mut w = 0.0;
-            if a.id {
-                w += BYTES_ID;
-            }
-            if a.label {
-                w += BYTES_LABEL;
-            }
-            if a.value {
-                w += BYTES_VALUE;
-            }
-            if a.content {
-                w += BYTES_CONTENT;
-            }
-            w
+        .flat_map(|n| AttrKind::of_node(p, n))
+        .map(|kind| match kind {
+            AttrKind::Id => BYTES_ID,
+            AttrKind::Label => BYTES_LABEL,
+            AttrKind::Value => BYTES_VALUE,
+            AttrKind::Content => BYTES_CONTENT,
         })
         .sum()
 }

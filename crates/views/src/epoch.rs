@@ -46,7 +46,7 @@
 
 use crate::catalog::{View, ViewStore};
 use crate::materialize::{admits_node, materialize_with, rows_pinned};
-use smv_algebra::{Cell, ExecError, NestedRelation, Row, ViewProvider};
+use smv_algebra::{AttrKind, Cell, ExecError, NestedRelation, Row, ViewProvider};
 use smv_pattern::{PNodeId, Pattern};
 use smv_summary::Summary;
 use smv_xml::{
@@ -121,7 +121,7 @@ impl Anchor {
             if nd.attrs.content || p.node(c).optional || p.node(c).nested {
                 break;
             }
-            cols_above += nd.attrs.count();
+            cols_above += AttrKind::of_node(p, n).count();
             chain.push(c);
         }
         best.map(|(len, col)| {

@@ -30,24 +30,10 @@ fn schema_of_sub(p: &Pattern, n: PNodeId) -> Schema {
             Some(l) => format!("{}#{}", l.as_str(), n.0),
             None => format!("*#{}", n.0),
         };
-        let mut push = |kind: AttrKind| {
-            out.push(Column {
-                name: Symbol::intern(&format!("{base}.{kind}")),
-                kind: ColKind::Atom(kind),
-            })
-        };
-        if nd.attrs.id {
-            push(AttrKind::Id);
-        }
-        if nd.attrs.label {
-            push(AttrKind::Label);
-        }
-        if nd.attrs.value {
-            push(AttrKind::Value);
-        }
-        if nd.attrs.content {
-            push(AttrKind::Content);
-        }
+        out.extend(AttrKind::of_node(p, n).map(|kind| Column {
+            name: Symbol::intern(&format!("{base}.{kind}")),
+            kind: ColKind::Atom(kind),
+        }));
         for &c in p.children(n) {
             if p.node(c).nested {
                 let mut inner = Vec::new();
@@ -68,7 +54,7 @@ fn schema_of_sub(p: &Pattern, n: PNodeId) -> Schema {
 
 /// Number of (top-level) columns the subtree rooted at `n` contributes.
 fn width(p: &Pattern, n: PNodeId) -> usize {
-    let mut w = p.node(n).attrs.count();
+    let mut w = AttrKind::of_node(p, n).count();
     for &c in p.children(n) {
         if p.node(c).nested {
             w += 1;
@@ -192,25 +178,17 @@ pub(crate) fn admits_node(p: &Pattern, m: PNodeId, doc: &Document, y: NodeId) ->
 /// The attribute cells pattern node `n` contributes when bound to
 /// document node `x`, in schema order (`ID`, `L`, `V`, `C`).
 fn own_cells(p: &Pattern, n: PNodeId, doc: &Document, ids: &IdAssignment, x: NodeId) -> Vec<Cell> {
-    let nd = p.node(n);
-    let mut own = Vec::new();
-    if nd.attrs.id {
-        own.push(Cell::Id(ids.id(x).clone()));
-    }
-    if nd.attrs.label {
-        own.push(Cell::Label(doc.label(x)));
-    }
-    if nd.attrs.value {
-        own.push(
-            doc.value(x)
+    AttrKind::of_node(p, n)
+        .map(|kind| match kind {
+            AttrKind::Id => Cell::Id(ids.id(x).clone()),
+            AttrKind::Label => Cell::Label(doc.label(x)),
+            AttrKind::Value => doc
+                .value(x)
                 .map(|v| Cell::Atom(v.clone()))
                 .unwrap_or(Cell::Null),
-        );
-    }
-    if nd.attrs.content {
-        own.push(Cell::Content(serialize_subtree(doc, x).into()));
-    }
-    own
+            AttrKind::Content => Cell::Content(serialize_subtree(doc, x).into()),
+        })
+        .collect()
 }
 
 /// Top-down binding enumeration over per-pattern-node candidate lists.

@@ -135,7 +135,13 @@ proptest! {
                 scheme,
                 &[("all", "r(//*{id,l,v})"), ("bs", "r(//b{id,v})")],
             );
-            for query in ["r(//b{id,v})", "r(//a{id}(//b{v}))", "r(//*{id,l})"] {
+            for query in [
+                "r(//b{id,v})",
+                "r(//a{id}(//b{v}))",
+                "r(//*{id,l})",
+                "r(//a{ret}(//b{v}))",
+                "r(//b{ret})",
+            ] {
                 check_query(&matrix, &doc, scheme, query);
             }
         }
