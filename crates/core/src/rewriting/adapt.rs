@@ -7,9 +7,8 @@ use super::{QueryCtx, Rewriter};
 use smv_algebra::{AttrKind, ColKind, NavStep, Plan};
 use smv_pattern::canonical::{canonical_model, CanonOpts};
 use smv_pattern::{associated_paths, Axis, Formula, Pattern};
-use smv_summary::Summary;
 use smv_views::{schema_of, View};
-use smv_xml::{NodeId, Symbol};
+use smv_xml::{LabeledTree, NodeId, Symbol};
 use std::collections::HashSet;
 
 /// The summary constraints and the two options a [`PreparedView`] was
@@ -251,7 +250,7 @@ impl Rewriter<'_> {
                 }
                 nav_count += 1;
                 // child-axis step chain base → sd
-                let chain = chain_labels(self.s, base, sd);
+                let chain = self.s.tree_chain_down(base, sd);
                 let steps: Vec<NavStep> = chain
                     .iter()
                     .map(|&p| NavStep {
@@ -294,7 +293,7 @@ impl Rewriter<'_> {
                         continue;
                     }
                     let mut bound_m = m.clone();
-                    for p in chain_with(self.s, base, sd) {
+                    for &p in &chain {
                         bound_m.nodes.conj(p, &Formula::top());
                     }
                     bound_m
@@ -310,16 +309,4 @@ impl Rewriter<'_> {
             }
         }
     }
-}
-
-/// The chain of summary nodes strictly between `a` (exclusive) and `b`
-/// (inclusive).
-fn chain_labels(s: &Summary, a: NodeId, b: NodeId) -> Vec<NodeId> {
-    use smv_xml::LabeledTree;
-    s.tree_chain_down(a, b)
-}
-
-/// The chain including intermediate nodes, used for member extension.
-fn chain_with(s: &Summary, a: NodeId, b: NodeId) -> Vec<NodeId> {
-    chain_labels(s, a, b)
 }

@@ -171,14 +171,23 @@ impl Rewriter<'_> {
         kind: JoinKind,
         combos: &[(usize, usize)],
     ) -> Option<Pair> {
+        // a reversed structural join has `b` on the ancestor side: `b` is
+        // the left input, so the pair's columns are `b`'s, then `a`'s
+        let reversed = matches!(kind, JoinKind::Struct(_, true));
+        let (left, right, lcol, rcol) = if reversed {
+            (b, a, cb, ca)
+        } else {
+            (a, b, ca, cb)
+        };
         let mut members = Vec::with_capacity(combos.len());
         for &(i, j) in combos {
             let (ma, mb) = (&a.members[i], &b.members[j]);
             let Some(nodes) = merge_nodes(&ma.nodes, &mb.nodes) else {
                 continue;
             };
-            let mut col_path = ma.col_path.clone();
-            col_path.extend(mb.col_path.iter().copied());
+            let (ml, mr) = if reversed { (mb, ma) } else { (ma, mb) };
+            let mut col_path = ml.col_path.clone();
+            col_path.extend(mr.col_path.iter().copied());
             members.push(Member { nodes, col_path });
         }
         if members.is_empty() {
@@ -188,72 +197,36 @@ impl Rewriter<'_> {
         if members.len() > self.opts.max_members {
             return None;
         }
+        let (left_plan, right_plan) = (Box::new(left.plan.clone()), Box::new(right.plan.clone()));
         let plan = match kind {
             JoinKind::IdEq => Plan::IdJoin {
-                left: Box::new(a.plan.clone()),
-                right: Box::new(b.plan.clone()),
-                lcol: ca,
-                rcol: cb,
+                left: left_plan,
+                right: right_plan,
+                lcol,
+                rcol,
             },
-            JoinKind::Struct(rel, false) => Plan::StructJoin {
-                left: Box::new(a.plan.clone()),
-                right: Box::new(b.plan.clone()),
-                lcol: ca,
-                rcol: cb,
-                rel,
-            },
-            JoinKind::Struct(rel, true) => Plan::StructJoin {
-                // descendant side on the left input: swap roles by joining
-                // b as the ancestor side, then the schema order is b ++ a;
-                // to keep column order a ++ b we instead keep a left and
-                // express the reversed relation by swapping operands.
-                left: Box::new(b.plan.clone()),
-                right: Box::new(a.plan.clone()),
-                lcol: cb,
-                rcol: ca,
+            JoinKind::Struct(rel, _) => Plan::StructJoin {
+                left: left_plan,
+                right: right_plan,
+                lcol,
+                rcol,
                 rel,
             },
         };
-        // reversed struct joins put b's columns first
-        let (cols, groups, members) = if matches!(kind, JoinKind::Struct(_, true)) {
-            let mut cols = b.cols.clone();
-            cols.extend(a.cols.iter().cloned());
-            let mut groups = b.groups.clone();
-            let off = groups.iter().copied().max().unwrap_or(0) + 1;
-            groups.extend(a.groups.iter().map(|g| g + off));
-            let members = members
-                .into_iter()
-                .map(|m| {
-                    // member col_path was built a ++ b; rotate to b ++ a
-                    let (av, bv) = m.col_path.split_at(a.cols.len());
-                    let mut cp = bv.to_vec();
-                    cp.extend(av.iter().copied());
-                    Member {
-                        nodes: m.nodes,
-                        col_path: cp,
-                    }
-                })
-                .collect();
-            (cols, groups, members)
-        } else {
-            let mut cols = a.cols.clone();
-            cols.extend(b.cols.iter().cloned());
-            let mut groups = a.groups.clone();
-            let off = groups.iter().copied().max().unwrap_or(0) + 1;
-            let mut bg: Vec<u32> = b.groups.iter().map(|g| g + off).collect();
-            if kind == JoinKind::IdEq {
-                // same node on both sides: merge the groups
-                let target = groups[ca];
-                let src = bg[cb];
-                for g in &mut bg {
-                    if *g == src {
-                        *g = target;
-                    }
+        let mut cols = left.cols.clone();
+        cols.extend(right.cols.iter().cloned());
+        let off = left.groups.iter().copied().max().unwrap_or(0) + 1;
+        let mut groups = left.groups.clone();
+        groups.extend(right.groups.iter().map(|g| g + off));
+        if kind == JoinKind::IdEq {
+            // same node on both sides: merge the groups
+            let (target, src) = (groups[lcol], groups[left.cols.len() + rcol]);
+            for g in &mut groups[left.cols.len()..] {
+                if *g == src {
+                    *g = target;
                 }
             }
-            groups.extend(bg);
-            (cols, groups, members)
-        };
+        }
         let mut views = a.views.clone();
         views.extend(b.views.iter().copied());
         views.sort_unstable();

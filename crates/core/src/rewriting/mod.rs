@@ -406,19 +406,10 @@ impl<'a> Rewriter<'a> {
             for plan_or_cand in self.try_pair(pair, &ctx, &mut verdicts) {
                 match plan_or_cand {
                     Candidate::Equivalent(plan) => {
-                        if result.stats.first_rewriting.is_none() {
-                            result.stats.first_rewriting = Some(t0.elapsed());
-                        }
-                        let est = model.estimate(&plan);
-                        *best_cost = best_cost.min(est.cost);
-                        result.rewritings.push(Rewriting {
-                            scans: plan.scan_count(),
-                            plan,
-                            est,
-                        });
-                        if self.opts.first_only
-                            || result.rewritings.len() >= self.opts.max_rewritings
-                        {
+                        let full = self.record(plan, result, &model, t0);
+                        let found = result.rewritings.last().expect("just recorded");
+                        *best_cost = best_cost.min(found.est.cost);
+                        if full || self.opts.first_only {
                             return true; // stop the whole search
                         }
                     }
@@ -533,6 +524,30 @@ impl<'a> Rewriter<'a> {
         smv_obs::counter_add("rewrite.prepared_built", result.stats.prepared_built as u64);
         smv_obs::observe("rewrite.total_ns", result.stats.total.as_nanos() as u64);
         result
+    }
+
+    /// Records `plan` as a rewriting with `model`'s estimate; the first
+    /// one of the run sets [`RewriteStats::first_rewriting`] to the time
+    /// since `t0`. Returns whether the run now has
+    /// [`RewriteOpts::max_rewritings`] of them.
+    fn record(
+        &self,
+        plan: Plan,
+        result: &mut RewriteResult,
+        model: &CostModel<'_>,
+        t0: Instant,
+    ) -> bool {
+        result
+            .stats
+            .first_rewriting
+            .get_or_insert_with(|| t0.elapsed());
+        let est = model.estimate(&plan);
+        result.rewritings.push(Rewriting {
+            scans: plan.scan_count(),
+            plan,
+            est,
+        });
+        result.rewritings.len() >= self.opts.max_rewritings
     }
 }
 

@@ -9,7 +9,7 @@ use smv_xml::fasthash::{FastBuild, FastHasher};
 use smv_xml::{IdScheme, NodeId};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -266,6 +266,14 @@ impl Pair {
         self.rows = est.rows;
     }
 
+    /// The first column of group `g` that carries `attr`, or of any
+    /// attribute when `attr` is `None`: the column a member binds on the
+    /// group's node.
+    pub(super) fn group_col(&self, g: u32, attr: Option<AttrKind>) -> Option<usize> {
+        (0..self.cols.len())
+            .find(|&c| self.groups[c] == g && attr.is_none_or(|a| self.cols[c].attr == a))
+    }
+
     /// The pair's Prop. 3.5 identity; see [`PairKey`].
     pub(super) fn key(&self) -> PairKey {
         // the columns, grouped (column order within a group kept)
@@ -296,7 +304,7 @@ impl Pair {
             }
             members.push(MemberKey {
                 nodes: m.nodes.clone(),
-                layout_hash: fast_hash(&layouts[start..]),
+                layout_hash: FastBuild::default().hash_one(&layouts[start..]),
                 layout: start..layouts.len(),
             });
         }
@@ -387,12 +395,6 @@ fn hash_parts(words: &[u64], formulas: &[(NodeId, Formula)]) -> u64 {
         h.write_u64(*w);
     }
     formulas.hash(&mut h);
-    h.finish()
-}
-
-fn fast_hash<T: Hash + ?Sized>(x: &T) -> u64 {
-    let mut h = FastHasher::default();
-    x.hash(&mut h);
     h.finish()
 }
 

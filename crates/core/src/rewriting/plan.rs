@@ -3,7 +3,7 @@
 //! adaptation — and the minimal unions of partial candidates.
 
 use super::pair::Pair;
-use super::{QueryCtx, RewriteResult, Rewriter, Rewriting};
+use super::{QueryCtx, RewriteResult, Rewriter};
 use smv_algebra::{AttrKind, CostModel, Plan};
 use smv_pattern::{PNodeId, Pattern};
 use smv_xml::Symbol;
@@ -125,16 +125,7 @@ impl Rewriter<'_> {
                     inputs: sel.iter().map(|&i| candidates[i].0.clone()).collect(),
                 }),
             };
-            if result.stats.first_rewriting.is_none() {
-                result.stats.first_rewriting = Some(t0.elapsed());
-            }
-            let est = model.estimate(&plan);
-            result.rewritings.push(Rewriting {
-                scans: plan.scan_count(),
-                plan,
-                est,
-            });
-            if result.rewritings.len() >= self.opts.max_rewritings {
+            if self.record(plan, result, model, t0) {
                 return;
             }
         }

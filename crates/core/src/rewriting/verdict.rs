@@ -86,28 +86,25 @@ impl Rewriter<'_> {
             let rp = &ctx.qpaths[r.idx()];
             let mut groups: Vec<u32> = Vec::new();
             let all_groups: HashSet<u32> = pair.groups.iter().copied().collect();
-            'g: for g in all_groups {
-                let g_cols: Vec<usize> = (0..pair.cols.len())
-                    .filter(|&c| pair.groups[c] == g)
-                    .collect();
+            for g in all_groups {
                 // every wanted attr offered?
-                for kind in AttrKind::of_node(&ctx.qf, r) {
-                    if !g_cols.iter().any(|&c| pair.cols[c].attr == kind) {
-                        continue 'g;
-                    }
+                if !AttrKind::of_node(&ctx.qf, r)
+                    .all(|kind| pair.group_col(g, Some(kind)).is_some())
+                {
+                    continue;
                 }
                 // Prop 3.7 (relaxed pre-σ form): some member must bind the
                 // column on a query-compatible path; members on other
                 // paths may still be filtered by the σ adaptations, so the
                 // strict subset check is left to the equivalence test.
+                let rep = pair.group_col(g, None).expect("a group has a column");
                 let some_compatible = pair
                     .members
                     .iter()
-                    .any(|m| m.col_path[g_cols[0]].is_some_and(|p| rp.contains(&p)));
-                if !some_compatible {
-                    continue 'g;
+                    .any(|m| m.col_path[rep].is_some_and(|p| rp.contains(&p)));
+                if some_compatible {
+                    groups.push(g);
                 }
-                groups.push(g);
             }
             if groups.is_empty() {
                 return out;
@@ -163,14 +160,16 @@ impl Rewriter<'_> {
         let mut chosen: Vec<usize> = Vec::with_capacity(ctx.out_cols.len());
         for (r, kind) in &ctx.out_cols {
             let g = combo[ctx.returns.iter().position(|x| x == r).expect("return")];
-            let c = (0..pair.cols.len())
-                .find(|&c| pair.groups[c] == g && pair.cols[c].attr == *kind)?;
-            chosen.push(c);
+            chosen.push(pair.group_col(g, Some(*kind))?);
         }
+        // the column standing for each return node, in query-return order
+        let reps: Vec<usize> = combo
+            .iter()
+            .map(|&g| pair.group_col(g, None))
+            .collect::<Option<_>>()?;
         // σ adaptations per query return node
         for (ri, &r) in ctx.returns.iter().enumerate() {
-            let g = combo[ri];
-            let rep = (0..pair.cols.len()).find(|&c| pair.groups[c] == g)?;
+            let (g, rep) = (combo[ri], reps[ri]);
             let qn = ctx.qf.node(r);
             let under_optional = node_or_ancestor_optional(&ctx.qf, r);
             // label selection (σ_{n.L=l}) when a * view column feeds a
@@ -181,9 +180,7 @@ impl Rewriter<'_> {
                     .iter()
                     .any(|m| m.col_path[rep].is_some_and(|p| self.s.label(p) != l));
                 if mismatched && !under_optional {
-                    let lcol = (0..pair.cols.len())
-                        .find(|&c| pair.groups[c] == g && pair.cols[c].attr == AttrKind::Label);
-                    let lcol = lcol?;
+                    let lcol = pair.group_col(g, Some(AttrKind::Label))?;
                     pair.plan = Plan::Select {
                         input: Box::new(pair.plan.clone()),
                         pred: Predicate::LabelEq {
@@ -206,8 +203,7 @@ impl Rewriter<'_> {
                         .is_some_and(|p| !m.nodes.formula(p).unwrap_or(&top).implies(&qn.predicate))
                 });
                 if needs {
-                    let vcol = (0..pair.cols.len())
-                        .find(|&c| pair.groups[c] == g && pair.cols[c].attr == AttrKind::Value)?;
+                    let vcol = pair.group_col(g, Some(AttrKind::Value))?;
                     pair.plan = Plan::Select {
                         input: Box::new(pair.plan.clone()),
                         pred: Predicate::Value {
@@ -236,19 +232,7 @@ impl Rewriter<'_> {
         let designations: Vec<Vec<Option<NodeId>>> = pair
             .members
             .iter()
-            .map(|m| {
-                ctx.returns
-                    .iter()
-                    .enumerate()
-                    .map(|(ri, _)| {
-                        let g = combo[ri];
-                        let rep = (0..pair.cols.len())
-                            .find(|&c| pair.groups[c] == g)
-                            .expect("group non-empty");
-                        m.col_path[rep]
-                    })
-                    .collect()
-            })
+            .map(|m| reps.iter().map(|&c| m.col_path[c]).collect())
             .collect();
 
         // direction A: union of members ⊆ q (each member individually)
