@@ -936,7 +936,7 @@ mod tests {
 
     #[test]
     fn cheaper_scan_beats_filtered_wide_scan() {
-        // the ranking decision the pr2 workload relies on: a narrow extent scan
+        // the ranking decision the cost-ranking cases rely on: a narrow extent scan
         // costs less than a wide scan plus label selection
         let s = summary();
         let b = s.node_by_path("/r/a/b").unwrap();

@@ -14,21 +14,21 @@
 #![deny(clippy::print_stdout, clippy::print_stderr)]
 pub mod corpora;
 pub mod dblp;
-pub mod pr2;
 pub mod pr3;
-pub mod pr4;
 pub mod pr7;
 pub mod queries;
+pub mod ranking;
+pub mod skewed;
 pub mod synthetic;
 pub mod views;
 pub mod xmark;
 
 pub use dblp::{dblp, DblpSnapshot};
-pub use pr2::{pr2_workload, Pr2Case};
 pub use pr3::{pr3_workload, Pr3Query};
-pub use pr4::{pr4_workload, Pr4Query, Pr4Workload};
 pub use pr7::{pr7_document, pr7_views, Pr7Stream};
 pub use queries::xmark_query_patterns;
+pub use ranking::{ranking_cases, RankingCase};
+pub use skewed::{skewed_workload, SkewedQuery, SkewedWorkload};
 pub use synthetic::{random_patterns, SynthConfig};
 pub use views::{random_views, seed_views, ViewGenConfig};
 pub use xmark::{xmark, XmarkConfig};

@@ -1,4 +1,4 @@
-//! The `pr2` workload: queries with a deliberately wide plan space.
+//! The cost-ranking cases: queries with a deliberately wide plan space.
 //!
 //! Each case pairs one XMark query with two views that both rewrite it:
 //!
@@ -7,17 +7,17 @@
 //!   extent (the §4.6 `σ_L` adaptation);
 //! * an **exact** view matching the query — a plain scan.
 //!
-//! The wide view is listed *first*, so discovery-order rewriting (PR 1's
-//! behavior, `rank_by_cost: false`) returns the expensive plan first,
-//! while the cost-ranked default picks the exact scan. This isolates
-//! exactly what the cost layer buys.
+//! The wide view is listed *first*, so a rewriter that returned its plans
+//! in discovery order would return the expensive plan first, while the
+//! cost-ranked default picks the exact scan. This isolates exactly what
+//! the cost layer buys.
 
 use smv_pattern::{parse_pattern, Pattern};
 use smv_views::View;
 use smv_xml::IdScheme;
 
-/// One `pr2` case: a query plus its view set (wide first).
-pub struct Pr2Case {
+/// One cost-ranking case: a query plus its view set (wide first).
+pub struct RankingCase {
     /// Short case name (names the golden `EXPLAIN` file).
     pub name: &'static str,
     /// The query pattern.
@@ -26,7 +26,7 @@ pub struct Pr2Case {
     pub views: Vec<View>,
 }
 
-/// The (query, wide-anchor) sources of the workload.
+/// The (query, wide-anchor) sources of the cases.
 const CASES: &[(&str, &str, &str)] = &[
     (
         "initial",
@@ -55,21 +55,21 @@ const CASES: &[(&str, &str, &str)] = &[
     ),
 ];
 
-/// Builds the full workload with views stored under `scheme`.
-pub fn pr2_workload(scheme: IdScheme) -> Vec<Pr2Case> {
+/// Builds every case with views stored under `scheme`.
+pub fn ranking_cases(scheme: IdScheme) -> Vec<RankingCase> {
     CASES
         .iter()
         .map(|(name, q_src, wide_src)| {
-            let query = parse_pattern(q_src).expect("builtin pr2 query parses");
+            let query = parse_pattern(q_src).expect("builtin ranking query parses");
             let views = vec![
                 View::new(
                     &format!("{name}_wide"),
-                    parse_pattern(wide_src).expect("builtin pr2 wide view parses"),
+                    parse_pattern(wide_src).expect("builtin ranking wide view parses"),
                     scheme,
                 ),
                 View::new(&format!("{name}_exact"), query.clone(), scheme),
             ];
-            Pr2Case { name, query, views }
+            RankingCase { name, query, views }
         })
         .collect()
 }
@@ -83,7 +83,7 @@ mod tests {
     #[test]
     fn workload_builds_and_anchors_exist() {
         let s = Summary::of(&xmark(&XmarkConfig::default()));
-        let cases = pr2_workload(IdScheme::OrdPath);
+        let cases = ranking_cases(IdScheme::OrdPath);
         assert!(cases.len() >= 3);
         for c in &cases {
             assert_eq!(c.views.len(), 2);

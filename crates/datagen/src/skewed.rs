@@ -1,4 +1,4 @@
-//! The `pr4` workload: frequency skew that static estimates cannot
+//! Skewed values: frequency skew that static estimates cannot
 //! see, so cost ranking picks a provably worse plan until runtime
 //! feedback corrects it.
 //!
@@ -25,8 +25,8 @@ use smv_pattern::{parse_pattern, Pattern};
 use smv_views::View;
 use smv_xml::{Document, IdScheme};
 
-/// One `pr4` query.
-pub struct Pr4Query {
+/// One query over the skewed values.
+pub struct SkewedQuery {
     /// Short name.
     pub name: &'static str,
     /// The query pattern.
@@ -37,14 +37,14 @@ pub struct Pr4Query {
     pub expect_misrank: bool,
 }
 
-/// The `pr4` document, views and queries.
-pub struct Pr4Workload {
+/// The skewed document, views and queries.
+pub struct SkewedWorkload {
     /// The generated document.
     pub doc: Document,
     /// The views to materialize.
     pub views: Vec<View>,
     /// The queries, repeated across loop iterations.
-    pub queries: Vec<Pr4Query>,
+    pub queries: Vec<SkewedQuery>,
 }
 
 /// Heavy-hitter `initial` value (satisfies `v<=100`).
@@ -60,7 +60,7 @@ pub const PRICE_CUT: i64 = PRICE_BASE + PRICE_SPAN / 2;
 
 /// Builds the workload at `scale` (1.0 ≈ 12k auctions + 6k bids, enough
 /// distinct values to saturate the distinct sketch on both paths).
-pub fn pr4_workload(scale: f64, scheme: IdScheme) -> Pr4Workload {
+pub fn skewed_workload(scale: f64, scheme: IdScheme) -> SkewedWorkload {
     let n = ((scale * 12_000.0) as usize).max(400);
     let m = n / 2;
     let mut parts: Vec<String> = Vec::with_capacity(n + m + 2);
@@ -86,7 +86,11 @@ pub fn pr4_workload(scale: f64, scheme: IdScheme) -> Pr4Workload {
     let doc = Document::from_parens(&format!("site({})", parts.join(" ")));
 
     let view = |name: &str, src: &str| {
-        View::new(name, parse_pattern(src).expect("pr4 view parses"), scheme)
+        View::new(
+            name,
+            parse_pattern(src).expect("skewed view parses"),
+            scheme,
+        )
     };
     let views = vec![
         view("auc_ids", "site(/auctions(/auction{id}))"),
@@ -104,9 +108,9 @@ pub fn pr4_workload(scale: f64, scheme: IdScheme) -> Pr4Workload {
             &format!("site(/bids(/bid(/price{{id,v}}[v>={PRICE_CUT}])))"),
         ),
     ];
-    let q = |name, src: &str, expect_misrank| Pr4Query {
+    let q = |name, src: &str, expect_misrank| SkewedQuery {
         name,
-        pattern: parse_pattern(src).expect("pr4 query parses"),
+        pattern: parse_pattern(src).expect("skewed query parses"),
         expect_misrank,
     };
     let queries = vec![
@@ -126,7 +130,7 @@ pub fn pr4_workload(scale: f64, scheme: IdScheme) -> Pr4Workload {
             false,
         ),
     ];
-    Pr4Workload {
+    SkewedWorkload {
         doc,
         views,
         queries,
@@ -140,7 +144,7 @@ mod tests {
 
     #[test]
     fn workload_builds_and_saturates_at_full_scale() {
-        let wl = pr4_workload(1.0, IdScheme::OrdPath);
+        let wl = skewed_workload(1.0, IdScheme::OrdPath);
         let s = Summary::of(&wl.doc);
         let initial = s.node_by_path("/site/auctions/auction/initial").unwrap();
         let price = s.node_by_path("/site/bids/bid/price").unwrap();
@@ -166,7 +170,7 @@ mod tests {
     fn small_scales_stay_skewed() {
         // below the sketch cap the exact sample still hides frequency —
         // the misranking driver is present at every scale
-        let wl = pr4_workload(0.05, IdScheme::OrdPath);
+        let wl = skewed_workload(0.05, IdScheme::OrdPath);
         let s = Summary::of(&wl.doc);
         let initial = s.node_by_path("/site/auctions/auction/initial").unwrap();
         let heavy_share = 0.9 * s.count(initial) as f64;

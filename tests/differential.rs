@@ -85,7 +85,7 @@ fn figure1_queries_are_provider_invariant() {
     }
 }
 
-/// The pr2 workload (wide + exact views per XMark query): every
+/// The cost-ranking cases (wide + exact views per XMark query): every
 /// rewriting of every case returns the same rows from every arm, and
 /// those rows are direct evaluation's.
 #[test]
@@ -94,10 +94,10 @@ fn pr2_workload_is_provider_invariant_on_xmark() {
         scale: 0.05,
         ..Default::default()
     });
-    for case in smv::datagen::pr2_workload(IdScheme::OrdPath) {
+    for case in smv::datagen::ranking_cases(IdScheme::OrdPath) {
         let matrix = ProviderMatrix::from_views(&doc, case.views.clone());
         let checked = check_rewritings(&matrix, &doc, IdScheme::OrdPath, &case.query);
-        assert!(checked > 0, "pr2 case {} should rewrite", case.name);
+        assert!(checked > 0, "ranking case {} should rewrite", case.name);
     }
 }
 

@@ -180,7 +180,7 @@ fn cost_ranking_never_changes_results_on_xmark() {
         ..Default::default()
     });
     let s = Summary::of(&doc);
-    for case in smv::datagen::pr2_workload(IdScheme::OrdPath) {
+    for case in smv::datagen::ranking_cases(IdScheme::OrdPath) {
         let catalog = materialized(&doc, &case.views);
         let cards = CatalogCards::over(&catalog, &s);
         let r = Rewriter::new(&case.query, &case.views, &s, RewriteOpts::default())
@@ -214,8 +214,8 @@ fn estimated_cardinalities_track_actuals_on_xmark() {
         ..Default::default()
     });
     let s = Summary::of(&doc);
-    // scan + σ_L plans from the pr2 workload
-    for case in smv::datagen::pr2_workload(IdScheme::OrdPath) {
+    // scan + σ_L plans from the cost-ranking cases
+    for case in smv::datagen::ranking_cases(IdScheme::OrdPath) {
         let catalog = materialized(&doc, &case.views);
         let cards = CatalogCards::over(&catalog, &s);
         let r = Rewriter::new(&case.query, &case.views, &s, RewriteOpts::default())

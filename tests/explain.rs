@@ -1,7 +1,7 @@
 //! `EXPLAIN` / `EXPLAIN ANALYZE` surface tests.
 //!
 //! * Golden files: the rendered `EXPLAIN` of the best rewriting for each
-//!   pr2 workload XMark query is pinned under `tests/golden/`. The renderer,
+//!   cost-ranking case's XMark query is pinned under `tests/golden/`. The renderer,
 //!   cost model, and plan choice are all deterministic for a fixed
 //!   document, so any drift in these files is a real behavior change.
 //!   Regenerate intentionally with `SMV_BLESS=1 cargo test --test explain`.
@@ -16,7 +16,7 @@ mod common;
 
 use common::{materialized, tree_strategy};
 use proptest::prelude::*;
-use smv::datagen::pr2_workload;
+use smv::datagen::ranking_cases;
 use smv::prelude::*;
 use std::path::PathBuf;
 
@@ -45,8 +45,8 @@ fn golden_check(name: &str, rendered: &str) {
     );
 }
 
-/// The rendered `EXPLAIN` of each pr2 workload XMark query's best (cost-
-/// ranked) rewriting matches its pinned golden file: operator heads,
+/// The rendered `EXPLAIN` of each cost-ranking case's XMark query's best
+/// (cost-ranked) rewriting matches its pinned golden file: operator heads,
 /// tree shape, and estimated rows are all stable.
 #[test]
 fn explain_golden_xmark_bench_queries() {
@@ -55,7 +55,7 @@ fn explain_golden_xmark_bench_queries() {
         ..Default::default()
     });
     let summary = Summary::of(&doc);
-    let cases = pr2_workload(IdScheme::OrdPath);
+    let cases = ranking_cases(IdScheme::OrdPath);
     assert_eq!(cases.len(), 5, "golden set covers five bench queries");
     for case in cases {
         let catalog = materialized(&doc, &case.views);

@@ -15,7 +15,7 @@ mod golden;
 use golden::{check_golden, BENCH_VIEWS, QUERIES};
 use proptest::prelude::*;
 use smv::algebra::{plan_fingerprint, CardSource, Predicate, StructRel};
-use smv::datagen::pr4_workload;
+use smv::datagen::skewed_workload;
 use smv::prelude::*;
 use smv::views::CatalogCards;
 use smv::xml::IdScheme;
@@ -280,19 +280,20 @@ fn feedback_rankings(
     }
 }
 
-/// The feedback-corrected ranking, pinned on the `pr4` skew, where
+/// The feedback-corrected ranking, pinned on the skewed values, where
 /// feedback flips plans, on the benchmark's queries over its views, and on
 /// queries only joins answer, over those views and over skewed values.
 #[test]
 fn feedback_ranking_matches_its_golden_file() {
     let mut rendered = String::new();
-    let pr4 = pr4_workload(0.05, IdScheme::OrdPath);
-    let queries: Vec<(&str, Pattern)> = pr4
+    let skewed = skewed_workload(0.05, IdScheme::OrdPath);
+    let queries: Vec<(&str, Pattern)> = skewed
         .queries
         .iter()
         .map(|q| (q.name, q.pattern.clone()))
         .collect();
-    let catalog = common::materialized(&pr4.doc, &pr4.views);
+    let catalog = common::materialized(&skewed.doc, &skewed.views);
+    // `pr4` names this block of the golden file
     feedback_rankings("pr4", &catalog, &queries, &mut rendered);
 
     let views: Vec<View> = BENCH_VIEWS

@@ -783,25 +783,25 @@ impl MatchTarget for Scanned<'_> {
 
 /// Plan-cache safety, the other direction: `plan_fingerprint` must tell
 /// the benchmark query sets apart, or the plan cache would serve one
-/// query's ranked plan for another. Every pr2 and pr4 workload query's
-/// best plan gets a distinct fingerprint.
+/// query's ranked plan for another. Every cost-ranking case's and skewed
+/// query's best plan gets a distinct fingerprint.
 #[test]
 fn plan_fingerprint_distinguishes_bench_workloads() {
     use smv::algebra::plan_fingerprint;
-    use smv::datagen::{pr2_workload, pr4_workload};
+    use smv::datagen::{ranking_cases, skewed_workload};
     let mut fps: Vec<(String, u64)> = Vec::new();
     let s2 = Summary::of(&xmark(&XmarkConfig::default()));
-    for c in pr2_workload(IdScheme::OrdPath) {
+    for c in ranking_cases(IdScheme::OrdPath) {
         let r = rewrite(&c.query, &c.views, &s2, &RewriteOpts::default());
-        let rw = r.rewritings.first().expect("pr2 case rewrites");
-        fps.push((format!("pr2/{}", c.name), plan_fingerprint(&rw.plan)));
+        let rw = r.rewritings.first().expect("ranking case rewrites");
+        fps.push((format!("ranking/{}", c.name), plan_fingerprint(&rw.plan)));
     }
-    let wl = pr4_workload(0.05, IdScheme::OrdPath);
+    let wl = skewed_workload(0.05, IdScheme::OrdPath);
     let s4 = Summary::of(&wl.doc);
     for q in &wl.queries {
         let r = rewrite(&q.pattern, &wl.views, &s4, &RewriteOpts::default());
-        let rw = r.rewritings.first().expect("pr4 query rewrites");
-        fps.push((format!("pr4/{}", q.name), plan_fingerprint(&rw.plan)));
+        let rw = r.rewritings.first().expect("skewed query rewrites");
+        fps.push((format!("skewed/{}", q.name), plan_fingerprint(&rw.plan)));
     }
     for i in 0..fps.len() {
         for j in i + 1..fps.len() {
