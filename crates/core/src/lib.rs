@@ -9,7 +9,13 @@
 //!   materialized view patterns, produce the algebraic plans over the
 //!   views that are `S`-equivalent to the query, with the pruning rules of
 //!   Propositions 3.4-3.7, C-attribute unfolding and virtual-ID
-//!   derivation (§4.6).
+//!   derivation (§4.6). One module per step of the algorithm: `mod.rs`
+//!   (options, results, the search loop and its branch-and-bound),
+//!   `pair` (the (plan, pattern) pairs and their Prop. 3.5 keys),
+//!   `adapt` (line 1: base pairs, Prop. 3.4, the §4.6 derived columns),
+//!   `bound` (the branch-and-bound's lower bound), `join` (lines 2–11),
+//!   `verdict` (line 7: Props. 3.1, 3.2 and 3.7, the §4.6 selections)
+//!   and `plan` (the output plan and lines 13–14).
 //!
 //! ## What a run pays for
 //!

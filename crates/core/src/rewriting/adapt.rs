@@ -12,8 +12,9 @@ use smv_xml::{LabeledTree, NodeId, Symbol};
 use std::collections::HashSet;
 
 /// The summary constraints and the two options a [`PreparedView`] was
-/// built under: [`Summary::constraints_token`],
-/// [`CanonOpts::use_strong`] and [`RewriteOpts::max_members`](super::RewriteOpts::max_members).
+/// built under: [`Summary::constraints_token`](smv_summary::Summary::constraints_token),
+/// [`CanonOpts::use_strong`] and
+/// [`RewriteOpts::max_members`](super::RewriteOpts::max_members).
 pub(super) type PrepStamp = ((u64, u64, u64), bool, usize);
 
 /// Everything a base pair needs of a view that no query changes, kept on
