@@ -71,11 +71,6 @@ impl Attrs {
         self.id || self.label || self.value || self.content
     }
 
-    /// Number of attributes stored.
-    pub fn count(self) -> usize {
-        self.id as usize + self.label as usize + self.value as usize + self.content as usize
-    }
-
     /// Does `self` store every attribute `other` stores?
     pub fn covers(self, other: Attrs) -> bool {
         (self.id || !other.id)
@@ -445,6 +440,5 @@ mod tests {
         assert!(a.covers(b));
         assert!(!b.covers(a));
         assert_eq!(a.union(b), a);
-        assert_eq!(b.count(), 1);
     }
 }
