@@ -11,8 +11,10 @@
 //!   projection itself ([`ViewProvider::project_scan`]): a disk catalog
 //!   decodes only the kept columns straight into the output rows, so a
 //!   cold read builds each row once. Providers holding extents in memory
-//!   decline, and the scan borrows as above. The root is normalized once:
-//!   a `DupElim` or `Union` root already did it;
+//!   decline, and the scan borrows as above. A `Project` over a `Select`
+//!   over a borrowed relation tests the predicate on the borrowed rows
+//!   and builds only the kept cells of the rows that pass. The root is
+//!   normalized once: a `DupElim` or `Union` root already did it;
 //! * **sort-based structural joins** — ancestor/parent predicates run the
 //!   stack-tree merge over inputs sorted once in document order, with
 //!   sortedness tracked on [`NestedRelation`] so chained joins (and scans
@@ -235,14 +237,15 @@ fn normalize_root(plan: &Plan, rel: &mut NestedRelation) {
 }
 
 /// Executes `plan` and records every operator's actual output row count
-/// into an [`ExecProfile`] keyed by its positional path in the plan tree.
+/// and inclusive wall time into an [`ExecProfile`] keyed by its
+/// positional path in the plan tree.
 ///
-/// Profiling is counters-only — no row is copied or re-walked — so the
-/// hot path is identical to [`execute_with`]'s; the unprofiled entry
-/// point passes a `None` profiler and pays one branch per operator. The
-/// root entry is overwritten after the final normalization so it always
-/// equals the returned relation's size. `opts` is not read (see
-/// [`ExecOpts`]).
+/// Profiling copies and re-walks no row: the rows are
+/// [`execute_with`]'s, and each operator costs one clock read on entry
+/// and one on exit (the unprofiled entry point skips both). The root
+/// entry is overwritten after the final normalization, so its count
+/// always equals the returned relation's size and its time spans the
+/// whole execution. `opts` is not read (see [`ExecOpts`]).
 ///
 /// ```
 /// use smv_algebra::{
@@ -377,11 +380,13 @@ impl ProjectInput<'_> {
 
 /// Evaluates the current `Project`'s input for `cols`. A `Scan` is fused
 /// into the projection when the provider builds it ([`fused_scan`]). A
-/// `DeriveParentId` whose source column `cols` keeps hands `cols` down
-/// to its own input the same way and, unless `cols` turns out to keep the
-/// derived column (an index equal to the input's width, known once the
-/// input is evaluated), derives nothing: it only checks its source cells,
-/// its one way to fail. Either way it is recorded and located at its own
+/// `Select` over a borrowed relation builds only the projected cells of
+/// the rows that pass ([`project_select`]). A `DeriveParentId` whose
+/// source column `cols` keeps hands `cols` down to its own input the same
+/// way and, unless `cols` turns out to keep the derived column (an index
+/// equal to the input's width, known once the input is evaluated),
+/// derives nothing: it only checks its source cells, its one way to
+/// fail. Either way it is recorded and located at its own
 /// path, with its input's row count, as if it had run — rows, errors and
 /// profile are the generic path's. (When `cols` does keep the derived
 /// column, a provider asked for the fused scan declines and the scan is
@@ -394,6 +399,13 @@ fn project_input<'a>(
 ) -> Result<ProjectInput<'a>, ExecError> {
     if let Some(out) = fused_scan(input, cols, views, prof)? {
         return Ok(ProjectInput::Projected(out));
+    }
+    if let Plan::Select {
+        input: source,
+        pred,
+    } = input
+    {
+        return project_select(input, source, pred, cols, views, prof);
     }
     let Plan::DeriveParentId {
         input: source,
@@ -428,6 +440,39 @@ fn project_input<'a>(
     out
 }
 
+/// The current `Project`'s input `select` (over `source`, testing
+/// `pred`), evaluated for `cols`. Over a borrowed relation that has every
+/// column in `cols`, the predicate is tested on the borrowed rows and
+/// only the projected cells of the rows that pass are built
+/// ([`select_projected`]); otherwise the `Select` runs as it does alone.
+/// Either way it is recorded and located at its own path, with the rows
+/// that pass, as if it had run — rows, errors and profile are the generic
+/// path's.
+fn project_select<'a>(
+    select_op: &Plan,
+    source: &Plan,
+    pred: &Predicate,
+    cols: &[usize],
+    views: &'a dyn ViewProvider,
+    prof: &mut Profiler,
+) -> Result<ProjectInput<'a>, ExecError> {
+    prof.path.push(0);
+    let t = prof.start();
+    let out = match eval_child(source, views, prof, 0) {
+        Ok(Cow::Borrowed(rel)) if cols.iter().all(|&c| c < rel.schema.len()) => {
+            select_projected(rel, pred, cols).map(ProjectInput::Projected)
+        }
+        Ok(rel) => select(rel, pred).map(ProjectInput::Whole),
+        Err(e) => Err(e),
+    };
+    if let Ok(rel) = &out {
+        prof.record(rel.len(), t);
+    }
+    let out = out.map_err(|e| e.locate(&prof.path, select_op));
+    prof.path.pop();
+    out
+}
+
 /// `Project` proper: `rel`'s columns `cols`, in that order.
 fn project(rel: Cow<'_, NestedRelation>, cols: &[usize]) -> Result<NestedRelation, ExecError> {
     for &c in cols {
@@ -438,12 +483,7 @@ fn project(rel: Cow<'_, NestedRelation>, cols: &[usize]) -> Result<NestedRelatio
             )));
         }
     }
-    let schema = Schema {
-        cols: cols.iter().map(|&c| rel.schema.cols[c].clone()).collect(),
-    };
-    let sorted_on = rel
-        .sorted_on
-        .and_then(|s| cols.iter().position(|&c| c == s));
+    let (schema, sorted_on) = projected_shape(&rel, cols);
     let distinct = {
         let mut seen = vec![false; rel.schema.len()];
         cols.iter().all(|&c| !std::mem::replace(&mut seen[c], true))
@@ -471,6 +511,18 @@ fn project(rel: Cow<'_, NestedRelation>, cols: &[usize]) -> Result<NestedRelatio
     let mut out = NestedRelation::new(schema, rows);
     out.sorted_on = sorted_on;
     Ok(out)
+}
+
+/// The schema of `rel` projected onto `cols`, and the projected column
+/// it is sorted on, if any.
+fn projected_shape(rel: &NestedRelation, cols: &[usize]) -> (Schema, Option<usize>) {
+    let schema = Schema {
+        cols: cols.iter().map(|&c| rel.schema.cols[c].clone()).collect(),
+    };
+    let sorted_on = rel
+        .sorted_on
+        .and_then(|s| cols.iter().position(|&c| c == s));
+    (schema, sorted_on)
 }
 
 /// `DeriveParentId`: `rel` with the `levels`-up ancestor of each row's
@@ -540,6 +592,80 @@ fn not_an_id(cell: &Cell) -> ExecError {
     ExecError::Type(format!("parent derivation on non-id cell {cell}"))
 }
 
+/// Does `row` pass `pred`? A `⊥` cell passes no value or label test.
+fn passes(row: &Row, pred: &Predicate) -> Result<bool, ExecError> {
+    match pred {
+        Predicate::Value { col, formula } => match &row.cells[*col] {
+            Cell::Atom(v) => Ok(formula.accepts(v)),
+            Cell::Null => Ok(false),
+            other => Err(ExecError::Type(format!(
+                "value predicate on non-atom cell {other}"
+            ))),
+        },
+        Predicate::LabelEq { col, label } => match &row.cells[*col] {
+            Cell::Label(l) => Ok(l == label),
+            Cell::Null => Ok(false),
+            other => Err(ExecError::Type(format!(
+                "label predicate on non-label cell {other}"
+            ))),
+        },
+        Predicate::NotNull { col } => Ok(!row.cells[*col].is_null()),
+    }
+}
+
+/// `Select`: the rows of `rel` that pass `pred`, in their order, hence
+/// with their sortedness. An owned input keeps its rows; a borrowed one
+/// has the passing rows cloned.
+fn select<'a>(
+    rel: Cow<'a, NestedRelation>,
+    pred: &Predicate,
+) -> Result<Cow<'a, NestedRelation>, ExecError> {
+    match rel {
+        Cow::Owned(mut rel) => {
+            let mut rows = Vec::with_capacity(rel.rows.len());
+            for r in rel.rows {
+                if passes(&r, pred)? {
+                    rows.push(r);
+                }
+            }
+            rel.rows = rows;
+            Ok(Cow::Owned(rel))
+        }
+        Cow::Borrowed(rel) => {
+            let mut rows = Vec::new();
+            for r in &rel.rows {
+                if passes(r, pred)? {
+                    rows.push(r.clone());
+                }
+            }
+            let mut out = NestedRelation::new(rel.schema.clone(), rows);
+            out.sorted_on = rel.sorted_on;
+            Ok(Cow::Owned(out))
+        }
+    }
+}
+
+/// `Project(cols)` over `Select(pred)` over the borrowed `rel`, in one
+/// pass: the predicate is tested on the borrowed rows and only the
+/// projected cells of the rows that pass are built. Every index in
+/// `cols` is within `rel`'s schema.
+fn select_projected(
+    rel: &NestedRelation,
+    pred: &Predicate,
+    cols: &[usize],
+) -> Result<NestedRelation, ExecError> {
+    let mut rows = Vec::new();
+    for r in &rel.rows {
+        if passes(r, pred)? {
+            rows.push(Row::new(cols.iter().map(|&c| r.cells[c].clone()).collect()));
+        }
+    }
+    let (schema, sorted_on) = projected_shape(rel, cols);
+    let mut out = NestedRelation::new(schema, rows);
+    out.sorted_on = sorted_on;
+    Ok(out)
+}
+
 /// Evaluates the `idx`-th input of the current operator.
 fn eval_child<'a>(
     plan: &Plan,
@@ -560,52 +686,7 @@ fn eval_op<'a>(
 ) -> Result<Cow<'a, NestedRelation>, ExecError> {
     match plan {
         Plan::Scan { view } => views.extent(view).map(Cow::Borrowed),
-        Plan::Select { input, pred } => {
-            let rel = eval_child(input, views, prof, 0)?;
-            let keep = |row: &Row| -> Result<bool, ExecError> {
-                match pred {
-                    Predicate::Value { col, formula } => match &row.cells[*col] {
-                        Cell::Atom(v) => Ok(formula.accepts(v)),
-                        Cell::Null => Ok(false),
-                        other => Err(ExecError::Type(format!(
-                            "value predicate on non-atom cell {other}"
-                        ))),
-                    },
-                    Predicate::LabelEq { col, label } => match &row.cells[*col] {
-                        Cell::Label(l) => Ok(l == label),
-                        Cell::Null => Ok(false),
-                        other => Err(ExecError::Type(format!(
-                            "label predicate on non-label cell {other}"
-                        ))),
-                    },
-                    Predicate::NotNull { col } => Ok(!row.cells[*col].is_null()),
-                }
-            };
-            // filtering preserves row order, hence sortedness
-            match rel {
-                Cow::Owned(mut rel) => {
-                    let mut rows = Vec::with_capacity(rel.rows.len());
-                    for r in rel.rows {
-                        if keep(&r)? {
-                            rows.push(r);
-                        }
-                    }
-                    rel.rows = rows;
-                    Ok(Cow::Owned(rel))
-                }
-                Cow::Borrowed(rel) => {
-                    let mut rows = Vec::new();
-                    for r in &rel.rows {
-                        if keep(r)? {
-                            rows.push(r.clone());
-                        }
-                    }
-                    let mut out = NestedRelation::new(rel.schema.clone(), rows);
-                    out.sorted_on = rel.sorted_on;
-                    Ok(Cow::Owned(out))
-                }
-            }
-        }
+        Plan::Select { input, pred } => select(eval_child(input, views, prof, 0)?, pred),
         Plan::Project { input, cols } => match project_input(input, cols, views, prof)? {
             ProjectInput::Projected(out) => Ok(Cow::Owned(out)),
             ProjectInput::Whole(rel) => project(rel, cols).map(Cow::Owned),
@@ -1459,6 +1540,114 @@ mod tests {
         let e = execute_with(&plan("zz", vec![0]), &fused, &opts).unwrap_err();
         assert_eq!(e.kind(), &ExecError::UnknownView("zz".into()));
         assert_eq!((e.op_path(), e.op_name()), (Some("0.0"), Some("Scan(zz)")));
+    }
+
+    #[test]
+    fn fused_select_matches_the_generic_path() {
+        let doc = Document::from_parens(r#"a(b="1" c="2" b d="3" c="1")"#);
+        let ia = ids(&doc);
+        let mut rel = NestedRelation::empty(Schema::atoms(&[
+            ("x.ID", AttrKind::Id),
+            ("x.L", AttrKind::Label),
+            ("x.V", AttrKind::Value),
+        ]));
+        for n in doc.iter().skip(1) {
+            rel.rows.push(Row::new(vec![
+                Cell::Id(ia.id(n).clone()),
+                Cell::Label(doc.label(n)),
+                doc.value(n).map_or(Cell::Null, |v| Cell::Atom(v.clone())),
+            ]));
+        }
+        rel.rows.push(Row::new(vec![Cell::Null; 3]));
+        rel.sorted_on = Some(0);
+        let mut views = MapProvider::default();
+        views.insert("x", rel);
+        let scan = || Plan::Scan { view: "x".into() };
+        let select = |input: Plan, pred: &Predicate| Plan::Select {
+            input: Box::new(input),
+            pred: pred.clone(),
+        };
+        // the Select reads the borrowed scan, fused into the Project; the
+        // generic path reads it through an identity Project, owned
+        let fused = |pred: &Predicate, cols: &[usize]| Plan::Project {
+            input: Box::new(select(scan(), pred)),
+            cols: cols.to_vec(),
+        };
+        let generic = |pred: &Predicate, cols: &[usize]| Plan::Project {
+            input: Box::new(select(
+                Plan::Project {
+                    input: Box::new(scan()),
+                    cols: vec![0, 1, 2],
+                },
+                pred,
+            )),
+            cols: cols.to_vec(),
+        };
+        let preds = [
+            Predicate::Value {
+                col: 2,
+                formula: smv_pattern::Formula::gt(Value::int(1)),
+            },
+            Predicate::LabelEq {
+                col: 1,
+                label: "c".into(),
+            },
+            Predicate::NotNull { col: 2 },
+        ];
+        let opts = ExecOpts::default();
+        let extent = views.extent("x").unwrap();
+        // ascending, unordered and repeated columns
+        for pred in &preds {
+            let selected = super::select(Cow::Borrowed(extent), pred).unwrap();
+            assert!(!selected.rows.is_empty(), "{pred:?} selects rows");
+            for cols in [&[0, 2][..], &[2, 0], &[1, 1, 0], &[1]] {
+                // one pass builds what a Select and then a Project build
+                let one = select_projected(extent, pred, cols).unwrap();
+                let two = project(selected.clone(), cols).unwrap();
+                assert_eq!(one.rows, two.rows, "{pred:?} {cols:?}");
+                assert_eq!(one.schema, two.schema, "{pred:?} {cols:?}");
+                assert_eq!(one.sorted_on, two.sorted_on, "{pred:?} {cols:?}");
+                let (want, want_prof) =
+                    execute_profiled_with(&generic(pred, cols), &views, &opts).unwrap();
+                let (got, got_prof) =
+                    execute_profiled_with(&fused(pred, cols), &views, &opts).unwrap();
+                assert_eq!(got.rows, want.rows, "{pred:?} {cols:?}");
+                assert_eq!(got.schema, want.schema, "{pred:?} {cols:?}");
+                assert_eq!(got.sorted_on, want.sorted_on, "{pred:?} {cols:?}");
+                // the Project, the Select and the scan, each counted as
+                // if it ran alone; the generic path also has its identity
+                // Project at `0.0`
+                for (path, rows) in [
+                    ("", got.len()),
+                    ("0", selected.len()),
+                    ("0.0", extent.len()),
+                ] {
+                    assert_eq!(
+                        got_prof.rows_at(path),
+                        Some(rows as u64),
+                        "{pred:?} {cols:?} at `{path}`"
+                    );
+                    assert_eq!(got_prof.rows_at(path), want_prof.rows_at(path), "`{path}`");
+                    assert!(got_prof.time_ns_at(path).is_some(), "`{path}` is timed");
+                }
+                assert_eq!(got_prof.iter().count(), 3);
+            }
+        }
+        // the Select's own error is located at the Select
+        let on_id = Predicate::Value {
+            col: 0,
+            formula: smv_pattern::Formula::gt(Value::int(1)),
+        };
+        for plan in [fused(&on_id, &[0]), generic(&on_id, &[0])] {
+            let e = execute_with(&plan, &views, &opts).unwrap_err();
+            assert!(matches!(e.kind(), ExecError::Type(_)), "{e}");
+            assert_eq!(e.op_path(), Some("0"));
+        }
+        // a column past the schema: the Select runs alone, the Project
+        // reports it
+        let e = execute_with(&fused(&preds[2], &[0, 3]), &views, &opts).unwrap_err();
+        assert!(matches!(e.kind(), ExecError::Schema(_)), "{e}");
+        assert_eq!(e.op_path(), Some(""));
     }
 
     #[test]

@@ -325,8 +325,11 @@ impl<'a> Rewriter<'a> {
             decorated: qf.iter().any(|n| !qf.node(n).predicate.is_top()),
             q_all,
         };
-        if ctx.qmodel.is_empty() {
-            // unsatisfiable query: rewriting is the empty plan; report none
+        if ctx.qmodel.is_empty() || qmodel_full.truncated {
+            // unsatisfiable query: rewriting is the empty plan; report none.
+            // A truncated model lists only some of the query's trees, and
+            // direction B would check coverage of those alone: report none
+            // (`prepare` drops a view whose model is truncated likewise)
             result.stats.total = t0.elapsed();
             return result;
         }
@@ -1472,6 +1475,32 @@ mod tests {
     fn no_rewriting_when_data_is_missing() {
         let doc = Document::from_parens(r#"a(b="1" c="2")"#);
         check_roundtrip(&doc, "a(/b{id,v})", &[("vc", "a(/c{id,v})")], false);
+    }
+
+    /// A query model cut at `max_trees` lists only some of the query's
+    /// trees, so covering them proves nothing: with the cap at one tree,
+    /// the view below covers `/r/a/b` but not `/r/c/b`, and a rewriting
+    /// from it would return one of the query's two rows.
+    #[test]
+    fn a_truncated_query_model_yields_no_rewriting() {
+        let doc = Document::from_parens(r#"r(a(b="1") c(b="2"))"#);
+        let s = Summary::of(&doc);
+        let q = parse_pattern("r(//b{id,v})").unwrap();
+        let views = [View::new(
+            "v",
+            parse_pattern("r(/a(/b{id,v}))").unwrap(),
+            IdScheme::OrdPath,
+        )];
+        let capped = RewriteOpts {
+            canon: CanonOpts {
+                max_trees: 1,
+                ..CanonOpts::default()
+            },
+            ..opts()
+        };
+        assert!(canonical_model(&q.unnest_copy(), &s, &capped.canon).truncated);
+        assert!(rewrite(&q, &views, &s, &capped).rewritings.is_empty());
+        assert!(rewrite(&q, &views, &s, &opts()).rewritings.is_empty());
     }
 
     #[test]

@@ -116,4 +116,30 @@ mod tests {
             "Q7 model ({q7}) should dwarf the others (max {max_other})"
         );
     }
+
+    /// `|mod_S(q)|` of every query, plain and closed under strong edges:
+    /// the deterministic column of Figure 13 (top). A change to how the
+    /// model is enumerated or deduplicated must leave these sizes alone.
+    #[test]
+    fn model_sizes_are_pinned() {
+        let s = Summary::of(&xmark(&XmarkConfig::default()));
+        let sizes = |use_strong| -> Vec<usize> {
+            let opts = CanonOpts {
+                use_strong,
+                max_trees: 500_000,
+            };
+            xmark_query_patterns()
+                .iter()
+                .map(|q| canonical_model(q, &s, &opts).size())
+                .collect()
+        };
+        assert_eq!(
+            sizes(false),
+            [1, 1, 1, 1, 1, 6, 90, 1, 1, 8, 1, 1, 1, 15, 1, 2, 2, 1, 12, 1]
+        );
+        assert_eq!(
+            sizes(true),
+            [1, 1, 1, 1, 1, 6, 90, 1, 1, 4, 1, 1, 1, 15, 1, 2, 2, 1, 6, 1]
+        );
+    }
 }

@@ -21,8 +21,10 @@ use crate::ast::{Axis, PNodeId, Pattern};
 use crate::formula::Formula;
 use crate::matching::{Assignment, MatchTarget, Matcher};
 use smv_summary::Summary;
+use smv_xml::fasthash::{FastBuild, FastHasher};
 use smv_xml::{Label, LabeledTree, NodeId, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// One node of a canonical tree.
 #[derive(Clone, Debug)]
@@ -75,29 +77,27 @@ impl CTree {
             }
         });
         let mut t = CTree {
-            nodes: Vec::new(),
+            nodes: Vec::with_capacity(sorted.len()),
             ret: vec![None; ret_paths.len()],
             ret_nesting: vec![Vec::new(); ret_paths.len()],
         };
-        let mut spath_to_cnode: HashMap<NodeId, NodeId> = HashMap::new();
-        for (sp, formula) in &sorted {
-            let parent = s.parent(*sp).map(|p| {
-                *spath_to_cnode
-                    .get(&p)
-                    .expect("path set must be ancestor-closed")
-            });
+        // nodes are pushed in path order, so a path's canonical node is
+        // found by binary search over the nodes pushed so far
+        for (sp, formula) in sorted {
+            let parent = s
+                .parent(sp)
+                .map(|p| t.node_on(p).expect("path set must be ancestor-closed"));
             let id = NodeId(t.nodes.len() as u32);
             t.nodes.push(CNode {
-                label: s.label(*sp),
-                spath: *sp,
-                formula: formula.clone(),
+                label: s.label(sp),
+                spath: sp,
+                formula,
                 parent,
                 children: Vec::new(),
             });
             if let Some(p) = parent {
                 t.nodes[p.idx()].children.push(id);
             }
-            spath_to_cnode.insert(*sp, id);
         }
         assert!(
             !t.nodes.is_empty(),
@@ -106,8 +106,7 @@ impl CTree {
         for (i, rp) in ret_paths.iter().enumerate() {
             if let Some(p) = rp {
                 t.ret[i] = Some(
-                    *spath_to_cnode
-                        .get(p)
+                    t.node_on(*p)
                         .expect("designated return path must be in the node set"),
                 );
             }
@@ -186,55 +185,75 @@ impl CTree {
         map
     }
 
-    /// Structural dedup key: children unordered, includes path, formula and
-    /// return designation.
-    fn key(&self) -> String {
-        fn rec(t: &CTree, n: NodeId, out: &mut String) {
-            let nd = &t.nodes[n.idx()];
-            out.push('(');
-            out.push_str(&nd.spath.0.to_string());
-            if !nd.formula.is_top() {
-                out.push('[');
-                out.push_str(&nd.formula.to_string());
-                out.push(']');
-            }
-            let marks: Vec<String> = t
-                .ret
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| **r == Some(n))
-                .map(|(i, _)| i.to_string())
-                .collect();
-            if !marks.is_empty() {
-                out.push('!');
-                out.push_str(&marks.join(","));
-            }
-            let mut kids: Vec<String> = nd
-                .children
-                .iter()
-                .map(|&c| {
-                    let mut s = String::new();
-                    rec(t, c, &mut s);
-                    s
-                })
-                .collect();
-            kids.sort();
-            for k in kids {
-                out.push_str(&k);
-            }
-            out.push(')');
-        }
-        let mut out = String::new();
-        rec(self, NodeId(0), &mut out);
-        // nesting sequences participate in identity (Prop 4.2 checks)
-        for ns in &self.ret_nesting {
-            out.push('|');
-            for s in ns {
-                out.push_str(&s.0.to_string());
-                out.push('.');
+    /// The node on summary path `p`, while the nodes are still in path
+    /// order ([`CTree::from_path_set`] before its strong closure).
+    fn node_on(&self, p: NodeId) -> Option<NodeId> {
+        self.nodes
+            .binary_search_by_key(&p.0, |n| n.spath.0)
+            .ok()
+            .map(|i| NodeId(i as u32))
+    }
+
+    /// Per node, a hash of its subtree: path, formula, the return indices
+    /// designating it and its children's hashes, sorted so that children
+    /// are unordered. Computed bottom-up, since every child's id is larger
+    /// than its parent's. Trees that [`CTree::same_tree`] calls equal have
+    /// equal hashes at their roots.
+    fn subtree_hashes(&self) -> Vec<u64> {
+        let mut h = vec![0u64; self.nodes.len()];
+        // seed each node with its return marks
+        for (i, r) in self.ret.iter().enumerate() {
+            if let Some(n) = r {
+                let mut st = FastHasher::default();
+                st.write_u64(h[n.idx()]);
+                st.write_usize(i);
+                h[n.idx()] = st.finish();
             }
         }
-        out
+        let mut kids: Vec<u64> = Vec::new();
+        for (i, nd) in self.nodes.iter().enumerate().rev() {
+            kids.clear();
+            kids.extend(nd.children.iter().map(|c| {
+                debug_assert!(c.idx() > i, "children follow their parent");
+                h[c.idx()]
+            }));
+            kids.sort_unstable();
+            let mut st = FastHasher::default();
+            st.write_u64(h[i]);
+            st.write_u32(nd.spath.0);
+            nd.formula.hash(&mut st);
+            kids.hash(&mut st);
+            h[i] = st.finish();
+        }
+        h
+    }
+
+    /// The hash of the whole tree: its root's subtree hash and the
+    /// nesting sequences.
+    fn tree_hash(&self, subtree: &[u64]) -> u64 {
+        let mut st = FastHasher::default();
+        st.write_u64(subtree[0]);
+        self.ret_nesting.hash(&mut st);
+        st.finish()
+    }
+
+    /// Are `self` and `other` the same tree: the same nesting sequences
+    /// and isomorphic node trees, children unordered, each pair of matched
+    /// nodes on the same path with the same formula and designated by the
+    /// same return indices? `ha` and `hb` are the two trees'
+    /// [`CTree::subtree_hashes`]; they only skip comparisons that would
+    /// fail, so a collision costs a comparison and never a wrong answer.
+    fn same_tree(&self, ha: &[u64], other: &CTree, hb: &[u64]) -> bool {
+        self.ret.len() == other.ret.len()
+            && self.ret_nesting == other.ret_nesting
+            && self.nodes.len() == other.nodes.len()
+            && same_subtree(
+                (self, ha),
+                NodeId(0),
+                (other, hb),
+                NodeId(0),
+                &mut vec![false; other.nodes.len()],
+            )
     }
 
     /// Renders the tree in parenthesized `label@path` notation (debugging).
@@ -264,6 +283,56 @@ impl CTree {
         let mut out = String::new();
         rec(self, NodeId(0), &mut out);
         out
+    }
+}
+
+/// Is the subtree of `a` at `x` the subtree of `b` at `y` (see
+/// [`CTree::same_tree`])? Children are matched greedily, which is exact
+/// because "same subtree" is an equivalence. `used` marks the nodes of
+/// `b` matched so far; a failed comparison unmarks what it marked.
+fn same_subtree(
+    (a, ha): (&CTree, &[u64]),
+    x: NodeId,
+    (b, hb): (&CTree, &[u64]),
+    y: NodeId,
+    used: &mut [bool],
+) -> bool {
+    let (nx, ny) = (&a.nodes[x.idx()], &b.nodes[y.idx()]);
+    let same_node = ha[x.idx()] == hb[y.idx()]
+        && nx.spath == ny.spath
+        && nx.children.len() == ny.children.len()
+        && nx.formula == ny.formula
+        && a.ret
+            .iter()
+            .zip(&b.ret)
+            .all(|(ra, rb)| (*ra == Some(x)) == (*rb == Some(y)));
+    if !same_node {
+        return false;
+    }
+    for &cx in &nx.children {
+        let matched = ny.children.iter().find(|&&cy| {
+            if used[cy.idx()] {
+                return false;
+            }
+            if same_subtree((a, ha), cx, (b, hb), cy, used) {
+                used[cy.idx()] = true;
+                return true;
+            }
+            unmark(b, cy, used);
+            false
+        });
+        if matched.is_none() {
+            return false;
+        }
+    }
+    true
+}
+
+/// Clears `used` on `n`'s subtree in `t`.
+fn unmark(t: &CTree, n: NodeId, used: &mut [bool]) {
+    used[n.idx()] = false;
+    for &c in &t.nodes[n.idx()].children {
+        unmark(t, c, used);
     }
 }
 
@@ -351,8 +420,10 @@ impl CanonicalModel {
 /// Computes `mod_S(p)`.
 pub fn canonical_model(p: &Pattern, s: &Summary, opts: &CanonOpts) -> CanonicalModel {
     let matcher = Matcher::new(p, s);
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut trees = Vec::new();
+    // every distinct tree so far, first-seen order, with its subtree
+    // hashes and whether it is kept; and the distinct trees by tree hash
+    let mut distinct: Vec<(CTree, Vec<u64>, bool)> = Vec::new();
+    let mut by_hash: HashMap<u64, Vec<usize>, FastBuild> = HashMap::default();
     let mut truncated = false;
     let mut count = 0usize;
     // Enumerate *partial* embeddings: optional subtrees may be cut even
@@ -365,11 +436,22 @@ pub fn canonical_model(p: &Pattern, s: &Summary, opts: &CanonOpts) -> CanonicalM
             return false;
         }
         let t = build_ctree(p, s, asg, opts.use_strong);
-        if seen.insert(t.key()) && designation_realizable(p, &t) {
-            trees.push(t);
+        let h = t.subtree_hashes();
+        let same = by_hash.entry(t.tree_hash(&h)).or_default();
+        if same
+            .iter()
+            .all(|&i| !distinct[i].0.same_tree(&distinct[i].1, &t, &h))
+        {
+            same.push(distinct.len());
+            let keep = designation_realizable(p, &t);
+            distinct.push((t, h, keep));
         }
         true
     });
+    let trees = distinct
+        .into_iter()
+        .filter_map(|(t, _, keep)| keep.then_some(t))
+        .collect();
     CanonicalModel { trees, truncated }
 }
 
@@ -571,12 +653,187 @@ fn strong_closure(s: &Summary, t: &mut CTree) {
 mod tests {
     use super::*;
     use crate::parser::parse_pattern;
+    use proptest::prelude::*;
     use smv_xml::Document;
+    use std::collections::HashSet;
 
     fn opts_plain() -> CanonOpts {
         CanonOpts {
             use_strong: false,
             max_trees: 100_000,
+        }
+    }
+
+    /// The string the model was once deduplicated by: children unordered,
+    /// path, formula and return designation per node, then the nesting
+    /// sequences. The oracle for the structural hash's dedup.
+    fn string_key(t: &CTree) -> String {
+        fn rec(t: &CTree, n: NodeId, out: &mut String) {
+            let nd = &t.nodes[n.idx()];
+            out.push('(');
+            out.push_str(&nd.spath.0.to_string());
+            if !nd.formula.is_top() {
+                out.push('[');
+                out.push_str(&nd.formula.to_string());
+                out.push(']');
+            }
+            let marks: Vec<String> = t
+                .ret
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| **r == Some(n))
+                .map(|(i, _)| i.to_string())
+                .collect();
+            if !marks.is_empty() {
+                out.push('!');
+                out.push_str(&marks.join(","));
+            }
+            let mut kids: Vec<String> = nd
+                .children
+                .iter()
+                .map(|&c| {
+                    let mut s = String::new();
+                    rec(t, c, &mut s);
+                    s
+                })
+                .collect();
+            kids.sort();
+            for k in kids {
+                out.push_str(&k);
+            }
+            out.push(')');
+        }
+        let mut out = String::new();
+        rec(t, NodeId(0), &mut out);
+        for ns in &t.ret_nesting {
+            out.push('|');
+            for s in ns {
+                out.push_str(&s.0.to_string());
+                out.push('.');
+            }
+        }
+        out
+    }
+
+    /// `mod_S(p)` over the same enumeration as [`canonical_model`],
+    /// deduplicated by [`string_key`].
+    fn string_keyed_model(p: &Pattern, s: &Summary, opts: &CanonOpts) -> CanonicalModel {
+        let matcher = Matcher::new(p, s);
+        let mut seen: HashSet<String> = HashSet::new();
+        let mut trees = Vec::new();
+        let mut truncated = false;
+        let mut count = 0usize;
+        let mut asg: Assignment = vec![None; p.len()];
+        rec_partial(p, s, &matcher, 0, &mut asg, &mut |asg| {
+            count += 1;
+            if count > opts.max_trees {
+                truncated = true;
+                return false;
+            }
+            let t = build_ctree(p, s, asg, opts.use_strong);
+            if seen.insert(string_key(&t)) && designation_realizable(p, &t) {
+                trees.push(t);
+            }
+            true
+        });
+        CanonicalModel { trees, truncated }
+    }
+
+    /// A document `r(…)` over labels `a`, `b`, `c` that repeat down a
+    /// path, so its summary is recursive; leaves may carry values 0–2.
+    fn documents() -> impl Strategy<Value = String> {
+        let leaf = (0u8..3, 0u8..4).prop_map(|(l, v)| {
+            let label = (b'a' + l) as char;
+            if v < 3 {
+                format!("{label}=\"{v}\"")
+            } else {
+                label.to_string()
+            }
+        });
+        let tree = leaf.prop_recursive(4, 24, 3, |inner| {
+            (0u8..3, proptest::collection::vec(inner, 1..4))
+                .prop_map(|(l, kids)| format!("{}({})", (b'a' + l) as char, kids.join(" ")))
+        });
+        proptest::collection::vec(tree, 1..4).prop_map(|kids| format!("r({})", kids.join(" ")))
+    }
+
+    /// A pattern `r(…)` whose edges mix `/` and `//`, optional edges,
+    /// `*`, value predicates and several return nodes.
+    fn patterns() -> impl Strategy<Value = String> {
+        let edge = |(axis, opt, label, ret, pred): (u8, u8, u8, u8, u8), kids: Vec<String>| {
+            let mut e = String::new();
+            if opt == 0 {
+                e.push('?');
+            }
+            e.push_str(if axis == 0 { "/" } else { "//" });
+            e.push(if label == 3 {
+                '*'
+            } else {
+                (b'a' + label) as char
+            });
+            if ret == 0 {
+                e.push_str("{ret}");
+            }
+            e.push_str(["", "", "[v>0]", "[v=1 or v=2]"][pred as usize]);
+            if !kids.is_empty() {
+                e.push_str(&format!("({})", kids.join(", ")));
+            }
+            e
+        };
+        let head = || (0u8..2, 0u8..3, 0u8..4, 0u8..2, 0u8..4);
+        let leaf = head().prop_map(move |h| edge(h, Vec::new()));
+        let sub = leaf.prop_recursive(2, 12, 2, move |inner| {
+            (head(), proptest::collection::vec(inner, 1..3)).prop_map(move |(h, k)| edge(h, k))
+        });
+        proptest::collection::vec(sub, 1..4).prop_map(|kids| format!("r({})", kids.join(", ")))
+    }
+
+    /// Two `a` siblings on one path, listed in opposite orders: matched
+    /// without hashes, the first `a` first meets the wrong one, matches
+    /// its `b(d)` and then fails on `c` against `e`. That `b(d)` must be
+    /// free again for the second `a`.
+    #[test]
+    fn a_failed_match_frees_what_it_matched() {
+        let s = Summary::of(&Document::from_parens("r(a(b(d) c e))"));
+        let tree = |src: &str| {
+            let m = canonical_model(&parse_pattern(src).unwrap(), &s, &opts_plain());
+            assert_eq!(m.size(), 1);
+            m.trees.into_iter().next().unwrap()
+        };
+        let t = tree("r(/a(/b(/d), /c), /a(/b(/d), /e))");
+        let u = tree("r(/a(/b(/d), /e), /a(/b(/d), /c))");
+        assert_eq!(string_key(&t), string_key(&u));
+        let zeros = vec![0u64; t.len()];
+        assert!(t.same_tree(&zeros, &u, &zeros));
+        assert!(u.same_tree(&zeros, &t, &zeros));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Deduplicating by structural hash keeps exactly the trees, in
+        /// exactly the order, that deduplicating by [`string_key`] does.
+        #[test]
+        fn hash_dedup_equals_string_dedup(doc in documents(), pat in patterns(), strong in 0u8..2) {
+            let s = Summary::of(&Document::from_parens(&doc));
+            let p = parse_pattern(&pat).unwrap_or_else(|e| panic!("`{pat}`: {e:?}"));
+            let opts = CanonOpts {
+                use_strong: strong == 1,
+                max_trees: 1_000,
+            };
+            let got = canonical_model(&p, &s, &opts);
+            let want = string_keyed_model(&p, &s, &opts);
+            let keys = |m: &CanonicalModel| m.trees.iter().map(string_key).collect::<Vec<_>>();
+            prop_assert_eq!(keys(&got), keys(&want), "`{}` over `{}`", pat, doc);
+            prop_assert_eq!(got.truncated, want.truncated);
+            // the exact comparison alone, as on a collision, tells the
+            // kept trees apart and each from itself
+            let zeros = |t: &CTree| vec![0u64; t.len()];
+            for (i, a) in got.trees.iter().take(12).enumerate() {
+                for (j, b) in got.trees.iter().take(12).enumerate() {
+                    prop_assert_eq!(a.same_tree(&zeros(a), b, &zeros(b)), i == j, "{} {}", i, j);
+                }
+            }
         }
     }
 
