@@ -6,14 +6,12 @@
 //!
 //! * **borrowed inputs** — `eval` returns `Cow<NestedRelation>`; a view
 //!   scan borrows the catalog extent and operators clone only the cells
-//!   that survive into their output, never whole input relations. A
-//!   `Project` directly over a `Scan` first asks the provider to build the
-//!   projection itself ([`ViewProvider::project_scan`]): a disk catalog
-//!   decodes only the kept columns straight into the output rows, so a
-//!   cold read builds each row once. Providers holding extents in memory
-//!   decline, and the scan borrows as above. A `Project` over a `Select`
-//!   over a borrowed relation tests the predicate on the borrowed rows
-//!   and builds only the kept cells of the rows that pass. The root is
+//!   that survive into their output, never whole input relations. One
+//!   rule, `project_input`, decides what a `Project` reads: a `Scan` the
+//!   provider projects itself ([`ViewProvider::project_scan`]), a
+//!   `Select` that builds only the kept cells of the borrowed rows that
+//!   pass, a `DeriveParentId` whose new column the `Project` drops, which
+//!   only checks its source ids; anything else runs alone. The root is
 //!   normalized once: a `DupElim` or `Union` root already did it;
 //! * **sort-based structural joins** — ancestor/parent predicates run the
 //!   stack-tree merge over inputs sorted once in document order, with
@@ -316,49 +314,48 @@ impl Profiler {
     }
 }
 
-/// Evaluates one operator; when profiling, records its output size and
-/// inclusive wall time. Failures get located at the deepest operator
-/// that raised them (parent frames pass an already-located error on).
+/// Evaluates `plan` as the root operator.
 fn eval<'a>(
     plan: &Plan,
     views: &'a dyn ViewProvider,
     prof: &mut Profiler,
 ) -> Result<Cow<'a, NestedRelation>, ExecError> {
-    let t = prof.start();
-    let out = match eval_op(plan, views, prof) {
-        Ok(out) => out,
-        Err(e) => return Err(e.locate(&prof.path, plan)),
-    };
-    prof.record(out.len(), t);
-    Ok(out)
+    frame(plan, None, prof, |prof| eval_op(plan, views, prof))
 }
 
-/// The input projected onto `cols` (child 0 of the current operator),
-/// when it is a `Scan`, fused into the projection: the provider's
-/// projected extent when it builds one ([`ViewProvider::project_scan`]),
-/// recorded and located as the scan itself — its row count, the
-/// provider's time as its inclusive time, its errors at its path. `Ok(None)` leaves the input to the generic path,
-/// as does a `cols` that is not strictly ascending.
-fn fused_scan(
-    input: &Plan,
-    cols: &[usize],
-    views: &dyn ViewProvider,
+/// Evaluates the `idx`-th input of the current operator.
+fn eval_child<'a>(
+    plan: &Plan,
+    views: &'a dyn ViewProvider,
     prof: &mut Profiler,
-) -> Result<Option<NestedRelation>, ExecError> {
-    let Plan::Scan { view } = input else {
-        return Ok(None);
-    };
-    if !cols.is_sorted_by(|a, b| a < b) {
-        return Ok(None);
+    idx: u32,
+) -> Result<Cow<'a, NestedRelation>, ExecError> {
+    frame(plan, Some(idx), prof, |prof| eval_op(plan, views, prof))
+}
+
+/// Runs `body` as operator `plan`, the `idx`-th input of the current
+/// operator (the root when `None`): when profiling, records its output
+/// size and inclusive wall time at its path. Failures get located at the
+/// deepest operator that raised them (parent frames pass an
+/// already-located error on).
+fn frame<T: AsRef<NestedRelation>>(
+    plan: &Plan,
+    idx: Option<u32>,
+    prof: &mut Profiler,
+    body: impl FnOnce(&mut Profiler) -> Result<T, ExecError>,
+) -> Result<T, ExecError> {
+    if let Some(i) = idx {
+        prof.path.push(i);
     }
-    prof.path.push(0);
     let t = prof.start();
-    let out = views.project_scan(view, cols);
-    if let Ok(Some(rel)) = &out {
-        prof.record(rel.len(), t);
+    let out = body(prof);
+    if let Ok(rel) = &out {
+        prof.record(rel.as_ref().len(), t);
     }
-    let out = out.map_err(|e| e.locate(&prof.path, input));
-    prof.path.pop();
+    let out = out.map_err(|e| e.locate(&prof.path, plan));
+    if idx.is_some() {
+        prof.path.pop();
+    }
     out
 }
 
@@ -369,108 +366,68 @@ enum ProjectInput<'a> {
     Projected(NestedRelation),
 }
 
-impl ProjectInput<'_> {
-    fn len(&self) -> usize {
+impl AsRef<NestedRelation> for ProjectInput<'_> {
+    fn as_ref(&self) -> &NestedRelation {
         match self {
-            ProjectInput::Whole(rel) => rel.len(),
-            ProjectInput::Projected(rel) => rel.len(),
+            ProjectInput::Whole(rel) => rel,
+            ProjectInput::Projected(rel) => rel,
         }
     }
 }
 
-/// Evaluates the current `Project`'s input for `cols`. A `Scan` is fused
-/// into the projection when the provider builds it ([`fused_scan`]). A
-/// `Select` over a borrowed relation builds only the projected cells of
-/// the rows that pass ([`project_select`]). A `DeriveParentId` whose
-/// source column `cols` keeps hands `cols` down to its own input the same
-/// way and, unless `cols` turns out to keep the derived column (an index
-/// equal to the input's width, known once the input is evaluated),
-/// derives nothing: it only checks its source cells, its one way to
-/// fail. Either way it is recorded and located at its own
-/// path, with its input's row count, as if it had run — rows, errors and
-/// profile are the generic path's. (When `cols` does keep the derived
-/// column, a provider asked for the fused scan declines and the scan is
-/// read again in full.)
+/// Evaluates `plan`, the input of a `Project` onto `cols`, in its own
+/// frame, so its rows, errors and profile are those it has alone:
+/// * a `Scan`, when `cols` is strictly ascending, is the provider's
+///   projection ([`ViewProvider::project_scan`]) if it builds one, else
+///   the borrowed extent;
+/// * a `Select` whose input comes back borrowed with every column in
+///   `cols` tests the predicate there and builds only the kept cells of
+///   the rows that pass ([`select_projected`]);
+/// * a `DeriveParentId` whose source column `cols` keeps hands `cols` to
+///   its own input by this rule and, unless `cols` keeps the derived
+///   column too, derives nothing: it only checks its source cells;
+/// * anything else runs alone.
 fn project_input<'a>(
-    input: &Plan,
+    plan: &Plan,
     cols: &[usize],
     views: &'a dyn ViewProvider,
     prof: &mut Profiler,
 ) -> Result<ProjectInput<'a>, ExecError> {
-    if let Some(out) = fused_scan(input, cols, views, prof)? {
-        return Ok(ProjectInput::Projected(out));
-    }
-    if let Plan::Select {
-        input: source,
-        pred,
-    } = input
-    {
-        return project_select(input, source, pred, cols, views, prof);
-    }
-    let Plan::DeriveParentId {
-        input: source,
-        col,
-        levels,
-        name,
-    } = input
-    else {
-        return eval_child(input, views, prof, 0).map(ProjectInput::Whole);
-    };
-    let Some(at) = cols.iter().position(|c| c == col) else {
-        return eval_child(input, views, prof, 0).map(ProjectInput::Whole);
-    };
-    prof.path.push(0);
-    let t = prof.start();
-    let out = match project_input(source, cols, views, prof) {
-        Ok(ProjectInput::Projected(rel)) => {
-            check_id_cells(&rel, at).map(|()| ProjectInput::Projected(rel))
+    let in_range = |rel: &NestedRelation| cols.iter().all(|&c| c < rel.schema.len());
+    frame(plan, Some(0), prof, |prof| match plan {
+        Plan::Scan { view } if cols.is_sorted_by(|a, b| a < b) => {
+            Ok(match views.project_scan(view, cols)? {
+                Some(rel) => ProjectInput::Projected(rel),
+                None => ProjectInput::Whole(Cow::Borrowed(views.extent(view)?)),
+            })
         }
-        Ok(ProjectInput::Whole(rel)) if cols.iter().all(|&c| c < rel.schema.len()) => {
-            check_id_cells(&rel, *col).map(|()| ProjectInput::Whole(rel))
-        }
-        Ok(ProjectInput::Whole(rel)) => derive_parent_ids(rel, *col, *levels, *name)
-            .map(|rel| ProjectInput::Whole(Cow::Owned(rel))),
-        Err(e) => Err(e),
-    };
-    if let Ok(rel) = &out {
-        prof.record(rel.len(), t);
-    }
-    let out = out.map_err(|e| e.locate(&prof.path, input));
-    prof.path.pop();
-    out
-}
-
-/// The current `Project`'s input `select` (over `source`, testing
-/// `pred`), evaluated for `cols`. Over a borrowed relation that has every
-/// column in `cols`, the predicate is tested on the borrowed rows and
-/// only the projected cells of the rows that pass are built
-/// ([`select_projected`]); otherwise the `Select` runs as it does alone.
-/// Either way it is recorded and located at its own path, with the rows
-/// that pass, as if it had run — rows, errors and profile are the generic
-/// path's.
-fn project_select<'a>(
-    select_op: &Plan,
-    source: &Plan,
-    pred: &Predicate,
-    cols: &[usize],
-    views: &'a dyn ViewProvider,
-    prof: &mut Profiler,
-) -> Result<ProjectInput<'a>, ExecError> {
-    prof.path.push(0);
-    let t = prof.start();
-    let out = match eval_child(source, views, prof, 0) {
-        Ok(Cow::Borrowed(rel)) if cols.iter().all(|&c| c < rel.schema.len()) => {
-            select_projected(rel, pred, cols).map(ProjectInput::Projected)
-        }
-        Ok(rel) => select(rel, pred).map(ProjectInput::Whole),
-        Err(e) => Err(e),
-    };
-    if let Ok(rel) = &out {
-        prof.record(rel.len(), t);
-    }
-    let out = out.map_err(|e| e.locate(&prof.path, select_op));
-    prof.path.pop();
-    out
+        Plan::Select { input, pred } => match eval_child(input, views, prof, 0)? {
+            Cow::Borrowed(rel) if in_range(rel) => {
+                select_projected(rel, pred, cols).map(ProjectInput::Projected)
+            }
+            rel => select(rel, pred).map(ProjectInput::Whole),
+        },
+        Plan::DeriveParentId {
+            input,
+            col,
+            levels,
+            name,
+        } if cols.contains(col) => match project_input(input, cols, views, prof)? {
+            ProjectInput::Projected(rel) => {
+                let at = cols
+                    .iter()
+                    .position(|c| c == col)
+                    .expect("the guard found it");
+                check_id_cells(&rel, at).map(|()| ProjectInput::Projected(rel))
+            }
+            ProjectInput::Whole(rel) if in_range(&rel) => {
+                check_id_cells(&rel, *col).map(|()| ProjectInput::Whole(rel))
+            }
+            ProjectInput::Whole(rel) => derive_parent_ids(rel, *col, *levels, *name)
+                .map(|rel| ProjectInput::Whole(Cow::Owned(rel))),
+        },
+        _ => eval_op(plan, views, prof).map(ProjectInput::Whole),
+    })
 }
 
 /// `Project` proper: `rel`'s columns `cols`, in that order.
@@ -664,19 +621,6 @@ fn select_projected(
     let mut out = NestedRelation::new(schema, rows);
     out.sorted_on = sorted_on;
     Ok(out)
-}
-
-/// Evaluates the `idx`-th input of the current operator.
-fn eval_child<'a>(
-    plan: &Plan,
-    views: &'a dyn ViewProvider,
-    prof: &mut Profiler,
-    idx: u32,
-) -> Result<Cow<'a, NestedRelation>, ExecError> {
-    prof.path.push(idx);
-    let r = eval(plan, views, prof);
-    prof.path.pop();
-    r
 }
 
 fn eval_op<'a>(
@@ -1707,6 +1651,179 @@ mod tests {
         let e = execute_with(&plan(0, vec![0, 3]), &fused, &opts).unwrap_err();
         assert!(matches!(e.kind(), ExecError::Schema(_)), "{e}");
         assert_eq!(e.op_path(), Some("0"));
+    }
+
+    /// `plan`, a `Project`, evaluated with profiling by the executor, or
+    /// with its input run alone: `project_input`'s rule off.
+    fn run_project(
+        plan: &Plan,
+        views: &dyn ViewProvider,
+        alone: bool,
+    ) -> Result<(NestedRelation, ExecProfile), ExecError> {
+        let mut prof = Profiler {
+            profile: Some(ExecProfile::default()),
+            path: Vec::new(),
+        };
+        let out = match plan {
+            Plan::Project { input, cols } if alone => frame(plan, None, &mut prof, |prof| {
+                project(eval_child(input, views, prof, 0)?, cols).map(Cow::Owned)
+            }),
+            _ => eval(plan, views, &mut prof),
+        }?;
+        Ok((out.into_owned(), prof.profile.expect("profiling")))
+    }
+
+    #[test]
+    fn project_input_matches_its_input_run_alone() {
+        // x: (id, label, value) of every node below the root, sorted on
+        // the id, and an all-⊥ row
+        let doc = Document::from_parens(r#"a(b="1" c="2" b d="3" c="1")"#);
+        let ia = ids(&doc);
+        let mut rel = NestedRelation::empty(Schema::atoms(&[
+            ("x.ID", AttrKind::Id),
+            ("x.L", AttrKind::Label),
+            ("x.V", AttrKind::Value),
+        ]));
+        for n in doc.iter().skip(1) {
+            rel.rows.push(Row::new(vec![
+                Cell::Id(ia.id(n).clone()),
+                Cell::Label(doc.label(n)),
+                doc.value(n).map_or(Cell::Null, |v| Cell::Atom(v.clone())),
+            ]));
+        }
+        rel.rows.push(Row::new(vec![Cell::Null; 3]));
+        rel.sorted_on = Some(0);
+        let mut plain = MapProvider::default();
+        plain.insert("x", rel.clone());
+        let mut projecting = Projecting {
+            inner: MapProvider::default(),
+            asked: Mutex::default(),
+        };
+        projecting.inner.insert("x", rel);
+
+        let scan = |view: &str| Plan::Scan { view: view.into() };
+        let select = |input: Plan, pred: &Predicate| Plan::Select {
+            input: Box::new(input),
+            pred: pred.clone(),
+        };
+        let derive = |input: Plan, col: usize| Plan::DeriveParentId {
+            input: Box::new(input),
+            col,
+            levels: 1,
+            name: "p.ID".into(),
+        };
+        let preds = [
+            Predicate::Value {
+                col: 2,
+                formula: smv_pattern::Formula::gt(Value::int(1)),
+            },
+            Predicate::LabelEq {
+                col: 1,
+                label: "c".into(),
+            },
+            Predicate::NotNull { col: 2 },
+        ];
+        let on_id = Predicate::Value {
+            col: 0,
+            formula: smv_pattern::Formula::gt(Value::int(1)),
+        };
+        // (the Project's input, its columns, whether `Projecting` is asked
+        // for them, where the plan fails). `x` has three columns, so a
+        // derivation's new column is #3.
+        let mut table = vec![
+            // scans: only ascending lists are asked for; a column past
+            // the schema is declined and the Project reports it; the
+            // provider's own error is the scan's
+            (scan("x"), vec![1], true, None),
+            (scan("x"), vec![0, 2], true, None),
+            (scan("x"), vec![2, 0], false, None),
+            (scan("x"), vec![1, 1], false, None),
+            (scan("x"), vec![0, 5], true, Some("")),
+            (scan("zz"), vec![0], true, Some("0")),
+            // derivations: the source kept and the new column dropped,
+            // or kept too (the provider declines); the source dropped; a
+            // non-id source, kept with or without the new column
+            (derive(scan("x"), 0), vec![0, 1], true, None),
+            (derive(scan("x"), 0), vec![0], true, None),
+            (derive(scan("x"), 0), vec![0, 3], true, None),
+            (derive(scan("x"), 0), vec![3, 0], false, None),
+            (derive(scan("x"), 0), vec![1, 2], false, None),
+            (derive(scan("x"), 1), vec![0, 1], true, Some("0")),
+            (derive(scan("x"), 1), vec![1, 3], true, Some("0")),
+            (derive(scan("x"), 0), vec![0, 5], true, Some("")),
+            // a derivation hands the columns to a Select
+            (
+                derive(select(scan("x"), &preds[2]), 0),
+                vec![0, 2],
+                false,
+                None,
+            ),
+            (
+                derive(select(scan("x"), &preds[2]), 0),
+                vec![0, 3],
+                false,
+                None,
+            ),
+            (
+                derive(select(scan("x"), &on_id), 0),
+                vec![0],
+                false,
+                Some("0.0"),
+            ),
+            // a Select over an owned input, past its input's schema, or
+            // failing its own test runs alone
+            (
+                select(derive(scan("x"), 0), &preds[2]),
+                vec![0, 3],
+                false,
+                None,
+            ),
+            (select(scan("x"), &preds[2]), vec![0, 3], false, Some("")),
+            (select(scan("x"), &on_id), vec![0], false, Some("0")),
+        ];
+        // a Select over the borrowed scan: ascending, unordered and
+        // repeated columns
+        for pred in &preds {
+            for cols in [&[0, 2][..], &[2, 0], &[1, 1, 0], &[1]] {
+                table.push((select(scan("x"), pred), cols.to_vec(), false, None));
+            }
+        }
+        for (input, cols, asked, fails_at) in table {
+            let plan = Plan::Project {
+                input: Box::new(input),
+                cols: cols.clone(),
+            };
+            for views in [&plain as &dyn ViewProvider, &projecting] {
+                let got = run_project(&plan, views, false);
+                let want = run_project(&plan, views, true);
+                match (got, want) {
+                    (Ok((got, got_prof)), Ok((want, want_prof))) => {
+                        assert_eq!(fails_at, None, "{plan}");
+                        assert_eq!(got.rows, want.rows, "{plan}");
+                        assert_eq!(got.schema, want.schema, "{plan}");
+                        assert_eq!(got.sorted_on, want.sorted_on, "{plan}");
+                        assert_eq!(got_prof.len(), want_prof.len(), "{plan}");
+                        for (path, rows) in want_prof.iter() {
+                            assert_eq!(got_prof.rows_at(path), Some(rows), "{plan} at `{path}`");
+                            assert!(got_prof.time_ns_at(path).is_some(), "{plan} at `{path}`");
+                        }
+                    }
+                    (Err(got), Err(want)) => {
+                        assert_eq!(got.kind(), want.kind(), "{plan}");
+                        assert_eq!(got.op_path(), fails_at, "{plan}");
+                        assert_eq!(got.op_path(), want.op_path(), "{plan}");
+                        assert_eq!(got.op_name(), want.op_name(), "{plan}");
+                    }
+                    (got, want) => panic!(
+                        "{plan}: {:?} alone, {:?} by the rule",
+                        want.err(),
+                        got.err()
+                    ),
+                }
+            }
+            let was_asked = std::mem::take(&mut *projecting.asked.lock().unwrap());
+            assert_eq!(was_asked, if asked { vec![cols] } else { vec![] }, "{plan}");
+        }
     }
 
     #[test]

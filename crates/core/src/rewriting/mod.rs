@@ -80,10 +80,9 @@ pub struct RewriteOpts {
     pub max_scans: usize,
     /// Cap on the working set `M`.
     pub max_pairs: usize,
-    /// Stop after this many rewritings.
+    /// Stop after this many rewritings; `1` stops at the first (the
+    /// "stopped early" mode of §5).
     pub max_rewritings: usize,
-    /// Stop at the first rewriting (the "stopped early" mode of §5).
-    pub first_only: bool,
     /// Unfold stored `C` content by navigation (§4.6), restricted to
     /// query-relevant paths.
     pub enable_content_navigation: bool,
@@ -110,7 +109,6 @@ impl Default for RewriteOpts {
             max_scans: 4,
             max_pairs: 4000,
             max_rewritings: 8,
-            first_only: false,
             enable_content_navigation: true,
             rank_by_cost: true,
             cost_prune: true,
@@ -255,7 +253,6 @@ pub fn best_rewriting_cost(
     let mut o = opts.clone();
     o.rank_by_cost = true;
     o.cost_prune = true;
-    o.first_only = false; // the contract is *cheapest*, not first-found
     let r = Rewriter::new(q, views, s, o).with_card_source(cards).run();
     r.rewritings.first().map(|rw| rw.est.cost)
 }
@@ -412,7 +409,7 @@ impl<'a> Rewriter<'a> {
                         let full = self.record(plan, result, &model, t0);
                         let found = result.rewritings.last().expect("just recorded");
                         *best_cost = best_cost.min(found.est.cost);
-                        if full || self.opts.first_only {
+                        if full {
                             return true; // stop the whole search
                         }
                     }
@@ -1720,7 +1717,7 @@ mod tests {
             ),
         ];
         let mut o = opts();
-        o.first_only = true;
+        o.max_rewritings = 1;
         let result = rewrite(&q, &views, &s, &o);
         assert_eq!(result.rewritings.len(), 1);
         assert!(result.stats.first_rewriting.is_some());

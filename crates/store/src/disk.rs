@@ -699,17 +699,20 @@ impl ViewProvider for DiskCatalog {
     /// A segment not yet decoded is read and decoded with only `cols`
     /// built, every column still checked, and nothing is kept: a later
     /// scan reads it again. A decoded segment is borrowed (`None`), and so
-    /// is a `cols` past the stored schema, which the generic path reports.
+    /// is a `cols` past the view's schema, declined before any read so
+    /// that the scan reads the segment once; the generic path reports it.
     fn project_scan(
         &self,
         name: &str,
         cols: &[usize],
     ) -> std::result::Result<Option<NestedRelation>, ExecError> {
         let i = self.view_index(name)?;
-        if self.segs[i].loaded.get().is_some() {
+        let past_schema = |&c: &usize| c >= self.views[i].schema().len();
+        if self.segs[i].loaded.get().is_some() || cols.iter().max().is_some_and(past_schema) {
             return Ok(None);
         }
         let extent = self.read_view(i, Some(cols)).map_err(storage(name))?;
+        // the segment's bytes, not the definition, give the stored schema
         Ok((extent.schema.len() == cols.len()).then_some(extent))
     }
 }

@@ -35,7 +35,6 @@ fn main() {
         max_scans: 2,
         max_pairs: 300,
         max_rewritings: 2,
-        first_only: false,
         enable_content_navigation: false,
         ..Default::default()
     };

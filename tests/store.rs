@@ -13,8 +13,8 @@ use smv::algebra::relation::{Cell, ColKind, Column, NestedRelation, Row, Schema}
 use smv::algebra::{AttrKind, ExecError, ViewProvider};
 use smv::prelude::*;
 use smv::store::{
-    decode_relation, encode_relation, DiskStore, FaultKind, FaultPlan, SimVfs, StoreError,
-    StoreOptions, Vfs,
+    decode_relation, encode_relation, DiskCatalog, DiskStore, FaultKind, FaultPlan, SimVfs,
+    StoreError, StoreOptions, Vfs,
 };
 use smv::xml::{Label, StructId, Symbol};
 use std::collections::BTreeMap;
@@ -881,6 +881,55 @@ fn cold_projections_answer_as_in_memory_for_any_column_list() {
         assert!(matches!(err.kind(), ExecError::Schema(_)), "got: {err}");
         assert_eq!(err.op_path(), Some(""), "the Project");
     }
+}
+
+/// A `Project` that keeps a parent-id derivation's new column reaches
+/// past the scanned view's schema. The disk catalog declines that
+/// projected scan before reading, so a cold run requests the segment's
+/// pages once, as loading the extent does, and answers as in memory.
+#[test]
+fn a_declined_projected_scan_reads_the_segment_once() {
+    let view = View::new(
+        "v",
+        parse_pattern("r(//b{id,v})").unwrap(),
+        IdScheme::OrdPath,
+    );
+    let cat = materialized(&small_matrix_doc(), &[view]);
+    let store = DiskStore::with_options(
+        Arc::new(SimVfs::new()),
+        StoreOptions {
+            page_size: 32,
+            pool_pages: 2,
+        },
+    );
+    store.publish_epoch(&cat, None).unwrap();
+    let requests = |disk: &DiskCatalog| {
+        let s = disk.pool().stats();
+        s.hits + s.misses
+    };
+    let loaded = store.open().unwrap();
+    loaded.load_extent("v").unwrap().expect("published");
+    let segment_pages = requests(&loaded);
+    assert!(segment_pages > 2, "the segment outgrows the pool");
+
+    // `v` has two columns, so the derived one is #2
+    let plan = Plan::Project {
+        input: Box::new(Plan::DeriveParentId {
+            input: Box::new(Plan::Scan { view: "v".into() }),
+            col: 0,
+            levels: 1,
+            name: "p.ID".into(),
+        }),
+        cols: vec![0, 2],
+    };
+    let opts = ExecOpts::default();
+    let cold = store.open().unwrap();
+    let got = execute_with(&plan, &cold, &opts).unwrap();
+    assert_eq!(requests(&cold), segment_pages, "the segment's pages, once");
+    let want = execute_with(&plan, &cat, &opts).unwrap();
+    assert_eq!(got.rows, want.rows);
+    assert_eq!(got.schema, want.schema);
+    assert!(!got.rows.is_empty());
 }
 
 /// A [`SimVfs`] that records, per file, how many reads it served and how
