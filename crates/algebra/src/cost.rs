@@ -30,6 +30,7 @@ use smv_pattern::{Bound, Formula, Interval};
 use smv_summary::{Summary, ValueHistogram};
 use smv_xml::NodeId;
 use std::rc::Rc;
+use std::sync::{Arc, OnceLock};
 
 /// Default extent size assumed for views the source does not know.
 const DEFAULT_ROWS: f64 = 1_000.0;
@@ -53,8 +54,9 @@ const CONTENT_PARSE_COST: f64 = 16.0;
 /// *unknown*, not *empty*.
 #[derive(Clone, Debug, Default)]
 pub enum ColCard {
-    /// Atomic column with candidate summary paths.
-    Atom(Vec<NodeId>),
+    /// Atomic column with candidate summary paths. Shared: an estimate
+    /// over the column copies no path list.
+    Atom(Arc<[NodeId]>),
     /// Nested table column with its inner layout.
     Nested(Vec<ColCard>),
     /// Nothing is known about this column.
@@ -85,6 +87,12 @@ pub struct ScanCard {
 pub trait CardSource {
     /// Statistics for the extent of `view`, if the view is known.
     fn scan_card(&self, view: &str) -> Option<ScanCard>;
+
+    /// [`CardSource::scan_card`]'s `rows` alone, for a caller that has the
+    /// column paths already.
+    fn scan_rows(&self, view: &str) -> Option<f64> {
+        self.scan_card(view).map(|c| c.rows)
+    }
 }
 
 /// The estimate for a (sub)plan.
@@ -94,6 +102,21 @@ pub struct PlanEstimate {
     pub rows: f64,
     /// Estimated total work (unit-cost sum over all operators).
     pub cost: f64,
+}
+
+/// A plan's estimate kept with what an operator above the plan reads: its
+/// columns' candidate paths and, with feedback attached, its measured
+/// rows. A caller that builds plans bottom-up keeps one per plan, so that
+/// an operator it puts on top is priced over its inputs' kept estimates
+/// ([`CostModel::carry`]) instead of by a walk of the whole plan.
+#[derive(Clone, Debug)]
+pub struct Carried {
+    /// Estimated output rows and total work: [`CostModel::estimate`]'s.
+    pub est: PlanEstimate,
+    cols: Vec<ColCard>,
+    /// Feedback's measured output rows of the plan, looked up the first
+    /// time an operator over the plan needs them.
+    measured: OnceLock<Option<f64>>,
 }
 
 /// Internal per-node estimate: rows + cumulative cost + column layout.
@@ -196,6 +219,67 @@ impl<'a> CostModel<'a> {
         }
     }
 
+    /// [`CostModel::estimate`] of `plan`, kept for pricing an operator over
+    /// `plan` later. `inputs` is empty, and the whole plan is walked, or it
+    /// holds the kept estimates of all of `plan`'s inputs in
+    /// [`Plan::children`] order, and only `plan`'s own operator is priced,
+    /// over them. Either way the values are [`CostModel::estimate`]'s, bit
+    /// for bit.
+    ///
+    /// With feedback attached, a fragment's measured rows are looked up
+    /// once, when an operator over it is priced, and kept; a selection's or
+    /// a join's own rows are looked up only when every input has some.
+    pub fn carry(&self, plan: &Plan, inputs: &[&Carried]) -> Carried {
+        let measured = OnceLock::new();
+        let e = if inputs.is_empty() {
+            self.est(plan)
+        } else {
+            debug_assert_eq!(inputs.len(), plan.children().len(), "one per input");
+            let ins = inputs
+                .iter()
+                .map(|c| Est {
+                    rows: c.est.rows,
+                    cost: c.est.cost,
+                    cols: c.cols.clone(),
+                })
+                .collect();
+            // `measured_ratio` over the inputs' kept rows
+            let ratio = || {
+                self.feedback?;
+                let mut product = 1.0;
+                for (input, child) in inputs.iter().zip(plan.children()) {
+                    let m = self.measured(input, child)?;
+                    if m <= 0.0 {
+                        return None;
+                    }
+                    product *= m;
+                }
+                let out = (*measured.get_or_init(|| self.measured_rows(plan)))?;
+                Some(out / product)
+            };
+            self.op(plan, ins, ratio)
+        };
+        Carried {
+            est: PlanEstimate {
+                rows: e.rows,
+                cost: e.cost,
+            },
+            cols: e.cols,
+            measured,
+        }
+    }
+
+    /// Feedback's measured rows of `plan`, whose kept estimate is
+    /// `carried`.
+    fn measured(&self, carried: &Carried, plan: &Plan) -> Option<f64> {
+        *carried.measured.get_or_init(|| self.measured_rows(plan))
+    }
+
+    /// Feedback's measured rows of `fragment`; `None` without feedback.
+    fn measured_rows(&self, fragment: &Plan) -> Option<f64> {
+        self.feedback?.measured_rows(fragment)
+    }
+
     /// Total document-node count over a candidate path set (`None` when
     /// the set is unknown/empty).
     fn path_total(&self, paths: &[NodeId]) -> Option<f64> {
@@ -206,6 +290,15 @@ impl<'a> CostModel<'a> {
     }
 
     fn est(&self, plan: &Plan) -> Est {
+        let ins = plan.children().into_iter().map(|c| self.est(c)).collect();
+        self.op(plan, ins, || self.measured_ratio(plan))
+    }
+
+    /// `plan`'s own operator priced over `ins`, the estimates of its
+    /// inputs in [`Plan::children`] order; `ratio` gives feedback's
+    /// measured ratio for the fragment ([`CostModel::measured_ratio`]).
+    fn op(&self, plan: &Plan, mut ins: Vec<Est>, ratio: impl FnOnce() -> Option<f64>) -> Est {
+        let mut input = || ins.pop().expect("an operator's input");
         match plan {
             Plan::Scan { view } => match self.scan_card(plan, view) {
                 Some(sc) => Est {
@@ -219,8 +312,8 @@ impl<'a> CostModel<'a> {
                     cols: Vec::new(),
                 },
             },
-            Plan::Select { input, pred } => {
-                let mut e = self.est(input);
+            Plan::Select { pred, .. } => {
+                let mut e = input();
                 let sel = match pred {
                     Predicate::Value { col, formula } => {
                         let paths = e.cols.get(*col).map(ColCard::paths).unwrap_or(&[]);
@@ -259,7 +352,7 @@ impl<'a> CostModel<'a> {
                                 // the selection also narrows the column's
                                 // candidate paths to the matching labels
                                 if let Some(ColCard::Atom(ps)) = e.cols.get_mut(*col) {
-                                    *ps = matching;
+                                    *ps = matching.into();
                                 }
                                 (kept / total).clamp(0.0, 1.0)
                             }
@@ -270,13 +363,13 @@ impl<'a> CostModel<'a> {
                 };
                 // an observed pass-rate for this exact fragment beats any
                 // static guess (the label narrowing above still applies)
-                let sel = self.measured_ratio(plan).unwrap_or(sel);
+                let sel = ratio().unwrap_or(sel);
                 e.cost += e.rows;
                 e.rows *= sel;
                 e
             }
-            Plan::Project { input, cols } => {
-                let e = self.est(input);
+            Plan::Project { cols, .. } => {
+                let e = input();
                 let projected = cols
                     .iter()
                     .map(|&c| e.cols.get(c).cloned().unwrap_or_default())
@@ -287,14 +380,8 @@ impl<'a> CostModel<'a> {
                     cols: projected,
                 }
             }
-            Plan::IdJoin {
-                left,
-                right,
-                lcol,
-                rcol,
-            } => {
-                let l = self.est(left);
-                let r = self.est(right);
+            Plan::IdJoin { lcol, rcol, .. } => {
+                let (r, l) = (input(), input());
                 let lp = l.cols.get(*lcol).map(ColCard::paths).unwrap_or(&[]);
                 let rp = r.cols.get(*rcol).map(ColCard::paths).unwrap_or(&[]);
                 let rows = match (self.path_total(lp), self.path_total(rp)) {
@@ -323,14 +410,9 @@ impl<'a> CostModel<'a> {
                 }
             }
             Plan::StructJoin {
-                left,
-                right,
-                lcol,
-                rcol,
-                rel,
+                lcol, rcol, rel, ..
             } => {
-                let l = self.est(left);
-                let r = self.est(right);
+                let (r, l) = (input(), input());
                 let lp = l.cols.get(*lcol).map(ColCard::paths).unwrap_or(&[]);
                 let rp = r.cols.get(*rcol).map(ColCard::paths).unwrap_or(&[]);
                 let rows = match (self.path_total(lp), self.path_total(rp)) {
@@ -366,12 +448,11 @@ impl<'a> CostModel<'a> {
                     cols,
                 }
             }
-            Plan::Union { inputs } => {
+            Plan::Union { .. } => {
                 let mut rows = 0.0;
                 let mut cost = 0.0;
                 let mut cols: Vec<ColCard> = Vec::new();
-                for (i, p) in inputs.iter().enumerate() {
-                    let e = self.est(p);
+                for (i, e) in ins.into_iter().enumerate() {
                     rows += e.rows;
                     cost += e.cost + e.rows;
                     if i == 0 {
@@ -381,13 +462,14 @@ impl<'a> CostModel<'a> {
                         // layouts degrade to unknown
                         for (c, ec) in cols.iter_mut().zip(e.cols) {
                             *c = match (std::mem::take(c), ec) {
-                                (ColCard::Atom(mut a), ColCard::Atom(b)) => {
-                                    for p in b {
+                                (ColCard::Atom(a), ColCard::Atom(b)) => {
+                                    let mut a = a.to_vec();
+                                    for &p in b.iter() {
                                         if !a.contains(&p) {
                                             a.push(p);
                                         }
                                     }
-                                    ColCard::Atom(a)
+                                    ColCard::Atom(a.into())
                                 }
                                 _ => ColCard::Unknown,
                             };
@@ -397,12 +479,11 @@ impl<'a> CostModel<'a> {
                 Est { rows, cost, cols }
             }
             Plan::Nest {
-                input,
                 key_cols,
                 nested_cols,
                 ..
             } => {
-                let e = self.est(input);
+                let e = input();
                 // distinct key tuples: at least the distinct count of any
                 // single key column — take the largest single-column bound
                 let key_bound = key_cols
@@ -429,8 +510,8 @@ impl<'a> CostModel<'a> {
                     cols,
                 }
             }
-            Plan::Unnest { input, col, outer } => {
-                let e = self.est(input);
+            Plan::Unnest { col, outer, .. } => {
+                let e = input();
                 let inner = match e.cols.get(*col) {
                     Some(ColCard::Nested(inner)) => inner.clone(),
                     _ => Vec::new(),
@@ -460,14 +541,13 @@ impl<'a> CostModel<'a> {
                 }
             }
             Plan::NavigateContent {
-                input,
                 content_col,
                 steps,
                 attrs,
                 optional,
                 ..
             } => {
-                let e = self.est(input);
+                let e = input();
                 let base = e.cols.get(*content_col).map(ColCard::paths).unwrap_or(&[]);
                 // walk the steps through the summary, multiplying fan-outs
                 let mut frontier: Vec<NodeId> = base.to_vec();
@@ -500,7 +580,7 @@ impl<'a> CostModel<'a> {
                     cols.push(if frontier.is_empty() {
                         ColCard::Unknown
                     } else {
-                        ColCard::Atom(frontier.clone())
+                        ColCard::Atom(frontier.as_slice().into())
                     });
                 }
                 Est {
@@ -509,10 +589,8 @@ impl<'a> CostModel<'a> {
                     cols,
                 }
             }
-            Plan::DeriveParentId {
-                input, col, levels, ..
-            } => {
-                let e = self.est(input);
+            Plan::DeriveParentId { col, levels, .. } => {
+                let e = input();
                 let derived: Vec<NodeId> = e
                     .cols
                     .get(*col)
@@ -531,7 +609,7 @@ impl<'a> CostModel<'a> {
                 cols.push(if derived.is_empty() {
                     ColCard::Unknown
                 } else {
-                    ColCard::Atom(derived)
+                    ColCard::Atom(derived.into())
                 });
                 Est {
                     rows: e.rows,
@@ -539,8 +617,8 @@ impl<'a> CostModel<'a> {
                     cols,
                 }
             }
-            Plan::DupElim { input } => {
-                let e = self.est(input);
+            Plan::DupElim { .. } => {
+                let e = input();
                 // bound distinct rows by the node counts when every column
                 // is path-annotated (a relation over k annotated columns
                 // cannot have more distinct rows than the product of the
@@ -761,14 +839,14 @@ mod tests {
             "va".to_owned(),
             ScanCard {
                 rows: 2.0,
-                cols: vec![ColCard::Atom(vec![a])],
+                cols: vec![ColCard::Atom([a].into())],
             },
         );
         m.insert(
             "vb".to_owned(),
             ScanCard {
                 rows: 3.0,
-                cols: vec![ColCard::Atom(vec![b]), ColCard::Atom(vec![b])],
+                cols: vec![ColCard::Atom([b].into()), ColCard::Atom([b].into())],
             },
         );
         MapCards(m)
@@ -783,7 +861,7 @@ mod tests {
         assert_eq!(model.estimate(&scan).rows, 3.0);
         // equality on 2 distinct values over 3 valued nodes: 3 × (1/2)
         let sel = Plan::Select {
-            input: Box::new(scan),
+            input: Arc::new(scan),
             pred: Predicate::Value {
                 col: 1,
                 formula: Formula::eq(smv_xml::Value::int(1)),
@@ -801,7 +879,7 @@ mod tests {
         // b carries values {1, 2} over 3 valued nodes; v ≥ 2 keeps one of
         // the two distinct values → selectivity 1/2, not the blanket 1/3
         let sel = Plan::Select {
-            input: Box::new(Plan::Scan { view: "vb".into() }),
+            input: Arc::new(Plan::Scan { view: "vb".into() }),
             pred: Predicate::Value {
                 col: 1,
                 formula: Formula::ge(smv_xml::Value::int(2)),
@@ -811,7 +889,7 @@ mod tests {
         assert!((e.rows - 1.5).abs() < 1e-9, "rows = {}", e.rows);
         // a range outside the observed min/max keeps nothing
         let none = Plan::Select {
-            input: Box::new(Plan::Scan { view: "vb".into() }),
+            input: Arc::new(Plan::Scan { view: "vb".into() }),
             pred: Predicate::Value {
                 col: 1,
                 formula: Formula::gt(smv_xml::Value::int(99)),
@@ -833,14 +911,14 @@ mod tests {
             "vb".to_owned(),
             ScanCard {
                 rows: 1500.0,
-                cols: vec![ColCard::Atom(vec![b]), ColCard::Atom(vec![b])],
+                cols: vec![ColCard::Atom([b].into()), ColCard::Atom([b].into())],
             },
         );
         let src = MapCards(m);
         let model = CostModel::new(&s, &src);
         // v >= 1200 keeps the top 20% of the uniform range
         let sel = Plan::Select {
-            input: Box::new(Plan::Scan { view: "vb".into() }),
+            input: Arc::new(Plan::Scan { view: "vb".into() }),
             pred: Predicate::Value {
                 col: 1,
                 formula: Formula::ge(smv_xml::Value::int(1200)),
@@ -864,12 +942,12 @@ mod tests {
         let src = cards(&s);
         let formula = Formula::ge(smv_xml::Value::int(2));
         let sel = Plan::Select {
-            input: Box::new(Plan::Scan { view: "vb".into() }),
+            input: Arc::new(Plan::Scan { view: "vb".into() }),
             pred: Predicate::Value { col: 1, formula },
         };
         let join = Plan::StructJoin {
-            left: Box::new(Plan::Scan { view: "va".into() }),
-            right: Box::new(sel.clone()),
+            left: Arc::new(Plan::Scan { view: "va".into() }),
+            right: Arc::new(sel.clone()),
             lcol: 0,
             rcol: 0,
             rel: StructRel::Parent,
@@ -914,8 +992,8 @@ mod tests {
         let src = cards(&s);
         let model = CostModel::new(&s, &src);
         let join = Plan::StructJoin {
-            left: Box::new(Plan::Scan { view: "va".into() }),
-            right: Box::new(Plan::Scan { view: "vb".into() }),
+            left: Arc::new(Plan::Scan { view: "va".into() }),
+            right: Arc::new(Plan::Scan { view: "vb".into() }),
             lcol: 0,
             rcol: 0,
             rel: StructRel::Parent,
@@ -947,14 +1025,14 @@ mod tests {
             "narrow".to_owned(),
             ScanCard {
                 rows: 3.0,
-                cols: vec![ColCard::Atom(vec![b])],
+                cols: vec![ColCard::Atom([b].into())],
             },
         );
         m.insert(
             "wide".to_owned(),
             ScanCard {
                 rows: 6.0,
-                cols: vec![ColCard::Atom(vec![b, c, d])],
+                cols: vec![ColCard::Atom([b, c, d].into())],
             },
         );
         let src = MapCards(m);
@@ -963,7 +1041,7 @@ mod tests {
             view: "narrow".into(),
         });
         let wide = model.estimate(&Plan::Select {
-            input: Box::new(Plan::Scan {
+            input: Arc::new(Plan::Scan {
                 view: "wide".into(),
             }),
             pred: Predicate::LabelEq {

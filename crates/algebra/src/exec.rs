@@ -1065,8 +1065,8 @@ mod tests {
     fn scan_select_project() {
         let (p, _) = provider();
         let plan = Plan::Project {
-            input: Box::new(Plan::Select {
-                input: Box::new(Plan::Scan {
+            input: Arc::new(Plan::Select {
+                input: Arc::new(Plan::Scan {
                     view: "names".into(),
                 }),
                 pred: Predicate::Value {
@@ -1085,10 +1085,10 @@ mod tests {
     fn structural_join_pairs_items_with_names() {
         let (p, _) = provider();
         let plan = Plan::StructJoin {
-            left: Box::new(Plan::Scan {
+            left: Arc::new(Plan::Scan {
                 view: "items".into(),
             }),
-            right: Box::new(Plan::Scan {
+            right: Arc::new(Plan::Scan {
                 view: "names".into(),
             }),
             lcol: 0,
@@ -1112,10 +1112,10 @@ mod tests {
             p_sorted.insert(name, rel);
         }
         let plan = Plan::StructJoin {
-            left: Box::new(Plan::Scan {
+            left: Arc::new(Plan::Scan {
                 view: "items".into(),
             }),
-            right: Box::new(Plan::Scan {
+            right: Arc::new(Plan::Scan {
                 view: "names".into(),
             }),
             lcol: 0,
@@ -1132,10 +1132,10 @@ mod tests {
     fn struct_join_output_is_born_sorted_on_right_col() {
         let (p, _) = provider();
         let plan = Plan::StructJoin {
-            left: Box::new(Plan::Scan {
+            left: Arc::new(Plan::Scan {
                 view: "items".into(),
             }),
-            right: Box::new(Plan::Scan {
+            right: Arc::new(Plan::Scan {
                 view: "names".into(),
             }),
             lcol: 0,
@@ -1162,10 +1162,10 @@ mod tests {
     fn id_join_on_equal_ids() {
         let (p, _) = provider();
         let plan = Plan::IdJoin {
-            left: Box::new(Plan::Scan {
+            left: Arc::new(Plan::Scan {
                 view: "names".into(),
             }),
-            right: Box::new(Plan::Scan {
+            right: Arc::new(Plan::Scan {
                 view: "names".into(),
             }),
             lcol: 0,
@@ -1196,7 +1196,7 @@ mod tests {
     fn nest_then_unnest_round_trips() {
         let (p, _) = provider();
         let nest = Plan::Nest {
-            input: Box::new(Plan::Scan {
+            input: Arc::new(Plan::Scan {
                 view: "names".into(),
             }),
             key_cols: vec![0],
@@ -1207,7 +1207,7 @@ mod tests {
         assert_eq!(nested.len(), 2);
         assert!(matches!(nested.rows[0].cells[1], Cell::Table(_)));
         let unnest = Plan::Unnest {
-            input: Box::new(nest),
+            input: Arc::new(nest),
             col: 1,
             outer: false,
         };
@@ -1247,7 +1247,7 @@ mod tests {
         let mut p = MapProvider::default();
         p.insert("v", rel);
         let inner_plan = Plan::Unnest {
-            input: Box::new(Plan::Scan { view: "v".into() }),
+            input: Arc::new(Plan::Scan { view: "v".into() }),
             col: 1,
             outer: true,
         };
@@ -1256,7 +1256,7 @@ mod tests {
         assert!(out.rows[0].cells[1].is_null());
         let dropped = execute_with(
             &Plan::Unnest {
-                input: Box::new(Plan::Scan { view: "v".into() }),
+                input: Arc::new(Plan::Scan { view: "v".into() }),
                 col: 1,
                 outer: false,
             },
@@ -1283,7 +1283,7 @@ mod tests {
         let mut p = MapProvider::default();
         p.insert("v", rel);
         let plan = Plan::NavigateContent {
-            input: Box::new(Plan::Scan { view: "v".into() }),
+            input: Arc::new(Plan::Scan { view: "v".into() }),
             content_col: 1,
             base_id_col: Some(0),
             steps: vec![NavStep {
@@ -1315,7 +1315,7 @@ mod tests {
         let mut p = MapProvider::default();
         p.insert("v", rel);
         let mk = |optional| Plan::NavigateContent {
-            input: Box::new(Plan::Scan { view: "v".into() }),
+            input: Arc::new(Plan::Scan { view: "v".into() }),
             content_col: 1,
             base_id_col: None,
             steps: vec![NavStep {
@@ -1351,7 +1351,7 @@ mod tests {
         let mut p = MapProvider::default();
         p.insert("v", rel);
         let plan = Plan::DeriveParentId {
-            input: Box::new(Plan::Scan { view: "v".into() }),
+            input: Arc::new(Plan::Scan { view: "v".into() }),
             col: 0,
             levels: 1,
             name: "b.ID".into(),
@@ -1360,7 +1360,7 @@ mod tests {
         assert_eq!(out.rows[0].cells[1], Cell::Id(ia.id(NodeId(1)).clone()));
         // two levels: root
         let plan2 = Plan::DeriveParentId {
-            input: Box::new(Plan::Scan { view: "v".into() }),
+            input: Arc::new(Plan::Scan { view: "v".into() }),
             col: 0,
             levels: 2,
             name: "a.ID".into(),
@@ -1369,7 +1369,7 @@ mod tests {
         assert_eq!(out2.rows[0].cells[1], Cell::Id(ia.id(NodeId(0)).clone()));
         // past the root: null
         let plan3 = Plan::DeriveParentId {
-            input: Box::new(Plan::Scan { view: "v".into() }),
+            input: Arc::new(Plan::Scan { view: "v".into() }),
             col: 0,
             levels: 5,
             name: "x".into(),
@@ -1391,11 +1391,11 @@ mod tests {
     fn errors_locate_the_deepest_failing_operator() {
         // the bad scan sits at path 0.1 (select → join right)
         let plan = Plan::Select {
-            input: Box::new(Plan::IdJoin {
-                left: Box::new(Plan::Scan {
+            input: Arc::new(Plan::IdJoin {
+                left: Arc::new(Plan::Scan {
                     view: "items".into(),
                 }),
-                right: Box::new(Plan::Scan { view: "zz".into() }),
+                right: Arc::new(Plan::Scan { view: "zz".into() }),
                 lcol: 0,
                 rcol: 0,
             }),
@@ -1454,8 +1454,8 @@ mod tests {
             asked: Mutex::default(),
         };
         let plan = |view: &str, cols: Vec<usize>| Plan::DupElim {
-            input: Box::new(Plan::Project {
-                input: Box::new(Plan::Scan { view: view.into() }),
+            input: Arc::new(Plan::Project {
+                input: Arc::new(Plan::Scan { view: view.into() }),
                 cols,
             }),
         };
@@ -1508,19 +1508,19 @@ mod tests {
         views.insert("x", rel);
         let scan = || Plan::Scan { view: "x".into() };
         let select = |input: Plan, pred: &Predicate| Plan::Select {
-            input: Box::new(input),
+            input: Arc::new(input),
             pred: pred.clone(),
         };
         // the Select reads the borrowed scan, fused into the Project; the
         // generic path reads it through an identity Project, owned
         let fused = |pred: &Predicate, cols: &[usize]| Plan::Project {
-            input: Box::new(select(scan(), pred)),
+            input: Arc::new(select(scan(), pred)),
             cols: cols.to_vec(),
         };
         let generic = |pred: &Predicate, cols: &[usize]| Plan::Project {
-            input: Box::new(select(
+            input: Arc::new(select(
                 Plan::Project {
-                    input: Box::new(scan()),
+                    input: Arc::new(scan()),
                     cols: vec![0, 1, 2],
                 },
                 pred,
@@ -1602,9 +1602,9 @@ mod tests {
             asked: Mutex::default(),
         };
         let plan = |col: usize, cols: Vec<usize>| Plan::DupElim {
-            input: Box::new(Plan::Project {
-                input: Box::new(Plan::DeriveParentId {
-                    input: Box::new(Plan::Scan {
+            input: Arc::new(Plan::Project {
+                input: Arc::new(Plan::DeriveParentId {
+                    input: Arc::new(Plan::Scan {
                         view: "names".into(),
                     }),
                     col,
@@ -1703,11 +1703,11 @@ mod tests {
 
         let scan = |view: &str| Plan::Scan { view: view.into() };
         let select = |input: Plan, pred: &Predicate| Plan::Select {
-            input: Box::new(input),
+            input: Arc::new(input),
             pred: pred.clone(),
         };
         let derive = |input: Plan, col: usize| Plan::DeriveParentId {
-            input: Box::new(input),
+            input: Arc::new(input),
             col,
             levels: 1,
             name: "p.ID".into(),
@@ -1790,7 +1790,7 @@ mod tests {
         }
         for (input, cols, asked, fails_at) in table {
             let plan = Plan::Project {
-                input: Box::new(input),
+                input: Arc::new(input),
                 cols: cols.clone(),
             };
             for views in [&plain as &dyn ViewProvider, &projecting] {
@@ -1830,7 +1830,7 @@ mod tests {
     fn profiled_run_records_operator_times() {
         let prov = provider().0;
         let plan = Plan::Select {
-            input: Box::new(Plan::Scan {
+            input: Arc::new(Plan::Scan {
                 view: "names".into(),
             }),
             pred: Predicate::NotNull { col: 0 },

@@ -209,6 +209,7 @@ mod tests {
     use crate::relation::{AttrKind, Cell, NestedRelation, Row, Schema};
     use smv_summary::Summary;
     use smv_xml::{Document, StructId};
+    use std::sync::Arc;
 
     fn fixture() -> (MapProvider, Summary) {
         let doc = Document::from_parens(r#"a(b="1" b="2" b="3")"#);
@@ -228,7 +229,7 @@ mod tests {
 
     fn plan() -> Plan {
         Plan::Select {
-            input: Box::new(Plan::Scan { view: "v".into() }),
+            input: Arc::new(Plan::Scan { view: "v".into() }),
             pred: Predicate::NotNull { col: 0 },
         }
     }

@@ -519,6 +519,7 @@ mod tests {
     use super::*;
     use smv_pattern::Formula;
     use smv_xml::Value;
+    use std::sync::Arc;
 
     fn scan(v: &str) -> Plan {
         Plan::Scan { view: v.into() }
@@ -526,15 +527,15 @@ mod tests {
 
     fn select(input: Plan, col: usize, formula: Formula) -> Plan {
         Plan::Select {
-            input: Box::new(input),
+            input: Arc::new(input),
             pred: Predicate::Value { col, formula },
         }
     }
 
     fn parent_join(left: Plan, right: Plan) -> Plan {
         Plan::StructJoin {
-            left: Box::new(left),
-            right: Box::new(right),
+            left: Arc::new(left),
+            right: Arc::new(right),
             lcol: 0,
             rcol: 0,
             rel: StructRel::Parent,
@@ -599,8 +600,8 @@ mod tests {
     #[test]
     fn measured_rows_memo_and_par_hints_snapshot() {
         let plan = Plan::StructJoin {
-            left: Box::new(scan("a")),
-            right: Box::new(scan("b")),
+            left: Arc::new(scan("a")),
+            right: Arc::new(scan("b")),
             lcol: 0,
             rcol: 0,
             rel: StructRel::Ancestor,

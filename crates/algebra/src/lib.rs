@@ -19,7 +19,7 @@ pub mod struct_join;
 
 pub use cost::{
     histogram_accepted_fraction, sample_accepted_fraction, value_accepted_fraction, CardSource,
-    ColCard, CostModel, NoCards, PlanEstimate, ScanCard,
+    Carried, ColCard, CostModel, NoCards, PlanEstimate, ScanCard,
 };
 pub use exec::{
     execute_profiled_with, execute_with, ExecError, ExecOpts, MapProvider, ViewProvider,

@@ -11,6 +11,7 @@ use crate::relation::AttrKind;
 use crate::struct_join::StructRel;
 use smv_pattern::{Axis, Formula};
 use smv_xml::{Label, Symbol};
+use std::sync::Arc;
 
 /// A navigation step inside a stored content column.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,23 +57,23 @@ pub enum Plan {
     /// `σ` — filter rows.
     Select {
         /// Input plan.
-        input: Box<Plan>,
+        input: Arc<Plan>,
         /// Predicate.
         pred: Predicate,
     },
     /// `π` — keep the given columns, in the given order.
     Project {
         /// Input plan.
-        input: Box<Plan>,
+        input: Arc<Plan>,
         /// Column indices to keep.
         cols: Vec<usize>,
     },
     /// `⋈_=` — equality join on ID columns.
     IdJoin {
         /// Left input.
-        left: Box<Plan>,
+        left: Arc<Plan>,
         /// Right input.
-        right: Box<Plan>,
+        right: Arc<Plan>,
         /// Left join column.
         lcol: usize,
         /// Right join column.
@@ -81,9 +82,9 @@ pub enum Plan {
     /// `⋈_≺` / `⋈_≺≺` — structural join on ID columns.
     StructJoin {
         /// Left (ancestor side) input.
-        left: Box<Plan>,
+        left: Arc<Plan>,
         /// Right (descendant side) input.
-        right: Box<Plan>,
+        right: Arc<Plan>,
         /// Left join column.
         lcol: usize,
         /// Right join column.
@@ -100,7 +101,7 @@ pub enum Plan {
     /// table-valued column named `name` (§4.6 nesting adaptation).
     Nest {
         /// Input plan.
-        input: Box<Plan>,
+        input: Arc<Plan>,
         /// Grouping key columns.
         key_cols: Vec<usize>,
         /// Columns gathered into the nested table.
@@ -112,7 +113,7 @@ pub enum Plan {
     /// empty (yielding nulls).
     Unnest {
         /// Input plan.
-        input: Box<Plan>,
+        input: Arc<Plan>,
         /// The table-valued column.
         col: usize,
         /// Keep empty groups as null rows.
@@ -122,7 +123,7 @@ pub enum Plan {
     /// columns for the nodes reached (§4.6 C-unfolding support).
     NavigateContent {
         /// Input plan.
-        input: Box<Plan>,
+        input: Arc<Plan>,
         /// The content column.
         content_col: usize,
         /// Column holding the ID of the content root, if available —
@@ -141,7 +142,7 @@ pub enum Plan {
     /// structural ID (§4.6 virtual IDs).
     DeriveParentId {
         /// Input plan.
-        input: Box<Plan>,
+        input: Arc<Plan>,
         /// Source ID column.
         col: usize,
         /// How many parent steps to take.
@@ -152,7 +153,7 @@ pub enum Plan {
     /// Explicit duplicate elimination.
     DupElim {
         /// Input plan.
-        input: Box<Plan>,
+        input: Arc<Plan>,
     },
 }
 
@@ -310,9 +311,9 @@ mod tests {
 
     fn sample() -> Plan {
         Plan::IdJoin {
-            left: Box::new(Plan::Scan { view: "V1".into() }),
-            right: Box::new(Plan::Select {
-                input: Box::new(Plan::Scan { view: "V2".into() }),
+            left: Arc::new(Plan::Scan { view: "V1".into() }),
+            right: Arc::new(Plan::Select {
+                input: Arc::new(Plan::Scan { view: "V2".into() }),
                 pred: Predicate::NotNull { col: 0 },
             }),
             lcol: 0,

@@ -239,7 +239,29 @@ impl<'a> MatchTarget for CompatTree<'a> {
 /// with nesting sequences compatible (Prop 4.2 2(b), relaxed through
 /// one-to-one edges)?
 pub(crate) fn tuple_in(q: &Pattern, te: &CTree, s: &Summary, mode: FormulaMode) -> bool {
-    let designated = te.return_nodes();
+    let spath = |n: NodeId| te.spath(n);
+    let nesting = |i: usize| te.nesting_sequence(i);
+    match mode {
+        FormulaMode::Implication => embeds_tuple(q, te, te.return_nodes(), spath, nesting, s),
+        FormulaMode::Compatibility => {
+            embeds_tuple(q, &CompatTree(te), te.return_nodes(), spath, nesting, s)
+        }
+    }
+}
+
+/// Does some embedding of `q` into `target` produce exactly `designated`
+/// on `q`'s return nodes, with nesting sequences compatible (Prop 4.2
+/// 2(b), relaxed through one-to-one edges)? `spath` gives a target node's
+/// summary path and `nesting(i)` return `i`'s nesting sequence in the
+/// target.
+pub(crate) fn embeds_tuple<'t, T: MatchTarget>(
+    q: &Pattern,
+    target: &T,
+    designated: &[Option<NodeId>],
+    spath: impl Fn(NodeId) -> NodeId,
+    nesting: impl Fn(usize) -> &'t [NodeId],
+    s: &Summary,
+) -> bool {
     let q_returns = q.return_nodes();
     debug_assert_eq!(designated.len(), q_returns.len());
     let check = |asg: &smv_pattern::Assignment| -> bool {
@@ -252,9 +274,9 @@ pub(crate) fn tuple_in(q: &Pattern, te: &CTree, s: &Summary, mode: FormulaMode) 
                 let q_ns: Vec<NodeId> = q
                     .nesting_anchors(qr)
                     .iter()
-                    .map(|&a| te.spath(asg[a.idx()].expect("anchor of mapped node")))
+                    .map(|&a| spath(asg[a.idx()].expect("anchor of mapped node")))
                     .collect();
-                let p_ns = te.nesting_sequence(i);
+                let p_ns = nesting(i);
                 if q_ns.len() != p_ns.len() {
                     return false;
                 }
@@ -270,29 +292,13 @@ pub(crate) fn tuple_in(q: &Pattern, te: &CTree, s: &Summary, mode: FormulaMode) 
         true
     };
     let mut found = false;
-    match mode {
-        FormulaMode::Implication => {
-            let m = Matcher::new(q, te);
-            m.for_each_embedding(|asg| {
-                if check(asg) {
-                    found = true;
-                    return false;
-                }
-                true
-            });
+    Matcher::new(q, target).for_each_embedding(|asg| {
+        if check(asg) {
+            found = true;
+            return false;
         }
-        FormulaMode::Compatibility => {
-            let wrap = CompatTree(te);
-            let m = Matcher::new(q, &wrap);
-            m.for_each_embedding(|asg| {
-                if check(asg) {
-                    found = true;
-                    return false;
-                }
-                true
-            });
-        }
-    }
+        true
+    });
     found
 }
 

@@ -4,12 +4,13 @@
 
 use super::pair::{dedup_members, ColInfo, Member, NodeSet, Pair};
 use super::{QueryCtx, Rewriter};
-use smv_algebra::{AttrKind, ColKind, NavStep, Plan};
+use smv_algebra::{AttrKind, ColCard, ColKind, NavStep, Plan};
 use smv_pattern::canonical::{canonical_model, CanonOpts};
 use smv_pattern::{associated_paths, Axis, Formula, Pattern};
-use smv_views::{schema_of, View};
+use smv_views::{col_cards, schema_of, View};
 use smv_xml::{LabeledTree, NodeId, Symbol};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// The summary constraints and the two options a [`PreparedView`] was
 /// built under: [`Summary::constraints_token`](smv_summary::Summary::constraints_token),
@@ -27,6 +28,9 @@ pub(super) struct PreparedView {
     /// Associated paths of the flat pattern's non-root nodes: the view
     /// side of the Prop 3.4 relatedness test.
     pub(super) vpaths: Vec<Vec<NodeId>>,
+    /// The cost model's column paths of a scan of the view
+    /// ([`col_cards`]).
+    pub(super) cols: Vec<ColCard>,
     /// The pair of the bare scan — flat plan, column layout, deduplicated
     /// members — before its §4.6 derived columns; `views` is left for the
     /// run to fill in. `None` when the view can seed no pair under these
@@ -47,6 +51,7 @@ impl Rewriter<'_> {
         PreparedView {
             stamp,
             vpaths,
+            cols: col_cards(&v.pattern, self.s),
             base: self.scan_pair(v, &pf),
         }
     }
@@ -80,7 +85,7 @@ impl Rewriter<'_> {
                 unreachable!()
             };
             plan = Plan::Unnest {
-                input: Box::new(plan),
+                input: Arc::new(plan),
                 col: i,
                 outer: true,
             };
@@ -116,13 +121,12 @@ impl Rewriter<'_> {
             return None;
         }
         Some(Pair {
-            plan,
+            plan: Arc::new(plan),
             cols,
             groups,
             members,
             views: Vec::new(),
-            cost: 0.0,
-            rows: 0.0,
+            est: None,
         })
     }
 
@@ -187,12 +191,12 @@ impl Rewriter<'_> {
                 if !derived.iter().flatten().any(|p| useful.contains(p)) {
                     continue;
                 }
-                pair.plan = Plan::DeriveParentId {
-                    input: Box::new(pair.plan.clone()),
+                pair.plan = Arc::new(Plan::DeriveParentId {
+                    input: Arc::clone(&pair.plan),
                     col: c,
                     levels: level,
                     name: Symbol::intern(&format!("vid{c}u{level}")),
-                };
+                });
                 pair.cols.push(ColInfo {
                     attr: AttrKind::Id,
                     scheme: pair.cols[c].scheme,
@@ -265,15 +269,15 @@ impl Rewriter<'_> {
                     AttrKind::Value,
                     AttrKind::Content,
                 ];
-                pair.plan = Plan::NavigateContent {
-                    input: Box::new(pair.plan.clone()),
+                pair.plan = Arc::new(Plan::NavigateContent {
+                    input: Arc::clone(&pair.plan),
                     content_col: c,
                     base_id_col,
                     steps,
                     attrs: attrs.clone(),
                     optional: true,
                     name: Symbol::intern(&format!("nav{c}p{}", sd.0)),
-                };
+                });
                 let g = next_group;
                 next_group += 1;
                 for kind in attrs {

@@ -40,7 +40,7 @@ impl Suppliers {
                 });
                 if supplies {
                     by_view[pair.views[0]][k] = true;
-                    cheapest[k] = cheapest[k].min(pair.cost + pair.rows);
+                    cheapest[k] = cheapest[k].min(pair.cost() + pair.rows());
                 }
             }
         }
@@ -66,8 +66,8 @@ impl Suppliers {
             .map(|k| self.cheapest[k])
             .max_by(f64::total_cmp);
         match missing {
-            Some(cheapest) => pair.cost + pair.rows + cheapest,
-            None => pair.cost,
+            Some(cheapest) => pair.cost() + pair.rows() + cheapest,
+            None => pair.cost(),
         }
     }
 }

@@ -5,6 +5,7 @@
 use super::pair::{dedup_members, merge_nodes, Member, Pair};
 use super::Rewriter;
 use smv_algebra::{AttrKind, Plan, StructRel};
+use std::sync::Arc;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(super) enum JoinKind {
@@ -26,9 +27,17 @@ const JOIN_KINDS: [JoinKind; 5] = [
 /// The joins of one expansion `a ⋈ b` ([`Rewriter::join_options`]).
 pub(super) struct Joins {
     /// The pairs built, in option order.
-    pub(super) built: Vec<Pair>,
+    pub(super) built: Vec<Joined>,
     /// Options that repeat an earlier option's key and were not built.
     pub(super) repeats: usize,
+}
+
+/// A join built from `a` and `b`.
+pub(super) struct Joined {
+    pub(super) pair: Pair,
+    /// `b` is the plan's left input (a structural join with `b` on the
+    /// ancestor side); `a` is otherwise.
+    pub(super) b_left: bool,
 }
 
 /// An option [`Rewriter::join_options`] has decided.
@@ -74,23 +83,20 @@ impl Rewriter<'_> {
                 if a.cols[ca].scheme != b.cols[cb].scheme {
                     continue;
                 }
-                let kinds: &[JoinKind] = if a.cols[ca].scheme.is_structural() {
-                    &JOIN_KINDS
+                let kinds = if a.cols[ca].scheme.is_structural() {
+                    JOIN_KINDS.len()
                 } else {
-                    &JOIN_KINDS[..1]
+                    1
                 };
                 let derived = (a.cols[ca].derived, b.cols[cb].derived);
-                for &kind in kinds {
+                let by_kind = self.combinations(a, b, ca, cb);
+                for (&kind, combos) in JOIN_KINDS.iter().zip(by_kind).take(kinds) {
                     let unplaced = match kind {
                         JoinKind::IdEq => derived.0 && derived.1,
                         JoinKind::Struct(_, false) => derived.0,
                         JoinKind::Struct(_, true) => derived.1,
                     };
-                    if unplaced {
-                        continue;
-                    }
-                    let combos = self.combinations(a, b, ca, cb, kind);
-                    if combos.is_empty() {
+                    if unplaced || combos.is_empty() {
                         continue; // no two members join
                     }
                     let merged = (kind == JoinKind::IdEq).then(|| (a.groups[ca], b.groups[cb]));
@@ -103,8 +109,8 @@ impl Rewriter<'_> {
                         if super::tests::building_repeats() {
                             let pair = self.merge(a, b, ca, cb, kind, &combos);
                             super::tests::check_repeat(
-                                earlier.map(|e| &joins.built[e]),
-                                pair.as_ref(),
+                                earlier.map(|e| &joins.built[e].pair),
+                                pair.as_ref().map(|j| &j.pair),
                             );
                             joins.built.extend(pair);
                             continue;
@@ -126,16 +132,11 @@ impl Rewriter<'_> {
     }
 
     /// The member combinations `(i, j)` of `a.members × b.members` whose
-    /// column paths pass `kind`'s path test on `ca`, `cb`, in merge order.
-    fn combinations(
-        &self,
-        a: &Pair,
-        b: &Pair,
-        ca: usize,
-        cb: usize,
-        kind: JoinKind,
-    ) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
+    /// column paths on `ca`, `cb` pass each join kind's path test, in merge
+    /// order, indexed as [`JOIN_KINDS`]: one pass over the member pairs
+    /// classifies each for every kind.
+    fn combinations(&self, a: &Pair, b: &Pair, ca: usize, cb: usize) -> [Vec<(usize, usize)>; 5] {
+        let mut out: [Vec<(usize, usize)>; 5] = Default::default();
         for (i, ma) in a.members.iter().enumerate() {
             let Some(pa) = ma.col_path[ca] else {
                 continue; // nulls never join
@@ -144,16 +145,22 @@ impl Rewriter<'_> {
                 let Some(pb) = mb.col_path[cb] else {
                     continue;
                 };
-                let ok = match kind {
-                    JoinKind::IdEq => pa == pb,
-                    JoinKind::Struct(StructRel::Parent, false) => self.s.is_parent(pa, pb),
-                    JoinKind::Struct(StructRel::Ancestor, false) => self.s.is_ancestor(pa, pb),
-                    JoinKind::Struct(StructRel::Parent, true) => self.s.is_parent(pb, pa),
-                    JoinKind::Struct(StructRel::Ancestor, true) => self.s.is_ancestor(pb, pa),
+                // `⋈_=`, then `a`'s path above `b`'s (`⋈_≺`, `⋈_≺≺`), then
+                // below it (the reversed two); a parent is an ancestor
+                let (parent, ancestor) = if pa == pb {
+                    out[0].push((i, j));
+                    continue;
+                } else if self.s.is_ancestor(pa, pb) {
+                    (self.s.is_parent(pa, pb).then_some(1), 3)
+                } else if self.s.is_ancestor(pb, pa) {
+                    (self.s.is_parent(pb, pa).then_some(2), 4)
+                } else {
+                    continue;
                 };
-                if ok {
-                    out.push((i, j));
+                if let Some(k) = parent {
+                    out[k].push((i, j));
                 }
+                out[ancestor].push((i, j));
             }
         }
         out
@@ -170,7 +177,7 @@ impl Rewriter<'_> {
         cb: usize,
         kind: JoinKind,
         combos: &[(usize, usize)],
-    ) -> Option<Pair> {
+    ) -> Option<Joined> {
         // a reversed structural join has `b` on the ancestor side: `b` is
         // the left input, so the pair's columns are `b`'s, then `a`'s
         let reversed = matches!(kind, JoinKind::Struct(_, true));
@@ -197,8 +204,8 @@ impl Rewriter<'_> {
         if members.len() > self.opts.max_members {
             return None;
         }
-        let (left_plan, right_plan) = (Box::new(left.plan.clone()), Box::new(right.plan.clone()));
-        let plan = match kind {
+        let (left_plan, right_plan) = (Arc::clone(&left.plan), Arc::clone(&right.plan));
+        let plan = Arc::new(match kind {
             JoinKind::IdEq => Plan::IdJoin {
                 left: left_plan,
                 right: right_plan,
@@ -212,7 +219,7 @@ impl Rewriter<'_> {
                 rcol,
                 rel,
             },
-        };
+        });
         let mut cols = left.cols.clone();
         cols.extend(right.cols.iter().cloned());
         let off = left.groups.iter().copied().max().unwrap_or(0) + 1;
@@ -231,14 +238,16 @@ impl Rewriter<'_> {
         views.extend(b.views.iter().copied());
         views.sort_unstable();
         views.dedup();
-        Some(Pair {
-            plan,
-            cols,
-            groups,
-            members,
-            views,
-            cost: 0.0,
-            rows: 0.0,
+        Some(Joined {
+            pair: Pair {
+                plan,
+                cols,
+                groups,
+                members,
+                views,
+                est: None,
+            },
+            b_left: reversed,
         })
     }
 }

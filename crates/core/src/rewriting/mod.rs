@@ -58,7 +58,7 @@ use adapt::{PrepStamp, PreparedView};
 use bound::Suppliers;
 use pair::{Pair, PairKey};
 use plan::flat_out_cols;
-use smv_algebra::{AttrKind, CardSource, CostModel, FeedbackStore, Plan, PlanEstimate};
+use smv_algebra::{AttrKind, CardSource, CostModel, FeedbackStore, Plan, PlanEstimate, ScanCard};
 use smv_pattern::canonical::{canonical_model, CanonOpts};
 use smv_pattern::{associated_paths, PNodeId, Pattern};
 use smv_summary::Summary;
@@ -66,6 +66,7 @@ use smv_views::{DefCards, View};
 use smv_xml::fasthash::FastBuild;
 use smv_xml::NodeId;
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use verdict::{Candidate, MemberVerdicts, ModelTree};
 
@@ -168,9 +169,9 @@ pub struct RewriteStats {
     /// Joins built: members merged, plan and column layout made. A join
     /// recognized as a repeat from its member combinations is not.
     pub joins_built: usize,
-    /// Direction-A verdicts computed — a member's canonical tree built and
-    /// the query embedded in it — one per distinct (member node set,
-    /// designation) the line-7 test met.
+    /// Direction-A verdicts computed — the query embedded in a member's
+    /// canonical tree, read off the member's node set — one per distinct
+    /// (member node set, designation) the line-7 test met.
     pub member_tests: usize,
     /// Direction-A verdicts served from the run's memo of
     /// [`member_tests`](Self::member_tests) instead.
@@ -206,6 +207,27 @@ struct QueryCtx<'a> {
     /// Associated paths of every non-root query node (sorted, deduped) —
     /// the query side of the Prop 3.4 relatedness test.
     q_all: Vec<NodeId>,
+}
+
+/// The run's scan statistics: each view's rows from the supplied source,
+/// its column paths from its preparation ([`PreparedView::cols`]), built
+/// once per (view, summary constraints) instead of once per run.
+struct PreparedCards<'a> {
+    rows: &'a dyn CardSource,
+    views: &'a [View],
+    preps: &'a [Arc<PreparedView>],
+}
+
+impl CardSource for PreparedCards<'_> {
+    fn scan_card(&self, view: &str) -> Option<ScanCard> {
+        let Some(i) = self.views.iter().position(|v| v.name == view) else {
+            return self.rows.scan_card(view);
+        };
+        Some(ScanCard {
+            rows: self.rows.scan_rows(view)?,
+            cols: self.preps[i].cols.clone(),
+        })
+    }
 }
 
 /// Rewrites `q` over `views` under `s`. See module docs. Scan
@@ -331,33 +353,47 @@ impl<'a> Rewriter<'a> {
             return result;
         }
 
-        // cost model: supplied cardinalities, or definition-only estimates
-        let def_cards = DefCards::new(self.views, self.s);
-        let cards: &dyn CardSource = self.cards.unwrap_or(&def_cards);
-        let mut model = CostModel::new(self.s, cards);
-        if let Some(fb) = self.feedback {
-            model = model.with_feedback(fb);
-        }
-
-        // ---- setup: base pairs (M0), Prop 3.4 pruning, derived columns
+        // ---- setup: each view's preparation
         let stamp: PrepStamp = (
             self.s.constraints_token(),
             self.opts.canon.use_strong,
             self.opts.max_members,
         );
+        let preps: Vec<Arc<PreparedView>> = self
+            .views
+            .iter()
+            .map(|v| {
+                let (prep, built) = v.derived(
+                    |p: &PreparedView| p.stamp == stamp,
+                    || self.prepare(v, stamp),
+                );
+                if built {
+                    result.stats.prepared_built += 1;
+                } else {
+                    result.stats.prepared_reused += 1;
+                }
+                prep
+            })
+            .collect();
+
+        // cost model: supplied cardinalities, or definition-only estimates,
+        // with the column paths of the preparations
+        let def_cards = DefCards::new(self.views, self.s);
+        let cards = PreparedCards {
+            rows: self.cards.unwrap_or(&def_cards),
+            views: self.views,
+            preps: &preps,
+        };
+        let mut model = CostModel::new(self.s, &cards);
+        if let Some(fb) = self.feedback {
+            model = model.with_feedback(fb);
+        }
+
+        // ---- base pairs (M0), Prop 3.4 pruning, derived columns
         let mut m0: Vec<Pair> = Vec::new();
-        for (vi, v) in self.views.iter().enumerate() {
-            let (prep, built) = v.derived(
-                |p: &PreparedView| p.stamp == stamp,
-                || self.prepare(v, stamp),
-            );
-            if built {
-                result.stats.prepared_built += 1;
-            } else {
-                result.stats.prepared_reused += 1;
-            }
-            if let Some(mut pair) = self.base_pair(vi, v, &prep, &ctx) {
-                pair.estimate(&model);
+        for (vi, (v, prep)) in self.views.iter().zip(&preps).enumerate() {
+            if let Some(mut pair) = self.base_pair(vi, v, prep, &ctx) {
+                pair.est = Some(model.carry(&pair.plan, &[]));
                 m0.push(pair);
             }
         }
@@ -365,7 +401,7 @@ impl<'a> Rewriter<'a> {
             // cheapest-first exploration: the first rewriting found is
             // already a good one, shrinking time-to-first-rewriting and
             // tightening the branch-and-bound bound early
-            m0.sort_by(|a, b| a.cost.total_cmp(&b.cost));
+            m0.sort_by(|a, b| a.cost().total_cmp(&b.cost()));
         }
         result.stats.views_kept = m0.len();
         let suppliers = Suppliers::new(&m0, &ctx, self.views.len());
@@ -450,7 +486,11 @@ impl<'a> Rewriter<'a> {
                 let joins = self.join_options(&m[i], base);
                 result.stats.pairs_deduped += joins.repeats;
                 result.stats.joins_built += joins.built.len();
-                for mut joined in joins.built {
+                for join::Joined {
+                    pair: mut joined,
+                    b_left,
+                } in joins.built
+                {
                     #[cfg(test)]
                     tests::created(&joined);
                     // Prop 3.5: no new pattern information. Dedup before
@@ -460,7 +500,9 @@ impl<'a> Rewriter<'a> {
                         result.stats.pairs_deduped += 1;
                         continue;
                     }
-                    joined.estimate(&model);
+                    let (a, b) = (m[i].carried(), base.carried());
+                    let inputs = if b_left { [b, a] } else { [a, b] };
+                    joined.est = Some(model.carry(&joined.plan, &inputs));
                     // B&B on the freshly created pair (dominated before it
                     // is ever tested or expanded)
                     if self.opts.cost_prune && suppliers.bound(&joined) >= best_cost {
@@ -932,14 +974,14 @@ mod tests {
         // names ⋈_= names: both ID columns in one group
         let self_join = joins(&s, &names, &names);
         assert_eq!((self_join.built.len(), self_join.repeats), (1, 0));
-        let twice = &self_join.built[0];
+        let twice = &self_join.built[0].pair;
         assert_eq!(twice.groups, vec![0, 0, 0, 0]);
         // ⋈_= on the second ID column repeats the one on the first
         let j = joins(&s, twice, &names);
         assert_eq!((j.built.len(), j.repeats), (1, 1));
         let every = building_every_join(|| joins(&s, twice, &names));
         assert_eq!((every.built.len(), every.repeats), (2, 0));
-        assert!(every.built[0].key() == every.built[1].key());
+        assert!(every.built[0].pair.key() == every.built[1].pair.key());
     }
 
     #[test]
@@ -954,7 +996,7 @@ mod tests {
         assert_eq!((j.built.len(), j.repeats), (1, 1));
         let every = building_every_join(|| joins(&flat, &items, &names));
         assert_eq!(every.built.len(), 2);
-        assert!(every.built[0].key() == every.built[1].key());
+        assert!(every.built[0].pair.key() == every.built[1].pair.key());
         // an item inside an item: ⋈_≺≺ also reaches the inner name
         let deep = Summary::of(&Document::from_parens(
             r#"r(item(name="a" item(name="b")))"#,
@@ -965,7 +1007,7 @@ mod tests {
         );
         let j = joins(&deep, &items, &names);
         assert_eq!((j.built.len(), j.repeats), (2, 0));
-        assert!(j.built[0].key() != j.built[1].key());
+        assert!(j.built[0].pair.key() != j.built[1].pair.key());
     }
 
     /// The near miss: two ID columns on the same path in every member but
@@ -986,7 +1028,7 @@ mod tests {
         let items = scanned(&s, "r(/item{id})");
         let j = joins(&s, &a, &items);
         assert_eq!((j.built.len(), j.repeats), (2, 0));
-        keys_agree(&j.built[0], &j.built[1], false);
+        keys_agree(&j.built[0].pair, &j.built[1].pair, false);
     }
 
     fn f_gt(c: i64) -> Formula {
@@ -995,7 +1037,7 @@ mod tests {
 
     fn id_value_pair(members: Vec<Member>) -> Pair {
         Pair {
-            plan: Plan::Scan { view: "t".into() },
+            plan: Arc::new(Plan::Scan { view: "t".into() }),
             cols: [AttrKind::Id, AttrKind::Value, AttrKind::Id]
                 .into_iter()
                 .map(|attr| ColInfo {
@@ -1007,8 +1049,7 @@ mod tests {
             groups: vec![0, 0, 1],
             members,
             views: Vec::new(),
-            cost: 0.0,
-            rows: 0.0,
+            est: None,
         }
     }
 

@@ -2,9 +2,10 @@
 //! a pair's plan, its column layout and the union of members its pattern
 //! side stands for, with the structural key the Prop. 3.5 test compares.
 
-use smv_algebra::{AttrKind, CostModel, Plan};
+use smv_algebra::{AttrKind, Carried, Plan};
 use smv_pattern::canonical::CTree;
 use smv_pattern::Formula;
+use smv_summary::Summary;
 use smv_xml::fasthash::{FastBuild, FastHasher};
 use smv_xml::{IdScheme, NodeId};
 use std::cmp::Ordering;
@@ -99,8 +100,7 @@ impl NodeSet {
     }
 
     fn contains(&self, p: NodeId) -> bool {
-        let (w, b) = word_bit(p);
-        self.0.words.get(w).is_some_and(|x| x & b != 0)
+        has_bit(&self.0.words, p)
     }
 
     /// The formula of `p` when it is in the set and not `T`.
@@ -116,6 +116,36 @@ impl NodeSet {
         &self.0.formulas
     }
 
+    /// The set's paths as words ([`NodeSet::contains`]'s layout), closed
+    /// under the summary's strong edges (§4.1) when `strong` is set: a
+    /// path a chain of strong edges leads to from a path of the set joins
+    /// it. These are the paths of the tree
+    /// [`CTree::from_path_set`](smv_pattern::canonical::CTree::from_path_set)
+    /// builds from the set, one node each.
+    pub(super) fn closed_words(&self, s: &Summary, strong: bool) -> Vec<u64> {
+        let mut words = self.0.words.clone();
+        if !strong {
+            return words;
+        }
+        let mut stack: Vec<NodeId> = Vec::new();
+        for (w, &word) in self.0.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                stack.push(NodeId((w * 64) as u32 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        while let Some(p) = stack.pop() {
+            for &c in s.children(p) {
+                if s.is_strong_edge(c) && !has_bit(&words, c) {
+                    set_bit(&mut words, c);
+                    stack.push(c);
+                }
+            }
+        }
+        words
+    }
+
     /// Is every path of `self` in `other`?
     fn subset_of(&self, other: &NodeSet) -> bool {
         let (a, b) = (&self.0.words, &other.0.words);
@@ -123,6 +153,7 @@ impl NodeSet {
     }
 
     /// The set as a sorted `(path, formula)` list, `T` written out.
+    #[cfg(test)]
     pub(super) fn to_vec(&self) -> Vec<(NodeId, Formula)> {
         let mut out = Vec::new();
         let mut formulas = self.0.formulas.iter().peekable();
@@ -185,6 +216,12 @@ fn word_bit(p: NodeId) -> (usize, u64) {
     ((p.0 / 64) as usize, 1 << (p.0 % 64))
 }
 
+/// Is path `p`'s bit set in `words`?
+pub(super) fn has_bit(words: &[u64], p: NodeId) -> bool {
+    let (w, b) = word_bit(p);
+    words.get(w).is_some_and(|x| x & b != 0)
+}
+
 fn set_bit(words: &mut Vec<u64>, p: NodeId) {
     let (w, b) = word_bit(p);
     if words.len() <= w {
@@ -245,25 +282,34 @@ impl Member {
 /// A (plan, pattern) pair of Algorithm 1.
 #[derive(Clone, Debug)]
 pub(super) struct Pair {
-    pub(super) plan: Plan,
+    /// The plan, its inputs shared with the pairs it was built from.
+    pub(super) plan: Arc<Plan>,
     pub(super) cols: Vec<ColInfo>,
     /// Same-node equivalence classes over columns (merged by `⋈_=`).
     pub(super) groups: Vec<u32>,
     pub(super) members: Vec<Member>,
     pub(super) views: Vec<usize>,
-    /// Estimated work of the raw (pre-output-adaptation) plan.
-    pub(super) cost: f64,
-    /// Estimated rows of the raw plan. With `cost`, the start of the
-    /// pair's branch-and-bound bound ([`Suppliers::bound`](super::bound::Suppliers::bound)).
-    pub(super) rows: f64,
+    /// The estimate of the raw (pre-output-adaptation) plan, once the
+    /// search has made it: a base pair's from its plan, a join's from its
+    /// two inputs' ([`CostModel::carry`]).
+    pub(super) est: Option<Carried>,
 }
 
 impl Pair {
-    /// Sets `cost` and `rows` from `model`'s estimate of the plan.
-    pub(super) fn estimate(&mut self, model: &CostModel<'_>) {
-        let est = model.estimate(&self.plan);
-        self.cost = est.cost;
-        self.rows = est.rows;
+    /// The estimate; the search makes it before it reads it.
+    pub(super) fn carried(&self) -> &Carried {
+        self.est.as_ref().expect("the pair is estimated")
+    }
+
+    /// Estimated work of the raw plan.
+    pub(super) fn cost(&self) -> f64 {
+        self.carried().est.cost
+    }
+
+    /// Estimated rows of the raw plan. With [`Pair::cost`], the start of
+    /// the pair's branch-and-bound bound ([`Suppliers::bound`](super::bound::Suppliers::bound)).
+    pub(super) fn rows(&self) -> f64 {
+        self.carried().est.rows
     }
 
     /// The first column of group `g` that carries `attr`, or of any

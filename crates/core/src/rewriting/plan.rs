@@ -2,31 +2,32 @@
 //! a pair that passes line 7 — projection and the §4.6 nesting
 //! adaptation — and the minimal unions of partial candidates.
 
-use super::pair::Pair;
 use super::{QueryCtx, RewriteResult, Rewriter};
 use smv_algebra::{AttrKind, CostModel, Plan};
 use smv_pattern::{PNodeId, Pattern};
 use smv_xml::Symbol;
+use std::sync::Arc;
 use std::time::Instant;
 
 impl Rewriter<'_> {
-    /// Builds the final plan: projection to the query's flat output, then
-    /// the §4.6 nesting adaptation (group-by per nested edge, keyed on the
-    /// anchor's stored ID).
+    /// Builds the final plan over a pair's (selected) plan `input`:
+    /// projection to the query's flat output, then the §4.6 nesting
+    /// adaptation (group-by per nested edge, keyed on the anchor's stored
+    /// ID).
     pub(super) fn output_plan(
         &self,
-        pair: &Pair,
+        input: Arc<Plan>,
         ctx: &QueryCtx<'_>,
         chosen: &[usize],
     ) -> Option<Plan> {
         let mut plan = Plan::Project {
-            input: Box::new(pair.plan.clone()),
+            input,
             cols: chosen.to_vec(),
         };
         let nested: Vec<PNodeId> = ctx.q.nested_edges();
         if nested.is_empty() {
             return Some(Plan::DupElim {
-                input: Box::new(plan),
+                input: Arc::new(plan),
             });
         }
         // every nesting anchor must expose an ID in the output
@@ -68,7 +69,7 @@ impl Rewriter<'_> {
                 .filter(|&i| in_subtree(&layout[i]))
                 .collect();
             plan = Plan::Nest {
-                input: Box::new(plan),
+                input: Arc::new(plan),
                 key_cols: key_cols.clone(),
                 nested_cols,
                 name: Symbol::intern(&format!("A#{}", c.0)),
@@ -93,8 +94,8 @@ impl Rewriter<'_> {
             .collect();
         let perm = perm?;
         Some(Plan::DupElim {
-            input: Box::new(Plan::Project {
-                input: Box::new(plan),
+            input: Arc::new(Plan::Project {
+                input: Arc::new(plan),
                 cols: perm,
             }),
         })
@@ -121,7 +122,7 @@ impl Rewriter<'_> {
             .collect();
         for sel in rank_union_covers(&costed).into_iter().take(4) {
             let plan = Plan::DupElim {
-                input: Box::new(Plan::Union {
+                input: Arc::new(Plan::Union {
                     inputs: sel.iter().map(|&i| candidates[i].0.clone()).collect(),
                 }),
             };

@@ -2,16 +2,20 @@
 //! on a pair for each admissible output assignment, after the §4.6
 //! selection adaptations.
 
-use super::pair::{NodeSet, Pair};
+use super::pair::{has_bit, Member, NodeSet, Pair};
 use super::{QueryCtx, Rewriter};
-use crate::containment::{implies_disjunction, tuple_in, FormulaMode};
+use crate::containment::{embeds_tuple, implies_disjunction};
 use smv_algebra::{AttrKind, Plan, Predicate};
 use smv_pattern::canonical::CTree;
+use smv_pattern::matching::MatchTarget;
 use smv_pattern::{Formula, PNodeId, Pattern};
+use smv_summary::Summary;
 use smv_xml::fasthash::FastBuild;
-use smv_xml::NodeId;
+use smv_xml::{Label, LabeledTree, NodeId, Value};
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 pub(super) enum Candidate {
     Equivalent(Plan),
@@ -67,6 +71,71 @@ impl MemberVerdicts {
             }
             Entry::Vacant(e) => *e.insert(test()),
         }
+    }
+}
+
+/// A member's canonical tree, read in place: the summary restricted to
+/// the member's paths closed under strong edges, each path one node
+/// carrying the member's formula there (`T` on the closure's paths). This
+/// is the tree [`CTree::from_path_set`](smv_pattern::canonical::CTree::from_path_set)
+/// builds from the member, with its nodes named by their summary paths
+/// instead of copied.
+pub(super) struct MemberTree<'a> {
+    s: &'a Summary,
+    nodes: &'a NodeSet,
+    /// The member's paths and the closure's, as [`NodeSet`] words.
+    closed: Vec<u64>,
+}
+
+impl<'a> MemberTree<'a> {
+    pub(super) fn new(s: &'a Summary, nodes: &'a NodeSet, strong: bool) -> MemberTree<'a> {
+        MemberTree {
+            s,
+            nodes,
+            closed: nodes.closed_words(s, strong),
+        }
+    }
+
+    /// Direction A for one member: does `q` produce the tuple designating
+    /// the paths `des` (decorated embeddings, §4.2)? A member's tree holds
+    /// no nesting sequences.
+    pub(super) fn produces(&self, q: &Pattern, des: &[Option<NodeId>]) -> bool {
+        embeds_tuple(q, self, des, |n| n, |_| &[], self.s)
+    }
+}
+
+/// The matcher reads parents, ancestors, labels and admissions only;
+/// children are the summary's.
+impl LabeledTree for MemberTree<'_> {
+    fn tree_root(&self) -> NodeId {
+        self.s.root()
+    }
+    fn tree_label(&self, n: NodeId) -> Label {
+        self.s.label(n)
+    }
+    fn tree_children(&self, n: NodeId) -> &[NodeId] {
+        self.s.children(n)
+    }
+    fn tree_parent(&self, n: NodeId) -> Option<NodeId> {
+        self.s.parent(n)
+    }
+    fn tree_value(&self, _n: NodeId) -> Option<&Value> {
+        None
+    }
+    fn tree_is_ancestor(&self, a: NodeId, b: NodeId) -> bool {
+        self.s.is_ancestor(a, b)
+    }
+    fn tree_len(&self) -> usize {
+        self.s.len()
+    }
+}
+
+impl MatchTarget for MemberTree<'_> {
+    /// A path outside the tree admits nothing; one inside admits `T` and
+    /// whatever its formula implies (§4.2).
+    fn admits(&self, n: NodeId, f: &Formula) -> bool {
+        has_bit(&self.closed, n)
+            && (f.is_top() || self.nodes.formula(n).unwrap_or(&Formula::top()).implies(f))
     }
 }
 
@@ -155,7 +224,6 @@ impl Rewriter<'_> {
         combo: &[u32],
         verdicts: &mut MemberVerdicts,
     ) -> Option<Candidate> {
-        let mut pair = pair.clone();
         // chosen column per (return, attr) in flat output order
         let mut chosen: Vec<usize> = Vec::with_capacity(ctx.out_cols.len());
         for (r, kind) in &ctx.out_cols {
@@ -167,7 +235,10 @@ impl Rewriter<'_> {
             .iter()
             .map(|&g| pair.group_col(g, None))
             .collect::<Option<_>>()?;
-        // σ adaptations per query return node
+        // σ adaptations per query return node: the selections put over the
+        // pair's plan, bottom-up, and the members they leave
+        let mut selections: Vec<Predicate> = Vec::new();
+        let mut members: Cow<'_, [Member]> = Cow::Borrowed(&pair.members);
         for (ri, &r) in ctx.returns.iter().enumerate() {
             let (g, rep) = (combo[ri], reps[ri]);
             let qn = ctx.qf.node(r);
@@ -175,22 +246,19 @@ impl Rewriter<'_> {
             // label selection (σ_{n.L=l}) when a * view column feeds a
             // labeled query node
             if let Some(l) = qn.label {
-                let mismatched = pair
-                    .members
+                let mismatched = members
                     .iter()
                     .any(|m| m.col_path[rep].is_some_and(|p| self.s.label(p) != l));
                 if mismatched && !under_optional {
                     let lcol = pair.group_col(g, Some(AttrKind::Label))?;
-                    pair.plan = Plan::Select {
-                        input: Box::new(pair.plan.clone()),
-                        pred: Predicate::LabelEq {
-                            col: lcol,
-                            label: l,
-                        },
-                    };
-                    pair.members
+                    selections.push(Predicate::LabelEq {
+                        col: lcol,
+                        label: l,
+                    });
+                    members
+                        .to_mut()
                         .retain(|m| m.col_path[rep].is_none_or(|p| self.s.label(p) == l));
-                    if pair.members.is_empty() {
+                    if members.is_empty() {
                         return None;
                     }
                 }
@@ -198,21 +266,18 @@ impl Rewriter<'_> {
             // value selection (σ_{φ(v)})
             if !qn.predicate.is_top() && !under_optional {
                 let top = Formula::top();
-                let needs = pair.members.iter().any(|m| {
+                let needs = members.iter().any(|m| {
                     m.col_path[rep]
                         .is_some_and(|p| !m.nodes.formula(p).unwrap_or(&top).implies(&qn.predicate))
                 });
                 if needs {
                     let vcol = pair.group_col(g, Some(AttrKind::Value))?;
-                    pair.plan = Plan::Select {
-                        input: Box::new(pair.plan.clone()),
-                        pred: Predicate::Value {
-                            col: vcol,
-                            formula: qn.predicate.clone(),
-                        },
-                    };
+                    selections.push(Predicate::Value {
+                        col: vcol,
+                        formula: qn.predicate.clone(),
+                    });
                     let mut refined = Vec::new();
-                    for m in &pair.members {
+                    for m in members.iter() {
                         let mut mm = m.clone();
                         if let Some(p) = mm.col_path[rep] {
                             if !mm.nodes.conj(p, &qn.predicate) {
@@ -224,27 +289,20 @@ impl Rewriter<'_> {
                     if refined.is_empty() {
                         return None;
                     }
-                    pair.members = refined;
+                    members = Cow::Owned(refined);
                 }
             }
         }
         // designations per member, in query-return order
-        let designations: Vec<Vec<Option<NodeId>>> = pair
-            .members
+        let designations: Vec<Vec<Option<NodeId>>> = members
             .iter()
             .map(|m| reps.iter().map(|&c| m.col_path[c]).collect())
             .collect();
 
         // direction A: union of members ⊆ q (each member individually)
-        for (m, des) in pair.members.iter().zip(designations.iter()) {
+        for (m, des) in members.iter().zip(designations.iter()) {
             let member_in_q = verdicts.get(&m.nodes, des, || {
-                let te = CTree::from_path_set(
-                    self.s,
-                    &m.nodes.to_vec(),
-                    des,
-                    self.opts.canon.use_strong,
-                );
-                tuple_in(&ctx.qf, &te, self.s, FormulaMode::Implication)
+                MemberTree::new(self.s, &m.nodes, self.opts.canon.use_strong).produces(&ctx.qf, des)
             });
             if !member_in_q {
                 return None;
@@ -254,8 +312,7 @@ impl Rewriter<'_> {
         let mut coverage = vec![false; ctx.qmodel.len()];
         let mut all = true;
         for (ti, tq) in ctx.qmodel.iter().enumerate() {
-            let matching: Vec<HashMap<NodeId, Formula>> = pair
-                .members
+            let matching: Vec<HashMap<NodeId, Formula>> = members
                 .iter()
                 .zip(designations.iter())
                 .filter(|(m, des)| **des == tq.ret && m.nodes.fits_in(&tq.nodes))
@@ -272,14 +329,20 @@ impl Rewriter<'_> {
             }
             coverage[ti] = true;
         }
-        let projected = self.output_plan(&pair, ctx, &chosen)?;
-        if all {
-            Some(Candidate::Equivalent(projected))
-        } else if coverage.iter().any(|&c| c) {
-            Some(Candidate::Partial(projected, coverage))
-        } else {
-            None
+        if !all && !coverage.contains(&true) {
+            return None;
         }
+        let selected = selections
+            .into_iter()
+            .fold(Arc::clone(&pair.plan), |input, pred| {
+                Arc::new(Plan::Select { input, pred })
+            });
+        let projected = self.output_plan(selected, ctx, &chosen)?;
+        Some(if all {
+            Candidate::Equivalent(projected)
+        } else {
+            Candidate::Partial(projected, coverage)
+        })
     }
 }
 

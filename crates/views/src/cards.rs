@@ -24,7 +24,7 @@ use smv_xml::NodeId;
 pub fn col_cards(p: &Pattern, s: &Summary) -> Vec<ColCard> {
     fn rec(p: &Pattern, paths: &[Vec<NodeId>], n: PNodeId, out: &mut Vec<ColCard>) {
         for _ in AttrKind::of_node(p, n) {
-            out.push(ColCard::Atom(paths[n.idx()].clone()));
+            out.push(ColCard::Atom(paths[n.idx()].as_slice().into()));
         }
         for &c in p.children(n) {
             if p.node(c).nested {
@@ -186,6 +186,11 @@ impl CardSource for CatalogCards<'_> {
             cols: col_cards(&v.pattern, self.summary),
         })
     }
+
+    fn scan_rows(&self, view: &str) -> Option<f64> {
+        self.store.view(view)?;
+        Some(self.store.extent_rows(view)? as f64)
+    }
 }
 
 /// [`CardSource`] over view definitions only: extent sizes are estimated
@@ -210,6 +215,11 @@ impl CardSource for DefCards<'_> {
             rows: estimate_extent_rows(&v.pattern, self.summary),
             cols: col_cards(&v.pattern, self.summary),
         })
+    }
+
+    fn scan_rows(&self, view: &str) -> Option<f64> {
+        let v = self.views.iter().find(|v| v.name == view)?;
+        Some(estimate_extent_rows(&v.pattern, self.summary))
     }
 }
 
@@ -296,7 +306,7 @@ mod tests {
         assert_eq!(sc.cols.len(), 2, "ID and V columns");
         let name_path = s.node_by_path("/r/item/name").unwrap();
         match &sc.cols[0] {
-            ColCard::Atom(ps) => assert_eq!(ps, &vec![name_path]),
+            ColCard::Atom(ps) => assert_eq!(&ps[..], &[name_path]),
             other => panic!("expected atom card, got {other:?}"),
         }
         assert!(cards.scan_card("zz").is_none());

@@ -137,8 +137,8 @@ mod tests {
         let pool = smv_xml::par::WorkerPool::new(2);
         let new = || view("v", "a(//k{id,v}[v<=2])");
         let plan = Plan::StructJoin {
-            left: Box::new(Plan::Scan { view: "p".into() }),
-            right: Box::new(Plan::Scan { view: "v".into() }),
+            left: Arc::new(Plan::Scan { view: "p".into() }),
+            right: Arc::new(Plan::Scan { view: "v".into() }),
             lcol: 0,
             rcol: 0,
             rel: StructRel::Parent,

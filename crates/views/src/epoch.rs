@@ -1030,8 +1030,8 @@ mod tests {
         );
         let snap = ec.snapshot();
         let plan = Plan::DupElim {
-            input: Box::new(Plan::Project {
-                input: Box::new(Plan::Scan { view: "cs".into() }),
+            input: Arc::new(Plan::Project {
+                input: Arc::new(Plan::Scan { view: "cs".into() }),
                 cols: vec![1, 2],
             }),
         };

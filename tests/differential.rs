@@ -17,6 +17,7 @@ use smv::core::RewriteResult;
 use smv::datagen::{random_patterns, random_views, SynthConfig, ViewGenConfig};
 use smv::prelude::*;
 use smv::store::ProviderMatrix;
+use std::sync::Arc;
 
 const SCHEMES: [IdScheme; 3] = [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential];
 
@@ -262,9 +263,9 @@ fn project_over_an_unread_parent_id_is_provider_invariant() {
     let direct = materialize(&q, &doc, scheme);
     for view in ["items", "maybe_named"] {
         let plan = Plan::DupElim {
-            input: Box::new(Plan::Project {
-                input: Box::new(Plan::DeriveParentId {
-                    input: Box::new(Plan::Scan { view: view.into() }),
+            input: Arc::new(Plan::Project {
+                input: Arc::new(Plan::DeriveParentId {
+                    input: Arc::new(Plan::Scan { view: view.into() }),
                     col: 1,
                     levels: 1,
                     name: "vid1u1".into(),

@@ -19,6 +19,7 @@ use proptest::prelude::*;
 use smv::datagen::ranking_cases;
 use smv::prelude::*;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -128,7 +129,7 @@ proptest! {
             .map(|(name, pat)| View::new(name, parse_pattern(pat).unwrap(), IdScheme::OrdPath))
             .into();
         let catalog = materialized(&d, &views);
-        let scan = |v: &str| Box::new(Plan::Scan { view: v.into() });
+        let scan = |v: &str| Arc::new(Plan::Scan { view: v.into() });
         let plans = vec![
             Plan::StructJoin {
                 left: scan("va"),
@@ -138,7 +139,7 @@ proptest! {
                 rel: StructRel::Ancestor,
             },
             Plan::Select {
-                input: Box::new(Plan::StructJoin {
+                input: Arc::new(Plan::StructJoin {
                     left: scan("va"),
                     right: scan("vc"),
                     lcol: 0,

@@ -20,6 +20,7 @@ use smv::prelude::*;
 use smv::views::CatalogCards;
 use smv::xml::IdScheme;
 use std::fmt::Write;
+use std::sync::Arc;
 
 /// A document with `a` parents over valued `b` children, sized and
 /// valued by the generator inputs.
@@ -50,7 +51,7 @@ fn scan(view: &str) -> Plan {
 
 fn select_ge(input: Plan, col: usize, cut: i64) -> Plan {
     Plan::Select {
-        input: Box::new(input),
+        input: Arc::new(input),
         pred: Predicate::Value {
             col,
             formula: smv::pattern::Formula::ge(smv::xml::Value::int(cut)),
@@ -60,8 +61,8 @@ fn select_ge(input: Plan, col: usize, cut: i64) -> Plan {
 
 fn parent_join(left: Plan, right: Plan) -> Plan {
     Plan::StructJoin {
-        left: Box::new(left),
-        right: Box::new(right),
+        left: Arc::new(left),
+        right: Arc::new(right),
         lcol: 0,
         rcol: 0,
         rel: StructRel::Parent,
@@ -97,7 +98,7 @@ fn unprofiled_and_profiled_execution_agree() {
     let doc = doc_of(&[vec![2, 4], vec![8, 1, 3]]);
     let catalog = catalog_of(&doc);
     let plan = Plan::DupElim {
-        input: Box::new(parent_join(scan("va"), select_ge(scan("vb"), 1, 3))),
+        input: Arc::new(parent_join(scan("va"), select_ge(scan("vb"), 1, 3))),
     };
     let plain = execute_with(&plan, &catalog, &ExecOpts::default()).unwrap();
     let (profiled, profile) = execute_profiled_with(&plan, &catalog, &ExecOpts::default()).unwrap();
@@ -123,8 +124,8 @@ proptest! {
         let catalog = catalog_of(&doc);
         let rel = if ancestor { StructRel::Ancestor } else { StructRel::Parent };
         let join = Plan::StructJoin {
-            left: Box::new(scan("va")),
-            right: Box::new(select_ge(scan("vb"), 1, cut)),
+            left: Arc::new(scan("va")),
+            right: Arc::new(select_ge(scan("vb"), 1, cut)),
             lcol: 0,
             rcol: 0,
             rel,

@@ -6,6 +6,7 @@ mod common;
 
 use common::materialized;
 use smv::prelude::*;
+use std::sync::Arc;
 
 fn fixture() -> (Document, Summary) {
     let doc = Document::from_parens(r#"r(item(name="p1" price="5") item(name="p2" price="9"))"#);
@@ -135,7 +136,7 @@ fn executor_failure_injection() {
     assert_eq!(err.op_path(), Some(""), "located at the root operator");
     // value predicate on an ID column is a type error
     let typed = Plan::Select {
-        input: Box::new(Plan::Scan { view: "v".into() }),
+        input: Arc::new(Plan::Scan { view: "v".into() }),
         pred: Predicate::Value {
             col: 0,
             formula: Formula::eq(Value::int(1)),
@@ -149,7 +150,7 @@ fn executor_failure_injection() {
     ));
     // projecting a column out of range is a schema error
     let oob = Plan::Project {
-        input: Box::new(Plan::Scan { view: "v".into() }),
+        input: Arc::new(Plan::Scan { view: "v".into() }),
         cols: vec![7],
     };
     assert!(matches!(

@@ -8,6 +8,7 @@ use smv::pattern::MatchTarget;
 use smv::prelude::*;
 use smv::xml::{DeweyId, IdAssignment, LabeledTree, NodeId, OrdPath};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A strategy for small conjunctive patterns over the alphabet of
 /// [`tree_strategy`].
@@ -524,8 +525,8 @@ proptest! {
                     p.insert("l", le);
                     p.insert("r", ri);
                     let plan = Plan::StructJoin {
-                        left: Box::new(Plan::Scan { view: "l".into() }),
-                        right: Box::new(Plan::Scan { view: "r".into() }),
+                        left: Arc::new(Plan::Scan { view: "l".into() }),
+                        right: Arc::new(Plan::Scan { view: "r".into() }),
                         lcol: 0,
                         rcol: 0,
                         rel,

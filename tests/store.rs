@@ -301,16 +301,16 @@ fn persisted_bytes_and_fingerprints_are_pinned() {
         "the segment spans several pages, the last short"
     );
     let plan = Plan::DupElim {
-        input: Box::new(Plan::Project {
-            input: Box::new(Plan::StructJoin {
-                left: Box::new(Plan::DeriveParentId {
-                    input: Box::new(Plan::Scan { view: "all".into() }),
+        input: Arc::new(Plan::Project {
+            input: Arc::new(Plan::StructJoin {
+                left: Arc::new(Plan::DeriveParentId {
+                    input: Arc::new(Plan::Scan { view: "all".into() }),
                     col: 0,
                     levels: 2,
                     name: Symbol::intern("vid0u2"),
                 }),
-                right: Box::new(Plan::Select {
-                    input: Box::new(Plan::Scan { view: "bs".into() }),
+                right: Arc::new(Plan::Select {
+                    input: Arc::new(Plan::Scan { view: "bs".into() }),
                     pred: smv::algebra::Predicate::Value {
                         col: 1,
                         formula: Formula::ge(Value::int(3)),
@@ -761,8 +761,8 @@ fn corrupt_page_is_a_checked_error_not_garbage_rows() {
     // builds the extent or only the column a projection over it keeps
     let scan = Plan::Scan { view: "v".into() };
     let projected = Plan::DupElim {
-        input: Box::new(Plan::Project {
-            input: Box::new(scan.clone()),
+        input: Arc::new(Plan::Project {
+            input: Arc::new(scan.clone()),
             cols: vec![1],
         }),
     };
@@ -850,7 +850,7 @@ fn cold_projections_answer_as_in_memory_for_any_column_list() {
     );
     store.publish_epoch(&cat, None).unwrap();
     let project = |cols: Vec<usize>| Plan::Project {
-        input: Box::new(Plan::Scan { view: "all".into() }),
+        input: Arc::new(Plan::Scan { view: "all".into() }),
         cols,
     };
     let opts = ExecOpts::default();
@@ -914,8 +914,8 @@ fn a_declined_projected_scan_reads_the_segment_once() {
 
     // `v` has two columns, so the derived one is #2
     let plan = Plan::Project {
-        input: Box::new(Plan::DeriveParentId {
-            input: Box::new(Plan::Scan { view: "v".into() }),
+        input: Arc::new(Plan::DeriveParentId {
+            input: Arc::new(Plan::Scan { view: "v".into() }),
             col: 0,
             levels: 1,
             name: "p.ID".into(),
