@@ -58,7 +58,9 @@ use adapt::{PrepStamp, PreparedView};
 use bound::Suppliers;
 use pair::{Pair, PairKey};
 use plan::flat_out_cols;
-use smv_algebra::{AttrKind, CardSource, CostModel, FeedbackStore, Plan, PlanEstimate, ScanCard};
+use smv_algebra::{
+    AttrKind, CardSource, ColCard, CostModel, FeedbackStore, Plan, PlanEstimate, ScanCard,
+};
 use smv_pattern::canonical::{canonical_model, CanonOpts};
 use smv_pattern::{associated_paths, PNodeId, Pattern};
 use smv_summary::Summary;
@@ -354,19 +356,11 @@ impl<'a> Rewriter<'a> {
         }
 
         // ---- setup: each view's preparation
-        let stamp: PrepStamp = (
-            self.s.constraints_token(),
-            self.opts.canon.use_strong,
-            self.opts.max_members,
-        );
         let preps: Vec<Arc<PreparedView>> = self
             .views
             .iter()
             .map(|v| {
-                let (prep, built) = v.derived(
-                    |p: &PreparedView| p.stamp == stamp,
-                    || self.prepare(v, stamp),
-                );
+                let (prep, built) = self.prepared(v);
                 if built {
                     result.stats.prepared_built += 1;
                 } else {
@@ -394,6 +388,8 @@ impl<'a> Rewriter<'a> {
         for (vi, (v, prep)) in self.views.iter().zip(&preps).enumerate() {
             if let Some(mut pair) = self.base_pair(vi, v, prep, &ctx) {
                 pair.est = Some(model.carry(&pair.plan, &[]));
+                #[cfg(test)]
+                tests::estimated(&pair);
                 m0.push(pair);
             }
         }
@@ -503,6 +499,8 @@ impl<'a> Rewriter<'a> {
                     let (a, b) = (m[i].carried(), base.carried());
                     let inputs = if b_left { [b, a] } else { [a, b] };
                     joined.est = Some(model.carry(&joined.plan, &inputs));
+                    #[cfg(test)]
+                    tests::estimated(&joined);
                     // B&B on the freshly created pair (dominated before it
                     // is ever tested or expanded)
                     if self.opts.cost_prune && suppliers.bound(&joined) >= best_cost {
@@ -568,6 +566,30 @@ impl<'a> Rewriter<'a> {
         result
     }
 
+    /// `v`'s preparation under this rewriter's summary constraints and
+    /// options: the one kept on the view, or a new one built and kept
+    /// there (then with `true`).
+    fn prepared(&self, v: &View) -> (Arc<PreparedView>, bool) {
+        let stamp: PrepStamp = (
+            self.s.constraints_token(),
+            self.opts.canon.use_strong,
+            self.opts.max_members,
+        );
+        v.derived(
+            |p: &PreparedView| p.stamp == stamp,
+            || self.prepare(v, stamp),
+        )
+    }
+
+    /// The column cards the cost model reads for scans of `view`:
+    /// [`col_cards`](smv_views::col_cards) of its pattern under this
+    /// rewriter's summary, as kept with the view's preparation. Prepares
+    /// the view first when no run under the same summary constraints and
+    /// options has.
+    pub fn prepared_cards(&self, view: &View) -> Vec<ColCard> {
+        self.prepared(view).0.cols.clone()
+    }
+
     /// Records `plan` as a rewriting with `model`'s estimate; the first
     /// one of the run sets [`RewriteStats::first_rewriting`] to the time
     /// since `t0`. Returns whether the run now has
@@ -599,11 +621,13 @@ mod tests {
     use super::pair::{dedup_members, merge_nodes, ColInfo, Member, NodeSet};
     use super::plan::rank_union_covers;
     use super::*;
+    use crate::containment::{tuple_in, FormulaMode};
     use proptest::prelude::*;
-    use smv_algebra::{execute_with, ExecOpts};
+    use smv_algebra::{execute_profiled_with, execute_with, ExecOpts};
+    use smv_pattern::canonical::CTree;
     use smv_pattern::parse_pattern;
     use smv_pattern::Formula;
-    use smv_views::{materialize, EpochCatalog, RefreshPolicy};
+    use smv_views::{materialize, CatalogCards, EpochCatalog, RefreshPolicy, ViewStore};
     use smv_xml::IdScheme;
     use smv_xml::{Document, Value};
     use std::cell::{Cell, RefCell};
@@ -674,6 +698,386 @@ mod tests {
         let out = f();
         BUILD_REPEATS.with(|b| b.set(false));
         out
+    }
+
+    /// One direction-A verdict the search computed, with what its oracle
+    /// reads.
+    pub(super) struct MemberTest {
+        nodes: NodeSet,
+        des: Vec<Option<NodeId>>,
+        verdict: bool,
+        /// A §4.6 selection refined the pair's members before the test.
+        refined: bool,
+        /// The plan of the pair tested.
+        plan: Arc<Plan>,
+    }
+
+    thread_local! {
+        /// Every direction-A verdict `Rewriter::run` computes on this
+        /// thread (a miss of the run's memo) while a test is recording.
+        static MEMBER_TESTS: RefCell<Option<Vec<MemberTest>>> = const { RefCell::new(None) };
+        /// Every pair `Rewriter::run` estimates on this thread — its base
+        /// pairs and each join that survives the Prop. 3.5 test — while a
+        /// test is recording.
+        static ESTIMATED: RefCell<Option<Vec<Pair>>> = const { RefCell::new(None) };
+    }
+
+    /// `test_combo`'s hook: records a computed verdict if this thread is
+    /// recording.
+    pub(super) fn member_tested(
+        nodes: &NodeSet,
+        des: &[Option<NodeId>],
+        verdict: bool,
+        refined: bool,
+        pair: &Pair,
+    ) {
+        MEMBER_TESTS.with(|c| {
+            if let Some(v) = c.borrow_mut().as_mut() {
+                v.push(MemberTest {
+                    nodes: nodes.clone(),
+                    des: des.to_vec(),
+                    verdict,
+                    refined,
+                    plan: Arc::clone(&pair.plan),
+                });
+            }
+        });
+    }
+
+    /// `Rewriter::run`'s hook: records an estimated pair if this thread is
+    /// recording.
+    pub(super) fn estimated(p: &Pair) {
+        ESTIMATED.with(|c| {
+            if let Some(v) = c.borrow_mut().as_mut() {
+                v.push(p.clone());
+            }
+        });
+    }
+
+    /// Runs `f`, returning every direction-A verdict computed meanwhile.
+    fn recording_member_tests(f: impl FnOnce()) -> Vec<MemberTest> {
+        MEMBER_TESTS.with(|c| *c.borrow_mut() = Some(Vec::new()));
+        f();
+        MEMBER_TESTS
+            .with(|c| c.borrow_mut().take())
+            .unwrap_or_default()
+    }
+
+    /// Runs `f`, returning every pair estimated meanwhile.
+    fn recording_estimates(f: impl FnOnce()) -> Vec<Pair> {
+        ESTIMATED.with(|c| *c.borrow_mut() = Some(Vec::new()));
+        f();
+        ESTIMATED
+            .with(|c| c.borrow_mut().take())
+            .unwrap_or_default()
+    }
+
+    /// Holds every recorded verdict equal to its oracle: the member's node
+    /// set copied into a canonical tree (`CTree::from_path_set`, closed
+    /// under strong edges when `use_strong` is set) and `q` embedded in it
+    /// by `tuple_in`. Returns how many verdicts were `true`.
+    fn assert_direction_a_is_the_tree_oracle(
+        q: &Pattern,
+        s: &Summary,
+        use_strong: bool,
+        tests: &[MemberTest],
+        at: &str,
+    ) -> usize {
+        let qf = q.unnest_copy();
+        for t in tests {
+            let tree = CTree::from_path_set(s, &t.nodes.to_vec(), &t.des, use_strong);
+            let oracle = tuple_in(&qf, &tree, s, FormulaMode::Implication);
+            assert_eq!(
+                t.verdict,
+                oracle,
+                "{at}: {} designating {:?}",
+                tree.render(),
+                t.des
+            );
+        }
+        tests.iter().filter(|t| t.verdict).count()
+    }
+
+    /// Does `p` navigate stored content (§4.6 C-unfolding)?
+    fn navigates(p: &Plan) -> bool {
+        matches!(p, Plan::NavigateContent { .. }) || p.children().into_iter().any(navigates)
+    }
+
+    /// Rewriting options with strong closure on or off.
+    fn strong_opts(use_strong: bool) -> RewriteOpts {
+        RewriteOpts {
+            canon: CanonOpts {
+                use_strong,
+                ..CanonOpts::default()
+            },
+            ..opts()
+        }
+    }
+
+    /// Direction A read off a member's node set gives the tree oracle's
+    /// verdict for every (member, designation) the 22 golden queries meet
+    /// over the benchmark's views, under each ID scheme, with strong
+    /// closure on and off. Among them are members a §4.6 selection refined
+    /// and members merged by joins, and both verdicts occur.
+    #[test]
+    fn direction_a_is_the_tree_oracle_on_the_benchmark() {
+        let s = bench_summary();
+        let (mut tested, mut held, mut refined, mut merged) = (0, 0, 0, 0);
+        for scheme in [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential] {
+            let views = bench_views(scheme);
+            for use_strong in [true, false] {
+                let o = strong_opts(use_strong);
+                for q_src in BENCH_QUERIES.iter().chain(&STRING_QUERIES) {
+                    let q = parse_pattern(q_src).unwrap();
+                    let made = recording_member_tests(|| {
+                        rewrite(&q, &views, &s, &o);
+                    });
+                    let at = format!("{scheme:?}, strong {use_strong}, {q_src}");
+                    held += assert_direction_a_is_the_tree_oracle(&q, &s, use_strong, &made, &at);
+                    tested += made.len();
+                    refined += made.iter().filter(|t| t.refined).count();
+                    merged += made.iter().filter(|t| t.plan.scan_count() > 1).count();
+                }
+            }
+        }
+        assert!(
+            tested > 400 && held > 0 && held < tested && refined > 0 && merged > 0,
+            "{tested} tested, {held} held, {refined} refined, {merged} merged"
+        );
+    }
+
+    /// A document, its views (name, pattern) and the queries to rank.
+    type Fixture = (
+        &'static str,
+        &'static [(&'static str, &'static str)],
+        &'static [&'static str],
+    );
+
+    /// The same on small fixtures: members that carry a navigation chain
+    /// below a `C` column (§4.6), alone and joined. A canonical model is
+    /// strong-closed already, and so is a merge of two closed sets; the
+    /// chain is not. In the second fixture not every `a` has a `c`, but
+    /// every `c` has a `d`: the member that navigates from `a` to `c`
+    /// embeds `r(//a{id}(/c{id}(/d)))` only through its strong closure.
+    #[test]
+    fn direction_a_is_the_tree_oracle_on_content_navigation() {
+        let fixtures: [Fixture; 2] = [
+            (
+                r#"r(a(b="1" c(d="2")) a(b="3" c(d="4" d="5")) a(c))"#,
+                &[("content", "r(//a{id,c})"), ("bs", "r(//a{id}(/b{id,v}))")],
+                &[
+                    "r(//a{id}(/c(/d{v})))",
+                    "r(//a{id}(/c{id}(/d{v}[v>2])))",
+                    "r(//d{id,v})",
+                    "r(//a{id}(/b{v}, /c(/d{v})))",
+                ],
+            ),
+            (
+                r#"r(a(c(d(e="1"))) a(c(d(e="2"))) a)"#,
+                &[("content", "r(//a{id,c})")],
+                &["r(//a{id}(/c{id}(/d)))", "r(//a{id}(/c(/d(/e{v}))))"],
+            ),
+        ];
+        let (mut navigated, mut closed) = (0, 0);
+        for (doc, views, queries) in fixtures {
+            let s = Summary::of(&Document::from_parens(doc));
+            let views: Vec<View> = views
+                .iter()
+                .map(|(name, src)| View::new(name, parse_pattern(src).unwrap(), IdScheme::OrdPath))
+                .collect();
+            for q_src in queries {
+                let q = parse_pattern(q_src).unwrap();
+                for use_strong in [true, false] {
+                    let made = recording_member_tests(|| {
+                        rewrite(&q, &views, &s, &strong_opts(use_strong));
+                    });
+                    let at = format!("strong {use_strong}, {q_src}");
+                    let held =
+                        assert_direction_a_is_the_tree_oracle(&q, &s, use_strong, &made, &at);
+                    navigated += made.iter().filter(|t| navigates(&t.plan)).count();
+                    if use_strong && *q_src == "r(//a{id}(/c{id}(/d)))" {
+                        closed += held;
+                    }
+                }
+            }
+        }
+        assert!(navigated > 0, "no member navigated content");
+        assert!(
+            closed > 0,
+            "no member embedded the query through its closure"
+        );
+    }
+
+    /// `tests/common`'s `tree_strategy`: small labeled trees over `a`–`d`
+    /// under a root `r`, with optional small values.
+    fn tree_text() -> impl Strategy<Value = String> {
+        let leaf = (0u8..4, proptest::option::of(0i64..5)).prop_map(|(l, v)| match v {
+            Some(v) => format!("{}=\"{v}\"", (b'a' + l) as char),
+            None => format!("{}", (b'a' + l) as char),
+        });
+        leaf.prop_recursive(3, 24, 3, |inner| {
+            (0u8..4, proptest::collection::vec(inner, 1..4))
+                .prop_map(|(l, kids)| format!("{}({})", (b'a' + l) as char, kids.join(" ")))
+        })
+        .prop_map(|body| format!("r({body})"))
+    }
+
+    /// A step of a view or query pattern over `tree_text`'s labels: `/` or
+    /// `//`, a label or `*`, stored attributes (content among them), or
+    /// none when `bare` is set.
+    fn step_text(bare: bool) -> impl Strategy<Value = String> {
+        const ATTRS: [&str; 6] = ["{id}", "{id,v}", "{id,c}", "{id,l,v}", "{v}", ""];
+        let attrs = if bare { ATTRS.len() } else { ATTRS.len() - 1 };
+        (0usize..2, 0u8..5, 0usize..attrs).prop_map(|(axis, l, a)| {
+            let label = if l == 4 {
+                "*".to_string()
+            } else {
+                ((b'a' + l) as char).to_string()
+            };
+            format!("{}{label}{}", ["/", "//"][axis], ATTRS[a])
+        })
+    }
+
+    /// One step under `r`, a step with a child step, or two sibling steps.
+    /// A query's (`query` set) last step may store nothing or carry a
+    /// value predicate.
+    fn pattern_text(query: bool) -> impl Strategy<Value = String> {
+        (step_text(false), step_text(query), 0u8..3, 0i64..5, 0u8..2).prop_map(
+            move |(x, y, shape, k, p)| {
+                let last = if query && p == 1 {
+                    format!("[v>{k}]")
+                } else {
+                    String::new()
+                };
+                match shape {
+                    0 => format!("r({x}{last})"),
+                    1 => format!("r({x}({y}{last}))"),
+                    _ => format!("r({x}, {y}{last})"),
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Direction A read off a member's node set gives the tree
+        /// oracle's verdict for every (member, designation) a search over
+        /// random documents, views and queries meets, under each ID scheme
+        /// and with strong closure on and off.
+        #[test]
+        fn direction_a_is_the_tree_oracle(
+            doc in tree_text(),
+            views in proptest::collection::vec(pattern_text(false), 1..4),
+            q in pattern_text(true),
+            scheme in 0usize..3,
+            strong in 0u8..2,
+        ) {
+            let s = Summary::of(&Document::from_parens(&doc));
+            let scheme = [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential][scheme];
+            let views: Vec<View> = views
+                .iter()
+                .enumerate()
+                .map(|(i, v)| View::new(&format!("v{i}"), parse_pattern(v).unwrap(), scheme))
+                .collect();
+            let q = parse_pattern(&q).unwrap();
+            let use_strong = strong == 1;
+            let o = RewriteOpts {
+                max_scans: 3,
+                max_pairs: 400,
+                ..strong_opts(use_strong)
+            };
+            let made = recording_member_tests(|| {
+                rewrite(&q, &views, &s, &o);
+            });
+            let at = format!("{doc}, {views:?}, strong {use_strong}");
+            assert_direction_a_is_the_tree_oracle(&q, &s, use_strong, &made, &at);
+        }
+    }
+
+    /// Every pair the search estimates — a base pair by a walk of its
+    /// plan, a join from its inputs' carried estimates, both over the
+    /// column cards kept with the views' preparations — carries exactly
+    /// what a fresh cost model over the card source gives its plan, bit
+    /// for bit. For the 22 golden queries under the three ID schemes,
+    /// without feedback and with a feedback store that measured some
+    /// fragments, joins and their inputs among them.
+    #[test]
+    fn carried_estimates_are_fresh_estimates() {
+        let doc = smv_datagen::pr7_document(1.0, 1);
+        let queries: Vec<Pattern> = BENCH_QUERIES
+            .iter()
+            .chain(&STRING_QUERIES)
+            .map(|q| parse_pattern(q).unwrap())
+            .collect();
+        for scheme in [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential] {
+            let mut ec = EpochCatalog::new(doc.clone(), scheme);
+            for v in bench_views(scheme) {
+                ec.add_view(v, RefreshPolicy::Eager);
+            }
+            let snap = ec.snapshot();
+            let s = snap.summary();
+            let cards = CatalogCards::over(&*snap, s);
+            let rank = |q: &Pattern, fb: Option<&FeedbackStore>| {
+                let mut r = Rewriter::new(q, snap.views(), s, opts()).with_card_source(&cards);
+                if let Some(fb) = fb {
+                    r = r.with_feedback(fb);
+                }
+                let mut result = RewriteResult::default();
+                let made = recording_estimates(|| result = r.run());
+                (result, made)
+            };
+            // measured rows: each query's rank-0 plan and its first two
+            // joins, executed
+            let mut fb = FeedbackStore::new();
+            for q in &queries {
+                let (result, made) = rank(q, None);
+                let joins = made.iter().filter(|p| p.plan.scan_count() > 1).take(2);
+                let plans = result
+                    .rewritings
+                    .first()
+                    .map(|rw| rw.plan.clone())
+                    .into_iter()
+                    .chain(joins.map(|p| Plan::clone(&p.plan)));
+                for plan in plans {
+                    let (_, profile) =
+                        execute_profiled_with(&plan, &*snap, &ExecOpts::default()).unwrap();
+                    fb.ingest(&plan, &profile);
+                }
+            }
+            for feedback in [None, Some(&fb)] {
+                let mut fresh = CostModel::new(s, &cards);
+                if let Some(fb) = feedback {
+                    fresh = fresh.with_feedback(fb);
+                }
+                let (mut pairs, mut measured_joins) = (0, 0);
+                for (q, src) in queries
+                    .iter()
+                    .zip(BENCH_QUERIES.iter().chain(&STRING_QUERIES))
+                {
+                    for p in rank(q, feedback).1 {
+                        let (got, want) = (p.carried().est, fresh.estimate(&p.plan));
+                        assert_eq!(
+                            (got.cost.to_bits(), got.rows.to_bits()),
+                            (want.cost.to_bits(), want.rows.to_bits()),
+                            "{scheme:?}, {src}, feedback {}: {got:?} vs {want:?} for\n{}",
+                            feedback.is_some(),
+                            p.plan
+                        );
+                        pairs += 1;
+                        let measured = |p: &Plan| feedback.and_then(|fb| fb.measured_rows(p));
+                        if p.plan.scan_count() > 1
+                            && measured(&p.plan).is_some()
+                            && p.plan.children().into_iter().all(|c| measured(c).is_some())
+                        {
+                            measured_joins += 1;
+                        }
+                    }
+                }
+                assert!(pairs > 200, "{scheme:?}: {pairs} pairs");
+                assert_eq!(feedback.is_some(), measured_joins > 0, "{scheme:?}");
+            }
+        }
     }
 
     /// The text identity `Pair::key` replaced (PR 21), kept as the oracle
@@ -799,6 +1203,14 @@ mod tests {
         "site(/open_auctions(/open_auction{id}(/initial{v}, /current{v}[v>100 and v<1000006])))",
         "site(//quantity{id,v}[v>2 and v<1000007])",
         "site(//quantity{v}[v>3 and v<1000008])",
+    ];
+
+    /// With [`BENCH_QUERIES`], the 22 queries of `tests/common/golden.rs`:
+    /// three with string predicates.
+    const STRING_QUERIES: [&str; 3] = [
+        r#"site(//item{id}(/name{v}[v>"m"]))"#,
+        r#"site(//name{id,v}[v<"k"])"#,
+        r#"site(/regions(/asia(/item{id}(/name{v}[v>="c" and v<"p"]))))"#,
     ];
 
     fn bench_views(scheme: IdScheme) -> Vec<View> {

@@ -302,7 +302,11 @@ impl Rewriter<'_> {
         // direction A: union of members ⊆ q (each member individually)
         for (m, des) in members.iter().zip(designations.iter()) {
             let member_in_q = verdicts.get(&m.nodes, des, || {
-                MemberTree::new(self.s, &m.nodes, self.opts.canon.use_strong).produces(&ctx.qf, des)
+                let verdict = MemberTree::new(self.s, &m.nodes, self.opts.canon.use_strong)
+                    .produces(&ctx.qf, des);
+                #[cfg(test)]
+                super::tests::member_tested(&m.nodes, des, verdict, !selections.is_empty(), pair);
+                verdict
             });
             if !member_in_q {
                 return None;

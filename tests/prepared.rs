@@ -8,6 +8,7 @@
 use smv::advisor::CandidateKind;
 use smv::core::{RewriteResult, Rewriter};
 use smv::prelude::*;
+use smv::views::col_cards;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One test reads `smv-obs` counters, which are process-wide, and every
@@ -123,12 +124,14 @@ fn prepared_equals_fresh_after_every_batch_of_a_stream() {
     let queries: Vec<Pattern> = POOL.iter().map(|q| parse_pattern(q).unwrap()).collect();
     let mut stream = Pr7Stream::new(23);
     let mut stamps = std::collections::BTreeSet::new();
+    let mut geometries = std::collections::BTreeSet::new();
     for batch_no in 0..=20 {
         if batch_no > 0 {
             let batch = stream.next_batch(ec.live(), 0.05);
             ec.apply(&batch).unwrap();
         }
         let snap = ec.snapshot();
+        geometries.insert(snap.summary().geometry_token());
         let first_under_stamp = stamps.insert(snap.summary().constraints_token());
         for (qi, q) in queries.iter().enumerate() {
             let at = format!("batch {batch_no}, query {}", POOL[qi]);
@@ -143,7 +146,25 @@ fn prepared_equals_fresh_after_every_batch_of_a_stream() {
             };
             assert_eq!(warm.stats.prepared_built, expect_built, "{at}");
         }
+        // the column cards kept with each view's preparation, which the
+        // rankings above priced scans with, are the view's cards under
+        // this epoch's summary
+        let rewriter = Rewriter::new(
+            &queries[0],
+            snap.views(),
+            snap.summary(),
+            RewriteOpts::default(),
+        );
+        for v in snap.views() {
+            assert_eq!(
+                format!("{:?}", rewriter.prepared_cards(v)),
+                format!("{:?}", col_cards(&v.pattern, snap.summary())),
+                "batch {batch_no}, view {}",
+                v.name
+            );
+        }
     }
+    assert!(geometries.len() > 1, "the stream creates summary paths");
 }
 
 /// A catalog over a small document with one view, for the directed cases.
