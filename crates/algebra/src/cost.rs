@@ -197,11 +197,10 @@ impl<'a> CostModel<'a> {
     /// input measured no rows. The fragment is looked up first, so a miss
     /// hashes it alone.
     fn measured_ratio(&self, fragment: &Plan) -> Option<f64> {
-        let f = self.feedback?;
-        let out = f.measured_rows(fragment)?;
+        let out = self.measured_rows(fragment)?;
         let mut product = 1.0;
         for input in fragment.children() {
-            let m = f.measured_rows(input)?;
+            let m = self.measured_rows(input)?;
             if m <= 0.0 {
                 return None;
             }

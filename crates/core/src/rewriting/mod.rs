@@ -213,7 +213,8 @@ struct QueryCtx<'a> {
 
 /// The run's scan statistics: each view's rows from the supplied source,
 /// its column paths from its preparation ([`PreparedView::cols`]), built
-/// once per (view, summary constraints) instead of once per run.
+/// once per (view, summary constraints) instead of once per run. The
+/// search's plans scan only the run's views.
 struct PreparedCards<'a> {
     rows: &'a dyn CardSource,
     views: &'a [View],
@@ -222,9 +223,7 @@ struct PreparedCards<'a> {
 
 impl CardSource for PreparedCards<'_> {
     fn scan_card(&self, view: &str) -> Option<ScanCard> {
-        let Some(i) = self.views.iter().position(|v| v.name == view) else {
-            return self.rows.scan_card(view);
-        };
+        let i = self.views.iter().position(|v| v.name == view)?;
         Some(ScanCard {
             rows: self.rows.scan_rows(view)?,
             cols: self.preps[i].cols.clone(),

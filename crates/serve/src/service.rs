@@ -416,10 +416,12 @@ impl QueryService {
     /// The views' query-independent preparation rides on the snapshot's
     /// `View`s and crosses epochs with them, so only the first ranking
     /// after a summary-constraint change builds it; after that a
-    /// child-axis query ranks in about 0.1 ms and a descendant-axis one
-    /// in 0.8–1.3 ms, most of it join enumeration (best of 200 runs,
-    /// scale-10 XMark, the nine views of `smvbench`'s `adhoc`, a 2-core
-    /// x86-64 host). A query with a returned column no view stores is
+    /// child-axis query (`/open_auction{id}(/initial{v}[…])`) ranks in
+    /// about 50 µs and a descendant-axis one (`//quantity{id,v}[…]`) in
+    /// 0.45–0.55 ms, most of it join enumeration (best of 200 rankings of
+    /// never-seen texts under gathered feedback, three runs, scale-10
+    /// XMark, the nine views of `smvbench`'s `adhoc`, a 2-core x86-64
+    /// host). A query with a returned column no view stores is
     /// refused with [`ServeError::NoRewriting`] right after set-up.
     fn rank(&self, q: &Pattern, snap: &CatalogEpoch) -> Result<RankedPlan, ServeError> {
         let fb = self.frozen_feedback();
