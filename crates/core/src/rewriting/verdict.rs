@@ -80,7 +80,7 @@ impl MemberVerdicts {
 /// is the tree [`CTree::from_path_set`](smv_pattern::canonical::CTree::from_path_set)
 /// builds from the member, with its nodes named by their summary paths
 /// instead of copied.
-pub(super) struct MemberTree<'a> {
+struct MemberTree<'a> {
     s: &'a Summary,
     nodes: &'a NodeSet,
     /// The member's paths and the closure's, as [`NodeSet`] words.
@@ -88,7 +88,7 @@ pub(super) struct MemberTree<'a> {
 }
 
 impl<'a> MemberTree<'a> {
-    pub(super) fn new(s: &'a Summary, nodes: &'a NodeSet, strong: bool) -> MemberTree<'a> {
+    fn new(s: &'a Summary, nodes: &'a NodeSet, strong: bool) -> MemberTree<'a> {
         MemberTree {
             s,
             nodes,
@@ -99,7 +99,7 @@ impl<'a> MemberTree<'a> {
     /// Direction A for one member: does `q` produce the tuple designating
     /// the paths `des` (decorated embeddings, §4.2)? A member's tree holds
     /// no nesting sequences.
-    pub(super) fn produces(&self, q: &Pattern, des: &[Option<NodeId>]) -> bool {
+    fn produces(&self, q: &Pattern, des: &[Option<NodeId>]) -> bool {
         embeds_tuple(q, self, des, |n| n, |_| &[], self.s)
     }
 }
