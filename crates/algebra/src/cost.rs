@@ -29,7 +29,6 @@ use crate::struct_join::StructRel;
 use smv_pattern::{Bound, Formula, Interval};
 use smv_summary::{Summary, ValueHistogram};
 use smv_xml::NodeId;
-use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
 /// Default extent size assumed for views the source does not know.
@@ -106,34 +105,21 @@ pub struct PlanEstimate {
 
 /// A plan's estimate kept with what an operator above the plan reads: its
 /// columns' candidate paths and, with feedback attached, its measured
-/// rows. A caller that builds plans bottom-up keeps one per plan, so that
-/// an operator it puts on top is priced over its inputs' kept estimates
-/// ([`CostModel::carry`]) instead of by a walk of the whole plan.
+/// rows. Every estimate is built from these, one operator at a time
+/// ([`CostModel::carry`]); a caller that builds plans bottom-up keeps one
+/// per plan and prices an operator it puts on top over them.
 #[derive(Clone, Debug)]
 pub struct Carried {
     /// Estimated output rows and total work: [`CostModel::estimate`]'s.
     pub est: PlanEstimate,
     cols: Vec<ColCard>,
-    /// Feedback's measured output rows of the plan, looked up the first
-    /// time an operator over the plan needs them.
+    /// Feedback's measured output rows of the plan: a scan's from its
+    /// pricing, a selection's or a join's from its ratio's first lookup,
+    /// any other's the first time an operator over the plan reads them.
     measured: OnceLock<Option<f64>>,
 }
 
-/// Internal per-node estimate: rows + cumulative cost + column layout.
-struct Est {
-    rows: f64,
-    cost: f64,
-    cols: Vec<ColCard>,
-}
-
 /// A summary-driven cost model for [`Plan`]s.
-///
-/// Scan statistics are memoized per view name: the rewriting enumeration
-/// estimates thousands of plans over the same handful of scans, and a
-/// [`CardSource`] may recompute path annotations on every call. The memo
-/// hands cards out behind an [`Rc`], so a cache hit never deep-clones
-/// the card (probes borrow the `&str` key; only a first miss allocates
-/// its `String`).
 ///
 /// With [`CostModel::with_feedback`], measured rows (see
 /// [`crate::feedback::FeedbackStore`]) take precedence over the static
@@ -142,7 +128,6 @@ pub struct CostModel<'a> {
     summary: &'a Summary,
     source: &'a dyn CardSource,
     feedback: Option<&'a FeedbackStore>,
-    scan_cache: std::cell::RefCell<std::collections::HashMap<String, Option<Rc<ScanCard>>>>,
 }
 
 impl<'a> CostModel<'a> {
@@ -152,7 +137,6 @@ impl<'a> CostModel<'a> {
             summary,
             source,
             feedback: None,
-            scan_cache: std::cell::RefCell::new(std::collections::HashMap::new()),
         }
     }
 
@@ -165,118 +149,73 @@ impl<'a> CostModel<'a> {
         self
     }
 
-    /// Memoized [`CardSource::scan_card`] of `scan` (a `Scan` of `view`),
-    /// its rows replaced by feedback's measured rows when there are any.
-    /// The probe borrows `view` (`Borrow<str>`), so a hit costs one hash
-    /// lookup and an `Rc` clone; the `String` key is allocated once, on
-    /// first miss.
-    fn scan_card(&self, scan: &Plan, view: &str) -> Option<Rc<ScanCard>> {
-        if let Some(cached) = self.scan_cache.borrow().get(view) {
-            return cached.clone();
+    /// Estimates output rows and total work for `plan`: the estimate of
+    /// [`CostModel::carried`].
+    pub fn estimate(&self, plan: &Plan) -> PlanEstimate {
+        self.carried(plan, None).est
+    }
+
+    /// `plan`'s kept estimate, each operator priced once, bottom-up, over
+    /// its inputs' kept estimates ([`CostModel::carry`]). `below` is a
+    /// subplan of `plan` (that node, not an equal one) with the kept
+    /// estimate the caller has for it: it is taken, not priced again.
+    pub fn carried(&self, plan: &Plan, below: Option<(&Plan, &Carried)>) -> Carried {
+        if let Some((_, kept)) = below.filter(|(sub, _)| std::ptr::eq(*sub, plan)) {
+            return kept.clone();
         }
-        let mut card = self.source.scan_card(view);
-        if let Some(rows) = self.feedback.and_then(|f| f.measured_rows(scan)) {
-            // a view the source does not know but that was executed keeps
-            // its measured size, its columns unannotated
-            card.get_or_insert_with(|| ScanCard {
-                rows,
-                cols: Vec::new(),
-            })
-            .rows = rows;
+        let inputs: Vec<Carried> = plan
+            .children()
+            .into_iter()
+            .map(|c| self.carried(c, below))
+            .collect();
+        self.carry(plan, &inputs.iter().collect::<Vec<_>>())
+    }
+
+    /// `plan`'s own operator priced over `inputs`, the kept estimates of
+    /// all of its inputs in [`Plan::children`] order (none for a scan).
+    /// The values are [`CostModel::estimate`]'s of `plan`, bit for bit.
+    ///
+    /// With feedback attached, each fragment is looked up once and its
+    /// measured rows kept: a scan's when it is priced, a selection's or a
+    /// join's first by its ratio, so a miss costs one fingerprint and a
+    /// hit reads the inputs' rows from their kept estimates.
+    pub fn carry(&self, plan: &Plan, inputs: &[&Carried]) -> Carried {
+        debug_assert_eq!(inputs.len(), plan.children().len(), "one per input");
+        let measured = OnceLock::new();
+        let (est, cols) = self.op(plan, inputs, &measured);
+        Carried {
+            est,
+            cols,
+            measured,
         }
-        let card = card.map(Rc::new);
-        self.scan_cache
-            .borrow_mut()
-            .insert(view.to_owned(), card.clone());
-        card
+    }
+
+    /// Feedback's measured rows of `plan`, looked up once into `kept`.
+    fn measured(&self, kept: &OnceLock<Option<f64>>, plan: &Plan) -> Option<f64> {
+        *kept.get_or_init(|| self.feedback?.measured_rows(plan))
     }
 
     /// Feedback's measured output rows of `fragment` over the product of
-    /// its inputs' measured rows: a selection's pass-rate, a join's
+    /// its inputs' kept measured rows: a selection's pass-rate, a join's
     /// selectivity. `None` without feedback for all of them, or when an
-    /// input measured no rows. The fragment is looked up first, so a miss
-    /// hashes it alone.
-    fn measured_ratio(&self, fragment: &Plan) -> Option<f64> {
-        let out = self.measured_rows(fragment)?;
+    /// input measured no rows. The fragment's own rows are looked up
+    /// first, into `own`.
+    fn ratio(
+        &self,
+        fragment: &Plan,
+        inputs: &[&Carried],
+        own: &OnceLock<Option<f64>>,
+    ) -> Option<f64> {
+        let out = self.measured(own, fragment)?;
         let mut product = 1.0;
-        for input in fragment.children() {
-            let m = self.measured_rows(input)?;
+        for (input, child) in inputs.iter().zip(fragment.children()) {
+            let m = self.measured(&input.measured, child)?;
             if m <= 0.0 {
                 return None;
             }
             product *= m;
         }
         Some(out / product)
-    }
-
-    /// Estimates output rows and total work for `plan`.
-    pub fn estimate(&self, plan: &Plan) -> PlanEstimate {
-        let e = self.est(plan);
-        PlanEstimate {
-            rows: e.rows,
-            cost: e.cost,
-        }
-    }
-
-    /// [`CostModel::estimate`] of `plan`, kept for pricing an operator over
-    /// `plan` later. `inputs` is empty, and the whole plan is walked, or it
-    /// holds the kept estimates of all of `plan`'s inputs in
-    /// [`Plan::children`] order, and only `plan`'s own operator is priced,
-    /// over them. Either way the values are [`CostModel::estimate`]'s, bit
-    /// for bit.
-    ///
-    /// With feedback attached, a fragment's measured rows are looked up
-    /// once, when an operator over it is priced, and kept; a selection's or
-    /// a join's own rows are looked up only when every input has some.
-    pub fn carry(&self, plan: &Plan, inputs: &[&Carried]) -> Carried {
-        let measured = OnceLock::new();
-        let e = if inputs.is_empty() {
-            self.est(plan)
-        } else {
-            debug_assert_eq!(inputs.len(), plan.children().len(), "one per input");
-            let ins = inputs
-                .iter()
-                .map(|c| Est {
-                    rows: c.est.rows,
-                    cost: c.est.cost,
-                    cols: c.cols.clone(),
-                })
-                .collect();
-            // `measured_ratio` over the inputs' kept rows
-            let ratio = || {
-                self.feedback?;
-                let mut product = 1.0;
-                for (input, child) in inputs.iter().zip(plan.children()) {
-                    let m = self.measured(input, child)?;
-                    if m <= 0.0 {
-                        return None;
-                    }
-                    product *= m;
-                }
-                let out = (*measured.get_or_init(|| self.measured_rows(plan)))?;
-                Some(out / product)
-            };
-            self.op(plan, ins, ratio)
-        };
-        Carried {
-            est: PlanEstimate {
-                rows: e.rows,
-                cost: e.cost,
-            },
-            cols: e.cols,
-            measured,
-        }
-    }
-
-    /// Feedback's measured rows of `plan`, whose kept estimate is
-    /// `carried`.
-    fn measured(&self, carried: &Carried, plan: &Plan) -> Option<f64> {
-        *carried.measured.get_or_init(|| self.measured_rows(plan))
-    }
-
-    /// Feedback's measured rows of `fragment`; `None` without feedback.
-    fn measured_rows(&self, fragment: &Plan) -> Option<f64> {
-        self.feedback?.measured_rows(fragment)
     }
 
     /// Total document-node count over a candidate path set (`None` when
@@ -288,34 +227,38 @@ impl<'a> CostModel<'a> {
         Some(paths.iter().map(|&p| self.summary.count(p) as f64).sum())
     }
 
-    fn est(&self, plan: &Plan) -> Est {
-        let ins = plan.children().into_iter().map(|c| self.est(c)).collect();
-        self.op(plan, ins, || self.measured_ratio(plan))
-    }
-
-    /// `plan`'s own operator priced over `ins`, the estimates of its
-    /// inputs in [`Plan::children`] order; `ratio` gives feedback's
-    /// measured ratio for the fragment ([`CostModel::measured_ratio`]).
-    fn op(&self, plan: &Plan, mut ins: Vec<Est>, ratio: impl FnOnce() -> Option<f64>) -> Est {
-        let mut input = || ins.pop().expect("an operator's input");
+    /// [`CostModel::carry`]'s estimate and columns of `plan`'s operator
+    /// over `ins`; `own` keeps the fragment's measured rows.
+    fn op(
+        &self,
+        plan: &Plan,
+        ins: &[&Carried],
+        own: &OnceLock<Option<f64>>,
+    ) -> (PlanEstimate, Vec<ColCard>) {
+        let est = |rows, cost| PlanEstimate { rows, cost };
         match plan {
-            Plan::Scan { view } => match self.scan_card(plan, view) {
-                Some(sc) => Est {
-                    rows: sc.rows,
-                    cost: sc.rows,
-                    cols: sc.cols.clone(),
-                },
-                None => Est {
-                    rows: DEFAULT_ROWS,
-                    cost: DEFAULT_ROWS,
-                    cols: Vec::new(),
-                },
-            },
+            Plan::Scan { view } => {
+                let mut card = self.source.scan_card(view);
+                if let Some(rows) = self.measured(own, plan) {
+                    // a view the source does not know but that was executed
+                    // keeps its measured size, its columns unannotated
+                    card.get_or_insert_with(|| ScanCard {
+                        rows,
+                        cols: Vec::new(),
+                    })
+                    .rows = rows;
+                }
+                match card {
+                    Some(sc) => (est(sc.rows, sc.rows), sc.cols),
+                    None => (est(DEFAULT_ROWS, DEFAULT_ROWS), Vec::new()),
+                }
+            }
             Plan::Select { pred, .. } => {
-                let mut e = input();
+                let e = &ins[0];
+                let mut cols = e.cols.clone();
                 let sel = match pred {
                     Predicate::Value { col, formula } => {
-                        let paths = e.cols.get(*col).map(ColCard::paths).unwrap_or(&[]);
+                        let paths = cols.get(*col).map(ColCard::paths).unwrap_or(&[]);
                         match self.path_total(paths) {
                             Some(total) if total > 0.0 => {
                                 let values: f64 = paths
@@ -338,7 +281,7 @@ impl<'a> CostModel<'a> {
                         }
                     }
                     Predicate::LabelEq { col, label } => {
-                        let paths = e.cols.get(*col).map(ColCard::paths).unwrap_or(&[]);
+                        let paths = cols.get(*col).map(ColCard::paths).unwrap_or(&[]);
                         match self.path_total(paths) {
                             Some(total) if total > 0.0 => {
                                 let matching: Vec<NodeId> = paths
@@ -350,7 +293,7 @@ impl<'a> CostModel<'a> {
                                     matching.iter().map(|&p| self.summary.count(p) as f64).sum();
                                 // the selection also narrows the column's
                                 // candidate paths to the matching labels
-                                if let Some(ColCard::Atom(ps)) = e.cols.get_mut(*col) {
+                                if let Some(ColCard::Atom(ps)) = cols.get_mut(*col) {
                                     *ps = matching.into();
                                 }
                                 (kept / total).clamp(0.0, 1.0)
@@ -362,27 +305,22 @@ impl<'a> CostModel<'a> {
                 };
                 // an observed pass-rate for this exact fragment beats any
                 // static guess (the label narrowing above still applies)
-                let sel = ratio().unwrap_or(sel);
-                e.cost += e.rows;
-                e.rows *= sel;
-                e
+                let sel = self.ratio(plan, ins, own).unwrap_or(sel);
+                (est(e.est.rows * sel, e.est.cost + e.est.rows), cols)
             }
             Plan::Project { cols, .. } => {
-                let e = input();
+                let e = &ins[0];
                 let projected = cols
                     .iter()
                     .map(|&c| e.cols.get(c).cloned().unwrap_or_default())
                     .collect();
-                Est {
-                    rows: e.rows,
-                    cost: e.cost + e.rows,
-                    cols: projected,
-                }
+                (est(e.est.rows, e.est.cost + e.est.rows), projected)
             }
             Plan::IdJoin { lcol, rcol, .. } => {
-                let (r, l) = (input(), input());
+                let (l, r) = (&ins[0], &ins[1]);
                 let lp = l.cols.get(*lcol).map(ColCard::paths).unwrap_or(&[]);
                 let rp = r.cols.get(*rcol).map(ColCard::paths).unwrap_or(&[]);
+                let (lrows, rrows) = (l.est.rows, r.est.rows);
                 let rows = match (self.path_total(lp), self.path_total(rp)) {
                     (Some(dl), Some(dr)) if dl > 0.0 && dr > 0.0 => {
                         // IDs are unique per node: the shared key domain is
@@ -392,26 +330,16 @@ impl<'a> CostModel<'a> {
                             .filter(|p| rp.contains(p))
                             .map(|&p| self.summary.count(p) as f64)
                             .sum();
-                        l.rows * r.rows * shared / (dl * dr)
+                        lrows * rrows * shared / (dl * dr)
                     }
-                    _ => l.rows * r.rows / l.rows.max(r.rows).max(1.0),
+                    _ => lrows * rrows / lrows.max(rrows).max(1.0),
                 };
-                let rows = match self.measured_ratio(plan) {
-                    Some(s) => l.rows * r.rows * s,
-                    None => rows,
-                };
-                let mut cols = l.cols;
-                cols.extend(r.cols);
-                Est {
-                    rows,
-                    cost: l.cost + r.cost + l.rows + r.rows + rows,
-                    cols,
-                }
+                self.joined(plan, ins, own, rows)
             }
             Plan::StructJoin {
                 lcol, rcol, rel, ..
             } => {
-                let (r, l) = (input(), input());
+                let (l, r) = (&ins[0], &ins[1]);
                 let lp = l.cols.get(*lcol).map(ColCard::paths).unwrap_or(&[]);
                 let rp = r.cols.get(*rcol).map(ColCard::paths).unwrap_or(&[]);
                 let rows = match (self.path_total(lp), self.path_total(rp)) {
@@ -431,35 +359,25 @@ impl<'a> CostModel<'a> {
                                 }
                             }
                         }
-                        pairs * (l.rows / dl) * (r.rows / dr)
+                        pairs * (l.est.rows / dl) * (r.est.rows / dr)
                     }
-                    _ => l.rows * r.rows * STRUCT_SEL,
+                    _ => l.est.rows * r.est.rows * STRUCT_SEL,
                 };
-                let rows = match self.measured_ratio(plan) {
-                    Some(s) => l.rows * r.rows * s,
-                    None => rows,
-                };
-                let mut cols = l.cols;
-                cols.extend(r.cols);
-                Est {
-                    rows,
-                    cost: l.cost + r.cost + l.rows + r.rows + rows,
-                    cols,
-                }
+                self.joined(plan, ins, own, rows)
             }
             Plan::Union { .. } => {
                 let mut rows = 0.0;
                 let mut cost = 0.0;
                 let mut cols: Vec<ColCard> = Vec::new();
-                for (i, e) in ins.into_iter().enumerate() {
-                    rows += e.rows;
-                    cost += e.cost + e.rows;
+                for (i, e) in ins.iter().enumerate() {
+                    rows += e.est.rows;
+                    cost += e.est.cost + e.est.rows;
                     if i == 0 {
-                        cols = e.cols;
+                        cols = e.cols.clone();
                     } else {
                         // merge candidate paths per position; mismatched
                         // layouts degrade to unknown
-                        for (c, ec) in cols.iter_mut().zip(e.cols) {
+                        for (c, ec) in cols.iter_mut().zip(&e.cols) {
                             *c = match (std::mem::take(c), ec) {
                                 (ColCard::Atom(a), ColCard::Atom(b)) => {
                                     let mut a = a.to_vec();
@@ -475,14 +393,14 @@ impl<'a> CostModel<'a> {
                         }
                     }
                 }
-                Est { rows, cost, cols }
+                (est(rows, cost), cols)
             }
             Plan::Nest {
                 key_cols,
                 nested_cols,
                 ..
             } => {
-                let e = input();
+                let e = &ins[0];
                 // distinct key tuples: at least the distinct count of any
                 // single key column — take the largest single-column bound
                 let key_bound = key_cols
@@ -490,8 +408,8 @@ impl<'a> CostModel<'a> {
                     .filter_map(|&c| self.path_total(e.cols.get(c).map(ColCard::paths)?))
                     .fold(None::<f64>, |acc, d| Some(acc.map_or(d, |a| a.max(d))));
                 let rows = match key_bound {
-                    Some(d) => e.rows.min(d.max(1.0)),
-                    None => e.rows * 0.5,
+                    Some(d) => e.est.rows.min(d.max(1.0)),
+                    None => e.est.rows * 0.5,
                 };
                 let mut cols: Vec<ColCard> = key_cols
                     .iter()
@@ -503,14 +421,10 @@ impl<'a> CostModel<'a> {
                         .map(|&c| e.cols.get(c).cloned().unwrap_or_default())
                         .collect(),
                 ));
-                Est {
-                    rows,
-                    cost: e.cost + e.rows,
-                    cols,
-                }
+                (est(rows, e.est.cost + e.est.rows), cols)
             }
             Plan::Unnest { col, outer, .. } => {
-                let e = input();
+                let e = &ins[0];
                 let inner = match e.cols.get(*col) {
                     Some(ColCard::Nested(inner)) => inner.clone(),
                     _ => Vec::new(),
@@ -520,7 +434,7 @@ impl<'a> CostModel<'a> {
                 // inner column's path
                 let fan = self.unnest_fanout(&e.cols, *col, &inner);
                 let fan = if *outer { fan.max(1.0) } else { fan };
-                let rows = (e.rows * fan).max(0.0);
+                let rows = (e.est.rows * fan).max(0.0);
                 let mut cols: Vec<ColCard> = Vec::new();
                 for (i, c) in e.cols.iter().enumerate() {
                     if i == *col {
@@ -533,11 +447,7 @@ impl<'a> CostModel<'a> {
                         cols.push(c.clone());
                     }
                 }
-                Est {
-                    rows,
-                    cost: e.cost + e.rows + rows,
-                    cols,
-                }
+                (est(rows, e.est.cost + e.est.rows + rows), cols)
             }
             Plan::NavigateContent {
                 content_col,
@@ -546,7 +456,7 @@ impl<'a> CostModel<'a> {
                 optional,
                 ..
             } => {
-                let e = input();
+                let e = &ins[0];
                 let base = e.cols.get(*content_col).map(ColCard::paths).unwrap_or(&[]);
                 // walk the steps through the summary, multiplying fan-outs
                 let mut frontier: Vec<NodeId> = base.to_vec();
@@ -573,8 +483,8 @@ impl<'a> CostModel<'a> {
                     frontier = next;
                 }
                 let fan = if *optional { fan.max(1.0) } else { fan };
-                let rows = e.rows * fan;
-                let mut cols = e.cols;
+                let rows = e.est.rows * fan;
+                let mut cols = e.cols.clone();
                 for _ in attrs {
                     cols.push(if frontier.is_empty() {
                         ColCard::Unknown
@@ -582,14 +492,11 @@ impl<'a> CostModel<'a> {
                         ColCard::Atom(frontier.as_slice().into())
                     });
                 }
-                Est {
-                    rows,
-                    cost: e.cost + e.rows * CONTENT_PARSE_COST + rows,
-                    cols,
-                }
+                let cost = e.est.cost + e.est.rows * CONTENT_PARSE_COST + rows;
+                (est(rows, cost), cols)
             }
             Plan::DeriveParentId { col, levels, .. } => {
-                let e = input();
+                let e = &ins[0];
                 let derived: Vec<NodeId> = e
                     .cols
                     .get(*col)
@@ -604,20 +511,16 @@ impl<'a> CostModel<'a> {
                         Some(cur)
                     })
                     .collect();
-                let mut cols = e.cols;
+                let mut cols = e.cols.clone();
                 cols.push(if derived.is_empty() {
                     ColCard::Unknown
                 } else {
                     ColCard::Atom(derived.into())
                 });
-                Est {
-                    rows: e.rows,
-                    cost: e.cost + e.rows,
-                    cols,
-                }
+                (est(e.est.rows, e.est.cost + e.est.rows), cols)
             }
             Plan::DupElim { .. } => {
-                let e = input();
+                let e = &ins[0];
                 // bound distinct rows by the node counts when every column
                 // is path-annotated (a relation over k annotated columns
                 // cannot have more distinct rows than the product of the
@@ -628,16 +531,32 @@ impl<'a> CostModel<'a> {
                     .map(|c| self.path_total(c.paths()))
                     .try_fold(1.0f64, |acc, d| d.map(|d| (acc * d.max(1.0)).min(1e18)));
                 let rows = match bound {
-                    Some(b) if !e.cols.is_empty() => e.rows.min(b),
-                    _ => e.rows,
+                    Some(b) if !e.cols.is_empty() => e.est.rows.min(b),
+                    _ => e.est.rows,
                 };
-                Est {
-                    rows,
-                    cost: e.cost + e.rows,
-                    cols: e.cols,
-                }
+                (est(rows, e.est.cost + e.est.rows), e.cols.clone())
             }
         }
+    }
+
+    /// A join of `ins` with `rows` estimated from the summary: the rows
+    /// feedback's measured selectivity gives instead, when there is one,
+    /// and the join's work and columns.
+    fn joined(
+        &self,
+        plan: &Plan,
+        ins: &[&Carried],
+        own: &OnceLock<Option<f64>>,
+        rows: f64,
+    ) -> (PlanEstimate, Vec<ColCard>) {
+        let (l, r) = (&ins[0].est, &ins[1].est);
+        let rows = match self.ratio(plan, ins, own) {
+            Some(s) => l.rows * r.rows * s,
+            None => rows,
+        };
+        let cols = ins[0].cols.iter().chain(&ins[1].cols).cloned().collect();
+        let cost = l.cost + r.cost + l.rows + r.rows + rows;
+        (PlanEstimate { rows, cost }, cols)
     }
 
     /// Selectivity of a non-point (range) predicate over the candidate
@@ -983,6 +902,61 @@ mod tests {
             view: "unknown".into(),
         };
         assert_eq!(model.estimate(&unknown).rows, DEFAULT_ROWS);
+    }
+
+    /// A join priced over kept estimates whose measured rows have been
+    /// read makes one store lookup, its own, and reads its inputs' rows
+    /// from them; an unmeasured join's one lookup misses. Both equal a
+    /// fresh estimate, bit for bit.
+    #[test]
+    fn a_join_reads_its_inputs_kept_rows() {
+        use crate::feedback::{ExecProfile, FeedbackStore};
+        let s = summary();
+        let src = cards(&s);
+        let va = Plan::Scan { view: "va".into() };
+        let sel = Plan::Select {
+            input: Arc::new(Plan::Scan { view: "vb".into() }),
+            pred: Predicate::Value {
+                col: 1,
+                formula: Formula::ge(smv_xml::Value::int(2)),
+            },
+        };
+        let join = |rel| Plan::StructJoin {
+            left: Arc::new(va.clone()),
+            right: Arc::new(sel.clone()),
+            lcol: 0,
+            rcol: 0,
+            rel,
+        };
+        // the parent join, both its inputs and the select's scan measured
+        let mut prof = ExecProfile::default();
+        prof.record(&[0], 2);
+        prof.record(&[1, 0], 3);
+        prof.record(&[1], 1);
+        prof.record(&[], 1);
+        let mut store = FeedbackStore::new();
+        store.ingest(&join(StructRel::Parent), &prof);
+        let model = CostModel::new(&s, &src).with_feedback(&store);
+        let lookups = || {
+            let st = store.stats();
+            st.hits + st.misses
+        };
+        let (l, r) = (model.carried(&va, None), model.carried(&sel, None));
+        for (rel, hits) in [(StructRel::Parent, 1), (StructRel::Ancestor, 0)] {
+            let plan = join(rel);
+            let (before, hits_before) = (lookups(), store.stats().hits);
+            let got = model.carry(&plan, &[&l, &r]).est;
+            assert_eq!(lookups() - before, 1, "{rel:?}: one lookup, the join's");
+            assert_eq!(store.stats().hits - hits_before, hits, "{rel:?}");
+            let want = model.estimate(&plan);
+            assert_eq!(
+                (got.rows.to_bits(), got.cost.to_bits()),
+                (want.rows.to_bits(), want.cost.to_bits()),
+                "{rel:?}: {got:?} vs {want:?}"
+            );
+        }
+        // the measured join took its observed selectivity: 1 of 2 × 1
+        assert_eq!(model.estimate(&join(StructRel::Parent)).rows, 1.0);
     }
 
     #[test]

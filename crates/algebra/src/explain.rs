@@ -2,10 +2,10 @@
 //! model's estimated rows next to a profiled run's actual rows and wall
 //! time, operator by operator.
 //!
-//! [`explain`] walks a [`Plan`] and asks the [`CostModel`] for an
-//! estimate of every subtree (estimates are structural, so a subtree's
-//! estimate is exactly what the model would say about it as a
-//! standalone plan). [`explain_analyze`] additionally joins each
+//! [`explain`] prices a [`Plan`] bottom-up, each operator once over its
+//! inputs' kept estimates ([`CostModel::carry`]), and shows every
+//! subtree's: exactly what [`CostModel::estimate`] says about it as a
+//! standalone plan. [`explain_analyze`] additionally joins each
 //! operator — by its positional [`OpPath`] — with the row counters and
 //! inclusive wall times of an [`ExecProfile`], and computes the
 //! per-operator *q-error* (`max(est/actual, actual/est)`, both sides
@@ -38,7 +38,7 @@
 //! assert!(ex.to_string().contains("Scan(v)"));
 //! ```
 
-use crate::cost::CostModel;
+use crate::cost::{Carried, CostModel};
 use crate::feedback::{path_key, ExecProfile, OpPath};
 use crate::plan::Plan;
 
@@ -150,41 +150,44 @@ pub fn fmt_duration(ns: u64) -> String {
     }
 }
 
+/// `plan`'s node, its inputs' built first, and its kept estimate, priced
+/// over theirs: each operator once.
 fn build(
     plan: &Plan,
     cost: &CostModel<'_>,
     profile: Option<&ExecProfile>,
     path: &mut Vec<u32>,
-) -> ExplainNode {
-    let est = cost.estimate(plan);
+) -> (ExplainNode, Carried) {
     let key = path_key(path);
-    let children = plan
+    let (children, inputs): (Vec<ExplainNode>, Vec<Carried>) = plan
         .children()
         .into_iter()
         .enumerate()
         .map(|(i, c)| {
             path.push(i as u32);
-            let n = build(c, cost, profile, path);
+            let built = build(c, cost, profile, path);
             path.pop();
-            n
+            built
         })
-        .collect();
-    ExplainNode {
+        .unzip();
+    let carried = cost.carry(plan, &inputs.iter().collect::<Vec<_>>());
+    let node = ExplainNode {
         op: plan.op_label(),
-        est_rows: est.rows,
-        est_cost: est.cost,
+        est_rows: carried.est.rows,
+        est_cost: carried.est.cost,
         actual_rows: profile.and_then(|p| p.rows_at(&key)),
         time_ns: profile.and_then(|p| p.time_ns_at(&key)),
         path: key,
         children,
-    }
+    };
+    (node, carried)
 }
 
 /// `EXPLAIN`: the plan with the cost model's estimated rows and cost per
 /// operator. Deterministic for a fixed plan, summary and card source.
 pub fn explain(plan: &Plan, cost: &CostModel<'_>) -> Explain {
     Explain {
-        root: build(plan, cost, None, &mut Vec::new()),
+        root: build(plan, cost, None, &mut Vec::new()).0,
         analyzed: false,
     }
 }
@@ -195,7 +198,7 @@ pub fn explain(plan: &Plan, cost: &CostModel<'_>) -> Explain {
 /// exactly `plan` (as [`crate::exec::execute_profiled_with`] produces).
 pub fn explain_analyze(plan: &Plan, cost: &CostModel<'_>, profile: &ExecProfile) -> Explain {
     Explain {
-        root: build(plan, cost, Some(profile), &mut Vec::new()),
+        root: build(plan, cost, Some(profile), &mut Vec::new()).0,
         analyzed: true,
     }
 }

@@ -57,7 +57,7 @@ mod verdict;
 use adapt::{PrepStamp, PreparedView};
 use bound::Suppliers;
 use pair::{Pair, PairKey};
-use plan::flat_out_cols;
+use plan::{flat_out_cols, UnionCandidate};
 use smv_algebra::{
     AttrKind, CardSource, ColCard, CostModel, FeedbackStore, Plan, PlanEstimate, ScanCard,
 };
@@ -386,7 +386,7 @@ impl<'a> Rewriter<'a> {
         let mut m0: Vec<Pair> = Vec::new();
         for (vi, (v, prep)) in self.views.iter().zip(&preps).enumerate() {
             if let Some(mut pair) = self.base_pair(vi, v, prep, &ctx) {
-                pair.est = Some(model.carry(&pair.plan, &[]));
+                pair.est = Some(model.carried(&pair.plan, None));
                 #[cfg(test)]
                 tests::estimated(&pair);
                 m0.push(pair);
@@ -411,8 +411,8 @@ impl<'a> Rewriter<'a> {
         let bound = ((self.q.len().saturating_sub(1)) * self.s.len()).max(1);
         let max_scans = self.opts.max_scans.min(bound);
 
-        // collect union candidates: (pair, designations, coverage bitset)
-        let mut union_candidates: Vec<(Plan, Vec<bool>)> = Vec::new();
+        // collect union candidates: (estimate, plan, coverage bitset)
+        let mut union_candidates: Vec<UnionCandidate> = Vec::new();
 
         let mut seen: HashSet<PairKey, FastBuild> = HashSet::default();
         let mut m: Vec<Pair> = Vec::new();
@@ -430,14 +430,18 @@ impl<'a> Rewriter<'a> {
         // line 7 test on the initial single-view pairs first
         let mut emit = |pair: &Pair,
                         result: &mut RewriteResult,
-                        union_candidates: &mut Vec<(Plan, Vec<bool>)>,
+                        union_candidates: &mut Vec<UnionCandidate>,
                         best_cost: &mut f64|
          -> bool {
             result.stats.pairs_explored += 1;
+            // a candidate's σ and output operators priced over the pair's
+            // estimate
+            let priced = |plan: &Plan| model.carried(plan, Some((&pair.plan, pair.carried())));
             for plan_or_cand in self.try_pair(pair, &ctx, &mut verdicts) {
                 match plan_or_cand {
                     Candidate::Equivalent(plan) => {
-                        let full = self.record(plan, result, &model, t0);
+                        let est = priced(&plan).est;
+                        let full = self.record(plan, est, result, t0);
                         let found = result.rewritings.last().expect("just recorded");
                         *best_cost = best_cost.min(found.est.cost);
                         if full {
@@ -446,7 +450,7 @@ impl<'a> Rewriter<'a> {
                     }
                     Candidate::Partial(plan, coverage) => {
                         if union_candidates.len() < 64 {
-                            union_candidates.push((plan, coverage));
+                            union_candidates.push((priced(&plan), plan, coverage));
                         }
                     }
                 }
@@ -589,22 +593,21 @@ impl<'a> Rewriter<'a> {
         self.prepared(view).0.cols.clone()
     }
 
-    /// Records `plan` as a rewriting with `model`'s estimate; the first
+    /// Records `plan` as a rewriting with its estimate `est`; the first
     /// one of the run sets [`RewriteStats::first_rewriting`] to the time
     /// since `t0`. Returns whether the run now has
     /// [`RewriteOpts::max_rewritings`] of them.
     fn record(
         &self,
         plan: Plan,
+        est: PlanEstimate,
         result: &mut RewriteResult,
-        model: &CostModel<'_>,
         t0: Instant,
     ) -> bool {
         result
             .stats
             .first_rewriting
             .get_or_insert_with(|| t0.elapsed());
-        let est = model.estimate(&plan);
         result.rewritings.push(Rewriting {
             scans: plan.scan_count(),
             plan,
@@ -994,13 +997,14 @@ mod tests {
         }
     }
 
-    /// Every pair the search estimates — a base pair by a walk of its
-    /// plan, a join from its inputs' carried estimates, both over the
+    /// Every pair the search estimates — a base pair operator by
+    /// operator, a join from its inputs' carried estimates, both over the
     /// column cards kept with the views' preparations — carries exactly
     /// what a fresh cost model over the card source gives its plan, bit
-    /// for bit. For the 22 golden queries under the three ID schemes,
-    /// without feedback and with a feedback store that measured some
-    /// fragments, joins and their inputs among them.
+    /// for bit, and so does every rewriting, priced over its pair's. For
+    /// the 22 golden queries under the three ID schemes, without feedback
+    /// and with a feedback store that measured some fragments, joins and
+    /// their inputs among them.
     #[test]
     fn carried_estimates_are_fresh_estimates() {
         let doc = smv_datagen::pr7_document(1.0, 1);
@@ -1049,12 +1053,23 @@ mod tests {
                 if let Some(fb) = feedback {
                     fresh = fresh.with_feedback(fb);
                 }
-                let (mut pairs, mut measured_joins) = (0, 0);
+                let (mut pairs, mut measured_joins, mut rewritings) = (0, 0, 0);
                 for (q, src) in queries
                     .iter()
                     .zip(BENCH_QUERIES.iter().chain(&STRING_QUERIES))
                 {
-                    for p in rank(q, feedback).1 {
+                    let (result, made) = rank(q, feedback);
+                    for rw in &result.rewritings {
+                        let (got, want) = (rw.est, fresh.estimate(&rw.plan));
+                        assert_eq!(
+                            (got.cost.to_bits(), got.rows.to_bits()),
+                            (want.cost.to_bits(), want.rows.to_bits()),
+                            "{scheme:?}, {src}, feedback {}: rewriting {got:?} vs {want:?}",
+                            feedback.is_some(),
+                        );
+                        rewritings += 1;
+                    }
+                    for p in made {
                         let (got, want) = (p.carried().est, fresh.estimate(&p.plan));
                         assert_eq!(
                             (got.cost.to_bits(), got.rows.to_bits()),
@@ -1074,6 +1089,10 @@ mod tests {
                     }
                 }
                 assert!(pairs > 200, "{scheme:?}: {pairs} pairs");
+                assert!(
+                    rewritings >= queries.len(),
+                    "{scheme:?}: {rewritings} rewritings"
+                );
                 assert_eq!(feedback.is_some(), measured_joins > 0, "{scheme:?}");
             }
         }

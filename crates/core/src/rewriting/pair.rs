@@ -290,8 +290,8 @@ pub(super) struct Pair {
     pub(super) members: Vec<Member>,
     pub(super) views: Vec<usize>,
     /// The estimate of the raw (pre-output-adaptation) plan, once the
-    /// search has made it: a base pair's from its plan, a join's from its
-    /// two inputs' ([`CostModel::carry`]).
+    /// search has made it: a base pair's operator by operator, a join's
+    /// from its two inputs' ([`CostModel::carry`]).
     pub(super) est: Option<Carried>,
 }
 

@@ -3,11 +3,15 @@
 //! adaptation — and the minimal unions of partial candidates.
 
 use super::{QueryCtx, RewriteResult, Rewriter};
-use smv_algebra::{AttrKind, CostModel, Plan};
+use smv_algebra::{AttrKind, Carried, CostModel, Plan};
 use smv_pattern::{PNodeId, Pattern};
 use smv_xml::Symbol;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A partial candidate of lines 13–14: its estimate, its plan and which
+/// trees of `mod_S(q)` it covers.
+pub(super) type UnionCandidate = (Carried, Plan, Vec<bool>);
 
 impl Rewriter<'_> {
     /// Builds the final plan over a pair's (selected) plan `input`:
@@ -103,11 +107,12 @@ impl Rewriter<'_> {
 
     /// Lines 13-14: minimal unions of partial candidates covering
     /// `mod_S(q)`, ranked by summed branch cost (cheapest union first)
-    /// with dominated branches deduplicated before enumeration.
+    /// with dominated branches deduplicated before enumeration. A union
+    /// is priced over its branches' estimates.
     pub(super) fn build_unions(
         &self,
         ctx: &QueryCtx<'_>,
-        candidates: &[(Plan, Vec<bool>)],
+        candidates: &[UnionCandidate],
         result: &mut RewriteResult,
         t0: Instant,
         model: &CostModel<'_>,
@@ -118,15 +123,19 @@ impl Rewriter<'_> {
         }
         let costed: Vec<(f64, Vec<bool>)> = candidates
             .iter()
-            .map(|(plan, cov)| (model.estimate(plan).cost, cov.clone()))
+            .map(|(est, _, cov)| (est.est.cost, cov.clone()))
             .collect();
         for sel in rank_union_covers(&costed).into_iter().take(4) {
-            let plan = Plan::DupElim {
-                input: Arc::new(Plan::Union {
-                    inputs: sel.iter().map(|&i| candidates[i].0.clone()).collect(),
-                }),
+            let union = Plan::Union {
+                inputs: sel.iter().map(|&i| candidates[i].1.clone()).collect(),
             };
-            if self.record(plan, result, model, t0) {
+            let branches: Vec<&Carried> = sel.iter().map(|&i| &candidates[i].0).collect();
+            let union_est = model.carry(&union, &branches);
+            let plan = Plan::DupElim {
+                input: Arc::new(union),
+            };
+            let est = model.carry(&plan, &[&union_est]).est;
+            if self.record(plan, est, result, t0) {
                 return;
             }
         }

@@ -78,12 +78,10 @@ fn explain_golden_xmark_bench_queries() {
     }
 }
 
-/// Feedback tightens `EXPLAIN ANALYZE`: 80 % of the `b` values are the
-/// heavy hitter 5, which the distinct sample hides, so the static model
-/// misestimates an online `v<=10` filter; the model corrected by that
-/// run's own profile explains the same run exactly.
-#[test]
-fn feedback_tightens_explain_analyze_q_error() {
+/// 80 % of the `b` values are the heavy hitter 5, which the distinct
+/// sample hides: the best rewriting of an online `v<=10` filter over one
+/// view of every `b`, its catalog and summary, and one profiled run of it.
+fn heavy_hitter_run() -> (Summary, CatalogEpoch, Plan, ExecProfile) {
     let items: Vec<String> = (0..200)
         .map(|i| format!(r#"a(b="{}")"#, if i % 5 == 4 { 1000 + i } else { 5 }))
         .collect();
@@ -97,18 +95,72 @@ fn feedback_tightens_explain_analyze_q_error() {
     let catalog = materialized(&doc, std::slice::from_ref(&view));
     let q = parse_pattern("r(//b{id,v}[v<=10])").unwrap();
     let ranked = rewrite(&q, &[view], &summary, &RewriteOpts::default());
-    let plan = &ranked.rewritings[0].plan;
-    let (rows, profile) = execute_profiled_with(plan, &catalog, &ExecOpts::default()).unwrap();
+    let plan = ranked.rewritings[0].plan.clone();
+    let (rows, profile) = execute_profiled_with(&plan, &catalog, &ExecOpts::default()).unwrap();
     assert_eq!(rows.len(), 160);
+    (summary, catalog, plan, profile)
+}
+
+/// Feedback tightens `EXPLAIN ANALYZE`: the static model misestimates the
+/// heavy-hitter filter; the model corrected by that run's own profile
+/// explains the same run exactly.
+#[test]
+fn feedback_tightens_explain_analyze_q_error() {
+    let (summary, catalog, plan, profile) = heavy_hitter_run();
     let cards = CatalogCards::over(&catalog, &summary);
-    let before = explain_analyze(plan, &CostModel::new(&summary, &cards), &profile);
+    let before = explain_analyze(&plan, &CostModel::new(&summary, &cards), &profile);
     let mut store = FeedbackStore::new();
-    store.ingest(plan, &profile);
+    store.ingest(&plan, &profile);
     let model = CostModel::new(&summary, &cards).with_feedback(&store);
-    let after = explain_analyze(plan, &model, &profile);
+    let after = explain_analyze(&plan, &model, &profile);
     let (before, after) = (before.max_q_error().unwrap(), after.max_q_error().unwrap());
     assert!(before > 10.0, "static q-error {before}");
     assert_eq!(after, 1.0, "corrected q-error");
+}
+
+/// `node`'s estimates and its subtree's are `model`'s estimates of the
+/// matching subplans of `plan`, bit for bit.
+fn assert_subplan_estimates(plan: &Plan, node: &ExplainNode, model: &CostModel<'_>) {
+    let want = model.estimate(plan);
+    assert_eq!(
+        (node.est_rows.to_bits(), node.est_cost.to_bits()),
+        (want.rows.to_bits(), want.cost.to_bits()),
+        "at `{}` ({}): {want:?}",
+        node.path,
+        node.op
+    );
+    let inputs = plan.children();
+    assert_eq!(inputs.len(), node.children.len(), "at `{}`", node.path);
+    for (input, child) in inputs.into_iter().zip(&node.children) {
+        assert_subplan_estimates(input, child, model);
+    }
+}
+
+/// `EXPLAIN` prices each operator once, over its inputs' kept estimates,
+/// and shows what [`CostModel::estimate`] gives every subplan: with and
+/// without the feedback store that ingested the run it explains.
+#[test]
+fn explain_shows_each_subplans_estimate() {
+    let (summary, catalog, plan, profile) = heavy_hitter_run();
+    let cards = CatalogCards::over(&catalog, &summary);
+    let mut store = FeedbackStore::new();
+    store.ingest(&plan, &profile);
+    let models = [
+        CostModel::new(&summary, &cards),
+        CostModel::new(&summary, &cards).with_feedback(&store),
+    ];
+    for model in &models {
+        let ex = explain_analyze(&plan, model, &profile);
+        assert!(ex.operators().len() > 2, "{ex}");
+        assert_subplan_estimates(&plan, &ex.root, model);
+        assert_subplan_estimates(&plan, &explain(&plan, model).root, model);
+    }
+    // the two models disagree somewhere, so both cases are exercised
+    let (fixed, fed) = (
+        models[0].estimate(&plan).rows,
+        models[1].estimate(&plan).rows,
+    );
+    assert_ne!(fixed.to_bits(), fed.to_bits());
 }
 
 proptest! {
