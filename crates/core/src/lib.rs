@@ -42,15 +42,21 @@
 //! values — `Arc`-shared node sets hashed once when built, sorted
 //! `(attribute, path)` words per column group — through a small
 //! multiplicative hasher, compared in full on a hit, so no text is
-//! formatted and no hash collision can prune a pair. A join is first
-//! decided from its member combinations: one that repeats the
+//! formatted and no hash collision can prune a pair. A join is decided
+//! before anything of it is built. One that repeats the member
 //! combinations and column groups of an earlier join of the same two
-//! pairs has that join's key, so it is counted as dropped and never
-//! built. The benchmark's `//quantity` ranking builds 101 of its 226
-//! joins ([`RewriteStats::joins_built`]). 44 of those still meet an
-//! earlier key in `seen`: the mirrored `b ⋈ a` and reorderings across
+//! pairs has that join's key, so it is counted as dropped and not even
+//! decided. The others merge their members' node sets and take their key
+//! from those and their inputs' member layouts, each kept with its hash
+//! when its pair was made: a `⋈_=` merges the two joined groups, and no
+//! column is sorted again. Only a new key gets a plan and an estimate,
+//! and only a join the bound keeps gets its columns, groups, views and
+//! column paths. The benchmark's `//quantity` ranking decides 101 of its
+//! 226 join options ([`RewriteStats::joins_built`]). 44 of those meet an
+//! earlier key in `seen` — the mirrored `b ⋈ a` and reorderings across
 //! expansions, which the pre-merge test does not see
-//! ([`RewriteStats::pairs_deduped`] counts both kinds of drop).
+//! ([`RewriteStats::pairs_deduped`] counts both kinds of drop) — 38 are
+//! pruned by the bound, and 19 are built.
 //!
 //! The branch-and-bound prunes a pair once a lower bound on every
 //! rewriting reachable from it reaches the best rewriting found. For a
@@ -73,9 +79,10 @@
 //! tuple?) is kept for the run by (node set, designation):
 //! [`RewriteStats::member_tests`] counts the verdicts computed,
 //! [`RewriteStats::member_tests_reused`] the ones served again (9 and 12
-//! on that ranking). Over prepared views, that ranking takes about
-//! 0.8 ms at best of 200 runs (1.5–2.0 ms without the supplier term)
-//! and a child-axis one about 0.07 ms (scale-10 XMark, the nine views of
+//! on that ranking). Over prepared views and under feedback from
+//! earlier executions, that ranking takes about 0.37 ms at best of 200
+//! runs (0.45 ms when every join was built before it was keyed) and a
+//! child-axis one about 0.05 ms (scale-10 XMark, the nine views of
 //! `smvbench`'s `adhoc`, a 2-core x86-64 host).
 
 #![warn(missing_docs)]

@@ -120,19 +120,23 @@ impl Rewriter<'_> {
         if members.len() > self.opts.max_members {
             return None;
         }
-        Some(Pair {
+        let mut pair = Pair {
             plan: Arc::new(plan),
             cols,
             groups,
             members,
+            layouts: Arc::default(),
             views: Vec::new(),
             est: None,
-        })
+        };
+        pair.lay_out();
+        Some(pair)
     }
 
     /// The base (plan, pattern) pair of view `vi` for this query: prune by
     /// Prop 3.4, take the prepared scan pair (members shared, not copied),
-    /// add the §4.6 derived columns the query can use.
+    /// add the §4.6 derived columns the query can use, and lay the members
+    /// out again if it added one.
     pub(super) fn base_pair(
         &self,
         vi: usize,
@@ -151,11 +155,15 @@ impl Rewriter<'_> {
         }
         let mut pair = prep.base.clone()?;
         pair.views = vec![vi];
+        let scanned = pair.cols.len();
         if v.scheme.derives_parent() {
             self.add_virtual_ids(&mut pair, ctx);
         }
         if self.opts.enable_content_navigation {
             self.add_content_navigation(&mut pair, ctx);
+        }
+        if pair.cols.len() != scanned {
+            pair.lay_out();
         }
         Some(pair)
     }

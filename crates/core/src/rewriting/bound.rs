@@ -4,6 +4,7 @@
 
 use super::pair::Pair;
 use super::QueryCtx;
+use smv_algebra::PlanEstimate;
 
 /// Which base pairs supply each flat output column of the query, and the
 /// cheapest of them: the per-run table behind the branch-and-bound's lower
@@ -54,20 +55,26 @@ impl Suppliers {
     }
 
     /// A lower bound on the estimated cost of every rewriting built from
-    /// `pair` or from a join extending it. A pair that supplies every
-    /// output column keeps its own cost as the bound, so the rewritings
-    /// it and its extensions yield are pruned exactly as before. One that
-    /// does not cannot pass line 7 itself: every rewriting from it joins
-    /// in a supplier of each missing column, and a join costs at least its
-    /// inputs' costs and rows.
-    pub(super) fn bound(&self, pair: &Pair) -> f64 {
+    /// a pair of estimate `est` over the views of `views` (a join's are
+    /// its two inputs'), or from a join extending it. A pair that supplies
+    /// every output column keeps its own cost as the bound, so the
+    /// rewritings it and its extensions yield are pruned exactly as
+    /// before. One that does not cannot pass line 7 itself: every
+    /// rewriting from it joins in a supplier of each missing column, and a
+    /// join costs at least its inputs' costs and rows.
+    pub(super) fn bound(&self, views: &[&[usize]], est: &PlanEstimate) -> f64 {
         let missing = (0..self.cheapest.len())
-            .filter(|&k| !pair.views.iter().any(|&v| self.by_view[v][k]))
+            .filter(|&k| {
+                !views
+                    .iter()
+                    .flat_map(|v| v.iter())
+                    .any(|&v| self.by_view[v][k])
+            })
             .map(|k| self.cheapest[k])
             .max_by(f64::total_cmp);
         match missing {
-            Some(cheapest) => pair.cost() + pair.rows() + cheapest,
-            None => pair.cost(),
+            Some(cheapest) => est.cost + est.rows + cheapest,
+            None => est.cost,
         }
     }
 }

@@ -32,9 +32,12 @@
 //!   (`PreparedView`) is built once per (view, summary constraints) and
 //!   kept on the `View`; see the crate docs;
 //! * `join`, lines 2-11 — left-deep join enumeration over `⋈_=`, `⋈_≺`,
-//!   `⋈_≺≺`, with satisfiability pruning (dead member sets); the loop
-//!   here applies the Proposition 3.5 test and the Proposition 3.6 size
-//!   bound, and `bound` the branch-and-bound's lower bound;
+//!   `⋈_≺≺`, with satisfiability pruning (dead member sets), each join
+//!   decided — its members merged and keyed from its inputs' parts —
+//!   before it is built; the loop here applies the Proposition 3.5 test
+//!   and the Proposition 3.6 size bound, and `bound` the
+//!   branch-and-bound's lower bound, and builds only the joins that pass
+//!   both;
 //! * `verdict`, line 7 — the `≡_S q` test runs both directions on
 //!   members: every member (strong-closed) must realize its designated
 //!   tuple in `q` (Prop 3.1 / §4.2 decorated embeddings), and every tree
@@ -168,8 +171,12 @@ pub struct RewriteStats {
     /// combinations and column groups of an earlier join of the same two
     /// pairs) or after.
     pub pairs_deduped: usize,
-    /// Joins built: members merged, plan and column layout made. A join
-    /// recognized as a repeat from its member combinations is not.
+    /// Joins decided: members merged and keyed from the inputs' parts, the
+    /// options left with at least one member and at most
+    /// [`RewriteOpts::max_members`]. A join recognized as a repeat from
+    /// its member combinations is not decided. Of the decided, a join
+    /// whose key was seen builds nothing more, and one the cost bound
+    /// prunes only its plan and estimate.
     pub joins_built: usize,
     /// Direction-A verdicts computed — the query embedded in a member's
     /// canonical tree, read off the member's node set — one per distinct
@@ -419,7 +426,7 @@ impl<'a> Rewriter<'a> {
         for p in &m0 {
             #[cfg(test)]
             tests::created(p);
-            seen.insert(p.key());
+            seen.insert(p.kept_key());
             m.push(p.clone());
         }
 
@@ -465,51 +472,61 @@ impl<'a> Rewriter<'a> {
                 .any(|pair| emit(pair, &mut result, &mut union_candidates, &mut best_cost));
 
         // ---- lines 2-11: left-deep join enumeration to a fixpoint
+        let mut joins = join::Joins::default();
         let mut frontier = 0usize;
         while !stop && frontier < m.len() {
             let i = frontier;
             frontier += 1;
-            if m[i].plan.scan_count() >= max_scans {
+            let a = &m[i];
+            if a.plan.scan_count() >= max_scans {
                 continue;
             }
             // B&B on the prefix: every extension joins in more base pairs,
             // one for each column the prefix does not supply yet
-            if self.opts.cost_prune && suppliers.bound(&m[i]) >= best_cost {
+            if self.opts.cost_prune && suppliers.bound(&[&a.views], &a.carried().est) >= best_cost {
                 result.stats.pairs_pruned += 1;
                 continue;
             }
-            // m[i] has fewer than `max_scans` scans and a base pair one, so
-            // every join below is within the bound
+            // `a` has fewer than `max_scans` scans and a base pair one, so
+            // every join below is within the bound. Each is decided before
+            // anything of it is built, and built only once it is kept.
             let mut created: Vec<Pair> = Vec::new();
             for base in &m0 {
-                let joins = self.join_options(&m[i], base);
+                self.join_options(a, base, &mut joins);
                 result.stats.pairs_deduped += joins.repeats;
-                result.stats.joins_built += joins.built.len();
-                for join::Joined {
-                    pair: mut joined,
-                    b_left,
-                } in joins.built
-                {
+                result.stats.joins_built += joins.decided.len();
+                for join::Decided { key, join } in joins.decided.drain(..) {
                     #[cfg(test)]
-                    tests::created(&joined);
+                    tests::created(&join.clone().pair(a, base, join.plan(a, base), None));
                     // Prop 3.5: no new pattern information. Dedup before
                     // costing so a dominated pair is estimated and counted
                     // as pruned once, not once per deriving prefix.
-                    if !seen.insert(joined.key()) {
+                    if !seen.insert(key) {
                         result.stats.pairs_deduped += 1;
                         continue;
                     }
-                    let (a, b) = (m[i].carried(), base.carried());
-                    let inputs = if b_left { [b, a] } else { [a, b] };
-                    joined.est = Some(model.carry(&joined.plan, &inputs));
+                    let plan = join.plan(a, base);
+                    let (x, y) = (a.carried(), base.carried());
+                    let inputs = if join.b_left() { [y, x] } else { [x, y] };
+                    let est = model.carry(&plan, &inputs);
                     #[cfg(test)]
-                    tests::estimated(&joined);
-                    // B&B on the freshly created pair (dominated before it
-                    // is ever tested or expanded)
-                    if self.opts.cost_prune && suppliers.bound(&joined) >= best_cost {
+                    tests::estimated(&join.clone().pair(
+                        a,
+                        base,
+                        Arc::clone(&plan),
+                        Some(est.clone()),
+                    ));
+                    // B&B on the fresh join (dominated before it is ever
+                    // built, tested or expanded)
+                    if self.opts.cost_prune
+                        && suppliers.bound(&[&a.views, &base.views], &est.est) >= best_cost
+                    {
                         result.stats.pairs_pruned += 1;
                         continue;
                     }
+                    let joined = join.pair(a, base, plan, Some(est));
+                    #[cfg(test)]
+                    tests::survived(&joined);
                     created.push(joined);
                 }
             }
@@ -619,7 +636,7 @@ impl<'a> Rewriter<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::join::Joins;
+    use super::join::{Decided, JoinKind, Joins};
     use super::pair::{dedup_members, merge_nodes, ColInfo, Member, NodeSet};
     use super::plan::rank_union_covers;
     use super::*;
@@ -629,7 +646,9 @@ mod tests {
     use smv_pattern::canonical::CTree;
     use smv_pattern::parse_pattern;
     use smv_pattern::Formula;
-    use smv_views::{materialize, CatalogCards, EpochCatalog, RefreshPolicy, ViewStore};
+    use smv_views::{
+        materialize, CatalogCards, CatalogEpoch, EpochCatalog, RefreshPolicy, ViewStore,
+    };
     use smv_xml::IdScheme;
     use smv_xml::{Document, Value};
     use std::cell::{Cell, RefCell};
@@ -676,22 +695,35 @@ mod tests {
         BUILD_REPEATS.with(Cell::get)
     }
 
-    /// `join_options`'s check of a repeat it built against the pair of the
-    /// earlier option it matched: both absent, or both present with equal
-    /// keys and equal text fingerprints.
-    pub(super) fn check_repeat(earlier: Option<&Pair>, repeat: Option<&Pair>) {
+    /// `join_options`'s check of a repeat it decided against the option it
+    /// matched, both joins of `a` and `b`: both absent, or both present
+    /// with equal keys and equal text fingerprints.
+    pub(super) fn check_repeat(
+        earlier: Option<&Decided>,
+        repeat: Option<&Decided>,
+        a: &Pair,
+        b: &Pair,
+    ) {
         match (earlier, repeat) {
             (None, None) => {}
             (Some(e), Some(r)) => {
-                assert!(e.key() == r.key(), "a repeat keys apart from its match");
-                assert_eq!(oracle_fingerprint(e), oracle_fingerprint(r));
+                assert!(e.key == r.key, "a repeat keys apart from its match");
+                assert_eq!(
+                    oracle_fingerprint(&assembled(e, a, b)),
+                    oracle_fingerprint(&assembled(r, a, b))
+                );
             }
             (e, r) => panic!(
-                "one of an option and its repeat built no pair: {} vs {}",
+                "one of an option and its repeat kept no member: {} vs {}",
                 e.is_some(),
                 r.is_some()
             ),
         }
+    }
+
+    /// The pair a decided join of `a` and `b` builds, unestimated.
+    fn assembled(d: &Decided, a: &Pair, b: &Pair) -> Pair {
+        d.join.clone().pair(a, b, d.join.plan(a, b), None)
     }
 
     /// Runs `f` with every repeat built, returning what it returns.
@@ -754,6 +786,173 @@ mod tests {
                 v.push(p.clone());
             }
         });
+    }
+
+    thread_local! {
+        /// While set: every join the search builds past the bound, and,
+        /// for every option `join_options` decides, the pair built the
+        /// way the search built every option before options were decided
+        /// ([`merged_by_hand`]).
+        static PARTS: RefCell<Option<(Vec<Pair>, Vec<Pair>)>> = const { RefCell::new(None) };
+    }
+
+    /// `join_options`'s hook: while this thread records parts, holds the
+    /// option of `a` and `b` on `ca`, `cb` of kind `kind` with
+    /// combinations `combos`, decided as `d`, equal to the pair
+    /// [`merged_by_hand`] builds from them — both absent, or present with
+    /// equal keys in equality and hash, and equal fields but the estimate —
+    /// and records that pair.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn check_parts(
+        r: &Rewriter<'_>,
+        a: &Pair,
+        b: &Pair,
+        ca: usize,
+        cb: usize,
+        kind: JoinKind,
+        combos: &[(usize, usize)],
+        d: Option<&Decided>,
+    ) {
+        PARTS.with(|c| {
+            let mut c = c.borrow_mut();
+            let Some((oracles, _)) = c.as_mut() else {
+                return;
+            };
+            let want = merged_by_hand(r, a, b, ca, cb, kind, combos);
+            match (d, want) {
+                (None, None) => {}
+                (Some(d), Some(want)) => {
+                    let key = want.key();
+                    assert!(d.key == key, "a key from parts keys apart from the pair");
+                    assert_eq!(d.key.hash, key.hash);
+                    assert_same_pair(&assembled(d, a, b), &want, "decided");
+                    oracles.push(want);
+                }
+                (d, want) => panic!("decided {} but merged {}", d.is_some(), want.is_some()),
+            }
+        });
+    }
+
+    /// `Rewriter::run`'s hook: records a join built past the bound if this
+    /// thread records parts.
+    pub(super) fn survived(p: &Pair) {
+        PARTS.with(|c| {
+            if let Some((_, survivors)) = c.borrow_mut().as_mut() {
+                survivors.push(p.clone());
+            }
+        });
+    }
+
+    /// Runs `f`, returning the pairs [`check_parts`] checked decided
+    /// options against, and every join built past the bound, meanwhile.
+    fn recording_parts(f: impl FnOnce()) -> (Vec<Pair>, Vec<Pair>) {
+        PARTS.with(|c| *c.borrow_mut() = Some(Default::default()));
+        f();
+        PARTS.with(|c| c.borrow_mut().take()).unwrap_or_default()
+    }
+
+    /// The join of `a` and `b` on `ca`, `cb` from member `combos`, built
+    /// as the search built every option before options were decided:
+    /// each combination's members merged into a member (the
+    /// unsatisfiable dropped), repeated members dropped, then the plan,
+    /// the columns, the groups and the views made, and the members laid
+    /// out afresh. `None` for no member or more than `max_members`.
+    fn merged_by_hand(
+        r: &Rewriter<'_>,
+        a: &Pair,
+        b: &Pair,
+        ca: usize,
+        cb: usize,
+        kind: JoinKind,
+        combos: &[(usize, usize)],
+    ) -> Option<Pair> {
+        let reversed = matches!(kind, JoinKind::Struct(_, true));
+        let (left, right, lcol, rcol) = if reversed {
+            (b, a, cb, ca)
+        } else {
+            (a, b, ca, cb)
+        };
+        let mut members = Vec::new();
+        for &(i, j) in combos {
+            let (ma, mb) = (&a.members[i], &b.members[j]);
+            let Some(nodes) = merge_nodes(&ma.nodes, &mb.nodes) else {
+                continue;
+            };
+            let (ml, mr) = if reversed { (mb, ma) } else { (ma, mb) };
+            let mut col_path = ml.col_path.clone();
+            col_path.extend(mr.col_path.iter().copied());
+            members.push(Member { nodes, col_path });
+        }
+        if members.is_empty() {
+            return None;
+        }
+        dedup_members(&mut members);
+        if members.len() > r.opts.max_members {
+            return None;
+        }
+        let (l, rp) = (Arc::clone(&left.plan), Arc::clone(&right.plan));
+        let plan = Arc::new(match kind {
+            JoinKind::IdEq => Plan::IdJoin {
+                left: l,
+                right: rp,
+                lcol,
+                rcol,
+            },
+            JoinKind::Struct(rel, _) => Plan::StructJoin {
+                left: l,
+                right: rp,
+                lcol,
+                rcol,
+                rel,
+            },
+        });
+        let mut cols = left.cols.clone();
+        cols.extend(right.cols.iter().cloned());
+        let off = left.groups.iter().copied().max().unwrap_or(0) + 1;
+        let mut groups = left.groups.clone();
+        groups.extend(right.groups.iter().map(|g| g + off));
+        if kind == JoinKind::IdEq {
+            let (target, src) = (groups[lcol], groups[left.cols.len() + rcol]);
+            for g in &mut groups[left.cols.len()..] {
+                if *g == src {
+                    *g = target;
+                }
+            }
+        }
+        let mut views = a.views.clone();
+        views.extend(b.views.iter().copied());
+        views.sort_unstable();
+        views.dedup();
+        let mut pair = Pair {
+            plan,
+            cols,
+            groups,
+            members,
+            layouts: Arc::default(),
+            views,
+            est: None,
+        };
+        pair.lay_out();
+        Some(pair)
+    }
+
+    /// Holds `got` equal to `want` field by field: plan, columns, groups,
+    /// members in order, views, and the kept layouts those of the columns.
+    fn assert_same_pair(got: &Pair, want: &Pair, at: &str) {
+        assert_eq!(
+            format!("{:?}", got.plan),
+            format!("{:?}", want.plan),
+            "{at}"
+        );
+        assert_eq!(
+            format!("{:?}", got.cols),
+            format!("{:?}", want.cols),
+            "{at}"
+        );
+        assert_eq!(got.groups, want.groups, "{at}");
+        assert_eq!(got.members, want.members, "{at}");
+        assert_eq!(got.views, want.views, "{at}");
+        assert_eq!(got.layouts, want.layouts, "{at}: layouts from parts");
     }
 
     /// Runs `f`, returning every direction-A verdict computed meanwhile.
@@ -997,21 +1196,19 @@ mod tests {
         }
     }
 
-    /// Every pair the search estimates — a base pair operator by
-    /// operator, a join from its inputs' carried estimates, both over the
-    /// column cards kept with the views' preparations — carries exactly
-    /// what a fresh cost model over the card source gives its plan, bit
-    /// for bit, and so does every rewriting, priced over its pair's. For
-    /// the 22 golden queries under the three ID schemes, without feedback
-    /// and with a feedback store that measured some fragments, joins and
-    /// their inputs among them.
-    #[test]
-    fn carried_estimates_are_fresh_estimates() {
+    /// For each ID scheme: an epoch catalog over `pr7_document(1.0, 1)`
+    /// with the benchmark's views, and a feedback store that measured each
+    /// of the 22 golden queries' rank-0 plan and first two joins; `f` gets
+    /// the scheme, the snapshot, the store and the queries with their
+    /// texts.
+    fn with_bench_feedback(
+        mut f: impl FnMut(IdScheme, &CatalogEpoch, &FeedbackStore, &[(Pattern, &str)]),
+    ) {
         let doc = smv_datagen::pr7_document(1.0, 1);
-        let queries: Vec<Pattern> = BENCH_QUERIES
+        let queries: Vec<(Pattern, &str)> = BENCH_QUERIES
             .iter()
             .chain(&STRING_QUERIES)
-            .map(|q| parse_pattern(q).unwrap())
+            .map(|q| (parse_pattern(q).unwrap(), *q))
             .collect();
         for scheme in [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential] {
             let mut ec = EpochCatalog::new(doc.clone(), scheme);
@@ -1021,20 +1218,13 @@ mod tests {
             let snap = ec.snapshot();
             let s = snap.summary();
             let cards = CatalogCards::over(&*snap, s);
-            let rank = |q: &Pattern, fb: Option<&FeedbackStore>| {
-                let mut r = Rewriter::new(q, snap.views(), s, opts()).with_card_source(&cards);
-                if let Some(fb) = fb {
-                    r = r.with_feedback(fb);
-                }
-                let mut result = RewriteResult::default();
-                let made = recording_estimates(|| result = r.run());
-                (result, made)
-            };
             // measured rows: each query's rank-0 plan and its first two
             // joins, executed
             let mut fb = FeedbackStore::new();
-            for q in &queries {
-                let (result, made) = rank(q, None);
+            for (q, _) in &queries {
+                let r = Rewriter::new(q, snap.views(), s, opts()).with_card_source(&cards);
+                let mut result = RewriteResult::default();
+                let made = recording_estimates(|| result = r.run());
                 let joins = made.iter().filter(|p| p.plan.scan_count() > 1).take(2);
                 let plans = result
                     .rewritings
@@ -1048,17 +1238,48 @@ mod tests {
                     fb.ingest(&plan, &profile);
                 }
             }
-            for feedback in [None, Some(&fb)] {
+            f(scheme, &snap, &fb, &queries);
+        }
+    }
+
+    /// `q` ranked over `snap`'s views through its card source, with
+    /// `feedback` if given, as the service ranks it.
+    fn rank_over(
+        snap: &CatalogEpoch,
+        q: &Pattern,
+        feedback: Option<&FeedbackStore>,
+    ) -> RewriteResult {
+        let s = snap.summary();
+        let cards = CatalogCards::over(snap, s);
+        let mut r = Rewriter::new(q, snap.views(), s, opts()).with_card_source(&cards);
+        if let Some(fb) = feedback {
+            r = r.with_feedback(fb);
+        }
+        r.run()
+    }
+
+    /// Every pair the search estimates — a base pair operator by
+    /// operator, a join from its inputs' carried estimates, both over the
+    /// column cards kept with the views' preparations — carries exactly
+    /// what a fresh cost model over the card source gives its plan, bit
+    /// for bit, and so does every rewriting, priced over its pair's. For
+    /// the 22 golden queries under the three ID schemes, without feedback
+    /// and with a feedback store that measured some fragments, joins and
+    /// their inputs among them.
+    #[test]
+    fn carried_estimates_are_fresh_estimates() {
+        with_bench_feedback(|scheme, snap, fb, queries| {
+            let s = snap.summary();
+            let cards = CatalogCards::over(snap, s);
+            for feedback in [None, Some(fb)] {
                 let mut fresh = CostModel::new(s, &cards);
                 if let Some(fb) = feedback {
                     fresh = fresh.with_feedback(fb);
                 }
                 let (mut pairs, mut measured_joins, mut rewritings) = (0, 0, 0);
-                for (q, src) in queries
-                    .iter()
-                    .zip(BENCH_QUERIES.iter().chain(&STRING_QUERIES))
-                {
-                    let (result, made) = rank(q, feedback);
+                for (q, src) in queries {
+                    let mut result = RewriteResult::default();
+                    let made = recording_estimates(|| result = rank_over(snap, q, feedback));
                     for rw in &result.rewritings {
                         let (got, want) = (rw.est, fresh.estimate(&rw.plan));
                         assert_eq!(
@@ -1095,7 +1316,58 @@ mod tests {
                 );
                 assert_eq!(feedback.is_some(), measured_joins > 0, "{scheme:?}");
             }
-        }
+        });
+    }
+
+    /// Every option the search decides — the 22 golden queries under the
+    /// three ID schemes, without feedback and with the store of
+    /// [`carried_estimates_are_fresh_estimates`] — is keyed from its
+    /// parts exactly as the pair built the way every option was built
+    /// before options were decided keys itself, in hash and in equality,
+    /// and assembles to that pair ([`check_parts`]). Every join built past
+    /// the bound is that pair field by field, its estimate a fresh cost
+    /// model's over that pair's plan, bit for bit.
+    #[test]
+    fn a_key_from_parts_is_the_key() {
+        let (mut options, mut kept) = (0, 0);
+        with_bench_feedback(|scheme, snap, fb, queries| {
+            let s = snap.summary();
+            let cards = CatalogCards::over(snap, s);
+            for feedback in [None, Some(fb)] {
+                let mut fresh = CostModel::new(s, &cards);
+                if let Some(fb) = feedback {
+                    fresh = fresh.with_feedback(fb);
+                }
+                for (q, src) in queries {
+                    let at = format!("{scheme:?}, {src}, feedback {}", feedback.is_some());
+                    let mut result = RewriteResult::default();
+                    let (oracles, survivors) =
+                        recording_parts(|| result = rank_over(snap, q, feedback));
+                    assert_eq!(oracles.len(), result.stats.joins_built, "{at}");
+                    let mut by_key: HashMap<PairKey, &Pair> = HashMap::new();
+                    for p in &oracles {
+                        by_key.entry(p.key()).or_insert(p);
+                    }
+                    for got in &survivors {
+                        let want = by_key[&got.key()];
+                        assert_same_pair(got, want, &at);
+                        let (est, fresh) = (got.carried().est, fresh.estimate(&want.plan));
+                        assert_eq!(
+                            (est.cost.to_bits(), est.rows.to_bits()),
+                            (fresh.cost.to_bits(), fresh.rows.to_bits()),
+                            "{at}"
+                        );
+                    }
+                    options += oracles.len();
+                    kept += survivors.len();
+                }
+            }
+        });
+        // not vacuous: most options decided are dropped, some kept
+        assert!(
+            options > 1000 && kept > 100,
+            "{options} options, {kept} kept"
+        );
     }
 
     /// The text identity `Pair::key` replaced (PR 21), kept as the oracle
@@ -1335,18 +1607,20 @@ mod tests {
     }
 
     /// The `adhoc` request that sets the p95: one descendant-axis ranking
-    /// builds 101 joins, not 226.
+    /// decides 101 joins, not 226, and builds only the 19 it keeps.
     #[test]
     fn a_descendant_ranking_builds_only_joins_that_can_be_new() {
         let s = bench_summary();
         let views = bench_views(IdScheme::OrdPath);
         let q = parse_pattern("site(//quantity{id,v}[v>2 and v<1000007])").unwrap();
-        let fast = rewrite(&q, &views, &s, &opts());
+        let mut fast = RewriteResult::default();
+        let (_, kept) = recording_parts(|| fast = rewrite(&q, &views, &s, &opts()));
         let every = building_every_join(|| rewrite(&q, &views, &s, &opts()));
         assert_eq!(fast.stats.views_kept, 7);
         assert_eq!(fast.stats.joins_built, 101);
         assert_eq!(every.stats.joins_built, 226);
         assert_eq!(fast.stats.pairs_deduped, every.stats.pairs_deduped);
+        assert_eq!(kept.len(), 19, "joins built past the bound");
     }
 
     /// A returned column no kept view stores — here the content of an
@@ -1392,7 +1666,22 @@ mod tests {
 
     fn joins(s: &Summary, a: &Pair, b: &Pair) -> Joins {
         let q = parse_pattern("r").unwrap();
-        Rewriter::new(&q, &[], s, opts()).join_options(a, b)
+        let mut joins = Joins::default();
+        Rewriter::new(&q, &[], s, opts()).join_options(a, b, &mut joins);
+        joins
+    }
+
+    /// The pairs the decided joins `j` of `a` and `b` build, each keyed
+    /// from its parts as it was decided: the key must be the pair's.
+    fn built(j: &Joins, a: &Pair, b: &Pair) -> Vec<Pair> {
+        j.decided
+            .iter()
+            .map(|d| {
+                let p = assembled(d, a, b);
+                assert!(d.key == p.key(), "a key from parts is the key");
+                p
+            })
+            .collect()
     }
 
     #[test]
@@ -1403,15 +1692,16 @@ mod tests {
         let names = scanned(&s, "r(//name{id,v})");
         // names ⋈_= names: both ID columns in one group
         let self_join = joins(&s, &names, &names);
-        assert_eq!((self_join.built.len(), self_join.repeats), (1, 0));
-        let twice = &self_join.built[0].pair;
+        assert_eq!((self_join.decided.len(), self_join.repeats), (1, 0));
+        let twice = &built(&self_join, &names, &names)[0];
         assert_eq!(twice.groups, vec![0, 0, 0, 0]);
         // ⋈_= on the second ID column repeats the one on the first
         let j = joins(&s, twice, &names);
-        assert_eq!((j.built.len(), j.repeats), (1, 1));
+        assert_eq!((j.decided.len(), j.repeats), (1, 1));
         let every = building_every_join(|| joins(&s, twice, &names));
-        assert_eq!((every.built.len(), every.repeats), (2, 0));
-        assert!(every.built[0].pair.key() == every.built[1].pair.key());
+        assert_eq!((every.decided.len(), every.repeats), (2, 0));
+        let every = built(&every, twice, &names);
+        assert!(every[0].key() == every[1].key());
     }
 
     #[test]
@@ -1423,10 +1713,11 @@ mod tests {
         );
         // ⋈_≺ builds, ⋈_≺≺ has the same one combination: a repeat
         let j = joins(&flat, &items, &names);
-        assert_eq!((j.built.len(), j.repeats), (1, 1));
+        assert_eq!((j.decided.len(), j.repeats), (1, 1));
         let every = building_every_join(|| joins(&flat, &items, &names));
-        assert_eq!(every.built.len(), 2);
-        assert!(every.built[0].pair.key() == every.built[1].pair.key());
+        let every = built(&every, &items, &names);
+        assert_eq!(every.len(), 2);
+        assert!(every[0].key() == every[1].key());
         // an item inside an item: ⋈_≺≺ also reaches the inner name
         let deep = Summary::of(&Document::from_parens(
             r#"r(item(name="a" item(name="b")))"#,
@@ -1436,8 +1727,9 @@ mod tests {
             scanned(&deep, "r(//name{id,v})"),
         );
         let j = joins(&deep, &items, &names);
-        assert_eq!((j.built.len(), j.repeats), (2, 0));
-        assert!(j.built[0].pair.key() != j.built[1].pair.key());
+        assert_eq!((j.decided.len(), j.repeats), (2, 0));
+        let j = built(&j, &items, &names);
+        assert!(j[0].key() != j[1].key());
     }
 
     /// The near miss: two ID columns on the same path in every member but
@@ -1457,8 +1749,9 @@ mod tests {
         )]);
         let items = scanned(&s, "r(/item{id})");
         let j = joins(&s, &a, &items);
-        assert_eq!((j.built.len(), j.repeats), (2, 0));
-        keys_agree(&j.built[0].pair, &j.built[1].pair, false);
+        assert_eq!((j.decided.len(), j.repeats), (2, 0));
+        let j = built(&j, &a, &items);
+        keys_agree(&j[0], &j[1], false);
     }
 
     fn f_gt(c: i64) -> Formula {
@@ -1466,7 +1759,7 @@ mod tests {
     }
 
     fn id_value_pair(members: Vec<Member>) -> Pair {
-        Pair {
+        let mut pair = Pair {
             plan: Arc::new(Plan::Scan { view: "t".into() }),
             cols: [AttrKind::Id, AttrKind::Value, AttrKind::Id]
                 .into_iter()
@@ -1478,9 +1771,12 @@ mod tests {
                 .collect(),
             groups: vec![0, 0, 1],
             members,
+            layouts: Arc::default(),
             views: Vec::new(),
             est: None,
-        }
+        };
+        pair.lay_out();
+        pair
     }
 
     fn member(nodes: &[(u32, Formula)], col_path: &[Option<u32>]) -> Member {

@@ -288,6 +288,9 @@ pub(super) struct Pair {
     /// Same-node equivalence classes over columns (merged by `⋈_=`).
     pub(super) groups: Vec<u32>,
     pub(super) members: Vec<Member>,
+    /// Every member's layout, laid out once its columns are final and
+    /// shared with the pair's [`PairKey`].
+    pub(super) layouts: Arc<Layouts>,
     pub(super) views: Vec<usize>,
     /// The estimate of the raw (pre-output-adaptation) plan, once the
     /// search has made it: a base pair's operator by operator, a join's
@@ -320,51 +323,236 @@ impl Pair {
             .find(|&c| self.groups[c] == g && attr.is_none_or(|a| self.cols[c].attr == a))
     }
 
-    /// The pair's Prop. 3.5 identity; see [`PairKey`].
+    /// Lays the members out anew from the columns ([`Layouts::of`]): once
+    /// a base pair's columns are final.
+    pub(super) fn lay_out(&mut self) {
+        self.layouts = Arc::new(Layouts::of(&self.cols, &self.groups, &self.members));
+    }
+
+    /// The pair's Prop. 3.5 identity from its kept layouts.
+    pub(super) fn kept_key(&self) -> PairKey {
+        let nodes = self.members.iter().map(|m| m.nodes.clone());
+        PairKey::new(nodes, Arc::clone(&self.layouts))
+    }
+
+    /// The pair's Prop. 3.5 identity with every member laid out afresh
+    /// from the columns: what a key from parts must equal.
+    #[cfg(test)]
     pub(super) fn key(&self) -> PairKey {
-        // the columns, grouped (column order within a group kept)
-        let mut by_group: Vec<usize> = (0..self.cols.len()).collect();
-        by_group.sort_by_key(|&c| self.groups[c]);
-        let mut layouts: Vec<u64> = Vec::new();
-        let mut members: Vec<MemberKey> = Vec::with_capacity(self.members.len());
-        let mut codes: Vec<u64> = Vec::with_capacity(self.cols.len());
-        let mut spans: Vec<Range<usize>> = Vec::new();
-        for m in &self.members {
+        let nodes = self.members.iter().map(|m| m.nodes.clone());
+        PairKey::new(
+            nodes,
+            Arc::new(Layouts::of(&self.cols, &self.groups, &self.members)),
+        )
+    }
+}
+
+/// Every member's *layout*, in member order: per column group, the
+/// sorted [`layout_code`]s of the group's columns followed by
+/// [`GROUP_END`], the groups in order of their codes (then of their group
+/// number); with each layout's hash, taken once. A base pair is laid out
+/// from its columns ([`Layouts::of`]); a join's members are combined from
+/// their inputs' layouts ([`Layouts::push_joined`]), no column sorted
+/// again.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(super) struct Layouts {
+    codes: Vec<u64>,
+    /// The pair's column group of each word of `codes`.
+    groups: Vec<u32>,
+    /// Each member's end in `codes`, with its layout's hash.
+    ends: Vec<(usize, u64)>,
+}
+
+impl Layouts {
+    /// The layouts of `members` over the columns `cols`, grouped by
+    /// `groups`.
+    pub(super) fn of(cols: &[ColInfo], groups: &[u32], members: &[Member]) -> Layouts {
+        let mut by_group: Vec<usize> = (0..cols.len()).collect();
+        by_group.sort_by_key(|&c| groups[c]);
+        let mut out = Layouts::default();
+        let mut codes: Vec<u64> = Vec::with_capacity(cols.len());
+        let mut spans: Vec<(Range<usize>, u32)> = Vec::new();
+        for m in members {
             codes.clear();
             spans.clear();
-            for group in by_group.chunk_by(|&x, &y| self.groups[x] == self.groups[y]) {
+            for group in by_group.chunk_by(|&x, &y| groups[x] == groups[y]) {
                 let start = codes.len();
                 codes.extend(
                     group
                         .iter()
-                        .map(|&c| layout_code(self.cols[c].attr, m.col_path[c])),
+                        .map(|&c| layout_code(cols[c].attr, m.col_path[c])),
                 );
                 codes[start..].sort_unstable();
-                spans.push(start..codes.len());
+                spans.push((start..codes.len(), groups[group[0]]));
             }
-            spans.sort_unstable_by(|x, y| codes[x.clone()].cmp(&codes[y.clone()]));
-            let start = layouts.len();
-            for span in &spans {
-                layouts.extend_from_slice(&codes[span.clone()]);
-                layouts.push(GROUP_END);
-            }
-            members.push(MemberKey {
-                nodes: m.nodes.clone(),
-                layout_hash: FastBuild::default().hash_one(&layouts[start..]),
-                layout: start..layouts.len(),
+            spans.sort_unstable_by(|(x, gx), (y, gy)| {
+                codes[x.clone()].cmp(&codes[y.clone()]).then(gx.cmp(gy))
             });
+            for (span, g) in &spans {
+                out.push_group(&codes[span.clone()], *g);
+            }
+            out.end_member();
         }
+        out
+    }
+
+    /// Room for `members` layouts of `words` words in all.
+    pub(super) fn with_capacity(members: usize, words: usize) -> Layouts {
+        Layouts {
+            codes: Vec::with_capacity(words),
+            groups: Vec::with_capacity(words),
+            ends: Vec::with_capacity(members),
+        }
+    }
+
+    /// The words of member `m`'s layout.
+    pub(super) fn width(&self, m: usize) -> usize {
+        self.span(m).len()
+    }
+
+    /// Appends the layout of the member joining `l`'s member `i` with
+    /// `r`'s member `j`, `r`'s groups numbered up by `off`: the two lists
+    /// of groups merged in order. `eq` names the group of each side a
+    /// `⋈_=` makes one; their codes merge into one group, which keeps
+    /// `l`'s number. `merged` is scratch space.
+    pub(super) fn push_joined(
+        &mut self,
+        (l, i): (&Layouts, usize),
+        (r, j): (&Layouts, usize),
+        off: u32,
+        eq: Option<(u32, u32)>,
+        merged: &mut Vec<u64>,
+    ) {
+        // the `⋈_=`'s merged group, put in its place among the others
+        let mut pending = None;
+        if let Some((gl, gr)) = eq {
+            let (mut x, mut y) = (l.group(i, gl), r.group(j, gr));
+            merged.clear();
+            while let (Some(&p), Some(&q)) = (x.first(), y.first()) {
+                merged.push(p.min(q));
+                if p <= q {
+                    x = &x[1..];
+                } else {
+                    y = &y[1..];
+                }
+            }
+            merged.extend_from_slice(x);
+            merged.extend_from_slice(y);
+            pending = Some((&merged[..], gl));
+        }
+        let (skip_l, skip_r) = (eq.map(|e| e.0), eq.map(|e| e.1));
+        let mut ls = l
+            .groups_of(i)
+            .filter(|&(_, g)| Some(g) != skip_l)
+            .peekable();
+        let mut rs = r
+            .groups_of(j)
+            .filter(|&(_, g)| Some(g) != skip_r)
+            .map(|(c, g)| (c, g + off))
+            .peekable();
+        loop {
+            let next = match (ls.peek(), rs.peek()) {
+                (Some(x), Some(y)) if x <= y => ls.next(),
+                (Some(_), Some(_)) => rs.next(),
+                (Some(_), None) => ls.next(),
+                (None, _) => rs.next(),
+            };
+            if let Some(p) = pending.filter(|p| next.is_none_or(|n| *p < n)) {
+                self.push_group(p.0, p.1);
+                pending = None;
+            }
+            let Some((codes, g)) = next else {
+                break;
+            };
+            self.push_group(codes, g);
+        }
+        self.end_member();
+    }
+
+    fn push_group(&mut self, codes: &[u64], g: u32) {
+        self.codes.extend_from_slice(codes);
+        self.codes.push(GROUP_END);
+        self.groups.resize(self.codes.len(), g);
+    }
+
+    /// Closes the member whose groups were pushed last, hashing its
+    /// layout.
+    fn end_member(&mut self) {
+        let start = self.ends.last().map_or(0, |e| e.0);
+        let hash = FastBuild::default().hash_one(&self.codes[start..]);
+        self.ends.push((self.codes.len(), hash));
+    }
+
+    fn span(&self, m: usize) -> Range<usize> {
+        let start = if m == 0 { 0 } else { self.ends[m - 1].0 };
+        start..self.ends[m].0
+    }
+
+    /// Member `m`'s layout: its groups' codes, each group ended by
+    /// [`GROUP_END`].
+    fn codes(&self, m: usize) -> &[u64] {
+        &self.codes[self.span(m)]
+    }
+
+    fn hash(&self, m: usize) -> u64 {
+        self.ends[m].1
+    }
+
+    /// Member `m`'s groups in order: each one's codes (without its end)
+    /// and its group number.
+    fn groups_of(&self, m: usize) -> impl Iterator<Item = (&[u64], u32)> {
+        let span = self.span(m);
+        let groups = &self.groups[span.clone()];
+        let mut at = 0;
+        self.codes[span]
+            .split_inclusive(|&c| c == GROUP_END)
+            .map(move |g| {
+                let group = groups[at];
+                at += g.len();
+                (&g[..g.len() - 1], group)
+            })
+    }
+
+    /// The codes of member `m`'s group `g`.
+    fn group(&self, m: usize, g: u32) -> &[u64] {
+        self.groups_of(m)
+            .find(|&(_, x)| x == g)
+            .map(|(codes, _)| codes)
+            .expect("the member lays the group out")
+    }
+}
+
+/// A pair's Prop. 3.5 identity: the multiset of its members, each taken
+/// as its node set plus its layout ([`Layouts`]). The plan, the views and
+/// the column order are not part of it: a join whose key the search has
+/// already seen opens no new rewriting. Two keys are equal exactly when
+/// those contents are; the hash only decides where to look, so a
+/// collision costs a comparison and never drops a pair.
+pub(super) struct PairKey {
+    pub(super) hash: u64,
+    /// Each member's node set and its index in `layouts`, in a total order
+    /// (hashes, then node set, then layout) so equal multisets line up.
+    members: Vec<(NodeSet, usize)>,
+    layouts: Arc<Layouts>,
+}
+
+impl PairKey {
+    /// The key of the members with node sets `nodes` and layouts
+    /// `layouts`, in the same order.
+    pub(super) fn new(nodes: impl Iterator<Item = NodeSet>, layouts: Arc<Layouts>) -> PairKey {
+        let mut members: Vec<(NodeSet, usize)> = nodes.zip(0..).collect();
+        let l = &*layouts;
         // hashes first, contents on a tie: a total order consistent with `==`
-        members.sort_unstable_by(|x, y| {
-            (x.nodes.hash(), x.layout_hash)
-                .cmp(&(y.nodes.hash(), y.layout_hash))
-                .then_with(|| x.nodes.cmp(&y.nodes))
-                .then_with(|| layouts[x.layout.clone()].cmp(&layouts[y.layout.clone()]))
+        members.sort_unstable_by(|(x, i), (y, j)| {
+            (x.hash(), l.hash(*i))
+                .cmp(&(y.hash(), l.hash(*j)))
+                .then_with(|| x.cmp(y))
+                .then_with(|| l.codes(*i).cmp(l.codes(*j)))
         });
         let mut h = FastHasher::default();
-        for mk in &members {
-            h.write_u64(mk.nodes.hash());
-            h.write_u64(mk.layout_hash);
+        for (nodes, m) in &members {
+            h.write_u64(nodes.hash());
+            h.write_u64(l.hash(*m));
         }
         PairKey {
             hash: h.finish(),
@@ -374,39 +562,18 @@ impl Pair {
     }
 }
 
-/// A pair's Prop. 3.5 identity: the multiset of its members, each taken
-/// as its node set plus its *layout* — per column group, the sorted
-/// `(attribute, path)` list of the group's columns, the groups sorted. The
-/// plan, the views and the column order are not part of it: a join whose
-/// key the search has already seen opens no new rewriting. Two keys are
-/// equal exactly when those contents are; the hash only decides where to
-/// look, so a collision costs a comparison and never drops a pair.
-pub(super) struct PairKey {
-    pub(super) hash: u64,
-    /// In a total order (node set, then layout), so equal multisets line
-    /// up.
-    members: Vec<MemberKey>,
-    /// Every member's layout: its groups' [`layout_code`]s, each group
-    /// followed by [`GROUP_END`].
-    layouts: Vec<u64>,
-}
-
-struct MemberKey {
-    nodes: NodeSet,
-    layout_hash: u64,
-    /// This member's span of [`PairKey::layouts`].
-    layout: Range<usize>,
-}
-
 impl PartialEq for PairKey {
     fn eq(&self, other: &PairKey) -> bool {
+        let (x, y) = (&*self.layouts, &*other.layouts);
         self.hash == other.hash
             && self.members.len() == other.members.len()
-            && self.members.iter().zip(&other.members).all(|(a, b)| {
-                a.layout_hash == b.layout_hash
-                    && a.nodes == b.nodes
-                    && self.layouts[a.layout.clone()] == other.layouts[b.layout.clone()]
-            })
+            && self
+                .members
+                .iter()
+                .zip(&other.members)
+                .all(|((a, i), (b, j))| {
+                    x.hash(*i) == y.hash(*j) && a == b && x.codes(*i) == y.codes(*j)
+                })
     }
 }
 

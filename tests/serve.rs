@@ -90,6 +90,28 @@ fn cached_results_match_fresh_execution_across_schemes_and_threads() {
     }
 }
 
+/// A served `//quantity{v}` answer holds its few distinct rows and no room
+/// for the many its `Select` passed: the plan's `DupElim` builds each
+/// distinct value once, and the result cache keeps that vector.
+#[test]
+fn a_cached_answer_holds_no_dead_capacity() {
+    let _quiet = beside_others();
+    let svc = service(1.0, 1, IdScheme::OrdPath, 1);
+    let q = "site(//quantity{v}[v>3 and v<1000008])";
+    let cold = svc.query(q).unwrap();
+    let hot = svc.query(q).unwrap();
+    assert!(hot.result_cache_hit && hot.rows.rows == cold.rows.rows);
+    let quantities = smv::algebra::ViewProvider::extent(&*hot.snapshot, "quantities").unwrap();
+    let rows = &hot.rows.rows;
+    assert!(rows.len() > 1 && rows.len() * 10 < quantities.len());
+    assert!(
+        rows.capacity() <= 2 * rows.len(),
+        "{} rows in room for {}",
+        rows.len(),
+        rows.capacity()
+    );
+}
+
 #[test]
 fn concurrent_clients_with_interleaved_updates_stay_coherent() {
     const CLIENTS: usize = 3;
