@@ -1,6 +1,7 @@
 //! The branch-and-bound over Algorithm 1's lines 2–11 (§4): which base
-//! pairs supply each returned column, and the lower bound on every
-//! rewriting a pair can still reach.
+//! pairs supply each returned column, the lower bound on every rewriting
+//! a pair can still reach, and the least estimate a join of two pairs can
+//! have, known before the join is decided.
 
 use super::pair::Pair;
 use super::QueryCtx;
@@ -77,4 +78,15 @@ impl Suppliers {
             None => est.cost,
         }
     }
+}
+
+/// A lower bound on the estimate of every join of `a` and `b`: the cost
+/// model prices a join at its inputs' work and rows plus its own rows
+/// (`CostModel::carry`), whatever feedback measured, with either input on
+/// the left. The rows bound is 0; the work bound is the smaller of the two
+/// orders' sums, as float addition rounds differently in each.
+pub(super) fn join_floor(a: &Pair, b: &Pair) -> PlanEstimate {
+    let (x, y) = (a.carried().est, b.carried().est);
+    let cost = (x.cost + y.cost + x.rows + y.rows).min(y.cost + x.cost + y.rows + x.rows);
+    PlanEstimate { rows: 0.0, cost }
 }

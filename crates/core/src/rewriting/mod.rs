@@ -36,13 +36,15 @@
 //!   decided — its members merged and keyed from its inputs' parts —
 //!   before it is built; the loop here applies the Proposition 3.5 test
 //!   and the Proposition 3.6 size bound, and `bound` the
-//!   branch-and-bound's lower bound, and builds only the joins that pass
-//!   both;
+//!   branch-and-bound's lower bounds — on a prefix, on every join of a
+//!   prefix with a base pair before any is decided, and on a join priced
+//!   — and builds only the joins that pass them;
 //! * `verdict`, line 7 — the `≡_S q` test runs both directions on
 //!   members: every member (strong-closed) must realize its designated
 //!   tuple in `q` (Prop 3.1 / §4.2 decorated embeddings), and every tree
 //!   of `mod_S(q)` must be covered by some member with value coverage
-//!   (Prop 3.2 / §4.2 condition 2). `σ_{L=l}` and `σ_{φ(v)}` selections
+//!   (Prop 3.2 / §4.2 condition 2), the model read as each tree's node
+//!   set, closed under strong edges on words. `σ_{L=l}` and `σ_{φ(v)}` selections
 //!   are inserted per §4.6 before testing;
 //! * `plan`, lines 13-14 — minimal unions of pairs that jointly cover
 //!   `mod_S(q)`; and the output — plans are completed with the §4.6
@@ -58,13 +60,13 @@ mod plan;
 mod verdict;
 
 use adapt::{PrepStamp, PreparedView};
-use bound::Suppliers;
+use bound::{join_floor, Suppliers};
 use pair::{Pair, PairKey};
 use plan::{flat_out_cols, UnionCandidate};
 use smv_algebra::{
     AttrKind, CardSource, ColCard, CostModel, FeedbackStore, Plan, PlanEstimate, ScanCard,
 };
-use smv_pattern::canonical::{canonical_model, CanonOpts};
+use smv_pattern::canonical::{unclosed_model, CanonOpts};
 use smv_pattern::{associated_paths, PNodeId, Pattern};
 use smv_summary::Summary;
 use smv_views::{DefCards, View};
@@ -96,7 +98,9 @@ pub struct RewriteOpts {
     /// pairs cheapest-first, shrinking time-to-first-rewriting.
     pub rank_by_cost: bool,
     /// Branch-and-bound: once a rewriting is known, prune every left-deep
-    /// prefix whose lower bound reaches the best complete plan's cost. A
+    /// prefix, every join of a prefix with a base pair (before the join is
+    /// decided, from both inputs' work and rows) and every join priced,
+    /// whose lower bound reaches the best complete plan's cost. A
     /// prefix that supplies every flat output column is bounded by its
     /// estimated work. One that does not is bounded by its work and rows
     /// plus the largest, over the columns it lacks, of the cheapest base
@@ -161,10 +165,13 @@ pub struct RewriteStats {
     pub total: Duration,
     /// (plan, pattern) pairs explored.
     pub pairs_explored: usize,
-    /// (plan, pattern) pairs pruned by the cost bound before exploration:
-    /// a freshly built join, or a prefix about to be extended, whose lower
-    /// bound (see [`RewriteOpts::cost_prune`]) reaches the best rewriting
-    /// found so far.
+    /// (plan, pattern) pairs pruned by the cost bound before exploration,
+    /// each when its lower bound (see [`RewriteOpts::cost_prune`]) reaches
+    /// the best rewriting found so far: a prefix about to be extended; a
+    /// (prefix, base pair) combination skipped before any of its joins is
+    /// decided, as no join costs less than both inputs' work and rows
+    /// (counted once, however many joins it has); and a join priced past
+    /// the Proposition 3.5 test.
     pub pairs_pruned: usize,
     /// Joins dropped by the Proposition 3.5 test because their key was
     /// already seen — whether recognized before being built (the member
@@ -174,9 +181,12 @@ pub struct RewriteStats {
     /// Joins decided: members merged and keyed from the inputs' parts, the
     /// options left with at least one member and at most
     /// [`RewriteOpts::max_members`]. A join recognized as a repeat from
-    /// its member combinations is not decided. Of the decided, a join
-    /// whose key was seen builds nothing more, and one the cost bound
-    /// prunes only its plan and estimate.
+    /// its member combinations is not decided, nor is one of a
+    /// combination the cost bound skips (see
+    /// [`pairs_pruned`](Self::pairs_pruned)) — unless a join about to be
+    /// kept could repeat it, which decides that combination then. Of the
+    /// decided, a join whose key was seen builds nothing more, and one
+    /// the cost bound prunes only its plan and estimate.
     pub joins_built: usize,
     /// Direction-A verdicts computed — the query embedded in a member's
     /// canonical tree, read off the member's node set — one per distinct
@@ -203,7 +213,7 @@ struct QueryCtx<'a> {
     q: &'a Pattern,
     /// The unnested query.
     qf: Pattern,
-    /// `mod_S(qf)` with strong closure.
+    /// `mod_S(qf)` as direction B reads it ([`ModelTree::closed_list`]).
     qmodel: Vec<ModelTree>,
     /// Flat output columns: (return node, attr) in schema order.
     out_cols: Vec<(PNodeId, AttrKind)>,
@@ -333,7 +343,7 @@ impl<'a> Rewriter<'a> {
         result.stats.views_total = self.views.len();
 
         let qf = self.q.unnest_copy();
-        let qmodel_full = canonical_model(&qf, self.s, &self.opts.canon);
+        let qmodel_full = unclosed_model(&qf, self.s, &self.opts.canon);
         let qpaths = associated_paths(&qf, self.s);
         let out_cols = flat_out_cols(&qf);
         let mut q_all: Vec<NodeId> = Vec::new();
@@ -345,7 +355,7 @@ impl<'a> Rewriter<'a> {
         let ctx = QueryCtx {
             q: self.q,
             qf: qf.clone(),
-            qmodel: qmodel_full.trees.iter().map(ModelTree::new).collect(),
+            qmodel: ModelTree::closed_list(&qmodel_full.trees, self.s, self.opts.canon.use_strong),
             out_cols,
             returns: qf.return_nodes(),
             qpaths,
@@ -473,6 +483,10 @@ impl<'a> Rewriter<'a> {
 
         // ---- lines 2-11: left-deep join enumeration to a fixpoint
         let mut joins = join::Joins::default();
+        // the `(prefix, base)` combinations the bound skipped and no join
+        // about to be kept has decided yet, by their indices in `m` and `m0`
+        let mut skipped: Vec<(usize, usize)> = Vec::new();
+        let mut late = join::Joins::default();
         let mut frontier = 0usize;
         while !stop && frontier < m.len() {
             let i = frontier;
@@ -491,7 +505,18 @@ impl<'a> Rewriter<'a> {
             // every join below is within the bound. Each is decided before
             // anything of it is built, and built only once it is kept.
             let mut created: Vec<Pair> = Vec::new();
-            for base in &m0 {
+            for (bi, base) in m0.iter().enumerate() {
+                // B&B before deciding: no join of `a` and `base` costs less
+                // than `join_floor`, so none of them is decided now
+                let skip = self.opts.cost_prune
+                    && suppliers.bound(&[&a.views, &base.views], &join_floor(a, base)) >= best_cost;
+                #[cfg(test)]
+                let (skippable, skip) = (skip, skip && !tests::deciding_skipped());
+                if skip {
+                    result.stats.pairs_pruned += 1;
+                    skipped.push((i, bi));
+                    continue;
+                }
                 self.join_options(a, base, &mut joins);
                 result.stats.pairs_deduped += joins.repeats;
                 result.stats.joins_built += joins.decided.len();
@@ -501,7 +526,7 @@ impl<'a> Rewriter<'a> {
                     // Prop 3.5: no new pattern information. Dedup before
                     // costing so a dominated pair is estimated and counted
                     // as pruned once, not once per deriving prefix.
-                    if !seen.insert(key) {
+                    if seen.contains(&key) {
                         result.stats.pairs_deduped += 1;
                         continue;
                     }
@@ -521,7 +546,26 @@ impl<'a> Rewriter<'a> {
                     if self.opts.cost_prune
                         && suppliers.bound(&[&a.views, &base.views], &est.est) >= best_cost
                     {
+                        seen.insert(key);
                         result.stats.pairs_pruned += 1;
+                        continue;
+                    }
+                    #[cfg(test)]
+                    assert!(!skippable, "the bound skipped a join the search keeps");
+                    // a join of a combination skipped before this one may
+                    // carry its key: decide those that can, so that it is
+                    // dropped exactly when deciding every combination drops
+                    // it
+                    skipped.retain(|&(si, sb)| {
+                        let (sa, sbase) = (&m[si], &m0[sb]);
+                        let may = key.may_join(sa, sbase);
+                        if may {
+                            self.decide_skipped(sa, sbase, &mut seen, &mut result.stats, &mut late);
+                        }
+                        !may
+                    });
+                    if !seen.insert(key) {
+                        result.stats.pairs_deduped += 1;
                         continue;
                     }
                     let joined = join.pair(a, base, plan, Some(est));
@@ -610,6 +654,32 @@ impl<'a> Rewriter<'a> {
         self.prepared(view).0.cols.clone()
     }
 
+    /// Decides the joins of prefix `a` and base pair `base`, a
+    /// combination the bound skipped, and enters their keys in `seen`.
+    /// None of them is kept, but a join the search is about to keep
+    /// repeats one of them if it has its key. `joins` is scratch space.
+    fn decide_skipped(
+        &self,
+        a: &Pair,
+        base: &Pair,
+        seen: &mut HashSet<PairKey, FastBuild>,
+        stats: &mut RewriteStats,
+        joins: &mut join::Joins,
+    ) {
+        self.join_options(a, base, joins);
+        stats.pairs_deduped += joins.repeats;
+        stats.joins_built += joins.decided.len();
+        for join::Decided { key, join } in joins.decided.drain(..) {
+            #[cfg(test)]
+            tests::created(&join.clone().pair(a, base, join.plan(a, base), None));
+            #[cfg(not(test))]
+            let _ = join;
+            if !seen.insert(key) {
+                stats.pairs_deduped += 1;
+            }
+        }
+    }
+
     /// Records `plan` as a rewriting with its estimate `est`; the first
     /// one of the run sets [`RewriteStats::first_rewriting`] to the time
     /// since `t0`. Returns whether the run now has
@@ -643,7 +713,7 @@ mod tests {
     use crate::containment::{tuple_in, FormulaMode};
     use proptest::prelude::*;
     use smv_algebra::{execute_profiled_with, execute_with, ExecOpts};
-    use smv_pattern::canonical::CTree;
+    use smv_pattern::canonical::{canonical_model, CTree};
     use smv_pattern::parse_pattern;
     use smv_pattern::Formula;
     use smv_views::{
@@ -834,13 +904,52 @@ mod tests {
     }
 
     /// `Rewriter::run`'s hook: records a join built past the bound if this
-    /// thread records parts.
+    /// thread records parts or kept joins.
     pub(super) fn survived(p: &Pair) {
         PARTS.with(|c| {
             if let Some((_, survivors)) = c.borrow_mut().as_mut() {
                 survivors.push(p.clone());
             }
         });
+        KEPT.with(|c| {
+            if let Some(v) = c.borrow_mut().as_mut() {
+                v.push(format!("{:?}", p.plan));
+            }
+        });
+    }
+
+    thread_local! {
+        /// The plan of every join the search builds past the bound, in
+        /// order, while a test is recording.
+        static KEPT: RefCell<Option<Vec<String>>> = const { RefCell::new(None) };
+        /// While set, the search decides every `(prefix, base)` combination
+        /// `join_floor` lets it skip, as it did before that bound; counts
+        /// them.
+        static DECIDE_SKIPPED: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// `Rewriter::run`'s hook, asked for each combination the bound would
+    /// skip: is this thread deciding them? Counts the combination if so.
+    /// `run` then asserts that none of its options is kept: each is a
+    /// repeat, or priced and pruned by the bound on its own estimate.
+    pub(super) fn deciding_skipped() -> bool {
+        DECIDE_SKIPPED.with(|c| c.get().inspect(|n| c.set(Some(n + 1))).is_some())
+    }
+
+    /// Runs `f` with every combination the bound skips decided, returning
+    /// what it returns and how many such combinations there were.
+    fn deciding_skipped_joins<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        DECIDE_SKIPPED.with(|c| c.set(Some(0)));
+        let out = f();
+        (out, DECIDE_SKIPPED.with(|c| c.take()).unwrap_or_default())
+    }
+
+    /// Runs `f`, returning the plan of every join built past the bound
+    /// meanwhile, in order.
+    fn recording_kept(f: impl FnOnce()) -> Vec<String> {
+        KEPT.with(|c| *c.borrow_mut() = Some(Vec::new()));
+        f();
+        KEPT.with(|c| c.borrow_mut().take()).unwrap_or_default()
     }
 
     /// Runs `f`, returning the pairs [`check_parts`] checked decided
@@ -1224,7 +1333,9 @@ mod tests {
             for (q, _) in &queries {
                 let r = Rewriter::new(q, snap.views(), s, opts()).with_card_source(&cards);
                 let mut result = RewriteResult::default();
-                let made = recording_estimates(|| result = r.run());
+                // every combination decided, so that the joins measured
+                // do not depend on which the bound skips
+                let (made, _) = deciding_skipped_joins(|| recording_estimates(|| result = r.run()));
                 let joins = made.iter().filter(|p| p.plan.scan_count() > 1).take(2);
                 let plans = result
                     .rewritings
@@ -1265,7 +1376,8 @@ mod tests {
     /// for bit, and so does every rewriting, priced over its pair's. For
     /// the 22 golden queries under the three ID schemes, without feedback
     /// and with a feedback store that measured some fragments, joins and
-    /// their inputs among them.
+    /// their inputs among them; each ranking as served and again with the
+    /// combinations the bound skips decided and priced.
     #[test]
     fn carried_estimates_are_fresh_estimates() {
         with_bench_feedback(|scheme, snap, fb, queries| {
@@ -1277,9 +1389,16 @@ mod tests {
                     fresh = fresh.with_feedback(fb);
                 }
                 let (mut pairs, mut measured_joins, mut rewritings) = (0, 0, 0);
-                for (q, src) in queries {
+                // each ranking as served, and deciding the combinations
+                // the bound skips, whose joins are then priced too
+                for ((q, src), deciding) in queries.iter().flat_map(|q| [(q, false), (q, true)]) {
                     let mut result = RewriteResult::default();
-                    let made = recording_estimates(|| result = rank_over(snap, q, feedback));
+                    let mut rank = || recording_estimates(|| result = rank_over(snap, q, feedback));
+                    let made = if deciding {
+                        deciding_skipped_joins(rank).0
+                    } else {
+                        rank()
+                    };
                     for rw in &result.rewritings {
                         let (got, want) = (rw.est, fresh.estimate(&rw.plan));
                         assert_eq!(
@@ -1368,6 +1487,178 @@ mod tests {
             options > 1000 && kept > 100,
             "{options} options, {kept} kept"
         );
+    }
+
+    /// The bound a `(prefix, base)` combination is skipped by before any
+    /// of its joins is decided ([`join_floor`]) skips only combinations
+    /// whose every option the search drops anyway, and a join the search
+    /// keeps is a repeat of a skipped one's exactly when it was before:
+    /// for the 22 golden queries under the three ID schemes — over the
+    /// golden file's definition-only estimates at scale 10, and over the
+    /// catalog of [`with_bench_feedback`] without feedback and with its
+    /// store — the search that decides and prices the skipped
+    /// combinations (`run` asserting that none of their joins is kept)
+    /// keeps the same joins in the same order, explores the same pairs and
+    /// returns the same rewritings in the same order with the same
+    /// estimate bits. The pinned totals hold the bound to its strength:
+    /// a weaker one skips fewer.
+    #[test]
+    fn skipping_by_the_bound_is_the_same_search() {
+        let answers = |r: &RewriteResult| -> Vec<(String, usize, u64, u64)> {
+            r.rewritings
+                .iter()
+                .map(|rw| {
+                    let est = (rw.est.cost.to_bits(), rw.est.rows.to_bits());
+                    (format!("{:?}", rw.plan), rw.scans, est.0, est.1)
+                })
+                .collect()
+        };
+        let mut totals = (0, 0, 0);
+        let mut compare = |at: &str, rank: &dyn Fn() -> RewriteResult| {
+            let mut fast = RewriteResult::default();
+            let kept = recording_kept(|| fast = rank());
+            let mut every = RewriteResult::default();
+            let (kept_every, n) = deciding_skipped_joins(|| recording_kept(|| every = rank()));
+            if kept != kept_every {
+                let first = kept.iter().zip(&kept_every).position(|(x, y)| x != y);
+                panic!(
+                    "{at}: joins kept differ from {first:?} on, {} vs {}",
+                    kept.len(),
+                    kept_every.len()
+                );
+            }
+            assert_eq!(answers(&fast), answers(&every), "{at}");
+            let explored = |r: &RewriteResult| (r.stats.pairs_explored, r.stats.views_kept);
+            assert_eq!(explored(&fast), explored(&every), "{at}");
+            totals.0 += n;
+            totals.1 += fast.stats.joins_built;
+            totals.2 += every.stats.joins_built;
+        };
+        let s = bench_summary();
+        for scheme in [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential] {
+            let views = bench_views(scheme);
+            for src in BENCH_QUERIES.iter().chain(&STRING_QUERIES) {
+                let q = parse_pattern(src).unwrap();
+                compare(&format!("{scheme:?}, {src}, scale 10"), &|| {
+                    rewrite(&q, &views, &s, &opts())
+                });
+            }
+        }
+        with_bench_feedback(|scheme, snap, fb, queries| {
+            for feedback in [None, Some(fb)] {
+                for (q, src) in queries {
+                    let at = format!("{scheme:?}, {src}, feedback {}", feedback.is_some());
+                    compare(&at, &|| rank_over(snap, q, feedback));
+                }
+            }
+        });
+        assert_eq!(
+            totals,
+            (2917, 3932, 7673),
+            "combinations skipped; joins decided with and without skipping them"
+        );
+    }
+
+    /// `mod_S(q)` closed on words is the model: for random documents over
+    /// `tree_text`'s labels (recursive summaries) and random queries with
+    /// optional edges, with strong closure on and off, the list
+    /// [`ModelTree::closed_list`] makes from [`unclosed_model`] is
+    /// `canonical_model`'s, each tree read by [`ModelTree::new`], minus
+    /// the later trees with an earlier one's node set and designation, in
+    /// the same order.
+    fn assert_closed_list_is_the_model(s: &Summary, q: &Pattern, use_strong: bool) {
+        let o = CanonOpts {
+            use_strong,
+            ..CanonOpts::default()
+        };
+        let (model, unclosed) = (canonical_model(q, s, &o), unclosed_model(q, s, &o));
+        assert_eq!(model.truncated, unclosed.truncated);
+        let mut seen = HashSet::new();
+        let want: Vec<ModelTree> = model
+            .trees
+            .iter()
+            .map(ModelTree::new)
+            .filter(|t| seen.insert((t.nodes.clone(), t.ret.clone())))
+            .collect();
+        let got = ModelTree::closed_list(&unclosed.trees, s, use_strong);
+        let entries = |l: &[ModelTree]| -> Vec<String> {
+            l.iter()
+                .map(|t| format!("{:?} {:?}", t.nodes.to_vec(), t.ret))
+                .collect()
+        };
+        assert_eq!(entries(&got), entries(&want), "{q}, strong {use_strong}");
+    }
+
+    /// A query over `tree_text`'s labels with one to three steps under
+    /// `r`, each below the first possibly optional, the last possibly
+    /// carrying a value predicate.
+    fn optional_pattern_text() -> impl Strategy<Value = String> {
+        (
+            (step_text(false), step_text(true), step_text(true)),
+            0u8..4,
+            0u8..4,
+            (0i64..5, 0u8..2),
+        )
+            .prop_map(|((x, y, z), shape, opt, (k, p))| {
+                let o = |bit: u8| if opt & bit != 0 { "?" } else { "" };
+                let last = if p == 1 {
+                    format!("[v>{k}]")
+                } else {
+                    String::new()
+                };
+                let (y, z) = (format!("{}{y}", o(1)), format!("{}{z}{last}", o(2)));
+                match shape {
+                    0 => format!("r({x}({z}))"),
+                    1 => format!("r({x}, {z})"),
+                    2 => format!("r({x}({y}, {z}))"),
+                    _ => format!("r({x}({y}({z})))"),
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_model_on_words_is_the_model(
+            doc in tree_text(),
+            q in optional_pattern_text(),
+            strong in 0u8..2,
+        ) {
+            let s = Summary::of(&Document::from_parens(&doc));
+            let q = parse_pattern(&q).unwrap();
+            assert_closed_list_is_the_model(&s, &q, strong == 1);
+        }
+    }
+
+    /// The `adhoc` descendant-axis request's model is 8 trees and the
+    /// child-axis one's 1; closed, each `//quantity` tree has 124 nodes,
+    /// unclosed the 8 have 38 between them.
+    #[test]
+    fn the_benchmark_models_on_words() {
+        let s = bench_summary();
+        for (src, trees) in [
+            ("site(//quantity{id,v}[v>2 and v<1000007])", 8),
+            (
+                "site(/open_auctions(/open_auction{id}(/initial{v}[v>50 and v<1000001])))",
+                1,
+            ),
+        ] {
+            let q = parse_pattern(src).unwrap().unnest_copy();
+            let o = CanonOpts::default();
+            let unclosed = unclosed_model(&q, &s, &o);
+            assert_eq!(
+                ModelTree::closed_list(&unclosed.trees, &s, true).len(),
+                trees
+            );
+            assert_eq!(canonical_model(&q, &s, &o).size(), trees);
+            assert_closed_list_is_the_model(&s, &q, true);
+            if trees == 8 {
+                let closed = canonical_model(&q, &s, &o).trees;
+                assert!(closed.iter().all(|t| t.len() == 124));
+                assert_eq!(unclosed.trees.iter().map(CTree::len).sum::<usize>(), 38);
+            }
+        }
     }
 
     /// The text identity `Pair::key` replaced (PR 21), kept as the oracle

@@ -146,6 +146,19 @@ impl NodeSet {
         words
     }
 
+    /// The set closed under the summary's strong edges when `strong` is
+    /// set: [`NodeSet::closed_words`]' paths, the closure's with `T`, so
+    /// the formulas are `self`'s. This is the node set of the tree
+    /// [`CTree::from_path_set`](smv_pattern::canonical::CTree::from_path_set)
+    /// builds from the set, and of a canonical tree closed after it was
+    /// built when `self` is the unclosed tree's.
+    pub(super) fn closed(&self, s: &Summary, strong: bool) -> NodeSet {
+        if !strong {
+            return self.clone();
+        }
+        NodeSet::from_parts(self.closed_words(s, true), self.0.formulas.clone())
+    }
+
     /// Is every path of `self` in `other`?
     fn subset_of(&self, other: &NodeSet) -> bool {
         let (a, b) = (&self.0.words, &other.0.words);
@@ -294,7 +307,7 @@ pub(super) struct Pair {
     pub(super) views: Vec<usize>,
     /// The estimate of the raw (pre-output-adaptation) plan, once the
     /// search has made it: a base pair's operator by operator, a join's
-    /// from its two inputs' ([`CostModel::carry`]).
+    /// from its two inputs' ([`CostModel::carry`](smv_algebra::CostModel::carry)).
     pub(super) est: Option<Carried>,
 }
 
@@ -361,6 +374,8 @@ pub(super) struct Layouts {
     groups: Vec<u32>,
     /// Each member's end in `codes`, with its layout's hash.
     ends: Vec<(usize, u64)>,
+    /// Each member's [`Layouts::sum`].
+    sums: Vec<u64>,
 }
 
 impl Layouts {
@@ -402,6 +417,7 @@ impl Layouts {
             codes: Vec::with_capacity(words),
             groups: Vec::with_capacity(words),
             ends: Vec::with_capacity(members),
+            sums: Vec::with_capacity(members),
         }
     }
 
@@ -476,11 +492,26 @@ impl Layouts {
     }
 
     /// Closes the member whose groups were pushed last, hashing its
-    /// layout.
+    /// layout and summing its columns.
     fn end_member(&mut self) {
         let start = self.ends.last().map_or(0, |e| e.0);
-        let hash = FastBuild::default().hash_one(&self.codes[start..]);
+        let codes = &self.codes[start..];
+        let hash = FastBuild::default().hash_one(codes);
+        let sum = codes
+            .iter()
+            .filter(|&&c| c != GROUP_END)
+            .fold(0u64, |sum, &c| {
+                sum.wrapping_add((c ^ (c >> 29)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            });
         self.ends.push((self.codes.len(), hash));
+        self.sums.push(sum);
+    }
+
+    /// Member `m`'s columns' codes, each mixed, summed: however its
+    /// columns are grouped, so a joined member's is its two inputs'
+    /// members' added.
+    fn sum(&self, m: usize) -> u64 {
+        self.sums[m]
     }
 
     fn span(&self, m: usize) -> Range<usize> {
@@ -559,6 +590,21 @@ impl PairKey {
             members,
             layouts,
         }
+    }
+}
+
+impl PairKey {
+    /// Can a join of `a` and `b` have this key? `false` only when none
+    /// can: a join's member is a member of `a` joined with one of `b`, its
+    /// columns theirs, so its [`Layouts::sum`] is theirs added.
+    pub(super) fn may_join(&self, a: &Pair, b: &Pair) -> bool {
+        let Some(&(_, m)) = self.members.first() else {
+            return true;
+        };
+        let want = self.layouts.sum(m);
+        let (x, y) = (&*a.layouts, &*b.layouts);
+        (0..a.members.len())
+            .any(|i| (0..b.members.len()).any(|j| x.sum(i).wrapping_add(y.sum(j)) == want))
     }
 }
 

@@ -26,22 +26,47 @@ pub(super) enum Candidate {
 /// built once per run.
 pub(super) struct ModelTree {
     /// Its summary paths and their formulas.
-    nodes: NodeSet,
+    pub(super) nodes: NodeSet,
     /// Its designated return paths.
-    ret: Vec<Option<NodeId>>,
+    pub(super) ret: Vec<Option<NodeId>>,
     /// Its formulas other than `T`: the left side of the coverage
     /// implication.
     lhs: HashMap<NodeId, Formula>,
 }
 
 impl ModelTree {
-    pub(super) fn new(t: &CTree) -> ModelTree {
-        let nodes = NodeSet::of_tree(t);
+    /// The tree of `nodes` designating `ret`.
+    fn of(nodes: NodeSet, ret: Vec<Option<NodeId>>) -> ModelTree {
         ModelTree {
             lhs: nodes.formulas().iter().cloned().collect(),
             nodes,
-            ret: t.return_paths(),
+            ret,
         }
+    }
+
+    /// The entry of a tree as [`canonical_model`](smv_pattern::canonical::canonical_model)
+    /// builds it: the oracle of [`ModelTree::closed_list`].
+    #[cfg(test)]
+    pub(super) fn new(t: &CTree) -> ModelTree {
+        ModelTree::of(NodeSet::of_tree(t), t.return_paths())
+    }
+
+    /// `mod_S(q)` as direction B reads it, from the query's unclosed trees
+    /// ([`unclosed_model`](smv_pattern::canonical::unclosed_model)): each
+    /// tree's node set closed under strong edges when `strong` is set —
+    /// the closed tree's node set, its closure's paths carrying `T` — and
+    /// a tree with an earlier tree's node set and designation dropped.
+    /// Direction B and the union covers answer the same for both.
+    pub(super) fn closed_list(trees: &[CTree], s: &Summary, strong: bool) -> Vec<ModelTree> {
+        let mut seen: HashSet<(NodeSet, Vec<Option<NodeId>>), FastBuild> = HashSet::default();
+        trees
+            .iter()
+            .filter_map(|t| {
+                let (nodes, ret) = (NodeSet::of_tree(t).closed(s, strong), t.return_paths());
+                seen.insert((nodes.clone(), ret.clone()))
+                    .then(|| ModelTree::of(nodes, ret))
+            })
+            .collect()
     }
 }
 

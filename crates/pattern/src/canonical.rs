@@ -419,6 +419,25 @@ impl CanonicalModel {
 
 /// Computes `mod_S(p)`.
 pub fn canonical_model(p: &Pattern, s: &Summary, opts: &CanonOpts) -> CanonicalModel {
+    enumerate(p, s, opts, opts.use_strong)
+}
+
+/// `mod_S(p)` with its trees left unclosed: the trees of
+/// [`canonical_model`] under `opts` before their strong closure, in the
+/// same order and judged realizable on their closed trees all the same.
+/// Two trees that close to the same tree are both listed, so closing
+/// every tree gives `canonical_model`'s list with some later duplicates.
+/// For a caller that reads only each tree's paths, formulas and
+/// designation and closes the paths itself: the closure is most of a
+/// closed tree's nodes.
+pub fn unclosed_model(p: &Pattern, s: &Summary, opts: &CanonOpts) -> CanonicalModel {
+    enumerate(p, s, opts, false)
+}
+
+/// The canonical trees of `p`, closed under strong edges when `close` is
+/// set, each kept when its designation is realizable on its tree closed
+/// as `opts` asks.
+fn enumerate(p: &Pattern, s: &Summary, opts: &CanonOpts, close: bool) -> CanonicalModel {
     let matcher = Matcher::new(p, s);
     // every distinct tree so far, first-seen order, with its subtree
     // hashes and whether it is kept; and the distinct trees by tree hash
@@ -435,7 +454,7 @@ pub fn canonical_model(p: &Pattern, s: &Summary, opts: &CanonOpts) -> CanonicalM
             truncated = true;
             return false;
         }
-        let t = build_ctree(p, s, asg, opts.use_strong);
+        let t = build_ctree(p, s, asg, close);
         let h = t.subtree_hashes();
         let same = by_hash.entry(t.tree_hash(&h)).or_default();
         if same
@@ -443,7 +462,14 @@ pub fn canonical_model(p: &Pattern, s: &Summary, opts: &CanonOpts) -> CanonicalM
             .all(|&i| !distinct[i].0.same_tree(&distinct[i].1, &t, &h))
         {
             same.push(distinct.len());
-            let keep = designation_realizable(p, &t);
+            let keep = if opts.use_strong && !close && t.ret.contains(&None) {
+                // closure can force a binding: judge the closed tree
+                let mut closed = t.clone();
+                strong_closure(s, &mut closed);
+                designation_realizable(p, &closed)
+            } else {
+                designation_realizable(p, &t)
+            };
             distinct.push((t, h, keep));
         }
         true
