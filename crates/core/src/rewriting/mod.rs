@@ -44,8 +44,8 @@
 //!   tuple in `q` (Prop 3.1 / §4.2 decorated embeddings), and every tree
 //!   of `mod_S(q)` must be covered by some member with value coverage
 //!   (Prop 3.2 / §4.2 condition 2), the model read as each tree's node
-//!   set, closed under strong edges on words. `σ_{L=l}` and `σ_{φ(v)}` selections
-//!   are inserted per §4.6 before testing;
+//!   set, closed under strong edges on words. `σ_{L=l}` and `σ_{φ(v)}`
+//!   selections are inserted per §4.6 before testing;
 //! * `plan`, lines 13-14 — minimal unions of pairs that jointly cover
 //!   `mod_S(q)`; and the output — plans are completed with the §4.6
 //!   nesting adaptation: a group-by (`Nest`) per nested query edge, keyed
@@ -669,12 +669,10 @@ impl<'a> Rewriter<'a> {
         self.join_options(a, base, joins);
         stats.pairs_deduped += joins.repeats;
         stats.joins_built += joins.decided.len();
-        for join::Decided { key, join } in joins.decided.drain(..) {
+        for d in joins.decided.drain(..) {
             #[cfg(test)]
-            tests::created(&join.clone().pair(a, base, join.plan(a, base), None));
-            #[cfg(not(test))]
-            let _ = join;
-            if !seen.insert(key) {
+            tests::created(&d.join.clone().pair(a, base, d.join.plan(a, base), None));
+            if !seen.insert(d.key) {
                 stats.pairs_deduped += 1;
             }
         }

@@ -148,10 +148,8 @@ impl NodeSet {
 
     /// The set closed under the summary's strong edges when `strong` is
     /// set: [`NodeSet::closed_words`]' paths, the closure's with `T`, so
-    /// the formulas are `self`'s. This is the node set of the tree
-    /// [`CTree::from_path_set`](smv_pattern::canonical::CTree::from_path_set)
-    /// builds from the set, and of a canonical tree closed after it was
-    /// built when `self` is the unclosed tree's.
+    /// the formulas are `self`'s — the node set of the canonical tree
+    /// whose unclosed tree's set is `self`.
     pub(super) fn closed(&self, s: &Summary, strong: bool) -> NodeSet {
         if !strong {
             return self.clone();
@@ -374,7 +372,9 @@ pub(super) struct Layouts {
     groups: Vec<u32>,
     /// Each member's end in `codes`, with its layout's hash.
     ends: Vec<(usize, u64)>,
-    /// Each member's [`Layouts::sum`].
+    /// Each member's columns' codes, each mixed, summed: the same however
+    /// its columns are grouped, so a joined member's is its two inputs'
+    /// members' added.
     sums: Vec<u64>,
 }
 
@@ -507,13 +507,6 @@ impl Layouts {
         self.sums.push(sum);
     }
 
-    /// Member `m`'s columns' codes, each mixed, summed: however its
-    /// columns are grouped, so a joined member's is its two inputs'
-    /// members' added.
-    fn sum(&self, m: usize) -> u64 {
-        self.sums[m]
-    }
-
     fn span(&self, m: usize) -> Range<usize> {
         let start = if m == 0 { 0 } else { self.ends[m - 1].0 };
         start..self.ends[m].0
@@ -591,20 +584,19 @@ impl PairKey {
             layouts,
         }
     }
-}
 
-impl PairKey {
     /// Can a join of `a` and `b` have this key? `false` only when none
     /// can: a join's member is a member of `a` joined with one of `b`, its
-    /// columns theirs, so its [`Layouts::sum`] is theirs added.
+    /// columns theirs, so its column sum ([`Layouts::sums`]) is theirs
+    /// added.
     pub(super) fn may_join(&self, a: &Pair, b: &Pair) -> bool {
         let Some(&(_, m)) = self.members.first() else {
             return true;
         };
-        let want = self.layouts.sum(m);
-        let (x, y) = (&*a.layouts, &*b.layouts);
-        (0..a.members.len())
-            .any(|i| (0..b.members.len()).any(|j| x.sum(i).wrapping_add(y.sum(j)) == want))
+        let want = self.layouts.sums[m];
+        let (x, y) = (&a.layouts.sums, &b.layouts.sums);
+        x.iter()
+            .any(|i| y.iter().any(|j| i.wrapping_add(*j) == want))
     }
 }
 

@@ -417,13 +417,14 @@ impl QueryService {
     /// `View`s and crosses epochs with them, so only the first ranking
     /// after a summary-constraint change builds it; after that a
     /// child-axis query (`/open_auction{id}(/initial{v}[…])`) ranks in
-    /// about 50–60 µs and a descendant-axis one (`//quantity{id,v}[…]`)
-    /// in 0.36–0.38 ms, about a fifth of it deciding joins and a fifth
-    /// the query's canonical model (best of 200 rankings of never-seen
-    /// texts under feedback from earlier executions, three runs,
-    /// scale-10 XMark, the nine views of `smvbench`'s `adhoc`, a 2-core
-    /// x86-64 host). A query with a returned column no view stores is
-    /// refused with [`ServeError::NoRewriting`] right after set-up.
+    /// about 26–39 µs and a descendant-axis one (`//quantity{id,v}[…]`)
+    /// in 0.21–0.22 ms, deciding 45 joins where it decided 101 before
+    /// the cost bound was taken ahead of deciding a join (best of 200
+    /// rankings of never-seen texts under feedback from earlier
+    /// executions, three runs, scale-10 XMark, the nine views of
+    /// `smvbench`'s `adhoc`, a 2-core x86-64 host). A query with a
+    /// returned column no view stores is refused with
+    /// [`ServeError::NoRewriting`] right after set-up.
     fn rank(&self, q: &Pattern, snap: &CatalogEpoch) -> Result<RankedPlan, ServeError> {
         let fb = self.frozen_feedback();
         let cards = CatalogCards::over(snap, snap.summary());
