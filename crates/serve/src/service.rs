@@ -272,17 +272,18 @@ impl QueryService {
 
     /// Registers one view (materialized inline; see [`Self::add_views`]
     /// for the parallel bulk path). Re-registering a name replaces
-    /// its extent, so cached results that read it are swept.
+    /// its extent, so cached results that read it are swept. Fails with
+    /// [`ServeError::CatalogPoisoned`] once a mutation has panicked.
     ///
     /// # Panics
     ///
-    /// On [`ServeError::CatalogPoisoned`], and as
-    /// [`EpochCatalog::add_view`] does.
-    pub fn add_view(&self, view: View, policy: RefreshPolicy) {
-        let mut cat = self.writer().unwrap_or_else(|e| panic!("{e}"));
+    /// As [`EpochCatalog::add_view`] does, on a view in another ID scheme.
+    pub fn add_view(&self, view: View, policy: RefreshPolicy) -> Result<(), ServeError> {
+        let mut cat = self.writer()?;
         let name = view.name.clone();
         cat.add_view(view, policy);
         self.sweep(&cat, &[name]);
+        Ok(())
     }
 
     /// Bulk-registers views, materializing extents on up to
@@ -292,7 +293,10 @@ impl QueryService {
     /// # Panics
     ///
     /// On [`ServeError::CatalogPoisoned`], and as
-    /// [`EpochCatalog::add_views_on`] does.
+    /// [`EpochCatalog::add_views_on`] does. Unlike [`Self::add_view`] it
+    /// does not return the poisoning as an error yet: the benchmark
+    /// harness calls it, so its signature changes with the next change
+    /// to the benchmark (ROADMAP item 5).
     pub fn add_views(&self, views: Vec<View>, policy: RefreshPolicy) {
         let mut cat = self.writer().unwrap_or_else(|e| panic!("{e}"));
         let names: Vec<String> = views.iter().map(|v| v.name.clone()).collect();
@@ -326,22 +330,20 @@ impl QueryService {
 
     /// Refreshes a deferred view ([`EpochCatalog::refresh`]) and sweeps
     /// cache entries that read it (its extent may have been rebuilt).
-    ///
-    /// # Panics
-    ///
-    /// On [`ServeError::CatalogPoisoned`].
-    pub fn refresh(&self, name: &str) -> bool {
-        let mut cat = self.writer().unwrap_or_else(|e| panic!("{e}"));
+    /// `Ok(false)` for an unknown name; [`ServeError::CatalogPoisoned`]
+    /// once a mutation has panicked.
+    pub fn refresh(&self, name: &str) -> Result<bool, ServeError> {
+        let mut cat = self.writer()?;
         let before = cat.epoch();
         if !cat.refresh(name) {
-            return false;
+            return Ok(false);
         }
         // a view that was current publishes nothing, so there is no epoch
         // to sweep for
         if cat.epoch() != before {
             self.sweep(&cat, &[name]);
         }
-        true
+        Ok(true)
     }
 
     /// Serves one query. See the module docs for the layer flow; the
@@ -680,7 +682,8 @@ mod tests {
                 IdScheme::OrdPath,
             ),
             RefreshPolicy::Eager,
-        );
+        )
+        .unwrap();
         assert_eq!(svc.cached_results(), 0);
     }
 
@@ -707,7 +710,8 @@ mod tests {
         svc.add_view(
             View::new("vb", parse_pattern(B).unwrap(), IdScheme::OrdPath),
             RefreshPolicy::Eager,
-        );
+        )
+        .unwrap();
         assert!(!svc.query(B).unwrap().result_cache_hit);
         let before = svc.frozen_feedback().stats();
         for _ in 0..1_000 {
@@ -730,7 +734,8 @@ mod tests {
                 IdScheme::OrdPath,
             ),
             RefreshPolicy::Eager,
-        );
+        )
+        .unwrap();
         let q = "r(//name{id,v})";
         assert_eq!(svc.query(q).unwrap().rows.len(), 3);
         let names = smv_algebra::Plan::Scan {
@@ -768,6 +773,20 @@ mod tests {
         });
         assert!(matches!(
             svc.apply(&batch),
+            Err(ServeError::CatalogPoisoned)
+        ));
+        // `add_view` and `refresh` report it too, rather than panicking
+        let good = View::new(
+            "vc",
+            parse_pattern("r(//c{id})").unwrap(),
+            IdScheme::OrdPath,
+        );
+        assert!(matches!(
+            svc.add_view(good, RefreshPolicy::Eager),
+            Err(ServeError::CatalogPoisoned)
+        ));
+        assert!(matches!(
+            svc.refresh("vb"),
             Err(ServeError::CatalogPoisoned)
         ));
         // queries keep answering from the last published epoch

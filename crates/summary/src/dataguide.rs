@@ -288,11 +288,14 @@ impl EdgeIndex {
 /// What the folds of one summary pass share ([`Summary::fold`]).
 struct Fold {
     edges: EdgeIndex,
-    /// Per path, the last document parent counted into `parents_with`.
-    /// Nodes on one path share a depth, so between two children of one
-    /// parent a pre-order walk visits no other node on their path: the
-    /// stamp counts each parent once.
+    /// Per path, the last document parent counted into `parents_with`,
+    /// as `stamp_base` plus its node id. Nodes on one path share a depth,
+    /// so between two children of one parent a pre-order walk visits no
+    /// other node on their path: the stamp counts each parent once.
     last_parent: Vec<u32>,
+    /// Added to every stamp, so that the documents one pass folds, each
+    /// numbered from 0, never share a stamp.
+    stamp_base: u32,
     /// Per path, whether a subtracted node carried a value: the path's
     /// sketch, which cannot subtract, is rebuilt.
     dirty: Vec<bool>,
@@ -303,6 +306,7 @@ impl Fold {
         Fold {
             edges: EdgeIndex::over(nodes),
             last_parent: vec![u32::MAX; nodes.len()],
+            stamp_base: 0,
             dirty: vec![false; nodes.len()],
         }
     }
@@ -490,7 +494,8 @@ impl Summary {
                 (false, _) => {
                     let dp = doc.parent(dn).expect("below the subtree root");
                     let sn = self.child_or_new(f, parent_path(&mut stack, dp), doc.label(dn));
-                    if std::mem::replace(&mut f.last_parent[sn.idx()], dp.0) != dp.0 {
+                    let stamp = f.stamp_base + dp.0;
+                    if std::mem::replace(&mut f.last_parent[sn.idx()], stamp) != stamp {
                         bump(&mut self.nodes[sn.idx()].parents_with, sign);
                     }
                     sn
@@ -860,23 +865,22 @@ impl Summary {
     /// summary node at count zero, preserving summary `NodeId` stability
     /// for everything keyed on it.
     pub fn apply_update(&mut self, applied: &smv_xml::AppliedBatch, new_doc: &Document) -> bool {
-        let old_doc = &applied.old_doc;
         let mut f = Fold::over(&self.nodes);
         // per (surviving parent in `new_doc`, root label): the parent's
         // path, and the batch's inserted roots less its deleted ones
         let mut roots: HashMap<(NodeId, Label), (NodeId, i64)> = HashMap::new();
-        for &r in &applied.deleted_roots {
-            let p_old = old_doc.parent(r).expect("cover roots keep their parent");
-            let p = applied.old_to_new[p_old.idx()].expect("the parent survives");
+        for d in &applied.detached {
+            let (p, r) = (d.parent, d.doc.root());
             let tally = roots
-                .entry((p, old_doc.label(r)))
+                .entry((p, d.doc.label(r)))
                 .or_insert_with(|| (self.path_of(&f.edges, new_doc, p), 0));
             tally.1 -= 1;
             let under = tally.0;
-            self.fold(&mut f, old_doc, r, Some(under), -1);
+            self.fold(&mut f, &d.doc, r, Some(under), -1);
+            // each subtree numbers its nodes from 0, and so does `new_doc`:
+            // the next one stamps past this one's numbers
+            f.stamp_base += d.doc.len() as u32;
         }
-        // the stamps are node ids, which `new_doc` numbers anew
-        f.last_parent.fill(u32::MAX);
         let mut created = false;
         for &r in &applied.inserted_roots {
             let p = new_doc.parent(r).expect("fragment root has a parent");

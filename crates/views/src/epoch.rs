@@ -248,16 +248,17 @@ pub struct MaintenanceReport {
     /// Did the batch create summary paths (invalidating rank geometry)?
     pub geometry_changed: bool,
     /// Nanoseconds ingesting the batch into the live document (ID
-    /// resolution and the arena rebuild) — a cost any
+    /// resolution and the in-place arena edit) — a cost any
     /// maintenance strategy, delta or rebuild, pays before view work.
     pub ingest_ns: u64,
     /// Nanoseconds on maintenance proper: summary update and extent
     /// refresh (publication excluded — see
     /// [`publish_ns`](Self::publish_ns)).
     pub maintain_ns: u64,
-    /// Nanoseconds freeing the pre-batch document and its IDs once
-    /// maintenance no longer reads them — before the publish, so readers
-    /// never wait on it.
+    /// Nanoseconds freeing the batch's deleted subtrees and their IDs
+    /// once maintenance no longer reads them — before the publish, so
+    /// readers never wait on it. What is freed is the size of the batch,
+    /// not of the document.
     pub release_ns: u64,
     /// Nanoseconds atomically publishing the new epoch (snapshot
     /// assembly and pointer swap) — the readers-visible cutover cost.
@@ -522,9 +523,8 @@ impl EpochCatalog {
         let t_maintained = Instant::now();
         report.maintain_ns = (t_maintained - t_ingested).as_nanos() as u64;
 
-        // the pre-batch document and its IDs are freed (milliseconds on a
-        // large document) before the publish, not between it and the
-        // caller's reaction to it
+        // the deleted subtrees and their IDs are freed before the publish,
+        // not between it and the caller's reaction to it
         drop(delta);
         drop(applied);
         let t_released = Instant::now();
@@ -619,28 +619,22 @@ struct Delta<'a> {
 impl<'a> Delta<'a> {
     fn of(applied: &'a AppliedBatch, doc: &Document) -> Delta<'a> {
         let mut spine: HashSet<NodeId> = HashSet::new();
-        // deletion spine: climb the pre-batch document; an ancestor of a
-        // cover root survives, so it maps into the new one
-        for &r in &applied.deleted_roots {
-            let mut cur = applied.old_doc.parent(r);
-            while let Some(a) = cur {
-                let survivor = applied.old_to_new[a.idx()].expect("ancestor of a cover root");
-                if !spine.insert(survivor) {
-                    break;
-                }
-                cur = applied.old_doc.parent(a);
-            }
-        }
         let mut dirty = Vec::new();
-        for &r in &applied.inserted_roots {
-            dirty.extend(doc.subtree(r));
-            let mut cur = doc.parent(r);
-            while let Some(a) = cur {
-                if !spine.insert(a) {
-                    break;
-                }
+        // both spines climb the post-batch document: from each deleted
+        // subtree's parent, which survives with the ancestors it had, and
+        // from each inserted root's parent
+        let mut climb = |from: Option<NodeId>| {
+            let mut cur = from;
+            while let Some(a) = cur.filter(|&a| spine.insert(a)) {
                 cur = doc.parent(a);
             }
+        };
+        for d in &applied.detached {
+            climb(Some(d.parent));
+        }
+        for &r in &applied.inserted_roots {
+            dirty.extend(doc.subtree(r));
+            climb(doc.parent(r));
         }
         dirty.extend(spine);
         dirty.sort_unstable();
@@ -658,7 +652,6 @@ impl<'a> Delta<'a> {
         live: &LiveDoc,
     ) -> Option<(NestedRelation, usize, usize)> {
         let (doc, ids) = (live.doc(), live.ids());
-        let (old_doc, old_ids) = (&self.applied.old_doc, &self.applied.old_ids);
         let k = *anchor.chain.last().expect("a chain holds its anchor");
         // the anchor hangs below the pattern root, which holds the
         // document root: the one dirty node it can never bind
@@ -671,12 +664,12 @@ impl<'a> Delta<'a> {
         // a dirty survivor has the ID it had, an inserted node an ID no
         // row holds yet
         let mut stale: HashSet<&StructId> = pinned.iter().map(|&d| ids.id(d)).collect();
-        for &r in &self.applied.deleted_roots {
+        for (d, ids) in self.applied.deleted_subtrees() {
             stale.extend(
-                old_doc
-                    .subtree(r)
-                    .filter(|&n| admits_node(p, k, old_doc, n))
-                    .map(|n| old_ids.id(n)),
+                d.doc
+                    .iter()
+                    .filter(|&n| admits_node(p, k, &d.doc, n))
+                    .map(|n| &ids[n.idx()]),
             );
         }
         if stale.is_empty() {

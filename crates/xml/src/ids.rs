@@ -814,11 +814,9 @@ impl IdAssignment {
         IdAssignment { scheme, ids }
     }
 
-    /// Wraps an explicit per-node ID vector (document order). Used by the
-    /// live-update rebuild, which carries surviving IDs across re-ingest
-    /// instead of re-deriving them positionally.
-    pub fn from_ids(scheme: IdScheme, ids: Vec<StructId>) -> IdAssignment {
-        IdAssignment { scheme, ids }
+    /// The ID vector itself, for [`crate::LiveDoc`]'s in-place edits.
+    pub(crate) fn ids_mut(&mut self) -> &mut Vec<StructId> {
+        &mut self.ids
     }
 
     /// The scheme used.

@@ -32,7 +32,7 @@ pub mod writer;
 
 pub use ids::{DeweyId, IdAssignment, IdScheme, OrdPath, StructId};
 pub use label::{Label, Symbol};
-pub use live::{AppliedBatch, LiveDoc, LiveError, Update, UpdateBatch};
+pub use live::{AppliedBatch, Detached, LiveDoc, LiveError, Update, UpdateBatch};
 pub use parser::{parse_document, ParseError, MAX_DEPTH};
 pub use tree::{Document, NodeId, TreeBuilder};
 pub use treelike::LabeledTree;

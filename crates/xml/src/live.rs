@@ -1,12 +1,16 @@
 //! Live documents: batched insert/delete updates with stable node identity.
 //!
-//! The arena [`Document`] is immutable — [`NodeId`] *is* the pre-order
-//! rank, so any structural change renumbers nodes. A [`LiveDoc`] keeps
-//! that invariant while supporting updates: each applied [`UpdateBatch`]
-//! rebuilds the arena (fresh pre-order ranks) but carries every surviving
-//! node's **structural identifier** ([`StructId`]) over unchanged. IDs are
-//! the stable identity: extents and summaries key on them, so view maintenance (smv-views) can diff two document versions
-//! without positional bookkeeping.
+//! [`NodeId`] *is* the pre-order rank, so any structural change renumbers
+//! nodes. A [`LiveDoc`] keeps that invariant while supporting updates:
+//! each applied [`UpdateBatch`] edits the arena in place — it cuts every
+//! deleted subtree out of the node and ID vectors, opens a gap for every
+//! inserted fragment, and moves each survivor once to its new pre-order
+//! rank — but carries every surviving node's **structural identifier**
+//! ([`StructId`]) over unchanged. IDs are the stable identity: extents and
+//! summaries key on them, so view maintenance (smv-views) can diff two
+//! document versions without positional bookkeeping. What the batch
+//! removed leaves as an [`AppliedBatch`]: the cut subtrees alone, never a
+//! second copy of the document.
 //!
 //! Identity rules, which the maintenance layer's correctness proofs rely
 //! on:
@@ -24,7 +28,8 @@
 //!   any materialized extent forever.
 
 use crate::ids::{IdAssignment, IdScheme, StructId};
-use crate::tree::{Document, NodeId, TreeBuilder};
+use crate::tree::{Document, NodeId, Splice};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 /// One update operation against a live document.
@@ -111,26 +116,43 @@ impl std::error::Error for LiveError {}
 
 /// What one applied batch did, in terms both document versions understand.
 ///
-/// The pre-batch document and ID assignment are moved out here rather than
-/// dropped: subtractive summary maintenance and extent diffing need to
-/// walk the subtrees that no longer exist.
+/// The deleted subtrees are moved out here rather than dropped:
+/// subtractive summary maintenance and extent diffing need to walk the
+/// nodes that no longer exist. Nothing else of the pre-batch document is
+/// kept, so what this holds is the size of the batch.
 #[derive(Debug)]
 pub struct AppliedBatch {
-    /// The document as it was before the batch.
-    pub old_doc: Document,
-    /// The ID assignment of `old_doc`.
-    pub old_ids: IdAssignment,
-    /// For each pre-batch [`NodeId`], the node's post-batch [`NodeId`]
-    /// (`None` if deleted). Indexed by the old arena index.
-    pub old_to_new: Vec<Option<NodeId>>,
+    /// The deleted subtrees, in pre-batch document order; a *cover* — no
+    /// root is inside another root's subtree.
+    pub detached: Vec<Detached>,
     /// Roots of inserted fragments, as post-batch [`NodeId`]s, in
     /// operation order.
     pub inserted_roots: Vec<NodeId>,
-    /// Roots of deleted subtrees, as pre-batch [`NodeId`]s, in document
-    /// order; a *cover* — no root is inside another root's subtree.
-    pub deleted_roots: Vec<NodeId>,
-    /// Every [`StructId`] in any deleted subtree (descendant-closed).
+    /// Every [`StructId`] in any deleted subtree (descendant-closed): each
+    /// detached subtree's IDs in its pre-order, subtree after subtree.
     pub deleted_ids: Vec<StructId>,
+}
+
+/// One deleted subtree, cut out of the arena whole.
+#[derive(Debug)]
+pub struct Detached {
+    /// The subtree as a document of its own, numbered from its root.
+    pub doc: Document,
+    /// The root's parent, which survives, as a post-batch [`NodeId`].
+    pub parent: NodeId,
+}
+
+impl AppliedBatch {
+    /// Each detached subtree beside its nodes' IDs (indexed by the
+    /// subtree's own [`NodeId`]s), a slice of [`Self::deleted_ids`].
+    pub fn deleted_subtrees(&self) -> impl Iterator<Item = (&Detached, &[StructId])> {
+        let mut rest = &self.deleted_ids[..];
+        self.detached.iter().map(move |d| {
+            let (ids, tail) = rest.split_at(d.doc.len());
+            rest = tail;
+            (d, ids)
+        })
+    }
 }
 
 /// A document that accepts update batches while keeping node identity.
@@ -144,7 +166,7 @@ pub struct AppliedBatch {
 /// batch.insert(b_id.clone(), Document::from_parens("c(d)"));
 /// let applied = live.apply(&batch).unwrap();
 /// assert_eq!(applied.inserted_roots.len(), 1);
-/// // the surviving node kept its ID across the arena rebuild
+/// // the surviving node kept its ID across the in-place edit
 /// assert_eq!(live.node_of(&b_id), Some(live.doc().children(live.doc().root())[1]));
 /// ```
 #[derive(Clone, Debug)]
@@ -270,8 +292,7 @@ impl LiveDoc {
                 }
             }
         };
-        let mut inserts_at: HashMap<NodeId, Vec<&Document>> = HashMap::new();
-        let mut insert_parents: Vec<NodeId> = Vec::new(); // op order
+        let mut inserts: Vec<(NodeId, &Document)> = Vec::new(); // op order
         for op in &batch.ops {
             if let Update::Insert { parent, fragment } = op {
                 let p = self
@@ -280,159 +301,124 @@ impl LiveDoc {
                 if is_deleted(p) {
                     return Err(LiveError::InsertUnderDeleted(parent.clone()));
                 }
-                inserts_at.entry(p).or_default().push(fragment);
-                insert_parents.push(p);
+                inserts.push((p, fragment));
             }
         }
+        Ok(self.commit(&deleted_roots, &inserts))
+    }
 
-        // -- commit phase: seed counters, rebuild the arena --
+    /// The commit phase of [`Self::apply`], on a batch resolved to a
+    /// cover of deleted roots and the inserts in op order: seeds the rank
+    /// counters, mints the fragments' IDs and edits the arena in place.
+    fn commit(
+        &mut self,
+        deleted_roots: &[NodeId],
+        inserts: &[(NodeId, &Document)],
+    ) -> AppliedBatch {
         // Every parent losing or gaining a child gets its rank counter
         // seeded with its *current* child count before any change, so
         // future inserts can never re-issue a rank a deleted child held.
-        for &r in &deleted_roots {
-            let p = self.doc.parent(r).expect("root deletions rejected above");
-            let seed = self.doc.children(p).len() as u64;
-            self.next_child
-                .entry(self.ids.id(p).clone())
-                .or_insert(seed);
-        }
-        for &p in &insert_parents {
-            let seed = self.doc.children(p).len() as u64;
-            self.next_child
-                .entry(self.ids.id(p).clone())
-                .or_insert(seed);
-        }
-
-        let mut rb = Rebuild {
-            b: TreeBuilder::new(),
-            new_ids: Vec::with_capacity(self.doc.len()),
-            old_to_new: vec![None; self.doc.len()],
-            inserted_roots: Vec::new(),
-        };
-        rb.copy_surviving(
-            self.doc.root(),
-            &self.doc,
-            &self.ids,
-            &is_deleted,
-            &inserts_at,
-            &mut self.next_child,
-            &mut self.next_seq,
-        );
-        // fragments insert in op order per parent, but `inserted_roots`
-        // should be global op order: re-derive it from the per-parent
-        // queues' stable ordering
-        let mut per_parent_seen: HashMap<NodeId, usize> = HashMap::new();
-        let mut op_ordered_roots = Vec::with_capacity(insert_parents.len());
+        for p in deleted_roots
+            .iter()
+            .map(|&r| self.doc.parent(r).expect("root deletions rejected above"))
+            .chain(inserts.iter().map(|&(p, _)| p))
         {
-            // group the discovered roots by old parent in discovery order
-            let mut roots_by_parent: HashMap<NodeId, Vec<NodeId>> = HashMap::new();
-            for (old_parent, new_root) in rb.inserted_roots.iter().copied() {
-                roots_by_parent
-                    .entry(old_parent)
-                    .or_default()
-                    .push(new_root);
-            }
-            for &p in &insert_parents {
-                let k = per_parent_seen.entry(p).or_insert(0);
-                op_ordered_roots.push(roots_by_parent[&p][*k]);
-                *k += 1;
-            }
+            let seed = self.doc.children(p).len() as u64;
+            self.next_child
+                .entry(self.ids.id(p).clone())
+                .or_insert(seed);
         }
 
-        let new_doc = rb.b.finish();
-        let new_ids = IdAssignment::from_ids(self.ids.scheme(), rb.new_ids);
+        // The fragments in post-batch document order: each opens right
+        // after its parent's subtree; where several parents' subtrees end
+        // together, the deeper parent's closes first; one parent's
+        // fragments keep op order (the sort is stable).
+        let mut order: Vec<usize> = (0..inserts.len()).collect();
+        order.sort_by_key(|&i| {
+            let p = inserts[i].0;
+            (self.doc.last_descendant(p), Reverse(p))
+        });
+        // fresh IDs are minted in that order, so the sequential counter
+        // runs in document order
+        let mut fresh_ids: Vec<StructId> = Vec::new();
+        let mut gaps = Vec::with_capacity(order.len());
+        for &i in &order {
+            let (p, frag) = inserts[i];
+            let parent_id = self.ids.id(p);
+            let counter = self
+                .next_child
+                .get_mut(parent_id)
+                .expect("counter seeded above");
+            let root_id = fresh_child_id(parent_id, *counter as usize, &mut self.next_seq);
+            *counter += 1;
+            let base = fresh_ids.len();
+            fresh_ids.push(root_id);
+            for n in frag.descendants(frag.root()) {
+                let up = frag.parent(n).expect("below the fragment root");
+                let id = fresh_child_id(
+                    &fresh_ids[base + up.idx()],
+                    frag.child_rank(n) as usize,
+                    &mut self.next_seq,
+                );
+                fresh_ids.push(id);
+            }
+            gaps.push((self.doc.last_descendant(p).idx() + 1, frag.len()));
+        }
+        let cuts = deleted_roots
+            .iter()
+            .map(|&r| r.idx()..self.doc.last_descendant(r).idx() + 1)
+            .collect();
+        let splice = Splice::new(cuts, gaps);
+
+        let mut inserted_roots = vec![NodeId::ROOT; inserts.len()];
+        for (k, &i) in order.iter().enumerate() {
+            inserted_roots[i] = NodeId(splice.slot(k) as u32);
+        }
+        // the deleted subtrees move out, IDs and all, before the cut
         let mut deleted_ids = Vec::new();
-        for &r in &deleted_roots {
-            for n in self.doc.subtree(r) {
-                deleted_ids.push(self.ids.id(n).clone());
+        let mut detached = Vec::with_capacity(deleted_roots.len());
+        for &r in deleted_roots {
+            let parent = self.doc.parent(r).expect("root deletions rejected above");
+            let span = r.idx()..self.doc.last_descendant(r).idx() + 1;
+            for id in &mut self.ids.ids_mut()[span] {
+                deleted_ids.push(std::mem::replace(id, StructId::Seq(0)));
             }
+            detached.push(Detached {
+                doc: self.doc.detach(r),
+                parent: NodeId(splice.moved(parent.idx()) as u32),
+            });
         }
-        let old_doc = std::mem::replace(&mut self.doc, new_doc);
-        let old_ids = std::mem::replace(&mut self.ids, new_ids);
-        self.seq_nodes = seq_table(&self.ids, self.next_seq);
-        Ok(AppliedBatch {
-            old_doc,
-            old_ids,
-            old_to_new: rb.old_to_new,
-            inserted_roots: op_ordered_roots,
-            deleted_roots,
+        let grafts: Vec<(u32, &Document)> = order
+            .iter()
+            .map(|&i| (self.doc.depth(inserts[i].0), inserts[i].1))
+            .collect();
+        self.doc.splice(&splice, &grafts);
+        splice.apply(self.ids.ids_mut(), fresh_ids, || StructId::Seq(0));
+        if self.scheme() == IdScheme::Sequential {
+            self.renumber_seq(&deleted_ids, splice.first_touched());
+        }
+        AppliedBatch {
+            detached,
+            inserted_roots,
             deleted_ids,
-        })
-    }
-}
-
-/// Working state of one arena rebuild.
-struct Rebuild {
-    b: TreeBuilder,
-    new_ids: Vec<StructId>,
-    old_to_new: Vec<Option<NodeId>>,
-    /// (old parent, new fragment root), in discovery (document) order.
-    inserted_roots: Vec<(NodeId, NodeId)>,
-}
-
-impl Rebuild {
-    /// Copies the surviving subtree under `old`, then grafts any fragments
-    /// queued for it as last children.
-    #[allow(clippy::too_many_arguments)]
-    fn copy_surviving(
-        &mut self,
-        old: NodeId,
-        doc: &Document,
-        ids: &IdAssignment,
-        is_deleted: &dyn Fn(NodeId) -> bool,
-        inserts_at: &HashMap<NodeId, Vec<&Document>>,
-        next_child: &mut HashMap<StructId, u64>,
-        next_seq: &mut u64,
-    ) {
-        let nid = self.b.open(doc.label(old));
-        if let Some(v) = doc.value(old) {
-            self.b.set_value(v.clone());
         }
-        self.new_ids.push(ids.id(old).clone());
-        self.old_to_new[old.idx()] = Some(nid);
-        for &c in doc.children(old) {
-            if !is_deleted(c) {
-                self.copy_surviving(c, doc, ids, is_deleted, inserts_at, next_child, next_seq);
-            }
-        }
-        if let Some(frags) = inserts_at.get(&old) {
-            let parent_id = ids.id(old).clone();
-            for frag in frags {
-                let rank = {
-                    let c = next_child
-                        .get_mut(&parent_id)
-                        .expect("counter seeded before rebuild");
-                    let r = *c;
-                    *c += 1;
-                    r
-                };
-                let root_id = fresh_child_id(&parent_id, rank as usize, next_seq);
-                let new_root = self.graft(frag, frag.root(), root_id, next_seq);
-                self.inserted_roots.push((old, new_root));
-            }
-        }
-        self.b.close();
     }
 
-    /// Copies a fragment subtree, minting IDs under `my_id`.
-    fn graft(
-        &mut self,
-        frag: &Document,
-        fnode: NodeId,
-        my_id: StructId,
-        next_seq: &mut u64,
-    ) -> NodeId {
-        let nid = self.b.open(frag.label(fnode));
-        if let Some(v) = frag.value(fnode) {
-            self.b.set_value(v.clone());
+    /// Brings [`Self::seq_nodes`] up to date after an edit that left every
+    /// node before `from` in place: the deleted numbers die, and every
+    /// node from `from` on — moved or fresh — is entered at its position.
+    fn renumber_seq(&mut self, deleted: &[StructId], from: usize) {
+        let seq = |id: &StructId| match id {
+            StructId::Seq(s) => *s as usize,
+            other => unreachable!("{other} under the sequential scheme"),
+        };
+        for id in deleted {
+            self.seq_nodes[seq(id)] = DEAD;
         }
-        self.new_ids.push(my_id.clone());
-        for (rank, &c) in frag.children(fnode).iter().enumerate() {
-            let child_id = fresh_child_id(&my_id, rank, next_seq);
-            self.graft(frag, c, child_id, next_seq);
+        self.seq_nodes.resize(self.next_seq as usize, DEAD);
+        for (n, id) in self.ids.as_slice().iter().enumerate().skip(from) {
+            self.seq_nodes[seq(id)] = n as u32;
         }
-        self.b.close();
-        nid
     }
 }
 
@@ -470,7 +456,11 @@ mod tests {
     fn insert_appends_and_keeps_survivor_ids() {
         for scheme in [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential] {
             let mut live = LiveDoc::new(Document::from_parens("r(a(x) b)"), scheme);
-            let before: Vec<StructId> = live.doc().iter().map(|n| live.id_of(n).clone()).collect();
+            let before: Vec<(StructId, &str)> = live
+                .doc()
+                .iter()
+                .map(|n| (live.id_of(n).clone(), live.doc().label(n).as_str()))
+                .collect();
             let a = id_by_path(&live, &["a"]);
             let mut batch = UpdateBatch::new();
             batch.insert(a.clone(), Document::from_parens("c(d)"));
@@ -478,9 +468,9 @@ mod tests {
             assert_eq!(applied.inserted_roots.len(), 1);
             assert_eq!(live.doc().len(), 6);
             // every pre-batch node survives with its ID intact
-            for (old_n, old_id) in before.iter().enumerate() {
-                let new_n = applied.old_to_new[old_n].expect("survivor");
-                assert_eq!(live.id_of(new_n), old_id, "{scheme:?}");
+            for (old_id, label) in &before {
+                let new_n = live.node_of(old_id).expect("survivor");
+                assert_eq!(live.doc().label(new_n).as_str(), *label, "{scheme:?}");
             }
             // the fragment went in as a's last child
             let a_node = live.node_of(&a).unwrap();
@@ -541,7 +531,7 @@ mod tests {
         batch.delete(b); // nested inside a — covered
         batch.delete(a);
         let applied = live.apply(&batch).unwrap();
-        assert_eq!(applied.deleted_roots.len(), 1);
+        assert_eq!(applied.detached.len(), 1);
         assert_eq!(applied.deleted_ids.len(), 4, "a, b, c, d all dead");
         assert_eq!(live.doc().len(), 2); // r, e
     }
@@ -609,5 +599,39 @@ mod tests {
             .map(|&c| live.doc().label(c).as_str())
             .collect();
         assert_eq!(kids, vec!["a", "p", "s"]);
+    }
+
+    #[test]
+    fn a_batch_that_does_not_grow_edits_the_buffers_in_place() {
+        for scheme in [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential] {
+            let mut live = LiveDoc::new(
+                Document::from_parens(r#"r(a(b="1" c(d)) e(f g="2") h)"#),
+                scheme,
+            );
+            let buffers = |live: &mut LiveDoc| {
+                let ids = live.ids.ids_mut();
+                let ids = (ids.as_ptr() as usize, ids.capacity());
+                (live.doc.buffers(), ids)
+            };
+            let before = buffers(&mut live);
+            let mut batch = UpdateBatch::new();
+            batch.delete(id_by_path(&live, &["a"]));
+            batch.delete(id_by_path(&live, &["e", "g"]));
+            batch.insert(id_by_path(&live, &["e"]), Document::from_parens("x(y)"));
+            batch.insert(id_by_path(&live, &["h"]), Document::from_parens("z"));
+            let applied = live.apply(&batch).unwrap();
+            assert_eq!(buffers(&mut live), before, "{scheme:?}");
+            // what the batch keeps is what it deleted, node for node
+            let kept: usize = applied.detached.iter().map(|d| d.doc.len()).sum();
+            assert_eq!(kept, applied.deleted_ids.len(), "{scheme:?}");
+            assert_eq!(kept, 5, "{scheme:?}: a, b, c, d and g");
+            let kids: Vec<&str> = live
+                .doc()
+                .children(live.doc().root())
+                .iter()
+                .map(|&c| live.doc().label(c).as_str())
+                .collect();
+            assert_eq!(kids, vec!["e", "h"], "{scheme:?}");
+        }
     }
 }

@@ -13,6 +13,12 @@
 //! use ([`Document::nodes_labeled`]), so a pattern node scans the nodes
 //! carrying its label instead of the whole arena.
 //!
+//! A live document ([`crate::LiveDoc`]) edits the arena in place: one
+//! splice cuts deleted subtrees — each one pre-order interval — and
+//! opens gaps for inserted ones, moving every surviving node once.
+//! Depths survive any such edit, and in pre-order they alone fix the
+//! rest: a node's parent is the nearest earlier node one level up.
+//!
 //! Attributes are modeled as children labeled `@name` carrying a value, per
 //! the paper's remark that a node's label "corresponds to the element or
 //! attribute name".
@@ -20,6 +26,7 @@
 use crate::label::Label;
 use crate::treelike::LabeledTree;
 use crate::value::Value;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Index of a node in a [`Document`] arena; equals the node's pre-order rank.
@@ -365,26 +372,226 @@ impl TreeBuilder {
     pub fn finish(self) -> Document {
         assert!(self.stack.is_empty(), "unclosed elements remain");
         assert!(!self.nodes.is_empty(), "empty document");
-        let nodes = self.nodes;
-        let mut child_start = vec![0u32; nodes.len() + 1];
-        for p in nodes.iter().filter_map(|n| n.parent) {
-            child_start[p.idx() + 1] += 1;
+        Document::with_nodes(self.nodes)
+    }
+}
+
+/// Sets every node's parent, child rank and last descendant from the
+/// depths alone: in pre-order, a node's parent is the nearest earlier
+/// node one level up.
+fn relink(nodes: &mut [Node]) {
+    // the current node's open ancestors, root first, each with the
+    // children it has had so far
+    let mut open: Vec<(u32, u32)> = Vec::new();
+    for i in 0..nodes.len() {
+        let depth = nodes[i].depth as usize;
+        while open.len() > depth {
+            let (a, _) = open.pop().expect("deeper than the node");
+            nodes[a as usize].last_desc = i as u32 - 1;
         }
-        for i in 1..child_start.len() {
-            child_start[i] += child_start[i - 1];
+        assert_eq!(
+            open.len(),
+            depth,
+            "a pre-order steps down one level at a time"
+        );
+        let (parent, rank) = match open.last_mut() {
+            Some((p, kids)) => {
+                *kids += 1;
+                (Some(NodeId(*p)), *kids - 1)
+            }
+            None => (None, 0),
+        };
+        nodes[i].parent = parent;
+        nodes[i].child_rank = rank;
+        open.push((i as u32, 0));
+    }
+    for (a, _) in open {
+        nodes[a as usize].last_desc = nodes.len() as u32 - 1;
+    }
+}
+
+/// An in-place edit of a vector in arena order — a [`Document`]'s nodes,
+/// or anything indexed by them — in its pre-edit positions. `cuts` are
+/// the intervals to remove, ascending and disjoint. Each gap `(at, n)`
+/// opens `n` slots before the element at `at` (at the end when `at` is
+/// the length); gaps ascend in `at`, those sharing an `at` in the order
+/// their slots follow each other, and none lies strictly inside a cut.
+pub(crate) struct Splice {
+    cuts: Vec<Range<usize>>,
+    gaps: Vec<(usize, usize)>,
+    /// Per cut, the elements it and the cuts before it remove.
+    removed: Vec<usize>,
+    /// Per gap, the slots it and the gaps before it open.
+    opened: Vec<usize>,
+}
+
+/// Running sums of `lens`.
+fn running(lens: impl Iterator<Item = usize>) -> Vec<usize> {
+    lens.scan(0, |sum, n| {
+        *sum += n;
+        Some(*sum)
+    })
+    .collect()
+}
+
+impl Splice {
+    pub(crate) fn new(cuts: Vec<Range<usize>>, gaps: Vec<(usize, usize)>) -> Splice {
+        Splice {
+            removed: running(cuts.iter().map(|c| c.len())),
+            opened: running(gaps.iter().map(|g| g.1)),
+            cuts,
+            gaps,
         }
-        let mut child_list = vec![NodeId::ROOT; nodes.len() - 1];
-        for (i, n) in nodes.iter().enumerate() {
-            if let Some(p) = n.parent {
-                child_list[(child_start[p.idx()] + n.child_rank) as usize] = NodeId(i as u32);
+    }
+
+    /// True when the edit changes nothing.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.cuts.is_empty() && self.gaps.is_empty()
+    }
+
+    /// The first pre-edit position the edit touches: everything before
+    /// it keeps its place.
+    pub(crate) fn first_touched(&self) -> usize {
+        let cut = self.cuts.first().map_or(usize::MAX, |c| c.start);
+        cut.min(self.gaps.first().map_or(usize::MAX, |g| g.0))
+    }
+
+    /// How many elements the cuts remove before pre-edit position `at`.
+    fn removed_before(&self, at: usize) -> usize {
+        match self.cuts.partition_point(|c| c.end <= at) {
+            0 => 0,
+            k => self.removed[k - 1],
+        }
+    }
+
+    /// The post-edit position of the surviving element at `at`.
+    pub(crate) fn moved(&self, at: usize) -> usize {
+        let opened = match self.gaps.partition_point(|g| g.0 <= at) {
+            0 => 0,
+            k => self.opened[k - 1],
+        };
+        at - self.removed_before(at) + opened
+    }
+
+    /// The post-edit position of gap `k`'s first slot.
+    pub(crate) fn slot(&self, k: usize) -> usize {
+        let at = self.gaps[k].0;
+        at - self.removed_before(at) + self.opened[k] - self.gaps[k].1
+    }
+
+    /// Applies the edit to `v`, filling the gaps in order from `fresh`,
+    /// which holds exactly their slots. One forward pass closes the cuts
+    /// and one backward pass opens the gaps, each moving a survivor at
+    /// most once and cloning nothing; `v` reallocates only to grow past
+    /// its capacity. The cut elements drop, and `pad` makes the
+    /// placeholders the backward pass moves through the opened slots.
+    pub(crate) fn apply<T>(&self, v: &mut Vec<T>, mut fresh: Vec<T>, pad: impl FnMut() -> T) {
+        let mut w = self.cuts.first().map_or(v.len(), |c| c.start);
+        for (k, cut) in self.cuts.iter().enumerate() {
+            let next = self.cuts.get(k + 1).map_or(v.len(), |c| c.start);
+            for r in cut.end..next {
+                v.swap(w, r);
+                w += 1;
             }
         }
-        Document {
-            nodes,
-            child_start,
-            child_list,
-            postings: OnceLock::new(),
+        v.truncate(w);
+        let mut r = v.len();
+        v.resize_with(r + fresh.len(), pad);
+        let mut w = v.len();
+        for &(at, n) in self.gaps.iter().rev() {
+            let at = at - self.removed_before(at);
+            while r > at {
+                r -= 1;
+                w -= 1;
+                v.swap(r, w);
+            }
+            for _ in 0..n {
+                w -= 1;
+                v[w] = fresh.pop().expect("a fresh element per slot");
+            }
         }
+        debug_assert!(fresh.is_empty() && r == w);
+    }
+}
+
+impl Document {
+    /// Wraps linked nodes, laying their child lists out.
+    fn with_nodes(nodes: Vec<Node>) -> Document {
+        let mut doc = Document {
+            nodes,
+            child_start: Vec::new(),
+            child_list: Vec::new(),
+            postings: OnceLock::new(),
+        };
+        doc.lay_out_children();
+        doc
+    }
+
+    /// Lays the child lists out from each node's parent and rank,
+    /// reusing the buffers the document already holds.
+    fn lay_out_children(&mut self) {
+        let (nodes, starts, list) = (&self.nodes, &mut self.child_start, &mut self.child_list);
+        starts.clear();
+        starts.resize(nodes.len() + 1, 0);
+        for p in nodes.iter().filter_map(|n| n.parent) {
+            starts[p.idx() + 1] += 1;
+        }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        list.clear();
+        list.resize(nodes.len() - 1, NodeId::ROOT);
+        for (i, n) in nodes.iter().enumerate() {
+            if let Some(p) = n.parent {
+                list[(starts[p.idx()] + n.child_rank) as usize] = NodeId(i as u32);
+            }
+        }
+    }
+
+    /// Moves the subtree at `r` into a document of its own, numbered from
+    /// 0 at `r`. Its values move, not clone: the arena keeps the
+    /// subtree's nodes, valueless, until a [`Splice`] cuts them.
+    pub(crate) fn detach(&mut self, r: NodeId) -> Document {
+        let top = self.nodes[r.idx()].depth;
+        let span = r.idx()..self.nodes[r.idx()].last_desc as usize + 1;
+        let mut nodes: Vec<Node> = self.nodes[span]
+            .iter_mut()
+            .map(|n| Node {
+                value: n.value.take(),
+                depth: n.depth - top,
+                ..*n
+            })
+            .collect();
+        relink(&mut nodes);
+        Document::with_nodes(nodes)
+    }
+
+    /// Edits the arena in place: the nodes `splice` cuts drop (detached
+    /// beforehand), and its gaps fill with `grafts` in order, each a
+    /// fragment with the depth of the node it goes under. Postings start
+    /// over, as a freshly built document's do.
+    pub(crate) fn splice(&mut self, splice: &Splice, grafts: &[(u32, &Document)]) {
+        if splice.is_empty() {
+            return;
+        }
+        let fresh = grafts
+            .iter()
+            .flat_map(|&(under, frag)| {
+                frag.nodes.iter().map(move |n| Node {
+                    value: n.value.clone(),
+                    depth: under + 1 + n.depth,
+                    ..*n
+                })
+            })
+            .collect();
+        let pad = Node {
+            value: None,
+            ..self.nodes[0]
+        };
+        splice.apply(&mut self.nodes, fresh, || pad.clone());
+        relink(&mut self.nodes);
+        self.lay_out_children();
+        self.postings = OnceLock::new();
     }
 }
 
@@ -412,6 +619,21 @@ impl LabeledTree for Document {
     }
     fn tree_len(&self) -> usize {
         self.len()
+    }
+}
+
+#[cfg(test)]
+impl Document {
+    /// Where the node and child-list buffers live and what they can
+    /// hold: what an in-place edit that does not grow leaves alone.
+    pub(crate) fn buffers(&self) -> [(usize, usize); 2] {
+        [
+            (self.nodes.as_ptr() as usize, self.nodes.capacity()),
+            (
+                self.child_list.as_ptr() as usize,
+                self.child_list.capacity(),
+            ),
+        ]
     }
 }
 

@@ -220,7 +220,8 @@ fn service_reranks_on_feedback_at_the_next_epoch() {
     assert!(again.plan_cache_hit);
     assert_eq!(again.plan_fingerprint, first.plan_fingerprint);
     // a new epoch ranks again, now on the measured pass-rate
-    svc.add_view(view("as", "r(//a{id})"), RefreshPolicy::Eager);
+    svc.add_view(view("as", "r(//a{id})"), RefreshPolicy::Eager)
+        .unwrap();
     let after = svc.query(q).unwrap();
     assert!(after.epoch > first.epoch && !after.plan_cache_hit);
     let over_low_b = rewrite(

@@ -1,10 +1,13 @@
 //! The build and refresh path against its independent definitions: the
 //! marking [`Matcher`] against the per-candidate scan it replaced,
 //! interval-scoped materialization against the embedding enumerator,
-//! `LiveDoc`'s index-free ID lookup against a linear search, and anchored
-//! refresh and summary maintenance against a from-scratch rebuild — over
-//! random documents, patterns and update batches, on all three ID schemes.
+//! `LiveDoc`'s index-free ID lookup against a linear search, its in-place
+//! arena edit against the arena rebuild it replaced, and anchored refresh
+//! and summary maintenance against a from-scratch rebuild — over random
+//! documents, patterns and update batches, on all three ID schemes.
 
+#[path = "common/rebuild.rs"]
+mod rebuild;
 #[path = "../crates/summary/tests/common/mod.rs"]
 mod summary_check;
 
@@ -12,7 +15,7 @@ use proptest::prelude::*;
 use smv::algebra::{Cell, ViewProvider};
 use smv::pattern::{Axis, MatchTarget, Matcher, PNodeId};
 use smv::prelude::*;
-use smv::xml::{IdAssignment, NodeId, StructId};
+use smv::xml::{AppliedBatch, IdAssignment, NodeId, StructId};
 use std::cmp::Ordering;
 use std::time::Instant;
 use summary_check::summaries_agree;
@@ -131,6 +134,25 @@ fn batch_from(live: &LiveDoc, ops: &[(u8, u16, String)]) -> UpdateBatch {
     batch
 }
 
+/// `doc_src`, an `r(…)` document, with the children of `r` repeated
+/// `copies` times: the same paths under the same local numbering, again.
+fn repeated(doc_src: &str, copies: usize) -> Document {
+    let body = &doc_src[2..doc_src.len() - 1];
+    Document::from_parens(&format!("r({})", vec![body; copies].join(" ")))
+}
+
+/// Deletes every other node labeled `l`, in document order: subtrees on
+/// one summary path go together, each numbered from 0 once detached,
+/// and others on it survive to be counted.
+fn delete_every_other(live: &LiveDoc, l: u8) -> UpdateBatch {
+    let (doc, l) = (live.doc(), Label::intern(&label(l).to_string()));
+    let mut batch = UpdateBatch::new();
+    for n in doc.iter().filter(|&n| doc.label(n) == l).step_by(2) {
+        batch.delete(live.id_of(n).clone());
+    }
+    batch
+}
+
 // ---------------------------------------------------------------------------
 // oracles
 
@@ -163,6 +185,89 @@ fn candidates_by_scan<T: MatchTarget>(p: &Pattern, t: &T) -> Vec<Vec<NodeId>> {
             .collect();
     }
     cand
+}
+
+/// The in-place edit against the rebuild, after one batch both applied
+/// to the same document: every node's label, value, parent, last
+/// descendant, children, depth and rank; the ID vector and its lookup;
+/// the inserted roots and deleted IDs; and each detached subtree against
+/// the pre-batch subtree it was, with its IDs and its parent.
+fn edit_equals_rebuild(
+    live: &LiveDoc,
+    applied: &AppliedBatch,
+    rebuilt: &rebuild::Rebuilt,
+    want: &rebuild::Applied,
+) -> Result<(), String> {
+    let same_tree = |got: &Document, want: &Document, from: NodeId| -> Result<(), String> {
+        let lens = (got.len(), want.subtree(from).count());
+        if lens.0 != lens.1 {
+            return Err(format!("{} nodes, want {}", lens.0, lens.1));
+        }
+        for (n, w) in got.iter().zip(want.subtree(from)) {
+            let node = |d: &Document, n: NodeId, base: u32| {
+                (
+                    d.label(n),
+                    d.value(n).cloned(),
+                    d.parent(n).filter(|_| n.0 != base).map(|p| p.0 - base),
+                    d.last_descendant(n).0 - base,
+                    d.children(n).iter().map(|c| c.0 - base).collect::<Vec<_>>(),
+                    d.depth(n) - d.depth(NodeId(base)),
+                    if n.0 == base { 0 } else { d.child_rank(n) },
+                )
+            };
+            let (g, w) = (node(got, n, 0), node(want, w, from.0));
+            if g != w {
+                return Err(format!("node {n:?}: {g:?}, want {w:?}"));
+            }
+        }
+        Ok(())
+    };
+    same_tree(live.doc(), &rebuilt.doc, NodeId(0)).map_err(|e| format!("document: {e}"))?;
+    if live.ids().as_slice() != rebuilt.ids.as_slice() {
+        return Err(format!(
+            "IDs {:?}, want {:?}",
+            live.ids().as_slice(),
+            rebuilt.ids.as_slice()
+        ));
+    }
+    for n in live.doc().iter() {
+        if live.node_of(live.id_of(n)) != Some(n) {
+            return Err(format!("node_of({}) is not {n:?}", live.id_of(n)));
+        }
+    }
+    if applied.inserted_roots != want.inserted_roots {
+        return Err(format!(
+            "inserted roots {:?}, want {:?}",
+            applied.inserted_roots, want.inserted_roots
+        ));
+    }
+    if applied.deleted_ids != want.deleted_ids {
+        return Err(format!(
+            "deleted IDs {:?}, want {:?}",
+            applied.deleted_ids, want.deleted_ids
+        ));
+    }
+    if applied.detached.len() != want.deleted_roots.len() {
+        return Err("a detached subtree per deleted root".into());
+    }
+    for ((d, ids), &r) in applied.deleted_subtrees().zip(&want.deleted_roots) {
+        same_tree(&d.doc, &want.old_doc, r).map_err(|e| format!("detached {r:?}: {e}"))?;
+        let old_ids = &want.old_ids[r.idx()..=want.old_doc.last_descendant(r).idx()];
+        if ids != old_ids {
+            return Err(format!("detached {r:?}: IDs {ids:?}, want {old_ids:?}"));
+        }
+        let parent = want
+            .old_doc
+            .parent(r)
+            .and_then(|p| want.old_to_new[p.idx()]);
+        if Some(d.parent) != parent {
+            return Err(format!(
+                "detached {r:?}: parent {:?}, want {parent:?}",
+                d.parent
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// The published epoch against `rebuild_from_scratch`: views, schemas,
@@ -296,6 +401,42 @@ proptest! {
             }
         }
     }
+
+    /// (e) Editing the arena in place leaves exactly the document, IDs
+    /// and batch record the arena rebuild it replaced produces, batch
+    /// after batch.
+    #[test]
+    fn in_place_edit_equals_rebuild(
+        doc_src in tree_strategy(),
+        copies in 1usize..4,
+        swept in 0u8..4,
+        batches in proptest::collection::vec(ops_strategy(), 1..5),
+    ) {
+        for scheme in SCHEMES {
+            let mut live = LiveDoc::new(repeated(&doc_src, copies), scheme);
+            let mut rebuilt = rebuild::Rebuilt::new(repeated(&doc_src, copies), scheme);
+            let mut summary = Summary::of(live.doc());
+            // the last batch deletes every other node of one label
+            for round in 0..=batches.len() {
+                let batch = match batches.get(round) {
+                    Some(ops) => batch_from(&live, ops),
+                    None => delete_every_other(&live, swept),
+                };
+                let applied = live.apply(&batch).expect("valid by construction");
+                let want = rebuilt.apply(&batch);
+                summary.apply_update(&applied, live.doc());
+                let agree = edit_equals_rebuild(&live, &applied, &rebuilt, &want).and_then(|()| {
+                    summaries_agree(&summary, &Summary::of(live.doc()))
+                        .map_err(|e| format!("summary: {e}"))
+                });
+                if let Err(e) = agree {
+                    return Err(TestCaseError::fail(format!(
+                        "{e}\n{scheme:?}, batch {round} of {batches:?} on {copies} × {doc_src}"
+                    )));
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -394,6 +535,35 @@ fn dedup_and_optional_edges_refresh_exactly() {
         ec.apply(&batch).unwrap();
         assert_eq!(rows(&ec), bottom, "{scheme:?}");
         check_against_rebuild(&ec).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// (f) A batch that deletes every other node of one label — several
+    /// subtrees on one summary path, detached and each numbered from 0 —
+    /// still publishes the from-scratch epoch, summary included.
+    #[test]
+    fn same_path_deletions_equal_rebuild(
+        doc_src in tree_strategy(),
+        swept in 0u8..4,
+        patterns in proptest::collection::vec(pattern_strategy(true), 1..3),
+    ) {
+        for scheme in SCHEMES {
+            let mut ec = EpochCatalog::new(repeated(&doc_src, 3), scheme);
+            for (i, p_src) in patterns.iter().enumerate() {
+                let view = View::new(&format!("v{i}"), parse_pattern(p_src).unwrap(), scheme);
+                ec.add_view(view, RefreshPolicy::Eager);
+            }
+            ec.apply(&delete_every_other(ec.live(), swept)).expect("valid by construction");
+            if let Err(e) = check_against_rebuild(&ec) {
+                return Err(TestCaseError::fail(format!(
+                    "{e}\n{scheme:?}, every other {} deleted from 3 × {doc_src} under {patterns:?}",
+                    label(swept)
+                )));
+            }
+        }
     }
 }
 

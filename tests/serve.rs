@@ -203,7 +203,8 @@ fn service_counts_equal_the_registry_and_every_query_is_scheduled_once() {
             IdScheme::OrdPath,
         ),
         RefreshPolicy::Eager,
-    );
+    )
+    .unwrap();
     let node = |label: &str| {
         svc.with_catalog(|cat| {
             let doc = cat.live().doc();
