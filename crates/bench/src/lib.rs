@@ -166,7 +166,7 @@ pub struct RewritingPoint {
 }
 
 /// Rewriting options tuned for the Figure 15 sweep (bounded search).
-fn fig15_opts() -> smv_core::RewriteOpts {
+pub fn fig15_opts() -> smv_core::RewriteOpts {
     smv_core::RewriteOpts {
         max_scans: 2,
         max_members: 32,

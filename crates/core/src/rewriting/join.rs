@@ -4,7 +4,7 @@
 //! built.
 
 use super::pair::{merge_nodes, ColInfo, Layouts, Member, NodeSet, Pair, PairKey};
-use super::Rewriter;
+use super::{Rewriter, SearchSink};
 use smv_algebra::{AttrKind, Carried, Plan, StructRel};
 use smv_xml::fasthash::FastBuild;
 use smv_xml::NodeId;
@@ -29,68 +29,24 @@ const JOIN_KINDS: [JoinKind; 5] = [
     JoinKind::Struct(StructRel::Ancestor, true),
 ];
 
-/// The joins of one expansion `a ⋈ b` ([`Rewriter::join_options`]), and
-/// the scratch space deciding them takes, kept from one expansion to the
-/// next.
-#[derive(Default)]
-pub(super) struct Joins {
-    /// The options decided, in option order.
-    pub(super) decided: Vec<Decided>,
-    /// Options that repeat an earlier option's combinations and were not
-    /// decided.
-    pub(super) repeats: usize,
-    /// Every option decided or dropped so far.
-    tried: Vec<Tried>,
-    /// Every tried option's member combinations.
-    combos: Vec<(usize, usize)>,
-    /// One ID column pair's member combinations with their join kinds
-    /// ([`Rewriter::classify`]).
-    classified: Vec<(usize, usize, u8)>,
-    /// [`Layouts::push_joined`]'s scratch space.
-    merged: Vec<u64>,
+/// One way of joining `a` and `b`: its kind and the joined ID columns of
+/// `a` and `b`.
+#[derive(Clone, Copy, Debug)]
+pub(super) struct On {
+    pub(super) kind: JoinKind,
+    pub(super) ca: usize,
+    pub(super) cb: usize,
 }
 
-/// An option [`Rewriter::join_options`] has decided or dropped.
-struct Tried {
-    /// The column groups it merges into one: `a`'s and `b`'s joined
-    /// columns' for a `⋈_=`, none for a structural join.
-    merged: Option<(u32, u32)>,
-    /// Its span of [`Joins::combos`].
-    combos: Range<usize>,
-    /// Where its join is in [`Joins::decided`], if it kept a member.
-    decided: Option<usize>,
-}
-
-/// A join of `a` and `b` decided but not built: its key, and what building
-/// it takes.
-pub(super) struct Decided {
-    pub(super) key: PairKey,
-    pub(super) join: Join,
-}
-
-/// What a decided join is built from.
-#[derive(Clone)]
-pub(super) struct Join {
-    kind: JoinKind,
-    /// The joined ID columns of `a` and `b`.
-    ca: usize,
-    cb: usize,
-    /// The member combinations `(i, j)` of `a.members × b.members` kept —
-    /// satisfiable and distinct, in merge order — with their merged node
-    /// sets.
-    kept: Vec<(usize, usize, NodeSet)>,
-    layouts: Arc<Layouts>,
-}
-
-impl Join {
+impl On {
     /// `b` is the plan's left input: a structural join with `b` on the
     /// ancestor side. `a` is otherwise.
-    pub(super) fn b_left(&self) -> bool {
+    pub(super) fn b_left(self) -> bool {
         matches!(self.kind, JoinKind::Struct(_, true))
     }
 
     /// The join's plan, its inputs `a`'s and `b`'s plans, shared.
-    pub(super) fn plan(&self, a: &Pair, b: &Pair) -> Arc<Plan> {
+    pub(super) fn plan(self, a: &Pair, b: &Pair) -> Arc<Plan> {
         let (left, right, lcol, rcol) = if self.b_left() {
             (&b.plan, &a.plan, self.cb, self.ca)
         } else {
@@ -113,31 +69,90 @@ impl Join {
             },
         })
     }
+}
 
-    /// The joined pair over `plan` with estimate `est`: its columns (the
-    /// left input's, then the right's), column groups, views and members.
-    pub(super) fn pair(self, a: &Pair, b: &Pair, plan: Arc<Plan>, est: Option<Carried>) -> Pair {
-        let reversed = self.b_left();
+/// The joins of one expansion `a ⋈ b` ([`Rewriter::join_options`]), and
+/// the scratch space deciding them takes, kept from one expansion to the
+/// next.
+#[derive(Default)]
+pub(super) struct Joins {
+    /// The options, in option order, each with the index in `decided` of
+    /// its members and key: its own, or those of the earlier option whose
+    /// combinations it repeats.
+    pub(super) options: Vec<(On, usize)>,
+    /// The options decided.
+    pub(super) decided: Vec<Decided>,
+    /// Every option decided or dropped so far.
+    tried: Vec<Tried>,
+    /// Every tried option's member combinations.
+    combos: Vec<(usize, usize)>,
+    /// One ID column pair's member combinations with their join kinds
+    /// ([`Rewriter::classify`]).
+    classified: Vec<(usize, usize, u8)>,
+    /// [`Layouts::push_joined`]'s scratch space.
+    merged: Vec<u64>,
+}
+
+/// An option [`Rewriter::join_options`] has decided or dropped.
+struct Tried {
+    /// The column groups it merges into one: `a`'s and `b`'s joined
+    /// columns' for a `⋈_=`, none for a structural join.
+    merged: Option<(u32, u32)>,
+    /// Its [`On::b_left`], which orders its members' columns and groups.
+    b_left: bool,
+    /// Its span of [`Joins::combos`].
+    combos: Range<usize>,
+    /// Where its join is in [`Joins::decided`], if it kept a member.
+    decided: Option<usize>,
+}
+
+/// A join of `a` and `b` decided but not built: its key, and the members
+/// building it takes.
+pub(super) struct Decided {
+    pub(super) key: PairKey,
+    /// The member combinations `(i, j)` of `a.members × b.members` kept —
+    /// satisfiable and distinct, in merge order — with their merged node
+    /// sets.
+    kept: Vec<(usize, usize, NodeSet)>,
+    layouts: Arc<Layouts>,
+}
+
+impl Decided {
+    /// The pair joining `a` and `b` on `on` over `plan` with estimate
+    /// `est`: its columns (the left input's, then the right's), column
+    /// groups, views and members.
+    pub(super) fn pair(
+        &self,
+        on: On,
+        a: &Pair,
+        b: &Pair,
+        plan: Arc<Plan>,
+        est: Option<Carried>,
+    ) -> Pair {
+        let reversed = on.b_left();
         let (left, right) = if reversed { (b, a) } else { (a, b) };
         let members = self
             .kept
-            .into_iter()
+            .iter()
             .map(|(i, j, nodes)| {
-                let (ml, mr) = (&a.members[i], &b.members[j]);
+                let (ml, mr) = (&a.members[*i], &b.members[*j]);
                 let (ml, mr) = if reversed { (mr, ml) } else { (ml, mr) };
                 let mut col_path = Vec::with_capacity(ml.col_path.len() + mr.col_path.len());
                 col_path.extend_from_slice(&ml.col_path);
                 col_path.extend_from_slice(&mr.col_path);
-                Member { nodes, col_path }
+                Member {
+                    nodes: nodes.clone(),
+                    col_path,
+                }
             })
             .collect();
         let cols: Vec<ColInfo> = left.cols.iter().chain(&right.cols).cloned().collect();
         let off = next_group(left);
         let mut groups = left.groups.clone();
         groups.extend(right.groups.iter().map(|g| g + off));
-        if self.kind == JoinKind::IdEq {
+        if on.kind == JoinKind::IdEq {
             // same node on both sides: merge the groups
-            let (target, src) = (left.groups[self.ca], right.groups[self.cb] + off);
+            let (target, src) = (left.groups[on.ca], right.groups[on.cb] + off);
             for g in &mut groups[left.cols.len()..] {
                 if *g == src {
                     *g = target;
@@ -153,7 +168,7 @@ impl Join {
             cols,
             groups,
             members,
-            layouts: self.layouts,
+            layouts: Arc::clone(&self.layouts),
             views,
             est,
         }
@@ -174,22 +189,29 @@ fn next_group(p: &Pair) -> u32 {
 impl Rewriter<'_> {
     /// All joins of `a` with `b` (line 4: "each possible way of joining"),
     /// each option decided from its member combinations before anything
-    /// of it is built. An option whose combinations and column-group
-    /// partition repeat an earlier option's has the same members and the
-    /// same layout up to column order and group numbering — the same
-    /// [`PairKey`], a certain Prop. 3.5 hit — so it is counted, not
-    /// decided. That catches `⋈_=` on two ID columns an earlier `⋈_=` put
-    /// in one group, and `⋈_≺≺` where the summary has only parent edges
-    /// between the paths.
+    /// of it is built. An option whose combinations, column-group
+    /// partition and orientation repeat an earlier option's has the same
+    /// members and layouts, so the same [`PairKey`]: it takes the earlier
+    /// option's decision, not one of its own, unless `sink`
+    /// [builds repeats](SearchSink::builds_repeats). That catches `⋈_=` on
+    /// two ID columns an earlier `⋈_=` put in one group, and `⋈_≺≺` where
+    /// the summary has only parent edges between the paths. The search
+    /// still prices it on its own plan when the earlier one was not kept.
     ///
     /// A join the member model cannot place is not an option: `⋈_=` of two
     /// derived IDs, or a structural join whose ancestor side is one. Such
     /// a join puts the two original nodes under a common ancestor but on no
     /// common chain, and the merged member's path set then merges distinct
     /// nodes below that ancestor.
-    pub(super) fn join_options(&self, a: &Pair, b: &Pair, joins: &mut Joins) {
+    pub(super) fn join_options(
+        &self,
+        a: &Pair,
+        b: &Pair,
+        joins: &mut Joins,
+        sink: &mut impl SearchSink,
+    ) {
+        joins.options.clear();
         joins.decided.clear();
-        joins.repeats = 0;
         joins.tried.clear();
         joins.combos.clear();
         for ca in id_cols(a) {
@@ -205,6 +227,7 @@ impl Rewriter<'_> {
                 };
                 self.classify(a, b, ca, cb, &mut joins.classified);
                 for (k, &kind) in JOIN_KINDS.iter().enumerate().take(kinds) {
+                    let on = On { kind, ca, cb };
                     let unplaced = match kind {
                         JoinKind::IdEq => false,
                         JoinKind::Struct(_, false) => derived.0,
@@ -222,42 +245,26 @@ impl Rewriter<'_> {
                     }
                     let merged = (kind == JoinKind::IdEq).then(|| (a.groups[ca], b.groups[cb]));
                     let combos = &mut joins.combos;
-                    if let Some(earlier) = joins
-                        .tried
-                        .iter()
-                        .find(|t| {
-                            t.merged == merged
-                                && combos[t.combos.clone()].iter().copied().eq(these())
-                        })
-                        .map(|t| t.decided)
-                    {
-                        #[cfg(test)]
-                        if super::tests::building_repeats() {
-                            let option: Vec<(usize, usize)> = these().collect();
-                            let d = self.decide(a, b, ca, cb, kind, &option, &mut joins.merged);
-                            super::tests::check_repeat(
-                                earlier.map(|e| &joins.decided[e]),
-                                d.as_ref(),
-                                a,
-                                b,
-                            );
-                            joins.decided.extend(d);
-                            continue;
-                        }
-                        joins.repeats += usize::from(earlier.is_some());
+                    let earlier = joins.tried.iter().find(|t| {
+                        (t.merged, t.b_left) == (merged, on.b_left())
+                            && combos[t.combos.clone()].iter().copied().eq(these())
+                    });
+                    if let Some(t) = earlier.filter(|_| !sink.builds_repeats()) {
+                        joins.options.extend(t.decided.map(|d| (on, d)));
                         continue;
                     }
                     let start = combos.len();
                     combos.extend(these());
-                    let option = &combos[start..];
-                    let d = self.decide(a, b, ca, cb, kind, option, &mut joins.merged);
-                    #[cfg(test)]
-                    super::tests::check_parts(self, a, b, ca, cb, kind, option, d.as_ref());
+                    let d = self.decide(a, b, on, &combos[start..], &mut joins.merged);
+                    sink.decided(a, b, on, d.as_ref());
+                    let decided = d.as_ref().map(|_| joins.decided.len());
                     joins.tried.push(Tried {
                         merged,
+                        b_left: on.b_left(),
                         combos: start..combos.len(),
-                        decided: d.as_ref().map(|_| joins.decided.len()),
+                        decided,
                     });
+                    joins.options.extend(decided.map(|d| (on, d)));
                     joins.decided.extend(d);
                 }
             }
@@ -301,21 +308,18 @@ impl Rewriter<'_> {
         }
     }
 
-    /// Decides the join of `a` and `b` on `ca`, `cb` from its member
-    /// `combos`: merges each combination's node sets, drops the
-    /// unsatisfiable and the repeated members, and keys the join from the
-    /// merged node sets and its inputs' layouts. `None` when no member is
+    /// Decides the join of `a` and `b` on `on` from its member `combos`:
+    /// merges each combination's node sets, drops the unsatisfiable and
+    /// the repeated members, and keys the join from the merged node sets
+    /// and its inputs' layouts. `None` when no member is
     /// left (an S-unsatisfiable join, discarded: line 5 remark) or more
     /// than [`RewriteOpts::max_members`](super::RewriteOpts::max_members).
     /// `merged` is scratch space.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn decide(
+    fn decide(
         &self,
         a: &Pair,
         b: &Pair,
-        ca: usize,
-        cb: usize,
-        kind: JoinKind,
+        on: On,
         combos: &[(usize, usize)],
         merged: &mut Vec<u64>,
     ) -> Option<Decided> {
@@ -347,14 +351,14 @@ impl Rewriter<'_> {
         if kept.len() > self.opts.max_members {
             return None;
         }
-        let eq = (kind == JoinKind::IdEq).then(|| (a.groups[ca], b.groups[cb]));
+        let eq = (on.kind == JoinKind::IdEq).then(|| (a.groups[on.ca], b.groups[on.cb]));
         let words = kept
             .iter()
             .map(|&(i, j, _)| a.layouts.width(i) + b.layouts.width(j));
         let mut layouts = Layouts::with_capacity(kept.len(), words.sum());
         for &(i, j, _) in &kept {
             let (ai, bj) = ((&*a.layouts, i), (&*b.layouts, j));
-            if matches!(kind, JoinKind::Struct(_, true)) {
+            if on.b_left() {
                 layouts.push_joined(bj, ai, next_group(b), None, merged);
             } else {
                 layouts.push_joined(ai, bj, next_group(a), eq, merged);
@@ -363,13 +367,8 @@ impl Rewriter<'_> {
         let layouts = Arc::new(layouts);
         Some(Decided {
             key: PairKey::new(kept.iter().map(|m| m.2.clone()), Arc::clone(&layouts)),
-            join: Join {
-                kind,
-                ca,
-                cb,
-                kept,
-                layouts,
-            },
+            kept,
+            layouts,
         })
     }
 }

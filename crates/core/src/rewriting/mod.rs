@@ -38,7 +38,10 @@
 //!   and the Proposition 3.6 size bound, and `bound` the
 //!   branch-and-bound's lower bounds — on a prefix, on every join of a
 //!   prefix with a base pair before any is decided, and on a join priced
-//!   — and builds only the joins that pass them;
+//!   — and builds only the joins that pass them. The Proposition 3.5 set
+//!   holds the keys of the pairs kept, base pairs and joins past the
+//!   bound, and nothing else: a join is dropped as a repeat only of a
+//!   pair the search kept, and a pruned join leaves nothing behind;
 //! * `verdict`, line 7 — the `≡_S q` test runs both directions on
 //!   members: every member (strong-closed) must realize its designated
 //!   tuple in `q` (Prop 3.1 / §4.2 decorated embeddings), and every tree
@@ -51,6 +54,12 @@
 //!   nesting adaptation: a group-by (`Nest`) per nested query edge, keyed
 //!   on the nesting anchor's ID (the anchor must store `ID`, per the
 //!   paper's "otherwise this nesting step cannot be obtained").
+//!
+//! The search reports each decision — a base pair created, a combination
+//! skipped, a join decided, dropped as a repeat, priced, pruned or kept, a
+//! line-7 verdict, a pair emitted — to one `SearchSink`.
+//! [`RewriteStats`] is the sink that counts; tests record through their
+//! own.
 
 mod adapt;
 mod bound;
@@ -61,10 +70,11 @@ mod verdict;
 
 use adapt::{PrepStamp, PreparedView};
 use bound::{join_floor, Suppliers};
+use join::{Decided, On};
 use pair::{Pair, PairKey};
 use plan::{flat_out_cols, UnionCandidate};
 use smv_algebra::{
-    AttrKind, CardSource, ColCard, CostModel, FeedbackStore, Plan, PlanEstimate, ScanCard,
+    AttrKind, CardSource, Carried, ColCard, CostModel, FeedbackStore, Plan, PlanEstimate, ScanCard,
 };
 use smv_pattern::canonical::{unclosed_model, CanonOpts};
 use smv_pattern::{associated_paths, PNodeId, Pattern};
@@ -75,7 +85,7 @@ use smv_xml::NodeId;
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use verdict::{Candidate, MemberVerdicts, ModelTree};
+use verdict::{Candidate, Designated, MemberVerdicts, ModelTree};
 
 /// Options bounding the rewriting search.
 #[derive(Clone, Debug)]
@@ -171,22 +181,18 @@ pub struct RewriteStats {
     /// (prefix, base pair) combination skipped before any of its joins is
     /// decided, as no join costs less than both inputs' work and rows
     /// (counted once, however many joins it has); and a join priced past
-    /// the Proposition 3.5 test.
+    /// the Proposition 3.5 test. A pruned join's key is not recorded, so
+    /// a later derivation of the same members is priced on its own plan.
     pub pairs_pruned: usize,
-    /// Joins dropped by the Proposition 3.5 test because their key was
-    /// already seen — whether recognized before being built (the member
-    /// combinations and column groups of an earlier join of the same two
-    /// pairs) or after.
+    /// Joins dropped by the Proposition 3.5 test: a pair the search kept —
+    /// a base pair or a join that passed the cost bound — has their key.
     pub pairs_deduped: usize,
     /// Joins decided: members merged and keyed from the inputs' parts, the
     /// options left with at least one member and at most
-    /// [`RewriteOpts::max_members`]. A join recognized as a repeat from
-    /// its member combinations is not decided, nor is one of a
-    /// combination the cost bound skips (see
-    /// [`pairs_pruned`](Self::pairs_pruned)) — unless a join about to be
-    /// kept could repeat it, which decides that combination then. Of the
-    /// decided, a join whose key was seen builds nothing more, and one
-    /// the cost bound prunes only its plan and estimate.
+    /// [`RewriteOpts::max_members`]. An option that repeats the member
+    /// combinations of an earlier join of the same two pairs takes that
+    /// join's decision, and one of a combination the cost bound skips is
+    /// not decided. Of the decided, only the joins kept are built.
     pub joins_built: usize,
     /// Direction-A verdicts computed — the query embedded in a member's
     /// canonical tree, read off the member's node set — one per distinct
@@ -195,6 +201,104 @@ pub struct RewriteStats {
     /// Direction-A verdicts served from the run's memo of
     /// [`member_tests`](Self::member_tests) instead.
     pub member_tests_reused: usize,
+}
+
+impl RewriteStats {
+    /// Publishes the run's counters, `rewritings` found among them: as
+    /// fields of the run's `span` and as `rewrite.*` counters, with the
+    /// preparations reused and built and the total time.
+    fn publish(&self, span: &mut smv_obs::SpanGuard, rewritings: usize) {
+        let counts = [
+            ("rewrite.pairs_explored", self.pairs_explored),
+            ("rewrite.pairs_pruned", self.pairs_pruned),
+            ("rewrite.pairs_deduped", self.pairs_deduped),
+            ("rewrite.joins_built", self.joins_built),
+            ("rewrite.member_tests", self.member_tests),
+            ("rewrite.member_tests_reused", self.member_tests_reused),
+        ];
+        for (counter, n) in counts {
+            span.field(&counter["rewrite.".len()..], n as u64);
+            smv_obs::counter_add(counter, n as u64);
+        }
+        span.field("rewritings", rewritings as u64);
+        smv_obs::counter_add("rewrite.rewritings_found", rewritings as u64);
+        smv_obs::counter_add("rewrite.prepared_reused", self.prepared_reused as u64);
+        smv_obs::counter_add("rewrite.prepared_built", self.prepared_built as u64);
+        smv_obs::observe("rewrite.total_ns", self.total.as_nanos() as u64);
+    }
+}
+
+/// Where the search reports each decision as it makes it. Every method
+/// but [`stats`](SearchSink::stats) defaults to doing nothing; the search
+/// is generic over its sink, so a method left empty compiles away.
+/// [`RewriteStats`] is the sink that counts. A sink that records more
+/// forwards each decision to its own `RewriteStats` as well.
+trait SearchSink {
+    /// The run's statistics, which the search also fills in directly
+    /// (set-up, timings).
+    fn stats(&mut self) -> &mut RewriteStats;
+    /// A base pair entered `M0`, estimated.
+    fn created(&mut self, _pair: &Pair) {}
+    /// A (prefix `a`, base pair `base`) combination skipped before any of
+    /// its joins is decided: the bound on [`join_floor`] reaches the best
+    /// rewriting.
+    fn skipped(&mut self, _a: &Pair, _base: &Pair) {}
+    /// An option of `a ⋈ b` decided on `on`: `None` when it keeps no
+    /// member or more than [`RewriteOpts::max_members`].
+    fn decided(&mut self, _a: &Pair, _b: &Pair, _on: On, _d: Option<&Decided>) {}
+    /// A join dropped by the Proposition 3.5 test: a kept pair has `key`.
+    fn repeated(&mut self, _key: &PairKey) {}
+    /// A join priced on its own plan.
+    fn priced(&mut self, _plan: &Plan, _est: &Carried) {}
+    /// A prefix about to be extended, or a join priced, pruned by the
+    /// bound.
+    fn pruned(&mut self) {}
+    /// The join `pair` of `a` and `base` on `on` kept: its key recorded.
+    fn kept(&mut self, _a: &Pair, _base: &Pair, _on: On, _pair: &Pair) {}
+    /// A line-7 direction-A verdict on a member of `pair`, its node set
+    /// with the paths it designates: `Some((holds, refined))` when
+    /// computed now, `refined` when a §4.6 selection refined the pair's
+    /// members first; `None` when served from the run's memo.
+    fn verdict(&mut self, _pair: &Pair, _member: &Designated, _fresh: Option<(bool, bool)>) {}
+    /// A pair put to the line-7 test.
+    fn emitted(&mut self, _pair: &Pair) {}
+    /// Does [`Rewriter::join_options`] decide an option that repeats an
+    /// earlier one's member combinations afresh, instead of taking the
+    /// earlier decision? Only the decisions differ: the search is the
+    /// same.
+    fn builds_repeats(&self) -> bool {
+        false
+    }
+}
+
+impl SearchSink for RewriteStats {
+    fn stats(&mut self) -> &mut RewriteStats {
+        self
+    }
+    fn created(&mut self, _: &Pair) {
+        self.views_kept += 1;
+    }
+    fn skipped(&mut self, _: &Pair, _: &Pair) {
+        self.pairs_pruned += 1;
+    }
+    fn decided(&mut self, _: &Pair, _: &Pair, _: On, d: Option<&Decided>) {
+        self.joins_built += usize::from(d.is_some());
+    }
+    fn repeated(&mut self, _: &PairKey) {
+        self.pairs_deduped += 1;
+    }
+    fn pruned(&mut self) {
+        self.pairs_pruned += 1;
+    }
+    fn verdict(&mut self, _: &Pair, _: &Designated, fresh: Option<(bool, bool)>) {
+        match fresh {
+            Some(_) => self.member_tests += 1,
+            None => self.member_tests_reused += 1,
+        }
+    }
+    fn emitted(&mut self, _: &Pair) {
+        self.pairs_explored += 1;
+    }
 }
 
 /// The outcome of a rewriting run.
@@ -336,11 +440,19 @@ impl<'a> Rewriter<'a> {
 
     /// Runs Algorithm 1.
     pub fn run(&self) -> RewriteResult {
+        let mut stats = RewriteStats::default();
+        let rewritings = self.run_with(&mut stats);
+        RewriteResult { rewritings, stats }
+    }
+
+    /// Runs Algorithm 1, reporting every decision to `sink`, and returns
+    /// the rewritings.
+    fn run_with<K: SearchSink>(&self, sink: &mut K) -> Vec<Rewriting> {
         let t0 = Instant::now();
         let mut run_span = smv_obs::SpanGuard::enter("rewrite.run");
         let mut setup_span = smv_obs::SpanGuard::enter("rewrite.setup");
-        let mut result = RewriteResult::default();
-        result.stats.views_total = self.views.len();
+        let mut rewritings = Vec::new();
+        sink.stats().views_total = self.views.len();
 
         let qf = self.q.unnest_copy();
         let qmodel_full = unclosed_model(&qf, self.s, &self.opts.canon);
@@ -367,8 +479,8 @@ impl<'a> Rewriter<'a> {
             // A truncated model lists only some of the query's trees, and
             // direction B would check coverage of those alone: report none
             // (`prepare` drops a view whose model is truncated likewise)
-            result.stats.total = t0.elapsed();
-            return result;
+            sink.stats().total = t0.elapsed();
+            return rewritings;
         }
 
         // ---- setup: each view's preparation
@@ -377,11 +489,12 @@ impl<'a> Rewriter<'a> {
             .iter()
             .map(|v| {
                 let (prep, built) = self.prepared(v);
-                if built {
-                    result.stats.prepared_built += 1;
+                let stats = sink.stats();
+                *if built {
+                    &mut stats.prepared_built
                 } else {
-                    result.stats.prepared_reused += 1;
-                }
+                    &mut stats.prepared_reused
+                } += 1;
                 prep
             })
             .collect();
@@ -404,8 +517,6 @@ impl<'a> Rewriter<'a> {
         for (vi, (v, prep)) in self.views.iter().zip(&preps).enumerate() {
             if let Some(mut pair) = self.base_pair(vi, v, prep, &ctx) {
                 pair.est = Some(model.carried(&pair.plan, None));
-                #[cfg(test)]
-                tests::estimated(&pair);
                 m0.push(pair);
             }
         }
@@ -415,13 +526,21 @@ impl<'a> Rewriter<'a> {
             // tightening the branch-and-bound bound early
             m0.sort_by(|a, b| a.cost().total_cmp(&b.cost()));
         }
-        result.stats.views_kept = m0.len();
         let suppliers = Suppliers::new(&m0, &ctx, self.views.len());
-        result.stats.setup = t0.elapsed();
-        setup_span.field("views_total", self.views.len() as u64);
-        setup_span.field("views_kept", m0.len() as u64);
-        setup_span.field("prepared_reused", result.stats.prepared_reused as u64);
-        setup_span.field("prepared_built", result.stats.prepared_built as u64);
+        // Prop 3.5's set: the keys of the pairs kept, base pairs first
+        let mut seen: HashSet<PairKey, FastBuild> = HashSet::default();
+        let mut m: Vec<Pair> = Vec::new();
+        for p in &m0 {
+            sink.created(p);
+            seen.insert(p.kept_key());
+            m.push(p.clone());
+        }
+        let stats = sink.stats();
+        stats.setup = t0.elapsed();
+        setup_span.field("views_total", stats.views_total as u64);
+        setup_span.field("views_kept", stats.views_kept as u64);
+        setup_span.field("prepared_reused", stats.prepared_reused as u64);
+        setup_span.field("prepared_built", stats.prepared_built as u64);
         drop(setup_span);
 
         // Prop 3.6 plan-size bound
@@ -431,37 +550,22 @@ impl<'a> Rewriter<'a> {
         // collect union candidates: (estimate, plan, coverage bitset)
         let mut union_candidates: Vec<UnionCandidate> = Vec::new();
 
-        let mut seen: HashSet<PairKey, FastBuild> = HashSet::default();
-        let mut m: Vec<Pair> = Vec::new();
-        for p in &m0 {
-            #[cfg(test)]
-            tests::created(p);
-            seen.insert(p.kept_key());
-            m.push(p.clone());
-        }
-
         // best complete rewriting's estimated work — the B&B upper bound
         let mut best_cost = f64::INFINITY;
 
         let mut verdicts = MemberVerdicts::default();
         // line 7 test on the initial single-view pairs first
-        let mut emit = |pair: &Pair,
-                        result: &mut RewriteResult,
-                        union_candidates: &mut Vec<UnionCandidate>,
-                        best_cost: &mut f64|
-         -> bool {
-            result.stats.pairs_explored += 1;
+        let mut emit = |pair: &Pair, best_cost: &mut f64, sink: &mut K| -> bool {
+            sink.emitted(pair);
             // a candidate's σ and output operators priced over the pair's
             // estimate
             let priced = |plan: &Plan| model.carried(plan, Some((&pair.plan, pair.carried())));
-            for plan_or_cand in self.try_pair(pair, &ctx, &mut verdicts) {
+            for plan_or_cand in self.try_pair(pair, &ctx, &mut verdicts, sink) {
                 match plan_or_cand {
                     Candidate::Equivalent(plan) => {
                         let est = priced(&plan).est;
-                        let full = self.record(plan, est, result, t0);
-                        let found = result.rewritings.last().expect("just recorded");
-                        *best_cost = best_cost.min(found.est.cost);
-                        if full {
+                        *best_cost = best_cost.min(est.cost);
+                        if self.record(plan, est, &mut rewritings, sink.stats(), t0) {
                             return true; // stop the whole search
                         }
                     }
@@ -476,106 +580,70 @@ impl<'a> Rewriter<'a> {
         };
 
         // a returned column no base pair supplies: no pair passes line 7
-        let mut stop = suppliers.some_unsupplied()
-            || m0
-                .iter()
-                .any(|pair| emit(pair, &mut result, &mut union_candidates, &mut best_cost));
+        let mut stop =
+            suppliers.some_unsupplied() || m0.iter().any(|pair| emit(pair, &mut best_cost, sink));
 
         // ---- lines 2-11: left-deep join enumeration to a fixpoint
         let mut joins = join::Joins::default();
-        // the `(prefix, base)` combinations the bound skipped and no join
-        // about to be kept has decided yet, by their indices in `m` and `m0`
-        let mut skipped: Vec<(usize, usize)> = Vec::new();
-        let mut late = join::Joins::default();
         let mut frontier = 0usize;
         while !stop && frontier < m.len() {
-            let i = frontier;
+            let a = &m[frontier];
             frontier += 1;
-            let a = &m[i];
             if a.plan.scan_count() >= max_scans {
                 continue;
             }
             // B&B on the prefix: every extension joins in more base pairs,
             // one for each column the prefix does not supply yet
             if self.opts.cost_prune && suppliers.bound(&[&a.views], &a.carried().est) >= best_cost {
-                result.stats.pairs_pruned += 1;
+                sink.pruned();
                 continue;
             }
             // `a` has fewer than `max_scans` scans and a base pair one, so
             // every join below is within the bound. Each is decided before
             // anything of it is built, and built only once it is kept.
             let mut created: Vec<Pair> = Vec::new();
-            for (bi, base) in m0.iter().enumerate() {
+            for base in &m0 {
                 // B&B before deciding: no join of `a` and `base` costs less
-                // than `join_floor`, so none of them is decided now
-                let skip = self.opts.cost_prune
-                    && suppliers.bound(&[&a.views, &base.views], &join_floor(a, base)) >= best_cost;
-                #[cfg(test)]
-                let (skippable, skip) = (skip, skip && !tests::deciding_skipped());
-                if skip {
-                    result.stats.pairs_pruned += 1;
-                    skipped.push((i, bi));
+                // than `join_floor`, so each would be pruned, and a pruned
+                // join leaves nothing behind
+                if self.opts.cost_prune
+                    && suppliers.bound(&[&a.views, &base.views], &join_floor(a, base)) >= best_cost
+                {
+                    sink.skipped(a, base);
                     continue;
                 }
-                self.join_options(a, base, &mut joins);
-                result.stats.pairs_deduped += joins.repeats;
-                result.stats.joins_built += joins.decided.len();
-                for join::Decided { key, join } in joins.decided.drain(..) {
-                    #[cfg(test)]
-                    tests::created(&join.clone().pair(a, base, join.plan(a, base), None));
-                    // Prop 3.5: no new pattern information. Dedup before
-                    // costing so a dominated pair is estimated and counted
-                    // as pruned once, not once per deriving prefix.
-                    if seen.contains(&key) {
-                        result.stats.pairs_deduped += 1;
+                self.join_options(a, base, &mut joins, sink);
+                for &(on, d) in &joins.options {
+                    let d = &joins.decided[d];
+                    // Prop 3.5: no new pattern information over a pair
+                    // kept. Dedup before costing: a kept pair's members
+                    // are never priced again.
+                    if seen.contains(&d.key) {
+                        sink.repeated(&d.key);
                         continue;
                     }
-                    let plan = join.plan(a, base);
+                    let plan = on.plan(a, base);
                     let (x, y) = (a.carried(), base.carried());
-                    let inputs = if join.b_left() { [y, x] } else { [x, y] };
+                    let inputs = if on.b_left() { [y, x] } else { [x, y] };
                     let est = model.carry(&plan, &inputs);
-                    #[cfg(test)]
-                    tests::estimated(&join.clone().pair(
-                        a,
-                        base,
-                        Arc::clone(&plan),
-                        Some(est.clone()),
-                    ));
+                    sink.priced(&plan, &est);
                     // B&B on the fresh join (dominated before it is ever
-                    // built, tested or expanded)
+                    // built, tested or expanded); its key stays free for a
+                    // later, cheaper derivation
                     if self.opts.cost_prune
                         && suppliers.bound(&[&a.views, &base.views], &est.est) >= best_cost
                     {
-                        seen.insert(key);
-                        result.stats.pairs_pruned += 1;
+                        sink.pruned();
                         continue;
                     }
-                    #[cfg(test)]
-                    assert!(!skippable, "the bound skipped a join the search keeps");
-                    // a join of a combination skipped before this one may
-                    // carry its key: decide those that can, so that it is
-                    // dropped exactly when deciding every combination drops
-                    // it
-                    skipped.retain(|&(si, sb)| {
-                        let (sa, sbase) = (&m[si], &m0[sb]);
-                        let may = key.may_join(sa, sbase);
-                        if may {
-                            self.decide_skipped(sa, sbase, &mut seen, &mut result.stats, &mut late);
-                        }
-                        !may
-                    });
-                    if !seen.insert(key) {
-                        result.stats.pairs_deduped += 1;
-                        continue;
-                    }
-                    let joined = join.pair(a, base, plan, Some(est));
-                    #[cfg(test)]
-                    tests::survived(&joined);
+                    seen.insert(d.key.clone());
+                    let joined = d.pair(on, a, base, plan, Some(est));
+                    sink.kept(a, base, on, &joined);
                     created.push(joined);
                 }
             }
             for pair in created {
-                if emit(&pair, &mut result, &mut union_candidates, &mut best_cost) {
+                if emit(&pair, &mut best_cost, sink) {
                     stop = true;
                     break;
                 }
@@ -585,49 +653,26 @@ impl<'a> Rewriter<'a> {
             }
         }
 
-        result.stats.member_tests = verdicts.memo.len();
-        result.stats.member_tests_reused = verdicts.reused;
-
         // ---- lines 13-14: minimal unions of partial candidates
-        if !stop && result.rewritings.len() < self.opts.max_rewritings {
-            self.build_unions(&ctx, &union_candidates, &mut result, t0, &model);
+        if !stop && rewritings.len() < self.opts.max_rewritings {
+            self.build_unions(
+                &ctx,
+                &union_candidates,
+                &mut rewritings,
+                sink.stats(),
+                t0,
+                &model,
+            );
         }
 
         if self.opts.rank_by_cost {
             // rank cheapest-first; stable sort keeps discovery order on ties
-            result
-                .rewritings
-                .sort_by(|a, b| a.est.cost.total_cmp(&b.est.cost));
+            rewritings.sort_by(|a, b| a.est.cost.total_cmp(&b.est.cost));
         }
-        result.stats.total = t0.elapsed();
-        run_span.field("pairs_explored", result.stats.pairs_explored as u64);
-        run_span.field("pairs_pruned", result.stats.pairs_pruned as u64);
-        run_span.field("pairs_deduped", result.stats.pairs_deduped as u64);
-        run_span.field("joins_built", result.stats.joins_built as u64);
-        run_span.field("member_tests", result.stats.member_tests as u64);
-        run_span.field(
-            "member_tests_reused",
-            result.stats.member_tests_reused as u64,
-        );
-        run_span.field("rewritings", result.rewritings.len() as u64);
-        drop(run_span);
-        smv_obs::counter_add("rewrite.pairs_explored", result.stats.pairs_explored as u64);
-        smv_obs::counter_add("rewrite.pairs_pruned", result.stats.pairs_pruned as u64);
-        smv_obs::counter_add("rewrite.pairs_deduped", result.stats.pairs_deduped as u64);
-        smv_obs::counter_add("rewrite.joins_built", result.stats.joins_built as u64);
-        smv_obs::counter_add("rewrite.member_tests", result.stats.member_tests as u64);
-        smv_obs::counter_add(
-            "rewrite.member_tests_reused",
-            result.stats.member_tests_reused as u64,
-        );
-        smv_obs::counter_add("rewrite.rewritings_found", result.rewritings.len() as u64);
-        smv_obs::counter_add(
-            "rewrite.prepared_reused",
-            result.stats.prepared_reused as u64,
-        );
-        smv_obs::counter_add("rewrite.prepared_built", result.stats.prepared_built as u64);
-        smv_obs::observe("rewrite.total_ns", result.stats.total.as_nanos() as u64);
-        result
+        let stats = sink.stats();
+        stats.total = t0.elapsed();
+        stats.publish(&mut run_span, rewritings.len());
+        rewritings
     }
 
     /// `v`'s preparation under this rewriter's summary constraints and
@@ -654,30 +699,6 @@ impl<'a> Rewriter<'a> {
         self.prepared(view).0.cols.clone()
     }
 
-    /// Decides the joins of prefix `a` and base pair `base`, a
-    /// combination the bound skipped, and enters their keys in `seen`.
-    /// None of them is kept, but a join the search is about to keep
-    /// repeats one of them if it has its key. `joins` is scratch space.
-    fn decide_skipped(
-        &self,
-        a: &Pair,
-        base: &Pair,
-        seen: &mut HashSet<PairKey, FastBuild>,
-        stats: &mut RewriteStats,
-        joins: &mut join::Joins,
-    ) {
-        self.join_options(a, base, joins);
-        stats.pairs_deduped += joins.repeats;
-        stats.joins_built += joins.decided.len();
-        for d in joins.decided.drain(..) {
-            #[cfg(test)]
-            tests::created(&d.join.clone().pair(a, base, d.join.plan(a, base), None));
-            if !seen.insert(d.key) {
-                stats.pairs_deduped += 1;
-            }
-        }
-    }
-
     /// Records `plan` as a rewriting with its estimate `est`; the first
     /// one of the run sets [`RewriteStats::first_rewriting`] to the time
     /// since `t0`. Returns whether the run now has
@@ -686,31 +707,29 @@ impl<'a> Rewriter<'a> {
         &self,
         plan: Plan,
         est: PlanEstimate,
-        result: &mut RewriteResult,
+        rewritings: &mut Vec<Rewriting>,
+        stats: &mut RewriteStats,
         t0: Instant,
     ) -> bool {
-        result
-            .stats
-            .first_rewriting
-            .get_or_insert_with(|| t0.elapsed());
-        result.rewritings.push(Rewriting {
+        stats.first_rewriting.get_or_insert_with(|| t0.elapsed());
+        rewritings.push(Rewriting {
             scans: plan.scan_count(),
             plan,
             est,
         });
-        result.rewritings.len() >= self.opts.max_rewritings
+        rewritings.len() >= self.opts.max_rewritings
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::join::{Decided, JoinKind, Joins};
+    use super::join::{JoinKind, Joins};
     use super::pair::{dedup_members, merge_nodes, ColInfo, Member, NodeSet};
     use super::plan::rank_union_covers;
     use super::*;
     use crate::containment::{tuple_in, FormulaMode};
     use proptest::prelude::*;
-    use smv_algebra::{execute_profiled_with, execute_with, ExecOpts};
+    use smv_algebra::{execute_profiled_with, execute_with, ExecOpts, StructRel};
     use smv_pattern::canonical::{canonical_model, CTree};
     use smv_pattern::parse_pattern;
     use smv_pattern::Formula;
@@ -719,7 +738,6 @@ mod tests {
     };
     use smv_xml::IdScheme;
     use smv_xml::{Document, Value};
-    use std::cell::{Cell, RefCell};
     use std::cmp::Ordering;
     use std::collections::BTreeMap;
     use std::collections::HashMap;
@@ -728,83 +746,9 @@ mod tests {
         RewriteOpts::default()
     }
 
-    thread_local! {
-        /// Every pair `Rewriter::run` creates on this thread — its base
-        /// pairs and every join it builds — while a test is recording.
-        static CREATED: RefCell<Option<Vec<Pair>>> = const { RefCell::new(None) };
-    }
-
-    /// `Rewriter::run`'s hook: records `p` if this thread is recording.
-    pub(super) fn created(p: &Pair) {
-        CREATED.with(|c| {
-            if let Some(v) = c.borrow_mut().as_mut() {
-                v.push(p.clone());
-            }
-        });
-    }
-
-    /// Runs `f`, returning every pair the rewriter created meanwhile.
-    fn recording(f: impl FnOnce()) -> Vec<Pair> {
-        CREATED.with(|c| *c.borrow_mut() = Some(Vec::new()));
-        f();
-        CREATED.with(|c| c.borrow_mut().take()).unwrap_or_default()
-    }
-
-    thread_local! {
-        /// While set, `join_options` builds every option it recognizes as
-        /// a repeat and hands it to the search like any other join, as
-        /// before the pre-merge test — after checking that it carries the
-        /// key of the option it repeats.
-        static BUILD_REPEATS: Cell<bool> = const { Cell::new(false) };
-    }
-
-    /// `join_options`'s hook: is this thread building repeats?
-    pub(super) fn building_repeats() -> bool {
-        BUILD_REPEATS.with(Cell::get)
-    }
-
-    /// `join_options`'s check of a repeat it decided against the option it
-    /// matched, both joins of `a` and `b`: both absent, or both present
-    /// with equal keys and equal text fingerprints.
-    pub(super) fn check_repeat(
-        earlier: Option<&Decided>,
-        repeat: Option<&Decided>,
-        a: &Pair,
-        b: &Pair,
-    ) {
-        match (earlier, repeat) {
-            (None, None) => {}
-            (Some(e), Some(r)) => {
-                assert!(e.key == r.key, "a repeat keys apart from its match");
-                assert_eq!(
-                    oracle_fingerprint(&assembled(e, a, b)),
-                    oracle_fingerprint(&assembled(r, a, b))
-                );
-            }
-            (e, r) => panic!(
-                "one of an option and its repeat kept no member: {} vs {}",
-                e.is_some(),
-                r.is_some()
-            ),
-        }
-    }
-
-    /// The pair a decided join of `a` and `b` builds, unestimated.
-    fn assembled(d: &Decided, a: &Pair, b: &Pair) -> Pair {
-        d.join.clone().pair(a, b, d.join.plan(a, b), None)
-    }
-
-    /// Runs `f` with every repeat built, returning what it returns.
-    fn building_every_join<T>(f: impl FnOnce() -> T) -> T {
-        BUILD_REPEATS.with(|b| b.set(true));
-        let out = f();
-        BUILD_REPEATS.with(|b| b.set(false));
-        out
-    }
-
     /// One direction-A verdict the search computed, with what its oracle
     /// reads.
-    pub(super) struct MemberTest {
+    struct MemberTest {
         nodes: NodeSet,
         des: Vec<Option<NodeId>>,
         verdict: bool,
@@ -814,173 +758,184 @@ mod tests {
         plan: Arc<Plan>,
     }
 
-    thread_local! {
-        /// Every direction-A verdict `Rewriter::run` computes on this
-        /// thread (a miss of the run's memo) while a test is recording.
-        static MEMBER_TESTS: RefCell<Option<Vec<MemberTest>>> = const { RefCell::new(None) };
-        /// Every pair `Rewriter::run` estimates on this thread — its base
-        /// pairs and each join that survives the Prop. 3.5 test — while a
-        /// test is recording.
-        static ESTIMATED: RefCell<Option<Vec<Pair>>> = const { RefCell::new(None) };
+    /// What [`merged_by_hand`] reads besides the two pairs: the summary
+    /// and [`RewriteOpts::max_members`].
+    type Oracle<'s> = (&'s Summary, usize);
+
+    /// A sink that counts as [`RewriteStats`] does and records what a test
+    /// asks for: each list that is `Some` fills as the search runs.
+    #[derive(Default)]
+    struct Recorder<'s> {
+        stats: RewriteStats,
+        /// Decide every repeated option afresh.
+        builds_repeats: bool,
+        /// Every pair the search creates: its base pairs, then each join
+        /// it decides, assembled unestimated.
+        made: Option<Vec<Pair>>,
+        /// Every estimate the search makes: its base pairs', then each
+        /// join's it prices, with the plan.
+        priced: Option<Vec<(Plan, Carried)>>,
+        /// Every direction-A verdict computed.
+        member_tests: Option<Vec<MemberTest>>,
+        /// Every join kept, in order.
+        kept: Option<Vec<Pair>>,
+        /// Every (prefix, base pair) combination the bound skipped.
+        skipped: Option<Vec<(Pair, Pair)>>,
+        /// Holds every option decided, and every join kept, equal to
+        /// [`merged_by_hand`]'s pair for its option; counts the decided.
+        parts: Option<(Oracle<'s>, usize)>,
+        /// The keys of the pairs kept, base pairs included, and how many
+        /// joins were dropped as repeats: each must carry one of them.
+        kept_keys: Option<(HashSet<PairKey>, usize)>,
     }
 
-    /// `test_combo`'s hook: records a computed verdict if this thread is
-    /// recording.
-    pub(super) fn member_tested(
-        nodes: &NodeSet,
-        des: &[Option<NodeId>],
-        verdict: bool,
-        refined: bool,
-        pair: &Pair,
-    ) {
-        MEMBER_TESTS.with(|c| {
-            if let Some(v) = c.borrow_mut().as_mut() {
-                v.push(MemberTest {
-                    nodes: nodes.clone(),
-                    des: des.to_vec(),
+    impl Recorder<'_> {
+        /// Runs `r`, reporting to this sink.
+        fn run(&mut self, r: &Rewriter<'_>) -> RewriteResult {
+            self.stats = RewriteStats::default();
+            let rewritings = r.run_with(self);
+            RewriteResult {
+                rewritings,
+                stats: self.stats.clone(),
+            }
+        }
+    }
+
+    impl SearchSink for Recorder<'_> {
+        fn stats(&mut self) -> &mut RewriteStats {
+            &mut self.stats
+        }
+        fn created(&mut self, pair: &Pair) {
+            self.stats.created(pair);
+            if let Some(made) = &mut self.made {
+                made.push(pair.clone());
+            }
+            if let Some(priced) = &mut self.priced {
+                priced.push((Plan::clone(&pair.plan), pair.carried().clone()));
+            }
+            if let Some((keys, _)) = &mut self.kept_keys {
+                keys.insert(pair.kept_key());
+            }
+        }
+        fn skipped(&mut self, a: &Pair, base: &Pair) {
+            self.stats.skipped(a, base);
+            if let Some(skipped) = &mut self.skipped {
+                skipped.push((a.clone(), base.clone()));
+            }
+        }
+        fn decided(&mut self, a: &Pair, b: &Pair, on: On, d: Option<&Decided>) {
+            self.stats.decided(a, b, on, d);
+            if let Some(made) = &mut self.made {
+                made.extend(d.map(|d| assembled(d, on, a, b)));
+            }
+            if let Some((oracle, decided)) = &mut self.parts {
+                let want = merged_by_hand(*oracle, a, b, on);
+                match (d, want) {
+                    (None, None) => {}
+                    (Some(d), Some(want)) => {
+                        let key = want.key();
+                        assert!(d.key == key, "a key from parts keys apart from the pair");
+                        assert_eq!(d.key.hash, key.hash);
+                        assert_same_pair(&assembled(d, on, a, b), &want, "decided");
+                        *decided += 1;
+                    }
+                    (d, want) => panic!("decided {} but merged {}", d.is_some(), want.is_some()),
+                }
+            }
+        }
+        fn repeated(&mut self, key: &PairKey) {
+            self.stats.repeated(key);
+            if let Some((keys, repeats)) = &mut self.kept_keys {
+                assert!(keys.contains(key), "a join repeats a pair not kept");
+                *repeats += 1;
+            }
+        }
+        fn priced(&mut self, plan: &Plan, est: &Carried) {
+            self.stats.priced(plan, est);
+            if let Some(priced) = &mut self.priced {
+                priced.push((plan.clone(), est.clone()));
+            }
+        }
+        fn pruned(&mut self) {
+            self.stats.pruned();
+        }
+        fn kept(&mut self, a: &Pair, base: &Pair, on: On, pair: &Pair) {
+            self.stats.kept(a, base, on, pair);
+            if let Some((oracle, _)) = self.parts {
+                let want = merged_by_hand(oracle, a, base, on).expect("a kept join has members");
+                assert_same_pair(pair, &want, "kept");
+            }
+            if let Some((keys, _)) = &mut self.kept_keys {
+                keys.insert(pair.kept_key());
+            }
+            if let Some(kept) = &mut self.kept {
+                kept.push(pair.clone());
+            }
+        }
+        fn verdict(&mut self, pair: &Pair, member: &Designated, fresh: Option<(bool, bool)>) {
+            self.stats.verdict(pair, member, fresh);
+            if let (Some(tests), Some((verdict, refined))) = (&mut self.member_tests, fresh) {
+                tests.push(MemberTest {
+                    nodes: member.0.clone(),
+                    des: member.1.clone(),
                     verdict,
                     refined,
                     plan: Arc::clone(&pair.plan),
                 });
             }
-        });
+        }
+        fn emitted(&mut self, pair: &Pair) {
+            self.stats.emitted(pair);
+        }
+        fn builds_repeats(&self) -> bool {
+            self.builds_repeats
+        }
     }
 
-    /// `Rewriter::run`'s hook: records an estimated pair if this thread is
-    /// recording.
-    pub(super) fn estimated(p: &Pair) {
-        ESTIMATED.with(|c| {
-            if let Some(v) = c.borrow_mut().as_mut() {
-                v.push(p.clone());
-            }
-        });
+    /// The pair a decided join of `a` and `b` on `on` builds, unestimated.
+    fn assembled(d: &Decided, on: On, a: &Pair, b: &Pair) -> Pair {
+        d.pair(on, a, b, on.plan(a, b), None)
     }
 
-    thread_local! {
-        /// While set: every join the search builds past the bound, and,
-        /// for every option `join_options` decides, the pair built the
-        /// way the search built every option before options were decided
-        /// ([`merged_by_hand`]).
-        static PARTS: RefCell<Option<(Vec<Pair>, Vec<Pair>)>> = const { RefCell::new(None) };
-    }
-
-    /// `join_options`'s hook: while this thread records parts, holds the
-    /// option of `a` and `b` on `ca`, `cb` of kind `kind` with
-    /// combinations `combos`, decided as `d`, equal to the pair
-    /// [`merged_by_hand`] builds from them — both absent, or present with
-    /// equal keys in equality and hash, and equal fields but the estimate —
-    /// and records that pair.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn check_parts(
-        r: &Rewriter<'_>,
-        a: &Pair,
-        b: &Pair,
-        ca: usize,
-        cb: usize,
-        kind: JoinKind,
-        combos: &[(usize, usize)],
-        d: Option<&Decided>,
-    ) {
-        PARTS.with(|c| {
-            let mut c = c.borrow_mut();
-            let Some((oracles, _)) = c.as_mut() else {
-                return;
-            };
-            let want = merged_by_hand(r, a, b, ca, cb, kind, combos);
-            match (d, want) {
-                (None, None) => {}
-                (Some(d), Some(want)) => {
-                    let key = want.key();
-                    assert!(d.key == key, "a key from parts keys apart from the pair");
-                    assert_eq!(d.key.hash, key.hash);
-                    assert_same_pair(&assembled(d, a, b), &want, "decided");
-                    oracles.push(want);
+    /// The member combinations `(i, j)` of `a.members × b.members` whose
+    /// column paths on `on`'s columns the summary relates as `on`'s kind
+    /// asks, in merge order.
+    fn combos_by_hand(s: &Summary, a: &Pair, b: &Pair, on: On) -> Vec<(usize, usize)> {
+        let mut combos = Vec::new();
+        for (i, ma) in a.members.iter().enumerate() {
+            for (j, mb) in b.members.iter().enumerate() {
+                let (Some(pa), Some(pb)) = (ma.col_path[on.ca], mb.col_path[on.cb]) else {
+                    continue;
+                };
+                let (up, down) = if on.b_left() { (pb, pa) } else { (pa, pb) };
+                let joins = match on.kind {
+                    JoinKind::IdEq => pa == pb,
+                    JoinKind::Struct(StructRel::Parent, _) => s.is_parent(up, down),
+                    JoinKind::Struct(_, _) => up != down && s.is_ancestor(up, down),
+                };
+                if joins {
+                    combos.push((i, j));
                 }
-                (d, want) => panic!("decided {} but merged {}", d.is_some(), want.is_some()),
             }
-        });
+        }
+        combos
     }
 
-    /// `Rewriter::run`'s hook: records a join built past the bound if this
-    /// thread records parts or kept joins.
-    pub(super) fn survived(p: &Pair) {
-        PARTS.with(|c| {
-            if let Some((_, survivors)) = c.borrow_mut().as_mut() {
-                survivors.push(p.clone());
-            }
-        });
-        KEPT.with(|c| {
-            if let Some(v) = c.borrow_mut().as_mut() {
-                v.push(format!("{:?}", p.plan));
-            }
-        });
-    }
-
-    thread_local! {
-        /// The plan of every join the search builds past the bound, in
-        /// order, while a test is recording.
-        static KEPT: RefCell<Option<Vec<String>>> = const { RefCell::new(None) };
-        /// While set, the search decides every `(prefix, base)` combination
-        /// `join_floor` lets it skip, as it did before that bound; counts
-        /// them.
-        static DECIDE_SKIPPED: Cell<Option<usize>> = const { Cell::new(None) };
-    }
-
-    /// `Rewriter::run`'s hook, asked for each combination the bound would
-    /// skip: is this thread deciding them? Counts the combination if so.
-    /// `run` then asserts that none of its options is kept: each is a
-    /// repeat, or priced and pruned by the bound on its own estimate.
-    pub(super) fn deciding_skipped() -> bool {
-        DECIDE_SKIPPED.with(|c| c.get().inspect(|n| c.set(Some(n + 1))).is_some())
-    }
-
-    /// Runs `f` with every combination the bound skips decided, returning
-    /// what it returns and how many such combinations there were.
-    fn deciding_skipped_joins<T>(f: impl FnOnce() -> T) -> (T, usize) {
-        DECIDE_SKIPPED.with(|c| c.set(Some(0)));
-        let out = f();
-        (out, DECIDE_SKIPPED.with(|c| c.take()).unwrap_or_default())
-    }
-
-    /// Runs `f`, returning the plan of every join built past the bound
-    /// meanwhile, in order.
-    fn recording_kept(f: impl FnOnce()) -> Vec<String> {
-        KEPT.with(|c| *c.borrow_mut() = Some(Vec::new()));
-        f();
-        KEPT.with(|c| c.borrow_mut().take()).unwrap_or_default()
-    }
-
-    /// Runs `f`, returning the pairs [`check_parts`] checked decided
-    /// options against, and every join built past the bound, meanwhile.
-    fn recording_parts(f: impl FnOnce()) -> (Vec<Pair>, Vec<Pair>) {
-        PARTS.with(|c| *c.borrow_mut() = Some(Default::default()));
-        f();
-        PARTS.with(|c| c.borrow_mut().take()).unwrap_or_default()
-    }
-
-    /// The join of `a` and `b` on `ca`, `cb` from member `combos`, built
-    /// as the search built every option before options were decided:
-    /// each combination's members merged into a member (the
-    /// unsatisfiable dropped), repeated members dropped, then the plan,
-    /// the columns, the groups and the views made, and the members laid
-    /// out afresh. `None` for no member or more than `max_members`.
-    fn merged_by_hand(
-        r: &Rewriter<'_>,
-        a: &Pair,
-        b: &Pair,
-        ca: usize,
-        cb: usize,
-        kind: JoinKind,
-        combos: &[(usize, usize)],
-    ) -> Option<Pair> {
-        let reversed = matches!(kind, JoinKind::Struct(_, true));
+    /// The join of `a` and `b` on `on`, built as the search built every
+    /// option before options were decided: each combination's members
+    /// ([`combos_by_hand`]) merged into a member (the unsatisfiable
+    /// dropped), repeated members dropped, then the plan, the columns, the
+    /// groups and the views made, and the members laid out afresh. `None`
+    /// for no member or more than `max_members`.
+    fn merged_by_hand((s, max_members): Oracle<'_>, a: &Pair, b: &Pair, on: On) -> Option<Pair> {
+        let reversed = on.b_left();
         let (left, right, lcol, rcol) = if reversed {
-            (b, a, cb, ca)
+            (b, a, on.cb, on.ca)
         } else {
-            (a, b, ca, cb)
+            (a, b, on.ca, on.cb)
         };
         let mut members = Vec::new();
-        for &(i, j) in combos {
+        for (i, j) in combos_by_hand(s, a, b, on) {
             let (ma, mb) = (&a.members[i], &b.members[j]);
             let Some(nodes) = merge_nodes(&ma.nodes, &mb.nodes) else {
                 continue;
@@ -994,11 +949,11 @@ mod tests {
             return None;
         }
         dedup_members(&mut members);
-        if members.len() > r.opts.max_members {
+        if members.len() > max_members {
             return None;
         }
         let (l, rp) = (Arc::clone(&left.plan), Arc::clone(&right.plan));
-        let plan = Arc::new(match kind {
+        let plan = Arc::new(match on.kind {
             JoinKind::IdEq => Plan::IdJoin {
                 left: l,
                 right: rp,
@@ -1018,7 +973,7 @@ mod tests {
         let off = left.groups.iter().copied().max().unwrap_or(0) + 1;
         let mut groups = left.groups.clone();
         groups.extend(right.groups.iter().map(|g| g + off));
-        if kind == JoinKind::IdEq {
+        if on.kind == JoinKind::IdEq {
             let (target, src) = (groups[lcol], groups[left.cols.len() + rcol]);
             for g in &mut groups[left.cols.len()..] {
                 if *g == src {
@@ -1062,22 +1017,41 @@ mod tests {
         assert_eq!(got.layouts, want.layouts, "{at}: layouts from parts");
     }
 
-    /// Runs `f`, returning every direction-A verdict computed meanwhile.
-    fn recording_member_tests(f: impl FnOnce()) -> Vec<MemberTest> {
-        MEMBER_TESTS.with(|c| *c.borrow_mut() = Some(Vec::new()));
-        f();
-        MEMBER_TESTS
-            .with(|c| c.borrow_mut().take())
-            .unwrap_or_default()
+    /// The joins of the combinations `skipped` — each option decided,
+    /// repeats too — priced by `model` over their inputs' estimates as the
+    /// search prices a join: each join's plan, its estimate and the floor
+    /// ([`join_floor`]) of its inputs.
+    fn skipped_joins(
+        s: &Summary,
+        model: &CostModel<'_>,
+        skipped: &[(Pair, Pair)],
+    ) -> Vec<(Arc<Plan>, Carried, PlanEstimate)> {
+        let mut out = Vec::new();
+        for (a, base) in skipped {
+            let mut every = Recorder {
+                builds_repeats: true,
+                ..Default::default()
+            };
+            let j = joins_with(s, a, base, &mut every);
+            for &(on, _) in &j.options {
+                let plan = on.plan(a, base);
+                let (x, y) = (a.carried(), base.carried());
+                let inputs = if on.b_left() { [y, x] } else { [x, y] };
+                let est = model.carry(&plan, &inputs);
+                out.push((plan, est, join_floor(a, base)));
+            }
+        }
+        out
     }
 
-    /// Runs `f`, returning every pair estimated meanwhile.
-    fn recording_estimates(f: impl FnOnce()) -> Vec<Pair> {
-        ESTIMATED.with(|c| *c.borrow_mut() = Some(Vec::new()));
-        f();
-        ESTIMATED
-            .with(|c| c.borrow_mut().take())
-            .unwrap_or_default()
+    /// Every direction-A verdict ranking `q` over `views` computes.
+    fn member_tests(q: &Pattern, views: &[View], s: &Summary, o: &RewriteOpts) -> Vec<MemberTest> {
+        let mut rec = Recorder {
+            member_tests: Some(Vec::new()),
+            ..Default::default()
+        };
+        rec.run(&Rewriter::new(q, views, s, o.clone()));
+        rec.member_tests.unwrap_or_default()
     }
 
     /// Holds every recorded verdict equal to its oracle: the member's node
@@ -1137,9 +1111,7 @@ mod tests {
                 let o = strong_opts(use_strong);
                 for q_src in BENCH_QUERIES.iter().chain(&STRING_QUERIES) {
                     let q = parse_pattern(q_src).unwrap();
-                    let made = recording_member_tests(|| {
-                        rewrite(&q, &views, &s, &o);
-                    });
+                    let made = member_tests(&q, &views, &s, &o);
                     let at = format!("{scheme:?}, strong {use_strong}, {q_src}");
                     held += assert_direction_a_is_the_tree_oracle(&q, &s, use_strong, &made, &at);
                     tested += made.len();
@@ -1196,9 +1168,7 @@ mod tests {
             for q_src in queries {
                 let q = parse_pattern(q_src).unwrap();
                 for use_strong in [true, false] {
-                    let made = recording_member_tests(|| {
-                        rewrite(&q, &views, &s, &strong_opts(use_strong));
-                    });
+                    let made = member_tests(&q, &views, &s, &strong_opts(use_strong));
                     let at = format!("strong {use_strong}, {q_src}");
                     let held =
                         assert_direction_a_is_the_tree_oracle(&q, &s, use_strong, &made, &at);
@@ -1295,9 +1265,7 @@ mod tests {
                 max_pairs: 400,
                 ..strong_opts(use_strong)
             };
-            let made = recording_member_tests(|| {
-                rewrite(&q, &views, &s, &o);
-            });
+            let made = member_tests(&q, &views, &s, &o);
             let at = format!("{doc}, {views:?}, strong {use_strong}");
             assert_direction_a_is_the_tree_oracle(&q, &s, use_strong, &made, &at);
         }
@@ -1305,7 +1273,8 @@ mod tests {
 
     /// For each ID scheme: an epoch catalog over `pr7_document(1.0, 1)`
     /// with the benchmark's views, and a feedback store that measured each
-    /// of the 22 golden queries' rank-0 plan and first two joins; `f` gets
+    /// of the 22 golden queries' rank-0 plan and first two joins priced;
+    /// `f` gets
     /// the scheme, the snapshot, the store and the queries with their
     /// texts.
     fn with_bench_feedback(
@@ -1323,24 +1292,23 @@ mod tests {
                 ec.add_view(v, RefreshPolicy::Eager);
             }
             let snap = ec.snapshot();
-            let s = snap.summary();
-            let cards = CatalogCards::over(&*snap, s);
-            // measured rows: each query's rank-0 plan and its first two
-            // joins, executed
+            // measured rows: each query's rank-0 plan and the first two
+            // joins it priced, executed
             let mut fb = FeedbackStore::new();
             for (q, _) in &queries {
-                let r = Rewriter::new(q, snap.views(), s, opts()).with_card_source(&cards);
-                let mut result = RewriteResult::default();
-                // every combination decided, so that the joins measured
-                // do not depend on which the bound skips
-                let (made, _) = deciding_skipped_joins(|| recording_estimates(|| result = r.run()));
-                let joins = made.iter().filter(|p| p.plan.scan_count() > 1).take(2);
+                let mut rec = Recorder {
+                    priced: Some(Vec::new()),
+                    ..Default::default()
+                };
+                let result = rank_over(&snap, q, None, &mut rec);
+                let priced = rec.priced.unwrap_or_default();
+                let joins = priced.into_iter().filter(|(p, _)| p.scan_count() > 1);
                 let plans = result
                     .rewritings
                     .first()
                     .map(|rw| rw.plan.clone())
                     .into_iter()
-                    .chain(joins.map(|p| Plan::clone(&p.plan)));
+                    .chain(joins.take(2).map(|(p, _)| p));
                 for plan in plans {
                     let (_, profile) =
                         execute_profiled_with(&plan, &*snap, &ExecOpts::default()).unwrap();
@@ -1352,11 +1320,12 @@ mod tests {
     }
 
     /// `q` ranked over `snap`'s views through its card source, with
-    /// `feedback` if given, as the service ranks it.
+    /// `feedback` if given, as the service ranks it, into `rec`.
     fn rank_over(
         snap: &CatalogEpoch,
         q: &Pattern,
         feedback: Option<&FeedbackStore>,
+        rec: &mut Recorder<'_>,
     ) -> RewriteResult {
         let s = snap.summary();
         let cards = CatalogCards::over(snap, s);
@@ -1364,7 +1333,21 @@ mod tests {
         if let Some(fb) = feedback {
             r = r.with_feedback(fb);
         }
-        r.run()
+        rec.run(&r)
+    }
+
+    /// A fresh cost model over `snap`'s card source, with `feedback` if
+    /// given.
+    fn fresh_model<'c>(
+        snap: &'c CatalogEpoch,
+        cards: &'c CatalogCards<'c>,
+        feedback: Option<&'c FeedbackStore>,
+    ) -> CostModel<'c> {
+        let fresh = CostModel::new(snap.summary(), cards);
+        match feedback {
+            Some(fb) => fresh.with_feedback(fb),
+            None => fresh,
+        }
     }
 
     /// Every pair the search estimates — a base pair operator by
@@ -1374,53 +1357,44 @@ mod tests {
     /// for bit, and so does every rewriting, priced over its pair's. For
     /// the 22 golden queries under the three ID schemes, without feedback
     /// and with a feedback store that measured some fragments, joins and
-    /// their inputs among them; each ranking as served and again with the
-    /// combinations the bound skips decided and priced.
+    /// their inputs among them; and so does each join of a combination
+    /// the bound skips, priced over its inputs' carried estimates as the
+    /// search would price it.
     #[test]
     fn carried_estimates_are_fresh_estimates() {
+        let bits = |e: PlanEstimate| (e.cost.to_bits(), e.rows.to_bits());
         with_bench_feedback(|scheme, snap, fb, queries| {
             let s = snap.summary();
             let cards = CatalogCards::over(snap, s);
             for feedback in [None, Some(fb)] {
-                let mut fresh = CostModel::new(s, &cards);
-                if let Some(fb) = feedback {
-                    fresh = fresh.with_feedback(fb);
-                }
+                let fresh = fresh_model(snap, &cards, feedback);
                 let (mut pairs, mut measured_joins, mut rewritings) = (0, 0, 0);
-                // each ranking as served, and deciding the combinations
-                // the bound skips, whose joins are then priced too
-                for ((q, src), deciding) in queries.iter().flat_map(|q| [(q, false), (q, true)]) {
-                    let mut result = RewriteResult::default();
-                    let mut rank = || recording_estimates(|| result = rank_over(snap, q, feedback));
-                    let made = if deciding {
-                        deciding_skipped_joins(rank).0
-                    } else {
-                        rank()
+                for (q, src) in queries {
+                    let at = format!("{scheme:?}, {src}, feedback {}", feedback.is_some());
+                    let mut rec = Recorder {
+                        priced: Some(Vec::new()),
+                        skipped: Some(Vec::new()),
+                        ..Default::default()
                     };
+                    let result = rank_over(snap, q, feedback, &mut rec);
                     for rw in &result.rewritings {
-                        let (got, want) = (rw.est, fresh.estimate(&rw.plan));
-                        assert_eq!(
-                            (got.cost.to_bits(), got.rows.to_bits()),
-                            (want.cost.to_bits(), want.rows.to_bits()),
-                            "{scheme:?}, {src}, feedback {}: rewriting {got:?} vs {want:?}",
-                            feedback.is_some(),
-                        );
+                        let want = fresh.estimate(&rw.plan);
+                        assert_eq!(bits(rw.est), bits(want), "{at}: rewriting {rw:?}");
                         rewritings += 1;
                     }
-                    for p in made {
-                        let (got, want) = (p.carried().est, fresh.estimate(&p.plan));
-                        assert_eq!(
-                            (got.cost.to_bits(), got.rows.to_bits()),
-                            (want.cost.to_bits(), want.rows.to_bits()),
-                            "{scheme:?}, {src}, feedback {}: {got:?} vs {want:?} for\n{}",
-                            feedback.is_some(),
-                            p.plan
-                        );
+                    let skipped = skipped_joins(s, &fresh, &rec.skipped.unwrap_or_default());
+                    let priced = rec.priced.unwrap_or_default().into_iter();
+                    let skipped = skipped
+                        .into_iter()
+                        .map(|(p, est, _)| (Plan::clone(&p), est));
+                    for (plan, est) in priced.chain(skipped) {
+                        let want = fresh.estimate(&plan);
+                        assert_eq!(bits(est.est), bits(want), "{at}: {want:?} for\n{plan}");
                         pairs += 1;
                         let measured = |p: &Plan| feedback.and_then(|fb| fb.measured_rows(p));
-                        if p.plan.scan_count() > 1
-                            && measured(&p.plan).is_some()
-                            && p.plan.children().into_iter().all(|c| measured(c).is_some())
+                        if plan.scan_count() > 1
+                            && measured(&plan).is_some()
+                            && plan.children().into_iter().all(|c| measured(c).is_some())
                         {
                             measured_joins += 1;
                         }
@@ -1438,44 +1412,50 @@ mod tests {
 
     /// Every option the search decides — the 22 golden queries under the
     /// three ID schemes, without feedback and with the store of
-    /// [`carried_estimates_are_fresh_estimates`] — is keyed from its
-    /// parts exactly as the pair built the way every option was built
-    /// before options were decided keys itself, in hash and in equality,
-    /// and assembles to that pair ([`check_parts`]). Every join built past
-    /// the bound is that pair field by field, its estimate a fresh cost
-    /// model's over that pair's plan, bit for bit.
+    /// [`carried_estimates_are_fresh_estimates`], as served and with every
+    /// repeat decided afresh — is keyed from its parts exactly as the
+    /// pair built the way every option was built before options were
+    /// decided ([`merged_by_hand`]) keys itself, in hash and in equality,
+    /// and assembles to that pair. Every join kept is the pair
+    /// [`merged_by_hand`] builds for its own option — a repeat kept on the
+    /// decision of an earlier option whose join was pruned among them —
+    /// field by field, its estimate a fresh cost model's over that pair's
+    /// plan, bit for bit.
     #[test]
     fn a_key_from_parts_is_the_key() {
         let (mut options, mut kept) = (0, 0);
         with_bench_feedback(|scheme, snap, fb, queries| {
             let s = snap.summary();
             let cards = CatalogCards::over(snap, s);
-            for feedback in [None, Some(fb)] {
-                let mut fresh = CostModel::new(s, &cards);
-                if let Some(fb) = feedback {
-                    fresh = fresh.with_feedback(fb);
-                }
+            for (feedback, builds_repeats) in [None, Some(fb)]
+                .into_iter()
+                .flat_map(|f| [(f, false), (f, true)])
+            {
+                let fresh = fresh_model(snap, &cards, feedback);
                 for (q, src) in queries {
-                    let at = format!("{scheme:?}, {src}, feedback {}", feedback.is_some());
-                    let mut result = RewriteResult::default();
-                    let (oracles, survivors) =
-                        recording_parts(|| result = rank_over(snap, q, feedback));
-                    assert_eq!(oracles.len(), result.stats.joins_built, "{at}");
-                    let mut by_key: HashMap<PairKey, &Pair> = HashMap::new();
-                    for p in &oracles {
-                        by_key.entry(p.key()).or_insert(p);
-                    }
+                    let at = format!(
+                        "{scheme:?}, {src}, feedback {}, repeats built {builds_repeats}",
+                        feedback.is_some()
+                    );
+                    let mut rec = Recorder {
+                        builds_repeats,
+                        parts: Some(((s, opts().max_members), 0)),
+                        kept: Some(Vec::new()),
+                        ..Default::default()
+                    };
+                    let result = rank_over(snap, q, feedback, &mut rec);
+                    let decided = rec.parts.map_or(0, |p| p.1);
+                    assert_eq!(decided, result.stats.joins_built, "{at}");
+                    let survivors = rec.kept.unwrap_or_default();
                     for got in &survivors {
-                        let want = by_key[&got.key()];
-                        assert_same_pair(got, want, &at);
-                        let (est, fresh) = (got.carried().est, fresh.estimate(&want.plan));
+                        let (est, fresh) = (got.carried().est, fresh.estimate(&got.plan));
                         assert_eq!(
                             (est.cost.to_bits(), est.rows.to_bits()),
                             (fresh.cost.to_bits(), fresh.rows.to_bits()),
                             "{at}"
                         );
                     }
-                    options += oracles.len();
+                    options += decided;
                     kept += survivors.len();
                 }
             }
@@ -1487,73 +1467,114 @@ mod tests {
         );
     }
 
-    /// The bound a `(prefix, base)` combination is skipped by before any
-    /// of its joins is decided ([`join_floor`]) skips only combinations
-    /// whose every option the search drops anyway, and a join the search
-    /// keeps is a repeat of a skipped one's exactly when it was before:
-    /// for the 22 golden queries under the three ID schemes — over the
-    /// golden file's definition-only estimates at scale 10, and over the
+    /// Proposition 3.5 drops a join only for a pair the search kept: every
+    /// join dropped as a repeat carries the key of a base pair or of a
+    /// join kept earlier, never of one that was only priced and pruned.
+    /// For the 22 golden queries under the three ID schemes, over the
+    /// golden file's definition-only estimates at scale 10 and over the
     /// catalog of [`with_bench_feedback`] without feedback and with its
-    /// store — the search that decides and prices the skipped
-    /// combinations (`run` asserting that none of their joins is kept)
-    /// keeps the same joins in the same order, explores the same pairs and
-    /// returns the same rewritings in the same order with the same
-    /// estimate bits. The pinned totals hold the bound to its strength:
-    /// a weaker one skips fewer.
+    /// store.
     #[test]
-    fn skipping_by_the_bound_is_the_same_search() {
-        let answers = |r: &RewriteResult| -> Vec<(String, usize, u64, u64)> {
-            r.rewritings
-                .iter()
-                .map(|rw| {
-                    let est = (rw.est.cost.to_bits(), rw.est.rows.to_bits());
-                    (format!("{:?}", rw.plan), rw.scans, est.0, est.1)
-                })
-                .collect()
-        };
-        let mut totals = (0, 0, 0);
-        let mut compare = |at: &str, rank: &dyn Fn() -> RewriteResult| {
-            let mut fast = RewriteResult::default();
-            let kept = recording_kept(|| fast = rank());
-            let mut every = RewriteResult::default();
-            let (kept_every, n) = deciding_skipped_joins(|| recording_kept(|| every = rank()));
-            if kept != kept_every {
-                let first = kept.iter().zip(&kept_every).position(|(x, y)| x != y);
-                panic!(
-                    "{at}: joins kept differ from {first:?} on, {} vs {}",
-                    kept.len(),
-                    kept_every.len()
-                );
-            }
-            assert_eq!(answers(&fast), answers(&every), "{at}");
-            let explored = |r: &RewriteResult| (r.stats.pairs_explored, r.stats.views_kept);
-            assert_eq!(explored(&fast), explored(&every), "{at}");
-            totals.0 += n;
-            totals.1 += fast.stats.joins_built;
-            totals.2 += every.stats.joins_built;
+    fn every_repeat_repeats_a_kept_pair() {
+        let mut repeats = 0;
+        let mut check = |rank: &dyn Fn(&mut Recorder) -> RewriteResult| {
+            let mut rec = Recorder {
+                kept_keys: Some(Default::default()),
+                ..Default::default()
+            };
+            let result = rank(&mut rec);
+            let (_, n) = rec.kept_keys.unwrap_or_default();
+            assert_eq!(n, result.stats.pairs_deduped);
+            repeats += n;
         };
         let s = bench_summary();
         for scheme in [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential] {
             let views = bench_views(scheme);
             for src in BENCH_QUERIES.iter().chain(&STRING_QUERIES) {
                 let q = parse_pattern(src).unwrap();
-                compare(&format!("{scheme:?}, {src}, scale 10"), &|| {
-                    rewrite(&q, &views, &s, &opts())
-                });
+                check(&|rec| rec.run(&Rewriter::new(&q, &views, &s, opts())));
+            }
+        }
+        with_bench_feedback(|_, snap, fb, queries| {
+            for feedback in [None, Some(fb)] {
+                for (q, _) in queries {
+                    check(&|rec| rank_over(snap, q, feedback, rec));
+                }
+            }
+        });
+        assert!(repeats > 1000, "{repeats} repeats");
+    }
+
+    /// The bound a `(prefix, base)` combination is skipped by before any
+    /// of its joins is decided ([`join_floor`]) skips only combinations
+    /// whose every join the search would price and prune: for the 22
+    /// golden queries under the three ID schemes — over the golden file's
+    /// definition-only estimates at scale 10, and over the catalog of
+    /// [`with_bench_feedback`] without feedback and with its store — every
+    /// join of every skipped combination, repeats decided too, priced over
+    /// its inputs' estimates as the search prices a join, costs at least
+    /// the floor the bound skipped it by. A pruned join's key is not
+    /// recorded, so deciding, pricing and pruning those joins would leave
+    /// everything the search reads as it is: it would keep the same joins
+    /// in the same order, explore the same pairs and return the same
+    /// rewritings with the same estimates. The pinned totals hold the
+    /// bound to its strength: a weaker one skips fewer.
+    #[test]
+    fn skipping_by_the_bound_is_the_same_search() {
+        let mut totals = (0, 0, 0);
+        let mut check = |at: &str,
+                         s: &Summary,
+                         fresh: &CostModel<'_>,
+                         rank: &dyn Fn(&mut Recorder) -> RewriteResult| {
+            let mut rec = Recorder {
+                skipped: Some(Vec::new()),
+                ..Default::default()
+            };
+            let result = rank(&mut rec);
+            let skipped = rec.skipped.unwrap_or_default();
+            let joins = skipped_joins(s, fresh, &skipped);
+            for (plan, est, floor) in &joins {
+                assert!(
+                    est.est.cost >= floor.cost && est.est.rows >= 0.0,
+                    "{at}: {:?} under the floor {floor:?} for\n{plan}",
+                    est.est
+                );
+            }
+            totals.0 += skipped.len();
+            totals.1 += joins.len();
+            totals.2 += result.stats.joins_built;
+        };
+        let s = bench_summary();
+        for scheme in [IdScheme::OrdPath, IdScheme::Dewey, IdScheme::Sequential] {
+            let views = bench_views(scheme);
+            let cards = DefCards::new(&views, &s);
+            let fresh = CostModel::new(&s, &cards);
+            for src in BENCH_QUERIES.iter().chain(&STRING_QUERIES) {
+                let q = parse_pattern(src).unwrap();
+                check(
+                    &format!("{scheme:?}, {src}, scale 10"),
+                    &s,
+                    &fresh,
+                    &|rec| rec.run(&Rewriter::new(&q, &views, &s, opts())),
+                );
             }
         }
         with_bench_feedback(|scheme, snap, fb, queries| {
+            let cards = CatalogCards::over(snap, snap.summary());
             for feedback in [None, Some(fb)] {
+                let fresh = fresh_model(snap, &cards, feedback);
                 for (q, src) in queries {
                     let at = format!("{scheme:?}, {src}, feedback {}", feedback.is_some());
-                    compare(&at, &|| rank_over(snap, q, feedback));
+                    check(&at, snap.summary(), &fresh, &|rec| {
+                        rank_over(snap, q, feedback, rec)
+                    });
                 }
             }
         });
         assert_eq!(
             totals,
-            (2917, 3932, 7673),
-            "combinations skipped; joins decided with and without skipping them"
+            (2967, 8438, 4280),
+            "combinations skipped; joins they would decide; joins decided"
         );
     }
 
@@ -1818,8 +1839,12 @@ mod tests {
         let (mut pairs, mut classes, mut deduped, mut hits) = (0, 0, 0, 0);
         for q_src in BENCH_QUERIES {
             let q = parse_pattern(q_src).unwrap();
-            let mut r = RewriteResult::default();
-            let created = recording(|| r = rewrite(&q, &views, &s, &whole));
+            let mut rec = Recorder {
+                made: Some(Vec::new()),
+                ..Default::default()
+            };
+            let r = rec.run(&Rewriter::new(&q, &views, &s, whole.clone()));
+            let created = rec.made.unwrap_or_default();
             let (n, k) = assert_keys_match_oracle(&created, q_src);
             // created: the base pairs, then every join built
             let bases = r.stats.views_kept;
@@ -1846,12 +1871,12 @@ mod tests {
     }
 
     /// Every run over the benchmark's views, under each ID scheme: with
-    /// repeats skipped, the same search — the same pairs explored, pruned
-    /// and deduplicated, the same rewritings in the same order — as with
-    /// every option built, each built repeat checked against its match by
-    /// `check_repeat`. Both searches skip the combinations the bound
-    /// skips ([`join_floor`]), which is why the OrdPath pin counts 409
-    /// pairs against 862, where deciding those too made 770 against 1,620.
+    /// each repeated option taking the earlier option's decision, the same
+    /// search — the same joins kept in the same order, the same pairs
+    /// explored, pruned and deduplicated, the same rewritings in the same
+    /// order — as with every option decided afresh, each of those checked
+    /// against its pair by [`a_key_from_parts_is_the_key`]. A repeat whose
+    /// earlier option was pruned is priced on its own plan either way.
     #[test]
     fn skipping_repeats_is_the_same_search_on_the_benchmark() {
         let s = bench_summary();
@@ -1861,10 +1886,22 @@ mod tests {
             for q_src in BENCH_QUERIES {
                 let at = format!("{scheme:?} {q_src}");
                 let q = parse_pattern(q_src).unwrap();
-                let (mut fast, mut every) = (RewriteResult::default(), RewriteResult::default());
-                let made = recording(|| fast = rewrite(&q, &views, &s, &opts()));
-                let made_every =
-                    building_every_join(|| recording(|| every = rewrite(&q, &views, &s, &opts())));
+                let rank = |builds_repeats| {
+                    let mut rec = Recorder {
+                        builds_repeats,
+                        made: Some(Vec::new()),
+                        kept: Some(Vec::new()),
+                        ..Default::default()
+                    };
+                    let r = rec.run(&Rewriter::new(&q, &views, &s, opts()));
+                    (
+                        r,
+                        rec.made.unwrap_or_default(),
+                        rec.kept.unwrap_or_default(),
+                    )
+                };
+                let ((fast, made, kept), (every, made_every, kept_every)) =
+                    (rank(false), rank(true));
                 let counts = |r: &RewriteResult| {
                     let st = &r.stats;
                     (
@@ -1875,6 +1912,10 @@ mod tests {
                     )
                 };
                 assert_eq!(counts(&fast), counts(&every), "{at}");
+                let plans = |k: &[Pair]| -> Vec<String> {
+                    k.iter().map(|p| format!("{:?}", p.plan)).collect()
+                };
+                assert_eq!(plans(&kept), plans(&kept_every), "{at}: joins kept");
                 let answers = |r: &RewriteResult| -> Vec<String> {
                     r.rewritings
                         .iter()
@@ -1892,31 +1933,47 @@ mod tests {
             }
             assert!(skipping < building, "{scheme:?}: {skipping} vs {building}");
             if scheme == IdScheme::OrdPath {
-                assert_eq!((skipping, building), (409, 862), "pairs created");
+                assert_eq!((skipping, building), (441, 862), "pairs created");
             }
         }
     }
 
     /// The `adhoc` request that sets the p95: one descendant-axis ranking
-    /// decides 45 joins, not the 91 it decides with every repeat built nor
-    /// the 226 with every combination the bound skips decided too, and
-    /// builds only the 19 it keeps.
+    /// decides 45 joins, not the 91 it decides with every repeat decided
+    /// afresh nor the 226 with every combination the bound skips decided
+    /// too, and builds only the 19 it keeps.
     #[test]
     fn a_descendant_ranking_builds_only_joins_that_can_be_new() {
         let s = bench_summary();
         let views = bench_views(IdScheme::OrdPath);
         let q = parse_pattern("site(//quantity{id,v}[v>2 and v<1000007])").unwrap();
-        let mut fast = RewriteResult::default();
-        let (_, kept) = recording_parts(|| fast = rewrite(&q, &views, &s, &opts()));
-        let every = building_every_join(|| rewrite(&q, &views, &s, &opts()));
-        let (all, _) =
-            deciding_skipped_joins(|| building_every_join(|| rewrite(&q, &views, &s, &opts())));
+        let r = Rewriter::new(&q, &views, &s, opts());
+        let mut rec = Recorder {
+            kept: Some(Vec::new()),
+            ..Default::default()
+        };
+        let fast = rec.run(&r);
+        let mut every = Recorder {
+            builds_repeats: true,
+            skipped: Some(Vec::new()),
+            ..Default::default()
+        };
+        let every_result = every.run(&r);
+        let cards = DefCards::new(&views, &s);
+        let skipped = skipped_joins(
+            &s,
+            &CostModel::new(&s, &cards),
+            &every.skipped.unwrap_or_default(),
+        );
+        let decided = (
+            fast.stats.joins_built,
+            every_result.stats.joins_built,
+            every_result.stats.joins_built + skipped.len(),
+        );
         assert_eq!(fast.stats.views_kept, 7);
-        assert_eq!(fast.stats.joins_built, 45);
-        assert_eq!(every.stats.joins_built, 91);
-        assert_eq!(all.stats.joins_built, 226);
-        assert_eq!(fast.stats.pairs_deduped, every.stats.pairs_deduped);
-        assert_eq!(kept.len(), 19, "joins built past the bound");
+        assert_eq!(decided, (45, 91, 226), "joins decided");
+        assert_eq!(fast.stats.pairs_deduped, every_result.stats.pairs_deduped);
+        assert_eq!(rec.kept.unwrap_or_default().len(), 19, "joins kept");
     }
 
     /// A returned column no kept view stores — here the content of an
@@ -1960,20 +2017,36 @@ mod tests {
             .expect("a base pair")
     }
 
-    fn joins(s: &Summary, a: &Pair, b: &Pair) -> Joins {
+    /// The joins of `a` and `b` over `s`, reported to `sink`.
+    fn joins_with(s: &Summary, a: &Pair, b: &Pair, sink: &mut Recorder<'_>) -> Joins {
         let q = parse_pattern("r").unwrap();
         let mut joins = Joins::default();
-        Rewriter::new(&q, &[], s, opts()).join_options(a, b, &mut joins);
+        Rewriter::new(&q, &[], s, opts()).join_options(a, b, &mut joins, sink);
         joins
     }
 
-    /// The pairs the decided joins `j` of `a` and `b` build, each keyed
-    /// from its parts as it was decided: the key must be the pair's.
+    /// The joins of `a` and `b` over `s`, each repeat taking its earlier
+    /// option's decision.
+    fn joins(s: &Summary, a: &Pair, b: &Pair) -> Joins {
+        joins_with(s, a, b, &mut Recorder::default())
+    }
+
+    /// The same with every repeat decided afresh.
+    fn every_join(s: &Summary, a: &Pair, b: &Pair) -> Joins {
+        let mut every = Recorder {
+            builds_repeats: true,
+            ..Default::default()
+        };
+        joins_with(s, a, b, &mut every)
+    }
+
+    /// The pairs the options `j` of `a` and `b` build, each keyed from its
+    /// parts as it was decided: the key must be the pair's.
     fn built(j: &Joins, a: &Pair, b: &Pair) -> Vec<Pair> {
-        j.decided
+        j.options
             .iter()
-            .map(|d| {
-                let p = assembled(d, a, b);
+            .map(|&(on, d)| {
+                let (d, p) = (&j.decided[d], assembled(&j.decided[d], on, a, b));
                 assert!(d.key == p.key(), "a key from parts is the key");
                 p
             })
@@ -1988,16 +2061,21 @@ mod tests {
         let names = scanned(&s, "r(//name{id,v})");
         // names ⋈_= names: both ID columns in one group
         let self_join = joins(&s, &names, &names);
-        assert_eq!((self_join.decided.len(), self_join.repeats), (1, 0));
+        assert_eq!((self_join.decided.len(), self_join.options.len()), (1, 1));
         let twice = &built(&self_join, &names, &names)[0];
         assert_eq!(twice.groups, vec![0, 0, 0, 0]);
-        // ⋈_= on the second ID column repeats the one on the first
+        // ⋈_= on the second ID column repeats the one on the first: its
+        // decision, on its own columns
         let j = joins(&s, twice, &names);
-        assert_eq!((j.decided.len(), j.repeats), (1, 1));
-        let every = building_every_join(|| joins(&s, twice, &names));
-        assert_eq!((every.decided.len(), every.repeats), (2, 0));
+        assert_eq!((j.decided.len(), j.options.len()), (1, 2));
+        let repeat = built(&j, twice, &names);
+        let every = every_join(&s, twice, &names);
+        assert_eq!((every.decided.len(), every.options.len()), (2, 2));
         let every = built(&every, twice, &names);
         assert!(every[0].key() == every[1].key());
+        for (x, y) in repeat.iter().zip(&every) {
+            assert_same_pair(x, y, "a repeat on the earlier decision");
+        }
     }
 
     #[test]
@@ -2009,11 +2087,14 @@ mod tests {
         );
         // ⋈_≺ builds, ⋈_≺≺ has the same one combination: a repeat
         let j = joins(&flat, &items, &names);
-        assert_eq!((j.decided.len(), j.repeats), (1, 1));
-        let every = building_every_join(|| joins(&flat, &items, &names));
-        let every = built(&every, &items, &names);
+        assert_eq!((j.decided.len(), j.options.len()), (1, 2));
+        let repeat = built(&j, &items, &names);
+        let every = built(&every_join(&flat, &items, &names), &items, &names);
         assert_eq!(every.len(), 2);
         assert!(every[0].key() == every[1].key());
+        for (x, y) in repeat.iter().zip(&every) {
+            assert_same_pair(x, y, "a repeat on the earlier decision");
+        }
         // an item inside an item: ⋈_≺≺ also reaches the inner name
         let deep = Summary::of(&Document::from_parens(
             r#"r(item(name="a" item(name="b")))"#,
@@ -2023,7 +2104,7 @@ mod tests {
             scanned(&deep, "r(//name{id,v})"),
         );
         let j = joins(&deep, &items, &names);
-        assert_eq!((j.decided.len(), j.repeats), (2, 0));
+        assert_eq!((j.decided.len(), j.options.len()), (2, 2));
         let j = built(&j, &items, &names);
         assert!(j[0].key() != j[1].key());
     }
@@ -2045,7 +2126,7 @@ mod tests {
         )]);
         let items = scanned(&s, "r(/item{id})");
         let j = joins(&s, &a, &items);
-        assert_eq!((j.decided.len(), j.repeats), (2, 0));
+        assert_eq!((j.decided.len(), j.options.len()), (2, 2));
         let j = built(&j, &a, &items);
         keys_agree(&j[0], &j[1], false);
     }

@@ -372,10 +372,6 @@ pub(super) struct Layouts {
     groups: Vec<u32>,
     /// Each member's end in `codes`, with its layout's hash.
     ends: Vec<(usize, u64)>,
-    /// Each member's columns' codes, each mixed, summed: the same however
-    /// its columns are grouped, so a joined member's is its two inputs'
-    /// members' added.
-    sums: Vec<u64>,
 }
 
 impl Layouts {
@@ -417,7 +413,6 @@ impl Layouts {
             codes: Vec::with_capacity(words),
             groups: Vec::with_capacity(words),
             ends: Vec::with_capacity(members),
-            sums: Vec::with_capacity(members),
         }
     }
 
@@ -492,19 +487,11 @@ impl Layouts {
     }
 
     /// Closes the member whose groups were pushed last, hashing its
-    /// layout and summing its columns.
+    /// layout.
     fn end_member(&mut self) {
         let start = self.ends.last().map_or(0, |e| e.0);
-        let codes = &self.codes[start..];
-        let hash = FastBuild::default().hash_one(codes);
-        let sum = codes
-            .iter()
-            .filter(|&&c| c != GROUP_END)
-            .fold(0u64, |sum, &c| {
-                sum.wrapping_add((c ^ (c >> 29)).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            });
+        let hash = FastBuild::default().hash_one(&self.codes[start..]);
         self.ends.push((self.codes.len(), hash));
-        self.sums.push(sum);
     }
 
     fn span(&self, m: usize) -> Range<usize> {
@@ -552,6 +539,7 @@ impl Layouts {
 /// already seen opens no new rewriting. Two keys are equal exactly when
 /// those contents are; the hash only decides where to look, so a
 /// collision costs a comparison and never drops a pair.
+#[derive(Clone)]
 pub(super) struct PairKey {
     pub(super) hash: u64,
     /// Each member's node set and its index in `layouts`, in a total order
@@ -583,20 +571,6 @@ impl PairKey {
             members,
             layouts,
         }
-    }
-
-    /// Can a join of `a` and `b` have this key? `false` only when none
-    /// can: a join's member is a member of `a` joined with one of `b`, its
-    /// columns theirs, so its column sum ([`Layouts::sums`]) is theirs
-    /// added.
-    pub(super) fn may_join(&self, a: &Pair, b: &Pair) -> bool {
-        let Some(&(_, m)) = self.members.first() else {
-            return true;
-        };
-        let want = self.layouts.sums[m];
-        let (x, y) = (&a.layouts.sums, &b.layouts.sums);
-        x.iter()
-            .any(|i| y.iter().any(|j| i.wrapping_add(*j) == want))
     }
 }
 

@@ -2,7 +2,7 @@
 //! a pair that passes line 7 — projection and the §4.6 nesting
 //! adaptation — and the minimal unions of partial candidates.
 
-use super::{QueryCtx, RewriteResult, Rewriter};
+use super::{QueryCtx, RewriteStats, Rewriter, Rewriting};
 use smv_algebra::{AttrKind, Carried, CostModel, Plan};
 use smv_pattern::{PNodeId, Pattern};
 use smv_xml::Symbol;
@@ -113,7 +113,8 @@ impl Rewriter<'_> {
         &self,
         ctx: &QueryCtx<'_>,
         candidates: &[UnionCandidate],
-        result: &mut RewriteResult,
+        rewritings: &mut Vec<Rewriting>,
+        stats: &mut RewriteStats,
         t0: Instant,
         model: &CostModel<'_>,
     ) {
@@ -135,7 +136,7 @@ impl Rewriter<'_> {
                 input: Arc::new(union),
             };
             let est = model.carry(&plan, &[&union_est]).est;
-            if self.record(plan, est, result, t0) {
+            if self.record(plan, est, rewritings, stats, t0) {
                 return;
             }
         }

@@ -3,7 +3,7 @@
 //! selection adaptations.
 
 use super::pair::{has_bit, Member, NodeSet, Pair};
-use super::{QueryCtx, Rewriter};
+use super::{QueryCtx, Rewriter, SearchSink};
 use crate::containment::{embeds_tuple, implies_disjunction};
 use smv_algebra::{AttrKind, Plan, Predicate};
 use smv_pattern::canonical::CTree;
@@ -74,30 +74,10 @@ impl ModelTree {
 /// designated tuple? — by (member node set, designation). `q`, the summary
 /// and the options do not change within a run, and the same member meets
 /// the test again in every pair it survives into.
-#[derive(Default)]
-pub(super) struct MemberVerdicts {
-    pub(super) memo: HashMap<(NodeSet, Vec<Option<NodeId>>), bool, FastBuild>,
-    /// Verdicts served from `memo`.
-    pub(super) reused: usize,
-}
+pub(super) type MemberVerdicts = HashMap<Designated, bool, FastBuild>;
 
-impl MemberVerdicts {
-    /// The verdict for `nodes` designating `des`, from `test` on a miss.
-    pub(super) fn get(
-        &mut self,
-        nodes: &NodeSet,
-        des: &[Option<NodeId>],
-        test: impl FnOnce() -> bool,
-    ) -> bool {
-        match self.memo.entry((nodes.clone(), des.to_vec())) {
-            Entry::Occupied(e) => {
-                self.reused += 1;
-                *e.get()
-            }
-            Entry::Vacant(e) => *e.insert(test()),
-        }
-    }
-}
+/// A member's node set with the paths it designates.
+pub(super) type Designated = (NodeSet, Vec<Option<NodeId>>);
 
 /// A member's canonical tree, read in place: the summary restricted to
 /// the member's paths closed under strong edges, each path one node
@@ -172,6 +152,7 @@ impl Rewriter<'_> {
         pair: &Pair,
         ctx: &QueryCtx<'_>,
         verdicts: &mut MemberVerdicts,
+        sink: &mut impl SearchSink,
     ) -> Vec<Candidate> {
         let mut out = Vec::new();
         // candidate groups per query return node (Prop 3.7 + Prop 4.1)
@@ -230,7 +211,7 @@ impl Rewriter<'_> {
             combos = next;
         }
         for combo in combos {
-            if let Some(c) = self.test_combo(pair, ctx, &combo, verdicts) {
+            if let Some(c) = self.test_combo(pair, ctx, &combo, verdicts, sink) {
                 let full = matches!(c, Candidate::Equivalent(_));
                 out.push(c);
                 if full {
@@ -248,6 +229,7 @@ impl Rewriter<'_> {
         ctx: &QueryCtx<'_>,
         combo: &[u32],
         verdicts: &mut MemberVerdicts,
+        sink: &mut impl SearchSink,
     ) -> Option<Candidate> {
         // chosen column per (return, attr) in flat output order
         let mut chosen: Vec<usize> = Vec::with_capacity(ctx.out_cols.len());
@@ -326,13 +308,18 @@ impl Rewriter<'_> {
 
         // direction A: union of members ⊆ q (each member individually)
         for (m, des) in members.iter().zip(designations.iter()) {
-            let member_in_q = verdicts.get(&m.nodes, des, || {
-                let verdict = MemberTree::new(self.s, &m.nodes, self.opts.canon.use_strong)
-                    .produces(&ctx.qf, des);
-                #[cfg(test)]
-                super::tests::member_tested(&m.nodes, des, verdict, !selections.is_empty(), pair);
-                verdict
-            });
+            let member_in_q = match verdicts.entry((m.nodes.clone(), des.clone())) {
+                Entry::Occupied(e) => {
+                    sink.verdict(pair, e.key(), None);
+                    *e.get()
+                }
+                Entry::Vacant(e) => {
+                    let verdict = MemberTree::new(self.s, &m.nodes, self.opts.canon.use_strong)
+                        .produces(&ctx.qf, des);
+                    sink.verdict(pair, e.key(), Some((verdict, !selections.is_empty())));
+                    *e.insert(verdict)
+                }
+            };
             if !member_in_q {
                 return None;
             }
