@@ -127,6 +127,19 @@ impl Schema {
     pub fn col_sym(&self, name: Symbol) -> Option<usize> {
         self.cols.iter().position(|c| c.name == name)
     }
+
+    /// The heap bytes of the column vector and of nested schemas.
+    fn heap_bytes(&self) -> usize {
+        let nested: usize = self
+            .cols
+            .iter()
+            .map(|c| match &c.kind {
+                ColKind::Nested(s) => s.heap_bytes(),
+                ColKind::Atom(_) => 0,
+            })
+            .sum();
+        self.cols.capacity() * std::mem::size_of::<Column>() + nested
+    }
 }
 
 impl std::fmt::Display for Schema {
@@ -345,6 +358,33 @@ impl NestedRelation {
         self.rows.is_empty()
     }
 
+    /// The heap bytes this relation owns, by capacity: its row vector,
+    /// every row's cells, ID labels too long to be held inline, nested
+    /// tables (their boxes included) and the schema's columns. Strings
+    /// (`Arc<str>` values and contents) are not counted — the views'
+    /// extents own them and an answer shares them — nor is allocator
+    /// overhead or the relation's own header. It walks every cell once.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let cells: usize = self
+            .rows
+            .iter()
+            .map(|r| {
+                let owned: usize = r
+                    .cells
+                    .iter()
+                    .map(|c| match c {
+                        Cell::Id(id) => id.heap_bytes(),
+                        Cell::Table(t) => size_of::<NestedRelation>() + t.heap_bytes(),
+                        _ => 0,
+                    })
+                    .sum();
+                r.cells.capacity() * size_of::<Cell>() + owned
+            })
+            .sum();
+        self.schema.heap_bytes() + self.rows.capacity() * size_of::<Row>() + cells
+    }
+
     /// Sorts rows by the canonical cell order and removes duplicates,
     /// recursively normalizing nested tables first. Allocation-free per
     /// row (comparator sort + adjacent dedup — no encoded keys).
@@ -527,6 +567,64 @@ mod tests {
         let r1 = NestedRelation::new(schema.clone(), vec![Row::new(vec![mk(&[1, 2])])]);
         let r2 = NestedRelation::new(schema, vec![Row::new(vec![mk(&[2, 1, 1])])]);
         assert!(r1.set_eq(&r2));
+    }
+
+    /// Capacity counts, not length; a nested table counts its box, its
+    /// schema and its rows; a spilled ID label counts its bytes; a shared
+    /// string counts nothing.
+    #[test]
+    fn heap_bytes_counts_capacity_nested_tables_and_no_shared_strings() {
+        // 64-bit sizes: a column 32, a row 24, a cell 32, a relation 64
+        assert_eq!(std::mem::size_of::<Column>(), 32);
+        assert_eq!(std::mem::size_of::<Row>(), 24);
+        assert_eq!(std::mem::size_of::<NestedRelation>(), 64);
+        let inner_schema = Schema::atoms(&[("k.V", AttrKind::Value)]);
+        let inner = NestedRelation::new(
+            inner_schema.clone(),
+            vec![Row::new(vec![Cell::Atom(Value::int(1))])],
+        );
+        let schema = Schema {
+            cols: vec![
+                Column {
+                    name: Symbol::intern("a.ID"),
+                    kind: ColKind::Atom(AttrKind::Id),
+                },
+                Column {
+                    name: Symbol::intern("a.C"),
+                    kind: ColKind::Atom(AttrKind::Content),
+                },
+                Column {
+                    name: Symbol::intern("A"),
+                    kind: ColKind::Nested(inner_schema),
+                },
+            ],
+        };
+        let shared: Arc<str> = "a string the extent owns".into();
+        let long = StructId::Ord(smv_xml::OrdPath::from_components(vec![1; 30]));
+        let mut cells = Vec::with_capacity(5);
+        cells.extend([
+            Cell::Id(long),
+            Cell::Content(Arc::clone(&shared)),
+            Cell::Table(Box::new(inner)),
+        ]);
+        let mut rows = Vec::with_capacity(4);
+        rows.push(Row::new(cells));
+        rows.push(Row::new(vec![
+            Cell::Id(StructId::Seq(1)),
+            Cell::Content(shared),
+            Cell::Null,
+        ]));
+        let r = NestedRelation::new(schema, rows);
+        let schema_bytes = 3 * 32 + 32;
+        let rows_bytes = 4 * 24;
+        let first = 5 * 32 + 30 + (64 + 32 + 24 + 32);
+        let second = 3 * 32;
+        assert_eq!(r.heap_bytes(), schema_bytes + rows_bytes + first + second);
+        assert_eq!(
+            NestedRelation::empty(Schema::default()).heap_bytes(),
+            0,
+            "an empty relation owns nothing"
+        );
     }
 
     #[test]

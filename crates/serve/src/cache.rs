@@ -12,6 +12,11 @@
 //!   exactly the entries whose read set was touched, and untouched entries
 //!   keep serving across epoch bumps — their extents are `Arc`-identical
 //!   to the live ones, so the cached bytes equal a fresh execution.
+//!   This layer is bounded in bytes, not entries: each answer is charged
+//!   once, when it is admitted, [`NestedRelation::heap_bytes`] plus a
+//!   fixed `ENTRY_BYTES`, and the layer evicts until the charges fit
+//!   its budget. An answer charged more than the whole budget is served
+//!   but not admitted.
 //!
 //! A request walks all three in one critical section (`CacheTable::probe`),
 //! which answers a hit and counts it. A walk that stops short says where
@@ -20,8 +25,10 @@
 //! The lock is never held across parsing, ranking or execution, and a
 //! poisoned one is recovered (`lock` below): the maps are whole between
 //! any two steps of a critical section. Eviction is insertion-order
-//! (FIFO): the hot set is refreshed by re-insertion after invalidation,
-//! and FIFO needs no per-hit bookkeeping.
+//! (FIFO) in every layer: the hot set is refreshed by re-insertion after
+//! invalidation, and FIFO needs no per-hit bookkeeping. What an eviction
+//! or a replacement takes out of the result layer is freed after the lock
+//! is released.
 
 use crate::service::ServiceStats;
 use smv_algebra::{NestedRelation, Plan, PlanEstimate};
@@ -120,6 +127,33 @@ struct ResultEntry {
     pattern: Arc<CachedPattern>,
     rows: Arc<NestedRelation>,
     reads: Vec<String>,
+    /// The charge taken at admission: `rows`' heap bytes plus
+    /// [`ENTRY_BYTES`].
+    bytes: usize,
+}
+
+/// The fixed part of a result entry's charge: about what the entry's own
+/// bookkeeping takes (the relation's header and its `Arc`, the map and
+/// order slots, the read set and its reverse-index edges), so that empty
+/// answers are bounded too.
+pub(crate) const ENTRY_BYTES: usize = 256;
+
+/// What an entry costs its layer's budget: a pattern or a ranking counts
+/// one, so those layers are bounded by entries; a result counts its bytes.
+trait Charged {
+    fn charge(&self) -> usize {
+        1
+    }
+}
+
+impl Charged for Arc<CachedPattern> {}
+
+impl Charged for PlanEntry {}
+
+impl Charged for ResultEntry {
+    fn charge(&self) -> usize {
+        self.bytes
+    }
 }
 
 /// Whether an entry stored for `stored` answers `pat`: the keys hold only
@@ -134,39 +168,64 @@ fn same_pattern(stored: &Arc<CachedPattern>, pat: &Arc<CachedPattern>) -> bool {
 /// a probe among crafted colliding keys can run; client text keeps SipHash.
 type ByFingerprint = FastBuild;
 
-/// A capacity-bounded map evicting in insertion order.
+/// A map bounded by the sum of its entries' charges, evicting in
+/// insertion order.
 struct Fifo<K, V, S = RandomState> {
     map: HashMap<K, V, S>,
     order: VecDeque<K>,
-    capacity: usize,
+    /// The most the charges may sum to.
+    budget: usize,
+    /// The charges of the entries in `map`, summed.
+    used: usize,
 }
 
-impl<K: Clone + Eq + Hash, V, S: BuildHasher + Default> Fifo<K, V, S> {
-    fn new(capacity: usize) -> Fifo<K, V, S> {
+impl<K: Clone + Eq + Hash, V: Charged, S: BuildHasher + Default> Fifo<K, V, S> {
+    fn new(budget: usize) -> Fifo<K, V, S> {
         Fifo {
             map: HashMap::default(),
             order: VecDeque::new(),
-            capacity: capacity.max(1),
+            budget: budget.max(1),
+            used: 0,
         }
     }
 
-    /// Inserts `value` under `key`. A present key is replaced in place: it
-    /// keeps its place in the order and evicts nothing. A new key at
-    /// capacity evicts the oldest entry. Returns the entry that left.
-    fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
-        if let Some(slot) = self.map.get_mut(&key) {
-            return Some((key, std::mem::replace(slot, value)));
+    /// Inserts `value` under `key` and returns the entries that left: the
+    /// oldest ones, evicted until the charges fit the budget, then the one
+    /// `value` replaced. A present key is replaced in place and keeps its
+    /// place in the order, unless it reaches the front while others are
+    /// evicted: it is never evicted itself, so it moves behind them. A
+    /// value charged more than the whole budget is dropped and nothing
+    /// leaves.
+    fn insert(&mut self, key: K, value: V) -> Vec<(K, V)> {
+        let charge = value.charge();
+        if charge > self.budget {
+            return Vec::new();
         }
-        let evicted = if self.map.len() >= self.capacity {
-            self.order
-                .pop_front()
-                .and_then(|old| self.map.remove_entry(&old))
-        } else {
-            None
+        let replaced = match self.map.get_mut(&key) {
+            Some(slot) => Some((key, std::mem::replace(slot, value))),
+            None => {
+                self.order.push_back(key.clone());
+                self.map.insert(key, value);
+                None
+            }
         };
-        self.order.push_back(key.clone());
-        self.map.insert(key, value);
-        evicted
+        if let Some((_, old)) = &replaced {
+            self.used -= old.charge();
+        }
+        self.used += charge;
+        let mut left = Vec::new();
+        while self.used > self.budget {
+            let oldest = self.order.pop_front().expect("an entry over budget");
+            if replaced.as_ref().is_some_and(|(k, _)| *k == oldest) {
+                self.order.push_back(oldest);
+                continue;
+            }
+            let (k, v) = self.map.remove_entry(&oldest).expect("order and map agree");
+            self.used -= v.charge();
+            left.push((k, v));
+        }
+        left.extend(replaced);
+        left
     }
 
     /// Removes and returns every entry whose key `keep` rejects.
@@ -174,6 +233,7 @@ impl<K: Clone + Eq + Hash, V, S: BuildHasher + Default> Fifo<K, V, S> {
         let dead: Vec<(K, V)> = self.map.extract_if(|k, _| !keep(k)).collect();
         if !dead.is_empty() {
             self.order.retain(|k| self.map.contains_key(k));
+            self.used -= dead.iter().map(|(_, v)| v.charge()).sum::<usize>();
         }
         dead
     }
@@ -328,15 +388,16 @@ pub(crate) struct CacheTable {
 
 impl CacheTable {
     /// An empty table evicting (FIFO) beyond the given numbers of
-    /// spellings (and of canonical forms), rankings and results, valid for
-    /// epoch 0 (a new [`smv_views::EpochCatalog`]'s epoch).
-    pub(crate) fn new(patterns: usize, plans: usize, results: usize) -> CacheTable {
+    /// spellings (and of canonical forms) and rankings, and beyond
+    /// `result_bytes` of charged results, valid for epoch 0 (a new
+    /// [`smv_views::EpochCatalog`]'s epoch).
+    pub(crate) fn new(patterns: usize, plans: usize, result_bytes: usize) -> CacheTable {
         CacheTable {
             table: Mutex::new(Table {
                 by_text: Fifo::new(patterns),
                 by_canon: Fifo::new(patterns),
                 plans: Fifo::new(plans),
-                results: Fifo::new(results),
+                results: Fifo::new(result_bytes),
                 by_view: HashMap::new(),
                 swept: 0,
                 counts: ServiceStats::default(),
@@ -414,7 +475,9 @@ impl CacheTable {
     /// unless the table is not (or no longer) valid for exactly that
     /// epoch: rows from a superseded snapshot must not slip in after the
     /// sweep that would have killed them, and rows from a snapshot the
-    /// sweep has yet to reach would be killed unseen.
+    /// sweep has yet to reach would be killed unseen. Admitting the rows
+    /// evicts the oldest results until the charges fit the budget; rows
+    /// charged more than the whole budget are answered, not admitted.
     pub(crate) fn executed(&self, miss: &Miss, rows: Arc<NestedRelation>, epoch: u64) -> Answer {
         let plan = &miss.plan;
         let answer = Answer {
@@ -431,28 +494,38 @@ impl CacheTable {
             plan_fp: plan.fingerprint,
         };
         let reads = plan.plan.views_used();
+        let bytes = ENTRY_BYTES + answer.rows.heap_bytes();
         let mut guard = lock(&self.table);
         let t = &mut *guard;
         t.count(&answer);
         // what this displaces is freed after the lock is released: freeing
         // a large row set takes milliseconds
-        let mut displaced = None;
+        let mut left = Vec::new();
+        let mut evicted = 0;
         if t.swept == epoch {
             let entry = ResultEntry {
                 pattern: Arc::clone(&miss.pattern),
                 rows: Arc::clone(&answer.rows),
                 reads,
+                bytes,
             };
-            displaced = t.results.insert(key, entry);
-            if let Some((old, e)) = &displaced {
+            left = t.results.insert(key, entry);
+            for (old, e) in &left {
                 unlink(&mut t.by_view, old, &e.reads);
+                evicted += usize::from(*old != key);
             }
-            for v in &t.results.map[&key].reads {
-                t.by_view.entry(v.clone()).or_default().insert(key);
+            t.counts.results_evicted += evicted as u64;
+            if let Some(e) = t.results.map.get(&key) {
+                for v in &e.reads {
+                    t.by_view.entry(v.clone()).or_default().insert(key);
+                }
             }
         }
+        let held = t.results.used;
         drop(guard);
-        drop(displaced);
+        drop(left);
+        smv_obs::counter_add("serve.results_evicted", evicted as u64);
+        smv_obs::gauge_set("serve.result_bytes", held as i64);
         answer
     }
 
@@ -478,8 +551,10 @@ impl CacheTable {
         }
         let stale = t.plans.retain(|k| k.epoch >= epoch);
         t.swept = epoch;
+        let held = t.results.used;
         drop(guard);
         drop(stale);
+        smv_obs::gauge_set("serve.result_bytes", held as i64);
         dead.len()
     }
 
@@ -490,9 +565,13 @@ impl CacheTable {
         t.counts.results_invalidated += killed as u64;
     }
 
-    /// The counts so far.
+    /// The counts so far, and the bytes the result layer holds.
     pub(crate) fn counts(&self) -> ServiceStats {
-        lock(&self.table).counts
+        let t = lock(&self.table);
+        ServiceStats {
+            result_bytes: t.results.used as u64,
+            ..t.counts
+        }
     }
 
     /// Number of live results.
@@ -504,14 +583,31 @@ impl CacheTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smv_algebra::Schema;
+    use proptest::prelude::*;
+    use smv_algebra::{AttrKind, Cell, Row, Schema};
     use smv_pattern::parse_pattern;
+    use smv_xml::StructId;
 
     const G: (u64, u64) = (0, 0);
     const T: &str = "a(/b{v})";
+    /// A result budget no test here fills.
+    const ROOM: usize = 1 << 20;
 
     fn rel() -> Arc<NestedRelation> {
         Arc::new(NestedRelation::new(Schema { cols: Vec::new() }, Vec::new()))
+    }
+
+    /// `n` two-cell rows in room for `n + spare`.
+    fn rows(n: usize, spare: usize) -> Arc<NestedRelation> {
+        let schema = Schema::atoms(&[("a.ID", AttrKind::Id), ("a.V", AttrKind::Value)]);
+        let mut rows = Vec::with_capacity(n + spare);
+        rows.extend((0..n as u64).map(|i| Row::new(vec![Cell::Id(StructId::Seq(i)), Cell::Null])));
+        Arc::new(NestedRelation::new(schema, rows))
+    }
+
+    /// What the result layer charges `rows`.
+    fn charge(rows: &NestedRelation) -> usize {
+        ENTRY_BYTES + rows.heap_bytes()
     }
 
     /// A ranking whose plan reads `reads`.
@@ -572,7 +668,7 @@ mod tests {
 
     #[test]
     fn pattern_cache_shares_by_canonical_form() {
-        let cache = CacheTable::new(8, 8, 8);
+        let cache = CacheTable::new(8, 8, ROOM);
         let parse = |text| cache.parsed(text, parse_pattern(text).unwrap(), G, 0);
         assert!(matches!(cache.probe(T, G, 0), Probe::Unparsed));
         let Probe::Unranked { pattern: a, .. } = parse(T) else {
@@ -598,7 +694,7 @@ mod tests {
 
     #[test]
     fn plan_cache_purges_stale_epochs() {
-        let cache = CacheTable::new(8, 8, 8);
+        let cache = CacheTable::new(8, 8, ROOM);
         for epoch in 0..=2 {
             assert!(matches!(walk(&cache, T, &["v"], epoch), Probe::Unserved(_)));
         }
@@ -609,7 +705,7 @@ mod tests {
 
     #[test]
     fn a_present_key_is_replaced_in_place() {
-        let cache = CacheTable::new(2, 2, 2);
+        let cache = CacheTable::new(2, 2, 2 * ENTRY_BYTES);
         let parse = |text| cache.parsed(text, parse_pattern(text).unwrap(), G, 0);
         let rank = |probe| match probe {
             Probe::Unranked {
@@ -645,7 +741,7 @@ mod tests {
 
     #[test]
     fn result_cache_reverse_index_kills_only_touched_entries() {
-        let cache = CacheTable::new(8, 8, 8);
+        let cache = CacheTable::new(8, 8, ROOM);
         execute(&cache, T, &["va", "vb"], 0);
         execute(&cache, "a(/c{v})", &["vc"], 0);
         assert_eq!(cache.sweep(&["vb"], 1), 1);
@@ -659,7 +755,7 @@ mod tests {
 
     #[test]
     fn result_cache_serves_and_admits_only_its_swept_epoch() {
-        let cache = CacheTable::new(8, 8, 8);
+        let cache = CacheTable::new(8, 8, ROOM);
         let first = execute(&cache, T, &["va"], 0);
         // epoch 1 is published but its sweep is pending: the entry may be
         // stale for a request already on epoch 1, and fresh rows from
@@ -681,7 +777,8 @@ mod tests {
 
     #[test]
     fn result_cache_evicts_fifo_at_capacity() {
-        let cache = CacheTable::new(8, 8, 2);
+        // room for two empty answers
+        let cache = CacheTable::new(8, 8, 2 * ENTRY_BYTES);
         for (text, view) in [("a(/b{v})", "v0"), ("a(/c{v})", "v1"), ("a(/d{v})", "v2")] {
             execute(&cache, text, &[view], 0);
         }
@@ -693,7 +790,7 @@ mod tests {
 
     #[test]
     fn result_cache_replaces_an_entry_with_its_new_read_set() {
-        let cache = CacheTable::new(8, 8, 8);
+        let cache = CacheTable::new(8, 8, ROOM);
         // two misses on one key whose plans read different views
         let Probe::Unserved(first) = walk(&cache, T, &["va"], 0) else {
             panic!("nothing is cached yet");
@@ -717,7 +814,7 @@ mod tests {
     /// entry still hits.
     #[test]
     fn a_fingerprint_collision_is_not_a_hit() {
-        let cache = CacheTable::new(8, 8, 8);
+        let cache = CacheTable::new(8, 8, ROOM);
         let forged = |canon: &str| {
             Arc::new(CachedPattern {
                 pattern: parse_pattern(canon).unwrap(),
@@ -739,9 +836,182 @@ mod tests {
         assert!(matches!(ranked, Probe::Unserved(_)), "a's rows");
     }
 
+    /// A request for `text` that found no rows on `epoch`, with a plan
+    /// reading `reads`: what [`CacheTable::executed`] is handed after any
+    /// probe that stops at the result layer, so executing it twice is a
+    /// same-key replacement.
+    fn miss(cache: &CacheTable, text: &str, reads: &[&str], epoch: u64) -> Miss {
+        let pattern = match walk(cache, text, reads, epoch) {
+            Probe::Unserved(miss) => miss.pattern,
+            Probe::Hit(_) => Arc::clone(&lock(&cache.table).by_text.map[text]),
+            _ => unreachable!("walked to the result layer"),
+        };
+        Miss {
+            pattern,
+            plan: Arc::new(plan(text_fingerprint(text), reads)),
+            pattern_hit: true,
+            plan_hit: true,
+            superseded: false,
+        }
+    }
+
+    /// The result layer's books: its total is the sum of its entries'
+    /// charges and within its budget, its order lists exactly its keys, and
+    /// the reverse index holds exactly the entries' read sets.
+    fn assert_books(cache: &CacheTable) {
+        let t = lock(&cache.table);
+        let r = &t.results;
+        let charged: usize = r.map.values().map(|e| e.bytes).sum();
+        assert_eq!(r.used, charged, "the running total");
+        assert!(r.used <= r.budget, "{} over {}", r.used, r.budget);
+        for e in r.map.values() {
+            assert_eq!(e.bytes, charge(&e.rows), "charged once, as admitted");
+        }
+        let ordered: HashSet<&ResultKey> = r.order.iter().collect();
+        assert_eq!(ordered.len(), r.order.len(), "one order slot per key");
+        assert_eq!(ordered, r.map.keys().collect(), "order and map agree");
+        let mut edges: HashMap<&str, HashSet<ResultKey>> = HashMap::new();
+        for (k, e) in &r.map {
+            for v in &e.reads {
+                edges.entry(v.as_str()).or_default().insert(*k);
+            }
+        }
+        let index: HashMap<&str, HashSet<ResultKey>> = t
+            .by_view
+            .iter()
+            .map(|(v, ks)| (v.as_str(), ks.clone()))
+            .collect();
+        assert_eq!(index, edges, "the reverse index");
+        let used = r.used as u64;
+        drop(t);
+        assert_eq!(cache.counts().result_bytes, used);
+    }
+
+    const VIEWS: [&str; 4] = ["v0", "v1", "v2", "v3"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random admissions (a text of ten, up to 80 rows with spare room,
+        /// one or two views read), same-key replacements and sweeps, under a
+        /// budget a few answers fill and the largest exceed: the books
+        /// balance after every step.
+        #[test]
+        fn the_result_layer_books_balance(
+            ops in proptest::collection::vec((0u8..4, 0u8..10, 0usize..80, 0usize..8, 0u8..4), 1..60),
+        ) {
+            let cache = CacheTable::new(64, 64, 6 * ENTRY_BYTES + 4_000);
+            let mut epoch = 0;
+            for (op, text, n, spare, view) in ops {
+                let text = format!("a(/t{text}{{v}})");
+                let reads = [VIEWS[view as usize], VIEWS[(view as usize + 1) % 4]];
+                let reads = &reads[..1 + usize::from(op == 1)];
+                if op == 3 {
+                    epoch += 1;
+                    cache.sweep(&[VIEWS[view as usize]], epoch);
+                } else {
+                    let miss = miss(&cache, &text, reads, epoch);
+                    let offered = rows(n, spare);
+                    let answer = cache.executed(&miss, Arc::clone(&offered), epoch);
+                    prop_assert!(Arc::ptr_eq(&answer.rows, &offered), "served");
+                }
+                assert_books(&cache);
+            }
+        }
+    }
+
+    #[test]
+    fn an_answer_over_the_whole_budget_is_served_not_admitted() {
+        let cache = CacheTable::new(8, 8, 3 * ENTRY_BYTES);
+        execute(&cache, T, &["va"], 0);
+        execute(&cache, "a(/c{v})", &["vb"], 0);
+        let before = cache.counts();
+        let big = rows(20, 0);
+        assert!(charge(&big) > 3 * ENTRY_BYTES);
+        let Probe::Unserved(m) = walk(&cache, "a(/d{v})", &["vc"], 0) else {
+            panic!("nothing is cached yet");
+        };
+        let answer = cache.executed(&m, Arc::clone(&big), 0);
+        assert!(Arc::ptr_eq(&answer.rows, &big), "served all the same");
+        assert!(served(&cache, "a(/d{v})", 0).is_none(), "not admitted");
+        assert!(served(&cache, T, 0).is_some() && served(&cache, "a(/c{v})", 0).is_some());
+        let after = cache.counts();
+        assert_eq!(after.results_evicted, 0, "evicted nothing");
+        assert_eq!(after.result_bytes, before.result_bytes);
+        assert_eq!(after.result_bytes, 2 * ENTRY_BYTES as u64);
+        assert_eq!(cache.sweep(&["vc"], 1), 0, "no edge of it either");
+        assert_books(&cache);
+    }
+
+    #[test]
+    fn an_admission_evicts_the_oldest_until_it_fits() {
+        let cache = CacheTable::new(8, 8, 4 * ENTRY_BYTES);
+        for (text, view) in [("a(/b{v})", "v0"), ("a(/c{v})", "v1"), ("a(/d{v})", "v2")] {
+            execute(&cache, text, &[view], 0);
+        }
+        // more than one free slot's room, less than two
+        let big = rows(3, 0);
+        assert!((ENTRY_BYTES..2 * ENTRY_BYTES).contains(&(charge(&big) - ENTRY_BYTES)));
+        let Probe::Unserved(m) = walk(&cache, "a(/e{v})", &["v3"], 0) else {
+            panic!("nothing is cached yet");
+        };
+        cache.executed(&m, big, 0);
+        assert_eq!(cache.results(), 2);
+        assert!(served(&cache, "a(/b{v})", 0).is_none(), "oldest evicted");
+        assert!(served(&cache, "a(/c{v})", 0).is_none(), "second oldest too");
+        assert!(served(&cache, "a(/d{v})", 0).is_some());
+        assert!(served(&cache, "a(/e{v})", 0).is_some());
+        assert_eq!(cache.counts().results_evicted, 2);
+        let by_view = |v: &str| lock(&cache.table).by_view.contains_key(v);
+        assert!(!by_view("v0") && !by_view("v1"), "unlinked");
+        assert!(by_view("v2") && by_view("v3"));
+        assert_books(&cache);
+    }
+
+    /// Two misses on one key whose second answer is larger: the oldest
+    /// entry is the key being replaced, so the entry after it makes room.
+    #[test]
+    fn a_replacement_is_never_evicted_to_make_room_for_itself() {
+        let cache = CacheTable::new(8, 8, 4 * ENTRY_BYTES);
+        let first = miss(&cache, T, &["va"], 0);
+        cache.executed(&first, rel(), 0);
+        execute(&cache, "a(/c{v})", &["vb"], 0);
+        execute(&cache, "a(/d{v})", &["vc"], 0);
+        // room for it once one other entry leaves, not before
+        let larger = rows(3, 0);
+        assert!((2 * ENTRY_BYTES + 1..=3 * ENTRY_BYTES).contains(&charge(&larger)));
+        cache.executed(&miss(&cache, T, &["va"], 0), Arc::clone(&larger), 0);
+        let now = served(&cache, T, 0).expect("the replacement stays");
+        assert!(Arc::ptr_eq(&now, &larger));
+        assert!(
+            served(&cache, "a(/c{v})", 0).is_none(),
+            "the next oldest made room"
+        );
+        assert!(served(&cache, "a(/d{v})", 0).is_some());
+        assert_eq!(cache.counts().results_evicted, 1);
+        assert_books(&cache);
+    }
+
+    #[test]
+    fn an_empty_answer_is_charged_the_fixed_charge() {
+        let cache = CacheTable::new(8, 8, ROOM);
+        execute(&cache, T, &["va"], 0);
+        assert_eq!(rel().heap_bytes(), 0);
+        assert_eq!(cache.counts().result_bytes, ENTRY_BYTES as u64);
+        // a replacement is charged anew and evicts nothing
+        let m = miss(&cache, T, &["vb"], 0);
+        cache.executed(&m, rows(3, 1), 0);
+        assert_eq!(cache.results(), 1);
+        assert_eq!(cache.counts().result_bytes, charge(&rows(3, 1)) as u64);
+        assert_eq!(cache.counts().results_evicted, 0);
+        cache.sweep(&["vb"], 1);
+        assert_eq!(cache.counts().result_bytes, 0, "a sweep subtracts");
+        assert_books(&cache);
+    }
+
     #[test]
     fn poisoned_caches_keep_serving() {
-        let cache = CacheTable::new(8, 8, 8);
+        let cache = CacheTable::new(8, 8, ROOM);
         execute(&cache, T, &["va"], 0);
         poison(&cache.table);
         assert!(cache.table.is_poisoned());

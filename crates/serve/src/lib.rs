@@ -12,8 +12,9 @@
 //! 2. a **plan cache** keyed by canonical-form fingerprint ×
 //!    [`smv_summary::Summary::geometry_token`] × epoch (rank once per
 //!    epoch), and
-//! 3. a **result cache** for hot queries, invalidated by maintenance
-//!    deltas: each entry is reverse-indexed by the views it read, an
+//! 3. a **result cache** for hot queries, bounded in bytes
+//!    ([`RESULT_CACHE_BYTES`]) and invalidated by maintenance deltas:
+//!    each entry is reverse-indexed by the views it read, an
 //!    [`smv_views::EpochCatalog::apply`] kills exactly the touched
 //!    entries, and untouched entries survive epoch bumps.
 
@@ -24,4 +25,6 @@ pub mod cache;
 pub mod service;
 
 pub use cache::{text_fingerprint, CachedPattern};
-pub use service::{QueryResponse, QueryService, ServeError, ServiceConfig, ServiceStats};
+pub use service::{
+    QueryResponse, QueryService, ServeError, ServiceConfig, ServiceStats, RESULT_CACHE_BYTES,
+};

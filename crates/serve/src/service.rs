@@ -12,7 +12,11 @@
 //! whatever the probe did not find, handing each step back to the table,
 //! and only a request that executes consults the feedback store. A
 //! request executes on the thread that called [`QueryService::query`].
-//! Every response reports which layers hit and the epoch served.
+//! Every response reports which layers hit and the epoch served. The
+//! pattern and plan layers hold a fixed number of entries, the result
+//! layer a fixed number of bytes ([`RESULT_CACHE_BYTES`]): an executed
+//! answer is admitted, evicting the oldest answers until it fits, unless
+//! it alone is larger than the budget.
 //!
 //! **Feedback.** This is the system's adaptive loop: a plan-cache miss
 //! ranks under the service's [`FeedbackStore`], every execution is
@@ -119,8 +123,15 @@ pub struct ServiceConfig {
 const PATTERN_CACHE_CAPACITY: usize = 1024;
 /// Plan-cache capacity (rankings).
 const PLAN_CACHE_CAPACITY: usize = 1024;
-/// Result-cache capacity (materialized answers).
-const RESULT_CACHE_CAPACITY: usize = 256;
+/// The result cache's budget: the bytes its answers may be charged in
+/// total ([`crate::cache`] says what a charge counts). An answer is worth
+/// its space only while requests read it again. On scale-10 XMark the
+/// `hot` workload of `smvbench` reuses 7–8 distinct answers charged
+/// 0.59–0.61 MB together, so 4 MiB holds about 7× the largest set any
+/// workload reads again. `adhoc`, which never reads an answer twice,
+/// holds about 60 answers (3.4–3.6 MB) under it; bounded by 256 entries
+/// instead, it pinned 248 answers charged 14.4 MB (58 KB each on average).
+pub const RESULT_CACHE_BYTES: usize = 4 << 20;
 
 /// One served answer.
 pub struct QueryResponse {
@@ -168,6 +179,11 @@ pub struct ServiceStats {
     pub results_invalidated: u64,
     /// Update batches applied.
     pub batches_applied: u64,
+    /// Result-cache entries evicted to make room for newer ones.
+    pub results_evicted: u64,
+    /// The bytes the live result-cache entries are charged, at most
+    /// [`RESULT_CACHE_BYTES`] (a level, not a count).
+    pub result_bytes: u64,
 }
 
 /// How many times a request whose snapshot was superseded before it
@@ -216,7 +232,7 @@ impl QueryService {
             cache: CacheTable::new(
                 PATTERN_CACHE_CAPACITY,
                 PLAN_CACHE_CAPACITY,
-                RESULT_CACHE_CAPACITY,
+                RESULT_CACHE_BYTES,
             ),
             feedback: Mutex::new(Arc::new(FeedbackStore::new())),
             rewrite_opts: RewriteOpts::default(),

@@ -359,6 +359,14 @@ impl LabelBytes {
             LabelBytes::Spilled(b) => b,
         }
     }
+
+    /// The bytes held on the heap: none when inline.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            LabelBytes::Inline(..) => 0,
+            LabelBytes::Spilled(b) => b.len(),
+        }
+    }
 }
 
 /// Copies `src` to the front of `dst` in whole 8-byte words where it has
@@ -774,6 +782,15 @@ impl StructId {
             StructId::Seq(_) => None,
         }
     }
+
+    /// The bytes this ID owns on the heap: a label too long to be held
+    /// inline, otherwise none.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            StructId::Ord(OrdPath(b)) | StructId::Dewey(DeweyId(b)) => b.heap_bytes(),
+            StructId::Seq(_) => 0,
+        }
+    }
 }
 
 impl std::fmt::Display for StructId {
@@ -1051,6 +1068,10 @@ mod tests {
         let back = OrdPath::try_from_bytes(long.as_bytes()).unwrap();
         assert!(matches!(back.0, LabelBytes::Spilled(_)));
         assert_eq!(back, long);
+        // only a spilled label owns heap bytes
+        assert_eq!(StructId::Ord(short).heap_bytes(), 0);
+        assert_eq!(StructId::Ord(long).heap_bytes(), INLINE + 1);
+        assert_eq!(StructId::Seq(7).heap_bytes(), 0);
     }
 
     #[test]

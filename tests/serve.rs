@@ -112,6 +112,34 @@ fn a_cached_answer_holds_no_dead_capacity() {
     );
 }
 
+/// A stream of never-seen texts, each a large answer, keeps the result
+/// cache within its byte budget after every request: the oldest answers
+/// make room, and the newest is served from the cache.
+#[test]
+fn never_seen_large_answers_stay_within_the_byte_budget() {
+    let _quiet = beside_others();
+    let svc = service(3.0, 1, IdScheme::OrdPath, 1);
+    let budget = smv::serve::RESULT_CACHE_BYTES as u64;
+    let mut largest = 0;
+    for i in 0..300 {
+        let q = format!("site(//quantity{{id,v}}[v>0 and v<{}])", 1_000_000 + i);
+        let resp = svc.query(&q).unwrap();
+        assert!(!resp.result_cache_hit, "{q} is never-seen");
+        largest = largest.max(resp.rows.heap_bytes());
+        let stats = svc.stats();
+        assert!(stats.result_bytes <= budget, "request {i}: {stats:?}");
+    }
+    let stats = svc.stats();
+    assert!(300 * largest as u64 > 2 * budget, "the stream overflows it");
+    assert!(stats.results_evicted > 0, "{stats:?}");
+    assert!(stats.result_bytes > budget / 2, "{stats:?}");
+    let last = "site(//quantity{id,v}[v>0 and v<1000299])";
+    assert!(
+        svc.query(last).unwrap().result_cache_hit,
+        "the newest stays"
+    );
+}
+
 #[test]
 fn concurrent_clients_with_interleaved_updates_stay_coherent() {
     const CLIENTS: usize = 3;
@@ -246,9 +274,14 @@ fn service_counts_equal_the_registry_and_every_query_is_scheduled_once() {
         ("serve.result_hits", stats.result_hits),
         ("serve.results_invalidated", stats.results_invalidated),
         ("serve.batches_applied", stats.batches_applied),
+        ("serve.results_evicted", stats.results_evicted),
     ] {
         assert_eq!(registry.counter(name), count, "{name}");
     }
+    assert_eq!(
+        registry.gauge("serve.result_bytes"),
+        Some(stats.result_bytes as i64)
+    );
     // every query ran on its calling thread
     assert_eq!(stats.sched_intra, 0);
     assert_eq!(
