@@ -1,11 +1,11 @@
 //! # smv-serve — the multi-client query service
 //!
 //! The paper's premise is that materialization pays when structural work
-//! recurs; PR 2–8 exploited recurrence *within* one query. This crate
-//! exploits recurrence *across* a workload: a long-running
-//! [`QueryService`] holds [`smv_views::EpochCatalog`] snapshots, serves
-//! concurrent clients, each request on the thread that asks it, and
-//! caches in one table, under one lock —
+//! recurs. The rewriter and the executor exploit recurrence *within* one
+//! query; this crate exploits recurrence *across* a workload: a
+//! long-running [`QueryService`] holds [`smv_views::EpochCatalog`]
+//! snapshots, serves concurrent clients, each request on the thread that
+//! asks it, and caches in one table, under one lock —
 //!
 //! 1. a **pattern cache** keyed by the query text and shared across
 //!    spellings via [`smv_pattern::canonical_form`] (parse once),

@@ -98,3 +98,9 @@ pub mod prelude {
     };
     pub use smv_xquery::{parse_xquery, translate};
 }
+
+/// The README's quick-start blocks, compiled and run as doctests so they
+/// cannot drift from the API.
+#[doc = include_str!("../README.md")]
+#[cfg(doctest)]
+pub struct ReadmeDoctests;
